@@ -10,7 +10,7 @@ use std::sync::Arc;
 use crate::actor::{Actor, FireContext, IoSignature};
 use crate::error::Result;
 use crate::time::{Micros, Timestamp};
-use crate::token::{Record, Token};
+use crate::token::{Schema, Token};
 
 /// Symmetric keyed stream join: events from `left` and `right` are matched
 /// on a projected key; each match emits `{left: .., right: ..}`. Each
@@ -21,6 +21,8 @@ pub struct HashJoin {
     retain: usize,
     left: HashMap<Token, VecDeque<Token>>,
     right: HashMap<Token, VecDeque<Token>>,
+    /// Shape of every emitted match: `{left, right}`.
+    pair: Arc<Schema>,
 }
 
 impl HashJoin {
@@ -32,14 +34,8 @@ impl HashJoin {
             retain: retain.max(1),
             left: HashMap::new(),
             right: HashMap::new(),
+            pair: Schema::new(&["left", "right"]),
         }
-    }
-
-    fn merged(left: &Token, right: &Token) -> Token {
-        Token::Record(Arc::new(Record::new(vec![
-            (Arc::from("left"), left.clone()),
-            (Arc::from("right"), right.clone()),
-        ])))
     }
 }
 
@@ -59,12 +55,8 @@ impl Actor for HashJoin {
                 };
                 if let Some(matches) = other.get(&key) {
                     for m in matches {
-                        let out = if left_side {
-                            Self::merged(t, m)
-                        } else {
-                            Self::merged(m, t)
-                        };
-                        ctx.emit(0, out);
+                        let (l, r) = if left_side { (t, m) } else { (m, t) };
+                        ctx.emit(0, self.pair.record([l.clone(), r.clone()]));
                     }
                 }
                 let buf = own.entry(key).or_default();

@@ -5,12 +5,13 @@
 //! vocabulary a future networked fabric needs for `CwEvent` framing: one
 //! codec serves snapshot files, source event logs, and remote channels.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::event::CwEvent;
 use crate::time::{Micros, Timestamp};
-use crate::token::{Record, Token};
+use crate::token::{Schema, Token};
 use crate::wave::WaveTag;
 use crate::window::Window;
 
@@ -167,17 +168,29 @@ impl Encoder {
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// One schema per distinct field-name list decoded so far: the format
+    /// spells the names out per record, recovered records share them again.
+    schemas: HashMap<Vec<&'a str>, Arc<Schema>>,
 }
 
 impl<'a> Decoder<'a> {
     /// A decoder starting at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
+        Decoder {
+            buf,
+            pos: 0,
+            schemas: HashMap::new(),
+        }
     }
 
     /// Whether every byte has been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.pos >= self.buf.len()
+    }
+
+    /// Offset of the next byte to read.
+    pub fn position(&self) -> usize {
+        self.pos
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
@@ -259,13 +272,17 @@ impl<'a> Decoder<'a> {
             4 => Ok(Token::Str(Arc::from(self.str()?))),
             5 => {
                 let n = self.u32()? as usize;
-                let mut fields = Vec::with_capacity(n);
+                // The count comes from the input: reserve no more than the
+                // bytes left could hold.
+                let cap = n.min(self.buf.len() - self.pos);
+                let mut names = Vec::with_capacity(cap);
+                let mut values = Vec::with_capacity(cap);
                 for _ in 0..n {
-                    let name: Arc<str> = Arc::from(self.str()?);
-                    let value = self.token()?;
-                    fields.push((name, value));
+                    names.push(self.str()?);
+                    values.push(self.token()?);
                 }
-                Ok(Token::Record(Arc::new(Record::new(fields))))
+                let schema = self.schemas.entry(names).or_insert_with_key(|names| Schema::new(names));
+                Ok(schema.record(values))
             }
             6 => {
                 let n = self.u32()? as usize;

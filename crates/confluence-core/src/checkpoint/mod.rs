@@ -514,25 +514,22 @@ impl EventLog {
             Err(e) => return Err(io_err("read event log", e)),
         };
         let mut entries = Vec::new();
-        let mut pos = 0usize;
-        while pos + 4 <= bytes.len() {
-            let len =
-                u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4-byte slice")) as usize;
-            let Some(end) = pos.checked_add(4).and_then(|p| p.checked_add(len)) else {
-                break;
-            };
+        // One decoder over the whole file, so replayed records of one shape
+        // share a schema the way live ones do.
+        let mut d = Decoder::new(&bytes);
+        while d.position() + 4 <= bytes.len() {
+            let len = d.u32()? as usize;
+            let end = d.position() + len;
             if end > bytes.len() {
                 break; // torn trailing frame
             }
-            let mut d = Decoder::new(&bytes[pos + 4..end]);
             let seq = d.u64()?;
             let port = d.u32()?;
             let token = d.token()?;
-            if !d.is_exhausted() {
-                return Err(Error::Checkpoint("trailing bytes in log frame".into()));
+            if d.position() != end {
+                return Err(Error::Checkpoint("log frame length mismatch".into()));
             }
             entries.push(LogEntry { seq, port, token });
-            pos = end;
         }
         Ok(entries)
     }

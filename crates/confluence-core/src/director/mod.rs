@@ -189,6 +189,9 @@ impl Fabric {
                     .copied()
                     .unwrap_or(0);
                 let upstreams = channels + feeders;
+                // Timestamps arrive in order from one producer's channel;
+                // an expired-items feed replays old events at any time.
+                let ordered = channels == 1 && feeders == 0;
                 let receiver = Arc::new(PortReceiver::with_policy(
                     workflow.window_spec(id, port).clone(),
                     inbox.clone(),
@@ -196,6 +199,7 @@ impl Fabric {
                     upstreams.max(1),
                     workflow.channel_policy(id, port),
                 )?);
+                receiver.wire(workflow.expired_route(id, port).is_some(), ordered);
                 if upstreams == 0 {
                     // Nothing will ever feed this port: close it now so the
                     // thread-based director's blocking reads can terminate.
@@ -223,7 +227,30 @@ impl Fabric {
             })
             .collect();
         let has_expired_routes = workflow.has_expired_routes();
-        let fine = observer.as_ref().is_some_and(|o| o.wants_event_hooks());
+        let mut fabric = Fabric {
+            inboxes,
+            receivers,
+            routes,
+            expired_routes,
+            has_expired_routes,
+            observer: None,
+            fine: false,
+            progress,
+            blocking: AtomicBool::new(false),
+            relief_lock: Mutex::new(()),
+            shed_ppm: AtomicU64::new(0),
+            shed_acc: AtomicU64::new(0),
+        };
+        fabric.observe(workflow, observer);
+        Ok(fabric)
+    }
+
+    /// Attach `observer` (replacing any earlier one) and announce the
+    /// wiring to it. A director that keeps one fabric across checkpoint
+    /// segments calls this at the start of each, so the segment's
+    /// observers — not the first segment's — see what the fabric moves.
+    pub fn observe(&mut self, workflow: &Workflow, observer: Option<Arc<dyn Observer>>) {
+        self.fine = observer.as_ref().is_some_and(|o| o.wants_event_hooks());
         if let Some(obs) = &observer {
             // Announce the wiring before anything runs: observers that
             // sample per-port depths mid-run (series recorder, port-depth
@@ -235,25 +262,12 @@ impl Fabric {
                     id,
                     name: workflow.node(id).name.clone(),
                     ports: workflow.node(id).signature.inputs.len(),
-                    inbox: Arc::downgrade(&inboxes[id.index()]),
+                    inbox: Arc::downgrade(&self.inboxes[id.index()]),
                 })
                 .collect();
             obs.on_topology(&TopologySnapshot { actors });
         }
-        Ok(Fabric {
-            inboxes,
-            receivers,
-            routes,
-            expired_routes,
-            has_expired_routes,
-            observer,
-            fine,
-            progress,
-            blocking: AtomicBool::new(false),
-            relief_lock: Mutex::new(()),
-            shed_ppm: AtomicU64::new(0),
-            shed_acc: AtomicU64::new(0),
-        })
+        self.observer = observer;
     }
 
     /// Set the admission-side shed ratio (parts per million of source
@@ -991,6 +1005,33 @@ mod tests {
         let (_, w) = fabric.inbox(k).try_pop().expect("flush on close");
         assert!(w.timed_out);
         assert!(fabric.inbox(k).all_ports_closed());
+    }
+
+    #[test]
+    fn expired_events_are_queued_only_for_a_handler() {
+        let sliding = |handled: bool| {
+            let mut b = WorkflowBuilder::new("expired");
+            let s = b.add_actor("src", VecSource::new(vec![]));
+            let k = b.add_actor("sink", Collector::new().actor());
+            b.connect_windowed(s, "out", k, "in", WindowSpec::tuples(2, 1))
+                .unwrap();
+            if handled {
+                let audit = b.add_actor("audit", Collector::new().actor());
+                b.set_expired_handler(k, "in", audit, "in").unwrap();
+            }
+            let wf = b.build().unwrap();
+            let fabric = Fabric::build(&wf).unwrap();
+            let burst = (0..10).map(|i| (0, Token::Int(i))).collect();
+            fabric.route(s, burst, None, Timestamp(1)).unwrap();
+            assert_eq!(fabric.inbox(k).len(), 9, "windows slide either way");
+            let port = &fabric.receivers(k)[0];
+            assert_eq!(port.pending_events(), 1);
+            let queued = port.expired_len();
+            assert_eq!(fabric.route_expired(Timestamp(2)).unwrap(), queued as u64);
+            queued
+        };
+        assert_eq!(sliding(true), 9, "a handler reads what slid out");
+        assert_eq!(sliding(false), 0, "nobody would: nothing is kept");
     }
 
     #[test]

@@ -858,7 +858,9 @@ impl WorkflowBuilder {
             let per_event = w.size == Measure::Tuples(1) && w.step == Measure::Tuples(1);
             let compatible = per_event
                 || match (&spec.key, &w.group_by) {
-                    (GroupBy::Fields(k), GroupBy::Fields(g)) => k.iter().all(|f| g.contains(f)),
+                    (GroupBy::Fields(k), GroupBy::Fields(g)) => {
+                        k.names().iter().all(|f| g.index_of(f).is_some())
+                    }
                     (GroupBy::Key(_), _) => true, // caller-asserted
                     _ => false,
                 };

@@ -441,6 +441,11 @@ impl PortReceiver {
         })
     }
 
+    /// See [`WindowOperator::wire`].
+    pub(crate) fn wire(&self, expired_handler: bool, single_upstream: bool) {
+        self.op.lock().wire(expired_handler, single_upstream);
+    }
+
     /// The input port index this receiver serves.
     pub fn port(&self) -> usize {
         self.port
@@ -607,6 +612,16 @@ impl PortReceiver {
     /// Events buffered in group queues.
     pub fn pending_events(&self) -> usize {
         self.op.lock().pending_events()
+    }
+
+    /// Groups the port's window operator currently keeps state for.
+    pub fn group_count(&self) -> usize {
+        self.op.lock().group_count()
+    }
+
+    /// Expired events queued for the port's handler activity.
+    pub fn expired_len(&self) -> usize {
+        self.op.lock().expired_len()
     }
 
     /// Snapshot this port's window-operator state (checkpoint capture).

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use crate::actor::{Actor, FireContext, IoSignature};
 use crate::error::{Error, Result};
 use crate::time::Timestamp;
-use crate::token::{Record, Token};
+use crate::token::{Schema, Token};
 use crate::window::{GroupBy, Window};
 
 /// Field name used to carry the splitter's dispatch sequence number on
@@ -65,18 +65,27 @@ pub fn shard_of(key: &Token, replicas: usize) -> usize {
     (h.finish() % replicas as u64) as usize
 }
 
-fn strip_seq(token: &Token) -> Token {
-    match token.as_record() {
-        Ok(rec) if rec.get(SEQ_FIELD).is_some() => {
-            let fields = rec
-                .iter()
-                .filter(|(n, _)| *n != SEQ_FIELD)
-                .map(|(n, v)| (Arc::from(n), v.clone()))
-                .collect();
-            Token::Record(Arc::new(Record::new(fields)))
+/// A record shape with [`SEQ_FIELD`] taken out, or put last: derived once
+/// per source schema, not once per record.
+#[derive(Default)]
+struct DerivedSchema(Option<(Arc<Schema>, Arc<Schema>)>);
+
+impl DerivedSchema {
+    fn of(&mut self, source: &Arc<Schema>, keep_seq: bool) -> Arc<Schema> {
+        if !matches!(&self.0, Some((from, _)) if Arc::ptr_eq(from, source)) {
+            let names = source.names().iter().filter(|n| n.as_ref() != SEQ_FIELD);
+            let seq = keep_seq.then(|| Arc::from(SEQ_FIELD));
+            let to = Schema::from_names(names.cloned().chain(seq).collect());
+            self.0 = Some((source.clone(), to));
         }
-        _ => token.clone(),
+        self.0.as_ref().expect("derived above").1.clone()
     }
+}
+
+/// The values of `rec`'s fields other than [`SEQ_FIELD`], in order.
+fn payload(rec: &crate::token::Record) -> impl Iterator<Item = Token> + '_ {
+    let fields = rec.iter().filter(|(n, _)| *n != SEQ_FIELD);
+    fields.map(|(_, v)| v.clone())
 }
 
 /// Highest dispatch sequence among a window's events (`-1` when none carry
@@ -121,6 +130,7 @@ pub struct ShardSplitter {
     /// Per replica: the highest sequence it has been told about, via data
     /// or heartbeat.
     advertised: Vec<i64>,
+    stamped: DerivedSchema,
 }
 
 impl ShardSplitter {
@@ -132,6 +142,7 @@ impl ShardSplitter {
             in_name: in_name.into(),
             seq: 0,
             advertised: vec![-1; replicas.max(1)],
+            stamped: DerivedSchema::default(),
         }
     }
 }
@@ -159,7 +170,10 @@ impl Actor for ShardSplitter {
                         token.type_name()
                     ))
                 })?;
-                let stamped = Token::Record(Arc::new(rec.with(SEQ_FIELD, Token::Int(self.seq))));
+                let stamped = self
+                    .stamped
+                    .of(rec.schema(), true)
+                    .record(payload(rec).chain([Token::Int(self.seq)]).collect::<Vec<_>>());
                 self.advertised[shard] = self.seq;
                 self.seq += 1;
                 ctx.emit(shard, stamped);
@@ -259,12 +273,16 @@ impl FireContext for ShimCtx {
 /// [`OrderedMerge`] can restore dispatch order.
 pub struct ShardReplica {
     inner: Box<dyn Actor>,
+    stripped: DerivedSchema,
 }
 
 impl ShardReplica {
     /// Wrap one replica of the sharded actor.
     pub fn new(inner: Box<dyn Actor>) -> Self {
-        ShardReplica { inner }
+        ShardReplica {
+            inner,
+            stripped: DerivedSchema::default(),
+        }
     }
 
     /// Forward buffered inner emissions, acking when asked.
@@ -323,7 +341,11 @@ impl Actor for ShardReplica {
                     .iter()
                     .map(|e| {
                         let mut e = e.clone();
-                        e.token = strip_seq(&e.token);
+                        let stamped = e.token.as_record().ok();
+                        if let Some(rec) = stamped.filter(|r| r.index_of(SEQ_FIELD).is_some()) {
+                            let plain = self.stripped.of(rec.schema(), false);
+                            e.token = plain.record(payload(rec).collect::<Vec<_>>());
+                        }
                         e
                     })
                     .collect(),

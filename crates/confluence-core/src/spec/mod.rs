@@ -128,7 +128,7 @@ mod tests {
         assert_eq!(spec.timeout, Some(crate::time::Micros::from_secs(5)));
         assert!(matches!(
             &spec.group_by,
-            crate::window::GroupBy::Fields(f) if f.len() == 2
+            crate::window::GroupBy::Fields(f) if f.names().len() == 2
         ));
     }
 

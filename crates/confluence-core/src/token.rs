@@ -7,7 +7,8 @@
 //! `time`, `carid`, `speed`, `xway`, `lane`, `dir`, `seg`, `pos`.
 //!
 //! Tokens are cheap to clone: strings, records, and arrays are reference
-//! counted.
+//! counted. Records of one shape share a [`Schema`]: the field names exist
+//! once per shape, a record itself is its values.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -36,91 +37,160 @@ pub enum Token {
     Array(Arc<[Token]>),
 }
 
-/// Records at or below this many fields are probed linearly on lookup —
+/// Schemas at or below this many fields are probed linearly on lookup —
 /// a handful of short string compares beats binary-search bookkeeping.
 const SMALL_RECORD: usize = 8;
 
-/// A record token's payload: ordered named fields.
-#[derive(Debug, Clone)]
-pub struct Record {
-    fields: Vec<(Arc<str>, Token)>,
+/// The field names of one record *shape*, in declaration order. Records
+/// built through the same `Arc<Schema>` share it: a constructor of many
+/// records creates the schema once and calls [`Schema::record`].
+#[derive(Debug)]
+pub struct Schema {
+    names: Box<[Arc<str>]>,
     /// Field positions ordered by name, populated only past
     /// [`SMALL_RECORD`] fields: lookups binary-search this permutation
     /// instead of re-scanning the declaration order.
     sorted: Box<[u16]>,
 }
 
-impl Record {
-    /// Create a record from `(name, value)` pairs, keeping order.
-    pub fn new(fields: Vec<(Arc<str>, Token)>) -> Self {
-        let sorted = if fields.len() > SMALL_RECORD && fields.len() <= u16::MAX as usize {
-            let mut index: Vec<u16> = (0..fields.len() as u16).collect();
-            index.sort_by(|&a, &b| fields[a as usize].0.cmp(&fields[b as usize].0));
+impl Schema {
+    /// The schema with the given field names, in order.
+    pub fn new(names: &[&str]) -> Arc<Schema> {
+        Self::from_names(names.iter().map(|n| Arc::from(*n)).collect())
+    }
+
+    /// [`Schema::new`] over names that are shared strings already (those
+    /// of the schema this one derives from).
+    pub fn from_names(names: Vec<Arc<str>>) -> Arc<Schema> {
+        let sorted = if names.len() > SMALL_RECORD && names.len() <= u16::MAX as usize {
+            let mut index: Vec<u16> = (0..names.len() as u16).collect();
+            index.sort_by(|&a, &b| names[a as usize].cmp(&names[b as usize]));
             index.into_boxed_slice()
         } else {
             Box::default()
         };
-        Record { fields, sorted }
+        Arc::new(Schema {
+            names: names.into_boxed_slice(),
+            sorted,
+        })
+    }
+
+    /// The field names, in declaration order.
+    pub fn names(&self) -> &[Arc<str>] {
+        &self.names
     }
 
     /// Declaration-order position of field `name`: a linear probe for
-    /// small records, a binary search over the name-sorted permutation
-    /// otherwise. Pairs with [`Record::get_at`] so hot loops can resolve
-    /// a field name once and index thereafter.
+    /// small schemas, a binary search over the name-sorted permutation
+    /// otherwise.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         if self.sorted.is_empty() {
-            return self.fields.iter().position(|(n, _)| n.as_ref() == name);
+            return self.names.iter().position(|n| n.as_ref() == name);
         }
         let at = self
             .sorted
-            .partition_point(|&i| self.fields[i as usize].0.as_ref() < name);
+            .partition_point(|&i| self.names[i as usize].as_ref() < name);
         let &i = self.sorted.get(at)?;
-        (self.fields[i as usize].0.as_ref() == name).then_some(i as usize)
+        (self.names[i as usize].as_ref() == name).then_some(i as usize)
+    }
+
+    /// A record token of this shape, `values[i]` being the value of field
+    /// `names()[i]`: two allocations (the record and its values), none per
+    /// name. Panics unless there is exactly one value per field.
+    pub fn record(self: &Arc<Self>, values: impl Into<Box<[Token]>>) -> Token {
+        let values = values.into();
+        assert_eq!(values.len(), self.names.len(), "one value per schema field");
+        Token::Record(Arc::new(Record {
+            schema: self.clone(),
+            values,
+        }))
+    }
+}
+
+/// A record token's payload: the values of the fields its [`Schema`] names.
+#[derive(Debug, Clone)]
+pub struct Record {
+    schema: Arc<Schema>,
+    values: Box<[Token]>,
+}
+
+impl Record {
+    /// Create a record from `(name, value)` pairs, keeping order, with a
+    /// schema of its own ([`Schema::record`] is the shared form).
+    pub fn new(fields: Vec<(Arc<str>, Token)>) -> Self {
+        let (names, values): (Vec<_>, Vec<_>) = fields.into_iter().unzip();
+        Record {
+            schema: Schema::from_names(names),
+            values: values.into_boxed_slice(),
+        }
+    }
+
+    /// The shape this record was built with.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// Declaration-order position of field `name`. Pairs with
+    /// [`Record::get_at`] so hot loops can resolve a field name once and
+    /// index thereafter.
+    pub fn index_of(&self, name: &str) -> Option<usize> {
+        self.schema.index_of(name)
     }
 
     /// Look a field up by name.
     pub fn get(&self, name: &str) -> Option<&Token> {
-        self.index_of(name).map(|i| &self.fields[i].1)
+        self.index_of(name).map(|i| &self.values[i])
     }
 
     /// Field value at declaration-order position `index` (from
     /// [`Record::index_of`]).
     pub fn get_at(&self, index: usize) -> Option<&Token> {
-        self.fields.get(index).map(|(_, v)| v)
+        self.values.get(index)
     }
 
     /// Iterate the fields in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Token)> {
-        self.fields.iter().map(|(n, v)| (n.as_ref(), v))
+        self.schema.names.iter().map(|n| n.as_ref()).zip(self.values.iter())
     }
 
     /// Number of fields.
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.values.len()
     }
 
     /// Whether the record has no fields.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.values.is_empty()
     }
 
     /// A copy of this record with `name` set to `value` (replacing an
-    /// existing field or appending a new one).
+    /// existing field, which keeps the schema, or appending a new one).
     pub fn with(&self, name: &str, value: Token) -> Record {
-        let mut fields = self.fields.clone();
-        if let Some(slot) = fields.iter_mut().find(|(n, _)| n.as_ref() == name) {
-            slot.1 = value;
-        } else {
-            fields.push((Arc::from(name), value));
+        let mut values = self.values.to_vec();
+        let schema = match self.index_of(name) {
+            Some(i) => {
+                values[i] = value;
+                self.schema.clone()
+            }
+            None => {
+                values.push(value);
+                let names = self.schema.names.iter().cloned();
+                Schema::from_names(names.chain([Arc::from(name)]).collect())
+            }
+        };
+        Record {
+            schema,
+            values: values.into(),
         }
-        Record::new(fields)
     }
 }
 
-/// Field-wise equality; the lookup index is derived state.
+/// Field-wise equality of names and values; which `Schema` allocation a
+/// record points at is not part of its value.
 impl PartialEq for Record {
     fn eq(&self, other: &Self) -> bool {
-        self.fields == other.fields
+        (Arc::ptr_eq(&self.schema, &other.schema) || self.schema.names == other.schema.names)
+            && self.values == other.values
     }
 }
 
@@ -269,18 +339,21 @@ impl Token {
     }
 
     /// Project a record onto a subset of its fields (used by group-by key
-    /// extraction). Missing fields become an error.
+    /// extraction). Missing fields become an error. The projection shares
+    /// the source schema's name strings.
     pub fn project(&self, names: &[impl AsRef<str>]) -> Result<Token> {
         let rec = self.as_record()?;
-        let mut fields = Vec::with_capacity(names.len());
+        let mut shared = Vec::with_capacity(names.len());
+        let mut values = Vec::with_capacity(names.len());
         for name in names {
             let name = name.as_ref();
-            let value = rec
-                .get(name)
+            let at = rec
+                .index_of(name)
                 .ok_or_else(|| Error::MissingField(name.to_string()))?;
-            fields.push((Arc::from(name), value.clone()));
+            shared.push(rec.schema.names[at].clone());
+            values.push(rec.values[at].clone());
         }
-        Ok(Token::Record(Arc::new(Record::new(fields))))
+        Ok(Schema::from_names(shared).record(values))
     }
 }
 
@@ -350,9 +423,11 @@ impl Hash for Token {
             // equality above this keeps Eq/Hash consistent.
             Token::Float(v) => v.to_bits().hash(state),
             Token::Str(v) => v.hash(state),
+            // Field count + values: equal records have equal names, so
+            // the names add nothing but SipHash rounds per key lookup.
             Token::Record(rec) => {
-                for (n, v) in rec.iter() {
-                    n.hash(state);
+                rec.len().hash(state);
+                for v in rec.values.iter() {
                     v.hash(state);
                 }
             }

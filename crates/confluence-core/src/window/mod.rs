@@ -34,7 +34,7 @@ use std::sync::Arc;
 use crate::error::{Error, Result};
 use crate::event::CwEvent;
 use crate::time::{Micros, Timestamp};
-use crate::token::Token;
+use crate::token::{Schema, Token};
 use crate::wave::WaveTag;
 
 /// How a window's extent (size) or advance (step) is measured.
@@ -58,8 +58,9 @@ pub enum GroupBy {
     /// No partitioning: a single queue.
     #[default]
     None,
-    /// Partition by the value of the named record fields.
-    Fields(Vec<Arc<str>>),
+    /// Partition by the value of the named record fields; holds the schema
+    /// every key record of this clause is built with.
+    Fields(Arc<Schema>),
     /// Partition by an arbitrary key-extraction function.
     Key(Arc<dyn Fn(&Token) -> Token + Send + Sync>),
 }
@@ -68,27 +69,49 @@ impl std::fmt::Debug for GroupBy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GroupBy::None => write!(f, "GroupBy::None"),
-            GroupBy::Fields(fs) => write!(f, "GroupBy::Fields({fs:?})"),
+            GroupBy::Fields(key) => write!(f, "GroupBy::Fields({:?})", key.names()),
             GroupBy::Key(_) => write!(f, "GroupBy::Key(<fn>)"),
         }
     }
 }
 
+/// Where a [`GroupBy::Fields`] clause's fields sit in the schema of the
+/// last input record seen.
+pub(crate) type KeyPositions = Option<(Arc<Schema>, Box<[usize]>)>;
+
 impl GroupBy {
     /// Partition by named record fields.
     pub fn fields(names: &[&str]) -> GroupBy {
-        GroupBy::Fields(names.iter().map(|n| Arc::from(*n)).collect())
+        GroupBy::Fields(Schema::new(names))
     }
 
     /// Extract the group key of a token. Non-record tokens under
     /// `GroupBy::Fields` are an error (the Linear Road workflow always
     /// groups records).
     pub fn key_of(&self, token: &Token) -> Result<Token> {
-        match self {
-            GroupBy::None => Ok(Token::Unit),
-            GroupBy::Fields(names) => token.project(names),
-            GroupBy::Key(f) => Ok(f(token)),
+        self.key_cached(token, &mut None)
+    }
+
+    /// [`GroupBy::key_of`] for a stream: `positions` remembers where the
+    /// key fields sit in the input's schema, so records of one shape pay
+    /// for the name lookups once and index thereafter.
+    pub(crate) fn key_cached(&self, token: &Token, positions: &mut KeyPositions) -> Result<Token> {
+        let key = match self {
+            GroupBy::None => return Ok(Token::Unit),
+            GroupBy::Key(f) => return Ok(f(token)),
+            GroupBy::Fields(key) => key,
+        };
+        let rec = token.as_record()?;
+        if !matches!(positions, Some((from, _)) if Arc::ptr_eq(from, rec.schema())) {
+            let at = key.names().iter().map(|name| {
+                rec.index_of(name)
+                    .ok_or_else(|| Error::MissingField(name.to_string()))
+            });
+            *positions = Some((rec.schema().clone(), at.collect::<Result<_>>()?));
         }
+        let (_, at) = positions.as_ref().expect("resolved above");
+        let value = |&i| rec.get_at(i).expect("resolved against this schema").clone();
+        Ok(key.record(at.iter().map(value).collect::<Vec<_>>()))
     }
 }
 

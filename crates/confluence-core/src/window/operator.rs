@@ -5,6 +5,10 @@
 //! queues, forms windows according to the [`WindowSpec`], appends produced
 //! windows to a ready queue, and pushes events that slide out of scope (or
 //! are consumed under `delete_used_events`) to the expired-items queue.
+//!
+//! What the operator holds follows what its windows currently cover: the
+//! expired-items queue exists only where something drains it, and a group
+//! with no state left is removed ([`WindowOperator::retire_at`]).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -14,25 +18,38 @@ use crate::time::{Micros, Timestamp};
 use crate::token::Token;
 use crate::wave::WaveTracker;
 
-use super::{Measure, Window, WindowSpec};
+use super::{KeyPositions, Measure, Window, WindowSpec};
 
 /// Window-forming state machine for one input port.
 #[derive(Debug)]
 pub struct WindowOperator {
     spec: WindowSpec,
     kind: Kind,
-    groups: HashMap<Token, GroupState>,
-    /// Group keys in first-arrival order, for deterministic flushing.
-    group_order: Vec<Token>,
+    groups: HashMap<Token, Group>,
+    /// Groups created so far; a group's `born` is its place in the
+    /// deterministic flush and snapshot order.
+    born: u64,
     ready: VecDeque<Window>,
-    expired: VecDeque<CwEvent>,
+    /// The expired-items queue; `None` once the fabric has found no
+    /// handler attached to the port.
+    expired: Option<VecDeque<CwEvent>>,
     pending: usize,
     /// Incremental deadline index: poll time → groups due at that time.
     /// Keeps [`WindowOperator::next_deadline`] O(1) and
     /// [`WindowOperator::poll`] proportional to the *due* groups only —
     /// essential when group-by fans out to thousands of queues.
     deadline_index: BTreeMap<Timestamp, Vec<Token>>,
-    group_deadline: HashMap<Token, Timestamp>,
+    /// Where the group-by fields sit in the input records' schema.
+    key_positions: KeyPositions,
+    /// Whether event timestamps are known to arrive in non-decreasing
+    /// order (one upstream channel): the precondition for evicting time
+    /// groups.
+    ordered: bool,
+    /// Highest event timestamp accepted so far (µs).
+    high: u64,
+    /// Empty time groups waiting for `high` to reach the key they are
+    /// filed under, at which point they are evicted.
+    retiring: BTreeMap<u64, Vec<Token>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -40,6 +57,14 @@ enum Kind {
     Tuples { size: usize, step: usize },
     Time { size: u64, step: u64 },
     Wave,
+}
+
+#[derive(Debug)]
+struct Group {
+    born: u64,
+    /// This group's entry in the deadline index, if it has one.
+    deadline: Option<Timestamp>,
+    state: GroupState,
 }
 
 #[derive(Debug)]
@@ -94,12 +119,15 @@ impl WindowOperator {
             spec,
             kind,
             groups: HashMap::new(),
-            group_order: Vec::new(),
+            born: 0,
             ready: VecDeque::new(),
-            expired: VecDeque::new(),
+            expired: Some(VecDeque::new()),
             pending: 0,
             deadline_index: BTreeMap::new(),
-            group_deadline: HashMap::new(),
+            key_positions: None,
+            ordered: false,
+            high: 0,
+            retiring: BTreeMap::new(),
         })
     }
 
@@ -108,42 +136,62 @@ impl WindowOperator {
         &self.spec
     }
 
+    /// What the fabric knows of the port from the graph. Without a handler
+    /// activity to drain the expired-items queue, events are dropped as
+    /// they expire. With a single upstream channel, event timestamps never
+    /// decrease and empty time groups may be evicted
+    /// ([`WindowOperator::retire_at`]).
+    pub(crate) fn wire(&mut self, expired_handler: bool, single_upstream: bool) {
+        if !expired_handler {
+            self.expired = None;
+        }
+        self.ordered = single_upstream;
+    }
+
     /// Push one event (arrival time = director time `now`). Any windows the
     /// event completes are appended to the ready queue; returns how many.
     pub fn push(&mut self, event: CwEvent, now: Timestamp) -> Result<usize> {
-        let key = self.spec.group_by.key_of(&event.token)?;
-        if !self.groups.contains_key(&key) {
-            let fresh = match self.kind {
-                Kind::Tuples { .. } => GroupState::Tuples(TupleGroup::default()),
-                Kind::Time { .. } => GroupState::Time(TimeGroup::default()),
-                Kind::Wave => GroupState::Wave(WaveGroup::default()),
-            };
-            self.groups.insert(key.clone(), fresh);
-            self.group_order.push(key.clone());
+        let key = self.spec.group_by.key_cached(&event.token, &mut self.key_positions)?;
+        if self.ordered {
+            self.high = self.high.max(event.timestamp.as_micros());
+            self.evict_retired();
         }
         let produced_before = self.ready.len();
         let kind = self.kind;
         let delete_used = self.spec.delete_used_events;
-        let group = self.groups.get_mut(&key).expect("group inserted above");
+        let born = &mut self.born;
         let mut out = Emitted {
             ready: &mut self.ready,
-            expired: &mut self.expired,
+            expired: self.expired.as_mut(),
             pending_delta: 0,
         };
-        match (group, kind) {
+        let group = self.groups.entry(key.clone()).or_insert_with(|| {
+            *born += 1;
+            Group {
+                born: *born,
+                deadline: None,
+                state: match kind {
+                    Kind::Tuples { .. } => GroupState::Tuples(TupleGroup::default()),
+                    Kind::Time { .. } => GroupState::Time(TimeGroup::default()),
+                    Kind::Wave => GroupState::Wave(WaveGroup::default()),
+                },
+            }
+        });
+        let was_empty = matches!(&group.state, GroupState::Time(g) if g.events.is_empty());
+        match (&mut group.state, kind) {
             (GroupState::Tuples(g), Kind::Tuples { size, step }) => {
-                g.push(event, key.clone(), size, step, delete_used, now, &mut out);
+                g.events.push_back(event);
+                g.next_seq += 1;
+                g.try_emit(&key, size, step, delete_used, now, &mut out);
             }
             (GroupState::Time(g), Kind::Time { size, step }) => {
-                g.push(event, key.clone(), size, step, delete_used, now, &mut out);
+                g.push(event, &key, size, step, delete_used, now, &mut out);
             }
-            (GroupState::Wave(g), Kind::Wave) => {
-                g.push(event, key.clone(), now, &mut out);
-            }
+            (GroupState::Wave(g), Kind::Wave) => g.push(event, &key, now, &mut out),
             _ => unreachable!("group state kind matches operator kind"),
         }
         self.pending = (self.pending as i64 + 1 + out.pending_delta) as usize;
-        self.refresh_deadline(&key);
+        self.settle(key, was_empty);
         Ok(self.ready.len() - produced_before)
     }
 
@@ -157,29 +205,26 @@ impl WindowOperator {
         };
         let mut out = Emitted {
             ready: &mut self.ready,
-            expired: &mut self.expired,
+            expired: self.expired.as_mut(),
             pending_delta: 0,
         };
-        match (group, kind) {
+        match (&mut group.state, kind) {
             (GroupState::Tuples(g), Kind::Tuples { size, step }) => {
-                g.poll(key.clone(), size, step, delete_used, timeout, now, &mut out);
+                g.poll(key, size, step, delete_used, timeout, now, &mut out);
             }
             (GroupState::Time(g), Kind::Time { size, step }) => {
-                g.advance_watermark(key.clone(), now.as_micros(), size, step, delete_used, now, &mut out);
+                g.advance_watermark(key, now.as_micros(), size, step, delete_used, now, &mut out);
             }
-            (GroupState::Wave(g), Kind::Wave) => {
-                g.poll(key.clone(), timeout, now, &mut out);
-            }
+            (GroupState::Wave(g), Kind::Wave) => g.poll(key, timeout, now, &mut out),
             _ => unreachable!(),
         }
         self.pending = (self.pending as i64 + out.pending_delta) as usize;
     }
 
     /// Earliest poll time at which one group could produce.
-    fn group_deadline_of(&self, key: &Token) -> Option<Timestamp> {
+    fn group_deadline_of(&self, group: &Group) -> Option<Timestamp> {
         let timeout = self.spec.timeout;
-        let group = self.groups.get(key)?;
-        match (group, self.kind) {
+        match (&group.state, self.kind) {
             (GroupState::Tuples(g), Kind::Tuples { .. }) => {
                 let t = timeout?;
                 let from = (g.next_start.saturating_sub(g.front_seq)) as usize;
@@ -209,25 +254,70 @@ impl WindowOperator {
         }
     }
 
-    /// Recompute one group's entry in the deadline index.
-    fn refresh_deadline(&mut self, key: &Token) {
-        let new = self.group_deadline_of(key);
-        let old = self.group_deadline.get(key).copied();
-        if new == old {
+    /// After a push or poll touched group `key`: bring its entry in the
+    /// deadline index up to date, and let go of it if it has no state left.
+    /// `was_empty` says a time group held no event before the call either
+    /// (a late event reached it): it is filed for eviction already.
+    fn settle(&mut self, key: Token, was_empty: bool) {
+        let Some(group) = self.groups.get(&key) else {
             return;
-        }
-        if let Some(old) = old {
-            if let Some(keys) = self.deadline_index.get_mut(&old) {
-                keys.retain(|k| k != key);
-                if keys.is_empty() {
-                    self.deadline_index.remove(&old);
+        };
+        let (old, new) = (group.deadline, self.group_deadline_of(group));
+        let retire_at = self.retire_at(group);
+        if new != old {
+            if let Some(old) = old {
+                if let Some(keys) = self.deadline_index.get_mut(&old) {
+                    keys.retain(|k| *k != key);
+                    if keys.is_empty() {
+                        self.deadline_index.remove(&old);
+                    }
                 }
             }
-            self.group_deadline.remove(key);
+            if let Some(new) = new {
+                self.deadline_index.entry(new).or_default().push(key.clone());
+            }
+            self.groups.get_mut(&key).expect("looked up above").deadline = new;
         }
-        if let Some(new) = new {
-            self.deadline_index.entry(new).or_default().push(key.clone());
-            self.group_deadline.insert(key.clone(), new);
+        match retire_at {
+            Some(at) if at <= self.high => drop(self.groups.remove(&key)),
+            Some(at) if !was_empty => self.retiring.entry(at).or_default().push(key),
+            _ => {}
+        }
+    }
+
+    /// The `high` from which a group that holds nothing but its key can be
+    /// removed; `None` while it holds more.
+    ///
+    /// A wave group is its open waves: with none left it goes at once. An
+    /// empty time group still says which windows it has closed (`next_k`
+    /// decides which later events are late), so it goes only on an ordered
+    /// port, once the port has accepted an event at or past the end of the
+    /// last window the group closed (and the start of the next, when
+    /// `size < step`). Every later event is past that time too: its first
+    /// window is one the group has not closed, and a group created afresh
+    /// for it emits and expires what the retained one would have. Tuple
+    /// groups always hold the `size − step` events of the next window.
+    fn retire_at(&self, group: &Group) -> Option<u64> {
+        match (&group.state, self.kind) {
+            (GroupState::Wave(g), _) if g.waves.is_empty() => Some(0),
+            (GroupState::Time(g), Kind::Time { size, step }) if self.ordered && g.events.is_empty() => {
+                Some(g.next_k * step + size.saturating_sub(step))
+            }
+            _ => None,
+        }
+    }
+
+    /// Evict the groups filed under a `high` that has now been reached. An
+    /// entry is a hint: a group that has buffered events or closed further
+    /// windows since stays (and is filed again when it empties).
+    fn evict_retired(&mut self) {
+        while let Some(entry) = self.retiring.first_entry().filter(|e| *e.key() <= self.high) {
+            for key in entry.remove() {
+                let due = self.groups.get(&key).and_then(|g| self.retire_at(g));
+                if due.is_some_and(|at| at <= self.high) {
+                    self.groups.remove(&key);
+                }
+            }
         }
     }
 
@@ -240,21 +330,16 @@ impl WindowOperator {
     /// windows only the explicit formation timeout applies.
     pub fn poll(&mut self, now: Timestamp) -> usize {
         let produced_before = self.ready.len();
-        loop {
-            let due: Option<Timestamp> = self
-                .deadline_index
-                .keys()
-                .next()
-                .copied()
-                .filter(|t| *t <= now);
-            let Some(t) = due else { break };
-            let keys = self.deadline_index.remove(&t).expect("first key exists");
+        while let Some(due) = self.deadline_index.first_entry().filter(|e| *e.key() <= now) {
+            let keys = due.remove();
             for key in &keys {
-                self.group_deadline.remove(key);
+                if let Some(group) = self.groups.get_mut(key) {
+                    group.deadline = None;
+                }
             }
             for key in keys {
                 self.poll_group(&key, now);
-                self.refresh_deadline(&key);
+                self.settle(key, false);
             }
         }
         self.ready.len() - produced_before
@@ -267,89 +352,62 @@ impl WindowOperator {
         self.deadline_index.keys().next().copied()
     }
 
+    /// Live group keys, oldest group first.
+    fn keys_by_birth(&self) -> Vec<Token> {
+        let mut keys: Vec<(u64, &Token)> = self.groups.iter().map(|(k, g)| (g.born, k)).collect();
+        keys.sort_unstable_by_key(|(born, _)| *born);
+        keys.into_iter().map(|(_, k)| k.clone()).collect()
+    }
+
     /// End-of-stream: force every buffered event out in final windows.
     ///
     /// Tuple and wave groups emit their remainders as short (`timed_out`)
     /// windows; time groups close every window containing buffered events
     /// (their content is final once the stream ends, so they are not marked
-    /// timed-out). Returns how many windows were produced.
+    /// timed-out). Groups are walked oldest first. Returns how many windows
+    /// were produced.
     pub fn flush(&mut self, now: Timestamp) -> usize {
         let produced_before = self.ready.len();
         let kind = self.kind;
         let delete_used = self.spec.delete_used_events;
-        for key in &self.group_order {
-            let Some(group) = self.groups.get_mut(key) else {
-                continue;
-            };
-            let mut out = Emitted {
-                ready: &mut self.ready,
-                expired: &mut self.expired,
-                pending_delta: 0,
-            };
-            match (group, kind) {
-                (GroupState::Tuples(g), Kind::Tuples { .. }) => {
-                    loop {
-                        let from = (g.next_start.saturating_sub(g.front_seq)) as usize;
-                        if from >= g.events.len() {
-                            break;
-                        }
-                        let events: Vec<CwEvent> = g.events.iter().skip(from).cloned().collect();
-                        let count = events.len();
-                        out.emit(key.clone(), events, now, true);
-                        g.next_start += count as u64;
-                        while g.front_seq < g.next_start {
-                            match g.events.pop_front() {
-                                Some(ev) => {
-                                    out.expire(ev);
-                                    g.front_seq += 1;
-                                }
-                                None => {
-                                    g.front_seq = g.next_start;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
+        let keys = self.keys_by_birth();
+        let mut out = Emitted {
+            ready: &mut self.ready,
+            expired: self.expired.as_mut(),
+            pending_delta: 0,
+        };
+        for key in &keys {
+            let group = self.groups.get_mut(key).expect("key of a live group");
+            group.deadline = None;
+            match (&mut group.state, kind) {
+                (GroupState::Tuples(g), Kind::Tuples { .. }) => g.emit_rest(key, now, &mut out),
                 (GroupState::Time(g), Kind::Time { size, step }) => {
                     if let Some(last) = g.events.back() {
-                        let last_ts = last.timestamp.as_micros();
                         // Close through the last window containing the last
                         // buffered event.
-                        let k_hi = last_ts / step;
-                        let final_watermark = k_hi * step + size;
-                        g.advance_watermark(
-                            key.clone(),
-                            final_watermark,
-                            size,
-                            step,
-                            delete_used,
-                            now,
-                            &mut out,
-                        );
+                        let k_hi = last.timestamp.as_micros() / step;
+                        let end = k_hi * step + size;
+                        g.advance_watermark(key, end, size, step, delete_used, now, &mut out);
                         // Whatever remains buffered can never be emitted
                         // again (stream is over): expire it.
-                        while let Some(ev) = g.events.pop_front() {
-                            out.expire(ev);
+                        for ev in g.events.drain(..) {
+                            out.expire(&ev);
                         }
                     }
                 }
                 (GroupState::Wave(g), Kind::Wave) => {
-                    let origins: Vec<Timestamp> = g.waves.keys().copied().collect();
-                    for origin in origins {
-                        let (_, events) = g.waves.remove(&origin).expect("key collected");
+                    for (_, (_, events)) in std::mem::take(&mut g.waves) {
                         out.pending_delta -= events.len() as i64;
-                        out.emit(key.clone(), events, now, true);
+                        out.emit(key, events, now, true);
                     }
                 }
                 _ => unreachable!(),
             }
-            self.pending = (self.pending as i64 + out.pending_delta) as usize;
         }
+        self.pending = (self.pending as i64 + out.pending_delta) as usize;
         // Everything buffered has been emitted or expired: no deadlines
         // remain.
         self.deadline_index.clear();
-        self.group_deadline.clear();
         self.ready.len() - produced_before
     }
 
@@ -369,43 +427,45 @@ impl WindowOperator {
         self.pending
     }
 
+    /// Number of groups the operator currently keeps state for.
+    pub fn group_count(&self) -> usize {
+        self.groups.len()
+    }
+
     /// Drain the expired-items queue (optionally handled by another
     /// workflow activity).
     pub fn drain_expired(&mut self) -> Vec<CwEvent> {
-        self.expired.drain(..).collect()
+        self.expired.iter_mut().flat_map(|q| q.drain(..)).collect()
     }
 
     /// Number of expired events awaiting drainage.
     pub fn expired_len(&self) -> usize {
-        self.expired.len()
+        self.expired.as_ref().map_or(0, VecDeque::len)
     }
 
     /// Serialize the operator's full state for a checkpoint: every group's
-    /// buffered events and progress counters (in first-arrival group
-    /// order), plus any formed-but-unconsumed and expired-but-undrained
-    /// events.
+    /// buffered events and progress counters (oldest group first), plus
+    /// any formed-but-unconsumed and expired-but-undrained events.
     pub fn snapshot(&self) -> OperatorSnapshot {
-        let mut groups = Vec::with_capacity(self.group_order.len());
-        for key in &self.group_order {
-            let Some(group) = self.groups.get(key) else {
-                continue;
-            };
-            groups.push(match group {
+        let groups = self
+            .keys_by_birth()
+            .into_iter()
+            .map(|key| match &self.groups[&key].state {
                 GroupState::Tuples(g) => GroupSnapshot::Tuples {
-                    key: key.clone(),
+                    key,
                     events: g.events.iter().cloned().collect(),
                     front_seq: g.front_seq,
                     next_seq: g.next_seq,
                     next_start: g.next_start,
                 },
                 GroupState::Time(g) => GroupSnapshot::Time {
-                    key: key.clone(),
+                    key,
                     events: g.events.iter().cloned().collect(),
                     watermark: g.watermark,
                     next_k: g.next_k,
                 },
                 GroupState::Wave(g) => GroupSnapshot::Wave {
-                    key: key.clone(),
+                    key,
                     // Per-origin buffers flattened in origin order; restore
                     // re-observes each tag to rebuild the trackers (tracker
                     // state is a pure fold of `observe`).
@@ -415,12 +475,12 @@ impl WindowOperator {
                         .flat_map(|(_, events)| events.iter().cloned())
                         .collect(),
                 },
-            });
-        }
+            })
+            .collect();
         OperatorSnapshot {
             groups,
             ready: self.ready.iter().cloned().collect(),
-            expired: self.expired.iter().cloned().collect(),
+            expired: self.expired.iter().flatten().cloned().collect(),
         }
     }
 
@@ -433,20 +493,23 @@ impl WindowOperator {
     pub fn take_snapshot(&mut self) -> OperatorSnapshot {
         let snap = self.snapshot();
         self.groups.clear();
-        self.group_order.clear();
         self.ready.clear();
-        self.expired.clear();
+        if let Some(q) = &mut self.expired {
+            q.clear();
+        }
         self.pending = 0;
         self.deadline_index.clear();
-        self.group_deadline.clear();
+        self.retiring.clear();
         snap
     }
 
     /// Restore state captured by [`WindowOperator::snapshot`] into a fresh
     /// operator built from the same [`WindowSpec`]. Rebuilds the pending
-    /// count and the deadline index from the restored groups.
+    /// count and the deadline index from the restored groups. Expired
+    /// events in the snapshot of a port that keeps no expired-items queue
+    /// (an older snapshot) are discarded.
     pub fn restore(&mut self, snap: OperatorSnapshot) -> Result<()> {
-        if !self.groups.is_empty() || !self.ready.is_empty() || !self.expired.is_empty() {
+        if !self.groups.is_empty() || !self.ready.is_empty() || self.expired_len() != 0 {
             return Err(Error::Checkpoint(
                 "window operator restore requires a fresh operator".into(),
             ));
@@ -513,15 +576,22 @@ impl WindowOperator {
                     ))
                 }
             };
-            if self.groups.insert(key.clone(), state).is_some() {
+            self.born += 1;
+            let group = Group {
+                born: self.born,
+                deadline: None,
+                state,
+            };
+            if self.groups.insert(key.clone(), group).is_some() {
                 return Err(Error::Checkpoint("duplicate group key in snapshot".into()));
             }
-            self.group_order.push(key.clone());
-            self.refresh_deadline(&key);
+            self.settle(key, false);
         }
         self.pending = pending;
         self.ready.extend(snap.ready);
-        self.expired.extend(snap.expired);
+        if let Some(q) = &mut self.expired {
+            q.extend(snap.expired);
+        }
         Ok(())
     }
 }
@@ -580,90 +650,94 @@ pub struct OperatorSnapshot {
 /// Emission sink threaded through group-state methods.
 struct Emitted<'a> {
     ready: &'a mut VecDeque<Window>,
-    expired: &'a mut VecDeque<CwEvent>,
+    expired: Option<&'a mut VecDeque<CwEvent>>,
     /// Net change to the operator's pending-event count produced by the
     /// call (removals are negative), excluding the pushed event itself.
     pending_delta: i64,
 }
 
 impl Emitted<'_> {
-    fn emit(&mut self, group: Token, events: Vec<CwEvent>, now: Timestamp, timed_out: bool) {
+    fn emit(&mut self, group: &Token, events: Vec<CwEvent>, now: Timestamp, timed_out: bool) {
         self.ready.push_back(Window {
-            group,
+            group: group.clone(),
             events,
             formed_at: now,
             timed_out,
         });
     }
 
-    fn expire(&mut self, event: CwEvent) {
-        self.expired.push_back(event);
+    /// `event` has left its group's buffer for good: it is copied to the
+    /// expired-items queue where there is one (the caller may still move
+    /// the event itself into the window it completes).
+    fn expire(&mut self, event: &CwEvent) {
+        if let Some(q) = &mut self.expired {
+            q.push_back(event.clone());
+        }
         self.pending_delta -= 1;
     }
 }
 
 impl TupleGroup {
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        event: CwEvent,
-        key: Token,
-        size: usize,
-        step: usize,
-        delete_used: bool,
-        now: Timestamp,
-        out: &mut Emitted<'_>,
-    ) {
-        self.events.push_back(event);
-        self.next_seq += 1;
-        self.try_emit(key, size, step, delete_used, now, out);
-    }
-
     /// Emit every full window currently formable.
     fn try_emit(
         &mut self,
-        key: Token,
+        key: &Token,
         size: usize,
         step: usize,
         delete_used: bool,
         now: Timestamp,
         out: &mut Emitted<'_>,
     ) {
+        let hop = if delete_used { step.max(size) } else { step };
         // The next window covers sequences [next_start, next_start + size).
         while self.next_seq >= self.next_start + size as u64 {
-            let from = (self.next_start - self.front_seq) as usize;
-            let events: Vec<CwEvent> = self
-                .events
-                .iter()
-                .skip(from)
-                .take(size)
-                .cloned()
-                .collect();
-            out.emit(key.clone(), events, now, false);
-            self.advance(size, step, delete_used, out);
+            self.emit(key, size, hop, false, now, out);
         }
     }
 
-    fn advance(&mut self, size: usize, step: usize, delete_used: bool, out: &mut Emitted<'_>) {
-        let hop = if delete_used { step.max(size) } else { step } as u64;
-        self.next_start += hop;
-        while self.front_seq < self.next_start {
-            if let Some(ev) = self.events.pop_front() {
-                out.expire(ev);
-                self.front_seq += 1;
-            } else {
-                // No buffered events below next_start (short/timed-out
-                // window advanced past the whole buffer).
-                self.front_seq = self.next_start;
-                break;
+    /// Emit the window of up to `size` events from `next_start` on and
+    /// advance the start by `hop`. Events that fall below the new start
+    /// leave the buffer: they are moved into the window, the ones the next
+    /// window will see again are copied.
+    fn emit(
+        &mut self,
+        key: &Token,
+        size: usize,
+        hop: usize,
+        timed_out: bool,
+        now: Timestamp,
+        out: &mut Emitted<'_>,
+    ) {
+        let from = (self.next_start.saturating_sub(self.front_seq)) as usize;
+        self.next_start += hop as u64;
+        let leaving = ((self.next_start - self.front_seq) as usize).min(self.events.len());
+        let mut events = Vec::with_capacity(size.min(self.events.len().saturating_sub(from)));
+        for (i, ev) in self.events.drain(..leaving).enumerate() {
+            out.expire(&ev);
+            if i >= from && events.len() < size {
+                events.push(ev);
             }
+        }
+        let staying = self.events.iter().skip(from.saturating_sub(leaving));
+        events.extend(staying.take(size - events.len()).cloned());
+        // A short window may advance past the whole buffer.
+        self.front_seq = self.next_start;
+        out.emit(key, events, now, timed_out);
+    }
+
+    /// Emit everything from `next_start` on as one short window, so that
+    /// it is not emitted again.
+    fn emit_rest(&mut self, key: &Token, now: Timestamp, out: &mut Emitted<'_>) {
+        let from = (self.next_start.saturating_sub(self.front_seq)) as usize;
+        if let Some(count) = self.events.len().checked_sub(from).filter(|c| *c > 0) {
+            self.emit(key, count, count, true, now, out);
         }
     }
 
     #[allow(clippy::too_many_arguments)]
     fn poll(
         &mut self,
-        key: Token,
+        key: &Token,
         size: usize,
         step: usize,
         delete_used: bool,
@@ -681,26 +755,11 @@ impl TupleGroup {
             if now < first.timestamp.plus(timeout) {
                 return;
             }
-            let available = self.events.len() - from;
-            if available >= size {
+            if self.events.len() - from >= size {
                 // A full window is formable; emit it normally.
-                self.try_emit(key.clone(), size, step, delete_used, now, out);
-                continue;
-            }
-            let events: Vec<CwEvent> = self.events.iter().skip(from).cloned().collect();
-            let count = events.len();
-            out.emit(key.clone(), events, now, true);
-            // Advance past everything emitted so the same short window is
-            // not re-emitted on the next poll.
-            self.next_start += count as u64;
-            while self.front_seq < self.next_start {
-                if let Some(ev) = self.events.pop_front() {
-                    out.expire(ev);
-                    self.front_seq += 1;
-                } else {
-                    self.front_seq = self.next_start;
-                    break;
-                }
+                self.try_emit(key, size, step, delete_used, now, out);
+            } else {
+                self.emit_rest(key, now, out);
             }
         }
     }
@@ -711,7 +770,7 @@ impl TimeGroup {
     fn push(
         &mut self,
         event: CwEvent,
-        key: Token,
+        key: &Token,
         size: u64,
         step: u64,
         delete_used: bool,
@@ -721,9 +780,9 @@ impl TimeGroup {
         let ts = event.timestamp.as_micros();
         if ts < self.next_k * step {
             // Late event: every window it could join has already closed.
-            out.expire(event);
             // (The pushed event was counted as +1 pending by the caller;
             // expire() balances it back out.)
+            out.expire(&event);
             return;
         }
         // Insert keeping the buffer sorted by event time (arrivals are
@@ -741,7 +800,7 @@ impl TimeGroup {
     #[allow(clippy::too_many_arguments)]
     fn advance_watermark(
         &mut self,
-        key: Token,
+        key: &Token,
         watermark: u64,
         size: u64,
         step: u64,
@@ -775,18 +834,6 @@ impl TimeGroup {
                     }
                 }
             }
-            let events: Vec<CwEvent> = self
-                .events
-                .iter()
-                .filter(|e| {
-                    let t = e.timestamp.as_micros();
-                    t >= lo && t < hi
-                })
-                .cloned()
-                .collect();
-            if !events.is_empty() {
-                out.emit(key.clone(), events, now, false);
-            }
             self.next_k += if delete_used {
                 // Consumed events may not appear in a later window: hop a
                 // whole window's worth of steps.
@@ -794,22 +841,29 @@ impl TimeGroup {
             } else {
                 1
             };
-            // Expire events no future window can cover.
+            // Events no future window can cover leave the (sorted) buffer
+            // and are moved into this window; the rest of the window's
+            // events stay for a later one and are copied.
             let cutoff = self.next_k * step;
-            while self
-                .events
-                .front()
-                .is_some_and(|e| e.timestamp.as_micros() < cutoff)
-            {
+            let mut events = Vec::new();
+            while self.events.front().is_some_and(|e| e.timestamp.as_micros() < cutoff) {
                 let ev = self.events.pop_front().expect("checked front");
-                out.expire(ev);
+                out.expire(&ev);
+                if (lo..hi).contains(&ev.timestamp.as_micros()) {
+                    events.push(ev);
+                }
+            }
+            let staying = self.events.iter().take_while(|e| e.timestamp.as_micros() < hi);
+            events.extend(staying.cloned());
+            if !events.is_empty() {
+                out.emit(key, events, now, false);
             }
         }
     }
 }
 
 impl WaveGroup {
-    fn push(&mut self, event: CwEvent, key: Token, now: Timestamp, out: &mut Emitted<'_>) {
+    fn push(&mut self, event: CwEvent, key: &Token, now: Timestamp, out: &mut Emitted<'_>) {
         let origin = event.wave.origin();
         let entry = self
             .waves
@@ -824,7 +878,7 @@ impl WaveGroup {
         }
     }
 
-    fn poll(&mut self, key: Token, timeout: Option<Micros>, now: Timestamp, out: &mut Emitted<'_>) {
+    fn poll(&mut self, key: &Token, timeout: Option<Micros>, now: Timestamp, out: &mut Emitted<'_>) {
         let Some(timeout) = timeout else { return };
         let stale: Vec<Timestamp> = self
             .waves
@@ -839,7 +893,7 @@ impl WaveGroup {
         for origin in stale {
             let (_, events) = self.waves.remove(&origin).expect("collected above");
             out.pending_delta -= events.len() as i64;
-            out.emit(key.clone(), events, now, true);
+            out.emit(key, events, now, true);
         }
     }
 }
@@ -1217,6 +1271,128 @@ mod tests {
         let mut dirty = WindowOperator::new(WindowSpec::tuples(2, 1)).unwrap();
         dirty.push(ev(9, 0), Timestamp(0)).unwrap();
         assert!(dirty.restore(snap).is_err());
+    }
+
+    /// Everything the operator has produced since the last call.
+    fn produced(op: &mut WindowOperator) -> (Vec<Window>, Vec<CwEvent>) {
+        let windows = std::iter::from_fn(|| op.pop_window()).collect();
+        (windows, op.drain_expired())
+    }
+
+    fn sorted(mut windows: Vec<Window>) -> Vec<Window> {
+        windows.sort_by(|a, b| (&a.group, a.earliest_origin()).cmp(&(&b.group, b.earliest_origin())));
+        windows
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// On a timestamp-ordered stream with polls that run ahead of it,
+        /// an operator that evicts closed time groups emits the same
+        /// windows in the same order and expires the same events as one
+        /// that keeps every group for ever — tumbling, sliding, gapped and
+        /// consuming windows alike — while holding no more groups.
+        #[test]
+        fn evicting_time_groups_changes_nothing_but_memory(
+            // (group, time since the previous event, poll this far ahead
+            // of it — or, from 400 on, not at all)
+            stream in proptest::collection::vec((0..6i64, 0..60u64, 0..800u64), 1..120),
+            size in 1..200u64,
+            step in 1..200u64,
+            delete_used in 0..2u8,
+        ) {
+            let spec = WindowSpec::time(Micros(size), Micros(step))
+                .group_by(GroupBy::fields(&["carid"]))
+                .delete_used(delete_used == 1);
+            let mut evicting = WindowOperator::new(spec.clone()).unwrap();
+            evicting.wire(true, true);
+            let mut keeping = WindowOperator::new(spec).unwrap();
+            let (mut ts, mut polled) = (0, 0);
+            let mut most_groups = 0;
+            for (i, (group, gap, poll_ahead)) in stream.into_iter().enumerate() {
+                ts += gap;
+                for op in [&mut evicting, &mut keeping] {
+                    op.push(rec_ev(group, i as i64, ts), Timestamp(ts)).unwrap();
+                    if poll_ahead < 400 {
+                        polled = polled.max(ts + poll_ahead);
+                        op.poll(Timestamp(ts + poll_ahead));
+                    }
+                }
+                proptest::prop_assert_eq!(produced(&mut evicting), produced(&mut keeping));
+                proptest::prop_assert_eq!(evicting.pending_events(), keeping.pending_events());
+                proptest::prop_assert_eq!(evicting.next_deadline(), keeping.next_deadline());
+                proptest::prop_assert!(evicting.group_count() <= keeping.group_count());
+                most_groups = most_groups.max(evicting.group_count());
+            }
+            // Once the stream has moved past every window (and every
+            // poll), nothing is left.
+            let end = ts.max(polled) + 2 * (size + step);
+            for op in [&mut evicting, &mut keeping] {
+                op.poll(Timestamp(end));
+                op.push(rec_ev(99, -1, end + step), Timestamp(end + step)).unwrap();
+            }
+            proptest::prop_assert_eq!(produced(&mut evicting), produced(&mut keeping));
+            proptest::prop_assert_eq!(evicting.group_count(), 1);
+            proptest::prop_assert!(most_groups <= 6);
+            // End of stream walks the groups in (re)creation order: the
+            // same windows, in an order of its own.
+            evicting.flush(Timestamp(end));
+            keeping.flush(Timestamp(end));
+            let (a, b) = (produced(&mut evicting), produced(&mut keeping));
+            proptest::prop_assert_eq!((sorted(a.0), a.1.len()), (sorted(b.0), b.1.len()));
+        }
+
+        /// A wave group is removed when its last open wave closes. The
+        /// reference keeps every group alive with a wave that never
+        /// completes, and emits the same windows in the same order.
+        #[test]
+        fn evicting_wave_groups_changes_nothing_but_memory(
+            // (group, events in the wave, poll after it?)
+            waves in proptest::collection::vec((0..4i64, 1..4u32, 0..2u8), 1..60),
+        ) {
+            use crate::wave::WaveTag;
+            let spec = WindowSpec::wave()
+                .group_by(GroupBy::fields(&["carid"]))
+                .with_timeout(Micros(25));
+            let mut evicting = WindowOperator::new(spec.clone()).unwrap();
+            let mut keeping = WindowOperator::new(spec).unwrap();
+            let never = WaveTag::external(Timestamp(u64::MAX / 2));
+            for group in 0..4 {
+                let mut open = rec_ev(group, -1, u64::MAX / 2);
+                open.wave = never.child(1, false);
+                keeping.push(open, Timestamp(0)).unwrap();
+            }
+            // Wave i starts at 10·i; its last event is held back until the
+            // next wave has started, so waves overlap and some time out.
+            let mut held: Option<CwEvent> = None;
+            for (i, (group, n, poll)) in waves.into_iter().enumerate() {
+                let ts = 10 * (i as u64 + 1);
+                let root = WaveTag::external(Timestamp(ts));
+                let mut events: Vec<CwEvent> = (1..=n)
+                    .map(|k| {
+                        let token = rec_ev(group, k as i64, ts).token;
+                        CwEvent::derived(token, Timestamp(ts + k as u64), &root, k, k == n)
+                    })
+                    .collect();
+                let last = events.pop().expect("a wave has an event");
+                events.extend(held.replace(last));
+                for op in [&mut evicting, &mut keeping] {
+                    for e in &events {
+                        op.push(e.clone(), Timestamp(ts)).unwrap();
+                    }
+                    if poll == 1 {
+                        op.poll(Timestamp(ts + 5));
+                    }
+                }
+                proptest::prop_assert_eq!(produced(&mut evicting), produced(&mut keeping));
+                proptest::prop_assert_eq!(evicting.pending_events() + 4, keeping.pending_events());
+                proptest::prop_assert_eq!(keeping.group_count(), 4);
+            }
+            evicting.poll(Timestamp(1_000_000));
+            keeping.poll(Timestamp(1_000_000));
+            proptest::prop_assert_eq!(produced(&mut evicting), produced(&mut keeping));
+            proptest::prop_assert_eq!(evicting.group_count(), 0);
+        }
     }
 
     #[test]

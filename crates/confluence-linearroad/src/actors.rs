@@ -12,7 +12,7 @@ use confluence_core::token::Token;
 use confluence_core::window::Window;
 use confluence_relstore::StoreHandle;
 
-use crate::model::{toll_formula, PositionReport, TollNotification};
+use crate::model::{shape, toll_formula, PositionReport, TollNotification};
 use crate::tables;
 
 /// Detects stopped cars: a car reporting the same location in 4
@@ -69,17 +69,15 @@ impl AccidentDetector {
         let a = PositionReport::from_token(&window.events[0].token)?;
         let b = PositionReport::from_token(&window.events[1].token)?;
         if a.carid != b.carid && !a.in_exit_lane() && !b.in_exit_lane() && a.pos == b.pos {
-            Ok(Some(
-                Token::record()
-                    .field("xway", a.xway)
-                    .field("dir", a.dir)
-                    .field("seg", a.seg)
-                    .field("pos", a.pos)
-                    .field("time", a.time.max(b.time))
-                    .field("car1", a.carid)
-                    .field("car2", b.carid)
-                    .build(),
-            ))
+            Ok(Some(shape::accident().record([
+                a.xway.into(),
+                a.dir.into(),
+                a.seg.into(),
+                a.pos.into(),
+                a.time.max(b.time).into(),
+                a.carid.into(),
+                b.carid.into(),
+            ])))
         } else {
             Ok(None)
         }
@@ -169,12 +167,12 @@ impl Actor for AccidentNotifier {
                 {
                     ctx.emit(
                         0,
-                        Token::record()
-                            .field("carid", r.carid)
-                            .field("time", r.time)
-                            .field("seg", r.seg)
-                            .field("accident_seg", acc_seg)
-                            .build(),
+                        shape::accident_alert().record([
+                            r.carid.into(),
+                            r.time.into(),
+                            r.seg.into(),
+                            acc_seg.into(),
+                        ]),
                     );
                 }
             }
@@ -205,14 +203,14 @@ impl Actor for CarSpeedAvg {
             }
             ctx.emit(
                 0,
-                Token::record()
-                    .field("xway", first.xway)
-                    .field("dir", first.dir)
-                    .field("seg", first.seg)
-                    .field("minute", first.minute())
-                    .field("carid", first.carid)
-                    .field("avg_speed", sum / w.len() as f64)
-                    .build(),
+                shape::car_speed().record([
+                    first.xway.into(),
+                    first.dir.into(),
+                    first.seg.into(),
+                    first.minute().into(),
+                    first.carid.into(),
+                    (sum / w.len() as f64).into(),
+                ]),
             );
         }
         Ok(())
@@ -241,13 +239,13 @@ impl Actor for SegmentSpeedAvg {
             }
             ctx.emit(
                 0,
-                Token::record()
-                    .field("xway", first.int_field("xway")?)
-                    .field("dir", first.int_field("dir")?)
-                    .field("seg", first.int_field("seg")?)
-                    .field("minute", first.int_field("minute")?)
-                    .field("avg_speed", sum / w.len() as f64)
-                    .build(),
+                shape::segment_speed().record([
+                    first.int_field("xway")?.into(),
+                    first.int_field("dir")?.into(),
+                    first.int_field("seg")?.into(),
+                    first.int_field("minute")?.into(),
+                    (sum / w.len() as f64).into(),
+                ]),
             );
         }
         Ok(())
@@ -310,13 +308,13 @@ impl Actor for CarCounter {
             }
             ctx.emit(
                 0,
-                Token::record()
-                    .field("xway", first.xway)
-                    .field("dir", first.dir)
-                    .field("seg", first.seg)
-                    .field("minute", first.minute())
-                    .field("cars", cars.len() as i64)
-                    .build(),
+                shape::segment_cars().record([
+                    first.xway.into(),
+                    first.dir.into(),
+                    first.seg.into(),
+                    first.minute().into(),
+                    (cars.len() as i64).into(),
+                ]),
             );
         }
         Ok(())

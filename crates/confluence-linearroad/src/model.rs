@@ -10,6 +10,31 @@ use confluence_core::error::Result;
 use confluence_core::time::Timestamp;
 use confluence_core::token::Token;
 
+/// The record shapes the Linear Road activities emit: one schema each for
+/// the life of the process, so a record costs its values and no names.
+pub(crate) mod shape {
+    use std::sync::{Arc, OnceLock};
+
+    use confluence_core::token::Schema;
+
+    macro_rules! shape {
+        ($name:ident: $($field:literal),+) => {
+            pub(crate) fn $name() -> &'static Arc<Schema> {
+                static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
+                SCHEMA.get_or_init(|| Schema::new(&[$($field),+]))
+            }
+        };
+    }
+
+    shape!(position_report: "time", "carid", "speed", "xway", "lane", "dir", "seg", "pos");
+    shape!(toll: "carid", "time", "seg", "toll");
+    shape!(accident: "xway", "dir", "seg", "pos", "time", "car1", "car2");
+    shape!(accident_alert: "carid", "time", "seg", "accident_seg");
+    shape!(car_speed: "xway", "dir", "seg", "minute", "carid", "avg_speed");
+    shape!(segment_speed: "xway", "dir", "seg", "minute", "avg_speed");
+    shape!(segment_cars: "xway", "dir", "seg", "minute", "cars");
+}
+
 /// Seconds between consecutive position reports of one car.
 pub const REPORT_INTERVAL_SECS: u64 = 30;
 /// Segments per expressway direction.
@@ -62,16 +87,16 @@ impl PositionReport {
 
     /// Encode as a workflow record token.
     pub fn to_token(&self) -> Token {
-        Token::record()
-            .field("time", self.time)
-            .field("carid", self.carid)
-            .field("speed", self.speed)
-            .field("xway", self.xway)
-            .field("lane", self.lane)
-            .field("dir", self.dir)
-            .field("seg", self.seg)
-            .field("pos", self.pos)
-            .build()
+        shape::position_report().record([
+            self.time.into(),
+            self.carid.into(),
+            self.speed.into(),
+            self.xway.into(),
+            self.lane.into(),
+            self.dir.into(),
+            self.seg.into(),
+            self.pos.into(),
+        ])
     }
 
     /// Decode from a workflow record token.
@@ -110,12 +135,12 @@ pub struct TollNotification {
 impl TollNotification {
     /// Encode as a record token.
     pub fn to_token(&self) -> Token {
-        Token::record()
-            .field("carid", self.carid)
-            .field("time", self.time)
-            .field("seg", self.seg)
-            .field("toll", self.toll)
-            .build()
+        shape::toll().record([
+            self.carid.into(),
+            self.time.into(),
+            self.seg.into(),
+            self.toll.into(),
+        ])
     }
 
     /// Decode from a record token.

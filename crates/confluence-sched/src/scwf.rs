@@ -178,14 +178,21 @@ impl ScwfCore {
         self.state.as_ref().map(|s| &s.stats)
     }
 
+    /// The communication fabric (None before the first slice): what the
+    /// receivers and inboxes hold right now.
+    pub fn fabric(&self) -> Option<&Fabric> {
+        self.state.as_ref().map(|s| &s.fabric)
+    }
+
     /// The cumulative run report.
     pub fn report(&self) -> &RunReport {
         &self.report
     }
 
-    fn ensure_init(&mut self, workflow: &mut Workflow) -> Result<()> {
+    /// Build the execution state on the first slice; says whether it did.
+    fn ensure_init(&mut self, workflow: &mut Workflow) -> Result<bool> {
         if self.state.is_some() {
-            return Ok(());
+            return Ok(false);
         }
         self.started = Some(self.now());
         if let Some(t) = &self.telemetry {
@@ -245,7 +252,7 @@ impl ScwfCore {
             wrapped_up: false,
         });
         self.sync_external(workflow);
-        Ok(())
+        Ok(true)
     }
 
     /// Drain receiver inboxes into the per-actor ready queues and refresh
@@ -285,12 +292,21 @@ impl ScwfCore {
     /// Run until quiescence, completion, or (if given) until `budget`
     /// microseconds of cost have been charged in this slice.
     pub fn run_for(&mut self, workflow: &mut Workflow, budget: Option<Micros>) -> Result<Progress> {
-        self.ensure_init(workflow)?;
-        if let Some(hook) = &self.hook {
-            if let Some(restored) = hook.take_restore() {
-                let st = self.state.as_mut().expect("initialized");
-                st.fabric.restore_state(restored)?;
+        let built = self.ensure_init(workflow)?;
+        if let Some(restored) = self.hook.as_ref().and_then(|h| h.take_restore()) {
+            let st = self.state.as_mut().expect("initialized");
+            if !built {
+                // The fabric outlived a checkpoint segment and this is the
+                // start of the next: that segment's observers take over
+                // the fabric and are told it has started, as under a
+                // director that builds a fabric per segment.
+                let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
+                st.fabric.observe(workflow, observer.clone());
+                if let Some(obs) = observer {
+                    obs.on_run_phase(RunPhase::Start, self.mode.now());
+                }
             }
+            st.fabric.restore_state(restored)?;
         }
         let mut spent = Micros::ZERO;
         self.sync_external(workflow);
