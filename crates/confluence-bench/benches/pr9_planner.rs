@@ -144,7 +144,7 @@ fn cost_based_choice(n: usize, iters: usize) -> Comparison {
     let plan = costpick.plan(Some(&coarse_pred));
     match &plan.node {
         PlanNode::IndexEq { label, .. } => {
-            assert_eq!(label, "secondary(seg)", "cost model must skip the coarse index")
+            assert_eq!(&**label, "secondary(seg)", "cost model must skip the coarse index")
         }
         other => panic!("expected an IndexEq plan, got {other}"),
     }

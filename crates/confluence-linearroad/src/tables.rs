@@ -164,8 +164,8 @@ pub fn insert_accident(
         let t = s.table_mut("accidents")?;
         // The same stalled pair re-triggers detection on every further
         // report; keep one row per (xway, dir, pos) accident episode.
-        let existing = t.select(Some(&accident_episode_predicate(xway, dir, pos, time)))?;
-        if !existing.is_empty() {
+        let episode = accident_episode_predicate(xway, dir, pos, time);
+        if t.aggregate(Some(&episode), &Agg::Count)? != Value::Int(0) {
             return Ok(false);
         }
         t.insert(vec![

@@ -8,7 +8,7 @@
 use confluence_core::error::{Error, Result};
 
 use crate::schema::Schema;
-use crate::value::{Row, Value};
+use crate::value::Value;
 
 /// A scalar expression evaluated against one row.
 #[derive(Debug, Clone)]
@@ -162,7 +162,7 @@ impl Expr {
     }
 
     /// Evaluate to a scalar value against a row.
-    pub fn eval(&self, schema: &Schema, row: &Row) -> Result<Value> {
+    pub fn eval(&self, schema: &Schema, row: &[Value]) -> Result<Value> {
         Ok(match self {
             Expr::Col(name) => row[schema.column_index(name)?].clone(),
             Expr::Lit(v) => v.clone(),
@@ -240,7 +240,7 @@ impl Expr {
     }
 
     /// Evaluate as a boolean predicate.
-    pub fn matches(&self, schema: &Schema, row: &Row) -> Result<bool> {
+    pub fn matches(&self, schema: &Schema, row: &[Value]) -> Result<bool> {
         self.eval(schema, row)?.as_bool()
     }
 
@@ -415,6 +415,16 @@ impl Expr {
         out
     }
 
+    /// Whether [`Expr::disjunctive_arms`] would find anything to split: an
+    /// `OR` or an `IN` list somewhere in the top-level conjunction.
+    pub(crate) fn has_disjunction(&self) -> bool {
+        match self {
+            Expr::Or(..) | Expr::InList(..) => true,
+            Expr::And(a, b) => a.has_disjunction() || b.has_disjunction(),
+            _ => false,
+        }
+    }
+
     /// Bounded disjunctive normalization: rewrite the predicate as OR-of-
     /// conjunctions, expanding column-vs-literal `IN` lists into per-value
     /// equalities and distributing ANDs over ORs. Returns `None` when the
@@ -471,7 +481,7 @@ mod tests {
             .unwrap()
     }
 
-    fn row() -> Row {
+    fn row() -> crate::Row {
         vec![5.into(), 2.5.into(), Value::Null]
     }
 
@@ -642,5 +652,13 @@ mod tests {
         // A non-literal IN item stays a single opaque arm.
         let p = col("a").in_list(vec![col("b")]);
         assert_eq!(p.disjunctive_arms(8).unwrap().len(), 1);
+        // What the planner asks first: only a conjunction with nothing to
+        // split is planned without normalizing, and that is its one arm.
+        let plain = col("g").eq(lit(0)).and(col("a").between(lit(1), lit(5)).and(col("b").is_null().not()));
+        assert!(!plain.has_disjunction());
+        assert_eq!(plain.disjunctive_arms(8).unwrap().len(), 1);
+        assert!(p.has_disjunction());
+        assert!(col("g").eq(lit(0)).and(col("a").eq(lit(1)).or(col("b").eq(lit(2)))).has_disjunction());
+        assert!(!col("a").eq(lit(1)).or(col("b").eq(lit(2))).not().has_disjunction(), "opaque to both");
     }
 }

@@ -17,6 +17,7 @@
 pub mod cost;
 pub mod expr;
 pub mod plan;
+mod postable;
 pub mod query;
 pub mod schema;
 pub mod stats;

@@ -13,6 +13,7 @@
 
 use std::fmt;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use crate::value::Value;
 
@@ -40,7 +41,7 @@ pub enum PlanNode {
         /// Probed index.
         index: IndexRef,
         /// Display label of the index (`pk(a,b)` / `secondary(a,b)`).
-        label: String,
+        label: Arc<str>,
         /// Probe key, in the index's column order.
         key: Vec<Value>,
     },
@@ -52,7 +53,7 @@ pub enum PlanNode {
         /// Ordered-index ordinal.
         index: usize,
         /// Display label (`ordered(a,b→c)`).
-        label: String,
+        label: Arc<str>,
         /// Partition key over the index's equality columns.
         eq_key: Vec<Value>,
         /// Lower bound on the range column.
@@ -72,7 +73,7 @@ pub enum PlanNode {
         /// Ordered-index ordinal.
         index: usize,
         /// Display label.
-        label: String,
+        label: Arc<str>,
         /// Partition key over the index's equality columns.
         eq_key: Vec<Value>,
         /// Descending order?
@@ -87,7 +88,7 @@ pub enum PlanNode {
         /// Covering index.
         index: IndexRef,
         /// Display label.
-        label: String,
+        label: Arc<str>,
         /// Grouping columns, in request order.
         group_cols: Vec<String>,
     },

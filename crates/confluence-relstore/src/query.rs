@@ -141,7 +141,7 @@ impl Query {
             positions.truncate(n);
         }
         Ok(match &proj {
-            None => positions.into_iter().map(|p| table.row_at(p).clone()).collect(),
+            None => positions.into_iter().map(|p| table.row_at(p).to_vec()).collect(),
             Some(idxs) => positions
                 .into_iter()
                 .map(|p| {

@@ -2,7 +2,7 @@
 
 use confluence_core::error::{Error, Result};
 
-use crate::value::{Row, Value, ValueType};
+use crate::value::{Value, ValueType};
 
 /// One column declaration.
 #[derive(Debug, Clone)]
@@ -13,6 +13,24 @@ pub struct Column {
     pub ty: ValueType,
     /// Whether NULL is allowed.
     pub nullable: bool,
+}
+
+impl Column {
+    /// Whether the column can hold `v` (type, nullability).
+    pub(crate) fn check(&self, v: &Value) -> Result<()> {
+        match v.value_type() {
+            None if self.nullable => Ok(()),
+            None => Err(Error::Store(format!("NULL in non-nullable column `{}`", self.name))),
+            // Ints widen into float columns.
+            Some(t) if t == self.ty || (t == ValueType::Int && self.ty == ValueType::Float) => {
+                Ok(())
+            }
+            Some(t) => Err(Error::Store(format!(
+                "type mismatch in column `{}`: expected {:?}, got {:?}",
+                self.name, self.ty, t
+            ))),
+        }
+    }
 }
 
 /// A table schema: ordered columns plus an optional primary key.
@@ -135,18 +153,23 @@ impl Schema {
             .ok_or_else(|| Error::Store(format!("unknown column `{name}`")))
     }
 
+    /// Name of the column at `index`.
+    pub(crate) fn name(&self, index: usize) -> &str {
+        &self.columns[index].name
+    }
+
     /// Primary key column indexes (empty when keyless).
     pub fn primary_key(&self) -> &[usize] {
         &self.primary_key
     }
 
     /// Extract a row's primary key values (empty when keyless).
-    pub fn key_of(&self, row: &Row) -> Vec<Value> {
+    pub fn key_of(&self, row: &[Value]) -> Vec<Value> {
         self.primary_key.iter().map(|&i| row[i].clone()).collect()
     }
 
     /// Validate a row against the schema (arity, types, nullability).
-    pub fn validate(&self, row: &Row) -> Result<()> {
+    pub fn validate(&self, row: &[Value]) -> Result<()> {
         if row.len() != self.columns.len() {
             return Err(Error::Store(format!(
                 "row has {} values, schema has {} columns",
@@ -154,29 +177,7 @@ impl Schema {
                 self.columns.len()
             )));
         }
-        for (v, c) in row.iter().zip(&self.columns) {
-            match v.value_type() {
-                None => {
-                    if !c.nullable {
-                        return Err(Error::Store(format!(
-                            "NULL in non-nullable column `{}`",
-                            c.name
-                        )));
-                    }
-                }
-                Some(t) => {
-                    // Ints widen into float columns.
-                    let ok = t == c.ty || (t == ValueType::Int && c.ty == ValueType::Float);
-                    if !ok {
-                        return Err(Error::Store(format!(
-                            "type mismatch in column `{}`: expected {:?}, got {:?}",
-                            c.name, c.ty, t
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
+        row.iter().zip(&self.columns).try_for_each(|(v, c)| c.check(v))
     }
 }
 
@@ -208,23 +209,23 @@ mod tests {
     #[test]
     fn validation_rules() {
         let s = schema();
-        assert!(s.validate(&vec![1.into(), 2.5.into(), Value::Null]).is_ok());
+        assert!(s.validate(&[1.into(), 2.5.into(), Value::Null]).is_ok());
         // Int widens into float column.
-        assert!(s.validate(&vec![1.into(), 2.into(), Value::str("x")]).is_ok());
+        assert!(s.validate(&[1.into(), 2.into(), Value::str("x")]).is_ok());
         // Wrong arity.
-        assert!(s.validate(&vec![1.into()]).is_err());
+        assert!(s.validate(&[1.into()]).is_err());
         // NULL in non-nullable.
-        assert!(s.validate(&vec![Value::Null, 2.5.into(), Value::Null]).is_err());
+        assert!(s.validate(&[Value::Null, 2.5.into(), Value::Null]).is_err());
         // Type mismatch.
         assert!(s
-            .validate(&vec![Value::str("x"), 2.5.into(), Value::Null])
+            .validate(&[Value::str("x"), 2.5.into(), Value::Null])
             .is_err());
     }
 
     #[test]
     fn key_extraction() {
         let s = schema();
-        let row: Row = vec![42.into(), 1.0.into(), Value::Null];
+        let row: crate::Row = vec![42.into(), 1.0.into(), Value::Null];
         assert_eq!(s.key_of(&row), vec![Value::Int(42)]);
     }
 

@@ -8,15 +8,23 @@
 //! full predicate is re-applied to candidates (unless the plan provably
 //! consumes it), so a plan changes how rows are *found*, never which rows
 //! come back or in what order.
+//!
+//! A table keeps one copy of each row. Its indexes hold row positions
+//! only and read the indexed columns out of the row to hash and compare
+//! (see [`crate::postable`]); an ordered index keeps the one range value
+//! per entry that its B-tree sorts by.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use confluence_core::error::{Error, Result};
 
 use crate::cost;
 use crate::expr::{CmpOp, Expr};
 use crate::plan::{IndexRef, Plan, PlanNode};
+use crate::postable::{KeyHasher, PosTable};
 use crate::schema::Schema;
 use crate::stats::{IndexStats, IndexStatsView, TableStats};
 use crate::value::{Row, Value};
@@ -25,18 +33,174 @@ use crate::value::{Row, Value};
 /// stops normalizing and falls back to conjunctive planning.
 const MAX_UNION_ARMS: usize = 32;
 
+/// Row storage: the cells of every row end to end, `width` to a row, and
+/// which rows are alive. A deleted row keeps its slot (cells nulled) until
+/// compaction, so positions — storage order — never shift under an index.
+#[derive(Debug, Default)]
+struct Rows {
+    cells: Vec<Value>,
+    width: usize,
+    alive: Vec<bool>,
+}
+
+impl Rows {
+    /// The cells of the row at `pos`, live or not.
+    fn row(&self, pos: usize) -> &[Value] {
+        &self.cells[pos * self.width..][..self.width]
+    }
+
+    fn row_mut(&mut self, pos: usize) -> &mut [Value] {
+        &mut self.cells[pos * self.width..][..self.width]
+    }
+
+    /// Live positions, ascending.
+    fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.alive.len()).filter(|&pos| self.alive[pos])
+    }
+}
+
+/// A key: the values of some columns, in order, as often as asked.
+trait Key<'k>: Iterator<Item = &'k Value> + Clone {}
+impl<'k, I: Iterator<Item = &'k Value> + Clone> Key<'k> for I {}
+
+/// The values a row holds in `cols`, in that order.
+fn cells<'a>(row: &'a [Value], cols: &'a [usize]) -> impl Key<'a> + 'a {
+    cols.iter().map(move |&c| &row[c])
+}
+
+/// Hash of a key, value by value: a probe key and the indexed columns of a
+/// row that carries it hash alike (and `Int 3` like `Float 3.0`).
+fn hash_key<'k>(key: impl Key<'k>) -> u64 {
+    let mut hasher = KeyHasher::new();
+    key.for_each(|v| v.hash(&mut hasher));
+    hasher.finish()
+}
+
+/// What a partition directory needs of a bucket of positions.
+trait Bucket: Default {
+    /// Any one position in the bucket (its rows all carry the bucket's
+    /// key); `None` when empty.
+    fn representative(&self) -> Option<u32>;
+}
+
+impl Bucket for Vec<u32> {
+    fn representative(&self) -> Option<u32> {
+        self.first().copied()
+    }
+}
+
+/// One ordered-index partition: `(range value, position)`, so a value's
+/// rows sit together in storage order.
+type RangeSet = BTreeSet<(Value, u32)>;
+
+impl Bucket for RangeSet {
+    fn representative(&self) -> Option<u32> {
+        self.first().map(|entry| entry.1)
+    }
+}
+
+/// Buckets of positions partitioned by the value of `cols`: a position
+/// table of bucket ids, each keyed by `cols` of its bucket's
+/// representative row, over a slab of buckets.
+#[derive(Debug, Default)]
+struct Partitions<B> {
+    cols: Vec<usize>,
+    dir: PosTable,
+    slab: Vec<B>,
+    free: Vec<u32>,
+}
+
+impl<B: Bucket> Partitions<B> {
+    fn find<'k>(&self, rows: &Rows, hash: u64, key: impl Key<'k>) -> Option<usize> {
+        let found = self.dir.find(hash, |id| {
+            let rep = self.slab[id as usize].representative().expect("listed buckets hold rows");
+            cells(rows.row(rep as usize), &self.cols).eq(key.clone())
+        });
+        found.map(|id| id as usize)
+    }
+
+    /// The bucket of the rows whose `cols` equal `key`.
+    fn get(&self, rows: &Rows, key: &[Value]) -> Option<&B> {
+        self.find(rows, hash_key(key.iter()), key.iter()).map(|id| &self.slab[id])
+    }
+
+    /// The bucket `pos` belongs in, created (empty — the caller fills it
+    /// before the next probe) when the row's key is new.
+    fn entry(&mut self, rows: &Rows, pos: u32) -> &mut B {
+        let key = cells(rows.row(pos as usize), &self.cols);
+        let hash = hash_key(key.clone());
+        let id = self.find(rows, hash, key).unwrap_or_else(|| {
+            let id = self.free.pop().map_or(self.slab.len(), |id| id as usize);
+            if id == self.slab.len() {
+                self.slab.push(B::default());
+            }
+            self.dir.insert(hash, id as u32);
+            id
+        });
+        &mut self.slab[id]
+    }
+
+    /// Let `f` take `pos` out of its bucket; a bucket that empties leaves
+    /// the directory and gives its memory back.
+    fn shrink(&mut self, rows: &Rows, pos: u32, f: impl FnOnce(&mut B)) {
+        let key = cells(rows.row(pos as usize), &self.cols);
+        let hash = hash_key(key.clone());
+        let Some(id) = self.find(rows, hash, key) else {
+            return;
+        };
+        f(&mut self.slab[id]);
+        if self.slab[id].representative().is_none() {
+            self.dir.remove(hash, id as u32);
+            self.slab[id] = B::default();
+            self.free.push(id as u32);
+        }
+    }
+
+    fn buckets(&self) -> impl Iterator<Item = &B> + '_ {
+        self.slab.iter().filter(|b| b.representative().is_some())
+    }
+
+    fn clear(&mut self) {
+        self.dir.clear();
+        self.slab.clear();
+        self.free.clear();
+    }
+}
+
 /// A secondary (non-unique) hash index over a column subset.
 #[derive(Debug)]
 struct SecondaryIndex {
-    names: Vec<String>,
-    cols: Vec<usize>,
-    map: HashMap<Vec<Value>, Vec<usize>>,
+    label: Arc<str>,
+    /// Positions per key, ascending (storage order).
+    parts: Partitions<Vec<u32>>,
     stats: IndexStats,
 }
 
 impl SecondaryIndex {
-    fn label(&self) -> String {
-        format!("secondary({})", self.names.join(","))
+    fn same_key(&self, a: &[Value], b: &[Value]) -> bool {
+        cells(a, &self.parts.cols).eq(cells(b, &self.parts.cols))
+    }
+
+    fn bucket(&self, rows: &Rows, key: &[Value]) -> &[u32] {
+        self.parts.get(rows, key).map(Vec::as_slice).unwrap_or_default()
+    }
+
+    fn insert(&mut self, rows: &Rows, pos: u32) {
+        let bucket = self.parts.entry(rows, pos);
+        self.stats.on_insert(bucket.is_empty());
+        // New rows take the highest position, so this is nearly always a
+        // push; an upsert that moves a row between keys lands mid-bucket.
+        bucket.insert(bucket.partition_point(|&p| p < pos), pos);
+    }
+
+    fn remove(&mut self, rows: &Rows, pos: u32) {
+        let stats = &mut self.stats;
+        self.parts.shrink(rows, pos, |bucket| {
+            if let Ok(at) = bucket.binary_search(&pos) {
+                bucket.remove(at);
+                stats.on_remove(bucket.is_empty());
+            }
+        });
     }
 }
 
@@ -45,28 +209,79 @@ impl SecondaryIndex {
 /// queries (the Linear Road LAV lookup shape).
 #[derive(Debug)]
 struct OrderedIndex {
-    eq_names: Vec<String>,
-    eq_cols: Vec<usize>,
-    range_name: String,
     range_col: usize,
-    map: HashMap<Vec<Value>, BTreeMap<Value, Vec<usize>>>,
+    label: Arc<str>,
+    /// One set per value of the equality columns.
+    parts: Partitions<RangeSet>,
     /// `entries` plus distinct `(eq-key, range-key)` pairs; the partition
-    /// count is `map.len()`.
+    /// count is the directory's length.
     stats: IndexStats,
 }
 
-impl OrderedIndex {
-    fn label(&self) -> String {
-        format!("ordered({}→{})", self.eq_names.join(","), self.range_name)
-    }
+/// The entries of one range value, in storage order.
+fn run_of<'a>(set: &'a RangeSet, v: &Value) -> impl Iterator<Item = &'a (Value, u32)> + 'a {
+    set.range((v.clone(), 0)..=(v.clone(), u32::MAX))
+}
 
+/// The first entry of each distinct range value, ascending.
+fn run_heads(set: &RangeSet) -> impl Iterator<Item = &(Value, u32)> + '_ {
+    std::iter::successors(set.first(), |(v, _)| {
+        set.range((Bound::Excluded((v.clone(), u32::MAX)), Bound::Unbounded)).next()
+    })
+}
+
+/// The entries within value bounds, in `(value, position)` order. NULL
+/// never satisfies a range conjunct, but NULL range values sort below
+/// every bound — they are skipped whenever a bound exists.
+fn scan<'a>(
+    set: &'a RangeSet,
+    lo: &Bound<Value>,
+    hi: &Bound<Value>,
+) -> impl DoubleEndedIterator<Item = &'a (Value, u32)> + 'a {
+    let from = match lo {
+        Bound::Included(v) => Bound::Included((v.clone(), 0)),
+        Bound::Excluded(v) => Bound::Excluded((v.clone(), u32::MAX)),
+        Bound::Unbounded => Bound::Unbounded,
+    };
+    let to = match hi {
+        Bound::Included(v) => Bound::Included((v.clone(), u32::MAX)),
+        Bound::Excluded(v) => Bound::Excluded((v.clone(), 0)),
+        Bound::Unbounded => Bound::Unbounded,
+    };
+    let skip_null = !matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded));
+    let entries = (!range_is_empty(lo, hi)).then(|| set.range((from, to)));
+    entries.into_iter().flatten().filter(move |(v, _)| !(skip_null && v.is_null()))
+}
+
+impl OrderedIndex {
     /// Expected rows in one equality-key partition.
     fn partition_avg(&self) -> f64 {
-        if self.map.is_empty() {
-            0.0
-        } else {
-            self.stats.entries as f64 / self.map.len() as f64
+        match self.parts.dir.len() {
+            0 => 0.0,
+            n => self.stats.entries as f64 / n as f64,
         }
+    }
+
+    fn same_key(&self, a: &[Value], b: &[Value]) -> bool {
+        let cols = &self.parts.cols;
+        a[self.range_col] == b[self.range_col] && cells(a, cols).eq(cells(b, cols))
+    }
+
+    fn insert(&mut self, rows: &Rows, pos: u32) {
+        let v = &rows.row(pos as usize)[self.range_col];
+        let set = self.parts.entry(rows, pos);
+        self.stats.on_insert(run_of(set, v).next().is_none());
+        set.insert((v.clone(), pos));
+    }
+
+    fn remove(&mut self, rows: &Rows, pos: u32) {
+        let v = &rows.row(pos as usize)[self.range_col];
+        let stats = &mut self.stats;
+        self.parts.shrink(rows, pos, |set| {
+            if set.remove(&(v.clone(), pos)) {
+                stats.on_remove(run_of(set, v).next().is_none());
+            }
+        });
     }
 }
 
@@ -93,8 +308,8 @@ enum Acc {
     Count(i64),
     Sum { col: usize, sum: f64, n: usize },
     Avg { col: usize, sum: f64, n: usize },
-    Min { col: usize, best: Option<Value> },
-    Max { col: usize, best: Option<Value> },
+    /// `MIN(col)`, or `MAX(col)` when `max`.
+    Extreme { col: usize, best: Option<Value>, max: bool },
 }
 
 impl Acc {
@@ -103,12 +318,16 @@ impl Acc {
             Agg::Count => Acc::Count(0),
             Agg::Sum(c) => Acc::Sum { col: schema.column_index(c)?, sum: 0.0, n: 0 },
             Agg::Avg(c) => Acc::Avg { col: schema.column_index(c)?, sum: 0.0, n: 0 },
-            Agg::Min(c) => Acc::Min { col: schema.column_index(c)?, best: None },
-            Agg::Max(c) => Acc::Max { col: schema.column_index(c)?, best: None },
+            Agg::Min(c) => Acc::Extreme { col: schema.column_index(c)?, best: None, max: false },
+            Agg::Max(c) => Acc::Extreme { col: schema.column_index(c)?, best: None, max: true },
         })
     }
 
-    fn push(&mut self, row: &Row) -> Result<()> {
+    fn all(schema: &Schema, aggs: &[Agg]) -> Result<Vec<Acc>> {
+        aggs.iter().map(|a| Acc::new(schema, a)).collect()
+    }
+
+    fn push(&mut self, row: &[Value]) -> Result<()> {
         match self {
             Acc::Count(n) => *n += 1,
             Acc::Sum { col, sum, n } | Acc::Avg { col, sum, n } => {
@@ -121,28 +340,15 @@ impl Acc {
             // Ties: `Iterator::min` keeps the first equal minimum and
             // `Iterator::max` the last equal maximum — mirrored here so
             // streamed results match the materialized path bit-for-bit.
-            Acc::Min { col, best } => {
+            Acc::Extreme { col, best, max } => {
                 let v = &row[*col];
-                if !v.is_null() {
-                    let replace = match best {
-                        None => true,
-                        Some(b) => v < b,
-                    };
-                    if replace {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-            Acc::Max { col, best } => {
-                let v = &row[*col];
-                if !v.is_null() {
-                    let replace = match best {
-                        None => true,
-                        Some(b) => v >= b,
-                    };
-                    if replace {
-                        *best = Some(v.clone());
-                    }
+                let replace = match best {
+                    None => true,
+                    Some(b) if *max => v >= b,
+                    Some(b) => v < b,
+                };
+                if replace && !v.is_null() {
+                    *best = Some(v.clone());
                 }
             }
         }
@@ -166,59 +372,32 @@ impl Acc {
                     Value::Float(sum / n as f64)
                 }
             }
-            Acc::Min { best, .. } | Acc::Max { best, .. } => best.unwrap_or(Value::Null),
+            Acc::Extreme { best, .. } => best.unwrap_or(Value::Null),
         }
     }
 }
 
-/// An enumerated access path with the cost model's verdict.
-struct Candidate {
-    node: PlanNode,
-    est: f64,
-    cost: f64,
-}
-
-impl Candidate {
-    fn into_plan(self) -> Plan {
-        Plan { node: self.node, est_rows: self.est, cost: self.cost }
-    }
+/// An index access path expected to visit `est` rows, scored.
+fn probe(node: PlanNode, est: f64) -> Plan {
+    Plan { node, est_rows: est, cost: cost::index_probe(est) }
 }
 
 /// Cheapest candidate, first-enumerated winning ties (a deterministic
 /// tie-break: primary key, then secondary and ordered indexes in
 /// declaration order, union, full scan).
-fn pick(cands: Vec<Candidate>) -> Option<Candidate> {
+fn pick(cands: Vec<Plan>) -> Option<Plan> {
     cands.into_iter().reduce(|best, c| if c.cost < best.cost { c } else { best })
 }
 
-/// Probe key over `names` if the equality bindings cover them all.
-fn bind_key(binds: &[(String, Value)], names: &[String]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(names.len());
-    for name in names {
-        let (_, v) = binds.iter().find(|(n, _)| n == name)?;
-        key.push(v.clone());
-    }
-    Some(key)
-}
-
-/// Would `BTreeMap::range((lo, hi))` select nothing (or panic on an
+/// Would a range scan between the bounds select nothing (or panic on an
 /// inverted range)? Inverted bounds arise from contradictory conjunctions
 /// like `t >= 10 AND t <= 5`.
 fn range_is_empty(lo: &Bound<Value>, hi: &Bound<Value>) -> bool {
-    let (lv, l_excl) = match lo {
-        Bound::Included(v) => (v, false),
-        Bound::Excluded(v) => (v, true),
-        Bound::Unbounded => return false,
-    };
-    let (hv, h_excl) = match hi {
-        Bound::Included(v) => (v, false),
-        Bound::Excluded(v) => (v, true),
-        Bound::Unbounded => return false,
-    };
-    match lv.cmp(hv) {
-        std::cmp::Ordering::Greater => true,
-        std::cmp::Ordering::Equal => l_excl || h_excl,
-        std::cmp::Ordering::Less => false,
+    use Bound::{Excluded, Included};
+    match (lo, hi) {
+        (Included(l), Included(h)) => l > h,
+        (Included(l) | Excluded(l), Included(h) | Excluded(h)) => l >= h,
+        _ => false,
     }
 }
 
@@ -226,11 +405,11 @@ fn range_is_empty(lo: &Bound<Value>, hi: &Bound<Value>) -> bool {
 #[derive(Debug)]
 pub struct Table {
     schema: Schema,
-    /// Row slots; `None` marks a deleted row (compacted periodically).
-    rows: Vec<Option<Row>>,
+    rows: Rows,
     live: usize,
-    /// Unique index over the primary key, if declared.
-    pk_index: HashMap<Vec<Value>, usize>,
+    /// Unique index over the primary key, if declared: row positions.
+    pk: PosTable,
+    pk_label: Arc<str>,
     secondary: Vec<SecondaryIndex>,
     ordered: Vec<OrderedIndex>,
 }
@@ -238,11 +417,13 @@ pub struct Table {
 impl Table {
     /// An empty table with the given schema.
     pub fn new(schema: Schema) -> Self {
+        let pk_names: Vec<&str> = schema.primary_key().iter().map(|&c| schema.name(c)).collect();
         Table {
+            pk_label: format!("pk({})", pk_names.join(",")).into(),
+            rows: Rows { width: schema.len(), ..Rows::default() },
             schema,
-            rows: Vec::new(),
             live: 0,
-            pk_index: HashMap::new(),
+            pk: PosTable::default(),
             secondary: Vec::new(),
             ordered: Vec::new(),
         }
@@ -263,27 +444,22 @@ impl Table {
         self.live == 0
     }
 
+    fn partitions<B: Bucket>(&self, columns: &[&str]) -> Result<Partitions<B>> {
+        let cols = columns.iter().map(|c| self.schema.column_index(c)).collect::<Result<_>>()?;
+        Ok(Partitions { cols, ..Partitions::default() })
+    }
+
     /// Create a secondary hash index over the named columns. Existing rows
     /// are indexed immediately.
     pub fn create_index(&mut self, columns: &[&str]) -> Result<()> {
-        let cols: Vec<usize> = columns
-            .iter()
-            .map(|c| self.schema.column_index(c))
-            .collect::<Result<_>>()?;
         let mut idx = SecondaryIndex {
-            names: columns.iter().map(|s| s.to_string()).collect(),
-            cols,
-            map: HashMap::new(),
+            label: format!("secondary({})", columns.join(",")).into(),
+            parts: self.partitions(columns)?,
             stats: IndexStats::default(),
         };
-        for (pos, slot) in self.rows.iter().enumerate() {
-            if let Some(row) = slot {
-                let key: Vec<Value> = idx.cols.iter().map(|&c| row[c].clone()).collect();
-                let bucket = idx.map.entry(key).or_default();
-                idx.stats.on_insert(bucket.is_empty());
-                bucket.push(pos);
-            }
-        }
+        self.rows.positions().for_each(|pos| idx.insert(&self.rows, pos as u32));
+        // A table has a handful of indexes: no spare capacity for more.
+        self.secondary.reserve_exact(1);
         self.secondary.push(idx);
         Ok(())
     }
@@ -293,109 +469,81 @@ impl Table {
     /// `eq… AND range_column BETWEEN lo AND hi` with a range scan.
     /// Existing rows are indexed immediately.
     pub fn create_ordered_index(&mut self, eq_columns: &[&str], range_column: &str) -> Result<()> {
-        let eq_cols: Vec<usize> = eq_columns
-            .iter()
-            .map(|c| self.schema.column_index(c))
-            .collect::<Result<_>>()?;
-        let range_col = self.schema.column_index(range_column)?;
         let mut idx = OrderedIndex {
-            eq_names: eq_columns.iter().map(|s| s.to_string()).collect(),
-            eq_cols,
-            range_name: range_column.to_string(),
-            range_col,
-            map: HashMap::new(),
+            range_col: self.schema.column_index(range_column)?,
+            label: format!("ordered({}→{range_column})", eq_columns.join(",")).into(),
+            parts: self.partitions(eq_columns)?,
             stats: IndexStats::default(),
         };
-        for (pos, slot) in self.rows.iter().enumerate() {
-            if let Some(row) = slot {
-                let key: Vec<Value> = idx.eq_cols.iter().map(|&c| row[c].clone()).collect();
-                let bucket = idx
-                    .map
-                    .entry(key)
-                    .or_default()
-                    .entry(row[idx.range_col].clone())
-                    .or_default();
-                idx.stats.on_insert(bucket.is_empty());
-                bucket.push(pos);
-            }
-        }
+        self.rows.positions().for_each(|pos| idx.insert(&self.rows, pos as u32));
+        self.ordered.reserve_exact(1);
         self.ordered.push(idx);
         Ok(())
     }
 
-    fn index_insert(&mut self, pos: usize, row: &Row) {
-        for idx in &mut self.secondary {
-            let key: Vec<Value> = idx.cols.iter().map(|&c| row[c].clone()).collect();
-            let bucket = idx.map.entry(key).or_default();
-            idx.stats.on_insert(bucket.is_empty());
-            bucket.push(pos);
-        }
-        for idx in &mut self.ordered {
-            let key: Vec<Value> = idx.eq_cols.iter().map(|&c| row[c].clone()).collect();
-            let bucket = idx
-                .map
-                .entry(key)
-                .or_default()
-                .entry(row[idx.range_col].clone())
-                .or_default();
-            idx.stats.on_insert(bucket.is_empty());
-            bucket.push(pos);
-        }
+    /// Position of the row with this primary key.
+    fn pk_find<'k>(&self, key: impl Key<'k>) -> Option<usize> {
+        let cols = self.schema.primary_key();
+        let found = self.pk.find(hash_key(key.clone()), |pos| {
+            cells(self.rows.row(pos as usize), cols).eq(key.clone())
+        });
+        found.map(|pos| pos as usize)
     }
 
-    fn index_remove(&mut self, pos: usize, row: &Row) {
-        for idx in &mut self.secondary {
-            let key: Vec<Value> = idx.cols.iter().map(|&c| row[c].clone()).collect();
-            if let Some(v) = idx.map.get_mut(&key) {
-                let before = v.len();
-                v.retain(|&p| p != pos);
-                if v.len() < before {
-                    let emptied = v.is_empty();
-                    idx.stats.on_remove(emptied);
-                    if emptied {
-                        idx.map.remove(&key);
-                    }
-                }
-            }
+    /// Store a validated row whose key is not taken, and index it.
+    fn append(&mut self, row: Row) -> Result<()> {
+        let Table { schema, rows, pk, secondary, ordered, .. } = self;
+        let pos = u32::try_from(rows.alive.len())
+            .ok()
+            .filter(|&pos| pos < u32::MAX)
+            .ok_or_else(|| Error::Store("table full: positions are 32-bit".into()))?;
+        rows.cells.extend(row);
+        rows.alive.push(true);
+        if !schema.primary_key().is_empty() {
+            pk.insert(hash_key(cells(rows.row(pos as usize), schema.primary_key())), pos);
         }
-        for idx in &mut self.ordered {
-            let key: Vec<Value> = idx.eq_cols.iter().map(|&c| row[c].clone()).collect();
-            if let Some(tree) = idx.map.get_mut(&key) {
-                if let Some(v) = tree.get_mut(&row[idx.range_col]) {
-                    let before = v.len();
-                    v.retain(|&p| p != pos);
-                    if v.len() < before {
-                        let emptied = v.is_empty();
-                        idx.stats.on_remove(emptied);
-                        if emptied {
-                            tree.remove(&row[idx.range_col]);
-                        }
-                    }
-                }
-                if tree.is_empty() {
-                    idx.map.remove(&key);
-                }
-            }
-        }
+        secondary.iter_mut().for_each(|idx| idx.insert(rows, pos));
+        ordered.iter_mut().for_each(|idx| idx.insert(rows, pos));
+        self.live += 1;
+        Ok(())
+    }
+
+    /// Delete the row at `pos`: out of the primary-key index and of every
+    /// index (its cells are what finds the entries), then out of storage.
+    fn remove_row(&mut self, pos: usize) {
+        let Table { schema, rows, pk, secondary, ordered, .. } = self;
+        let at = pos as u32;
+        pk.remove(hash_key(cells(rows.row(pos), schema.primary_key())), at);
+        secondary.iter_mut().for_each(|idx| idx.remove(rows, at));
+        ordered.iter_mut().for_each(|idx| idx.remove(rows, at));
+        rows.alive[pos] = false;
+        rows.row_mut(pos).fill(Value::Null);
+        self.live -= 1;
+    }
+
+    /// Put `new` (validated, same primary key) in the place of the row at
+    /// `pos`. An index whose columns the two rows agree on is not touched.
+    fn replace_row(&mut self, pos: usize, mut new: Row) {
+        let Table { rows, secondary, ordered, .. } = self;
+        let (at, old) = (pos as u32, rows.row(pos));
+        secondary.iter_mut().filter(|i| !i.same_key(old, &new)).for_each(|i| i.remove(rows, at));
+        ordered.iter_mut().filter(|i| !i.same_key(old, &new)).for_each(|i| i.remove(rows, at));
+        rows.row_mut(pos).swap_with_slice(&mut new);
+        let (old, new) = (new, rows.row(pos));
+        secondary.iter_mut().filter(|i| !i.same_key(&old, new)).for_each(|i| i.insert(rows, at));
+        ordered.iter_mut().filter(|i| !i.same_key(&old, new)).for_each(|i| i.insert(rows, at));
     }
 
     /// Insert a row; rejects primary-key duplicates.
     pub fn insert(&mut self, row: Row) -> Result<()> {
         self.schema.validate(&row)?;
-        if !self.schema.primary_key().is_empty() {
-            let key = self.schema.key_of(&row);
-            if self.pk_index.contains_key(&key) {
-                return Err(Error::Store(format!(
-                    "primary key violation: {key:?} already present"
-                )));
-            }
-            self.pk_index.insert(key, self.rows.len());
+        if self.pk_find(cells(&row, self.schema.primary_key())).is_some() {
+            return Err(Error::Store(format!(
+                "primary key violation: {:?} already present",
+                self.schema.key_of(&row)
+            )));
         }
-        let pos = self.rows.len();
-        self.index_insert(pos, &row);
-        self.rows.push(Some(row));
-        self.live += 1;
-        Ok(())
+        self.append(row)
     }
 
     /// Insert or replace by primary key. Returns `true` if an existing row
@@ -405,142 +553,100 @@ impl Table {
         if self.schema.primary_key().is_empty() {
             return Err(Error::Store("upsert requires a primary key".into()));
         }
-        let key = self.schema.key_of(&row);
-        if let Some(&pos) = self.pk_index.get(&key) {
-            let old = self.rows[pos].take().expect("pk index points at live row");
-            self.index_remove(pos, &old);
-            self.index_insert(pos, &row);
-            self.rows[pos] = Some(row);
-            Ok(true)
-        } else {
-            self.insert(row)?;
-            Ok(false)
+        let found = self.pk_find(cells(&row, self.schema.primary_key()));
+        match found {
+            Some(pos) => self.replace_row(pos, row),
+            None => self.append(row)?,
         }
+        Ok(found.is_some())
     }
 
     /// Remove every row, keeping the schema and the index *definitions*
     /// (their contents are emptied). Checkpoint recovery clears a table
     /// before re-inserting the snapshotted rows.
     pub fn clear(&mut self) {
-        self.rows.clear();
+        self.rows.cells.clear();
+        self.rows.alive.clear();
         self.live = 0;
-        self.pk_index.clear();
+        self.pk.clear();
         for idx in &mut self.secondary {
-            idx.map.clear();
+            idx.parts.clear();
             idx.stats.clear();
         }
         for idx in &mut self.ordered {
-            idx.map.clear();
+            idx.parts.clear();
             idx.stats.clear();
         }
     }
 
     /// Point lookup by primary key.
-    pub fn get(&self, key: &[Value]) -> Option<&Row> {
-        let &pos = self.pk_index.get(key)?;
-        self.rows[pos].as_ref()
+    pub fn get(&self, key: &[Value]) -> Option<&[Value]> {
+        self.pk_find(key.iter()).map(|pos| self.rows.row(pos))
     }
 
     /// Live-row and per-index statistics, as maintained by the mutation
     /// path (never recomputed by scanning).
     pub fn stats(&self) -> TableStats {
-        TableStats {
-            rows: self.live,
-            indexes: self
-                .secondary
-                .iter()
-                .map(|i| IndexStatsView {
-                    label: i.label(),
-                    stats: i.stats,
-                    partitions: i.stats.distinct_keys,
-                })
-                .chain(self.ordered.iter().map(|i| IndexStatsView {
-                    label: i.label(),
-                    stats: i.stats,
-                    partitions: i.map.len(),
-                }))
-                .collect(),
-        }
+        let secondary = self.secondary.iter().map(|i| (&i.label, i.stats, i.stats.distinct_keys));
+        let ordered = self.ordered.iter().map(|i| (&i.label, i.stats, i.parts.dir.len()));
+        let indexes = secondary.chain(ordered).map(|(label, stats, partitions)| IndexStatsView {
+            label: label.to_string(),
+            stats,
+            partitions,
+        });
+        TableStats { rows: self.live, indexes: indexes.collect() }
     }
 
-    fn pk_label(&self) -> String {
-        let names: Vec<&str> = self
-            .schema
-            .primary_key()
-            .iter()
-            .map(|&c| self.schema.columns()[c].name.as_str())
-            .collect();
-        format!("pk({})", names.join(","))
+    /// Probe key over `cols` if the equality bindings cover them all.
+    fn bind_key(&self, binds: &[(String, Value)], cols: &[usize]) -> Option<Vec<Value>> {
+        let bound = |name| binds.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone());
+        cols.iter().map(|&c| bound(self.schema.name(c))).collect()
     }
 
     /// Every index path applicable to a conjunctive predicate, scored.
-    fn conjunctive_candidates(&self, pred: &Expr) -> Vec<Candidate> {
+    fn conjunctive_candidates(&self, pred: &Expr) -> Vec<Plan> {
         let binds = pred.equality_bindings();
         let mut out = Vec::new();
         let pk = self.schema.primary_key();
-        if !pk.is_empty() {
-            let pk_names: Vec<String> = pk
-                .iter()
-                .map(|&c| self.schema.columns()[c].name.clone())
-                .collect();
-            if let Some(key) = bind_key(&binds, &pk_names) {
-                out.push(Candidate {
-                    node: PlanNode::IndexEq {
-                        index: IndexRef::PrimaryKey,
-                        label: self.pk_label(),
-                        key,
-                    },
-                    est: 1.0,
-                    cost: cost::index_probe(1.0),
-                });
-            }
+        if let Some(key) = self.bind_key(&binds, pk).filter(|_| !pk.is_empty()) {
+            let (index, label) = (IndexRef::PrimaryKey, self.pk_label.clone());
+            out.push(probe(PlanNode::IndexEq { index, label, key }, 1.0));
         }
         for (i, idx) in self.secondary.iter().enumerate() {
-            if let Some(key) = bind_key(&binds, &idx.names) {
-                let est = idx.stats.avg_bucket();
-                out.push(Candidate {
-                    node: PlanNode::IndexEq {
-                        index: IndexRef::Secondary(i),
-                        label: idx.label(),
-                        key,
-                    },
-                    est,
-                    cost: cost::index_probe(est),
-                });
+            if let Some(key) = self.bind_key(&binds, &idx.parts.cols) {
+                let (index, label) = (IndexRef::Secondary(i), idx.label.clone());
+                out.push(probe(PlanNode::IndexEq { index, label, key }, idx.stats.avg_bucket()));
             }
         }
         let ranges = pred.range_constraints();
         for (i, idx) in self.ordered.iter().enumerate() {
-            let Some(eq_key) = bind_key(&binds, &idx.eq_names) else {
+            let Some(eq_key) = self.bind_key(&binds, &idx.parts.cols) else {
                 continue;
             };
+            let range_name = self.schema.name(idx.range_col);
             // Equality on the range column pins both bounds; a range
             // constraint scans part of the partition; no constraint scans
             // the whole partition.
-            let (lo, hi, est) =
-                if let Some((_, v)) = binds.iter().find(|(n, _)| *n == idx.range_name) {
-                    (
-                        Bound::Included(v.clone()),
-                        Bound::Included(v.clone()),
-                        idx.stats.avg_bucket(),
-                    )
-                } else if let Some(r) = ranges.iter().find(|r| r.column == idx.range_name) {
-                    let bounded = !matches!(r.lo, Bound::Unbounded)
-                        && !matches!(r.hi, Bound::Unbounded);
-                    let sel = if bounded {
-                        cost::BOUNDED_RANGE_SELECTIVITY
-                    } else {
-                        cost::HALF_RANGE_SELECTIVITY
-                    };
-                    (r.lo.clone(), r.hi.clone(), idx.partition_avg() * sel)
+            let (lo, hi, est) = if let Some((_, v)) = binds.iter().find(|(n, _)| n == range_name) {
+                (
+                    Bound::Included(v.clone()),
+                    Bound::Included(v.clone()),
+                    idx.stats.avg_bucket(),
+                )
+            } else if let Some(r) = ranges.iter().find(|r| r.column == range_name) {
+                let bounded =
+                    !matches!(r.lo, Bound::Unbounded) && !matches!(r.hi, Bound::Unbounded);
+                let sel = if bounded {
+                    cost::BOUNDED_RANGE_SELECTIVITY
                 } else {
-                    (Bound::Unbounded, Bound::Unbounded, idx.partition_avg())
+                    cost::HALF_RANGE_SELECTIVITY
                 };
-            out.push(Candidate {
-                node: PlanNode::IndexRange { index: i, label: idx.label(), eq_key, lo, hi },
-                est,
-                cost: cost::index_probe(est),
-            });
+                (r.lo.clone(), r.hi.clone(), idx.partition_avg() * sel)
+            } else {
+                (Bound::Unbounded, Bound::Unbounded, idx.partition_avg())
+            };
+            let label = idx.label.clone();
+            out.push(probe(PlanNode::IndexRange { index: i, label, eq_key, lo, hi }, est));
         }
         out
     }
@@ -549,16 +655,19 @@ impl Table {
     /// candidate-superset of the true match set (the executors re-apply
     /// the predicate), so planning affects cost only, never results.
     pub fn plan(&self, pred: Option<&Expr>) -> Plan {
-        let scan = Candidate {
+        let scan = Plan {
             node: PlanNode::FullScan { rows: self.live },
-            est: self.live as f64,
+            est_rows: self.live as f64,
             cost: cost::full_scan(self.live),
         };
         let Some(p) = pred else {
-            return scan.into_plan();
+            return scan;
         };
         let mut cands = Vec::new();
-        match p.disjunctive_arms(MAX_UNION_ARMS) {
+        // Normalizing clones the predicate arm by arm; a plain conjunction
+        // (every Linear Road point and range query) is planned as it stands.
+        let arms = if p.has_disjunction() { p.disjunctive_arms(MAX_UNION_ARMS) } else { None };
+        match arms {
             // A single rewritten arm (e.g. a one-value IN) may expose
             // bindings the original didn't; plan it in the original's
             // place.
@@ -576,7 +685,7 @@ impl Table {
                 for arm in &arms {
                     match pick(self.conjunctive_candidates(arm)) {
                         Some(c) => {
-                            est_sum += c.est;
+                            est_sum += c.est_rows;
                             cost_sum += c.cost;
                             nodes.push(c.node);
                         }
@@ -587,9 +696,9 @@ impl Table {
                     }
                 }
                 if indexable {
-                    cands.push(Candidate {
+                    cands.push(Plan {
                         node: PlanNode::IndexUnion { arms: nodes },
-                        est: est_sum,
+                        est_rows: est_sum,
                         cost: cost::index_union(cost_sum, est_sum),
                     });
                 }
@@ -597,46 +706,29 @@ impl Table {
             None => cands.extend(self.conjunctive_candidates(p)),
         }
         cands.push(scan);
-        pick(cands).expect("full scan is always a candidate").into_plan()
-    }
-
-    /// All live positions, ascending.
-    fn live_positions(&self) -> Vec<usize> {
-        (0..self.rows.len()).filter(|&i| self.rows[i].is_some()).collect()
+        pick(cands).expect("full scan is always a candidate")
     }
 
     /// Candidate positions of a plan node, sorted ascending and
     /// deduplicated — storage order, exactly what the scan path visits.
     fn access_positions(&self, node: &PlanNode) -> Vec<usize> {
         match node {
-            PlanNode::FullScan { .. } => self.live_positions(),
+            PlanNode::FullScan { .. } => self.rows.positions().collect(),
             PlanNode::IndexEq { index: IndexRef::PrimaryKey, key, .. } => {
-                self.pk_index.get(key).copied().into_iter().collect()
+                self.pk_find(key.iter()).into_iter().collect()
             }
             PlanNode::IndexEq { index: IndexRef::Secondary(i), key, .. } => {
-                let mut v = self.secondary[*i].map.get(key).cloned().unwrap_or_default();
-                // Upserts reuse slots, so buckets are not position-sorted.
-                v.sort_unstable();
-                v
+                let bucket = self.secondary[*i].bucket(&self.rows, key);
+                bucket.iter().map(|&pos| pos as usize).collect()
             }
             PlanNode::IndexRange { index, eq_key, lo, hi, .. } => {
-                let idx = &self.ordered[*index];
-                let mut out = Vec::new();
-                if !range_is_empty(lo, hi) {
-                    if let Some(tree) = idx.map.get(eq_key) {
-                        // NULL never satisfies a range conjunct, but NULL
-                        // tree keys sort below every bound — skip them
-                        // whenever a bound exists.
-                        let skip_null = !matches!(lo, Bound::Unbounded)
-                            || !matches!(hi, Bound::Unbounded);
-                        for (k, positions) in tree.range::<Value, _>((lo.as_ref(), hi.as_ref())) {
-                            if skip_null && k.is_null() {
-                                continue;
-                            }
-                            out.extend_from_slice(positions);
-                        }
-                    }
-                }
+                let mut out: Vec<usize> = self.ordered[*index]
+                    .parts
+                    .get(&self.rows, eq_key)
+                    .into_iter()
+                    .flat_map(|set| scan(set, lo, hi))
+                    .map(|entry| entry.1 as usize)
+                    .collect();
                 out.sort_unstable();
                 out
             }
@@ -651,7 +743,7 @@ impl Table {
             }
             // TopK/GroupByIndex have dedicated executors; position access
             // for them degrades to a scan rather than guessing.
-            _ => self.live_positions(),
+            _ => self.rows.positions().collect(),
         }
     }
 
@@ -677,10 +769,11 @@ impl Table {
                 _ => None,
             }
         }
-        fn consumed_by_eq(e: &Expr, names: &[String], key: &[Value]) -> bool {
+        let consumed_by_eq = |e: &Expr, cols: &[usize], key: &[Value]| {
             let Some((c, v, CmpOp::Eq)) = eq_parts(e) else { return false };
-            !v.is_null() && names.iter().zip(key).any(|(n, kv)| n == c && kv == v)
-        }
+            let binds = |(&col, kv): (&usize, &Value)| self.schema.name(col) == c && kv == v;
+            !v.is_null() && cols.iter().zip(key).any(binds)
+        };
         fn consumed_by_range(
             e: &Expr,
             range_name: &str,
@@ -723,30 +816,18 @@ impl Table {
         let conjuncts = p.conjuncts();
         match node {
             PlanNode::IndexEq { index, key, .. } => {
-                let names: &[String] = match index {
-                    IndexRef::PrimaryKey => {
-                        // PK names are not stored as strings on the node;
-                        // rebuild once.
-                        return {
-                            let pk_names: Vec<String> = self
-                                .schema
-                                .primary_key()
-                                .iter()
-                                .map(|&c| self.schema.columns()[c].name.clone())
-                                .collect();
-                            conjuncts.iter().all(|c| consumed_by_eq(c, &pk_names, key))
-                        };
-                    }
-                    IndexRef::Secondary(i) => &self.secondary[*i].names,
+                let cols = match index {
+                    IndexRef::PrimaryKey => self.schema.primary_key(),
+                    IndexRef::Secondary(i) => &self.secondary[*i].parts.cols,
                     IndexRef::Ordered(_) => return false,
                 };
-                conjuncts.iter().all(|c| consumed_by_eq(c, names, key))
+                conjuncts.iter().all(|c| consumed_by_eq(c, cols, key))
             }
             PlanNode::IndexRange { index, eq_key, lo, hi, .. } => {
                 let idx = &self.ordered[*index];
                 conjuncts.iter().all(|c| {
-                    consumed_by_eq(c, &idx.eq_names, eq_key)
-                        || consumed_by_range(c, &idx.range_name, lo, hi)
+                    consumed_by_eq(c, &idx.parts.cols, eq_key)
+                        || consumed_by_range(c, self.schema.name(idx.range_col), lo, hi)
                 })
             }
             _ => false,
@@ -759,9 +840,7 @@ impl Table {
         let positions = self.access_positions(&plan.node);
         let mut out = Vec::with_capacity(positions.len());
         for pos in positions {
-            let Some(row) = self.rows[pos].as_ref() else {
-                continue;
-            };
+            let row = self.rows.row(pos);
             if match pred {
                 Some(p) => p.matches(&self.schema, row)?,
                 None => true,
@@ -773,8 +852,8 @@ impl Table {
     }
 
     /// The live row at a position returned by `filtered_positions`.
-    pub(crate) fn row_at(&self, pos: usize) -> &Row {
-        self.rows[pos].as_ref().expect("filtered position points at live row")
+    pub(crate) fn row_at(&self, pos: usize) -> &[Value] {
+        self.rows.row(pos)
     }
 
     /// Plan a top-k read: the cheapest ordered index whose range column is
@@ -790,10 +869,10 @@ impl Table {
         let binds = pred.map(|p| p.equality_bindings()).unwrap_or_default();
         let mut best: Option<(usize, Vec<Value>, f64)> = None;
         for (i, idx) in self.ordered.iter().enumerate() {
-            if idx.range_name != order_col {
+            if self.schema.name(idx.range_col) != order_col {
                 continue;
             }
-            let Some(key) = bind_key(&binds, &idx.eq_names) else {
+            let Some(key) = self.bind_key(&binds, &idx.parts.cols) else {
                 continue;
             };
             let cost = cost::index_probe(idx.partition_avg());
@@ -808,7 +887,7 @@ impl Table {
         best.map(|(i, eq_key, cost)| Plan {
             node: PlanNode::TopK {
                 index: i,
-                label: self.ordered[i].label(),
+                label: self.ordered[i].label.clone(),
                 eq_key,
                 desc,
                 limit,
@@ -839,37 +918,32 @@ impl Table {
         else {
             return Ok(None);
         };
-        if limit == 0 {
+        let set = self.ordered[index].parts.get(&self.rows, &eq_key);
+        let Some(set) = set.filter(|_| limit > 0) else {
             return Ok(Some(Vec::new()));
-        }
-        let idx = &self.ordered[index];
-        let Some(tree) = idx.map.get(&eq_key) else {
-            return Ok(Some(Vec::new()));
-        };
-        let buckets: Box<dyn Iterator<Item = &Vec<usize>>> = if desc {
-            Box::new(tree.values().rev())
-        } else {
-            Box::new(tree.values())
         };
         let mut out = Vec::new();
-        'scan: for positions in buckets {
-            // Within one sort-key value, emit in storage order — the
-            // same tie order the stable-sort fallback produces.
-            let mut bucket = positions.clone();
-            bucket.sort_unstable();
-            for pos in bucket {
-                let Some(row) = self.rows[pos].as_ref() else {
-                    continue;
-                };
-                let matched = match pred {
-                    Some(p) => p.matches(&self.schema, row)?,
-                    None => true,
-                };
-                if matched {
-                    out.push(row.clone());
-                    if out.len() == limit {
-                        break 'scan;
-                    }
+        // Within one sort-key value rows come in storage order either way
+        // — the tie order the stable-sort fallback produces — so a
+        // descending read walks the values backwards, not the entries.
+        let entries: Box<dyn Iterator<Item = &(Value, u32)>> = if desc {
+            let heads = std::iter::successors(set.last(), |(v, _)| {
+                set.range(..(v.clone(), 0)).next_back()
+            });
+            Box::new(heads.flat_map(|(v, _)| run_of(set, v)))
+        } else {
+            Box::new(set.iter())
+        };
+        for &(_, pos) in entries {
+            let row = self.rows.row(pos as usize);
+            let matched = match pred {
+                Some(p) => p.matches(&self.schema, row)?,
+                None => true,
+            };
+            if matched {
+                out.push(row.to_vec());
+                if out.len() == limit {
+                    break;
                 }
             }
         }
@@ -880,141 +954,91 @@ impl Table {
     /// order.
     pub fn select(&self, pred: Option<&Expr>) -> Result<Vec<Row>> {
         let positions = self.filtered_positions(pred)?;
-        Ok(positions.into_iter().map(|p| self.row_at(p).clone()).collect())
+        Ok(positions.into_iter().map(|p| self.row_at(p).to_vec()).collect())
     }
 
     /// Delete rows satisfying the predicate; returns how many.
     pub fn delete_where(&mut self, pred: &Expr) -> Result<usize> {
-        let plan = self.plan(Some(pred));
-        let positions = self.access_positions(&plan.node);
-        let mut deleted = 0;
-        for pos in positions {
-            let matched = match self.rows[pos].as_ref() {
-                Some(row) => pred.matches(&self.schema, row)?,
-                None => false,
-            };
-            if matched {
-                let row = self.rows[pos].take().expect("checked above");
-                self.index_remove(pos, &row);
-                if !self.schema.primary_key().is_empty() {
-                    self.pk_index.remove(&self.schema.key_of(&row));
-                }
-                self.live -= 1;
-                deleted += 1;
-            }
-        }
+        let positions = self.filtered_positions(Some(pred))?;
+        positions.iter().for_each(|&pos| self.remove_row(pos));
         self.maybe_compact();
-        Ok(deleted)
+        Ok(positions.len())
     }
 
     /// Update rows satisfying the predicate with `(column, value)`
     /// assignments; returns how many rows changed. Primary-key columns may
-    /// not be assigned.
+    /// not be assigned. The assignments are checked against the schema
+    /// before any row is touched: a rejected update changes nothing.
     pub fn update_where(&mut self, pred: &Expr, assignments: &[(&str, Value)]) -> Result<usize> {
-        let cols: Vec<(usize, Value)> = assignments
-            .iter()
-            .map(|(name, v)| Ok((self.schema.column_index(name)?, v.clone())))
-            .collect::<Result<_>>()?;
-        for (c, _) in &cols {
-            if self.schema.primary_key().contains(c) {
+        let mut cols = Vec::with_capacity(assignments.len());
+        for (name, v) in assignments {
+            let c = self.schema.column_index(name)?;
+            if self.schema.primary_key().contains(&c) {
                 return Err(Error::Store("cannot update a primary key column".into()));
             }
+            self.schema.columns()[c].check(v)?;
+            cols.push((c, v));
         }
-        let plan = self.plan(Some(pred));
-        let positions = self.access_positions(&plan.node);
-        let mut updated = 0;
-        for pos in positions {
-            let matched = match self.rows[pos].as_ref() {
-                Some(row) => pred.matches(&self.schema, row)?,
-                None => false,
-            };
-            if matched {
-                let mut row = self.rows[pos].take().expect("checked above");
-                self.index_remove(pos, &row);
-                for (c, v) in &cols {
-                    row[*c] = v.clone();
-                }
-                self.schema.validate(&row)?;
-                self.index_insert(pos, &row);
-                self.rows[pos] = Some(row);
-                updated += 1;
+        let positions = self.filtered_positions(Some(pred))?;
+        for &pos in &positions {
+            let mut row = self.row_at(pos).to_vec();
+            for &(c, v) in &cols {
+                row[c] = v.clone();
             }
+            self.replace_row(pos, row);
         }
-        Ok(updated)
+        Ok(positions.len())
     }
 
     /// Aggregate results computed without touching rows at all, when the
     /// plan consumed the whole predicate: counts from bucket sizes,
-    /// min/max of an ordered index's range column from its extreme tree
-    /// keys. `None` means "no shortcut, stream the rows".
-    fn aggregate_pushdown(&self, node: &PlanNode, agg: &Agg) -> Result<Option<Value>> {
+    /// min/max of an ordered index's range column from its extreme
+    /// entries. `None` means "no shortcut, stream the rows".
+    fn aggregate_pushdown(&self, node: &PlanNode, agg: &Agg) -> Option<Value> {
         match agg {
-            Agg::Count => Ok(match node {
-                PlanNode::FullScan { .. } => Some(Value::Int(self.live as i64)),
-                PlanNode::IndexEq { index: IndexRef::PrimaryKey, key, .. } => {
-                    Some(Value::Int(i64::from(self.pk_index.contains_key(key))))
-                }
-                PlanNode::IndexEq { index: IndexRef::Secondary(i), key, .. } => Some(Value::Int(
-                    self.secondary[*i].map.get(key).map_or(0, |b| b.len()) as i64,
-                )),
-                PlanNode::IndexRange { index, eq_key, lo, hi, .. } => {
-                    let idx = &self.ordered[*index];
-                    let mut n = 0usize;
-                    if !range_is_empty(lo, hi) {
-                        if let Some(tree) = idx.map.get(eq_key) {
-                            let skip_null = !matches!(lo, Bound::Unbounded)
-                                || !matches!(hi, Bound::Unbounded);
-                            for (k, positions) in
-                                tree.range::<Value, _>((lo.as_ref(), hi.as_ref()))
-                            {
-                                if skip_null && k.is_null() {
-                                    continue;
-                                }
-                                n += positions.len();
-                            }
-                        }
+            Agg::Count => {
+                let n = match node {
+                    PlanNode::FullScan { .. } => self.live,
+                    PlanNode::IndexEq { index: IndexRef::PrimaryKey, key, .. } => {
+                        usize::from(self.pk_find(key.iter()).is_some())
                     }
-                    Some(Value::Int(n as i64))
-                }
-                _ => None,
-            }),
+                    PlanNode::IndexEq { index: IndexRef::Secondary(i), key, .. } => {
+                        self.secondary[*i].bucket(&self.rows, key).len()
+                    }
+                    PlanNode::IndexRange { index, eq_key, lo, hi, .. } => self.ordered[*index]
+                        .parts
+                        .get(&self.rows, eq_key)
+                        .map_or(0, |set| scan(set, lo, hi).count()),
+                    _ => return None,
+                };
+                Some(Value::Int(n as i64))
+            }
             Agg::Min(c) | Agg::Max(c) => {
                 let PlanNode::IndexRange { index, eq_key, lo, hi, .. } = node else {
-                    return Ok(None);
+                    return None;
                 };
                 let idx = &self.ordered[*index];
-                if &idx.range_name != c {
-                    return Ok(None);
+                if self.schema.name(idx.range_col) != c {
+                    return None;
                 }
-                if range_is_empty(lo, hi) {
-                    return Ok(Some(Value::Null));
-                }
-                let Some(tree) = idx.map.get(eq_key) else {
-                    return Ok(Some(Value::Null));
-                };
-                // NULLs never participate in min/max; the scan path
-                // filters them, so the extreme key must be non-null.
-                let mut range = tree
-                    .range::<Value, _>((lo.as_ref(), hi.as_ref()))
-                    .filter(|(k, _)| !k.is_null());
-                let bucket = match agg {
-                    Agg::Min(_) => range.next(),
-                    _ => range.next_back(),
-                };
-                let Some((_, positions)) = bucket else {
-                    return Ok(Some(Value::Null));
-                };
-                // The materialized path keeps the first equal minimum and
-                // the last equal maximum in storage order, and index keys
-                // may differ bytewise from row values (Int 3 vs Float 3.0
-                // compare equal) — read the value off the actual row.
-                let pos = match agg {
-                    Agg::Min(_) => *positions.iter().min().expect("bucket non-empty"),
-                    _ => *positions.iter().max().expect("bucket non-empty"),
-                };
-                Ok(Some(self.row_at(pos)[idx.range_col].clone()))
+                // NULLs never participate in min/max. The first entry of
+                // the least value is the first equal minimum in storage
+                // order and the last entry of the greatest value the last
+                // equal maximum, as the materialized path keeps them; the
+                // value is read off that row, whose representation may
+                // differ from the entry's (Int 3 and Float 3.0 are equal).
+                let extreme = idx.parts.get(&self.rows, eq_key).and_then(|set| {
+                    let mut range = scan(set, lo, hi).filter(|(v, _)| !v.is_null());
+                    match agg {
+                        Agg::Min(_) => range.next(),
+                        _ => range.next_back(),
+                    }
+                });
+                Some(extreme.map_or(Value::Null, |&(_, pos)| {
+                    self.rows.row(pos as usize)[idx.range_col].clone()
+                }))
             }
-            _ => Ok(None),
+            _ => None,
         }
     }
 
@@ -1023,7 +1047,7 @@ impl Table {
         let plan = self.plan(pred);
         let residual_free = self.residual_free(pred, &plan.node);
         if residual_free {
-            if let Some(v) = self.aggregate_pushdown(&plan.node, agg)? {
+            if let Some(v) = self.aggregate_pushdown(&plan.node, agg) {
                 return Ok(v);
             }
         }
@@ -1031,9 +1055,7 @@ impl Table {
         // no predicate evaluation when the plan already consumed it.
         let mut acc = Acc::new(&self.schema, agg)?;
         for pos in self.access_positions(&plan.node) {
-            let Some(row) = self.rows[pos].as_ref() else {
-                continue;
-            };
+            let row = self.rows.row(pos);
             if !residual_free {
                 if let Some(p) = pred {
                     if !p.matches(&self.schema, row)? {
@@ -1058,78 +1080,58 @@ impl Table {
             group_cols.iter().all(|g| names.contains(g))
                 && names.iter().all(|n| group_cols.contains(n))
         };
+        let grouped = |index, label: &Arc<str>, stats: &IndexStats| Plan {
+            node: PlanNode::GroupByIndex {
+                index,
+                label: label.clone(),
+                group_cols: group_cols.iter().map(|s| s.to_string()).collect(),
+            },
+            est_rows: stats.distinct_keys as f64,
+            cost: cost::index_probe(stats.entries as f64),
+        };
+        let names = |cols: &[usize]| cols.iter().map(|&c| self.schema.name(c)).collect::<Vec<_>>();
         for (i, idx) in self.secondary.iter().enumerate() {
-            let names: Vec<&str> = idx.names.iter().map(|s| s.as_str()).collect();
-            if covers(&names) {
-                return Some(Plan {
-                    node: PlanNode::GroupByIndex {
-                        index: IndexRef::Secondary(i),
-                        label: idx.label(),
-                        group_cols: group_cols.iter().map(|s| s.to_string()).collect(),
-                    },
-                    est_rows: idx.stats.distinct_keys as f64,
-                    cost: cost::index_probe(idx.stats.entries as f64),
-                });
+            if covers(&names(&idx.parts.cols)) {
+                return Some(grouped(IndexRef::Secondary(i), &idx.label, &idx.stats));
             }
         }
         for (i, idx) in self.ordered.iter().enumerate() {
-            let mut names: Vec<&str> = idx.eq_names.iter().map(|s| s.as_str()).collect();
-            names.push(idx.range_name.as_str());
+            let mut names = names(&idx.parts.cols);
+            names.push(self.schema.name(idx.range_col));
             if covers(&names) {
-                return Some(Plan {
-                    node: PlanNode::GroupByIndex {
-                        index: IndexRef::Ordered(i),
-                        label: idx.label(),
-                        group_cols: group_cols.iter().map(|s| s.to_string()).collect(),
-                    },
-                    est_rows: idx.stats.distinct_keys as f64,
-                    cost: cost::index_probe(idx.stats.entries as f64),
-                });
+                return Some(grouped(IndexRef::Ordered(i), &idx.label, &idx.stats));
             }
         }
         None
     }
 
-    /// Feed one index bucket's rows through fresh accumulators; emits
-    /// `(first matching position, group key, accumulators)` when any row
-    /// matched.
+    /// Feed one index bucket's rows (storage order) through fresh
+    /// accumulators; emits `(first matching position, accumulators)` when
+    /// any row matched.
     fn accumulate_group(
         &self,
         pred: Option<&Expr>,
-        gcols: &[usize],
         aggs: &[Agg],
-        positions: &[usize],
-        out: &mut Vec<(usize, Vec<Value>, Vec<Acc>)>,
+        positions: impl Iterator<Item = u32>,
+        out: &mut Vec<(usize, Vec<Acc>)>,
     ) -> Result<()> {
-        let mut entry: Option<(usize, Vec<Value>, Vec<Acc>)> = None;
-        for &pos in positions {
-            let Some(row) = self.rows[pos].as_ref() else {
-                continue;
-            };
+        let mut group: Option<(usize, Vec<Acc>)> = None;
+        for pos in positions {
+            let row = self.rows.row(pos as usize);
             if let Some(p) = pred {
                 if !p.matches(&self.schema, row)? {
                     continue;
                 }
             }
-            if entry.is_none() {
-                // Group keys come off the first matching row, not the
-                // index key: index keys unify Int/Float representations
-                // the scan path would surface verbatim.
-                let key: Vec<Value> = gcols.iter().map(|&c| row[c].clone()).collect();
-                let accs = aggs
-                    .iter()
-                    .map(|a| Acc::new(&self.schema, a))
-                    .collect::<Result<Vec<_>>>()?;
-                entry = Some((pos, key, accs));
-            }
-            let (_, _, accs) = entry.as_mut().expect("just initialized");
-            for acc in accs.iter_mut() {
+            let (_, accs) = match &mut group {
+                Some(group) => group,
+                None => group.insert((pos as usize, Acc::all(&self.schema, aggs)?)),
+            };
+            for acc in accs {
                 acc.push(row)?;
             }
         }
-        if let Some(e) = entry {
-            out.push(e);
-        }
+        out.extend(group);
         Ok(())
     }
 
@@ -1144,96 +1146,79 @@ impl Table {
         group_cols: &[&str],
         aggs: &[Agg],
     ) -> Result<Vec<(Vec<Value>, Vec<Value>)>> {
-        let gcols: Vec<usize> = group_cols
-            .iter()
-            .map(|c| self.schema.column_index(c))
-            .collect::<Result<_>>()?;
-        if let Some(plan) = self.plan_group_by(pred, group_cols) {
-            if let PlanNode::GroupByIndex { index, .. } = plan.node {
-                let mut groups: Vec<(usize, Vec<Value>, Vec<Acc>)> = Vec::new();
-                match index {
-                    IndexRef::Secondary(i) => {
-                        for bucket in self.secondary[i].map.values() {
-                            let mut positions = bucket.clone();
-                            positions.sort_unstable();
-                            self.accumulate_group(pred, &gcols, aggs, &positions, &mut groups)?;
-                        }
-                    }
-                    IndexRef::Ordered(i) => {
-                        for tree in self.ordered[i].map.values() {
-                            for bucket in tree.values() {
-                                let mut positions = bucket.clone();
-                                positions.sort_unstable();
-                                self.accumulate_group(
-                                    pred, &gcols, aggs, &positions, &mut groups,
-                                )?;
-                            }
-                        }
-                    }
-                    IndexRef::PrimaryKey => unreachable!("plan_group_by never picks the pk"),
+        let gcols: Vec<usize> =
+            group_cols.iter().map(|c| self.schema.column_index(c)).collect::<Result<_>>()?;
+        // `(first matching position, accumulators)` per group.
+        let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
+        match self.plan_group_by(pred, group_cols).map(|plan| plan.node) {
+            Some(PlanNode::GroupByIndex { index: IndexRef::Secondary(i), .. }) => {
+                for bucket in self.secondary[i].parts.buckets() {
+                    self.accumulate_group(pred, aggs, bucket.iter().copied(), &mut groups)?;
                 }
-                // First-seen order over storage-ordered rows.
-                groups.sort_by_key(|(first, _, _)| *first);
-                return Ok(groups
-                    .into_iter()
-                    .map(|(_, key, accs)| {
-                        (key, accs.into_iter().map(Acc::finish).collect())
-                    })
-                    .collect());
+                groups.sort_by_key(|(first, _)| *first);
             }
-        }
-        let positions = self.filtered_positions(pred)?;
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for &pos in &positions {
-            let row = self.row_at(pos);
-            let key: Vec<Value> = gcols.iter().map(|&c| row[c].clone()).collect();
-            if !groups.contains_key(&key) {
-                order.push(key.clone());
+            Some(PlanNode::GroupByIndex { index: IndexRef::Ordered(i), .. }) => {
+                for set in self.ordered[i].parts.buckets() {
+                    for (v, _) in run_heads(set) {
+                        let run = run_of(set, v).map(|entry| entry.1);
+                        self.accumulate_group(pred, aggs, run, &mut groups)?;
+                    }
+                }
+                groups.sort_by_key(|(first, _)| *first);
             }
-            groups.entry(key).or_default().push(pos);
-        }
-        let mut out = Vec::with_capacity(order.len());
-        for key in order {
-            let mut accs = aggs
-                .iter()
-                .map(|a| Acc::new(&self.schema, a))
-                .collect::<Result<Vec<_>>>()?;
-            for &pos in &groups[&key] {
-                let row = self.row_at(pos);
-                for acc in accs.iter_mut() {
-                    acc.push(row)?;
+            _ => {
+                // Group ids keyed by the grouping columns of each group's
+                // first row; rows arrive, and accumulate, in storage order.
+                let mut ids = PosTable::default();
+                for pos in self.filtered_positions(pred)? {
+                    let row = self.row_at(pos);
+                    let hash = hash_key(cells(row, &gcols));
+                    let found = ids.find(hash, |g| {
+                        cells(self.row_at(groups[g as usize].0), &gcols).eq(cells(row, &gcols))
+                    });
+                    let g = match found {
+                        Some(g) => g as usize,
+                        None => {
+                            ids.insert(hash, groups.len() as u32);
+                            groups.push((pos, Acc::all(&self.schema, aggs)?));
+                            groups.len() - 1
+                        }
+                    };
+                    for acc in &mut groups[g].1 {
+                        acc.push(row)?;
+                    }
                 }
             }
-            out.push((key, accs.into_iter().map(Acc::finish).collect()));
         }
-        Ok(out)
+        // Group keys come off each group's first row, not an index key:
+        // the scan path surfaces Int/Float representations verbatim.
+        Ok(groups
+            .into_iter()
+            .map(|(first, accs)| {
+                let key = cells(self.row_at(first), &gcols).cloned().collect();
+                (key, accs.into_iter().map(Acc::finish).collect())
+            })
+            .collect())
     }
 
     /// Iterate live rows.
-    pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        self.rows.iter().filter_map(|r| r.as_ref())
+    pub fn iter(&self) -> impl Iterator<Item = &[Value]> {
+        self.rows.positions().map(|pos| self.rows.row(pos))
     }
 
     fn maybe_compact(&mut self) {
-        let dead = self.rows.len() - self.live;
+        let dead = self.rows.alive.len() - self.live;
         if dead < 64 || dead < self.live {
             return;
         }
-        let old = std::mem::take(&mut self.rows);
-        self.pk_index.clear();
-        for idx in &mut self.secondary {
-            idx.map.clear();
-            idx.stats.clear();
-        }
-        for idx in &mut self.ordered {
-            idx.map.clear();
-            idx.stats.clear();
-        }
-        self.live = 0;
-        for row in old.into_iter().flatten() {
-            // Re-inserting validated rows cannot fail.
-            self.insert(row).expect("re-insert of validated row");
+        let old = Rows {
+            cells: std::mem::take(&mut self.rows.cells),
+            alive: std::mem::take(&mut self.rows.alive),
+            width: self.rows.width,
+        };
+        self.clear();
+        for pos in old.positions() {
+            self.append(old.row(pos).to_vec()).expect("fewer rows than before");
         }
     }
 }
@@ -1715,7 +1700,7 @@ mod tests {
         // Reference: rebuild the same table without the index.
         let mut plain = Table::new(t.schema().clone());
         for r in t.iter() {
-            plain.insert(r.clone()).unwrap();
+            plain.insert(r.to_vec()).unwrap();
         }
         let slow = plain
             .group_by(None, &["seg"], &[Agg::Count, Agg::Sum("lav".into()), Agg::Max("cars".into())])
@@ -1762,5 +1747,106 @@ mod tests {
         let pred = col("seg").in_list(vec![lit(5), lit(5), lit(6)]);
         let n = t.update_where(&pred, &[("cars", 99.into())]).unwrap();
         assert_eq!(n, 2);
+    }
+
+    // ---- position-only index tests ----
+
+    fn kv_table() -> Table {
+        let schema = Schema::builder()
+            .column("k", ValueType::Int)
+            .column("v", ValueType::Int)
+            .primary_key(&["k"])
+            .build()
+            .unwrap();
+        Table::new(schema)
+    }
+
+    #[test]
+    fn rejected_update_changes_nothing() {
+        let mut t = kv_table();
+        t.insert(vec![1.into(), 10.into()]).unwrap();
+        let pred = col("k").eq(lit(1));
+        assert!(t.update_where(&pred, &[("v", Value::str("oops"))]).is_err());
+        assert!(t.update_where(&pred, &[("v", Value::Null)]).is_err());
+        assert!(t.update_where(&pred, &[("v", 11.into()), ("nope", 1.into())]).is_err());
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(&[1.into()]).unwrap()[1], Value::Int(10));
+        assert_eq!(t.select(None).unwrap(), vec![vec![Value::Int(1), Value::Int(10)]]);
+        assert!(t.upsert(vec![1.into(), 11.into()]).unwrap(), "the row is still there to replace");
+    }
+
+    #[test]
+    fn int_and_float_keys_unify_across_every_index() {
+        let schema = Schema::builder()
+            .column("k", ValueType::Int)
+            .column("g", ValueType::Float)
+            .column("v", ValueType::Float)
+            .primary_key(&["k"])
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        t.create_index(&["g"]).unwrap();
+        t.create_ordered_index(&["g"], "v").unwrap();
+        // Ints widen into float columns and are stored as written.
+        for k in 0..40i64 {
+            let g: Value = if k % 2 == 0 { (k % 4).into() } else { ((k % 4) as f64).into() };
+            t.insert(vec![k.into(), g, (k / 4).into()]).unwrap();
+        }
+        assert_eq!(t.get(&[Value::Float(3.0)]).unwrap()[0], Value::Int(3));
+        assert!(t.get(&[Value::Float(3.5)]).is_none());
+        assert!(t.insert(vec![Value::Int(3), 0.into(), 0.into()]).is_err(), "pk 3 is taken");
+        let s = t.stats();
+        assert_eq!((s.indexes[0].stats.entries, s.indexes[0].stats.distinct_keys), (40, 4));
+        assert_eq!((s.indexes[1].stats.distinct_keys, s.indexes[1].partitions), (40, 4));
+        // Float bounds over int range values, int probe of a float partition.
+        let pred = col("g").eq(lit(1)).and(col("v").between(lit(1.5), lit(4.0)));
+        assert!(matches!(t.plan(Some(&pred)).node, PlanNode::IndexRange { .. }));
+        let ks: Vec<Value> = t.select(Some(&pred)).unwrap().into_iter().map(|r| r[0].clone()).collect();
+        assert_eq!(ks, vec![Value::Int(9), Value::Int(13), Value::Int(17)]);
+        assert_eq!(
+            t.aggregate(Some(&pred), &Agg::Min("v".into())).unwrap(),
+            Value::Int(2),
+            "the value as the row holds it"
+        );
+        assert_eq!(t.aggregate(Some(&col("g").eq(lit(2.0))), &Agg::Count).unwrap(), Value::Int(10));
+    }
+
+    #[test]
+    fn top_k_breaks_ties_in_storage_order_both_ways() {
+        let mut t = cars_table();
+        t.create_ordered_index(&["xway"], "cars").unwrap();
+        // cars 0,1,2 three times over; positions 0..9.
+        for seg in 0..9 {
+            t.insert(row(0, seg, 0, seg % 3, 0.0)).unwrap();
+        }
+        // Move seg 1 (cars 1) to cars 2: it keeps position 1, ahead of segs 2, 5, 8.
+        t.upsert(row(0, 1, 0, 2, 0.0)).unwrap();
+        let pred = col("xway").eq(lit(0));
+        let segs = |rows: Vec<Row>| rows.iter().map(|r| r[1].as_int().unwrap()).collect::<Vec<_>>();
+        let asc = t.top_k(Some(&pred), "cars", false, 5).unwrap().unwrap();
+        assert_eq!(segs(asc), vec![0, 3, 6, 4, 7]);
+        let desc = t.top_k(Some(&pred), "cars", true, 6).unwrap().unwrap();
+        assert_eq!(segs(desc), vec![1, 2, 5, 8, 4, 7]);
+        assert_eq!(t.top_k(Some(&pred), "cars", true, 0).unwrap().unwrap(), Vec::<Row>::new());
+    }
+
+    #[test]
+    fn upsert_inside_the_key_leaves_indexes_alone_and_outside_it_moves_the_row() {
+        let mut t = cars_table();
+        t.create_ordered_index(&["xway", "dir"], "cars").unwrap();
+        for seg in 0..8 {
+            t.insert(row(0, seg, 0, seg, 40.0)).unwrap();
+        }
+        let before = t.stats();
+        t.upsert(row(0, 3, 0, 3, 55.0)).unwrap();
+        assert_eq!(t.stats(), before, "lav is in no index");
+        t.upsert(row(0, 3, 0, 5, 55.0)).unwrap();
+        let s = t.stats();
+        assert_eq!(s.indexes[0].stats, before.indexes[0].stats, "secondary(seg) untouched");
+        assert_eq!(s.indexes[1].stats.entries, 8);
+        assert_eq!(s.indexes[1].stats.distinct_keys, 7, "cars 3 is gone, cars 5 twice");
+        let pred = col("xway").eq(lit(0)).and(col("dir").eq(lit(0))).and(col("cars").eq(lit(5)));
+        let rows = t.select(Some(&pred)).unwrap();
+        assert_eq!(rows.iter().map(|r| r[1].clone()).collect::<Vec<_>>(), vec![3.into(), 5.into()]);
     }
 }

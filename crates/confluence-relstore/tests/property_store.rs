@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use confluence_relstore::expr::{col, lit};
-use confluence_relstore::{Agg, Schema, Table, Value, ValueType};
+use confluence_relstore::{Agg, IndexStats, Schema, Table, Value, ValueType};
 
 fn fresh_table(with_index: bool) -> Table {
     let schema = Schema::builder()
@@ -28,6 +28,12 @@ enum Op {
     Upsert { k: i64, g: i64, v: i64 },
     Delete { g: i64 },
     UpdateV { g: i64, v: i64 },
+    /// Moves rows between index keys in place.
+    UpdateG { v: i64, g: i64 },
+    Clear,
+    /// Fill keys `100..100 + rows`, then delete most of them: more than 64
+    /// dead slots and more dead than live, which is what compacts a table.
+    Churn { rows: i64, keep: i64 },
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -36,9 +42,23 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             (0..30i64, 0..5i64, 0..100i64).prop_map(|(k, g, v)| Op::Upsert { k, g, v }),
             (0..5i64).prop_map(|g| Op::Delete { g }),
             (0..5i64, 0..100i64).prop_map(|(g, v)| Op::UpdateV { g, v }),
+            (0..100i64, 0..5i64).prop_map(|(v, g)| Op::UpdateG { v, g }),
         ],
         0..80,
     )
+}
+
+/// Random operations around a compaction, now and then cleared.
+fn churned_ops() -> impl Strategy<Value = Vec<Op>> {
+    (ops(), 140..220i64, 0..40i64, 0..6usize, ops()).prop_map(|(before, rows, keep, clear, after)| {
+        let mut all = before;
+        all.push(Op::Churn { rows, keep });
+        if clear == 0 {
+            all.push(Op::Clear);
+        }
+        all.extend(after);
+        all
+    })
 }
 
 fn apply(t: &mut Table, ops: &[Op]) {
@@ -54,8 +74,34 @@ fn apply(t: &mut Table, ops: &[Op]) {
                 t.update_where(&col("g").eq(lit(*g)), &[("v", (*v).into())])
                     .unwrap();
             }
+            Op::UpdateG { v, g } => {
+                t.update_where(&col("v").ge(lit(*v)), &[("g", (*g).into())])
+                    .unwrap();
+            }
+            Op::Clear => t.clear(),
+            Op::Churn { rows, keep } => {
+                for k in 100..100 + rows {
+                    t.upsert(vec![k.into(), (k % 5).into(), (k % 7).into()]).unwrap();
+                }
+                let doomed = col("k").ge(lit(100 + keep));
+                assert_eq!(t.delete_where(&doomed).unwrap() as i64, rows - keep);
+            }
         }
     }
+}
+
+/// What `stats()` should say of `fresh_table(true)`, counted from its rows.
+fn recount(t: &Table) -> (usize, [IndexStats; 2], usize) {
+    let mut gs = std::collections::BTreeSet::new();
+    let mut gvs = std::collections::BTreeSet::new();
+    for row in t.iter() {
+        gs.insert(row[1].clone());
+        gvs.insert((row[1].clone(), row[2].clone()));
+    }
+    let entries = t.iter().count();
+    let secondary = IndexStats { entries, distinct_keys: gs.len() };
+    let ordered = IndexStats { entries, distinct_keys: gvs.len() };
+    (entries, [secondary, ordered], gs.len())
 }
 
 proptest! {
@@ -80,6 +126,43 @@ proptest! {
         let agg_a = indexed.aggregate(Some(&pred), &Agg::Sum("v".into())).unwrap();
         let agg_b = plain.aggregate(Some(&pred), &Agg::Sum("v".into())).unwrap();
         prop_assert_eq!(agg_a, agg_b);
+    }
+
+    /// Across in-place key moves, a clear and a compaction, the indexed
+    /// table answers like the unindexed one, row for row, and its
+    /// maintained statistics equal a recount of its rows.
+    #[test]
+    fn indexes_and_stats_survive_churn(ops in churned_ops(), probe_g in 0..5i64, lo in 0..7i64) {
+        let mut indexed = fresh_table(true);
+        let mut plain = fresh_table(false);
+        apply(&mut indexed, &ops);
+        apply(&mut plain, &ops);
+
+        for pred in [
+            col("g").eq(lit(probe_g)),
+            col("g").eq(lit(probe_g)).and(col("v").between(lit(lo), lit(lo + 2))),
+            col("g").in_list(vec![lit(probe_g), lit(4 - probe_g)]),
+        ] {
+            prop_assert_eq!(indexed.select(Some(&pred)).unwrap(), plain.select(Some(&pred)).unwrap());
+        }
+        prop_assert_eq!(
+            indexed.group_by(None, &["g"], &[Agg::Count, Agg::Max("v".into())]).unwrap(),
+            plain.group_by(None, &["g"], &[Agg::Count, Agg::Max("v".into())]).unwrap()
+        );
+        let rows: Vec<&[Value]> = indexed.iter().collect();
+        prop_assert_eq!(rows, plain.iter().collect::<Vec<_>>());
+        for row in indexed.iter() {
+            prop_assert_eq!(indexed.get(&row[..1]), Some(row));
+        }
+
+        let (entries, [secondary, ordered], partitions) = recount(&indexed);
+        let stats = indexed.stats();
+        prop_assert_eq!(stats.rows, entries);
+        prop_assert_eq!(indexed.len(), entries);
+        prop_assert_eq!(stats.indexes[0].stats, secondary);
+        prop_assert_eq!(stats.indexes[0].partitions, partitions);
+        prop_assert_eq!(stats.indexes[1].stats, ordered);
+        prop_assert_eq!(stats.indexes[1].partitions, partitions);
     }
 
     /// Upsert keeps exactly one row per key and the last write wins.
