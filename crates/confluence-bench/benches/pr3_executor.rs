@@ -58,8 +58,8 @@ fn route_batched(f: &Fanout, parent: &WaveTag) -> u64 {
 
 /// The same firing through a faithful reconstruction of the pre-PR
 /// `Fabric::route`: three intermediate `Vec`s (ports, tokens, stamped
-/// events), then one `deliver` — with its event clone, operator lock,
-/// and inbox lock — per event per destination.
+/// events), then one receiver `put` — with its event clone, operator
+/// lock, and inbox lock — per event per destination.
 fn route_per_event(f: &Fanout, parent: &WaveTag) -> u64 {
     let emissions = tokens();
     let ports: Vec<usize> = emissions.iter().map(|(p, _)| *p).collect();
@@ -69,7 +69,8 @@ fn route_per_event(f: &Fanout, parent: &WaveTag) -> u64 {
     let mut delivered = 0u64;
     for (port, event) in events {
         for dest in f.fabric.route_targets(f.from, port) {
-            f.fabric.deliver(*dest, event.clone(), Timestamp(2)).unwrap();
+            let receiver = &f.fabric.receivers(dest.actor)[dest.port];
+            receiver.put(event.clone(), Timestamp(2)).unwrap();
             delivered += 1;
         }
     }

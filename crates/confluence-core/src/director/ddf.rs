@@ -4,15 +4,21 @@
 //! on one of its inputs. Used for Linear Road sub-workflows whose
 //! consumption and production rates are fluid (decision points,
 //! non-constant production — paper Appendix A).
+//!
+//! The firing rule is all that lives here: sweep the actors in id order
+//! firing every ready window, give each live source one firing when
+//! nothing is data-ready, stop when neither makes progress. The firing
+//! step and the run lifecycle are [`super::firing`]'s.
 
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::graph::{ActorId, Workflow};
-use crate::telemetry::{FireRecord, RunPhase, Telemetry};
+use crate::telemetry::{RunPhase, Telemetry};
 use crate::time::{SharedClock, VirtualClock};
 
-use super::{Director, Fabric, QueueContext, RunReport};
+use super::firing::Run;
+use super::{Director, QueueContext, RunReport};
 
 /// Fires any actor with ready data until the workflow quiesces.
 pub struct DdfDirector {
@@ -46,147 +52,84 @@ impl DdfDirector {
         self.max_firings = n;
         self
     }
+}
 
-    /// Fire `id` once with the next window from its inbox (if any).
-    /// Returns whether a firing happened.
-    #[allow(clippy::too_many_arguments)]
-    fn fire_once(
-        &self,
-        workflow: &mut Workflow,
-        fabric: &Fabric,
-        contexts: &mut [QueueContext],
-        report: &mut RunReport,
-        done: &mut [bool],
-        id: ActorId,
-    ) -> Result<bool> {
-        if done[id.0] {
-            // Finished actors drop late windows.
-            while fabric.inbox(id).try_pop().is_some() {}
-            return Ok(false);
-        }
-        let Some((port, window)) = fabric.inbox(id).try_pop() else {
-            return Ok(false);
-        };
-        let now = self.clock.now();
-        let ctx = &mut contexts[id.0];
-        ctx.set_now(now);
-        if fabric.wants_event_hooks() {
-            if let Some(t) = &self.telemetry {
-                t.observer
-                    .on_dequeue(id, port, window.trigger_wave(), window.formed_at, now);
+/// One DDF execution: the shared run plus what the firing rule tracks.
+struct Sweep {
+    run: Run,
+    contexts: Vec<QueueContext>,
+    /// Actors whose `postfire` said they are finished.
+    done: Vec<bool>,
+    firings: u64,
+    max_firings: u64,
+}
+
+impl Sweep {
+    /// Fire `id` on every window in its inbox. Returns whether any firing
+    /// was attempted.
+    fn drain(&mut self, workflow: &mut Workflow, id: ActorId) -> Result<bool> {
+        let mut progress = false;
+        while let Some(input) = self.run.fabric.inbox(id).try_pop() {
+            if self.done[id.0] {
+                // Finished actors drop late windows.
+                continue;
+            }
+            let actor = workflow.node_mut(id).actor_mut();
+            let fired =
+                self.run
+                    .fire(id, actor, &mut self.contexts[id.0], Some(input), None, None)?;
+            self.done[id.0] = fired.alive == Some(false);
+            self.firings += u64::from(fired.fired);
+            progress = true;
+            if self.firings > self.max_firings {
+                return Err(Error::Director(format!(
+                    "DDF exceeded max_firings={} (runaway graph?)",
+                    self.max_firings
+                )));
             }
         }
-        ctx.deliver(port, window);
-        let actor = workflow.node_mut(id).actor_mut();
-        if let Some(t) = &self.telemetry {
-            t.observer.on_fire_start(id, now);
+        Ok(progress)
+    }
+
+    /// Fire every actor until no inbox holds a window.
+    fn settle(&mut self, workflow: &mut Workflow) -> Result<()> {
+        let mut again = true;
+        while again {
+            again = false;
+            for id in workflow.actor_ids() {
+                again |= self.drain(workflow, id)?;
+            }
         }
-        let mut fired = false;
-        let mut events_in = 0u64;
-        let mut tokens_out = 0u64;
-        let mut origin = None;
-        let mut trigger_tag = None;
-        if actor.prefire(ctx)? {
-            actor.fire(ctx)?;
-            fired = true;
-            report.firings += 1;
-            events_in = ctx.consumed_events;
-            let (emissions, trigger) = ctx.take_emissions();
-            tokens_out = emissions.len() as u64;
-            origin = trigger.as_ref().map(|w| w.origin());
-            report.events_routed += fabric.route(id, emissions, trigger.as_ref(), now)?;
-            report.events_routed += fabric.route_expired(now)?;
-            trigger_tag = trigger;
-        }
-        if let Some(t) = &self.telemetry {
-            let ended = self.clock.now();
-            t.observer.on_fire_end(&FireRecord {
-                actor: id,
-                started: now,
-                ended,
-                busy: ended.since(now),
-                events_in,
-                tokens_out,
-                origin,
-                trigger: trigger_tag,
-                fired,
-            });
-            t.sample(ended);
-        }
-        if !actor.postfire(ctx)? {
-            done[id.0] = true;
-        }
-        Ok(true)
+        Ok(())
     }
 }
 
 impl Director for DdfDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-        let fabric = Fabric::build_observed(workflow, observer)?;
-        if let Some(hook) = &self.hook {
-            if let Some(state) = hook.take_restore() {
-                fabric.restore_state(state)?;
-            }
-        }
-        let started = self.clock.now();
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Start, started);
-        }
-        let mut report = RunReport::default();
-        let mut contexts: Vec<QueueContext> = workflow
-            .actor_ids()
-            .map(|id| QueueContext::new(workflow.node(id).signature.inputs.len()))
-            .collect();
-        let mut done = vec![false; workflow.actor_count()];
-
-        if !self.hook.as_ref().is_some_and(|h| h.resuming()) {
-            for id in workflow.actor_ids() {
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(self.clock.now());
-                workflow.node_mut(id).actor_mut().initialize(ctx)?;
-                let (emissions, _) = ctx.take_emissions();
-                report.events_routed += fabric.route(id, emissions, None, self.clock.now())?;
-            }
-        }
-
+        let (run, contexts) = Run::open(
+            workflow,
+            self.telemetry.clone(),
+            self.hook.clone(),
+            self.clock.clone(),
+        )?;
+        let mut sweep = Sweep {
+            run,
+            contexts,
+            done: vec![false; workflow.actor_count()],
+            firings: 0,
+            max_firings: self.max_firings,
+        };
         let sources = workflow.sources();
-        loop {
-            if self.telemetry.as_ref().is_some_and(|t| t.should_stop()) {
-                break;
-            }
-            if self.hook.as_ref().is_some_and(|h| h.pause_requested()) {
-                // Quiesce at the sweep boundary: no firing is in flight,
-                // so staged-but-unconsumed context windows go back to
-                // their inboxes and the capture sees a consistent state.
-                // The end-of-stream tail (finish/close/wrapup) is skipped.
-                for id in workflow.actor_ids() {
-                    let staged = contexts[id.0].take_staged();
-                    fabric.inbox(id).push_front_batch(staged);
-                }
-                if let Some(hook) = &self.hook {
-                    hook.deposit(fabric.capture_state());
-                }
-                report.elapsed = self.clock.now().since(started);
-                if let Some(t) = &self.telemetry {
-                    t.observer.on_run_phase(RunPhase::End, self.clock.now());
-                }
-                return Ok(report);
+        while !sweep.run.should_stop() {
+            if sweep.run.pause_requested() {
+                // The sweep boundary is quiescent: no firing is in flight.
+                return Ok(sweep.run.quiesce(&mut sweep.contexts));
             }
             let mut progress = false;
             // Data-driven phase: fire every actor with ready windows.
             for id in workflow.actor_ids() {
-                if workflow.node(id).is_source {
-                    continue;
-                }
-                while self.fire_once(workflow, &fabric, &mut contexts, &mut report, &mut done, id)? {
-                    progress = true;
-                    if report.firings > self.max_firings {
-                        return Err(Error::Director(format!(
-                            "DDF exceeded max_firings={} (runaway graph?)",
-                            self.max_firings
-                        )));
-                    }
+                if !workflow.node(id).is_source {
+                    progress |= sweep.drain(workflow, id)?;
                 }
             }
             if progress {
@@ -194,43 +137,14 @@ impl Director for DdfDirector {
             }
             // Nothing data-ready: give each live source one firing.
             for &id in &sources {
-                if done[id.0] {
+                if sweep.done[id.0] {
                     continue;
                 }
-                let now = self.clock.now();
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(now);
                 let actor = workflow.node_mut(id).actor_mut();
-                if actor.prefire(ctx)? {
-                    if let Some(t) = &self.telemetry {
-                        t.observer.on_fire_start(id, now);
-                    }
-                    actor.fire(ctx)?;
-                    report.firings += 1;
-                    let (emissions, _) = ctx.take_emissions();
-                    let tokens_out = emissions.len() as u64;
-                    report.events_routed += fabric.route(id, emissions, None, now)?;
-                    if let Some(t) = &self.telemetry {
-                        let ended = self.clock.now();
-                        t.observer.on_fire_end(&FireRecord {
-                            actor: id,
-                            started: now,
-                            ended,
-                            busy: ended.since(now),
-                            events_in: 0,
-                            tokens_out,
-                            origin: None,
-                            trigger: None,
-                            fired: true,
-                        });
-                        t.sample(ended);
-                    }
-                    progress = true;
-                }
-                if !actor.postfire(ctx)? {
-                    done[id.0] = true;
-                    progress = true;
-                }
+                let ctx = &mut sweep.contexts[id.0];
+                let fired = sweep.run.fire(id, actor, ctx, None, None, None)?;
+                sweep.done[id.0] = fired.alive == Some(false);
+                progress |= fired.fired || sweep.done[id.0];
             }
             if !progress {
                 break;
@@ -240,49 +154,16 @@ impl Director for DdfDirector {
         // Closure cascade in topological-ish order: closing an actor's
         // outputs flushes downstream partial windows, which may enable more
         // firings before those actors close in turn.
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Close, self.clock.now());
+        sweep.run.phase(RunPhase::Close);
+        for id in quasi_topological(workflow) {
+            // Drain anything enabled by earlier closes before the actor's
+            // own outputs close.
+            sweep.drain(workflow, id)?;
+            let actor = workflow.node_mut(id).actor_mut();
+            sweep.run.finish_actor(id, actor, &mut sweep.contexts[id.0])?;
+            sweep.settle(workflow)?;
         }
-        let order = quasi_topological(workflow);
-        for id in order {
-            // Drain anything enabled by earlier closes, then give the actor
-            // its final chance to emit before its own outputs close.
-            while self.fire_once(workflow, &fabric, &mut contexts, &mut report, &mut done, id)? {}
-            let now = self.clock.now();
-            let ctx = &mut contexts[id.0];
-            ctx.set_now(now);
-            workflow.node_mut(id).actor_mut().finish(ctx)?;
-            let (emissions, trigger) = ctx.take_emissions();
-            report.events_routed += fabric.route(id, emissions, trigger.as_ref(), now)?;
-            fabric.close_actor_outputs(id, self.clock.now())?;
-            let mut again = true;
-            while again {
-                again = false;
-                for target in workflow.actor_ids() {
-                    while self.fire_once(
-                        workflow,
-                        &fabric,
-                        &mut contexts,
-                        &mut report,
-                        &mut done,
-                        target,
-                    )? {
-                        again = true;
-                    }
-                }
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Wrapup, self.clock.now());
-        }
-        for id in workflow.actor_ids() {
-            workflow.node_mut(id).actor_mut().wrapup()?;
-        }
-        report.elapsed = self.clock.now().since(started);
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::End, self.clock.now());
-        }
-        Ok(report)
+        sweep.run.wrapup(workflow)
     }
 
     fn instrument(&mut self, telemetry: Telemetry) -> bool {

@@ -6,25 +6,30 @@
 //! channel deliveries may carry a fixed propagation delay. Window-formation
 //! deadlines are scheduled as first-class timer events — the paper's
 //! "window timeout events".
+//!
+//! The firing rule is the agenda. The firing step and the run lifecycle
+//! are [`super::firing`]'s; DE's delivery rule puts a firing's stamped
+//! batch on the agenda at `now + channel_delay` instead of delivering it
+//! at once.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::event::CwEvent;
-use crate::graph::{ActorId, PortRef, Workflow};
-use crate::telemetry::{FireRecord, RunPhase, Telemetry};
+use crate::graph::{ActorId, Workflow};
+use crate::telemetry::{RunPhase, Telemetry};
 use crate::time::{Clock, Micros, Timestamp, VirtualClock};
 
-use super::{Director, Fabric, QueueContext, RunReport};
+use super::firing::Run;
+use super::{Director, QueueContext, RunReport, Stamped};
 
 #[derive(Debug)]
 enum Agenda {
     /// Fire a source actor.
     SourceFire(ActorId),
-    /// Deliver an event to an input port.
-    Deliver(PortRef, CwEvent),
+    /// Deliver a firing's stamped emissions.
+    Deliver(Stamped),
     /// Evaluate window timeouts on an actor's receivers.
     Poll(ActorId),
 }
@@ -90,375 +95,156 @@ impl DeDirector {
     }
 }
 
+/// One DE execution: the shared run plus the agenda.
+struct Sim {
+    run: Run,
+    contexts: Vec<QueueContext>,
+    clock: Arc<VirtualClock>,
+    channel_delay: Micros,
+    heap: BinaryHeap<Reverse<Entry>>,
+    seq: u64,
+}
+
+impl Sim {
+    fn schedule(&mut self, time: Timestamp, agenda: Agenda) {
+        self.seq += 1;
+        self.heap.push(Reverse(Entry {
+            time,
+            seq: self.seq,
+            agenda,
+        }));
+    }
+
+    /// Fire `id` on `input`; its emissions go on the agenda.
+    fn fire(
+        &mut self,
+        workflow: &mut Workflow,
+        id: ActorId,
+        input: Option<(usize, crate::window::Window)>,
+    ) -> Result<bool> {
+        let due = self.clock.now().plus(self.channel_delay);
+        let mut outbox = None;
+        let fired = self.run.fire(
+            id,
+            workflow.node_mut(id).actor_mut(),
+            &mut self.contexts[id.0],
+            input,
+            None,
+            Some(&mut |stamped| {
+                outbox = Some(stamped);
+                Ok(true)
+            }),
+        )?;
+        if let Some(stamped) = outbox.filter(|s| s.deliveries() > 0) {
+            self.schedule(due, Agenda::Deliver(stamped));
+        }
+        Ok(fired.alive == Some(true))
+    }
+
+    /// Fire every actor on every window in its inbox until none is left
+    /// (a delivery or poll readies its destination; an expired-items
+    /// hand-over readies the handler).
+    fn settle(&mut self, workflow: &mut Workflow) -> Result<()> {
+        let mut again = true;
+        while again {
+            again = false;
+            for id in workflow.actor_ids() {
+                while let Some(input) = self.run.fabric.inbox(id).try_pop() {
+                    self.fire(workflow, id, Some(input))?;
+                    again = true;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Advance to an agenda entry's time and act on it.
+    fn step(&mut self, workflow: &mut Workflow, entry: Entry) -> Result<()> {
+        self.clock.advance_to(entry.time);
+        let now = self.clock.now();
+        match entry.agenda {
+            Agenda::SourceFire(id) => {
+                if self.fire(workflow, id, None)? {
+                    let next = workflow.node(id).peek_actor().and_then(|a| a.next_arrival());
+                    if let Some(next) = next {
+                        self.schedule(next.max(now), Agenda::SourceFire(id));
+                    }
+                }
+            }
+            Agenda::Deliver(mut stamped) => {
+                let dests: Vec<_> = stamped.destinations().collect();
+                self.run.fabric.deliver(&mut stamped, now, false)?;
+                for dest in dests {
+                    let deadline = self.run.fabric.receivers(dest.actor)[dest.port].next_deadline();
+                    if let Some(deadline) = deadline {
+                        self.schedule(deadline, Agenda::Poll(dest.actor));
+                    }
+                }
+            }
+            Agenda::Poll(id) => self.run.poll(Some(id), now)?,
+        }
+        self.settle(workflow)
+    }
+}
+
 impl Director for DeDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let tele = self.telemetry.clone();
-        let observer = tele.as_ref().map(|t| t.observer.clone());
-        let fabric = Fabric::build_observed(workflow, observer)?;
-        let resuming = self.hook.as_ref().is_some_and(|h| h.resuming());
-        if let Some(hook) = &self.hook {
-            if let Some(state) = hook.take_restore() {
-                fabric.restore_state(state)?;
-            }
-        }
-        let started = self.clock.now();
-        if let Some(t) = &tele {
-            t.observer.on_run_phase(RunPhase::Start, started);
-        }
-        let mut report = RunReport::default();
-        let mut contexts: Vec<QueueContext> = workflow
-            .actor_ids()
-            .map(|id| QueueContext::new(workflow.node(id).signature.inputs.len()))
-            .collect();
-        // Snapshot of the routing table (avoids borrowing the workflow
-        // while an actor is mutably borrowed).
-        let routes: Vec<Vec<Vec<PortRef>>> = workflow
-            .actor_ids()
-            .map(|id| {
-                (0..workflow.node(id).signature.outputs.len())
-                    .map(|p| workflow.routes_from(id, p).to_vec())
-                    .collect()
-            })
-            .collect();
-        let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let push = |heap: &mut BinaryHeap<Reverse<Entry>>, time, agenda, seq: &mut u64| {
-            *seq += 1;
-            heap.push(Reverse(Entry {
-                time,
-                seq: *seq,
-                agenda,
-            }));
+        let (run, contexts) = Run::open(
+            workflow,
+            self.telemetry.clone(),
+            self.hook.clone(),
+            self.clock.clone(),
+        )?;
+        let mut sim = Sim {
+            run,
+            contexts,
+            clock: self.clock.clone(),
+            channel_delay: self.channel_delay,
+            heap: BinaryHeap::new(),
+            seq: 0,
         };
-
-        for id in workflow.actor_ids() {
-            if !resuming {
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(self.clock.now());
-                workflow.node_mut(id).actor_mut().initialize(ctx)?;
-                let (emissions, _) = ctx.take_emissions();
-                report.events_routed += fabric.route(id, emissions, None, self.clock.now())?;
-            }
-            if workflow.node(id).is_source {
-                let when = workflow
-                    .node(id)
-                    .peek_actor()
-                    .and_then(|a| a.next_arrival())
-                    .unwrap_or(Timestamp::ZERO);
-                push(&mut heap, when, Agenda::SourceFire(id), &mut seq);
-            }
+        for id in workflow.sources() {
+            let arrival = workflow.node(id).peek_actor().and_then(|a| a.next_arrival());
+            sim.schedule(arrival.unwrap_or(Timestamp::ZERO), Agenda::SourceFire(id));
         }
+        // Windows restored from a checkpoint (or formed by `initialize`)
+        // are tied to no agenda entry: fire them now so their emissions
+        // enter the agenda.
+        sim.settle(workflow)?;
 
-        // Fire `id` on every window currently in its inbox; emissions are
-        // scheduled as future deliveries.
-        macro_rules! drain_inbox {
-            ($id:expr) => {{
-                let id: ActorId = $id;
-                while let Some((port, window)) = fabric.inbox(id).try_pop() {
-                    let now = self.clock.now();
-                    let ctx = &mut contexts[id.0];
-                    ctx.set_now(now);
-                    if fabric.wants_event_hooks() {
-                        if let Some(t) = &tele {
-                            t.observer.on_dequeue(
-                                id,
-                                port,
-                                window.trigger_wave(),
-                                window.formed_at,
-                                now,
-                            );
-                        }
-                    }
-                    if let Some(t) = &tele {
-                        t.observer.on_fire_start(id, now);
-                    }
-                    ctx.deliver(port, window);
-                    let fired = {
-                        let actor = workflow.node_mut(id).actor_mut();
-                        if actor.prefire(ctx)? {
-                            actor.fire(ctx)?;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    let mut events_in = 0u64;
-                    let mut tokens_out = 0u64;
-                    let mut origin = None;
-                    let mut trigger_tag = None;
-                    if fired {
-                        report.firings += 1;
-                        events_in = ctx.consumed_events;
-                        let (emissions, trigger) = ctx.take_emissions();
-                        tokens_out = emissions.len() as u64;
-                        origin = trigger.as_ref().map(|w| w.origin());
-                        let mut delivered = 0u64;
-                        if !emissions.is_empty() {
-                            let stamped: Vec<(usize, CwEvent)> = match trigger {
-                                Some(ref p) => {
-                                    let ports: Vec<usize> =
-                                        emissions.iter().map(|(p, _)| *p).collect();
-                                    let tokens: Vec<_> =
-                                        emissions.into_iter().map(|(_, t)| t).collect();
-                                    let evs = crate::event::WaveStamper::new(p.clone())
-                                        .stamp_all(tokens, now);
-                                    ports.into_iter().zip(evs).collect()
-                                }
-                                None => emissions
-                                    .into_iter()
-                                    .map(|(p, t)| (p, CwEvent::external(t, now)))
-                                    .collect(),
-                            };
-                            if trigger.is_none() && fabric.wants_event_hooks() {
-                                if let Some(t) = &tele {
-                                    for (_, event) in &stamped {
-                                        t.observer.on_admit(id, &event.wave, now);
-                                    }
-                                }
-                            }
-                            for (out_port, event) in stamped {
-                                for dest in &routes[id.0][out_port] {
-                                    report.events_routed += 1;
-                                    delivered += 1;
-                                    if let Some(t) = &tele {
-                                        t.observer.on_route_edge(id, dest.actor, dest.port, 1, now);
-                                    }
-                                    push(
-                                        &mut heap,
-                                        now.plus(self.channel_delay),
-                                        Agenda::Deliver(*dest, event.clone()),
-                                        &mut seq,
-                                    );
-                                }
-                            }
-                        }
-                        if let Some(t) = &tele {
-                            // DE schedules deliveries itself instead of
-                            // going through Fabric::route, so the routing
-                            // hook is reported manually.
-                            t.observer.on_route(id, delivered, now);
-                        }
-                        trigger_tag = trigger;
-                    }
-                    if let Some(t) = &tele {
-                        let ended = self.clock.now();
-                        t.observer.on_fire_end(&FireRecord {
-                            actor: id,
-                            started: now,
-                            ended,
-                            busy: ended.since(now),
-                            events_in,
-                            tokens_out,
-                            origin,
-                            trigger: trigger_tag,
-                            fired,
-                        });
-                        t.sample(ended);
-                    }
-                    let _ = workflow.node_mut(id).actor_mut().postfire(ctx)?;
-                }
-            }};
-        }
-
-        if resuming {
-            // Restored inbox windows are not tied to any scheduled agenda
-            // entry: fire them now so their emissions re-enter the heap.
-            for id in workflow.actor_ids() {
-                drain_inbox!(id);
-            }
-        }
-
-        while let Some(Reverse(entry)) = heap.pop() {
-            if tele.as_ref().is_some_and(|t| t.should_stop()) {
+        while let Some(Reverse(entry)) = sim.heap.pop() {
+            if sim.run.should_stop() {
                 break;
             }
-            if self.hook.as_ref().is_some_and(|h| h.pause_requested()) {
-                if let Agenda::SourceFire(_) = entry.agenda {
-                    // Park the source without advancing virtual time; the
-                    // firing is re-derived from `next_arrival` on resume.
-                    // Deliveries and polls keep draining so the snapshot
-                    // sees a settled network.
-                    continue;
-                }
+            if sim.run.pause_requested() && matches!(entry.agenda, Agenda::SourceFire(_)) {
+                // Park the source without advancing virtual time; the
+                // firing is re-derived from `next_arrival` on resume.
+                // Deliveries and polls keep draining so the snapshot
+                // sees a settled network.
+                continue;
             }
-            self.clock.advance_to(entry.time);
-            match entry.agenda {
-                Agenda::SourceFire(id) => {
-                    let now = self.clock.now();
-                    let ctx = &mut contexts[id.0];
-                    ctx.set_now(now);
-                    let fired = {
-                        let actor = workflow.node_mut(id).actor_mut();
-                        if actor.prefire(ctx)? {
-                            if let Some(t) = &tele {
-                                t.observer.on_fire_start(id, now);
-                            }
-                            actor.fire(ctx)?;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if fired {
-                        report.firings += 1;
-                        let (emissions, _) = ctx.take_emissions();
-                        let tokens_out = emissions.len() as u64;
-                        let mut delivered = 0u64;
-                        for (out_port, token) in emissions {
-                            let event = CwEvent::external(token, now);
-                            if fabric.wants_event_hooks() {
-                                if let Some(t) = &tele {
-                                    t.observer.on_admit(id, &event.wave, now);
-                                }
-                            }
-                            for dest in &routes[id.0][out_port] {
-                                report.events_routed += 1;
-                                delivered += 1;
-                                if let Some(t) = &tele {
-                                    t.observer.on_route_edge(id, dest.actor, dest.port, 1, now);
-                                }
-                                push(
-                                    &mut heap,
-                                    now.plus(self.channel_delay),
-                                    Agenda::Deliver(*dest, event.clone()),
-                                    &mut seq,
-                                );
-                            }
-                        }
-                        if let Some(t) = &tele {
-                            t.observer.on_route(id, delivered, now);
-                            t.observer.on_fire_end(&FireRecord {
-                                actor: id,
-                                started: now,
-                                ended: now,
-                                busy: Micros::ZERO,
-                                events_in: 0,
-                                tokens_out,
-                                origin: None,
-                                trigger: None,
-                                fired,
-                            });
-                            t.sample(now);
-                        }
-                    }
-                    if workflow.node_mut(id).actor_mut().postfire(ctx)? {
-                        if let Some(next) = workflow
-                            .node(id)
-                            .peek_actor()
-                            .and_then(|a| a.next_arrival())
-                        {
-                            let when = next.max(now);
-                            push(&mut heap, when, Agenda::SourceFire(id), &mut seq);
-                        }
-                    }
-                }
-                Agenda::Deliver(dest, event) => {
-                    let now = self.clock.now();
-                    fabric.deliver(dest, event, now)?;
-                    if let Some(deadline) =
-                        fabric.receivers(dest.actor)[dest.port].next_deadline()
-                    {
-                        push(&mut heap, deadline, Agenda::Poll(dest.actor), &mut seq);
-                    }
-                    drain_inbox!(dest.actor);
-                }
-                Agenda::Poll(id) => {
-                    let now = self.clock.now();
-                    fabric.poll_actor(id, now);
-                    drain_inbox!(id);
-                }
-            }
+            sim.step(workflow, entry)?;
+        }
+        if sim.run.quiescing() {
+            return Ok(sim.run.quiesce(&mut sim.contexts));
         }
 
-        let quiescing = self.hook.as_ref().is_some_and(|h| h.pause_requested())
-            && !tele.as_ref().is_some_and(|t| t.should_stop());
-        if quiescing {
-            for id in workflow.actor_ids() {
-                let staged = contexts[id.0].take_staged();
-                fabric.inbox(id).push_front_batch(staged);
-            }
-            if let Some(hook) = &self.hook {
-                hook.deposit(fabric.capture_state());
-            }
-            report.elapsed = self.clock.now().since(started);
-            if let Some(t) = &tele {
-                t.observer.on_run_phase(RunPhase::End, self.clock.now());
-            }
-            return Ok(report);
-        }
-
-        // End of stream: flush partial windows, upstream first.
-        if let Some(t) = &tele {
-            t.observer.on_run_phase(RunPhase::Close, self.clock.now());
-        }
+        // End of stream: flush partial windows, upstream first. Close-time
+        // firings put their deliveries on the agenda like any other; drain
+        // it before moving down the cascade so those events reach
+        // still-open downstream ports.
+        sim.run.phase(RunPhase::Close);
         for id in super::ddf::quasi_topological(workflow) {
-            // The actor's final chance to emit while downstream ports are
-            // still open: stamp the emissions and deliver them immediately
-            // (the agenda loop is over, so scheduling would lose them).
-            let now = self.clock.now();
-            {
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(now);
-                workflow.node_mut(id).actor_mut().finish(ctx)?;
-            }
-            let (emissions, trigger) = contexts[id.0].take_emissions();
-            if !emissions.is_empty() {
-                let stamped: Vec<(usize, CwEvent)> = match trigger {
-                    Some(ref p) => {
-                        let ports: Vec<usize> = emissions.iter().map(|(p, _)| *p).collect();
-                        let tokens: Vec<_> = emissions.into_iter().map(|(_, t)| t).collect();
-                        let evs =
-                            crate::event::WaveStamper::new(p.clone()).stamp_all(tokens, now);
-                        ports.into_iter().zip(evs).collect()
-                    }
-                    None => emissions
-                        .into_iter()
-                        .map(|(p, t)| (p, CwEvent::external(t, now)))
-                        .collect(),
-                };
-                for (out_port, event) in stamped {
-                    for dest in &routes[id.0][out_port] {
-                        report.events_routed += 1;
-                        fabric.deliver(*dest, event.clone(), now)?;
-                    }
-                }
-            }
-            fabric.close_actor_outputs(id, self.clock.now())?;
-            // Close-time firings schedule their deliveries on the agenda
-            // like any other firing; drain it here before moving down the
-            // cascade so those events reach still-open downstream ports.
-            loop {
-                for target in workflow.actor_ids() {
-                    drain_inbox!(target);
-                }
-                let Some(Reverse(entry)) = heap.pop() else {
-                    break;
-                };
-                self.clock.advance_to(entry.time);
-                match entry.agenda {
-                    Agenda::Deliver(dest, event) => {
-                        fabric.deliver(dest, event, self.clock.now())?;
-                        drain_inbox!(dest.actor);
-                    }
-                    Agenda::Poll(pid) => {
-                        fabric.poll_actor(pid, self.clock.now());
-                        drain_inbox!(pid);
-                    }
-                    Agenda::SourceFire(_) => {}
+            let actor = workflow.node_mut(id).actor_mut();
+            sim.run.finish_actor(id, actor, &mut sim.contexts[id.0])?;
+            sim.settle(workflow)?;
+            while let Some(Reverse(entry)) = sim.heap.pop() {
+                if !matches!(entry.agenda, Agenda::SourceFire(_)) {
+                    sim.step(workflow, entry)?;
                 }
             }
         }
-        if let Some(t) = &tele {
-            t.observer.on_run_phase(RunPhase::Wrapup, self.clock.now());
-        }
-        for id in workflow.actor_ids() {
-            workflow.node_mut(id).actor_mut().wrapup()?;
-        }
-        report.elapsed = self.clock.now().since(started);
-        if let Some(t) = &tele {
-            t.observer.on_run_phase(RunPhase::End, self.clock.now());
-        }
-        Ok(report)
+        sim.run.wrapup(workflow)
     }
 
     fn instrument(&mut self, telemetry: Telemetry) -> bool {

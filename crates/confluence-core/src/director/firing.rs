@@ -1,0 +1,409 @@
+//! The firing core: one firing step and one run lifecycle, shared by every
+//! execution path.
+//!
+//! The paper's thesis (§2) is that the director owns the model of
+//! computation while actors, ports and channels are shared. [`Run`] is the
+//! shared part of *executing*: a director keeps only its firing rule —
+//! which actor fires next, on which thread, and when time advances — and
+//! calls into here for everything else.
+//!
+//! Every firing attempt, under every director, is this sequence:
+//!
+//! 1. `on_dequeue` per input window, then the windows are handed to the
+//!    actor's context;
+//! 2. `on_fire_start`, `prefire`, and — unless it refused — `fire`;
+//! 3. the time rule charges the firing (model cost, or measured wall time);
+//! 4. [`Fabric::stamp`], then the director's delivery (immediately unless
+//!    it defers), then [`Fabric::route_expired`];
+//! 5. `on_fire_end` with the one [`FireRecord`], then [`Telemetry::sample`];
+//! 6. `postfire`.
+//!
+//! A refused `prefire` skips 3–4 and reports `fired: false`.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use crate::actor::Actor;
+use crate::checkpoint::QuiesceHook;
+use crate::error::{Error, Result};
+use crate::graph::{ActorId, Workflow};
+use crate::telemetry::{FireRecord, RunPhase, Telemetry};
+use crate::time::{Micros, SharedClock, Timestamp};
+use crate::window::Window;
+
+use super::{Fabric, QueueContext, RunReport, Stamped};
+
+/// How long the fabric must stay drained (all inboxes empty, no progress)
+/// after a pause request before a wall-clock director declares it settled.
+/// Long enough to cover a slow in-flight firing whose emissions are still
+/// coming; a firing longer than this merely delays the halt (the detector
+/// re-arms when the emissions land).
+const QUIESCE_PATIENCE: Duration = Duration::from_millis(200);
+
+/// Hard ceiling on how long a pause request may take to settle before the
+/// run is abandoned with an error (an actor livelocked in `fire`, say).
+const QUIESCE_WATCHDOG: Duration = Duration::from_secs(30);
+
+/// A director's time rule, when firings are not timed on the run's clock:
+/// called once per successful firing with `(events consumed, tokens
+/// produced)`, it advances the clock by the firing's cost and returns it.
+pub type Charge<'a> = &'a mut dyn FnMut(u64, u64) -> Micros;
+
+/// A director's delivery rule, when a firing's stamped emissions do not go
+/// out at once: takes the batch and says whether delivery completed
+/// (`false` defers `postfire` until the director resumes the firing).
+pub type Deliver<'a> = &'a mut dyn FnMut(Stamped) -> Result<bool>;
+
+/// What one firing attempt did.
+#[derive(Debug, Clone, Copy)]
+pub struct Fired {
+    /// Whether `prefire` accepted and the actor fired.
+    pub fired: bool,
+    /// Cost of the firing: the time rule's charge, or measured clock time.
+    pub busy: Micros,
+    /// Events consumed from input windows.
+    pub events_in: u64,
+    /// Tokens emitted.
+    pub tokens_out: u64,
+    /// Origin of the wave that triggered the firing.
+    pub origin: Option<Timestamp>,
+    /// Director time when the attempt began.
+    pub started: Timestamp,
+    /// Director time when the firing and its routing completed.
+    pub ended: Timestamp,
+    /// `postfire`'s verdict; `None` while delivery is deferred.
+    pub alive: Option<bool>,
+}
+
+/// Everything the actors of one workflow execution share: the fabric, the
+/// telemetry and checkpoint attachments, the clock, and the run's counters.
+pub struct Run {
+    /// The communication fabric.
+    pub fabric: Fabric,
+    /// Telemetry attached for this run (segment), if any.
+    pub tele: Option<Telemetry>,
+    /// Checkpoint quiesce hook, if any.
+    pub hook: Option<Arc<QuiesceHook>>,
+    /// The director's clock.
+    pub clock: SharedClock,
+    started: Timestamp,
+    firings: AtomicU64,
+    routed: AtomicU64,
+}
+
+impl Run {
+    /// Open a run: build the fabric and [`Run::begin`] its first segment.
+    /// Returns the run and one context per actor.
+    pub fn open(
+        workflow: &mut Workflow,
+        tele: Option<Telemetry>,
+        hook: Option<Arc<QuiesceHook>>,
+        clock: SharedClock,
+    ) -> Result<(Run, Vec<QueueContext>)> {
+        let mut run = Run {
+            fabric: Fabric::build(workflow)?,
+            tele: None,
+            hook,
+            clock,
+            started: Timestamp::ZERO,
+            firings: AtomicU64::new(0),
+            routed: AtomicU64::new(0),
+        };
+        let contexts = run.begin(workflow, tele)?;
+        Ok((run, contexts))
+    }
+
+    /// Begin a checkpoint segment on this run's fabric: the segment's
+    /// observer takes the fabric over, staged restore state is re-injected,
+    /// fresh contexts are wired to the observer, [`RunPhase::Start`] is
+    /// announced, and — unless the segment resumes restored state — every
+    /// actor is initialized. A director that builds a fabric per segment
+    /// gets this through [`Run::open`]; one that keeps its fabric across
+    /// segments (SCWF) calls it at the start of each.
+    pub fn begin(
+        &mut self,
+        workflow: &mut Workflow,
+        tele: Option<Telemetry>,
+    ) -> Result<Vec<QueueContext>> {
+        let observer = tele.as_ref().map(|t| t.observer.clone());
+        self.fabric.observe(workflow, observer.clone());
+        self.tele = tele;
+        if let Some(state) = self.hook.as_ref().and_then(|h| h.take_restore()) {
+            self.fabric.restore_state(state)?;
+        }
+        let mut contexts: Vec<QueueContext> = workflow
+            .actor_ids()
+            .map(|id| {
+                let mut ctx = QueueContext::new(workflow.node(id).signature.inputs.len());
+                if let Some(obs) = &observer {
+                    // Actor-side shed reports (shedding operators) land in
+                    // the same per-actor events_shed metric as channel sheds.
+                    ctx.set_shed_observer(obs.clone(), id);
+                }
+                ctx
+            })
+            .collect();
+        self.started = self.clock.now();
+        *self.firings.get_mut() = 0;
+        *self.routed.get_mut() = 0;
+        self.phase(RunPhase::Start);
+        // Restored actor state already reflects a past initialization.
+        if !self.hook.as_ref().is_some_and(|h| h.resuming()) {
+            for id in workflow.actor_ids() {
+                let ctx = &mut contexts[id.0];
+                ctx.set_now(self.clock.now());
+                workflow.node_mut(id).actor_mut().initialize(ctx)?;
+                let (emissions, _) = ctx.take_emissions();
+                let now = self.clock.now();
+                *self.routed.get_mut() += self.fabric.route(id, emissions, None, now)?;
+            }
+        }
+        Ok(contexts)
+    }
+
+    /// Report a run phase to the observer.
+    pub fn phase(&self, phase: RunPhase) {
+        if let Some(t) = &self.tele {
+            t.observer.on_run_phase(phase, self.clock.now());
+        }
+    }
+
+    /// Whether a cooperative stop was requested.
+    pub fn should_stop(&self) -> bool {
+        self.tele.as_ref().is_some_and(|t| t.should_stop())
+    }
+
+    /// Whether a checkpoint pause was requested: sources park at once.
+    pub fn pause_requested(&self) -> bool {
+        self.hook.as_ref().is_some_and(|h| h.pause_requested())
+    }
+
+    /// Whether the run is to end in a checkpoint capture rather than the
+    /// end-of-stream tail (a stop request outranks a pause).
+    pub fn quiescing(&self) -> bool {
+        self.pause_requested() && !self.should_stop()
+    }
+
+    /// One firing attempt of `actor` on `inputs` (none for a source): the
+    /// sequence in the module docs. `charge` and `deliver` are the two
+    /// things a director may supply; `None` means firings are timed on the
+    /// run's clock and emissions are delivered at once.
+    ///
+    /// A firing no window triggered admits external events, stamped at the
+    /// firing's start — that is when they entered the workflow; the firing
+    /// cost that follows is the first component of their response time.
+    /// Derived events are stamped at production (firing completion).
+    pub fn fire(
+        &self,
+        id: ActorId,
+        actor: &mut dyn Actor,
+        ctx: &mut QueueContext,
+        inputs: impl IntoIterator<Item = (usize, Window)>,
+        charge: Option<Charge<'_>>,
+        deliver: Option<Deliver<'_>>,
+    ) -> Result<Fired> {
+        let observer = self.tele.as_ref().map(|t| &t.observer);
+        let started = self.clock.now();
+        ctx.set_now(started);
+        let mut triggered = false;
+        for (port, window) in inputs {
+            triggered = true;
+            if let (true, Some(obs)) = (self.fabric.fine, observer) {
+                obs.on_dequeue(id, port, window.trigger_wave(), window.formed_at, started);
+            }
+            ctx.deliver(port, window);
+        }
+        if let Some(obs) = observer {
+            obs.on_fire_start(id, started);
+        }
+        let fired = actor.prefire(ctx)?;
+        let (mut events_in, mut tokens_out) = (0, 0);
+        let (mut origin, mut trigger) = (None, None);
+        let mut charged = None;
+        let mut complete = true;
+        if fired {
+            actor.fire(ctx)?;
+            self.firings.fetch_add(1, Ordering::Relaxed);
+            events_in = ctx.consumed_events;
+            let (emissions, wave) = ctx.take_emissions();
+            tokens_out = emissions.len() as u64;
+            origin = wave.as_ref().map(|w| w.origin());
+            charged = charge.map(|charge| charge(events_in, tokens_out));
+            let stamp_at = if triggered {
+                trigger = wave;
+                self.clock.now()
+            } else {
+                started
+            };
+            let mut stamped = self.fabric.stamp(id, emissions, trigger.as_ref(), stamp_at);
+            self.routed
+                .fetch_add(stamped.deliveries(), Ordering::Relaxed);
+            complete = match deliver {
+                Some(deliver) => deliver(stamped)?,
+                None => self
+                    .fabric
+                    .deliver(&mut stamped, stamp_at, false)?
+                    .is_none(),
+            };
+        }
+        let ended = self.clock.now();
+        if fired {
+            self.route_expired(ended)?;
+        }
+        let busy = match charged {
+            Some(cost) => cost,
+            None if fired => ended.since(started),
+            None => Micros::ZERO,
+        };
+        if let Some(t) = &self.tele {
+            t.observer.on_fire_end(&FireRecord {
+                actor: id,
+                started,
+                ended,
+                busy,
+                events_in,
+                tokens_out,
+                origin,
+                trigger,
+                fired,
+            });
+            // Sampling keys on the director clock — virtual under the
+            // cooperative directors, so sampled series are deterministic.
+            t.sample(ended);
+        }
+        let alive = if complete {
+            Some(actor.postfire(ctx)?)
+        } else {
+            None
+        };
+        Ok(Fired {
+            fired,
+            busy,
+            events_in,
+            tokens_out,
+            origin,
+            started,
+            ended,
+            alive,
+        })
+    }
+
+    /// Hand every port's expired events to its handler activity.
+    fn route_expired(&self, now: Timestamp) -> Result<()> {
+        let n = self.fabric.route_expired(now)?;
+        if n > 0 {
+            self.routed.fetch_add(n, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// A window-formation deadline passed: evaluate window timeouts on one
+    /// actor (or all of them) at `now`, then route what expired.
+    pub fn poll(&self, id: Option<ActorId>, now: Timestamp) -> Result<()> {
+        match id {
+            Some(id) => self.fabric.poll_actor(id, now),
+            None => self.fabric.poll_all(now),
+        };
+        self.route_expired(now)
+    }
+
+    /// An actor's end of stream: its final chance to emit while its
+    /// outputs are still open (`finish`), then the outputs close — also
+    /// when `finish` or its routing failed, so downstream actors are
+    /// released either way.
+    pub fn finish_actor(
+        &self,
+        id: ActorId,
+        actor: &mut dyn Actor,
+        ctx: &mut QueueContext,
+    ) -> Result<()> {
+        let now = self.clock.now();
+        ctx.set_now(now);
+        let finished = actor.finish(ctx).and_then(|()| {
+            let (emissions, trigger) = ctx.take_emissions();
+            let n = self.fabric.route(id, emissions, trigger.as_ref(), now)?;
+            self.routed.fetch_add(n, Ordering::Relaxed);
+            self.route_expired(now)
+        });
+        let closed = self.fabric.close_actor_outputs(id, self.clock.now());
+        finished.and(closed)
+    }
+
+    /// Hand an actor's delivered-but-unconsumed windows back to the front
+    /// of its inbox, so a checkpoint capture does not lose them.
+    pub fn unstage(&self, id: ActorId, ctx: &mut QueueContext) {
+        self.fabric.inbox(id).push_front_batch(ctx.take_staged());
+    }
+
+    /// Honour a checkpoint pause once no firing is in flight: unstage the
+    /// given contexts, deposit the captured fabric state on the hook, and
+    /// end the segment without the end-of-stream tail (no `finish`, no
+    /// channel closes, no `wrapup`) — the actors will resume.
+    pub fn quiesce(&self, contexts: &mut [QueueContext]) -> RunReport {
+        for (i, ctx) in contexts.iter_mut().enumerate() {
+            self.unstage(ActorId(i), ctx);
+        }
+        if let Some(hook) = &self.hook {
+            hook.deposit(self.fabric.capture_state());
+        }
+        self.phase(RunPhase::End);
+        self.report()
+    }
+
+    /// End a run whose stream ended: one-time teardown of every actor.
+    pub fn wrapup(&self, workflow: &mut Workflow) -> Result<RunReport> {
+        self.phase(RunPhase::Wrapup);
+        for id in workflow.actor_ids() {
+            workflow.node_mut(id).actor_mut().wrapup()?;
+        }
+        self.phase(RunPhase::End);
+        Ok(self.report())
+    }
+
+    /// Firings, deliveries and director time since the segment began.
+    pub fn report(&self) -> RunReport {
+        RunReport {
+            firings: self.firings.load(Ordering::Relaxed),
+            events_routed: self.routed.load(Ordering::Relaxed),
+            elapsed: self.clock.now().since(self.started),
+        }
+    }
+}
+
+/// The wall-clock drain detector behind a checkpoint pause on the
+/// directors whose actors run on other threads: sources park themselves
+/// when the pause lands, and the network counts as drained once every
+/// inbox is empty and the fabric's progress counter has been frozen for
+/// `QUIESCE_PATIENCE`.
+#[derive(Default)]
+pub struct DrainWatch {
+    pause_seen: Option<Instant>,
+    stable_since: Option<Instant>,
+    progress: u64,
+}
+
+impl DrainWatch {
+    /// Poll while a pause is pending. `idle` is the director's own
+    /// condition on top of the fabric's (the pool: no writer task parked).
+    /// `Ok(true)` once drained; an error when `QUIESCE_WATCHDOG` expires.
+    pub fn drained(&mut self, fabric: &Fabric, idle: bool) -> Result<bool> {
+        let pause_seen = *self.pause_seen.get_or_insert_with(Instant::now);
+        let progress = fabric.progress_counter();
+        if idle && progress == self.progress && fabric.inboxes_empty() {
+            let since = *self.stable_since.get_or_insert_with(Instant::now);
+            if since.elapsed() >= QUIESCE_PATIENCE {
+                return Ok(true);
+            }
+        } else {
+            self.progress = progress;
+            self.stable_since = None;
+        }
+        if pause_seen.elapsed() >= QUIESCE_WATCHDOG {
+            return Err(Error::Checkpoint(
+                "quiesce watchdog expired: the workflow did not drain to a firing boundary".into(),
+            ));
+        }
+        Ok(false)
+    }
+}

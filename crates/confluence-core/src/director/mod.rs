@@ -14,15 +14,22 @@
 //!   schedule from balance equations;
 //! * [`ddf::DdfDirector`] — dynamic dataflow, data-driven;
 //! * [`de::DeDirector`] — discrete-event, global timestamp order;
+//! * [`pool::PoolDirector`] — the same continuous-workflow semantics as
+//!   tasks over a fixed pool of work-stealing worker threads;
 //! * [`taxonomy`] — the machine-readable version of the paper's Table 1.
 //!
-//! The STAFiLOS scheduled CWF director lives in the `confluence-sched`
-//! crate and builds on the same [`Fabric`] plumbing defined here.
+//! A director decides *which actor fires next, on which thread, and when
+//! time advances*. Everything else — the firing step with its hook order,
+//! event stamping, and the run lifecycle — is written once in [`firing`]
+//! over the [`Fabric`] plumbing defined here. The STAFiLOS scheduled CWF
+//! director lives in the `confluence-sched` crate and builds on the same
+//! two pieces.
 
 pub mod adaptive;
 pub mod composite;
 pub mod ddf;
 pub mod de;
+pub mod firing;
 pub mod pool;
 pub mod pool_policy;
 pub mod sdf;
@@ -67,15 +74,31 @@ pub struct RunReport {
     pub elapsed: Micros,
 }
 
-/// Outcome of a non-blocking [`Fabric::try_deliver`].
+/// One firing's emissions after [`Fabric::stamp`]: every event carries its
+/// wave tag and sits in the batch of its destination port, waiting for
+/// [`Fabric::deliver`]. A director holds one only while delivery is
+/// deferred — on DE's agenda until the channel delay has passed, or in a
+/// pool task parked on a full `Block` port.
 #[derive(Debug)]
-pub enum TryDeliver {
-    /// The event was admitted (stored or resolved by a drop policy); this
-    /// many windows were formed.
-    Delivered(usize),
-    /// The destination is a full `Block` port; the event is handed back so
-    /// the producing task can park and retry on space.
-    Full(CwEvent),
+pub struct Stamped {
+    from: ActorId,
+    deliveries: u64,
+    batches: Vec<(PortRef, Vec<CwEvent>)>,
+    /// When delivery first parked on the event now at the head of the
+    /// batches (block-time telemetry).
+    parked: Option<Instant>,
+}
+
+impl Stamped {
+    /// Channel deliveries this batch amounts to (events × destinations).
+    pub fn deliveries(&self) -> u64 {
+        self.deliveries
+    }
+
+    /// The destination ports still owed events, in delivery order.
+    pub fn destinations(&self) -> impl Iterator<Item = PortRef> + '_ {
+        self.batches.iter().map(|(dest, _)| *dest)
+    }
 }
 
 /// A model of computation executing a workflow to completion.
@@ -285,7 +308,7 @@ impl Fabric {
     /// Error-diffusion verdict for one source-admission candidate under
     /// the current shed ratio: `false` means drop. Deterministic in the
     /// number of candidates seen, no RNG.
-    pub(crate) fn admit_past_shed_gate(&self, ppm: u64) -> bool {
+    fn admit_past_shed_gate(&self, ppm: u64) -> bool {
         let before = self.shed_acc.fetch_add(ppm, Ordering::Relaxed);
         let after = before.wrapping_add(ppm);
         after / 1_000_000 == before / 1_000_000
@@ -304,19 +327,6 @@ impl Fabric {
         self.blocking.load(Ordering::Relaxed)
     }
 
-    /// The observer attached at build time, if any (directors that stamp
-    /// and deliver events outside [`Fabric::route`] report through it).
-    pub fn observer(&self) -> Option<&Arc<dyn Observer>> {
-        self.observer.as_ref()
-    }
-
-    /// Whether the attached observer asked for per-event hooks
-    /// (`on_admit`/`on_enqueue`). Directors with manual stamping paths
-    /// gate their own per-event reporting on this.
-    pub fn wants_event_hooks(&self) -> bool {
-        self.fine
-    }
-
     /// Report window formation on `dest` to the observer, including the
     /// destination inbox depth (the queue-length statistic schedulers key
     /// on).
@@ -333,20 +343,30 @@ impl Fabric {
     /// The single capacity-aware admission point: every event entering a
     /// receiver goes through here so channel policies apply uniformly.
     ///
-    /// On a full `Block` port this blocks the calling thread (when
-    /// [`Fabric::set_blocking`] is on) in short condvar slices, watching
-    /// the fabric-wide progress counter; if nothing anywhere pushes or pops
-    /// for [`RELIEF_PATIENCE`], the network is treated as artificially
-    /// deadlocked and the smallest full queue is grown (Parks' algorithm).
-    /// Drop policies shed here and report `on_shed`; completed waits report
-    /// `on_block` with the time spent blocked.
-    fn put_event(&self, dest: PortRef, event: CwEvent, now: Timestamp) -> Result<usize> {
+    /// A full `Block` port resolves one of three ways. With `parked`, the
+    /// event is handed back (`Ok(Some(event))`) and the slot remembers when
+    /// the wait began, so a task-parking executor can retry on space. With
+    /// [`Fabric::set_blocking`] on, the calling thread blocks in short
+    /// condvar slices, watching the fabric-wide progress counter; if
+    /// nothing anywhere pushes or pops for [`RELIEF_PATIENCE`], the network
+    /// is treated as artificially deadlocked and the smallest full queue is
+    /// grown (Parks' algorithm). Otherwise (cooperative directors) the
+    /// event is admitted over capacity. Drop policies shed here and report
+    /// `on_shed`; completed waits report `on_block` with the time spent
+    /// blocked or parked.
+    fn put_event(
+        &self,
+        dest: PortRef,
+        event: CwEvent,
+        now: Timestamp,
+        mut parked: Option<&mut Option<Instant>>,
+    ) -> Result<Option<CwEvent>> {
         let receiver = &self.receivers[dest.actor.0][dest.port];
         // Per-event hooks need the wave past the point the event is moved
         // into the receiver; the clone is only taken when a tracer asked.
         let wave = self.fine.then(|| event.wave.clone());
         let mut event = event;
-        let mut wait_started: Option<Instant> = None;
+        let mut wait_started: Option<Instant> = parked.as_mut().and_then(|p| p.take());
         let mut stalled_since: Option<Instant> = None;
         loop {
             match receiver.try_put(event, now)? {
@@ -359,16 +379,20 @@ impl Fabric {
                         obs.on_enqueue(dest.actor, dest.port, wave, now);
                     }
                     self.note_windows(dest, formed, now);
-                    return Ok(formed);
+                    return Ok(None);
                 }
                 TryPut::Shed { dropped, windows } => {
                     if let Some(obs) = &self.observer {
                         obs.on_shed(dest.actor, dest.port, dropped, now);
                     }
                     self.note_windows(dest, windows, now);
-                    return Ok(windows);
+                    return Ok(None);
                 }
                 TryPut::Full(ev) => {
+                    if let Some(slot) = parked.as_deref_mut() {
+                        *slot = Some(wait_started.unwrap_or_else(Instant::now));
+                        return Ok(Some(ev));
+                    }
                     if !self.blocking_enabled() {
                         // Cooperative director: admit over capacity rather
                         // than block the scheduling loop; the zero-wait
@@ -381,7 +405,7 @@ impl Fabric {
                             }
                         }
                         self.note_windows(dest, formed, now);
-                        return Ok(formed);
+                        return Ok(None);
                     }
                     event = ev;
                     wait_started.get_or_insert_with(Instant::now);
@@ -446,7 +470,7 @@ impl Fabric {
                     obs.on_expire(ActorId(a), p, events.len() as u64, now);
                 }
                 for event in events {
-                    self.put_event(*dest, event, now)?;
+                    self.put_event(*dest, event, now, None)?;
                     routed += 1;
                 }
             }
@@ -464,30 +488,31 @@ impl Fabric {
         &self.receivers[id.0]
     }
 
-    /// Stamp a firing's emissions and deliver them downstream.
+    /// Stamp a firing's emissions: the only place events get their wave
+    /// tags.
     ///
     /// `parent` is the wave of the window that triggered the firing;
     /// `None` means the emissions are external events initiating new waves
-    /// (source actors). Returns the number of channel deliveries.
-    pub fn route(
+    /// (source actors), which pass the admission shed gate first and are
+    /// reported through `on_admit`. Wave serial numbers are assigned per
+    /// emission — unrouted emissions still consume an index — and events
+    /// are grouped by destination port so [`Fabric::deliver`] takes each
+    /// inbox lock once per firing instead of once per event.
+    pub fn stamp(
         &self,
         from: ActorId,
         emissions: Vec<(usize, Token)>,
         parent: Option<&WaveTag>,
         now: Timestamp,
-    ) -> Result<u64> {
-        if emissions.is_empty() {
-            return Ok(0);
-        }
-        // Stamp and group in a single pass: wave serial numbers are
-        // assigned per emission (unrouted emissions still consume an
-        // index, matching the per-event stamper), and deliveries are
-        // batched by destination port so each inbox lock is taken once
-        // per firing instead of once per event.
+    ) -> Stamped {
+        let mut stamped = Stamped {
+            from,
+            deliveries: 0,
+            batches: Vec::new(),
+            parked: None,
+        };
         let n = emissions.len();
         let out_routes = &self.routes[from.0];
-        let mut batches: Vec<(PortRef, Vec<CwEvent>)> = Vec::new();
-        let mut delivered = 0u64;
         // Admission-side load shedding applies to new waves only (source
         // emissions); derived events are already in flight and dropping
         // them mid-wave would corrupt lineage.
@@ -518,33 +543,64 @@ impl Fabric {
                     obs.on_admit(from, &event.wave, now);
                 }
             }
-            delivered += dests.len() as u64;
+            stamped.deliveries += dests.len() as u64;
             let (last, fanned) = dests.split_last().expect("dests is non-empty");
-            let mut stash = |dest: &PortRef, ev: CwEvent| match batches
+            let mut stash = |dest: &PortRef, ev: CwEvent| match stamped
+                .batches
                 .iter_mut()
                 .find(|(p, _)| p == dest)
             {
                 Some((_, evs)) => evs.push(ev),
-                None => batches.push((*dest, vec![ev])),
+                None => stamped.batches.push((*dest, vec![ev])),
             };
             for dest in fanned {
                 stash(dest, event.clone());
             }
             stash(last, event);
         }
-        if delivered == 0 {
+        stamped
+    }
+
+    /// Deliver what is left of a stamped batch at director time `now`,
+    /// reporting `on_route_edge` per destination and `on_route` once the
+    /// whole batch is in.
+    ///
+    /// With `park`, a full [`OnFull::Block`] port stops delivery instead of
+    /// blocking or over-admitting: the undelivered rest stays in `stamped`
+    /// and the port is returned, so a task-parking executor can re-enqueue
+    /// the producing *task* and call again when space frees up. Drop and
+    /// error policies resolve the same either way.
+    pub fn deliver(
+        &self,
+        stamped: &mut Stamped,
+        now: Timestamp,
+        park: bool,
+    ) -> Result<Option<PortRef>> {
+        if stamped.deliveries == 0 {
             // A firing whose emissions all hit unrouted ports produced no
-            // deliveries: skip the observer callback and bookkeeping.
-            return Ok(0);
+            // deliveries: skip the observer callbacks.
+            return Ok(None);
         }
-        for (dest, events) in batches {
+        let from = stamped.from;
+        let mut batches = std::mem::take(&mut stamped.batches).into_iter();
+        while let Some((dest, events)) = batches.next() {
             let receiver = &self.receivers[dest.actor.0][dest.port];
-            let batch_len = events.len() as u64;
+            let mut admitted = events.len() as u64;
             if receiver.policy().is_bounded() {
                 // Bounded ports keep the event-at-a-time admission path:
                 // blocking, shedding, and relief are per-event decisions.
-                for event in events {
-                    self.put_event(dest, event, now)?;
+                let mut events = events.into_iter();
+                while let Some(event) = events.next() {
+                    let slot = park.then_some(&mut stamped.parked);
+                    if let Some(back) = self.put_event(dest, event, now, slot)? {
+                        admitted -= 1 + events.len() as u64;
+                        let rest = std::iter::once(back).chain(events).collect();
+                        stamped.batches = std::iter::once((dest, rest)).chain(batches).collect();
+                        if let (true, Some(obs)) = (admitted > 0, &self.observer) {
+                            obs.on_route_edge(from, dest.actor, dest.port, admitted, now);
+                        }
+                        return Ok(Some(dest));
+                    }
                 }
             } else {
                 if self.fine {
@@ -558,49 +614,28 @@ impl Fabric {
                 self.note_windows(dest, formed, now);
             }
             if let Some(obs) = &self.observer {
-                obs.on_route_edge(from, dest.actor, dest.port, batch_len, now);
+                obs.on_route_edge(from, dest.actor, dest.port, admitted, now);
             }
         }
         if let Some(obs) = &self.observer {
-            obs.on_route(from, delivered, now);
+            obs.on_route(from, stamped.deliveries, now);
         }
-        Ok(delivered)
+        Ok(None)
     }
 
-    /// Deliver one already-stamped event to a destination port, reporting
-    /// window formation to the observer. Used by directors (notably DE)
-    /// that stamp and schedule deliveries themselves instead of going
-    /// through [`Fabric::route`].
-    pub fn deliver(&self, dest: PortRef, event: CwEvent, now: Timestamp) -> Result<usize> {
-        self.put_event(dest, event, now)
-    }
-
-    /// Non-blocking admission for task-parking executors: like
-    /// [`Fabric::deliver`], but a full [`OnFull::Block`] port hands the
-    /// event back as [`TryDeliver::Full`] instead of parking the calling
-    /// thread — the caller re-enqueues the producing *task* and retries
-    /// when space frees up. Drop and error policies resolve exactly as in
-    /// the blocking path.
-    pub fn try_deliver(&self, dest: PortRef, event: CwEvent, now: Timestamp) -> Result<TryDeliver> {
-        let receiver = &self.receivers[dest.actor.0][dest.port];
-        let wave = self.fine.then(|| event.wave.clone());
-        match receiver.try_put(event, now)? {
-            TryPut::Stored(formed) => {
-                if let (Some(wave), Some(obs)) = (&wave, &self.observer) {
-                    obs.on_enqueue(dest.actor, dest.port, wave, now);
-                }
-                self.note_windows(dest, formed, now);
-                Ok(TryDeliver::Delivered(formed))
-            }
-            TryPut::Shed { dropped, windows } => {
-                if let Some(obs) = &self.observer {
-                    obs.on_shed(dest.actor, dest.port, dropped, now);
-                }
-                self.note_windows(dest, windows, now);
-                Ok(TryDeliver::Delivered(windows))
-            }
-            TryPut::Full(ev) => Ok(TryDeliver::Full(ev)),
-        }
+    /// Stamp a firing's emissions and deliver them downstream at once
+    /// ([`Fabric::stamp`] then [`Fabric::deliver`]). Returns the number of
+    /// channel deliveries.
+    pub fn route(
+        &self,
+        from: ActorId,
+        emissions: Vec<(usize, Token)>,
+        parent: Option<&WaveTag>,
+        now: Timestamp,
+    ) -> Result<u64> {
+        let mut stamped = self.stamp(from, emissions, parent, now);
+        self.deliver(&mut stamped, now, false)?;
+        Ok(stamped.deliveries)
     }
 
     /// Current value of the fabric-wide progress counter (bumped on every
@@ -613,15 +648,6 @@ impl Fabric {
     /// The destination ports wired to output `port` of actor `from`.
     pub fn route_targets(&self, from: ActorId, port: usize) -> &[PortRef] {
         &self.routes[from.0][port]
-    }
-
-    /// Whether any input port in the fabric is bounded with
-    /// [`OnFull::Block`] (writers may have to wait for space).
-    pub fn has_block_ports(&self) -> bool {
-        self.receivers
-            .iter()
-            .flatten()
-            .any(|r| r.policy().is_bounded() && r.policy().on_full == OnFull::Block)
     }
 
     /// Evaluate window timeouts on one actor's receivers at director time
@@ -676,7 +702,7 @@ impl Fabric {
                 }
             }
             for event in events {
-                self.put_event(dest, event, now)?;
+                self.put_event(dest, event, now, None)?;
             }
             if self.receivers[dest.actor.0][dest.port].upstream_closed(now) {
                 fully_closed.push(dest);
@@ -691,6 +717,14 @@ impl Fabric {
         (0..self.receivers.len())
             .map(|a| self.poll_actor(ActorId(a), now))
             .sum()
+    }
+
+    /// The earliest pending window-formation deadline on one actor's ports.
+    pub fn actor_deadline(&self, id: ActorId) -> Option<Timestamp> {
+        self.receivers[id.0]
+            .iter()
+            .filter_map(|r| r.next_deadline())
+            .min()
     }
 
     /// The earliest pending window-formation deadline across the workflow.

@@ -19,10 +19,10 @@
 //!   parked actor thread;
 //! * timed-window deadlines are served by one shared timer thread over a
 //!   deadline heap, not per-actor condvar waits;
-//! * `Block` backpressure parks the *task*: a full port hands the event
-//!   back ([`Fabric::try_deliver`]), the producing task is re-enqueued
-//!   when the destination inbox frees space, and the artificial-deadlock
-//!   detector (Parks) runs on the timer thread;
+//! * `Block` backpressure parks the *task*: a full port stops delivery of
+//!   the firing's stamped batch ([`Fabric::deliver`] with `park`), the
+//!   producing task is re-enqueued when the destination inbox frees space,
+//!   and the artificial-deadlock detector (Parks) runs on the timer thread;
 //! * with [`PoolDirector::with_adaptive`] the timer thread also runs the
 //!   [`adaptive`](super::adaptive) feedback loop: it samples load through
 //!   [`LoadSignals`] and elastically grows/retires workers, hot-swaps the
@@ -31,9 +31,13 @@
 //! The run spawns exactly N worker threads plus the timer thread,
 //! independent of the actor count (N is the *maximum* worker bound under
 //! an adaptive config; inactive workers park until activated).
+//!
+//! All of that is the pool's firing rule — which task runs next, on which
+//! worker. The firing step and the run lifecycle are [`super::firing`]'s;
+//! the pool's delivery rule parks a batch that hits a full `Block` port.
 
 use std::cell::Cell;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -43,20 +47,18 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::actor::Actor;
-use crate::channel::OnFull;
 use crate::error::{Error, Result};
-use crate::event::CwEvent;
-use crate::graph::{ActorId, PortRef, Workflow};
+use crate::graph::{ActorId, Workflow};
 use crate::receiver::{ActorInbox, InboxWaker};
 use crate::telemetry::{
-    AdaptEvent, FireRecord, LiveStats, LoadSignals, RunPhase, Telemetry, WorkerMetrics,
+    AdaptEvent, LiveStats, LoadSignals, RunPhase, Telemetry, WorkerMetrics,
 };
 use crate::time::{Micros, SharedClock, Timestamp, WallClock};
-use crate::wave::WaveTag;
 
 use super::adaptive::{AdaptDecision, AdaptiveController, AdaptivePolicy};
+use super::firing::{DrainWatch, Run};
 use super::pool_policy::{Fifo, PolicyView, PoolPolicy, ReadyEntry, ReadyQueue};
-use super::{Director, Fabric, QueueContext, RunReport, TryDeliver, RELIEF_PATIENCE};
+use super::{Director, QueueContext, RunReport, Stamped, RELIEF_PATIENCE};
 
 /// Idle workers and the timer re-check their wait conditions at least this
 /// often (bounds missed-notify latency and cooperative-stop latency).
@@ -64,14 +66,6 @@ const POOL_POLL: Duration = Duration::from_millis(10);
 
 /// Idle-source backoff matching the threaded director's 1 ms sleep.
 const SOURCE_BACKOFF: Micros = Micros(1_000);
-
-/// Quiesce detection: the network must be drained (inboxes empty, no
-/// parked writers) with a stable progress counter for this long before a
-/// checkpoint pause stops the workers.
-const QUIESCE_PATIENCE: Duration = Duration::from_millis(200);
-
-/// Abort a checkpoint pause if the network never drains.
-const QUIESCE_WATCHDOG: Duration = Duration::from_secs(30);
 
 // Per-actor readiness states (one atomic per actor).
 const IDLE: u8 = 0;
@@ -541,14 +535,10 @@ struct TaskState {
     actor: Box<dyn Actor>,
     ctx: QueueContext,
     id: ActorId,
-    is_source: bool,
     finalized: bool,
-    /// Stamped events not yet admitted (the tail of a firing whose
-    /// delivery parked on a full `Block` port).
-    pending_out: VecDeque<(PortRef, CwEvent)>,
-    /// When the task first parked on the event at the head of
-    /// `pending_out` (block-time telemetry).
-    block_since: Option<Instant>,
+    /// The tail of a firing's stamped batch whose delivery parked on a
+    /// full `Block` port.
+    pending_out: Option<Stamped>,
     /// A firing completed but its `postfire` was deferred past a parked
     /// delivery.
     needs_postfire: bool,
@@ -582,19 +572,11 @@ struct AdaptiveRuntime {
 
 struct PoolShared {
     hub: Arc<WakeHub>,
-    fabric: Arc<Fabric>,
-    clock: SharedClock,
-    tele: Option<Telemetry>,
-    hook: Option<Arc<crate::checkpoint::QuiesceHook>>,
+    run: Run,
     tasks: Vec<Mutex<TaskState>>,
-    is_source: Vec<bool>,
-    /// Whether any port needs the task-parking delivery path.
-    has_block_ports: bool,
     /// The adaptive control loop, when enabled (ticked by the timer).
     adaptive: Option<AdaptiveRuntime>,
     live: AtomicUsize,
-    firings: AtomicU64,
-    routed: AtomicU64,
     first_error: Mutex<Option<Error>>,
 }
 
@@ -605,30 +587,20 @@ impl PoolShared {
             *slot = Some(e);
         }
     }
-
-    fn should_stop(&self) -> bool {
-        self.tele.as_ref().is_some_and(|t| t.should_stop())
-    }
-
-    fn pausing(&self) -> bool {
-        self.hook.as_ref().is_some_and(|h| h.pause_requested())
-    }
 }
 
 impl Director for PoolDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-        let fabric = Arc::new(Fabric::build_observed(workflow, observer)?);
-        // Task-parking semantics: a full Block port hands the event back
-        // (try_deliver) instead of blocking an OS thread, so the fabric's
-        // own thread-blocking path stays off.
-        fabric.set_blocking(false);
-        let resuming = self.hook.as_ref().is_some_and(|h| h.resuming());
-        if let Some(hook) = &self.hook {
-            if let Some(state) = hook.take_restore() {
-                fabric.restore_state(state)?;
-            }
-        }
+        // Task-parking semantics: a full Block port hands the batch back
+        // instead of blocking an OS thread, so the fabric's own
+        // thread-blocking path stays off.
+        let (run, contexts) = Run::open(
+            workflow,
+            self.telemetry.clone(),
+            self.hook.clone(),
+            self.clock.clone(),
+        )?;
+        let fabric = &run.fabric;
         let n_actors = workflow.actor_count();
         // Under an adaptive config the configured worker count is the
         // *initial* active set (clamped into the bounds) and threads are
@@ -717,74 +689,30 @@ impl Director for PoolDirector {
                 actor: id.0,
             }));
         }
-        let started = self.clock.now();
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Start, started);
-        }
-
-        let mut tasks = Vec::with_capacity(n_actors);
-        let mut is_source = Vec::with_capacity(n_actors);
-        for id in workflow.actor_ids() {
-            let node = workflow.node_mut(id);
-            let n_inputs = node.signature.inputs.len();
-            is_source.push(node.is_source);
-            let mut ctx = QueueContext::new(n_inputs);
-            if let Some(t) = &self.telemetry {
-                // Actor-side shed reports (shedding operators) land in the
-                // same per-actor events_shed metric as channel sheds.
-                ctx.set_shed_observer(t.observer.clone(), id);
-            }
-            tasks.push(Mutex::new(TaskState {
-                actor: node.take_actor(),
-                ctx,
-                id,
-                is_source: node.is_source,
-                finalized: false,
-                pending_out: VecDeque::new(),
-                block_since: None,
-                needs_postfire: false,
-            }));
-        }
+        let tasks = workflow
+            .actor_ids()
+            .zip(contexts)
+            .map(|(id, ctx)| {
+                Mutex::new(TaskState {
+                    actor: workflow.node_mut(id).take_actor(),
+                    ctx,
+                    id,
+                    finalized: false,
+                    pending_out: None,
+                    needs_postfire: false,
+                })
+            })
+            .collect();
         let shared = Arc::new(PoolShared {
             hub: hub.clone(),
-            fabric: fabric.clone(),
-            clock: self.clock.clone(),
-            tele: self.telemetry.clone(),
-            hook: self.hook.clone(),
+            run,
             tasks,
-            is_source,
-            has_block_ports: fabric.has_block_ports(),
             adaptive: adaptive_rt,
             live: AtomicUsize::new(n_actors),
-            firings: AtomicU64::new(0),
-            routed: AtomicU64::new(0),
             first_error: Mutex::new(None),
         });
 
-        // Sequential initialization on the caller thread (the threaded
-        // director initializes on each actor thread; the order here is
-        // deterministic instead). Skipped when resuming from a checkpoint:
-        // restored actor state already reflects a past initialization.
-        if !resuming {
-            for a in 0..n_actors {
-                let mut task = shared.tasks[a].lock();
-                let now = self.clock.now();
-                task.ctx.set_now(now);
-                let TaskState { actor, ctx, .. } = &mut *task;
-                let init = actor.initialize(ctx).and_then(|()| {
-                    let (init_emissions, _) = ctx.take_emissions();
-                    let n = fabric.route(ActorId(a), init_emissions, None, self.clock.now())?;
-                    shared.routed.fetch_add(n, Ordering::Relaxed);
-                    Ok(())
-                });
-                if let Err(e) = init {
-                    shared.record_error(e);
-                    finalize_task(&shared, &mut task, false);
-                }
-            }
-        }
-
-        if shared.live.load(Ordering::Acquire) > 0 {
+        if n_actors > 0 {
             for a in 0..n_actors {
                 hub.schedule(a);
             }
@@ -834,41 +762,32 @@ impl Director for PoolDirector {
 
         let shared = Arc::try_unwrap(shared)
             .map_err(|_| Error::Director("pool shared state still referenced".to_string()))?;
-        let quiescing = self.hook.as_ref().is_some_and(|h| h.pause_requested())
-            && shared.first_error.lock().is_none()
-            && !shared.should_stop();
-        for (a, task) in shared.tasks.into_iter().enumerate() {
+        let run = shared.run;
+        let mut first_error = shared.first_error.into_inner();
+        let quiescing = run.quiescing() && first_error.is_none();
+        for task in shared.tasks {
             let mut task = task.into_inner();
             if quiescing {
                 // Complete any in-flight delivery (blocking is off, so a
                 // full Block port over-admits rather than tearing the
                 // snapshot), then stage undelivered context windows back
                 // at the front of the inbox.
-                while let Some((dest, event)) = task.pending_out.pop_front() {
-                    fabric.deliver(dest, event, self.clock.now())?;
+                if let Some(mut rest) = task.pending_out.take() {
+                    let flushed = run.fabric.deliver(&mut rest, run.clock.now(), false);
+                    first_error = first_error.or(flushed.err());
                 }
-                let staged = task.ctx.take_staged();
-                fabric.inbox(ActorId(a)).push_front_batch(staged);
+                run.unstage(task.id, &mut task.ctx);
             }
-            workflow.node_mut(ActorId(a)).return_actor(task.actor);
+            workflow.node_mut(task.id).return_actor(task.actor);
+        }
+        if let Some(e) = first_error {
+            run.phase(RunPhase::End);
+            return Err(e);
         }
         if quiescing {
-            if let Some(hook) = &self.hook {
-                hook.deposit(fabric.capture_state());
-            }
+            return Ok(run.quiesce(&mut []));
         }
-        let report = RunReport {
-            firings: shared.firings.load(Ordering::Relaxed),
-            events_routed: shared.routed.load(Ordering::Relaxed),
-            elapsed: self.clock.now().since(started),
-        };
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::End, self.clock.now());
-        }
-        match shared.first_error.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        run.wrapup(workflow)
     }
 
     fn instrument(&mut self, telemetry: Telemetry) -> bool {
@@ -926,7 +845,7 @@ fn retire_slot(shared: &Arc<PoolShared>, w: usize) {
     let hub = &shared.hub;
     let id = hub.slot_ids[w].load(Ordering::Relaxed);
     if id != usize::MAX {
-        if let Some(t) = &shared.tele {
+        if let Some(t) = &shared.run.tele {
             t.observer.on_worker(&hub.worker_snapshot(w, id));
         }
     }
@@ -992,49 +911,27 @@ fn run_actor(shared: &Arc<PoolShared>, w: usize, actor: usize) {
     }
 }
 
-/// Wrap the actor up and close its outputs, exactly once. `run_wrapup`
-/// mirrors the threaded controller: `wrapup` runs on a clean finish and is
-/// skipped after an error, while `close_actor_outputs` always runs.
-fn finalize_task(shared: &PoolShared, task: &mut TaskState, run_wrapup: bool) {
+/// End the actor's stream and close its outputs, exactly once. A `clean`
+/// end runs the shared `finish_actor`; after an error `finish` is skipped
+/// but the outputs still close, as under the threaded controller.
+fn finalize_task(shared: &PoolShared, task: &mut TaskState, clean: bool) {
     if task.finalized {
         return;
     }
     task.finalized = true;
+    let run = &shared.run;
     // Anything still parked is admitted softly (blocking is off, so a full
     // Block port over-admits rather than losing the events).
-    while let Some((dest, event)) = task.pending_out.pop_front() {
-        if let Err(e) = shared.fabric.deliver(dest, event, shared.clock.now()) {
-            shared.record_error(e);
-            break;
-        }
-    }
-    if run_wrapup {
-        // The actor's final chance to emit while its outputs are still
-        // open; any queued `pending_out` events went out first above.
-        task.ctx.set_now(shared.clock.now());
-        match task.actor.finish(&mut task.ctx) {
-            Ok(()) => {
-                let (emissions, trigger) = task.ctx.take_emissions();
-                match shared
-                    .fabric
-                    .route(task.id, emissions, trigger.as_ref(), shared.clock.now())
-                {
-                    Ok(n) => {
-                        shared.routed.fetch_add(n, Ordering::Relaxed);
-                    }
-                    Err(e) => shared.record_error(e),
-                }
-            }
-            Err(e) => shared.record_error(e),
-        }
-        if let Err(e) = task.actor.wrapup() {
-            shared.record_error(e);
-        }
-    }
-    if let Err(e) = shared
-        .fabric
-        .close_actor_outputs(task.id, shared.clock.now())
-    {
+    let flushed = match task.pending_out.take() {
+        Some(mut rest) => run.fabric.deliver(&mut rest, run.clock.now(), false).map(drop),
+        None => Ok(()),
+    };
+    let closed = if clean {
+        run.finish_actor(task.id, &mut *task.actor, &mut task.ctx)
+    } else {
+        run.fabric.close_actor_outputs(task.id, run.clock.now())
+    };
+    if let Err(e) = flushed.and(closed) {
         shared.record_error(e);
     }
     if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -1042,14 +939,18 @@ fn finalize_task(shared: &PoolShared, task: &mut TaskState, run_wrapup: bool) {
     }
 }
 
-/// One scheduled step: resume any suspended firing, then attempt the next
-/// one. Mirrors one iteration of the threaded controller's loop.
+/// One scheduled step: resume any suspended firing, then decide whether
+/// the actor may fire now and on what — one iteration of the threaded
+/// controller's loop, with every wait turned into a wakeup registration.
 fn step(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutcome> {
-    if shared.should_stop() {
+    let hub = &shared.hub;
+    let run = &shared.run;
+    let id = task.id;
+    if run.should_stop() {
         return Ok(StepOutcome::Finish);
     }
     // Resume a firing suspended mid-delivery or pre-postfire.
-    if !task.pending_out.is_empty() && !flush_pending(shared, task)? {
+    if !flush_pending(shared, id, &mut task.pending_out)? {
         return Ok(StepOutcome::Parked);
     }
     if task.needs_postfire {
@@ -1058,302 +959,98 @@ fn step(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutco
             return Ok(StepOutcome::Finish);
         }
     }
-    if task.is_source {
-        step_source(shared, w, task)
-    } else {
-        step_internal(shared, w, task)
-    }
-}
-
-fn step_source(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutcome> {
-    let hub = &shared.hub;
-    let clock = &shared.clock;
-    // Checkpoint pause: park the source at its firing boundary. The
-    // timer thread stops the workers once the rest of the network drains.
-    if shared.pausing() {
-        return Ok(StepOutcome::Idle);
-    }
-    // Pace by the source's timetable: instead of sleeping, register the
-    // arrival with the shared timer and yield the worker.
-    if let Some(arrival) = task.actor.next_arrival() {
-        let now = clock.now();
-        if arrival > now {
-            hub.register_deadline(arrival, task.id.0);
+    let input = if hub.is_source[id.0] {
+        // Checkpoint pause: park the source at its firing boundary. The
+        // timer thread stops the workers once the rest of the network
+        // drains.
+        if run.pause_requested() {
             return Ok(StepOutcome::Idle);
         }
-    }
-    let fire_start = clock.now();
-    task.ctx.set_now(fire_start);
-    let mut fired = false;
-    let mut emitted_any = false;
-    let mut tokens_out = 0u64;
-    let mut complete = true;
-    if task.actor.prefire(&mut task.ctx)? {
-        if let Some(t) = &shared.tele {
-            t.observer.on_fire_start(task.id, fire_start);
+        // Pace by the source's timetable: instead of sleeping, register
+        // the arrival with the shared timer and yield the worker.
+        if let Some(arrival) = task.actor.next_arrival() {
+            if arrival > run.clock.now() {
+                hub.register_deadline(arrival, id.0);
+                return Ok(StepOutcome::Idle);
+            }
         }
-        task.actor.fire(&mut task.ctx)?;
-        let (emissions, _) = task.ctx.take_emissions();
-        emitted_any = !emissions.is_empty();
-        tokens_out = emissions.len() as u64;
-        fired = true;
-        shared.firings.fetch_add(1, Ordering::Relaxed);
-        hub.fires[w].fetch_add(1, Ordering::Relaxed);
-        complete = deliver_emissions(shared, task, emissions, None, clock.now())?;
-        let expired = shared.fabric.route_expired(clock.now())?;
-        shared.routed.fetch_add(expired, Ordering::Relaxed);
-    }
-    if fired {
-        let ended = clock.now();
-        let busy = ended.since(fire_start);
-        hub.busy_us[w].fetch_add(busy.as_micros(), Ordering::Relaxed);
-        if hub.feed_stats.load(Ordering::Relaxed) {
-            hub.live.record_fire(task.id.0, busy, 0, tokens_out, None);
-        }
-        hub.policy.read().on_fire(task.id.0, busy);
-        if let Some(t) = &shared.tele {
-            t.observer.on_fire_end(&FireRecord {
-                actor: task.id,
-                started: fire_start,
-                ended,
-                busy,
-                events_in: 0,
-                tokens_out,
-                origin: None,
-                trigger: None,
-                fired,
-            });
-            t.sample(ended);
-        }
-    }
-    if !complete {
-        task.needs_postfire = true;
-        return Ok(StepOutcome::Parked);
-    }
-    if !task.actor.postfire(&mut task.ctx)? {
-        return Ok(StepOutcome::Finish);
-    }
-    if !emitted_any && matches!(task.actor.next_arrival(), None | Some(Timestamp::ZERO)) {
-        // Nothing to say and no timetable to follow (idle push source):
-        // back off via the timer instead of spinning on the worker.
-        hub.register_deadline(clock.now().plus(SOURCE_BACKOFF), task.id.0);
-        return Ok(StepOutcome::Idle);
-    }
-    Ok(StepOutcome::Requeue)
-}
-
-fn step_internal(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutcome> {
-    let hub = &shared.hub;
-    let clock = &shared.clock;
-    let inbox = shared.fabric.inbox(task.id);
-    match inbox.try_pop() {
-        Some((port, window)) => {
-            let fire_start = clock.now();
-            task.ctx.set_now(fire_start);
-            if shared.fabric.wants_event_hooks() {
-                if let Some(t) = &shared.tele {
-                    t.observer.on_dequeue(
-                        task.id,
-                        port,
-                        window.trigger_wave(),
-                        window.formed_at,
-                        fire_start,
-                    );
-                }
-            }
-            task.ctx.deliver(port, window);
-            let mut fired = false;
-            let mut events_in = 0u64;
-            let mut tokens_out = 0u64;
-            let mut origin = None;
-            let mut trigger_tag = None;
-            let mut complete = true;
-            // A prefire refusal reports neither a start nor a record — the
-            // window stays pending in the context, exactly as under the
-            // threaded director.
-            if task.actor.prefire(&mut task.ctx)? {
-                if let Some(t) = &shared.tele {
-                    t.observer.on_fire_start(task.id, fire_start);
-                }
-                task.actor.fire(&mut task.ctx)?;
-                events_in = task.ctx.consumed_events;
-                let (emissions, trigger) = task.ctx.take_emissions();
-                tokens_out = emissions.len() as u64;
-                origin = trigger.as_ref().map(|wv| wv.origin());
-                fired = true;
-                shared.firings.fetch_add(1, Ordering::Relaxed);
-                hub.fires[w].fetch_add(1, Ordering::Relaxed);
-                complete =
-                    deliver_emissions(shared, task, emissions, trigger.as_ref(), clock.now())?;
-                let expired = shared.fabric.route_expired(clock.now())?;
-                shared.routed.fetch_add(expired, Ordering::Relaxed);
-                trigger_tag = trigger;
-            }
-            if fired {
-                let ended = clock.now();
-                let busy = ended.since(fire_start);
-                hub.busy_us[w].fetch_add(busy.as_micros(), Ordering::Relaxed);
-                if hub.feed_stats.load(Ordering::Relaxed) {
-                    let wait = origin.map(|o| ended.since(o));
-                    hub.live
-                        .record_fire(task.id.0, busy, events_in, tokens_out, wait);
-                }
-                hub.policy.read().on_fire(task.id.0, busy);
-                if let Some(t) = &shared.tele {
-                    t.observer.on_fire_end(&FireRecord {
-                        actor: task.id,
-                        started: fire_start,
-                        ended,
-                        busy,
-                        events_in,
-                        tokens_out,
-                        origin,
-                        trigger: trigger_tag,
-                        fired,
-                    });
-                    t.sample(ended);
-                }
-            }
-            if !complete {
-                task.needs_postfire = true;
-                return Ok(StepOutcome::Parked);
-            }
-            if !task.actor.postfire(&mut task.ctx)? {
-                return Ok(StepOutcome::Finish);
-            }
-            Ok(StepOutcome::Requeue)
-        }
-        None => {
+        None
+    } else {
+        let inbox = run.fabric.inbox(id);
+        let Some(input) = inbox.try_pop() else {
             if inbox.all_ports_closed() {
                 // Upstream flushes happen-before the closing notification,
                 // so re-check for windows pushed by the final flush.
-                if inbox.is_empty() {
-                    return Ok(StepOutcome::Finish);
-                }
-                return Ok(StepOutcome::Requeue);
+                return Ok(if inbox.is_empty() {
+                    StepOutcome::Finish
+                } else {
+                    StepOutcome::Requeue
+                });
             }
-            if let Some(deadline) = shared
-                .fabric
-                .receivers(task.id)
-                .iter()
-                .filter_map(|r| r.next_deadline())
-                .min()
-            {
-                hub.register_deadline(deadline, task.id.0);
+            if let Some(deadline) = run.fabric.actor_deadline(id) {
+                hub.register_deadline(deadline, id.0);
             }
+            return Ok(StepOutcome::Idle);
+        };
+        Some(input)
+    };
+    let TaskState {
+        actor,
+        ctx,
+        pending_out,
+        ..
+    } = task;
+    let mut park = |stamped| {
+        *pending_out = Some(stamped);
+        flush_pending(shared, id, pending_out)
+    };
+    let fired = run.fire(id, &mut **actor, ctx, input, None, Some(&mut park))?;
+    if fired.fired {
+        hub.fires[w].fetch_add(1, Ordering::Relaxed);
+        hub.busy_us[w].fetch_add(fired.busy.as_micros(), Ordering::Relaxed);
+        if hub.feed_stats.load(Ordering::Relaxed) {
+            let wait = fired.origin.map(|o| fired.ended.since(o));
+            hub.live
+                .record_fire(id.0, fired.busy, fired.events_in, fired.tokens_out, wait);
+        }
+        hub.policy.read().on_fire(id.0, fired.busy);
+    }
+    match fired.alive {
+        None => {
+            task.needs_postfire = true;
+            Ok(StepOutcome::Parked)
+        }
+        Some(false) => Ok(StepOutcome::Finish),
+        Some(true)
+            if hub.is_source[id.0]
+                && fired.tokens_out == 0
+                && matches!(task.actor.next_arrival(), None | Some(Timestamp::ZERO)) =>
+        {
+            // Nothing to say and no timetable to follow (idle push
+            // source): back off via the timer instead of spinning on the
+            // worker.
+            hub.register_deadline(run.clock.now().plus(SOURCE_BACKOFF), id.0);
             Ok(StepOutcome::Idle)
         }
+        Some(true) => Ok(StepOutcome::Requeue),
     }
 }
 
-/// Stamp and deliver one firing's emissions. Without `Block` ports the
-/// whole batch goes through the fabric's batched route. With them, events
-/// are stamped up front (so wave serials match the batched path exactly)
-/// and admitted one by one; a full `Block` port parks the task with the
-/// remainder queued in `pending_out`. Returns whether delivery completed.
-fn deliver_emissions(
-    shared: &PoolShared,
-    task: &mut TaskState,
-    emissions: Vec<(usize, crate::token::Token)>,
-    parent: Option<&WaveTag>,
-    now: Timestamp,
-) -> Result<bool> {
-    if emissions.is_empty() {
-        return Ok(true);
-    }
-    if !shared.has_block_ports {
-        let n = shared.fabric.route(task.id, emissions, parent, now)?;
-        shared.routed.fetch_add(n, Ordering::Relaxed);
-        return Ok(true);
-    }
-    let n = emissions.len();
-    let fine = shared.fabric.wants_event_hooks();
-    let mut delivered = 0u64;
-    // Same admission-side shed gate as Fabric::route: new waves only.
-    let shed_ppm = if parent.is_none() {
-        shared.fabric.shed_ratio_ppm()
-    } else {
-        0
-    };
-    for (i, (port, token)) in emissions.into_iter().enumerate() {
-        let dests = shared.fabric.route_targets(task.id, port);
-        if dests.is_empty() {
-            continue;
-        }
-        if shed_ppm != 0 && !shared.fabric.admit_past_shed_gate(shed_ppm) {
-            if let Some(obs) = shared.fabric.observer() {
-                for dest in dests {
-                    obs.on_shed(dest.actor, dest.port, 1, now);
-                }
-            }
-            continue;
-        }
-        let event = match parent {
-            None => CwEvent::external(token, now),
-            Some(parent) => CwEvent::derived(token, now, parent, (i + 1) as u32, i + 1 == n),
+/// The pool's delivery rule: admit a stamped batch until done or a full
+/// `Block` port parks the task (a space waiter is registered and the rest
+/// stays in `pending`). Returns whether the batch is fully delivered.
+fn flush_pending(shared: &PoolShared, writer: ActorId, pending: &mut Option<Stamped>) -> Result<bool> {
+    let run = &shared.run;
+    while let Some(stamped) = pending {
+        let Some(dest) = run.fabric.deliver(stamped, run.clock.now(), true)? else {
+            *pending = None;
+            break;
         };
-        if let Some(obs) = shared.fabric.observer() {
-            if fine && parent.is_none() {
-                obs.on_admit(task.id, &event.wave, now);
-            }
-            // Block never drops, so each stamped event will reach its
-            // destination edge; report the edges with the route below.
-            for dest in dests {
-                obs.on_route_edge(task.id, dest.actor, dest.port, 1, now);
-            }
-        }
-        delivered += dests.len() as u64;
-        let (last, fanned) = dests.split_last().expect("dests is non-empty");
-        for dest in fanned {
-            task.pending_out.push_back((*dest, event.clone()));
-        }
-        task.pending_out.push_back((*last, event));
-    }
-    if delivered == 0 {
-        return Ok(true);
-    }
-    // Block never drops, so every stamped event will eventually be
-    // admitted: count and report the route now, deliver (possibly across
-    // several task resumptions) below.
-    shared.routed.fetch_add(delivered, Ordering::Relaxed);
-    if let Some(obs) = shared.fabric.observer() {
-        obs.on_route(task.id, delivered, now);
-    }
-    flush_pending(shared, task)
-}
-
-/// Admit queued stamped events until done or a full `Block` port parks
-/// the task. Returns whether the queue drained.
-fn flush_pending(shared: &PoolShared, task: &mut TaskState) -> Result<bool> {
-    while let Some((dest, event)) = task.pending_out.pop_front() {
-        let receiver = &shared.fabric.receivers(dest.actor)[dest.port];
-        let is_block =
-            receiver.policy().is_bounded() && receiver.policy().on_full == OnFull::Block;
-        let now = shared.clock.now();
-        if !is_block {
-            shared.fabric.deliver(dest, event, now)?;
-            continue;
-        }
-        match shared.fabric.try_deliver(dest, event, now)? {
-            TryDeliver::Delivered(_) => {
-                if let Some(since) = task.block_since.take() {
-                    if let Some(obs) = shared.fabric.observer() {
-                        let waited = Micros(since.elapsed().as_micros() as u64);
-                        obs.on_block(dest.actor, dest.port, waited, now);
-                    }
-                }
-            }
-            TryDeliver::Full(event) => {
-                task.pending_out.push_front((dest, event));
-                task.block_since.get_or_insert_with(Instant::now);
-                shared.hub.add_space_waiter(dest.actor.0, task.id.0);
-                // Lost-wakeup guard: space may have freed between the
-                // failed put and the waiter registration.
-                if !receiver.is_full() {
-                    continue;
-                }
-                return Ok(false);
-            }
+        shared.hub.add_space_waiter(dest.actor.0, writer.0);
+        // Lost-wakeup guard: space may have freed between the failed put
+        // and the waiter registration.
+        if run.fabric.receivers(dest.actor)[dest.port].is_full() {
+            return Ok(false);
         }
     }
     Ok(true)
@@ -1364,11 +1061,10 @@ fn flush_pending(shared: &PoolShared, task: &mut TaskState) -> Result<bool> {
 /// Parks-style artificial-deadlock detector for parked writer tasks.
 fn timer_loop(shared: &Arc<PoolShared>) {
     let hub = &shared.hub;
-    let mut last_progress = shared.fabric.progress_counter();
+    let run = &shared.run;
+    let mut last_progress = run.fabric.progress_counter();
     let mut stalled_since: Option<Instant> = None;
-    let mut quiesce_progress = 0u64;
-    let mut quiesce_stable: Option<Instant> = None;
-    let mut pause_seen: Option<Instant> = None;
+    let mut drain = DrainWatch::default();
     let mut last_adapt = Instant::now();
     loop {
         if hub.shutdown.load(Ordering::Acquire) {
@@ -1381,7 +1077,7 @@ fn timer_loop(shared: &Arc<PoolShared>) {
             if last_adapt.elapsed() >= rt.tick_every {
                 last_adapt = Instant::now();
                 let snap = rt.signals.sample();
-                let decisions = rt.controller.lock().tick(&snap, shared.clock.now());
+                let decisions = rt.controller.lock().tick(&snap, run.clock.now());
                 for decision in decisions {
                     apply_adapt(shared, rt, decision);
                 }
@@ -1390,8 +1086,8 @@ fn timer_loop(shared: &Arc<PoolShared>) {
         // Time-series sampling rides the timer thread too; when a point
         // is taken, add the per-worker occupancy gauges only the pool
         // can see.
-        if let Some(t) = &shared.tele {
-            let now = shared.clock.now();
+        if let Some(t) = &run.tele {
+            let now = run.clock.now();
             if t.sample(now) {
                 if let Some(series) = &t.series {
                     let active = hub.active.load(Ordering::Acquire);
@@ -1405,36 +1101,24 @@ fn timer_loop(shared: &Arc<PoolShared>) {
                 }
             }
         }
-        // Checkpoint quiesce: sources are parked (step_source); stop the
+        // Checkpoint quiesce: sources are parked (see `step`); stop the
         // workers once the network has drained and stayed stable.
-        if shared.pausing() && !shared.should_stop() {
-            let seen = *pause_seen.get_or_insert_with(Instant::now);
-            let progress = shared.fabric.progress_counter();
-            let drained = shared.fabric.inboxes_empty()
-                && hub.waiting_writers.load(Ordering::Relaxed) == 0
-                && progress == quiesce_progress;
-            if !drained {
-                quiesce_progress = progress;
-                quiesce_stable = None;
-            } else {
-                let stable = *quiesce_stable.get_or_insert_with(Instant::now);
-                if stable.elapsed() >= QUIESCE_PATIENCE {
+        if run.quiescing() {
+            let no_parked_writers = hub.waiting_writers.load(Ordering::Relaxed) == 0;
+            match drain.drained(&run.fabric, no_parked_writers) {
+                Ok(false) => {}
+                settled => {
+                    if let Err(e) = settled {
+                        shared.record_error(e);
+                    }
                     hub.begin_shutdown();
                     continue;
                 }
             }
-            if seen.elapsed() >= QUIESCE_WATCHDOG {
-                shared.record_error(Error::Checkpoint(
-                    "quiesce watchdog expired: the pool never drained for a checkpoint".into(),
-                ));
-                hub.begin_shutdown();
-                continue;
-            }
         } else {
-            pause_seen = None;
-            quiesce_stable = None;
+            drain = DrainWatch::default();
         }
-        let now = shared.clock.now();
+        let now = run.clock.now();
         let mut due: Vec<usize> = Vec::new();
         {
             let mut heap = hub.timer.lock();
@@ -1449,31 +1133,21 @@ fn timer_loop(shared: &Arc<PoolShared>) {
         due.sort_unstable();
         due.dedup();
         for a in due {
-            if shared.is_source[a] {
+            if hub.is_source[a] {
                 hub.schedule(a);
                 continue;
             }
             // A window-formation deadline passed: force the receivers to
             // evaluate (formed windows wake the actor through its inbox).
-            shared.fabric.poll_actor(ActorId(a), now);
-            match shared.fabric.route_expired(now) {
-                Ok(n) => {
-                    shared.routed.fetch_add(n, Ordering::Relaxed);
-                }
-                Err(e) => shared.record_error(e),
+            if let Err(e) = run.poll(Some(ActorId(a)), now) {
+                shared.record_error(e);
             }
-            if let Some(next) = shared
-                .fabric
-                .receivers(ActorId(a))
-                .iter()
-                .filter_map(|r| r.next_deadline())
-                .min()
-            {
+            if let Some(next) = run.fabric.actor_deadline(ActorId(a)) {
                 hub.register_deadline(next, a);
             }
             hub.schedule(a);
         }
-        if shared.should_stop() {
+        if run.should_stop() {
             for a in 0..hub.states.len() {
                 hub.schedule(a);
             }
@@ -1482,26 +1156,26 @@ fn timer_loop(shared: &Arc<PoolShared>) {
         // frozen for RELIEF_PATIENCE — grow the smallest full Block queue
         // (its inbox then raises on_space and the writers reschedule).
         if hub.waiting_writers.load(Ordering::Relaxed) > 0 {
-            let progress = shared.fabric.progress_counter();
+            let progress = run.fabric.progress_counter();
             if progress != last_progress {
                 last_progress = progress;
                 stalled_since = None;
             } else {
                 let since = *stalled_since.get_or_insert_with(Instant::now);
                 if since.elapsed() >= RELIEF_PATIENCE {
-                    shared.fabric.relieve_deadlock();
+                    run.fabric.relieve_deadlock();
                     stalled_since = None;
                 }
             }
         } else {
-            last_progress = shared.fabric.progress_counter();
+            last_progress = run.fabric.progress_counter();
             stalled_since = None;
         }
         let mut wait = {
             let heap = hub.timer.lock();
             heap.peek()
                 .map(|&std::cmp::Reverse((t, _))| {
-                    Duration::from_micros(t.saturating_sub(shared.clock.now().as_micros()))
+                    Duration::from_micros(t.saturating_sub(run.clock.now().as_micros()))
                 })
                 .map_or(POOL_POLL, |d| d.min(POOL_POLL))
         };
@@ -1534,16 +1208,16 @@ fn apply_adapt(shared: &Arc<PoolShared>, rt: &AdaptiveRuntime, decision: AdaptDe
             AdaptEvent::SwapPolicy { from, to }
         }
         AdaptDecision::ShedEngage { ratio_ppm } => {
-            shared.fabric.set_shed_ratio_ppm(ratio_ppm);
+            shared.run.fabric.set_shed_ratio_ppm(ratio_ppm);
             AdaptEvent::ShedEngage { ratio_ppm }
         }
         AdaptDecision::ShedDisengage => {
-            shared.fabric.set_shed_ratio_ppm(0);
+            shared.run.fabric.set_shed_ratio_ppm(0);
             AdaptEvent::ShedDisengage
         }
     };
-    if let Some(t) = &shared.tele {
-        t.observer.on_adapt(&event, shared.clock.now());
+    if let Some(t) = &shared.run.tele {
+        t.observer.on_adapt(&event, shared.run.clock.now());
     }
 }
 

@@ -12,16 +12,21 @@
 //! In the Linear Road workflow hierarchy, sub-workflows with constant
 //! consumption and production rates are governed by SDF directors
 //! (paper Appendix A).
+//!
+//! The firing rule is the compiled schedule and the declared number of
+//! windows staged per firing. The firing step and the run lifecycle are
+//! [`super::firing`]'s.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::graph::Workflow;
-use crate::telemetry::{FireRecord, RunPhase, Telemetry};
+use crate::telemetry::{RunPhase, Telemetry};
 use crate::time::{SharedClock, VirtualClock};
 
-use super::{Director, Fabric, QueueContext, RunReport};
+use super::firing::Run;
+use super::{Director, RunReport};
 
 /// Greatest common divisor.
 fn gcd(a: u64, b: u64) -> u64 {
@@ -250,23 +255,6 @@ impl SdfDirector {
 impl Director for SdfDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
         let schedule = compile_schedule(workflow)?;
-        let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-        let fabric = Fabric::build_observed(workflow, observer)?;
-        let resuming = self.hook.as_ref().is_some_and(|h| h.resuming());
-        if let Some(hook) = &self.hook {
-            if let Some(state) = hook.take_restore() {
-                fabric.restore_state(state)?;
-            }
-        }
-        let started = self.clock.now();
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Start, started);
-        }
-        let mut report = RunReport::default();
-        let mut contexts: Vec<QueueContext> = workflow
-            .actor_ids()
-            .map(|id| QueueContext::new(workflow.node(id).signature.inputs.len()))
-            .collect();
         let consume: Vec<Vec<u32>> = workflow
             .actor_ids()
             .map(|id| {
@@ -275,59 +263,31 @@ impl Director for SdfDirector {
                     .consume
             })
             .collect();
-
-        // Initialize all actors (skipped when resuming from a checkpoint:
-        // restored actor state already reflects a past initialization).
-        if !resuming {
-            for id in workflow.actor_ids() {
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(self.clock.now());
-                workflow.node_mut(id).actor_mut().initialize(ctx)?;
-                let (emissions, _) = ctx.take_emissions();
-                report.events_routed += fabric.route(id, emissions, None, self.clock.now())?;
-            }
-        }
+        let (run, mut contexts) = Run::open(
+            workflow,
+            self.telemetry.clone(),
+            self.hook.clone(),
+            self.clock.clone(),
+        )?;
 
         let mut iteration = 0u64;
-        // Set when a source runs dry: the current schedule iteration is
-        // completed (downstream actors must still consume the in-flight
-        // tokens) and then the run ends.
+        // Set when a source runs dry or a stop is requested: the current
+        // schedule iteration is completed (downstream actors must still
+        // consume the in-flight tokens) and then the run ends.
         let mut stopping = false;
-        'run: loop {
-            if let Some(max) = self.max_iterations {
-                if iteration >= max {
-                    break;
-                }
-            }
-            if self.telemetry.as_ref().is_some_and(|t| t.should_stop()) {
-                break;
-            }
-            if self.hook.as_ref().is_some_and(|h| h.pause_requested()) {
+        while !stopping && !run.should_stop() && self.max_iterations != Some(iteration) {
+            if run.pause_requested() {
                 // Iteration boundaries are SDF's natural quiescent points:
                 // the balance equations guarantee every token produced this
                 // iteration has been consumed, so snapshot here.
-                for id in workflow.actor_ids() {
-                    let staged = contexts[id.0].take_staged();
-                    fabric.inbox(id).push_front_batch(staged);
-                }
-                if let Some(hook) = &self.hook {
-                    hook.deposit(fabric.capture_state());
-                }
-                report.elapsed = self.clock.now().since(started);
-                if let Some(t) = &self.telemetry {
-                    t.observer.on_run_phase(RunPhase::End, self.clock.now());
-                }
-                return Ok(report);
+                return Ok(run.quiesce(&mut contexts));
             }
             iteration += 1;
             for &a in &schedule.order {
                 let id = crate::graph::ActorId(a);
                 'reps: for _rep in 0..schedule.repetitions[a] {
-                    let now = self.clock.now();
-                    let ctx = &mut contexts[a];
-                    ctx.set_now(now);
-                    // Deliver the declared number of windows per input port.
-                    let inbox = fabric.inbox(id);
+                    // Stage the declared number of windows per input port.
+                    let inbox = run.fabric.inbox(id);
                     let mut staged: Vec<(usize, crate::window::Window)> = Vec::new();
                     let mut counts = vec![0u32; consume[a].len()];
                     while counts
@@ -335,116 +295,44 @@ impl Director for SdfDirector {
                         .zip(&consume[a])
                         .any(|(have, need)| have < need)
                     {
-                        match inbox.try_pop() {
-                            Some((port, w)) => {
-                                counts[port] += 1;
-                                if fabric.wants_event_hooks() {
-                                    if let Some(t) = &self.telemetry {
-                                        t.observer.on_dequeue(
-                                            id,
-                                            port,
-                                            w.trigger_wave(),
-                                            w.formed_at,
-                                            now,
-                                        );
-                                    }
-                                }
-                                staged.push((port, w));
+                        if let Some((port, w)) = inbox.try_pop() {
+                            counts[port] += 1;
+                            staged.push((port, w));
+                        } else if workflow.node(id).is_source {
+                            break;
+                        } else if stopping {
+                            // The drying source under-produced this
+                            // iteration: hand the partial delivery to the
+                            // context (a later rep or the actor's own loop
+                            // may still cope) and skip this firing.
+                            for (port, w) in staged {
+                                contexts[a].deliver(port, w);
                             }
-                            None => {
-                                if workflow.node(id).is_source || consume[a].is_empty() {
-                                    break;
-                                }
-                                if stopping {
-                                    // The drying source under-produced this
-                                    // iteration: hand the partial delivery
-                                    // to the context (a later rep or the
-                                    // actor's own loop may still cope) and
-                                    // skip this firing.
-                                    for (port, w) in staged {
-                                        ctx.deliver(port, w);
-                                    }
-                                    continue 'reps;
-                                }
-                                return Err(Error::Sdf(format!(
-                                    "actor `{}` starved mid-schedule (rates inconsistent with behaviour)",
-                                    workflow.node(id).name
-                                )));
-                            }
+                            continue 'reps;
+                        } else {
+                            return Err(Error::Sdf(format!(
+                                "actor `{}` starved mid-schedule (rates inconsistent with behaviour)",
+                                workflow.node(id).name
+                            )));
                         }
                     }
-                    for (port, w) in staged {
-                        ctx.deliver(port, w);
-                    }
-                    let node = workflow.node_mut(id);
-                    let actor = node.actor_mut();
-                    if let Some(t) = &self.telemetry {
-                        t.observer.on_fire_start(id, now);
-                    }
-                    if !actor.prefire(ctx)? {
-                        if workflow.node(id).is_source {
-                            // The stream is over; finish the iteration.
-                            stopping = true;
-                        }
-                        continue 'reps;
-                    }
-                    actor.fire(ctx)?;
-                    report.firings += 1;
-                    let events_in = ctx.consumed_events;
-                    let (emissions, trigger) = ctx.take_emissions();
-                    let tokens_out = emissions.len() as u64;
-                    let origin = trigger.as_ref().map(|w| w.origin());
-                    report.events_routed +=
-                        fabric.route(id, emissions, trigger.as_ref(), self.clock.now())?;
-                    if let Some(t) = &self.telemetry {
-                        let ended = self.clock.now();
-                        t.observer.on_fire_end(&FireRecord {
-                            actor: id,
-                            started: now,
-                            ended,
-                            busy: ended.since(now),
-                            events_in,
-                            tokens_out,
-                            origin,
-                            trigger,
-                            fired: true,
-                        });
-                        t.sample(ended);
-                        if t.should_stop() {
-                            // Finish the schedule iteration (downstream
-                            // actors still consume in-flight tokens), then
-                            // end the run — same wind-down as a dry source.
-                            stopping = true;
-                        }
-                    }
-                    if !actor.postfire(ctx)? {
-                        stopping = true;
-                    }
+                    let actor = workflow.node_mut(id).actor_mut();
+                    let fired = run.fire(id, actor, &mut contexts[a], staged, None, None)?;
+                    // A source refusing to fire means the stream is over.
+                    stopping |= (!fired.fired && workflow.node(id).is_source)
+                        || fired.alive == Some(false)
+                        || run.should_stop();
                 }
-            }
-            if stopping {
-                break 'run;
             }
         }
 
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Wrapup, self.clock.now());
+        run.phase(RunPhase::Close);
+        for &a in &schedule.order {
+            let id = crate::graph::ActorId(a);
+            let actor = workflow.node_mut(id).actor_mut();
+            run.finish_actor(id, actor, &mut contexts[a])?;
         }
-        for id in workflow.actor_ids() {
-            let ctx = &mut contexts[id.0];
-            ctx.set_now(self.clock.now());
-            workflow.node_mut(id).actor_mut().finish(ctx)?;
-            let (emissions, trigger) = ctx.take_emissions();
-            report.events_routed +=
-                fabric.route(id, emissions, trigger.as_ref(), self.clock.now())?;
-            workflow.node_mut(id).actor_mut().wrapup()?;
-            fabric.close_actor_outputs(id, self.clock.now())?;
-        }
-        report.elapsed = self.clock.now().since(started);
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::End, self.clock.now());
-        }
-        Ok(report)
+        run.wrapup(workflow)
     }
 
     fn instrument(&mut self, telemetry: Telemetry) -> bool {

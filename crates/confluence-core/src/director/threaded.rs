@@ -10,36 +10,30 @@
 //! The timeout of timed windows is handled by the waiting actor thread: it
 //! waits on its inbox only until the earliest window-formation deadline of
 //! its receivers, then forces the receivers to produce.
+//!
+//! The firing rule is "whenever the actor's own thread finds a window"
+//! (sources: whenever their timetable says). The firing step and the run
+//! lifecycle are [`super::firing`]'s.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::actor::Actor;
 use crate::checkpoint::QuiesceHook;
 use crate::error::{Error, Result};
 use crate::graph::{ActorId, Workflow};
 use crate::receiver::InboxPop;
-use crate::telemetry::{FireRecord, RunPhase, Telemetry};
-use crate::time::{Clock, SharedClock, Timestamp, WallClock};
+use crate::telemetry::{RunPhase, Telemetry};
+use crate::time::{SharedClock, Timestamp, WallClock};
 
-use super::{Director, Fabric, QueueContext, RunReport};
+use super::firing::{DrainWatch, Run};
+use super::{Director, QueueContext, RunReport};
 
 /// Longest uninterrupted block/sleep when a cooperative stop may be
 /// pending: actor threads re-check the stop flag at least this often.
 const STOP_POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-/// How long the fabric must stay drained (all inboxes empty, no progress)
-/// after a pause request before the quiesce monitor declares it settled.
-/// Long enough to cover a slow in-flight firing whose emissions are still
-/// coming; a firing longer than this merely delays the halt (the monitor
-/// re-arms when the emissions land).
-const QUIESCE_PATIENCE: Duration = Duration::from_millis(200);
-
-/// Hard ceiling on how long a pause request may take to settle before the
-/// run is abandoned with an error (an actor livelocked in `fire`, say).
-const QUIESCE_WATCHDOG: Duration = Duration::from_secs(30);
 
 /// One OS thread per actor; OS scheduling; blocking windowed reads.
 pub struct ThreadedDirector {
@@ -57,11 +51,7 @@ impl Default for ThreadedDirector {
 impl ThreadedDirector {
     /// A director on the wall clock (the normal mode).
     pub fn new() -> Self {
-        ThreadedDirector {
-            clock: Arc::new(WallClock::new()),
-            telemetry: None,
-            hook: None,
-        }
+        Self::with_clock(Arc::new(WallClock::new()))
     }
 
     /// A director on a caller-supplied clock (tests).
@@ -85,50 +75,33 @@ impl Drop for LiveGuard {
     }
 }
 
-struct ControllerOutcome {
-    actor: Box<dyn Actor>,
-    firings: u64,
-    routed: u64,
-    error: Option<Error>,
-}
-
 impl Director for ThreadedDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-        let fabric = Fabric::build_observed(workflow, observer)?;
+        let (run, contexts) = Run::open(
+            workflow,
+            self.telemetry.clone(),
+            self.hook.clone(),
+            self.clock.clone(),
+        )?;
         // PN semantics: bounded channels really block the writing actor
         // thread (cooperative directors leave this off).
-        fabric.set_blocking(true);
-        if let Some(hook) = &self.hook {
-            if let Some(state) = hook.take_restore() {
-                fabric.restore_state(state)?;
-            }
-        }
-        let fabric = Arc::new(fabric);
-        let started = self.clock.now();
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Start, started);
-        }
+        run.fabric.set_blocking(true);
+        let run = Arc::new(run);
         let halt = Arc::new(AtomicBool::new(false));
         let live = Arc::new(AtomicUsize::new(workflow.actor_count()));
         let mut handles = Vec::with_capacity(workflow.actor_count());
-        for id in workflow.actor_ids() {
+        for (id, ctx) in workflow.actor_ids().zip(contexts) {
             let node = workflow.node_mut(id);
             let actor = node.take_actor();
-            let name = node.name.clone();
             let is_source = node.is_source;
-            let n_inputs = node.signature.inputs.len();
-            let fabric = fabric.clone();
-            let clock = self.clock.clone();
-            let tele = self.telemetry.clone();
-            let hook = self.hook.clone();
+            let run = run.clone();
             let halt = halt.clone();
             let guard = LiveGuard(live.clone());
             let handle = thread::Builder::new()
-                .name(format!("cwf-{name}"))
+                .name(format!("cwf-{}", node.name))
                 .spawn(move || {
                     let _guard = guard;
-                    controller(id, actor, is_source, n_inputs, &fabric, &*clock, tele, hook, halt)
+                    controller(&run, id, actor, is_source, ctx, &halt)
                 })
                 .map_err(|e| Error::Director(format!("failed to spawn actor thread: {e}")))?;
             handles.push((id, handle));
@@ -136,72 +109,41 @@ impl Director for ThreadedDirector {
 
         // Quiesce monitor: when the hook requests a pause the sources park
         // themselves; this loop waits for the rest of the network to drain
-        // (all inboxes empty, progress counter frozen) and then halts the
-        // consumer threads at their next firing boundary.
-        let mut quiesce_error = None;
-        if let Some(hook) = self.hook.clone() {
-            let mut pause_seen: Option<Instant> = None;
-            let mut stable_since: Option<Instant> = None;
-            let mut last_progress = fabric.progress_counter();
-            while live.load(Ordering::SeqCst) > 0 {
-                if hook.pause_requested() {
-                    let pause_started = *pause_seen.get_or_insert_with(Instant::now);
-                    let progress = fabric.progress_counter();
-                    if progress == last_progress && fabric.inboxes_empty() {
-                        let since = *stable_since.get_or_insert_with(Instant::now);
-                        if since.elapsed() >= QUIESCE_PATIENCE {
-                            halt.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                    } else {
-                        last_progress = progress;
-                        stable_since = None;
-                    }
-                    if pause_started.elapsed() >= QUIESCE_WATCHDOG {
+        // and then halts the consumer threads at their next firing
+        // boundary.
+        let mut first_error = None;
+        let mut watch = DrainWatch::default();
+        while run.hook.is_some() && live.load(Ordering::SeqCst) > 0 {
+            if run.pause_requested() {
+                match watch.drained(&run.fabric, true) {
+                    Ok(false) => {}
+                    settled => {
                         halt.store(true, Ordering::SeqCst);
-                        quiesce_error = Some(Error::Checkpoint(
-                            "quiesce watchdog expired: the workflow did not drain to a \
-                             firing boundary"
-                                .into(),
-                        ));
+                        first_error = settled.err();
                         break;
                     }
                 }
-                thread::sleep(STOP_POLL_INTERVAL);
             }
+            thread::sleep(STOP_POLL_INTERVAL);
         }
 
-        let mut report = RunReport::default();
-        let mut first_error = None;
         for (id, handle) in handles {
-            let outcome = handle
+            let (actor, outcome) = handle
                 .join()
                 .map_err(|_| Error::Director(format!("actor thread {id} panicked")))?;
-            report.firings += outcome.firings;
-            report.events_routed += outcome.routed;
-            if first_error.is_none() {
-                first_error = outcome.error;
-            }
-            workflow.node_mut(id).return_actor(outcome.actor);
+            workflow.node_mut(id).return_actor(actor);
+            first_error = first_error.or(outcome.err());
         }
-        report.elapsed = self.clock.now().since(started);
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::End, self.clock.now());
-        }
-        if let Some(e) = quiesce_error {
+        if let Some(e) = first_error {
+            run.phase(RunPhase::End);
             return Err(e);
         }
-        if let (Some(hook), None) = (&self.hook, &first_error) {
-            if hook.pause_requested() {
-                // Every thread has joined: the fabric is exclusively ours,
-                // so the destructive capture is safe.
-                hook.deposit(fabric.capture_state());
-            }
+        if run.quiescing() {
+            // Every thread has joined and unstaged its own context: the
+            // fabric is exclusively ours, so the destructive capture is safe.
+            return Ok(run.quiesce(&mut []));
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        run.wrapup(workflow)
     }
 
     fn instrument(&mut self, telemetry: Telemetry) -> bool {
@@ -216,110 +158,48 @@ impl Director for ThreadedDirector {
 }
 
 /// The per-actor thread body: transitions the actor through its iteration
-/// phases, blocking on the inbox between firings.
-#[allow(clippy::too_many_arguments)]
+/// phases, blocking on the inbox between firings. Hands the actor back
+/// with the first error, if any.
 fn controller(
+    run: &Run,
     id: ActorId,
     mut actor: Box<dyn Actor>,
     is_source: bool,
-    n_inputs: usize,
-    fabric: &Fabric,
-    clock: &dyn Clock,
-    tele: Option<Telemetry>,
-    hook: Option<Arc<QuiesceHook>>,
-    halt: Arc<AtomicBool>,
-) -> ControllerOutcome {
-    let mut ctx = QueueContext::new(n_inputs);
-    if let Some(t) = &tele {
-        ctx.set_shed_observer(t.observer.clone(), id);
-    }
-    let mut firings = 0u64;
-    let mut routed = 0u64;
-    let should_stop = |tele: &Option<Telemetry>| tele.as_ref().is_some_and(|t| t.should_stop());
+    mut ctx: QueueContext,
+    halt: &AtomicBool,
+) -> (Box<dyn Actor>, Result<()>) {
     // Sources park the moment a pause lands; consumers keep draining until
     // the quiesce monitor confirms the network is quiet and sets `halt`.
-    let pausing = |hook: &Option<Arc<QuiesceHook>>| {
-        hook.as_ref().is_some_and(|h| h.pause_requested())
-    };
-    let bounded_waits = tele.is_some() || hook.is_some();
+    let parked = || run.should_stop() || run.pause_requested();
+    let bounded_waits = run.tele.is_some() || run.hook.is_some();
 
     let result = (|| -> Result<()> {
-        ctx.set_now(clock.now());
-        if !hook.as_ref().is_some_and(|h| h.resuming()) {
-            actor.initialize(&mut ctx)?;
-            let (init_emissions, _) = ctx.take_emissions();
-            routed += fabric.route(id, init_emissions, None, clock.now())?;
-        }
-
         if is_source {
-            loop {
-                if should_stop(&tele) || pausing(&hook) {
-                    break;
-                }
+            while !parked() {
                 // Pace by the source's timetable (wall-clock realization of
                 // event arrival times).
                 if let Some(arrival) = actor.next_arrival() {
-                    let now = clock.now();
-                    if arrival > now {
-                        let mut remaining = arrival.since(now).to_std();
-                        // Sleep in slices so a stop or pause request does
-                        // not have to wait out a long inter-arrival gap.
-                        while !remaining.is_zero() {
-                            if should_stop(&tele) || pausing(&hook) {
-                                break;
-                            }
-                            let slice = if bounded_waits {
-                                remaining.min(STOP_POLL_INTERVAL)
-                            } else {
-                                remaining
-                            };
-                            thread::sleep(slice);
-                            remaining = remaining.saturating_sub(slice);
-                        }
-                        if should_stop(&tele) || pausing(&hook) {
-                            break;
-                        }
+                    let mut remaining = arrival.since(run.clock.now()).to_std();
+                    // Sleep in slices so a stop or pause request does
+                    // not have to wait out a long inter-arrival gap.
+                    while !remaining.is_zero() && !parked() {
+                        let slice = if bounded_waits {
+                            remaining.min(STOP_POLL_INTERVAL)
+                        } else {
+                            remaining
+                        };
+                        thread::sleep(slice);
+                        remaining = remaining.saturating_sub(slice);
+                    }
+                    if parked() {
+                        break;
                     }
                 }
-                let fire_start = clock.now();
-                ctx.set_now(fire_start);
-                let mut emitted_any = false;
-                let mut fired = false;
-                let mut tokens_out = 0u64;
-                if actor.prefire(&mut ctx)? {
-                    if let Some(t) = &tele {
-                        t.observer.on_fire_start(id, fire_start);
-                    }
-                    actor.fire(&mut ctx)?;
-                    let (emissions, _) = ctx.take_emissions();
-                    emitted_any = !emissions.is_empty();
-                    tokens_out = emissions.len() as u64;
-                    fired = true;
-                    firings += 1;
-                    routed += fabric.route(id, emissions, None, clock.now())?;
-                    routed += fabric.route_expired(clock.now())?;
-                }
-                if fired {
-                    if let Some(t) = &tele {
-                        let ended = clock.now();
-                        t.observer.on_fire_end(&FireRecord {
-                            actor: id,
-                            started: fire_start,
-                            ended,
-                            busy: ended.since(fire_start),
-                            events_in: 0,
-                            tokens_out,
-                            origin: None,
-                            trigger: None,
-                            fired,
-                        });
-                        t.sample(ended);
-                    }
-                }
-                if !actor.postfire(&mut ctx)? {
+                let fired = run.fire(id, &mut *actor, &mut ctx, None, None, None)?;
+                if fired.alive == Some(false) {
                     break;
                 }
-                if !emitted_any
+                if fired.tokens_out == 0
                     && matches!(actor.next_arrival(), None | Some(Timestamp::ZERO))
                 {
                     // A source with nothing to say right now and no future
@@ -330,17 +210,12 @@ fn controller(
                 }
             }
         } else {
-            let inbox = fabric.inbox(id).clone();
-            loop {
-                if should_stop(&tele) || halt.load(Ordering::SeqCst) {
-                    break;
-                }
-                let now = clock.now();
-                let mut timeout = fabric
-                    .receivers(id)
-                    .iter()
-                    .filter_map(|r| r.next_deadline())
-                    .min()
+            let inbox = run.fabric.inbox(id).clone();
+            while !run.should_stop() && !halt.load(Ordering::SeqCst) {
+                let now = run.clock.now();
+                let mut timeout = run
+                    .fabric
+                    .actor_deadline(id)
                     .map(|deadline| deadline.since(now).to_std());
                 if bounded_waits {
                     // Bound the block so a stop request is noticed promptly.
@@ -348,106 +223,38 @@ fn controller(
                 }
                 match inbox.pop_blocking(timeout) {
                     InboxPop::Window(port, window) => {
-                        let fire_start = clock.now();
-                        ctx.set_now(fire_start);
-                        if fabric.wants_event_hooks() {
-                            if let Some(t) = &tele {
-                                t.observer.on_dequeue(
-                                    id,
-                                    port,
-                                    window.trigger_wave(),
-                                    window.formed_at,
-                                    fire_start,
-                                );
-                            }
-                        }
-                        ctx.deliver(port, window);
-                        let mut fired = false;
-                        let mut events_in = 0u64;
-                        let mut tokens_out = 0u64;
-                        let mut origin = None;
-                        let mut trigger_tag = None;
-                        // Fire telemetry mirrors the source branch: a
-                        // prefire refusal reports neither a start nor a
-                        // record, so busy-time stats agree across paths.
-                        if actor.prefire(&mut ctx)? {
-                            if let Some(t) = &tele {
-                                t.observer.on_fire_start(id, fire_start);
-                            }
-                            actor.fire(&mut ctx)?;
-                            events_in = ctx.consumed_events;
-                            let (emissions, trigger) = ctx.take_emissions();
-                            tokens_out = emissions.len() as u64;
-                            origin = trigger.as_ref().map(|w| w.origin());
-                            fired = true;
-                            firings += 1;
-                            routed +=
-                                fabric.route(id, emissions, trigger.as_ref(), clock.now())?;
-                            routed += fabric.route_expired(clock.now())?;
-                            trigger_tag = trigger;
-                        }
-                        if fired {
-                            if let Some(t) = &tele {
-                                let ended = clock.now();
-                                t.observer.on_fire_end(&FireRecord {
-                                    actor: id,
-                                    started: fire_start,
-                                    ended,
-                                    busy: ended.since(fire_start),
-                                    events_in,
-                                    tokens_out,
-                                    origin,
-                                    trigger: trigger_tag,
-                                    fired,
-                                });
-                                t.sample(ended);
-                            }
-                        }
-                        if !actor.postfire(&mut ctx)? {
+                        let input = Some((port, window));
+                        let fired = run.fire(id, &mut *actor, &mut ctx, input, None, None)?;
+                        if fired.alive == Some(false) {
                             break;
                         }
                     }
-                    InboxPop::TimedOut => {
-                        // A window-formation deadline passed: force the
-                        // receivers to evaluate their window semantics.
-                        let now = clock.now();
-                        fabric.poll_actor(id, now);
-                        let _ = fabric.route_expired(now)?;
-                    }
+                    // A window-formation deadline passed: force the
+                    // receivers to evaluate their window semantics.
+                    InboxPop::TimedOut => run.poll(Some(id), run.clock.now())?,
                     InboxPop::Closed => break,
                 }
             }
         }
-        if pausing(&hook) && !should_stop(&tele) {
-            // Quiescing: hand any staged-but-unconsumed windows back so the
-            // checkpoint capture sees them, and skip the end-of-stream
-            // tail entirely — the actor will resume, not finish.
-            let staged = ctx.take_staged();
-            fabric.inbox(id).push_front_batch(staged);
-            return Ok(());
-        }
-        // Inputs drained (or stream ended): the actor's final chance to
-        // emit while its outputs are still open.
-        ctx.set_now(clock.now());
-        actor.finish(&mut ctx)?;
-        let (finish_emissions, trigger) = ctx.take_emissions();
-        routed += fabric.route(id, finish_emissions, trigger.as_ref(), clock.now())?;
-        routed += fabric.route_expired(clock.now())?;
-        actor.wrapup()
+        Ok(())
     })();
-
-    let quiescing = result.is_ok() && pausing(&hook) && !should_stop(&tele);
-    let close_error = if quiescing {
-        None
-    } else {
-        fabric.close_actor_outputs(id, clock.now()).err()
+    let result = match result {
+        // The actor will resume, not finish: skip the end-of-stream tail
+        // and leave the outputs open.
+        Ok(()) if run.quiescing() => {
+            run.unstage(id, &mut ctx);
+            Ok(())
+        }
+        // Inputs drained (or stream ended).
+        Ok(()) => run.finish_actor(id, &mut *actor, &mut ctx),
+        // A failed actor skips `finish`, but its outputs still close so
+        // downstream threads terminate.
+        Err(e) => {
+            let _ = run.fabric.close_actor_outputs(id, run.clock.now());
+            Err(e)
+        }
     };
-    ControllerOutcome {
-        actor,
-        firings,
-        routed,
-        error: result.err().or(close_error),
-    }
+    (actor, result)
 }
 
 #[cfg(test)]

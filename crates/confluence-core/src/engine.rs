@@ -343,8 +343,8 @@ pub struct Engine {
     quiet_observers: Vec<Arc<dyn Observer>>,
     recorder: Arc<MetricsRecorder>,
     instrumented: bool,
-    /// Pool configuration memo: `with_workers`/`with_pool_policy` compose
-    /// (either order) by rebuilding one `PoolDirector` from both fields.
+    /// Pool configuration memo: successive [`Engine::configure`] calls
+    /// compose by rebuilding one `PoolDirector` from these fields.
     /// Cleared when an explicit director is installed.
     pool_workers: Option<usize>,
     pool_policy: Option<Arc<dyn PoolPolicy>>,
@@ -419,9 +419,7 @@ impl Engine {
     }
 
     /// Apply a declarative [`ExecConfig`] in one step: worker count, pool
-    /// scheduling policy, and the workflow-wide channel policy. This is
-    /// the preferred configuration path; the individual `with_*` methods
-    /// below are thin wrappers kept for compatibility.
+    /// scheduling policy, and the workflow-wide channel policy.
     pub fn configure(mut self, config: ExecConfig) -> RunHandle {
         if let Some(policy) = config.channel_policy {
             self.workflow.set_default_channel_policy(policy);
@@ -474,37 +472,6 @@ impl Engine {
             self.ops = Some(server);
         }
         self
-    }
-
-    /// Execute on the pooled work-stealing director with `workers` worker
-    /// threads. Composes with [`Engine::with_pool_policy`] in either
-    /// order.
-    ///
-    /// Deprecated in favor of [`Engine::configure`] with
-    /// [`ExecConfig::workers`].
-    pub fn with_workers(self, workers: usize) -> RunHandle {
-        self.configure(ExecConfig::new().workers(workers))
-    }
-
-    /// Execute on the pooled work-stealing director with its ready queues
-    /// ordered by `policy` (see
-    /// [`pool_policy`](crate::director::pool_policy): FIFO, Rate-Based,
-    /// EDF on wave origins, or stride-scheduled quantum allotments).
-    /// Composes with [`Engine::with_workers`] in either order.
-    ///
-    /// Deprecated in favor of [`Engine::configure`] with
-    /// [`ExecConfig::pool_policy`].
-    pub fn with_pool_policy(self, policy: impl PoolPolicy + 'static) -> RunHandle {
-        self.configure(ExecConfig::new().pool_policy(policy))
-    }
-
-    /// Shared-handle variant of [`Engine::with_pool_policy`], for policies
-    /// chosen at runtime.
-    ///
-    /// Deprecated in favor of [`Engine::configure`] with
-    /// [`ExecConfig::pool_policy_arc`].
-    pub fn with_pool_policy_arc(self, policy: Arc<dyn PoolPolicy>) -> RunHandle {
-        self.configure(ExecConfig::new().pool_policy_arc(policy))
     }
 
     /// Reinstall the pool director from the worker/policy/adaptive memo.
@@ -563,18 +530,6 @@ impl Engine {
     /// [`Engine::with_tracer`]).
     pub fn trace_report(&self) -> Option<TraceReport> {
         self.tracer.as_ref().map(|t| t.report())
-    }
-
-    /// Set the workflow-wide channel capacity policy (bounded queues with
-    /// backpressure). Ports given an explicit policy through
-    /// [`WorkflowBuilder::set_channel_policy`]
-    /// (crate::graph::WorkflowBuilder::set_channel_policy) keep their
-    /// override.
-    ///
-    /// Deprecated in favor of [`Engine::configure`] with
-    /// [`ExecConfig::channel_policy`].
-    pub fn with_channel_policy(self, policy: ChannelPolicy) -> RunHandle {
-        self.configure(ExecConfig::new().channel_policy(policy))
     }
 
     /// The metrics recorder backing [`Engine::snapshot`].

@@ -202,7 +202,10 @@ pub trait Observer: Send + Sync {
         let _ = (phase, at);
     }
 
-    /// An actor is about to attempt a firing.
+    /// An actor is about to attempt a firing: reported before every
+    /// `prefire` call, under every director, and always followed by exactly
+    /// one [`Observer::on_fire_end`] for the same actor — a refused
+    /// `prefire` ends with `fired: false`, so attempts count refusals.
     fn on_fire_start(&self, actor: ActorId, at: Timestamp) {
         let _ = (actor, at);
     }

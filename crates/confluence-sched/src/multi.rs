@@ -55,7 +55,7 @@ impl WorkflowManager {
     }
 
     /// The instance's cumulative run report.
-    pub fn report(&self) -> &RunReport {
+    pub fn report(&self) -> RunReport {
         self.core.report()
     }
 

@@ -23,16 +23,22 @@
 //! the multi-workflow manager ([`crate::multi`]) interleaves several cores
 //! on one shared clock with per-slice budgets (the paper's two-level
 //! scheduling design, §5).
+//!
+//! What is written here is the firing rule — the policy's `next_actor()`
+//! over per-actor ready queues — and SCWF's time rule, the [`CostModel`]
+//! charge. The firing step itself and the run lifecycle are
+//! `confluence_core::director::firing`'s.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use confluence_core::director::ddf::quasi_topological;
+use confluence_core::director::firing::{Charge, Run};
 use confluence_core::director::{Director, Fabric, QueueContext, RunReport};
 use confluence_core::error::Result;
 use confluence_core::graph::{ActorId, Workflow};
-use confluence_core::telemetry::{FireRecord, RunPhase, Telemetry};
-use confluence_core::time::{Clock, Micros, Timestamp, VirtualClock, WallClock};
+use confluence_core::telemetry::{RunPhase, Telemetry};
+use confluence_core::time::{Clock, Micros, SharedClock, Timestamp, VirtualClock, WallClock};
 use confluence_core::window::Window;
 
 use crate::cost::CostModel;
@@ -57,6 +63,13 @@ pub enum TimeMode {
 }
 
 impl TimeMode {
+    fn clock(&self) -> SharedClock {
+        match self {
+            TimeMode::Virtual { clock, .. } => clock.clone(),
+            TimeMode::Real { clock } => clock.clone(),
+        }
+    }
+
     fn now(&self) -> Timestamp {
         match self {
             TimeMode::Virtual { clock, .. } => clock.now(),
@@ -92,22 +105,27 @@ pub struct ScwfCore {
     pub deadline: Option<Timestamp>,
     // Execution state (built on first use).
     state: Option<ExecState>,
-    report: RunReport,
-    started: Option<Timestamp>,
     telemetry: Option<Telemetry>,
     hook: Option<Arc<confluence_core::checkpoint::QuiesceHook>>,
 }
 
 struct ExecState {
-    fabric: Fabric,
+    /// The shared run; its fabric lives across checkpoint segments.
+    run: Run,
     stats: StatsModule,
+    /// Actor names, for the cost model.
+    names: Vec<String>,
     queues: Vec<VecDeque<(usize, Window)>>,
     contexts: Vec<QueueContext>,
     source_ids: Vec<usize>,
     source_exhausted: Vec<bool>,
     topo: Vec<ActorId>,
     closed: bool,
-    wrapped_up: bool,
+    /// The last slice ended in a checkpoint capture: the next one begins
+    /// a new segment on the same fabric.
+    paused: bool,
+    /// The final report, once the actors are wrapped up.
+    finished: Option<RunReport>,
 }
 
 impl ScwfCore {
@@ -123,8 +141,6 @@ impl ScwfCore {
             scheduler_overhead: Micros::ZERO,
             deadline: None,
             state: None,
-            report: RunReport::default(),
-            started: None,
             telemetry: None,
             hook: None,
         }
@@ -140,8 +156,6 @@ impl ScwfCore {
             scheduler_overhead: Micros::ZERO,
             deadline: None,
             state: None,
-            report: RunReport::default(),
-            started: None,
             telemetry: None,
             hook: None,
         }
@@ -153,8 +167,8 @@ impl ScwfCore {
         self.hook = Some(hook);
     }
 
-    /// Attach telemetry. Call before the first slice so the fabric is
-    /// built observed; firing hooks always flow regardless.
+    /// Attach telemetry. It takes effect when the next segment begins
+    /// (the first slice, or the one after a checkpoint pause).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -181,78 +195,63 @@ impl ScwfCore {
     /// The communication fabric (None before the first slice): what the
     /// receivers and inboxes hold right now.
     pub fn fabric(&self) -> Option<&Fabric> {
-        self.state.as_ref().map(|s| &s.fabric)
+        self.state.as_ref().map(|s| &s.run.fabric)
     }
 
-    /// The cumulative run report.
-    pub fn report(&self) -> &RunReport {
-        &self.report
+    /// The run report: cumulative over slices, per checkpoint segment.
+    pub fn report(&self) -> RunReport {
+        match &self.state {
+            Some(st) => st.finished.clone().unwrap_or_else(|| st.run.report()),
+            None => RunReport::default(),
+        }
     }
 
-    /// Build the execution state on the first slice; says whether it did.
-    fn ensure_init(&mut self, workflow: &mut Workflow) -> Result<bool> {
-        if self.state.is_some() {
-            return Ok(false);
-        }
-        self.started = Some(self.now());
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Start, self.now());
-        }
-        let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-        let fabric = Fabric::build_observed(workflow, observer)?;
-        let stats = StatsModule::new(workflow);
-        let n = workflow.actor_count();
-        let queues: Vec<VecDeque<(usize, Window)>> = (0..n).map(|_| VecDeque::new()).collect();
-        let mut contexts: Vec<QueueContext> = workflow
-            .actor_ids()
-            .map(|id| {
-                let mut ctx = QueueContext::new(workflow.node(id).signature.inputs.len());
-                if let Some(t) = &self.telemetry {
-                    ctx.set_shed_observer(t.observer.clone(), id);
-                }
-                ctx
-            })
-            .collect();
-        let infos: Vec<ActorInfo> = workflow
-            .actor_ids()
-            .map(|id| {
-                let node = workflow.node(id);
-                ActorInfo {
-                    index: id.index(),
-                    name: node.name.clone(),
-                    priority: node.priority,
-                    is_source: node.is_source,
-                }
-            })
-            .collect();
-        self.policy.init(&infos);
-        let source_ids: Vec<usize> = workflow.sources().iter().map(|i| i.index()).collect();
-        let source_exhausted = vec![false; n];
-        // Skip initialization when resuming from a checkpoint: restored
-        // actor state already reflects a past initialization.
-        if !self.hook.as_ref().is_some_and(|h| h.resuming()) {
-            for id in workflow.actor_ids() {
-                let ctx = &mut contexts[id.index()];
-                ctx.set_now(self.now());
-                workflow.node_mut(id).actor_mut().initialize(ctx)?;
-                let (emissions, _) = ctx.take_emissions();
-                self.report.events_routed += fabric.route(id, emissions, None, self.now())?;
+    /// Open the run (first slice) or begin the next checkpoint segment on
+    /// its fabric (first slice after a pause).
+    fn ensure_open(&mut self, workflow: &mut Workflow) -> Result<()> {
+        match &mut self.state {
+            Some(st) if st.paused => {
+                st.paused = false;
+                st.contexts = st.run.begin(workflow, self.telemetry.clone())?;
+            }
+            Some(_) => {}
+            None => {
+                let (run, contexts) = Run::open(
+                    workflow,
+                    self.telemetry.clone(),
+                    self.hook.clone(),
+                    self.mode.clock(),
+                )?;
+                let infos: Vec<ActorInfo> = workflow
+                    .actor_ids()
+                    .map(|id| {
+                        let node = workflow.node(id);
+                        ActorInfo {
+                            index: id.index(),
+                            name: node.name.clone(),
+                            priority: node.priority,
+                            is_source: node.is_source,
+                        }
+                    })
+                    .collect();
+                self.policy.init(&infos);
+                let n = workflow.actor_count();
+                self.state = Some(ExecState {
+                    run,
+                    stats: StatsModule::new(workflow),
+                    names: infos.into_iter().map(|i| i.name).collect(),
+                    queues: (0..n).map(|_| VecDeque::new()).collect(),
+                    contexts,
+                    source_ids: workflow.sources().iter().map(|i| i.index()).collect(),
+                    source_exhausted: vec![false; n],
+                    topo: quasi_topological(workflow),
+                    closed: false,
+                    paused: false,
+                    finished: None,
+                });
             }
         }
-        let topo = quasi_topological(workflow);
-        self.state = Some(ExecState {
-            fabric,
-            stats,
-            queues,
-            contexts,
-            source_ids,
-            source_exhausted,
-            topo,
-            closed: false,
-            wrapped_up: false,
-        });
-        self.sync_external(workflow);
-        Ok(true)
+        Ok(())
     }
 
     /// Drain receiver inboxes into the per-actor ready queues and refresh
@@ -260,10 +259,8 @@ impl ScwfCore {
     /// windows or advanced time.
     fn sync_external(&mut self, workflow: &Workflow) {
         let st = self.state.as_mut().expect("initialized");
-        // Expired-items queues feed their handler activities (if any).
-        let _ = st.fabric.route_expired(self.mode.now());
         for i in 0..st.queues.len() {
-            let inbox = st.fabric.inbox(ActorId(i));
+            let inbox = st.run.fabric.inbox(ActorId(i));
             while let Some((port, w)) = inbox.try_pop() {
                 let origin = w.earliest_origin().unwrap_or(Timestamp::ZERO);
                 st.queues[i].push_back((port, w));
@@ -292,27 +289,12 @@ impl ScwfCore {
     /// Run until quiescence, completion, or (if given) until `budget`
     /// microseconds of cost have been charged in this slice.
     pub fn run_for(&mut self, workflow: &mut Workflow, budget: Option<Micros>) -> Result<Progress> {
-        let built = self.ensure_init(workflow)?;
-        if let Some(restored) = self.hook.as_ref().and_then(|h| h.take_restore()) {
-            let st = self.state.as_mut().expect("initialized");
-            if !built {
-                // The fabric outlived a checkpoint segment and this is the
-                // start of the next: that segment's observers take over
-                // the fabric and are told it has started, as under a
-                // director that builds a fabric per segment.
-                let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-                st.fabric.observe(workflow, observer.clone());
-                if let Some(obs) = observer {
-                    obs.on_run_phase(RunPhase::Start, self.mode.now());
-                }
-            }
-            st.fabric.restore_state(restored)?;
-        }
+        self.ensure_open(workflow)?;
         let mut spent = Micros::ZERO;
         self.sync_external(workflow);
         loop {
             if self.paused() {
-                self.quiesce_capture(workflow);
+                self.quiesce_capture();
                 return Ok(Progress::Paused);
             }
             let mut fired_in_iteration = false;
@@ -324,11 +306,9 @@ impl ScwfCore {
                 // Post-firing housekeeping: drain, readiness, timeouts.
                 self.sync_external(workflow);
                 let now = self.mode.now();
-                {
-                    let st = self.state.as_mut().expect("initialized");
-                    if st.fabric.next_deadline().is_some_and(|d| d <= now) {
-                        st.fabric.poll_all(now);
-                    }
+                let st = self.state.as_mut().expect("initialized");
+                if st.run.fabric.next_deadline().is_some_and(|d| d <= now) {
+                    st.run.poll(None, now)?;
                 }
                 self.sync_external(workflow);
                 let st = self.state.as_mut().expect("initialized");
@@ -348,7 +328,7 @@ impl ScwfCore {
                     return Ok(Progress::Finished);
                 }
                 if self.paused() {
-                    self.quiesce_capture(workflow);
+                    self.quiesce_capture();
                     return Ok(Progress::Paused);
                 }
                 if let Some(b) = budget {
@@ -379,7 +359,7 @@ impl ScwfCore {
                         .and_then(|a| a.next_arrival())
                 })
                 .min();
-            let next_deadline = st.fabric.next_deadline();
+            let next_deadline = st.run.fabric.next_deadline();
             let wake = match (next_arrival, next_deadline) {
                 (Some(a), Some(d)) => Some(a.min(d)),
                 (x, None) => x,
@@ -391,9 +371,7 @@ impl ScwfCore {
             let st = self.state.as_mut().expect("initialized");
             if !st.closed {
                 st.closed = true;
-                if let Some(t) = &self.telemetry {
-                    t.observer.on_run_phase(RunPhase::Close, self.mode.now());
-                }
+                st.run.phase(RunPhase::Close);
                 // Close upstream-first, one actor at a time: drain any
                 // windows flushed by earlier closes, give the actor its
                 // final chance to emit (outputs still open), then close.
@@ -407,15 +385,9 @@ impl ScwfCore {
                         }
                         self.fire_one(workflow, id.0)?;
                     }
-                    let now = self.mode.now();
                     let st = self.state.as_mut().expect("initialized");
-                    let ctx = &mut st.contexts[id.0];
-                    ctx.set_now(now);
-                    workflow.node_mut(id).actor_mut().finish(ctx)?;
-                    let (emissions, trigger) = ctx.take_emissions();
-                    self.report.events_routed +=
-                        st.fabric.route(id, emissions, trigger.as_ref(), now)?;
-                    st.fabric.close_actor_outputs(id, now)?;
+                    let actor = workflow.node_mut(id).actor_mut();
+                    st.run.finish_actor(id, actor, &mut st.contexts[id.0])?;
                 }
                 self.sync_external(workflow);
                 continue;
@@ -427,7 +399,7 @@ impl ScwfCore {
 
     /// Notify the core that its clock was advanced externally (or sleep to
     /// `t` in real mode): window timeouts are evaluated and sources
-    /// refreshed.
+    /// refreshed. (What the timeouts expire is routed by the next firing.)
     pub fn advance_to(&mut self, workflow: &Workflow, t: Timestamp) {
         match &self.mode {
             TimeMode::Virtual { clock, .. } => clock.advance_to(t),
@@ -438,147 +410,75 @@ impl ScwfCore {
                 }
             }
         }
-        if self.state.is_some() {
-            let now = self.mode.now();
-            {
-                let st = self.state.as_mut().expect("checked");
-                st.fabric.poll_all(now);
-            }
+        if let Some(st) = &self.state {
+            st.run.fabric.poll_all(self.mode.now());
             self.sync_external(workflow);
         }
     }
 
     fn paused(&self) -> bool {
-        self.hook.as_ref().is_some_and(|h| h.pause_requested()) && !self.should_stop()
+        self.state.as_ref().is_some_and(|st| st.run.quiescing())
     }
 
     /// Honour a checkpoint pause: push ready-queue and context-staged
     /// windows back into the fabric inboxes (oldest first) and deposit the
     /// captured fabric state on the quiesce hook.
-    fn quiesce_capture(&mut self, _workflow: &Workflow) {
+    fn quiesce_capture(&mut self) {
         let st = self.state.as_mut().expect("initialized");
-        for i in 0..st.queues.len() {
-            let queued: Vec<(usize, Window)> = st.queues[i].drain(..).collect();
-            let staged = st.contexts[i].take_staged();
+        for (i, queue) in st.queues.iter_mut().enumerate() {
             // Ready-queue windows sit behind any window already delivered
-            // to the actor's context but not yet consumed.
-            st.fabric.inbox(ActorId(i)).push_front_batch(queued);
-            st.fabric.inbox(ActorId(i)).push_front_batch(staged);
+            // to the actor's context but not yet consumed, which the
+            // shared quiesce pushes in front of them.
+            let queued = queue.drain(..).collect();
+            st.run.fabric.inbox(ActorId(i)).push_front_batch(queued);
         }
-        if let Some(hook) = &self.hook {
-            hook.deposit(st.fabric.capture_state());
-        }
+        st.run.quiesce(&mut st.contexts);
+        st.paused = true;
     }
 
     /// Fire one actor; returns its cost, or `None` if the firing was
     /// skipped (prefire false / nothing queued).
     fn fire_one(&mut self, workflow: &mut Workflow, a: usize) -> Result<Option<Micros>> {
         let id = ActorId(a);
-        let is_source = workflow.node(id).is_source;
-        let fire_start = self.mode.now();
         let st = self.state.as_mut().expect("initialized");
-        let ctx = &mut st.contexts[a];
-        ctx.set_now(fire_start);
-        if !is_source {
+        let input = if workflow.node(id).is_source {
+            None
+        } else {
             match st.queues[a].pop_front() {
-                Some((port, w)) => {
-                    if st.fabric.wants_event_hooks() {
-                        if let Some(t) = &self.telemetry {
-                            t.observer
-                                .on_dequeue(id, port, w.trigger_wave(), w.formed_at, fire_start);
-                        }
-                    }
-                    ctx.deliver(port, w)
-                }
+                Some(input) => Some(input),
                 None => return Ok(None),
             }
-        }
-        if let Some(t) = &self.telemetry {
-            t.observer.on_fire_start(id, fire_start);
-        }
-        let fired = {
-            let actor = workflow.node_mut(id).actor_mut();
-            if actor.prefire(ctx)? {
-                actor.fire(ctx)?;
-                true
-            } else {
-                false
-            }
         };
-        let ctx = &mut st.contexts[a];
-        let consumed = ctx.consumed_events;
-        let (emissions, trigger) = ctx.take_emissions();
-        let produced = emissions.len() as u64;
-        let origin = trigger.as_ref().map(|w| w.origin());
-        let cost = if fired {
-            match &self.mode {
-                TimeMode::Virtual { clock, cost } => {
-                    let c = cost.firing_cost(a, &workflow.node(id).name, consumed, produced)
-                        + self.scheduler_overhead;
+        // The time rule: in virtual mode the cost model's charge (plus the
+        // scheduling overhead) advances the clock; in real mode the firing
+        // is timed on the wall clock like any other director's.
+        let (name, overhead) = (&st.names[a], self.scheduler_overhead);
+        let mut charged;
+        let charge: Option<Charge<'_>> = match &self.mode {
+            TimeMode::Virtual { clock, cost } => {
+                charged = move |consumed, produced| {
+                    let c = cost.firing_cost(a, name, consumed, produced) + overhead;
                     clock.advance(c);
                     c
-                }
-                TimeMode::Real { clock } => clock.now().since(fire_start),
+                };
+                Some(&mut charged)
             }
-        } else {
-            Micros::ZERO
+            TimeMode::Real { .. } => None,
         };
-        if fired {
-            self.report.firings += 1;
-            st.stats.record_firing(a, cost, consumed, produced, fire_start);
+        let actor = workflow.node_mut(id).actor_mut();
+        let fired = st.run.fire(id, actor, &mut st.contexts[a], input, charge, None)?;
+        if !fired.fired {
+            return Ok(None);
         }
-        // External events are stamped at the source's firing start — that
-        // is when they entered the workflow; the firing cost that follows
-        // is the first component of their response time. Derived events
-        // are stamped at production (firing completion).
-        let (parent, stamp_at) = if is_source {
-            (None, fire_start)
-        } else {
-            (trigger, self.mode.now())
-        };
-        self.report.events_routed += st.fabric.route(id, emissions, parent.as_ref(), stamp_at)?;
-        if let Some(t) = &self.telemetry {
-            let ended = self.mode.now();
-            t.observer.on_fire_end(&FireRecord {
-                actor: id,
-                started: fire_start,
-                ended,
-                busy: cost,
-                events_in: consumed,
-                tokens_out: produced,
-                origin,
-                trigger: parent,
-                fired,
-            });
-            // Sampling keys on the director clock — virtual under
-            // `TimeMode::Virtual`, so sampled series are deterministic.
-            t.sample(ended);
-        }
-        {
-            let actor = workflow.node_mut(id).actor_mut();
-            let ctx = &mut st.contexts[a];
-            let _ = actor.postfire(ctx)?;
-        }
-        Ok(if fired { Some(cost) } else { None })
+        st.stats
+            .record_firing(a, fired.busy, fired.events_in, fired.tokens_out, fired.started);
+        Ok(Some(fired.busy))
     }
 
     fn finish(&mut self, workflow: &mut Workflow) -> Result<()> {
         let st = self.state.as_mut().expect("initialized");
-        if st.wrapped_up {
-            return Ok(());
-        }
-        st.wrapped_up = true;
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Wrapup, self.mode.now());
-        }
-        for id in workflow.actor_ids() {
-            workflow.node_mut(id).actor_mut().wrapup()?;
-        }
-        if let Some(started) = self.started {
-            self.report.elapsed = self.mode.now().since(started);
-        }
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::End, self.mode.now());
+        if st.finished.is_none() {
+            st.finished = Some(st.run.wrapup(workflow)?);
         }
         Ok(())
     }
@@ -667,7 +567,7 @@ impl Director for ScwfDirector {
                 Progress::BudgetExhausted => unreachable!("no budget given"),
             }
         }
-        Ok(self.core.report().clone())
+        Ok(self.core.report())
     }
 
     fn instrument(&mut self, telemetry: Telemetry) -> bool {

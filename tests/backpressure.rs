@@ -18,7 +18,7 @@ use confluence::core::error::{Error, Result};
 use confluence::core::graph::WorkflowBuilder;
 use confluence::core::token::Token;
 use confluence::core::window::WindowSpec;
-use confluence::prelude::{ChannelPolicy, Engine};
+use confluence::prelude::{ChannelPolicy, Engine, ExecConfig};
 
 /// Sink that dwells on every window, forcing upstream backlog.
 struct SlowSink {
@@ -133,8 +133,8 @@ fn block_policy_bounds_backlog() {
         },
     );
     b.chain(&[s, k]).unwrap();
-    let mut engine =
-        Engine::new(b.build().unwrap()).with_channel_policy(ChannelPolicy::block(CAP));
+    let mut engine = Engine::new(b.build().unwrap())
+        .configure(ExecConfig::new().channel_policy(ChannelPolicy::block(CAP)));
     engine.run().unwrap();
 
     assert_eq!(seen.load(Ordering::Relaxed), N as u64, "Block loses nothing");

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use confluence::core::actors::{Collector, VecSource};
 use confluence::core::graph::WorkflowBuilder;
 use confluence::core::token::Token;
-use confluence::prelude::{Engine, OldestWave, PoolPolicy, Quantum, RateBased};
+use confluence::prelude::{Engine, ExecConfig, OldestWave, PoolPolicy, Quantum, RateBased};
 use confluence_bench::runner::{run_linear_road_realtime_policy, RealtimePolicy};
 use confluence_linearroad::{Workload, WorkloadConfig};
 
@@ -89,8 +89,7 @@ fn run_two_priority_fanout(policy: Arc<dyn PoolPolicy>) -> (Vec<Token>, Vec<Toke
     b.set_priority(h, 5);
     b.set_priority(c, 39);
     let mut e = Engine::new(b.build().unwrap())
-        .with_workers(1)
-        .with_pool_policy_arc(policy);
+        .configure(ExecConfig::new().workers(1).pool_policy_arc(policy));
     e.run().unwrap();
     (hot.tokens(), cold.tokens())
 }

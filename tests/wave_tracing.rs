@@ -13,7 +13,7 @@ use confluence::core::director::ddf::DdfDirector;
 use confluence::core::director::de::DeDirector;
 use confluence::core::director::sdf::SdfDirector;
 use confluence::core::director::threaded::ThreadedDirector;
-use confluence::core::engine::Engine;
+use confluence::core::engine::{Engine, ExecConfig};
 use confluence::core::error::Result;
 use confluence::core::graph::{Workflow, WorkflowBuilder};
 use confluence::core::telemetry::{TraceConfig, TraceReport, Tracer};
@@ -164,7 +164,7 @@ fn trace_structure_is_director_independent() {
         (
             "pool",
             traced_run(fanout_pipeline(1, 1_000), TraceConfig::default(), |e| {
-                e.with_workers(2)
+                e.configure(ExecConfig::new().workers(2))
             }),
         ),
         (
