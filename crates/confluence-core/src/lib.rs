@@ -32,6 +32,7 @@ pub mod testing;
 pub mod error;
 pub mod event;
 pub mod graph;
+pub mod postable;
 pub mod receiver;
 pub mod shard;
 pub mod spec;

@@ -1,12 +1,12 @@
 //! A hash table of `u32` ids that owns no keys.
 //!
-//! An index entry is a row position (or the id of a bucket of positions);
-//! the key it stands for is read out of the row it points at, so the table
-//! stores eight bytes per slot whatever the key's width. Callers pass the
-//! key's hash and an equality closure over ids — the table never sees a
-//! key. Each slot keeps the upper half of the hash beside the id: a probe
-//! reads a row only on a 32-bit match, and growing or deleting needs no
-//! row at all.
+//! An entry is a position: a relstore row (or the id of a bucket of rows),
+//! a window operator's group. The key it stands for is read out of what it
+//! points at, so the table stores eight bytes per slot whatever the key's
+//! width. Callers pass the key's hash and an equality closure over ids —
+//! the table never sees a key. Each slot keeps the upper half of the hash
+//! beside the id: a probe reads what an id points at only on a 32-bit
+//! match, and growing or deleting reads nothing at all.
 
 use std::hash::Hasher;
 
@@ -16,19 +16,28 @@ const EMPTY: u64 = u64::MAX;
 /// Deletion shifts the rest of the cluster back, so there are no
 /// tombstones and a delete-heavy table never grows.
 #[derive(Debug, Default)]
-pub(crate) struct PosTable {
+pub struct PosTable {
     /// Empty (nothing allocated) or a power of two, at most 3/4 full.
     slots: Vec<u64>,
     len: usize,
 }
 
 impl PosTable {
-    pub(crate) fn len(&self) -> usize {
+    /// Ids held.
+    #[inline]
+    pub fn len(&self) -> usize {
         self.len
     }
 
+    /// Whether no id is held.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
     /// Forget every id; the slots stay allocated for the refill.
-    pub(crate) fn clear(&mut self) {
+    #[inline]
+    pub fn clear(&mut self) {
         self.slots.fill(EMPTY);
         self.len = 0;
     }
@@ -53,10 +62,11 @@ impl PosTable {
     }
 
     /// The id with this hash that `eq` accepts.
-    pub(crate) fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
         self.slot_of(hash, eq).map(|i| self.slots[i] as u32)
     }
 
+    #[inline]
     fn place(slots: &mut [u64], entry: u64) {
         let mask = slots.len() - 1;
         let mut i = (entry >> 32) as usize & mask;
@@ -67,7 +77,8 @@ impl PosTable {
     }
 
     /// Add an id the table does not hold. `u32::MAX` is not an id.
-    pub(crate) fn insert(&mut self, hash: u64, id: u32) {
+    #[inline]
+    pub fn insert(&mut self, hash: u64, id: u32) {
         debug_assert_ne!(id, u32::MAX);
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             let doubled = vec![EMPTY; (self.slots.len() * 2).max(8)];
@@ -82,7 +93,8 @@ impl PosTable {
     }
 
     /// Remove exactly this id; `false` when it is not there.
-    pub(crate) fn remove(&mut self, hash: u64, id: u32) -> bool {
+    #[inline]
+    pub fn remove(&mut self, hash: u64, id: u32) -> bool {
         let Some(mut hole) = self.slot_of(hash, |held| held == id) else {
             return false;
         };
@@ -111,13 +123,23 @@ impl PosTable {
 /// The fixed-seed hasher of every position table: a folded 64×64→128-bit
 /// multiply per word. Unseeded on purpose — a table's layout, and with it
 /// the process's memory profile, is the same from run to run.
-pub(crate) struct KeyHasher(u64);
+pub struct KeyHasher(u64);
 
-impl KeyHasher {
-    pub(crate) fn new() -> Self {
+impl Default for KeyHasher {
+    #[inline]
+    fn default() -> Self {
         KeyHasher(0x243f_6a88_85a3_08d3)
     }
+}
 
+impl KeyHasher {
+    /// A hasher in its start state.
+    #[inline]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    #[inline]
     fn mix(&mut self, word: u64) {
         let wide = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15;
         self.0 = (wide >> 64) as u64 ^ wide as u64;
@@ -125,10 +147,12 @@ impl KeyHasher {
 }
 
 impl Hasher for KeyHasher {
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
@@ -137,10 +161,12 @@ impl Hasher for KeyHasher {
         }
     }
 
+    #[inline]
     fn write_u8(&mut self, byte: u8) {
         self.mix(u64::from(byte));
     }
 
+    #[inline]
     fn write_u64(&mut self, word: u64) {
         self.mix(word);
     }
@@ -233,6 +259,35 @@ mod tests {
         table.clear();
         assert_eq!((table.len(), table.slots.len()), (0, slots));
         assert_eq!(table.find(spread(100_050), |_| true), None);
+    }
+
+    #[test]
+    fn token_keys_are_read_out_of_what_the_ids_point_at() {
+        use crate::token::Token;
+        use std::hash::Hash;
+        let hash = |key: &Token| {
+            let mut h = KeyHasher::new();
+            key.hash(&mut h);
+            h.finish()
+        };
+        let car = |id: i64| Token::record().field("carid", id).field("dir", id % 2).build();
+        let keys: Vec<Token> = (0..500).map(car).chain([Token::Unit, Token::str("k"), Token::Int(3)]).collect();
+        let mut table = PosTable::default();
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(table.find(hash(key), |held| keys[held as usize] == *key), None);
+            table.insert(hash(key), id as u32);
+        }
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(table.find(hash(key), |held| keys[held as usize] == *key), Some(id as u32));
+        }
+        // Equal keys hash alike, whatever they are made of.
+        let float = Token::Float(3.0);
+        assert_eq!(table.find(hash(&float), |held| keys[held as usize] == float), Some(502));
+        let float_car = Token::record().field("carid", 7.0).field("dir", 1.0).build();
+        assert_eq!(table.find(hash(&float_car), |held| keys[held as usize] == float_car), Some(7));
+        assert!(table.remove(hash(&keys[7]), 7));
+        assert_eq!(table.find(hash(&float_car), |held| keys[held as usize] == float_car), None);
+        assert_eq!(table.len(), keys.len() - 1);
     }
 
     #[test]

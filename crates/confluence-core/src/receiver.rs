@@ -29,7 +29,7 @@ use crate::channel::{ChannelPolicy, OnFull};
 use crate::error::{Error, Result};
 use crate::event::CwEvent;
 use crate::time::Timestamp;
-use crate::window::{Window, WindowOperator, WindowSpec};
+use crate::window::{release_drained, Window, WindowOperator, WindowSpec};
 
 /// Callback surface for executors that schedule actors as tasks instead of
 /// parking a thread per inbox (the pool director). Installed once per inbox
@@ -183,16 +183,18 @@ impl ActorInbox {
     /// Enqueue a batch of formed windows from input port `port` under one
     /// lock acquisition, with one progress bump and one wakeup for the
     /// whole batch (the fabric's batched routing path).
-    pub fn push_batch(&self, port: usize, windows: Vec<Window>) {
-        if windows.is_empty() {
-            return;
-        }
+    pub fn push_batch(&self, port: usize, windows: impl IntoIterator<Item = Window>) {
         let mut st = self.state.lock();
-        *st.depth_slot(port) += windows.len();
+        let before = st.windows.len();
         for w in windows {
             let key = origin_key(&w);
             st.windows.push_back((port, key, w));
         }
+        let pushed = st.windows.len() - before;
+        if pushed == 0 {
+            return;
+        }
+        *st.depth_slot(port) += pushed;
         self.refresh_oldest(&st);
         drop(st);
         self.progress.fetch_add(1, Ordering::Relaxed);
@@ -228,6 +230,7 @@ impl ActorInbox {
         let popped = st.windows.pop_front();
         if let Some((port, _, _)) = &popped {
             let port = *port;
+            release_drained(&mut st.windows);
             let slot = st.depth_slot(port);
             *slot = slot.saturating_sub(1);
             self.refresh_oldest(&st);
@@ -246,6 +249,7 @@ impl ActorInbox {
         let mut st = self.state.lock();
         loop {
             if let Some((port, _, w)) = st.windows.pop_front() {
+                release_drained(&mut st.windows);
                 let slot = st.depth_slot(port);
                 *slot = slot.saturating_sub(1);
                 self.refresh_oldest(&st);
@@ -350,18 +354,20 @@ impl ActorInbox {
     /// space waiters, like a pop.
     pub fn drain_windows(&self) -> Vec<(usize, Window)> {
         let mut st = self.state.lock();
+        if st.windows.is_empty() {
+            return Vec::new();
+        }
         let drained: Vec<(usize, Window)> =
             st.windows.drain(..).map(|(port, _, w)| (port, w)).collect();
+        release_drained(&mut st.windows);
         for slot in st.per_port.iter_mut() {
             *slot = 0;
         }
         self.refresh_oldest(&st);
         drop(st);
-        if !drained.is_empty() {
-            self.progress.fetch_add(1, Ordering::Relaxed);
-            self.space.notify_all();
-            self.wake_space();
-        }
+        self.progress.fetch_add(1, Ordering::Relaxed);
+        self.space.notify_all();
+        self.wake_space();
         drained
     }
 }
@@ -507,11 +513,17 @@ impl PortReceiver {
     fn put_unchecked(&self, event: CwEvent, now: Timestamp) -> Result<usize> {
         let mut op = self.op.lock();
         let n = op.push(event, now)?;
-        for _ in 0..n {
-            let w = op.pop_window().expect("push reported n windows");
-            self.inbox.push(self.port, w);
-        }
+        self.forward(&mut op, n);
         Ok(n)
+    }
+
+    /// Hand the `n` windows the operator has just formed to the inbox, in
+    /// order: one lock and one wake-up for the lot.
+    fn forward(&self, op: &mut WindowOperator, n: usize) {
+        if n > 0 {
+            let formed = (0..n).map(|_| op.pop_window().expect("the operator reported n windows"));
+            self.inbox.push_batch(self.port, formed);
+        }
     }
 
     /// Admit a whole firing's worth of events under a single operator-lock
@@ -524,27 +536,21 @@ impl PortReceiver {
     /// error is returned.
     pub fn put_batch(&self, events: Vec<CwEvent>, now: Timestamp) -> Result<usize> {
         let mut op = self.op.lock();
-        let mut formed = Vec::new();
+        let mut formed = 0;
         let mut failed = None;
         for event in events {
             match op.push(event, now) {
-                Ok(n) => {
-                    for _ in 0..n {
-                        formed.push(op.pop_window().expect("push reported n windows"));
-                    }
-                }
+                Ok(n) => formed += n,
                 Err(e) => {
                     failed = Some(e);
                     break;
                 }
             }
         }
-        drop(op);
-        let n = formed.len();
-        self.inbox.push_batch(self.port, formed);
+        self.forward(&mut op, formed);
         match failed {
             Some(e) => Err(e),
-            None => Ok(n),
+            None => Ok(formed),
         }
     }
 
@@ -597,10 +603,7 @@ impl PortReceiver {
     pub fn poll(&self, now: Timestamp) -> usize {
         let mut op = self.op.lock();
         let n = op.poll(now);
-        for _ in 0..n {
-            let w = op.pop_window().expect("poll reported n windows");
-            self.inbox.push(self.port, w);
-        }
+        self.forward(&mut op, n);
         n
     }
 
@@ -670,10 +673,7 @@ impl PortReceiver {
         drop(remaining);
         let mut op = self.op.lock();
         let n = op.flush(now);
-        for _ in 0..n {
-            let w = op.pop_window().expect("flush reported n windows");
-            self.inbox.push(self.port, w);
-        }
+        self.forward(&mut op, n);
         drop(op);
         self.inbox.close_port();
         true

@@ -414,29 +414,46 @@ impl Eq for Token {}
 
 impl Hash for Token {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
         match self {
-            Token::Unit => {}
-            Token::Bool(v) => v.hash(state),
-            Token::Int(v) => v.hash(state),
-            // Floats hash by bit pattern; combined with the bit-pattern
-            // equality above this keeps Eq/Hash consistent.
-            Token::Float(v) => v.to_bits().hash(state),
-            Token::Str(v) => v.hash(state),
-            // Field count + values: equal records have equal names, so
-            // the names add nothing but SipHash rounds per key lookup.
-            Token::Record(rec) => {
-                rec.len().hash(state);
-                for v in rec.values.iter() {
-                    v.hash(state);
-                }
+            Token::Unit => state.write_u8(0),
+            Token::Bool(v) => {
+                state.write_u8(1);
+                v.hash(state);
             }
+            // `Int 3` equals `Float 3.0`, so they hash alike: one tag and
+            // the f64 bit pattern of the numeric value.
+            Token::Int(v) => {
+                state.write_u8(2);
+                state.write_u64((*v as f64).to_bits());
+            }
+            Token::Float(v) => {
+                state.write_u8(2);
+                state.write_u64(v.to_bits());
+            }
+            Token::Str(v) => {
+                state.write_u8(3);
+                v.hash(state);
+            }
+            Token::Record(rec) => hash_record(rec.values.iter(), state),
             Token::Array(items) => {
+                state.write_u8(5);
                 for v in items.iter() {
                     v.hash(state);
                 }
             }
         }
+    }
+}
+
+/// What a record of these values, in field order, feeds a hasher: field
+/// count + values (equal records have equal names, so the names would add
+/// nothing but rounds per key lookup). A window operator hashes an input
+/// record's key fields through this, without building the key record.
+pub(crate) fn hash_record<'a, H: Hasher>(values: impl ExactSizeIterator<Item = &'a Token>, state: &mut H) {
+    state.write_u8(4);
+    state.write_u64(values.len() as u64);
+    for v in values {
+        v.hash(state);
     }
 }
 
@@ -637,6 +654,11 @@ mod tests {
         let a = Token::Float(1.0);
         let b = Token::Int(1);
         assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b), "equal tokens hash alike");
+        let key = |v: Token| Token::record().field("k", v).build();
+        assert_eq!(key(Token::Int(3)), key(Token::Float(3.0)));
+        assert_eq!(hash_of(&key(Token::Int(3))), hash_of(&key(Token::Float(3.0))));
+        assert_ne!(hash_of(&Token::Int(3)), hash_of(&Token::Int(4)));
         // NaN equals itself under bit-pattern equality → usable as a key.
         let nan = Token::Float(f64::NAN);
         assert_eq!(nan, nan.clone());

@@ -25,17 +25,33 @@
 //! are pushed to an expired-items queue which can optionally feed another
 //! workflow activity.
 
+mod model;
 mod operator;
 
 pub use operator::{GroupSnapshot, OperatorSnapshot, WindowOperator};
 
+use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::event::CwEvent;
+use crate::postable::KeyHasher;
 use crate::time::{Micros, Timestamp};
-use crate::token::{Schema, Token};
+use crate::token::{hash_record, Record, Schema, Token};
 use crate::wave::WaveTag;
+
+/// Slots past which an emptied window queue gives its buffer back.
+const BURST: usize = 64;
+
+/// Let a queue of formed windows that has just drained after a burst (a
+/// minute close forms thousands at once) drop the buffer the burst grew;
+/// between bursts such queues hold a window or two.
+pub fn release_drained<T>(queue: &mut VecDeque<T>) {
+    if queue.is_empty() && queue.capacity() > BURST {
+        *queue = VecDeque::new();
+    }
+}
 
 /// How a window's extent (size) or advance (step) is measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,29 +105,81 @@ impl GroupBy {
     /// `GroupBy::Fields` are an error (the Linear Road workflow always
     /// groups records).
     pub fn key_of(&self, token: &Token) -> Result<Token> {
-        self.key_cached(token, &mut None)
+        Ok(self.probe(token, &mut None)?.into_token())
     }
 
-    /// [`GroupBy::key_of`] for a stream: `positions` remembers where the
-    /// key fields sit in the input's schema, so records of one shape pay
-    /// for the name lookups once and index thereafter.
-    pub(crate) fn key_cached(&self, token: &Token, positions: &mut KeyPositions) -> Result<Token> {
-        let key = match self {
-            GroupBy::None => return Ok(Token::Unit),
-            GroupBy::Key(f) => return Ok(f(token)),
-            GroupBy::Fields(key) => key,
+    /// [`GroupBy::key_of`] for a stream, stopping short of building the
+    /// key: `positions` remembers where the key fields sit in the input's
+    /// schema, so records of one shape pay for the name lookups once and
+    /// index thereafter.
+    pub(crate) fn probe<'a>(&'a self, token: &'a Token, positions: &'a mut KeyPositions) -> Result<KeyProbe<'a>> {
+        let schema = match self {
+            GroupBy::None => return Ok(KeyProbe::Built(Token::Unit)),
+            GroupBy::Key(f) => return Ok(KeyProbe::Built(f(token))),
+            GroupBy::Fields(schema) => schema,
         };
         let rec = token.as_record()?;
         if !matches!(positions, Some((from, _)) if Arc::ptr_eq(from, rec.schema())) {
-            let at = key.names().iter().map(|name| {
+            let at = schema.names().iter().map(|name| {
                 rec.index_of(name)
                     .ok_or_else(|| Error::MissingField(name.to_string()))
             });
             *positions = Some((rec.schema().clone(), at.collect::<Result<_>>()?));
         }
         let (_, at) = positions.as_ref().expect("resolved above");
-        let value = |&i| rec.get_at(i).expect("resolved against this schema").clone();
-        Ok(key.record(at.iter().map(value).collect::<Vec<_>>()))
+        Ok(KeyProbe::Fields { schema, rec, at })
+    }
+}
+
+/// An event's group key as a group directory looks it up: built already
+/// (`GroupBy::None`, `GroupBy::Key`) or, under `GroupBy::Fields`, still
+/// sitting in the input record — it becomes a token only when a group is
+/// created for it.
+pub(crate) enum KeyProbe<'a> {
+    Built(Token),
+    Fields {
+        /// The clause's key schema.
+        schema: &'a Arc<Schema>,
+        rec: &'a Record,
+        /// Where the key fields sit in `rec`.
+        at: &'a [usize],
+    },
+}
+
+impl KeyProbe<'_> {
+    /// The hash of the key token, by [`Token`]'s own definition.
+    pub(crate) fn hash(&self) -> u64 {
+        let mut hasher = KeyHasher::new();
+        match self {
+            KeyProbe::Built(key) => key.hash(&mut hasher),
+            KeyProbe::Fields { rec, at, .. } => hash_record(Self::fields(rec, at), &mut hasher),
+        }
+        hasher.finish()
+    }
+
+    /// Whether `held` equals the key token this probe stands for.
+    pub(crate) fn matches(&self, held: &Token) -> bool {
+        match (self, held) {
+            (KeyProbe::Built(key), _) => key == held,
+            (KeyProbe::Fields { schema, rec, at }, Token::Record(held)) => {
+                (Arc::ptr_eq(held.schema(), schema) || held.schema().names() == schema.names())
+                    && Self::fields(rec, at).eq(held.iter().map(|(_, v)| v))
+            }
+            _ => false,
+        }
+    }
+
+    pub(crate) fn into_token(self) -> Token {
+        match self {
+            KeyProbe::Built(key) => key,
+            KeyProbe::Fields { schema, rec, at } => {
+                schema.record(Self::fields(rec, at).cloned().collect::<Vec<_>>())
+            }
+        }
+    }
+
+    fn fields<'r>(rec: &'r Record, at: &'r [usize]) -> impl ExactSizeIterator<Item = &'r Token> {
+        at.iter().map(|&i| rec.get_at(i).expect("resolved against this schema"))
     }
 }
 

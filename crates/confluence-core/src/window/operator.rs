@@ -7,25 +7,28 @@
 //! are consumed under `delete_used_events`) to the expired-items queue.
 //!
 //! What the operator holds follows what its windows currently cover: the
-//! expired-items queue exists only where something drains it, and a group
-//! with no state left is removed ([`WindowOperator::retire_at`]).
+//! expired-items queue exists only where something drains it, a group with
+//! no state left is removed ([`WindowOperator::retire_at`]), a group's
+//! buffer is as long as its contents while those are few, and the group
+//! directory ([`Groups`]) keeps positions, not keys.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::error::{Error, Result};
 use crate::event::CwEvent;
+use crate::postable::PosTable;
 use crate::time::{Micros, Timestamp};
 use crate::token::Token;
 use crate::wave::WaveTracker;
 
-use super::{KeyPositions, Measure, Window, WindowSpec};
+use super::{release_drained, GroupBy, KeyPositions, KeyProbe, Measure, Window, WindowSpec};
 
 /// Window-forming state machine for one input port.
 #[derive(Debug)]
 pub struct WindowOperator {
     spec: WindowSpec,
     kind: Kind,
-    groups: HashMap<Token, Group>,
+    groups: Groups,
     /// Groups created so far; a group's `born` is its place in the
     /// deterministic flush and snapshot order.
     born: u64,
@@ -34,22 +37,22 @@ pub struct WindowOperator {
     /// handler attached to the port.
     expired: Option<VecDeque<CwEvent>>,
     pending: usize,
-    /// Incremental deadline index: poll time → groups due at that time.
-    /// Keeps [`WindowOperator::next_deadline`] O(1) and
+    /// Incremental deadline index: poll time → ids of the groups due at
+    /// that time. Keeps [`WindowOperator::next_deadline`] O(1) and
     /// [`WindowOperator::poll`] proportional to the *due* groups only —
     /// essential when group-by fans out to thousands of queues.
-    deadline_index: BTreeMap<Timestamp, Vec<Token>>,
+    deadline_index: BTreeMap<Timestamp, Vec<u32>>,
     /// Where the group-by fields sit in the input records' schema.
     key_positions: KeyPositions,
     /// Whether event timestamps are known to arrive in non-decreasing
     /// order (one upstream channel): the precondition for evicting time
     /// groups.
     ordered: bool,
-    /// Highest event timestamp accepted so far (µs).
+    /// Highest event timestamp seen so far (µs).
     high: u64,
-    /// Empty time groups waiting for `high` to reach the key they are
-    /// filed under, at which point they are evicted.
-    retiring: BTreeMap<u64, Vec<Token>>,
+    /// Ids of empty time groups waiting for `high` to reach the key they
+    /// are filed under, at which point they are evicted.
+    retiring: BTreeMap<u64, Vec<u32>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -59,11 +62,18 @@ enum Kind {
     Wave,
 }
 
+/// A group's `deadline` while it has no entry in the deadline index.
+const NO_DEADLINE: u64 = u64::MAX;
+
 #[derive(Debug)]
 struct Group {
+    /// The one copy of the group's key: the directory, the deadline index
+    /// and the retiring list refer to the group by id.
+    key: Token,
     born: u64,
-    /// This group's entry in the deadline index, if it has one.
-    deadline: Option<Timestamp>,
+    /// The poll time (µs) this group is filed under in the deadline index,
+    /// or [`NO_DEADLINE`].
+    deadline: u64,
     state: GroupState,
 }
 
@@ -78,11 +88,11 @@ enum GroupState {
 struct TupleGroup {
     /// Buffered events; the front event has logical sequence `front_seq`.
     events: VecDeque<CwEvent>,
-    /// Sequence number of the front of `events`.
+    /// Sequence number of the front of `events` (of the next event to
+    /// arrive, when there is none): the next event's is
+    /// `front_seq + events.len()`.
     front_seq: u64,
-    /// Total events ever pushed (next event's sequence number).
-    next_seq: u64,
-    /// Sequence at which the next window starts.
+    /// Sequence at which the next window starts; never below `front_seq`.
     next_start: u64,
 }
 
@@ -102,6 +112,95 @@ struct WaveGroup {
     waves: BTreeMap<Timestamp, (WaveTracker, Vec<CwEvent>)>,
 }
 
+/// Groups per arena chunk.
+const CHUNK: usize = 256;
+
+/// The groups of one operator: an arena of [`Group`]s behind a directory
+/// of their ids. A group's id is its place in the arena and never changes
+/// while the group lives (a removed group's id goes to a later group); the
+/// arena grows a chunk at a time, so it never copies the groups there are
+/// nor reserves room for as many again. The directory holds eight bytes an
+/// id and reads a group's key out of the group ([`KeyProbe::matches`]).
+#[derive(Debug, Default)]
+struct Groups {
+    chunks: Vec<Vec<Option<Group>>>,
+    /// Ids of the vacant slots.
+    free: Vec<u32>,
+    dir: PosTable,
+}
+
+impl Groups {
+    fn len(&self) -> usize {
+        self.dir.len()
+    }
+
+    /// The live group with this id. Ids in the retiring list may have
+    /// outlived their group.
+    fn get(&self, id: u32) -> Option<&Group> {
+        self.chunks.get(id as usize / CHUNK)?.get(id as usize % CHUNK)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: u32) -> Option<&mut Group> {
+        self.chunks.get_mut(id as usize / CHUNK)?.get_mut(id as usize % CHUNK)?.as_mut()
+    }
+
+    /// The group whose key `probe` (of hash `hash`) stands for.
+    fn find(&self, probe: &KeyProbe<'_>, hash: u64) -> Option<u32> {
+        self.dir
+            .find(hash, |id| self.get(id).is_some_and(|group| probe.matches(&group.key)))
+    }
+
+    /// Add a group whose key (of hash `hash`) no group has.
+    fn insert(&mut self, hash: u64, group: Group) -> u32 {
+        let id = self.free.pop().unwrap_or_else(|| {
+            if self.chunks.last().is_none_or(|chunk| chunk.len() == CHUNK) {
+                // The first chunk grows with its contents (an ungrouped
+                // port has one group); later ones come whole.
+                let capacity = if self.chunks.is_empty() { 0 } else { CHUNK };
+                self.chunks.push(Vec::with_capacity(capacity));
+            }
+            let last = self.chunks.len() - 1;
+            self.chunks[last].push(None);
+            u32::try_from(last * CHUNK + self.chunks[last].len() - 1).expect("fewer than 2^32 groups")
+        });
+        self.chunks[id as usize / CHUNK][id as usize % CHUNK] = Some(group);
+        self.dir.insert(hash, id);
+        id
+    }
+
+    fn remove(&mut self, id: u32) {
+        if let Some(group) = self.chunks[id as usize / CHUNK][id as usize % CHUNK].take() {
+            self.dir.remove(KeyProbe::Built(group.key).hash(), id);
+            self.free.push(id);
+        }
+    }
+
+    /// Live group ids, oldest group first.
+    fn ids_by_birth(&self) -> Vec<u32> {
+        let slots = self.chunks.iter().flatten().enumerate();
+        let mut ids: Vec<(u64, u32)> = slots
+            .filter_map(|(id, slot)| Some((slot.as_ref()?.born, id as u32)))
+            .collect();
+        ids.sort_unstable();
+        ids.into_iter().map(|(_, id)| id).collect()
+    }
+}
+
+impl Group {
+    fn new(key: Token, born: u64, kind: Kind) -> Group {
+        Group {
+            key,
+            born,
+            deadline: NO_DEADLINE,
+            state: match kind {
+                Kind::Tuples { .. } => GroupState::Tuples(TupleGroup::default()),
+                Kind::Time { .. } => GroupState::Time(TimeGroup::default()),
+                Kind::Wave => GroupState::Wave(WaveGroup::default()),
+            },
+        }
+    }
+}
+
 impl WindowOperator {
     /// Build an operator for a validated spec.
     pub fn new(spec: WindowSpec) -> Result<Self> {
@@ -118,7 +217,7 @@ impl WindowOperator {
         Ok(WindowOperator {
             spec,
             kind,
-            groups: HashMap::new(),
+            groups: Groups::default(),
             born: 0,
             ready: VecDeque::new(),
             expired: Some(VecDeque::new()),
@@ -151,56 +250,62 @@ impl WindowOperator {
     /// Push one event (arrival time = director time `now`). Any windows the
     /// event completes are appended to the ready queue; returns how many.
     pub fn push(&mut self, event: CwEvent, now: Timestamp) -> Result<usize> {
-        let key = self.spec.group_by.key_cached(&event.token, &mut self.key_positions)?;
         if self.ordered {
             self.high = self.high.max(event.timestamp.as_micros());
             self.evict_retired();
         }
+        let id = {
+            let probe = self.spec.group_by.probe(&event.token, &mut self.key_positions)?;
+            let hash = probe.hash();
+            match self.groups.find(&probe, hash) {
+                Some(id) => id,
+                None => {
+                    self.born += 1;
+                    let group = Group::new(probe.into_token(), self.born, self.kind);
+                    self.groups.insert(hash, group)
+                }
+            }
+        };
         let produced_before = self.ready.len();
         let kind = self.kind;
         let delete_used = self.spec.delete_used_events;
-        let born = &mut self.born;
         let mut out = Emitted {
             ready: &mut self.ready,
             expired: self.expired.as_mut(),
             pending_delta: 0,
         };
-        let group = self.groups.entry(key.clone()).or_insert_with(|| {
-            *born += 1;
-            Group {
-                born: *born,
-                deadline: None,
-                state: match kind {
-                    Kind::Tuples { .. } => GroupState::Tuples(TupleGroup::default()),
-                    Kind::Time { .. } => GroupState::Time(TimeGroup::default()),
-                    Kind::Wave => GroupState::Wave(WaveGroup::default()),
-                },
+        let Group { key, state, .. } = self.groups.get_mut(id).expect("found or created above");
+        let was_empty = matches!(state, GroupState::Time(g) if g.events.is_empty());
+        match (state, kind) {
+            // In the gap windows with `step > size` leave between them: no
+            // window will cover the event. (It counts as +1 pending below;
+            // expire() balances that.)
+            (GroupState::Tuples(g), _) if g.events.is_empty() && g.front_seq < g.next_start => {
+                out.expire(&event);
+                g.front_seq += 1;
             }
-        });
-        let was_empty = matches!(&group.state, GroupState::Time(g) if g.events.is_empty());
-        match (&mut group.state, kind) {
             (GroupState::Tuples(g), Kind::Tuples { size, step }) => {
+                fit_one(&mut g.events);
                 g.events.push_back(event);
-                g.next_seq += 1;
-                g.try_emit(&key, size, step, delete_used, now, &mut out);
+                g.try_emit(key, size, step, delete_used, now, &mut out);
             }
             (GroupState::Time(g), Kind::Time { size, step }) => {
-                g.push(event, &key, size, step, delete_used, now, &mut out);
+                g.push(event, key, size, step, delete_used, now, &mut out);
             }
-            (GroupState::Wave(g), Kind::Wave) => g.push(event, &key, now, &mut out),
+            (GroupState::Wave(g), Kind::Wave) => g.push(event, key, now, &mut out),
             _ => unreachable!("group state kind matches operator kind"),
         }
         self.pending = (self.pending as i64 + 1 + out.pending_delta) as usize;
-        self.settle(key, was_empty);
+        self.settle(id, was_empty);
         Ok(self.ready.len() - produced_before)
     }
 
     /// Per-group poll: close what is due for one group at `now`.
-    fn poll_group(&mut self, key: &Token, now: Timestamp) {
+    fn poll_group(&mut self, id: u32, now: Timestamp) {
         let kind = self.kind;
         let delete_used = self.spec.delete_used_events;
         let timeout = self.spec.timeout;
-        let Some(group) = self.groups.get_mut(key) else {
+        let Some(Group { key, state, .. }) = self.groups.get_mut(id) else {
             return;
         };
         let mut out = Emitted {
@@ -208,7 +313,7 @@ impl WindowOperator {
             expired: self.expired.as_mut(),
             pending_delta: 0,
         };
-        match (&mut group.state, kind) {
+        match (state, kind) {
             (GroupState::Tuples(g), Kind::Tuples { size, step }) => {
                 g.poll(key, size, step, delete_used, timeout, now, &mut out);
             }
@@ -235,12 +340,9 @@ impl WindowOperator {
                 // Close time of the first non-empty window still open.
                 let ts = first.timestamp.as_micros();
                 let k_lo = if ts < size { 0 } else { (ts - size) / step + 1 };
-                let k = g.next_k.max(k_lo);
-                let mut best = Timestamp(k * step + size);
-                if let Some(t) = timeout {
-                    best = best.min(first.timestamp.plus(t));
-                }
-                Some(best)
+                // (The clock closes time windows; a formation timeout has
+                // nothing to force out of them.)
+                Some(Timestamp(g.next_k.max(k_lo) * step + size))
             }
             (GroupState::Wave(g), Kind::Wave) => {
                 let t = timeout?;
@@ -254,33 +356,33 @@ impl WindowOperator {
         }
     }
 
-    /// After a push or poll touched group `key`: bring its entry in the
+    /// After a push or poll touched group `id`: bring its entry in the
     /// deadline index up to date, and let go of it if it has no state left.
     /// `was_empty` says a time group held no event before the call either
     /// (a late event reached it): it is filed for eviction already.
-    fn settle(&mut self, key: Token, was_empty: bool) {
-        let Some(group) = self.groups.get(&key) else {
+    fn settle(&mut self, id: u32, was_empty: bool) {
+        let Some(group) = self.groups.get(id) else {
             return;
         };
-        let (old, new) = (group.deadline, self.group_deadline_of(group));
+        let old = group.deadline;
+        let new = self.group_deadline_of(group).map_or(NO_DEADLINE, |t| t.as_micros());
         let retire_at = self.retire_at(group);
         if new != old {
-            if let Some(old) = old {
-                if let Some(keys) = self.deadline_index.get_mut(&old) {
-                    keys.retain(|k| *k != key);
-                    if keys.is_empty() {
-                        self.deadline_index.remove(&old);
-                    }
+            let filed = (old != NO_DEADLINE).then(|| self.deadline_index.get_mut(&Timestamp(old)));
+            if let Some(ids) = filed.flatten() {
+                ids.retain(|held| *held != id);
+                if ids.is_empty() {
+                    self.deadline_index.remove(&Timestamp(old));
                 }
             }
-            if let Some(new) = new {
-                self.deadline_index.entry(new).or_default().push(key.clone());
+            if new != NO_DEADLINE {
+                self.deadline_index.entry(Timestamp(new)).or_default().push(id);
             }
-            self.groups.get_mut(&key).expect("looked up above").deadline = new;
+            self.groups.get_mut(id).expect("looked up above").deadline = new;
         }
         match retire_at {
-            Some(at) if at <= self.high => drop(self.groups.remove(&key)),
-            Some(at) if !was_empty => self.retiring.entry(at).or_default().push(key),
+            Some(at) if at <= self.high => self.groups.remove(id),
+            Some(at) if !was_empty => self.retiring.entry(at).or_default().push(id),
             _ => {}
         }
     }
@@ -288,18 +390,25 @@ impl WindowOperator {
     /// The `high` from which a group that holds nothing but its key can be
     /// removed; `None` while it holds more.
     ///
-    /// A wave group is its open waves: with none left it goes at once. An
-    /// empty time group still says which windows it has closed (`next_k`
-    /// decides which later events are late), so it goes only on an ordered
-    /// port, once the port has accepted an event at or past the end of the
-    /// last window the group closed (and the start of the next, when
-    /// `size < step`). Every later event is past that time too: its first
-    /// window is one the group has not closed, and a group created afresh
-    /// for it emits and expires what the retained one would have. Tuple
-    /// groups always hold the `size − step` events of the next window.
+    /// A wave group is its open waves: with none left it goes at once. So
+    /// does a tuple group with no event buffered and none to skip before
+    /// its next window (its counters only mean something relative to each
+    /// other), except an ungrouped port's, whose place no other key will
+    /// want. An empty time group still says which
+    /// windows it has closed (`next_k` decides which later events are
+    /// late), so it goes only on an ordered port, once the port has
+    /// accepted an event at or past the end of the last window the group
+    /// closed (and the start of the next, when `size < step`). Every later
+    /// event is past that time too: its first window is one the group has
+    /// not closed, and a group created afresh for it emits and expires
+    /// what the retained one would have.
     fn retire_at(&self, group: &Group) -> Option<u64> {
+        let grouped = !matches!(self.spec.group_by, GroupBy::None);
         match (&group.state, self.kind) {
             (GroupState::Wave(g), _) if g.waves.is_empty() => Some(0),
+            (GroupState::Tuples(g), _) if grouped && g.events.is_empty() && g.front_seq == g.next_start => {
+                Some(0)
+            }
             (GroupState::Time(g), Kind::Time { size, step }) if self.ordered && g.events.is_empty() => {
                 Some(g.next_k * step + size.saturating_sub(step))
             }
@@ -309,13 +418,15 @@ impl WindowOperator {
 
     /// Evict the groups filed under a `high` that has now been reached. An
     /// entry is a hint: a group that has buffered events or closed further
-    /// windows since stays (and is filed again when it empties).
+    /// windows since stays (and is filed again when it empties), and an id
+    /// whose group went another way may by now be a later group's — which
+    /// goes only if it is due itself.
     fn evict_retired(&mut self) {
         while let Some(entry) = self.retiring.first_entry().filter(|e| *e.key() <= self.high) {
-            for key in entry.remove() {
-                let due = self.groups.get(&key).and_then(|g| self.retire_at(g));
+            for id in entry.remove() {
+                let due = self.groups.get(id).and_then(|g| self.retire_at(g));
                 if due.is_some_and(|at| at <= self.high) {
-                    self.groups.remove(&key);
+                    self.groups.remove(id);
                 }
             }
         }
@@ -331,15 +442,15 @@ impl WindowOperator {
     pub fn poll(&mut self, now: Timestamp) -> usize {
         let produced_before = self.ready.len();
         while let Some(due) = self.deadline_index.first_entry().filter(|e| *e.key() <= now) {
-            let keys = due.remove();
-            for key in &keys {
-                if let Some(group) = self.groups.get_mut(key) {
-                    group.deadline = None;
+            let ids = due.remove();
+            for &id in &ids {
+                if let Some(group) = self.groups.get_mut(id) {
+                    group.deadline = NO_DEADLINE;
                 }
             }
-            for key in keys {
-                self.poll_group(&key, now);
-                self.settle(key, false);
+            for id in ids {
+                self.poll_group(id, now);
+                self.settle(id, false);
             }
         }
         self.ready.len() - produced_before
@@ -350,13 +461,6 @@ impl WindowOperator {
     /// "window timeout event" at this time (paper §3, TM Windowed Receiver).
     pub fn next_deadline(&self) -> Option<Timestamp> {
         self.deadline_index.keys().next().copied()
-    }
-
-    /// Live group keys, oldest group first.
-    fn keys_by_birth(&self) -> Vec<Token> {
-        let mut keys: Vec<(u64, &Token)> = self.groups.iter().map(|(k, g)| (g.born, k)).collect();
-        keys.sort_unstable_by_key(|(born, _)| *born);
-        keys.into_iter().map(|(_, k)| k.clone()).collect()
     }
 
     /// End-of-stream: force every buffered event out in final windows.
@@ -370,16 +474,16 @@ impl WindowOperator {
         let produced_before = self.ready.len();
         let kind = self.kind;
         let delete_used = self.spec.delete_used_events;
-        let keys = self.keys_by_birth();
         let mut out = Emitted {
             ready: &mut self.ready,
             expired: self.expired.as_mut(),
             pending_delta: 0,
         };
-        for key in &keys {
-            let group = self.groups.get_mut(key).expect("key of a live group");
-            group.deadline = None;
-            match (&mut group.state, kind) {
+        for id in self.groups.ids_by_birth() {
+            let group = self.groups.get_mut(id).expect("id of a live group");
+            group.deadline = NO_DEADLINE;
+            let Group { key, state, .. } = group;
+            match (state, kind) {
                 (GroupState::Tuples(g), Kind::Tuples { .. }) => g.emit_rest(key, now, &mut out),
                 (GroupState::Time(g), Kind::Time { size, step }) => {
                     if let Some(last) = g.events.back() {
@@ -413,7 +517,9 @@ impl WindowOperator {
 
     /// Take the next ready window, if any.
     pub fn pop_window(&mut self) -> Option<Window> {
-        self.ready.pop_front()
+        let window = self.ready.pop_front();
+        release_drained(&mut self.ready);
+        window
     }
 
     /// Number of formed windows awaiting consumption.
@@ -448,33 +554,38 @@ impl WindowOperator {
     /// any formed-but-unconsumed and expired-but-undrained events.
     pub fn snapshot(&self) -> OperatorSnapshot {
         let groups = self
-            .keys_by_birth()
+            .groups
+            .ids_by_birth()
             .into_iter()
-            .map(|key| match &self.groups[&key].state {
-                GroupState::Tuples(g) => GroupSnapshot::Tuples {
-                    key,
-                    events: g.events.iter().cloned().collect(),
-                    front_seq: g.front_seq,
-                    next_seq: g.next_seq,
-                    next_start: g.next_start,
-                },
-                GroupState::Time(g) => GroupSnapshot::Time {
-                    key,
-                    events: g.events.iter().cloned().collect(),
-                    watermark: g.watermark,
-                    next_k: g.next_k,
-                },
-                GroupState::Wave(g) => GroupSnapshot::Wave {
-                    key,
-                    // Per-origin buffers flattened in origin order; restore
-                    // re-observes each tag to rebuild the trackers (tracker
-                    // state is a pure fold of `observe`).
-                    events: g
-                        .waves
-                        .values()
-                        .flat_map(|(_, events)| events.iter().cloned())
-                        .collect(),
-                },
+            .map(|id| {
+                let group = self.groups.get(id).expect("id of a live group");
+                let key = group.key.clone();
+                match &group.state {
+                    GroupState::Tuples(g) => GroupSnapshot::Tuples {
+                        key,
+                        events: g.events.iter().cloned().collect(),
+                        front_seq: g.front_seq,
+                        next_seq: g.front_seq + g.events.len() as u64,
+                        next_start: g.next_start,
+                    },
+                    GroupState::Time(g) => GroupSnapshot::Time {
+                        key,
+                        events: g.events.iter().cloned().collect(),
+                        watermark: g.watermark,
+                        next_k: g.next_k,
+                    },
+                    GroupState::Wave(g) => GroupSnapshot::Wave {
+                        key,
+                        // Per-origin buffers flattened in origin order; restore
+                        // re-observes each tag to rebuild the trackers (tracker
+                        // state is a pure fold of `observe`).
+                        events: g
+                            .waves
+                            .values()
+                            .flat_map(|(_, events)| events.iter().cloned())
+                            .collect(),
+                    },
+                }
             })
             .collect();
         OperatorSnapshot {
@@ -492,7 +603,7 @@ impl WindowOperator {
     /// accepts when the operator is fresh.
     pub fn take_snapshot(&mut self) -> OperatorSnapshot {
         let snap = self.snapshot();
-        self.groups.clear();
+        self.groups = Groups::default();
         self.ready.clear();
         if let Some(q) = &mut self.expired {
             q.clear();
@@ -509,7 +620,7 @@ impl WindowOperator {
     /// events in the snapshot of a port that keeps no expired-items queue
     /// (an older snapshot) are discarded.
     pub fn restore(&mut self, snap: OperatorSnapshot) -> Result<()> {
-        if !self.groups.is_empty() || !self.ready.is_empty() || self.expired_len() != 0 {
+        if self.groups.len() != 0 || !self.ready.is_empty() || self.expired_len() != 0 {
             return Err(Error::Checkpoint(
                 "window operator restore requires a fresh operator".into(),
             ));
@@ -522,7 +633,7 @@ impl WindowOperator {
                         key,
                         events,
                         front_seq,
-                        next_seq,
+                        next_seq: _,
                         next_start,
                     },
                     Kind::Tuples { .. },
@@ -533,7 +644,6 @@ impl WindowOperator {
                         GroupState::Tuples(TupleGroup {
                             events: events.into(),
                             front_seq,
-                            next_seq,
                             next_start,
                         }),
                     )
@@ -576,16 +686,20 @@ impl WindowOperator {
                     ))
                 }
             };
-            self.born += 1;
-            let group = Group {
-                born: self.born,
-                deadline: None,
-                state,
-            };
-            if self.groups.insert(key.clone(), group).is_some() {
+            let probe = KeyProbe::Built(key);
+            let hash = probe.hash();
+            if self.groups.find(&probe, hash).is_some() {
                 return Err(Error::Checkpoint("duplicate group key in snapshot".into()));
             }
-            self.settle(key, false);
+            self.born += 1;
+            let group = Group {
+                key: probe.into_token(),
+                born: self.born,
+                deadline: NO_DEADLINE,
+                state,
+            };
+            let id = self.groups.insert(hash, group);
+            self.settle(id, false);
         }
         self.pending = pending;
         self.ready.extend(snap.ready);
@@ -608,7 +722,8 @@ pub enum GroupSnapshot {
         events: Vec<CwEvent>,
         /// Sequence number of the front buffered event.
         front_seq: u64,
-        /// Total events ever pushed.
+        /// Sequence number of the next event to arrive: `front_seq` plus
+        /// the buffered events. Not read on restore.
         next_seq: u64,
         /// Sequence at which the next window starts.
         next_start: u64,
@@ -677,6 +792,15 @@ impl Emitted<'_> {
     }
 }
 
+/// Make room for one more event in a group's buffer: exactly that while
+/// it holds fewer than four (most groups hold one to three, and a fresh
+/// buffer's least capacity is four), amortised from there on.
+fn fit_one(events: &mut VecDeque<CwEvent>) {
+    if events.len() == events.capacity() && events.len() < 4 {
+        events.reserve_exact(1);
+    }
+}
+
 impl TupleGroup {
     /// Emit every full window currently formable.
     fn try_emit(
@@ -690,7 +814,7 @@ impl TupleGroup {
     ) {
         let hop = if delete_used { step.max(size) } else { step };
         // The next window covers sequences [next_start, next_start + size).
-        while self.next_seq >= self.next_start + size as u64 {
+        while self.front_seq + self.events.len() as u64 >= self.next_start + size as u64 {
             self.emit(key, size, hop, false, now, out);
         }
     }
@@ -710,7 +834,7 @@ impl TupleGroup {
     ) {
         let from = (self.next_start.saturating_sub(self.front_seq)) as usize;
         self.next_start += hop as u64;
-        let leaving = ((self.next_start - self.front_seq) as usize).min(self.events.len());
+        let leaving = (self.next_start.saturating_sub(self.front_seq) as usize).min(self.events.len());
         let mut events = Vec::with_capacity(size.min(self.events.len().saturating_sub(from)));
         for (i, ev) in self.events.drain(..leaving).enumerate() {
             out.expire(&ev);
@@ -720,8 +844,7 @@ impl TupleGroup {
         }
         let staying = self.events.iter().skip(from.saturating_sub(leaving));
         events.extend(staying.take(size - events.len()).cloned());
-        // A short window may advance past the whole buffer.
-        self.front_seq = self.next_start;
+        self.front_seq += leaving as u64;
         out.emit(key, events, now, timed_out);
     }
 
@@ -793,6 +916,7 @@ impl TimeGroup {
             .rposition(|e| e.timestamp.as_micros() <= ts)
             .map(|p| p + 1)
             .unwrap_or(0);
+        fit_one(&mut self.events);
         self.events.insert(pos, event);
         self.advance_watermark(key, ts, size, step, delete_used, now, out);
     }
@@ -845,11 +969,13 @@ impl TimeGroup {
             // and are moved into this window; the rest of the window's
             // events stay for a later one and are copied.
             let cutoff = self.next_k * step;
-            let mut events = Vec::new();
+            let in_window = |e: &CwEvent| (lo..hi).contains(&e.timestamp.as_micros());
+            let below_hi = self.events.iter().take_while(|e| e.timestamp.as_micros() < hi);
+            let mut events = Vec::with_capacity(below_hi.filter(|e| in_window(e)).count());
             while self.events.front().is_some_and(|e| e.timestamp.as_micros() < cutoff) {
                 let ev = self.events.pop_front().expect("checked front");
                 out.expire(&ev);
-                if (lo..hi).contains(&ev.timestamp.as_micros()) {
+                if in_window(&ev) {
                     events.push(ev);
                 }
             }
@@ -1342,6 +1468,75 @@ mod tests {
             proptest::prop_assert_eq!((sorted(a.0), a.1.len()), (sorted(b.0), b.1.len()));
         }
 
+        /// A tuple group that holds no event and owes no gap is removed,
+        /// under `delete_used`, `step ≥ size` and formation timeouts
+        /// alike. The reference keeps one ungrouped operator per key (an
+        /// ungrouped port keeps its one group) and emits, key by key, the
+        /// same windows in the same order.
+        #[test]
+        fn evicting_tuple_groups_changes_nothing_but_memory(
+            // (group, time since the previous event, poll this far ahead
+            // of it — or, from 40 on, not at all)
+            stream in proptest::collection::vec((0..5i64, 0..20u64, 0..80u64), 1..120),
+            size in 1..5usize,
+            step in 1..6usize,
+            delete_used in 0..2u8,
+            timeout in 0..60u64,
+        ) {
+            let mut spec = WindowSpec::tuples(size, step).delete_used(delete_used == 1);
+            if timeout >= 10 {
+                spec = spec.with_timeout(Micros(timeout));
+            }
+            let mut evicting =
+                WindowOperator::new(spec.clone().group_by(GroupBy::fields(&["carid"]))).unwrap();
+            let mut keeping: Vec<WindowOperator> =
+                (0..5).map(|_| WindowOperator::new(spec.clone()).unwrap()).collect();
+            // Everything the per-key references have produced, key by key.
+            let reference = |keeping: &mut Vec<WindowOperator>| {
+                let (mut windows, mut expired) = (Vec::new(), Vec::new());
+                for (group, op) in keeping.iter_mut().enumerate() {
+                    let key = Token::record().field("carid", group as i64).build();
+                    let (w, e) = produced(op);
+                    windows.extend(w.into_iter().map(|w| Window { group: key.clone(), ..w }));
+                    expired.extend(e);
+                }
+                (windows, expired)
+            };
+            let by_key = |(mut windows, mut expired): (Vec<Window>, Vec<CwEvent>)| {
+                windows.sort_by(|a, b| a.group.cmp(&b.group));
+                expired.sort_by_key(|e| e.token.int_field("carid").unwrap());
+                (windows, expired)
+            };
+            let mut ts = 0;
+            for (i, (group, gap, poll_ahead)) in stream.into_iter().enumerate() {
+                ts += gap;
+                evicting.push(rec_ev(group, i as i64, ts), Timestamp(ts)).unwrap();
+                keeping[group as usize].push(rec_ev(group, i as i64, ts), Timestamp(ts)).unwrap();
+                if poll_ahead < 40 {
+                    evicting.poll(Timestamp(ts + poll_ahead));
+                    keeping.iter_mut().for_each(|op| { op.poll(Timestamp(ts + poll_ahead)); });
+                }
+                proptest::prop_assert_eq!(by_key(produced(&mut evicting)), reference(&mut keeping));
+                let pending: usize = keeping.iter().map(|op| op.pending_events()).sum();
+                proptest::prop_assert_eq!(evicting.pending_events(), pending);
+                let deadline = keeping.iter().filter_map(|op| op.next_deadline()).min();
+                proptest::prop_assert_eq!(evicting.next_deadline(), deadline);
+                // A group is kept for the events it buffers (or, with
+                // `step > size`, for the gap it still has to skip).
+                let buffering = keeping.iter().filter(|op| op.pending_events() > 0).count();
+                proptest::prop_assert!(evicting.group_count() >= buffering);
+                if step <= size {
+                    proptest::prop_assert_eq!(evicting.group_count(), buffering);
+                }
+            }
+            // End of stream walks the groups in (re)creation order: the
+            // same windows, in an order of its own.
+            evicting.flush(Timestamp(ts));
+            keeping.iter_mut().for_each(|op| { op.flush(Timestamp(ts)); });
+            proptest::prop_assert_eq!(by_key(produced(&mut evicting)), reference(&mut keeping));
+            proptest::prop_assert_eq!(evicting.pending_events(), 0);
+        }
+
         /// A wave group is removed when its last open wave closes. The
         /// reference keeps every group alive with a wave that never
         /// completes, and emits the same windows in the same order.
@@ -1393,6 +1588,49 @@ mod tests {
             proptest::prop_assert_eq!(produced(&mut evicting), produced(&mut keeping));
             proptest::prop_assert_eq!(evicting.group_count(), 0);
         }
+    }
+
+    #[test]
+    fn equal_numeric_keys_share_a_group_fresh_and_restored() {
+        // `{k: 3}` and `{k: 3.0}` are equal keys: one group, one window.
+        let spec = WindowSpec::tuples(2, 1).group_by(GroupBy::fields(&["k"]));
+        let int = CwEvent::external(Token::record().field("k", 3).build(), Timestamp(0));
+        let float = CwEvent::external(Token::record().field("k", 3.0).build(), Timestamp(1));
+        let mut op = WindowOperator::new(spec.clone()).unwrap();
+        op.push(int.clone(), Timestamp(0)).unwrap();
+        let mut restored = WindowOperator::new(spec).unwrap();
+        restored.restore(op.snapshot()).unwrap();
+        for op in [&mut op, &mut restored] {
+            assert_eq!(op.push(float.clone(), Timestamp(1)).unwrap(), 1);
+            assert_eq!(op.group_count(), 1);
+            assert_eq!(op.pop_window().unwrap().events, vec![int.clone(), float.clone()]);
+        }
+    }
+
+    #[test]
+    fn time_window_formation_timeout_does_not_spin() {
+        // The timeout falls before the window's end: nothing to force out,
+        // and polling at it must come back.
+        let spec = WindowSpec::tumbling_time(Micros(100)).with_timeout(Micros(20));
+        let mut op = WindowOperator::new(spec).unwrap();
+        op.push(ev(1, 10), Timestamp(10)).unwrap();
+        assert_eq!(op.next_deadline(), Some(Timestamp(100)));
+        assert_eq!(op.poll(Timestamp(30)), 0);
+        assert_eq!(op.poll(Timestamp(100)), 1);
+    }
+
+    #[test]
+    fn hopping_tuple_windows_skip_the_gap() {
+        // {Size: 1, Step: 3}: every third event, the two between expired
+        // unseen as they arrive.
+        let mut op = WindowOperator::new(WindowSpec::tuples(1, 3)).unwrap();
+        for i in 0..7 {
+            op.push(ev(i, i as u64), Timestamp(i as u64)).unwrap();
+        }
+        let (windows, expired) = produced(&mut op);
+        assert_eq!(windows.iter().map(values).collect::<Vec<_>>(), vec![vec![0], vec![3], vec![6]]);
+        assert_eq!(expired.len(), 7);
+        assert_eq!(op.pending_events(), 0);
     }
 
     #[test]

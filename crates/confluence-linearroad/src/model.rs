@@ -6,6 +6,8 @@
 //! every car reports its position every 30 seconds, including its
 //! expressway, direction, lane, segment, absolute position, and speed.
 
+use std::sync::Arc;
+
 use confluence_core::error::Result;
 use confluence_core::time::Timestamp;
 use confluence_core::token::Token;
@@ -99,17 +101,25 @@ impl PositionReport {
         ])
     }
 
-    /// Decode from a workflow record token.
+    /// Decode from a workflow record token. A record of the shared shape
+    /// (one [`PositionReport::to_token`] built) is read by position; any
+    /// other (recovered, re-stamped, hand-built) by field name.
     pub fn from_token(token: &Token) -> Result<PositionReport> {
+        let rec = token.as_record()?;
+        let shaped = Arc::ptr_eq(rec.schema(), shape::position_report());
+        let field = |at: usize, name: &str| match rec.get_at(at).filter(|_| shaped) {
+            Some(value) => Ok(value),
+            None => token.get(name),
+        };
         Ok(PositionReport {
-            time: token.int_field("time")?,
-            carid: token.int_field("carid")?,
-            speed: token.float_field("speed")?,
-            xway: token.int_field("xway")?,
-            lane: token.int_field("lane")?,
-            dir: token.int_field("dir")?,
-            seg: token.int_field("seg")?,
-            pos: token.int_field("pos")?,
+            time: field(0, "time")?.as_int()?,
+            carid: field(1, "carid")?.as_int()?,
+            speed: field(2, "speed")?.as_float()?,
+            xway: field(3, "xway")?.as_int()?,
+            lane: field(4, "lane")?.as_int()?,
+            dir: field(5, "dir")?.as_int()?,
+            seg: field(6, "seg")?.as_int()?,
+            pos: field(7, "pos")?.as_int()?,
         })
     }
 
@@ -200,6 +210,12 @@ mod tests {
         let t = r.to_token();
         assert_eq!(PositionReport::from_token(&t).unwrap(), r);
         assert!(PositionReport::from_token(&Token::Int(1)).is_err());
+        // A record of another schema, fields in another order: by name.
+        let reversed: Vec<_> = t.as_record().unwrap().iter().collect();
+        let reversed = reversed.iter().rev().fold(Token::record(), |b, (n, v)| b.field(n, (*v).clone()));
+        assert_eq!(PositionReport::from_token(&reversed.build()).unwrap(), r);
+        let short = Token::record().field("time", 95).build();
+        assert!(PositionReport::from_token(&short).is_err());
     }
 
     #[test]

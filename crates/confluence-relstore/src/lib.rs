@@ -17,7 +17,6 @@
 pub mod cost;
 pub mod expr;
 pub mod plan;
-mod postable;
 pub mod query;
 pub mod schema;
 pub mod stats;

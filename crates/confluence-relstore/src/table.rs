@@ -11,8 +11,8 @@
 //!
 //! A table keeps one copy of each row. Its indexes hold row positions
 //! only and read the indexed columns out of the row to hash and compare
-//! (see [`crate::postable`]); an ordered index keeps the one range value
-//! per entry that its B-tree sorts by.
+//! (see [`confluence_core::postable`]); an ordered index keeps the one
+//! range value per entry that its B-tree sorts by.
 
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
@@ -20,11 +20,11 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use confluence_core::error::{Error, Result};
+use confluence_core::postable::{KeyHasher, PosTable};
 
 use crate::cost;
 use crate::expr::{CmpOp, Expr};
 use crate::plan::{IndexRef, Plan, PlanNode};
-use crate::postable::{KeyHasher, PosTable};
 use crate::schema::Schema;
 use crate::stats::{IndexStats, IndexStatsView, TableStats};
 use crate::value::{Row, Value};

@@ -39,7 +39,7 @@ use confluence_core::error::Result;
 use confluence_core::graph::{ActorId, Workflow};
 use confluence_core::telemetry::{RunPhase, Telemetry};
 use confluence_core::time::{Clock, Micros, SharedClock, Timestamp, VirtualClock, WallClock};
-use confluence_core::window::Window;
+use confluence_core::window::{release_drained, Window};
 
 use crate::cost::CostModel;
 use crate::framework::{ActorInfo, Scheduler};
@@ -260,8 +260,7 @@ impl ScwfCore {
     fn sync_external(&mut self, workflow: &Workflow) {
         let st = self.state.as_mut().expect("initialized");
         for i in 0..st.queues.len() {
-            let inbox = st.run.fabric.inbox(ActorId(i));
-            while let Some((port, w)) = inbox.try_pop() {
+            for (port, w) in st.run.fabric.inbox(ActorId(i)).drain_windows() {
                 let origin = w.earliest_origin().unwrap_or(Timestamp::ZERO);
                 st.queues[i].push_back((port, w));
                 self.policy.on_enqueue(i, origin);
@@ -444,7 +443,9 @@ impl ScwfCore {
         let input = if workflow.node(id).is_source {
             None
         } else {
-            match st.queues[a].pop_front() {
+            let input = st.queues[a].pop_front();
+            release_drained(&mut st.queues[a]);
+            match input {
                 Some(input) => Some(input),
                 None => return Ok(None),
             }
