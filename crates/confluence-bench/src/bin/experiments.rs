@@ -4,12 +4,16 @@
 //! experiments [--quick] [--table1] [--table2] [--table3]
 //!             [--fig5] [--fig6] [--fig7] [--fig8]
 //!             [--shedding] [--multi] [--ablations] [--extras] [--stats] [--all]
+//!             [--csv DIR] [--trace FILE]
+//!             [--director pool[:N]|threaded] [--policy fifo|rb|edf|qbs[:US]]
+//!             [--timeline FILE]
 //! ```
 //!
 //! With no selection, `--all` is assumed. `--quick` runs a down-scaled
 //! workload with proportionally inflated costs (same crossover shape,
 //! ~1/4 the events). `--csv DIR` additionally writes each figure's data
-//! as a CSV file under DIR (plot-ready artifacts).
+//! as a CSV file under DIR (plot-ready artifacts). An unknown flag, or a
+//! value flag without its value, prints the usage and exits non-zero.
 //!
 //! `--fig5 --director pool[:N]` (or `--director threaded`) switches the
 //! figure-5 run from the virtual-time scheduler comparison to a
@@ -18,105 +22,162 @@
 //! to the thread-per-actor baseline, printing firing/routing/latency
 //! numbers side by side.
 
+use std::path::{Path, PathBuf};
+
 use confluence_bench::config::ExperimentConfig;
 use confluence_bench::runner::{
-    run_linear_road_realtime, run_linear_road_realtime_instrumented,
-    run_linear_road_realtime_traced, run_linear_road_traced, PolicyKind, RealtimePolicy,
+    run_linear_road, run_linear_road_realtime, PolicyKind, RealtimeOptions, RealtimePolicy,
     RunOptions,
 };
 use confluence_bench::{extensions, figures};
 use confluence_core::director::taxonomy;
 use confluence_core::telemetry::{TraceConfig, TraceReport};
-use confluence_linearroad::{LrOptions, Workload};
+use confluence_core::time::Micros;
+use confluence_linearroad::Workload;
 
 /// Wave sampling rate for `--trace` runs: 1-in-N root waves.
 const TRACE_SAMPLE_EVERY: u64 = 16;
 
+const USAGE: &str = "usage: experiments [--quick] [--table1] [--table2] [--table3]
+                   [--fig5] [--fig6] [--fig7] [--fig8]
+                   [--shedding] [--multi] [--ablations] [--extras] [--stats] [--all]
+                   [--csv DIR] [--trace FILE]
+                   [--director pool[:N]|threaded] [--policy fifo|rb|edf|qbs[:US]]
+                   [--timeline FILE]";
+
+/// Flags that select what runs; with none of them given, `--all` is
+/// assumed.
+const SELECTIONS: &[&str] = &[
+    "--all",
+    "--table1",
+    "--table2",
+    "--table3",
+    "--fig5",
+    "--fig6",
+    "--fig7",
+    "--fig8",
+    "--shedding",
+    "--multi",
+    "--ablations",
+    "--extras",
+    "--stats",
+];
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Cli {
+    quick: bool,
+    /// The [`SELECTIONS`] flags given, as spelled.
+    selected: Vec<String>,
+    csv: Option<PathBuf>,
+    trace: Option<PathBuf>,
+    director: Option<String>,
+    policy: Option<String>,
+    timeline: Option<PathBuf>,
+}
+
+impl Cli {
+    /// Parse the arguments after the program name. Anything that is not
+    /// a known flag, and a value flag without its value, is an error.
+    fn parse(args: &[String]) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let mut value = || match rest.next() {
+                Some(v) if !v.starts_with("--") => Ok(v.clone()),
+                _ => Err(format!("{arg} needs a value")),
+            };
+            match arg.as_str() {
+                "--quick" => cli.quick = true,
+                "--csv" => cli.csv = Some(value()?.into()),
+                "--trace" => cli.trace = Some(value()?.into()),
+                "--director" => cli.director = Some(value()?),
+                "--policy" => cli.policy = Some(value()?),
+                "--timeline" => cli.timeline = Some(value()?.into()),
+                flag if SELECTIONS.contains(&flag) => cli.selected.push(flag.to_string()),
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
+        Ok(cli)
+    }
+
+    /// Whether `flag` was given by name.
+    fn names(&self, flag: &str) -> bool {
+        self.selected.iter().any(|s| s == flag)
+    }
+
+    /// Whether the experiment `flag` selects runs: named, covered by
+    /// `--all`, or nothing was selected at all.
+    fn runs(&self, flag: &str) -> bool {
+        self.selected.is_empty() || self.names("--all") || self.names(flag)
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let all = has("--all") || !args.iter().any(|a| a.starts_with("--") && a != "--quick");
-    let config = if has("--quick") {
+    let cli = Cli::parse(&args).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let config = if cli.quick {
         ExperimentConfig::quick()
     } else {
         ExperimentConfig::default()
     };
-    let csv_dir: Option<std::path::PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    if let Some(dir) = &csv_dir {
+    if let Some(dir) = &cli.csv {
         std::fs::create_dir_all(dir).expect("create csv dir");
     }
     let write_csv = |name: &str, content: String| {
-        if let Some(dir) = &csv_dir {
+        if let Some(dir) = &cli.csv {
             let path = dir.join(name);
             std::fs::write(&path, content).expect("write csv");
             eprintln!("wrote {}", path.display());
         }
     };
+    let trace_path = cli.trace.as_deref();
 
-    if all || has("--table1") {
+    if cli.runs("--table1") {
         println!("Table 1: Taxonomy of directors (Kepler / PtolemyII / CWf)\n");
         println!("{}", taxonomy::render_table());
     }
-    if all || has("--table2") {
+    if cli.runs("--table2") {
         println!("{}", render_table2());
     }
-    if all || has("--table3") {
+    if cli.runs("--table3") {
         println!("{}", config.render_table3());
     }
-    let director_mode: Option<String> = args
-        .iter()
-        .position(|a| a == "--director")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let trace_path: Option<std::path::PathBuf> = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    if has("--fig5") && director_mode.is_some() {
-        run_fig5_head_to_head(&config, director_mode.as_deref().unwrap(), trace_path.as_deref());
-        return;
+    if let Some(mode) = cli.director.as_deref() {
+        if cli.names("--fig5") {
+            run_fig5_head_to_head(&config, mode, trace_path);
+            return;
+        }
+        if cli.names("--fig8") {
+            run_fig8_realtime(
+                &config,
+                mode,
+                cli.policy.as_deref(),
+                &write_csv,
+                trace_path,
+                cli.timeline.as_deref(),
+            );
+            return;
+        }
     }
-    if has("--fig8") && director_mode.is_some() {
-        let policy: Option<String> = args
-            .iter()
-            .position(|a| a == "--policy")
-            .and_then(|i| args.get(i + 1))
-            .cloned();
-        let timeline_path: Option<std::path::PathBuf> = args
-            .iter()
-            .position(|a| a == "--timeline")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from);
-        run_fig8_realtime(
-            &config,
-            director_mode.as_deref().unwrap(),
-            policy.as_deref(),
-            &write_csv,
-            trace_path.as_deref(),
-            timeline_path.as_deref(),
-        );
-        return;
-    }
-    if all || has("--fig5") {
+    if cli.runs("--fig5") {
         let series = figures::fig5_workload(&config);
         println!("{}", figures::render_fig5(&series));
         write_csv("fig5_workload.csv", figures::fig5_to_csv(&series));
         // One representative run over the fig5 workload, with the
         // telemetry layer's per-actor metrics table.
         let workload = Workload::generate(config.workload());
-        let (run, trace) = run_linear_road_traced(
+        let run = run_linear_road(
             PolicyKind::Qbs { basic_quantum: 500 },
             &workload,
             &config,
-            RunOptions::default(),
-            trace_path
-                .as_deref()
-                .map(|_| TraceConfig::sampled(TRACE_SAMPLE_EVERY)),
+            &RunOptions {
+                trace: trace_path.map(|_| TraceConfig::sampled(TRACE_SAMPLE_EVERY)),
+                ..RunOptions::default()
+            },
         );
         println!(
             "Per-actor metrics over the Figure 5 workload ({}):\n\n{}",
@@ -128,26 +189,28 @@ fn main() {
             run.channel_blocks, run.channel_block_time, run.channel_shed, run.queue_high_water
         );
         write_csv("fig5_actor_metrics.json", run.metrics.to_json());
-        if let (Some(path), Some(report)) = (trace_path.as_deref(), trace) {
-            emit_trace(path, &report);
+        if let (Some(path), Some(report)) = (trace_path, &run.trace) {
+            emit_trace(path, report);
         }
-    } else if has("--fig8") && trace_path.is_some() {
+    } else if cli.names("--fig8") && trace_path.is_some() {
         // `--fig8 --trace` without `--director`: the fig8 curves are many
         // virtual-time runs, so trace one representative QBS run instead.
         let workload = Workload::generate(config.workload());
-        let (run, trace) = run_linear_road_traced(
+        let run = run_linear_road(
             PolicyKind::Qbs { basic_quantum: 500 },
             &workload,
             &config,
-            RunOptions::default(),
-            Some(TraceConfig::sampled(TRACE_SAMPLE_EVERY)),
+            &RunOptions {
+                trace: Some(TraceConfig::sampled(TRACE_SAMPLE_EVERY)),
+                ..RunOptions::default()
+            },
         );
         println!("Wave-lineage trace over the Figure 8 workload ({})", run.label);
-        if let (Some(path), Some(report)) = (trace_path.as_deref(), trace) {
-            emit_trace(path, &report);
+        if let (Some(path), Some(report)) = (trace_path, &run.trace) {
+            emit_trace(path, report);
         }
     }
-    if all || has("--fig6") {
+    if cli.runs("--fig6") {
         let curves = figures::fig6_rr_sensitivity(&config);
         println!(
             "{}",
@@ -158,7 +221,7 @@ fn main() {
         );
         write_csv("fig6_rr_sensitivity.csv", figures::curves_to_csv(&curves));
     }
-    if all || has("--fig7") {
+    if cli.runs("--fig7") {
         let curves = figures::fig7_qbs_sensitivity(&config);
         println!(
             "{}",
@@ -169,7 +232,7 @@ fn main() {
         );
         write_csv("fig7_qbs_sensitivity.csv", figures::curves_to_csv(&curves));
     }
-    if all || has("--fig8") {
+    if cli.runs("--fig8") {
         let curves = figures::fig8_all_schedulers(&config);
         println!(
             "{}",
@@ -177,32 +240,32 @@ fn main() {
         );
         write_csv("fig8_all_schedulers.csv", figures::curves_to_csv(&curves));
     }
-    if all || has("--shedding") {
+    if cli.runs("--shedding") {
         println!(
             "{}",
             extensions::render_shedding(&extensions::shedding_experiment(&config))
         );
     }
-    if all || has("--multi") {
+    if cli.runs("--multi") {
         println!(
             "{}",
             extensions::render_multi(&extensions::multi_workflow_experiment(&config))
         );
     }
-    if all || has("--ablations") {
+    if cli.runs("--ablations") {
         println!("{}", extensions::render_ablations(&extensions::ablations(&config)));
     }
-    if all || has("--extras") {
+    if cli.runs("--extras") {
         println!("{}", extensions::extras_experiment(&config));
     }
-    if all || has("--stats") {
+    if cli.runs("--stats") {
         println!("{}", extensions::actor_stats_experiment(&config));
     }
 }
 
 /// `--fig5 --director <pool[:N]|threaded>`: wall-clock Linear Road over
 /// the fig5 workload, selected executor vs. the threaded baseline.
-fn run_fig5_head_to_head(config: &ExperimentConfig, mode: &str, trace_path: Option<&std::path::Path>) {
+fn run_fig5_head_to_head(config: &ExperimentConfig, mode: &str, trace_path: Option<&Path>) {
     // Compress the timetable so the 600 s trace replays in seconds of
     // wall time; both executors see the identical workflow.
     const SPEEDUP: u64 = 100;
@@ -222,30 +285,17 @@ fn run_fig5_head_to_head(config: &ExperimentConfig, mode: &str, trace_path: Opti
     );
     // The trace rides on the selected executor's run (the baseline when
     // the comparison is threaded-only).
-    let trace_config = trace_path.map(|_| TraceConfig::sampled(TRACE_SAMPLE_EVERY));
-    let (runs, trace) = match pool_workers {
-        Some(n) => {
-            let baseline = run_linear_road_realtime(None, &workload, SPEEDUP);
-            let (selected, trace) = run_linear_road_realtime_traced(
-                Some(n),
-                RealtimePolicy::Fifo,
-                &workload,
-                SPEEDUP,
-                trace_config,
-            );
-            (vec![baseline, selected], trace)
-        }
-        None => {
-            let (baseline, trace) = run_linear_road_realtime_traced(
-                None,
-                RealtimePolicy::Fifo,
-                &workload,
-                SPEEDUP,
-                trace_config,
-            );
-            (vec![baseline], trace)
-        }
-    };
+    let mut runs = Vec::new();
+    if pool_workers.is_some() {
+        runs.push(run_linear_road_realtime(&workload, &RealtimeOptions::new(None, SPEEDUP)));
+    }
+    runs.push(run_linear_road_realtime(
+        &workload,
+        &RealtimeOptions {
+            trace: trace_path.map(|_| TraceConfig::sampled(TRACE_SAMPLE_EVERY)),
+            ..RealtimeOptions::new(pool_workers, SPEEDUP)
+        },
+    ));
     println!(
         "{:<12}  {:>10}  {:>12}  {:>8}  {:>12}",
         "executor", "firings", "routed", "tolls", "elapsed_us"
@@ -263,8 +313,9 @@ fn run_fig5_head_to_head(config: &ExperimentConfig, mode: &str, trace_path: Opti
     for run in &runs {
         println!("\nPer-actor metrics ({}):\n\n{}", run.label, run.metrics.render_table());
     }
-    if let (Some(path), Some(report)) = (trace_path, trace) {
-        emit_trace(path, &report);
+    let selected = runs.last().expect("the selected executor ran");
+    if let (Some(path), Some(report)) = (trace_path, &selected.trace) {
+        emit_trace(path, report);
     }
 }
 
@@ -283,8 +334,8 @@ fn run_fig8_realtime(
     mode: &str,
     policy: Option<&str>,
     write_csv: &dyn Fn(&str, String),
-    trace_path: Option<&std::path::Path>,
-    timeline_path: Option<&std::path::Path>,
+    trace_path: Option<&Path>,
+    timeline_path: Option<&Path>,
 ) {
     /// Timeline sampling interval (wall time) for `--timeline`.
     const TIMELINE_INTERVAL_US: u64 = 10_000;
@@ -320,39 +371,24 @@ fn run_fig8_realtime(
     let mut csv = String::from(
         "policy,workers,speedup,firings,events_routed,tolls,elapsed_us,mean_ms,p95_ms,p99_ms\n",
     );
-    // The trace rides on the last policy's run (the selected one when a
-    // `--policy` was given, since FIFO runs first as the control).
+    // The trace and the timeline ride on the last policy's run (the
+    // selected one when a `--policy` was given, since FIFO runs first as
+    // the control).
     let last = *policies.last().expect("at least one policy");
-    let mut last_trace: Option<TraceReport> = None;
-    let opts = LrOptions {
-        arrival_speedup: SPEEDUP,
-        ..LrOptions::default()
-    };
+    let mut last_trace = None;
     for p in policies {
-        let trace_config = if p == last {
-            trace_path.map(|_| TraceConfig::sampled(TRACE_SAMPLE_EVERY))
-        } else {
-            None
-        };
-        // The timeline rides the last policy's run, like the trace.
-        let series_interval = if p == last {
-            timeline_path.map(|_| confluence_core::time::Micros(TIMELINE_INTERVAL_US))
-        } else {
-            None
-        };
-        let (run, trace, series) = run_linear_road_realtime_instrumented(
-            Some(workers),
-            p,
-            None,
+        let trace_path = trace_path.filter(|_| p == last);
+        let timeline_path = timeline_path.filter(|_| p == last);
+        let run = run_linear_road_realtime(
             &workload,
-            &opts,
-            trace_config,
-            series_interval,
+            &RealtimeOptions {
+                policy: p,
+                trace: trace_path.map(|_| TraceConfig::sampled(TRACE_SAMPLE_EVERY)),
+                series_interval: timeline_path.map(|_| Micros(TIMELINE_INTERVAL_US)),
+                ..RealtimeOptions::new(Some(workers), SPEEDUP)
+            },
         );
-        if trace.is_some() {
-            last_trace = trace;
-        }
-        if let (Some(path), Some(series)) = (timeline_path, series) {
+        if let (Some(path), Some(series)) = (timeline_path, &run.series) {
             std::fs::write(path, series.to_csv_all()).expect("write timeline");
             eprintln!("wrote {}", path.display());
         }
@@ -383,6 +419,7 @@ fn run_fig8_realtime(
             p95_ms,
             p99_ms
         ));
+        last_trace = run.trace;
     }
     write_csv("fig8_realtime.csv", csv);
     if let (Some(path), Some(report)) = (trace_path, last_trace) {
@@ -393,7 +430,7 @@ fn run_fig8_realtime(
 /// Write a [`TraceReport`] as Chrome/Perfetto JSON and print a bounded
 /// lineage summary: flight-recorder counters, the head of the per-wave
 /// critical-path table, and the first recorded wave's tree.
-fn emit_trace(path: &std::path::Path, report: &TraceReport) {
+fn emit_trace(path: &Path, report: &TraceReport) {
     std::fs::write(path, report.to_chrome_json()).expect("write trace");
     eprintln!("wrote {}", path.display());
     println!(
@@ -449,4 +486,44 @@ fn render_table2() -> String {
     out.push_str("  WAITING  (source)   has fired in the current period\n");
     out.push_str("  INACTIVE (internal) no events in queue or buffer (sources never inactive)\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn option_flags_are_not_selections() {
+        for args in [&[][..], &["--quick"], &["--quick", "--csv", "out"], &["--all", "--fig5"]] {
+            let cli = parse(args).unwrap();
+            assert!(cli.runs("--fig5") && cli.runs("--stats"), "{args:?} runs everything");
+        }
+        let cli = parse(&["--quick", "--csv", "out"]).unwrap();
+        assert!(cli.quick && cli.selected.is_empty());
+        assert_eq!(cli.csv.as_deref(), Some(Path::new("out")));
+    }
+
+    #[test]
+    fn a_selection_runs_only_what_it_names() {
+        let cli = parse(&["--fig8", "--director", "pool:2", "--timeline", "t.csv"]).unwrap();
+        assert!(cli.runs("--fig8") && cli.names("--fig8"));
+        assert!(!cli.runs("--fig5") && !cli.runs("--table1"));
+        assert_eq!(cli.director.as_deref(), Some("pool:2"));
+        assert_eq!(cli.timeline.as_deref(), Some(Path::new("t.csv")));
+        assert!(!parse(&["--all"]).unwrap().names("--fig5"), "--all names no figure");
+    }
+
+    #[test]
+    fn unknown_and_value_less_flags_are_rejected() {
+        assert!(parse(&["--fig9"]).unwrap_err().contains("--fig9"));
+        assert!(parse(&["stray"]).is_err());
+        for flag in ["--csv", "--trace", "--director", "--policy", "--timeline"] {
+            assert!(parse(&[flag]).unwrap_err().contains(flag), "{flag} at the end");
+            assert!(parse(&[flag, "--fig5"]).unwrap_err().contains(flag), "{flag} before a flag");
+        }
+    }
 }

@@ -19,7 +19,7 @@ use confluence_sched::multi::MultiWorkflowExecutor;
 use confluence_sched::policies::QbsScheduler;
 
 use crate::config::ExperimentConfig;
-use crate::runner::{run_linear_road, run_linear_road_with, PolicyKind, RunOptions};
+use crate::runner::{run_linear_road, PolicyKind, RunOptions};
 
 /// Result of the shedding comparison.
 pub struct SheddingResult {
@@ -38,12 +38,12 @@ pub struct SheddingResult {
 pub fn shedding_experiment(config: &ExperimentConfig) -> SheddingResult {
     let workload = Workload::generate(config.workload());
     let kind = PolicyKind::Qbs { basic_quantum: 500 };
-    let base = run_linear_road_with(kind, &workload, config, RunOptions::default());
-    let shed = run_linear_road_with(
+    let base = run_linear_road(kind, &workload, config, &RunOptions::default());
+    let shed = run_linear_road(
         kind,
         &workload,
         config,
-        RunOptions {
+        &RunOptions {
             shed_target: Some(Micros::from_millis(500)),
             ..RunOptions::default()
         },
@@ -170,11 +170,11 @@ pub fn ablations(config: &ExperimentConfig) -> Vec<AblationRow> {
     let kind = PolicyKind::Qbs { basic_quantum: 500 };
     let mut rows = Vec::new();
     for overhead in [0u64, 100, 500] {
-        let run = run_linear_road_with(
+        let run = run_linear_road(
             kind,
             &workload,
             config,
-            RunOptions {
+            &RunOptions {
                 scheduler_overhead: Micros(overhead),
                 ..RunOptions::default()
             },
@@ -186,11 +186,11 @@ pub fn ablations(config: &ExperimentConfig) -> Vec<AblationRow> {
         });
     }
     for (label, flat) in [("composite sub-workflows", false), ("flat actors", true)] {
-        let run = run_linear_road_with(
+        let run = run_linear_road(
             kind,
             &workload,
             config,
-            RunOptions {
+            &RunOptions {
                 flat_subworkflows: flat,
                 ..RunOptions::default()
             },
@@ -256,10 +256,10 @@ pub fn extras_experiment(config: &ExperimentConfig) -> String {
     let mut out = String::from("Extra schedulers (pre-saturation, first 400 s):\n");
     for kind in [
         PolicyKind::Qbs { basic_quantum: 500 },
-        PolicyKind::Edf { target: 2_000_000 },
+        PolicyKind::Edf,
         PolicyKind::Fifo,
     ] {
-        let run = run_linear_road(kind, &workload, config);
+        let run = run_linear_road(kind, &workload, config, &RunOptions::default());
         out.push_str(&format!(
             "  {:<12} mean<400s {:>7.3}s   p95 {:>7.3}s   thrash {}\n",
             run.label,

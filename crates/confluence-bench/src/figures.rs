@@ -3,7 +3,7 @@
 use confluence_linearroad::Workload;
 
 use crate::config::ExperimentConfig;
-use crate::runner::{run_linear_road, LrRun, PolicyKind};
+use crate::runner::{run_linear_road, LrRun, PolicyKind, RunOptions};
 
 /// One labelled response-time curve.
 pub struct Curve {
@@ -49,7 +49,7 @@ pub fn fig6_rr_sensitivity(config: &ExperimentConfig) -> Vec<Curve> {
         .rr_quanta
         .iter()
         .map(|&slice| {
-            let run = run_linear_road(PolicyKind::Rr { slice }, &workload, config);
+            let run = run_linear_road(PolicyKind::Rr { slice }, &workload, config, &RunOptions::default());
             Curve::from_run(&run, config.bucket_secs)
         })
         .collect()
@@ -62,7 +62,12 @@ pub fn fig7_qbs_sensitivity(config: &ExperimentConfig) -> Vec<Curve> {
         .qbs_quanta
         .iter()
         .map(|&basic_quantum| {
-            let run = run_linear_road(PolicyKind::Qbs { basic_quantum }, &workload, config);
+            let run = run_linear_road(
+                PolicyKind::Qbs { basic_quantum },
+                &workload,
+                config,
+                &RunOptions::default(),
+            );
             Curve::from_run(&run, config.bucket_secs)
         })
         .collect()
@@ -80,7 +85,7 @@ pub fn fig8_all_schedulers(config: &ExperimentConfig) -> Vec<Curve> {
     ]
     .iter()
     .map(|&kind| {
-        let run = run_linear_road(kind, &workload, config);
+        let run = run_linear_road(kind, &workload, config, &RunOptions::default());
         Curve::from_run(&run, config.bucket_secs)
     })
     .collect()

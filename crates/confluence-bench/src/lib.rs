@@ -15,4 +15,4 @@ pub mod runner;
 pub mod tracecheck;
 
 pub use config::ExperimentConfig;
-pub use runner::{run_linear_road, LrRun, PolicyKind};
+pub use runner::{run_linear_road, LrRun, PolicyKind, RunOptions};

@@ -2,16 +2,12 @@
 
 use std::sync::Arc;
 
-use confluence_core::director::adaptive::AdaptivePolicy;
-use confluence_core::director::pool::PoolDirector;
 use confluence_core::director::pool_policy::{
     Fifo as PoolFifo, OldestWave, PoolPolicy, Quantum, RateBased,
 };
-use confluence_core::director::threaded::ThreadedDirector;
-use confluence_core::director::Director;
+use confluence_core::engine::{Engine, ExecConfig};
 use confluence_core::telemetry::{
-    MetricsRecorder, MetricsSnapshot, MultiObserver, Observer, Telemetry, TimeSeriesRecorder,
-    TraceConfig, TraceReport, Tracer,
+    MetricsSnapshot, TimeSeriesRecorder, TraceConfig, TraceReport, Tracer,
 };
 use confluence_core::time::{Micros, Timestamp};
 use confluence_linearroad::cost::{pncwf_cost_model, staf_cost_model};
@@ -44,11 +40,8 @@ pub enum PolicyKind {
     Pncwf,
     /// Plain FIFO (not in the paper; used as an extra baseline).
     Fifo,
-    /// Earliest-deadline-first (extension policy; delay target in µs).
-    Edf {
-        /// Delay target in µs.
-        target: u64,
-    },
+    /// Earliest-deadline-first on wave origins (extension policy).
+    Edf,
 }
 
 impl PolicyKind {
@@ -60,7 +53,7 @@ impl PolicyKind {
             PolicyKind::Rb => "RB".to_string(),
             PolicyKind::Pncwf => "PNCWF".to_string(),
             PolicyKind::Fifo => "FIFO".to_string(),
-            PolicyKind::Edf { target } => format!("EDF-t{target}"),
+            PolicyKind::Edf => "EDF".to_string(),
         }
     }
 }
@@ -79,8 +72,8 @@ impl<M: CostModel> CostModel for ScaledCost<M> {
     }
 }
 
-/// Knobs beyond the scheduler choice (ablations and extensions).
-#[derive(Debug, Clone, Copy, Default)]
+/// Knobs beyond the scheduler choice (ablations, extensions, tracing).
+#[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Per-decision scheduler overhead charged in virtual time (the cost
     /// of the scheduling framework itself — ablation knob).
@@ -89,6 +82,9 @@ pub struct RunOptions {
     pub flat_subworkflows: bool,
     /// Enable adaptive load shedding with this response-time target.
     pub shed_target: Option<Micros>,
+    /// Attach a wave-lineage [`Tracer`] with this configuration; its
+    /// report comes back in [`LrRun::trace`].
+    pub trace: Option<TraceConfig>,
 }
 
 /// Results of one Linear Road run.
@@ -118,6 +114,8 @@ pub struct LrRun {
     pub queue_high_water: u64,
     /// Per-actor metrics from the core telemetry recorder.
     pub metrics: MetricsSnapshot,
+    /// The recorded wave lineage, when [`RunOptions::trace`] was set.
+    pub trace: Option<TraceReport>,
 }
 
 /// Run the Linear Road workflow under one scheduler in virtual time.
@@ -125,30 +123,12 @@ pub struct LrRun {
 /// The run is cut off shortly after the experiment duration: once the
 /// offered load exceeds capacity, the backlog would otherwise keep the
 /// virtual clock crawling long past the window the paper plots.
-pub fn run_linear_road(kind: PolicyKind, workload: &Workload, config: &ExperimentConfig) -> LrRun {
-    run_linear_road_with(kind, workload, config, RunOptions::default())
-}
-
-/// [`run_linear_road`] with ablation/extension knobs.
-pub fn run_linear_road_with(
+pub fn run_linear_road(
     kind: PolicyKind,
     workload: &Workload,
     config: &ExperimentConfig,
-    options: RunOptions,
+    options: &RunOptions,
 ) -> LrRun {
-    run_linear_road_traced(kind, workload, config, options, None).0
-}
-
-/// [`run_linear_road_with`] plus an optional wave-lineage tracer: when
-/// `trace` is set, a [`Tracer`] observes the run and its [`TraceReport`]
-/// is returned alongside the metrics.
-pub fn run_linear_road_traced(
-    kind: PolicyKind,
-    workload: &Workload,
-    config: &ExperimentConfig,
-    options: RunOptions,
-    trace: Option<TraceConfig>,
-) -> (LrRun, Option<TraceReport>) {
     let lr = build(
         workload,
         &LrOptions {
@@ -158,7 +138,6 @@ pub fn run_linear_road_traced(
         },
     )
     .expect("workflow builds");
-    let mut lr = lr;
     let interval = config.qbs_source_interval;
     let policy: Box<dyn Scheduler> = match kind {
         PolicyKind::Qbs { basic_quantum } => Box::new(QbsScheduler::new(basic_quantum, interval)),
@@ -166,7 +145,7 @@ pub fn run_linear_road_traced(
         PolicyKind::Rb => Box::new(RbScheduler::new()),
         PolicyKind::Pncwf => Box::new(OsThreadScheduler::new()),
         PolicyKind::Fifo => Box::new(FifoScheduler::new(interval)),
-        PolicyKind::Edf { target } => Box::new(EdfScheduler::new(Micros(target), interval)),
+        PolicyKind::Edf => Box::new(EdfScheduler::new(interval)),
     };
     // Down-scaled workloads get proportionally inflated costs so the
     // capacity-vs-ramp crossover lands at the same run time.
@@ -182,17 +161,11 @@ pub fn run_linear_road_traced(
             factor: scale,
         })
     };
-    let mut director = ScwfDirector::virtual_time(policy, cost)
+    let director = ScwfDirector::virtual_time(policy, cost)
         .with_scheduler_overhead(options.scheduler_overhead)
         .with_deadline(Timestamp::from_secs(config.duration_secs + 20));
-    let recorder = Arc::new(MetricsRecorder::for_workflow(&lr.workflow));
-    let tracer = trace.map(|cfg| Arc::new(Tracer::for_workflow(&lr.workflow, cfg)));
-    let mut observers: Vec<Arc<dyn Observer>> = vec![recorder.clone()];
-    if let Some(t) = &tracer {
-        observers.push(t.clone());
-    }
-    director.instrument(Telemetry::new(Arc::new(MultiObserver::new(observers))));
-    let report = director.run(&mut lr.workflow).expect("run succeeds");
+    let mut engine = traced(Engine::new(lr.workflow), &options.trace).with_director(director);
+    let report = engine.run().expect("run succeeds");
 
     let toll_series = ResponseSeries::new(lr.toll_output.latency_samples());
     let accident_series = ResponseSeries::new(lr.accident_output.latency_samples());
@@ -202,8 +175,8 @@ pub fn run_linear_road_traced(
         .as_ref()
         .map(|h| h.stats().drop_fraction())
         .unwrap_or(0.0);
-    let metrics = recorder.snapshot();
-    let run = LrRun {
+    let metrics = engine.snapshot();
+    LrRun {
         label: kind.label(),
         toll_count: lr.toll_output.len(),
         toll_series,
@@ -216,8 +189,19 @@ pub fn run_linear_road_traced(
         channel_shed: metrics.total_shed(),
         queue_high_water: metrics.max_queue_high_water(),
         metrics,
-    };
-    (run, tracer.map(|t| t.report()))
+        trace: engine.trace_report(),
+    }
+}
+
+/// `engine` with a [`Tracer`] attached when `trace` asks for one.
+fn traced(engine: Engine, trace: &Option<TraceConfig>) -> Engine {
+    match trace {
+        Some(cfg) => {
+            let tracer = Arc::new(Tracer::for_workflow(engine.workflow(), cfg.clone()));
+            engine.with_tracer(tracer)
+        }
+        None => engine,
+    }
 }
 
 /// Ready-queue policy for the wall-clock pool executor (the STAFiLOS §3
@@ -284,6 +268,40 @@ impl RealtimePolicy {
     }
 }
 
+/// What one wall-clock Linear Road run executes on and records.
+#[derive(Debug, Clone)]
+pub struct RealtimeOptions {
+    /// `None` runs the thread-per-actor executor, `Some(n)` the pooled
+    /// work-stealing executor with `n` workers.
+    pub pool_workers: Option<usize>,
+    /// Pool ready-queue policy (ignored for the threaded executor, which
+    /// has no ready queue).
+    pub policy: RealtimePolicy,
+    /// Compress the workload timetable by this factor.
+    pub arrival_speedup: u64,
+    /// Attach a wave-lineage [`Tracer`] with this configuration; its
+    /// report comes back in [`RealtimeRun::trace`].
+    pub trace: Option<TraceConfig>,
+    /// Sample time series every this much wall time (per-actor inbox
+    /// depths, cumulative firings, latency p95 — the `--fig8 --timeline`
+    /// data); the recorder comes back in [`RealtimeRun::series`].
+    pub series_interval: Option<Micros>,
+}
+
+impl RealtimeOptions {
+    /// FIFO, untraced, unsampled run on `pool_workers` with the timetable
+    /// compressed by `arrival_speedup`.
+    pub fn new(pool_workers: Option<usize>, arrival_speedup: u64) -> Self {
+        RealtimeOptions {
+            pool_workers,
+            policy: RealtimePolicy::Fifo,
+            arrival_speedup,
+            trace: None,
+            series_interval: None,
+        }
+    }
+}
+
 /// Results of one wall-clock Linear Road run under a PN executor
 /// (threaded or pooled) — the head-to-head `--fig5`/`--fig8 --director`
 /// modes.
@@ -302,147 +320,51 @@ pub struct RealtimeRun {
     pub elapsed: Micros,
     /// Per-actor (and, for the pool, per-worker) metrics.
     pub metrics: MetricsSnapshot,
+    /// The recorded wave lineage, when [`RealtimeOptions::trace`] was set.
+    pub trace: Option<TraceReport>,
+    /// The sampled series, when [`RealtimeOptions::series_interval`] was
+    /// set.
+    pub series: Option<Arc<TimeSeriesRecorder>>,
 }
 
-/// Run Linear Road in real time under the thread-per-actor executor
-/// (`pool_workers = None`) or the pooled work-stealing executor
-/// (`Some(n)`), with the workload timetable compressed by
-/// `arrival_speedup`.
-pub fn run_linear_road_realtime(
-    pool_workers: Option<usize>,
-    workload: &Workload,
-    arrival_speedup: u64,
-) -> RealtimeRun {
-    run_linear_road_realtime_policy(pool_workers, RealtimePolicy::Fifo, workload, arrival_speedup)
-}
-
-/// [`run_linear_road_realtime`] with an explicit pool ready-queue policy
-/// (ignored for the threaded executor, which has no ready queue).
-pub fn run_linear_road_realtime_policy(
-    pool_workers: Option<usize>,
-    policy: RealtimePolicy,
-    workload: &Workload,
-    arrival_speedup: u64,
-) -> RealtimeRun {
-    run_linear_road_realtime_traced(pool_workers, policy, workload, arrival_speedup, None).0
-}
-
-/// [`run_linear_road_realtime_policy`] plus an optional wave-lineage
-/// tracer (see [`run_linear_road_traced`]).
-pub fn run_linear_road_realtime_traced(
-    pool_workers: Option<usize>,
-    policy: RealtimePolicy,
-    workload: &Workload,
-    arrival_speedup: u64,
-    trace: Option<TraceConfig>,
-) -> (RealtimeRun, Option<TraceReport>) {
-    let opts = LrOptions {
-        arrival_speedup,
-        ..LrOptions::default()
-    };
-    run_linear_road_realtime_opts(pool_workers, policy, workload, &opts, trace)
-}
-
-/// The fully-parameterized real-time runner: any [`LrOptions`] (toll
-/// sharding, artificial toll cost, arrival speedup, shedding, …) under
-/// the threaded or pooled executor.
-pub fn run_linear_road_realtime_opts(
-    pool_workers: Option<usize>,
-    policy: RealtimePolicy,
-    workload: &Workload,
-    opts: &LrOptions,
-    trace: Option<TraceConfig>,
-) -> (RealtimeRun, Option<TraceReport>) {
-    run_linear_road_realtime_adaptive(pool_workers, policy, None, workload, opts, trace)
-}
-
-/// [`run_linear_road_realtime_opts`] with the adaptive runtime optionally
-/// armed on the pool (elastic workers, policy hot-swap, load shedding —
-/// see [`confluence_core::director::adaptive`]). Ignored for the threaded
-/// executor, which has no control loop to ride.
-pub fn run_linear_road_realtime_adaptive(
-    pool_workers: Option<usize>,
-    policy: RealtimePolicy,
-    adaptive: Option<AdaptivePolicy>,
-    workload: &Workload,
-    opts: &LrOptions,
-    trace: Option<TraceConfig>,
-) -> (RealtimeRun, Option<TraceReport>) {
-    let (run, report, _) =
-        run_linear_road_realtime_instrumented(pool_workers, policy, adaptive, workload, opts, trace, None);
-    (run, report)
-}
-
-/// The fully-instrumented real-time runner: everything
-/// [`run_linear_road_realtime_adaptive`] does, plus continuous
-/// time-series sampling every `series_interval` of wall time when set
-/// (per-actor inbox depths, cumulative firings, latency p95, adapt
-/// events — the `--fig8 --timeline` data).
-#[allow(clippy::too_many_arguments)]
-pub fn run_linear_road_realtime_instrumented(
-    pool_workers: Option<usize>,
-    policy: RealtimePolicy,
-    adaptive: Option<AdaptivePolicy>,
-    workload: &Workload,
-    opts: &LrOptions,
-    trace: Option<TraceConfig>,
-    series_interval: Option<Micros>,
-) -> (RealtimeRun, Option<TraceReport>, Option<Arc<TimeSeriesRecorder>>) {
-    let mut lr = build(workload, opts).expect("workflow builds");
-    let (label, mut director): (String, Box<dyn Director>) = match pool_workers {
-        None => ("threaded".to_string(), Box::new(ThreadedDirector::new())),
-        Some(n) => {
-            let mut label = if policy == RealtimePolicy::Fifo {
-                format!("pool-{n}")
-            } else {
-                format!("pool-{n}-{}", policy.label())
-            };
-            let mut pool = PoolDirector::new()
-                .with_workers(n)
-                .with_policy_arc(policy.build());
-            if let Some(a) = adaptive.clone() {
-                label.push_str("-adaptive");
-                pool = pool.with_adaptive(a);
-            }
-            (label, Box::new(pool))
-        }
-    };
-    let recorder = Arc::new(MetricsRecorder::for_workflow(&lr.workflow));
-    let tracer = trace.map(|cfg| Arc::new(Tracer::for_workflow(&lr.workflow, cfg)));
-    let series = series_interval.map(|interval| {
-        let s = Arc::new(TimeSeriesRecorder::new(interval));
-        s.set_latency(recorder.latency_sketch());
-        s.set_fires_source(recorder.clone());
-        s
-    });
-    let mut observers: Vec<Arc<dyn Observer>> = vec![recorder.clone()];
-    if let Some(t) = &tracer {
-        observers.push(t.clone());
+/// Run Linear Road in real time under the thread-per-actor or the pooled
+/// work-stealing executor.
+pub fn run_linear_road_realtime(workload: &Workload, options: &RealtimeOptions) -> RealtimeRun {
+    let lr = build(
+        workload,
+        &LrOptions {
+            arrival_speedup: options.arrival_speedup,
+            ..LrOptions::default()
+        },
+    )
+    .expect("workflow builds");
+    // The engine's default director is the threaded one.
+    let mut label = "threaded".to_string();
+    let mut exec = ExecConfig::new();
+    if let Some(n) = options.pool_workers {
+        label = if options.policy == RealtimePolicy::Fifo {
+            format!("pool-{n}")
+        } else {
+            format!("pool-{n}-{}", options.policy.label())
+        };
+        exec = exec.workers(n).pool_policy_arc(options.policy.build());
     }
-    // The series recorder reads its counters from the metrics recorder
-    // at sample time, so it only needs lifecycle events — quiet tier.
-    let quiet: Vec<Arc<dyn Observer>> = series
-        .iter()
-        .map(|s| s.clone() as Arc<dyn Observer>)
-        .collect();
-    let mut telemetry =
-        Telemetry::new(Arc::new(MultiObserver::new(observers).with_quiet(quiet)))
-            .with_latency(recorder.latency_sketch());
-    if let Some(s) = &series {
-        telemetry = telemetry.with_series(s.clone());
+    if let Some(interval) = options.series_interval {
+        exec = exec.sample_series(interval);
     }
-    director.instrument(telemetry);
-    let report = director.run(&mut lr.workflow).expect("run succeeds");
-    let run = RealtimeRun {
+    let mut engine = traced(Engine::new(lr.workflow), &options.trace).configure(exec);
+    let report = engine.run().expect("run succeeds");
+    RealtimeRun {
         label,
         firings: report.firings,
         events_routed: report.events_routed,
         toll_count: lr.toll_output.len(),
         toll_series: ResponseSeries::new(lr.toll_output.latency_samples()),
         elapsed: report.elapsed,
-        metrics: recorder.snapshot(),
-    };
-    (run, tracer.map(|t| t.report()), series)
+        metrics: engine.snapshot(),
+        trace: engine.trace_report(),
+        series: engine.series().cloned(),
+    }
 }
 
 #[cfg(test)]
@@ -456,6 +378,7 @@ mod tests {
         assert_eq!(PolicyKind::Rb.label(), "RB");
         assert_eq!(PolicyKind::Pncwf.label(), "PNCWF");
         assert_eq!(PolicyKind::Fifo.label(), "FIFO");
+        assert_eq!(PolicyKind::Edf.label(), "EDF");
     }
 
     #[test]
@@ -482,7 +405,7 @@ mod tests {
     fn quick_run_produces_series() {
         let config = ExperimentConfig::quick();
         let workload = Workload::generate(config.workload());
-        let run = run_linear_road(PolicyKind::Fifo, &workload, &config);
+        let run = run_linear_road(PolicyKind::Fifo, &workload, &config, &RunOptions::default());
         assert!(run.toll_count > 0);
         assert!(run.firings > 1_000);
         assert!(!run.toll_series.is_empty());

@@ -174,16 +174,6 @@ pub struct Fabric {
 impl Fabric {
     /// Build receivers and inboxes for every actor of the workflow.
     pub fn build(workflow: &Workflow) -> Result<Fabric> {
-        Self::build_observed(workflow, None)
-    }
-
-    /// [`Fabric::build`] with an observer receiving `on_route`,
-    /// `on_window_close`, and `on_expire` hooks for everything that moves
-    /// through the fabric.
-    pub fn build_observed(
-        workflow: &Workflow,
-        observer: Option<Arc<dyn Observer>>,
-    ) -> Result<Fabric> {
         // Expired-queue feeders per destination port: a handler port stays
         // open until every port whose expired events feed it has closed.
         let mut expired_feeders: std::collections::HashMap<(usize, usize), usize> =
@@ -250,7 +240,7 @@ impl Fabric {
             })
             .collect();
         let has_expired_routes = workflow.has_expired_routes();
-        let mut fabric = Fabric {
+        Ok(Fabric {
             inboxes,
             receivers,
             routes,
@@ -263,9 +253,7 @@ impl Fabric {
             relief_lock: Mutex::new(()),
             shed_ppm: AtomicU64::new(0),
             shed_acc: AtomicU64::new(0),
-        };
-        fabric.observe(workflow, observer);
-        Ok(fabric)
+        })
     }
 
     /// Attach `observer` (replacing any earlier one) and announce the
@@ -298,11 +286,6 @@ impl Fabric {
     /// adaptive controller's load-shedding lever.
     pub fn set_shed_ratio_ppm(&self, ppm: u64) {
         self.shed_ppm.store(ppm.min(1_000_000), Ordering::Relaxed);
-    }
-
-    /// Current admission-side shed ratio in parts per million.
-    pub fn shed_ratio_ppm(&self) -> u64 {
-        self.shed_ppm.load(Ordering::Relaxed)
     }
 
     /// Error-diffusion verdict for one source-admission candidate under
@@ -643,11 +626,6 @@ impl Fabric {
     /// artificial deadlock.
     pub fn progress_counter(&self) -> u64 {
         self.progress.load(Ordering::Relaxed)
-    }
-
-    /// The destination ports wired to output `port` of actor `from`.
-    pub fn route_targets(&self, from: ActorId, port: usize) -> &[PortRef] {
-        &self.routes[from.0][port]
     }
 
     /// Evaluate window timeouts on one actor's receivers at director time

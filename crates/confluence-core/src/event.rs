@@ -57,37 +57,6 @@ impl CwEvent {
     }
 }
 
-/// Stamps the productions of a single actor firing with consecutive wave
-/// serial numbers, marking the last one.
-///
-/// Directors buffer a firing's emissions, then run them through a
-/// `WaveStamper` once the firing completes (only then is the last
-/// production known).
-#[derive(Debug)]
-pub struct WaveStamper {
-    parent: WaveTag,
-}
-
-impl WaveStamper {
-    /// Stamper for productions triggered by an event of wave `parent`.
-    pub fn new(parent: WaveTag) -> Self {
-        WaveStamper { parent }
-    }
-
-    /// Stamp `tokens` as the complete production set of one firing,
-    /// produced at `now`. The final token is marked last-of-firing.
-    pub fn stamp_all(&self, tokens: Vec<Token>, now: Timestamp) -> Vec<CwEvent> {
-        let n = tokens.len();
-        tokens
-            .into_iter()
-            .enumerate()
-            .map(|(i, token)| {
-                CwEvent::derived(token, now, &self.parent, (i + 1) as u32, i + 1 == n)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,25 +85,5 @@ mod tests {
         let root = CwEvent::external(Token::Unit, Timestamp(1_000));
         let d = CwEvent::derived(Token::Unit, Timestamp(4_000), &root.wave, 1, true);
         assert_eq!(d.latency_at(Timestamp(6_000)), Micros(5_000));
-    }
-
-    #[test]
-    fn stamper_numbers_and_marks_last() {
-        let root = WaveTag::external(Timestamp(1));
-        let stamper = WaveStamper::new(root);
-        let events = stamper.stamp_all(
-            vec![Token::Int(1), Token::Int(2), Token::Int(3)],
-            Timestamp(10),
-        );
-        assert_eq!(events.len(), 3);
-        let tags: Vec<String> = events.iter().map(|e| e.wave.to_string()).collect();
-        assert_eq!(tags, vec!["t1.1", "t1.2", "t1.3!"]);
-        assert!(events.iter().all(|e| e.timestamp == Timestamp(10)));
-    }
-
-    #[test]
-    fn stamper_empty_production() {
-        let stamper = WaveStamper::new(WaveTag::external(Timestamp(1)));
-        assert!(stamper.stamp_all(vec![], Timestamp(2)).is_empty());
     }
 }

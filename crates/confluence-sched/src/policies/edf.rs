@@ -4,10 +4,12 @@
 //! delay target, to keeping a fraction of results below a response time
 //! target, to minimizing tardiness" — but none of its three case-study
 //! policies orders work by how close each event is to violating its
-//! target. `EdfScheduler` does: every queued window carries a deadline
-//! (its earliest wave-origin plus the delay target), and the actor whose
-//! head window's deadline is earliest fires next. With a uniform target
-//! this is oldest-origin-first, the greedy minimizer of maximum tardiness.
+//! target. `EdfScheduler` does, for one delay target shared by every
+//! window: a window's deadline is then its earliest wave-origin plus a
+//! constant, so earliest deadline is oldest origin, and the actor whose
+//! head window has the oldest origin fires next — the greedy minimizer of
+//! maximum tardiness. The target itself never enters the comparison, so
+//! the policy does not take one.
 //!
 //! Sources are scheduled at regular intervals like QBS/RR — a fresh
 //! external event's deadline is far away by construction, so without the
@@ -22,8 +24,6 @@ use crate::stats::StatsModule;
 
 /// Earliest-deadline-first over window origins.
 pub struct EdfScheduler {
-    /// The delay target added to each window's origin to form its deadline.
-    pub target: Micros,
     /// One source firing per this many internal firings.
     pub source_interval: u64,
     /// Per-actor queues of origin timestamps, in delivery (FIFO) order —
@@ -38,10 +38,9 @@ pub struct EdfScheduler {
 }
 
 impl EdfScheduler {
-    /// EDF with the given delay target and source interval.
-    pub fn new(target: Micros, source_interval: u64) -> Self {
+    /// EDF with the given source interval.
+    pub fn new(source_interval: u64) -> Self {
         EdfScheduler {
-            target,
             source_interval: source_interval.max(1),
             origins: Vec::new(),
             is_source: Vec::new(),
@@ -102,7 +101,7 @@ impl Scheduler for EdfScheduler {
                 return Some(s);
             }
         }
-        // Earliest head deadline = earliest head origin (uniform target).
+        // Earliest head deadline = earliest head origin.
         let best = self
             .origins
             .iter()
@@ -180,7 +179,7 @@ mod tests {
 
     #[test]
     fn picks_the_stalest_head_first() {
-        let mut e = EdfScheduler::new(Micros::from_secs(1), 100);
+        let mut e = EdfScheduler::new(100);
         e.init(&infos());
         e.on_enqueue(1, Timestamp(500));
         e.on_enqueue(2, Timestamp(100)); // staler
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn sources_by_interval() {
-        let mut e = EdfScheduler::new(Micros::from_secs(1), 1);
+        let mut e = EdfScheduler::new(1);
         e.init(&infos());
         e.on_source_ready(0, true);
         e.on_enqueue(1, Timestamp(1));
@@ -211,7 +210,7 @@ mod tests {
 
     #[test]
     fn states() {
-        let mut e = EdfScheduler::new(Micros(1), 5);
+        let mut e = EdfScheduler::new(5);
         e.init(&infos());
         assert_eq!(e.state(1), ActorState::Inactive);
         e.on_enqueue(1, Timestamp(9));

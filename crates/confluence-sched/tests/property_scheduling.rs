@@ -27,7 +27,7 @@ fn make_policy(which: u8, quantum: u64) -> Box<dyn Scheduler> {
         1 => Box::new(QbsScheduler::new(quantum.max(1), 5)),
         2 => Box::new(RrScheduler::new(quantum.max(1), 5)),
         3 => Box::new(RbScheduler::new()),
-        4 => Box::new(EdfScheduler::new(Micros(quantum.max(1)), 5)),
+        4 => Box::new(EdfScheduler::new(5)),
         _ => Box::new(OsThreadScheduler::new()),
     }
 }

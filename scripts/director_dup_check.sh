@@ -30,7 +30,7 @@ fi
 # Fabric::stamp's line span in director/mod.rs.
 span=$(awk '/pub fn stamp\(/ { start = NR } start && !end && /^    }$/ { end = NR } END { print start ":" end }' \
     crates/confluence-core/src/director/mod.rs)
-stamps=$(matches 'CwEvent::external\(|CwEvent::derived\(|WaveStamper::new' |
+stamps=$(matches 'CwEvent::external\(|CwEvent::derived\(' |
     awk -F: -v span="$span" '
         BEGIN { split(span, s, ":") }
         !($1 == "crates/confluence-core/src/director/mod.rs" && $2 >= s[1] && $2 <= s[2])')

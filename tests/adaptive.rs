@@ -213,6 +213,18 @@ fn adaptive_toll_stream_matches_static_when_shedding_never_engages() {
     );
     assert_eq!(snap.total_shed(), 0, "no latency target => nothing shed");
     assert_eq!(snap.adapt.shed_engagements, 0);
+
+    // Inert configuration: the control loop ticks, but every lever is out
+    // of reach (worker bounds pinned to the pool size, a backlog threshold
+    // no queue reaches, no latency target) — it must never act at all.
+    let inert = AdaptivePolicy::new()
+        .worker_bounds(2, 2)
+        .grow_backlog_per_worker(u64::MAX / 2)
+        .tick_every(Micros::from_millis(2));
+    let (inert_tolls, snap) = lr_run(Some(inert));
+    assert_eq!(inert_tolls, static_tolls, "an inert control loop changes nothing");
+    assert!(!snap.adapt.any(), "inert config must never act: {:?}", snap.adapt);
+    assert_eq!(snap.total_shed(), 0, "inert config must never shed");
 }
 
 // ---------------------------------------------------------------------------

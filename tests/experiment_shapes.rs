@@ -3,7 +3,7 @@
 //! reproduction reproduce" tests — see DESIGN.md's shape criteria.
 
 use confluence_bench::config::ExperimentConfig;
-use confluence_bench::runner::{run_linear_road, PolicyKind};
+use confluence_bench::runner::{run_linear_road, PolicyKind, RunOptions};
 use confluence_linearroad::Workload;
 
 fn quick() -> (ExperimentConfig, Workload) {
@@ -24,9 +24,9 @@ fn figure5_rate_ramps_to_roughly_twenty_times_the_initial() {
 #[test]
 fn figure8_pncwf_thrashes_before_stafilos_schedulers() {
     let (config, workload) = quick();
-    let qbs = run_linear_road(PolicyKind::Qbs { basic_quantum: 500 }, &workload, &config);
-    let rr = run_linear_road(PolicyKind::Rr { slice: 40_000 }, &workload, &config);
-    let pncwf = run_linear_road(PolicyKind::Pncwf, &workload, &config);
+    let qbs = run_linear_road(PolicyKind::Qbs { basic_quantum: 500 }, &workload, &config, &RunOptions::default());
+    let rr = run_linear_road(PolicyKind::Rr { slice: 40_000 }, &workload, &config, &RunOptions::default());
+    let pncwf = run_linear_road(PolicyKind::Pncwf, &workload, &config, &RunOptions::default());
 
     let t_pncwf = pncwf.thrash_secs.expect("PNCWF saturates within the run");
     for staf in [&qbs, &rr] {
@@ -50,9 +50,9 @@ fn figure8_pncwf_thrashes_before_stafilos_schedulers() {
 #[test]
 fn figure8_qbs_and_rr_beat_rb_before_saturation() {
     let (config, workload) = quick();
-    let qbs = run_linear_road(PolicyKind::Qbs { basic_quantum: 500 }, &workload, &config);
-    let rr = run_linear_road(PolicyKind::Rr { slice: 40_000 }, &workload, &config);
-    let rb = run_linear_road(PolicyKind::Rb, &workload, &config);
+    let qbs = run_linear_road(PolicyKind::Qbs { basic_quantum: 500 }, &workload, &config, &RunOptions::default());
+    let rr = run_linear_road(PolicyKind::Rr { slice: 40_000 }, &workload, &config, &RunOptions::default());
+    let rb = run_linear_road(PolicyKind::Rb, &workload, &config, &RunOptions::default());
     let m_qbs = qbs.toll_series.mean_secs_before(400);
     let m_rr = rr.toll_series.mean_secs_before(400);
     let m_rb = rb.toll_series.mean_secs_before(400);
@@ -77,7 +77,7 @@ fn all_schedulers_produce_comparable_output_volumes() {
         PolicyKind::Rb,
     ]
     .iter()
-    .map(|&k| run_linear_road(k, &workload, &config))
+    .map(|&k| run_linear_road(k, &workload, &config, &RunOptions::default()))
     .collect();
     let max = runs.iter().map(|r| r.toll_count).max().unwrap();
     let min = runs.iter().map(|r| r.toll_count).min().unwrap();

@@ -1,12 +1,17 @@
 //! Sharded Linear Road: splitting `TollCalculation` by carid behind the
 //! generated splitter/ordered-merge pair must leave the workflow's
-//! observable output — the toll notification stream — exactly as the
-//! unsharded run produces it, under every director that runs the
-//! benchmark.
+//! observable output — the toll notification stream, and the number of
+//! events routed over every channel the unsharded workflow also has —
+//! exactly as the unsharded run produces it, under every director that
+//! runs the benchmark.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use confluence::core::director::pool::PoolDirector;
 use confluence::core::director::threaded::ThreadedDirector;
 use confluence::core::director::Director;
+use confluence::core::telemetry::{MetricsRecorder, MetricsSnapshot, Telemetry};
 use confluence::core::time::Micros;
 use confluence::linearroad::{self, LrOptions, TollNotification, Workload, WorkloadConfig};
 use confluence::sched::cost::TableCostModel;
@@ -27,8 +32,32 @@ fn workload() -> Workload {
     })
 }
 
-/// One run; returns the toll stream as sorted `(carid, time, seg, toll)`.
-fn run(director: &str, workload: &Workload, shard: Option<usize>) -> Vec<(i64, i64, i64, u64)> {
+/// Routed events per shared channel, keyed by the channel's
+/// shard-normalised `(from, to, port)`: a generated `base#<i>` /
+/// `base#split` / `base#merge` name collapses onto its base actor, and
+/// the channels inside a shard group (splitter → replica → merge, which
+/// have no unsharded counterpart) drop out.
+type SharedEdges = BTreeMap<(String, String, usize), u64>;
+
+fn shared_edges(metrics: &MetricsSnapshot) -> SharedEdges {
+    let base = |name: &str| name.split('#').next().unwrap_or(name).to_string();
+    let mut out = SharedEdges::new();
+    for e in &metrics.edges {
+        let (from, to) = (base(&e.from_name), base(&e.to_name));
+        if from != to {
+            *out.entry((from, to, e.port)).or_insert(0) += e.events;
+        }
+    }
+    out
+}
+
+/// One run; returns the toll stream as sorted `(carid, time, seg, toll)`
+/// and the shared-channel event counts.
+fn run(
+    director: &str,
+    workload: &Workload,
+    shard: Option<usize>,
+) -> (Vec<(i64, i64, i64, u64)>, SharedEdges) {
     let realtime = matches!(director, "threaded" | "pool");
     let mut lr = linearroad::build(
         workload,
@@ -40,22 +69,21 @@ fn run(director: &str, workload: &Workload, shard: Option<usize>) -> Vec<(i64, i
         },
     )
     .unwrap();
-    match director {
-        "threaded" => ThreadedDirector::new().run(&mut lr.workflow).map(|_| ()).unwrap(),
-        "pool" => PoolDirector::new()
-            .with_workers(4)
-            .run(&mut lr.workflow)
-            .map(|_| ())
-            .unwrap(),
+    let mut director: Box<dyn Director> = match director {
+        "threaded" => Box::new(ThreadedDirector::new()),
+        "pool" => Box::new(PoolDirector::new().with_workers(4)),
         "scwf" => {
             let cost = TableCostModel::uniform(Micros(20), Micros(2));
-            ScwfDirector::virtual_time(Box::new(FifoScheduler::new(5)), Box::new(cost))
-                .run(&mut lr.workflow)
-                .map(|_| ())
-                .unwrap()
+            Box::new(ScwfDirector::virtual_time(
+                Box::new(FifoScheduler::new(5)),
+                Box::new(cost),
+            ))
         }
         other => panic!("unknown director {other}"),
-    }
+    };
+    let recorder = Arc::new(MetricsRecorder::for_workflow(&lr.workflow));
+    director.instrument(Telemetry::new(recorder.clone()));
+    director.run(&mut lr.workflow).unwrap();
     let mut tolls: Vec<(i64, i64, i64, u64)> = lr
         .toll_output
         .items()
@@ -66,20 +94,28 @@ fn run(director: &str, workload: &Workload, shard: Option<usize>) -> Vec<(i64, i
         })
         .collect();
     tolls.sort_unstable();
-    tolls
+    (tolls, shared_edges(&recorder.snapshot()))
 }
 
 #[test]
 fn sharded_toll_stream_is_identical_under_every_director() {
     let w = workload();
     for director in ["threaded", "pool", "scwf"] {
-        let plain = run(director, &w, None);
+        let (plain, plain_edges) = run(director, &w, None);
         assert!(!plain.is_empty(), "{director}: trace must produce tolls");
+        assert!(
+            plain_edges.values().any(|&n| n > 0),
+            "{director}: the recorder must see routed events"
+        );
         for replicas in [2, 3] {
-            let sharded = run(director, &w, Some(replicas));
+            let (sharded, sharded_edges) = run(director, &w, Some(replicas));
             assert_eq!(
                 plain, sharded,
                 "{director}: toll stream diverges at {replicas} replicas"
+            );
+            assert_eq!(
+                plain_edges, sharded_edges,
+                "{director}: shared-channel event counts diverge at {replicas} replicas"
             );
         }
     }

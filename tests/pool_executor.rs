@@ -18,7 +18,7 @@ use confluence::core::time::{Micros, Timestamp};
 use confluence::core::token::Token;
 use confluence::core::window::WindowSpec;
 use confluence::prelude::{ChannelPolicy, Engine, ExecConfig, Observer};
-use confluence_bench::runner::run_linear_road_realtime;
+use confluence_bench::runner::{run_linear_road_realtime, RealtimeOptions};
 use confluence_linearroad::{Workload, WorkloadConfig};
 
 /// Sink that dwells on every window, forcing upstream backlog.
@@ -284,8 +284,8 @@ fn pool_matches_threaded_event_flow_on_linear_road() {
         accident_every_secs: None,
         accident_duration_secs: 0,
     });
-    let threaded = run_linear_road_realtime(None, &workload, 100);
-    let pool = run_linear_road_realtime(Some(2), &workload, 100);
+    let threaded = run_linear_road_realtime(&workload, &RealtimeOptions::new(None, 100));
+    let pool = run_linear_road_realtime(&workload, &RealtimeOptions::new(Some(2), 100));
     assert_eq!(
         threaded.events_routed, pool.events_routed,
         "channel deliveries diverge"

@@ -11,7 +11,7 @@ use confluence::core::actors::{Collector, VecSource};
 use confluence::core::graph::WorkflowBuilder;
 use confluence::core::token::Token;
 use confluence::prelude::{Engine, ExecConfig, OldestWave, PoolPolicy, Quantum, RateBased};
-use confluence_bench::runner::{run_linear_road_realtime_policy, RealtimePolicy};
+use confluence_bench::runner::{run_linear_road_realtime, RealtimeOptions, RealtimePolicy};
 use confluence_linearroad::{Workload, WorkloadConfig};
 
 /// A deterministic (no-accident) trace: all four policies must route the
@@ -30,14 +30,21 @@ fn policies_agree_on_linear_road_event_flow() {
         accident_every_secs: None,
         accident_duration_secs: 0,
     });
-    let control = run_linear_road_realtime_policy(Some(2), RealtimePolicy::Fifo, &workload, 100);
+    let on = |policy| {
+        let options = RealtimeOptions {
+            policy,
+            ..RealtimeOptions::new(Some(2), 100)
+        };
+        run_linear_road_realtime(&workload, &options)
+    };
+    let control = on(RealtimePolicy::Fifo);
     assert!(control.toll_count > 0, "trace must actually produce tolls");
     for policy in [
         RealtimePolicy::RateBased,
         RealtimePolicy::OldestWave,
         RealtimePolicy::Quantum { basic_quantum: 1_000 },
     ] {
-        let run = run_linear_road_realtime_policy(Some(2), policy, &workload, 100);
+        let run = on(policy);
         assert_eq!(
             control.events_routed,
             run.events_routed,
