@@ -424,8 +424,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("demo");
         let s = b.add_actor("src", VecSource::new(vec![Token::Int(1), Token::Int(2)]));
         let k = b.add_actor("sink", collector.actor());
-        b.connect_windowed(s, "out", k, "in", WindowSpec::each_event())
-            .unwrap();
+        b.link_windowed((s, "out"), (k, "in"), WindowSpec::each_event()).unwrap();
         let workflow = b.build().unwrap();
         let tracer = Arc::new(Tracer::for_workflow(&workflow, TraceConfig::default()));
         let mut engine = Engine::new(workflow).with_tracer(tracer);

@@ -342,7 +342,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("tcp");
         let s = b.add_actor("feed", src);
         let k = b.add_actor("sink", out.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         ThreadedDirector::new().run(&mut wf).unwrap();
         producer.join().unwrap();
@@ -355,7 +355,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("http");
         let s = b.add_actor("feed", source);
         let k = b.add_actor("sink", out.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         ThreadedDirector::new().run(&mut wf).unwrap();
         out

@@ -223,8 +223,8 @@ mod tests {
             crate::actors::Map::new(|t: &Token| Ok(Some(Token::Int(t.as_int()? * 10)))),
         );
         let k = b.add_actor("exit", exit.actor());
-        b.connect(src, "out", m, "in").unwrap();
-        b.connect(m, "out", k, "in").unwrap();
+        b.link((src, "out"), (m, "in")).unwrap();
+        b.link((m, "out"), (k, "in")).unwrap();
         let inner = b.build().unwrap();
         CompositeActor::new(
             IoSignature::transform("in", "out"),
@@ -294,8 +294,8 @@ mod tests {
             }),
         );
         let k = ib.add_actor("exit", exit.actor());
-        ib.connect(src, "out", sum, "in").unwrap();
-        ib.connect(sum, "out", k, "in").unwrap();
+        ib.link((src, "out"), (sum, "in")).unwrap();
+        ib.link((sum, "out"), (k, "in")).unwrap();
         // Inner "sum" fires per event (each_event windows inside); to sum a
         // whole outer window we aggregate the inner per-event results here
         // by feeding the composite 2-tuple windows and letting the inner
@@ -316,9 +316,8 @@ mod tests {
         let s = b.add_actor("src", VecSource::new((1..=4).map(Token::Int).collect()));
         let c = b.add_actor("composite", comp);
         let sink = b.add_actor("sink", out.actor());
-        b.connect_windowed(s, "out", c, "in", WindowSpec::tuples(2, 2).delete_used(true))
-            .unwrap();
-        b.connect(c, "out", sink, "in").unwrap();
+        b.link_windowed((s, "out"), (c, "in"), WindowSpec::tuples(2, 2).delete_used(true)).unwrap();
+        b.link((c, "out"), (sink, "in")).unwrap();
         let mut wf = b.build().unwrap();
         ThreadedDirector::new().run(&mut wf).unwrap();
         let got: Vec<i64> = out.tokens().iter().map(|t| t.as_int().unwrap()).collect();

@@ -166,14 +166,12 @@ impl Director for DdfDirector {
         sweep.run.wrapup(workflow)
     }
 
-    fn instrument(&mut self, telemetry: Telemetry) -> bool {
+    fn instrument(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-        true
     }
 
-    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) -> bool {
+    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) {
         self.hook = Some(hook);
-        true
     }
 }
 
@@ -237,9 +235,9 @@ mod tests {
         );
         let ke = b.add_actor("evens", evens.actor());
         let ko = b.add_actor("odds", odds.actor());
-        b.connect(s, "out", r, "in").unwrap();
-        b.connect(r, "even", ke, "in").unwrap();
-        b.connect(r, "odd", ko, "in").unwrap();
+        b.link((s, "out"), (r, "in")).unwrap();
+        b.link((r, "even"), (ke, "in")).unwrap();
+        b.link((r, "odd"), (ko, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let report = DdfDirector::new().run(&mut wf).unwrap();
         assert_eq!(evens.len(), 3);
@@ -260,9 +258,8 @@ mod tests {
             }),
         );
         let k = b.add_actor("sink", c.actor());
-        b.connect_windowed(s, "out", agg, "in", WindowSpec::tuples(10, 10))
-            .unwrap();
-        b.connect(agg, "out", k, "in").unwrap();
+        b.link_windowed((s, "out"), (agg, "in"), WindowSpec::tuples(10, 10)).unwrap();
+        b.link((agg, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         DdfDirector::new().run(&mut wf).unwrap();
         assert_eq!(c.tokens(), vec![Token::Int(3)], "short window flushed at close");
@@ -289,8 +286,8 @@ mod tests {
         let mut b = WorkflowBuilder::new("runaway");
         let s = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
         let d = b.add_actor("boom", Doubler);
-        b.connect(s, "out", d, "in").unwrap();
-        b.connect(d, "out", d, "in").unwrap();
+        b.link((s, "out"), (d, "in")).unwrap();
+        b.link((d, "out"), (d, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let err = DdfDirector::new().with_max_firings(100).run(&mut wf);
         assert!(matches!(err, Err(Error::Director(_))));
@@ -310,8 +307,8 @@ mod tests {
         let mut b = WorkflowBuilder::new("cycle");
         let a = b.add_actor("a", Pass);
         let c = b.add_actor("c", Pass);
-        b.connect(a, "out", c, "in").unwrap();
-        b.connect(c, "out", a, "in").unwrap();
+        b.link((a, "out"), (c, "in")).unwrap();
+        b.link((c, "out"), (a, "in")).unwrap();
         let wf = b.build().unwrap();
         let order = quasi_topological(&wf);
         assert_eq!(order.len(), 2);

@@ -247,14 +247,12 @@ impl Director for DeDirector {
         sim.run.wrapup(workflow)
     }
 
-    fn instrument(&mut self, telemetry: Telemetry) -> bool {
+    fn instrument(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-        true
     }
 
-    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) -> bool {
+    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) {
         self.hook = Some(hook);
-        true
     }
 }
 
@@ -278,7 +276,7 @@ mod tests {
             ]),
         );
         let k = b.add_actor("probe", probe.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let mut d = DeDirector::new();
         d.run(&mut wf).unwrap();
@@ -300,7 +298,7 @@ mod tests {
             TimedSource::new(vec![(Timestamp(100), Token::Int(1))]),
         );
         let k = b.add_actor("probe", probe.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         DeDirector::new()
             .with_channel_delay(Micros(50))
@@ -334,9 +332,8 @@ mod tests {
             ),
         );
         let k = b.add_actor("sink", c.actor());
-        b.connect_windowed(s, "out", agg, "in", WindowSpec::tumbling_time(Micros(100)))
-            .unwrap();
-        b.connect(agg, "out", k, "in").unwrap();
+        b.link_windowed((s, "out"), (agg, "in"), WindowSpec::tumbling_time(Micros(100))).unwrap();
+        b.link((agg, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         DeDirector::new().run(&mut wf).unwrap();
         assert_eq!(c.tokens(), vec![Token::Int(1), Token::Int(1)]);

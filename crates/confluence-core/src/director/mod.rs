@@ -109,14 +109,8 @@ pub trait Director {
 
     /// Attach telemetry for subsequent runs: execution hooks flow to
     /// `telemetry.observer` and the director polls `telemetry.control`
-    /// at firing boundaries for cooperative stops. Returns `true` when
-    /// the director honors the telemetry; the default implementation
-    /// ignores it and returns `false` so third-party directors keep
-    /// working unchanged.
-    fn instrument(&mut self, telemetry: Telemetry) -> bool {
-        let _ = telemetry;
-        false
-    }
+    /// at firing boundaries for cooperative stops.
+    fn instrument(&mut self, telemetry: Telemetry);
 
     /// Attach a checkpoint quiesce hook for subsequent runs: when the hook
     /// requests a pause the director stops sources, drains in-flight work
@@ -124,12 +118,8 @@ pub trait Director {
     /// [`crate::checkpoint::FabricState`], and returns *without* its
     /// end-of-stream teardown (no `finish`/`wrapup`, no channel closes).
     /// At the start of a run it re-injects any staged restore state and,
-    /// on resumed segments, skips `Actor::initialize`. Returns `true` when
-    /// the director supports checkpointing; the default ignores the hook.
-    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) -> bool {
-        let _ = hook;
-        false
-    }
+    /// on resumed segments, skips `Actor::initialize`.
+    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>);
 }
 
 /// The communication fabric for one workflow execution: an inbox per actor
@@ -940,10 +930,8 @@ mod tests {
         let s = b.add_actor("src", VecSource::new(vec![Token::Int(1), Token::Int(2)]));
         let d = b.add_actor("double", Double);
         let k = b.add_actor("sink", c.actor());
-        b.connect_windowed(s, "out", d, "in", WindowSpec::each_event())
-            .unwrap();
-        b.connect_windowed(d, "out", k, "in", WindowSpec::each_event())
-            .unwrap();
+        b.link_windowed((s, "out"), (d, "in"), WindowSpec::each_event()).unwrap();
+        b.link_windowed((d, "out"), (k, "in"), WindowSpec::each_event()).unwrap();
         (b.build().unwrap(), c)
     }
 
@@ -1003,8 +991,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("flush");
         let s = b.add_actor("src", VecSource::new(vec![]));
         let k = b.add_actor("sink", c.actor());
-        b.connect_windowed(s, "out", k, "in", WindowSpec::tuples(10, 10))
-            .unwrap();
+        b.link_windowed((s, "out"), (k, "in"), WindowSpec::tuples(10, 10)).unwrap();
         let wf = b.build().unwrap();
         let fabric = Fabric::build(&wf).unwrap();
         let s = wf.find("src").unwrap();
@@ -1025,11 +1012,10 @@ mod tests {
             let mut b = WorkflowBuilder::new("expired");
             let s = b.add_actor("src", VecSource::new(vec![]));
             let k = b.add_actor("sink", Collector::new().actor());
-            b.connect_windowed(s, "out", k, "in", WindowSpec::tuples(2, 1))
-                .unwrap();
+            b.link_windowed((s, "out"), (k, "in"), WindowSpec::tuples(2, 1)).unwrap();
             if handled {
                 let audit = b.add_actor("audit", Collector::new().actor());
-                b.set_expired_handler(k, "in", audit, "in").unwrap();
+                b.expired_handler((k, "in"), (audit, "in")).unwrap();
             }
             let wf = b.build().unwrap();
             let fabric = Fabric::build(&wf).unwrap();

@@ -157,11 +157,6 @@ impl PoolDirector {
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
     }
-
-    /// The adaptive config, when the adaptive runtime is enabled.
-    pub fn adaptive_config(&self) -> Option<&AdaptivePolicy> {
-        self.adaptive.as_ref()
-    }
 }
 
 /// Scheduling state shared by wakers, workers, and the timer: everything
@@ -790,14 +785,12 @@ impl Director for PoolDirector {
         run.wrapup(workflow)
     }
 
-    fn instrument(&mut self, telemetry: Telemetry) -> bool {
+    fn instrument(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-        true
     }
 
-    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) -> bool {
+    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) {
         self.hook = Some(hook);
-        true
     }
 }
 
@@ -1253,8 +1246,8 @@ mod tests {
         let s = b.add_actor("src", VecSource::new((0..10).map(Token::Int).collect()));
         let a = b.add_actor("inc", AddOne);
         let k = b.add_actor("sink", c.actor());
-        b.connect(s, "out", a, "in").unwrap();
-        b.connect(a, "out", k, "in").unwrap();
+        b.link((s, "out"), (a, "in")).unwrap();
+        b.link((a, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let report = PoolDirector::new().with_workers(2).run(&mut wf).unwrap();
         assert_eq!(c.tokens(), (1..=10).map(Token::Int).collect::<Vec<_>>());
@@ -1271,11 +1264,11 @@ mod tests {
         let a2 = b.add_actor("a2", AddOne);
         let u = b.add_actor("union", crate::actors::Union::new(2));
         let k = b.add_actor("sink", c.actor());
-        b.connect(s, "out", a1, "in").unwrap();
-        b.connect(s, "out", a2, "in").unwrap();
-        b.connect(a1, "out", u, "in0").unwrap();
-        b.connect(a2, "out", u, "in1").unwrap();
-        b.connect(u, "out", k, "in").unwrap();
+        b.link((s, "out"), (a1, "in")).unwrap();
+        b.link((s, "out"), (a2, "in")).unwrap();
+        b.link((a1, "out"), (u, "in0")).unwrap();
+        b.link((a2, "out"), (u, "in1")).unwrap();
+        b.link((u, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         PoolDirector::new().with_workers(3).run(&mut wf).unwrap();
         let mut got: Vec<i64> = c.tokens().iter().map(|t| t.as_int().unwrap()).collect();
@@ -1305,15 +1298,13 @@ mod tests {
             }),
         );
         let k = b.add_actor("sink", c.actor());
-        b.connect_windowed(
-            s,
-            "out",
-            pairs,
-            "in",
+        b.link_windowed(
+            (s, "out"),
+            (pairs, "in"),
             WindowSpec::tuples(2, 1).group_by(GroupBy::fields(&["carid"])),
         )
         .unwrap();
-        b.connect(pairs, "out", k, "in").unwrap();
+        b.link((pairs, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         PoolDirector::new().with_workers(2).run(&mut wf).unwrap();
         let mut got: Vec<i64> = c.tokens().iter().map(|t| t.as_int().unwrap()).collect();
@@ -1336,15 +1327,9 @@ mod tests {
             }),
         );
         let k = b.add_actor("sink", c.actor());
-        b.connect_windowed(
-            s,
-            "out",
-            agg,
-            "in",
-            WindowSpec::tumbling_time(Micros::from_millis(20)),
-        )
+        b.link_windowed((s, "out"), (agg, "in"), WindowSpec::tumbling_time(Micros::from_millis(20)))
         .unwrap();
-        b.connect(agg, "out", k, "in").unwrap();
+        b.link((agg, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         PoolDirector::new().with_workers(1).run(&mut wf).unwrap();
         assert_eq!(c.tokens(), vec![Token::Int(1)]);
@@ -1357,7 +1342,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("push");
         let s = b.add_actor("src", src);
         let k = b.add_actor("sink", c.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let producer = std::thread::spawn(move || {
             for i in 0..5 {
@@ -1384,7 +1369,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("err");
         let s = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
         let k = b.add_actor("boom", Boom);
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let err = PoolDirector::new().with_workers(2).run(&mut wf).unwrap_err();
         assert!(matches!(err, Error::Actor { .. }));
@@ -1409,8 +1394,8 @@ mod tests {
             let k = b.add_actor("sink", c.actor());
             b.set_priority(a, 10);
             b.set_priority(k, 5);
-            b.connect(s, "out", a, "in").unwrap();
-            b.connect(a, "out", k, "in").unwrap();
+            b.link((s, "out"), (a, "in")).unwrap();
+            b.link((a, "out"), (k, "in")).unwrap();
             let mut wf = b.build().unwrap();
             let mut d = PoolDirector::new().with_workers(2).with_policy_arc(policy);
             let report = d.run(&mut wf).unwrap();

@@ -574,7 +574,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("q");
         let s = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
         let k = b.add_actor("sink", c.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         b.set_priority(s, 5); // allotment (40−5)·4·b = 140·b
         b.set_priority(k, 30); // allotment (40−30)·b = 10·b
         let wf = b.build().unwrap();

@@ -335,14 +335,12 @@ impl Director for SdfDirector {
         run.wrapup(workflow)
     }
 
-    fn instrument(&mut self, telemetry: Telemetry) -> bool {
+    fn instrument(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-        true
     }
 
-    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) -> bool {
+    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) {
         self.hook = Some(hook);
-        true
     }
 }
 
@@ -455,8 +453,8 @@ mod tests {
         );
         let m = b.add_actor("sum3", SumN { take: 3 });
         let k = b.add_actor("sink", CollectorRated(c.actor()));
-        b.connect(s, "out", m, "in").unwrap();
-        b.connect(m, "out", k, "in").unwrap();
+        b.link((s, "out"), (m, "in")).unwrap();
+        b.link((m, "out"), (k, "in")).unwrap();
         (b.build().unwrap(), c)
     }
 
@@ -517,7 +515,7 @@ mod tests {
             },
         );
         let k = b.add_actor("k", NoRates);
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let wf = b.build().unwrap();
         assert!(matches!(compile_schedule(&wf), Err(Error::Sdf(_))));
     }
@@ -566,9 +564,9 @@ mod tests {
         );
         let sp = b.add_actor("split", Split2);
         let j = b.add_actor("join", Join);
-        b.connect(s, "out", sp, "in").unwrap();
-        b.connect(sp, "a", j, "x").unwrap();
-        b.connect(sp, "b", j, "y").unwrap();
+        b.link((s, "out"), (sp, "in")).unwrap();
+        b.link((sp, "a"), (j, "x")).unwrap();
+        b.link((sp, "b"), (j, "y")).unwrap();
         let wf = b.build().unwrap();
         let err = compile_schedule(&wf).unwrap_err();
         assert!(matches!(err, Error::Sdf(_)));
@@ -581,8 +579,8 @@ mod tests {
         let s1 = b.add_actor("s1", RateSource { left: 1, per_firing: 1 });
         let s2 = b.add_actor("s2", RateSource { left: 1, per_firing: 1 });
         let k = b.add_actor("k", CollectorRated(c.actor()));
-        b.connect(s1, "out", k, "in").unwrap();
-        b.connect(s2, "out", k, "in").unwrap();
+        b.link((s1, "out"), (k, "in")).unwrap();
+        b.link((s2, "out"), (k, "in")).unwrap();
         let wf = b.build().unwrap();
         assert!(matches!(compile_schedule(&wf), Err(Error::Sdf(_))));
     }
@@ -607,7 +605,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("zero");
         let s = b.add_actor("s", RateSource { left: 1, per_firing: 1 });
         let k = b.add_actor("k", ZeroSink);
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let wf = b.build().unwrap();
         assert!(matches!(compile_schedule(&wf), Err(Error::Sdf(_))));
     }
@@ -618,7 +616,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("tiny");
         let s = b.add_actor("s", RateSource { left: 2, per_firing: 1 });
         let k = b.add_actor("k", RatedSink);
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let sched = compile_schedule(&wf).unwrap();
         assert_eq!(sched.repetitions, vec![1, 1]);

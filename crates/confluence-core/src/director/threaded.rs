@@ -146,14 +146,12 @@ impl Director for ThreadedDirector {
         run.wrapup(workflow)
     }
 
-    fn instrument(&mut self, telemetry: Telemetry) -> bool {
+    fn instrument(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-        true
     }
 
-    fn attach_checkpoint(&mut self, hook: Arc<QuiesceHook>) -> bool {
+    fn attach_checkpoint(&mut self, hook: Arc<QuiesceHook>) {
         self.hook = Some(hook);
-        true
     }
 }
 
@@ -292,8 +290,8 @@ mod tests {
         );
         let a = b.add_actor("inc", AddOne);
         let k = b.add_actor("sink", c.actor());
-        b.connect(s, "out", a, "in").unwrap();
-        b.connect(a, "out", k, "in").unwrap();
+        b.link((s, "out"), (a, "in")).unwrap();
+        b.link((a, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let report = ThreadedDirector::new().run(&mut wf).unwrap();
         assert_eq!(c.tokens(), (1..=10).map(Token::Int).collect::<Vec<_>>());
@@ -310,11 +308,11 @@ mod tests {
         let a2 = b.add_actor("a2", AddOne);
         let u = b.add_actor("union", crate::actors::Union::new(2));
         let k = b.add_actor("sink", c.actor());
-        b.connect(s, "out", a1, "in").unwrap();
-        b.connect(s, "out", a2, "in").unwrap();
-        b.connect(a1, "out", u, "in0").unwrap();
-        b.connect(a2, "out", u, "in1").unwrap();
-        b.connect(u, "out", k, "in").unwrap();
+        b.link((s, "out"), (a1, "in")).unwrap();
+        b.link((s, "out"), (a2, "in")).unwrap();
+        b.link((a1, "out"), (u, "in0")).unwrap();
+        b.link((a2, "out"), (u, "in1")).unwrap();
+        b.link((u, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         ThreadedDirector::new().run(&mut wf).unwrap();
         let mut got: Vec<i64> = c.tokens().iter().map(|t| t.as_int().unwrap()).collect();
@@ -347,15 +345,13 @@ mod tests {
             }),
         );
         let k = b.add_actor("sink", c.actor());
-        b.connect_windowed(
-            s,
-            "out",
-            pairs,
-            "in",
+        b.link_windowed(
+            (s, "out"),
+            (pairs, "in"),
             WindowSpec::tuples(2, 1).group_by(GroupBy::fields(&["carid"])),
         )
         .unwrap();
-        b.connect(pairs, "out", k, "in").unwrap();
+        b.link((pairs, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         ThreadedDirector::new().run(&mut wf).unwrap();
         let mut got: Vec<i64> = c.tokens().iter().map(|t| t.as_int().unwrap()).collect();
@@ -370,7 +366,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("push");
         let s = b.add_actor("src", src);
         let k = b.add_actor("sink", c.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let producer = std::thread::spawn(move || {
             for i in 0..5 {
@@ -404,15 +400,9 @@ mod tests {
         );
         let k = b.add_actor("sink", c.actor());
         let _ = probe;
-        b.connect_windowed(
-            s,
-            "out",
-            agg,
-            "in",
-            WindowSpec::tumbling_time(Micros::from_millis(20)),
-        )
+        b.link_windowed((s, "out"), (agg, "in"), WindowSpec::tumbling_time(Micros::from_millis(20)))
         .unwrap();
-        b.connect(agg, "out", k, "in").unwrap();
+        b.link((agg, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         ThreadedDirector::new().run(&mut wf).unwrap();
         assert_eq!(c.tokens(), vec![Token::Int(1)]);
@@ -432,7 +422,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("err");
         let s = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
         let k = b.add_actor("boom", Boom);
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let err = ThreadedDirector::new().run(&mut wf).unwrap_err();
         assert!(matches!(err, Error::Actor { .. }));
@@ -444,7 +434,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("latency");
         let s = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
         let k = b.add_actor("probe", p.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         ThreadedDirector::new().run(&mut wf).unwrap();
         assert_eq!(p.len(), 1);

@@ -12,7 +12,7 @@
 //! # let mut b = WorkflowBuilder::new("demo");
 //! # let s = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
 //! # let k = b.add_actor("sink", collector.actor());
-//! # b.connect_windowed(s, "out", k, "in", WindowSpec::each_event()).unwrap();
+//! # b.link_windowed((s, "out"), (k, "in"), WindowSpec::each_event()).unwrap();
 //! # let workflow = b.build().unwrap();
 //! let mut engine = Engine::new(workflow).with_director(SdfDirector::new());
 //! let report = engine.run().unwrap();
@@ -43,7 +43,7 @@ use crate::telemetry::{
     FireRecord, MetricsRecorder, MetricsSnapshot, MultiObserver, Observer, OpsConfig, OpsServer,
     RunControl, RunPhase, StallWatchdog, Telemetry, TimeSeriesRecorder, TraceReport, Tracer,
 };
-use crate::telemetry::ops::OpsState;
+use crate::telemetry::ops::{LateBound, OpsState};
 use crate::time::{Micros, Timestamp};
 
 /// A bound on how far [`Engine::run_until`] lets a run progress before
@@ -59,20 +59,24 @@ pub enum StopCondition {
     Elapsed(Micros),
 }
 
-/// Observer that trips a [`RunControl`] when a [`StopCondition`] is met.
-struct StopWatcher {
+/// Observer that trips `action` when a [`StopCondition`] is met: a
+/// cooperative stop for [`Engine::run_until`]'s bound (one watcher spans
+/// the whole run), a checkpoint quiesce for
+/// [`ExecConfig::checkpoint_every`] (built fresh for each segment, so its
+/// counters measure segment activity, not run totals).
+struct Watcher<F> {
     condition: StopCondition,
-    control: Arc<RunControl>,
+    action: F,
     fires: AtomicU64,
     routed: AtomicU64,
     started: AtomicU64,
 }
 
-impl StopWatcher {
-    fn new(condition: StopCondition, control: Arc<RunControl>) -> Self {
-        StopWatcher {
+impl<F: Fn()> Watcher<F> {
+    fn new(condition: StopCondition, action: F) -> Self {
+        Watcher {
             condition,
-            control,
+            action,
             fires: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             started: AtomicU64::new(0),
@@ -83,18 +87,19 @@ impl StopWatcher {
         if let StopCondition::Elapsed(limit) = self.condition {
             let started = Timestamp(self.started.load(Ordering::Relaxed));
             if at.since(started) >= limit {
-                self.control.request_stop();
+                (self.action)();
             }
         }
     }
 }
 
-impl Observer for StopWatcher {
+impl<F: Fn() + Send + Sync> Observer for Watcher<F> {
     fn on_run_phase(&self, phase: RunPhase, at: Timestamp) {
         if phase == RunPhase::Start {
             // Set-once: a checkpointed run re-runs the director per
             // segment, but the stop bound spans the whole run, so elapsed
-            // time counts from the *first* segment's start.
+            // time counts from the *first* segment's start (a per-segment
+            // watcher sees only its own segment's).
             let _ = self.started.compare_exchange(
                 0,
                 at.as_micros().max(1),
@@ -109,7 +114,7 @@ impl Observer for StopWatcher {
             let n = self.fires.fetch_add(1, Ordering::Relaxed) + 1;
             if let StopCondition::Firings(limit) = self.condition {
                 if n >= limit {
-                    self.control.request_stop();
+                    (self.action)();
                 }
             }
         }
@@ -120,69 +125,7 @@ impl Observer for StopWatcher {
         let n = self.routed.fetch_add(delivered, Ordering::Relaxed) + delivered;
         if let StopCondition::EventsRouted(limit) = self.condition {
             if n >= limit {
-                self.control.request_stop();
-            }
-        }
-        self.check_elapsed(at);
-    }
-}
-
-/// Observer that requests a checkpoint quiesce when a per-segment
-/// [`StopCondition`] is met. One is built fresh for each segment, so the
-/// counters measure segment activity, not run totals.
-struct QuiesceWatcher {
-    condition: StopCondition,
-    hook: Arc<QuiesceHook>,
-    fires: AtomicU64,
-    routed: AtomicU64,
-    started: AtomicU64,
-}
-
-impl QuiesceWatcher {
-    fn new(condition: StopCondition, hook: Arc<QuiesceHook>) -> Self {
-        QuiesceWatcher {
-            condition,
-            hook,
-            fires: AtomicU64::new(0),
-            routed: AtomicU64::new(0),
-            started: AtomicU64::new(0),
-        }
-    }
-
-    fn check_elapsed(&self, at: Timestamp) {
-        if let StopCondition::Elapsed(limit) = self.condition {
-            let started = Timestamp(self.started.load(Ordering::Relaxed));
-            if at.since(started) >= limit {
-                self.hook.request_pause();
-            }
-        }
-    }
-}
-
-impl Observer for QuiesceWatcher {
-    fn on_run_phase(&self, phase: RunPhase, at: Timestamp) {
-        if phase == RunPhase::Start {
-            self.started.store(at.as_micros(), Ordering::Relaxed);
-        }
-    }
-
-    fn on_fire_end(&self, record: &FireRecord) {
-        if record.fired {
-            let n = self.fires.fetch_add(1, Ordering::Relaxed) + 1;
-            if let StopCondition::Firings(limit) = self.condition {
-                if n >= limit {
-                    self.hook.request_pause();
-                }
-            }
-        }
-        self.check_elapsed(record.ended);
-    }
-
-    fn on_route(&self, _from: crate::graph::ActorId, delivered: u64, at: Timestamp) {
-        let n = self.routed.fetch_add(delivered, Ordering::Relaxed) + delivered;
-        if let StopCondition::EventsRouted(limit) = self.condition {
-            if n >= limit {
-                self.hook.request_pause();
+                (self.action)();
             }
         }
         self.check_elapsed(at);
@@ -312,7 +255,7 @@ impl ExecConfig {
     /// port 0 picks an ephemeral port, exposed via [`Engine::ops_addr`]).
     /// Routes: `/metrics` (Prometheus), `/snapshot` (JSON), `/series`
     /// (CSV, when [`ExecConfig::sample_series`] is on), `/trace` (Chrome
-    /// JSON, when a tracer is attached *before* this config is applied),
+    /// JSON, when a tracer is attached — before or after this config),
     /// and `/healthz` (stall watchdog). Default stall thresholds; use
     /// [`ExecConfig::ops`] to tune them.
     pub fn ops_endpoint(self, addr: impl Into<String>) -> Self {
@@ -342,7 +285,6 @@ pub struct Engine {
     /// cheap as an uninstrumented run.
     quiet_observers: Vec<Arc<dyn Observer>>,
     recorder: Arc<MetricsRecorder>,
-    instrumented: bool,
     /// Pool configuration memo: successive [`Engine::configure`] calls
     /// compose by rebuilding one `PoolDirector` from these fields.
     /// Cleared when an explicit director is installed.
@@ -364,6 +306,10 @@ pub struct Engine {
     watchdog: Option<Arc<StallWatchdog>>,
     /// The live ops server, when [`ExecConfig::ops_endpoint`] is on.
     ops: Option<OpsServer>,
+    /// Where the ops server looks `series` and `tracer` up per request, so
+    /// the order of `configure` and `with_tracer` calls does not matter.
+    ops_series: LateBound<TimeSeriesRecorder>,
+    ops_tracer: LateBound<Tracer>,
 }
 
 /// The handle a fully-configured [`Engine`] builder chain yields; it *is*
@@ -381,7 +327,6 @@ impl Engine {
             extra_observers: Vec::new(),
             quiet_observers: Vec::new(),
             recorder,
-            instrumented: false,
             pool_workers: None,
             pool_policy: None,
             pool_adaptive: None,
@@ -393,6 +338,8 @@ impl Engine {
             series: None,
             watchdog: None,
             ops: None,
+            ops_series: LateBound::default(),
+            ops_tracer: LateBound::default(),
         }
     }
 
@@ -400,7 +347,6 @@ impl Engine {
     /// [`Director`]).
     pub fn with_director(mut self, director: impl Director + 'static) -> RunHandle {
         self.director = Box::new(director);
-        self.instrumented = false;
         self.pool_workers = None;
         self.pool_policy = None;
         self.pool_adaptive = None;
@@ -411,7 +357,6 @@ impl Engine {
     /// chosen at runtime.
     pub fn with_boxed_director(mut self, director: Box<dyn Director>) -> RunHandle {
         self.director = director;
-        self.instrumented = false;
         self.pool_workers = None;
         self.pool_policy = None;
         self.pool_adaptive = None;
@@ -450,6 +395,7 @@ impl Engine {
             series.set_latency(self.recorder.latency_sketch());
             series.set_fires_source(self.recorder.clone());
             self.quiet_observers.push(series.clone() as Arc<dyn Observer>);
+            *self.ops_series.lock() = Some(series.clone());
             self.series = Some(series);
         }
         if let Some(ops_cfg) = config.ops {
@@ -460,8 +406,8 @@ impl Engine {
             self.quiet_observers.push(watchdog.clone() as Arc<dyn Observer>);
             let state = OpsState {
                 recorder: self.recorder.clone(),
-                series: self.series.clone(),
-                tracer: self.tracer.clone(),
+                series: self.ops_series.clone(),
+                tracer: self.ops_tracer.clone(),
                 watchdog: watchdog.clone(),
             };
             // An unbindable ops address is a deployment error worth
@@ -487,7 +433,6 @@ impl Engine {
             pool = pool.with_adaptive(adaptive.clone());
         }
         self.director = Box::new(pool);
-        self.instrumented = false;
     }
 
     /// Attach an additional [`Observer`]; hooks fan out to every attached
@@ -517,6 +462,7 @@ impl Engine {
     /// attach one when the lineage detail is wanted.
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> RunHandle {
         self.extra_observers.push(tracer.clone() as Arc<dyn Observer>);
+        *self.ops_tracer.lock() = Some(tracer.clone());
         self.tracer = Some(tracer);
         self
     }
@@ -569,8 +515,7 @@ impl Engine {
     }
 
     /// Run the workflow to quiescence. The returned [`RunReport`] is the
-    /// recorder's view of the run when the director honors
-    /// instrumentation, and the director's own accounting otherwise.
+    /// recorder's view of this run.
     pub fn run(&mut self) -> Result<RunReport> {
         self.run_inner(None)
     }
@@ -583,67 +528,78 @@ impl Engine {
         self.run_inner(Some(stop))
     }
 
+    /// The run loop: each director run is one *segment*, ended either by
+    /// the workflow quiescing naturally (done), the outer stop condition
+    /// (done), or the per-segment checkpoint condition — in which case
+    /// the director pauses at a firing boundary, the engine snapshots
+    /// everything, and the loop resumes the next segment from the
+    /// captured state. With neither [`ExecConfig::checkpoint_every`] nor
+    /// [`ExecConfig::recover_from`] there is no hook, journal or restore
+    /// step, and the run is exactly one segment.
     fn run_inner(&mut self, stop: Option<StopCondition>) -> Result<RunReport> {
-        if self.checkpoint.is_none() && self.recover.is_none() {
-            return self.run_plain(stop);
-        }
-        self.run_checkpointed(stop)
-    }
-
-    fn run_plain(&mut self, stop: Option<StopCondition>) -> Result<RunReport> {
-        let control = Arc::new(RunControl::new());
-        let mut observers: Vec<Arc<dyn Observer>> =
-            vec![self.recorder.clone() as Arc<dyn Observer>];
-        observers.extend(self.extra_observers.iter().cloned());
-        let before = self.recorder.snapshot();
-        if let Some(condition) = stop {
-            observers.push(Arc::new(StopWatcher::new(condition, control.clone())));
-        }
-        let telemetry = Telemetry {
-            observer: Arc::new(
-                MultiObserver::new(observers).with_quiet(self.quiet_observers.clone()),
-            ),
-            control,
-            series: self.series.clone(),
-            latency: Some(self.recorder.latency_sketch()),
+        let plan = self.checkpoint.clone();
+        let recover = self.recover.clone();
+        let durable = match plan.as_ref().map(|p| p.dir.clone()).or_else(|| recover.clone()) {
+            Some(dir) => Some((self.open_durable(&dir, recover.as_deref())?, dir)),
+            None => None,
         };
-        self.instrumented = self.director.instrument(telemetry);
-        let director_report = self.director.run(&mut self.workflow)?;
-        if !self.instrumented {
-            return Ok(director_report);
+
+        let control = Arc::new(RunControl::new());
+        let outer = stop.map(|condition| {
+            let control = control.clone();
+            Arc::new(Watcher::new(condition, move || control.request_stop())) as Arc<dyn Observer>
+        });
+        let before = self.recorder.snapshot();
+        let mut elapsed = Micros(0);
+        loop {
+            let mut observers: Vec<Arc<dyn Observer>> =
+                vec![self.recorder.clone() as Arc<dyn Observer>];
+            observers.extend(self.extra_observers.iter().cloned());
+            observers.extend(outer.clone());
+            if let Some((hook, _)) = &durable {
+                hook.reset();
+                if let Some(plan) = &plan {
+                    let hook = hook.clone();
+                    observers.push(Arc::new(Watcher::new(plan.every, move || hook.request_pause())));
+                }
+            }
+            self.director.instrument(Telemetry {
+                observer: Arc::new(
+                    MultiObserver::new(observers).with_quiet(self.quiet_observers.clone()),
+                ),
+                control: control.clone(),
+                series: self.series.clone(),
+                latency: Some(self.recorder.latency_sketch()),
+            });
+            let segment = self.director.run(&mut self.workflow)?;
+            elapsed = Micros(elapsed.0 + segment.elapsed.0);
+            let Some((hook, dir)) = &durable else { break };
+            let Some(state) = hook.take_captured() else { break };
+            // The next segment's fresh fabric resumes from exactly the
+            // captured state; the disk checkpoint gets a copy.
+            hook.stage_restore(state.clone());
+            self.write_checkpoint(state, dir)?;
+            hook.set_resuming(true);
         }
         // The recorder accumulates across runs; report this run's delta.
         let after = self.recorder.snapshot();
         Ok(RunReport {
             firings: after.total_fires() - before.total_fires(),
             events_routed: after.events_routed - before.events_routed,
-            elapsed: director_report.elapsed,
+            elapsed,
         })
     }
 
-    /// The checkpointed run loop: each director run is one *segment*,
-    /// ended either by the workflow quiescing naturally (done), the outer
-    /// stop condition (done), or the per-segment checkpoint condition —
-    /// in which case the director pauses at a firing boundary, the engine
-    /// snapshots everything, and the loop resumes the next segment from
-    /// the captured state.
-    fn run_checkpointed(&mut self, stop: Option<StopCondition>) -> Result<RunReport> {
-        let plan = self.checkpoint.clone();
-        let recover = self.recover.clone();
-        let snapshot_dir = plan
-            .as_ref()
-            .map(|p| p.dir.clone())
-            .or_else(|| recover.clone())
-            .expect("checkpointed path requires a checkpoint or recovery dir");
+    /// What only a checkpointed or recovered run does before its first
+    /// segment: attach a quiesce hook to the director, journal the sources
+    /// into `dir`, and — recovering — restore actors and resources from
+    /// the snapshot in `recover` and stage its in-flight state.
+    fn open_durable(&mut self, dir: &Path, recover: Option<&Path>) -> Result<Arc<QuiesceHook>> {
         let hook = QuiesceHook::new();
-        if !self.director.attach_checkpoint(hook.clone()) {
-            return Err(Error::Checkpoint(
-                "the configured director does not support checkpoint/recovery".into(),
-            ));
-        }
-        self.wrap_sources(&snapshot_dir, recover.is_none())?;
-        if let Some(dir) = &recover {
-            let cp = Checkpoint::read_from_dir(dir)?;
+        self.director.attach_checkpoint(hook.clone());
+        self.wrap_sources(dir, recover.is_none())?;
+        if let Some(from) = recover {
+            let cp = Checkpoint::read_from_dir(from)?;
             for (name, bytes) in &cp.actors {
                 let id = self.workflow.find(name).ok_or_else(|| {
                     Error::Checkpoint(format!("snapshot actor {name:?} is not in the workflow"))
@@ -669,57 +625,7 @@ impl Engine {
             hook.stage_restore(cp.fabric);
             hook.set_resuming(true);
         }
-
-        let control = Arc::new(RunControl::new());
-        let outer = stop.map(|condition| Arc::new(StopWatcher::new(condition, control.clone())));
-        let before = self.recorder.snapshot();
-        let mut elapsed = Micros(0);
-        let mut fallback = RunReport::default();
-        loop {
-            hook.reset();
-            let mut observers: Vec<Arc<dyn Observer>> =
-                vec![self.recorder.clone() as Arc<dyn Observer>];
-            observers.extend(self.extra_observers.iter().cloned());
-            if let Some(watcher) = &outer {
-                observers.push(watcher.clone() as Arc<dyn Observer>);
-            }
-            if let Some(plan) = &plan {
-                observers.push(Arc::new(QuiesceWatcher::new(plan.every, hook.clone())));
-            }
-            let telemetry = Telemetry {
-                observer: Arc::new(
-                    MultiObserver::new(observers).with_quiet(self.quiet_observers.clone()),
-                ),
-                control: control.clone(),
-                series: self.series.clone(),
-                latency: Some(self.recorder.latency_sketch()),
-            };
-            self.instrumented = self.director.instrument(telemetry);
-            let segment = self.director.run(&mut self.workflow)?;
-            elapsed = Micros(elapsed.0 + segment.elapsed.0);
-            fallback.firings += segment.firings;
-            fallback.events_routed += segment.events_routed;
-            match hook.take_captured() {
-                Some(state) => {
-                    // The next segment's fresh fabric resumes from exactly
-                    // the captured state; the disk checkpoint gets a copy.
-                    hook.stage_restore(state.clone());
-                    self.write_checkpoint(state, &snapshot_dir)?;
-                    hook.set_resuming(true);
-                }
-                None => break,
-            }
-        }
-        if !self.instrumented {
-            fallback.elapsed = elapsed;
-            return Ok(fallback);
-        }
-        let after = self.recorder.snapshot();
-        Ok(RunReport {
-            firings: after.total_fires() - before.total_fires(),
-            events_routed: after.events_routed - before.events_routed,
-            elapsed,
-        })
+        Ok(hook)
     }
 
     /// Wrap every source actor in a [`LoggedSource`] journaling to `dir`.
@@ -781,18 +687,6 @@ impl Engine {
         .write_to_dir(dir)?;
         Ok(())
     }
-
-    /// Whether the current director honored instrumentation on the last
-    /// run (`false` before the first run or for third-party directors
-    /// without telemetry support).
-    pub fn is_instrumented(&self) -> bool {
-        self.instrumented
-    }
-
-    /// Take the workflow back out of the engine.
-    pub fn into_workflow(self) -> Workflow {
-        self.workflow
-    }
 }
 
 #[cfg(test)]
@@ -850,8 +744,8 @@ mod tests {
         let s = b.add_actor("src", VecSource::new((1..=20).map(Token::Int).collect()));
         let a = b.add_actor("sum", RunningSum::default());
         let k = b.add_actor("sink", c.actor());
-        b.connect(s, "out", a, "in").unwrap();
-        b.connect(a, "out", k, "in").unwrap();
+        b.link((s, "out"), (a, "in")).unwrap();
+        b.link((a, "out"), (k, "in")).unwrap();
         (b.build().unwrap(), c)
     }
 

@@ -362,8 +362,8 @@ impl Workflow {
 /// let mut b = WorkflowBuilder::new("demo");
 /// let src = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
 /// let sink = b.add_actor("sink", Collector::new().actor());
-/// b.connect(src, "out", sink, "in").unwrap();
-/// b.set_window(sink, "in", WindowSpec::each_event()).unwrap();
+/// b.link((src, "out"), (sink, "in")).unwrap();
+/// b.window((sink, "in"), WindowSpec::each_event()).unwrap();
 /// let wf = b.build().unwrap();
 /// assert_eq!(wf.actor_count(), 2);
 /// ```
@@ -376,49 +376,6 @@ pub struct WorkflowBuilder {
     channel_policies: Vec<Vec<Option<ChannelPolicy>>>,
     default_channel_policy: ChannelPolicy,
     shards: Vec<(ActorId, Shard)>,
-}
-
-/// Selects a port on an actor, either by declared name or by positional
-/// index in the actor's [`IoSignature`](crate::actor::IoSignature). All
-/// builder methods that take a port accept both forms:
-///
-/// ```ignore
-/// b.connect(a, "out", c, "in")?;   // by name
-/// b.connect(a, 0, c, 0)?;          // by index
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PortSel<'a> {
-    /// Select by declared port name.
-    Name(&'a str),
-    /// Select by positional index.
-    Index(usize),
-}
-
-impl<'a> From<&'a str> for PortSel<'a> {
-    fn from(name: &'a str) -> Self {
-        PortSel::Name(name)
-    }
-}
-
-impl<'a> From<&'a String> for PortSel<'a> {
-    fn from(name: &'a String) -> Self {
-        PortSel::Name(name)
-    }
-}
-
-impl From<usize> for PortSel<'_> {
-    fn from(index: usize) -> Self {
-        PortSel::Index(index)
-    }
-}
-
-impl std::fmt::Display for PortSel<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PortSel::Name(n) => write!(f, "{n}"),
-            PortSel::Index(i) => write!(f, "#{i}"),
-        }
-    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -434,8 +391,8 @@ enum PortKey {
 /// [`WorkflowBuilder::expired_handler`], and [`WorkflowBuilder::shard`].
 ///
 /// Endpoints are made from an [`ActorId`]: `actor.port("pos_in")`,
-/// `actor.out(0)`, `actor.input(1)` — or a bare `ActorId`, meaning its
-/// first port. Whether the port resolves against the actor's inputs or
+/// `actor.out(0)`, `actor.input(1)`, the pairs `(actor, "pos_in")` and
+/// `(actor, 1)` — or a bare `ActorId`, meaning its first port. Whether the port resolves against the actor's inputs or
 /// outputs is decided by the argument position (`from` resolves outputs,
 /// `to` resolves inputs), so `out`/`input` differ only in what they say at
 /// the call site.
@@ -455,15 +412,6 @@ pub struct Endpoint {
     /// The actor this endpoint belongs to.
     pub actor: ActorId,
     port: PortKey,
-}
-
-impl Endpoint {
-    fn sel(&self) -> PortSel<'_> {
-        match &self.port {
-            PortKey::Name(n) => PortSel::Name(n),
-            PortKey::Index(i) => PortSel::Index(*i),
-        }
-    }
 }
 
 /// A bare actor id is an endpoint on the actor's first (often only) port.
@@ -591,17 +539,17 @@ impl WorkflowBuilder {
         id
     }
 
-    fn resolve_output(&self, actor: ActorId, sel: PortSel<'_>) -> Result<usize> {
+    fn resolve_output(&self, at: &Endpoint) -> Result<usize> {
         let node = self
             .nodes
-            .get(actor.0)
-            .ok_or_else(|| Error::UnknownActor(format!("{actor}")))?;
-        match sel {
-            PortSel::Name(name) => node.signature.output_index(name).ok_or_else(|| {
+            .get(at.actor.0)
+            .ok_or_else(|| Error::UnknownActor(format!("{}", at.actor)))?;
+        match &at.port {
+            PortKey::Name(name) => node.signature.output_index(name).ok_or_else(|| {
                 Error::UnknownPort(format!("{}.{name} (output)", node.name))
             }),
-            PortSel::Index(i) if i < node.signature.outputs.len() => Ok(i),
-            PortSel::Index(i) => Err(Error::UnknownPort(format!(
+            PortKey::Index(i) if *i < node.signature.outputs.len() => Ok(*i),
+            PortKey::Index(i) => Err(Error::UnknownPort(format!(
                 "{}.#{i} (output; {} ports)",
                 node.name,
                 node.signature.outputs.len()
@@ -609,17 +557,17 @@ impl WorkflowBuilder {
         }
     }
 
-    fn resolve_input(&self, actor: ActorId, sel: PortSel<'_>) -> Result<usize> {
+    fn resolve_input(&self, at: &Endpoint) -> Result<usize> {
         let node = self
             .nodes
-            .get(actor.0)
-            .ok_or_else(|| Error::UnknownActor(format!("{actor}")))?;
-        match sel {
-            PortSel::Name(name) => node.signature.input_index(name).ok_or_else(|| {
+            .get(at.actor.0)
+            .ok_or_else(|| Error::UnknownActor(format!("{}", at.actor)))?;
+        match &at.port {
+            PortKey::Name(name) => node.signature.input_index(name).ok_or_else(|| {
                 Error::UnknownPort(format!("{}.{name} (input)", node.name))
             }),
-            PortSel::Index(i) if i < node.signature.inputs.len() => Ok(i),
-            PortSel::Index(i) => Err(Error::UnknownPort(format!(
+            PortKey::Index(i) if *i < node.signature.inputs.len() => Ok(*i),
+            PortKey::Index(i) => Err(Error::UnknownPort(format!(
                 "{}.#{i} (input; {} ports)",
                 node.name,
                 node.signature.inputs.len()
@@ -627,18 +575,11 @@ impl WorkflowBuilder {
         }
     }
 
-    fn endpoint_of(actor: ActorId, sel: PortSel<'_>) -> Endpoint {
-        match sel {
-            PortSel::Name(n) => actor.port(n),
-            PortSel::Index(i) => actor.out(i),
-        }
-    }
-
     /// Connect an output endpoint to an input endpoint.
     pub fn link(&mut self, from: impl Into<Endpoint>, to: impl Into<Endpoint>) -> Result<()> {
         let (from, to) = (from.into(), to.into());
-        let fp = self.resolve_output(from.actor, from.sel())?;
-        let tp = self.resolve_input(to.actor, to.sel())?;
+        let fp = self.resolve_output(&from)?;
+        let tp = self.resolve_input(&to)?;
         self.channels.push(Channel {
             from: PortRef {
                 actor: from.actor,
@@ -652,27 +593,11 @@ impl WorkflowBuilder {
         Ok(())
     }
 
-    /// Connect `from`'s output port to `to`'s input port. Ports are
-    /// selected by name or by index ([`PortSel`]). Thin wrapper over
-    /// [`WorkflowBuilder::link`].
-    pub fn connect<'a>(
-        &mut self,
-        from: ActorId,
-        from_port: impl Into<PortSel<'a>>,
-        to: ActorId,
-        to_port: impl Into<PortSel<'a>>,
-    ) -> Result<()> {
-        self.link(
-            Self::endpoint_of(from, from_port.into()),
-            Self::endpoint_of(to, to_port.into()),
-        )
-    }
-
     /// Connect actors into a linear pipeline: each actor's first output
     /// port feeds the next actor's first input port.
     pub fn chain(&mut self, actors: &[ActorId]) -> Result<()> {
         for pair in actors.windows(2) {
-            self.connect(pair[0], 0usize, pair[1], 0usize)?;
+            self.link(pair[0].out(0), pair[1].input(0))?;
         }
         Ok(())
     }
@@ -681,20 +606,9 @@ impl WorkflowBuilder {
     pub fn window(&mut self, at: impl Into<Endpoint>, spec: WindowSpec) -> Result<()> {
         spec.validate()?;
         let at = at.into();
-        let idx = self.resolve_input(at.actor, at.sel())?;
+        let idx = self.resolve_input(&at)?;
         self.input_windows[at.actor.0][idx] = spec;
         Ok(())
-    }
-
-    /// Attach window semantics to an input port. Thin wrapper over
-    /// [`WorkflowBuilder::window`].
-    pub fn set_window<'a>(
-        &mut self,
-        actor: ActorId,
-        port: impl Into<PortSel<'a>>,
-        spec: WindowSpec,
-    ) -> Result<()> {
-        self.window(Self::endpoint_of(actor, port.into()), spec)
     }
 
     /// Convenience: [`WorkflowBuilder::link`] and set the destination
@@ -710,23 +624,6 @@ impl WorkflowBuilder {
         self.window(to, spec)
     }
 
-    /// Convenience: connect and set the destination port's window in one
-    /// go. Thin wrapper over [`WorkflowBuilder::link_windowed`].
-    pub fn connect_windowed<'a>(
-        &mut self,
-        from: ActorId,
-        from_port: impl Into<PortSel<'a>>,
-        to: ActorId,
-        to_port: impl Into<PortSel<'a>>,
-        spec: WindowSpec,
-    ) -> Result<()> {
-        self.link_windowed(
-            Self::endpoint_of(from, from_port.into()),
-            Self::endpoint_of(to, to_port.into()),
-            spec,
-        )
-    }
-
     /// Assign a designer priority (used by the QBS scheduler; lower is more
     /// urgent).
     pub fn set_priority(&mut self, actor: ActorId, priority: i32) {
@@ -738,20 +635,9 @@ impl WorkflowBuilder {
     /// [`WorkflowBuilder::set_default_channel_policy`]).
     pub fn channel_policy(&mut self, at: impl Into<Endpoint>, policy: ChannelPolicy) -> Result<()> {
         let at = at.into();
-        let idx = self.resolve_input(at.actor, at.sel())?;
+        let idx = self.resolve_input(&at)?;
         self.channel_policies[at.actor.0][idx] = Some(policy);
         Ok(())
-    }
-
-    /// Attach a channel capacity policy to one input port. Thin wrapper
-    /// over [`WorkflowBuilder::channel_policy`].
-    pub fn set_channel_policy<'a>(
-        &mut self,
-        actor: ActorId,
-        port: impl Into<PortSel<'a>>,
-        policy: ChannelPolicy,
-    ) -> Result<()> {
-        self.channel_policy(Self::endpoint_of(actor, port.into()), policy)
     }
 
     /// Set the workflow-wide channel policy applied to every input port
@@ -774,28 +660,13 @@ impl WorkflowBuilder {
         // Resolve eagerly and store the canonical names; final route
         // resolution happens at build().
         let (at, handler) = (at.into(), handler.into());
-        let pi = self.resolve_input(at.actor, at.sel())?;
-        let hi = self.resolve_input(handler.actor, handler.sel())?;
+        let pi = self.resolve_input(&at)?;
+        let hi = self.resolve_input(&handler)?;
         let port = self.nodes[at.actor.0].signature.inputs[pi].clone();
         let handler_port = self.nodes[handler.actor.0].signature.inputs[hi].clone();
         self.expired_handlers
             .push((at.actor, port, handler.actor, handler_port));
         Ok(())
-    }
-
-    /// Attach an expired-items handler by `(actor, port)` pairs. Thin
-    /// wrapper over [`WorkflowBuilder::expired_handler`].
-    pub fn set_expired_handler<'a>(
-        &mut self,
-        actor: ActorId,
-        port: impl Into<PortSel<'a>>,
-        handler: ActorId,
-        handler_port: impl Into<PortSel<'a>>,
-    ) -> Result<()> {
-        self.expired_handler(
-            Self::endpoint_of(actor, port.into()),
-            Self::endpoint_of(handler, handler_port.into()),
-        )
     }
 
     /// Mark an actor for keyed sharding: at [`WorkflowBuilder::build`] the
@@ -929,10 +800,10 @@ impl WorkflowBuilder {
                 }
             }
             for (r, &rid) in replica_ids.iter().enumerate() {
-                self.connect(id, r, rid, 0usize)?;
-                self.connect(id, n + r, rid, 1usize)?;
-                self.connect(rid, 0usize, merge, r)?;
-                self.connect(rid, 1usize, merge, n + r)?;
+                self.link((id, r), (rid, 0))?;
+                self.link((id, n + r), (rid, 1))?;
+                self.link((rid, 0), (merge, r))?;
+                self.link((rid, 1), (merge, n + r))?;
             }
 
             // Expired events of the (now replica-held) window keep flowing
@@ -1097,10 +968,10 @@ mod tests {
         let p1 = b.add_actor("p1", Pass);
         let p2 = b.add_actor("p2", Pass);
         let k = b.add_actor("sink", Sink);
-        b.connect(s, "out", p1, "in").unwrap();
-        b.connect(s, "out", p2, "in").unwrap();
-        b.connect(p1, "out", k, "in").unwrap();
-        b.connect(p2, "out", k, "in").unwrap();
+        b.link((s, "out"), (p1, "in")).unwrap();
+        b.link((s, "out"), (p2, "in")).unwrap();
+        b.link((p1, "out"), (k, "in")).unwrap();
+        b.link((p2, "out"), (k, "in")).unwrap();
         b.build().unwrap()
     }
 
@@ -1134,10 +1005,10 @@ mod tests {
         let mut b = WorkflowBuilder::new("bad");
         let s = b.add_actor("s", Src);
         let k = b.add_actor("k", Sink);
-        assert!(b.connect(s, "nope", k, "in").is_err());
-        assert!(b.connect(s, "out", k, "nope").is_err());
+        assert!(b.link((s, "nope"), (k, "in")).is_err());
+        assert!(b.link((s, "out"), (k, "nope")).is_err());
         assert!(b
-            .set_window(k, "nope", crate::window::WindowSpec::each_event())
+            .window((k, "nope"), crate::window::WindowSpec::each_event())
             .is_err());
     }
 
@@ -1148,10 +1019,9 @@ mod tests {
         let s = b.add_actor("src", Src);
         let p = b.add_actor("pass", Pass);
         let k = b.add_actor("sink", Sink);
-        b.connect(s, 0, p, 0).unwrap();
-        b.connect(p, "out", k, 0).unwrap();
-        b.set_window(k, 0, crate::window::WindowSpec::tuples(2, 1))
-            .unwrap();
+        b.link((s, 0), (p, 0)).unwrap();
+        b.link((p, "out"), (k, 0)).unwrap();
+        b.window((k, 0), crate::window::WindowSpec::tuples(2, 1)).unwrap();
         let wf = b.build().unwrap();
         assert_eq!(wf.channels().len(), 2);
         assert_eq!(
@@ -1162,8 +1032,8 @@ mod tests {
         let mut b = WorkflowBuilder::new("oob");
         let s = b.add_actor("src", Src);
         let k = b.add_actor("sink", Sink);
-        assert!(matches!(b.connect(s, 3, k, 0), Err(Error::UnknownPort(_))));
-        assert!(matches!(b.connect(s, 0, k, 9), Err(Error::UnknownPort(_))));
+        assert!(matches!(b.link((s, 3), (k, 0)), Err(Error::UnknownPort(_))));
+        assert!(matches!(b.link((s, 0), (k, 9)), Err(Error::UnknownPort(_))));
     }
 
     #[test]
@@ -1211,7 +1081,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("weird");
         let s = b.add_actor("s", Src);
         let w = b.add_actor("w", WeirdSource);
-        b.connect(s, "out", w, "in").unwrap();
+        b.link((s, "out"), (w, "in")).unwrap();
         assert!(matches!(b.build(), Err(Error::Graph(_))));
     }
 
@@ -1220,8 +1090,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("p");
         let s = b.add_actor("s", Src);
         let k = b.add_actor("k", Sink);
-        b.connect_windowed(s, "out", k, "in", crate::window::WindowSpec::tuples(4, 1))
-            .unwrap();
+        b.link_windowed((s, "out"), (k, "in"), crate::window::WindowSpec::tuples(4, 1)).unwrap();
         b.set_priority(k, 5);
         let wf = b.build().unwrap();
         assert_eq!(wf.node(k).priority, 5);

@@ -49,7 +49,7 @@ pub use director::adaptive::{AdaptDecision, AdaptivePolicy};
 pub use engine::{Engine, ExecConfig, RunHandle, StopCondition};
 pub use error::{Error, Result};
 pub use event::CwEvent;
-pub use graph::{ActorId, Endpoint, PortSel, Shard, ShardGroup, Workflow, WorkflowBuilder};
+pub use graph::{ActorId, Endpoint, Shard, ShardGroup, Workflow, WorkflowBuilder};
 pub use telemetry::{MetricsRecorder, MetricsSnapshot, Observer, RunPhase, Telemetry};
 pub use time::{Clock, Micros, SharedClock, Timestamp, VirtualClock, WallClock};
 pub use token::Token;

@@ -627,11 +627,6 @@ impl PortReceiver {
         self.op.lock().expired_len()
     }
 
-    /// Snapshot this port's window-operator state (checkpoint capture).
-    pub fn snapshot_op(&self) -> crate::window::OperatorSnapshot {
-        self.op.lock().snapshot()
-    }
-
     /// Snapshot this port's window-operator state and reset the operator
     /// to fresh (destructive checkpoint capture). The snapshot can later
     /// be restored into this same port, which keeps directors with a

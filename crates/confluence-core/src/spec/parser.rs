@@ -339,7 +339,7 @@ impl<'a> Parser<'a> {
                     let (to, to_port) = self.port()?;
                     let from_id = lookup(&actors, &from).map_err(|e| self.err(e))?;
                     let to_id = lookup(&actors, &to).map_err(|e| self.err(e))?;
-                    b.set_expired_handler(from_id, &from_port, to_id, &to_port)?;
+                    b.expired_handler(from_id.port(from_port), to_id.port(to_port))?;
                 }
                 other => {
                     self.pos -= 1;
@@ -404,10 +404,12 @@ impl<'a> Parser<'a> {
         let (to, to_port) = self.port()?;
         let from_id = lookup(actors, &from).map_err(|e| self.err(e))?;
         let to_id = lookup(actors, &to).map_err(|e| self.err(e))?;
-        b.connect(from_id, &from_port, to_id, &to_port)?;
+        let (from, to) = (from_id.port(from_port), to_id.port(to_port));
         if self.eat_ident("window") {
             let spec = self.window_spec()?;
-            b.set_window(to_id, &to_port, spec)?;
+            b.link_windowed(from, to, spec)?;
+        } else {
+            b.link(from, to)?;
         }
         Ok(())
     }

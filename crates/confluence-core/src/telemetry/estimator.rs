@@ -12,6 +12,26 @@
 //! as a cycle guard (a back edge contributes 0, so feedback loops neither
 //! diverge nor double-count).
 
+/// Local selectivity: events produced per event consumed (1.0 before any
+/// input, the neutral assumption).
+pub fn selectivity_of(events_in: u64, events_out: u64) -> f64 {
+    if events_in == 0 {
+        1.0
+    } else {
+        events_out as f64 / events_in as f64
+    }
+}
+
+/// Mean cost per consumed event, µs — the mean cost per firing while
+/// nothing has been consumed, 0 before any firing.
+pub fn cost_per_event_of(total_cost_us: u64, events_in: u64, fires: u64) -> f64 {
+    match (events_in, fires) {
+        (0, 0) => 0.0,
+        (0, _) => total_cost_us as f64 / fires as f64,
+        _ => total_cost_us as f64 / events_in as f64,
+    }
+}
+
 /// Global selectivity of actor `idx`: the expected number of workflow
 /// *outputs* eventually produced per event this actor consumes — the
 /// product of local selectivities along each downstream path, summed over

@@ -29,6 +29,7 @@ const REFRESH_EVERY: u64 = 64;
 
 /// One actor's live counters. All `f64` values live in `AtomicU64` bit
 /// patterns; cumulative counters are plain integers.
+#[derive(Debug)]
 struct ActorLive {
     /// EMA of the wall-clock fire cost, µs (f64 bits; 0 ⇒ unseeded).
     ema_cost: AtomicU64,
@@ -76,6 +77,7 @@ fn ema_update(cell: &AtomicU64, sample: f64, seeded: bool) {
 /// Live per-actor statistics for priority computation under wall-clock
 /// executors. Shareable across workers; every operation is a handful of
 /// relaxed atomic ops.
+#[derive(Debug)]
 pub struct LiveStats {
     actors: Vec<ActorLive>,
     /// Downstream actor indices per actor (workflow topology).
@@ -151,6 +153,18 @@ impl LiveStats {
         }
     }
 
+    /// Count one completed firing and nothing else — no EMA, no cached
+    /// priority: all the virtual-time simulator's statistics module
+    /// records (it reads every estimate fresh). The simulator owns its
+    /// statistics, so through `&mut self` these are plain adds.
+    pub fn count_fire(&mut self, actor: usize, cost: Micros, events_in: u64, tokens_out: u64) {
+        let a = &mut self.actors[actor];
+        *a.fires.get_mut() += 1;
+        *a.total_cost.get_mut() += cost.as_micros();
+        *a.events_in.get_mut() += events_in;
+        *a.events_out.get_mut() += tokens_out;
+    }
+
     /// EMA wall-clock fire cost, µs (0 before any firing).
     pub fn ema_cost(&self, actor: usize) -> f64 {
         f64::from_bits(self.actors[actor].ema_cost.load(Ordering::Relaxed))
@@ -166,34 +180,53 @@ impl LiveStats {
         self.actors[actor].fires.load(Ordering::Relaxed)
     }
 
-    /// Cumulative local selectivity (events out / events in; 1.0 before
-    /// any input — the neutral assumption, matching the simulator).
-    pub fn selectivity(&self, actor: usize) -> f64 {
-        let a = &self.actors[actor];
-        let ins = a.events_in.load(Ordering::Relaxed);
-        if ins == 0 {
-            1.0
-        } else {
-            a.events_out.load(Ordering::Relaxed) as f64 / ins as f64
-        }
+    /// Cumulative cost of `actor`'s firings.
+    pub fn total_cost(&self, actor: usize) -> Micros {
+        Micros(self.actors[actor].total_cost.load(Ordering::Relaxed))
     }
 
-    /// Mean cost per consumed event, µs (falls back to mean invocation
-    /// cost when nothing was consumed — again matching the simulator).
+    /// Cumulative events consumed by `actor`.
+    pub fn events_in(&self, actor: usize) -> u64 {
+        self.actors[actor].events_in.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative tokens produced by `actor`.
+    pub fn events_out(&self, actor: usize) -> u64 {
+        self.actors[actor].events_out.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative local selectivity ([`estimator::selectivity_of`]).
+    pub fn selectivity(&self, actor: usize) -> f64 {
+        estimator::selectivity_of(self.events_in(actor), self.events_out(actor))
+    }
+
+    /// Mean cost per consumed event, µs ([`estimator::cost_per_event_of`]).
     pub fn cost_per_event(&self, actor: usize) -> f64 {
-        let a = &self.actors[actor];
-        let total = a.total_cost.load(Ordering::Relaxed) as f64;
-        let ins = a.events_in.load(Ordering::Relaxed);
-        if ins == 0 {
-            let fires = a.fires.load(Ordering::Relaxed);
-            if fires == 0 {
-                0.0
-            } else {
-                total / fires as f64
-            }
-        } else {
-            total / ins as f64
-        }
+        let total = self.total_cost(actor).as_micros();
+        estimator::cost_per_event_of(total, self.events_in(actor), self.fires(actor))
+    }
+
+    /// Global selectivity of `actor` per Sharaf et al. \[28\]: the expected
+    /// number of workflow *outputs* eventually produced per event it
+    /// consumes ([`estimator::global_selectivity`]), read fresh.
+    pub fn global_selectivity(&self, actor: usize) -> f64 {
+        estimator::global_selectivity(actor, &|i| self.selectivity(i), &self.downstream)
+    }
+
+    /// Global average cost per event at `actor` per \[28\]: own cost plus
+    /// the downstream work its outputs will require
+    /// ([`estimator::global_cost`]), read fresh.
+    pub fn global_cost(&self, actor: usize) -> f64 {
+        let sel = |i: usize| self.selectivity(i);
+        estimator::global_cost(actor, &|i| self.cost_per_event(i), &sel, &self.downstream)
+    }
+
+    /// The Rate-Based priority `Pr(A) = gSel/gCost` computed now from the
+    /// current counters — what the simulator reads at its period
+    /// boundaries, and what [`LiveStats::refresh_rate_priorities`] caches.
+    pub fn fresh_rate_priority(&self, actor: usize) -> f64 {
+        let sel = |i: usize| self.selectivity(i);
+        estimator::rate_priority(actor, &|i| self.cost_per_event(i), &sel, &self.downstream)
     }
 
     /// The cached Rate-Based priority `Pr(A) = gSel/gCost` (infinite until
@@ -206,11 +239,8 @@ impl LiveStats {
     /// Recompute every actor's Rate-Based priority from the current local
     /// statistics through the shared estimator core.
     pub fn refresh_rate_priorities(&self) {
-        let sel = |i: usize| self.selectivity(i);
-        let cost = |i: usize| self.cost_per_event(i);
         for (i, a) in self.actors.iter().enumerate() {
-            let pr = estimator::rate_priority(i, &cost, &sel, &self.downstream);
-            a.cached_rate.store(pr.to_bits(), Ordering::Relaxed);
+            a.cached_rate.store(self.fresh_rate_priority(i).to_bits(), Ordering::Relaxed);
         }
     }
 }

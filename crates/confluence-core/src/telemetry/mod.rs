@@ -487,12 +487,6 @@ impl Telemetry {
         }
     }
 
-    /// Attach a time-series recorder the directors will sample.
-    pub fn with_series(mut self, series: Arc<TimeSeriesRecorder>) -> Self {
-        self.series = Some(series);
-        self
-    }
-
     /// Attach the shared latency sketch for load-signal quantiles.
     pub fn with_latency(mut self, latency: Arc<QuantileSketch>) -> Self {
         self.latency = Some(latency);

@@ -210,16 +210,20 @@ impl Observer for StallWatchdog {
     }
 }
 
+/// A telemetry handle the server looks up per request, so its owner can
+/// attach it after the endpoint is bound.
+pub type LateBound<T> = Arc<Mutex<Option<Arc<T>>>>;
+
 /// The telemetry handles the server reads from. All shared: the server
 /// never blocks the engine.
 #[derive(Clone)]
 pub struct OpsState {
     /// Metrics source for `/metrics` and `/snapshot`.
     pub recorder: Arc<MetricsRecorder>,
-    /// Series source for `/series` (404 when absent).
-    pub series: Option<Arc<TimeSeriesRecorder>>,
-    /// Trace source for `/trace` (404 when absent).
-    pub tracer: Option<Arc<Tracer>>,
+    /// Series source for `/series` (404 while absent).
+    pub series: LateBound<TimeSeriesRecorder>,
+    /// Trace source for `/trace` (404 while absent).
+    pub tracer: LateBound<Tracer>,
     /// Liveness source for `/healthz`.
     pub watchdog: Arc<StallWatchdog>,
 }
@@ -362,7 +366,7 @@ fn handle_connection(mut stream: TcpStream, state: &OpsState) -> std::io::Result
             let body = state.recorder.snapshot().to_json();
             respond(&mut stream, 200, "application/json", &body)
         }
-        "/series" => match &state.series {
+        "/series" => match state.series.lock().clone() {
             None => respond(&mut stream, 404, "text/plain", "series sampling is off"),
             Some(series) => {
                 let body = match query.and_then(|q| query_param(q, "key")) {
@@ -372,7 +376,7 @@ fn handle_connection(mut stream: TcpStream, state: &OpsState) -> std::io::Result
                 respond(&mut stream, 200, "text/csv", &body)
             }
         },
-        "/trace" => match &state.tracer {
+        "/trace" => match state.tracer.lock().clone() {
             None => respond(&mut stream, 404, "text/plain", "tracing is off"),
             Some(tracer) => {
                 let body = tracer.report().to_chrome_json();
@@ -575,8 +579,8 @@ mod tests {
         });
         let state = OpsState {
             recorder: rec.clone(),
-            series: None,
-            tracer: None,
+            series: LateBound::default(),
+            tracer: LateBound::default(),
             watchdog: watchdog(),
         };
         let server = OpsServer::bind(&OpsConfig::new("127.0.0.1:0"), state).unwrap();
@@ -600,8 +604,8 @@ mod tests {
         series.record_point("depth:sink", 10, 3);
         let state = OpsState {
             recorder: recorder(),
-            series: Some(series),
-            tracer: None,
+            series: Arc::new(Mutex::new(Some(series))),
+            tracer: LateBound::default(),
             watchdog: watchdog(),
         };
         let server = OpsServer::bind(&OpsConfig::new("127.0.0.1:0"), state).unwrap();
@@ -639,8 +643,8 @@ mod tests {
         series.record_point("depth:sink", 10, 3);
         let state = OpsState {
             recorder: recorder(),
-            series: Some(series),
-            tracer: None,
+            series: Arc::new(Mutex::new(Some(series))),
+            tracer: LateBound::default(),
             watchdog: watchdog(),
         };
         let server = OpsServer::bind(&OpsConfig::new("127.0.0.1:0"), state).unwrap();

@@ -54,14 +54,14 @@ proptest! {
                 format!("a{i}"),
                 Rated { consume: window[0].1, produce: window[1].0, source: false },
             );
-            b.connect(prev, "out", a, "in").unwrap();
+            b.link((prev, "out"), (a, "in")).unwrap();
             prev = a;
         }
         let sink = b.add_actor(
             "sink",
             Rated { consume: rates[rates.len() - 1].1, produce: 0, source: false },
         );
-        b.connect(prev, "out", sink, "in").unwrap();
+        b.link((prev, "out"), (sink, "in")).unwrap();
         let wf = b.build().unwrap();
 
         let sched = compile_schedule(&wf).unwrap();

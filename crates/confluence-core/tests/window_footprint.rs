@@ -114,7 +114,7 @@ fn a_group_costs_its_key_its_events_and_a_position() {
     let source = b.add_actor("source", VecSource::new(vec![]));
     let sink = b.add_actor("sink", Collector::new().actor());
     let spec = WindowSpec::time(minute, minute).group_by(by_car());
-    b.connect_windowed(source, "out", sink, "in", spec).unwrap();
+    b.link_windowed((source, "out"), (sink, "in"), spec).unwrap();
     let workflow = b.build().unwrap();
     let fabric = Fabric::build(&workflow).unwrap();
     let mut held = [0; 10];

@@ -101,7 +101,7 @@ pub fn build(workload: &Workload, opts: &LrOptions) -> Result<LinearRoad> {
         Some(target) => {
             let (shed, handle) = LoadShedder::new(target);
             let shed_id = b.add_actor("LoadShedder", shed);
-            b.connect(real_source, "out", shed_id, "in")?;
+            b.link((real_source, "out"), (shed_id, "in"))?;
             (shed_id, Some(handle))
         }
         None => (real_source, None),
@@ -123,24 +123,20 @@ pub fn build(workload: &Workload, opts: &LrOptions) -> Result<LinearRoad> {
     let notify_out = b.add_actor("AccidentNotificationOut", accident_output.actor());
 
     // Stopped cars: the last 4 reports of each car.
-    b.connect_windowed(
-        source,
-        "out",
-        stopped,
-        "in",
+    b.link_windowed(
+        (source, "out"),
+        (stopped, "in"),
         WindowSpec::tuples(4, 1).group_by(GroupBy::fields(&["carid"])),
     )?;
     // Accidents: two stopped-car reports at the same position.
-    b.connect_windowed(
-        stopped,
-        "out",
-        detect,
-        "in",
+    b.link_windowed(
+        (stopped, "out"),
+        (detect, "in"),
         WindowSpec::tuples(2, 1).group_by(GroupBy::fields(&["xway", "dir", "pos"])),
     )?;
-    b.connect(detect, "out", insert, "in")?;
-    b.connect_windowed(source, "out", notify, "in", WindowSpec::each_event())?;
-    b.connect(notify, "out", notify_out, "in")?;
+    b.link((detect, "out"), (insert, "in"))?;
+    b.link_windowed((source, "out"), (notify, "in"), WindowSpec::each_event())?;
+    b.link((notify, "out"), (notify_out, "in"))?;
 
     // --- Segment statistics ------------------------------------------------
     let avgsv = b.add_actor("Avgsv", CarSpeedAvg);
@@ -149,30 +145,24 @@ pub fn build(workload: &Workload, opts: &LrOptions) -> Result<LinearRoad> {
     let cars = b.add_actor("cars", CarCounter);
     let cars_writer = b.add_actor("CarsWriter", SegmentCarsWriter::new(store.clone()));
     let minute = Micros::from_secs(60);
-    b.connect_windowed(
-        source,
-        "out",
-        avgsv,
-        "in",
+    b.link_windowed(
+        (source, "out"),
+        (avgsv, "in"),
         WindowSpec::time(minute, minute)
             .group_by(GroupBy::fields(&["carid", "xway", "dir", "seg"])),
     )?;
-    b.connect_windowed(
-        avgsv,
-        "out",
-        avgs,
-        "in",
+    b.link_windowed(
+        (avgsv, "out"),
+        (avgs, "in"),
         WindowSpec::time(minute, minute).group_by(GroupBy::fields(&["xway", "dir", "seg"])),
     )?;
-    b.connect(avgs, "out", speed_writer, "in")?;
-    b.connect_windowed(
-        source,
-        "out",
-        cars,
-        "in",
+    b.link((avgs, "out"), (speed_writer, "in"))?;
+    b.link_windowed(
+        (source, "out"),
+        (cars, "in"),
         WindowSpec::time(minute, minute).group_by(GroupBy::fields(&["xway", "dir", "seg"])),
     )?;
-    b.connect(cars, "out", cars_writer, "in")?;
+    b.link((cars, "out"), (cars_writer, "in"))?;
 
     // --- Toll calculation and notification ----------------------------------
     let mut toll_actor = TollCalculator::new(store.clone());
@@ -181,14 +171,12 @@ pub fn build(workload: &Workload, opts: &LrOptions) -> Result<LinearRoad> {
     }
     let toll = b.add_actor("TollCalculation", toll_actor);
     let toll_out = b.add_actor("TollNotification", toll_output.actor());
-    b.connect_windowed(
-        source,
-        "out",
-        toll,
-        "in",
+    b.link_windowed(
+        (source, "out"),
+        (toll, "in"),
         WindowSpec::tuples(2, 1).group_by(GroupBy::fields(&["carid"])),
     )?;
-    b.connect(toll, "out", toll_out, "in")?;
+    b.link((toll, "out"), (toll_out, "in"))?;
     if let Some(n) = opts.shard_toll {
         // The toll window groups by carid, so a carid-keyed split keeps
         // every window whole on one replica; the generated merge restores
@@ -244,8 +232,8 @@ fn stopped_car_composite() -> Result<CompositeActor> {
     let k = ib.add_actor("exit", exit.actor());
     // The outer window is {4, 1}: each firing injects 4 reports, which the
     // inner consuming 4-window reassembles.
-    ib.connect_windowed(src, "out", cmp, "in", WindowSpec::tuples(4, 4).delete_used(true))?;
-    ib.connect(cmp, "out", k, "in")?;
+    ib.link_windowed((src, "out"), (cmp, "in"), WindowSpec::tuples(4, 4).delete_used(true))?;
+    ib.link((cmp, "out"), (k, "in"))?;
     CompositeActor::new(
         IoSignature::transform("in", "out"),
         ib.build()?,
@@ -272,8 +260,8 @@ fn accident_composite() -> Result<CompositeActor> {
         }),
     );
     let k = ib.add_actor("exit", exit.actor());
-    ib.connect_windowed(src, "out", cmp, "in", WindowSpec::tuples(2, 2).delete_used(true))?;
-    ib.connect(cmp, "out", k, "in")?;
+    ib.link_windowed((src, "out"), (cmp, "in"), WindowSpec::tuples(2, 2).delete_used(true))?;
+    ib.link((cmp, "out"), (k, "in"))?;
     CompositeActor::new(
         IoSignature::transform("in", "out"),
         ib.build()?,

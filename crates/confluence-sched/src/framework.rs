@@ -38,6 +38,101 @@ pub struct ActorInfo {
     pub is_source: bool,
 }
 
+/// Source regulation, which the framework owns once for every policy
+/// (paper §3: source actors are "treated independently of the rest to
+/// regulate the inflow of data"). The frame knows which actors are
+/// sources and which of them have a due arrival, and gives sources their
+/// turns: one source firing per `source_interval` internal firings,
+/// round-robin among the ready ones, and a ready source whenever nothing
+/// else is runnable. A policy holds one frame and supplies only its own
+/// pick among the internal actors.
+#[derive(Debug)]
+pub struct SourceFrame {
+    interval: u64,
+    is_source: Vec<bool>,
+    ready: Vec<bool>,
+    sources: Vec<usize>,
+    /// Where the round-robin over `sources` resumes.
+    source_rr: usize,
+    internal_since_source: u64,
+}
+
+impl SourceFrame {
+    /// A frame granting one source firing per `source_interval` internal
+    /// firings (at least 1).
+    pub fn new(source_interval: u64) -> Self {
+        SourceFrame {
+            interval: source_interval.max(1),
+            is_source: Vec::new(),
+            ready: Vec::new(),
+            sources: Vec::new(),
+            source_rr: 0,
+            internal_since_source: 0,
+        }
+    }
+
+    /// Reset and learn which of `actors` are sources.
+    pub fn init(&mut self, actors: &[ActorInfo]) {
+        self.is_source = vec![false; actors.len()];
+        self.ready = vec![false; actors.len()];
+        self.sources.clear();
+        self.source_rr = 0;
+        self.internal_since_source = 0;
+        for a in actors.iter().filter(|a| a.is_source) {
+            self.is_source[a.index] = true;
+            self.sources.push(a.index);
+        }
+    }
+
+    /// Whether `actor` is a source.
+    pub fn is_source(&self, actor: usize) -> bool {
+        self.is_source[actor]
+    }
+
+    /// Whether source `actor` has a due arrival.
+    pub fn is_ready(&self, actor: usize) -> bool {
+        self.ready[actor]
+    }
+
+    /// Record [`Scheduler::on_source_ready`].
+    pub fn set_ready(&mut self, actor: usize, ready: bool) {
+        self.ready[actor] = ready;
+    }
+
+    /// The next ready source in round-robin order, skipping unready ones.
+    fn pick_source(&mut self) -> Option<usize> {
+        let n = self.sources.len();
+        let at = (0..n).map(|k| (self.source_rr + k) % n).find(|&i| self.ready[self.sources[i]])?;
+        self.source_rr = (at + 1) % n;
+        Some(self.sources[at])
+    }
+
+    /// The one [`Scheduler::next_actor`] skeleton of the source-regulating
+    /// policies: a source whose turn is due, else the policy's own pick
+    /// among internal actors, else any ready source.
+    pub fn next_actor(&mut self, pick_internal: impl FnOnce() -> Option<usize>) -> Option<usize> {
+        if self.internal_since_source >= self.interval {
+            if let Some(s) = self.pick_source() {
+                self.internal_since_source = 0;
+                return Some(s);
+            }
+        }
+        if let Some(a) = pick_internal() {
+            self.internal_since_source += 1;
+            return Some(a);
+        }
+        self.pick_source()
+    }
+
+    /// Table 2 state of a regulated source — ACTIVE with a due arrival,
+    /// WAITING without, never INACTIVE; `None` for an internal actor,
+    /// whose state is its policy's to tell.
+    pub fn state(&self, actor: usize) -> Option<ActorState> {
+        let state = if self.ready[actor] { ActorState::Active } else { ActorState::Waiting };
+        self.is_source[actor].then_some(state)
+    }
+}
+
 /// A pluggable scheduling policy for the Scheduled CWF director.
 ///
 /// ### Contract with the director
@@ -93,6 +188,54 @@ mod tests {
     fn actor_state_is_comparable() {
         assert_eq!(ActorState::Active, ActorState::Active);
         assert_ne!(ActorState::Active, ActorState::Waiting);
+    }
+
+    fn info(index: usize, is_source: bool) -> ActorInfo {
+        ActorInfo {
+            index,
+            name: format!("a{index}"),
+            priority: 20,
+            is_source,
+        }
+    }
+
+    #[test]
+    fn the_frame_regulates_two_sources() {
+        // Actors 0 and 2 are sources, 1 is internal; a source turn is due
+        // after every 2 internal firings.
+        let mut f = SourceFrame::new(2);
+        f.init(&[info(0, true), info(1, false), info(2, true)]);
+        assert_eq!(f.state(1), None, "an internal actor's state is its policy's");
+        assert_eq!(f.state(0), Some(ActorState::Waiting));
+        f.set_ready(2, true);
+        assert_eq!(f.state(2), Some(ActorState::Active));
+
+        // Internal work first: no source turn is due yet.
+        assert_eq!(f.next_actor(|| Some(1)), Some(1));
+        assert_eq!(f.next_actor(|| Some(1)), Some(1));
+        // Due: the cursor stands at source 0, which is unready, and
+        // advances past it to source 2; the policy is not even asked.
+        assert_eq!(f.next_actor(|| unreachable!("a source turn is due")), Some(2));
+        // The source firing reset the interval counter: two internal
+        // firings pass before the next source turn.
+        f.set_ready(0, true);
+        assert_eq!(f.next_actor(|| Some(1)), Some(1));
+        assert_eq!(f.next_actor(|| Some(1)), Some(1));
+        // The cursor moved past 2, so the round-robin resumes at 0.
+        assert_eq!(f.next_actor(|| Some(1)), Some(0));
+        // With both ready the turns alternate; nothing internal is
+        // runnable, so each call falls back to a ready source.
+        assert_eq!(f.next_actor(|| None), Some(2));
+        assert_eq!(f.next_actor(|| None), Some(0));
+        f.set_ready(0, false);
+        f.set_ready(2, false);
+        assert_eq!(f.next_actor(|| None), None, "nothing runnable at all");
+        // A due turn with no ready source leaves the turn due.
+        assert_eq!(f.next_actor(|| Some(1)), Some(1));
+        assert_eq!(f.next_actor(|| Some(1)), Some(1));
+        assert_eq!(f.next_actor(|| Some(1)), Some(1));
+        f.set_ready(2, true);
+        assert_eq!(f.next_actor(|| Some(1)), Some(2));
     }
 
     #[test]

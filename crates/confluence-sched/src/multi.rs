@@ -269,7 +269,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("stream");
         let s = b.add_actor("src", TimedSource::new(schedule));
         let k = b.add_actor("probe", probe.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         (b.build().unwrap(), probe)
     }
 

@@ -19,47 +19,25 @@ use std::collections::VecDeque;
 
 use confluence_core::time::{Micros, Timestamp};
 
-use crate::framework::{ActorInfo, ActorState, Scheduler};
+use crate::framework::{ActorInfo, ActorState, Scheduler, SourceFrame};
 use crate::stats::StatsModule;
 
 /// Earliest-deadline-first over window origins.
 pub struct EdfScheduler {
-    /// One source firing per this many internal firings.
-    pub source_interval: u64,
+    sources: SourceFrame,
     /// Per-actor queues of origin timestamps, in delivery (FIFO) order —
     /// the director always hands the actor its oldest window first, so the
     /// head of this queue is the actor's most urgent deadline.
     origins: Vec<VecDeque<Timestamp>>,
-    is_source: Vec<bool>,
-    source_ready: Vec<bool>,
-    sources: Vec<usize>,
-    source_rr: usize,
-    internal_since_source: u64,
 }
 
 impl EdfScheduler {
     /// EDF with the given source interval.
     pub fn new(source_interval: u64) -> Self {
         EdfScheduler {
-            source_interval: source_interval.max(1),
+            sources: SourceFrame::new(source_interval),
             origins: Vec::new(),
-            is_source: Vec::new(),
-            source_ready: Vec::new(),
-            sources: Vec::new(),
-            source_rr: 0,
-            internal_since_source: 0,
         }
-    }
-
-    fn pick_source(&mut self) -> Option<usize> {
-        for k in 0..self.sources.len() {
-            let s = self.sources[(self.source_rr + k) % self.sources.len()];
-            if self.source_ready[s] {
-                self.source_rr = (self.source_rr + k + 1) % self.sources.len();
-                return Some(s);
-            }
-        }
-        None
     }
 }
 
@@ -69,54 +47,31 @@ impl Scheduler for EdfScheduler {
     }
 
     fn init(&mut self, actors: &[ActorInfo]) {
-        let n = actors.len();
-        self.origins = (0..n).map(|_| VecDeque::new()).collect();
-        self.is_source = vec![false; n];
-        self.source_ready = vec![false; n];
-        self.sources.clear();
-        self.source_rr = 0;
-        self.internal_since_source = 0;
-        for a in actors {
-            self.is_source[a.index] = a.is_source;
-            if a.is_source {
-                self.sources.push(a.index);
-            }
-        }
+        self.sources.init(actors);
+        self.origins = (0..actors.len()).map(|_| VecDeque::new()).collect();
     }
 
     fn on_enqueue(&mut self, actor: usize, origin: Timestamp) {
-        if !self.is_source[actor] {
+        if !self.sources.is_source(actor) {
             self.origins[actor].push_back(origin);
         }
     }
 
     fn on_source_ready(&mut self, actor: usize, ready: bool) {
-        self.source_ready[actor] = ready;
+        self.sources.set_ready(actor, ready);
     }
 
     fn next_actor(&mut self) -> Option<usize> {
-        if self.internal_since_source >= self.source_interval {
-            if let Some(s) = self.pick_source() {
-                self.internal_since_source = 0;
-                return Some(s);
-            }
-        }
         // Earliest head deadline = earliest head origin.
-        let best = self
-            .origins
-            .iter()
-            .enumerate()
-            .filter_map(|(a, q)| q.front().map(|o| (*o, a)))
-            .min();
-        if let Some((_, a)) = best {
-            self.internal_since_source += 1;
-            return Some(a);
-        }
-        self.pick_source()
+        self.sources.next_actor(|| {
+            let heads = self.origins.iter().enumerate();
+            let best = heads.filter_map(|(a, q)| q.front().map(|o| (*o, a))).min();
+            best.map(|(_, a)| a)
+        })
     }
 
     fn after_fire(&mut self, actor: usize, _cost: Micros, remaining: usize, _stats: &StatsModule) {
-        if self.is_source[actor] {
+        if self.sources.is_source(actor) {
             return;
         }
         self.origins[actor].pop_front();
@@ -131,17 +86,11 @@ impl Scheduler for EdfScheduler {
     }
 
     fn state(&self, actor: usize) -> ActorState {
-        if self.is_source[actor] {
-            if self.source_ready[actor] {
-                ActorState::Active
-            } else {
-                ActorState::Waiting
-            }
-        } else if self.origins[actor].is_empty() {
+        self.sources.state(actor).unwrap_or(if self.origins[actor].is_empty() {
             ActorState::Inactive
         } else {
             ActorState::Active
-        }
+        })
     }
 }
 

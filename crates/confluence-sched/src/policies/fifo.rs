@@ -9,48 +9,24 @@ use std::collections::VecDeque;
 
 use confluence_core::time::{Micros, Timestamp};
 
-use crate::framework::{ActorInfo, ActorState, Scheduler};
+use crate::framework::{ActorInfo, ActorState, Scheduler, SourceFrame};
 use crate::stats::StatsModule;
 
 /// Global window-arrival-order scheduling.
 pub struct FifoScheduler {
-    source_interval: u64,
+    sources: SourceFrame,
     order: VecDeque<usize>,
     ready: Vec<usize>,
-    is_source: Vec<bool>,
-    source_ready: Vec<bool>,
-    sources: Vec<usize>,
-    source_rr: usize,
-    internal_since_source: u64,
 }
 
 impl FifoScheduler {
     /// FIFO with a source firing every `source_interval` internal firings.
     pub fn new(source_interval: u64) -> Self {
         FifoScheduler {
-            source_interval: source_interval.max(1),
+            sources: SourceFrame::new(source_interval),
             order: VecDeque::new(),
             ready: Vec::new(),
-            is_source: Vec::new(),
-            source_ready: Vec::new(),
-            sources: Vec::new(),
-            source_rr: 0,
-            internal_since_source: 0,
         }
-    }
-
-    fn pick_source(&mut self) -> Option<usize> {
-        if self.sources.is_empty() {
-            return None;
-        }
-        for k in 0..self.sources.len() {
-            let s = self.sources[(self.source_rr + k) % self.sources.len()];
-            if self.source_ready[s] {
-                self.source_rr = (self.source_rr + k + 1) % self.sources.len();
-                return Some(s);
-            }
-        }
-        None
     }
 }
 
@@ -60,20 +36,9 @@ impl Scheduler for FifoScheduler {
     }
 
     fn init(&mut self, actors: &[ActorInfo]) {
-        let n = actors.len();
+        self.sources.init(actors);
         self.order.clear();
-        self.ready = vec![0; n];
-        self.is_source = vec![false; n];
-        self.source_ready = vec![false; n];
-        self.sources.clear();
-        self.source_rr = 0;
-        self.internal_since_source = 0;
-        for a in actors {
-            self.is_source[a.index] = a.is_source;
-            if a.is_source {
-                self.sources.push(a.index);
-            }
-        }
+        self.ready = vec![0; actors.len()];
     }
 
     fn on_enqueue(&mut self, actor: usize, _origin: Timestamp) {
@@ -82,25 +47,15 @@ impl Scheduler for FifoScheduler {
     }
 
     fn on_source_ready(&mut self, actor: usize, ready: bool) {
-        self.source_ready[actor] = ready;
+        self.sources.set_ready(actor, ready);
     }
 
     fn next_actor(&mut self) -> Option<usize> {
-        if self.internal_since_source >= self.source_interval {
-            if let Some(s) = self.pick_source() {
-                self.internal_since_source = 0;
-                return Some(s);
-            }
-        }
-        if let Some(a) = self.order.pop_front() {
-            self.internal_since_source += 1;
-            return Some(a);
-        }
-        self.pick_source()
+        self.sources.next_actor(|| self.order.pop_front())
     }
 
     fn after_fire(&mut self, actor: usize, _cost: Micros, remaining: usize, _stats: &StatsModule) {
-        if !self.is_source[actor] {
+        if !self.sources.is_source(actor) {
             self.ready[actor] = remaining;
         }
     }
@@ -110,17 +65,11 @@ impl Scheduler for FifoScheduler {
     }
 
     fn state(&self, actor: usize) -> ActorState {
-        if self.is_source[actor] {
-            if self.source_ready[actor] {
-                ActorState::Active
-            } else {
-                ActorState::Waiting
-            }
-        } else if self.ready[actor] > 0 {
+        self.sources.state(actor).unwrap_or(if self.ready[actor] > 0 {
             ActorState::Active
         } else {
             ActorState::Inactive
-        }
+        })
     }
 }
 

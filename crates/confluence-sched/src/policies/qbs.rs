@@ -28,27 +28,21 @@ use std::collections::{BTreeMap, VecDeque};
 
 use confluence_core::time::{Micros, Timestamp};
 
-use crate::framework::{ActorInfo, ActorState, Scheduler};
+use crate::framework::{ActorInfo, ActorState, Scheduler, SourceFrame};
 use crate::stats::StatsModule;
 
 /// Quantum Priority Based scheduling.
 pub struct QbsScheduler {
     /// Basic quantum `b` in microseconds.
     pub basic_quantum: u64,
-    /// One source firing per this many internal firings.
-    pub source_interval: u64,
+    sources: SourceFrame,
     priority: Vec<i32>,
     quantum: Vec<i64>,
     ready: Vec<usize>,
     state: Vec<ActorState>,
-    is_source: Vec<bool>,
     /// Active internal actors: priority class → FIFO queue.
     active: BTreeMap<i32, VecDeque<usize>>,
     in_active: Vec<bool>,
-    sources: Vec<usize>,
-    source_ready: Vec<bool>,
-    source_rr: usize,
-    internal_since_source: u64,
 }
 
 impl QbsScheduler {
@@ -57,18 +51,13 @@ impl QbsScheduler {
         QbsScheduler {
             // A zero basic quantum would make re-quantification diverge.
             basic_quantum: basic_quantum.max(1),
-            source_interval: source_interval.max(1),
+            sources: SourceFrame::new(source_interval),
             priority: Vec::new(),
             quantum: Vec::new(),
             ready: Vec::new(),
             state: Vec::new(),
-            is_source: Vec::new(),
             active: BTreeMap::new(),
             in_active: Vec::new(),
-            sources: Vec::new(),
-            source_ready: Vec::new(),
-            source_rr: 0,
-            internal_since_source: 0,
         }
     }
 
@@ -87,28 +76,6 @@ impl QbsScheduler {
         self.state[a] = ActorState::Active;
     }
 
-    fn pop_active(&mut self) -> Option<usize> {
-        let (&p, _) = self.active.iter().find(|(_, q)| !q.is_empty())?;
-        let q = self.active.get_mut(&p).expect("found above");
-        let a = q.pop_front().expect("non-empty");
-        if q.is_empty() {
-            self.active.remove(&p);
-        }
-        self.in_active[a] = false;
-        Some(a)
-    }
-
-    fn pick_source(&mut self) -> Option<usize> {
-        for k in 0..self.sources.len() {
-            let s = self.sources[(self.source_rr + k) % self.sources.len()];
-            if self.source_ready[s] {
-                self.source_rr = (self.source_rr + k + 1) % self.sources.len();
-                return Some(s);
-            }
-        }
-        None
-    }
-
     /// Current quantum of an actor (µs, may be negative). For tests and
     /// diagnostics.
     pub fn quantum_of(&self, a: usize) -> i64 {
@@ -123,30 +90,22 @@ impl Scheduler for QbsScheduler {
 
     fn init(&mut self, actors: &[ActorInfo]) {
         let n = actors.len();
+        self.sources.init(actors);
         self.priority = vec![20; n];
         self.quantum = vec![0; n];
         self.ready = vec![0; n];
         self.state = vec![ActorState::Inactive; n];
-        self.is_source = vec![false; n];
         self.active.clear();
         self.in_active = vec![false; n];
-        self.sources.clear();
-        self.source_ready = vec![false; n];
-        self.source_rr = 0;
-        self.internal_since_source = 0;
         for a in actors {
             self.priority[a.index] = a.priority;
             self.quantum[a.index] = self.allotment(a.priority);
-            self.is_source[a.index] = a.is_source;
-            if a.is_source {
-                self.sources.push(a.index);
-            }
         }
     }
 
     fn on_enqueue(&mut self, actor: usize, _origin: Timestamp) {
         self.ready[actor] += 1;
-        if self.is_source[actor] {
+        if self.sources.is_source(actor) {
             return;
         }
         if self.state[actor] == ActorState::Inactive {
@@ -160,25 +119,25 @@ impl Scheduler for QbsScheduler {
     }
 
     fn on_source_ready(&mut self, actor: usize, ready: bool) {
-        self.source_ready[actor] = ready;
+        self.sources.set_ready(actor, ready);
     }
 
     fn next_actor(&mut self) -> Option<usize> {
-        if self.internal_since_source >= self.source_interval {
-            if let Some(s) = self.pick_source() {
-                self.internal_since_source = 0;
-                return Some(s);
+        // The head of the most urgent non-empty priority class.
+        self.sources.next_actor(|| {
+            let (&p, _) = self.active.iter().find(|(_, q)| !q.is_empty())?;
+            let q = self.active.get_mut(&p).expect("found above");
+            let a = q.pop_front().expect("non-empty");
+            if q.is_empty() {
+                self.active.remove(&p);
             }
-        }
-        if let Some(a) = self.pop_active() {
-            self.internal_since_source += 1;
-            return Some(a);
-        }
-        self.pick_source()
+            self.in_active[a] = false;
+            Some(a)
+        })
     }
 
     fn after_fire(&mut self, actor: usize, cost: Micros, remaining: usize, _stats: &StatsModule) {
-        if self.is_source[actor] {
+        if self.sources.is_source(actor) {
             return;
         }
         self.ready[actor] = remaining;
@@ -233,7 +192,7 @@ impl Scheduler for QbsScheduler {
         // in the active queue).
         for a in 0..self.state.len() {
             if self.state[a] == ActorState::Active
-                && !self.is_source[a]
+                && !self.sources.is_source(a)
                 && self.ready[a] > 0
                 && !waiting_with_events.contains(&a)
             {
@@ -244,15 +203,7 @@ impl Scheduler for QbsScheduler {
     }
 
     fn state(&self, actor: usize) -> ActorState {
-        if self.is_source[actor] {
-            if self.source_ready[actor] {
-                ActorState::Active
-            } else {
-                ActorState::Waiting
-            }
-        } else {
-            self.state[actor]
-        }
+        self.sources.state(actor).unwrap_or(self.state[actor])
     }
 }
 

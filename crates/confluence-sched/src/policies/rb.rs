@@ -19,7 +19,7 @@
 
 use confluence_core::time::{Micros, Timestamp};
 
-use crate::framework::{ActorInfo, ActorState, Scheduler};
+use crate::framework::{ActorInfo, ActorState, Scheduler, SourceFrame};
 use crate::stats::StatsModule;
 
 /// Highest-Rate scheduling with period-buffered admission.
@@ -30,9 +30,9 @@ pub struct RbScheduler {
     next: Vec<usize>,
     priorities: Vec<f64>,
     fired_this_period: Vec<bool>,
-    is_source: Vec<bool>,
-    source_ready: Vec<bool>,
-    sources: Vec<usize>,
+    /// Read for its source flags only: RB never grants a source a turn
+    /// of its own, so the interval is never consulted.
+    sources: SourceFrame,
 }
 
 impl RbScheduler {
@@ -43,9 +43,7 @@ impl RbScheduler {
             next: Vec::new(),
             priorities: Vec::new(),
             fired_this_period: Vec::new(),
-            is_source: Vec::new(),
-            source_ready: Vec::new(),
-            sources: Vec::new(),
+            sources: SourceFrame::new(1),
         }
     }
 
@@ -78,15 +76,7 @@ impl Scheduler for RbScheduler {
         self.next = vec![0; n];
         self.priorities = vec![f64::INFINITY; n];
         self.fired_this_period = vec![false; n];
-        self.is_source = vec![false; n];
-        self.source_ready = vec![false; n];
-        self.sources.clear();
-        for a in actors {
-            self.is_source[a.index] = a.is_source;
-            if a.is_source {
-                self.sources.push(a.index);
-            }
-        }
+        self.sources.init(actors);
     }
 
     fn on_enqueue(&mut self, actor: usize, _origin: Timestamp) {
@@ -96,7 +86,7 @@ impl Scheduler for RbScheduler {
     }
 
     fn on_source_ready(&mut self, actor: usize, ready: bool) {
-        self.source_ready[actor] = ready;
+        self.sources.set_ready(actor, ready);
     }
 
     fn next_actor(&mut self) -> Option<usize> {
@@ -104,8 +94,8 @@ impl Scheduler for RbScheduler {
         // sources that have not fired this period (and have a due arrival).
         let mut best: Option<(f64, usize)> = None;
         for a in 0..self.current.len() {
-            let runnable = if self.is_source[a] {
-                !self.fired_this_period[a] && self.source_ready[a]
+            let runnable = if self.sources.is_source(a) {
+                !self.fired_this_period[a] && self.sources.is_ready(a)
             } else {
                 self.current[a] > 0
             };
@@ -122,7 +112,7 @@ impl Scheduler for RbScheduler {
     }
 
     fn after_fire(&mut self, actor: usize, _cost: Micros, _remaining: usize, _stats: &StatsModule) {
-        if self.is_source[actor] {
+        if self.sources.is_source(actor) {
             self.fired_this_period[actor] = true;
         } else if self.current[actor] > 0 {
             self.current[actor] -= 1;
@@ -148,7 +138,7 @@ impl Scheduler for RbScheduler {
     }
 
     fn state(&self, actor: usize) -> ActorState {
-        if self.is_source[actor] {
+        if self.sources.is_source(actor) {
             // Table 2: ACTIVE while not yet fired this period, WAITING
             // after; sources never go inactive.
             if self.fired_this_period[actor] {
@@ -213,8 +203,8 @@ mod tests {
         let s = b.add_actor("src", VecSource::new(vec![]));
         let c = b.add_actor("cheap", Sink);
         let p = b.add_actor("pricey", Sink);
-        b.connect(s, "out", c, "in").unwrap();
-        b.connect(s, "out", p, "in").unwrap();
+        b.link((s, "out"), (c, "in")).unwrap();
+        b.link((s, "out"), (p, "in")).unwrap();
         let wf = b.build().unwrap();
         let mut stats = StatsModule::new(&wf);
         stats.record_firing(1, Micros(10), 10, 10, Timestamp(1));

@@ -14,25 +14,19 @@ use std::collections::VecDeque;
 
 use confluence_core::time::{Micros, Timestamp};
 
-use crate::framework::{ActorInfo, ActorState, Scheduler};
+use crate::framework::{ActorInfo, ActorState, Scheduler, SourceFrame};
 use crate::stats::StatsModule;
 
 /// Fair round-robin with per-period time slices.
 pub struct RrScheduler {
     /// The time slice granted per period, in microseconds.
     pub slice: u64,
-    /// One source firing per this many internal firings.
-    pub source_interval: u64,
+    sources: SourceFrame,
     remaining: Vec<i64>,
     ready: Vec<usize>,
     state: Vec<ActorState>,
-    is_source: Vec<bool>,
     queue: VecDeque<usize>,
     in_queue: Vec<bool>,
-    sources: Vec<usize>,
-    source_ready: Vec<bool>,
-    source_rr: usize,
-    internal_since_source: u64,
 }
 
 impl RrScheduler {
@@ -40,17 +34,12 @@ impl RrScheduler {
     pub fn new(slice: u64, source_interval: u64) -> Self {
         RrScheduler {
             slice: slice.max(1),
-            source_interval: source_interval.max(1),
+            sources: SourceFrame::new(source_interval),
             remaining: Vec::new(),
             ready: Vec::new(),
             state: Vec::new(),
-            is_source: Vec::new(),
             queue: VecDeque::new(),
             in_queue: Vec::new(),
-            sources: Vec::new(),
-            source_ready: Vec::new(),
-            source_rr: 0,
-            internal_since_source: 0,
         }
     }
 
@@ -60,17 +49,6 @@ impl RrScheduler {
             self.in_queue[a] = true;
         }
         self.state[a] = ActorState::Active;
-    }
-
-    fn pick_source(&mut self) -> Option<usize> {
-        for k in 0..self.sources.len() {
-            let s = self.sources[(self.source_rr + k) % self.sources.len()];
-            if self.source_ready[s] {
-                self.source_rr = (self.source_rr + k + 1) % self.sources.len();
-                return Some(s);
-            }
-        }
-        None
     }
 
     /// Remaining slice of an actor (µs; may be negative). For tests.
@@ -86,27 +64,17 @@ impl Scheduler for RrScheduler {
 
     fn init(&mut self, actors: &[ActorInfo]) {
         let n = actors.len();
+        self.sources.init(actors);
         self.remaining = vec![self.slice as i64; n];
         self.ready = vec![0; n];
         self.state = vec![ActorState::Inactive; n];
-        self.is_source = vec![false; n];
         self.queue.clear();
         self.in_queue = vec![false; n];
-        self.sources.clear();
-        self.source_ready = vec![false; n];
-        self.source_rr = 0;
-        self.internal_since_source = 0;
-        for a in actors {
-            self.is_source[a.index] = a.is_source;
-            if a.is_source {
-                self.sources.push(a.index);
-            }
-        }
     }
 
     fn on_enqueue(&mut self, actor: usize, _origin: Timestamp) {
         self.ready[actor] += 1;
-        if self.is_source[actor] {
+        if self.sources.is_source(actor) {
             return;
         }
         if self.state[actor] == ActorState::Inactive {
@@ -117,28 +85,23 @@ impl Scheduler for RrScheduler {
     }
 
     fn on_source_ready(&mut self, actor: usize, ready: bool) {
-        self.source_ready[actor] = ready;
+        self.sources.set_ready(actor, ready);
     }
 
     fn next_actor(&mut self) -> Option<usize> {
-        if self.internal_since_source >= self.source_interval {
-            if let Some(s) = self.pick_source() {
-                self.internal_since_source = 0;
-                return Some(s);
+        self.sources.next_actor(|| {
+            while let Some(a) = self.queue.pop_front() {
+                self.in_queue[a] = false;
+                if self.state[a] == ActorState::Active && self.ready[a] > 0 {
+                    return Some(a);
+                }
             }
-        }
-        while let Some(a) = self.queue.pop_front() {
-            self.in_queue[a] = false;
-            if self.state[a] == ActorState::Active && self.ready[a] > 0 {
-                self.internal_since_source += 1;
-                return Some(a);
-            }
-        }
-        self.pick_source()
+            None
+        })
     }
 
     fn after_fire(&mut self, actor: usize, cost: Micros, remaining: usize, _stats: &StatsModule) {
-        if self.is_source[actor] {
+        if self.sources.is_source(actor) {
             return;
         }
         self.ready[actor] = remaining;
@@ -171,15 +134,7 @@ impl Scheduler for RrScheduler {
     }
 
     fn state(&self, actor: usize) -> ActorState {
-        if self.is_source[actor] {
-            if self.source_ready[actor] {
-                ActorState::Active
-            } else {
-                ActorState::Waiting
-            }
-        } else {
-            self.state[actor]
-        }
+        self.sources.state(actor).unwrap_or(self.state[actor])
     }
 }
 

@@ -499,17 +499,6 @@ impl ScwfDirector {
         }
     }
 
-    /// Virtual-time director sharing a caller-provided clock.
-    pub fn virtual_time_on(
-        policy: Box<dyn Scheduler>,
-        cost: Box<dyn CostModel>,
-        clock: Arc<VirtualClock>,
-    ) -> Self {
-        ScwfDirector {
-            core: ScwfCore::new_virtual(policy, cost, clock),
-        }
-    }
-
     /// Real-time director: costs are measured on the wall clock.
     pub fn real_time(policy: Box<dyn Scheduler>) -> Self {
         ScwfDirector {
@@ -571,17 +560,12 @@ impl Director for ScwfDirector {
         Ok(self.core.report())
     }
 
-    fn instrument(&mut self, telemetry: Telemetry) -> bool {
+    fn instrument(&mut self, telemetry: Telemetry) {
         self.core.set_telemetry(telemetry);
-        true
     }
 
-    fn attach_checkpoint(
-        &mut self,
-        hook: Arc<confluence_core::checkpoint::QuiesceHook>,
-    ) -> bool {
+    fn attach_checkpoint(&mut self, hook: Arc<confluence_core::checkpoint::QuiesceHook>) {
         self.core.set_checkpoint_hook(hook);
-        true
     }
 }
 
@@ -611,7 +595,7 @@ mod tests {
             ]),
         );
         let k = b.add_actor("probe", probe.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let cost = TableCostModel::uniform(Micros(100), Micros::ZERO);
         let mut d = ScwfDirector::virtual_time(fifo(), Box::new(cost));
@@ -636,7 +620,7 @@ mod tests {
             TimedSource::new(vec![(Timestamp(1_000_000), Token::Int(1))]),
         );
         let k = b.add_actor("probe", probe.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let cost = TableCostModel::uniform(Micros(10), Micros::ZERO);
         let mut d = ScwfDirector::virtual_time(fifo(), Box::new(cost));
@@ -660,7 +644,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("overload");
         let s = b.add_actor("src", TimedSource::new(schedule));
         let k = b.add_actor("probe", probe.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let cost = TableCostModel::uniform(Micros::ZERO, Micros::ZERO)
             .with_actor("probe", Micros(300), Micros::ZERO);
@@ -685,7 +669,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("bounded");
         let s = b.add_actor("src", TimedSource::new(schedule));
         let k = b.add_actor("probe", probe.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let cost = TableCostModel::uniform(Micros(10), Micros::ZERO);
         let mut d = ScwfDirector::virtual_time(fifo(), Box::new(cost))
@@ -711,9 +695,8 @@ mod tests {
             ),
         );
         let k = b.add_actor("sink", c.actor());
-        b.connect_windowed(s, "out", agg, "in", WindowSpec::tuples(2, 2))
-            .unwrap();
-        b.connect(agg, "out", k, "in").unwrap();
+        b.link_windowed((s, "out"), (agg, "in"), WindowSpec::tuples(2, 2)).unwrap();
+        b.link((agg, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let cost = TableCostModel::uniform(Micros(1), Micros::ZERO);
         ScwfDirector::virtual_time(fifo(), Box::new(cost))
@@ -732,7 +715,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("rt");
         let s = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
         let k = b.add_actor("probe", probe.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let mut d = ScwfDirector::real_time(fifo());
         assert_eq!(d.policy_name(), "FIFO");
@@ -751,7 +734,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("rt-sleep");
         let s = b.add_actor("src", TimedSource::new(schedule));
         let k = b.add_actor("probe", probe.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let started = std::time::Instant::now();
         ScwfDirector::real_time(fifo()).run(&mut wf).unwrap();
@@ -771,7 +754,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("stepped");
         let s = b.add_actor("src", TimedSource::new(schedule));
         let k = b.add_actor("probe", probe.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let clock = Arc::new(VirtualClock::new());
         let cost = TableCostModel::uniform(Micros(100), Micros::ZERO);

@@ -54,13 +54,14 @@ impl ShedderHandle {
     }
 }
 
+/// Upper bound on the drop ratio.
+const MAX_RATIO: f64 = 0.9;
+
 /// Adaptive random-drop load shedding operator.
 pub struct LoadShedder {
     target_age: Micros,
     /// Ratio adjustment per observation batch.
     step: f64,
-    /// Upper bound on the drop ratio.
-    max_ratio: f64,
     ratio: f64,
     accumulator: f64,
     ewma_age: f64,
@@ -76,7 +77,6 @@ impl LoadShedder {
             LoadShedder {
                 target_age,
                 step: 0.05,
-                max_ratio: 0.9,
                 ratio: 0.0,
                 accumulator: 0.0,
                 ewma_age: 0.0,
@@ -89,12 +89,6 @@ impl LoadShedder {
     /// Override the adjustment step.
     pub fn with_step(mut self, step: f64) -> Self {
         self.step = step.clamp(0.001, 0.5);
-        self
-    }
-
-    /// Override the maximum drop ratio.
-    pub fn with_max_ratio(mut self, r: f64) -> Self {
-        self.max_ratio = r.clamp(0.0, 1.0);
         self
     }
 }
@@ -118,7 +112,7 @@ impl Actor for LoadShedder {
                     0.9 * self.ewma_age + 0.1 * age
                 };
                 if self.ewma_age > self.target_age.as_micros() as f64 {
-                    self.ratio = (self.ratio + self.step).min(self.max_ratio);
+                    self.ratio = (self.ratio + self.step).min(MAX_RATIO);
                 } else {
                     self.ratio = (self.ratio - self.step).max(0.0);
                 }

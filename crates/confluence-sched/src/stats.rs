@@ -7,12 +7,17 @@
 //! statistics it derives the *global* cost and selectivity of Sharaf et
 //! al. \[28\] — aggregated over every downstream path to a workflow output —
 //! which the Rate-Based scheduler's priority `Pr(A) = S_A / C_A` uses.
+//!
+//! The counters, the topology and every estimate live once, in
+//! [`LiveStats`] — the module the pool executor's policies read too. This
+//! one is a view over it that adds what only the simulator reports: the
+//! last cost and the activity span behind the input/output rates.
 
 use confluence_core::graph::Workflow;
-use confluence_core::telemetry::estimator;
+use confluence_core::telemetry::{estimator, LiveStats};
 use confluence_core::time::{Micros, Timestamp};
 
-/// Running statistics for one actor.
+/// One actor's statistics at the time of the call.
 #[derive(Debug, Clone, Default)]
 pub struct ActorStats {
     /// Completed invocations.
@@ -32,23 +37,16 @@ pub struct ActorStats {
 }
 
 impl ActorStats {
-    /// Mean cost per invocation, in microseconds (0 before any firing).
+    /// Mean cost per invocation, in microseconds (0 before any firing):
+    /// the cost per event of an actor that consumed nothing.
     pub fn mean_cost(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.total_cost.as_micros() as f64 / self.invocations as f64
-        }
+        estimator::cost_per_event_of(self.total_cost.as_micros(), 0, self.invocations)
     }
 
     /// Selectivity: events produced per event consumed (1.0 before any
     /// input, the neutral assumption).
     pub fn selectivity(&self) -> f64 {
-        if self.events_in == 0 {
-            1.0
-        } else {
-            self.events_out as f64 / self.events_in as f64
-        }
+        estimator::selectivity_of(self.events_in, self.events_out)
     }
 
     /// Input rate in events/second over the observed activity span.
@@ -73,53 +71,57 @@ impl ActorStats {
     /// Mean cost per consumed event, in microseconds (falls back to mean
     /// invocation cost when nothing was consumed yet).
     pub fn cost_per_event(&self) -> f64 {
-        if self.events_in == 0 {
-            self.mean_cost()
-        } else {
-            self.total_cost.as_micros() as f64 / self.events_in as f64
-        }
+        estimator::cost_per_event_of(self.total_cost.as_micros(), self.events_in, self.invocations)
     }
 }
 
+/// What the simulator reports beyond the shared counters.
+#[derive(Debug, Clone, Default)]
+struct Seen {
+    last_cost: Micros,
+    first: Option<Timestamp>,
+    last: Option<Timestamp>,
+}
+
 /// Statistics for all actors of one workflow, plus topology-aware derived
-/// metrics.
+/// metrics: a single-threaded view over [`LiveStats`].
 #[derive(Debug)]
 pub struct StatsModule {
-    stats: Vec<ActorStats>,
-    /// Downstream actor ids per actor (from the workflow topology).
-    downstream: Vec<Vec<usize>>,
+    live: LiveStats,
+    seen: Vec<Seen>,
 }
 
 impl StatsModule {
     /// A module for the given workflow.
     pub fn new(workflow: &Workflow) -> Self {
-        let stats = vec![ActorStats::default(); workflow.actor_count()];
-        let downstream = workflow
-            .actor_ids()
-            .map(|id| {
-                workflow
-                    .downstream_actors(id)
-                    .into_iter()
-                    .map(|d| d.index())
-                    .collect()
-            })
-            .collect();
-        StatsModule { stats, downstream }
+        StatsModule {
+            live: LiveStats::new(workflow),
+            seen: vec![Seen::default(); workflow.actor_count()],
+        }
     }
 
     /// Number of actors tracked.
     pub fn len(&self) -> usize {
-        self.stats.len()
+        self.seen.len()
     }
 
     /// Whether the module tracks no actors.
     pub fn is_empty(&self) -> bool {
-        self.stats.is_empty()
+        self.seen.is_empty()
     }
 
     /// Statistics of one actor.
-    pub fn actor(&self, idx: usize) -> &ActorStats {
-        &self.stats[idx]
+    pub fn actor(&self, idx: usize) -> ActorStats {
+        let seen = &self.seen[idx];
+        ActorStats {
+            invocations: self.live.fires(idx),
+            total_cost: self.live.total_cost(idx),
+            last_cost: seen.last_cost,
+            events_in: self.live.events_in(idx),
+            events_out: self.live.events_out(idx),
+            first_seen: seen.first,
+            last_seen: seen.last,
+        }
     }
 
     /// Record one completed invocation.
@@ -131,16 +133,11 @@ impl StatsModule {
         produced: u64,
         at: Timestamp,
     ) {
-        let s = &mut self.stats[idx];
-        s.invocations += 1;
-        s.total_cost += cost;
-        s.last_cost = cost;
-        s.events_in += consumed;
-        s.events_out += produced;
-        if s.first_seen.is_none() {
-            s.first_seen = Some(at);
-        }
-        s.last_seen = Some(at);
+        self.live.count_fire(idx, cost, consumed, produced);
+        let seen = &mut self.seen[idx];
+        seen.last_cost = cost;
+        seen.first.get_or_insert(at);
+        seen.last = Some(at);
     }
 
     /// Global selectivity of an actor per Sharaf et al. \[28\]: the expected
@@ -149,11 +146,9 @@ impl StatsModule {
     /// path, summed over paths when the actor feeds multiple branches.
     /// Terminal actors are output operators: every event they consume is a
     /// result delivered to the user (selectivity 1 in the Sharaf et al.
-    /// accounting). The propagation itself is the shared
-    /// [`estimator`] core, also used by the wall-clock executor's
-    /// `LiveStats`, so simulator and executor rank actors identically.
+    /// accounting).
     pub fn global_selectivity(&self, idx: usize) -> f64 {
-        estimator::global_selectivity(idx, &|i| self.stats[i].selectivity(), &self.downstream)
+        self.live.global_selectivity(idx)
     }
 
     /// Global average cost per event at an actor per \[28\]: the work this
@@ -161,12 +156,7 @@ impl StatsModule {
     /// workflow — own cost per event plus downstream cost weighted by the
     /// actor's selectivity, summed over downstream paths for shared actors.
     pub fn global_cost(&self, idx: usize) -> f64 {
-        estimator::global_cost(
-            idx,
-            &|i| self.stats[i].cost_per_event(),
-            &|i| self.stats[i].selectivity(),
-            &self.downstream,
-        )
+        self.live.global_cost(idx)
     }
 
     /// Render the per-actor runtime statistics as an aligned text table —
@@ -196,16 +186,12 @@ impl StatsModule {
     }
 
     /// The Rate-Based (Highest Rate) dynamic priority
-    /// `Pr(A) = S_A / C_A` — global output per unit of processing time.
-    /// Infinite before any cost is observed, so fresh actors get probed
-    /// early.
+    /// `Pr(A) = S_A / C_A` — global output per unit of processing time —
+    /// computed from the counters as they are now, so RB's period-boundary
+    /// priorities never lag a firing. Infinite before any cost is observed,
+    /// so fresh actors get probed early.
     pub fn rate_priority(&self, idx: usize) -> f64 {
-        estimator::rate_priority(
-            idx,
-            &|i| self.stats[i].cost_per_event(),
-            &|i| self.stats[i].selectivity(),
-            &self.downstream,
-        )
+        self.live.fresh_rate_priority(idx)
     }
 }
 
@@ -244,10 +230,10 @@ mod tests {
         let b2 = b.add_actor("b", Pass);
         let k1 = b.add_actor("k1", Sink);
         let k2 = b.add_actor("k2", Sink);
-        b.connect(s, "out", a, "in").unwrap();
-        b.connect(s, "out", b2, "in").unwrap();
-        b.connect(a, "out", k1, "in").unwrap();
-        b.connect(b2, "out", k2, "in").unwrap();
+        b.link((s, "out"), (a, "in")).unwrap();
+        b.link((s, "out"), (b2, "in")).unwrap();
+        b.link((a, "out"), (k1, "in")).unwrap();
+        b.link((b2, "out"), (k2, "in")).unwrap();
         b.build().unwrap()
     }
 
@@ -308,6 +294,34 @@ mod tests {
         // src consumed nothing: cost_per_event falls back to mean cost 0,
         // sel 1 → 0 + 1·(12.5 + 30) = 42.5.
         assert_eq!(m.global_cost(0), 42.5);
+    }
+
+    #[test]
+    fn the_view_and_a_bare_livestats_agree_to_the_bit() {
+        let wf = two_path_workflow();
+        let mut m = StatsModule::new(&wf);
+        let live = LiveStats::new(&wf);
+        let firings = [
+            (1, 100, 10, 5),
+            (2, 230, 7, 7),
+            (0, 40, 0, 3),
+            (3, 50, 5, 0),
+            (1, 170, 3, 1),
+            (4, 90, 7, 0),
+            (0, 35, 0, 2),
+        ];
+        for (t, &(a, cost, ins, outs)) in firings.iter().enumerate() {
+            m.record_firing(a, Micros(cost), ins, outs, Timestamp(t as u64));
+            live.record_fire(a, Micros(cost), ins, outs, None);
+        }
+        live.refresh_rate_priorities();
+        for a in 0..m.len() {
+            let s = m.actor(a);
+            assert_eq!(s.selectivity().to_bits(), live.selectivity(a).to_bits());
+            assert_eq!(s.cost_per_event().to_bits(), live.cost_per_event(a).to_bits());
+            assert_eq!(m.global_cost(a).to_bits(), live.global_cost(a).to_bits());
+            assert_eq!(m.rate_priority(a).to_bits(), live.rate_priority(a).to_bits());
+        }
     }
 
     #[test]

@@ -55,8 +55,8 @@ proptest! {
         let s = b.add_actor("src", TimedSource::new(schedule));
         let k1 = b.add_actor("left", left.actor());
         let k2 = b.add_actor("right", right.actor());
-        b.connect(s, "out", k1, "in").unwrap();
-        b.connect(s, "out", k2, "in").unwrap();
+        b.link((s, "out"), (k1, "in")).unwrap();
+        b.link((s, "out"), (k2, "in")).unwrap();
         b.set_priority(k1, 5);
         b.set_priority(k2, 25);
         let mut wf = b.build().unwrap();
@@ -93,7 +93,7 @@ proptest! {
         let mut b = WorkflowBuilder::new("line");
         let s = b.add_actor("src", TimedSource::new(schedule));
         let k = b.add_actor("sink", sink.actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let mut d = ScwfDirector::virtual_time(
             make_policy(which, quantum),

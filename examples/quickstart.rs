@@ -56,10 +56,10 @@ fn main() -> confluence::prelude::Result<()> {
 
     // The paper's window semantics, on the avg actor's input:
     // {Size: 5 tokens, Step: 1 token}.
-    b.connect_windowed(src, "out", avg, "in", WindowSpec::tuples(5, 1))?;
-    b.connect(avg, "out", alarm, "in")?;
-    b.connect(avg, "out", avg_sink, "in")?;
-    b.connect(alarm, "out", alert_sink, "in")?;
+    b.link_windowed((src, "out"), (avg, "in"), WindowSpec::tuples(5, 1))?;
+    b.link((avg, "out"), (alarm, "in"))?;
+    b.link((avg, "out"), (avg_sink, "in"))?;
+    b.link((alarm, "out"), (alert_sink, "in"))?;
     b.set_priority(alert_sink, 5); // alerts are the urgent output
     let workflow = b.build()?;
 

@@ -93,18 +93,16 @@ fn main() -> confluence::prelude::Result<()> {
     let sell_sink = b.add_actor("sells", sells.actor());
 
     // Per-symbol sliding window of the last 8 ticks.
-    b.connect_windowed(
-        src,
-        "out",
-        vwap,
-        "in",
+    b.link_windowed(
+        (src, "out"),
+        (vwap, "in"),
         WindowSpec::tuples(8, 1).group_by(GroupBy::fields(&["symbol"])),
     )?;
-    b.connect(vwap, "out", signal, "in")?;
+    b.link((vwap, "out"), (signal, "in"))?;
     // Ports resolve by name or by index: the router's outputs are
     // "buy" (#0) and "sell" (#1).
-    b.connect(signal, 0, buy_sink, "in")?;
-    b.connect(signal, "sell", sell_sink, 0)?;
+    b.link((signal, 0), (buy_sink, "in"))?;
+    b.link((signal, "sell"), (sell_sink, 0))?;
     let workflow = b.build()?;
 
     // The producer: a market feed pushing ticks from another thread while

@@ -124,19 +124,17 @@ fn main() -> confluence::prelude::Result<()> {
     let confirm_sink = b.add_actor("confirmed", confirmations.actor());
     let restock_sink = b.add_actor("purchases", restocks.actor());
 
-    b.connect(order_src, "out", fulfil, "orders")?;
-    b.connect(shipment_src, "out", fulfil, "shipments")?;
-    b.connect(fulfil, "confirmed", confirm_sink, "in")?;
-    b.connect_windowed(
-        fulfil,
-        "stockout",
-        plan,
-        "in",
+    b.link((order_src, "out"), (fulfil, "orders"))?;
+    b.link((shipment_src, "out"), (fulfil, "shipments"))?;
+    b.link((fulfil, "confirmed"), (confirm_sink, "in"))?;
+    b.link_windowed(
+        (fulfil, "stockout"),
+        (plan, "in"),
         WindowSpec::time(Micros::from_secs(5), Micros::from_secs(5))
             .group_by(GroupBy::fields(&["item"]))
             .with_timeout(Micros::from_secs(5)),
     )?;
-    b.connect(plan, "out", restock_sink, "in")?;
+    b.link((plan, "out"), (restock_sink, "in"))?;
     let workflow = b.build()?;
 
     // Rate-Based scheduling: restock planning is cheap and productive, so

@@ -1,17 +1,29 @@
 #!/usr/bin/env bash
-# Fails when a director re-grows its own copy of the firing step: in
-# non-test code under crates/confluence-core/src/director/ and
-# crates/confluence-sched/src/, a `FireRecord` may be constructed in one
-# place only (director/firing.rs, `Run::fire`), and events may be stamped
-# in one function only (director/mod.rs, `Fabric::stamp`).
+# Fails when something that is written once grows a second copy. In
+# non-test code:
+#  - under crates/confluence-core/src/director/ and
+#    crates/confluence-sched/src/, a `FireRecord` may be constructed in one
+#    place only (director/firing.rs, `Run::fire`), and events may be
+#    stamped in one function only (director/mod.rs, `Fabric::stamp`);
+#  - source regulation (`fn pick_source`, the `source_rr` cursor) lives in
+#    confluence-sched/src/framework.rs only, not in a policy;
+#  - of the two statistics modules only telemetry/livestats.rs builds a
+#    downstream table from the workflow (`StatsModule` is a view over it);
+#  - graph.rs declares no `connect`/`set_window`/`connect_windowed` beside
+#    the `Endpoint` vocabulary, and engine.rs has one watcher observer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# "file:line: text" for every match of $1 before a file's first #[cfg(test)].
+directors="crates/confluence-core/src/director crates/confluence-sched/src"
+
+# "file:line: text" for every match of $1 before a file's first
+# #[cfg(test)], over the files and directories that follow it.
 matches() {
-    find crates/confluence-core/src/director crates/confluence-sched/src -name '*.rs' -print0 |
+    local pat=$1
+    shift
+    find "$@" -name '*.rs' -print0 |
         sort -z |
-        xargs -0 awk -v pat="$1" '
+        xargs -0 awk -v pat="$pat" '
             FNR == 1 { in_tests = 0 }
             /#\[cfg\(test\)\]/ { in_tests = 1 }
             !in_tests && $0 ~ pat && $0 !~ /^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }'
@@ -19,7 +31,7 @@ matches() {
 
 status=0
 
-records=$(matches 'FireRecord \{')
+records=$(matches 'FireRecord \{' $directors)
 if [ "$(printf '%s\n' "$records" | grep -c .)" -ne 1 ] ||
     ! printf '%s\n' "$records" | grep -q '^crates/confluence-core/src/director/firing.rs:'; then
     echo "FireRecord must be constructed exactly once, in director/firing.rs:" >&2
@@ -30,7 +42,7 @@ fi
 # Fabric::stamp's line span in director/mod.rs.
 span=$(awk '/pub fn stamp\(/ { start = NR } start && !end && /^    }$/ { end = NR } END { print start ":" end }' \
     crates/confluence-core/src/director/mod.rs)
-stamps=$(matches 'CwEvent::external\(|CwEvent::derived\(' |
+stamps=$(matches 'CwEvent::external\(|CwEvent::derived\(' $directors |
     awk -F: -v span="$span" '
         BEGIN { split(span, s, ":") }
         !($1 == "crates/confluence-core/src/director/mod.rs" && $2 >= s[1] && $2 <= s[2])')
@@ -40,5 +52,37 @@ if [ -n "$stamps" ]; then
     status=1
 fi
 
-[ "$status" -eq 0 ] && echo "director_dup_check: one FireRecord site, one stamping function"
+# once <what> <the only file allowed> <matches>: every match is in that file.
+once() {
+    local stray
+    stray=$(printf '%s\n' "$3" | grep . | grep -v "^$2:" || true)
+    if [ -z "$3" ] || [ -n "$stray" ]; then
+        echo "$1 must exist in $2 and nowhere else:" >&2
+        printf '%s\n' "${stray:-(no match at all)}" >&2
+        status=1
+    fi
+}
+
+once "source regulation (pick_source / source_rr)" crates/confluence-sched/src/framework.rs \
+    "$(matches 'fn pick_source|source_rr' crates/confluence-sched/src)"
+once "the downstream table (downstream_actors)" crates/confluence-core/src/telemetry/livestats.rs \
+    "$(matches 'downstream_actors\(' crates/confluence-sched/src/stats.rs \
+        crates/confluence-core/src/telemetry/livestats.rs)"
+
+wrappers=$(matches 'pub fn (connect|set_window|connect_windowed)[<(]' crates/confluence-core/src/graph.rs)
+if [ -n "$wrappers" ]; then
+    echo "graph.rs must not declare builder wrappers beside the Endpoint vocabulary:" >&2
+    printf '%s\n' "$wrappers" >&2
+    status=1
+fi
+watchers=$(matches 'impl.* Observer for [A-Za-z]*Watcher' crates/confluence-core/src/engine.rs)
+if [ "$(printf '%s\n' "$watchers" | grep -c .)" -ne 1 ]; then
+    echo "engine.rs must have exactly one watcher observer:" >&2
+    printf '%s\n' "$watchers" >&2
+    status=1
+fi
+
+[ "$status" -eq 0 ] &&
+    echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
+        "one downstream table, one builder vocabulary, one watcher"
 exit "$status"

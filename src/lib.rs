@@ -61,7 +61,7 @@ pub mod prelude {
     pub use confluence_core::director::{Director, RunReport};
     pub use confluence_core::engine::{Engine, ExecConfig, RunHandle, StopCondition};
     pub use confluence_core::error::{Error, Result};
-    pub use confluence_core::graph::{ActorId, Endpoint, PortSel, Shard, ShardGroup, Workflow, WorkflowBuilder};
+    pub use confluence_core::graph::{ActorId, Endpoint, Shard, ShardGroup, Workflow, WorkflowBuilder};
     pub use confluence_core::telemetry::{
         AdaptEvent, LiveStats, MetricsRecorder, MetricsSnapshot, Observer, OpsConfig,
         QuantileSketch, RunPhase, SketchSnapshot, StallWatchdog, Telemetry, TimeSeriesRecorder,

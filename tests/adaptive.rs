@@ -154,9 +154,9 @@ fn burst_then_trickle(n: i64) -> (Workflow, Collector) {
         },
     );
     let k = b.add_actor("sink", c.actor());
-    b.connect(burst, "out", t, "in").unwrap();
-    b.connect(trickle, "out", t, "in").unwrap();
-    b.connect(t, "out", k, "in").unwrap();
+    b.link((burst, "out"), (t, "in")).unwrap();
+    b.link((trickle, "out"), (t, "in")).unwrap();
+    b.link((t, "out"), (k, "in")).unwrap();
     (b.build().unwrap(), c)
 }
 
@@ -337,7 +337,7 @@ fn shedding_engages_under_sink_latency_and_counts_drops() {
             seen: seen.clone(),
         },
     );
-    b.connect(s, "out", k, "in").unwrap();
+    b.link((s, "out"), (k, "in")).unwrap();
     let mut engine = Engine::new(b.build().unwrap()).configure(
         ExecConfig::new().workers(1).adaptive(
             AdaptivePolicy::new()

@@ -180,8 +180,7 @@ fn drop_oldest_sheds_with_exact_accounting() {
         },
     );
     b.chain(&[s, k]).unwrap();
-    b.set_channel_policy(k, "in", ChannelPolicy::drop_oldest(8))
-        .unwrap();
+    b.channel_policy((k, "in"), ChannelPolicy::drop_oldest(8)).unwrap();
     let mut engine = Engine::new(b.build().unwrap());
     engine.run().unwrap();
 
@@ -205,7 +204,7 @@ fn burst_workflow(fanout: i64, policy: ChannelPolicy) -> (Engine, Collector) {
     let a = b.add_actor("burst", Burst { fanout });
     let k = b.add_actor("sink", c.actor());
     b.chain(&[s, a, k]).unwrap();
-    b.set_channel_policy(k, "in", policy).unwrap();
+    b.channel_policy((k, "in"), policy).unwrap();
     let engine = Engine::new(b.build().unwrap()).with_director(DdfDirector::new());
     (engine, c)
 }
@@ -289,10 +288,9 @@ fn artificial_deadlock_relieved_by_queue_growth() {
         },
     );
     b.chain(&[s, a, f]).unwrap();
-    b.connect_windowed(f, "out", a, "in", WindowSpec::each_event())
-        .unwrap();
-    b.set_channel_policy(a, "in", ChannelPolicy::block(2)).unwrap();
-    b.set_channel_policy(f, "in", ChannelPolicy::block(2)).unwrap();
+    b.link_windowed((f, "out"), (a, "in"), WindowSpec::each_event()).unwrap();
+    b.channel_policy((a, "in"), ChannelPolicy::block(2)).unwrap();
+    b.channel_policy((f, "in"), ChannelPolicy::block(2)).unwrap();
 
     let mut engine = Engine::new(b.build().unwrap());
     engine.run().unwrap();

@@ -63,8 +63,8 @@ fn workflow() -> (Workflow, Collector) {
     let s = b.add_actor("src", TimedSource::new(schedule));
     let a = b.add_actor("sum", RunningSum::default());
     let k = b.add_actor("sink", c.actor());
-    b.connect(s, "out", a, "in").unwrap();
-    b.connect(a, "out", k, "in").unwrap();
+    b.link((s, "out"), (a, "in")).unwrap();
+    b.link((a, "out"), (k, "in")).unwrap();
     (b.build().unwrap(), c)
 }
 

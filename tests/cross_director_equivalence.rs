@@ -103,8 +103,8 @@ fn pipeline(rated: bool) -> (Workflow, Collector) {
     } else {
         b.add_actor("sink", c.actor())
     };
-    b.connect(s, "out", d, "in").unwrap();
-    b.connect(d, "out", k, "in").unwrap();
+    b.link((s, "out"), (d, "in")).unwrap();
+    b.link((d, "out"), (k, "in")).unwrap();
     (b.build().unwrap(), c)
 }
 

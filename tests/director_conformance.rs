@@ -121,8 +121,8 @@ fn pipeline() -> (Workflow, Arc<AtomicU64>) {
             prefires: 0,
         },
     );
-    b.connect(s, "out", p, "in").unwrap();
-    b.connect(p, "out", k, "in").unwrap();
+    b.link((s, "out"), (p, "in")).unwrap();
+    b.link((p, "out"), (k, "in")).unwrap();
     (b.build().unwrap(), seen)
 }
 

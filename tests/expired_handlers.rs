@@ -56,14 +56,13 @@ fn build_with(
     );
     let sink = b.add_actor("sink", out.actor());
     let auditor = b.add_actor("audit", audit.actor());
-    b.connect_windowed(s, "out", agg, "in", WindowSpec::tuples(3, 3).delete_used(true))
-        .unwrap();
-    b.connect(agg, "out", sink, "in").unwrap();
+    b.link_windowed((s, "out"), (agg, "in"), WindowSpec::tuples(3, 3).delete_used(true)).unwrap();
+    b.link((agg, "out"), (sink, "in")).unwrap();
     // The audit actor has no channel into it: it is fed purely by the
     // expired-items queue of agg's input port.
-    b.set_expired_handler(agg, "in", auditor, "in").unwrap();
+    b.expired_handler((agg, "in"), (auditor, "in")).unwrap();
     if let Some(policy) = audit_policy {
-        b.set_channel_policy(auditor, "in", policy).unwrap();
+        b.channel_policy((auditor, "in"), policy).unwrap();
     }
     (b.build().unwrap(), out)
 }
@@ -212,10 +211,9 @@ fn sliding_windows_expire_only_slid_out_events() {
     );
     let sink = b.add_actor("sink", out.actor());
     let auditor = b.add_actor("audit", audit.actor());
-    b.connect_windowed(s, "out", pass, "in", WindowSpec::tuples(2, 1))
-        .unwrap();
-    b.connect(pass, "out", sink, "in").unwrap();
-    b.set_expired_handler(pass, "in", auditor, "in").unwrap();
+    b.link_windowed((s, "out"), (pass, "in"), WindowSpec::tuples(2, 1)).unwrap();
+    b.link((pass, "out"), (sink, "in")).unwrap();
+    b.expired_handler((pass, "in"), (auditor, "in")).unwrap();
     let mut wf = b.build().unwrap();
     DdfDirector::new().run(&mut wf).unwrap();
     let mut audited: Vec<i64> = audit.tokens().iter().map(|t| t.as_int().unwrap()).collect();
@@ -228,11 +226,11 @@ fn builder_rejects_unknown_handler_ports() {
     let mut b = WorkflowBuilder::new("bad");
     let s = b.add_actor("src", VecSource::new(vec![]));
     let k = b.add_actor("sink", Collector::new().actor());
-    b.connect(s, "out", k, "in").unwrap();
+    b.link((s, "out"), (k, "in")).unwrap();
     assert!(b
-        .set_expired_handler(k, "nope", s, "in")
+        .expired_handler((k, "nope"), (s, "in"))
         .is_err());
     assert!(b
-        .set_expired_handler(k, "in", s, "nope")
+        .expired_handler((k, "in"), (s, "nope"))
         .is_err());
 }

@@ -100,7 +100,7 @@ fn faulty_workflow(rated: bool) -> Workflow {
         b.add_actor("src", VecSource::new((0..10).map(Token::Int).collect()))
     };
     let k = b.add_actor("failer", FailsAfter { remaining: 3, rated });
-    b.connect(s, "out", k, "in").unwrap();
+    b.link((s, "out"), (k, "in")).unwrap();
     b.build().unwrap()
 }
 
@@ -179,8 +179,8 @@ fn pool_error_releases_blocked_writers() {
             rated: false,
         },
     );
-    b.connect(s, "out", k, "in").unwrap();
-    b.set_channel_policy(k, "in", ChannelPolicy::block(2)).unwrap();
+    b.link((s, "out"), (k, "in")).unwrap();
+    b.channel_policy((k, "in"), ChannelPolicy::block(2)).unwrap();
     let mut wf = b.build().unwrap();
     assert_injected(
         PoolDirector::new()
@@ -241,8 +241,8 @@ fn summing_workflow(n: i64) -> (Workflow, Collector) {
     let s = b.add_actor("src", VecSource::new((1..=n).map(Token::Int).collect()));
     let a = b.add_actor("sum", RunningSum::default());
     let k = b.add_actor("sink", c.actor());
-    b.connect(s, "out", a, "in").unwrap();
-    b.connect(a, "out", k, "in").unwrap();
+    b.link((s, "out"), (a, "in")).unwrap();
+    b.link((a, "out"), (k, "in")).unwrap();
     (b.build().unwrap(), c)
 }
 
@@ -461,9 +461,9 @@ fn traced_pipeline(events: u64) -> Workflow {
     let d = b.add_actor("double", Doubler);
     let a = b.add_actor("sinkA", Collector::new().actor());
     let x = b.add_actor("sinkB", Collector::new().actor());
-    b.connect(s, "out", d, "in").unwrap();
-    b.connect(s, "out", x, "in").unwrap();
-    b.connect(d, "out", a, "in").unwrap();
+    b.link((s, "out"), (d, "in")).unwrap();
+    b.link((s, "out"), (x, "in")).unwrap();
+    b.link((d, "out"), (a, "in")).unwrap();
     b.build().unwrap()
 }
 
@@ -556,7 +556,7 @@ fn failing_initialize_surfaces_too() {
     let mut b = WorkflowBuilder::new("bad-init");
     let s = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
     let k = b.add_actor("badinit", BadInit);
-    b.connect(s, "out", k, "in").unwrap();
+    b.link((s, "out"), (k, "in")).unwrap();
     let mut wf = b.build().unwrap();
     let err = DdfDirector::new().run(&mut wf).unwrap_err();
     assert!(matches!(err, Error::Actor { .. }));

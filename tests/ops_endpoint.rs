@@ -50,8 +50,6 @@ fn pipeline() -> (Workflow, Collector) {
 fn all_five_routes_serve_live_telemetry() {
     let (wf, _c) = pipeline();
     let tracer = Arc::new(Tracer::new(TraceConfig::default()));
-    // The tracer must be attached before the ops endpoint is configured:
-    // the server captures its telemetry handles at configure time.
     let mut e = Engine::new(wf)
         .with_director(ThreadedDirector::new())
         .with_tracer(tracer)
@@ -106,6 +104,26 @@ fn all_five_routes_serve_live_telemetry() {
     // Unknown routes and non-GETs are rejected, not crashed on.
     let (status, _) = http_get(addr, "/nope").unwrap();
     assert_eq!(status, 404);
+}
+
+/// The endpoint serves whatever the engine has by the time of the request:
+/// a tracer attached, or series sampling configured, *after* the endpoint
+/// was bound are served like ones attached before it.
+#[test]
+fn optional_routes_do_not_depend_on_builder_order() {
+    let (wf, _c) = pipeline();
+    let mut e = Engine::new(wf)
+        .with_director(ThreadedDirector::new())
+        .configure(ExecConfig::new().ops_endpoint("127.0.0.1:0"))
+        .with_tracer(Arc::new(Tracer::new(TraceConfig::default())))
+        .configure(ExecConfig::new().sample_series(Micros(1)));
+    let addr = e.ops_addr().expect("the endpoint is bound before the run");
+    e.run().unwrap();
+    let (status, trace) = http_get(addr, "/trace").unwrap();
+    assert_eq!(status, 200, "/trace after a late with_tracer: {trace}");
+    let (status, series) = http_get(addr, "/series").unwrap();
+    assert_eq!(status, 200, "/series after a late sample_series: {series}");
+    assert_eq!(series, e.series().unwrap().to_csv_all());
 }
 
 /// Without series sampling or a tracer the optional routes answer 404

@@ -101,7 +101,7 @@ fn fan_out_run() -> (u64, usize, u64, u64) {
     let s = b.add_actor("src", VecSource::new((0..400).map(Token::Int).collect()));
     for i in 0..8 {
         let k = b.add_actor(format!("sink{i}"), Collector::new().actor());
-        b.connect(s, "out", k, "in").unwrap();
+        b.link((s, "out"), (k, "in")).unwrap();
     }
     let mut e = Engine::new(b.build().unwrap()).configure(ExecConfig::new().workers(4));
     e.run().unwrap();
@@ -161,7 +161,7 @@ fn timer_thread_closes_timed_windows() {
         ]),
     );
     let k = b.add_actor("sink", c.actor());
-    b.connect_windowed(s, "out", k, "in", WindowSpec::tumbling_time(Micros::from_millis(20)))
+    b.link_windowed((s, "out"), (k, "in"), WindowSpec::tumbling_time(Micros::from_millis(20)))
         .unwrap();
     let mut e = Engine::new(b.build().unwrap())
         .with_observer(closes.clone())
@@ -244,10 +244,9 @@ fn artificial_deadlock_relieved_under_pool() {
         },
     );
     b.chain(&[s, a, f]).unwrap();
-    b.connect_windowed(f, "out", a, "in", WindowSpec::each_event())
-        .unwrap();
-    b.set_channel_policy(a, "in", ChannelPolicy::block(2)).unwrap();
-    b.set_channel_policy(f, "in", ChannelPolicy::block(2)).unwrap();
+    b.link_windowed((f, "out"), (a, "in"), WindowSpec::each_event()).unwrap();
+    b.channel_policy((a, "in"), ChannelPolicy::block(2)).unwrap();
+    b.channel_policy((f, "in"), ChannelPolicy::block(2)).unwrap();
 
     let mut engine = Engine::new(b.build().unwrap()).configure(ExecConfig::new().workers(2));
     engine.run().unwrap();

@@ -90,8 +90,8 @@ fn run_two_priority_fanout(policy: Arc<dyn PoolPolicy>) -> (Vec<Token>, Vec<Toke
     let s = b.add_actor("src", VecSource::new((0..N).map(Token::Int).collect()));
     let h = b.add_actor("hot", hot.actor());
     let c = b.add_actor("cold", cold.actor());
-    b.connect(s, "out", h, "in").unwrap();
-    b.connect(s, "out", c, "in").unwrap();
+    b.link((s, "out"), (h, "in")).unwrap();
+    b.link((s, "out"), (c, "in")).unwrap();
     // Most urgent vs. least urgent in the paper's priority band.
     b.set_priority(h, 5);
     b.set_priority(c, 39);

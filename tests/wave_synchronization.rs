@@ -101,15 +101,14 @@ fn run_with(policy: Box<dyn Scheduler>) -> Vec<(i64, usize)> {
         }),
     );
     let sink = b.add_actor("sink", out.actor());
-    b.connect(src, "out", explode, "in").unwrap();
-    b.connect(explode, "out", route, "in").unwrap();
-    b.connect(route, "a", price, "in").unwrap();
-    b.connect(route, "b", stock, "in").unwrap();
-    b.connect(price, "out", union, "in0").unwrap();
-    b.connect(stock, "out", union, "in1").unwrap();
-    b.connect_windowed(union, "out", sync, "in", WindowSpec::wave())
-        .unwrap();
-    b.connect(sync, "out", sink, "in").unwrap();
+    b.link((src, "out"), (explode, "in")).unwrap();
+    b.link((explode, "out"), (route, "in")).unwrap();
+    b.link((route, "a"), (price, "in")).unwrap();
+    b.link((route, "b"), (stock, "in")).unwrap();
+    b.link((price, "out"), (union, "in0")).unwrap();
+    b.link((stock, "out"), (union, "in1")).unwrap();
+    b.link_windowed((union, "out"), (sync, "in"), WindowSpec::wave()).unwrap();
+    b.link((sync, "out"), (sink, "in")).unwrap();
     let mut wf = b.build().unwrap();
 
     let mut d = ScwfDirector::virtual_time(

@@ -124,9 +124,9 @@ fn fanout_pipeline(tokens: usize, period: u64) -> Workflow {
     let d = b.add_actor("double", Double);
     let a = b.add_actor("sinkA", RatedCollector(Collector::new().actor()));
     let x = b.add_actor("sinkB", RatedCollector(Collector::new().actor()));
-    b.connect(s, "out", d, "in").unwrap();
-    b.connect(s, "out", x, "in").unwrap();
-    b.connect(d, "out", a, "in").unwrap();
+    b.link((s, "out"), (d, "in")).unwrap();
+    b.link((s, "out"), (x, "in")).unwrap();
+    b.link((d, "out"), (a, "in")).unwrap();
     b.build().unwrap()
 }
 
