@@ -347,7 +347,7 @@ pub fn run_linear_road_realtime(workload: &Workload, options: &RealtimeOptions) 
         } else {
             format!("pool-{n}-{}", options.policy.label())
         };
-        exec = exec.workers(n).pool_policy_arc(options.policy.build());
+        exec = exec.workers(n).pool_policy(options.policy.build());
     }
     if let Some(interval) = options.series_interval {
         exec = exec.sample_series(interval);

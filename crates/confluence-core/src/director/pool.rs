@@ -125,13 +125,7 @@ impl PoolDirector {
     }
 
     /// Order the ready queues by `policy` instead of FIFO.
-    pub fn with_policy(self, policy: impl PoolPolicy + 'static) -> Self {
-        self.with_policy_arc(Arc::new(policy))
-    }
-
-    /// Shared-handle variant of [`PoolDirector::with_policy`], for
-    /// policies chosen at runtime.
-    pub fn with_policy_arc(mut self, policy: Arc<dyn PoolPolicy>) -> Self {
+    pub fn with_policy(mut self, policy: Arc<dyn PoolPolicy>) -> Self {
         self.policy = policy;
         self
     }
@@ -1397,7 +1391,7 @@ mod tests {
             b.link((s, "out"), (a, "in")).unwrap();
             b.link((a, "out"), (k, "in")).unwrap();
             let mut wf = b.build().unwrap();
-            let mut d = PoolDirector::new().with_workers(2).with_policy_arc(policy);
+            let mut d = PoolDirector::new().with_workers(2).with_policy(policy);
             let report = d.run(&mut wf).unwrap();
             (c.tokens(), report)
         };
@@ -1419,7 +1413,7 @@ mod tests {
     #[test]
     fn policy_name_is_exposed() {
         assert_eq!(PoolDirector::new().policy_name(), "fifo");
-        let d = PoolDirector::new().with_policy(super::super::pool_policy::OldestWave);
+        let d = PoolDirector::new().with_policy(Arc::new(super::super::pool_policy::OldestWave));
         assert_eq!(d.policy_name(), "edf");
     }
 }

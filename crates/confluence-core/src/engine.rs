@@ -183,13 +183,7 @@ impl ExecConfig {
     /// Order the pooled director's ready queues by `policy` (see
     /// [`pool_policy`](crate::director::pool_policy): FIFO, Rate-Based,
     /// EDF on wave origins, or stride-scheduled quantum allotments).
-    pub fn pool_policy(self, policy: impl PoolPolicy + 'static) -> Self {
-        self.pool_policy_arc(Arc::new(policy))
-    }
-
-    /// Shared-handle variant of [`ExecConfig::pool_policy`], for policies
-    /// chosen at runtime.
-    pub fn pool_policy_arc(mut self, policy: Arc<dyn PoolPolicy>) -> Self {
+    pub fn pool_policy(mut self, policy: Arc<dyn PoolPolicy>) -> Self {
         self.pool_policy = Some(policy);
         self
     }
@@ -353,16 +347,6 @@ impl Engine {
         self
     }
 
-    /// Boxed-director variant of [`Engine::with_director`], for directors
-    /// chosen at runtime.
-    pub fn with_boxed_director(mut self, director: Box<dyn Director>) -> RunHandle {
-        self.director = director;
-        self.pool_workers = None;
-        self.pool_policy = None;
-        self.pool_adaptive = None;
-        self
-    }
-
     /// Apply a declarative [`ExecConfig`] in one step: worker count, pool
     /// scheduling policy, and the workflow-wide channel policy.
     pub fn configure(mut self, config: ExecConfig) -> RunHandle {
@@ -427,7 +411,7 @@ impl Engine {
             pool = pool.with_workers(workers);
         }
         if let Some(policy) = &self.pool_policy {
-            pool = pool.with_policy_arc(policy.clone());
+            pool = pool.with_policy(policy.clone());
         }
         if let Some(adaptive) = &self.pool_adaptive {
             pool = pool.with_adaptive(adaptive.clone());

@@ -168,6 +168,19 @@ impl ActorInbox {
         }
     }
 
+    /// Visit the cached earliest wave-origin ([`Timestamp::ZERO`] for a
+    /// window that carries no events) of each queued window past the
+    /// oldest `skip`, in order, and return the queue length — how a
+    /// scheduled director tells its policy of windows it leaves queued.
+    pub fn origins_past(&self, skip: usize, mut visit: impl FnMut(Timestamp)) -> usize {
+        let st = self.state.lock();
+        let len = st.windows.len();
+        for (_, origin, _) in st.windows.range(skip.min(len)..) {
+            visit(Timestamp(if *origin == u64::MAX { 0 } else { *origin }));
+        }
+        len
+    }
+
     /// Enqueue a formed window from input port `port`.
     pub fn push(&self, port: usize, window: Window) {
         let mut st = self.state.lock();
@@ -810,6 +823,21 @@ mod tests {
         assert_eq!(inbox.oldest_origin(), Some(Timestamp(50)));
         inbox.try_pop().unwrap();
         assert_eq!(inbox.oldest_origin(), None);
+    }
+
+    #[test]
+    fn origins_past_reads_the_tail_without_popping() {
+        let inbox = ActorInbox::new(1);
+        let r = PortReceiver::new(WindowSpec::each_event(), inbox.clone(), 0, 1).unwrap();
+        for ts in [30, 10, 20] {
+            r.put(ev(0, ts), Timestamp(ts)).unwrap();
+        }
+        inbox.push(0, Window { group: Token::Unit, events: vec![], formed_at: Timestamp(40), timed_out: true });
+        let mut seen = Vec::new();
+        assert_eq!(inbox.origins_past(1, |o| seen.push(o)), 4);
+        assert_eq!(seen, [Timestamp(10), Timestamp(20), Timestamp::ZERO], "an empty window reads as zero");
+        assert_eq!(inbox.origins_past(9, |_| panic!("nothing lies past the end")), 4);
+        assert_eq!(inbox.len(), 4, "nothing was taken");
     }
 
     #[test]

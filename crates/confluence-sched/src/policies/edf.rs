@@ -75,7 +75,9 @@ impl Scheduler for EdfScheduler {
             return;
         }
         self.origins[actor].pop_front();
-        // Defensive resync: the director's queue length is authoritative.
+        // A bounded port may shed a window the policy was already told
+        // of (`DropOldest`): the inbox length is authoritative, and the
+        // oldest origins are the ones that went.
         while self.origins[actor].len() > remaining {
             self.origins[actor].pop_front();
         }

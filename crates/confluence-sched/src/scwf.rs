@@ -25,11 +25,10 @@
 //! scheduling design, §5).
 //!
 //! What is written here is the firing rule — the policy's `next_actor()`
-//! over per-actor ready queues — and SCWF's time rule, the [`CostModel`]
-//! charge. The firing step itself and the run lifecycle are
-//! `confluence_core::director::firing`'s.
+//! over the actors' inboxes, each window announced to the policy once —
+//! and SCWF's time rule, the [`CostModel`] charge. The firing step itself
+//! and the run lifecycle are `confluence_core::director::firing`'s.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use confluence_core::director::ddf::quasi_topological;
@@ -39,7 +38,6 @@ use confluence_core::error::Result;
 use confluence_core::graph::{ActorId, Workflow};
 use confluence_core::telemetry::{RunPhase, Telemetry};
 use confluence_core::time::{Clock, Micros, SharedClock, Timestamp, VirtualClock, WallClock};
-use confluence_core::window::{release_drained, Window};
 
 use crate::cost::CostModel;
 use crate::framework::{ActorInfo, Scheduler};
@@ -89,9 +87,9 @@ pub enum Progress {
     /// The workflow completed (sources exhausted, everything drained and
     /// flushed, actors wrapped up).
     Finished,
-    /// A checkpoint pause was honoured: ready queues were pushed back into
-    /// the fabric and its state deposited on the quiesce hook. The run can
-    /// continue from the captured state (same process or after recovery).
+    /// A checkpoint pause was honoured: the fabric's state was deposited on
+    /// the quiesce hook. The run can continue from the captured state (same
+    /// process or after recovery).
     Paused,
 }
 
@@ -115,7 +113,9 @@ struct ExecState {
     stats: StatsModule,
     /// Actor names, for the cost model.
     names: Vec<String>,
-    queues: Vec<VecDeque<(usize, Window)>>,
+    /// Per actor: how many of its inbox's windows the policy has heard
+    /// `on_enqueue` for.
+    announced: Vec<usize>,
     contexts: Vec<QueueContext>,
     source_ids: Vec<usize>,
     source_exhausted: Vec<bool>,
@@ -240,7 +240,7 @@ impl ScwfCore {
                     run,
                     stats: StatsModule::new(workflow),
                     names: infos.into_iter().map(|i| i.name).collect(),
-                    queues: (0..n).map(|_| VecDeque::new()).collect(),
+                    announced: vec![0; n],
                     contexts,
                     source_ids: workflow.sources().iter().map(|i| i.index()).collect(),
                     source_exhausted: vec![false; n],
@@ -254,17 +254,18 @@ impl ScwfCore {
         Ok(())
     }
 
-    /// Drain receiver inboxes into the per-actor ready queues and refresh
+    /// Announce to the policy the windows that reached the inboxes since
+    /// the last call (actors by index, windows by arrival) and refresh
     /// source readiness. Call after anything that may have produced
     /// windows or advanced time.
     fn sync_external(&mut self, workflow: &Workflow) {
         let st = self.state.as_mut().expect("initialized");
-        for i in 0..st.queues.len() {
-            for (port, w) in st.run.fabric.inbox(ActorId(i)).drain_windows() {
-                let origin = w.earliest_origin().unwrap_or(Timestamp::ZERO);
-                st.queues[i].push_back((port, w));
-                self.policy.on_enqueue(i, origin);
-            }
+        for (i, announced) in st.announced.iter_mut().enumerate() {
+            // A window shed after it was announced leaves the count ahead
+            // of the inbox: its announcement then stands for the next
+            // arrival, and `after_fire`'s `remaining` settles the policy.
+            let inbox = st.run.fabric.inbox(ActorId(i));
+            *announced = inbox.origins_past(*announced, |origin| self.policy.on_enqueue(i, origin));
         }
         let now = self.mode.now();
         for &s in &st.source_ids {
@@ -302,17 +303,18 @@ impl ScwfCore {
                 if cost.is_some() {
                     fired_in_iteration = true;
                 }
-                // Post-firing housekeeping: drain, readiness, timeouts.
+                // Post-firing housekeeping: announce, readiness, timeouts.
                 self.sync_external(workflow);
                 let now = self.mode.now();
                 let st = self.state.as_mut().expect("initialized");
                 if st.run.fabric.next_deadline().is_some_and(|d| d <= now) {
                     st.run.poll(None, now)?;
+                    self.sync_external(workflow);
                 }
-                self.sync_external(workflow);
                 let st = self.state.as_mut().expect("initialized");
+                let remaining = st.run.fabric.inbox(ActorId(a)).len();
                 self.policy
-                    .after_fire(a, cost.unwrap_or(Micros::ZERO), st.queues[a].len(), &st.stats);
+                    .after_fire(a, cost.unwrap_or(Micros::ZERO), remaining, &st.stats);
                 if let Some(c) = cost {
                     spent += c;
                 }
@@ -379,7 +381,7 @@ impl ScwfCore {
                     loop {
                         self.sync_external(workflow);
                         let st = self.state.as_mut().expect("initialized");
-                        if st.queues[id.0].is_empty() {
+                        if st.run.fabric.inbox(id).is_empty() {
                             break;
                         }
                         self.fire_one(workflow, id.0)?;
@@ -419,18 +421,12 @@ impl ScwfCore {
         self.state.as_ref().is_some_and(|st| st.run.quiescing())
     }
 
-    /// Honour a checkpoint pause: push ready-queue and context-staged
-    /// windows back into the fabric inboxes (oldest first) and deposit the
-    /// captured fabric state on the quiesce hook.
+    /// Honour a checkpoint pause: the shared quiesce deposits the captured
+    /// fabric state on the hook. The policy and the announcement counts
+    /// stay as they are, so the segment that resumes announces as many
+    /// windows as the pause unstaged — the policy saw those consumed.
     fn quiesce_capture(&mut self) {
         let st = self.state.as_mut().expect("initialized");
-        for (i, queue) in st.queues.iter_mut().enumerate() {
-            // Ready-queue windows sit behind any window already delivered
-            // to the actor's context but not yet consumed, which the
-            // shared quiesce pushes in front of them.
-            let queued = queue.drain(..).collect();
-            st.run.fabric.inbox(ActorId(i)).push_front_batch(queued);
-        }
         st.run.quiesce(&mut st.contexts);
         st.paused = true;
     }
@@ -443,12 +439,11 @@ impl ScwfCore {
         let input = if workflow.node(id).is_source {
             None
         } else {
-            let input = st.queues[a].pop_front();
-            release_drained(&mut st.queues[a]);
-            match input {
-                Some(input) => Some(input),
-                None => return Ok(None),
-            }
+            let Some(input) = st.run.fabric.inbox(id).try_pop() else {
+                return Ok(None);
+            };
+            st.announced[a] = st.announced[a].saturating_sub(1);
+            Some(input)
         };
         // The time rule: in virtual mode the cost model's charge (plus the
         // scheduling overhead) advances the clock; in real mode the firing

@@ -10,7 +10,10 @@
 #  - of the two statistics modules only telemetry/livestats.rs builds a
 #    downstream table from the workflow (`StatsModule` is a view over it);
 #  - graph.rs declares no `connect`/`set_window`/`connect_windowed` beside
-#    the `Endpoint` vocabulary, and engine.rs has one watcher observer.
+#    the `Endpoint` vocabulary, and engine.rs has one watcher observer;
+#  - ready windows wait in the `ActorInbox` and nowhere else: nothing under
+#    crates/confluence-sched/src declares a container of `Window`, and the
+#    only `drain_windows(` call is `Fabric::capture_state`'s.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,13 +42,19 @@ if [ "$(printf '%s\n' "$records" | grep -c .)" -ne 1 ] ||
     status=1
 fi
 
-# Fabric::stamp's line span in director/mod.rs.
-span=$(awk '/pub fn stamp\(/ { start = NR } start && !end && /^    }$/ { end = NR } END { print start ":" end }' \
-    crates/confluence-core/src/director/mod.rs)
-stamps=$(matches 'CwEvent::external\(|CwEvent::derived\(' $directors |
+# "file:line: text" matches on stdin that fall outside `pub fn $1` of
+# director/mod.rs.
+outside_fabric_fn() {
+    local span
+    span=$(awk -v decl="pub fn $1(" '
+        index($0, decl) { start = NR } start && !end && /^    }$/ { end = NR } END { print start ":" end }' \
+        crates/confluence-core/src/director/mod.rs)
     awk -F: -v span="$span" '
         BEGIN { split(span, s, ":") }
-        !($1 == "crates/confluence-core/src/director/mod.rs" && $2 >= s[1] && $2 <= s[2])')
+        !($1 == "crates/confluence-core/src/director/mod.rs" && $2 >= s[1] && $2 <= s[2])'
+}
+
+stamps=$(matches 'CwEvent::external\(|CwEvent::derived\(' $directors | outside_fabric_fn stamp)
 if [ -n "$stamps" ]; then
     echo "events may be stamped in Fabric::stamp only:" >&2
     printf '%s\n' "$stamps" >&2
@@ -82,7 +91,20 @@ if [ "$(printf '%s\n' "$watchers" | grep -c .)" -ne 1 ]; then
     status=1
 fi
 
+queues=$(matches '<([^;]*[^A-Za-z])?Window[^A-Za-z]' crates/confluence-sched/src)
+if [ -n "$queues" ]; then
+    echo "confluence-sched must not hold windows outside the ActorInbox:" >&2
+    printf '%s\n' "$queues" >&2
+    status=1
+fi
+drains=$(matches '[^ ]drain_windows\(' crates/*/src src | outside_fabric_fn capture_state)
+if [ -n "$drains" ]; then
+    echo "drain_windows may be called from Fabric::capture_state only:" >&2
+    printf '%s\n' "$drains" >&2
+    status=1
+fi
+
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
-        "one downstream table, one builder vocabulary, one watcher"
+        "one downstream table, one builder vocabulary, one watcher, one ready queue per actor"
 exit "$status"

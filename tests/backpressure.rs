@@ -1,10 +1,10 @@
 //! Overload behavior of the bounded fabric, end-to-end: `Block`
 //! backpressure bounds the backlog of a fast-source/slow-sink pipeline,
 //! drop policies shed with exact accounting, `Error` surfaces as
-//! [`Error::ChannelFull`], cooperative directors soft-admit instead of
-//! stalling their scheduling loop, and an artificial deadlock on a
-//! cyclic workflow is relieved by growing the smallest full queue
-//! (Parks' algorithm).
+//! [`Error::ChannelFull`], cooperative directors — DDF and the scheduled
+//! director alike — soft-admit instead of stalling their scheduling loop,
+//! and an artificial deadlock on a cyclic workflow is relieved by growing
+//! the smallest full queue (Parks' algorithm).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +18,11 @@ use confluence::core::error::{Error, Result};
 use confluence::core::graph::WorkflowBuilder;
 use confluence::core::token::Token;
 use confluence::core::window::WindowSpec;
+use confluence::core::time::Micros;
 use confluence::prelude::{ChannelPolicy, Engine, ExecConfig};
+use confluence::sched::cost::TableCostModel;
+use confluence::sched::policies::FifoScheduler;
+use confluence::sched::ScwfDirector;
 
 /// Sink that dwells on every window, forcing upstream backlog.
 struct SlowSink {
@@ -255,6 +259,81 @@ fn error_policy_surfaces_channel_full() {
                 capacity: 4
             }
         ),
+        "unexpected error: {err}"
+    );
+}
+
+/// Tokens the fan's source emits; each goes to all three sinks.
+const FAN: i64 = 60;
+
+/// A source fanned to three sinks under virtual-time SCWF, with a source
+/// turn after every internal firing: three windows arrive per window
+/// consumed, so some forty wait for each sink by the end of the stream.
+/// `policy` bounds the last sink's port.
+fn scwf_fan(policy: ChannelPolicy) -> (Engine, [Collector; 3]) {
+    let sinks = [Collector::new(), Collector::new(), Collector::new()];
+    let mut b = WorkflowBuilder::new("fan");
+    let s = b.add_actor("src", VecSource::new((0..FAN).map(Token::Int).collect()));
+    for (i, c) in sinks.iter().enumerate() {
+        let k = b.add_actor(format!("sink{i}"), c.actor());
+        b.link((s, "out"), (k, "in")).unwrap();
+        if i == 2 {
+            b.channel_policy((k, "in"), policy).unwrap();
+        }
+    }
+    let director = ScwfDirector::virtual_time(
+        Box::new(FifoScheduler::new(1)),
+        Box::new(TableCostModel::uniform(Micros(1), Micros(0))),
+    );
+    (Engine::new(b.build().unwrap()).with_director(director), sinks)
+}
+
+/// The scheduled director's backlog waits in the inbox the channel policy
+/// meters, so `DropOldest` sheds there too — over many firings, with
+/// every event either delivered or counted, on the bounded sink alone.
+#[test]
+fn scwf_drop_oldest_sheds_with_exact_accounting() {
+    let (mut engine, sinks) = scwf_fan(ChannelPolicy::drop_oldest(4));
+    engine.run().unwrap();
+    let snap = engine.snapshot();
+    let shed = snap.total_shed();
+    assert!(shed > 0, "forty windows waiting on a 4-slot port must shed");
+    assert_eq!(sinks[2].len() as u64 + shed, FAN as u64, "delivered or shed");
+    assert_eq!(snap.actor("sink2").expect("sink2 metrics").events_shed, shed);
+    for unbounded in &sinks[..2] {
+        assert_eq!(unbounded.len(), FAN as usize);
+    }
+    let newest = sinks[2].tokens().last().cloned();
+    assert_eq!(newest, Some(Token::Int(FAN - 1)), "the newest window survives");
+    assert!(
+        snap.actor("sink2").unwrap().queue_high_water <= 4,
+        "a shedding port never holds more than its capacity"
+    );
+    assert_eq!(snap.total_blocks(), 0, "drop policies never block");
+}
+
+/// `Block` under the scheduled director: over-capacity puts are admitted
+/// and recorded as zero-wait blocks.
+#[test]
+fn scwf_soft_admits_block_overflow() {
+    let (mut engine, sinks) = scwf_fan(ChannelPolicy::block(4));
+    engine.run().unwrap();
+    assert_eq!(sinks[2].len(), FAN as usize, "soft-admitted Block loses nothing");
+    let snap = engine.snapshot();
+    assert!(snap.total_blocks() > 0, "the port was over capacity most of the run");
+    assert_eq!(snap.actor("sink2").expect("sink2 metrics").blocks, snap.total_blocks());
+    assert_eq!(snap.total_block_time().as_micros(), 0);
+    assert_eq!(snap.total_shed(), 0);
+    assert!(snap.actor("sink2").unwrap().queue_high_water > 4);
+}
+
+/// `Error` under the scheduled director names the saturated port.
+#[test]
+fn scwf_error_policy_surfaces_channel_full() {
+    let (mut engine, _sinks) = scwf_fan(ChannelPolicy::error(4));
+    let err = engine.run().expect_err("the fifth waiting window must fail the run");
+    assert!(
+        matches!(err, Error::ChannelFull { port: 0, capacity: 4 }),
         "unexpected error: {err}"
     );
 }

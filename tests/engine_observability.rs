@@ -16,11 +16,12 @@ use confluence::core::director::threaded::ThreadedDirector;
 use confluence::core::error::Result;
 use confluence::core::graph::{ActorId, Workflow, WorkflowBuilder};
 use confluence::core::telemetry::FireRecord;
-use confluence::core::time::{Micros, Timestamp};
+use confluence::core::time::{Micros, Timestamp, VirtualClock};
 use confluence::core::token::Token;
 use confluence::prelude::{Engine, MetricsSnapshot, Observer, StopCondition};
 use confluence::sched::cost::TableCostModel;
 use confluence::sched::policies::FifoScheduler;
+use confluence::sched::scwf::{Progress, ScwfCore};
 use confluence::sched::ScwfDirector;
 
 const N: i64 = 20;
@@ -80,23 +81,33 @@ impl Actor for RatedSource {
     }
 }
 
-struct RatedCollector(confluence::core::actors::CollectorActor);
+/// A collector that declares it takes `take` windows per firing.
+struct RatedCollector {
+    inner: confluence::core::actors::CollectorActor,
+    take: u32,
+}
 impl Actor for RatedCollector {
     fn signature(&self) -> IoSignature {
         IoSignature::sink("in")
     }
     fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        self.0.fire(ctx)
+        self.inner.fire(ctx)
     }
     fn rates(&self) -> Option<SdfRates> {
         Some(SdfRates {
-            consume: vec![1],
+            consume: vec![self.take],
             produce: vec![],
         })
     }
 }
 
 fn pipeline(rated: bool) -> (Workflow, Collector) {
+    pipeline_taking(rated, 1)
+}
+
+/// The pipeline with a sink that (when rated) fires once per `take`
+/// windows, so that many wait for it in every SDF iteration.
+fn pipeline_taking(rated: bool, take: u32) -> (Workflow, Collector) {
     let c = Collector::new();
     let mut b = WorkflowBuilder::new("pipeline");
     let inputs: Vec<Token> = (1..=N).map(Token::Int).collect();
@@ -107,7 +118,7 @@ fn pipeline(rated: bool) -> (Workflow, Collector) {
     };
     let d = b.add_actor("double", Double);
     let k = if rated {
-        b.add_actor("sink", RatedCollector(c.actor()))
+        b.add_actor("sink", RatedCollector { inner: c.actor(), take })
     } else {
         b.add_actor("sink", c.actor())
     };
@@ -321,13 +332,62 @@ fn run_until_stops_early() {
 
 #[test]
 fn queue_high_water_reflects_backlog() {
-    // SDF runs the full schedule: the doubler's queue backs up while the
-    // source floods, so the high-water mark exceeds one.
-    let (wf, _c) = pipeline(true);
+    // SDF runs the full schedule: four windows wait for the sink before
+    // each of its firings, so the high-water mark exceeds one.
+    let (wf, _c) = pipeline_taking(true, 4);
     let mut e = Engine::new(wf).with_director(SdfDirector::new());
     e.run().unwrap();
     let snap = e.snapshot();
     let ids: Vec<ActorId> = snap.actors.iter().map(|a| a.id).collect();
     assert_eq!(ids.len(), 3, "every actor appears exactly once");
     assert!(snap.actor("sink").unwrap().windows_closed >= N as u64);
+    assert_eq!(snap.actor("sink").unwrap().queue_high_water, 4, "SDF: the sink's backlog");
+
+    // So does the scheduled director's when a source turn follows every
+    // internal firing: the doubler gains a window per two firings.
+    let (wf, _c) = pipeline(false);
+    let flooding = ScwfDirector::virtual_time(
+        Box::new(FifoScheduler::new(1)),
+        Box::new(TableCostModel::uniform(Micros(1), Micros::ZERO)),
+    );
+    let mut e = Engine::new(wf).with_director(flooding);
+    e.run().unwrap();
+    let scwf = e.snapshot().actor("double").unwrap().queue_high_water;
+    assert!(scwf > 1, "SCWF: the flooded doubler's high water is {scwf}");
+}
+
+/// Windows waiting for an actor under the scheduled director wait in its
+/// inbox, where the fabric's backlog and the port-depth gauges count them.
+#[test]
+fn scwf_backlog_is_visible_in_the_fabric_mid_run() {
+    let sinks = [Collector::new(), Collector::new(), Collector::new()];
+    let mut b = WorkflowBuilder::new("fan");
+    let s = b.add_actor("src", VecSource::new((0..60).map(Token::Int).collect()));
+    let ids: Vec<ActorId> = sinks
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let k = b.add_actor(format!("sink{i}"), c.actor());
+            b.link((s, "out"), (k, "in")).unwrap();
+            k
+        })
+        .collect();
+    let mut wf = b.build().unwrap();
+    let mut core = ScwfCore::new_virtual(
+        Box::new(FifoScheduler::new(1)),
+        Box::new(TableCostModel::uniform(Micros(1), Micros::ZERO)),
+        Arc::new(VirtualClock::new()),
+    );
+    // Forty 1 µs firings alternate source and sinks: each source firing
+    // leaves three windows, each sink firing takes one.
+    assert_eq!(core.run_for(&mut wf, Some(Micros(40))).unwrap(), Progress::BudgetExhausted);
+    let consumed: usize = sinks.iter().map(|c| c.len()).sum();
+    let emitted = core.report().firings as usize - consumed;
+    let waiting = 3 * emitted - consumed;
+    assert!(waiting >= 30, "{emitted} emitted, {consumed} consumed");
+    let fabric = core.fabric().expect("the first slice built it");
+    assert_eq!(fabric.backlog(), waiting);
+    let depths: Vec<usize> = ids.iter().map(|&k| fabric.inbox(k).port_depth(0)).collect();
+    assert_eq!(depths.iter().sum::<usize>(), waiting, "per sink: {depths:?}");
+    assert!(depths.iter().all(|&d| d > 1), "per sink: {depths:?}");
 }

@@ -96,7 +96,7 @@ fn run_two_priority_fanout(policy: Arc<dyn PoolPolicy>) -> (Vec<Token>, Vec<Toke
     b.set_priority(h, 5);
     b.set_priority(c, 39);
     let mut e = Engine::new(b.build().unwrap())
-        .configure(ExecConfig::new().workers(1).pool_policy_arc(policy));
+        .configure(ExecConfig::new().workers(1).pool_policy(policy));
     e.run().unwrap();
     (hot.tokens(), cold.tokens())
 }

@@ -83,16 +83,12 @@ fn virtual_time_series_are_deterministic() {
 /// per-actor fire series are monotone and end at the recorder's totals.
 #[test]
 fn realtime_directors_sample_the_same_keys() {
-    for (name, mk) in [
-        ("threaded", {
-            (|| Box::new(ThreadedDirector::new()) as Box<dyn confluence::core::director::Director>)
-                as fn() -> Box<dyn confluence::core::director::Director>
-        }),
-        ("pool", || Box::new(PoolDirector::new().with_workers(2))),
-    ] {
+    type Select = fn(Engine) -> Engine;
+    let threaded: Select = |e| e.with_director(ThreadedDirector::new());
+    let pool: Select = |e| e.with_director(PoolDirector::new().with_workers(2));
+    for (name, with_director) in [("threaded", threaded), ("pool", pool)] {
         let (wf, _c) = pipeline();
-        let mut e = Engine::new(wf)
-            .with_boxed_director(mk())
+        let mut e = with_director(Engine::new(wf))
             .configure(ExecConfig::new().sample_series(Micros(1)));
         e.run().unwrap();
         let series = e.series().expect("series recorder is on").clone();
