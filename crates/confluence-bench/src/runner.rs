@@ -13,9 +13,7 @@ use confluence_core::time::{Micros, Timestamp};
 use confluence_linearroad::cost::{pncwf_cost_model, staf_cost_model};
 use confluence_linearroad::{build, LrOptions, ResponseSeries, Workload};
 use confluence_sched::cost::CostModel;
-use confluence_sched::policies::{
-    EdfScheduler, FifoScheduler, OsThreadScheduler, QbsScheduler, RbScheduler, RrScheduler,
-};
+use confluence_sched::policies::{EdfScheduler, FifoScheduler, QbsScheduler, RbScheduler, RrScheduler};
 use confluence_sched::{Scheduler, ScwfDirector};
 
 use crate::config::ExperimentConfig;
@@ -143,7 +141,7 @@ pub fn run_linear_road(
         PolicyKind::Qbs { basic_quantum } => Box::new(QbsScheduler::new(basic_quantum, interval)),
         PolicyKind::Rr { slice } => Box::new(RrScheduler::new(slice, interval)),
         PolicyKind::Rb => Box::new(RbScheduler::new()),
-        PolicyKind::Pncwf => Box::new(OsThreadScheduler::new()),
+        PolicyKind::Pncwf => Box::new(FifoScheduler::pncwf()),
         PolicyKind::Fifo => Box::new(FifoScheduler::new(interval)),
         PolicyKind::Edf => Box::new(EdfScheduler::new(interval)),
     };

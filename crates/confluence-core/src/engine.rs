@@ -375,9 +375,7 @@ impl Engine {
             self.recover = Some(dir);
         }
         if let Some(interval) = config.series {
-            let series = Arc::new(TimeSeriesRecorder::new(interval));
-            series.set_latency(self.recorder.latency_sketch());
-            series.set_fires_source(self.recorder.clone());
+            let series = Arc::new(TimeSeriesRecorder::new(interval, self.recorder.clone()));
             self.quiet_observers.push(series.clone() as Arc<dyn Observer>);
             *self.ops_series.lock() = Some(series.clone());
             self.series = Some(series);

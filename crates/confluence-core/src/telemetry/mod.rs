@@ -19,6 +19,7 @@
 //!   [`Engine`](crate::engine::Engine) uses for `run_until`.
 
 pub mod estimator;
+mod json;
 mod livestats;
 pub mod ops;
 mod recorder;
@@ -31,7 +32,7 @@ pub use livestats::{LiveStats, EMA_ALPHA};
 pub use ops::{OpsConfig, OpsServer, StallWatchdog};
 pub use recorder::{
     ActorMetrics, AdaptMetrics, EdgeMetrics, MetricsRecorder, MetricsSnapshot,
-    PortDepthMetrics, ShardMetrics, ShardReplicaMetrics,
+    PortDepthMetrics, ShardMetrics, ShardReplicaMetrics, WorkerMetrics,
 };
 pub use series::{SeriesPoint, TimeSeriesRecorder};
 pub use signals::{LoadSignals, LoadSnapshot};
@@ -100,24 +101,6 @@ pub struct FireRecord {
     pub trigger: Option<WaveTag>,
     /// Whether the actor actually fired (prefire returned true).
     pub fired: bool,
-}
-
-/// Counters for one worker thread of a pooled executor (the
-/// [`PoolDirector`](crate::director::pool::PoolDirector)), reported once
-/// per worker at the end of a run through [`Observer::on_worker`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerMetrics {
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// Firings executed on this worker.
-    pub fires: u64,
-    /// Tasks this worker stole from other workers' deques.
-    pub steals: u64,
-    /// High-water mark of this worker's ready deque.
-    pub queue_depth: u64,
-    /// Total time this worker spent executing firings, in microseconds
-    /// (occupancy = `busy_micros` / run wall time).
-    pub busy_micros: u64,
 }
 
 /// One actor's slot in a [`TopologySnapshot`]: identity plus a weak

@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 
 use crate::time::Timestamp;
 
-use super::{MetricsRecorder, Observer, RunPhase, TimeSeriesRecorder, Tracer};
+use super::{json, MetricsRecorder, Observer, RunPhase, TimeSeriesRecorder, Tracer};
 
 /// How often the accept loop polls for shutdown between connections.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
@@ -188,8 +188,8 @@ impl StallWatchdog {
                 body.push(',');
             }
             body.push_str(&format!(
-                "{{\"actor\":\"{}\",\"last_fire_age_ms\":{age}}}",
-                name.replace('"', "\\\"")
+                "{{\"actor\":{},\"last_fire_age_ms\":{age}}}",
+                json::string(name)
             ));
         }
         body.push_str("]}");
@@ -246,11 +246,10 @@ impl OpsState {
 
     /// The watchdog verdict over the recorder's current counters.
     fn healthz(&self) -> (bool, String) {
-        let snap = self.recorder.snapshot();
-        let names: Vec<&str> = snap.actors.iter().map(|a| a.name.as_str()).collect();
-        let fires: Vec<u64> = snap.actors.iter().map(|a| a.fires).collect();
-        self.watchdog
-            .report(snap.total_fires() + snap.events_routed, &names, &fires)
+        let names: Vec<&str> = self.recorder.names().iter().map(String::as_str).collect();
+        let fires = self.recorder.fires_by_actor();
+        let progress = fires.iter().sum::<u64>() + self.recorder.total_routed();
+        self.watchdog.report(progress, &names, &fires)
     }
 }
 
@@ -571,6 +570,24 @@ mod tests {
     }
 
     #[test]
+    fn stalled_actor_names_are_json_escaped() {
+        let w = StallWatchdog::new(Duration::from_secs(60), Duration::from_millis(20));
+        w.on_run_phase(RunPhase::Start, Timestamp(0));
+        let names = ["a\\\"b\\\n"];
+        w.report(1, &names, &[1]);
+        std::thread::sleep(Duration::from_millis(40));
+        let (healthy, body) = w.report(2, &names, &[1]);
+        assert!(!healthy);
+        // Quote, backslash and newline all escaped: the body stays one
+        // valid JSON document.
+        assert!(
+            body.contains(r#"{"actor":"a\\\"b\\\n","last_fire_age_ms":"#),
+            "stalled actor name must be a JSON string: {body}"
+        );
+        assert!(!body.contains('\n'));
+    }
+
+    #[test]
     fn server_serves_metrics_and_healthz() {
         let rec = recorder();
         rec.on_fire_end(&crate::telemetry::FireRecord {
@@ -600,7 +617,7 @@ mod tests {
 
     #[test]
     fn series_route_serves_csv_by_key() {
-        let series = Arc::new(TimeSeriesRecorder::new(Micros(1)));
+        let series = Arc::new(TimeSeriesRecorder::new(Micros(1), recorder()));
         series.record_point("depth:sink", 10, 3);
         let state = OpsState {
             recorder: recorder(),
@@ -639,7 +656,7 @@ mod tests {
 
     #[test]
     fn malformed_query_bytes_do_not_kill_the_server() {
-        let series = Arc::new(TimeSeriesRecorder::new(Micros(1)));
+        let series = Arc::new(TimeSeriesRecorder::new(Micros(1), recorder()));
         series.record_point("depth:sink", 10, 3);
         let state = OpsState {
             recorder: recorder(),

@@ -13,24 +13,26 @@
 //! Sampled per tick:
 //! * `depth:<actor>` — live inbox depth per actor (weak handles from
 //!   [`Observer::on_topology`](super::Observer::on_topology));
-//! * `fires:<actor>` — cumulative successful firings per actor;
-//! * `p95_us` — the end-to-end latency sketch's current p95 (when a
-//!   sketch is attached);
+//! * `fires:<actor>` — cumulative successful firings per actor, read from
+//!   the [`MetricsRecorder`]'s own cells (the recorder is the one place a
+//!   firing is counted, so sampling adds no per-firing work);
+//! * `p95_us` — the current p95 of the recorder's end-to-end latency
+//!   sketch;
 //! * `worker_busy_us:<w>` — cumulative busy time per pool worker
 //!   (pushed by the pool's timer thread on the same cadence);
 //! * adaptive decisions, appended to a bounded event log as they fire.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::graph::ActorId;
 use crate::receiver::ActorInbox;
 use crate::time::{Micros, Timestamp};
 
-use super::{AdaptEvent, FireRecord, MetricsRecorder, Observer, QuantileSketch, TopologySnapshot};
+use super::{AdaptEvent, MetricsRecorder, Observer, TopologySnapshot};
 
 /// Default ring-buffer capacity per series key.
 const DEFAULT_CAPACITY: usize = 4096;
@@ -95,32 +97,20 @@ pub struct TimeSeriesRecorder {
     interval_us: u64,
     capacity: usize,
     last_sample_us: AtomicU64,
-    /// Cumulative successful firings per actor, indexed by `ActorId`
-    /// (sized by `on_topology`; read-locked on the firing hot path).
-    /// Fallback for standalone use — the engine wires `fires_source`
-    /// instead, which turns the per-firing hook into a no-op.
-    fires: RwLock<Vec<Arc<AtomicU64>>>,
-    /// When set, per-actor fire counts are read from the metrics
-    /// recorder's own cells at sample time — the recorder already counts
-    /// every firing, so the series observer adds no hot-path work.
-    fires_source: Mutex<Option<Arc<MetricsRecorder>>>,
-    external_fires: AtomicBool,
-    /// Latency sketch to sample p95 from, when attached.
-    latency: Mutex<Option<Arc<QuantileSketch>>>,
+    /// Source of `fires:<actor>` and `p95_us` at sample time.
+    recorder: Arc<MetricsRecorder>,
     state: Mutex<SeriesState>,
 }
 
 impl TimeSeriesRecorder {
-    /// Recorder sampling at most once per `interval` of director time.
-    pub fn new(interval: Micros) -> Self {
+    /// Series sampling at most once per `interval` of director time, with
+    /// fire counts and the latency p95 read from `recorder`.
+    pub fn new(interval: Micros, recorder: Arc<MetricsRecorder>) -> Self {
         TimeSeriesRecorder {
             interval_us: interval.as_micros().max(1),
             capacity: DEFAULT_CAPACITY,
             last_sample_us: AtomicU64::new(0),
-            fires: RwLock::new(Vec::new()),
-            fires_source: Mutex::new(None),
-            external_fires: AtomicBool::new(false),
-            latency: Mutex::new(None),
+            recorder,
             state: Mutex::new(SeriesState::default()),
         }
     }
@@ -129,20 +119,6 @@ impl TimeSeriesRecorder {
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity.max(1);
         self
-    }
-
-    /// Attach the end-to-end latency sketch whose p95 each sample records.
-    pub fn set_latency(&self, sketch: Arc<QuantileSketch>) {
-        *self.latency.lock() = Some(sketch);
-    }
-
-    /// Source per-actor fire counts from `recorder`'s cells at sample
-    /// time instead of counting firings locally. The engine always wires
-    /// this: it drops the observer's remaining per-firing work (a shared
-    /// read lock and a contended counter bump) from the hot path.
-    pub fn set_fires_source(&self, recorder: Arc<MetricsRecorder>) {
-        *self.fires_source.lock() = Some(recorder);
-        self.external_fires.store(true, Ordering::Release);
     }
 
     /// Configured sampling interval.
@@ -185,28 +161,15 @@ impl TimeSeriesRecorder {
         // the actor list is moved aside while the rings it feeds are
         // borrowed mutably, then moved back.
         let actors = std::mem::take(&mut state.actors);
-        {
-            let source = self.fires_source.lock().clone();
-            let fires = if source.is_none() { Some(self.fires.read()) } else { None };
-            for actor in &actors {
-                let depth = actor.inbox.upgrade().map(|i| i.len() as u64).unwrap_or(0);
-                state.push(self.capacity, &actor.depth_key, tick_us, depth);
-                let fired = match (&source, &fires) {
-                    (Some(rec), _) => rec.actor_fires(actor.id),
-                    (None, Some(fires)) => fires
-                        .get(actor.id.0)
-                        .map(|f| f.load(Ordering::Relaxed))
-                        .unwrap_or(0),
-                    (None, None) => 0,
-                };
-                state.push(self.capacity, &actor.fires_key, tick_us, fired);
-            }
+        for actor in &actors {
+            let depth = actor.inbox.upgrade().map(|i| i.len() as u64).unwrap_or(0);
+            state.push(self.capacity, &actor.depth_key, tick_us, depth);
+            let fired = self.recorder.actor_fires(actor.id);
+            state.push(self.capacity, &actor.fires_key, tick_us, fired);
         }
         state.actors = actors;
-        let p95 = self.latency.lock().as_ref().map(|s| s.quantile(0.95));
-        if let Some(p95) = p95 {
-            state.push(self.capacity, "p95_us", tick_us, p95);
-        }
+        let p95 = self.recorder.latency_sketch().quantile(0.95);
+        state.push(self.capacity, "p95_us", tick_us, p95);
     }
 
     /// Append an out-of-band point (the pool's timer thread uses this for
@@ -265,16 +228,6 @@ impl TimeSeriesRecorder {
 
 impl Observer for TimeSeriesRecorder {
     fn on_topology(&self, topology: &TopologySnapshot) {
-        {
-            let mut fires = self.fires.write();
-            // Keep cumulative fire counts across checkpoint segments: the
-            // same workflow re-reports its topology per segment.
-            while fires.len() < topology.actors.len() {
-                fires.push(Arc::new(AtomicU64::new(0)));
-            }
-            // The write guard drops before the state lock: `take_sample`
-            // acquires them in the opposite order (state, then a read).
-        }
         let actors = topology
             .actors
             .iter()
@@ -286,17 +239,6 @@ impl Observer for TimeSeriesRecorder {
             })
             .collect();
         self.state.lock().actors = actors;
-    }
-
-    fn on_fire_end(&self, record: &FireRecord) {
-        // With an external fires source the recorder already counts this
-        // firing; the gate is a read-only flag every core keeps cached.
-        if !record.fired || self.external_fires.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Some(f) = self.fires.read().get(record.actor.0) {
-            f.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     fn on_adapt(&self, event: &AdaptEvent, at: Timestamp) {
@@ -313,7 +255,14 @@ impl Observer for TimeSeriesRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::ActorTopology;
+    use crate::telemetry::{ActorTopology, FireRecord};
+
+    fn recorder() -> Arc<MetricsRecorder> {
+        Arc::new(MetricsRecorder::with_names(
+            vec!["src".into(), "sink".into()],
+            vec![false, true],
+        ))
+    }
 
     fn topo_of(names: &[&str]) -> TopologySnapshot {
         TopologySnapshot {
@@ -346,7 +295,7 @@ mod tests {
 
     #[test]
     fn samples_are_gated_on_the_interval() {
-        let r = TimeSeriesRecorder::new(Micros(100));
+        let r = TimeSeriesRecorder::new(Micros(100), recorder());
         r.on_topology(&topo_of(&["a"]));
         assert!(r.maybe_sample(Timestamp(10)));
         assert!(!r.maybe_sample(Timestamp(50)), "within the interval");
@@ -363,13 +312,14 @@ mod tests {
 
     #[test]
     fn fires_accumulate_and_sample_cumulatively() {
-        let r = TimeSeriesRecorder::new(Micros(10));
+        let rec = recorder();
+        let r = TimeSeriesRecorder::new(Micros(10), rec.clone());
         r.on_topology(&topo_of(&["src", "sink"]));
-        r.on_fire_end(&fire(0, 1));
-        r.on_fire_end(&fire(0, 2));
-        r.on_fire_end(&fire(1, 3));
+        rec.on_fire_end(&fire(0, 1));
+        rec.on_fire_end(&fire(0, 2));
+        rec.on_fire_end(&fire(1, 3));
         r.maybe_sample(Timestamp(5));
-        r.on_fire_end(&fire(0, 12));
+        rec.on_fire_end(&fire(0, 12));
         r.maybe_sample(Timestamp(20));
         let src: Vec<u64> = r.series("fires:src").iter().map(|p| p.value).collect();
         assert_eq!(src, vec![2, 3]);
@@ -378,34 +328,14 @@ mod tests {
     }
 
     #[test]
-    fn external_fires_source_replaces_local_counting() {
-        let r = TimeSeriesRecorder::new(Micros(10));
-        r.on_topology(&topo_of(&["src", "sink"]));
-        let rec = Arc::new(MetricsRecorder::with_names(
-            vec!["src".into(), "sink".into()],
-            vec![false, true],
-        ));
-        r.set_fires_source(rec.clone());
-        rec.on_fire_end(&fire(0, 1));
-        rec.on_fire_end(&fire(1, 2));
-        // The series observer's own hook is a no-op once a source is set.
-        r.on_fire_end(&fire(0, 3));
-        r.maybe_sample(Timestamp(5));
-        let src: Vec<u64> = r.series("fires:src").iter().map(|p| p.value).collect();
-        assert_eq!(src, vec![1], "counts come from the recorder, not the local hook");
-        let sink: Vec<u64> = r.series("fires:sink").iter().map(|p| p.value).collect();
-        assert_eq!(sink, vec![1]);
-    }
-
-    #[test]
     fn p95_rides_the_attached_sketch() {
-        let r = TimeSeriesRecorder::new(Micros(1));
+        let rec = recorder();
+        let r = TimeSeriesRecorder::new(Micros(1), rec.clone());
         r.on_topology(&topo_of(&[]));
-        let sketch = Arc::new(QuantileSketch::new());
+        let sketch = rec.latency_sketch();
         for v in [100u64, 200, 300] {
             sketch.record(Micros(v));
         }
-        r.set_latency(sketch.clone());
         r.maybe_sample(Timestamp(7));
         let p95 = r.series("p95_us");
         assert_eq!(p95.len(), 1);
@@ -414,7 +344,7 @@ mod tests {
 
     #[test]
     fn rings_are_bounded() {
-        let r = TimeSeriesRecorder::new(Micros(1)).with_capacity(3);
+        let r = TimeSeriesRecorder::new(Micros(1), recorder()).with_capacity(3);
         r.on_topology(&topo_of(&["a"]));
         for t in 1..=10u64 {
             r.maybe_sample(Timestamp(t));
@@ -427,7 +357,7 @@ mod tests {
 
     #[test]
     fn adapt_events_are_logged_with_ticks() {
-        let r = TimeSeriesRecorder::new(Micros(1));
+        let r = TimeSeriesRecorder::new(Micros(1), recorder());
         r.on_adapt(&AdaptEvent::GrowWorkers { from: 1, to: 2 }, Timestamp(42));
         r.on_adapt(&AdaptEvent::ShedDisengage, Timestamp(50));
         assert_eq!(
@@ -440,7 +370,7 @@ mod tests {
 
     #[test]
     fn csv_exports_are_stable() {
-        let r = TimeSeriesRecorder::new(Micros(1));
+        let r = TimeSeriesRecorder::new(Micros(1), recorder());
         r.on_topology(&topo_of(&["a"]));
         r.maybe_sample(Timestamp(3));
         r.record_point("worker_busy_us:0", 3, 77);
@@ -450,6 +380,6 @@ mod tests {
         assert!(all.contains("3,depth:a,0\n"));
         assert!(all.contains("3,fires:a,0\n"));
         assert!(all.contains("3,worker_busy_us:0,77\n"));
-        assert_eq!(r.keys(), vec!["depth:a", "fires:a", "worker_busy_us:0"]);
+        assert_eq!(r.keys(), vec!["depth:a", "fires:a", "p95_us", "worker_busy_us:0"]);
     }
 }

@@ -8,6 +8,7 @@ use crate::graph::ActorId;
 use crate::time::{Micros, Timestamp};
 use crate::wave::WaveTag;
 
+use super::super::json;
 use super::span::{Span, SpanKind, WaveTrace};
 
 /// A point-in-time snapshot of a [`Tracer`](super::Tracer)'s flight
@@ -193,16 +194,16 @@ impl TraceReport {
         actors.sort_unstable();
         actors.dedup();
         for a in &actors {
-            let name = escape_json(&self.actor_label(ActorId(*a)));
+            let name = self.actor_label(ActorId(*a));
             events.push(format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
+                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
                 2 * a,
-                name
+                json::string(&name)
             ));
             events.push(format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"{} (queue)\"}}}}",
+                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
                 2 * a + 1,
-                name
+                json::string(&format!("{name} (queue)"))
             ));
         }
         let mut flow_id = 0u64;
@@ -220,22 +221,22 @@ impl TraceReport {
                     SpanKind::Block => (2 * span.actor.0 + 1, format!("block {tag}")),
                     SpanKind::Enqueue => {
                         events.push(format!(
-                            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"s\":\"t\",\"name\":\"enqueue {}\",\"cat\":\"wave\"}}",
+                            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"s\":\"t\",\"name\":{},\"cat\":\"wave\"}}",
                             2 * span.actor.0 + 1,
                             span.start.as_micros(),
-                            escape_json(&tag)
+                            json::string(&format!("enqueue {tag}"))
                         ));
                         continue;
                     }
                 };
                 let dur = span.duration().as_micros().max(1);
                 events.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{}\",\"cat\":\"wave\",\"args\":{{\"wave\":\"{}\",\"events\":{}}}}}",
+                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":{},\"cat\":\"wave\",\"args\":{{\"wave\":{},\"events\":{}}}}}",
                     tid,
                     span.start.as_micros(),
                     dur,
-                    escape_json(&name),
-                    escape_json(&tag),
+                    json::string(&name),
+                    json::string(&tag),
                     span.events
                 ));
             }
@@ -396,24 +397,6 @@ fn critical_path(wave: &WaveTrace) -> Option<CriticalPath> {
             }
         }
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! ([`policies::QbsScheduler`]), Round-Robin ([`policies::RrScheduler`]),
 //! Rate-Based / Highest Rate ([`policies::RbScheduler`]) — plus a FIFO
 //! baseline and the simulated thread-based PNCWF baseline
-//! ([`policies::OsThreadScheduler`]).
+//! ([`policies::FifoScheduler::pncwf`]).
 //!
 //! The director runs in real time or in **virtual time** (a discrete-event
 //! mode where firing costs come from a [`cost::CostModel`]), which is how
@@ -34,6 +34,6 @@ pub mod stats;
 
 pub use cost::{CostModel, FreeCost, TableCostModel, ThreadOverheadCost};
 pub use framework::{ActorInfo, ActorState, Scheduler};
-pub use policies::{EdfScheduler, FifoScheduler, OsThreadScheduler, QbsScheduler, RbScheduler, RrScheduler};
+pub use policies::{EdfScheduler, FifoScheduler, QbsScheduler, RbScheduler, RrScheduler};
 pub use scwf::ScwfDirector;
 pub use stats::{ActorStats, StatsModule};

@@ -4,20 +4,18 @@
 //! scheduler ([`qbs::QbsScheduler`]), the traditional fair Round-Robin
 //! scheduler ([`rr::RrScheduler`]), and the Rate-Based scheduler from the
 //! continuous-query literature ([`rb::RbScheduler`]) — plus a plain FIFO
-//! policy ([`fifo::FifoScheduler`]), the simulated thread-based baseline
-//! ([`os::OsThreadScheduler`]), and an earliest-deadline-first extension
-//! ([`edf::EdfScheduler`]).
+//! policy ([`fifo::FifoScheduler`]) that doubles as the simulated
+//! thread-based baseline ([`fifo::FifoScheduler::pncwf`]), and an
+//! earliest-deadline-first extension ([`edf::EdfScheduler`]).
 
 pub mod edf;
 pub mod fifo;
-pub mod os;
 pub mod qbs;
 pub mod rb;
 pub mod rr;
 
 pub use edf::EdfScheduler;
 pub use fifo::FifoScheduler;
-pub use os::OsThreadScheduler;
 pub use qbs::QbsScheduler;
 pub use rb::RbScheduler;
 pub use rr::RrScheduler;

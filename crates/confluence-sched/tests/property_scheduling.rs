@@ -11,9 +11,7 @@ use confluence_core::graph::WorkflowBuilder;
 use confluence_core::time::{Micros, Timestamp};
 use confluence_core::token::Token;
 use confluence_sched::cost::TableCostModel;
-use confluence_sched::policies::{
-    EdfScheduler, FifoScheduler, OsThreadScheduler, QbsScheduler, RbScheduler, RrScheduler,
-};
+use confluence_sched::policies::{EdfScheduler, FifoScheduler, QbsScheduler, RbScheduler, RrScheduler};
 use confluence_sched::{Scheduler, ScwfDirector};
 
 /// Workload: (arrival µs, payload) pairs.
@@ -28,7 +26,7 @@ fn make_policy(which: u8, quantum: u64) -> Box<dyn Scheduler> {
         2 => Box::new(RrScheduler::new(quantum.max(1), 5)),
         3 => Box::new(RbScheduler::new()),
         4 => Box::new(EdfScheduler::new(5)),
-        _ => Box::new(OsThreadScheduler::new()),
+        _ => Box::new(FifoScheduler::pncwf()),
     }
 }
 
