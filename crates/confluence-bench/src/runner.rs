@@ -361,7 +361,7 @@ pub fn run_linear_road_realtime(workload: &Workload, options: &RealtimeOptions) 
         elapsed: report.elapsed,
         metrics: engine.snapshot(),
         trace: engine.trace_report(),
-        series: engine.series().cloned(),
+        series: engine.series(),
     }
 }
 

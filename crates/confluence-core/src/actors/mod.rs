@@ -1,18 +1,16 @@
 //! The standard actor library.
 //!
-//! Sources ([`VecSource`], [`TimedSource`], [`GeneratorSource`],
-//! [`PushSource`], [`net::TcpPushSource`]), stream transforms ([`Map`],
-//! [`Filter`], [`FnActor`], [`Router`], [`Union`], [`HashJoin`],
-//! [`Dedup`], [`Throttle`]), and sinks ([`Collector`], [`LatencyProbe`]).
+//! Sources ([`VecSource`], [`TimedSource`], [`PushSource`]), stream
+//! transforms ([`Filter`], [`FnActor`], [`Router`], [`Union`], [`Dedup`],
+//! [`Throttle`]), and the sink ([`Collector`], which also reads response
+//! times off what it collected).
 //! These are the building blocks workflow designers wire together; the
 //! Linear Road workflow in `confluence-linearroad` is composed of them plus
 //! domain-specific actors.
 
-pub mod net;
 mod stream_ops;
 
-pub use net::{HttpPushSource, TcpPushSource};
-pub use stream_ops::{Dedup, HashJoin, Throttle};
+pub use stream_ops::{Dedup, Throttle};
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -182,67 +180,6 @@ impl Actor for TimedSource {
     }
 }
 
-/// A source driven by a closure: fired repeatedly until it returns `None`.
-pub struct GeneratorSource<F> {
-    gen: F,
-    iteration: u64,
-    done: bool,
-}
-
-impl<F> GeneratorSource<F>
-where
-    F: FnMut(u64) -> Option<Token> + Send,
-{
-    /// Source calling `gen(iteration)` once per firing.
-    pub fn new(gen: F) -> Self {
-        GeneratorSource {
-            gen,
-            iteration: 0,
-            done: false,
-        }
-    }
-}
-
-impl<F> Actor for GeneratorSource<F>
-where
-    F: FnMut(u64) -> Option<Token> + Send,
-{
-    fn signature(&self) -> IoSignature {
-        IoSignature::source("out")
-    }
-
-    fn prefire(&mut self, _ctx: &mut dyn FireContext) -> Result<bool> {
-        Ok(!self.done)
-    }
-
-    fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        match (self.gen)(self.iteration) {
-            Some(t) => {
-                self.iteration += 1;
-                ctx.emit(0, t);
-            }
-            None => self.done = true,
-        }
-        Ok(())
-    }
-
-    fn postfire(&mut self, _ctx: &mut dyn FireContext) -> Result<bool> {
-        Ok(!self.done)
-    }
-
-    fn is_source(&self) -> bool {
-        true
-    }
-
-    fn next_arrival(&self) -> Option<Timestamp> {
-        if self.done {
-            None
-        } else {
-            Some(Timestamp::ZERO)
-        }
-    }
-}
-
 /// Producer handle for a [`PushSource`].
 ///
 /// Clones share the same channel; dropping every handle ends the stream.
@@ -259,10 +196,10 @@ impl PushHandle {
     }
 }
 
-/// A push-communication source: external producers (a TCP/HTTP feed in the
-/// paper; any thread here) push tokens through a [`PushHandle`] and the
-/// source pumps them into the workflow at the rate dictated by the
-/// director's execution model.
+/// A push-communication source (paper §2.2): external producers — a
+/// thread reading a socket, a timer, anything that owns a [`PushHandle`] —
+/// push tokens at their own pace and the source pumps them into the
+/// workflow at the rate dictated by the director's execution model.
 pub struct PushSource {
     rx: crossbeam::channel::Receiver<Token>,
     disconnected: bool,
@@ -321,42 +258,6 @@ impl Actor for PushSource {
 // ---------------------------------------------------------------------------
 // Transforms
 // ---------------------------------------------------------------------------
-
-/// Applies a function to every token of every input window; `Some` results
-/// are emitted on the single output.
-pub struct Map<F> {
-    f: F,
-}
-
-impl<F> Map<F>
-where
-    F: FnMut(&Token) -> Result<Option<Token>> + Send,
-{
-    /// Map with a fallible, optionally-filtering function.
-    pub fn new(f: F) -> Self {
-        Map { f }
-    }
-}
-
-impl<F> Actor for Map<F>
-where
-    F: FnMut(&Token) -> Result<Option<Token>> + Send,
-{
-    fn signature(&self) -> IoSignature {
-        IoSignature::transform("in", "out")
-    }
-
-    fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        while let Some(w) = ctx.get(0) {
-            for t in w.tokens() {
-                if let Some(out) = (self.f)(t)? {
-                    ctx.emit(0, out);
-                }
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Passes through tokens satisfying a predicate.
 pub struct Filter<F> {
@@ -570,6 +471,24 @@ impl Collector {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Response time of each collected event, in receipt order: receipt
+    /// time minus its wave's initiating external timestamp (the paper
+    /// measures this at the TollNotification output actor).
+    pub fn latencies(&self) -> Vec<Micros> {
+        self.items
+            .lock()
+            .iter()
+            .map(|c| c.event.latency_at(c.received_at))
+            .collect()
+    }
+
+    /// Mean response time over everything collected, if anything was.
+    pub fn mean_latency(&self) -> Option<Micros> {
+        let latencies = self.latencies();
+        let total: u64 = latencies.iter().map(|l| l.as_micros()).sum();
+        (!latencies.is_empty()).then(|| Micros(total / latencies.len() as u64))
+    }
 }
 
 /// The sink actor behind a [`Collector`] handle.
@@ -623,87 +542,6 @@ impl Actor for CollectorActor {
     }
 }
 
-/// One response-time sample: when the result appeared and how long after
-/// its wave's initiating external event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencySample {
-    /// Director time at which the result was observed.
-    pub at: Timestamp,
-    /// Response time: observation time minus wave-origin timestamp.
-    pub latency: Micros,
-}
-
-/// Handle to a latency-measuring sink (the paper measures response time at
-/// the TollNotification output actor — this is that probe).
-#[derive(Clone, Default)]
-pub struct LatencyProbe {
-    samples: Arc<Mutex<Vec<LatencySample>>>,
-}
-
-impl LatencyProbe {
-    /// A fresh probe.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The sink actor feeding this probe.
-    pub fn actor(&self) -> LatencyProbeActor {
-        LatencyProbeActor {
-            samples: self.samples.clone(),
-        }
-    }
-
-    /// All samples so far.
-    pub fn samples(&self) -> Vec<LatencySample> {
-        self.samples.lock().clone()
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.lock().len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Mean response time over all samples, if any.
-    pub fn mean_latency(&self) -> Option<Micros> {
-        let samples = self.samples.lock();
-        if samples.is_empty() {
-            return None;
-        }
-        let total: u64 = samples.iter().map(|s| s.latency.as_micros()).sum();
-        Some(Micros(total / samples.len() as u64))
-    }
-}
-
-/// The sink actor behind a [`LatencyProbe`] handle.
-pub struct LatencyProbeActor {
-    samples: Arc<Mutex<Vec<LatencySample>>>,
-}
-
-impl Actor for LatencyProbeActor {
-    fn signature(&self) -> IoSignature {
-        IoSignature::sink("in")
-    }
-
-    fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        let now = ctx.now();
-        while let Some(w) = ctx.get(0) {
-            let mut samples = self.samples.lock();
-            for event in &w.events {
-                samples.push(LatencySample {
-                    at: now,
-                    latency: event.latency_at(now),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,18 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn generator_source_runs_until_none() {
-        let mut s = GeneratorSource::new(|i| if i < 3 { Some(Token::Int(i as i64)) } else { None });
-        let mut ctx = MockContext::new(0);
-        for _ in 0..4 {
-            s.fire(&mut ctx).unwrap();
-        }
-        assert!(!s.postfire(&mut ctx).unwrap());
-        assert_eq!(ctx.emitted_on(0).len(), 3);
-        assert_eq!(s.next_arrival(), None);
-    }
-
-    #[test]
     fn push_source_pumps_pushed_tokens() {
         let (mut s, handle) = PushSource::new();
         assert!(handle.push(Token::Int(1)));
@@ -770,20 +596,6 @@ mod tests {
         drop(handle);
         s.fire(&mut ctx).unwrap();
         assert!(!s.postfire(&mut ctx).unwrap(), "stream ends when handles drop");
-    }
-
-    #[test]
-    fn map_transforms_and_filters() {
-        let mut m = Map::new(|t: &Token| {
-            let v = t.as_int()?;
-            Ok(if v % 2 == 0 { Some(Token::Int(v * 10)) } else { None })
-        });
-        let mut ctx = MockContext::new(1);
-        for v in 1..=4 {
-            ctx.push_token(0, Token::Int(v), Timestamp(v as u64));
-        }
-        m.fire(&mut ctx).unwrap();
-        assert_eq!(ctx.emitted_on(0), vec![Token::Int(20), Token::Int(40)]);
     }
 
     #[test]
@@ -868,18 +680,15 @@ mod tests {
     }
 
     #[test]
-    fn latency_probe_measures_response_time() {
-        let p = LatencyProbe::new();
-        let mut actor = p.actor();
+    fn collector_reads_response_times_off_what_it_kept() {
+        assert_eq!(Collector::new().mean_latency(), None);
+        let c = Collector::new();
+        let mut actor = c.actor();
         let mut ctx = MockContext::new(1).at(Timestamp(1_500));
         ctx.push_token(0, Token::Int(1), Timestamp(1_000));
+        ctx.push_token(0, Token::Int(2), Timestamp(1_200));
         actor.fire(&mut ctx).unwrap();
-        let samples = p.samples();
-        assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].latency, Micros(500));
-        assert_eq!(samples[0].at, Timestamp(1_500));
-        assert_eq!(p.mean_latency(), Some(Micros(500)));
-        assert!(!p.is_empty());
-        assert_eq!(LatencyProbe::new().mean_latency(), None);
+        assert_eq!(c.latencies(), vec![Micros(500), Micros(300)]);
+        assert_eq!(c.mean_latency(), Some(Micros(400)));
     }
 }

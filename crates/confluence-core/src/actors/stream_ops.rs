@@ -1,74 +1,14 @@
-//! Stream operators: keyed join, deduplication, throttling.
+//! Stream operators: deduplication and throttling.
 //!
-//! These are the multi-stream building blocks monitoring workflows lean
-//! on beyond plain map/filter: correlating two update streams on a key,
-//! suppressing duplicates, and bounding downstream rates.
+//! The building blocks monitoring workflows lean on beyond plain
+//! filtering: suppressing duplicates and bounding downstream rates.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::collections::{HashSet, VecDeque};
 
 use crate::actor::{Actor, FireContext, IoSignature};
 use crate::error::Result;
 use crate::time::{Micros, Timestamp};
-use crate::token::{Schema, Token};
-
-/// Symmetric keyed stream join: events from `left` and `right` are matched
-/// on a projected key; each match emits `{left: .., right: ..}`. Each
-/// side buffers its most recent `retain` events per key (a bounded
-/// symmetric hash join).
-pub struct HashJoin {
-    key_fields: Vec<String>,
-    retain: usize,
-    left: HashMap<Token, VecDeque<Token>>,
-    right: HashMap<Token, VecDeque<Token>>,
-    /// Shape of every emitted match: `{left, right}`.
-    pair: Arc<Schema>,
-}
-
-impl HashJoin {
-    /// Join on the given record fields, keeping `retain` events per key
-    /// per side.
-    pub fn new(key_fields: &[&str], retain: usize) -> Self {
-        HashJoin {
-            key_fields: key_fields.iter().map(|s| s.to_string()).collect(),
-            retain: retain.max(1),
-            left: HashMap::new(),
-            right: HashMap::new(),
-            pair: Schema::new(&["left", "right"]),
-        }
-    }
-}
-
-impl Actor for HashJoin {
-    fn signature(&self) -> IoSignature {
-        IoSignature::new(&["left", "right"], &["out"])
-    }
-
-    fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        while let Some((port, w)) = ctx.get_any() {
-            for t in w.tokens() {
-                let key = t.project(&self.key_fields)?;
-                let (own, other, left_side) = if port == 0 {
-                    (&mut self.left, &self.right, true)
-                } else {
-                    (&mut self.right, &self.left, false)
-                };
-                if let Some(matches) = other.get(&key) {
-                    for m in matches {
-                        let (l, r) = if left_side { (t, m) } else { (m, t) };
-                        ctx.emit(0, self.pair.record([l.clone(), r.clone()]));
-                    }
-                }
-                let buf = own.entry(key).or_default();
-                buf.push_back(t.clone());
-                while buf.len() > self.retain {
-                    buf.pop_front();
-                }
-            }
-        }
-        Ok(())
-    }
-}
+use crate::token::Token;
 
 /// Passes only the first event per key (bounded memory: evicts the oldest
 /// remembered keys beyond `capacity`).
@@ -174,48 +114,6 @@ mod tests {
 
     fn rec(id: i64, v: &str) -> Token {
         Token::record().field("id", id).field("v", v).build()
-    }
-
-    #[test]
-    fn join_matches_across_sides() {
-        let mut j = HashJoin::new(&["id"], 4);
-        let mut ctx = MockContext::new(2);
-        ctx.push_token(0, rec(1, "L1"), Timestamp(1));
-        ctx.push_token(1, rec(2, "R2"), Timestamp(2));
-        ctx.push_token(1, rec(1, "R1"), Timestamp(3));
-        ctx.push_token(0, rec(2, "L2"), Timestamp(4));
-        j.fire(&mut ctx).unwrap();
-        let out = ctx.emitted_on(0);
-        assert_eq!(out.len(), 2);
-        // MockContext drains port 0 first: L1, L2 buffer, then R2 meets
-        // L2 and R1 meets L1.
-        assert_eq!(out[0].get("left").unwrap().get("v").unwrap().as_str().unwrap(), "L2");
-        assert_eq!(out[0].get("right").unwrap().get("v").unwrap().as_str().unwrap(), "R2");
-        assert_eq!(out[1].get("left").unwrap().get("v").unwrap().as_str().unwrap(), "L1");
-        assert_eq!(out[1].get("right").unwrap().get("v").unwrap().as_str().unwrap(), "R1");
-    }
-
-    #[test]
-    fn join_retention_bounds_matches() {
-        let mut j = HashJoin::new(&["id"], 2);
-        let mut ctx = MockContext::new(2);
-        for i in 0..5 {
-            ctx.push_token(0, rec(1, &format!("L{i}")), Timestamp(i));
-        }
-        ctx.push_token(1, rec(1, "R"), Timestamp(9));
-        j.fire(&mut ctx).unwrap();
-        // Only the last 2 left events are retained.
-        assert_eq!(ctx.emitted_on(0).len(), 2);
-    }
-
-    #[test]
-    fn join_no_match_no_output() {
-        let mut j = HashJoin::new(&["id"], 4);
-        let mut ctx = MockContext::new(2);
-        ctx.push_token(0, rec(1, "L"), Timestamp(1));
-        ctx.push_token(1, rec(2, "R"), Timestamp(2));
-        j.fire(&mut ctx).unwrap();
-        assert!(ctx.emitted_on(0).is_empty());
     }
 
     #[test]

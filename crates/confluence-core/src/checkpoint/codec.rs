@@ -15,6 +15,10 @@ use crate::token::{Schema, Token};
 use crate::wave::WaveTag;
 use crate::window::Window;
 
+/// Deepest record/array nesting the decoder follows before calling the
+/// input corrupt (it recurses once per level; real tokens nest a few deep).
+const MAX_NESTING: usize = 64;
+
 fn corrupt(what: &str) -> Error {
     Error::Checkpoint(format!("corrupt or truncated data: {what}"))
 }
@@ -171,6 +175,8 @@ pub struct Decoder<'a> {
     /// One schema per distinct field-name list decoded so far: the format
     /// spells the names out per record, recovered records share them again.
     schemas: HashMap<Vec<&'a str>, Arc<Schema>>,
+    /// Records and arrays open around the token being read.
+    depth: usize,
 }
 
 impl<'a> Decoder<'a> {
@@ -180,6 +186,7 @@ impl<'a> Decoder<'a> {
             buf,
             pos: 0,
             schemas: HashMap::new(),
+            depth: 0,
         }
     }
 
@@ -270,30 +277,48 @@ impl<'a> Decoder<'a> {
             2 => Ok(Token::Int(self.i64()?)),
             3 => Ok(Token::Float(self.f64()?)),
             4 => Ok(Token::Str(Arc::from(self.str()?))),
-            5 => {
-                let n = self.u32()? as usize;
-                // The count comes from the input: reserve no more than the
-                // bytes left could hold.
-                let cap = n.min(self.buf.len() - self.pos);
-                let mut names = Vec::with_capacity(cap);
-                let mut values = Vec::with_capacity(cap);
-                for _ in 0..n {
-                    names.push(self.str()?);
-                    values.push(self.token()?);
-                }
-                let schema = self.schemas.entry(names).or_insert_with_key(|names| Schema::new(names));
-                Ok(schema.record(values))
-            }
-            6 => {
-                let n = self.u32()? as usize;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.token()?);
-                }
-                Ok(Token::Array(items.into()))
-            }
+            5 => self.nested(Self::record),
+            6 => self.nested(Self::array),
             tag => Err(corrupt(&format!("token tag {tag}"))),
         }
+    }
+
+    /// How many elements to reserve room for when the input announces
+    /// `n`: no more than the bytes left could hold, whatever it claims.
+    fn reserve(&self, n: usize) -> usize {
+        n.min(self.buf.len() - self.pos)
+    }
+
+    /// Read the body of a token that holds tokens, one level further in.
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Token>) -> Result<Token> {
+        if self.depth == MAX_NESTING {
+            return Err(corrupt("tokens nested too deeply"));
+        }
+        self.depth += 1;
+        let token = body(self);
+        self.depth -= 1;
+        token
+    }
+
+    fn record(&mut self) -> Result<Token> {
+        let n = self.u32()? as usize;
+        let mut names = Vec::with_capacity(self.reserve(n));
+        let mut values = Vec::with_capacity(self.reserve(n));
+        for _ in 0..n {
+            names.push(self.str()?);
+            values.push(self.token()?);
+        }
+        let schema = self.schemas.entry(names).or_insert_with_key(|names| Schema::new(names));
+        Ok(schema.record(values))
+    }
+
+    fn array(&mut self) -> Result<Token> {
+        let n = self.u32()? as usize;
+        let mut items = Vec::with_capacity(self.reserve(n));
+        for _ in 0..n {
+            items.push(self.token()?);
+        }
+        Ok(Token::Array(items.into()))
     }
 
     /// Read a [`WaveTag`].
@@ -328,7 +353,7 @@ impl<'a> Decoder<'a> {
     pub fn window(&mut self) -> Result<Window> {
         let group = self.token()?;
         let n = self.u32()? as usize;
-        let mut events = Vec::with_capacity(n);
+        let mut events = Vec::with_capacity(self.reserve(n));
         for _ in 0..n {
             events.push(self.event()?);
         }
@@ -452,5 +477,29 @@ mod tests {
         e.bool(true);
         let bytes = e.into_bytes();
         assert!(Decoder::new(&bytes).wave().is_err());
+    }
+
+    // A count read from the input may claim anything; none of these may
+    // reserve memory for it or recurse without bound.
+
+    #[test]
+    fn array_announcing_four_billion_items_is_an_error() {
+        assert!(Decoder::new(&[6, 0xff, 0xff, 0xff, 0xff]).token().is_err());
+    }
+
+    #[test]
+    fn window_announcing_four_billion_events_is_an_error() {
+        // Unit group token, then the event count.
+        assert!(Decoder::new(&[0, 0xff, 0xff, 0xff, 0xff]).window().is_err());
+    }
+
+    #[test]
+    fn unbounded_nesting_is_an_error() {
+        let one_element_array = [6u8, 1, 0, 0, 0];
+        let err = Decoder::new(&one_element_array.repeat(100_000)).token().unwrap_err();
+        assert!(err.to_string().contains("nested too deeply"), "{err}");
+        let mut within_cap = one_element_array.repeat(MAX_NESTING);
+        within_cap.push(0);
+        assert!(Decoder::new(&within_cap).token().is_ok());
     }
 }

@@ -581,11 +581,6 @@ impl LoggedSource {
         self.seq
     }
 
-    /// Logged emissions not yet re-consumed by the recovered run.
-    pub fn replay_remaining(&self) -> usize {
-        self.replay.len()
-    }
-
     fn check_io(&mut self) -> Result<()> {
         match self.io_error.take() {
             Some(e) => Err(e),
@@ -929,14 +924,14 @@ mod tests {
             LoggedSource::new(Box::new(VecSource::new(items.clone())), path.clone(), false)
                 .unwrap();
         src.restore_state(&saved).unwrap();
-        assert_eq!(src.replay_remaining(), 2, "post-checkpoint tail replays");
+        assert_eq!(src.replay.len(), 2, "post-checkpoint tail replays");
         assert_eq!(src.offset(), 3);
         // The inner VecSource restored its own remaining-items state.
         let mut ctx2 = SinkCtx { emitted: vec![] };
         for _ in 0..3 {
             src.fire(&mut ctx2).unwrap();
         }
-        assert_eq!(src.replay_remaining(), 0);
+        assert!(src.replay.is_empty());
         assert_eq!(src.offset(), 6);
         let tokens: Vec<i64> = ctx2
             .emitted

@@ -266,11 +266,6 @@ impl AdaptiveController {
         }
     }
 
-    /// Workers the controller currently believes are active.
-    pub fn active_workers(&self) -> usize {
-        self.active
-    }
-
     /// Whether shedding is currently engaged.
     pub fn shedding(&self) -> bool {
         self.shedding
@@ -414,7 +409,7 @@ mod tests {
             c.tick(&snap(100, 0), Timestamp(4)),
             vec![AdaptDecision::Grow { from: 1, to: 2 }]
         );
-        assert_eq!(c.active_workers(), 2);
+        assert_eq!(c.active, 2);
     }
 
     #[test]

@@ -220,7 +220,12 @@ mod tests {
         let src = b.add_actor("entry", entry.source());
         let m = b.add_actor(
             "x10",
-            crate::actors::Map::new(|t: &Token| Ok(Some(Token::Int(t.as_int()? * 10)))),
+            crate::actors::FnActor::new(IoSignature::transform("in", "out"), |w, emit| {
+                for t in w.tokens() {
+                    emit(0, Token::Int(t.as_int()? * 10));
+                }
+                Ok(())
+            }),
         );
         let k = b.add_actor("exit", exit.actor());
         b.link((src, "out"), (m, "in")).unwrap();
@@ -244,7 +249,7 @@ mod tests {
         comp.fire(&mut ctx).unwrap();
         assert_eq!(ctx.emitted_on(0), vec![Token::Int(30)]);
         // Second firing does not re-emit old results.
-        ctx.clear_emitted();
+        ctx.emitted.clear();
         ctx.push_token(0, Token::Int(4), crate::time::Timestamp(2));
         comp.fire(&mut ctx).unwrap();
         assert_eq!(ctx.emitted_on(0), vec![Token::Int(40)]);

@@ -46,12 +46,6 @@ impl DdfDirector {
             hook: None,
         }
     }
-
-    /// Override the runaway-firing bound.
-    pub fn with_max_firings(mut self, n: u64) -> Self {
-        self.max_firings = n;
-        self
-    }
 }
 
 /// One DDF execution: the shared run plus what the firing rule tracks.
@@ -289,7 +283,9 @@ mod tests {
         b.link((s, "out"), (d, "in")).unwrap();
         b.link((d, "out"), (d, "in")).unwrap();
         let mut wf = b.build().unwrap();
-        let err = DdfDirector::new().with_max_firings(100).run(&mut wf);
+        let mut d = DdfDirector::new();
+        d.max_firings = 100;
+        let err = d.run(&mut wf);
         assert!(matches!(err, Err(Error::Director(_))));
     }
 

@@ -83,12 +83,6 @@ impl DeDirector {
         }
     }
 
-    /// Add a fixed delay to every channel delivery.
-    pub fn with_channel_delay(mut self, d: Micros) -> Self {
-        self.channel_delay = d;
-        self
-    }
-
     /// The final virtual time after a run.
     pub fn now(&self) -> Timestamp {
         self.clock.now()
@@ -259,14 +253,14 @@ impl Director for DeDirector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actors::{Collector, LatencyProbe, TimedSource};
+    use crate::actors::{Collector, TimedSource};
     use crate::graph::WorkflowBuilder;
     use crate::token::Token;
     use crate::window::WindowSpec;
 
     #[test]
     fn processes_in_timestamp_order_in_virtual_time() {
-        let probe = LatencyProbe::new();
+        let probe = Collector::new();
         let mut b = WorkflowBuilder::new("de");
         let s = b.add_actor(
             "src",
@@ -280,18 +274,18 @@ mod tests {
         let mut wf = b.build().unwrap();
         let mut d = DeDirector::new();
         d.run(&mut wf).unwrap();
-        let samples = probe.samples();
-        assert_eq!(samples.len(), 2);
+        let items = probe.items();
+        assert_eq!(items.len(), 2);
         // Zero-delay channels: results appear at the event times.
-        assert_eq!(samples[0].at, Timestamp(100));
-        assert_eq!(samples[1].at, Timestamp(300));
-        assert_eq!(samples[0].latency, Micros::ZERO);
+        assert_eq!(items[0].received_at, Timestamp(100));
+        assert_eq!(items[1].received_at, Timestamp(300));
+        assert_eq!(probe.latencies()[0], Micros::ZERO);
         assert_eq!(d.now(), Timestamp(300));
     }
 
     #[test]
     fn channel_delay_shows_in_latency() {
-        let probe = LatencyProbe::new();
+        let probe = Collector::new();
         let mut b = WorkflowBuilder::new("delay");
         let s = b.add_actor(
             "src",
@@ -300,11 +294,10 @@ mod tests {
         let k = b.add_actor("probe", probe.actor());
         b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
-        DeDirector::new()
-            .with_channel_delay(Micros(50))
-            .run(&mut wf)
-            .unwrap();
-        assert_eq!(probe.samples()[0].latency, Micros(50));
+        let mut d = DeDirector::new();
+        d.channel_delay = Micros(50);
+        d.run(&mut wf).unwrap();
+        assert_eq!(probe.latencies()[0], Micros(50));
     }
 
     #[test]

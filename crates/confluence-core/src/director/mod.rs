@@ -842,11 +842,6 @@ impl QueueContext {
         self.queues[port].push_back(window);
     }
 
-    /// Whether any delivered windows remain unconsumed.
-    pub fn has_pending(&self) -> bool {
-        self.queues.iter().any(|q| !q.is_empty())
-    }
-
     /// Take the collected emissions, resetting for the next firing.
     pub fn take_emissions(&mut self) -> (Vec<(usize, Token)>, Option<WaveTag>) {
         self.consumed_events = 0;
@@ -1037,7 +1032,6 @@ mod tests {
         let mut ctx = QueueContext::new(2);
         ctx.set_now(Timestamp(5));
         assert_eq!(ctx.now(), Timestamp(5));
-        assert!(!ctx.has_pending());
         let ev = CwEvent::external(Token::Int(1), Timestamp(3));
         let wave = ev.wave.clone();
         ctx.deliver(
@@ -1049,7 +1043,6 @@ mod tests {
                 timed_out: false,
             },
         );
-        assert!(ctx.has_pending());
         let (port, w) = ctx.get_any().unwrap();
         assert_eq!((port, w.len()), (1, 1));
         assert_eq!(ctx.consumed_events, 1);

@@ -20,7 +20,7 @@
 //! * timed-window deadlines are served by one shared timer thread over a
 //!   deadline heap, not per-actor condvar waits;
 //! * `Block` backpressure parks the *task*: a full port stops delivery of
-//!   the firing's stamped batch ([`Fabric::deliver`] with `park`), the
+//!   the firing's stamped batch ([`Fabric::deliver`](super::Fabric::deliver) with `park`), the
 //!   producing task is re-enqueued when the destination inbox frees space,
 //!   and the artificial-deadlock detector (Parks) runs on the timer thread;
 //! * with [`PoolDirector::with_adaptive`] the timer thread also runs the
@@ -140,11 +140,6 @@ impl PoolDirector {
     pub fn with_adaptive(mut self, policy: AdaptivePolicy) -> Self {
         self.adaptive = Some(policy);
         self
-    }
-
-    /// The configured worker count.
-    pub fn worker_count(&self) -> usize {
-        self.workers
     }
 
     /// The active ready-queue policy's name.
@@ -1372,9 +1367,9 @@ mod tests {
     #[test]
     fn worker_count_is_configurable() {
         let d = PoolDirector::new().with_workers(0);
-        assert_eq!(d.worker_count(), 1, "clamped to at least one worker");
+        assert_eq!(d.workers, 1, "clamped to at least one worker");
         let d = PoolDirector::new().with_workers(7);
-        assert_eq!(d.worker_count(), 7);
+        assert_eq!(d.workers, 7);
     }
 
     #[test]

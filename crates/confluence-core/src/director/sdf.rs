@@ -222,8 +222,6 @@ fn node_rates(workflow: &Workflow, idx: usize) -> Option<crate::actor::SdfRates>
 /// Executes a compiled SDF schedule.
 pub struct SdfDirector {
     clock: SharedClock,
-    /// Maximum schedule iterations (`None` = until a source exhausts).
-    pub max_iterations: Option<u64>,
     telemetry: Option<Telemetry>,
     hook: Option<Arc<crate::checkpoint::QuiesceHook>>,
 }
@@ -239,16 +237,9 @@ impl SdfDirector {
     pub fn new() -> Self {
         SdfDirector {
             clock: Arc::new(VirtualClock::new()),
-            max_iterations: None,
             telemetry: None,
             hook: None,
         }
-    }
-
-    /// Bound the number of schedule iterations.
-    pub fn with_max_iterations(mut self, n: u64) -> Self {
-        self.max_iterations = Some(n);
-        self
     }
 }
 
@@ -270,19 +261,17 @@ impl Director for SdfDirector {
             self.clock.clone(),
         )?;
 
-        let mut iteration = 0u64;
         // Set when a source runs dry or a stop is requested: the current
         // schedule iteration is completed (downstream actors must still
         // consume the in-flight tokens) and then the run ends.
         let mut stopping = false;
-        while !stopping && !run.should_stop() && self.max_iterations != Some(iteration) {
+        while !stopping && !run.should_stop() {
             if run.pause_requested() {
                 // Iteration boundaries are SDF's natural quiescent points:
                 // the balance equations guarantee every token produced this
                 // iteration has been consumed, so snapshot here.
                 return Ok(run.quiesce(&mut contexts));
             }
-            iteration += 1;
             for &a in &schedule.order {
                 let id = crate::graph::ActorId(a);
                 'reps: for _rep in 0..schedule.repetitions[a] {
@@ -482,17 +471,6 @@ mod tests {
             ]
         );
         assert!(report.firings > 0);
-    }
-
-    #[test]
-    fn max_iterations_bounds_the_run() {
-        let (mut wf, c) = rate_graph();
-        SdfDirector::new()
-            .with_max_iterations(1)
-            .run(&mut wf)
-            .unwrap();
-        // One iteration: src fires 3× (6 tokens), sum3 2×, sink 2×.
-        assert_eq!(c.len(), 2);
     }
 
     #[test]

@@ -259,7 +259,7 @@ fn controller(
 mod tests {
     use super::*;
     use crate::actor::{FireContext, IoSignature};
-    use crate::actors::{Collector, LatencyProbe, PushSource, TimedSource, VecSource};
+    use crate::actors::{Collector, PushSource, TimedSource, VecSource};
     use crate::graph::WorkflowBuilder;
     use crate::time::Micros;
     use crate::token::Token;
@@ -384,7 +384,6 @@ mod tests {
     fn timed_window_timeout_fires_without_closing_event() {
         // A lone event in a 20ms tumbling window must come out via the
         // timeout path (no later event ever closes the window).
-        let probe = LatencyProbe::new();
         let c = Collector::new();
         let mut b = WorkflowBuilder::new("timeout");
         let s = b.add_actor(
@@ -399,7 +398,6 @@ mod tests {
             }),
         );
         let k = b.add_actor("sink", c.actor());
-        let _ = probe;
         b.link_windowed((s, "out"), (agg, "in"), WindowSpec::tumbling_time(Micros::from_millis(20)))
         .unwrap();
         b.link((agg, "out"), (k, "in")).unwrap();
@@ -429,14 +427,14 @@ mod tests {
     }
 
     #[test]
-    fn latency_probe_measures_under_wall_clock() {
-        let p = LatencyProbe::new();
+    fn collector_reads_latency_under_wall_clock() {
+        let p = Collector::new();
         let mut b = WorkflowBuilder::new("latency");
         let s = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
         let k = b.add_actor("probe", p.actor());
         b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         ThreadedDirector::new().run(&mut wf).unwrap();
-        assert_eq!(p.len(), 1);
+        assert_eq!(p.latencies().len(), 1);
     }
 }

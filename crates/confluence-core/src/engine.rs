@@ -27,7 +27,7 @@
 //! [`Director::run`] remains available as the thin un-instrumented path.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::channel::ChannelPolicy;
@@ -285,7 +285,6 @@ pub struct Engine {
     pool_workers: Option<usize>,
     pool_policy: Option<Arc<dyn PoolPolicy>>,
     pool_adaptive: Option<AdaptivePolicy>,
-    tracer: Option<Arc<Tracer>>,
     checkpoint: Option<CheckpointPlan>,
     recover: Option<PathBuf>,
     /// Named durable resources (e.g. relational stores) snapshotted into
@@ -294,21 +293,17 @@ pub struct Engine {
     /// Whether source actors have been wrapped in [`LoggedSource`]s (done
     /// lazily on the first checkpointed or recovered run).
     sources_logged: bool,
-    /// The time-series recorder, when [`ExecConfig::sample_series`] is on.
-    series: Option<Arc<TimeSeriesRecorder>>,
     /// The stall watchdog behind `/healthz`, when the ops endpoint is on.
     watchdog: Option<Arc<StallWatchdog>>,
     /// The live ops server, when [`ExecConfig::ops_endpoint`] is on.
     ops: Option<OpsServer>,
-    /// Where the ops server looks `series` and `tracer` up per request, so
-    /// the order of `configure` and `with_tracer` calls does not matter.
-    ops_series: LateBound<TimeSeriesRecorder>,
-    ops_tracer: LateBound<Tracer>,
+    /// The time-series recorder ([`ExecConfig::sample_series`]) and the
+    /// tracer ([`Engine::with_tracer`]), each in the slot the ops server
+    /// looks it up in per request — so the order of `configure` and
+    /// `with_tracer` calls does not matter.
+    series: LateBound<TimeSeriesRecorder>,
+    tracer: LateBound<Tracer>,
 }
-
-/// The handle a fully-configured [`Engine`] builder chain yields; it *is*
-/// the engine — named separately so call sites read as "handle to a run".
-pub type RunHandle = Engine;
 
 impl Engine {
     /// An engine executing `workflow` under the default thread-based
@@ -324,22 +319,20 @@ impl Engine {
             pool_workers: None,
             pool_policy: None,
             pool_adaptive: None,
-            tracer: None,
             checkpoint: None,
             recover: None,
             resources: Vec::new(),
             sources_logged: false,
-            series: None,
             watchdog: None,
             ops: None,
-            ops_series: LateBound::default(),
-            ops_tracer: LateBound::default(),
+            series: LateBound::default(),
+            tracer: LateBound::default(),
         }
     }
 
     /// Replace the director (any model of computation implementing
     /// [`Director`]).
-    pub fn with_director(mut self, director: impl Director + 'static) -> RunHandle {
+    pub fn with_director(mut self, director: impl Director + 'static) -> Self {
         self.director = Box::new(director);
         self.pool_workers = None;
         self.pool_policy = None;
@@ -349,7 +342,7 @@ impl Engine {
 
     /// Apply a declarative [`ExecConfig`] in one step: worker count, pool
     /// scheduling policy, and the workflow-wide channel policy.
-    pub fn configure(mut self, config: ExecConfig) -> RunHandle {
+    pub fn configure(mut self, config: ExecConfig) -> Self {
         if let Some(policy) = config.channel_policy {
             self.workflow.set_default_channel_policy(policy);
         }
@@ -377,8 +370,7 @@ impl Engine {
         if let Some(interval) = config.series {
             let series = Arc::new(TimeSeriesRecorder::new(interval, self.recorder.clone()));
             self.quiet_observers.push(series.clone() as Arc<dyn Observer>);
-            *self.ops_series.lock() = Some(series.clone());
-            self.series = Some(series);
+            *self.series.lock() = Some(series);
         }
         if let Some(ops_cfg) = config.ops {
             let watchdog = Arc::new(StallWatchdog::new(
@@ -388,8 +380,8 @@ impl Engine {
             self.quiet_observers.push(watchdog.clone() as Arc<dyn Observer>);
             let state = OpsState {
                 recorder: self.recorder.clone(),
-                series: self.ops_series.clone(),
-                tracer: self.ops_tracer.clone(),
+                series: self.series.clone(),
+                tracer: self.tracer.clone(),
                 watchdog: watchdog.clone(),
             };
             // An unbindable ops address is a deployment error worth
@@ -419,7 +411,7 @@ impl Engine {
 
     /// Attach an additional [`Observer`]; hooks fan out to every attached
     /// observer plus the engine's own recorder.
-    pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> RunHandle {
+    pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
         self.extra_observers.push(observer);
         self
     }
@@ -433,7 +425,7 @@ impl Engine {
         mut self,
         name: impl Into<String>,
         resource: Arc<dyn CheckpointResource>,
-    ) -> RunHandle {
+    ) -> Self {
         self.resources.push((name.into(), resource));
         self
     }
@@ -442,22 +434,21 @@ impl Engine {
     /// and [`Engine::trace_report`] exposes the recorded traces. An
     /// enabled tracer turns on the fine-grained per-event hooks, so only
     /// attach one when the lineage detail is wanted.
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> RunHandle {
+    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.extra_observers.push(tracer.clone() as Arc<dyn Observer>);
-        *self.ops_tracer.lock() = Some(tracer.clone());
-        self.tracer = Some(tracer);
+        *self.tracer.lock() = Some(tracer);
         self
     }
 
     /// The tracer attached via [`Engine::with_tracer`], if any.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
+    pub fn tracer(&self) -> Option<Arc<Tracer>> {
+        self.tracer.lock().clone()
     }
 
     /// The traces recorded so far by the attached tracer (`None` without
     /// [`Engine::with_tracer`]).
     pub fn trace_report(&self) -> Option<TraceReport> {
-        self.tracer.as_ref().map(|t| t.report())
+        self.tracer().map(|t| t.report())
     }
 
     /// The metrics recorder backing [`Engine::snapshot`].
@@ -467,8 +458,8 @@ impl Engine {
 
     /// The time-series recorder, when [`ExecConfig::sample_series`] is
     /// on. Safe to read mid-run from another thread (via a clone).
-    pub fn series(&self) -> Option<&Arc<TimeSeriesRecorder>> {
-        self.series.as_ref()
+    pub fn series(&self) -> Option<Arc<TimeSeriesRecorder>> {
+        self.series.lock().clone()
     }
 
     /// The address the ops endpoint is serving on, when
@@ -527,9 +518,21 @@ impl Engine {
         };
 
         let control = Arc::new(RunControl::new());
+        // A stop that lands while a checkpoint pause is draining waits for
+        // the snapshot: a stop outranks a pause inside the director, so
+        // issuing it now would trade the capture for the end-of-stream tail.
+        let stop_after_checkpoint = Arc::new(AtomicBool::new(false));
         let outer = stop.map(|condition| {
             let control = control.clone();
-            Arc::new(Watcher::new(condition, move || control.request_stop())) as Arc<dyn Observer>
+            let pausing = durable.as_ref().map(|(hook, _)| hook.clone());
+            let deferred = stop_after_checkpoint.clone();
+            Arc::new(Watcher::new(condition, move || {
+                if pausing.as_ref().is_some_and(|hook| hook.pause_requested()) {
+                    deferred.store(true, Ordering::SeqCst);
+                } else {
+                    control.request_stop();
+                }
+            })) as Arc<dyn Observer>
         });
         let before = self.recorder.snapshot();
         let mut elapsed = Micros(0);
@@ -550,18 +553,20 @@ impl Engine {
                     MultiObserver::new(observers).with_quiet(self.quiet_observers.clone()),
                 ),
                 control: control.clone(),
-                series: self.series.clone(),
+                series: self.series(),
                 latency: Some(self.recorder.latency_sketch()),
             });
             let segment = self.director.run(&mut self.workflow)?;
             elapsed = Micros(elapsed.0 + segment.elapsed.0);
             let Some((hook, dir)) = &durable else { break };
             let Some(state) = hook.take_captured() else { break };
-            // The next segment's fresh fabric resumes from exactly the
-            // captured state; the disk checkpoint gets a copy.
-            hook.stage_restore(state.clone());
-            self.write_checkpoint(state, dir)?;
+            // The captured state is written out and then handed, as is,
+            // to the next segment's fresh fabric.
+            hook.stage_restore(self.write_checkpoint(state, dir)?);
             hook.set_resuming(true);
+            if stop_after_checkpoint.load(Ordering::SeqCst) {
+                control.request_stop();
+            }
         }
         // The recorder accumulates across runs; report this run's delta.
         let after = self.recorder.snapshot();
@@ -639,12 +644,12 @@ impl Engine {
     }
 
     /// Snapshot every actor's durable state plus registered resources and
-    /// write the checkpoint atomically into `dir`.
+    /// write the checkpoint atomically into `dir`; hands `fabric` back.
     fn write_checkpoint(
         &mut self,
         fabric: checkpoint::FabricState,
         dir: &Path,
-    ) -> Result<()> {
+    ) -> Result<checkpoint::FabricState> {
         let mut actors = Vec::new();
         let ids: Vec<_> = self.workflow.actor_ids().collect();
         for id in ids {
@@ -661,13 +666,13 @@ impl Engine {
         for (name, resource) in &self.resources {
             resources.push((name.clone(), resource.save()?));
         }
-        Checkpoint {
+        let checkpoint = Checkpoint {
             actors,
             fabric,
             resources,
-        }
-        .write_to_dir(dir)?;
-        Ok(())
+        };
+        checkpoint.write_to_dir(dir)?;
+        Ok(checkpoint.fabric)
     }
 }
 
@@ -773,6 +778,27 @@ mod tests {
         let (wf, c) = build();
         let mut engine =
             Engine::new(wf).configure(ExecConfig::new().recover_from(&dir));
+        engine.run().unwrap();
+        assert_eq!(c.tokens(), expected());
+    }
+
+    #[test]
+    fn stop_during_a_checkpoint_drain_still_writes_the_snapshot() {
+        // DE parks its sources on a pause while deliveries keep firing, so
+        // the third firing — the stop bound — lands inside the drain the
+        // second one started.
+        let dir = tmpdir("stop-in-drain");
+        let de = |wf: Workflow| Engine::new(wf).with_director(crate::director::de::DeDirector::new());
+        {
+            let (wf, _c) = build();
+            let mut engine = de(wf).configure(
+                ExecConfig::new().checkpoint_every(StopCondition::Firings(2), &dir),
+            );
+            engine.run_until(StopCondition::Firings(3)).unwrap();
+        }
+        assert!(dir.join(checkpoint::SNAPSHOT_FILE).exists());
+        let (wf, c) = build();
+        let mut engine = de(wf).configure(ExecConfig::new().recover_from(&dir));
         engine.run().unwrap();
         assert_eq!(c.tokens(), expected());
     }

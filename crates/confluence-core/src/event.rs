@@ -77,7 +77,7 @@ mod tests {
         assert_eq!(d.origin(), Timestamp(5)); // origin is inherited
         assert_eq!(d.timestamp, Timestamp(20)); // production time is new
         assert_eq!(d.wave.depth(), 1);
-        assert!(d.wave.on_last_spine());
+        assert!(d.wave.path()[0].last);
     }
 
     #[test]

@@ -234,11 +234,6 @@ impl Workflow {
         self.default_channel_policy = policy;
     }
 
-    /// Override the channel policy on one input port.
-    pub fn set_channel_policy(&mut self, actor: ActorId, in_port: usize, policy: ChannelPolicy) {
-        self.channel_policies[actor.0][in_port] = Some(policy);
-    }
-
     /// Shard groups produced by build-time expansion (empty when nothing
     /// was sharded).
     pub fn shard_groups(&self) -> &[ShardGroup] {
@@ -334,19 +329,6 @@ impl Workflow {
             }
         }
         out.push_str("}\n");
-        out
-    }
-
-    /// Immediate upstream actor ids of `actor` (deduplicated).
-    pub fn upstream_actors(&self, actor: ActorId) -> Vec<ActorId> {
-        let mut out: Vec<ActorId> = self
-            .channels
-            .iter()
-            .filter(|c| c.to.actor == actor)
-            .map(|c| c.from.actor)
-            .collect();
-        out.sort();
-        out.dedup();
         out
     }
 }
@@ -515,7 +497,7 @@ impl WorkflowBuilder {
 
     /// Add an actor under a unique name. Every input port starts with the
     /// degenerate per-event window ([`WindowSpec::each_event`]); attach
-    /// richer semantics with [`WorkflowBuilder::set_window`].
+    /// richer semantics with [`WorkflowBuilder::window`].
     pub fn add_actor(&mut self, name: impl Into<String>, actor: impl Actor + 'static) -> ActorId {
         self.add_boxed_actor(name, Box::new(actor))
     }
@@ -987,7 +969,6 @@ mod tests {
         assert_eq!(wf.routes_from(s, 0).len(), 2);
         assert_eq!(wf.in_degree(k, 0), 2);
         assert_eq!(wf.downstream_actors(s).len(), 2);
-        assert_eq!(wf.upstream_actors(k).len(), 2);
         assert!(wf.find("nope").is_none());
         assert_eq!(format!("{s}"), "actor#0");
     }

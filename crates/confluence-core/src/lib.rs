@@ -46,7 +46,7 @@ pub use actor::{Actor, FireContext, IoSignature};
 pub use channel::{ChannelPolicy, OnFull};
 pub use checkpoint::{Checkpoint, CheckpointResource, QuiesceHook};
 pub use director::adaptive::{AdaptDecision, AdaptivePolicy};
-pub use engine::{Engine, ExecConfig, RunHandle, StopCondition};
+pub use engine::{Engine, ExecConfig, StopCondition};
 pub use error::{Error, Result};
 pub use event::CwEvent;
 pub use graph::{ActorId, Endpoint, Shard, ShardGroup, Workflow, WorkflowBuilder};

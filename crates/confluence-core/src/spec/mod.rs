@@ -33,7 +33,7 @@
 mod parser;
 mod registry;
 
-pub use parser::{parse, parse_with_name};
+pub use parser::parse;
 pub use registry::{ActorRegistry, Params};
 
 #[cfg(test)]
@@ -148,19 +148,6 @@ mod tests {
         let w = wf.window_spec(sink, 0);
         assert_eq!(w.size, Measure::Wave);
         assert_eq!(w.timeout, Some(crate::time::Micros::from_millis(250)));
-    }
-
-    #[test]
-    fn name_override() {
-        let out = Collector::new();
-        let reg = registry_with(&out, vec![]);
-        let wf = parse_with_name(
-            "workflow declared { actor src = numbers() actor sink = collect() connect src.out -> sink.in }",
-            &reg,
-            "runtime-name",
-        )
-        .unwrap();
-        assert_eq!(wf.name(), "runtime-name");
     }
 
     #[test]

@@ -15,13 +15,6 @@ pub fn parse(source: &str, registry: &ActorRegistry) -> Result<Workflow> {
     Parser::new(source, registry)?.parse_workflow()
 }
 
-/// Like [`parse`], but overrides the workflow's declared name.
-pub fn parse_with_name(source: &str, registry: &ActorRegistry, name: &str) -> Result<Workflow> {
-    let mut p = Parser::new(source, registry)?;
-    p.name_override = Some(name.to_string());
-    p.parse_workflow()
-}
-
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Ident(String),
@@ -225,7 +218,6 @@ struct Parser<'a> {
     tokens: Vec<(Tok, u32)>,
     pos: usize,
     registry: &'a ActorRegistry,
-    name_override: Option<String>,
 }
 
 impl<'a> Parser<'a> {
@@ -234,7 +226,6 @@ impl<'a> Parser<'a> {
             tokens: lex(source)?,
             pos: 0,
             registry,
-            name_override: None,
         })
     }
 
@@ -305,7 +296,7 @@ impl<'a> Parser<'a> {
 
     fn parse_workflow(&mut self) -> Result<Workflow> {
         self.keyword("workflow")?;
-        let declared = match self.next()? {
+        let name = match self.next()? {
             Tok::Ident(s) => s,
             Tok::Str(s) => s,
             other => {
@@ -313,7 +304,6 @@ impl<'a> Parser<'a> {
                 return Err(self.err(format!("expected workflow name, found {other}")));
             }
         };
-        let name = self.name_override.clone().unwrap_or(declared);
         let mut b = WorkflowBuilder::new(name);
         let mut actors: Vec<(String, ActorId)> = Vec::new();
         self.expect(&Tok::LBrace)?;

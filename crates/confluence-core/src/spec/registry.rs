@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::actor::Actor;
-use crate::actors::{Dedup, HashJoin, Throttle, Union};
+use crate::actors::{Dedup, Throttle, Union};
 use crate::error::{Error, Result};
 use crate::time::Micros;
 use crate::token::Token;
@@ -75,8 +75,7 @@ impl ActorRegistry {
     ///
     /// * `union(inputs: N)` — merge N streams;
     /// * `dedup(keys: [a, b], capacity: N)` — first event per key;
-    /// * `throttle(max: N, per_ms: M)` — rate limiting;
-    /// * `hash_join(keys: [a], retain: N)` — symmetric keyed join.
+    /// * `throttle(max: N, per_ms: M)` — rate limiting.
     ///
     /// Sources and sinks are application-specific (they close over feeds
     /// and collectors), so applications register those themselves.
@@ -95,11 +94,6 @@ impl ActorRegistry {
                 p.int("max")? as u64,
                 Micros::from_millis(p.int_or("per_ms", 1000)? as u64),
             )))
-        });
-        reg.register("hash_join", |p: &Params| {
-            let keys = p.names("keys")?;
-            let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-            Ok(Box::new(HashJoin::new(&refs, p.int_or("retain", 64)? as usize)))
         });
         reg
     }
@@ -145,7 +139,7 @@ mod tests {
     #[test]
     fn standard_types_present() {
         let reg = ActorRegistry::with_standard_actors();
-        assert_eq!(reg.type_names(), vec!["dedup", "hash_join", "throttle", "union"]);
+        assert_eq!(reg.type_names(), vec!["dedup", "throttle", "union"]);
     }
 
     #[test]

@@ -284,8 +284,8 @@ pub trait Observer: Send + Sync {
         let _ = (from, to, port, events, at);
     }
 
-    /// Whether this observer wants the per-event hooks ([`on_admit`]
-    /// (Observer::on_admit) and [`on_enqueue`](Observer::on_enqueue)).
+    /// Whether this observer wants the per-event hooks ([`Observer::on_admit`] and
+    /// [`Observer::on_enqueue`]).
     /// The fabric skips those calls entirely when no observer asks, so a
     /// metrics-only (or disabled-tracer) run pays nothing per event.
     fn wants_event_hooks(&self) -> bool {
@@ -440,8 +440,8 @@ impl RunControl {
     }
 }
 
-/// The bundle a director receives from [`Director::instrument`]
-/// (crate::director::Director::instrument): where to send hooks, and the
+/// The bundle a director receives from [`Director::instrument`](crate::director::Director::instrument):
+/// where to send hooks, and the
 /// stop flag to poll.
 #[derive(Clone)]
 pub struct Telemetry {

@@ -76,17 +76,6 @@ impl TraceReport {
             .unwrap_or_else(|| format!("actor {}", actor.0))
     }
 
-    /// The recorded wave containing the tag spelled `tag` (paper dotted
-    /// form, e.g. `t1000.3.1!`), if any. This is the round-trip
-    /// counterpart of the tree dump: any tag line it prints can be fed
-    /// back here.
-    pub fn find_wave(&self, tag: &str) -> Option<&WaveTrace> {
-        let tag = WaveTag::parse(tag)?;
-        self.waves
-            .iter()
-            .find(|w| w.origin == tag.origin() && w.spans.iter().any(|s| s.tag.as_ref() == Some(&tag)))
-    }
-
     /// Reconstruct each wave's critical path (waves too torn to walk are
     /// skipped).
     pub fn critical_paths(&self) -> Vec<CriticalPath> {
@@ -491,9 +480,9 @@ mod tests {
         assert!(tree.contains("wave t1000"));
         assert!(tree.contains("t1000.1!"));
         // Any tag line of the dump can be fed back through the parser.
-        let wave = report.find_wave("t1000.1!").expect("tag resolves to its wave");
-        assert_eq!(wave.origin, Timestamp(1_000));
-        assert!(report.find_wave("t9999").is_none());
-        assert!(report.find_wave("garbage").is_none());
+        let tag = WaveTag::parse("t1000.1!").expect("a dumped tag parses");
+        assert_eq!(tag.origin(), Timestamp(1_000));
+        let tagged = |s: &Span| s.tag.as_ref() == Some(&tag);
+        assert!(report.waves.iter().any(|w| w.spans.iter().any(tagged)));
     }
 }

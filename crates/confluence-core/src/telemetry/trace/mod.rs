@@ -75,15 +75,6 @@ impl TraceConfig {
             ..TraceConfig::default()
         }
     }
-
-    /// Tracing off: hooks become no-ops and the fabric skips the
-    /// per-event calls entirely.
-    pub fn disabled() -> Self {
-        TraceConfig {
-            sample_every: 0,
-            ..TraceConfig::default()
-        }
-    }
 }
 
 #[derive(Default)]
@@ -449,7 +440,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing_and_declines_event_hooks() {
-        let t = Tracer::new(TraceConfig::disabled());
+        let t = Tracer::new(TraceConfig::sampled(0));
         assert!(!t.wants_event_hooks());
         let root = admit(&t, 0, 50);
         hop(&t, 1, &root, 60, 5);

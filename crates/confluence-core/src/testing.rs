@@ -74,11 +74,6 @@ impl MockContext {
             .map(|(_, t)| t.clone())
             .collect()
     }
-
-    /// Clear recorded emissions.
-    pub fn clear_emitted(&mut self) {
-        self.emitted.clear();
-    }
 }
 
 impl FireContext for MockContext {
@@ -124,8 +119,6 @@ mod tests {
         ctx.emit(0, Token::Int(9));
         assert_eq!(ctx.emitted_on(0), vec![Token::Int(9)]);
         assert!(ctx.emitted_on(1).is_empty());
-        ctx.clear_emitted();
-        assert!(ctx.emitted.is_empty());
         ctx.set_now(Timestamp(9));
         assert_eq!(ctx.now(), Timestamp(9));
     }

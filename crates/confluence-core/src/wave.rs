@@ -87,14 +87,6 @@ impl WaveTag {
                 .all(|(a, b)| a.index == b.index)
     }
 
-    /// Whether every level of this tag carries the last-sibling mark — i.e.
-    /// this event is on the "rightmost spine" of the wave tree. If events
-    /// are produced in serial-number order, the final event of the whole
-    /// wave is exactly the rightmost-spine leaf.
-    pub fn on_last_spine(&self) -> bool {
-        self.path.iter().all(|s| s.last)
-    }
-
     /// Tag of the event whose processing produced this one: the path with
     /// its final step removed. `None` for external events (depth 0).
     pub fn parent(&self) -> Option<WaveTag> {
@@ -272,7 +264,6 @@ mod tests {
         let t = ext(42);
         assert_eq!(t.origin(), Timestamp(42));
         assert_eq!(t.depth(), 0);
-        assert!(t.on_last_spine()); // vacuously
         assert_eq!(t.to_string(), "t42");
     }
 
@@ -300,15 +291,6 @@ mod tests {
         assert!(!b.is_ancestor_of(&a));
         assert!(!a.is_ancestor_of(&t.child(3, false).child(9, false)));
         assert!(!a.is_ancestor_of(&a.clone()));
-    }
-
-    #[test]
-    fn last_spine_detection() {
-        let t = ext(1);
-        assert!(t.child(2, true).on_last_spine());
-        assert!(t.child(2, true).child(5, true).on_last_spine());
-        assert!(!t.child(2, true).child(5, false).on_last_spine());
-        assert!(!t.child(2, false).child(5, true).on_last_spine());
     }
 
     #[test]

@@ -273,11 +273,6 @@ impl WindowSpec {
         self
     }
 
-    /// Set the group-by clause to record-field projection.
-    pub fn group_by_fields(self, names: &[&str]) -> WindowSpec {
-        self.group_by(GroupBy::fields(names))
-    }
-
     /// Set the formation timeout.
     pub fn with_timeout(mut self, t: Micros) -> WindowSpec {
         self.timeout = Some(t);
@@ -412,7 +407,7 @@ mod spec_tests {
     #[test]
     fn builder_methods() {
         let spec = WindowSpec::tuples(2, 1)
-            .group_by_fields(&["carid"])
+            .group_by(GroupBy::fields(&["carid"]))
             .with_timeout(Micros::from_secs(5))
             .delete_used(true);
         assert!(matches!(spec.group_by, GroupBy::Fields(_)));

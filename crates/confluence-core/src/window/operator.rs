@@ -522,11 +522,6 @@ impl WindowOperator {
         window
     }
 
-    /// Number of formed windows awaiting consumption.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Number of events buffered in group queues (not yet in any emitted
     /// window for consuming specs).
     pub fn pending_events(&self) -> usize {
@@ -1138,7 +1133,7 @@ mod tests {
         op.push(ev(1, 0), Timestamp(0)).unwrap();
         op.push(ev(2, 1), Timestamp(1)).unwrap();
         // Window already emitted by push; poll after timeout adds nothing.
-        assert_eq!(op.ready_len(), 1);
+        assert_eq!(op.ready.len(), 1);
         assert_eq!(op.poll(Timestamp(1000)), 0);
     }
 
@@ -1215,7 +1210,7 @@ mod tests {
         op.push(ev(1, 5), Timestamp(5)).unwrap();
         op.push(ev(2, 1000), Timestamp(1000)).unwrap();
         // Only the two non-empty windows emit; the ~98 empty ones are skipped.
-        assert_eq!(op.ready_len(), 1);
+        assert_eq!(op.ready.len(), 1);
         assert_eq!(values(&op.pop_window().unwrap()), vec![1]);
         op.poll(Timestamp(1010));
         assert_eq!(values(&op.pop_window().unwrap()), vec![2]);
@@ -1258,7 +1253,7 @@ mod tests {
         // Two external events, each its own wave of one.
         op.push(ev(1, 10), Timestamp(10)).unwrap();
         op.push(ev(2, 20), Timestamp(20)).unwrap();
-        assert_eq!(op.ready_len(), 2);
+        assert_eq!(op.ready.len(), 2);
         assert_eq!(values(&op.pop_window().unwrap()), vec![1]);
         assert_eq!(values(&op.pop_window().unwrap()), vec![2]);
     }
@@ -1269,9 +1264,9 @@ mod tests {
         op.push(ev(1, 0), Timestamp(0)).unwrap();
         op.push(ev(2, 1), Timestamp(1)).unwrap();
         assert_eq!(op.pending_events(), 2);
-        assert_eq!(op.ready_len(), 0);
+        assert_eq!(op.ready.len(), 0);
         op.push(ev(3, 2), Timestamp(2)).unwrap();
-        assert_eq!(op.ready_len(), 1);
+        assert_eq!(op.ready.len(), 1);
         // step == size without delete_used expires the whole window content.
         assert_eq!(op.pending_events(), 0);
     }
@@ -1283,7 +1278,7 @@ mod tests {
         op.push(rec_ev(1, 10, 0), Timestamp(0)).unwrap();
         op.push(rec_ev(2, 20, 1), Timestamp(1)).unwrap();
         op.push(rec_ev(1, 11, 2), Timestamp(2)).unwrap();
-        assert_eq!(op.ready_len(), 0);
+        assert_eq!(op.ready.len(), 0);
         assert_eq!(op.flush(Timestamp(10)), 2, "one short window per group");
         let w1 = op.pop_window().unwrap();
         let w2 = op.pop_window().unwrap();
@@ -1299,7 +1294,7 @@ mod tests {
         let mut op = WindowOperator::new(WindowSpec::tumbling_time(Micros(100))).unwrap();
         op.push(ev(1, 10), Timestamp(10)).unwrap();
         op.push(ev(2, 110), Timestamp(110)).unwrap();
-        assert_eq!(op.ready_len(), 1, "[0,100) closed by watermark");
+        assert_eq!(op.ready.len(), 1, "[0,100) closed by watermark");
         assert_eq!(op.flush(Timestamp(120)), 1, "[100,200) forced closed");
         op.pop_window().unwrap();
         let w = op.pop_window().unwrap();
@@ -1335,7 +1330,7 @@ mod tests {
         let mut restored = WindowOperator::new(spec).unwrap();
         restored.restore(snap.clone()).unwrap();
         assert_eq!(restored.pending_events(), op.pending_events());
-        assert_eq!(restored.ready_len(), op.ready_len());
+        assert_eq!(restored.ready.len(), op.ready.len());
         assert_eq!(restored.next_deadline(), op.next_deadline());
         // Same continuation on both.
         op.push(rec_ev(1, 12, 3), Timestamp(3)).unwrap();
@@ -1361,7 +1356,7 @@ mod tests {
         op.push(ev(2, 120), Timestamp(120)).unwrap();
         let mut restored = WindowOperator::new(WindowSpec::tumbling_time(Micros(100))).unwrap();
         restored.restore(op.snapshot()).unwrap();
-        assert_eq!(restored.ready_len(), 1, "formed window carried over");
+        assert_eq!(restored.ready.len(), 1, "formed window carried over");
         assert_eq!(restored.pop_window(), op.pop_window());
         restored.poll(Timestamp(300));
         op.poll(Timestamp(300));

@@ -5,7 +5,6 @@
 //! the *thrash point* — the moment a scheduler's response time departs for
 //! good (the offered rate has passed the sustainable capacity).
 
-use confluence_core::telemetry::{QuantileSketch, SketchSnapshot};
 use confluence_core::time::{Micros, Timestamp};
 
 /// A response-time series: `(observation time, response time)` samples.
@@ -138,18 +137,6 @@ impl ResponseSeries {
         }
     }
 
-    /// Fold the series into the engine's relative-error latency sketch
-    /// (the same representation the telemetry recorder exports), so
-    /// benchmark response times and engine-collected tuple latencies are
-    /// directly comparable and share the Prometheus export path.
-    pub fn to_sketch(&self) -> SketchSnapshot {
-        let sketch = QuantileSketch::new();
-        for (_, lat) in &self.samples {
-            sketch.record(*lat);
-        }
-        sketch.snapshot()
-    }
-
     /// Render the bucketed curve as aligned text rows (`time  response`),
     /// the textual analog of the paper's figures.
     pub fn render(&self, bucket_secs: u64) -> String {
@@ -230,21 +217,6 @@ mod tests {
         // Never saturating → None.
         let calm = ResponseSeries::new(vec![sample(0, 100), sample(10, 150)]);
         assert_eq!(calm.thrash_point(10, 4.0, 1), None);
-    }
-
-    #[test]
-    fn sketch_bridge_matches_series() {
-        let s = ResponseSeries::new(vec![sample(1, 100), sample(2, 300), sample(3, 200)]);
-        let k = s.to_sketch();
-        assert_eq!(k.count, 3);
-        assert_eq!(k.sum_micros, 600_000);
-        assert_eq!(k.max_micros, 300_000);
-        // The mean agrees with the series' own statistic.
-        assert!((k.mean().as_micros() as f64 / 1e6 - s.mean_secs()).abs() < 1e-6);
-        // Quantiles honour the sketch's relative-error target.
-        let p100 = k.quantile(1.0) as f64;
-        assert!((p100 - 300_000.0).abs() / 300_000.0 < 0.011);
-        assert_eq!(ResponseSeries::default().to_sketch().count, 0);
     }
 
     #[test]

@@ -136,75 +136,3 @@ pub fn build_from_spec(workload: &Workload) -> Result<crate::workflow::LinearRoa
         shedder: None,
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::gen::WorkloadConfig;
-    use crate::workflow::{build, LrOptions};
-    use confluence_core::director::Director;
-    use confluence_core::time::Micros;
-    use confluence_sched::cost::TableCostModel;
-    use confluence_sched::policies::FifoScheduler;
-    use confluence_sched::ScwfDirector;
-
-    #[test]
-    fn spec_topology_matches_programmatic_build() {
-        let w = Workload::generate(WorkloadConfig::tiny());
-        let from_spec = build_from_spec(&w).unwrap();
-        let programmatic = build(
-            &w,
-            &LrOptions {
-                composite_subworkflows: false,
-                ..LrOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            from_spec.workflow.actor_count(),
-            programmatic.workflow.actor_count()
-        );
-        assert_eq!(
-            from_spec.workflow.channels().len(),
-            programmatic.workflow.channels().len()
-        );
-        for id in from_spec.workflow.actor_ids() {
-            let name = &from_spec.workflow.node(id).name;
-            let other = programmatic
-                .workflow
-                .find(name)
-                .unwrap_or_else(|| panic!("actor {name} missing from programmatic build"));
-            assert_eq!(
-                from_spec.workflow.node(id).priority,
-                programmatic.workflow.node(other).priority,
-                "priority mismatch for {name}"
-            );
-        }
-    }
-
-    #[test]
-    fn spec_workflow_runs_and_matches_programmatic_outputs() {
-        let w = Workload::generate(WorkloadConfig::tiny());
-        let cost = || Box::new(TableCostModel::uniform(Micros(20), Micros(2)));
-
-        let mut a = build_from_spec(&w).unwrap();
-        ScwfDirector::virtual_time(Box::new(FifoScheduler::new(5)), cost())
-            .run(&mut a.workflow)
-            .unwrap();
-
-        let mut b = build(
-            &w,
-            &LrOptions {
-                composite_subworkflows: false,
-                ..LrOptions::default()
-            },
-        )
-        .unwrap();
-        ScwfDirector::virtual_time(Box::new(FifoScheduler::new(5)), cost())
-            .run(&mut b.workflow)
-            .unwrap();
-
-        assert_eq!(a.toll_output.len(), b.toll_output.len());
-        assert_eq!(a.accident_output.len(), b.accident_output.len());
-    }
-}

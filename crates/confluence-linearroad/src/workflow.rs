@@ -16,7 +16,8 @@ use confluence_core::director::composite::{CompositeActor, InjectHandle, InnerDi
 use confluence_core::error::Result;
 use confluence_core::graph::{Shard, Workflow, WorkflowBuilder};
 use confluence_core::time::Micros;
-use confluence_core::window::{GroupBy, WindowSpec};
+use confluence_core::token::Token;
+use confluence_core::window::{GroupBy, Window, WindowSpec};
 use confluence_relstore::StoreHandle;
 use confluence_sched::shedding::{LoadShedder, ShedderHandle};
 
@@ -109,12 +110,20 @@ pub fn build(workload: &Workload, opts: &LrOptions) -> Result<LinearRoad> {
 
     // --- Accident detection and notification ------------------------------
     let stopped = if opts.composite_subworkflows {
-        b.add_boxed_actor("StoppedCarDetection", Box::new(stopped_car_composite()?))
+        let inner = detection_composite(
+            "stopped-car-subworkflow",
+            "compare-positions",
+            4,
+            StoppedCarDetector::evaluate,
+        )?;
+        b.add_boxed_actor("StoppedCarDetection", Box::new(inner))
     } else {
         b.add_actor("StoppedCarDetection", StoppedCarDetector)
     };
     let detect = if opts.composite_subworkflows {
-        b.add_boxed_actor("AccidentDetection", Box::new(accident_composite()?))
+        let inner =
+            detection_composite("accident-subworkflow", "compare-cars", 2, AccidentDetector::evaluate)?;
+        b.add_boxed_actor("AccidentDetection", Box::new(inner))
     } else {
         b.add_actor("AccidentDetection", AccidentDetector)
     };
@@ -212,55 +221,31 @@ pub fn build(workload: &Workload, opts: &LrOptions) -> Result<LinearRoad> {
     })
 }
 
-/// The stopped-car detection sub-workflow (Figure 11): a composite whose
-/// inner graph re-chunks injected tokens into 4-report windows and runs
-/// the comparison under a DDF director.
-fn stopped_car_composite() -> Result<CompositeActor> {
+/// A detection sub-workflow (Figures 11 and 12): a composite whose inner
+/// graph re-chunks the `n` reports each outer `{n, 1}` firing injects
+/// into one consuming `n`-window and runs `evaluate` over it under a DDF
+/// director.
+fn detection_composite(
+    name: &str,
+    compare: &str,
+    n: usize,
+    evaluate: fn(&Window) -> Result<Option<Token>>,
+) -> Result<CompositeActor> {
     let entry = InjectHandle::new();
     let exit = confluence_core::actors::Collector::new();
-    let mut ib = WorkflowBuilder::new("stopped-car-subworkflow");
+    let mut ib = WorkflowBuilder::new(name);
     let src = ib.add_actor("entry", entry.source());
     let cmp = ib.add_actor(
-        "compare-positions",
-        FnActor::new(IoSignature::transform("in", "out"), |w, emit| {
-            if let Some(t) = StoppedCarDetector::evaluate(w)? {
+        compare,
+        FnActor::new(IoSignature::transform("in", "out"), move |w, emit| {
+            if let Some(t) = evaluate(w)? {
                 emit(0, t);
             }
             Ok(())
         }),
     );
     let k = ib.add_actor("exit", exit.actor());
-    // The outer window is {4, 1}: each firing injects 4 reports, which the
-    // inner consuming 4-window reassembles.
-    ib.link_windowed((src, "out"), (cmp, "in"), WindowSpec::tuples(4, 4).delete_used(true))?;
-    ib.link((cmp, "out"), (k, "in"))?;
-    CompositeActor::new(
-        IoSignature::transform("in", "out"),
-        ib.build()?,
-        InnerDirector::Ddf,
-        vec![entry],
-        vec![exit],
-    )
-}
-
-/// The accident detection sub-workflow (Figure 12): inner 2-windows over
-/// injected stopped-car reports, compared under DDF.
-fn accident_composite() -> Result<CompositeActor> {
-    let entry = InjectHandle::new();
-    let exit = confluence_core::actors::Collector::new();
-    let mut ib = WorkflowBuilder::new("accident-subworkflow");
-    let src = ib.add_actor("entry", entry.source());
-    let cmp = ib.add_actor(
-        "compare-cars",
-        FnActor::new(IoSignature::transform("in", "out"), |w, emit| {
-            if let Some(t) = AccidentDetector::evaluate(w)? {
-                emit(0, t);
-            }
-            Ok(())
-        }),
-    );
-    let k = ib.add_actor("exit", exit.actor());
-    ib.link_windowed((src, "out"), (cmp, "in"), WindowSpec::tuples(2, 2).delete_used(true))?;
+    ib.link_windowed((src, "out"), (cmp, "in"), WindowSpec::tuples(n, n).delete_used(true))?;
     ib.link((cmp, "out"), (k, "in"))?;
     CompositeActor::new(
         IoSignature::transform("in", "out"),

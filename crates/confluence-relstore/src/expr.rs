@@ -253,43 +253,6 @@ impl Expr {
         out
     }
 
-    /// Inclusive range constraints (`col >= lo`, `col <= hi`, or both —
-    /// what `between` desugars to) found in the top-level conjunction.
-    /// Returns `(column, lower, upper)` with `None` for an open side.
-    pub fn range_bindings(&self) -> Vec<(String, Option<Value>, Option<Value>)> {
-        let mut lows: Vec<(String, Value)> = Vec::new();
-        let mut highs: Vec<(String, Value)> = Vec::new();
-        self.collect_ranges(&mut lows, &mut highs);
-        let mut out: Vec<(String, Option<Value>, Option<Value>)> = Vec::new();
-        for (c, lo) in lows {
-            let hi = highs.iter().find(|(hc, _)| *hc == c).map(|(_, v)| v.clone());
-            out.push((c, Some(lo), hi));
-        }
-        for (c, hi) in highs {
-            if !out.iter().any(|(oc, _, _)| *oc == c) {
-                out.push((c, None, Some(hi)));
-            }
-        }
-        out
-    }
-
-    fn collect_ranges(&self, lows: &mut Vec<(String, Value)>, highs: &mut Vec<(String, Value)>) {
-        match self {
-            Expr::And(a, b) => {
-                a.collect_ranges(lows, highs);
-                b.collect_ranges(lows, highs);
-            }
-            Expr::Cmp(a, op, b) => match (a.as_ref(), op, b.as_ref()) {
-                (Expr::Col(c), CmpOp::Ge, Expr::Lit(v)) => lows.push((c.clone(), v.clone())),
-                (Expr::Col(c), CmpOp::Le, Expr::Lit(v)) => highs.push((c.clone(), v.clone())),
-                (Expr::Lit(v), CmpOp::Le, Expr::Col(c)) => lows.push((c.clone(), v.clone())),
-                (Expr::Lit(v), CmpOp::Ge, Expr::Col(c)) => highs.push((c.clone(), v.clone())),
-                _ => {}
-            },
-            _ => {}
-        }
-    }
-
     fn collect_eq(&self, out: &mut Vec<(String, Value)>) {
         match self {
             Expr::And(a, b) => {
@@ -307,54 +270,33 @@ impl Expr {
     }
 
     /// Range constraints on columns in the top-level conjunction, strict
-    /// and inclusive bounds alike (`range_bindings` only sees `>=`/`<=`).
+    /// and inclusive bounds alike.
     /// Multiple constraints on one column intersect to the tightest pair,
     /// which is still a superset of the conjunction's matches.
     pub fn range_constraints(&self) -> Vec<ColRange> {
+        use std::cmp::Ordering;
         use std::ops::Bound;
-        fn tighter_lo(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
+        // The tighter of two bounds on one side of a range; `wins` is how
+        // the tighter value compares (`Greater` for a lower bound, `Less`
+        // for an upper). At equal values the exclusive bound is tighter.
+        fn tighter(a: Bound<Value>, b: Bound<Value>, wins: Ordering) -> Bound<Value> {
             match (&a, &b) {
                 (Bound::Unbounded, _) => b,
                 (_, Bound::Unbounded) => a,
                 (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-                    match x.cmp(y) {
-                        std::cmp::Ordering::Greater => a,
-                        std::cmp::Ordering::Less => b,
-                        // Same value: exclusive is the tighter side.
-                        std::cmp::Ordering::Equal => {
-                            if matches!(a, Bound::Excluded(_)) {
-                                a
-                            } else {
-                                b
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        fn tighter_hi(a: Bound<Value>, b: Bound<Value>) -> Bound<Value> {
-            match (&a, &b) {
-                (Bound::Unbounded, _) => b,
-                (_, Bound::Unbounded) => a,
-                (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-                    match x.cmp(y) {
-                        std::cmp::Ordering::Less => a,
-                        std::cmp::Ordering::Greater => b,
-                        std::cmp::Ordering::Equal => {
-                            if matches!(a, Bound::Excluded(_)) {
-                                a
-                            } else {
-                                b
-                            }
-                        }
+                    let ord = x.cmp(y);
+                    if ord == wins || (ord == Ordering::Equal && matches!(a, Bound::Excluded(_))) {
+                        a
+                    } else {
+                        b
                     }
                 }
             }
         }
         fn add(out: &mut Vec<ColRange>, c: &str, lo: Bound<Value>, hi: Bound<Value>) {
             if let Some(r) = out.iter_mut().find(|r| r.column == c) {
-                r.lo = tighter_lo(std::mem::replace(&mut r.lo, Bound::Unbounded), lo);
-                r.hi = tighter_hi(std::mem::replace(&mut r.hi, Bound::Unbounded), hi);
+                r.lo = tighter(std::mem::replace(&mut r.lo, Bound::Unbounded), lo, Ordering::Greater);
+                r.hi = tighter(std::mem::replace(&mut r.hi, Bound::Unbounded), hi, Ordering::Less);
             } else {
                 out.push(ColRange { column: c.to_string(), lo, hi });
             }
@@ -560,22 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn range_bindings_extracted() {
-        let p = col("x").between(lit(1), lit(5)).and(col("y").eq(lit(2)));
-        let r = p.range_bindings();
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0], ("x".to_string(), Some(Value::Int(1)), Some(Value::Int(5))));
-        // One-sided ranges.
-        let q = col("x").ge(lit(3));
-        assert_eq!(q.range_bindings(), vec![("x".to_string(), Some(Value::Int(3)), None)]);
-        let q = col("x").le(lit(3));
-        assert_eq!(q.range_bindings(), vec![("x".to_string(), None, Some(Value::Int(3)))]);
-        // OR breaks the conjunction.
-        let q = col("x").ge(lit(1)).or(col("x").le(lit(2)));
-        assert!(q.range_bindings().is_empty());
-    }
-
-    #[test]
     fn unknown_column_errors() {
         let s = schema();
         assert!(col("nope").eval(&s, &row()).is_err());
@@ -595,8 +521,14 @@ mod tests {
 
     #[test]
     fn range_constraints_keep_tightest_bounds() {
-        use std::ops::Bound::{Excluded, Unbounded};
-        // Strict bounds are visible (range_bindings drops them).
+        use std::ops::Bound::{Excluded, Included, Unbounded};
+        // `between` is an inclusive pair, found beside an equality.
+        let p = col("x").between(lit(1), lit(5)).and(col("y").eq(lit(2)));
+        let r = p.range_constraints();
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].lo, Included(Value::Int(1)));
+        assert_eq!(r[0].hi, Included(Value::Int(5)));
+        // Strict bounds are visible.
         let p = col("x").gt(lit(3));
         let r = p.range_constraints();
         assert_eq!(r.len(), 1);

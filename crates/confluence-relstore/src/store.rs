@@ -40,11 +40,6 @@ impl Store {
         Ok(())
     }
 
-    /// Drop a table; returns whether it existed.
-    pub fn drop_table(&mut self, name: &str) -> bool {
-        self.tables.remove(name).is_some()
-    }
-
     /// Borrow a table.
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables
@@ -203,10 +198,8 @@ mod tests {
             .unwrap();
         assert_eq!(rows[0][1], Value::Int(10));
         assert_eq!(s.table_names(), vec!["t"]);
-        assert!(s.drop_table("t"));
-        assert!(!s.drop_table("t"));
-        assert!(s.table("t").is_err());
-        assert!(s.table_mut("t").is_err());
+        assert!(s.table("nope").is_err());
+        assert!(s.table_mut("nope").is_err());
     }
 
     #[test]

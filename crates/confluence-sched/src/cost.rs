@@ -100,16 +100,6 @@ impl<M: CostModel> CostModel for ThreadOverheadCost<M> {
     }
 }
 
-/// Zero-cost model (pure functional runs where time is irrelevant).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FreeCost;
-
-impl CostModel for FreeCost {
-    fn firing_cost(&self, _actor: usize, _name: &str, _consumed: u64, _produced: u64) -> Micros {
-        Micros::ZERO
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,11 +124,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn parallelism_below_one_rejected() {
-        let _ = ThreadOverheadCost::new(FreeCost, Micros(1), Micros(1), 0.5);
-    }
-
-    #[test]
-    fn free_cost_is_zero() {
-        assert_eq!(FreeCost.firing_cost(0, "x", 10, 10), Micros::ZERO);
+        let base = TableCostModel::uniform(Micros::ZERO, Micros::ZERO);
+        let _ = ThreadOverheadCost::new(base, Micros(1), Micros(1), 0.5);
     }
 }

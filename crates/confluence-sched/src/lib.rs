@@ -32,7 +32,7 @@ pub mod scwf;
 pub mod shedding;
 pub mod stats;
 
-pub use cost::{CostModel, FreeCost, TableCostModel, ThreadOverheadCost};
+pub use cost::{CostModel, TableCostModel, ThreadOverheadCost};
 pub use framework::{ActorInfo, ActorState, Scheduler};
 pub use policies::{EdfScheduler, FifoScheduler, QbsScheduler, RbScheduler, RrScheduler};
 pub use scwf::ScwfDirector;

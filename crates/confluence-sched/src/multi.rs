@@ -257,12 +257,12 @@ mod tests {
     use super::*;
     use crate::cost::TableCostModel;
     use crate::policies::FifoScheduler;
-    use confluence_core::actors::{LatencyProbe, TimedSource};
+    use confluence_core::actors::{Collector, TimedSource};
     use confluence_core::graph::WorkflowBuilder;
     use confluence_core::token::Token;
 
-    fn stream_workflow(n: u64, period: u64) -> (Workflow, LatencyProbe) {
-        let probe = LatencyProbe::new();
+    fn stream_workflow(n: u64, period: u64) -> (Workflow, Collector) {
+        let probe = Collector::new();
         let schedule: Vec<(Timestamp, Token)> = (0..n)
             .map(|i| (Timestamp(i * period), Token::Int(i as i64)))
             .collect();

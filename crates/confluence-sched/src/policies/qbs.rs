@@ -75,12 +75,6 @@ impl QbsScheduler {
         }
         self.state[a] = ActorState::Active;
     }
-
-    /// Current quantum of an actor (µs, may be negative). For tests and
-    /// diagnostics.
-    pub fn quantum_of(&self, a: usize) -> i64 {
-        self.quantum[a]
-    }
 }
 
 impl Scheduler for QbsScheduler {
@@ -292,7 +286,7 @@ mod tests {
         // but must eventually reactivate.
         assert!(q.end_iteration(&s));
         assert_eq!(q.state(3), ActorState::Active);
-        assert!(q.quantum_of(3) > 0);
+        assert!(q.quantum[3] > 0);
     }
 
     #[test]
@@ -304,10 +298,10 @@ mod tests {
         let a = q.next_actor().unwrap();
         q.after_fire(a, Micros(100), 0, &s);
         assert_eq!(q.state(2), ActorState::Inactive);
-        let quantum = q.quantum_of(2);
+        let quantum = q.quantum[2];
         q.on_enqueue(2, Timestamp::ZERO);
         assert_eq!(q.state(2), ActorState::Active);
-        assert_eq!(q.quantum_of(2), quantum, "quantum preserved while inactive");
+        assert_eq!(q.quantum[2], quantum, "quantum preserved while inactive");
     }
 
     #[test]

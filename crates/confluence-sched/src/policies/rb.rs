@@ -52,11 +52,6 @@ impl RbScheduler {
             self.priorities[a] = stats.rate_priority(a);
         }
     }
-
-    /// The current dynamic priority of an actor (for tests/diagnostics).
-    pub fn priority_of(&self, a: usize) -> f64 {
-        self.priorities[a]
-    }
 }
 
 impl Default for RbScheduler {
@@ -233,7 +228,7 @@ mod tests {
         rb.on_enqueue(2, Timestamp::ZERO);
         rb.end_iteration(&stats);
         // cheap has far higher Pr = S/C.
-        assert!(rb.priority_of(1) > rb.priority_of(2));
+        assert!(rb.priorities[1] > rb.priorities[2]);
         assert_eq!(rb.next_actor(), Some(1));
         rb.after_fire(1, Micros(10), 0, &stats);
         assert_eq!(rb.next_actor(), Some(2));

@@ -50,11 +50,6 @@ impl RrScheduler {
         }
         self.state[a] = ActorState::Active;
     }
-
-    /// Remaining slice of an actor (µs; may be negative). For tests.
-    pub fn slice_of(&self, a: usize) -> i64 {
-        self.remaining[a]
-    }
 }
 
 impl Scheduler for RrScheduler {
@@ -202,7 +197,7 @@ mod tests {
         assert_eq!(r.next_actor(), None);
         assert!(r.end_iteration(&s), "new period reactivates");
         assert_eq!(r.state(1), ActorState::Active);
-        assert_eq!(r.slice_of(1), 100, "fresh slice");
+        assert_eq!(r.remaining[1], 100, "fresh slice");
     }
 
     #[test]
@@ -217,7 +212,7 @@ mod tests {
         // New events: fresh slice, back of the queue.
         r.on_enqueue(1, Timestamp::ZERO);
         assert_eq!(r.state(1), ActorState::Active);
-        assert_eq!(r.slice_of(1), 1_000);
+        assert_eq!(r.remaining[1], 1_000);
     }
 
     #[test]

@@ -569,7 +569,7 @@ mod tests {
     use super::*;
     use crate::cost::TableCostModel;
     use crate::policies::fifo::FifoScheduler;
-    use confluence_core::actors::{Collector, LatencyProbe, TimedSource, VecSource};
+    use confluence_core::actors::{Collector, TimedSource, VecSource};
     use confluence_core::graph::WorkflowBuilder;
     use confluence_core::token::Token;
     use confluence_core::window::WindowSpec;
@@ -580,7 +580,7 @@ mod tests {
 
     #[test]
     fn virtual_time_charges_costs() {
-        let probe = LatencyProbe::new();
+        let probe = Collector::new();
         let mut b = WorkflowBuilder::new("vt");
         let s = b.add_actor(
             "src",
@@ -598,8 +598,7 @@ mod tests {
         assert_eq!(probe.len(), 2);
         // Origin = source firing start; the probe samples at the start of
         // its own firing, after the source's 100µs cost was charged.
-        let samples = probe.samples();
-        assert_eq!(samples[0].latency, Micros(100));
+        assert_eq!(probe.latencies()[0], Micros(100));
         assert!(report.firings >= 4);
         assert!(d.last_stats().is_some());
         let stats = d.last_stats().unwrap();
@@ -608,7 +607,7 @@ mod tests {
 
     #[test]
     fn quiescent_clock_jumps_to_next_arrival() {
-        let probe = LatencyProbe::new();
+        let probe = Collector::new();
         let mut b = WorkflowBuilder::new("jump");
         let s = b.add_actor(
             "src",
@@ -620,19 +619,18 @@ mod tests {
         let cost = TableCostModel::uniform(Micros(10), Micros::ZERO);
         let mut d = ScwfDirector::virtual_time(fifo(), Box::new(cost));
         d.run(&mut wf).unwrap();
-        let samples = probe.samples();
-        assert_eq!(samples.len(), 1);
+        assert_eq!(probe.len(), 1);
         // The event was processed shortly after its arrival at t=1s, not
         // at t=0 — and the run did not take 1s of wall time.
-        assert!(samples[0].at >= Timestamp(1_000_000));
-        assert!(samples[0].latency < Micros(1_000));
+        assert!(probe.items()[0].received_at >= Timestamp(1_000_000));
+        assert!(probe.latencies()[0] < Micros(1_000));
     }
 
     #[test]
     fn overload_shows_growing_latency() {
         // Arrivals every 100µs; service takes 300µs per event: the queue
         // grows and response time climbs — the thrash mechanic.
-        let probe = LatencyProbe::new();
+        let probe = Collector::new();
         let schedule: Vec<(Timestamp, Token)> = (0..50)
             .map(|i| (Timestamp(i * 100), Token::Int(i as i64)))
             .collect();
@@ -645,10 +643,10 @@ mod tests {
             .with_actor("probe", Micros(300), Micros::ZERO);
         let mut d = ScwfDirector::virtual_time(fifo(), Box::new(cost));
         d.run(&mut wf).unwrap();
-        let samples = probe.samples();
-        assert_eq!(samples.len(), 50);
-        let first = samples[0].latency;
-        let last = samples.last().unwrap().latency;
+        let latencies = probe.latencies();
+        assert_eq!(latencies.len(), 50);
+        let first = latencies[0];
+        let last = latencies[49];
         assert!(
             last.as_micros() > first.as_micros() + 5_000,
             "latency should grow under overload: first={first}, last={last}"
@@ -657,7 +655,7 @@ mod tests {
 
     #[test]
     fn deadline_bounds_the_run() {
-        let probe = LatencyProbe::new();
+        let probe = Collector::new();
         let schedule: Vec<(Timestamp, Token)> = (0..1000)
             .map(|i| (Timestamp(i * 1_000), Token::Int(i as i64)))
             .collect();
@@ -706,7 +704,7 @@ mod tests {
 
     #[test]
     fn real_time_mode_works() {
-        let probe = LatencyProbe::new();
+        let probe = Collector::new();
         let mut b = WorkflowBuilder::new("rt");
         let s = b.add_actor("src", VecSource::new(vec![Token::Int(1)]));
         let k = b.add_actor("probe", probe.actor());
@@ -722,7 +720,7 @@ mod tests {
     fn real_time_mode_sleeps_to_arrivals() {
         // Arrivals 5 ms apart: the idle branch must sleep the wall clock
         // forward rather than spin or jump.
-        let probe = LatencyProbe::new();
+        let probe = Collector::new();
         let schedule: Vec<(Timestamp, Token)> = (0..4)
             .map(|i| (Timestamp::from_millis(i * 5), Token::Int(i as i64)))
             .collect();
@@ -742,7 +740,7 @@ mod tests {
 
     #[test]
     fn stepped_execution_with_budget() {
-        let probe = LatencyProbe::new();
+        let probe = Collector::new();
         let schedule: Vec<(Timestamp, Token)> = (0..20)
             .map(|i| (Timestamp(i), Token::Int(i as i64)))
             .collect();

@@ -85,12 +85,6 @@ impl LoadShedder {
             handle,
         )
     }
-
-    /// Override the adjustment step.
-    pub fn with_step(mut self, step: f64) -> Self {
-        self.step = step.clamp(0.001, 0.5);
-        self
-    }
 }
 
 impl Actor for LoadShedder {
@@ -179,8 +173,8 @@ mod tests {
 
     #[test]
     fn recovers_when_congestion_clears() {
-        let (shed, handle) = LoadShedder::new(Micros(100));
-        let mut shed = shed.with_step(0.2);
+        let (mut shed, handle) = LoadShedder::new(Micros(100));
+        shed.step = 0.2;
         let mut ctx = MockContext::new(1).at(Timestamp(10_000));
         for i in 0..20 {
             ctx.push_token(0, Token::Int(i), Timestamp(0)); // old

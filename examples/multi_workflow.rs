@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use confluence::core::actors::{LatencyProbe, TimedSource};
+use confluence::core::actors::{Collector, TimedSource};
 use confluence::core::graph::{Workflow, WorkflowBuilder};
 use confluence::core::time::{Micros, Timestamp};
 use confluence::core::token::Token;
@@ -18,8 +18,8 @@ use confluence::sched::multi::MultiWorkflowExecutor;
 use confluence::sched::policies::{FifoScheduler, QbsScheduler};
 use confluence::{MetricsRecorder, Telemetry};
 
-fn stream_workflow(events: u64, period_us: u64) -> (Workflow, LatencyProbe) {
-    let probe = LatencyProbe::new();
+fn stream_workflow(events: u64, period_us: u64) -> (Workflow, Collector) {
+    let probe = Collector::new();
     let schedule: Vec<(Timestamp, Token)> = (0..events)
         .map(|i| (Timestamp(i * period_us), Token::Int(i as i64)))
         .collect();

@@ -38,7 +38,7 @@ pub use confluence_relstore as relstore;
 pub use confluence_sched as sched;
 
 // The engine facade and its observability surface, re-exported flat.
-pub use confluence_core::engine::{Engine, ExecConfig, RunHandle, StopCondition};
+pub use confluence_core::engine::{Engine, ExecConfig, StopCondition};
 pub use confluence_core::telemetry::{
     MetricsRecorder, MetricsSnapshot, Observer, OpsConfig, QuantileSketch, RunPhase,
     SketchSnapshot, StallWatchdog, Telemetry, TimeSeriesRecorder,
@@ -59,7 +59,7 @@ pub mod prelude {
     pub use confluence_core::director::sdf::SdfDirector;
     pub use confluence_core::director::threaded::ThreadedDirector;
     pub use confluence_core::director::{Director, RunReport};
-    pub use confluence_core::engine::{Engine, ExecConfig, RunHandle, StopCondition};
+    pub use confluence_core::engine::{Engine, ExecConfig, StopCondition};
     pub use confluence_core::error::{Error, Result};
     pub use confluence_core::graph::{ActorId, Endpoint, Shard, ShardGroup, Workflow, WorkflowBuilder};
     pub use confluence_core::telemetry::{

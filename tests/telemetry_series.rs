@@ -91,7 +91,7 @@ fn realtime_directors_sample_the_same_keys() {
         let mut e = with_director(Engine::new(wf))
             .configure(ExecConfig::new().sample_series(Micros(1)));
         e.run().unwrap();
-        let series = e.series().expect("series recorder is on").clone();
+        let series = e.series().expect("series recorder is on");
         let keys = series.keys();
         for key in ["depth:src", "depth:double", "depth:sink", "fires:sink"] {
             assert!(
