@@ -177,14 +177,22 @@ pub fn toll_formula(lav: Option<f64>, cars: Option<i64>, accident_nearby: bool) 
     }
 }
 
-/// Whether a car at `seg` traveling `dir` is in the notification range of
-/// an accident at `acc_seg` (the paper's SQL range check).
-pub fn accident_in_range(dir: i64, seg: i64, acc_seg: i64) -> bool {
+/// The accident segments, as inclusive bounds, that put a car at `seg`
+/// traveling `dir` in notification range: the accident lies at most
+/// [`ACCIDENT_RANGE_SEGS`] ahead of the car (the paper's SQL range check).
+pub fn accident_segments(dir: i64, seg: i64) -> (i64, i64) {
     if dir == 1 {
-        seg <= acc_seg + ACCIDENT_RANGE_SEGS && seg >= acc_seg
+        (seg - ACCIDENT_RANGE_SEGS, seg)
     } else {
-        seg >= acc_seg - ACCIDENT_RANGE_SEGS && seg <= acc_seg
+        (seg, seg + ACCIDENT_RANGE_SEGS)
     }
+}
+
+/// Whether a car at `seg` traveling `dir` is in the notification range of
+/// an accident at `acc_seg`.
+pub fn accident_in_range(dir: i64, seg: i64, acc_seg: i64) -> bool {
+    let (lo, hi) = accident_segments(dir, seg);
+    lo <= acc_seg && acc_seg <= hi
 }
 
 #[cfg(test)]
@@ -267,5 +275,8 @@ mod tests {
         assert!(accident_in_range(1, 14, 10));
         assert!(!accident_in_range(1, 15, 10));
         assert!(!accident_in_range(1, 9, 10));
+        // Seen from the car: the accident is at most four segments ahead.
+        assert_eq!(accident_segments(0, 6), (6, 10));
+        assert_eq!(accident_segments(1, 14), (10, 14));
     }
 }

@@ -15,7 +15,7 @@ use confluence_core::error::Result;
 use confluence_relstore::expr::{col, lit};
 use confluence_relstore::{Agg, Expr, Schema, StoreHandle, Value, ValueType};
 
-use crate::model::{accident_in_range, ACCIDENT_RANGE_SEGS, LAV_WINDOW_MINUTES};
+use crate::model::{accident_segments, LAV_WINDOW_MINUTES};
 
 /// Create the three Linear Road tables (with their indexes) in a store.
 pub fn create_tables(store: &StoreHandle) -> Result<()> {
@@ -55,17 +55,20 @@ pub fn create_tables(store: &StoreHandle) -> Result<()> {
                 .primary_key(&["xway", "dir", "pos", "time"])
                 .build()?,
         )?;
+        // `congestion_summary` groups by exactly these columns, and a
+        // segment's expiry (`… AND minute < cutoff`) probes them.
         s.table_mut("segment_cars")?.create_index(&["xway", "dir", "seg"])?;
-        // The LAV query is `eq(xway,dir,seg) AND minute BETWEEN m−5 AND
-        // m−1`: an ordered composite index serves it with a range scan.
+        // `lav`: `eq(xway,dir,seg) AND minute BETWEEN m−5 AND m−1`, and the
+        // same segment's expiry, are one range scan each.
         s.table_mut("minute_speeds")?
             .create_ordered_index(&["xway", "dir", "seg"], "minute")?;
-        // Accident recency checks range on detection time per direction.
+        // `insert_accident`'s episode check (`time > t−300`) and accident
+        // expiry (`time < cutoff`) range on detection time per direction.
         s.table_mut("accidents")?
             .create_ordered_index(&["xway", "dir"], "time")?;
-        // The notification check probes a handful of candidate segments
-        // (an IN-list the planner unions into per-segment point probes).
-        s.table_mut("accidents")?.create_index(&["xway", "dir", "seg"])?;
+        // `accident_nearby` ranges on the segments ahead of the car.
+        s.table_mut("accidents")?
+            .create_ordered_index(&["xway", "dir"], "seg")?;
         Ok(())
     })
 }
@@ -91,19 +94,17 @@ pub fn lav_predicate(xway: i64, dir: i64, seg: i64, minute: i64) -> Expr {
         .and(col("minute").between(lit(minute - LAV_WINDOW_MINUTES), lit(minute - 1)))
 }
 
-/// Predicate selecting recent accidents in the segments that could put a
-/// car at `seg` in notification range. The segment membership is an
-/// IN-list, which the planner decomposes into per-segment probes of the
-/// `(xway, dir, seg)` index unioned together.
+/// Predicate selecting the recent accidents (last 2 minutes) that put a car
+/// at `seg` traveling `dir` in notification range — exactly those:
+/// [`accident_segments`] gives the bounds. Served by the ordered
+/// `(xway,dir) → seg` index as a single bounded range scan.
 pub fn accident_nearby_predicate(xway: i64, dir: i64, seg: i64, time: i64) -> Expr {
-    let segs: Vec<Expr> = (seg - ACCIDENT_RANGE_SEGS..=seg + ACCIDENT_RANGE_SEGS)
-        .map(lit)
-        .collect();
+    let (lo, hi) = accident_segments(dir, seg);
     col("xway")
         .eq(lit(xway))
         .and(col("dir").eq(lit(dir)))
+        .and(col("seg").between(lit(lo), lit(hi)))
         .and(col("time").ge(lit(time - 120)))
-        .and(col("seg").in_list(segs))
 }
 
 /// Upsert the car count of a segment-minute.
@@ -231,13 +232,7 @@ pub fn accident_nearby(
     store.read(|s| {
         let pred = accident_nearby_predicate(xway, dir, seg, time);
         let rows = s.table("accidents")?.select(Some(&pred))?;
-        for r in rows {
-            let acc_seg = r[2].as_int()?;
-            if accident_in_range(dir, seg, acc_seg) {
-                return Ok(Some(acc_seg));
-            }
-        }
-        Ok(None)
+        rows.first().map(|r| r[2].as_int()).transpose()
     })
 }
 
@@ -311,59 +306,66 @@ mod tests {
         h
     }
 
+    /// The traffic table: every statement the repository issues outside
+    /// tests, with the plan it gets on a populated store. None is a scan.
     #[test]
     fn planner_pins_for_linear_road_queries() {
+        let seg7 = || col("xway").eq(lit(0)).and(col("dir").eq(lit(0))).and(col("seg").eq(lit(7)));
+        let statements = [
+            // `lav`: one bounded range scan of the segment's minute partition.
+            (
+                "minute_speeds",
+                lav_predicate(0, 0, 7, 9),
+                "IndexRange(ordered(xway,dir,seg→minute)) eq=[0, 0, 7] range=[4, 8] est=5.0",
+            ),
+            // `insert_accident`'s episode check: half-open time range per
+            // direction, `pos` residual.
+            (
+                "accidents",
+                accident_episode_predicate(0, 0, 52_900, 450),
+                "IndexRange(ordered(xway,dir→time)) eq=[0, 0] range=(150, +∞) est=375.0",
+            ),
+            // `accident_nearby`: the five segments ahead, `time` residual.
+            (
+                "accidents",
+                accident_nearby_predicate(0, 0, 8, 150),
+                "IndexRange(ordered(xway,dir→seg)) eq=[0, 0] range=[8, 12] est=250.0",
+            ),
+            // numOfCars as a statement (`cars_in_segment` itself calls
+            // `get`): the primary key beats the coarser secondary index
+            // (cost 5 vs 14).
+            (
+                "segment_cars",
+                seg7().and(col("minute").eq(lit(3))),
+                "IndexEq(pk(xway,dir,seg,minute)) key=[0, 0, 7, 3] est=1.0",
+            ),
+            // The expiry statements of `benchmark/src/relmix.rs`:
+            // `update_where` / `delete_where` on a segment's old minutes,
+            // `delete_where` on a direction's old accidents.
+            (
+                "segment_cars",
+                seg7().and(col("minute").lt(lit(5))),
+                "IndexEq(secondary(xway,dir,seg)) key=[0, 0, 7] est=10.0",
+            ),
+            (
+                "minute_speeds",
+                seg7().and(col("minute").lt(lit(5))),
+                "IndexRange(ordered(xway,dir,seg→minute)) eq=[0, 0, 7] range=(-∞, 5) est=7.5",
+            ),
+            (
+                "accidents",
+                col("xway").eq(lit(0)).and(col("dir").eq(lit(0))).and(col("time").lt(lit(100))),
+                "IndexRange(ordered(xway,dir→time)) eq=[0, 0] range=(-∞, 100) est=375.0",
+            ),
+        ];
         let h = seeded();
         h.read(|s| {
-            // LAV: one bounded range scan of the segment's minute partition.
-            assert_eq!(
-                Query::from("minute_speeds")
-                    .filter(lav_predicate(0, 0, 7, 9))
-                    .explain(s)
-                    .unwrap(),
-                "Query(minute_speeds)\n  \
-                 plan: IndexRange(ordered(xway,dir,seg→minute)) eq=[0, 0, 7] range=[4, 8] est=5.0"
-            );
-            // Accident-episode dedup: half-open time range per direction.
-            assert_eq!(
-                Query::from("accidents")
-                    .filter(accident_episode_predicate(0, 0, 52_900, 450))
-                    .explain(s)
-                    .unwrap(),
-                "Query(accidents)\n  \
-                 plan: IndexRange(ordered(xway,dir→time)) eq=[0, 0] range=(150, +∞) est=375.0"
-            );
-            // Notification check: the 2k+1-segment IN-list decomposes into
-            // per-segment probes of the (xway, dir, seg) index.
-            let arms: Vec<String> = (4..=12)
-                .map(|k| format!("IndexEq(secondary(xway,dir,seg)) key=[0, 0, {k}]"))
-                .collect();
-            assert_eq!(
-                Query::from("accidents")
-                    .filter(accident_nearby_predicate(0, 0, 8, 150))
-                    .explain(s)
-                    .unwrap(),
-                format!(
-                    "Query(accidents)\n  plan: IndexUnion(9 arms)[{}] est=45.0",
-                    arms.join(" | ")
-                )
-            );
-            // numOfCars point lookup: the primary key beats the coarser
-            // secondary index (cost 5 vs 14).
-            assert_eq!(
-                Query::from("segment_cars")
-                    .filter(
-                        col("xway")
-                            .eq(lit(0))
-                            .and(col("dir").eq(lit(0)))
-                            .and(col("seg").eq(lit(7)))
-                            .and(col("minute").eq(lit(3)))
-                    )
-                    .explain(s)
-                    .unwrap(),
-                "Query(segment_cars)\n  plan: IndexEq(pk(xway,dir,seg,minute)) key=[0, 0, 7, 3] est=1.0"
-            );
-            // Congestion summary: grouping columns are exactly the
+            for (table, pred, plan) in statements {
+                let explained = Query::from(table).filter(pred).explain(s).unwrap();
+                assert!(!explained.contains("FullScan"), "{explained}");
+                assert_eq!(explained, format!("Query({table})\n  plan: {plan}"));
+            }
+            // `congestion_summary`: grouping columns are exactly the
             // secondary index, so aggregation streams off its buckets.
             assert_eq!(
                 s.table("segment_cars")

@@ -4,16 +4,16 @@
 //! statistics ([`crate::stats`]) so the planner picks the cheapest one
 //! instead of the first declared index that happens to apply. Costs are
 //! unit-free "row visits": one unit is roughly one candidate row fetched
-//! and run through the residual predicate. Probes and merge passes carry
-//! small constant surcharges so an index whose bucket holds almost the
-//! whole table never beats a plain scan by accident.
+//! and run through the residual predicate. A probe carries a small
+//! constant surcharge so an index whose bucket holds almost the whole
+//! table never beats a plain scan by accident.
 //!
 //! The numbers are deliberately coarse — there are no histograms, only
 //! entry and distinct-key counts — but they are deterministic, explain
 //! themselves through [`crate::plan::Plan`], and order the realistic
 //! contenders correctly: a point probe on a selective index beats one on
-//! a 2-value column, a handful of IN-probes beats a full scan, and a full
-//! scan beats everything on a near-empty table.
+//! a 2-value column, a bounded range beats a half-open one, and a full scan
+//! beats everything on a near-empty table.
 
 /// Constant surcharge of one hash/tree probe (hashing the key, walking
 /// the tree, setting up the bucket iterator).
@@ -21,9 +21,6 @@ pub const PROBE_COST: f64 = 4.0;
 
 /// Cost of visiting one candidate row (fetch + residual evaluation).
 pub const ROW_COST: f64 = 1.0;
-
-/// Per-candidate cost of the union merge (sort + dedup of positions).
-pub const UNION_MERGE_COST: f64 = 0.5;
 
 /// Fraction of an ordered-index partition a two-sided range is assumed
 /// to select when no finer statistics exist.
@@ -40,12 +37,6 @@ pub fn full_scan(rows: usize) -> f64 {
 /// Cost of one equality probe expected to return `est_rows` candidates.
 pub fn index_probe(est_rows: f64) -> f64 {
     PROBE_COST + est_rows * ROW_COST
-}
-
-/// Cost of unioning decomposed OR/IN arms: the arms' own costs plus a
-/// merge pass over their combined candidates.
-pub fn index_union(arm_cost_sum: f64, est_rows: f64) -> f64 {
-    arm_cost_sum + est_rows * UNION_MERGE_COST
 }
 
 #[cfg(test)]
@@ -65,11 +56,5 @@ mod tests {
     #[test]
     fn tiny_tables_prefer_the_scan() {
         assert!(full_scan(2) < index_probe(1.0));
-    }
-
-    #[test]
-    fn union_of_cheap_probes_beats_scan() {
-        let arms = 4.0 * index_probe(100.0);
-        assert!(index_union(arms, 400.0) < full_scan(20_000));
     }
 }

@@ -155,8 +155,7 @@ impl Expr {
         self.clone().ge(lo).and(self.le(hi))
     }
     /// `self IN (items…)` — true when `self` equals any item (NULLs never
-    /// match, as with `=`). The planner decomposes a column-vs-literals
-    /// IN into per-value index probes.
+    /// match, as with `=`). Only a one-value list binds an index, as `=`.
     pub fn in_list(self, items: Vec<Expr>) -> Expr {
         Expr::InList(Box::new(self), items)
     }
@@ -265,6 +264,12 @@ impl Expr {
                 }
                 _ => {}
             },
+            // A one-value `IN` is an equality.
+            Expr::InList(e, items) => {
+                if let (Expr::Col(c), [Expr::Lit(v)]) = (e.as_ref(), items.as_slice()) {
+                    out.push((c.clone(), v.clone()));
+                }
+            }
             _ => {}
         }
     }
@@ -355,57 +360,6 @@ impl Expr {
         }
         walk(self, &mut out);
         out
-    }
-
-    /// Whether [`Expr::disjunctive_arms`] would find anything to split: an
-    /// `OR` or an `IN` list somewhere in the top-level conjunction.
-    pub(crate) fn has_disjunction(&self) -> bool {
-        match self {
-            Expr::Or(..) | Expr::InList(..) => true,
-            Expr::And(a, b) => a.has_disjunction() || b.has_disjunction(),
-            _ => false,
-        }
-    }
-
-    /// Bounded disjunctive normalization: rewrite the predicate as OR-of-
-    /// conjunctions, expanding column-vs-literal `IN` lists into per-value
-    /// equalities and distributing ANDs over ORs. Returns `None` when the
-    /// expansion would exceed `cap` arms (the planner then falls back to
-    /// conjunctive planning of the original expression). A result of one
-    /// arm means "no disjunction here"; zero arms means the predicate is
-    /// vacuously false (an empty `IN`).
-    pub fn disjunctive_arms(&self, cap: usize) -> Option<Vec<Expr>> {
-        match self {
-            Expr::Or(a, b) => {
-                let mut arms = a.disjunctive_arms(cap)?;
-                arms.extend(b.disjunctive_arms(cap)?);
-                (arms.len() <= cap).then_some(arms)
-            }
-            Expr::And(a, b) => {
-                let left = a.disjunctive_arms(cap)?;
-                let right = b.disjunctive_arms(cap)?;
-                if left.len().saturating_mul(right.len()) > cap {
-                    return None;
-                }
-                let mut arms = Vec::with_capacity(left.len() * right.len());
-                for l in &left {
-                    for r in &right {
-                        arms.push(l.clone().and(r.clone()));
-                    }
-                }
-                Some(arms)
-            }
-            Expr::InList(e, items)
-                if matches!(e.as_ref(), Expr::Col(_))
-                    && items.iter().all(|i| matches!(i, Expr::Lit(_))) =>
-            {
-                if items.len() > cap {
-                    return None;
-                }
-                Some(items.iter().map(|i| e.as_ref().clone().eq(i.clone())).collect())
-            }
-            other => Some(vec![other.clone()]),
-        }
     }
 }
 
@@ -502,6 +456,19 @@ mod tests {
     }
 
     #[test]
+    fn one_value_in_binds_like_an_equality() {
+        let p = col("x").in_list(vec![lit(7)]).and(col("y").eq(lit(2)));
+        assert_eq!(
+            p.equality_bindings(),
+            vec![("x".to_string(), Value::Int(7)), ("y".to_string(), Value::Int(2))]
+        );
+        // Two values, no values, or a non-literal item bind nothing.
+        assert!(col("x").in_list(vec![lit(1), lit(2)]).equality_bindings().is_empty());
+        assert!(col("x").in_list(vec![]).equality_bindings().is_empty());
+        assert!(col("x").in_list(vec![col("y")]).equality_bindings().is_empty());
+    }
+
+    #[test]
     fn unknown_column_errors() {
         let s = schema();
         assert!(col("nope").eval(&s, &row()).is_err());
@@ -560,37 +527,5 @@ mod tests {
         assert_eq!(p.conjuncts().len(), 3);
         let single = col("a").eq(lit(1)).or(col("b").eq(lit(2)));
         assert_eq!(single.conjuncts().len(), 1);
-    }
-
-    #[test]
-    fn disjunctive_arms_normalize() {
-        // Plain OR of equalities → two arms.
-        let p = col("a").eq(lit(1)).or(col("a").eq(lit(2)));
-        assert_eq!(p.disjunctive_arms(8).unwrap().len(), 2);
-        // IN expands to per-value equality arms.
-        let p = col("a").in_list(vec![lit(1), lit(2), lit(3)]);
-        let arms = p.disjunctive_arms(8).unwrap();
-        assert_eq!(arms.len(), 3);
-        assert!(matches!(&arms[0], Expr::Cmp(_, CmpOp::Eq, _)));
-        // Empty IN → zero arms (vacuously false).
-        assert!(col("a").in_list(vec![]).disjunctive_arms(8).unwrap().is_empty());
-        // AND distributes over OR.
-        let p = col("g")
-            .eq(lit(0))
-            .and(col("a").eq(lit(1)).or(col("a").eq(lit(2))));
-        assert_eq!(p.disjunctive_arms(8).unwrap().len(), 2);
-        // Cap exceeded → None.
-        assert!(col("a").in_list((0..9).map(lit).collect::<Vec<_>>()).disjunctive_arms(8).is_none());
-        // A non-literal IN item stays a single opaque arm.
-        let p = col("a").in_list(vec![col("b")]);
-        assert_eq!(p.disjunctive_arms(8).unwrap().len(), 1);
-        // What the planner asks first: only a conjunction with nothing to
-        // split is planned without normalizing, and that is its one arm.
-        let plain = col("g").eq(lit(0)).and(col("a").between(lit(1), lit(5)).and(col("b").is_null().not()));
-        assert!(!plain.has_disjunction());
-        assert_eq!(plain.disjunctive_arms(8).unwrap().len(), 1);
-        assert!(p.has_disjunction());
-        assert!(col("g").eq(lit(0)).and(col("a").eq(lit(1)).or(col("b").eq(lit(2)))).has_disjunction());
-        assert!(!col("a").eq(lit(1)).or(col("b").eq(lit(2))).not().has_disjunction(), "opaque to both");
     }
 }

@@ -7,12 +7,12 @@
 //!
 //! Features: typed schemas with primary keys ([`schema`]), scalar values
 //! interoperable with workflow tokens ([`value`]), a predicate/arithmetic
-//! expression AST ([`expr`]), tables with unique primary and non-unique
-//! secondary hash indexes, a cost-based query planner with an
-//! EXPLAIN-able plan IR ([`plan`], [`cost`], [`stats`]), predicate scans
-//! with index fast paths (point, range, OR/IN union), updates/deletes,
-//! and (grouped) aggregates with index pushdowns ([`table`]), all behind
-//! a thread-safe shared handle ([`store`]).
+//! expression AST ([`expr`]), tables with unique primary, non-unique
+//! secondary hash and ordered composite indexes, a cost-based query
+//! planner with an EXPLAIN-able plan IR ([`plan`], [`cost`], [`stats`]),
+//! predicate scans served by a point probe or a range scan,
+//! updates/deletes, and (grouped) aggregates ([`table`]), all behind a
+//! thread-safe shared handle ([`store`]).
 
 pub mod cost;
 pub mod expr;

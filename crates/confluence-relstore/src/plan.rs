@@ -1,11 +1,14 @@
 //! The query plan IR.
 //!
 //! A [`Plan`] is the planner's chosen access path plus its cost-model
-//! verdict, produced by `Table::plan` (and the query-level wrappers
-//! `Table::plan_top_k` / `Table::plan_group_by`) before any row is
-//! touched. The IR is executable — nodes carry concrete index references,
-//! probe keys, and bounds — and renderable: `Display` output is stable
-//! and asserted in tests, which is what `Query::explain()` surfaces.
+//! verdict, produced by `Table::plan` (and `Table::plan_group_by` for a
+//! grouped aggregation) before any row is touched. The IR is executable —
+//! nodes carry concrete index references, probe keys, and bounds — and
+//! renderable: `Display` output is stable and asserted in tests, which is
+//! what `Query::explain()` surfaces. There are four node kinds, one per
+//! access path a statement in this repository reaches; `OR` and `IN` are
+//! not planned but evaluated row by row on whatever the rest of the
+//! predicate selected.
 //!
 //! Every node is equivalence-gated against the full-scan path: a plan
 //! changes how rows are *found*, never which rows come back or in what
@@ -60,26 +63,6 @@ pub enum PlanNode {
         lo: Bound<Value>,
         /// Upper bound on the range column.
         hi: Bound<Value>,
-    },
-    /// Positional union of decomposed OR/IN arms, deduplicated and
-    /// restored to storage order.
-    IndexUnion {
-        /// One indexed access per arm.
-        arms: Vec<PlanNode>,
-    },
-    /// Top-k rows streamed straight off an ordered index whose range
-    /// column is the sort column.
-    TopK {
-        /// Ordered-index ordinal.
-        index: usize,
-        /// Display label.
-        label: Arc<str>,
-        /// Partition key over the index's equality columns.
-        eq_key: Vec<Value>,
-        /// Descending order?
-        desc: bool,
-        /// Row budget.
-        limit: usize,
     },
     /// Grouped aggregation served from an index whose key columns cover
     /// the grouping columns: per-bucket streaming aggregates, groups
@@ -143,21 +126,6 @@ impl fmt::Display for PlanNode {
                 write!(f, " range=")?;
                 fmt_bounds(f, lo, hi)
             }
-            PlanNode::IndexUnion { arms } => {
-                write!(f, "IndexUnion({} arms)[", arms.len())?;
-                for (i, arm) in arms.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " | ")?;
-                    }
-                    write!(f, "{arm}")?;
-                }
-                write!(f, "]")
-            }
-            PlanNode::TopK { label, eq_key, desc, limit, .. } => {
-                write!(f, "TopK({label}) eq=")?;
-                fmt_key(f, eq_key)?;
-                write!(f, " {} limit={limit}", if *desc { "desc" } else { "asc" })
-            }
             PlanNode::GroupByIndex { label, group_cols, .. } => {
                 write!(f, "GroupByIndex({label}) groups=[{}]", group_cols.join(","))
             }
@@ -196,23 +164,8 @@ mod tests {
             "IndexRange(ordered(xway,dir→time)) eq=[0, 1] range=(120, +∞)"
         );
 
-        let union = PlanNode::IndexUnion { arms: vec![eq.clone(), eq] };
-        assert_eq!(
-            union.to_string(),
-            "IndexUnion(2 arms)[IndexEq(secondary(seg)) key=[5] | IndexEq(secondary(seg)) key=[5]]"
-        );
-
         let scan = Plan { node: PlanNode::FullScan { rows: 40 }, est_rows: 40.0, cost: 40.0 };
         assert_eq!(scan.to_string(), "FullScan(rows=40) est=40.0");
-
-        let topk = PlanNode::TopK {
-            index: 0,
-            label: "ordered(g→v)".into(),
-            eq_key: vec![Value::Int(1)],
-            desc: true,
-            limit: 2,
-        };
-        assert_eq!(topk.to_string(), "TopK(ordered(g→v)) eq=[1] desc limit=2");
 
         let grp = PlanNode::GroupByIndex {
             index: IndexRef::Secondary(1),

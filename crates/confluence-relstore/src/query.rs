@@ -31,27 +31,6 @@ pub struct Query {
     limit: Option<usize>,
 }
 
-/// Project owned rows onto the given column indexes, moving values out
-/// when each column appears once and cloning only on duplicates.
-fn project_owned(rows: Vec<Row>, idxs: &[usize]) -> Vec<Row> {
-    let unique = {
-        let mut seen = idxs.to_vec();
-        seen.sort_unstable();
-        seen.windows(2).all(|w| w[0] != w[1])
-    };
-    rows.into_iter()
-        .map(|mut r| {
-            if unique {
-                idxs.iter()
-                    .map(|&i| std::mem::replace(&mut r[i], Value::Null))
-                    .collect()
-            } else {
-                idxs.iter().map(|&i| r[i].clone()).collect()
-            }
-        })
-        .collect()
-}
-
 impl Query {
     /// Start a query over `table`.
     pub fn from(table: &str) -> Query {
@@ -96,15 +75,9 @@ impl Query {
         self.execute_on(store.table(&self.table)?)
     }
 
-    /// Execute against a table directly.
-    ///
-    /// Fast path: with both `order_by` and `limit` set, the top-k rows are
-    /// streamed straight off an ordered index whose range column is the
-    /// sort column (and whose equality columns the filter binds), skipping
-    /// the materialize-everything-then-sort step. Otherwise matching rows
-    /// are tracked as positions — sorted, truncated, and only then cloned
-    /// (projected columns only). All paths produce identical output,
-    /// including tie order.
+    /// Execute against a table directly. Matching rows are tracked as
+    /// positions — stably sorted (ties keep storage order), truncated, and
+    /// only then cloned (projected columns only).
     pub fn execute_on(&self, table: &Table) -> Result<Vec<Row>> {
         let schema = table.schema();
         let proj: Option<Vec<usize>> = self
@@ -112,18 +85,6 @@ impl Query {
             .as_ref()
             .map(|cols| cols.iter().map(|c| schema.column_index(c)).collect::<Result<_>>())
             .transpose()?;
-        if let (Some((column, order)), Some(n)) = (&self.order_by, self.limit) {
-            // Validate the sort column up front so the fast path reports
-            // unknown columns exactly like the sort path.
-            schema.column_index(column)?;
-            let desc = matches!(order, Order::Desc);
-            if let Some(rows) = table.top_k(self.filter.as_ref(), column, desc, n)? {
-                return Ok(match &proj {
-                    None => rows,
-                    Some(idxs) => project_owned(rows, idxs),
-                });
-            }
-        }
         let mut positions = table.filtered_positions(self.filter.as_ref())?;
         if let Some((column, order)) = &self.order_by {
             let idx = schema.column_index(column)?;
@@ -196,16 +157,7 @@ impl Query {
                 schema.column_index(c)?;
             }
         }
-        let plan = match (&self.order_by, self.limit) {
-            (Some((column, order)), Some(n)) => {
-                schema.column_index(column)?;
-                let desc = matches!(order, Order::Desc);
-                table
-                    .plan_top_k(self.filter.as_ref(), column, desc, n)
-                    .unwrap_or_else(|| table.plan(self.filter.as_ref()))
-            }
-            _ => table.plan(self.filter.as_ref()),
-        };
+        let plan = table.plan(self.filter.as_ref());
         let mut out = format!("Query({})\n  plan: {plan}", self.table);
         if let Some((column, order)) = &self.order_by {
             schema.column_index(column)?;
@@ -333,27 +285,16 @@ mod tests {
             rows,
             vec![vec![Value::Float(6.0), Value::Float(6.0), Value::Int(4)]]
         );
-        // Also through the top-k path.
-        let mut s = store();
-        s.table_mut("t").unwrap().create_ordered_index(&["g"], "v").unwrap();
-        let rows = Query::from("t")
-            .filter(col("g").eq(lit(1)))
-            .order_by("v", Order::Asc)
-            .limit(1)
-            .project(&["id", "id"])
-            .execute(&s)
-            .unwrap();
-        assert_eq!(rows, vec![vec![Value::Int(1), Value::Int(1)]]);
     }
 
     #[test]
-    fn ordered_index_top_k_matches_sort_path() {
+    fn order_by_limit_with_an_ordered_index_on_the_sort_column() {
         let mut s = store();
         s.table_mut("t")
             .unwrap()
             .create_ordered_index(&["g"], "v")
             .unwrap();
-        // Same shape as `filter_project_order_limit`, now index-served.
+        // Same shape, and answer, as `filter_project_order_limit`.
         let rows = Query::from("t")
             .filter(col("g").eq(lit(1)))
             .order_by("v", Order::Desc)
@@ -362,7 +303,7 @@ mod tests {
             .execute(&s)
             .unwrap();
         assert_eq!(rows, vec![vec![Value::Int(7)], vec![Value::Int(4)]]);
-        // Residual (non-index) predicate still filters the stream.
+        // A conjunct the index does not cover still filters.
         let rows = Query::from("t")
             .filter(col("g").eq(lit(1)).and(col("id").lt(lit(7))))
             .order_by("v", Order::Desc)
@@ -379,7 +320,7 @@ mod tests {
             .execute(&s)
             .unwrap();
         assert!(rows.is_empty());
-        // An index with no equality columns serves unfiltered top-k too.
+        // Unfiltered, beside an index with no equality columns.
         s.table_mut("t")
             .unwrap()
             .create_ordered_index(&[], "id")
@@ -394,7 +335,7 @@ mod tests {
             rows,
             vec![vec![Value::Int(0)], vec![Value::Int(1)], vec![Value::Int(2)]]
         );
-        // Sorting by a non-indexed column falls back and still agrees.
+        // Sorting by a non-indexed column.
         let via_sort = Query::from("t")
             .order_by("g", Order::Asc)
             .limit(4)
@@ -429,7 +370,7 @@ mod tests {
             q.explain(&s).unwrap(),
             "Query(t)\n  plan: IndexEq(pk(id)) key=[4] est=1.0\n  project: [v]"
         );
-        // Top-k via the ordered index.
+        // The plan is the filter's; order and limit are stages after it.
         let mut s = store();
         s.table_mut("t").unwrap().create_ordered_index(&["g"], "v").unwrap();
         let q = Query::from("t")
@@ -438,10 +379,8 @@ mod tests {
             .limit(2);
         assert_eq!(
             q.explain(&s).unwrap(),
-            "Query(t)\n  plan: TopK(ordered(g→v)) eq=[1] desc limit=2 est=2.0\n  order_by: v desc\n  limit: 2"
+            "Query(t)\n  plan: IndexRange(ordered(g→v)) eq=[1] range=(-∞, +∞) est=3.3\n  order_by: v desc\n  limit: 2"
         );
-        // No fitting index: sort fallback renders the scan plan plus the
-        // order/limit stages.
         let q = Query::from("t").order_by("id", Order::Asc).limit(3);
         assert_eq!(
             q.explain(&s).unwrap(),

@@ -29,10 +29,6 @@ use crate::schema::Schema;
 use crate::stats::{IndexStats, IndexStatsView, TableStats};
 use crate::value::{Row, Value};
 
-/// Maximum arms an OR/IN predicate may decompose into before the planner
-/// stops normalizing and falls back to conjunctive planning.
-const MAX_UNION_ARMS: usize = 32;
-
 /// Row storage: the cells of every row end to end, `width` to a row, and
 /// which rows are alive. A deleted row keeps its slot (cells nulled) until
 /// compaction, so positions — storage order — never shift under an index.
@@ -237,7 +233,7 @@ fn scan<'a>(
     set: &'a RangeSet,
     lo: &Bound<Value>,
     hi: &Bound<Value>,
-) -> impl DoubleEndedIterator<Item = &'a (Value, u32)> + 'a {
+) -> impl Iterator<Item = &'a (Value, u32)> + 'a {
     let from = match lo {
         Bound::Included(v) => Bound::Included((v.clone(), 0)),
         Bound::Excluded(v) => Bound::Excluded((v.clone(), u32::MAX)),
@@ -301,7 +297,7 @@ pub enum Agg {
 }
 
 /// A streaming aggregate accumulator shared by every aggregate executor,
-/// so the pushdown, grouped, and fallback paths produce bit-identical
+/// so the plain, covering-index and hashed paths produce bit-identical
 /// results (float sums are order-sensitive; everything feeds rows in
 /// storage order).
 enum Acc {
@@ -384,7 +380,7 @@ fn probe(node: PlanNode, est: f64) -> Plan {
 
 /// Cheapest candidate, first-enumerated winning ties (a deterministic
 /// tie-break: primary key, then secondary and ordered indexes in
-/// declaration order, union, full scan).
+/// declaration order, full scan).
 fn pick(cands: Vec<Plan>) -> Option<Plan> {
     cands.into_iter().reduce(|best, c| if c.cost < best.cost { c } else { best })
 }
@@ -651,9 +647,11 @@ impl Table {
         out
     }
 
-    /// Plan the cheapest access path for a predicate. Every path is a
-    /// candidate-superset of the true match set (the executors re-apply
-    /// the predicate), so planning affects cost only, never results.
+    /// Plan the cheapest access path for a predicate, read as a
+    /// conjunction: equalities and ranges at its top level pick the index,
+    /// everything else (`OR`, `IN`, `NOT`, arithmetic) is residual. Every
+    /// path is a candidate-superset of the true match set (the executors
+    /// re-apply the predicate), so planning affects cost only, never results.
     pub fn plan(&self, pred: Option<&Expr>) -> Plan {
         let scan = Plan {
             node: PlanNode::FullScan { rows: self.live },
@@ -663,57 +661,15 @@ impl Table {
         let Some(p) = pred else {
             return scan;
         };
-        let mut cands = Vec::new();
-        // Normalizing clones the predicate arm by arm; a plain conjunction
-        // (every Linear Road point and range query) is planned as it stands.
-        let arms = if p.has_disjunction() { p.disjunctive_arms(MAX_UNION_ARMS) } else { None };
-        match arms {
-            // A single rewritten arm (e.g. a one-value IN) may expose
-            // bindings the original didn't; plan it in the original's
-            // place.
-            Some(arms) if arms.len() == 1 => {
-                cands.extend(self.conjunctive_candidates(&arms[0]));
-            }
-            Some(arms) => {
-                cands.extend(self.conjunctive_candidates(p));
-                // A union is applicable only when every arm is indexable
-                // (one scanning arm would make the union a worse scan).
-                let mut nodes = Vec::with_capacity(arms.len());
-                let mut est_sum = 0.0;
-                let mut cost_sum = 0.0;
-                let mut indexable = true;
-                for arm in &arms {
-                    match pick(self.conjunctive_candidates(arm)) {
-                        Some(c) => {
-                            est_sum += c.est_rows;
-                            cost_sum += c.cost;
-                            nodes.push(c.node);
-                        }
-                        None => {
-                            indexable = false;
-                            break;
-                        }
-                    }
-                }
-                if indexable {
-                    cands.push(Plan {
-                        node: PlanNode::IndexUnion { arms: nodes },
-                        est_rows: est_sum,
-                        cost: cost::index_union(cost_sum, est_sum),
-                    });
-                }
-            }
-            None => cands.extend(self.conjunctive_candidates(p)),
-        }
+        let mut cands = self.conjunctive_candidates(p);
         cands.push(scan);
         pick(cands).expect("full scan is always a candidate")
     }
 
-    /// Candidate positions of a plan node, sorted ascending and
-    /// deduplicated — storage order, exactly what the scan path visits.
+    /// Candidate positions of a plan node, ascending — storage order,
+    /// exactly what the scan path visits.
     fn access_positions(&self, node: &PlanNode) -> Vec<usize> {
         match node {
-            PlanNode::FullScan { .. } => self.rows.positions().collect(),
             PlanNode::IndexEq { index: IndexRef::PrimaryKey, key, .. } => {
                 self.pk_find(key.iter()).into_iter().collect()
             }
@@ -732,24 +688,15 @@ impl Table {
                 out.sort_unstable();
                 out
             }
-            PlanNode::IndexUnion { arms } => {
-                let mut out = Vec::new();
-                for arm in arms {
-                    out.extend(self.access_positions(arm));
-                }
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
-            // TopK/GroupByIndex have dedicated executors; position access
-            // for them degrades to a scan rather than guessing.
+            // A scan (`plan` yields nothing else; a grouping node has its
+            // executor in `group_by`).
             _ => self.rows.positions().collect(),
         }
     }
 
     /// Does the plan node provably re-check everything the predicate
-    /// asserts? When true, executors may skip per-row predicate
-    /// evaluation (the aggregate pushdowns rely on this).
+    /// asserts? When true, `aggregate` skips per-row predicate evaluation
+    /// (the LAV query, on every toll calculation).
     fn residual_free(&self, pred: Option<&Expr>, node: &PlanNode) -> bool {
         fn eq_parts(e: &Expr) -> Option<(&str, &Value, CmpOp)> {
             let Expr::Cmp(a, op, b) = e else { return None };
@@ -856,100 +803,6 @@ impl Table {
         self.rows.row(pos)
     }
 
-    /// Plan a top-k read: the cheapest ordered index whose range column is
-    /// the sort column and whose equality columns the predicate binds.
-    /// `None` when no such index exists (callers fall back to sort).
-    pub fn plan_top_k(
-        &self,
-        pred: Option<&Expr>,
-        order_col: &str,
-        desc: bool,
-        limit: usize,
-    ) -> Option<Plan> {
-        let binds = pred.map(|p| p.equality_bindings()).unwrap_or_default();
-        let mut best: Option<(usize, Vec<Value>, f64)> = None;
-        for (i, idx) in self.ordered.iter().enumerate() {
-            if self.schema.name(idx.range_col) != order_col {
-                continue;
-            }
-            let Some(key) = self.bind_key(&binds, &idx.parts.cols) else {
-                continue;
-            };
-            let cost = cost::index_probe(idx.partition_avg());
-            let better = match &best {
-                None => true,
-                Some((_, _, c)) => cost < *c,
-            };
-            if better {
-                best = Some((i, key, cost));
-            }
-        }
-        best.map(|(i, eq_key, cost)| Plan {
-            node: PlanNode::TopK {
-                index: i,
-                label: self.ordered[i].label.clone(),
-                eq_key,
-                desc,
-                limit,
-            },
-            est_rows: limit as f64,
-            cost,
-        })
-    }
-
-    /// Top-k rows ordered by `order_col`, streamed straight off an ordered
-    /// index instead of materializing and sorting the full match set.
-    ///
-    /// Applies when some ordered index has `order_col` as its range column
-    /// and every one of its equality columns is bound to a constant by the
-    /// predicate. Returns `Ok(None)` when no index fits (the caller falls
-    /// back to sort) and `Ok(Some(rows))` when one does: at most `limit`
-    /// rows in `order_col` order (descending when `desc`), ties broken by
-    /// storage order exactly like a stable sort over `select()` output.
-    pub fn top_k(
-        &self,
-        pred: Option<&Expr>,
-        order_col: &str,
-        desc: bool,
-        limit: usize,
-    ) -> Result<Option<Vec<Row>>> {
-        let Some(Plan { node: PlanNode::TopK { index, eq_key, .. }, .. }) =
-            self.plan_top_k(pred, order_col, desc, limit)
-        else {
-            return Ok(None);
-        };
-        let set = self.ordered[index].parts.get(&self.rows, &eq_key);
-        let Some(set) = set.filter(|_| limit > 0) else {
-            return Ok(Some(Vec::new()));
-        };
-        let mut out = Vec::new();
-        // Within one sort-key value rows come in storage order either way
-        // — the tie order the stable-sort fallback produces — so a
-        // descending read walks the values backwards, not the entries.
-        let entries: Box<dyn Iterator<Item = &(Value, u32)>> = if desc {
-            let heads = std::iter::successors(set.last(), |(v, _)| {
-                set.range(..(v.clone(), 0)).next_back()
-            });
-            Box::new(heads.flat_map(|(v, _)| run_of(set, v)))
-        } else {
-            Box::new(set.iter())
-        };
-        for &(_, pos) in entries {
-            let row = self.rows.row(pos as usize);
-            let matched = match pred {
-                Some(p) => p.matches(&self.schema, row)?,
-                None => true,
-            };
-            if matched {
-                out.push(row.to_vec());
-                if out.len() == limit {
-                    break;
-                }
-            }
-        }
-        Ok(Some(out))
-    }
-
     /// Rows satisfying the predicate (all rows when `None`), in storage
     /// order.
     pub fn select(&self, pred: Option<&Expr>) -> Result<Vec<Row>> {
@@ -990,67 +843,10 @@ impl Table {
         Ok(positions.len())
     }
 
-    /// Aggregate results computed without touching rows at all, when the
-    /// plan consumed the whole predicate: counts from bucket sizes,
-    /// min/max of an ordered index's range column from its extreme
-    /// entries. `None` means "no shortcut, stream the rows".
-    fn aggregate_pushdown(&self, node: &PlanNode, agg: &Agg) -> Option<Value> {
-        match agg {
-            Agg::Count => {
-                let n = match node {
-                    PlanNode::FullScan { .. } => self.live,
-                    PlanNode::IndexEq { index: IndexRef::PrimaryKey, key, .. } => {
-                        usize::from(self.pk_find(key.iter()).is_some())
-                    }
-                    PlanNode::IndexEq { index: IndexRef::Secondary(i), key, .. } => {
-                        self.secondary[*i].bucket(&self.rows, key).len()
-                    }
-                    PlanNode::IndexRange { index, eq_key, lo, hi, .. } => self.ordered[*index]
-                        .parts
-                        .get(&self.rows, eq_key)
-                        .map_or(0, |set| scan(set, lo, hi).count()),
-                    _ => return None,
-                };
-                Some(Value::Int(n as i64))
-            }
-            Agg::Min(c) | Agg::Max(c) => {
-                let PlanNode::IndexRange { index, eq_key, lo, hi, .. } = node else {
-                    return None;
-                };
-                let idx = &self.ordered[*index];
-                if self.schema.name(idx.range_col) != c {
-                    return None;
-                }
-                // NULLs never participate in min/max. The first entry of
-                // the least value is the first equal minimum in storage
-                // order and the last entry of the greatest value the last
-                // equal maximum, as the materialized path keeps them; the
-                // value is read off that row, whose representation may
-                // differ from the entry's (Int 3 and Float 3.0 are equal).
-                let extreme = idx.parts.get(&self.rows, eq_key).and_then(|set| {
-                    let mut range = scan(set, lo, hi).filter(|(v, _)| !v.is_null());
-                    match agg {
-                        Agg::Min(_) => range.next(),
-                        _ => range.next_back(),
-                    }
-                });
-                Some(extreme.map_or(Value::Null, |&(_, pos)| {
-                    self.rows.row(pos as usize)[idx.range_col].clone()
-                }))
-            }
-            _ => None,
-        }
-    }
-
     /// Compute one aggregate over rows satisfying the predicate.
     pub fn aggregate(&self, pred: Option<&Expr>, agg: &Agg) -> Result<Value> {
         let plan = self.plan(pred);
         let residual_free = self.residual_free(pred, &plan.node);
-        if residual_free {
-            if let Some(v) = self.aggregate_pushdown(&plan.node, agg) {
-                return Ok(v);
-            }
-        }
         // Stream candidates through the accumulator — no row clones, and
         // no predicate evaluation when the plan already consumed it.
         let mut acc = Acc::new(&self.schema, agg)?;
@@ -1554,22 +1350,17 @@ mod tests {
     }
 
     #[test]
-    fn or_and_in_decompose_into_index_unions() {
+    fn or_and_in_are_residuals_with_scan_identical_rows() {
         let mut t = cars_table();
         for seg in 0..40 {
             t.insert(row(0, seg, 0, seg, 40.0)).unwrap();
             t.insert(row(1, seg, 1, seg, 40.0)).unwrap();
         }
         let pred = col("seg").in_list(vec![lit(3), lit(5), lit(9)]);
-        let plan = t.plan(Some(&pred));
-        assert!(
-            matches!(&plan.node, PlanNode::IndexUnion { arms } if arms.len() == 3),
-            "got {}",
-            plan.node
-        );
+        assert!(matches!(t.plan(Some(&pred)).node, PlanNode::FullScan { .. }));
         let rows = t.select(Some(&pred)).unwrap();
         assert_eq!(rows.len(), 6);
-        // Matches the OR spelling and the scan spelling, byte for byte.
+        // Matches the OR spelling and the unindexed spelling, byte for byte.
         let or_pred = col("seg")
             .eq(lit(3))
             .or(col("seg").eq(lit(5)))
@@ -1577,18 +1368,20 @@ mod tests {
         assert_eq!(rows, t.select(Some(&or_pred)).unwrap());
         let scan_pred = col("cars").in_list(vec![lit(3), lit(5), lit(9)]);
         assert_eq!(rows, t.select(Some(&scan_pred)).unwrap());
-        // Overlapping arms dedup: seg=3 OR seg=3.
+        // A repeated value or arm matches a row once.
         let dup = col("seg").eq(lit(3)).or(col("seg").eq(lit(3)));
         assert_eq!(t.select(Some(&dup)).unwrap().len(), 2);
-        // Empty IN plans an empty union and returns nothing.
-        let empty = col("seg").in_list(vec![]);
-        let plan = t.plan(Some(&empty));
-        assert!(matches!(&plan.node, PlanNode::IndexUnion { arms } if arms.is_empty()));
-        assert!(t.select(Some(&empty)).unwrap().is_empty());
-        // An arm on an unindexed column forces the scan fallback.
-        let mixed = col("seg").eq(lit(3)).or(col("cars").eq(lit(5)));
-        assert!(matches!(t.plan(Some(&mixed)).node, PlanNode::FullScan { .. }));
-        assert_eq!(t.select(Some(&mixed)).unwrap().len(), 4);
+        let dup = col("seg").in_list(vec![lit(5), lit(5), lit(6)]);
+        assert_eq!(t.update_where(&dup, &[("cars", 99.into())]).unwrap(), 4);
+        assert!(t.select(Some(&col("seg").in_list(vec![]))).unwrap().is_empty());
+        // A one-value IN probes like the equality it is; a disjunction
+        // beside an equality is filtered on what the equality found.
+        let one = col("seg").in_list(vec![lit(3)]);
+        assert_eq!(t.plan(Some(&one)), t.plan(Some(&col("seg").eq(lit(3)))));
+        assert!(matches!(t.plan(Some(&one)).node, PlanNode::IndexEq { .. }));
+        let beside = col("seg").eq(lit(3)).and(col("xway").eq(lit(1)).or(col("cars").gt(lit(50))));
+        assert!(matches!(t.plan(Some(&beside)).node, PlanNode::IndexEq { .. }));
+        assert_eq!(t.select(Some(&beside)).unwrap().len(), 1);
     }
 
     #[test]
@@ -1634,7 +1427,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_pushdowns_match_scan_results() {
+    fn index_served_aggregates_match_scan_results() {
         let mut t = cars_table();
         t.create_ordered_index(&["xway", "dir"], "cars").unwrap();
         for seg in 0..60 {
@@ -1664,7 +1457,6 @@ mod tests {
                 "{agg:?}"
             );
         }
-        // Unfiltered count comes straight from the row counter.
         assert_eq!(t.aggregate(None, &Agg::Count).unwrap(), Value::Int(60));
         // Empty range.
         assert_eq!(
@@ -1733,22 +1525,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn union_positions_visit_each_row_once_in_mutations() {
-        let mut t = cars_table();
-        for seg in 0..20 {
-            t.insert(row(0, seg, 0, seg, 40.0)).unwrap();
-        }
-        // Overlapping arms must not double-delete or double-update.
-        let pred = col("seg").eq(lit(3)).or(col("seg").eq(lit(3)).or(col("seg").eq(lit(4))));
-        let n = t.delete_where(&pred).unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(t.len(), 18);
-        let pred = col("seg").in_list(vec![lit(5), lit(5), lit(6)]);
-        let n = t.update_where(&pred, &[("cars", 99.into())]).unwrap();
-        assert_eq!(n, 2);
-    }
-
     // ---- position-only index tests ----
 
     fn kv_table() -> Table {
@@ -1812,7 +1588,8 @@ mod tests {
     }
 
     #[test]
-    fn top_k_breaks_ties_in_storage_order_both_ways() {
+    fn order_by_breaks_ties_in_storage_order_both_ways() {
+        use crate::query::{Order, Query};
         let mut t = cars_table();
         t.create_ordered_index(&["xway"], "cars").unwrap();
         // cars 0,1,2 three times over; positions 0..9.
@@ -1821,13 +1598,14 @@ mod tests {
         }
         // Move seg 1 (cars 1) to cars 2: it keeps position 1, ahead of segs 2, 5, 8.
         t.upsert(row(0, 1, 0, 2, 0.0)).unwrap();
-        let pred = col("xway").eq(lit(0));
-        let segs = |rows: Vec<Row>| rows.iter().map(|r| r[1].as_int().unwrap()).collect::<Vec<_>>();
-        let asc = t.top_k(Some(&pred), "cars", false, 5).unwrap().unwrap();
-        assert_eq!(segs(asc), vec![0, 3, 6, 4, 7]);
-        let desc = t.top_k(Some(&pred), "cars", true, 6).unwrap().unwrap();
-        assert_eq!(segs(desc), vec![1, 2, 5, 8, 4, 7]);
-        assert_eq!(t.top_k(Some(&pred), "cars", true, 0).unwrap().unwrap(), Vec::<Row>::new());
+        let top = |order, n| {
+            let q = Query::from("t").filter(col("xway").eq(lit(0))).order_by("cars", order).limit(n);
+            let rows = q.execute_on(&t).unwrap();
+            rows.iter().map(|r| r[1].as_int().unwrap()).collect::<Vec<_>>()
+        };
+        assert_eq!(top(Order::Asc, 5), vec![0, 3, 6, 4, 7]);
+        assert_eq!(top(Order::Desc, 6), vec![1, 2, 5, 8, 4, 7]);
+        assert_eq!(top(Order::Desc, 0), Vec::<i64>::new());
     }
 
     #[test]

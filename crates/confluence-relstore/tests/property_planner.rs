@@ -1,6 +1,6 @@
 //! Property tests of the query planner: for random tables, index sets, and
-//! queries, every planned access path (point probes, range scans, OR/IN
-//! unions, aggregate pushdowns, covering-index group-bys) must return
+//! queries, every planned access path (point probes, range scans,
+//! covering-index group-bys) and every residual (`OR`, `IN`) must return
 //! byte-identical results — same rows, same order — as an index-free
 //! full-scan reference table that went through the same mutations.
 
@@ -55,7 +55,8 @@ fn leaf() -> impl Strategy<Value = Expr> {
         (0..50i64, 0..30i64).prop_map(|(lo, w)| col("v").between(lit(lo), lit(lo + w))),
         (0..50i64).prop_map(|x| col("v").gt(lit(x))),
         (0..50i64).prop_map(|x| col("v").le(lit(x))),
-        // IN-lists (duplicates allowed) decompose into index unions.
+        // IN-lists (duplicates allowed) and the ORs below are residuals:
+        // filtered on whatever the rest of the predicate selected.
         (0..4i64, 0..4i64, 0..4i64)
             .prop_map(|(x, y, z)| col("a").in_list(vec![lit(x), lit(y), lit(z)])),
     ]
@@ -130,9 +131,9 @@ proptest! {
         prop_assert!(q.explain_on(&indexed).unwrap().starts_with("Query(t)"));
     }
 
-    /// Aggregates (with index pushdowns) and grouped aggregates (with
-    /// covering-index streaming) agree with the reference fold, including
-    /// group emission order.
+    /// Aggregates (streamed off the planned path, residual-free or not)
+    /// and grouped aggregates (with covering-index streaming) agree with
+    /// the reference fold, including group emission order.
     #[test]
     fn planned_aggregates_match_reference(
         rows in rows(), config in 1..8u8, evict in leaf(), query in pred(), gsel in 0..3usize
