@@ -328,7 +328,7 @@ fn run_fig5_head_to_head(config: &ExperimentConfig, mode: &str, trace_path: Opti
 /// overloaded (the point of a scheduling policy); `pool:N` overrides.
 /// `--timeline PATH` additionally samples the last policy's run into a
 /// `tick_us,key,value` time-series CSV (per-actor inbox depth and
-/// cumulative firings, latency p95, worker occupancy, adapt events).
+/// cumulative firings, latency p95, worker occupancy).
 fn run_fig8_realtime(
     config: &ExperimentConfig,
     mode: &str,

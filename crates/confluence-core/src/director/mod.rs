@@ -25,7 +25,6 @@
 //! director lives in the `confluence-sched` crate and builds on the same
 //! two pieces.
 
-pub mod adaptive;
 pub mod composite;
 pub mod ddf;
 pub mod de;
@@ -150,15 +149,6 @@ pub struct Fabric {
     /// Serializes deadlock relief so concurrent stalled writers grow one
     /// queue at a time.
     relief_lock: Mutex<()>,
-    /// Admission-side shed ratio in parts per million; 0 = disengaged.
-    /// Set by the adaptive controller, applied in [`Fabric::route`] to
-    /// source admissions (`parent == None`) before waves are stamped.
-    shed_ppm: AtomicU64,
-    /// Error-diffusion accumulator (in ppm) for the shed gate: each
-    /// admitted-or-dropped candidate adds `shed_ppm`; an event is dropped
-    /// exactly when the running total crosses a whole-unit boundary, so
-    /// over N candidates `floor(N × ratio)` are shed with no RNG.
-    shed_acc: AtomicU64,
 }
 
 impl Fabric {
@@ -241,8 +231,6 @@ impl Fabric {
             progress,
             blocking: AtomicBool::new(false),
             relief_lock: Mutex::new(()),
-            shed_ppm: AtomicU64::new(0),
-            shed_acc: AtomicU64::new(0),
         })
     }
 
@@ -269,22 +257,6 @@ impl Fabric {
             obs.on_topology(&TopologySnapshot { actors });
         }
         self.observer = observer;
-    }
-
-    /// Set the admission-side shed ratio (parts per million of source
-    /// emissions dropped before stamping); 0 disengages. Used by the
-    /// adaptive controller's load-shedding lever.
-    pub fn set_shed_ratio_ppm(&self, ppm: u64) {
-        self.shed_ppm.store(ppm.min(1_000_000), Ordering::Relaxed);
-    }
-
-    /// Error-diffusion verdict for one source-admission candidate under
-    /// the current shed ratio: `false` means drop. Deterministic in the
-    /// number of candidates seen, no RNG.
-    fn admit_past_shed_gate(&self, ppm: u64) -> bool {
-        let before = self.shed_acc.fetch_add(ppm, Ordering::Relaxed);
-        let after = before.wrapping_add(ppm);
-        after / 1_000_000 == before / 1_000_000
     }
 
     /// Make `Block` channel policies really block the writing thread (PN
@@ -466,11 +438,11 @@ impl Fabric {
     ///
     /// `parent` is the wave of the window that triggered the firing;
     /// `None` means the emissions are external events initiating new waves
-    /// (source actors), which pass the admission shed gate first and are
-    /// reported through `on_admit`. Wave serial numbers are assigned per
-    /// emission — unrouted emissions still consume an index — and events
-    /// are grouped by destination port so [`Fabric::deliver`] takes each
-    /// inbox lock once per firing instead of once per event.
+    /// (source actors), which are reported through `on_admit`. Wave serial
+    /// numbers are assigned per emission — unrouted emissions still consume
+    /// an index — and events are grouped by destination port so
+    /// [`Fabric::deliver`] takes each inbox lock once per firing instead of
+    /// once per event.
     pub fn stamp(
         &self,
         from: ActorId,
@@ -486,25 +458,9 @@ impl Fabric {
         };
         let n = emissions.len();
         let out_routes = &self.routes[from.0];
-        // Admission-side load shedding applies to new waves only (source
-        // emissions); derived events are already in flight and dropping
-        // them mid-wave would corrupt lineage.
-        let shed_ppm = if parent.is_none() {
-            self.shed_ppm.load(Ordering::Relaxed)
-        } else {
-            0
-        };
         for (i, (port, token)) in emissions.into_iter().enumerate() {
             let dests = &out_routes[port];
             if dests.is_empty() {
-                continue;
-            }
-            if shed_ppm != 0 && !self.admit_past_shed_gate(shed_ppm) {
-                if let Some(obs) = &self.observer {
-                    for dest in dests {
-                        obs.on_shed(dest.actor, dest.port, 1, now);
-                    }
-                }
                 continue;
             }
             let event = match parent {

@@ -22,15 +22,11 @@
 //! * `Block` backpressure parks the *task*: a full port stops delivery of
 //!   the firing's stamped batch ([`Fabric::deliver`](super::Fabric::deliver) with `park`), the
 //!   producing task is re-enqueued when the destination inbox frees space,
-//!   and the artificial-deadlock detector (Parks) runs on the timer thread;
-//! * with [`PoolDirector::with_adaptive`] the timer thread also runs the
-//!   [`adaptive`](super::adaptive) feedback loop: it samples load through
-//!   [`LoadSignals`] and elastically grows/retires workers, hot-swaps the
-//!   ready-queue policy, and engages admission-side load shedding.
+//!   and the artificial-deadlock detector (Parks) runs on the timer thread.
 //!
 //! The run spawns exactly N worker threads plus the timer thread,
-//! independent of the actor count (N is the *maximum* worker bound under
-//! an adaptive config; inactive workers park until activated).
+//! independent of the actor count; N and the policy are fixed when the run
+//! opens.
 //!
 //! All of that is the pool's firing rule — which task runs next, on which
 //! worker. The firing step and the run lifecycle are [`super::firing`]'s;
@@ -44,18 +40,15 @@ use std::sync::{Arc, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 
 use crate::actor::Actor;
 use crate::error::{Error, Result};
 use crate::graph::{ActorId, Workflow};
 use crate::receiver::{ActorInbox, InboxWaker};
-use crate::telemetry::{
-    AdaptEvent, LiveStats, LoadSignals, RunPhase, Telemetry, WorkerMetrics,
-};
+use crate::telemetry::{LiveStats, RunPhase, Telemetry, WorkerMetrics};
 use crate::time::{Micros, SharedClock, Timestamp, WallClock};
 
-use super::adaptive::{AdaptDecision, AdaptiveController, AdaptivePolicy};
 use super::firing::{DrainWatch, Run};
 use super::pool_policy::{Fifo, PolicyView, PoolPolicy, ReadyEntry, ReadyQueue};
 use super::{Director, QueueContext, RunReport, Stamped, RELIEF_PATIENCE};
@@ -87,7 +80,6 @@ pub struct PoolDirector {
     clock: SharedClock,
     telemetry: Option<Telemetry>,
     policy: Arc<dyn PoolPolicy>,
-    adaptive: Option<AdaptivePolicy>,
     hook: Option<Arc<crate::checkpoint::QuiesceHook>>,
 }
 
@@ -107,7 +99,6 @@ impl PoolDirector {
             clock: Arc::new(WallClock::new()),
             telemetry: None,
             policy: Arc::new(Fifo),
-            adaptive: None,
             hook: None,
         }
     }
@@ -130,19 +121,7 @@ impl PoolDirector {
         self
     }
 
-    /// Enable the adaptive runtime: the timer thread samples load every
-    /// `policy.tick_every` and elastically resizes the worker set within
-    /// `policy`'s bounds, hot-swaps the ready-queue policy under
-    /// overload, and engages admission-side load shedding. The configured
-    /// worker count becomes the *initial* active set (clamped into the
-    /// bounds); threads up to `policy.max_workers` are spawned and park
-    /// until activated.
-    pub fn with_adaptive(mut self, policy: AdaptivePolicy) -> Self {
-        self.adaptive = Some(policy);
-        self
-    }
-
-    /// The active ready-queue policy's name.
+    /// The ready-queue policy's name.
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
     }
@@ -152,39 +131,17 @@ impl PoolDirector {
 /// needed to decide *who runs next*, with no reference to the actors
 /// themselves (so inbox wakers can hold it without keeping the run alive).
 struct WakeHub {
-    /// One policy-ordered ready queue per worker *slot* (sized to the
-    /// maximum worker bound; slots at or beyond [`WakeHub::active`] are
-    /// parked and hold no durable work — strays are swept to active
-    /// queues by the retiring worker and the timer thread).
+    /// One policy-ordered ready queue per worker; the worker id is the
+    /// queue index.
     queues: Vec<Mutex<ReadyQueue>>,
-    /// Ready-queue ordering policy. Behind a lock so the adaptive
-    /// controller can hot-swap it at a firing boundary; the read path is
-    /// a single uncontended atomic in the common case.
-    policy: RwLock<Arc<dyn PoolPolicy>>,
+    /// Ready-queue ordering policy.
+    policy: Arc<dyn PoolPolicy>,
     /// Live statistics the priority keys are computed from.
     live: Arc<LiveStats>,
-    /// Whether firings feed [`WakeHub::live`] (the *current* policy asked
-    /// for stats, or the adaptive controller needs them). Atomic because
-    /// a policy hot-swap re-derives it mid-run.
-    feed_stats: AtomicBool,
-    /// Whether self-pushes may take the LIFO slot (current policy choice).
-    use_lifo: AtomicBool,
-    /// The adaptive controller consumes LiveStats regardless of policy.
-    force_stats: bool,
-    /// Worker slots currently active: slots `0..active` run tasks, the
-    /// rest park. Only the timer thread writes it (single controller).
-    active: AtomicUsize,
-    /// Reported worker id per slot (`usize::MAX` = never activated).
-    /// Re-activation assigns a fresh id from [`WakeHub::next_worker_id`],
-    /// so ids are never reused within a run and a retired incarnation's
-    /// metrics survive under its own id.
-    slot_ids: Vec<AtomicUsize>,
-    /// Monotone worker-id allocator (starts past the initial set).
-    next_worker_id: AtomicUsize,
-    /// Counter baselines captured at slot activation: an incarnation
-    /// reports `fires - base_fires` so counts never leak across ids.
-    base_fires: Vec<AtomicU64>,
-    base_steals: Vec<AtomicU64>,
+    /// Whether firings feed [`WakeHub::live`] (the policy asked for stats).
+    feed_stats: bool,
+    /// Whether self-pushes may take the LIFO slot (the policy's choice).
+    use_lifo: bool,
     /// Clock the priority keys timestamp against.
     clock: SharedClock,
     /// Per-actor source flag (sources are keyed specially).
@@ -214,17 +171,13 @@ struct WakeHub {
     fires: Vec<AtomicU64>,
     steals: Vec<AtomicU64>,
     queue_max: Vec<AtomicU64>,
-    /// Per-slot firing time in µs (occupancy numerator).
+    /// Per-worker firing time in µs (occupancy numerator).
     busy_us: Vec<AtomicU64>,
-    base_busy_us: Vec<AtomicU64>,
 }
 
 impl WakeHub {
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        slots: usize,
-        initial_active: usize,
-        force_stats: bool,
+        workers: usize,
         policy: Arc<dyn PoolPolicy>,
         live: Arc<LiveStats>,
         clock: SharedClock,
@@ -232,20 +185,11 @@ impl WakeHub {
         inboxes: Vec<Weak<ActorInbox>>,
     ) -> Self {
         let actors = inboxes.len();
-        let initial_active = initial_active.clamp(1, slots.max(1));
         WakeHub {
-            queues: (0..slots).map(|_| Mutex::new(ReadyQueue::new())).collect(),
-            feed_stats: AtomicBool::new(force_stats || policy.needs_stats()),
-            use_lifo: AtomicBool::new(policy.use_lifo_slot()),
-            force_stats,
-            policy: RwLock::new(policy),
-            active: AtomicUsize::new(initial_active),
-            slot_ids: (0..slots)
-                .map(|s| AtomicUsize::new(if s < initial_active { s } else { usize::MAX }))
-                .collect(),
-            next_worker_id: AtomicUsize::new(initial_active),
-            base_fires: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            base_steals: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            queues: (0..workers).map(|_| Mutex::new(ReadyQueue::new())).collect(),
+            feed_stats: policy.needs_stats(),
+            use_lifo: policy.use_lifo_slot(),
+            policy,
             live,
             clock,
             is_source,
@@ -261,11 +205,10 @@ impl WakeHub {
             timer: Mutex::new(BinaryHeap::new()),
             timer_lock: Mutex::new(()),
             timer_cond: Condvar::new(),
-            fires: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            steals: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            queue_max: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            busy_us: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            base_busy_us: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            fires: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            steals: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            queue_max: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            busy_us: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -304,132 +247,43 @@ impl WakeHub {
             oldest_origin,
             live: &self.live,
         };
-        self.policy.read().key(actor, &view)
+        self.policy.key(actor, &view)
     }
 
-    /// Queue `actor` on this worker's queue (or round-robin over *active*
-    /// slots from off-pool threads and retired workers). `hot` marks a
+    /// Queue `actor` on this worker's queue (or round-robin over the
+    /// queues from off-pool threads) and wake a worker. `hot` marks a
     /// self-push right after the actor ran, which may take the cache-warm
     /// LIFO slot if the policy allows it.
     fn push(&self, actor: usize, hot: bool) {
-        let active = self.active.load(Ordering::Acquire).max(1);
         let w = WORKER_ID.with(|c| c.get());
-        let idx = if w < active {
+        let idx = if w < self.queues.len() {
             w
         } else {
-            self.next_queue.fetch_add(1, Ordering::Relaxed) % active
+            self.next_queue.fetch_add(1, Ordering::Relaxed) % self.queues.len()
         };
         let entry = ReadyEntry {
             key: self.key_of(actor),
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             actor,
         };
-        self.push_entry(idx, entry, hot && self.use_lifo.load(Ordering::Relaxed));
-    }
-
-    /// Queue an already-built entry on slot `idx` and wake a worker.
-    fn push_entry(&self, idx: usize, entry: ReadyEntry, hot: bool) {
         let depth = {
             let mut q = self.queues[idx].lock();
-            q.push(entry, hot);
+            q.push(entry, hot && self.use_lifo);
             q.len() as u64
         };
         self.queue_max[idx].fetch_max(depth, Ordering::Relaxed);
         self.idle_cond.notify_one();
     }
 
-    /// Hand an entry (drained from a retired slot) to an active queue,
-    /// preserving its sequence number so arrival fairness survives the
-    /// handoff.
-    fn requeue_entry(&self, entry: ReadyEntry) {
-        let active = self.active.load(Ordering::Acquire).max(1);
-        let idx = self.next_queue.fetch_add(1, Ordering::Relaxed) % active;
-        self.push_entry(idx, entry, false);
-    }
-
-    /// Drain any entries stranded on retired slots onto active queues.
-    /// The retiring worker does this itself; the timer thread re-runs it
-    /// each tick as a safety net for pushes that raced the retirement.
-    fn sweep_retired(&self) {
-        let active = self.active.load(Ordering::Acquire);
-        for slot in active..self.queues.len() {
-            let entries = {
-                let mut q = self.queues[slot].lock();
-                if q.is_empty() {
-                    continue;
-                }
-                q.drain_all()
-            };
-            for e in entries {
-                self.requeue_entry(e);
-            }
-        }
-    }
-
-    /// Activate worker slots up to `to` (timer thread only): each newly
-    /// active slot gets a fresh never-reused worker id and a counter
-    /// baseline, then the new bound is published and parked workers wake.
-    fn grow_to(&self, to: usize) {
-        let to = to.min(self.queues.len());
-        let cur = self.active.load(Ordering::Acquire);
-        for slot in cur..to {
-            let id = self.next_worker_id.fetch_add(1, Ordering::Relaxed);
-            self.slot_ids[slot].store(id, Ordering::Relaxed);
-            self.base_fires[slot].store(self.fires[slot].load(Ordering::Relaxed), Ordering::Relaxed);
-            self.base_steals[slot]
-                .store(self.steals[slot].load(Ordering::Relaxed), Ordering::Relaxed);
-            self.base_busy_us[slot]
-                .store(self.busy_us[slot].load(Ordering::Relaxed), Ordering::Relaxed);
-            self.queue_max[slot].store(0, Ordering::Relaxed);
-        }
-        self.active.store(to.max(cur), Ordering::Release);
-        self.idle_cond.notify_all();
-    }
-
-    /// Retire worker slots down to `to` (timer thread only). The retiring
-    /// workers notice between pops, report their incarnation's metrics,
-    /// drain their queues to active slots, and park.
-    fn shrink_to(&self, to: usize) {
-        self.active.store(to.max(1), Ordering::Release);
-        // Wake everyone: parked-at-the-condvar retiring workers must see
-        // the new bound promptly.
-        self.idle_cond.notify_all();
-    }
-
-    /// This incarnation's metrics for slot `slot`, reported as worker
-    /// `id`: counters are deltas against the activation baseline so a
-    /// re-activated slot never re-reports its predecessor's work.
-    fn worker_snapshot(&self, slot: usize, id: usize) -> WorkerMetrics {
+    /// Worker `w`'s counters.
+    fn worker_snapshot(&self, w: usize) -> WorkerMetrics {
         WorkerMetrics {
-            worker: id,
-            fires: self.fires[slot].load(Ordering::Relaxed)
-                - self.base_fires[slot].load(Ordering::Relaxed),
-            steals: self.steals[slot].load(Ordering::Relaxed)
-                - self.base_steals[slot].load(Ordering::Relaxed),
-            queue_depth: self.queue_max[slot].load(Ordering::Relaxed),
-            busy_micros: self.busy_us[slot].load(Ordering::Relaxed)
-                - self.base_busy_us[slot].load(Ordering::Relaxed),
+            worker: w,
+            fires: self.fires[w].load(Ordering::Relaxed),
+            steals: self.steals[w].load(Ordering::Relaxed),
+            queue_depth: self.queue_max[w].load(Ordering::Relaxed),
+            busy_micros: self.busy_us[w].load(Ordering::Relaxed),
         }
-    }
-
-    /// Install a new ready-queue policy at a firing boundary: publish the
-    /// policy, re-derive the stats/LIFO gates, then re-key every queued
-    /// entry under the new ordering (sequence numbers survive, so ties
-    /// keep arrival order and no entry is lost). Returns (from, to) names.
-    fn swap_policy(&self, new: Arc<dyn PoolPolicy>) -> (&'static str, &'static str) {
-        let from = {
-            let mut p = self.policy.write();
-            let from = p.name();
-            *p = new.clone();
-            from
-        };
-        self.feed_stats
-            .store(self.force_stats || new.needs_stats(), Ordering::Release);
-        self.use_lifo.store(new.use_lifo_slot(), Ordering::Release);
-        for q in &self.queues {
-            q.lock().rekey_all(|a| self.key_of(a));
-        }
-        (from, new.name())
     }
 
     /// Pop ready work for worker `w`: its own best entry first (LIFO slot,
@@ -539,27 +393,10 @@ enum StepOutcome {
     Finish,
 }
 
-/// The adaptive control loop's run-scoped state, owned by the timer
-/// thread: the decision state machine, the load sampler feeding it, and
-/// the resolved hot-swap policy pair.
-struct AdaptiveRuntime {
-    controller: Mutex<AdaptiveController>,
-    signals: LoadSignals,
-    /// Policy swapped in under sustained overload (`None` disarms the
-    /// swap lever).
-    overload: Option<Arc<dyn PoolPolicy>>,
-    /// Policy swapped back in when the overload clears (the configured
-    /// underload policy, or the run's original policy).
-    underload: Arc<dyn PoolPolicy>,
-    tick_every: Duration,
-}
-
 struct PoolShared {
     hub: Arc<WakeHub>,
     run: Run,
     tasks: Vec<Mutex<TaskState>>,
-    /// The adaptive control loop, when enabled (ticked by the timer).
-    adaptive: Option<AdaptiveRuntime>,
     live: AtomicUsize,
     first_error: Mutex<Option<Error>>,
 }
@@ -586,29 +423,8 @@ impl Director for PoolDirector {
         )?;
         let fabric = &run.fabric;
         let n_actors = workflow.actor_count();
-        // Under an adaptive config the configured worker count is the
-        // *initial* active set (clamped into the bounds) and threads are
-        // spawned up to the max bound; otherwise slots == active == N.
-        let configured = self.workers.max(1);
-        let (slots, initial_active) = match &self.adaptive {
-            Some(a) => {
-                let init = configured.clamp(a.min_workers, a.max_workers);
-                (a.max_workers, init)
-            }
-            None => (configured, configured),
-        };
+        let workers = self.workers;
         self.policy.prepare(workflow);
-        if let Some(a) = &self.adaptive {
-            // Hot-swap candidates need per-run sizing too (e.g. QBS
-            // allotments), even though they start installed nowhere.
-            if let Some(p) = &a.overload_policy {
-                p.prepare(workflow);
-            }
-            if let Some(p) = &a.underload_policy {
-                p.prepare(workflow);
-            }
-        }
-        let live = Arc::new(LiveStats::new(workflow));
         let source_flags: Vec<bool> = workflow
             .actor_ids()
             .map(|id| workflow.node(id).is_source)
@@ -617,52 +433,10 @@ impl Director for PoolDirector {
             .actor_ids()
             .map(|id| Arc::downgrade(fabric.inbox(id)))
             .collect();
-        let adaptive_rt = self.adaptive.as_ref().map(|a| {
-            let mut source_adjacent = vec![false; n_actors];
-            let mut is_sink = vec![true; n_actors];
-            for id in workflow.actor_ids() {
-                for port in 0..workflow.node(id).signature.outputs.len() {
-                    for dest in workflow.routes_from(id, port) {
-                        if workflow.node(id).is_source {
-                            source_adjacent[dest.actor.0] = true;
-                        }
-                    }
-                    if !workflow.routes_from(id, port).is_empty() {
-                        is_sink[id.0] = false;
-                    }
-                }
-            }
-            AdaptiveRuntime {
-                controller: Mutex::new(AdaptiveController::new(
-                    a.clone(),
-                    initial_active,
-                    a.overload_policy.is_some(),
-                )),
-                signals: {
-                    let signals = LoadSignals::new(
-                        inbox_handles.clone(),
-                        source_adjacent,
-                        is_sink,
-                        live.clone(),
-                    );
-                    // The engine shares its end-to-end latency sketch so
-                    // the shed lever reacts to a true p95, not just EMAs.
-                    match self.telemetry.as_ref().and_then(|t| t.latency.clone()) {
-                        Some(latency) => signals.with_latency(latency),
-                        None => signals,
-                    }
-                },
-                overload: a.overload_policy.clone(),
-                underload: a.underload_policy.clone().unwrap_or_else(|| self.policy.clone()),
-                tick_every: Duration::from_micros(a.tick_every.as_micros()),
-            }
-        });
         let hub = Arc::new(WakeHub::new(
-            slots,
-            initial_active,
-            self.adaptive.is_some(),
+            workers,
             self.policy.clone(),
-            live,
+            Arc::new(LiveStats::new(workflow)),
             self.clock.clone(),
             source_flags,
             inbox_handles,
@@ -691,7 +465,6 @@ impl Director for PoolDirector {
             hub: hub.clone(),
             run,
             tasks,
-            adaptive: adaptive_rt,
             live: AtomicUsize::new(n_actors),
             first_error: Mutex::new(None),
         });
@@ -700,8 +473,8 @@ impl Director for PoolDirector {
             for a in 0..n_actors {
                 hub.schedule(a);
             }
-            let mut handles = Vec::with_capacity(slots);
-            for w in 0..slots {
+            let mut handles = Vec::with_capacity(workers);
+            for w in 0..workers {
                 let shared = shared.clone();
                 let handle = thread::Builder::new()
                     .name(format!("cwf-pool-{w}"))
@@ -730,17 +503,8 @@ impl Director for PoolDirector {
         }
 
         if let Some(t) = &self.telemetry {
-            // Report every slot that was ever activated under its current
-            // incarnation id. Retired incarnations already self-reported
-            // under their own (never-reused) ids at retirement, so their
-            // fires/steals survive in the snapshot; the recorder replaces
-            // by id, making a late re-report of the same incarnation safe.
-            for w in 0..slots {
-                let id = hub.slot_ids[w].load(Ordering::Relaxed);
-                if id == usize::MAX {
-                    continue;
-                }
-                t.observer.on_worker(&hub.worker_snapshot(w, id));
+            for w in 0..workers {
+                t.observer.on_worker(&hub.worker_snapshot(w));
             }
         }
 
@@ -786,22 +550,7 @@ impl Director for PoolDirector {
 fn worker_loop(shared: &Arc<PoolShared>, w: usize) {
     WORKER_ID.with(|c| c.set(w));
     let hub = &shared.hub;
-    // Whether this slot has already reported and drained for its current
-    // retirement (worker-local: only this thread retires this slot).
-    let mut retired = false;
     loop {
-        if w >= hub.active.load(Ordering::Acquire) {
-            if !retired {
-                retired = true;
-                retire_slot(shared, w);
-            }
-            if hub.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            hub.wait_for_work();
-            continue;
-        }
-        retired = false;
         match hub.pop(w) {
             Some((actor, stolen)) => {
                 if stolen {
@@ -816,24 +565,6 @@ fn worker_loop(shared: &Arc<PoolShared>, w: usize) {
                 hub.wait_for_work();
             }
         }
-    }
-}
-
-/// A worker noticed its slot fell outside the active set: report this
-/// incarnation's metrics (exact — the worker itself is the only writer of
-/// its fires/steals and it is past its last firing), then drain the ready
-/// queue onto active slots so no QUEUED actor strands while it parks.
-fn retire_slot(shared: &Arc<PoolShared>, w: usize) {
-    let hub = &shared.hub;
-    let id = hub.slot_ids[w].load(Ordering::Relaxed);
-    if id != usize::MAX {
-        if let Some(t) = &shared.run.tele {
-            t.observer.on_worker(&hub.worker_snapshot(w, id));
-        }
-    }
-    let entries = hub.queues[w].lock().drain_all();
-    for e in entries {
-        hub.requeue_entry(e);
     }
 }
 
@@ -990,12 +721,11 @@ fn step(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutco
     if fired.fired {
         hub.fires[w].fetch_add(1, Ordering::Relaxed);
         hub.busy_us[w].fetch_add(fired.busy.as_micros(), Ordering::Relaxed);
-        if hub.feed_stats.load(Ordering::Relaxed) {
-            let wait = fired.origin.map(|o| fired.ended.since(o));
+        if hub.feed_stats {
             hub.live
-                .record_fire(id.0, fired.busy, fired.events_in, fired.tokens_out, wait);
+                .record_fire(id.0, fired.busy, fired.events_in, fired.tokens_out);
         }
-        hub.policy.read().on_fire(id.0, fired.busy);
+        hub.policy.on_fire(id.0, fired.busy);
     }
     match fired.alive {
         None => {
@@ -1047,23 +777,9 @@ fn timer_loop(shared: &Arc<PoolShared>) {
     let mut last_progress = run.fabric.progress_counter();
     let mut stalled_since: Option<Instant> = None;
     let mut drain = DrainWatch::default();
-    let mut last_adapt = Instant::now();
     loop {
         if hub.shutdown.load(Ordering::Acquire) {
             break;
-        }
-        // The adaptive control loop rides the timer thread: sweep strays
-        // off retired queues every pass, sample-and-decide every tick.
-        if let Some(rt) = &shared.adaptive {
-            hub.sweep_retired();
-            if last_adapt.elapsed() >= rt.tick_every {
-                last_adapt = Instant::now();
-                let snap = rt.signals.sample();
-                let decisions = rt.controller.lock().tick(&snap, run.clock.now());
-                for decision in decisions {
-                    apply_adapt(shared, rt, decision);
-                }
-            }
         }
         // Time-series sampling rides the timer thread too; when a point
         // is taken, add the per-worker occupancy gauges only the pool
@@ -1072,12 +788,11 @@ fn timer_loop(shared: &Arc<PoolShared>) {
             let now = run.clock.now();
             if t.sample(now) {
                 if let Some(series) = &t.series {
-                    let active = hub.active.load(Ordering::Acquire);
-                    for slot in 0..active {
+                    for (w, busy) in hub.busy_us.iter().enumerate() {
                         series.record_point(
-                            &format!("worker_busy_us:{slot}"),
+                            &format!("worker_busy_us:{w}"),
                             now.as_micros(),
-                            hub.busy_us[slot].load(Ordering::Relaxed),
+                            busy.load(Ordering::Relaxed),
                         );
                     }
                 }
@@ -1153,7 +868,7 @@ fn timer_loop(shared: &Arc<PoolShared>) {
             last_progress = run.fabric.progress_counter();
             stalled_since = None;
         }
-        let mut wait = {
+        let wait = {
             let heap = hub.timer.lock();
             heap.peek()
                 .map(|&std::cmp::Reverse((t, _))| {
@@ -1161,45 +876,7 @@ fn timer_loop(shared: &Arc<PoolShared>) {
                 })
                 .map_or(POOL_POLL, |d| d.min(POOL_POLL))
         };
-        if let Some(rt) = &shared.adaptive {
-            wait = wait.min(rt.tick_every);
-        }
         hub.timer_wait(wait.max(Duration::from_micros(100)));
-    }
-}
-
-/// Apply one controller decision to the running pool and report it.
-fn apply_adapt(shared: &Arc<PoolShared>, rt: &AdaptiveRuntime, decision: AdaptDecision) {
-    let hub = &shared.hub;
-    let event = match decision {
-        AdaptDecision::Grow { from, to } => {
-            hub.grow_to(to);
-            AdaptEvent::GrowWorkers { from, to }
-        }
-        AdaptDecision::Shrink { from, to } => {
-            hub.shrink_to(to);
-            AdaptEvent::ShrinkWorkers { from, to }
-        }
-        AdaptDecision::SwapToOverload => {
-            let Some(policy) = &rt.overload else { return };
-            let (from, to) = hub.swap_policy(policy.clone());
-            AdaptEvent::SwapPolicy { from, to }
-        }
-        AdaptDecision::SwapToUnderload => {
-            let (from, to) = hub.swap_policy(rt.underload.clone());
-            AdaptEvent::SwapPolicy { from, to }
-        }
-        AdaptDecision::ShedEngage { ratio_ppm } => {
-            shared.run.fabric.set_shed_ratio_ppm(ratio_ppm);
-            AdaptEvent::ShedEngage { ratio_ppm }
-        }
-        AdaptDecision::ShedDisengage => {
-            shared.run.fabric.set_shed_ratio_ppm(0);
-            AdaptEvent::ShedDisengage
-        }
-    };
-    if let Some(t) = &shared.run.tele {
-        t.observer.on_adapt(&event, shared.run.clock.now());
     }
 }
 

@@ -151,33 +151,6 @@ impl ReadyQueue {
         self.heap.pop().map(|Reverse(e)| e)
     }
 
-    /// Take every queued entry (LIFO slot included), emptying the queue.
-    /// A retiring worker drains its queue through this and hands the
-    /// entries to still-active workers — a lost entry would strand a
-    /// QUEUED actor forever.
-    pub fn drain_all(&mut self) -> Vec<ReadyEntry> {
-        let mut out = Vec::with_capacity(self.len());
-        out.extend(self.lifo.take());
-        out.extend(self.heap.drain().map(|Reverse(e)| e));
-        self.lifo_streak = 0;
-        out
-    }
-
-    /// Recompute every entry's key under a new policy and rebuild the
-    /// heap (the LIFO slot is re-keyed in place). Sequence numbers are
-    /// preserved, so entries that tie under the new policy keep their
-    /// arrival order. Used by the adaptive controller's policy hot-swap.
-    pub fn rekey_all(&mut self, mut rekey: impl FnMut(usize) -> u64) {
-        if let Some(e) = self.lifo.as_mut() {
-            e.key = rekey(e.actor);
-        }
-        let entries: Vec<ReadyEntry> = self.heap.drain().map(|Reverse(e)| e).collect();
-        self.heap.extend(
-            entries
-                .into_iter()
-                .map(|e| Reverse(ReadyEntry { key: rekey(e.actor), ..e })),
-        );
-    }
 }
 
 /// Everything a policy may consult when keying one ready actor.
@@ -464,46 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_all_empties_slot_and_heap() {
-        let mut q = ReadyQueue::new();
-        q.push(e(5, 0, 1), false);
-        q.push(e(3, 1, 2), false);
-        q.push(e(9, 2, 3), true);
-        let mut drained: Vec<usize> = q.drain_all().iter().map(|x| x.actor).collect();
-        drained.sort_unstable();
-        assert_eq!(drained, vec![1, 2, 3], "slot and heap both drain");
-        assert!(q.is_empty());
-        assert!(q.drain_all().is_empty());
-    }
-
-    #[test]
-    fn rekey_all_reorders_under_the_new_policy() {
-        let mut q = ReadyQueue::new();
-        q.push(e(0, 0, 3), false);
-        q.push(e(0, 1, 1), false);
-        q.push(e(0, 2, 2), true);
-        // New policy: key = actor index. The slot entry is re-keyed in
-        // place; heap order flips to actor order on subsequent pops.
-        q.rekey_all(|a| a as u64 * 10);
-        assert_eq!(q.len(), 3, "nothing lost in the rekey");
-        // Slot still wins the first pop (cache-warm continuation).
-        assert_eq!(q.pop_with(|a| a as u64 * 10).unwrap().actor, 2);
-        assert_eq!(q.pop_with(|a| a as u64 * 10).unwrap().actor, 1);
-        assert_eq!(q.pop_with(|a| a as u64 * 10).unwrap().actor, 3);
-    }
-
-    #[test]
-    fn rekey_all_preserves_seq_tiebreak() {
-        let mut q = ReadyQueue::new();
-        q.push(e(7, 0, 4), false);
-        q.push(e(2, 1, 5), false);
-        q.rekey_all(|_| 0);
-        // Equal keys after rekey: arrival order decides.
-        assert_eq!(q.pop_with(|_| 0).unwrap().actor, 4);
-        assert_eq!(q.pop_with(|_| 0).unwrap().actor, 5);
-    }
-
-    #[test]
     fn rekey_budget_bounds_the_pop_loop() {
         let mut q = ReadyQueue::new();
         for a in 0..5 {
@@ -546,8 +479,8 @@ mod tests {
     fn rate_based_ranks_high_rates_first() {
         let live = LiveStats::with_downstream(vec![vec![1], vec![]]);
         // 1 (terminal): 5µs/ev → Pr 0.2; 0: 10µs/ev, sel 0.5 → Pr 0.04.
-        live.record_fire(0, Micros(100), 10, 5, None);
-        live.record_fire(1, Micros(50), 10, 0, None);
+        live.record_fire(0, Micros(100), 10, 5);
+        live.record_fire(1, Micros(50), 10, 0);
         live.refresh_rate_priorities();
         let p = RateBased;
         let v = PolicyView {

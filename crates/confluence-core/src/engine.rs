@@ -32,7 +32,6 @@ use std::sync::Arc;
 
 use crate::channel::ChannelPolicy;
 use crate::checkpoint::{self, Checkpoint, CheckpointResource, LoggedSource, QuiesceHook};
-use crate::director::adaptive::AdaptivePolicy;
 use crate::director::pool::PoolDirector;
 use crate::director::pool_policy::PoolPolicy;
 use crate::director::threaded::ThreadedDirector;
@@ -152,7 +151,6 @@ impl<F: Fn() + Send + Sync> Observer for Watcher<F> {
 pub struct ExecConfig {
     workers: Option<usize>,
     pool_policy: Option<Arc<dyn PoolPolicy>>,
-    adaptive: Option<AdaptivePolicy>,
     channel_policy: Option<ChannelPolicy>,
     checkpoint: Option<CheckpointPlan>,
     recover: Option<PathBuf>,
@@ -185,17 +183,6 @@ impl ExecConfig {
     /// EDF on wave origins, or stride-scheduled quantum allotments).
     pub fn pool_policy(mut self, policy: Arc<dyn PoolPolicy>) -> Self {
         self.pool_policy = Some(policy);
-        self
-    }
-
-    /// Enable the adaptive runtime on the pooled director: a feedback
-    /// control loop on the pool's timer thread that resizes the worker
-    /// set, hot-swaps the scheduling policy, and engages admission-side
-    /// load shedding based on live queue depths and sink latency (see
-    /// [`adaptive`](crate::director::adaptive)). Selects the pooled
-    /// director just like [`ExecConfig::workers`].
-    pub fn adaptive(mut self, policy: AdaptivePolicy) -> Self {
-        self.adaptive = Some(policy);
         self
     }
 
@@ -284,7 +271,6 @@ pub struct Engine {
     /// Cleared when an explicit director is installed.
     pool_workers: Option<usize>,
     pool_policy: Option<Arc<dyn PoolPolicy>>,
-    pool_adaptive: Option<AdaptivePolicy>,
     checkpoint: Option<CheckpointPlan>,
     recover: Option<PathBuf>,
     /// Named durable resources (e.g. relational stores) snapshotted into
@@ -318,7 +304,6 @@ impl Engine {
             recorder,
             pool_workers: None,
             pool_policy: None,
-            pool_adaptive: None,
             checkpoint: None,
             recover: None,
             resources: Vec::new(),
@@ -336,7 +321,6 @@ impl Engine {
         self.director = Box::new(director);
         self.pool_workers = None;
         self.pool_policy = None;
-        self.pool_adaptive = None;
         self
     }
 
@@ -346,17 +330,12 @@ impl Engine {
         if let Some(policy) = config.channel_policy {
             self.workflow.set_default_channel_policy(policy);
         }
-        let reselect = config.workers.is_some()
-            || config.pool_policy.is_some()
-            || config.adaptive.is_some();
+        let reselect = config.workers.is_some() || config.pool_policy.is_some();
         if let Some(workers) = config.workers {
             self.pool_workers = Some(workers);
         }
         if let Some(policy) = config.pool_policy {
             self.pool_policy = Some(policy);
-        }
-        if let Some(adaptive) = config.adaptive {
-            self.pool_adaptive = Some(adaptive);
         }
         if reselect {
             self.rebuild_pool();
@@ -394,7 +373,7 @@ impl Engine {
         self
     }
 
-    /// Reinstall the pool director from the worker/policy/adaptive memo.
+    /// Reinstall the pool director from the worker/policy memo.
     fn rebuild_pool(&mut self) {
         let mut pool = PoolDirector::new();
         if let Some(workers) = self.pool_workers {
@@ -402,9 +381,6 @@ impl Engine {
         }
         if let Some(policy) = &self.pool_policy {
             pool = pool.with_policy(policy.clone());
-        }
-        if let Some(adaptive) = &self.pool_adaptive {
-            pool = pool.with_adaptive(adaptive.clone());
         }
         self.director = Box::new(pool);
     }
@@ -554,7 +530,7 @@ impl Engine {
                 ),
                 control: control.clone(),
                 series: self.series(),
-                latency: Some(self.recorder.latency_sketch()),
+                latency: None,
             });
             let segment = self.director.run(&mut self.workflow)?;
             elapsed = Micros(elapsed.0 + segment.elapsed.0);

@@ -45,7 +45,6 @@ pub mod window;
 pub use actor::{Actor, FireContext, IoSignature};
 pub use channel::{ChannelPolicy, OnFull};
 pub use checkpoint::{Checkpoint, CheckpointResource, QuiesceHook};
-pub use director::adaptive::{AdaptDecision, AdaptivePolicy};
 pub use engine::{Engine, ExecConfig, StopCondition};
 pub use error::{Error, Result};
 pub use event::CwEvent;

@@ -4,10 +4,10 @@
 //! and mutates between firings. The pool executor has no such single
 //! thread: firings complete concurrently on every worker, and priority
 //! keys are computed on the push/pop hot path. [`LiveStats`] is the
-//! atomics-only equivalent — per-actor EMA fire cost, cumulative
-//! selectivity counters, and EMA queue-wait age, sampled from the same
-//! numbers the recorder hooks see — with the Rate-Based global priorities
-//! cached and refreshed lazily so the hot path is a plain atomic load.
+//! atomics-only equivalent — per-actor EMA fire cost and cumulative
+//! selectivity counters, sampled from the same numbers the recorder hooks
+//! see — with the Rate-Based global priorities cached and refreshed lazily
+//! so the hot path is a plain atomic load.
 //!
 //! The global selectivity/cost propagation is the shared
 //! [`estimator`](super::estimator) core, so the simulator and the real
@@ -33,8 +33,6 @@ const REFRESH_EVERY: u64 = 64;
 struct ActorLive {
     /// EMA of the wall-clock fire cost, µs (f64 bits; 0 ⇒ unseeded).
     ema_cost: AtomicU64,
-    /// EMA of the triggering wave's queue-wait age at fire end, µs.
-    ema_wait: AtomicU64,
     /// Completed firings.
     fires: AtomicU64,
     /// Cumulative wall-clock cost, µs.
@@ -51,7 +49,6 @@ impl ActorLive {
     fn new() -> Self {
         ActorLive {
             ema_cost: AtomicU64::new(0f64.to_bits()),
-            ema_wait: AtomicU64::new(0f64.to_bits()),
             fires: AtomicU64::new(0),
             total_cost: AtomicU64::new(0),
             events_in: AtomicU64::new(0),
@@ -121,29 +118,15 @@ impl LiveStats {
         self.actors.is_empty()
     }
 
-    /// Record one completed firing: wall cost, events consumed, tokens
-    /// produced, and (for internal actors) the triggering wave's age at
-    /// completion. Refreshes the cached rate priorities every
+    /// Record one completed firing: wall cost, events consumed and tokens
+    /// produced. Refreshes the cached rate priorities every
     /// [`REFRESH_EVERY`] firings.
-    pub fn record_fire(
-        &self,
-        actor: usize,
-        cost: Micros,
-        events_in: u64,
-        tokens_out: u64,
-        wait_age: Option<Micros>,
-    ) {
+    pub fn record_fire(&self, actor: usize, cost: Micros, events_in: u64, tokens_out: u64) {
         let Some(a) = self.actors.get(actor) else {
             return;
         };
         let seeded = a.fires.fetch_add(1, Ordering::Relaxed) > 0;
         ema_update(&a.ema_cost, cost.as_micros() as f64, seeded);
-        if let Some(age) = wait_age {
-            // The wait EMA seeds on its own first sample: source firings
-            // carry no wave age and must not pin the seed at zero.
-            let wait_seeded = f64::from_bits(a.ema_wait.load(Ordering::Relaxed)) > 0.0;
-            ema_update(&a.ema_wait, age.as_micros() as f64, wait_seeded);
-        }
         a.total_cost.fetch_add(cost.as_micros(), Ordering::Relaxed);
         a.events_in.fetch_add(events_in, Ordering::Relaxed);
         a.events_out.fetch_add(tokens_out, Ordering::Relaxed);
@@ -168,11 +151,6 @@ impl LiveStats {
     /// EMA wall-clock fire cost, µs (0 before any firing).
     pub fn ema_cost(&self, actor: usize) -> f64 {
         f64::from_bits(self.actors[actor].ema_cost.load(Ordering::Relaxed))
-    }
-
-    /// EMA queue-wait age of triggering waves, µs (0 before any sample).
-    pub fn ema_wait(&self, actor: usize) -> f64 {
-        f64::from_bits(self.actors[actor].ema_wait.load(Ordering::Relaxed))
     }
 
     /// Completed firings recorded for `actor`.
@@ -250,14 +228,7 @@ impl Observer for LiveStats {
         if !record.fired {
             return;
         }
-        let wait = record.origin.map(|o| record.ended.since(o));
-        self.record_fire(
-            record.actor.0,
-            record.busy,
-            record.events_in,
-            record.tokens_out,
-            wait,
-        );
+        self.record_fire(record.actor.0, record.busy, record.events_in, record.tokens_out);
     }
 }
 
@@ -278,34 +249,21 @@ mod tests {
         let s = chain3();
         // Samples 100, 200, 60 with α = 1/8, seeded by the first:
         // 100 → 100 + 0.125·(200−100) = 112.5 → 112.5 + 0.125·(60−112.5).
-        s.record_fire(1, Micros(100), 1, 1, None);
+        s.record_fire(1, Micros(100), 1, 1);
         assert_eq!(s.ema_cost(1), 100.0);
-        s.record_fire(1, Micros(200), 1, 1, None);
+        s.record_fire(1, Micros(200), 1, 1);
         assert_eq!(s.ema_cost(1), 112.5);
-        s.record_fire(1, Micros(60), 1, 1, None);
+        s.record_fire(1, Micros(60), 1, 1);
         assert_eq!(s.ema_cost(1), 112.5 + 0.125 * (60.0 - 112.5));
         assert_eq!(s.fires(1), 3);
-    }
-
-    #[test]
-    fn ema_wait_seeds_independently_of_cost() {
-        let s = chain3();
-        // Two firings without a wave age (source-like), then aged ones.
-        s.record_fire(1, Micros(10), 1, 1, None);
-        s.record_fire(1, Micros(10), 1, 1, None);
-        assert_eq!(s.ema_wait(1), 0.0);
-        s.record_fire(1, Micros(10), 1, 1, Some(Micros(1_000)));
-        assert_eq!(s.ema_wait(1), 1_000.0, "first age seeds the wait EMA");
-        s.record_fire(1, Micros(10), 1, 1, Some(Micros(2_000)));
-        assert_eq!(s.ema_wait(1), 1_000.0 + 0.125 * (2_000.0 - 1_000.0));
     }
 
     #[test]
     fn selectivity_and_cost_per_event_are_cumulative() {
         let s = chain3();
         assert_eq!(s.selectivity(0), 1.0, "neutral before input");
-        s.record_fire(1, Micros(100), 4, 2, None);
-        s.record_fire(1, Micros(300), 4, 2, None);
+        s.record_fire(1, Micros(100), 4, 2);
+        s.record_fire(1, Micros(300), 4, 2);
         assert_eq!(s.selectivity(1), 0.5);
         assert_eq!(s.cost_per_event(1), 50.0, "400µs over 8 events");
     }
@@ -314,8 +272,8 @@ mod tests {
     fn rate_priorities_match_the_simulator_math() {
         let s = chain3();
         // 1: 10µs/ev sel 0.5; 2 (terminal): 5µs/ev.
-        s.record_fire(1, Micros(100), 10, 5, None);
-        s.record_fire(2, Micros(50), 10, 0, None);
+        s.record_fire(1, Micros(100), 10, 5);
+        s.record_fire(2, Micros(50), 10, 0);
         s.refresh_rate_priorities();
         // gCost(2) = 5, gSel(2) = 1 → Pr = 0.2.
         assert_eq!(s.rate_priority(2), 1.0 / 5.0);
@@ -342,7 +300,6 @@ mod tests {
         });
         assert_eq!(s.fires(1), 1);
         assert_eq!(s.ema_cost(1), 200.0);
-        assert_eq!(s.ema_wait(1), 1_100.0, "ended − origin");
         // Non-firings leave everything untouched.
         s.on_fire_end(&FireRecord {
             actor: ActorId(1),

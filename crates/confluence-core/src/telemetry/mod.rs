@@ -24,18 +24,16 @@ mod livestats;
 pub mod ops;
 mod recorder;
 pub mod series;
-pub mod signals;
 pub mod sketch;
 pub mod trace;
 
 pub use livestats::{LiveStats, EMA_ALPHA};
 pub use ops::{OpsConfig, OpsServer, StallWatchdog};
 pub use recorder::{
-    ActorMetrics, AdaptMetrics, EdgeMetrics, MetricsRecorder, MetricsSnapshot,
-    PortDepthMetrics, ShardMetrics, ShardReplicaMetrics, WorkerMetrics,
+    ActorMetrics, EdgeMetrics, MetricsRecorder, MetricsSnapshot, PortDepthMetrics, ShardMetrics,
+    ShardReplicaMetrics, WorkerMetrics,
 };
 pub use series::{SeriesPoint, TimeSeriesRecorder};
-pub use signals::{LoadSignals, LoadSnapshot};
 pub use sketch::{QuantileSketch, SketchSnapshot};
 pub use trace::{SpanKind, TraceConfig, TraceReport, Tracer, WaveTrace};
 
@@ -126,56 +124,6 @@ pub struct TopologySnapshot {
     pub actors: Vec<ActorTopology>,
 }
 
-/// One decision taken by the adaptive controller
-/// ([`AdaptiveController`](crate::director::adaptive::AdaptiveController)),
-/// reported through [`Observer::on_adapt`] at the moment the pool applies
-/// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdaptEvent {
-    /// The active worker set grew from `from` to `to` workers.
-    GrowWorkers {
-        /// Active workers before the decision.
-        from: usize,
-        /// Active workers after the decision.
-        to: usize,
-    },
-    /// The active worker set shrank from `from` to `to` workers.
-    ShrinkWorkers {
-        /// Active workers before the decision.
-        from: usize,
-        /// Active workers after the decision.
-        to: usize,
-    },
-    /// The ready-queue policy was hot-swapped at a firing boundary.
-    SwapPolicy {
-        /// Name of the policy being replaced.
-        from: &'static str,
-        /// Name of the policy now in effect.
-        to: &'static str,
-    },
-    /// Admission-side load shedding engaged at `ratio_ppm` parts-per-million
-    /// of externally-admitted events.
-    ShedEngage {
-        /// Drop ratio in parts per million.
-        ratio_ppm: u64,
-    },
-    /// Admission-side load shedding disengaged.
-    ShedDisengage,
-}
-
-impl AdaptEvent {
-    /// Stable lower-case label (used in exports and traces).
-    pub fn label(&self) -> &'static str {
-        match self {
-            AdaptEvent::GrowWorkers { .. } => "grow_workers",
-            AdaptEvent::ShrinkWorkers { .. } => "shrink_workers",
-            AdaptEvent::SwapPolicy { .. } => "swap_policy",
-            AdaptEvent::ShedEngage { .. } => "shed_engage",
-            AdaptEvent::ShedDisengage => "shed_disengage",
-        }
-    }
-}
-
 /// Execution hooks. All methods default to no-ops so observers implement
 /// only what they need. Implementations must be cheap and thread-safe:
 /// the threaded director invokes them concurrently from actor threads.
@@ -241,12 +189,6 @@ pub trait Observer: Send + Sync {
         let _ = topology;
     }
 
-    /// The adaptive controller applied a runtime decision (worker resize,
-    /// policy hot-swap, shed engage/disengage).
-    fn on_adapt(&self, event: &AdaptEvent, at: Timestamp) {
-        let _ = (event, at);
-    }
-
     /// An external event entered the workflow: `from`'s firing produced a
     /// freshly-stamped root wave `wave` (depth 0). Fine-grained — only
     /// delivered when [`Observer::wants_event_hooks`] returns true.
@@ -297,8 +239,8 @@ pub trait Observer: Send + Sync {
 #[derive(Default)]
 pub struct MultiObserver {
     observers: Vec<Arc<dyn Observer>>,
-    /// Lifecycle-only observers: they receive run phases, topology,
-    /// adaptation decisions, and worker reports, but none of the
+    /// Lifecycle-only observers: they receive run phases, topology and
+    /// worker reports, but none of the
     /// per-firing/per-route hooks — so adding one leaves the hot-path
     /// dispatch count untouched. The series recorder (which reads its
     /// counters from the metrics recorder at sample time) and the stall
@@ -378,11 +320,6 @@ impl Observer for MultiObserver {
             o.on_topology(topology);
         }
     }
-    fn on_adapt(&self, event: &AdaptEvent, at: Timestamp) {
-        for o in self.observers.iter().chain(&self.quiet) {
-            o.on_adapt(event, at);
-        }
-    }
     fn on_admit(&self, from: ActorId, wave: &WaveTag, at: Timestamp) {
         for o in &self.observers {
             o.on_admit(from, wave, at);
@@ -452,9 +389,9 @@ pub struct Telemetry {
     /// Continuous time-series recorder sampled by the directors at their
     /// timer / firing boundaries (`None` = no sampling).
     pub series: Option<Arc<TimeSeriesRecorder>>,
-    /// Shared end-to-end latency sketch, handed to [`LoadSignals`] so
-    /// the adaptive controller sheds on a real p95 (`None` under plain
-    /// observer-only telemetry).
+    /// A shared end-to-end latency sketch. No engine code reads it and
+    /// the [`Engine`](crate::engine::Engine) does not set it; it stays
+    /// until the benchmark drops its [`Telemetry::with_latency`] call.
     pub latency: Option<Arc<QuantileSketch>>,
 }
 
@@ -470,7 +407,7 @@ impl Telemetry {
         }
     }
 
-    /// Attach the shared latency sketch for load-signal quantiles.
+    /// Set [`Telemetry::latency`] (read by nothing in the engine).
     pub fn with_latency(mut self, latency: Arc<QuantileSketch>) -> Self {
         self.latency = Some(latency);
         self
@@ -545,8 +482,6 @@ mod tests {
             busy_micros: 40,
         });
         multi.on_topology(&TopologySnapshot::default());
-        multi.on_adapt(&AdaptEvent::GrowWorkers { from: 1, to: 2 }, Timestamp(3));
-        multi.on_adapt(&AdaptEvent::ShedDisengage, Timestamp(4));
         multi.on_fire_end(&FireRecord {
             actor: ActorId(0),
             started: Timestamp::ZERO,
@@ -582,14 +517,5 @@ mod tests {
         assert_eq!(RunPhase::Close.label(), "close");
         assert_eq!(RunPhase::Wrapup.label(), "wrapup");
         assert_eq!(RunPhase::End.label(), "end");
-    }
-
-    #[test]
-    fn adapt_event_labels_are_stable() {
-        assert_eq!(AdaptEvent::GrowWorkers { from: 1, to: 2 }.label(), "grow_workers");
-        assert_eq!(AdaptEvent::ShrinkWorkers { from: 2, to: 1 }.label(), "shrink_workers");
-        assert_eq!(AdaptEvent::SwapPolicy { from: "fifo", to: "qbs" }.label(), "swap_policy");
-        assert_eq!(AdaptEvent::ShedEngage { ratio_ppm: 50_000 }.label(), "shed_engage");
-        assert_eq!(AdaptEvent::ShedDisengage.label(), "shed_disengage");
     }
 }

@@ -19,7 +19,7 @@ use crate::time::{Micros, Timestamp};
 
 use super::json;
 use super::sketch::{QuantileSketch, SketchSnapshot};
-use super::{ActorTopology, AdaptEvent, FireRecord, Observer, RunPhase, TopologySnapshot};
+use super::{ActorTopology, FireRecord, Observer, RunPhase, TopologySnapshot};
 
 /// Prometheus type of an exported row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,24 +204,6 @@ metric_group! {
 }
 
 metric_group! {
-    /// Counters of adaptive-controller decisions over a run, reported through
-    /// [`Observer::on_adapt`].
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct AdaptMetrics {}
-    table ADAPT (cell AdaptCell);
-    /// Worker-set grow decisions applied.
-    worker_grows: u64 => json "worker_grows" col "grows" 0 prom Counter "confluence_adapt_worker_grows_total" "Worker-set grow decisions applied by the adaptive controller";
-    /// Worker-set shrink decisions applied.
-    worker_shrinks: u64 => json "worker_shrinks" col "shrinks" 0 prom Counter "confluence_adapt_worker_shrinks_total" "Worker-set shrink decisions applied by the adaptive controller";
-    /// Ready-queue policy hot-swaps applied.
-    policy_swaps: u64 => json "policy_swaps" col "swaps" 0 prom Counter "confluence_adapt_policy_swaps_total" "Ready-queue policy hot-swaps applied by the adaptive controller";
-    /// Times admission-side load shedding engaged.
-    shed_engagements: u64 => json "shed_engagements" col "shed_on" 0 prom Counter "confluence_adapt_shed_engagements_total" "Times the adaptive controller engaged admission-side load shedding";
-    /// Times admission-side load shedding disengaged.
-    shed_disengagements: u64 => json "shed_disengagements" col "shed_off" 0 prom Counter "confluence_adapt_shed_disengagements_total" "Times the adaptive controller disengaged admission-side load shedding";
-}
-
-metric_group! {
     /// One replica's slice of a [`ShardMetrics`] group.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct ShardReplicaMetrics {
@@ -239,18 +221,6 @@ metric_group! {
     queue_high_water: u64 => prom Gauge "confluence_shard_replica_queue_high_water" "Highest observed inbox depth per shard replica";
     /// Busy time charged to the replica.
     busy: Micros =>;
-}
-
-impl AdaptMetrics {
-    /// Worker resizes in either direction.
-    pub fn worker_resizes(&self) -> u64 {
-        self.worker_grows + self.worker_shrinks
-    }
-
-    /// Whether any adaptive decision was recorded.
-    pub fn any(&self) -> bool {
-        *self != AdaptMetrics::default()
-    }
 }
 
 /// Aggregated per-replica metrics for one expanded shard group, recovered
@@ -306,10 +276,6 @@ pub struct MetricsRecorder {
     /// Per-worker counters from pooled executors (empty under the
     /// thread-per-actor directors). Cold path: reported once per run.
     workers: Mutex<Vec<WorkerMetrics>>,
-    /// Adaptive-controller decision counters (all zero unless an
-    /// [`AdaptivePolicy`](crate::director::adaptive::AdaptivePolicy) is
-    /// configured).
-    adapt: AdaptCell,
 }
 
 impl MetricsRecorder {
@@ -401,8 +367,7 @@ impl MetricsRecorder {
     }
 
     /// The shared end-to-end latency sketch sink firings feed. Cloneable:
-    /// hand it to [`LoadSignals`](super::LoadSignals) to read live
-    /// quantiles mid-run.
+    /// the series recorder reads live quantiles from it mid-run.
     pub fn latency_sketch(&self) -> Arc<QuantileSketch> {
         self.latency.clone()
     }
@@ -441,7 +406,6 @@ impl MetricsRecorder {
             run_started: Timestamp(self.run_started.load(Ordering::Relaxed)),
             run_ended: Timestamp(self.run_ended.load(Ordering::Relaxed)),
             workers,
-            adapt: self.adapt.load(),
         }
     }
 }
@@ -536,17 +500,6 @@ impl Observer for MetricsRecorder {
     fn on_topology(&self, topology: &TopologySnapshot) {
         *self.topology.lock() = topology.actors.clone();
     }
-
-    fn on_adapt(&self, event: &AdaptEvent, _at: Timestamp) {
-        let cell = match event {
-            AdaptEvent::GrowWorkers { .. } => &self.adapt.worker_grows,
-            AdaptEvent::ShrinkWorkers { .. } => &self.adapt.worker_shrinks,
-            AdaptEvent::SwapPolicy { .. } => &self.adapt.policy_swaps,
-            AdaptEvent::ShedEngage { .. } => &self.adapt.shed_engagements,
-            AdaptEvent::ShedDisengage => &self.adapt.shed_disengagements,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Point-in-time view over a [`MetricsRecorder`].
@@ -571,9 +524,6 @@ pub struct MetricsSnapshot {
     /// Per-worker counters from pooled executors, ordered by worker index
     /// (empty under the thread-per-actor directors).
     pub workers: Vec<WorkerMetrics>,
-    /// Adaptive-controller decision counts (all zero when no
-    /// `AdaptivePolicy` is configured).
-    pub adapt: AdaptMetrics,
 }
 
 impl MetricsSnapshot {
@@ -662,10 +612,6 @@ impl MetricsSnapshot {
         push_json_group(&mut out, "workers", WORKER, &self.workers, |out, w| {
             json::push_u64(out, "worker", w.worker as u64)
         });
-        json::push_key(&mut out, "adapt");
-        out.push('{');
-        push_json_metrics(&mut out, ADAPT, &self.adapt);
-        out.push('}');
         json::push_key(&mut out, "latency");
         out.push('{');
         json::push_u64(&mut out, "count", self.latency.count);
@@ -708,7 +654,6 @@ impl MetricsSnapshot {
         push_prom_group(&mut out, EDGE, labelled(&self.edges, labels));
         let labels = |w: &WorkerMetrics| format!("{{worker=\"{}\"}}", w.worker);
         push_prom_group(&mut out, WORKER, labelled(&self.workers, labels));
-        push_prom_group(&mut out, ADAPT, vec![(String::new(), &self.adapt)]);
         let shards = self.shards();
         let mut replicas = Vec::new();
         for g in &shards {
@@ -797,9 +742,6 @@ impl MetricsSnapshot {
         for e in &self.edges {
             let (from, to, pairs) = (&e.from_name, &e.to_name, table_pairs(EDGE, e));
             let _ = writeln!(out, "edge {from} -> {to}:{}  {pairs}", e.port);
-        }
-        if self.adapt.any() {
-            let _ = writeln!(out, "adapt: {}", table_pairs(ADAPT, &self.adapt));
         }
         let _ = writeln!(
             out,
@@ -1027,7 +969,6 @@ mod tests {
         check_table(EDGE, Some("\"edges\":[{"), out, &mut names);
         check_table(PORT, Some("\"ports\":[{"), out, &mut names);
         check_table(WORKER, Some("\"workers\":[{"), out, &mut names);
-        check_table(ADAPT, Some("\"adapt\":{"), out, &mut names);
         check_table(SHARD_REPLICA, None, out, &mut names);
         let declared = names.len();
         names.sort_unstable();
@@ -1147,33 +1088,6 @@ mod tests {
         r.on_worker(&w0);
         let s = r.snapshot();
         assert_eq!(s.workers, vec![w0, w1], "sorted by worker index");
-    }
-
-    #[test]
-    fn recorder_counts_adapt_decisions() {
-        let r = recorder2();
-        r.on_adapt(&AdaptEvent::GrowWorkers { from: 1, to: 2 }, Timestamp(1));
-        r.on_adapt(&AdaptEvent::GrowWorkers { from: 2, to: 3 }, Timestamp(2));
-        r.on_adapt(&AdaptEvent::ShrinkWorkers { from: 3, to: 2 }, Timestamp(3));
-        r.on_adapt(&AdaptEvent::SwapPolicy { from: "fifo", to: "qbs" }, Timestamp(4));
-        r.on_adapt(&AdaptEvent::ShedEngage { ratio_ppm: 100_000 }, Timestamp(5));
-        r.on_adapt(&AdaptEvent::ShedDisengage, Timestamp(6));
-        let s = r.snapshot();
-        assert_eq!(s.adapt.worker_grows, 2);
-        assert_eq!(s.adapt.worker_shrinks, 1);
-        assert_eq!(s.adapt.policy_swaps, 1);
-        assert_eq!(s.adapt.shed_engagements, 1);
-        assert_eq!(s.adapt.shed_disengagements, 1);
-        assert_eq!(s.adapt.worker_resizes(), 3);
-        assert!(s.adapt.any());
-    }
-
-    #[test]
-    fn adapt_counters_zero_without_controller() {
-        let s = recorder2().snapshot();
-        assert!(!s.adapt.any());
-        assert_eq!(s.adapt, AdaptMetrics::default());
-        assert!(!s.render_table().contains("adapt:"));
     }
 
     #[test]

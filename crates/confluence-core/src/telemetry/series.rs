@@ -19,8 +19,7 @@
 //! * `p95_us` — the current p95 of the recorder's end-to-end latency
 //!   sketch;
 //! * `worker_busy_us:<w>` — cumulative busy time per pool worker
-//!   (pushed by the pool's timer thread on the same cadence);
-//! * adaptive decisions, appended to a bounded event log as they fire.
+//!   (pushed by the pool's timer thread on the same cadence).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,13 +31,10 @@ use crate::graph::ActorId;
 use crate::receiver::ActorInbox;
 use crate::time::{Micros, Timestamp};
 
-use super::{AdaptEvent, MetricsRecorder, Observer, TopologySnapshot};
+use super::{MetricsRecorder, Observer, TopologySnapshot};
 
 /// Default ring-buffer capacity per series key.
 const DEFAULT_CAPACITY: usize = 4096;
-
-/// Bound on the adaptive-decision event log.
-const EVENT_CAPACITY: usize = 1024;
 
 /// One sampled point: director time and the value observed there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,13 +54,12 @@ struct SeriesActor {
     inbox: Weak<ActorInbox>,
 }
 
-/// Mutable state behind the sampling lock: the per-key rings, the live
-/// topology handles, and the adaptive event log.
+/// Mutable state behind the sampling lock: the per-key rings and the live
+/// topology handles.
 #[derive(Default)]
 struct SeriesState {
     actors: Vec<SeriesActor>,
     series: BTreeMap<String, VecDeque<SeriesPoint>>,
-    adapt: VecDeque<(u64, String)>,
     /// Director time of the newest completed sample; stale racers (a
     /// thread that won the tick CAS but lost the state lock to a later
     /// tick) are dropped so rings stay tick-ordered.
@@ -203,8 +198,7 @@ impl TimeSeriesRecorder {
     }
 
     /// Render every series as `tick_us,key,value` CSV, keys in sorted
-    /// order, plus the adaptive event log as `tick_us,adapt:<label>,1`
-    /// rows at the end.
+    /// order.
     pub fn to_csv_all(&self) -> String {
         let state = self.state.lock();
         let mut out = String::from("tick_us,key,value\n");
@@ -212,9 +206,6 @@ impl TimeSeriesRecorder {
             for p in ring {
                 out.push_str(&format!("{},{},{}\n", p.tick_us, key, p.value));
             }
-        }
-        for (tick, label) in &state.adapt {
-            out.push_str(&format!("{tick},adapt:{label},1\n"));
         }
         out
     }
@@ -233,16 +224,6 @@ impl Observer for TimeSeriesRecorder {
             })
             .collect();
         self.state.lock().actors = actors;
-    }
-
-    fn on_adapt(&self, event: &AdaptEvent, at: Timestamp) {
-        let mut state = self.state.lock();
-        if state.adapt.len() >= EVENT_CAPACITY {
-            state.adapt.pop_front();
-        }
-        state
-            .adapt
-            .push_back((at.as_micros(), event.label().to_string()));
     }
 }
 
@@ -347,15 +328,6 @@ mod tests {
         assert_eq!(pts.len(), 3);
         assert_eq!(pts[0].tick_us, 8);
         assert_eq!(pts[2].tick_us, 10);
-    }
-
-    #[test]
-    fn adapt_events_are_logged_with_ticks() {
-        let r = TimeSeriesRecorder::new(Micros(1), recorder());
-        r.on_adapt(&AdaptEvent::GrowWorkers { from: 1, to: 2 }, Timestamp(42));
-        r.on_adapt(&AdaptEvent::ShedDisengage, Timestamp(50));
-        let csv = r.to_csv_all();
-        assert!(csv.ends_with("42,adapt:grow_workers,1\n50,adapt:shed_disengage,1\n"));
     }
 
     #[test]

@@ -116,8 +116,8 @@ impl QuantileSketch {
 
     /// Estimate of quantile `q` in `0.0..=1.0` without materializing a
     /// snapshot: a single allocation-free streaming pass over the live
-    /// buckets, used by the adaptive controller's sampling tick and the
-    /// time-series recorder's p95 samples. Point-in-time under concurrent
+    /// buckets, used by the time-series recorder's p95 samples.
+    /// Point-in-time under concurrent
     /// recording (monitoring-grade, not linearizable).
     pub fn quantile(&self, q: f64) -> u64 {
         let count = self.count.load(Ordering::Relaxed);

@@ -2,8 +2,8 @@
 //!
 //! One synthetic recorder, fed only through the `Observer` hooks, touches
 //! every section a snapshot can carry: escaped actor names, a shard pair,
-//! edges, a reported topology with a live inbox, pool workers, every
-//! adaptive decision and the latency sketch. The fixtures under
+//! edges, a reported topology with a live inbox, pool workers and the
+//! latency sketch. The fixtures under
 //! `tests/fixtures/metrics/` were written by the hand-rolled renderers the
 //! column table replaced; any byte that moves here moves for every scraper.
 
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use confluence_core::graph::ActorId;
 use confluence_core::receiver::ActorInbox;
 use confluence_core::telemetry::{
-    ActorTopology, AdaptEvent, FireRecord, MetricsRecorder, MetricsSnapshot, Observer, RunPhase,
+    ActorTopology, FireRecord, MetricsRecorder, MetricsSnapshot, Observer, RunPhase,
     TopologySnapshot, WorkerMetrics,
 };
 use confluence_core::time::{Micros, Timestamp};
@@ -129,22 +129,6 @@ fn synthetic() -> (MetricsSnapshot, Arc<ActorInbox>) {
         busy_micros: 140,
     });
 
-    r.on_adapt(&AdaptEvent::GrowWorkers { from: 1, to: 2 }, Timestamp(400));
-    r.on_adapt(&AdaptEvent::GrowWorkers { from: 2, to: 3 }, Timestamp(410));
-    r.on_adapt(&AdaptEvent::ShrinkWorkers { from: 3, to: 2 }, Timestamp(420));
-    r.on_adapt(
-        &AdaptEvent::SwapPolicy {
-            from: "fifo",
-            to: "qbs",
-        },
-        Timestamp(430),
-    );
-    for at in [440, 450, 460] {
-        r.on_adapt(&AdaptEvent::ShedEngage { ratio_ppm: 100_000 }, Timestamp(at));
-    }
-    for at in [445, 455] {
-        r.on_adapt(&AdaptEvent::ShedDisengage, Timestamp(at));
-    }
     r.on_run_phase(RunPhase::End, Timestamp(90_010));
     (r.snapshot(), inbox)
 }
@@ -156,7 +140,7 @@ fn renderers_match_the_committed_goldens() {
     // than it appears to.
     assert_eq!(snapshot.shards().len(), 1);
     assert_eq!(snapshot.latency.count, 3);
-    assert!(snapshot.adapt.any() && snapshot.workers.len() == 2);
+    assert!(snapshot.workers.len() == 2);
     assert_eq!(snapshot.ports.iter().map(|p| p.depth).sum::<u64>(), 3);
 
     let rendered = [

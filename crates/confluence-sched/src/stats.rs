@@ -312,7 +312,7 @@ mod tests {
         ];
         for (t, &(a, cost, ins, outs)) in firings.iter().enumerate() {
             m.record_firing(a, Micros(cost), ins, outs, Timestamp(t as u64));
-            live.record_fire(a, Micros(cost), ins, outs, None);
+            live.record_fire(a, Micros(cost), ins, outs);
         }
         live.refresh_rate_priorities();
         for a in 0..m.len() {

@@ -49,7 +49,6 @@ pub mod prelude {
     pub use confluence_core::actor::{Actor, FireContext, IoSignature};
     pub use confluence_core::actors::*;
     pub use confluence_core::channel::{ChannelPolicy, OnFull};
-    pub use confluence_core::director::adaptive::AdaptivePolicy;
     pub use confluence_core::director::ddf::DdfDirector;
     pub use confluence_core::director::de::DeDirector;
     pub use confluence_core::director::pool::PoolDirector;
@@ -63,8 +62,8 @@ pub mod prelude {
     pub use confluence_core::error::{Error, Result};
     pub use confluence_core::graph::{ActorId, Endpoint, Shard, ShardGroup, Workflow, WorkflowBuilder};
     pub use confluence_core::telemetry::{
-        AdaptEvent, LiveStats, MetricsRecorder, MetricsSnapshot, Observer, OpsConfig,
-        QuantileSketch, RunPhase, SketchSnapshot, StallWatchdog, Telemetry, TimeSeriesRecorder,
+        LiveStats, MetricsRecorder, MetricsSnapshot, Observer, OpsConfig, QuantileSketch,
+        RunPhase, SketchSnapshot, StallWatchdog, Telemetry, TimeSeriesRecorder,
     };
     pub use confluence_core::time::{Micros, Timestamp};
     pub use confluence_core::token::Token;

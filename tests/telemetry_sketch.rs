@@ -101,8 +101,8 @@ proptest! {
     }
 
     /// Quantiles of a merged snapshot obey the same α bound as a single
-    /// sketch over the union — the property the adaptive controller's
-    /// shed lever and the Prometheus summary both depend on.
+    /// sketch over the union — the property the Prometheus summary
+    /// depends on.
     #[test]
     fn merged_quantiles_keep_the_guarantee(
         a in prop::collection::vec(1u64..1_000_000, 1..150),
