@@ -239,6 +239,51 @@ mod tests {
         assert_eq!(h2.read(|s| s.table("t").unwrap().len()), 2);
     }
 
+    /// A table of every cell kind, string keys in each index kind.
+    fn mixed_store() -> StoreHandle {
+        let h = StoreHandle::new();
+        let schema = Schema::builder()
+            .column("name", ValueType::Str)
+            .column("n", ValueType::Int)
+            .nullable_column("x", ValueType::Float)
+            .nullable_column("ok", ValueType::Bool)
+            .nullable_column("tag", ValueType::Str)
+            .primary_key(&["name"])
+            .build()
+            .unwrap();
+        h.write(|s| {
+            s.create_table("mixed", schema)?;
+            let t = s.table_mut("mixed")?;
+            t.create_index(&["tag"])?;
+            t.create_ordered_index(&["n"], "tag")?;
+            t.insert(vec![Value::str("alpha"), 1.into(), 1.5.into(), true.into(), Value::str("b")])?;
+            t.insert(vec![Value::str(""), (-7).into(), Value::Null, false.into(), Value::Null])?;
+            t.insert(vec![Value::str("ünï"), i64::MAX.into(), 2.into(), Value::Null, Value::str("a")])
+        })
+        .unwrap();
+        h
+    }
+
+    #[test]
+    fn save_bytes_are_pinned_and_restore_round_trips() {
+        // Taken from the store before `Value::Str` became `Arc<String>`.
+        const GOLDEN: &str = "01000000050000006d6978656403000000050000000405000000616c7068610201000000\
+            0000000003000000000000f83f010104010000006205000000040000000002f9ffffffffffffff0001000005\
+            0000000405000000c3bc6ec3af02ffffffffffffff7f02020000000000000000040100000061";
+        let h = mixed_store();
+        let bytes = h.save().unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        let h2 = mixed_store();
+        h2.write(|s| s.table_mut("mixed").unwrap().clear());
+        h2.restore(&bytes).unwrap();
+        assert_eq!(h2.save().unwrap(), bytes);
+        let rows = h2.read(|s| s.table("mixed").unwrap().select(Some(&col("tag").eq(lit("a")))));
+        assert_eq!(rows.unwrap()[0][0], Value::str("ünï"));
+        let x = h2.read(|s| s.table("mixed").unwrap().get(&[Value::str("alpha")]).unwrap()[2].clone());
+        assert_eq!(x, Value::Float(1.5));
+    }
+
     #[test]
     fn handle_is_shareable_across_threads() {
         let h = StoreHandle::new();

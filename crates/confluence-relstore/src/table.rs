@@ -11,10 +11,10 @@
 //!
 //! A table keeps one copy of each row. Its indexes hold row positions
 //! only and read the indexed columns out of the row to hash and compare
-//! (see [`confluence_core::postable`]); an ordered index keeps the one
-//! range value per entry that its B-tree sorts by.
+//! (see [`confluence_core::postable`]); an ordered index keeps each
+//! partition's positions sorted by the range column, which it too reads
+//! out of the rows.
 
-use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -72,63 +72,41 @@ fn hash_key<'k>(key: impl Key<'k>) -> u64 {
     hasher.finish()
 }
 
-/// What a partition directory needs of a bucket of positions.
-trait Bucket: Default {
-    /// Any one position in the bucket (its rows all carry the bucket's
-    /// key); `None` when empty.
-    fn representative(&self) -> Option<u32>;
-}
-
-impl Bucket for Vec<u32> {
-    fn representative(&self) -> Option<u32> {
-        self.first().copied()
-    }
-}
-
-/// One ordered-index partition: `(range value, position)`, so a value's
-/// rows sit together in storage order.
-type RangeSet = BTreeSet<(Value, u32)>;
-
-impl Bucket for RangeSet {
-    fn representative(&self) -> Option<u32> {
-        self.first().map(|entry| entry.1)
-    }
-}
-
 /// Buckets of positions partitioned by the value of `cols`: a position
-/// table of bucket ids, each keyed by `cols` of its bucket's
-/// representative row, over a slab of buckets.
+/// table of bucket ids, each keyed by `cols` of its bucket's first row,
+/// over a slab of buckets.
 #[derive(Debug, Default)]
-struct Partitions<B> {
+struct Partitions {
     cols: Vec<usize>,
     dir: PosTable,
-    slab: Vec<B>,
+    slab: Vec<Vec<u32>>,
     free: Vec<u32>,
 }
 
-impl<B: Bucket> Partitions<B> {
+impl Partitions {
     fn find<'k>(&self, rows: &Rows, hash: u64, key: impl Key<'k>) -> Option<usize> {
         let found = self.dir.find(hash, |id| {
-            let rep = self.slab[id as usize].representative().expect("listed buckets hold rows");
-            cells(rows.row(rep as usize), &self.cols).eq(key.clone())
+            // Listed buckets hold rows.
+            let first = self.slab[id as usize][0];
+            cells(rows.row(first as usize), &self.cols).eq(key.clone())
         });
         found.map(|id| id as usize)
     }
 
-    /// The bucket of the rows whose `cols` equal `key`.
-    fn get(&self, rows: &Rows, key: &[Value]) -> Option<&B> {
-        self.find(rows, hash_key(key.iter()), key.iter()).map(|id| &self.slab[id])
+    /// The bucket of the rows whose `cols` equal `key` (empty when none do).
+    fn get(&self, rows: &Rows, key: &[Value]) -> &[u32] {
+        self.find(rows, hash_key(key.iter()), key.iter()).map_or(&[], |id| &self.slab[id])
     }
 
     /// The bucket `pos` belongs in, created (empty — the caller fills it
     /// before the next probe) when the row's key is new.
-    fn entry(&mut self, rows: &Rows, pos: u32) -> &mut B {
+    fn entry(&mut self, rows: &Rows, pos: u32) -> &mut Vec<u32> {
         let key = cells(rows.row(pos as usize), &self.cols);
         let hash = hash_key(key.clone());
         let id = self.find(rows, hash, key).unwrap_or_else(|| {
             let id = self.free.pop().map_or(self.slab.len(), |id| id as usize);
             if id == self.slab.len() {
-                self.slab.push(B::default());
+                self.slab.push(Vec::new());
             }
             self.dir.insert(hash, id as u32);
             id
@@ -138,22 +116,22 @@ impl<B: Bucket> Partitions<B> {
 
     /// Let `f` take `pos` out of its bucket; a bucket that empties leaves
     /// the directory and gives its memory back.
-    fn shrink(&mut self, rows: &Rows, pos: u32, f: impl FnOnce(&mut B)) {
+    fn shrink(&mut self, rows: &Rows, pos: u32, f: impl FnOnce(&mut Vec<u32>)) {
         let key = cells(rows.row(pos as usize), &self.cols);
         let hash = hash_key(key.clone());
         let Some(id) = self.find(rows, hash, key) else {
             return;
         };
         f(&mut self.slab[id]);
-        if self.slab[id].representative().is_none() {
+        if self.slab[id].is_empty() {
             self.dir.remove(hash, id as u32);
-            self.slab[id] = B::default();
+            self.slab[id] = Vec::new();
             self.free.push(id as u32);
         }
     }
 
-    fn buckets(&self) -> impl Iterator<Item = &B> + '_ {
-        self.slab.iter().filter(|b| b.representative().is_some())
+    fn buckets(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.slab.iter().filter(|b| !b.is_empty()).map(Vec::as_slice)
     }
 
     fn clear(&mut self) {
@@ -168,17 +146,13 @@ impl<B: Bucket> Partitions<B> {
 struct SecondaryIndex {
     label: Arc<str>,
     /// Positions per key, ascending (storage order).
-    parts: Partitions<Vec<u32>>,
+    parts: Partitions,
     stats: IndexStats,
 }
 
 impl SecondaryIndex {
     fn same_key(&self, a: &[Value], b: &[Value]) -> bool {
         cells(a, &self.parts.cols).eq(cells(b, &self.parts.cols))
-    }
-
-    fn bucket(&self, rows: &Rows, key: &[Value]) -> &[u32] {
-        self.parts.get(rows, key).map(Vec::as_slice).unwrap_or_default()
     }
 
     fn insert(&mut self, rows: &Rows, pos: u32) {
@@ -200,53 +174,33 @@ impl SecondaryIndex {
     }
 }
 
-/// An ordered composite index: hash on the equality columns, B-tree on the
-/// range column — serving `eq AND eq AND range_col BETWEEN lo AND hi`
-/// queries (the Linear Road LAV lookup shape).
+/// An ordered composite index: hash on the equality columns, and in each
+/// partition the positions sorted by the range column — serving
+/// `eq AND eq AND range_col BETWEEN lo AND hi` queries (the Linear Road
+/// LAV lookup shape) with two binary searches.
 #[derive(Debug)]
 struct OrderedIndex {
     range_col: usize,
     label: Arc<str>,
-    /// One set per value of the equality columns.
-    parts: Partitions<RangeSet>,
+    /// One position list per value of the equality columns, sorted by
+    /// [`range_key`], so a value's rows sit together in storage order.
+    parts: Partitions,
     /// `entries` plus distinct `(eq-key, range-key)` pairs; the partition
     /// count is the directory's length.
     stats: IndexStats,
 }
 
-/// The entries of one range value, in storage order.
-fn run_of<'a>(set: &'a RangeSet, v: &Value) -> impl Iterator<Item = &'a (Value, u32)> + 'a {
-    set.range((v.clone(), 0)..=(v.clone(), u32::MAX))
+/// Where `pos` sorts in an ordered partition over column `col`: by the
+/// value its row holds there, then by position.
+fn range_key(rows: &Rows, col: usize, pos: u32) -> (&Value, u32) {
+    (&rows.row(pos as usize)[col], pos)
 }
 
-/// The first entry of each distinct range value, ascending.
-fn run_heads(set: &RangeSet) -> impl Iterator<Item = &(Value, u32)> + '_ {
-    std::iter::successors(set.first(), |(v, _)| {
-        set.range((Bound::Excluded((v.clone(), u32::MAX)), Bound::Unbounded)).next()
-    })
-}
-
-/// The entries within value bounds, in `(value, position)` order. NULL
-/// never satisfies a range conjunct, but NULL range values sort below
-/// every bound — they are skipped whenever a bound exists.
-fn scan<'a>(
-    set: &'a RangeSet,
-    lo: &Bound<Value>,
-    hi: &Bound<Value>,
-) -> impl Iterator<Item = &'a (Value, u32)> + 'a {
-    let from = match lo {
-        Bound::Included(v) => Bound::Included((v.clone(), 0)),
-        Bound::Excluded(v) => Bound::Excluded((v.clone(), u32::MAX)),
-        Bound::Unbounded => Bound::Unbounded,
-    };
-    let to = match hi {
-        Bound::Included(v) => Bound::Included((v.clone(), u32::MAX)),
-        Bound::Excluded(v) => Bound::Excluded((v.clone(), 0)),
-        Bound::Unbounded => Bound::Unbounded,
-    };
-    let skip_null = !matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded));
-    let entries = (!range_is_empty(lo, hi)).then(|| set.range((from, to)));
-    entries.into_iter().flatten().filter(move |(v, _)| !(skip_null && v.is_null()))
+/// Does an entry beside slot `at` of a sorted partition hold `v`? A value's
+/// entries are contiguous, so these two are the only ones that can.
+fn run_touches(rows: &Rows, col: usize, part: &[u32], at: usize, v: &Value) -> bool {
+    let holds = |i: usize| part.get(i).is_some_and(|&p| range_key(rows, col, p).0 == v);
+    at.checked_sub(1).is_some_and(holds) || holds(at)
 }
 
 impl OrderedIndex {
@@ -264,20 +218,49 @@ impl OrderedIndex {
     }
 
     fn insert(&mut self, rows: &Rows, pos: u32) {
-        let v = &rows.row(pos as usize)[self.range_col];
-        let set = self.parts.entry(rows, pos);
-        self.stats.on_insert(run_of(set, v).next().is_none());
-        set.insert((v.clone(), pos));
+        let col = self.range_col;
+        let key = range_key(rows, col, pos);
+        let part = self.parts.entry(rows, pos);
+        // Minutes and times arrive ascending, so this is nearly always a push.
+        let at = part.partition_point(|&p| range_key(rows, col, p) < key);
+        self.stats.on_insert(!run_touches(rows, col, part, at, key.0));
+        part.insert(at, pos);
     }
 
     fn remove(&mut self, rows: &Rows, pos: u32) {
-        let v = &rows.row(pos as usize)[self.range_col];
+        let col = self.range_col;
+        let key = range_key(rows, col, pos);
         let stats = &mut self.stats;
-        self.parts.shrink(rows, pos, |set| {
-            if set.remove(&(v.clone(), pos)) {
-                stats.on_remove(run_of(set, v).next().is_none());
+        self.parts.shrink(rows, pos, |part| {
+            if let Ok(at) = part.binary_search_by(|&p| range_key(rows, col, p).cmp(&key)) {
+                part.remove(at);
+                stats.on_remove(!run_touches(rows, col, part, at, key.0));
             }
         });
+    }
+
+    /// The entries of the `eq_key` partition within value bounds, in
+    /// `(value, position)` order. NULL never satisfies a range conjunct, but
+    /// NULL range values sort below every bound — they are skipped whenever
+    /// a bound exists. Inverted bounds (`t >= 10 AND t <= 5`) select nothing.
+    fn scan(&self, rows: &Rows, eq_key: &[Value], lo: &Bound<Value>, hi: &Bound<Value>) -> &[u32] {
+        let part = self.parts.get(rows, eq_key);
+        let until = |below: &dyn Fn(&Value) -> bool| {
+            part.partition_point(|&p| below(range_key(rows, self.range_col, p).0))
+        };
+        let bounded = !matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded));
+        let nulls = if bounded { until(&Value::is_null) } else { 0 };
+        let start = match lo {
+            Bound::Included(v) => until(&|x| x < v),
+            Bound::Excluded(v) => until(&|x| x <= v),
+            Bound::Unbounded => 0,
+        };
+        let end = match hi {
+            Bound::Included(v) => until(&|x| x <= v),
+            Bound::Excluded(v) => until(&|x| x < v),
+            Bound::Unbounded => part.len(),
+        };
+        &part[start.max(nulls).min(end)..end]
     }
 }
 
@@ -385,18 +368,6 @@ fn pick(cands: Vec<Plan>) -> Option<Plan> {
     cands.into_iter().reduce(|best, c| if c.cost < best.cost { c } else { best })
 }
 
-/// Would a range scan between the bounds select nothing (or panic on an
-/// inverted range)? Inverted bounds arise from contradictory conjunctions
-/// like `t >= 10 AND t <= 5`.
-fn range_is_empty(lo: &Bound<Value>, hi: &Bound<Value>) -> bool {
-    use Bound::{Excluded, Included};
-    match (lo, hi) {
-        (Included(l), Included(h)) => l > h,
-        (Included(l) | Excluded(l), Included(h) | Excluded(h)) => l >= h,
-        _ => false,
-    }
-}
-
 /// An in-memory table with hash indexes.
 #[derive(Debug)]
 pub struct Table {
@@ -440,7 +411,7 @@ impl Table {
         self.live == 0
     }
 
-    fn partitions<B: Bucket>(&self, columns: &[&str]) -> Result<Partitions<B>> {
+    fn partitions(&self, columns: &[&str]) -> Result<Partitions> {
         let cols = columns.iter().map(|c| self.schema.column_index(c)).collect::<Result<_>>()?;
         Ok(Partitions { cols, ..Partitions::default() })
     }
@@ -460,8 +431,8 @@ impl Table {
         Ok(())
     }
 
-    /// Create an ordered composite index: hash-partitioned on `eq_columns`
-    /// with a B-tree over `range_column`, answering
+    /// Create an ordered composite index: hash-partitioned on `eq_columns`,
+    /// each partition sorted by `range_column`, answering
     /// `eq… AND range_column BETWEEN lo AND hi` with a range scan.
     /// Existing rows are indexed immediately.
     pub fn create_ordered_index(&mut self, eq_columns: &[&str], range_column: &str) -> Result<()> {
@@ -674,17 +645,12 @@ impl Table {
                 self.pk_find(key.iter()).into_iter().collect()
             }
             PlanNode::IndexEq { index: IndexRef::Secondary(i), key, .. } => {
-                let bucket = self.secondary[*i].bucket(&self.rows, key);
+                let bucket = self.secondary[*i].parts.get(&self.rows, key);
                 bucket.iter().map(|&pos| pos as usize).collect()
             }
             PlanNode::IndexRange { index, eq_key, lo, hi, .. } => {
-                let mut out: Vec<usize> = self.ordered[*index]
-                    .parts
-                    .get(&self.rows, eq_key)
-                    .into_iter()
-                    .flat_map(|set| scan(set, lo, hi))
-                    .map(|entry| entry.1 as usize)
-                    .collect();
+                let entries = self.ordered[*index].scan(&self.rows, eq_key, lo, hi);
+                let mut out: Vec<usize> = entries.iter().map(|&pos| pos as usize).collect();
                 out.sort_unstable();
                 out
             }
@@ -954,10 +920,10 @@ impl Table {
                 groups.sort_by_key(|(first, _)| *first);
             }
             Some(PlanNode::GroupByIndex { index: IndexRef::Ordered(i), .. }) => {
-                for set in self.ordered[i].parts.buckets() {
-                    for (v, _) in run_heads(set) {
-                        let run = run_of(set, v).map(|entry| entry.1);
-                        self.accumulate_group(pred, aggs, run, &mut groups)?;
+                let value = |&p: &u32| range_key(&self.rows, self.ordered[i].range_col, p).0;
+                for part in self.ordered[i].parts.buckets() {
+                    for run in part.chunk_by(|a, b| value(a) == value(b)) {
+                        self.accumulate_group(pred, aggs, run.iter().copied(), &mut groups)?;
                     }
                 }
                 groups.sort_by_key(|(first, _)| *first);
@@ -1585,6 +1551,99 @@ mod tests {
             "the value as the row holds it"
         );
         assert_eq!(t.aggregate(Some(&col("g").eq(lit(2.0))), &Agg::Count).unwrap(), Value::Int(10));
+    }
+
+    /// The same rows in `indexed` and in a table without its indexes.
+    fn with_plain(mut indexed: Table, rows: impl IntoIterator<Item = Row>) -> (Table, Table) {
+        let mut plain = Table::new(indexed.schema().clone());
+        for r in rows {
+            indexed.insert(r.clone()).unwrap();
+            plain.insert(r).unwrap();
+        }
+        (indexed, plain)
+    }
+
+    #[test]
+    fn ordered_index_agrees_with_a_scan_near_two_to_the_53() {
+        const P: i64 = 1 << 53;
+        let schema = Schema::builder()
+            .column("k", ValueType::Int)
+            .column("g", ValueType::Int)
+            .column("w", ValueType::Float)
+            .primary_key(&["k"])
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        t.create_ordered_index(&["g"], "w").unwrap();
+        let ws = [
+            Value::Int(P + 1),
+            Value::Float(P as f64),
+            Value::Int(P),
+            Value::Int(P - 1),
+            Value::Float(P as f64 + 2.0),
+            Value::Int(P + 2),
+            Value::Int(P + 3),
+        ];
+        let rows = (0..70i64).map(|k| vec![k.into(), (k % 2).into(), ws[k as usize % 7].clone()]);
+        let (t, plain) = with_plain(t, rows);
+        let g0 = || col("g").eq(lit(0));
+        for range in [
+            col("w").eq(lit(P + 1)),
+            col("w").eq(lit(P as f64)),
+            col("w").between(lit(P), lit(P + 1)),
+            col("w").gt(lit(P)),
+            col("w").ge(lit(P as f64 + 2.0)),
+            col("w").lt(lit(P + 2)),
+            col("w").le(lit(P as f64)),
+        ] {
+            let pred = g0().and(range);
+            assert!(matches!(t.plan(Some(&pred)).node, PlanNode::IndexRange { .. }));
+            assert_eq!(t.select(Some(&pred)).unwrap(), plain.select(Some(&pred)).unwrap(), "{pred:?}");
+        }
+        let group = |t: &Table| t.group_by(None, &["g", "w"], &[Agg::Count]).unwrap();
+        assert!(t.plan_group_by(None, &["g", "w"]).is_some());
+        assert_eq!(group(&t), group(&plain));
+        assert_eq!(group(&t).len(), 10, "five values a partition: P and P + 2 tie with their floats");
+    }
+
+    #[test]
+    fn string_keys_serve_every_index_kind() {
+        let schema = Schema::builder()
+            .column("name", ValueType::Str)
+            .column("city", ValueType::Str)
+            .nullable_column("note", ValueType::Str)
+            .primary_key(&["name"])
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        t.create_index(&["city"]).unwrap();
+        t.create_ordered_index(&["city"], "note").unwrap();
+        let names = ["ada", "bo", "cy", "di", "ed", "fay", "gus", "hal"];
+        let rows = (0..64usize).map(|i| {
+            let note = if i % 5 == 0 { Value::Null } else { Value::str(names[i % 8]) };
+            let city = Value::str(["oslo", "rome"][i % 2]);
+            vec![Value::str(&format!("{}{i}", names[i % 8])), city, note]
+        });
+        let (mut t, mut plain) = with_plain(t, rows);
+        assert_eq!(t.get(&[Value::str("cy10")]).unwrap()[1], Value::str("oslo"));
+        assert!(t.get(&[Value::str("cy")]).is_none());
+        assert!(t.insert(vec![Value::str("cy10"), Value::str("x"), Value::Null]).is_err());
+        let rome = col("city").eq(lit("rome"));
+        let node = t.plan(Some(&rome)).node;
+        assert!(matches!(node, PlanNode::IndexEq { index: IndexRef::Secondary(0), .. }));
+        let ranged = col("city").eq(lit("oslo")).and(col("note").between(lit("bo"), lit("fay")));
+        assert!(matches!(t.plan(Some(&ranged)).node, PlanNode::IndexRange { .. }));
+        for t in [&mut t, &mut plain] {
+            t.upsert(vec![Value::str("cy10"), Value::str("rome"), Value::str("zed")]).unwrap();
+            t.delete_where(&col("note").eq(lit("ed"))).unwrap();
+        }
+        let open = col("city").eq(lit("oslo")).and(col("note").lt(lit("cy")));
+        for pred in [rome, ranged, open] {
+            assert_eq!(t.select(Some(&pred)).unwrap(), plain.select(Some(&pred)).unwrap(), "{pred:?}");
+        }
+        let aggs = [Agg::Count, Agg::Max("name".into())];
+        let group = |t: &Table| t.group_by(None, &["city", "note"], &aggs);
+        assert_eq!(group(&t).unwrap(), group(&plain).unwrap());
     }
 
     #[test]

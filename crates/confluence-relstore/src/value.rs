@@ -25,9 +25,11 @@ pub enum Value {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// Shared string.
-    Str(Arc<str>),
+    /// Shared string, behind a thin pointer so a cell is 16 bytes.
+    Str(Arc<String>),
 }
+
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 /// Type tags for schema declarations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +47,7 @@ pub enum ValueType {
 impl Value {
     /// Build a string value.
     pub fn str(s: &str) -> Value {
-        Value::Str(Arc::from(s))
+        Value::Str(Arc::new(s.to_owned()))
     }
 
     /// The value's type, or `None` for NULL (NULL inhabits every type).
@@ -92,7 +94,7 @@ impl Value {
     /// String accessor.
     pub fn as_str(&self) -> Result<&str> {
         match self {
-            Value::Str(v) => Ok(v.as_ref()),
+            Value::Str(v) => Ok(v.as_str()),
             other => Err(Error::Store(format!("expected Str, found {other}"))),
         }
     }
@@ -105,7 +107,7 @@ impl Value {
             Token::Bool(b) => Value::Bool(*b),
             Token::Int(i) => Value::Int(*i),
             Token::Float(f) => Value::Float(*f),
-            Token::Str(s) => Value::Str(s.clone()),
+            Token::Str(s) => Value::str(s),
             other => {
                 return Err(Error::Store(format!(
                     "non-scalar token {} cannot be stored",
@@ -122,7 +124,7 @@ impl Value {
             Value::Bool(b) => Token::Bool(*b),
             Value::Int(i) => Token::Int(*i),
             Value::Float(f) => Token::Float(*f),
-            Value::Str(s) => Token::Str(s.clone()),
+            Value::Str(s) => Token::str(s),
         }
     }
 }
@@ -167,8 +169,9 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order: NULL < Bool < numbers < Str; Int and Float compare
-    /// numerically (total_cmp for NaN stability).
+    /// Total order: NULL < Bool < numbers < Str. Int and Float compare
+    /// exactly: by `total_cmp` of the integer widened to f64, then, when
+    /// the widening rounded them together, by the integer value itself.
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
         fn rank(v: &Value) -> u8 {
@@ -184,12 +187,19 @@ impl Ord for Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (a, b) => rank(a).cmp(&rank(b)),
         }
     }
+}
+
+/// `a` against `b`, exactly. Rounding is monotone, so only a tie of
+/// `a as f64` with `b` needs more; it leaves `b` integral and within
+/// ±2^63, where `b as i128` is exact.
+fn int_float_cmp(a: i64, b: f64) -> Ordering {
+    (a as f64).total_cmp(&b).then_with(|| (a as i128).cmp(&(b as i128)))
 }
 
 impl Hash for Value {
@@ -300,6 +310,76 @@ mod tests {
                 Value::str("a"),
             ]
         );
+    }
+
+    #[test]
+    fn int_and_float_order_exactly_near_two_to_the_53() {
+        const P: i64 = 1 << 53;
+        let (pf, max) = (P as f64, i64::MAX as f64);
+        // `2^53 + 1 as f64` rounds to 2^53: the old widening compare had
+        // Int(2^53 + 1) == Float(2^53) == Int(2^53) < Int(2^53 + 1).
+        assert!(Value::Int(P + 1) > Value::Float(pf));
+        assert_eq!(Value::Float(pf), Value::Int(P));
+        assert!(Value::Int(i64::MAX) < Value::Float(max), "2^63 - 1 < 2^63");
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        assert!(Value::Float(-0.0) < Value::Int(0));
+        let vs = [
+            Value::Int(P - 1),
+            Value::Int(P),
+            Value::Int(P + 1),
+            Value::Int(P + 2),
+            Value::Int(P + 3),
+            Value::Float(pf - 1.0),
+            Value::Float(pf),
+            Value::Float(pf + 2.0),
+            Value::Float(pf + 4.0),
+            Value::Int(i64::MAX),
+            Value::Float(max),
+            Value::Int(i64::MIN),
+            Value::Float(i64::MIN as f64),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Int(0),
+        ];
+        for a in &vs {
+            for b in &vs {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a} vs {b}");
+                if a == b {
+                    assert_eq!(h(a), h(b), "{a} == {b} must hash alike");
+                }
+                for c in &vs {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a} <= {b} <= {c}");
+                    }
+                }
+            }
+        }
+        let mut sorted = vs.to_vec();
+        sorted.sort();
+        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+        let ints: Vec<&Value> = sorted.iter().filter(|v| matches!(v, Value::Int(_))).collect();
+        assert!(ints.windows(2).all(|w| w[0].as_int().unwrap() <= w[1].as_int().unwrap()));
+    }
+
+    #[test]
+    fn strings_keep_their_text_order_and_hash() {
+        for s in ["", "a", "ünï", "a b"] {
+            let v = Value::str(s);
+            assert_eq!(v.as_str().unwrap(), s);
+            assert_eq!(v.to_string(), format!("'{s}'"));
+            let mut expect = DefaultHasher::new();
+            3u8.hash(&mut expect);
+            s.hash(&mut expect);
+            assert_eq!(h(&v), expect.finish(), "hashes as the str it holds");
+            let back = Value::from_token(&Token::str(s)).unwrap();
+            assert_eq!(back, v);
+            assert_eq!(back.to_token(), Token::str(s));
+        }
+        assert!(Value::str("a") < Value::str("b"));
+        assert!(Value::str("b") < Value::str("ba"));
+        assert!(Value::Float(f64::INFINITY) < Value::str(""));
     }
 
     #[test]

@@ -4,13 +4,14 @@
 use proptest::prelude::*;
 
 use confluence_relstore::expr::{col, lit};
-use confluence_relstore::{Agg, IndexStats, Schema, Table, Value, ValueType};
+use confluence_relstore::{Agg, IndexRef, IndexStats, PlanNode, Schema, Table, Value, ValueType};
 
 fn fresh_table(with_index: bool) -> Table {
     let schema = Schema::builder()
         .column("k", ValueType::Int)
         .column("g", ValueType::Int)
         .column("v", ValueType::Int)
+        .nullable_column("w", ValueType::Float)
         .primary_key(&["k"])
         .build()
         .unwrap();
@@ -18,18 +19,39 @@ fn fresh_table(with_index: bool) -> Table {
     if with_index {
         t.create_index(&["g"]).unwrap();
         t.create_ordered_index(&["g"], "v").unwrap();
+        t.create_ordered_index(&["g"], "w").unwrap();
     }
     t
+}
+
+/// A number for the `w` column: small ints, halves and whole floats that
+/// tie with them, and both kinds around 2^53, where widening an int to f64
+/// rounds.
+fn number() -> impl Strategy<Value = Value> {
+    const P: i64 = 1 << 53;
+    prop_oneof![
+        (0..8i64).prop_map(Value::Int),
+        (0..16i64).prop_map(|n| Value::Float(n as f64 / 2.0)),
+        (0..4i64).prop_map(|d| Value::Int(P + d)),
+        (0..2i64).prop_map(|d| Value::Float((P + 2 * d) as f64)),
+    ]
+}
+
+/// A `w` cell: NULL one time in five, else a [`number`].
+fn w_value() -> impl Strategy<Value = Value> {
+    (0..5, number()).prop_map(|(i, n)| if i == 0 { Value::Null } else { n })
 }
 
 /// Random operations over a small key space so collisions happen.
 #[derive(Debug, Clone)]
 enum Op {
-    Upsert { k: i64, g: i64, v: i64 },
+    Upsert { k: i64, g: i64, v: i64, w: Value },
     Delete { g: i64 },
     UpdateV { g: i64, v: i64 },
     /// Moves rows between index keys in place.
     UpdateG { v: i64, g: i64 },
+    /// Moves rows within the `w` index's partition.
+    UpdateW { g: i64, w: Value },
     Clear,
     /// Fill keys `100..100 + rows`, then delete most of them: more than 64
     /// dead slots and more dead than live, which is what compacts a table.
@@ -39,10 +61,11 @@ enum Op {
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            (0..30i64, 0..5i64, 0..100i64).prop_map(|(k, g, v)| Op::Upsert { k, g, v }),
+            (0..30i64, 0..5i64, 0..100i64, w_value()).prop_map(|(k, g, v, w)| Op::Upsert { k, g, v, w }),
             (0..5i64).prop_map(|g| Op::Delete { g }),
             (0..5i64, 0..100i64).prop_map(|(g, v)| Op::UpdateV { g, v }),
             (0..100i64, 0..5i64).prop_map(|(v, g)| Op::UpdateG { v, g }),
+            (0..5i64, w_value()).prop_map(|(g, w)| Op::UpdateW { g, w }),
         ],
         0..80,
     )
@@ -64,8 +87,8 @@ fn churned_ops() -> impl Strategy<Value = Vec<Op>> {
 fn apply(t: &mut Table, ops: &[Op]) {
     for op in ops {
         match op {
-            Op::Upsert { k, g, v } => {
-                t.upsert(vec![(*k).into(), (*g).into(), (*v).into()]).unwrap();
+            Op::Upsert { k, g, v, w } => {
+                t.upsert(vec![(*k).into(), (*g).into(), (*v).into(), w.clone()]).unwrap();
             }
             Op::Delete { g } => {
                 t.delete_where(&col("g").eq(lit(*g))).unwrap();
@@ -78,10 +101,15 @@ fn apply(t: &mut Table, ops: &[Op]) {
                 t.update_where(&col("v").ge(lit(*v)), &[("g", (*g).into())])
                     .unwrap();
             }
+            Op::UpdateW { g, w } => {
+                t.update_where(&col("g").eq(lit(*g)), &[("w", w.clone())]).unwrap();
+            }
             Op::Clear => t.clear(),
             Op::Churn { rows, keep } => {
                 for k in 100..100 + rows {
-                    t.upsert(vec![k.into(), (k % 5).into(), (k % 7).into()]).unwrap();
+                    let w = [Value::Null, (k % 4).into(), (k as f64 % 4.0 + 0.5).into()];
+                    t.upsert(vec![k.into(), (k % 5).into(), (k % 7).into(), w[k as usize % 3].clone()])
+                        .unwrap();
                 }
                 let doomed = col("k").ge(lit(100 + keep));
                 assert_eq!(t.delete_where(&doomed).unwrap() as i64, rows - keep);
@@ -91,17 +119,18 @@ fn apply(t: &mut Table, ops: &[Op]) {
 }
 
 /// What `stats()` should say of `fresh_table(true)`, counted from its rows.
-fn recount(t: &Table) -> (usize, [IndexStats; 2], usize) {
+fn recount(t: &Table) -> (usize, [IndexStats; 3], usize) {
     let mut gs = std::collections::BTreeSet::new();
     let mut gvs = std::collections::BTreeSet::new();
+    let mut gws = std::collections::BTreeSet::new();
     for row in t.iter() {
         gs.insert(row[1].clone());
         gvs.insert((row[1].clone(), row[2].clone()));
+        gws.insert((row[1].clone(), row[3].clone()));
     }
     let entries = t.iter().count();
-    let secondary = IndexStats { entries, distinct_keys: gs.len() };
-    let ordered = IndexStats { entries, distinct_keys: gvs.len() };
-    (entries, [secondary, ordered], gs.len())
+    let stats = |keys: usize| IndexStats { entries, distinct_keys: keys };
+    (entries, [stats(gs.len()), stats(gvs.len()), stats(gws.len())], gs.len())
 }
 
 proptest! {
@@ -155,14 +184,68 @@ proptest! {
             prop_assert_eq!(indexed.get(&row[..1]), Some(row));
         }
 
-        let (entries, [secondary, ordered], partitions) = recount(&indexed);
+        let (entries, counted, partitions) = recount(&indexed);
         let stats = indexed.stats();
         prop_assert_eq!(stats.rows, entries);
         prop_assert_eq!(indexed.len(), entries);
-        prop_assert_eq!(stats.indexes[0].stats, secondary);
-        prop_assert_eq!(stats.indexes[0].partitions, partitions);
-        prop_assert_eq!(stats.indexes[1].stats, ordered);
-        prop_assert_eq!(stats.indexes[1].partitions, partitions);
+        for (view, counted) in stats.indexes.iter().zip(counted) {
+            prop_assert_eq!(view.stats, counted, "{}", view.label);
+            prop_assert_eq!(view.partitions, partitions, "{}", view.label);
+        }
+    }
+
+    /// An ordered index over a nullable column of mixed ints and floats
+    /// answers bounded and one-sided ranges like a scan, serves the grouping
+    /// over its columns like the plain table, and keeps its statistics.
+    #[test]
+    fn ordered_index_over_nullable_mixed_numbers(
+        ops in churned_ops(),
+        probe_g in 0..5i64,
+        lo in number(),
+        hi in number(),
+    ) {
+        let mut indexed = fresh_table(true);
+        let mut plain = fresh_table(false);
+        apply(&mut indexed, &ops);
+        apply(&mut plain, &ops);
+
+        let g = || col("g").eq(lit(probe_g));
+        let (lo, hi) = (|| lit(lo.clone()), || lit(hi.clone()));
+        for range in [
+            col("w").between(lo(), hi()),
+            col("w").gt(lo()).and(col("w").lt(hi())),
+            col("w").ge(lo()),
+            col("w").gt(lo()),
+            col("w").le(hi()),
+            col("w").lt(hi()),
+        ] {
+            let pred = g().and(range);
+            // Beyond 16 rows a range over part of a partition beats both the
+            // scan and the whole-partition probes.
+            if indexed.len() > 16 {
+                let node = indexed.plan(Some(&pred)).node;
+                prop_assert!(matches!(node, PlanNode::IndexRange { index: 1, .. }), "{}", node);
+            }
+            prop_assert_eq!(indexed.select(Some(&pred)).unwrap(), plain.select(Some(&pred)).unwrap());
+        }
+        let pred = g().and(col("w").eq(lo()));
+        prop_assert_eq!(indexed.select(Some(&pred)).unwrap(), plain.select(Some(&pred)).unwrap());
+
+        let node = indexed.plan_group_by(None, &["g", "w"]).map(|p| p.node);
+        prop_assert!(matches!(node, Some(PlanNode::GroupByIndex { index: IndexRef::Ordered(1), .. })));
+        let aggs = [Agg::Count, Agg::Sum("v".into()), Agg::Min("w".into()), Agg::Max("w".into())];
+        for pred in [None, Some(col("v").ge(lit(50)))] {
+            prop_assert_eq!(
+                indexed.group_by(pred.as_ref(), &["g", "w"], &aggs).unwrap(),
+                plain.group_by(pred.as_ref(), &["g", "w"], &aggs).unwrap()
+            );
+        }
+
+        let (entries, [_, _, by_w], partitions) = recount(&indexed);
+        let view = &indexed.stats().indexes[2];
+        prop_assert_eq!(view.stats, by_w);
+        prop_assert_eq!(view.stats.entries, entries);
+        prop_assert_eq!(view.partitions, partitions);
     }
 
     /// Upsert keeps exactly one row per key and the last write wins.
@@ -171,7 +254,7 @@ proptest! {
         let mut t = fresh_table(true);
         let mut model: std::collections::HashMap<i64, i64> = Default::default();
         for (k, v) in &writes {
-            t.upsert(vec![(*k).into(), 0.into(), (*v).into()]).unwrap();
+            t.upsert(vec![(*k).into(), 0.into(), (*v).into(), Value::Null]).unwrap();
             model.insert(*k, *v);
         }
         prop_assert_eq!(t.len(), model.len());
