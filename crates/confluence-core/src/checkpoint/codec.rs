@@ -4,8 +4,12 @@
 //! `u32`-length-prefixed strings/sequences) are deliberately the same wire
 //! vocabulary a future networked fabric needs for `CwEvent` framing: one
 //! codec serves snapshot files, source event logs, and remote channels.
+//! Files stream through it one `u32`-length-prefixed frame at a time.
 
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+use std::io::{self, Read};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
@@ -40,14 +44,18 @@ impl Encoder {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
+    /// Forget what was written and open a `u32`-length-prefixed frame.
+    pub(crate) fn start_frame(&mut self) {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; 4]);
     }
 
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    /// Patch the length of the frame [`Encoder::start_frame`] opened into
+    /// its prefix, and return the whole frame.
+    pub(crate) fn end_frame(&mut self) -> &[u8] {
+        let len = (self.buf.len() - 4) as u32;
+        self.buf[..4].copy_from_slice(&len.to_le_bytes());
+        &self.buf
     }
 
     /// Write one raw byte.
@@ -168,13 +176,17 @@ impl Encoder {
     }
 }
 
+/// One schema per distinct field-name list decoded so far, keyed by a hash
+/// of the names so that it outlives the buffer (the frame) it was filled
+/// from: the format spells the names out per record, recovered records
+/// share them again. An ordered map, so the key is not hashed twice.
+pub type SchemaCache = BTreeMap<u64, Arc<Schema>>;
+
 /// Cursor-based decoder over an encoded byte slice.
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// One schema per distinct field-name list decoded so far: the format
-    /// spells the names out per record, recovered records share them again.
-    schemas: HashMap<Vec<&'a str>, Arc<Schema>>,
+    schemas: SchemaCache,
     /// Records and arrays open around the token being read.
     depth: usize,
 }
@@ -182,22 +194,28 @@ pub struct Decoder<'a> {
 impl<'a> Decoder<'a> {
     /// A decoder starting at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
+        Self::with_schemas(buf, SchemaCache::default())
+    }
+
+    /// A decoder over `buf` that gives records the schemas in `schemas`
+    /// (taken back with [`Decoder::into_schemas`]) before making new ones.
+    pub fn with_schemas(buf: &'a [u8], schemas: SchemaCache) -> Self {
         Decoder {
             buf,
             pos: 0,
-            schemas: HashMap::new(),
+            schemas,
             depth: 0,
         }
+    }
+
+    /// The schema cache, with the schemas this decoder added to it.
+    pub fn into_schemas(self) -> SchemaCache {
+        self.schemas
     }
 
     /// Whether every byte has been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.pos >= self.buf.len()
-    }
-
-    /// Offset of the next byte to read.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
@@ -308,7 +326,14 @@ impl<'a> Decoder<'a> {
             names.push(self.str()?);
             values.push(self.token()?);
         }
-        let schema = self.schemas.entry(names).or_insert_with_key(|names| Schema::new(names));
+        let mut h = DefaultHasher::new();
+        names.hash(&mut h);
+        let cached = self.schemas.entry(h.finish()).or_insert_with(|| Schema::new(&names));
+        let schema = if cached.names().iter().map(|n| &**n).eq(names.iter().copied()) {
+            cached.clone()
+        } else {
+            Schema::new(&names) // a hash collision goes uncached
+        };
         Ok(schema.record(values))
     }
 
@@ -365,6 +390,104 @@ impl<'a> Decoder<'a> {
             formed_at,
             timed_out,
         })
+    }
+}
+
+/// Reads a stream of known length: scalars and byte strings straight off
+/// it, frames through one reused buffer and one [`SchemaCache`]. A length
+/// the stream announces is refused, before anything is allocated for it,
+/// unless the bytes left hold it.
+pub(crate) struct FrameReader<R> {
+    r: io::Take<R>,
+    frame: Vec<u8>,
+    schemas: SchemaCache,
+}
+
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<()> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => corrupt("stream ends early"),
+        _ => Error::Checkpoint(format!("read: {e}")),
+    })
+}
+
+impl<R: Read> FrameReader<R> {
+    /// A reader of the `len` bytes `r` holds.
+    pub(crate) fn new(r: R, len: u64) -> Self {
+        let (frame, schemas) = Default::default();
+        FrameReader { r: r.take(len), frame, schemas }
+    }
+
+    /// Bytes not read yet.
+    pub(crate) fn left(&self) -> u64 {
+        self.r.limit()
+    }
+
+    /// Read a little-endian `u32`.
+    pub(crate) fn u32(&mut self) -> Result<u32> {
+        let mut b = [0; 4];
+        fill(&mut self.r, &mut b)?;
+        Ok(u32::from_le_bytes(b))
+    }
+
+    /// A `u32` count, then that many items read by `item`.
+    pub(crate) fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let n = self.u32()? as usize;
+        let mut items = Vec::with_capacity(n.min(self.left() as usize));
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// A `u32` length the bytes left hold.
+    pub(crate) fn length(&mut self) -> Result<usize> {
+        let n = self.u32()?;
+        if u64::from(n) > self.left() {
+            return Err(corrupt(&format!("a length of {n} runs past the end")));
+        }
+        Ok(n as usize)
+    }
+
+    /// A length-prefixed byte string.
+    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>> {
+        let mut v = vec![0; self.length()?];
+        fill(&mut self.r, &mut v)?;
+        Ok(v)
+    }
+
+    /// Read the next `n` bytes into the frame buffer, undecoded.
+    pub(crate) fn load(&mut self, n: usize) -> Result<()> {
+        self.frame.resize(n, 0);
+        fill(&mut self.r, &mut self.frame)
+    }
+
+    /// Decode the next `n` bytes with `body`, which must consume them all.
+    pub(crate) fn body<T>(
+        &mut self,
+        n: usize,
+        body: impl FnOnce(&mut Decoder<'_>) -> Result<T>,
+    ) -> Result<T> {
+        self.load(n)?;
+        let mut d = Decoder::with_schemas(&self.frame, std::mem::take(&mut self.schemas));
+        let value = body(&mut d);
+        let exhausted = d.is_exhausted();
+        self.schemas = d.into_schemas();
+        match value {
+            Ok(_) if !exhausted => Err(corrupt("frame length mismatch")),
+            value => value,
+        }
+    }
+
+    /// Decode the next length-prefixed frame with `body`.
+    pub(crate) fn frame<T>(
+        &mut self,
+        body: impl FnOnce(&mut Decoder<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let n = self.length()?;
+        self.body(n, body)
     }
 }
 

@@ -23,7 +23,7 @@ pub mod codec;
 
 use std::collections::VecDeque;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,12 +35,14 @@ use crate::error::{Error, Result};
 use crate::time::Timestamp;
 use crate::token::Token;
 use crate::window::{GroupSnapshot, OperatorSnapshot, Window};
-use codec::{Decoder, Encoder};
+use codec::{Decoder, Encoder, FrameReader};
 
 /// Magic bytes opening every checkpoint file.
 const MAGIC: &[u8; 4] = b"CFLC";
 /// Checkpoint file format version.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// Bytes buffered between a checkpoint or event log and its file.
+const IO_BUFFER: usize = 64 << 10;
 
 /// File name of the snapshot inside a checkpoint directory.
 pub const SNAPSHOT_FILE: &str = "checkpoint.bin";
@@ -96,22 +98,6 @@ fn decode_events(d: &mut Decoder<'_>) -> Result<Vec<crate::event::CwEvent>> {
         events.push(d.event()?);
     }
     Ok(events)
-}
-
-fn encode_windows(e: &mut Encoder, windows: &[Window]) {
-    e.u32(windows.len() as u32);
-    for w in windows {
-        e.window(w);
-    }
-}
-
-fn decode_windows(d: &mut Decoder<'_>) -> Result<Vec<Window>> {
-    let n = d.u32()? as usize;
-    let mut windows = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        windows.push(d.window()?);
-    }
-    Ok(windows)
 }
 
 fn encode_group(e: &mut Encoder, g: &GroupSnapshot) {
@@ -181,64 +167,7 @@ fn decode_group(d: &mut Decoder<'_>) -> Result<GroupSnapshot> {
     }
 }
 
-fn encode_operator(e: &mut Encoder, op: &OperatorSnapshot) {
-    e.u32(op.groups.len() as u32);
-    for g in &op.groups {
-        encode_group(e, g);
-    }
-    encode_windows(e, &op.ready);
-    encode_events(e, &op.expired);
-}
-
-fn decode_operator(d: &mut Decoder<'_>) -> Result<OperatorSnapshot> {
-    let n = d.u32()? as usize;
-    let mut groups = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        groups.push(decode_group(d)?);
-    }
-    Ok(OperatorSnapshot {
-        groups,
-        ready: decode_windows(d)?,
-        expired: decode_events(d)?,
-    })
-}
-
 impl FabricState {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.actors.len() as u32);
-        for actor in &self.actors {
-            e.u32(actor.inbox.len() as u32);
-            for (port, window) in &actor.inbox {
-                e.u32(*port as u32);
-                e.window(window);
-            }
-            e.u32(actor.ports.len() as u32);
-            for op in &actor.ports {
-                encode_operator(e, op);
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<FabricState> {
-        let n = d.u32()? as usize;
-        let mut actors = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let k = d.u32()? as usize;
-            let mut inbox = Vec::with_capacity(k.min(1 << 16));
-            for _ in 0..k {
-                let port = d.u32()? as usize;
-                inbox.push((port, d.window()?));
-            }
-            let p = d.u32()? as usize;
-            let mut ports = Vec::with_capacity(p.min(1 << 16));
-            for _ in 0..p {
-                ports.push(decode_operator(d)?);
-            }
-            actors.push(ActorFabricState { inbox, ports });
-        }
-        Ok(FabricState { actors })
-    }
-
     /// Total windows and buffered events captured (diagnostics).
     pub fn item_count(&self) -> usize {
         self.actors
@@ -269,6 +198,14 @@ pub trait CheckpointResource: Send + Sync {
 }
 
 /// One complete, self-contained snapshot of a quiesced workflow.
+///
+/// Wire format, version 2: `CFLC`, the version, the actor states, the
+/// fabric, the resources. States and resources are a count, then a name and
+/// bytes each. The fabric is a count of actors, and per actor its inbox (a
+/// count, then a frame `[port, window]` each) and its ports (a count, then
+/// per port its groups and its ready windows, a count and a frame each, and
+/// one frame of expired events). Counts and lengths are little-endian
+/// `u32`s; a frame is a length and that many bytes of [`codec`] vocabulary.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Checkpoint {
     /// `(actor name, state bytes)` for every stateful actor.
@@ -280,58 +217,116 @@ pub struct Checkpoint {
     pub resources: Vec<(String, Vec<u8>)>,
 }
 
+fn put_len(w: &mut impl Write, n: usize) -> io::Result<()> {
+    w.write_all(&(n as u32).to_le_bytes())
+}
+
+fn put_named(w: &mut impl Write, entries: &[(String, Vec<u8>)]) -> io::Result<()> {
+    put_len(w, entries.len())?;
+    for (name, bytes) in entries {
+        put_len(w, name.len())?;
+        w.write_all(name.as_bytes())?;
+        put_len(w, bytes.len())?;
+        w.write_all(bytes)?;
+    }
+    Ok(())
+}
+
+fn put_frame(
+    w: &mut impl Write,
+    e: &mut Encoder,
+    body: impl FnOnce(&mut Encoder),
+) -> io::Result<()> {
+    e.start_frame();
+    body(e);
+    w.write_all(e.end_frame())
+}
+
+fn named<R: Read>(r: &mut FrameReader<R>) -> Result<(String, Vec<u8>)> {
+    let name = String::from_utf8(r.bytes()?)
+        .map_err(|_| Error::Checkpoint("corrupt or truncated data: utf-8 name".into()))?;
+    Ok((name, r.bytes()?))
+}
+
 impl Checkpoint {
     /// Serialize to the checkpoint wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.write_to(&mut bytes).expect("a Vec takes every write");
+        bytes
+    }
+
+    /// Stream the wire format into `w`: states and resources straight
+    /// through, the fabric one frame at a time through one reused
+    /// [`Encoder`], so no whole image is ever built.
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         let mut e = Encoder::new();
-        for b in MAGIC {
-            e.u8(*b);
+        w.write_all(MAGIC)?;
+        w.write_all(&VERSION.to_le_bytes())?;
+        put_named(w, &self.actors)?;
+        put_len(w, self.fabric.actors.len())?;
+        for actor in &self.fabric.actors {
+            put_len(w, actor.inbox.len())?;
+            for (port, window) in &actor.inbox {
+                put_frame(w, &mut e, |e| {
+                    e.u32(*port as u32);
+                    e.window(window);
+                })?;
+            }
+            put_len(w, actor.ports.len())?;
+            for op in &actor.ports {
+                put_len(w, op.groups.len())?;
+                for group in &op.groups {
+                    put_frame(w, &mut e, |e| encode_group(e, group))?;
+                }
+                put_len(w, op.ready.len())?;
+                for window in &op.ready {
+                    put_frame(w, &mut e, |e| e.window(window))?;
+                }
+                put_frame(w, &mut e, |e| encode_events(e, &op.expired))?;
+            }
         }
-        e.u32(VERSION);
-        e.u32(self.actors.len() as u32);
-        for (name, bytes) in &self.actors {
-            e.str(name);
-            e.bytes(bytes);
-        }
-        self.fabric.encode(&mut e);
-        e.u32(self.resources.len() as u32);
-        for (name, bytes) in &self.resources {
-            e.str(name);
-            e.bytes(bytes);
-        }
-        e.into_bytes()
+        put_named(w, &self.resources)
     }
 
     /// Parse the checkpoint wire format.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint> {
-        let mut d = Decoder::new(bytes);
-        for want in MAGIC {
-            if d.u8()? != *want {
-                return Err(Error::Checkpoint("not a checkpoint file (bad magic)".into()));
-            }
+    pub fn from_bytes(mut bytes: &[u8]) -> Result<Checkpoint> {
+        let len = bytes.len() as u64;
+        Self::read_from(&mut bytes, len)
+    }
+
+    /// Parse the wire format off `r`, which holds `len` bytes: states and
+    /// resources straight off it, each fabric frame into one reused buffer,
+    /// decoded with one schema cache. No length the input announces is
+    /// believed past the bytes left in it.
+    pub fn read_from(r: &mut impl Read, len: u64) -> Result<Checkpoint> {
+        let mut r = FrameReader::new(r, len);
+        if r.u32()? != u32::from_le_bytes(*MAGIC) {
+            return Err(Error::Checkpoint("not a checkpoint file (bad magic)".into()));
         }
-        let version = d.u32()?;
+        let version = r.u32()?;
         if version != VERSION {
             return Err(Error::Checkpoint(format!(
                 "unsupported checkpoint version {version} (expected {VERSION})"
             )));
         }
-        let n = d.u32()? as usize;
-        let mut actors = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let name = d.str()?.to_string();
-            let state = d.bytes()?.to_vec();
-            actors.push((name, state));
-        }
-        let fabric = FabricState::decode(&mut d)?;
-        let n = d.u32()? as usize;
-        let mut resources = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let name = d.str()?.to_string();
-            let state = d.bytes()?.to_vec();
-            resources.push((name, state));
-        }
-        if !d.is_exhausted() {
+        let actors = r.seq(named)?;
+        let fabric = FabricState {
+            actors: r.seq(|r| {
+                Ok(ActorFabricState {
+                    inbox: r.seq(|r| r.frame(|d| Ok((d.u32()? as usize, d.window()?))))?,
+                    ports: r.seq(|r| {
+                        Ok(OperatorSnapshot {
+                            groups: r.seq(|r| r.frame(decode_group))?,
+                            ready: r.seq(|r| r.frame(|d| d.window()))?,
+                            expired: r.frame(decode_events)?,
+                        })
+                    })?,
+                })
+            })?,
+        };
+        let resources = r.seq(named)?;
+        if r.left() != 0 {
             return Err(Error::Checkpoint("trailing bytes after checkpoint".into()));
         }
         Ok(Checkpoint {
@@ -341,28 +336,36 @@ impl Checkpoint {
         })
     }
 
-    /// Atomically write the snapshot into `dir` (temp file + rename), so a
-    /// crash mid-write never corrupts the previous checkpoint.
+    /// Write the snapshot into `dir` atomically and durably: stream it
+    /// through a 64 KiB buffer into a temp file, fsync the file, rename it
+    /// over the previous snapshot and fsync the directory, so a crash
+    /// mid-write never corrupts the previous checkpoint and a returned
+    /// publish survives one.
     pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf> {
         fs::create_dir_all(dir).map_err(|e| io_err("create checkpoint dir", e))?;
         let path = dir.join(SNAPSHOT_FILE);
         let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        let bytes = self.to_bytes();
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err("create checkpoint temp", e))?;
-        f.write_all(&bytes)
-            .and_then(|_| f.sync_all())
+        let f = fs::File::create(&tmp).map_err(|e| io_err("create checkpoint temp", e))?;
+        let mut w = BufWriter::with_capacity(IO_BUFFER, f);
+        self.write_to(&mut w)
+            .and_then(|()| w.into_inner().map_err(io::IntoInnerError::into_error))
+            .and_then(|f| f.sync_all())
             .map_err(|e| io_err("write checkpoint", e))?;
-        drop(f);
         fs::rename(&tmp, &path).map_err(|e| io_err("publish checkpoint", e))?;
+        fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err("sync checkpoint dir", e))?;
         Ok(path)
     }
 
-    /// Read the snapshot from a checkpoint directory.
+    /// Read the snapshot from a checkpoint directory, streaming the file
+    /// through a 64 KiB buffer.
     pub fn read_from_dir(dir: &Path) -> Result<Checkpoint> {
         let path = dir.join(SNAPSHOT_FILE);
-        let bytes = fs::read(&path)
-            .map_err(|e| io_err(&format!("read checkpoint {}", path.display()), e))?;
-        Self::from_bytes(&bytes)
+        let read_err = |e| io_err(&format!("read checkpoint {}", path.display()), e);
+        let f = fs::File::open(&path).map_err(read_err)?;
+        let len = f.metadata().map_err(read_err)?.len();
+        Self::read_from(&mut BufReader::with_capacity(IO_BUFFER, f), len)
     }
 }
 
@@ -466,6 +469,8 @@ pub struct LogEntry {
 /// skipped on read rather than treated as corruption.
 pub struct EventLog {
     file: fs::File,
+    /// The record being appended, encoded in place behind its length.
+    frame: Encoder,
 }
 
 impl EventLog {
@@ -474,8 +479,8 @@ impl EventLog {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent).map_err(|e| io_err("create log dir", e))?;
         }
-        let file = fs::File::create(path).map_err(|e| io_err("create event log", e))?;
-        Ok(EventLog { file })
+        fs::File::create(path).map_err(|e| io_err("create event log", e))?;
+        Self::append(path)
     }
 
     /// Open an existing log for appending (recovery continues the stream).
@@ -485,50 +490,60 @@ impl EventLog {
             .append(true)
             .open(path)
             .map_err(|e| io_err("open event log", e))?;
-        Ok(EventLog { file })
+        Ok(EventLog {
+            file,
+            frame: Encoder::new(),
+        })
     }
 
-    /// Append one emission record and flush it to the OS.
+    /// Append one emission record with one write and flush it to the OS.
     pub fn record(&mut self, seq: u64, port: u32, token: &Token) -> Result<()> {
-        let mut e = Encoder::new();
-        e.u64(seq);
-        e.u32(port);
-        e.token(token);
-        let frame = e.into_bytes();
-        let mut out = Vec::with_capacity(frame.len() + 4);
-        out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        out.extend_from_slice(&frame);
+        self.frame.start_frame();
+        self.frame.u64(seq);
+        self.frame.u32(port);
+        self.frame.token(token);
         self.file
-            .write_all(&out)
+            .write_all(self.frame.end_frame())
             .and_then(|_| self.file.flush())
             .map_err(|e| io_err("append event log", e))
     }
 
-    /// Read every complete record in the log at `path`. A truncated
-    /// trailing frame (torn by a crash mid-write) is ignored; a missing
-    /// file reads as empty.
+    /// Read every complete record in the log at `path`; see
+    /// [`EventLog::read_from`].
     pub fn read_all(path: &Path) -> Result<Vec<LogEntry>> {
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Self::read_from(path, 0)
+    }
+
+    /// Read the complete records in the log at `path` numbered `from_seq`
+    /// or later. The log streams through a 64 KiB buffer, and a record
+    /// numbered below `from_seq` is passed over by its length, its token
+    /// left undecoded. A truncated trailing frame (torn by a crash
+    /// mid-write) is ignored; a missing file reads as empty.
+    pub fn read_from(path: &Path, from_seq: u64) -> Result<Vec<LogEntry>> {
+        let file = match fs::File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(io_err("read event log", e)),
         };
+        let size = file.metadata().map_err(|e| io_err("read event log", e))?.len();
+        // One schema cache over the whole log, so replayed records of one
+        // shape share a schema the way live ones do.
+        let mut r = FrameReader::new(BufReader::with_capacity(IO_BUFFER, file), size);
         let mut entries = Vec::new();
-        // One decoder over the whole file, so replayed records of one shape
-        // share a schema the way live ones do.
-        let mut d = Decoder::new(&bytes);
-        while d.position() + 4 <= bytes.len() {
-            let len = d.u32()? as usize;
-            let end = d.position() + len;
-            if end > bytes.len() {
+        while r.left() >= 4 {
+            let len = r.u32()? as usize;
+            if len as u64 > r.left() {
                 break; // torn trailing frame
             }
-            let seq = d.u64()?;
-            let port = d.u32()?;
-            let token = d.token()?;
-            if d.position() != end {
+            let Some(rest) = len.checked_sub(8) else {
                 return Err(Error::Checkpoint("log frame length mismatch".into()));
+            };
+            let seq = r.body(8, |d| d.u64())?;
+            if seq < from_seq {
+                r.load(rest)?;
+                continue;
             }
+            let (port, token) = r.body(rest, |d| Ok((d.u32()?, d.token()?)))?;
             entries.push(LogEntry { seq, port, token });
         }
         Ok(entries)
@@ -546,6 +561,11 @@ impl EventLog {
 /// snapshot point, then seamlessly continues live.
 pub struct LoggedSource {
     inner: Box<dyn Actor>,
+    journal: Journal,
+}
+
+/// A logged source's side of its event log.
+struct Journal {
     path: PathBuf,
     writer: Option<EventLog>,
     /// Sequence number of the next emission (== emissions so far).
@@ -568,23 +588,34 @@ impl LoggedSource {
         };
         Ok(LoggedSource {
             inner,
-            path,
-            writer,
-            seq: 0,
-            replay: VecDeque::new(),
-            io_error: None,
+            journal: Journal {
+                path,
+                writer,
+                seq: 0,
+                replay: VecDeque::new(),
+                io_error: None,
+            },
         })
     }
 
     /// Emissions produced so far (the source's read offset).
     pub fn offset(&self) -> u64 {
-        self.seq
+        self.journal.seq
     }
 
-    fn check_io(&mut self) -> Result<()> {
-        match self.io_error.take() {
+    /// Run one step of the inner source with its emissions journaled (or
+    /// substituted from the replay tail); a failed append wins over the
+    /// step's own result.
+    fn journaled(
+        &mut self,
+        ctx: &mut dyn FireContext,
+        step: impl FnOnce(&mut dyn Actor, &mut dyn FireContext) -> Result<()>,
+    ) -> Result<()> {
+        let log = &mut self.journal;
+        let r = step(self.inner.as_mut(), &mut LogCtx { ctx, log });
+        match self.journal.io_error.take() {
             Some(e) => Err(e),
-            None => Ok(()),
+            None => r,
         }
     }
 }
@@ -593,11 +624,7 @@ impl LoggedSource {
 /// substituted from the replay tail) before reaching the real context.
 struct LogCtx<'a> {
     ctx: &'a mut dyn FireContext,
-    writer: &'a mut Option<EventLog>,
-    path: &'a Path,
-    seq: &'a mut u64,
-    replay: &'a mut VecDeque<(u32, Token)>,
-    io_error: &'a mut Option<Error>,
+    log: &'a mut Journal,
 }
 
 impl FireContext for LogCtx<'_> {
@@ -614,31 +641,32 @@ impl FireContext for LogCtx<'_> {
     }
 
     fn emit(&mut self, port: usize, token: Token) {
+        let log = &mut *self.log;
         // Replay: substitute the logged emission for the inner source's
         // re-derived one (they agree for deterministic sources; the log is
         // authoritative either way) and do not re-append.
-        if let Some((logged_port, logged_token)) = self.replay.pop_front() {
-            *self.seq += 1;
+        if let Some((logged_port, logged_token)) = log.replay.pop_front() {
+            log.seq += 1;
             self.ctx.emit(logged_port as usize, logged_token);
             return;
         }
-        if self.io_error.is_none() {
-            if self.writer.is_none() {
-                match EventLog::append(self.path) {
-                    Ok(w) => *self.writer = Some(w),
+        if log.io_error.is_none() {
+            if log.writer.is_none() {
+                match EventLog::append(&log.path) {
+                    Ok(w) => log.writer = Some(w),
                     Err(e) => {
-                        *self.io_error = Some(e);
+                        log.io_error = Some(e);
                         return;
                     }
                 }
             }
-            let w = self.writer.as_mut().expect("writer just ensured");
-            if let Err(e) = w.record(*self.seq, port as u32, &token) {
-                *self.io_error = Some(e);
+            let w = log.writer.as_mut().expect("writer just ensured");
+            if let Err(e) = w.record(log.seq, port as u32, &token) {
+                log.io_error = Some(e);
                 return;
             }
         }
-        *self.seq += 1;
+        log.seq += 1;
         self.ctx.emit(port, token);
     }
 }
@@ -649,24 +677,7 @@ impl Actor for LoggedSource {
     }
 
     fn initialize(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        let LoggedSource {
-            inner,
-            path,
-            writer,
-            seq,
-            replay,
-            io_error,
-        } = self;
-        let r = inner.initialize(&mut LogCtx {
-            ctx,
-            writer,
-            path,
-            seq,
-            replay,
-            io_error,
-        });
-        self.check_io()?;
-        r
+        self.journaled(ctx, |inner, ctx| inner.initialize(ctx))
     }
 
     fn prefire(&mut self, ctx: &mut dyn FireContext) -> Result<bool> {
@@ -674,24 +685,7 @@ impl Actor for LoggedSource {
     }
 
     fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        let LoggedSource {
-            inner,
-            path,
-            writer,
-            seq,
-            replay,
-            io_error,
-        } = self;
-        let r = inner.fire(&mut LogCtx {
-            ctx,
-            writer,
-            path,
-            seq,
-            replay,
-            io_error,
-        });
-        self.check_io()?;
-        r
+        self.journaled(ctx, |inner, ctx| inner.fire(ctx))
     }
 
     fn postfire(&mut self, ctx: &mut dyn FireContext) -> Result<bool> {
@@ -699,24 +693,7 @@ impl Actor for LoggedSource {
     }
 
     fn finish(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        let LoggedSource {
-            inner,
-            path,
-            writer,
-            seq,
-            replay,
-            io_error,
-        } = self;
-        let r = inner.finish(&mut LogCtx {
-            ctx,
-            writer,
-            path,
-            seq,
-            replay,
-            io_error,
-        });
-        self.check_io()?;
-        r
+        self.journaled(ctx, |inner, ctx| inner.finish(ctx))
     }
 
     fn wrapup(&mut self) -> Result<()> {
@@ -725,7 +702,7 @@ impl Actor for LoggedSource {
 
     fn save_state(&self) -> Result<Option<Vec<u8>>> {
         let mut e = Encoder::new();
-        e.u64(self.seq);
+        e.u64(self.journal.seq);
         match self.inner.save_state()? {
             Some(bytes) => {
                 e.bool(true);
@@ -740,16 +717,13 @@ impl Actor for LoggedSource {
         let mut d = Decoder::new(bytes);
         let saved_seq = d.u64()?;
         if d.bool()? {
-            let inner_bytes = d.bytes()?.to_vec();
-            self.inner.restore_state(&inner_bytes)?;
+            self.inner.restore_state(d.bytes()?)?;
         }
-        let entries = EventLog::read_all(&self.path)?;
-        self.replay = entries
+        self.journal.replay = EventLog::read_from(&self.journal.path, saved_seq)?
             .into_iter()
-            .filter(|e| e.seq >= saved_seq)
             .map(|e| (e.port, e.token))
             .collect();
-        self.seq = saved_seq;
+        self.journal.seq = saved_seq;
         Ok(())
     }
 
@@ -876,6 +850,27 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn event_log_bytes_are_pinned() {
+        // The bytes the log has had since its first version: a record is a
+        // length, then seq, port and token, however the frame is built.
+        let dir = tmpdir("loghex");
+        let path = log_path(&dir, "src");
+        let mut log = EventLog::create(&path).unwrap();
+        log.record(0, 0, &Token::Int(1)).unwrap();
+        log.record(1, 2, &Token::record().field("x", 5).build())
+            .unwrap();
+        drop(log);
+        let hex: String = fs::read(&path).unwrap().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "15000000000000000000000000000000020100000000000000\
+             1f000000010000000000000002000000050100000001000000780205000000\
+             00000000"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     struct SinkCtx {
         emitted: Vec<(usize, Token)>,
     }
@@ -924,14 +919,14 @@ mod tests {
             LoggedSource::new(Box::new(VecSource::new(items.clone())), path.clone(), false)
                 .unwrap();
         src.restore_state(&saved).unwrap();
-        assert_eq!(src.replay.len(), 2, "post-checkpoint tail replays");
+        assert_eq!(src.journal.replay.len(), 2, "post-checkpoint tail replays");
         assert_eq!(src.offset(), 3);
         // The inner VecSource restored its own remaining-items state.
         let mut ctx2 = SinkCtx { emitted: vec![] };
         for _ in 0..3 {
             src.fire(&mut ctx2).unwrap();
         }
-        assert!(src.replay.is_empty());
+        assert!(src.journal.replay.is_empty());
         assert_eq!(src.offset(), 6);
         let tokens: Vec<i64> = ctx2
             .emitted

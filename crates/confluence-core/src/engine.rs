@@ -562,28 +562,29 @@ impl Engine {
         self.director.attach_checkpoint(hook.clone());
         self.wrap_sources(dir, recover.is_none())?;
         if let Some(from) = recover {
+            // Each saved state is let go of once it is restored.
             let cp = Checkpoint::read_from_dir(from)?;
-            for (name, bytes) in &cp.actors {
-                let id = self.workflow.find(name).ok_or_else(|| {
+            for (name, bytes) in cp.actors {
+                let id = self.workflow.find(&name).ok_or_else(|| {
                     Error::Checkpoint(format!("snapshot actor {name:?} is not in the workflow"))
                 })?;
                 let mut actor = self.workflow.node_mut(id).take_actor();
-                let restored = actor.restore_state(bytes);
+                let restored = actor.restore_state(&bytes);
                 self.workflow.node_mut(id).return_actor(actor);
                 restored?;
             }
-            for (name, bytes) in &cp.resources {
+            for (name, bytes) in cp.resources {
                 let resource = self
                     .resources
                     .iter()
-                    .find(|(n, _)| n == name)
+                    .find(|(n, _)| *n == name)
                     .map(|(_, r)| r.clone())
                     .ok_or_else(|| {
                         Error::Checkpoint(format!(
                             "snapshot resource {name:?} is not registered on this engine"
                         ))
                     })?;
-                resource.restore(bytes)?;
+                resource.restore(&bytes)?;
             }
             hook.stage_restore(cp.fabric);
             hook.set_resuming(true);
