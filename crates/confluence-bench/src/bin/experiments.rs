@@ -428,8 +428,8 @@ fn run_fig8_realtime(
 }
 
 /// Write a [`TraceReport`] as Chrome/Perfetto JSON and print a bounded
-/// lineage summary: flight-recorder counters, the head of the per-wave
-/// critical-path table, and the first recorded wave's tree.
+/// lineage summary: flight-recorder counters and the head of the per-wave
+/// critical-path table.
 fn emit_trace(path: &Path, report: &TraceReport) {
     std::fs::write(path, report.to_chrome_json()).expect("write trace");
     eprintln!("wrote {}", path.display());
@@ -449,21 +449,6 @@ fn emit_trace(path: &Path, report: &TraceReport) {
     }
     if summary.lines().count() > MAX_LINES {
         println!("... ({} waves total; full detail is in the JSON)", report.waves.len());
-    }
-    if let Some(first) = report.waves.first() {
-        let head = TraceReport {
-            waves: vec![first.clone()],
-            ..report.clone()
-        };
-        let tree = head.render_tree();
-        let total = tree.lines().count();
-        println!();
-        for line in tree.lines().take(2 * MAX_LINES) {
-            println!("{line}");
-        }
-        if total > 2 * MAX_LINES {
-            println!("... ({} more span lines in this wave)", total - 2 * MAX_LINES);
-        }
     }
 }
 

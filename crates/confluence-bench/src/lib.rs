@@ -12,7 +12,6 @@ pub mod config;
 pub mod extensions;
 pub mod figures;
 pub mod runner;
-pub mod tracecheck;
 
 pub use config::ExperimentConfig;
 pub use runner::{run_linear_road, LrRun, PolicyKind, RunOptions};

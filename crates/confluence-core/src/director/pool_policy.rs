@@ -162,7 +162,7 @@ pub struct PolicyView<'a> {
     /// Origin timestamp of the oldest window pending at the actor's
     /// inbox (`None` when empty or for sources).
     pub oldest_origin: Option<Timestamp>,
-    /// Live statistics sampler (EMA costs, selectivities, cached rates).
+    /// Live statistics (cumulative counters, cached rate priorities).
     pub live: &'a LiveStats,
 }
 

@@ -4,10 +4,10 @@
 //! and mutates between firings. The pool executor has no such single
 //! thread: firings complete concurrently on every worker, and priority
 //! keys are computed on the push/pop hot path. [`LiveStats`] is the
-//! atomics-only equivalent — per-actor EMA fire cost and cumulative
-//! selectivity counters, sampled from the same numbers the recorder hooks
-//! see — with the Rate-Based global priorities cached and refreshed lazily
-//! so the hot path is a plain atomic load.
+//! atomics-only equivalent — per-actor cumulative fire, cost, and
+//! event counters, fed by the pool after every firing — with the
+//! Rate-Based global priorities cached and refreshed lazily so the hot
+//! path is a plain atomic load.
 //!
 //! The global selectivity/cost propagation is the shared
 //! [`estimator`](super::estimator) core, so the simulator and the real
@@ -16,23 +16,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::graph::Workflow;
-use crate::telemetry::{estimator, FireRecord, Observer};
+use crate::telemetry::estimator;
 use crate::time::Micros;
-
-/// Smoothing factor of the exponential moving averages (1/8, the classic
-/// TCP RTT estimator weight): `ema' = ema + ALPHA·(sample − ema)`.
-pub const EMA_ALPHA: f64 = 0.125;
 
 /// Cached rate priorities are recomputed at most once per this many
 /// recorded firings (the refresh walks the whole topology).
 const REFRESH_EVERY: u64 = 64;
 
-/// One actor's live counters. All `f64` values live in `AtomicU64` bit
-/// patterns; cumulative counters are plain integers.
+/// One actor's live counters: cumulative plain integers, plus the cached
+/// priority as `f64` bits.
 #[derive(Debug)]
 struct ActorLive {
-    /// EMA of the wall-clock fire cost, µs (f64 bits; 0 ⇒ unseeded).
-    ema_cost: AtomicU64,
     /// Completed firings.
     fires: AtomicU64,
     /// Cumulative wall-clock cost, µs.
@@ -48,7 +42,6 @@ struct ActorLive {
 impl ActorLive {
     fn new() -> Self {
         ActorLive {
-            ema_cost: AtomicU64::new(0f64.to_bits()),
             fires: AtomicU64::new(0),
             total_cost: AtomicU64::new(0),
             events_in: AtomicU64::new(0),
@@ -56,19 +49,6 @@ impl ActorLive {
             cached_rate: AtomicU64::new(f64::INFINITY.to_bits()),
         }
     }
-}
-
-/// Advance an EMA cell: seed with the first sample, blend afterwards.
-/// Lossy under contention (a concurrent update may be overwritten), which
-/// is fine for a smoothed estimate.
-fn ema_update(cell: &AtomicU64, sample: f64, seeded: bool) {
-    let prev = f64::from_bits(cell.load(Ordering::Relaxed));
-    let next = if seeded {
-        prev + EMA_ALPHA * (sample - prev)
-    } else {
-        sample
-    };
-    cell.store(next.to_bits(), Ordering::Relaxed);
 }
 
 /// Live per-actor statistics for priority computation under wall-clock
@@ -125,8 +105,7 @@ impl LiveStats {
         let Some(a) = self.actors.get(actor) else {
             return;
         };
-        let seeded = a.fires.fetch_add(1, Ordering::Relaxed) > 0;
-        ema_update(&a.ema_cost, cost.as_micros() as f64, seeded);
+        a.fires.fetch_add(1, Ordering::Relaxed);
         a.total_cost.fetch_add(cost.as_micros(), Ordering::Relaxed);
         a.events_in.fetch_add(events_in, Ordering::Relaxed);
         a.events_out.fetch_add(tokens_out, Ordering::Relaxed);
@@ -136,8 +115,8 @@ impl LiveStats {
         }
     }
 
-    /// Count one completed firing and nothing else — no EMA, no cached
-    /// priority: all the virtual-time simulator's statistics module
+    /// Count one completed firing and nothing else — no cached
+    /// priority refresh: all the virtual-time simulator's statistics module
     /// records (it reads every estimate fresh). The simulator owns its
     /// statistics, so through `&mut self` these are plain adds.
     pub fn count_fire(&mut self, actor: usize, cost: Micros, events_in: u64, tokens_out: u64) {
@@ -146,11 +125,6 @@ impl LiveStats {
         *a.total_cost.get_mut() += cost.as_micros();
         *a.events_in.get_mut() += events_in;
         *a.events_out.get_mut() += tokens_out;
-    }
-
-    /// EMA wall-clock fire cost, µs (0 before any firing).
-    pub fn ema_cost(&self, actor: usize) -> f64 {
-        f64::from_bits(self.actors[actor].ema_cost.load(Ordering::Relaxed))
     }
 
     /// Completed firings recorded for `actor`.
@@ -223,39 +197,13 @@ impl LiveStats {
     }
 }
 
-impl Observer for LiveStats {
-    fn on_fire_end(&self, record: &FireRecord) {
-        if !record.fired {
-            return;
-        }
-        self.record_fire(record.actor.0, record.busy, record.events_in, record.tokens_out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::ActorId;
-    use crate::telemetry::FireRecord;
-    use crate::time::Timestamp;
 
     fn chain3() -> LiveStats {
         // 0 → 1 → 2.
         LiveStats::with_downstream(vec![vec![1], vec![2], vec![]])
-    }
-
-    #[test]
-    fn ema_cost_matches_hand_computed_sequence() {
-        let s = chain3();
-        // Samples 100, 200, 60 with α = 1/8, seeded by the first:
-        // 100 → 100 + 0.125·(200−100) = 112.5 → 112.5 + 0.125·(60−112.5).
-        s.record_fire(1, Micros(100), 1, 1);
-        assert_eq!(s.ema_cost(1), 100.0);
-        s.record_fire(1, Micros(200), 1, 1);
-        assert_eq!(s.ema_cost(1), 112.5);
-        s.record_fire(1, Micros(60), 1, 1);
-        assert_eq!(s.ema_cost(1), 112.5 + 0.125 * (60.0 - 112.5));
-        assert_eq!(s.fires(1), 3);
     }
 
     #[test]
@@ -284,34 +232,4 @@ mod tests {
         assert_eq!(s.rate_priority(0), 0.5 / 12.5);
     }
 
-    #[test]
-    fn observer_hook_feeds_the_sampler() {
-        let s = chain3();
-        s.on_fire_end(&FireRecord {
-            actor: ActorId(1),
-            started: Timestamp(1_000),
-            ended: Timestamp(1_200),
-            busy: Micros(200),
-            events_in: 2,
-            tokens_out: 1,
-            origin: Some(Timestamp(100)),
-            trigger: None,
-            fired: true,
-        });
-        assert_eq!(s.fires(1), 1);
-        assert_eq!(s.ema_cost(1), 200.0);
-        // Non-firings leave everything untouched.
-        s.on_fire_end(&FireRecord {
-            actor: ActorId(1),
-            started: Timestamp(2_000),
-            ended: Timestamp(2_001),
-            busy: Micros(1),
-            events_in: 0,
-            tokens_out: 0,
-            origin: None,
-            trigger: None,
-            fired: false,
-        });
-        assert_eq!(s.fires(1), 1);
-    }
 }

@@ -27,7 +27,7 @@ pub mod series;
 pub mod sketch;
 pub mod trace;
 
-pub use livestats::{LiveStats, EMA_ALPHA};
+pub use livestats::LiveStats;
 pub use ops::{OpsConfig, OpsServer, StallWatchdog};
 pub use recorder::{
     ActorMetrics, EdgeMetrics, MetricsRecorder, MetricsSnapshot, PortDepthMetrics, ShardMetrics,

@@ -1,5 +1,4 @@
-//! Trace exports: Chrome/Perfetto JSON, per-wave critical paths, and the
-//! plain-text wave tree dump.
+//! Trace exports: Chrome/Perfetto JSON and per-wave critical paths.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -80,53 +79,6 @@ impl TraceReport {
     /// skipped).
     pub fn critical_paths(&self) -> Vec<CriticalPath> {
         self.waves.iter().filter_map(critical_path).collect()
-    }
-
-    /// The plain-text wave tree dump: every recorded wave, its spans
-    /// grouped under their wave-tags in wave order, with durations.
-    pub fn render_tree(&self) -> String {
-        let mut out = String::new();
-        for wave in &self.waves {
-            let _ = writeln!(
-                out,
-                "wave t{} — {} spans, end-to-end {} µs",
-                wave.origin.as_micros(),
-                wave.spans.len(),
-                wave.end_to_end().as_micros()
-            );
-            let mut spans: Vec<&Span> = wave.spans.iter().collect();
-            spans.sort_by(|a, b| {
-                a.tag
-                    .cmp(&b.tag)
-                    .then(a.start.cmp(&b.start))
-                    .then(a.kind.label().cmp(b.kind.label()))
-            });
-            for span in spans {
-                let tag = span
-                    .tag
-                    .as_ref()
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "-".to_string());
-                let depth = span.tag.as_ref().map(|t| t.depth()).unwrap_or(0);
-                let port = span
-                    .port
-                    .map(|p| format!(" port {p}"))
-                    .unwrap_or_default();
-                let _ = writeln!(
-                    out,
-                    "  {:indent$}{tag}  {kind} {actor}{port} ({dur} µs)",
-                    "",
-                    indent = 2 * depth,
-                    kind = span.kind.label(),
-                    actor = self.actor_label(span.actor),
-                    dur = span.duration().as_micros(),
-                );
-            }
-        }
-        if self.waves.is_empty() {
-            out.push_str("no waves recorded\n");
-        }
-        out
     }
 
     /// Human-readable critical-path summary: per wave, the dominant stage
@@ -474,15 +426,11 @@ mod tests {
     }
 
     #[test]
-    fn tree_dump_tags_round_trip_through_parse() {
-        let report = two_hop_tracer().report();
-        let tree = report.render_tree();
-        assert!(tree.contains("wave t1000"));
-        assert!(tree.contains("t1000.1!"));
-        // Any tag line of the dump can be fed back through the parser.
-        let tag = WaveTag::parse("t1000.1!").expect("a dumped tag parses");
-        assert_eq!(tag.origin(), Timestamp(1_000));
-        let tagged = |s: &Span| s.tag.as_ref() == Some(&tag);
-        assert!(report.waves.iter().any(|w| w.spans.iter().any(tagged)));
+    fn chrome_export_escapes_actor_names() {
+        let mut report = two_hop_tracer().report();
+        report.actor_names = vec!["src".into(), "say \"hi\"\\path\t".into(), "sink".into()];
+        let json = report.to_chrome_json();
+        assert!(json.contains(r#""tid":2,"name":"thread_name","args":{"name":"say \"hi\"\\path\t"}"#));
+        assert!(json.contains(r#""tid":3,"name":"thread_name","args":{"name":"say \"hi\"\\path\t (queue)"}"#));
     }
 }

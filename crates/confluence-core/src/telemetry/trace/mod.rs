@@ -37,7 +37,7 @@ mod span;
 pub use export::{CpSegment, CriticalPath, TraceReport};
 pub use span::{Span, SpanKind, WaveTrace};
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -79,10 +79,9 @@ impl TraceConfig {
 
 #[derive(Default)]
 struct TracerState {
-    /// Origins (µs) of waves currently held in the flight recorder.
-    sampled: HashSet<u64>,
-    /// The flight recorder: origin µs → trace. A `BTreeMap` so eviction
-    /// pops the smallest key — the oldest wave — first.
+    /// The flight recorder: origin µs → trace, holding exactly the
+    /// sampled waves not yet evicted. A `BTreeMap` so eviction pops the
+    /// smallest key — the oldest wave — first.
     waves: BTreeMap<u64, WaveTrace>,
     /// Total spans across `waves` (eviction trigger).
     spans_total: usize,
@@ -156,15 +155,6 @@ impl Tracer {
         }
     }
 
-    /// Drop every recorded wave (counters are kept).
-    pub fn clear(&self) {
-        let mut st = self.state.lock();
-        st.waves.clear();
-        st.sampled.clear();
-        st.spans_total = 0;
-        st.pending_block.clear();
-    }
-
     fn past_floor(st: &TracerState, key: u64) -> bool {
         st.evicted_floor.is_some_and(|floor| key <= floor)
     }
@@ -172,7 +162,7 @@ impl Tracer {
     /// Append `span` to the wave keyed `key`, evicting oldest waves when
     /// the recorder overflows. `root` allows creating the wave entry.
     fn push_span(&self, st: &mut TracerState, key: u64, origin: Timestamp, span: Span, root: bool) {
-        if !root && !st.sampled.contains(&key) {
+        if !root && !st.waves.contains_key(&key) {
             if Self::past_floor(st, key) {
                 st.dropped_spans += 1;
             }
@@ -191,7 +181,6 @@ impl Tracer {
         while st.spans_total > self.config.max_spans && st.waves.len() > 1 {
             if let Some((evicted_key, evicted)) = st.waves.pop_first() {
                 st.spans_total -= evicted.spans.len();
-                st.sampled.remove(&evicted_key);
                 st.evicted_waves += 1;
                 st.evicted_floor = Some(
                     st.evicted_floor
@@ -217,7 +206,7 @@ impl Observer for Tracer {
             st.dropped_spans += 1;
             return;
         }
-        let keep = if st.sampled.contains(&key) {
+        let keep = if st.waves.contains_key(&key) {
             true
         } else if let Some((k, decision)) = st.last_decided {
             if k == key {
@@ -231,7 +220,6 @@ impl Observer for Tracer {
         if !keep {
             return;
         }
-        st.sampled.insert(key);
         self.push_span(
             &mut st,
             key,
@@ -260,7 +248,7 @@ impl Observer for Tracer {
         // belongs to the admitted event's wave (consumed either way, so a
         // stale wait is never attributed to a much later wave).
         let pending = st.pending_block.remove(&(actor.0, port));
-        if !st.sampled.contains(&key) {
+        if !st.waves.contains_key(&key) {
             return;
         }
         if let Some((block_at, waited)) = pending {

@@ -80,28 +80,14 @@ pub struct WaveTrace {
 }
 
 impl WaveTrace {
-    /// When the wave's root event was admitted (falls back to the origin
-    /// timestamp when the admit span was not observed).
-    pub fn admitted_at(&self) -> Timestamp {
-        self.spans
-            .iter()
-            .find(|s| s.kind == SpanKind::Admit)
-            .map(|s| s.start)
-            .unwrap_or(self.origin)
-    }
-
-    /// The latest span end — when the wave last did anything.
-    pub fn last_activity(&self) -> Timestamp {
-        self.spans
-            .iter()
-            .map(|s| s.end)
-            .max()
-            .unwrap_or(self.origin)
-    }
-
-    /// End-to-end latency of the wave: admission to last activity.
+    /// End-to-end latency of the wave: from its root's admission (the
+    /// origin timestamp when the admit span was not observed) to the
+    /// latest span end.
     pub fn end_to_end(&self) -> Micros {
-        self.last_activity().since(self.admitted_at())
+        let admit = self.spans.iter().find(|s| s.kind == SpanKind::Admit);
+        let admitted = admit.map_or(self.origin, |s| s.start);
+        let last = self.spans.iter().map(|s| s.end).max();
+        last.unwrap_or(self.origin).since(admitted)
     }
 
     /// A director-independent rendering of the wave's causal structure:
@@ -129,13 +115,5 @@ impl WaveTrace {
             .collect();
         lines.sort();
         lines
-    }
-
-    /// All distinct wave-tags observed in this trace, in wave order.
-    pub fn tags(&self) -> Vec<WaveTag> {
-        let mut tags: Vec<WaveTag> = self.spans.iter().filter_map(|s| s.tag.clone()).collect();
-        tags.sort();
-        tags.dedup();
-        tags
     }
 }

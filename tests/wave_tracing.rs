@@ -5,6 +5,7 @@
 //! critical-path decomposition must telescope to the wave's end-to-end
 //! latency in virtual time.
 
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use confluence::core::actor::{Actor, FireContext, IoSignature, SdfRates};
@@ -150,11 +151,9 @@ fn scwf() -> ScwfDirector {
     )
 }
 
-/// The satellite acceptance test: a deterministic workload traced under
-/// every director yields the same origin-normalized wave structure.
-#[test]
-fn trace_structure_is_director_independent() {
-    let runs: Vec<(&str, TraceReport)> = vec![
+/// One single-event fan-out wave traced under every director.
+fn traced_under_every_director() -> Vec<(&'static str, TraceReport)> {
+    vec![
         (
             "threaded",
             traced_run(fanout_pipeline(1, 1_000), TraceConfig::default(), |e| {
@@ -191,7 +190,14 @@ fn trace_structure_is_director_independent() {
                 e.with_director(scwf())
             }),
         ),
-    ];
+    ]
+}
+
+/// The satellite acceptance test: a deterministic workload traced under
+/// every director yields the same origin-normalized wave structure.
+#[test]
+fn trace_structure_is_director_independent() {
+    let runs = traced_under_every_director();
     let (ref_name, ref_report) = &runs[0];
     assert_eq!(
         ref_report.waves.len(),
@@ -214,6 +220,57 @@ fn trace_structure_is_director_independent() {
             reference,
             "{name}: wave structure diverged from {ref_name}"
         );
+    }
+}
+
+/// The unsigned integer after `"key":` on one line of a Chrome export.
+fn field(line: &str, key: &str) -> Option<u64> {
+    let rest = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// The Chrome export (one event a line) holds where a viewer looks, under
+/// every director: each flow end follows the start with its id, every
+/// actor with spans names its two tracks once, and every slice lasts at
+/// least 1 µs.
+#[test]
+fn chrome_export_binds_flows_and_names_tracks_under_every_director() {
+    for (name, report) in traced_under_every_director() {
+        let json = report.to_chrome_json();
+        let mut started = HashSet::new();
+        let mut named = BTreeSet::new();
+        let mut flows = 0;
+        for line in json.lines().filter(|l| l.contains("\"ph\":")) {
+            if line.contains("\"ph\":\"s\"") {
+                started.insert(field(line, "id").unwrap());
+            } else if line.contains("\"ph\":\"f\"") {
+                let id = field(line, "id").unwrap();
+                assert!(
+                    started.contains(&id),
+                    "{name}: flow end {id} before its start"
+                );
+                flows += 1;
+            } else if line.contains("\"name\":\"thread_name\"") {
+                let tid = field(line, "tid").unwrap();
+                assert!(named.insert(tid), "{name}: track {tid} named twice");
+            } else if line.contains("\"ph\":\"X\"") {
+                assert!(field(line, "dur").unwrap() >= 1, "{name}: {line}");
+            }
+        }
+        let tracks: BTreeSet<u64> = report
+            .waves
+            .iter()
+            .flat_map(|w| &w.spans)
+            .flat_map(|s| [2 * s.actor.0 as u64, 2 * s.actor.0 as u64 + 1])
+            .collect();
+        assert_eq!(
+            named, tracks,
+            "{name}: one thread_name pair per actor with spans"
+        );
+        assert!(flows > 0, "{name}: the wave's firings are linked");
     }
 }
 
