@@ -670,6 +670,9 @@ impl WorkflowBuilder {
                 node.name
             )));
         }
+        if node.is_source {
+            return Err(Error::Graph(format!("cannot shard source actor `{}`", node.name)));
+        }
         if self.shards.iter().any(|(id, _)| *id == actor) {
             return Err(Error::Graph(format!(
                 "actor `{}` is already marked for sharding",
@@ -691,9 +694,6 @@ impl WorkflowBuilder {
             }
             let node = &self.nodes[id.0];
             let base = node.name.clone();
-            if node.is_source {
-                return Err(Error::Graph(format!("cannot shard source actor `{base}`")));
-            }
             if node.signature.inputs.len() != 1 || node.signature.outputs.len() != 1 {
                 return Err(Error::Graph(format!(
                     "cannot shard `{base}`: sharding requires exactly one input and one \

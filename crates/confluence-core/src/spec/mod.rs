@@ -6,23 +6,31 @@
 //! document the engine loads. This module is that surface in textual
 //! form: a small language describing actors (instantiated through an
 //! [`ActorRegistry`]), channels with full window semantics, priorities,
-//! and expired-item handlers — parsed into a [`Workflow`](crate::graph::Workflow) ready for any
-//! director.
+//! expired-item handlers and keyed sharding — parsed into a
+//! [`Workflow`](crate::graph::Workflow) ready for any director.
 //!
 //! ```text
 //! workflow demo {
 //!     actor feed   = ticks()
 //!     actor dedup  = dedup(keys: [carid], capacity: 1000)
+//!     actor toll   = toll()
 //!     actor out    = sink()
 //!
 //!     connect feed.out -> dedup.in
 //!         window tuples(4, 1) group_by(carid) delete_used timeout(5s)
-//!     connect dedup.out -> out.in
+//!     connect dedup.out -> toll.in
+//!         window tuples(2, 1) group_by(carid)
+//!     connect toll.out -> out.in
 //!
 //!     priority out = 5
 //!     expired dedup.in -> out.in
+//!     shard toll by (carid) replicas 4
 //! }
 //! ```
+//!
+//! `shard` is [`WorkflowBuilder::shard`](crate::graph::WorkflowBuilder::shard):
+//! the actor must be replicable and its window must group by at least the
+//! shard key. Errors, including numbers out of range, name their line.
 //!
 //! Actor *types* (`ticks`, `dedup`, `sink` above) come from the registry:
 //! the standard library types are pre-registered by

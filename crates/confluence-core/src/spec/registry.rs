@@ -45,6 +45,16 @@ impl Params {
         }
     }
 
+    /// A required non-negative integer parameter.
+    fn count(&self, name: &str) -> Result<usize> {
+        non_negative(name, self.int(name)?)
+    }
+
+    /// An optional non-negative integer parameter with a default.
+    fn count_or(&self, name: &str, default: usize) -> Result<usize> {
+        non_negative(name, self.int_or(name, default as i64)?)
+    }
+
     /// A required list-of-identifiers parameter, as strings.
     pub fn names(&self, name: &str) -> Result<Vec<String>> {
         let arr = self
@@ -55,6 +65,11 @@ impl Params {
             .map(|t| Ok(t.as_str()?.to_string()))
             .collect()
     }
+}
+
+fn non_negative(name: &str, v: i64) -> Result<usize> {
+    usize::try_from(v)
+        .map_err(|_| Error::Graph(format!("parameter `{name}` must be non-negative, got {v}")))
 }
 
 type Constructor = Arc<dyn Fn(&Params) -> Result<Box<dyn Actor>> + Send + Sync>;
@@ -81,19 +96,18 @@ impl ActorRegistry {
     /// and collectors), so applications register those themselves.
     pub fn with_standard_actors() -> Self {
         let mut reg = Self::new();
-        reg.register("union", |p: &Params| {
-            Ok(Box::new(Union::new(p.int_or("inputs", 2)? as usize)))
-        });
+        reg.register("union", |p: &Params| Ok(Box::new(Union::new(p.count_or("inputs", 2)?))));
         reg.register("dedup", |p: &Params| {
             let keys = p.names("keys")?;
             let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-            Ok(Box::new(Dedup::new(&refs, p.int_or("capacity", 4096)? as usize)))
+            Ok(Box::new(Dedup::new(&refs, p.count_or("capacity", 4096)?)))
         });
         reg.register("throttle", |p: &Params| {
-            Ok(Box::new(Throttle::new(
-                p.int("max")? as u64,
-                Micros::from_millis(p.int_or("per_ms", 1000)? as u64),
-            )))
+            let per_ms = p.count_or("per_ms", 1000)? as u64;
+            let per = per_ms.checked_mul(1_000).map(Micros).ok_or_else(|| {
+                Error::Graph(format!("parameter `per_ms` is out of range, got {per_ms}"))
+            })?;
+            Ok(Box::new(Throttle::new(p.count("max")? as u64, per)))
         });
         reg
     }

@@ -360,30 +360,12 @@ impl Actor for SegmentCarsWriter {
 /// semantics: `{Size: 2, Step: 1, Group-by: carid}`.
 pub struct TollCalculator {
     store: StoreHandle,
-    cost: Option<Micros>,
 }
 
 impl TollCalculator {
     /// Calculator reading from `store`.
     pub fn new(store: StoreHandle) -> Self {
-        TollCalculator { store, cost: None }
-    }
-
-    /// Add an artificial service time per consumed window (a blocking
-    /// sleep, modelling a toll lookup against a slow external service),
-    /// for scaling experiments where the real query cost is too small to
-    /// dominate the run. Because the stall blocks instead of burning CPU,
-    /// keyed replicas overlap their stalls and sharded throughput scales
-    /// with the replica count even on a single core.
-    pub fn with_cost(mut self, cost: Micros) -> Self {
-        self.cost = Some(cost);
-        self
-    }
-
-    fn stall(&self) {
-        if let Some(cost) = self.cost {
-            std::thread::sleep(std::time::Duration::from_micros(cost.as_micros()));
-        }
+        TollCalculator { store }
     }
 }
 
@@ -394,7 +376,6 @@ impl Actor for TollCalculator {
 
     fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
         while let Some(w) = ctx.get(0) {
-            self.stall();
             if w.len() < 2 {
                 continue;
             }
@@ -427,10 +408,7 @@ impl Actor for TollCalculator {
     fn replicate(&self) -> Option<Box<dyn Actor>> {
         // Toll state lives per-car in the input window and in the shared
         // store (reads only), so replicas over a carid-keyed split are safe.
-        Some(Box::new(TollCalculator {
-            store: self.store.clone(),
-            cost: self.cost,
-        }))
+        Some(Box::new(TollCalculator::new(self.store.clone())))
     }
 }
 

@@ -10,8 +10,8 @@
 //! * [`gen`] — the workload generator (Figure 5's 0.5-expressway ramp);
 //! * [`tables`] — the relational tables and their queries;
 //! * [`actors`] — the domain actors of Figures 10–15;
-//! * [`workflow`] — assembly of the two-level workflow hierarchy;
-//! * [`spec`] — the same workflow in the declarative spec language;
+//! * [`workflow`] — the two-level workflow hierarchy: the top level as
+//!   spec-language text, parsed over a registry of the actors above;
 //! * [`golden`] — an engine-independent reference implementation;
 //! * [`metrics`] — response-time series and thrash detection;
 //! * [`cost`] — calibrated virtual-time cost models.
@@ -22,11 +22,10 @@ pub mod gen;
 pub mod golden;
 pub mod metrics;
 pub mod model;
-pub mod spec;
 pub mod tables;
 pub mod workflow;
 
 pub use gen::{Workload, WorkloadConfig};
 pub use metrics::ResponseSeries;
 pub use model::{PositionReport, TollNotification};
-pub use workflow::{build, LinearRoad, LrOptions};
+pub use workflow::{build, spec_text, LinearRoad, LrOptions};

@@ -8,18 +8,23 @@
 //!
 //! Three areas: accidents (detection + notification), segment statistics
 //! (LAV + car counts), and tolls (calculation + notification).
+//!
+//! The top level is written once, as text in the `confluence_core::spec`
+//! language ([`spec_text`]); [`build`] registers the domain actors and
+//! parses it.
 
-use confluence_core::actor::IoSignature;
-use confluence_core::actors::FnActor;
-use confluence_core::actors::TimedSource;
+use confluence_core::actor::{Actor, IoSignature};
+use confluence_core::actors::{Collector, FnActor, TimedSource};
 use confluence_core::director::composite::{CompositeActor, InjectHandle, InnerDirector};
-use confluence_core::error::Result;
-use confluence_core::graph::{Shard, Workflow, WorkflowBuilder};
-use confluence_core::time::Micros;
+use confluence_core::error::{Error, Result};
+use confluence_core::graph::{Workflow, WorkflowBuilder};
+use confluence_core::spec::{parse, ActorRegistry, Params};
+use confluence_core::time::{Micros, Timestamp};
 use confluence_core::token::Token;
-use confluence_core::window::{GroupBy, Window, WindowSpec};
+use confluence_core::window::{Window, WindowSpec};
 use confluence_relstore::StoreHandle;
 use confluence_sched::shedding::{LoadShedder, ShedderHandle};
+use parking_lot::Mutex;
 
 use crate::actors::{
     AccidentDetector, AccidentNotifier, AccidentRecorder, CarCounter, CarSpeedAvg,
@@ -39,7 +44,7 @@ pub struct LrOptions {
     /// Insert an adaptive load shedder after the source targeting this
     /// response time (paper §4.3: integrated sources can be tuned to shed
     /// load under overloading situations). `None` = no shedding.
-    pub shed_target: Option<confluence_core::time::Micros>,
+    pub shed_target: Option<Micros>,
     /// Compress the workload timetable by this factor (arrival timestamps
     /// are divided by it), so real-time directors replay a long trace in a
     /// fraction of its wall-clock duration. `1` replays in real time.
@@ -49,10 +54,6 @@ pub struct LrOptions {
     /// [`confluence_core::shard`]). `None` (or `Some(1)`) keeps the single
     /// toll actor.
     pub shard_toll: Option<usize>,
-    /// Artificial service time per toll-calculation firing (a blocking
-    /// sleep; see [`TollCalculator::with_cost`]), for scaling experiments
-    /// where the real per-firing cost is negligible.
-    pub toll_cost: Option<Micros>,
 }
 
 impl Default for LrOptions {
@@ -62,7 +63,6 @@ impl Default for LrOptions {
             shed_target: None,
             arrival_speedup: 1,
             shard_toll: None,
-            toll_cost: None,
         }
     }
 }
@@ -81,144 +81,178 @@ pub struct LinearRoad {
     pub shedder: Option<ShedderHandle>,
 }
 
-/// Build the Linear Road workflow over a generated workload.
+/// The Figure-10 workflow in the spec language: the one definition of its
+/// topology, parsed by [`build`]. Two options add lines and nothing else:
+/// `shed_target` puts a `LoadShedder` between the source and its five
+/// consumers, and `shard_toll` shards `TollCalculation`. The other options
+/// change what the registered factories construct, not the text.
+pub fn spec_text(opts: &LrOptions) -> String {
+    // The shedder keeps the default priority on purpose: queueing delay in
+    // *its* input is the congestion signal it sheds on.
+    let (feed, shedder) = match opts.shed_target {
+        Some(_) => (
+            "LoadShedder",
+            "\n    actor LoadShedder = load_shedder()\n    connect source.out -> LoadShedder.in\n",
+        ),
+        None => ("source", ""),
+    };
+    // The toll window groups by carid, so a carid-keyed split keeps every
+    // window whole on one replica; the generated merge restores global
+    // dispatch order at the notification output.
+    let shard = match opts.shard_toll {
+        Some(n) => format!("    shard TollCalculation by (carid) replicas {n}\n"),
+        None => String::new(),
+    };
+    format!(
+        r#"workflow linear-road {{
+    actor source = position_feed(){shedder}
+
+    # --- accidents ------------------------------------------------------
+    actor StoppedCarDetection      = stopped_car_detector()
+    actor AccidentDetection        = accident_detector()
+    actor InsertAccident           = accident_recorder()
+    actor AccidentNotification     = accident_notifier()
+    actor AccidentNotificationOut  = accident_output()
+
+    # Stopped cars: the last 4 reports of each car; accidents: two
+    # stopped-car reports at the same position.
+    connect {feed}.out -> StoppedCarDetection.in
+        window tuples(4, 1) group_by(carid)
+    connect StoppedCarDetection.out -> AccidentDetection.in
+        window tuples(2, 1) group_by(xway, dir, pos)
+    connect AccidentDetection.out -> InsertAccident.in
+    connect {feed}.out -> AccidentNotification.in
+        window each
+    connect AccidentNotification.out -> AccidentNotificationOut.in
+
+    # --- segment statistics ----------------------------------------------
+    actor Avgsv       = car_speed_avg()
+    actor Avgs        = segment_speed_avg()
+    actor SpeedWriter = minute_speed_writer()
+    actor cars        = car_counter()
+    actor CarsWriter  = segment_cars_writer()
+
+    connect {feed}.out -> Avgsv.in
+        window time(60s, 60s) group_by(carid, xway, dir, seg)
+    connect Avgsv.out -> Avgs.in
+        window time(60s, 60s) group_by(xway, dir, seg)
+    connect Avgs.out -> SpeedWriter.in
+    connect {feed}.out -> cars.in
+        window time(60s, 60s) group_by(xway, dir, seg)
+    connect cars.out -> CarsWriter.in
+
+    # --- tolls -------------------------------------------------------------
+    actor TollCalculation  = toll_calculator()
+    actor TollNotification = toll_output()
+
+    connect {feed}.out -> TollCalculation.in
+        window tuples(2, 1) group_by(carid)
+    connect TollCalculation.out -> TollNotification.in
+{shard}
+    # Designer priorities (paper Table 3): 5 for the actors handling the
+    # immediate output of the workflow, 10 for statistics maintenance and
+    # accident detection.
+    priority TollCalculation         = 5
+    priority TollNotification        = 5
+    priority AccidentNotification    = 5
+    priority AccidentNotificationOut = 5
+    priority StoppedCarDetection     = 10
+    priority AccidentDetection       = 10
+    priority InsertAccident          = 10
+    priority Avgsv                   = 10
+    priority Avgs                    = 10
+    priority SpeedWriter             = 10
+    priority cars                    = 10
+    priority CarsWriter              = 10
+}}
+"#
+    )
+}
+
+/// Build the Linear Road workflow over a generated workload: register the
+/// domain actors, with the options they depend on, and parse
+/// [`spec_text`].
 pub fn build(workload: &Workload, opts: &LrOptions) -> Result<LinearRoad> {
     let store = StoreHandle::new();
     tables::create_tables(&store)?;
     let toll_output = NotificationOutput::new();
     let accident_output = NotificationOutput::new();
+    let mut reg = ActorRegistry::new();
 
-    let mut b = WorkflowBuilder::new("linear-road");
     let mut schedule = workload.schedule();
     if opts.arrival_speedup > 1 {
         for (at, _) in &mut schedule {
-            *at = confluence_core::time::Timestamp(at.as_micros() / opts.arrival_speedup);
+            *at = Timestamp(at.as_micros() / opts.arrival_speedup);
         }
     }
-    let real_source = b.add_actor("source", TimedSource::new(schedule));
-    // With shedding enabled, every consumer hangs off the shedder instead
-    // of the raw source.
-    let (source, shedder) = match opts.shed_target {
-        Some(target) => {
-            let (shed, handle) = LoadShedder::new(target);
-            let shed_id = b.add_actor("LoadShedder", shed);
-            b.link((real_source, "out"), (shed_id, "in"))?;
-            (shed_id, Some(handle))
-        }
-        None => (real_source, None),
-    };
+    reg.register("position_feed", once(TimedSource::new(schedule)));
+    let shedder = opts.shed_target.map(|target| {
+        let (shed, handle) = LoadShedder::new(target);
+        reg.register("load_shedder", once(shed));
+        handle
+    });
 
-    // --- Accident detection and notification ------------------------------
-    let stopped = if opts.composite_subworkflows {
-        let inner = detection_composite(
-            "stopped-car-subworkflow",
-            "compare-positions",
-            4,
-            StoppedCarDetector::evaluate,
-        )?;
-        b.add_boxed_actor("StoppedCarDetection", Box::new(inner))
-    } else {
-        b.add_actor("StoppedCarDetection", StoppedCarDetector)
-    };
-    let detect = if opts.composite_subworkflows {
-        let inner =
-            detection_composite("accident-subworkflow", "compare-cars", 2, AccidentDetector::evaluate)?;
-        b.add_boxed_actor("AccidentDetection", Box::new(inner))
-    } else {
-        b.add_actor("AccidentDetection", AccidentDetector)
-    };
-    let insert = b.add_actor("InsertAccident", AccidentRecorder::new(store.clone()));
-    let notify = b.add_actor("AccidentNotification", AccidentNotifier::new(store.clone()));
-    let notify_out = b.add_actor("AccidentNotificationOut", accident_output.actor());
-
-    // Stopped cars: the last 4 reports of each car.
-    b.link_windowed(
-        (source, "out"),
-        (stopped, "in"),
-        WindowSpec::tuples(4, 1).group_by(GroupBy::fields(&["carid"])),
-    )?;
-    // Accidents: two stopped-car reports at the same position.
-    b.link_windowed(
-        (stopped, "out"),
-        (detect, "in"),
-        WindowSpec::tuples(2, 1).group_by(GroupBy::fields(&["xway", "dir", "pos"])),
-    )?;
-    b.link((detect, "out"), (insert, "in"))?;
-    b.link_windowed((source, "out"), (notify, "in"), WindowSpec::each_event())?;
-    b.link((notify, "out"), (notify_out, "in"))?;
-
-    // --- Segment statistics ------------------------------------------------
-    let avgsv = b.add_actor("Avgsv", CarSpeedAvg);
-    let avgs = b.add_actor("Avgs", SegmentSpeedAvg);
-    let speed_writer = b.add_actor("SpeedWriter", MinuteSpeedWriter::new(store.clone()));
-    let cars = b.add_actor("cars", CarCounter);
-    let cars_writer = b.add_actor("CarsWriter", SegmentCarsWriter::new(store.clone()));
-    let minute = Micros::from_secs(60);
-    b.link_windowed(
-        (source, "out"),
-        (avgsv, "in"),
-        WindowSpec::time(minute, minute)
-            .group_by(GroupBy::fields(&["carid", "xway", "dir", "seg"])),
-    )?;
-    b.link_windowed(
-        (avgsv, "out"),
-        (avgs, "in"),
-        WindowSpec::time(minute, minute).group_by(GroupBy::fields(&["xway", "dir", "seg"])),
-    )?;
-    b.link((avgs, "out"), (speed_writer, "in"))?;
-    b.link_windowed(
-        (source, "out"),
-        (cars, "in"),
-        WindowSpec::time(minute, minute).group_by(GroupBy::fields(&["xway", "dir", "seg"])),
-    )?;
-    b.link((cars, "out"), (cars_writer, "in"))?;
-
-    // --- Toll calculation and notification ----------------------------------
-    let mut toll_actor = TollCalculator::new(store.clone());
-    if let Some(cost) = opts.toll_cost {
-        toll_actor = toll_actor.with_cost(cost);
+    let composite = opts.composite_subworkflows;
+    reg.register("stopped_car_detector", move |_| {
+        Ok(if composite {
+            let evaluate = StoppedCarDetector::evaluate;
+            Box::new(detection_composite(
+                "stopped-car-subworkflow",
+                "compare-positions",
+                4,
+                evaluate,
+            )?)
+        } else {
+            Box::new(StoppedCarDetector)
+        })
+    });
+    reg.register("accident_detector", move |_| {
+        Ok(if composite {
+            let evaluate = AccidentDetector::evaluate;
+            Box::new(detection_composite("accident-subworkflow", "compare-cars", 2, evaluate)?)
+        } else {
+            Box::new(AccidentDetector)
+        })
+    });
+    reg.register("accident_recorder", over(&store, AccidentRecorder::new));
+    reg.register("accident_notifier", over(&store, AccidentNotifier::new));
+    reg.register("minute_speed_writer", over(&store, MinuteSpeedWriter::new));
+    reg.register("segment_cars_writer", over(&store, SegmentCarsWriter::new));
+    reg.register("toll_calculator", over(&store, TollCalculator::new));
+    reg.register("car_speed_avg", |_| Ok(Box::new(CarSpeedAvg)));
+    reg.register("segment_speed_avg", |_| Ok(Box::new(SegmentSpeedAvg)));
+    reg.register("car_counter", |_| Ok(Box::new(CarCounter)));
+    for (name, output) in [("accident_output", &accident_output), ("toll_output", &toll_output)] {
+        let output = output.clone();
+        reg.register(name, move |_| Ok(Box::new(output.actor())));
     }
-    let toll = b.add_actor("TollCalculation", toll_actor);
-    let toll_out = b.add_actor("TollNotification", toll_output.actor());
-    b.link_windowed(
-        (source, "out"),
-        (toll, "in"),
-        WindowSpec::tuples(2, 1).group_by(GroupBy::fields(&["carid"])),
-    )?;
-    b.link((toll, "out"), (toll_out, "in"))?;
-    if let Some(n) = opts.shard_toll {
-        // The toll window groups by carid, so a carid-keyed split keeps
-        // every window whole on one replica; the generated merge restores
-        // global dispatch order at the notification output.
-        b.shard(toll, Shard::by_fields(&["carid"]).replicas(n))?;
-    }
-
-    // Designer priorities (paper Table 3): 5 for the actors handling the
-    // immediate output of the workflow, 10 for statistics maintenance and
-    // accident detection.
-    b.set_priority(toll, 5);
-    b.set_priority(toll_out, 5);
-    b.set_priority(notify, 5);
-    b.set_priority(notify_out, 5);
-    b.set_priority(stopped, 10);
-    b.set_priority(detect, 10);
-    b.set_priority(insert, 10);
-    b.set_priority(avgsv, 10);
-    b.set_priority(avgs, 10);
-    b.set_priority(speed_writer, 10);
-    b.set_priority(cars, 10);
-    b.set_priority(cars_writer, 10);
-
-    // Note: the shedder keeps the default priority on purpose — queueing
-    // delay in *its* input is the congestion signal it sheds on.
 
     Ok(LinearRoad {
-        workflow: b.build()?,
+        workflow: parse(&spec_text(opts), &reg)?,
         store,
         toll_output,
         accident_output,
         shedder,
     })
+}
+
+/// A factory for an actor over the shared store.
+fn over<A: Actor + 'static>(
+    store: &StoreHandle,
+    new: fn(StoreHandle) -> A,
+) -> impl Fn(&Params) -> Result<Box<dyn Actor>> + Send + Sync {
+    let store = store.clone();
+    move |_| Ok(Box::new(new(store.clone())))
+}
+
+/// A factory that hands out `actor` to the first declaration of its type;
+/// a second declaration is an error.
+fn once(actor: impl Actor + 'static) -> impl Fn(&Params) -> Result<Box<dyn Actor>> + Send + Sync {
+    let slot = Mutex::new(Some(actor));
+    move |_| match slot.lock().take() {
+        Some(actor) => Ok(Box::new(actor)),
+        None => Err(Error::Graph("the source and the shedder are declared once".into())),
+    }
 }
 
 /// A detection sub-workflow (Figures 11 and 12): a composite whose inner
@@ -232,7 +266,7 @@ fn detection_composite(
     evaluate: fn(&Window) -> Result<Option<Token>>,
 ) -> Result<CompositeActor> {
     let entry = InjectHandle::new();
-    let exit = confluence_core::actors::Collector::new();
+    let exit = Collector::new();
     let mut ib = WorkflowBuilder::new(name);
     let src = ib.add_actor("entry", entry.source());
     let cmp = ib.add_actor(

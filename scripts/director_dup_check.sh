@@ -13,7 +13,11 @@
 #    the `Endpoint` vocabulary, and engine.rs has one watcher observer;
 #  - ready windows wait in the `ActorInbox` and nowhere else: nothing under
 #    crates/confluence-sched/src declares a container of `Window`, and the
-#    only `drain_windows(` call is `Fabric::capture_state`'s.
+#    only `drain_windows(` call is `Fabric::capture_state`'s;
+#  - the Linear Road workflow is written once, as spec text: only
+#    linearroad/src/workflow.rs (and the types' own actors.rs) constructs a
+#    Linear Road actor, and the only builder links under linearroad/src
+#    are `detection_composite`'s inner graph.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,19 +46,27 @@ if [ "$(printf '%s\n' "$records" | grep -c .)" -ne 1 ] ||
     status=1
 fi
 
-# "file:line: text" matches on stdin that fall outside `pub fn $1` of
-# director/mod.rs.
-outside_fabric_fn() {
+# "file:line: text" matches on stdin that fall outside the function of
+# file $1 declared by the first line containing $2, up to the closing brace
+# at that line's indentation.
+outside_fn() {
     local span
-    span=$(awk -v decl="pub fn $1(" '
-        index($0, decl) { start = NR } start && !end && /^    }$/ { end = NR } END { print start ":" end }' \
-        crates/confluence-core/src/director/mod.rs)
-    awk -F: -v span="$span" '
+    span=$(awk -v decl="$2" '
+        !start && index($0, decl) {
+            start = NR
+            match($0, /^ */)
+            closer = sprintf("%" RLENGTH "s}", "")
+        }
+        start && !end && NR > start && $0 == closer { end = NR }
+        END { print start ":" end }' "$1")
+    awk -F: -v file="$1" -v span="$span" '
         BEGIN { split(span, s, ":") }
-        !($1 == "crates/confluence-core/src/director/mod.rs" && $2 >= s[1] && $2 <= s[2])'
+        !($1 == file && $2 >= s[1] && $2 <= s[2])'
 }
+fabric=crates/confluence-core/src/director/mod.rs
 
-stamps=$(matches 'CwEvent::external\(|CwEvent::derived\(' $directors | outside_fabric_fn stamp)
+stamps=$(matches 'CwEvent::external\(|CwEvent::derived\(' $directors |
+    outside_fn $fabric "pub fn stamp(")
 if [ -n "$stamps" ]; then
     echo "events may be stamped in Fabric::stamp only:" >&2
     printf '%s\n' "$stamps" >&2
@@ -97,14 +109,34 @@ if [ -n "$queues" ]; then
     printf '%s\n' "$queues" >&2
     status=1
 fi
-drains=$(matches '[^ ]drain_windows\(' crates/*/src src | outside_fabric_fn capture_state)
+drains=$(matches '[^ ]drain_windows\(' crates/*/src src |
+    outside_fn $fabric "pub fn capture_state(")
 if [ -n "$drains" ]; then
     echo "drain_windows may be called from Fabric::capture_state only:" >&2
     printf '%s\n' "$drains" >&2
     status=1
 fi
 
+lr=crates/confluence-linearroad/src
+with_store='(AccidentRecorder|AccidentNotifier|MinuteSpeedWriter|SegmentCarsWriter|TollCalculator)'
+unit='(StoppedCarDetector|AccidentDetector|CarSpeedAvg|SegmentSpeedAvg|CarCounter)'
+lr_actors=$(matches "$with_store::new\\(|(^|[^A-Za-z_])$unit([^A-Za-z_:]|\$)" crates/*/src src examples |
+    grep -v -e "^$lr/workflow.rs:" -e "^$lr/actors.rs:" || true)
+if [ -n "$lr_actors" ]; then
+    echo "Linear Road actors are constructed in linearroad/src/workflow.rs only:" >&2
+    printf '%s\n' "$lr_actors" >&2
+    status=1
+fi
+lr_links=$(matches '\.link(_windowed)?\(' $lr |
+    outside_fn $lr/workflow.rs "fn detection_composite(")
+if [ -n "$lr_links" ]; then
+    echo "linearroad/src links actors in detection_composite only (the top level is spec text):" >&2
+    printf '%s\n' "$lr_links" >&2
+    status=1
+fi
+
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
-        "one downstream table, one builder vocabulary, one watcher, one ready queue per actor"
+        "one downstream table, one builder vocabulary, one watcher, one ready queue per actor," \
+        "one Linear Road topology"
 exit "$status"

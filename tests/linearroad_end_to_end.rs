@@ -132,41 +132,3 @@ fn composite_and_flat_subworkflows_agree() {
     assert_eq!(a, b, "two-level hierarchy must not change detection");
     assert_eq!(with.toll_output.len(), without.toll_output.len());
 }
-
-/// The spec-language form (`spec::build_from_spec`, flat detection actors)
-/// is the same workflow as the builder form: the same actors at the same
-/// priorities over the same number of channels, and — run under the same
-/// director — the same toll and accident-alert streams, tuple for tuple.
-#[test]
-fn spec_form_and_builder_form_produce_the_same_streams() {
-    let workload = Workload::generate(WorkloadConfig::tiny());
-    let mut from_spec = linearroad::spec::build_from_spec(&workload).unwrap();
-    let flat = LrOptions {
-        composite_subworkflows: false,
-        ..LrOptions::default()
-    };
-    let mut built = linearroad::build(&workload, &flat).unwrap();
-
-    let priorities = |wf: &confluence::core::graph::Workflow| {
-        let mut by_name: Vec<(String, i32)> = wf
-            .actor_ids()
-            .map(|id| (wf.node(id).name.clone(), wf.node(id).priority))
-            .collect();
-        by_name.sort();
-        by_name
-    };
-    assert_eq!(priorities(&from_spec.workflow), priorities(&built.workflow));
-    assert_eq!(from_spec.workflow.channels().len(), built.workflow.channels().len());
-
-    for lr in [&mut from_spec, &mut built] {
-        ScwfDirector::virtual_time(Box::new(FifoScheduler::new(5)), cheap_cost())
-            .run(&mut lr.workflow)
-            .unwrap();
-    }
-    let tokens = |out: &linearroad::actors::NotificationOutput| -> Vec<_> {
-        out.items().into_iter().map(|i| i.token).collect()
-    };
-    assert!(!from_spec.toll_output.is_empty() && !from_spec.accident_output.is_empty());
-    assert_eq!(tokens(&from_spec.toll_output), tokens(&built.toll_output));
-    assert_eq!(tokens(&from_spec.accident_output), tokens(&built.accident_output));
-}
