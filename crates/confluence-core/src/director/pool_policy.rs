@@ -116,7 +116,7 @@ impl ReadyQueue {
     /// Take the most urgent entry: the LIFO slot if occupied, else the
     /// heap minimum after lazy re-keying. `rekey` returns the *current*
     /// key for an actor; a head whose fresh key no longer wins is pushed
-    /// back under it (at most [`REKEY_BUDGET`] times) so stale snapshots
+    /// back under it (at most `REKEY_BUDGET` times) so stale snapshots
     /// cannot leapfrog genuinely urgent work.
     pub fn pop_with(&mut self, mut rekey: impl FnMut(usize) -> u64) -> Option<ReadyEntry> {
         if let Some(e) = self.lifo.take() {

@@ -28,7 +28,7 @@
 //!
 //! To keep the frontier live under skewed key distributions, the splitter
 //! also owns one *heartbeat* output per replica (`hb0..hbN`): whenever a
-//! replica has not been dispatched to for [`HEARTBEAT_EVERY`] records (and
+//! replica has not been dispatched to for `HEARTBEAT_EVERY` records (and
 //! once more on `finish`), the splitter advertises its latest dispatch
 //! sequence on that replica's heartbeat port. The replica answers with an
 //! advance-only ack `{seq, count: 0}`, which moves its watermark without
@@ -119,7 +119,7 @@ const HEARTBEAT_EVERY: i64 = 32;
 /// per replica: a replica the key distribution skips would otherwise never
 /// ack, pinning the downstream [`OrderedMerge`] frontier at its initial
 /// watermark so nothing releases until end of stream. Whenever a replica
-/// falls [`HEARTBEAT_EVERY`] dispatches behind the global sequence without
+/// falls `HEARTBEAT_EVERY` dispatches behind the global sequence without
 /// receiving data, the splitter emits the latest sequence on its heartbeat
 /// port; the [`ShardReplica`] answers with an advance-only (count 0) ack.
 pub struct ShardSplitter {

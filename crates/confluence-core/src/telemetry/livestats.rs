@@ -100,7 +100,7 @@ impl LiveStats {
 
     /// Record one completed firing: wall cost, events consumed and tokens
     /// produced. Refreshes the cached rate priorities every
-    /// [`REFRESH_EVERY`] firings.
+    /// `REFRESH_EVERY` firings.
     pub fn record_fire(&self, actor: usize, cost: Micros, events_in: u64, tokens_out: u64) {
         let Some(a) = self.actors.get(actor) else {
             return;

@@ -12,7 +12,7 @@
 //!
 //! Sampled per tick:
 //! * `depth:<actor>` — live inbox depth per actor (weak handles from
-//!   [`Observer::on_topology`](super::Observer::on_topology));
+//!   [`Observer::on_topology`]);
 //! * `fires:<actor>` — cumulative successful firings per actor, read from
 //!   the [`MetricsRecorder`]'s own cells (the recorder is the one place a
 //!   firing is counted, so sampling adds no per-firing work);

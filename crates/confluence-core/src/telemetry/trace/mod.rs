@@ -6,7 +6,7 @@
 //! wave-tags (`t1000.3.1`). The aggregate telemetry of
 //! [`MetricsRecorder`](crate::telemetry::MetricsRecorder) tells you
 //! *that* p95 latency moved; this module tells you *where* a wave spent
-//! its time. A [`Tracer`] is an [`Observer`](crate::telemetry::Observer)
+//! its time. A [`Tracer`] is an [`Observer`]
 //! subscribing to the fine-grained hook surface (`on_admit`,
 //! `on_enqueue`, `on_dequeue`, `on_fire_end`, `on_block`) and
 //! reconstructing, per traced wave, a span list covering every stage an

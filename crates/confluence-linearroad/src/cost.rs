@@ -41,7 +41,7 @@ pub fn staf_cost_model() -> TableCostModel {
 
 /// The thread-based (PNCWF) baseline: the same work plus thread overheads.
 ///
-/// Parameters: 420 µs context switch per firing, 150 µs synchronization
+/// Parameters: 420 µs context switch per firing, 130 µs synchronization
 /// per event moved, effective parallelism 1.0 (the paper's thread-based
 /// director loses its 8-core advantage to contention — its measured
 /// capacity is *below* the single-threaded cooperative executor's, which

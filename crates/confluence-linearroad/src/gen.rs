@@ -8,8 +8,8 @@
 //! expressway at a linearly increasing population, report every 30
 //! seconds, move according to their speed, and scheduled accident pairs
 //! stop in a travel lane for several reporting intervals (which is what
-//! the accident-detection pipeline keys on). See DESIGN.md's substitution
-//! notes.
+//! the accident-detection pipeline keys on). See
+//! DESIGN.md, "Substitutions".
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

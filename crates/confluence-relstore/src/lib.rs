@@ -3,7 +3,7 @@
 //! An embedded in-memory relational store: the substrate standing in for
 //! the relational database the paper's Linear Road implementation uses to
 //! keep segment statistics and detected accidents (MySQL in the authors'
-//! setup; see DESIGN.md's substitution notes).
+//! setup; see DESIGN.md, "Substitutions").
 //!
 //! Features: typed schemas with primary keys ([`schema`]), scalar values
 //! interoperable with workflow tokens ([`value`]), a predicate/arithmetic

@@ -3,8 +3,8 @@
 //! The paper measures wall-clock costs on its own hardware; running the
 //! engine in virtual time requires an explicit model of per-firing cost.
 //! The model is also the calibration point for the simulated thread-based
-//! baseline (see [`ThreadOverheadCost`] and DESIGN.md's substitution
-//! notes).
+//! baseline (see [`ThreadOverheadCost`] and
+//! DESIGN.md, "Substitutions").
 
 use std::collections::HashMap;
 
@@ -66,7 +66,7 @@ impl CostModel for TableCostModel {
 /// where the cooperative STAFiLOS schedulers sustain ~160 — reflects
 /// per-event thread wake/switch overhead outweighing the parallelism of
 /// the 8-core machine; the defaults here are calibrated to that ratio and
-/// recorded in EXPERIMENTS.md.
+/// recorded in EXPERIMENTS.md, "Measurement substrate".
 pub struct ThreadOverheadCost<M> {
     inner: M,
     /// Cost of one context switch (charged per firing).

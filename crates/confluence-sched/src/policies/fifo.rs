@@ -14,7 +14,7 @@
 //! (interval 1 — their threads are woken as soon as data is available),
 //! and every firing pays thread overheads via
 //! [`crate::cost::ThreadOverheadCost`]. The overhead parameters are the
-//! calibration knob documented in EXPERIMENTS.md.
+//! calibration knob documented in EXPERIMENTS.md, "Measurement substrate".
 
 use std::collections::VecDeque;
 

@@ -1,36 +1,4 @@
-//! # confluence
-//!
-//! Facade crate for **CONFLuEnCE** — the CONtinuous workFLow ExeCution
-//! Engine — and its **STAFiLOS** stream-flow scheduling framework, a Rust
-//! reproduction of Neophytou, Chrysanthis & Labrinidis (SIGMOD 2011 /
-//! SWEET 2013).
-//!
-//! This crate re-exports the workspace members:
-//!
-//! * [`core`] — the continuous-workflow model: tokens, waves, windows,
-//!   receivers, actors, the PNCWF/SDF/DDF/DE directors, and the
-//!   [`Engine`] run facade with its telemetry layer;
-//! * [`sched`] — STAFiLOS: the scheduled CWF director, the abstract
-//!   scheduler, and the QBS/RR/RB policies;
-//! * [`relstore`] — the embedded relational store substrate;
-//! * [`linearroad`] — the Linear Road benchmark as a continuous workflow.
-//!
-//! The recommended entry point is the [`Engine`] facade, which runs a
-//! workflow under any director and collects structured per-actor metrics:
-//!
-//! ```no_run
-//! use confluence::prelude::*;
-//!
-//! # fn demo(workflow: Workflow) -> Result<()> {
-//! let mut engine = Engine::new(workflow).with_director(ThreadedDirector::new());
-//! engine.run()?;
-//! let snapshot = engine.snapshot();
-//! println!("{}", snapshot.render_table());
-//! # Ok(())
-//! # }
-//! ```
-//!
-//! See `examples/quickstart.rs` for a five-minute tour.
+#![doc = include_str!("../README.md")]
 
 pub use confluence_core as core;
 pub use confluence_linearroad as linearroad;

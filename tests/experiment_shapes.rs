@@ -1,6 +1,6 @@
 //! Experiment-shape tests: the qualitative claims of the paper's §4.2,
 //! asserted on down-scaled (quick) runs. These are the "does the
-//! reproduction reproduce" tests — see DESIGN.md's shape criteria.
+//! reproduction reproduce" tests — see DESIGN.md, "Shape criteria".
 
 use confluence_bench::config::ExperimentConfig;
 use confluence_bench::runner::{run_linear_road, PolicyKind, RunOptions};
