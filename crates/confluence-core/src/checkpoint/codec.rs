@@ -294,7 +294,7 @@ impl<'a> Decoder<'a> {
             1 => Ok(Token::Bool(self.bool()?)),
             2 => Ok(Token::Int(self.i64()?)),
             3 => Ok(Token::Float(self.f64()?)),
-            4 => Ok(Token::Str(Arc::from(self.str()?))),
+            4 => Ok(Token::str(self.str()?)),
             5 => self.nested(Self::record),
             6 => self.nested(Self::array),
             tag => Err(corrupt(&format!("token tag {tag}"))),
@@ -343,7 +343,7 @@ impl<'a> Decoder<'a> {
         for _ in 0..n {
             items.push(self.token()?);
         }
-        Ok(Token::Array(items.into()))
+        Ok(Token::array(items))
     }
 
     /// Read a [`WaveTag`].
@@ -501,13 +501,13 @@ mod tests {
             Token::Bool(true),
             Token::Int(-42),
             Token::Float(2.5),
-            Token::Str(Arc::from("hello")),
+            Token::str("hello"),
             Token::record()
                 .field("carid", 7)
                 .field("speed", Token::Float(61.5))
                 .field("tag", "x")
                 .build(),
-            Token::Array(vec![Token::Int(1), Token::Unit].into()),
+            Token::array(vec![Token::Int(1), Token::Unit]),
         ]
     }
 

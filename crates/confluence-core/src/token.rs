@@ -29,13 +29,15 @@ pub enum Token {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// Immutable shared string.
-    Str(Arc<str>),
+    /// Immutable shared string, behind a thin pointer: a token is 16 bytes.
+    Str(Arc<String>),
     /// Record with named fields, in declaration order.
     Record(Arc<Record>),
-    /// Immutable array of tokens.
-    Array(Arc<[Token]>),
+    /// Immutable array of tokens, behind a thin pointer like `Str`.
+    Array(Arc<Vec<Token>>),
 }
+
+const _: () = assert!(std::mem::size_of::<Token>() == 16);
 
 /// Schemas at or below this many fields are probed linearly on lookup —
 /// a handful of short string compares beats binary-search bookkeeping.
@@ -230,12 +232,12 @@ impl Token {
 
     /// Build a string token.
     pub fn str(s: &str) -> Token {
-        Token::Str(Arc::from(s))
+        Token::Str(Arc::new(s.to_owned()))
     }
 
     /// Build an array token.
     pub fn array(items: Vec<Token>) -> Token {
-        Token::Array(Arc::from(items))
+        Token::Array(Arc::new(items))
     }
 
     /// The variant name, used in type-error messages.
@@ -288,7 +290,7 @@ impl Token {
     /// Interpret as string slice.
     pub fn as_str(&self) -> Result<&str> {
         match self {
-            Token::Str(v) => Ok(v.as_ref()),
+            Token::Str(v) => Ok(v.as_str()),
             other => Err(Error::TokenType {
                 expected: "Str",
                 found: other.type_name(),
@@ -310,7 +312,7 @@ impl Token {
     /// Interpret as array slice.
     pub fn as_array(&self) -> Result<&[Token]> {
         match self {
-            Token::Array(v) => Ok(v.as_ref()),
+            Token::Array(v) => Ok(v.as_slice()),
             other => Err(Error::TokenType {
                 expected: "Array",
                 found: other.type_name(),
@@ -389,7 +391,7 @@ impl From<&str> for Token {
 }
 impl From<String> for Token {
     fn from(v: String) -> Self {
-        Token::Str(Arc::from(v.as_str()))
+        Token::Str(Arc::new(v))
     }
 }
 
@@ -401,7 +403,7 @@ impl PartialEq for Token {
             (Bool(a), Bool(b)) => a == b,
             (Int(a), Int(b)) => a == b,
             (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
-            (Int(a), Float(b)) | (Float(b), Int(a)) => (*a as f64).to_bits() == b.to_bits(),
+            (Int(a), Float(b)) | (Float(b), Int(a)) => int_float_cmp(*a, *b).is_eq(),
             (Str(a), Str(b)) => a == b,
             (Record(a), Record(b)) => a == b,
             (Array(a), Array(b)) => a == b,
@@ -457,6 +459,15 @@ pub(crate) fn hash_record<'a, H: Hasher>(values: impl ExactSizeIterator<Item = &
     }
 }
 
+/// `a` against `b`, exactly: the one Int/Float rule of tokens and store
+/// values. Rounding is monotone, so only a tie of `a as f64` with `b`
+/// needs more; it leaves `b` integral and within ±2^63, where `b as i128`
+/// is exact. Exactly-equal numbers have equal f64 bits, so hashing the
+/// widened bits stays consistent with this equality.
+pub fn int_float_cmp(a: i64, b: f64) -> Ordering {
+    (a as f64).total_cmp(&b).then_with(|| (a as i128).cmp(&(b as i128)))
+}
+
 impl PartialOrd for Token {
     /// Total order within comparable variants; cross-type comparisons (other
     /// than Int/Float) order by variant. This gives group keys and sort keys
@@ -484,8 +495,8 @@ impl Ord for Token {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Record(a), Record(b)) => {
                 for ((na, va), (nb, vb)) in a.iter().zip(b.iter()) {
@@ -663,6 +674,23 @@ mod tests {
         let nan = Token::Float(f64::NAN);
         assert_eq!(nan, nan.clone());
         assert_eq!(hash_of(&nan), hash_of(&nan.clone()));
+    }
+
+    #[test]
+    fn int_float_equality_and_order_are_exact() {
+        // 2^53 + 1 widens to 2^53: equal to neither that float nor to 2^53.
+        let (lo, float, hi) = (Token::Int(1 << 53), Token::Float((1u64 << 53) as f64), Token::Int((1 << 53) + 1));
+        assert_eq!(lo, float);
+        assert_ne!(float, hi);
+        assert_ne!(hi, float);
+        assert_ne!(lo, hi);
+        assert_eq!(lo.cmp(&float), Ordering::Equal);
+        assert_eq!(float.cmp(&hi), Ordering::Less);
+        assert_eq!(hi.cmp(&float), Ordering::Greater);
+        assert_eq!(lo.cmp(&hi), Ordering::Less);
+        assert_eq!(hash_of(&lo), hash_of(&float), "exactly-equal numbers hash alike");
+        assert_eq!(Token::Int(i64::MAX).cmp(&Token::Float(i64::MAX as f64)), Ordering::Less);
+        assert_eq!(Token::Int(0).cmp(&Token::Float(f64::NAN)), Ordering::Less);
     }
 
     #[test]

@@ -27,20 +27,23 @@ pub struct WaveStep {
 /// A hierarchical wave-tag, e.g. `t_i.3.1`.
 ///
 /// `origin` is the timestamp of the external event that initiated the wave;
-/// `path` holds the per-level serial numbers. An external event's own tag
-/// has an empty path.
+/// `path` holds the per-level serial numbers, in an exact-size box so a tag
+/// is 24 bytes. An external event's own tag has an empty path, which
+/// allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WaveTag {
     origin: Timestamp,
-    path: Vec<WaveStep>,
+    path: Box<[WaveStep]>,
 }
+
+const _: () = assert!(std::mem::size_of::<WaveTag>() == 24);
 
 impl WaveTag {
     /// Tag for an external event entering the system at `origin`.
     pub fn external(origin: Timestamp) -> Self {
         WaveTag {
             origin,
-            path: Vec::new(),
+            path: Box::default(),
         }
     }
 
@@ -63,12 +66,9 @@ impl WaveTag {
     /// event carrying `self`; `last` marks the final event of that firing.
     pub fn child(&self, index: u32, last: bool) -> WaveTag {
         debug_assert!(index >= 1, "wave serial numbers are 1-based");
-        let mut path = Vec::with_capacity(self.path.len() + 1);
-        path.extend_from_slice(&self.path);
-        path.push(WaveStep { index, last });
         WaveTag {
             origin: self.origin,
-            path,
+            path: [&self.path[..], &[WaveStep { index, last }]].concat().into_boxed_slice(),
         }
     }
 
@@ -95,7 +95,7 @@ impl WaveTag {
         }
         Some(WaveTag {
             origin: self.origin,
-            path: self.path[..self.path.len() - 1].to_vec(),
+            path: self.path[..self.path.len() - 1].into(),
         })
     }
 
@@ -126,7 +126,7 @@ impl WaveTag {
             }
             path.push(WaveStep { index, last });
         }
-        Some(WaveTag { origin, path })
+        Some(WaveTag { origin, path: path.into_boxed_slice() })
     }
 }
 

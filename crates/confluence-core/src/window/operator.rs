@@ -1603,6 +1603,24 @@ mod tests {
     }
 
     #[test]
+    fn numeric_keys_a_rounding_apart_form_two_groups() {
+        // 2^53 + 1 widens to the f64 2^53 and hashes alike, but is not equal
+        // to it: two groups. `Int(2^53)` is, and joins the float's group.
+        let spec = WindowSpec::tuples(2, 1).group_by(GroupBy::fields(&["k"]));
+        let key = |k: Token| CwEvent::external(Token::record().field("k", k).build(), Timestamp(0));
+        let mut op = WindowOperator::new(spec).unwrap();
+        let above = key(Token::Int((1 << 53) + 1));
+        let float = key(Token::Float((1u64 << 53) as f64));
+        let exact = key(Token::Int(1 << 53));
+        assert_eq!(op.push(above, Timestamp(0)).unwrap(), 0);
+        assert_eq!(op.push(float.clone(), Timestamp(1)).unwrap(), 0);
+        assert_eq!(op.group_count(), 2);
+        assert_eq!(op.push(exact.clone(), Timestamp(2)).unwrap(), 1);
+        assert_eq!(op.group_count(), 2);
+        assert_eq!(op.pop_window().unwrap().events, vec![float, exact]);
+    }
+
+    #[test]
     fn time_window_formation_timeout_does_not_spin() {
         // The timeout falls before the window's end: nothing to force out,
         // and polling at it must come back.

@@ -12,7 +12,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use confluence_core::checkpoint::codec::{Decoder, Encoder};
+use confluence_core::event::CwEvent;
+use confluence_core::time::Timestamp;
 use confluence_core::token::{Record, Schema, Token};
+use confluence_core::wave::WaveTag;
 
 type Model = Vec<(String, Token)>;
 
@@ -213,5 +216,27 @@ fn record_encoding_is_the_one_older_snapshots_hold() {
         let decoded = Decoder::new(&bytes).token().unwrap();
         assert_eq!(decoded, token);
         assert_eq!(hex(&encode(&decoded)), pinned);
+    }
+}
+
+/// What the commit before the exact-size wave path wrote for two events,
+/// one two levels into its wave and one external: the in-memory tag
+/// changed shape, the format-2 bytes did not.
+#[test]
+fn event_encoding_is_the_one_older_snapshots_hold() {
+    let report = Token::record().field("carid", 42).field("speed", 57.5).build();
+    let wave = WaveTag::external(Timestamp(95_000_000)).child(3, false).child(1, true);
+    let fixtures = [
+        (CwEvent { token: report, timestamp: Timestamp(95_000_250), wave }, "0502000000050000006361726964022a00000000000000050000007370656564030000000000c04c40ba96a90500000000c095a905000000000200000003000000000100000001"),
+        (CwEvent::external(Token::str("seg"), Timestamp(7)), "04030000007365670700000000000000070000000000000000000000"),
+    ];
+    for (event, pinned) in fixtures {
+        let mut e = Encoder::new();
+        e.event(&event);
+        let bytes = e.into_bytes();
+        assert_eq!(hex(&bytes), pinned);
+        let decoded = Decoder::new(&bytes).event().unwrap();
+        assert_eq!(decoded, event);
+        assert_eq!(decoded.wave.depth(), event.wave.depth());
     }
 }

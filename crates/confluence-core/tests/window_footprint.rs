@@ -88,22 +88,23 @@ fn a_group_costs_its_key_its_events_and_a_position() {
     let by_segment = GroupBy::fields(&["carid", "xway", "dir", "seg"]);
     let by_car = || GroupBy::fields(&["carid"]);
 
-    // 318 / 240 / 240 B: the 96-byte arena slot (key, counters, buffer
-    // header; 98 with the last chunk's spare slots) + 13 B of directory
+    // 262 / 207 / 207 B: the 88-byte arena slot (key, counters, buffer
+    // header; 90 with the last chunk's spare slots) + 13 B of directory
     // (16,384 eight-byte slots for 10,000 ids) + the key record (40 B and
-    // 24 B a field) + one 64-byte event, and for the time port 7 B of ids
+    // 16 B a field) + one 48-byte event, and for the time port 7 B of ids
     // under the one deadline all its groups share. Three allocations a
     // group (the key record's two and the buffer) and a few dozen chunks.
-    // With a 105-byte hash-map bucket at 61% load, a second copy of the key
-    // and a four-slot buffer they were 603 / 597 / 597 B.
+    // With 24-byte tokens and 64-byte events they were 318 / 240 / 240 B;
+    // with a 105-byte hash-map bucket at 61% load, a second copy of the key
+    // and a four-slot buffer, 603 / 597 / 597 B.
     let (bytes, allocs) = per_group(WindowSpec::time(minute, minute).group_by(by_segment), &shape);
-    assert!(bytes < 330.0, "time(60 s) by four fields: {bytes:.1} live bytes per group");
+    assert!(bytes < 270.0, "time(60 s) by four fields: {bytes:.1} live bytes per group");
     assert!(allocs < 3.01, "time(60 s) by four fields: {allocs:.3} live allocations per group");
     let (bytes, allocs) = per_group(WindowSpec::tuples(2, 1).group_by(by_car()), &shape);
-    assert!(bytes < 250.0, "tuples(2, 1) by carid: {bytes:.1} live bytes per group");
+    assert!(bytes < 215.0, "tuples(2, 1) by carid: {bytes:.1} live bytes per group");
     assert!(allocs < 3.01, "tuples(2, 1) by carid: {allocs:.3} live allocations per group");
     let (bytes, allocs) = per_group(WindowSpec::tuples(4, 1).group_by(by_car()), &shape);
-    assert!(bytes < 250.0, "tuples(4, 1) by carid: {bytes:.1} live bytes per group");
+    assert!(bytes < 215.0, "tuples(4, 1) by carid: {bytes:.1} live bytes per group");
     assert!(allocs < 3.01, "tuples(4, 1) by carid: {allocs:.3} live allocations per group");
 
     // Ten minutes of an ordered port (one upstream channel), a thousand

@@ -11,7 +11,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use confluence_core::error::{Error, Result};
-use confluence_core::token::Token;
+use confluence_core::token::{int_float_cmp, Token};
 
 /// A scalar cell value.
 #[derive(Debug, Clone, Default)]
@@ -107,7 +107,7 @@ impl Value {
             Token::Bool(b) => Value::Bool(*b),
             Token::Int(i) => Value::Int(*i),
             Token::Float(f) => Value::Float(*f),
-            Token::Str(s) => Value::str(s),
+            Token::Str(s) => Value::Str(s.clone()),
             other => {
                 return Err(Error::Store(format!(
                     "non-scalar token {} cannot be stored",
@@ -124,7 +124,7 @@ impl Value {
             Value::Bool(b) => Token::Bool(*b),
             Value::Int(i) => Token::Int(*i),
             Value::Float(f) => Token::Float(*f),
-            Value::Str(s) => Token::str(s),
+            Value::Str(s) => Token::Str(s.clone()),
         }
     }
 }
@@ -193,13 +193,6 @@ impl Ord for Value {
             (a, b) => rank(a).cmp(&rank(b)),
         }
     }
-}
-
-/// `a` against `b`, exactly. Rounding is monotone, so only a tie of
-/// `a as f64` with `b` needs more; it leaves `b` integral and within
-/// ±2^63, where `b as i128` is exact.
-fn int_float_cmp(a: i64, b: f64) -> Ordering {
-    (a as f64).total_cmp(&b).then_with(|| (a as i128).cmp(&(b as i128)))
 }
 
 impl Hash for Value {
@@ -281,6 +274,16 @@ mod tests {
         }
         assert!(Value::from_token(&Token::record().build()).is_err());
         assert!(Value::from_token(&Token::array(vec![])).is_err());
+    }
+
+    #[test]
+    fn strings_cross_to_and_from_tokens_without_a_copy() {
+        let token = Token::str("Sacramento");
+        let value = Value::from_token(&token).unwrap();
+        let (Token::Str(t), Value::Str(v)) = (&token, &value) else { panic!("strings") };
+        assert!(Arc::ptr_eq(t, v), "token to value shares the string");
+        let Token::Str(back) = value.to_token() else { panic!("a string") };
+        assert!(Arc::ptr_eq(&back, v), "value to token shares the string");
     }
 
     #[test]

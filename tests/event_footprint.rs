@@ -1,0 +1,79 @@
+//! What Linear Road holds at its peak, counted by a global allocator: the
+//! live state of a continuous workflow is mostly buffered events, so the
+//! bytes an event and a record field cost set the peak.
+//!
+//! One test function: the counters are process-wide, and a second test
+//! running beside it would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
+use std::sync::Arc;
+
+use confluence::core::director::Director;
+use confluence::core::telemetry::{FireRecord, Observer, Telemetry};
+use confluence::core::time::Micros;
+use confluence::linearroad::{self, LrOptions, Workload, WorkloadConfig};
+use confluence::sched::cost::TableCostModel;
+use confluence::sched::policies::FifoScheduler;
+use confluence::sched::ScwfDirector;
+
+struct Counting;
+
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter beside it touches no memory the allocator manages.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as isize, Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as isize, Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The highest live-byte count seen at the end of any firing.
+#[derive(Default)]
+struct PeakAtFireEnd(AtomicIsize);
+
+impl Observer for PeakAtFireEnd {
+    fn on_fire_end(&self, _: &FireRecord) {
+        self.0.fetch_max(LIVE_BYTES.load(Relaxed), Relaxed);
+    }
+}
+
+#[test]
+fn linear_road_peaks_at_what_its_buffered_events_carry() {
+    let workload = Workload::generate(WorkloadConfig {
+        duration_secs: 120,
+        seed: 1,
+        ..Default::default()
+    });
+    let baseline = LIVE_BYTES.load(Relaxed);
+    let mut lr = linearroad::build(&workload, &LrOptions::default()).unwrap();
+    let peak = Arc::new(PeakAtFireEnd::default());
+    let mut director = ScwfDirector::virtual_time(
+        Box::new(FifoScheduler::new(5)),
+        Box::new(TableCostModel::uniform(Micros(1), Micros(0))),
+    );
+    director.instrument(Telemetry::new(peak.clone()));
+    director.run(&mut lr.workflow).unwrap();
+    assert!(!lr.toll_output.items().is_empty(), "the drain computed tolls");
+
+    // The peak falls at the minute-2 window close, when the per-car windows
+    // hold two minutes of reports. 739 B a report with 16-byte tokens and
+    // 48-byte events; 932 B with 24-byte tokens and 64-byte events.
+    let per_report = (peak.0.load(Relaxed) - baseline) as f64 / workload.len() as f64;
+    assert!(per_report < 776.0, "peak live heap {per_report:.1} B a report above the pre-build baseline");
+}
