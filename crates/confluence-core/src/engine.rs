@@ -39,10 +39,9 @@ use crate::director::{Director, RunReport};
 use crate::error::{Error, Result};
 use crate::graph::Workflow;
 use crate::telemetry::{
-    FireRecord, MetricsRecorder, MetricsSnapshot, MultiObserver, Observer, OpsConfig, OpsServer,
-    RunControl, RunPhase, StallWatchdog, Telemetry, TimeSeriesRecorder, TraceReport, Tracer,
+    FireRecord, MetricsRecorder, MetricsSnapshot, MultiObserver, Observer, RunControl, RunPhase,
+    Telemetry, TimeSeriesRecorder, TraceReport, Tracer,
 };
-use crate::telemetry::ops::{LateBound, OpsState};
 use crate::time::{Micros, Timestamp};
 
 /// A bound on how far [`Engine::run_until`] lets a run progress before
@@ -155,7 +154,6 @@ pub struct ExecConfig {
     checkpoint: Option<CheckpointPlan>,
     recover: Option<PathBuf>,
     series: Option<Micros>,
-    ops: Option<OpsConfig>,
 }
 
 /// Where and how often to checkpoint a run (see
@@ -226,27 +224,9 @@ impl ExecConfig {
     /// Under real-time directors the interval is wall time; under the
     /// scheduled virtual-time director it is virtual time, so sampled
     /// series are deterministic in tests. Read the series back through
-    /// [`Engine::series`] or the `/series` route of the ops endpoint.
+    /// [`Engine::series`].
     pub fn sample_series(mut self, interval: Micros) -> Self {
         self.series = Some(interval);
-        self
-    }
-
-    /// Serve the live ops endpoint on `addr` (e.g. `"127.0.0.1:9090"`;
-    /// port 0 picks an ephemeral port, exposed via [`Engine::ops_addr`]).
-    /// Routes: `/metrics` (Prometheus), `/snapshot` (JSON), `/series`
-    /// (CSV, when [`ExecConfig::sample_series`] is on), `/trace` (Chrome
-    /// JSON, when a tracer is attached — before or after this config),
-    /// and `/healthz` (stall watchdog). Default stall thresholds; use
-    /// [`ExecConfig::ops`] to tune them.
-    pub fn ops_endpoint(self, addr: impl Into<String>) -> Self {
-        self.ops(OpsConfig::new(addr))
-    }
-
-    /// Full-control variant of [`ExecConfig::ops_endpoint`]: bind the ops
-    /// endpoint with explicit stall-watchdog thresholds.
-    pub fn ops(mut self, config: OpsConfig) -> Self {
-        self.ops = Some(config);
         self
     }
 }
@@ -261,8 +241,8 @@ pub struct Engine {
     workflow: Workflow,
     director: Box<dyn Director>,
     extra_observers: Vec<Arc<dyn Observer>>,
-    /// Lifecycle-only observers (series recorder, stall watchdog): they
-    /// ride [`MultiObserver::with_quiet`] so per-firing dispatch stays as
+    /// Lifecycle-only observers (the series recorder): they ride
+    /// [`MultiObserver::with_quiet`] so per-firing dispatch stays as
     /// cheap as an uninstrumented run.
     quiet_observers: Vec<Arc<dyn Observer>>,
     recorder: Arc<MetricsRecorder>,
@@ -279,16 +259,10 @@ pub struct Engine {
     /// Whether source actors have been wrapped in [`LoggedSource`]s (done
     /// lazily on the first checkpointed or recovered run).
     sources_logged: bool,
-    /// The stall watchdog behind `/healthz`, when the ops endpoint is on.
-    watchdog: Option<Arc<StallWatchdog>>,
-    /// The live ops server, when [`ExecConfig::ops_endpoint`] is on.
-    ops: Option<OpsServer>,
-    /// The time-series recorder ([`ExecConfig::sample_series`]) and the
-    /// tracer ([`Engine::with_tracer`]), each in the slot the ops server
-    /// looks it up in per request — so the order of `configure` and
-    /// `with_tracer` calls does not matter.
-    series: LateBound<TimeSeriesRecorder>,
-    tracer: LateBound<Tracer>,
+    /// The time-series recorder ([`ExecConfig::sample_series`]).
+    series: Option<Arc<TimeSeriesRecorder>>,
+    /// The tracer ([`Engine::with_tracer`]).
+    tracer: Option<Arc<Tracer>>,
 }
 
 impl Engine {
@@ -308,10 +282,8 @@ impl Engine {
             recover: None,
             resources: Vec::new(),
             sources_logged: false,
-            watchdog: None,
-            ops: None,
-            series: LateBound::default(),
-            tracer: LateBound::default(),
+            series: None,
+            tracer: None,
         }
     }
 
@@ -349,26 +321,7 @@ impl Engine {
         if let Some(interval) = config.series {
             let series = Arc::new(TimeSeriesRecorder::new(interval, self.recorder.clone()));
             self.quiet_observers.push(series.clone() as Arc<dyn Observer>);
-            *self.series.lock() = Some(series);
-        }
-        if let Some(ops_cfg) = config.ops {
-            let watchdog = Arc::new(StallWatchdog::new(
-                ops_cfg.progress_stall,
-                ops_cfg.actor_stall,
-            ));
-            self.quiet_observers.push(watchdog.clone() as Arc<dyn Observer>);
-            let state = OpsState {
-                recorder: self.recorder.clone(),
-                series: self.series.clone(),
-                tracer: self.tracer.clone(),
-                watchdog: watchdog.clone(),
-            };
-            // An unbindable ops address is a deployment error worth
-            // failing loudly on; the builder chain has no Result channel.
-            let server = OpsServer::bind(&ops_cfg, state)
-                .unwrap_or_else(|e| panic!("bind ops endpoint {}: {e}", ops_cfg.addr));
-            self.watchdog = Some(watchdog);
-            self.ops = Some(server);
+            self.series = Some(series);
         }
         self
     }
@@ -412,13 +365,13 @@ impl Engine {
     /// attach one when the lineage detail is wanted.
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.extra_observers.push(tracer.clone() as Arc<dyn Observer>);
-        *self.tracer.lock() = Some(tracer);
+        self.tracer = Some(tracer);
         self
     }
 
     /// The tracer attached via [`Engine::with_tracer`], if any.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
-        self.tracer.lock().clone()
+        self.tracer.clone()
     }
 
     /// The traces recorded so far by the attached tracer (`None` without
@@ -435,20 +388,7 @@ impl Engine {
     /// The time-series recorder, when [`ExecConfig::sample_series`] is
     /// on. Safe to read mid-run from another thread (via a clone).
     pub fn series(&self) -> Option<Arc<TimeSeriesRecorder>> {
-        self.series.lock().clone()
-    }
-
-    /// The address the ops endpoint is serving on, when
-    /// [`ExecConfig::ops_endpoint`] is on (resolves port 0 to the actual
-    /// ephemeral port).
-    pub fn ops_addr(&self) -> Option<std::net::SocketAddr> {
-        self.ops.as_ref().map(|s| s.addr())
-    }
-
-    /// The stall watchdog behind the ops endpoint's `/healthz`, when the
-    /// ops endpoint is on.
-    pub fn watchdog(&self) -> Option<&Arc<StallWatchdog>> {
-        self.watchdog.as_ref()
+        self.series.clone()
     }
 
     /// The workflow being executed.

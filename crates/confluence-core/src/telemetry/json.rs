@@ -1,6 +1,6 @@
 //! The telemetry layer's one hand-rolled JSON writer (no external deps):
-//! the metrics snapshot, the Chrome-trace export and `/healthz` all quote
-//! strings through [`push_string`].
+//! the metrics snapshot and the Chrome-trace export both quote strings
+//! through [`push_string`].
 
 use std::fmt::Write as _;
 

@@ -21,14 +21,12 @@
 pub mod estimator;
 mod json;
 mod livestats;
-pub mod ops;
 mod recorder;
 pub mod series;
 pub mod sketch;
 pub mod trace;
 
 pub use livestats::LiveStats;
-pub use ops::{OpsConfig, OpsServer, StallWatchdog};
 pub use recorder::{
     ActorMetrics, EdgeMetrics, MetricsRecorder, MetricsSnapshot, PortDepthMetrics, ShardMetrics,
     ShardReplicaMetrics, WorkerMetrics,
@@ -242,9 +240,8 @@ pub struct MultiObserver {
     /// Lifecycle-only observers: they receive run phases, topology and
     /// worker reports, but none of the
     /// per-firing/per-route hooks — so adding one leaves the hot-path
-    /// dispatch count untouched. The series recorder (which reads its
-    /// counters from the metrics recorder at sample time) and the stall
-    /// watchdog (which ages counters off-thread) ride here.
+    /// dispatch count untouched. The series recorder, which reads its
+    /// counters from the metrics recorder at sample time, rides here.
     quiet: Vec<Arc<dyn Observer>>,
 }
 

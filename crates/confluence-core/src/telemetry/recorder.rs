@@ -333,19 +333,10 @@ impl MetricsRecorder {
         self.actors.get(actor.0)
     }
 
-    /// Actor names, indexed by `ActorId`.
-    pub(super) fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Total successful firings across all actors.
+    /// Total successful firings across all actors — just the counter
+    /// loads, no snapshot materialization.
     pub fn total_fires(&self) -> u64 {
-        self.fires_by_actor().iter().sum()
-    }
-
-    /// Total channel deliveries observed.
-    pub fn total_routed(&self) -> u64 {
-        self.events_routed.load(Ordering::Relaxed)
+        self.actors.iter().map(|c| c.fires.load(Ordering::Relaxed)).sum()
     }
 
     /// Cumulative successful firings of one actor — a single relaxed
@@ -354,16 +345,6 @@ impl MetricsRecorder {
         self.cell(actor)
             .map(|c| c.fires.load(Ordering::Relaxed))
             .unwrap_or(0)
-    }
-
-    /// Cumulative successful firings per actor, indexed by `ActorId` —
-    /// just the counter loads, no snapshot materialization. The stall
-    /// watchdog polls this between accepted connections.
-    pub fn fires_by_actor(&self) -> Vec<u64> {
-        self.actors
-            .iter()
-            .map(|c| c.fires.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// The shared end-to-end latency sketch sink firings feed. Cloneable:

@@ -6,15 +6,13 @@
 //!
 //! A monitoring workflow deserves monitoring of its own: the run also
 //! turns on the continuous-telemetry layer — a 1 ms time-series
-//! recorder plus the live ops endpoint — and scrapes its own
-//! `/healthz` mid-run, the way an external supervisor would.
+//! recorder — and a supervisor thread reads the engine's firing count
+//! mid-run from a clone of its metrics recorder.
 //!
 //! ```text
 //! cargo run --example stock_monitor
 //! ```
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
@@ -26,16 +24,6 @@ use confluence::core::token::Token;
 use confluence::core::window::{GroupBy, WindowSpec};
 use confluence::prelude::Micros;
 use confluence::{Engine, ExecConfig};
-
-/// A minimal HTTP/1.0 GET against the engine's own ops endpoint —
-/// what a supervisor's liveness probe does.
-fn probe(addr: std::net::SocketAddr, path: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    write!(stream, "GET {path} HTTP/1.0\r\n\r\n")?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    Ok(response)
-}
 
 fn tick(symbol: &str, price: f64, volume: i64) -> Token {
     Token::record()
@@ -126,36 +114,24 @@ fn main() -> confluence::prelude::Result<()> {
     });
 
     // Continuous telemetry for the monitor itself: sample per-actor
-    // inbox depths / firings / latency p95 every 1 ms of wall time and
-    // serve them live (port 0 = pick an ephemeral port).
+    // inbox depths / firings / latency p95 every 1 ms of wall time.
     let mut engine = Engine::new(workflow)
         .with_director(ThreadedDirector::new())
-        .configure(
-            ExecConfig::new()
-                .sample_series(Micros(1_000))
-                .ops_endpoint("127.0.0.1:0"),
-        );
-    let ops = engine.ops_addr().expect("ops endpoint bound");
-    println!("ops endpoint live at http://{ops}/metrics\n");
+        .configure(ExecConfig::new().sample_series(Micros(1_000)));
 
-    // Probe our own /healthz mid-run from a second thread, like an
-    // external supervisor would.
-    let health = thread::spawn(move || {
+    // A supervisor thread reads the live counters mid-run through a
+    // clone of the engine's recorder: the in-process view of progress.
+    let recorder = engine.recorder().clone();
+    let supervisor = thread::spawn(move || {
         thread::sleep(Duration::from_millis(2));
-        probe(ops, "/healthz")
+        recorder.total_fires()
     });
 
     engine.run()?;
     producer.join().expect("producer finishes");
-    match health.join().expect("probe finishes") {
-        Ok(response) => {
-            let status = response.lines().next().unwrap_or("").to_string();
-            println!("mid-run /healthz: {status}");
-        }
-        // The run can finish before the probe connects; the endpoint
-        // shuts down with the engine, so a refused probe is fine here.
-        Err(e) => println!("mid-run /healthz: skipped ({e})"),
-    }
+    let mid_run = supervisor.join().expect("supervisor finishes");
+    let total = engine.snapshot().total_fires();
+    println!("firings seen by the supervisor mid-run: {mid_run} (of {total})");
 
     if let Some(series) = engine.series() {
         let depths = series.series("depth:vwap");

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The line count a simplicity PR reports: Rust lines before each file's
-# first #[cfg(test)] (the whole file when it has none), over crates/*/src,
-# src and examples, per crate and in total. Fails when the total exceeds
-# scripts/loc_ceiling.txt. A PR that adds code raises the ceiling in its
-# own diff, where a reviewer sees it; one that removes code lowers it.
+# first #[cfg(test)] or #![cfg(test)] (the whole file when it has
+# neither), over crates/*/src, src and examples, per crate and in total.
+# Fails when the total exceeds scripts/loc_ceiling.txt. A PR that adds
+# code raises the ceiling in its own diff, where a reviewer sees it; one
+# that removes code lowers it.
 set -euo pipefail
 export LC_ALL=C
 cd "$(dirname "$0")/.."
@@ -12,7 +13,7 @@ ceiling=$(cat scripts/loc_ceiling.txt)
 
 find crates/*/src src examples -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
-    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    /#!?\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests { next }
     {
         part = FILENAME

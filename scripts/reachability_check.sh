@@ -9,7 +9,8 @@
 # A `pub use` re-export is not a mention, and neither is a type named in
 # its own `impl` block (header or body): a type that is only declared,
 # implemented, re-exported and unit-tested has no caller.
-# A name only its own crate's #[cfg(test)] code mentions is unreachable:
+# A file under #![cfg(test)] is test code from its first line. A name
+# only its own crate's #[cfg(test)] code mentions is unreachable:
 # delete it, or give it one line in scripts/reachability_allow.txt
 # (`<path under crates/>:<name>  <reason>`, no wildcards).
 # Names are matched as bare identifiers, so a method that shares its name
@@ -39,7 +40,7 @@ unreachable=$(find $engine crates/confluence-bench/src crates/*/tests \
                 sub(/\/src\/.*/, "", own)
             }
         }
-        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        /#!?\[cfg\(test\)\]/ { in_tests = 1 }
         /^[[:space:]]*\/\// { next }
         # A re-export, to its closing `;`.
         /^[[:space:]]*pub use / { in_use = 1 }

@@ -8,8 +8,8 @@ pub use confluence_sched as sched;
 // The engine facade and its observability surface, re-exported flat.
 pub use confluence_core::engine::{Engine, ExecConfig, StopCondition};
 pub use confluence_core::telemetry::{
-    MetricsRecorder, MetricsSnapshot, Observer, OpsConfig, QuantileSketch, RunPhase,
-    SketchSnapshot, StallWatchdog, Telemetry, TimeSeriesRecorder,
+    MetricsRecorder, MetricsSnapshot, Observer, QuantileSketch, RunPhase, SketchSnapshot,
+    Telemetry, TimeSeriesRecorder,
 };
 
 /// Commonly used items, re-exported flat.
@@ -30,8 +30,8 @@ pub mod prelude {
     pub use confluence_core::error::{Error, Result};
     pub use confluence_core::graph::{ActorId, Endpoint, Shard, ShardGroup, Workflow, WorkflowBuilder};
     pub use confluence_core::telemetry::{
-        LiveStats, MetricsRecorder, MetricsSnapshot, Observer, OpsConfig, QuantileSketch,
-        RunPhase, SketchSnapshot, StallWatchdog, Telemetry, TimeSeriesRecorder,
+        LiveStats, MetricsRecorder, MetricsSnapshot, Observer, QuantileSketch, RunPhase,
+        SketchSnapshot, Telemetry, TimeSeriesRecorder,
     };
     pub use confluence_core::time::{Micros, Timestamp};
     pub use confluence_core::token::Token;

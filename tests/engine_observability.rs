@@ -5,9 +5,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use confluence::core::actor::{Actor, FireContext, IoSignature, SdfRates};
-use confluence::core::actors::{Collector, VecSource};
+use confluence::core::actors::{Collector, PushSource, VecSource};
 use confluence::core::director::ddf::DdfDirector;
 use confluence::core::director::de::DeDirector;
 use confluence::core::director::pool::PoolDirector;
@@ -251,6 +252,56 @@ fn report_is_a_view_over_the_recorder() {
     let mut e2 = Engine::new(wf2).with_director(DdfDirector::new());
     let r1 = e2.run().unwrap();
     assert_eq!(r1.firings, report.firings);
+}
+
+/// The recorder's live count is the counter loads themselves: after a
+/// run it agrees with the snapshot and with the per-actor counts.
+#[test]
+fn live_fire_count_matches_the_snapshot() {
+    let (wf, _c) = pipeline(false);
+    let ids: Vec<ActorId> = wf.actor_ids().collect();
+    let mut e = Engine::new(wf).with_director(DeDirector::new());
+    e.run().unwrap();
+    let recorder = e.recorder();
+    let per_actor: u64 = ids.iter().map(|&id| recorder.actor_fires(id)).sum();
+    assert_eq!(recorder.total_fires(), e.snapshot().total_fires());
+    assert_eq!(recorder.total_fires(), per_actor);
+    assert!(per_actor >= 3 * N as u64, "every token passed three actors");
+}
+
+/// A supervisor thread holding a clone of the engine's recorder reads
+/// progress while the run is live: the producer handle it holds keeps
+/// the push source, and so the run, open until it has looked.
+#[test]
+fn a_recorder_clone_reads_progress_mid_run() {
+    let c = Collector::new();
+    let (source, feed) = PushSource::new();
+    let mut b = WorkflowBuilder::new("pushed");
+    let s = b.add_actor("src", source);
+    let d = b.add_actor("double", Double);
+    let k = b.add_actor("sink", c.actor());
+    b.chain(&[s, d, k]).unwrap();
+    let mut e = Engine::new(b.build().unwrap()).with_director(ThreadedDirector::new());
+
+    let recorder = e.recorder().clone();
+    let supervisor = std::thread::spawn(move || {
+        for i in 0..N {
+            feed.push(Token::Int(i));
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while recorder.actor_fires(k) == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let sink_fires = recorder.actor_fires(k);
+        let seen = recorder.total_fires();
+        drop(feed);
+        (seen, sink_fires)
+    });
+    e.run().unwrap();
+    let (seen, sink_fires) = supervisor.join().unwrap();
+    assert!(sink_fires > 0, "the sink fired while the feed was open");
+    assert!(seen > 0 && seen <= e.snapshot().total_fires(), "mid-run count {seen}");
+    assert_eq!(c.len(), N as usize, "every pushed token reached the sink");
 }
 
 #[test]

@@ -3,11 +3,14 @@
 //! trajectories, and the real-time directors sample the same keys on
 //! wall time.
 
+use std::sync::Arc;
+
 use confluence::core::actors::{Collector, VecSource};
 use confluence::core::director::pool::PoolDirector;
 use confluence::core::director::threaded::ThreadedDirector;
 use confluence::core::engine::{Engine, ExecConfig};
 use confluence::core::graph::Workflow;
+use confluence::core::telemetry::{TraceConfig, Tracer};
 use confluence::core::time::Micros;
 use confluence::core::token::Token;
 use confluence::sched::cost::TableCostModel;
@@ -152,4 +155,38 @@ fn per_key_csv_matches_the_ring() {
     }
     assert_eq!(csv, expect);
     assert!(csv.lines().count() > 1, "fires series is non-empty");
+}
+
+/// Series and traces are opt-in: an engine without `sample_series` or a
+/// tracer has neither, while its metrics snapshot still exports.
+#[test]
+fn series_and_traces_are_absent_unless_asked_for() {
+    let (wf, _c) = pipeline();
+    let mut plain = Engine::new(wf).with_director(scwf());
+    plain.run().unwrap();
+    assert!(plain.series().is_none(), "no series without sample_series");
+    assert!(plain.trace_report().is_none(), "no trace without a tracer");
+    let snap = plain.snapshot();
+    assert!(snap.to_prometheus().contains("confluence_actor_fires_total{actor=\"sink\"}"));
+    assert!(snap.to_json().contains("\"total_fires\""));
+}
+
+/// An engine given both a tracer and series sampling has both in either
+/// builder order, each reading what the run recorded.
+#[test]
+fn series_and_traces_do_not_depend_on_builder_order() {
+    let tracer = || Arc::new(Tracer::new(TraceConfig::default()));
+    let sampled = || ExecConfig::new().sample_series(Micros(20));
+    let (a, _) = pipeline();
+    let (b, _) = pipeline();
+    for mut e in [
+        Engine::new(a).with_director(scwf()).with_tracer(tracer()).configure(sampled()),
+        Engine::new(b).with_director(scwf()).configure(sampled()).with_tracer(tracer()),
+    ] {
+        e.run().unwrap();
+        let series = e.series().unwrap();
+        assert!(series.keys().iter().any(|k| k == "fires:sink"));
+        assert!(series.to_csv_all().starts_with("tick_us,key,value\n"));
+        assert!(!e.trace_report().unwrap().waves.is_empty(), "the tracer saw the run");
+    }
 }
