@@ -15,9 +15,10 @@
 //!   stream the killed run produced past the snapshot point.
 //!
 //! The directors cooperate through a [`QuiesceHook`]: when a checkpoint is
-//! due the engine requests a pause, the director stops sources, drains
-//! in-flight work to a firing boundary, and deposits the captured
-//! [`FabricState`] instead of running its end-of-stream teardown.
+//! due the engine requests a pause, every actor stops at its next firing
+//! boundary, and the director deposits the captured [`FabricState`] —
+//! queued windows included — instead of running its end-of-stream
+//! teardown.
 
 pub mod codec;
 
@@ -377,9 +378,10 @@ impl Checkpoint {
 /// checkpoint pauses.
 ///
 /// The engine (through its checkpoint watcher) calls
-/// [`QuiesceHook::request_pause`]; the director notices at a firing
-/// boundary, stops sources, drains in-flight work, and deposits the
-/// captured [`FabricState`] instead of running end-of-stream teardown.
+/// [`QuiesceHook::request_pause`]; each actor stops at its next firing
+/// boundary, and the director deposits the captured [`FabricState`]
+/// (what is queued, not drained) instead of running end-of-stream
+/// teardown.
 /// Before a resumed segment the engine stages the state to re-inject and
 /// marks the segment as resuming so directors skip `initialize`.
 #[derive(Default)]

@@ -213,8 +213,11 @@ impl Director for DeDirector {
             if sim.run.pause_requested() && matches!(entry.agenda, Agenda::SourceFire(_)) {
                 // Park the source without advancing virtual time; the
                 // firing is re-derived from `next_arrival` on resume.
-                // Deliveries and polls keep draining so the snapshot
-                // sees a settled network.
+                // DE is the one director that drains on a pause:
+                // deliveries and polls keep running, because a deferred
+                // `Stamped` batch on the agenda is in no receiver yet and
+                // the capture takes only receivers and inboxes. The drain
+                // is exact in virtual time, so no clock decides it.
                 continue;
             }
             sim.step(workflow, entry)?;

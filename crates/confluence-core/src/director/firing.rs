@@ -22,28 +22,16 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::actor::Actor;
 use crate::checkpoint::QuiesceHook;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::graph::{ActorId, Workflow};
 use crate::telemetry::{FireRecord, RunPhase, Telemetry};
 use crate::time::{Micros, SharedClock, Timestamp};
 use crate::window::Window;
 
 use super::{Fabric, QueueContext, RunReport, Stamped};
-
-/// How long the fabric must stay drained (all inboxes empty, no progress)
-/// after a pause request before a wall-clock director declares it settled.
-/// Long enough to cover a slow in-flight firing whose emissions are still
-/// coming; a firing longer than this merely delays the halt (the detector
-/// re-arms when the emissions land).
-const QUIESCE_PATIENCE: Duration = Duration::from_millis(200);
-
-/// Hard ceiling on how long a pause request may take to settle before the
-/// run is abandoned with an error (an actor livelocked in `fire`, say).
-const QUIESCE_WATCHDOG: Duration = Duration::from_secs(30);
 
 /// A director's time rule, when firings are not timed on the run's clock:
 /// called once per successful firing with `(events consumed, tokens
@@ -174,7 +162,8 @@ impl Run {
         self.tele.as_ref().is_some_and(|t| t.should_stop())
     }
 
-    /// Whether a checkpoint pause was requested: sources park at once.
+    /// Whether a checkpoint pause was requested: every actor stops at its
+    /// next firing boundary, and what is queued is captured, not drained.
     pub fn pause_requested(&self) -> bool {
         self.hook.as_ref().is_some_and(|h| h.pause_requested())
     }
@@ -368,42 +357,5 @@ impl Run {
             events_routed: self.routed.load(Ordering::Relaxed),
             elapsed: self.clock.now().since(self.started),
         }
-    }
-}
-
-/// The wall-clock drain detector behind a checkpoint pause on the
-/// directors whose actors run on other threads: sources park themselves
-/// when the pause lands, and the network counts as drained once every
-/// inbox is empty and the fabric's progress counter has been frozen for
-/// `QUIESCE_PATIENCE`.
-#[derive(Default)]
-pub struct DrainWatch {
-    pause_seen: Option<Instant>,
-    stable_since: Option<Instant>,
-    progress: u64,
-}
-
-impl DrainWatch {
-    /// Poll while a pause is pending. `idle` is the director's own
-    /// condition on top of the fabric's (the pool: no writer task parked).
-    /// `Ok(true)` once drained; an error when `QUIESCE_WATCHDOG` expires.
-    pub fn drained(&mut self, fabric: &Fabric, idle: bool) -> Result<bool> {
-        let pause_seen = *self.pause_seen.get_or_insert_with(Instant::now);
-        let progress = fabric.progress_counter();
-        if idle && progress == self.progress && fabric.inboxes_empty() {
-            let since = *self.stable_since.get_or_insert_with(Instant::now);
-            if since.elapsed() >= QUIESCE_PATIENCE {
-                return Ok(true);
-            }
-        } else {
-            self.progress = progress;
-            self.stable_since = None;
-        }
-        if pause_seen.elapsed() >= QUIESCE_WATCHDOG {
-            return Err(Error::Checkpoint(
-                "quiesce watchdog expired: the workflow did not drain to a firing boundary".into(),
-            ));
-        }
-        Ok(false)
     }
 }

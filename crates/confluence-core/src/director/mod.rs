@@ -62,6 +62,11 @@ const BLOCK_POLL: Duration = Duration::from_millis(5);
 /// while a writer is blocked before Parks-style relief grows a queue.
 const RELIEF_PATIENCE: Duration = Duration::from_millis(50);
 
+/// How long a wall-clock director lets a source that had nothing to emit
+/// and follows no timetable (an idle push source) rest before it fires
+/// again, instead of spinning.
+const SOURCE_BACKOFF: Micros = Micros(1_000);
+
 /// Outcome of a workflow run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
@@ -112,10 +117,11 @@ pub trait Director {
     fn instrument(&mut self, telemetry: Telemetry);
 
     /// Attach a checkpoint quiesce hook for subsequent runs: when the hook
-    /// requests a pause the director stops sources, drains in-flight work
-    /// to a firing boundary, deposits the captured
-    /// [`crate::checkpoint::FabricState`], and returns *without* its
+    /// requests a pause every actor stops at its next firing boundary, the
+    /// director deposits the captured [`crate::checkpoint::FabricState`]
+    /// (queued windows included, not drained), and returns *without* its
     /// end-of-stream teardown (no `finish`/`wrapup`, no channel closes).
+    /// DE alone drains its agenda first (DESIGN.md, "What a director is").
     /// At the start of a run it re-injects any staged restore state and,
     /// on resumed segments, skips `Actor::initialize`.
     fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>);
@@ -713,15 +719,6 @@ impl Fabric {
             }
         }
         Ok(())
-    }
-
-    /// Whether every actor inbox is empty of ready windows. Combined with
-    /// a stable progress counter this is the quiesce-drained signal:
-    /// receivers may still hold *open* (partial) windows — those are
-    /// operator state, captured by [`Fabric::capture_state`] — but no
-    /// formed window is waiting and no writer can be blocked on space.
-    pub fn inboxes_empty(&self) -> bool {
-        self.inboxes.iter().all(|i| i.is_empty())
     }
 
     /// Total events buffered in receivers plus windows waiting in inboxes.

@@ -47,18 +47,15 @@ use crate::error::{Error, Result};
 use crate::graph::{ActorId, Workflow};
 use crate::receiver::{ActorInbox, InboxWaker};
 use crate::telemetry::{LiveStats, RunPhase, Telemetry, WorkerMetrics};
-use crate::time::{Micros, SharedClock, Timestamp, WallClock};
+use crate::time::{SharedClock, Timestamp, WallClock};
 
-use super::firing::{DrainWatch, Run};
+use super::firing::Run;
 use super::pool_policy::{Fifo, PolicyView, PoolPolicy, ReadyEntry, ReadyQueue};
-use super::{Director, QueueContext, RunReport, Stamped, RELIEF_PATIENCE};
+use super::{Director, QueueContext, RunReport, Stamped, RELIEF_PATIENCE, SOURCE_BACKOFF};
 
 /// Idle workers and the timer re-check their wait conditions at least this
 /// often (bounds missed-notify latency and cooperative-stop latency).
 const POOL_POLL: Duration = Duration::from_millis(10);
-
-/// Idle-source backoff matching the threaded director's 1 ms sleep.
-const SOURCE_BACKOFF: Micros = Micros(1_000);
 
 // Per-actor readiness states (one atomic per actor).
 const IDLE: u8 = 0;
@@ -516,10 +513,11 @@ impl Director for PoolDirector {
         for task in shared.tasks {
             let mut task = task.into_inner();
             if quiescing {
-                // Complete any in-flight delivery (blocking is off, so a
-                // full Block port over-admits rather than tearing the
-                // snapshot), then stage undelivered context windows back
-                // at the front of the inbox.
+                // Complete any parked delivery (blocking is off, so a full
+                // Block port over-admits rather than tearing the snapshot),
+                // then stage undelivered context windows back at the front
+                // of the inbox. A deferred `postfire` is not run: the
+                // resumed actor's next firing asks it again.
                 if let Some(mut rest) = task.pending_out.take() {
                     let flushed = run.fabric.deliver(&mut rest, run.clock.now(), false);
                     first_error = first_error.or(flushed.err());
@@ -662,6 +660,12 @@ fn step(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutco
     if run.should_stop() {
         return Ok(StepOutcome::Finish);
     }
+    // Checkpoint pause: every actor stops at its firing boundary. The
+    // timer thread stops the workers, and the quiesce path in `run`
+    // admits any parked batch and captures what is queued.
+    if run.pause_requested() {
+        return Ok(StepOutcome::Idle);
+    }
     // Resume a firing suspended mid-delivery or pre-postfire.
     if !flush_pending(shared, id, &mut task.pending_out)? {
         return Ok(StepOutcome::Parked);
@@ -673,12 +677,6 @@ fn step(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutco
         }
     }
     let input = if hub.is_source[id.0] {
-        // Checkpoint pause: park the source at its firing boundary. The
-        // timer thread stops the workers once the rest of the network
-        // drains.
-        if run.pause_requested() {
-            return Ok(StepOutcome::Idle);
-        }
         // Pace by the source's timetable: instead of sleeping, register
         // the arrival with the shared timer and yield the worker.
         if let Some(arrival) = task.actor.next_arrival() {
@@ -776,7 +774,6 @@ fn timer_loop(shared: &Arc<PoolShared>) {
     let run = &shared.run;
     let mut last_progress = run.fabric.progress_counter();
     let mut stalled_since: Option<Instant> = None;
-    let mut drain = DrainWatch::default();
     loop {
         if hub.shutdown.load(Ordering::Acquire) {
             break;
@@ -798,22 +795,11 @@ fn timer_loop(shared: &Arc<PoolShared>) {
                 }
             }
         }
-        // Checkpoint quiesce: sources are parked (see `step`); stop the
-        // workers once the network has drained and stayed stable.
+        // Checkpoint pause: every task now stops at its firing boundary
+        // (see `step`), so the workers may stop as soon as they are done.
         if run.quiescing() {
-            let no_parked_writers = hub.waiting_writers.load(Ordering::Relaxed) == 0;
-            match drain.drained(&run.fabric, no_parked_writers) {
-                Ok(false) => {}
-                settled => {
-                    if let Err(e) = settled {
-                        shared.record_error(e);
-                    }
-                    hub.begin_shutdown();
-                    continue;
-                }
-            }
-        } else {
-            drain = DrainWatch::default();
+            hub.begin_shutdown();
+            break;
         }
         let now = run.clock.now();
         let mut due: Vec<usize> = Vec::new();

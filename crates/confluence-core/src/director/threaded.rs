@@ -15,7 +15,6 @@
 //! (sources: whenever their timetable says). The firing step and the run
 //! lifecycle are [`super::firing`]'s.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -28,11 +27,11 @@ use crate::receiver::InboxPop;
 use crate::telemetry::{RunPhase, Telemetry};
 use crate::time::{SharedClock, Timestamp, WallClock};
 
-use super::firing::{DrainWatch, Run};
-use super::{Director, QueueContext, RunReport};
+use super::firing::Run;
+use super::{Director, QueueContext, RunReport, SOURCE_BACKOFF};
 
-/// Longest uninterrupted block/sleep when a cooperative stop may be
-/// pending: actor threads re-check the stop flag at least this often.
+/// Longest uninterrupted block/sleep while a stop or a checkpoint pause
+/// may be pending: actor threads re-check both at least this often.
 const STOP_POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// One OS thread per actor; OS scheduling; blocking windowed reads.
@@ -64,17 +63,6 @@ impl ThreadedDirector {
     }
 }
 
-/// Decrements the live-controller counter when an actor thread exits for
-/// any reason (including a panic), so the quiesce monitor never waits on a
-/// dead thread.
-struct LiveGuard(Arc<AtomicUsize>);
-
-impl Drop for LiveGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 impl Director for ThreadedDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
         let (run, contexts) = Run::open(
@@ -87,46 +75,20 @@ impl Director for ThreadedDirector {
         // thread (cooperative directors leave this off).
         run.fabric.set_blocking(true);
         let run = Arc::new(run);
-        let halt = Arc::new(AtomicBool::new(false));
-        let live = Arc::new(AtomicUsize::new(workflow.actor_count()));
         let mut handles = Vec::with_capacity(workflow.actor_count());
         for (id, ctx) in workflow.actor_ids().zip(contexts) {
             let node = workflow.node_mut(id);
             let actor = node.take_actor();
             let is_source = node.is_source;
             let run = run.clone();
-            let halt = halt.clone();
-            let guard = LiveGuard(live.clone());
             let handle = thread::Builder::new()
                 .name(format!("cwf-{}", node.name))
-                .spawn(move || {
-                    let _guard = guard;
-                    controller(&run, id, actor, is_source, ctx, &halt)
-                })
+                .spawn(move || controller(&run, id, actor, is_source, ctx))
                 .map_err(|e| Error::Director(format!("failed to spawn actor thread: {e}")))?;
             handles.push((id, handle));
         }
 
-        // Quiesce monitor: when the hook requests a pause the sources park
-        // themselves; this loop waits for the rest of the network to drain
-        // and then halts the consumer threads at their next firing
-        // boundary.
         let mut first_error = None;
-        let mut watch = DrainWatch::default();
-        while run.hook.is_some() && live.load(Ordering::SeqCst) > 0 {
-            if run.pause_requested() {
-                match watch.drained(&run.fabric, true) {
-                    Ok(false) => {}
-                    settled => {
-                        halt.store(true, Ordering::SeqCst);
-                        first_error = settled.err();
-                        break;
-                    }
-                }
-            }
-            thread::sleep(STOP_POLL_INTERVAL);
-        }
-
         for (id, handle) in handles {
             let (actor, outcome) = handle
                 .join()
@@ -164,10 +126,9 @@ fn controller(
     mut actor: Box<dyn Actor>,
     is_source: bool,
     mut ctx: QueueContext,
-    halt: &AtomicBool,
 ) -> (Box<dyn Actor>, Result<()>) {
-    // Sources park the moment a pause lands; consumers keep draining until
-    // the quiesce monitor confirms the network is quiet and sets `halt`.
+    // Every actor leaves its loop at the firing boundary where it first
+    // sees a stop or a checkpoint pause; what is queued stays queued.
     let parked = || run.should_stop() || run.pause_requested();
     let bounded_waits = run.tele.is_some() || run.hook.is_some();
 
@@ -204,12 +165,12 @@ fn controller(
                     // arrival to sleep toward (idle push source, or a
                     // custom source whose timetable is exhausted but which
                     // stays alive): back off instead of spinning.
-                    thread::sleep(Duration::from_millis(1));
+                    thread::sleep(SOURCE_BACKOFF.to_std());
                 }
             }
         } else {
             let inbox = run.fabric.inbox(id).clone();
-            while !run.should_stop() && !halt.load(Ordering::SeqCst) {
+            while !parked() {
                 let now = run.clock.now();
                 let mut timeout = run
                     .fabric
@@ -238,8 +199,11 @@ fn controller(
     })();
     let result = match result {
         // The actor will resume, not finish: skip the end-of-stream tail
-        // and leave the outputs open.
+        // and leave the outputs open. A writer still blocked on a full
+        // `Block` port (its reader may have halted) admits over capacity
+        // instead, so it reaches its own firing boundary.
         Ok(()) if run.quiescing() => {
+            run.fabric.set_blocking(false);
             run.unstage(id, &mut ctx);
             Ok(())
         }

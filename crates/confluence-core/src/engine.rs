@@ -434,7 +434,7 @@ impl Engine {
         };
 
         let control = Arc::new(RunControl::new());
-        // A stop that lands while a checkpoint pause is draining waits for
+        // A stop that lands while a checkpoint pause is pending waits for
         // the snapshot: a stop outranks a pause inside the director, so
         // issuing it now would trade the capture for the end-of-stream tail.
         let stop_after_checkpoint = Arc::new(AtomicBool::new(false));

@@ -17,7 +17,11 @@
 #  - the Linear Road workflow is written once, as spec text: only
 #    linearroad/src/workflow.rs (and the types' own actors.rs) constructs a
 #    Linear Road actor, and the only builder links under linearroad/src
-#    are `detection_composite`'s inner graph.
+#    are `detection_composite`'s inner graph;
+#  - a checkpoint pause ends at the next firing boundary, not when a clock
+#    says the network has drained: no `DrainWatch`, `QUIESCE_PATIENCE` or
+#    `QUIESCE_WATCHDOG` under crates/*/src, and director/firing.rs (the
+#    shared lifecycle) imports nothing from `std::time`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -135,8 +139,21 @@ if [ -n "$lr_links" ]; then
     status=1
 fi
 
+drain_clocks=$(matches 'DrainWatch|QUIESCE_PATIENCE|QUIESCE_WATCHDOG' crates/*/src)
+if [ -n "$drain_clocks" ]; then
+    echo "a checkpoint pause stops at the next firing boundary; no drain detector or quiesce timeout:" >&2
+    printf '%s\n' "$drain_clocks" >&2
+    status=1
+fi
+lifecycle_clock=$(matches 'std::time' crates/confluence-core/src/director/firing.rs)
+if [ -n "$lifecycle_clock" ]; then
+    echo "director/firing.rs must not use std::time (no clock decides the shared lifecycle):" >&2
+    printf '%s\n' "$lifecycle_clock" >&2
+    status=1
+fi
+
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
         "one downstream table, one builder vocabulary, one watcher, one ready queue per actor," \
-        "one Linear Road topology"
+        "one Linear Road topology, no clock in the pause"
 exit "$status"

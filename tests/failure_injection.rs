@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use confluence::core::actors::{Collector, TimedSource, VecSource};
 use confluence::core::actor::{Actor, FireContext, IoSignature, SdfRates};
@@ -205,10 +206,11 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 /// Running-sum transform: stateful, so a recovery that loses or doubles
-/// state shows up as wrong sums, not just missing tokens.
-#[derive(Default)]
+/// state shows up as wrong sums, not just missing tokens. `per_window` is
+/// how long it sleeps per window, so a fast source can build a backlog.
 struct RunningSum {
     sum: i64,
+    per_window: Duration,
 }
 
 impl Actor for RunningSum {
@@ -217,6 +219,7 @@ impl Actor for RunningSum {
     }
     fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
         while let Some(w) = ctx.get(0) {
+            std::thread::sleep(self.per_window);
             for t in w.tokens() {
                 self.sum += t.as_int()?;
                 ctx.emit(0, Token::Int(self.sum));
@@ -235,11 +238,11 @@ impl Actor for RunningSum {
     }
 }
 
-fn summing_workflow(n: i64) -> (Workflow, Collector) {
+fn summing_workflow(n: i64, per_window: Duration) -> (Workflow, Collector) {
     let c = Collector::new();
     let mut b = WorkflowBuilder::new("ckpt-recover");
     let s = b.add_actor("src", VecSource::new((1..=n).map(Token::Int).collect()));
-    let a = b.add_actor("sum", RunningSum::default());
+    let a = b.add_actor("sum", RunningSum { sum: 0, per_window });
     let k = b.add_actor("sink", c.actor());
     b.link((s, "out"), (a, "in")).unwrap();
     b.link((a, "out"), (k, "in")).unwrap();
@@ -255,11 +258,12 @@ fn running_sums(n: i64) -> Vec<Token> {
         .collect()
 }
 
-/// Satellite regression: a checkpoint requested while writers sit in
-/// `OnFull::Block` backpressure (capacity 2) must not snapshot a torn
-/// queue. The quiesce drain admits every in-flight delivery before the
-/// capture, so recovery replays exactly once — wrong sums or missing
-/// tokens here would mean a window was snapshotted half-delivered.
+/// A checkpoint requested while writers sit in `OnFull::Block`
+/// backpressure (capacity 2) must not snapshot a torn queue. A writer
+/// blocked or parked on a full port admits the rest of its batch over
+/// capacity before the capture, so recovery replays exactly once — wrong
+/// sums or missing tokens here would mean a window was snapshotted
+/// half-delivered.
 #[test]
 fn checkpoint_under_block_backpressure_is_not_torn() {
     for name in ["threaded", "pool"] {
@@ -269,7 +273,7 @@ fn checkpoint_under_block_backpressure_is_not_torn() {
             _ => Engine::new(wf),
         };
         {
-            let (wf, _c) = summing_workflow(30);
+            let (wf, _c) = summing_workflow(30, Duration::ZERO);
             let mut engine = mk(wf).configure(
                 ExecConfig::new()
                     .channel_policy(ChannelPolicy::block(2))
@@ -281,7 +285,7 @@ fn checkpoint_under_block_backpressure_is_not_torn() {
             dir.join(checkpoint::SNAPSHOT_FILE).exists(),
             "{name}: killed run wrote a snapshot"
         );
-        let (wf, c) = summing_workflow(30);
+        let (wf, c) = summing_workflow(30, Duration::ZERO);
         let mut engine = mk(wf).configure(
             ExecConfig::new()
                 .channel_policy(ChannelPolicy::block(2))
@@ -293,6 +297,36 @@ fn checkpoint_under_block_backpressure_is_not_torn() {
             running_sums(30),
             "{name}: recovery under Block backpressure reconverges exactly"
         );
+    }
+}
+
+/// A pause stops every actor at its next firing boundary and captures
+/// what is queued rather than draining it: a fast source ahead of a slow
+/// running sum leaves windows in the sum's inbox, the snapshot carries
+/// them, and recovery still yields every running sum exactly once.
+#[test]
+fn pause_captures_the_backlog_and_recovers_exactly() {
+    for name in ["threaded", "pool"] {
+        let dir = tmpdir(&format!("backlog-{name}"));
+        let mk = |wf: Workflow| match name {
+            "pool" => Engine::new(wf).configure(ExecConfig::new().workers(2)),
+            _ => Engine::new(wf),
+        };
+        let slow = Duration::from_millis(2);
+        {
+            let (wf, _c) = summing_workflow(100, slow);
+            let mut engine = mk(wf).configure(
+                ExecConfig::new().checkpoint_every(StopCondition::Firings(40), &dir),
+            );
+            engine.run_until(StopCondition::Firings(120)).unwrap();
+        }
+        let snapshot = checkpoint::Checkpoint::read_from_dir(&dir).unwrap();
+        let queued: usize = snapshot.fabric.actors.iter().map(|a| a.inbox.len()).sum();
+        assert!(queued > 0, "{name}: the pause captured the backlog, not drained it");
+        let (wf, c) = summing_workflow(100, slow);
+        let mut engine = mk(wf).configure(ExecConfig::new().recover_from(&dir));
+        engine.run().unwrap();
+        assert_eq!(c.tokens(), running_sums(100), "{name}: recovery reconverges exactly");
     }
 }
 
@@ -308,14 +342,14 @@ fn scwf_kill_and_recover_reconverges() {
         )
     };
     {
-        let (wf, _c) = summing_workflow(20);
+        let (wf, _c) = summing_workflow(20, Duration::ZERO);
         let mut engine = Engine::new(wf).with_director(scwf()).configure(
             ExecConfig::new().checkpoint_every(StopCondition::Firings(5), &dir),
         );
         engine.run_until(StopCondition::Firings(30)).unwrap();
     }
     assert!(dir.join(checkpoint::SNAPSHOT_FILE).exists());
-    let (wf, c) = summing_workflow(20);
+    let (wf, c) = summing_workflow(20, Duration::ZERO);
     let mut engine = Engine::new(wf)
         .with_director(scwf())
         .configure(ExecConfig::new().recover_from(&dir));
