@@ -7,18 +7,18 @@
 //!
 //! The firing rule is all that lives here: sweep the actors in id order
 //! firing every ready window, give each live source one firing when
-//! nothing is data-ready, stop when neither makes progress. The firing
-//! step and the run lifecycle are [`super::firing`]'s.
+//! nothing is data-ready, end when neither makes progress. The firing
+//! step and the run loop are [`super::firing`]'s.
 
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::graph::{ActorId, Workflow};
-use crate::telemetry::{RunPhase, Telemetry};
-use crate::time::{SharedClock, VirtualClock};
+use crate::telemetry::Telemetry;
+use crate::time::{Micros, SharedClock, VirtualClock};
 
-use super::firing::Run;
-use super::{Director, QueueContext, RunReport};
+use super::firing::{Cx, FiringOrder, Run, Span, Step};
+use super::{Director, RunReport};
 
 /// Fires any actor with ready data until the workflow quiesces.
 pub struct DdfDirector {
@@ -48,10 +48,9 @@ impl DdfDirector {
     }
 }
 
-/// One DDF execution: the shared run plus what the firing rule tracks.
+/// The DDF firing order: one step is one sweep.
 struct Sweep {
-    run: Run,
-    contexts: Vec<QueueContext>,
+    sources: Vec<ActorId>,
     /// Actors whose `postfire` said they are finished.
     done: Vec<bool>,
     firings: u64,
@@ -61,17 +60,14 @@ struct Sweep {
 impl Sweep {
     /// Fire `id` on every window in its inbox. Returns whether any firing
     /// was attempted.
-    fn drain(&mut self, workflow: &mut Workflow, id: ActorId) -> Result<bool> {
+    fn drain(&mut self, cx: &mut Cx<'_>, id: ActorId) -> Result<bool> {
         let mut progress = false;
-        while let Some(input) = self.run.fabric.inbox(id).try_pop() {
+        while let Some(input) = cx.run.fabric.inbox(id).try_pop() {
             if self.done[id.0] {
                 // Finished actors drop late windows.
                 continue;
             }
-            let actor = workflow.node_mut(id).actor_mut();
-            let fired =
-                self.run
-                    .fire(id, actor, &mut self.contexts[id.0], Some(input), None, None)?;
+            let fired = cx.fire(id, Some(input), None, None)?;
             self.done[id.0] = fired.alive == Some(false);
             self.firings += u64::from(fired.fired);
             progress = true;
@@ -84,14 +80,40 @@ impl Sweep {
         }
         Ok(progress)
     }
+}
 
-    /// Fire every actor until no inbox holds a window.
-    fn settle(&mut self, workflow: &mut Workflow) -> Result<()> {
-        let mut again = true;
-        while again {
-            again = false;
-            for id in workflow.actor_ids() {
-                again |= self.drain(workflow, id)?;
+impl FiringOrder for Sweep {
+    /// Fire every non-source actor with ready windows; if none had any,
+    /// give each live source one firing.
+    fn step(&mut self, cx: &mut Cx<'_>) -> Result<Step> {
+        let mut progress = false;
+        for id in cx.workflow.actor_ids() {
+            if !cx.workflow.node(id).is_source {
+                progress |= self.drain(cx, id)?;
+            }
+        }
+        if !progress {
+            for &id in &self.sources {
+                if !self.done[id.0] {
+                    let fired = cx.fire(id, None, None, None)?;
+                    self.done[id.0] = fired.alive == Some(false);
+                    progress |= fired.fired || self.done[id.0];
+                }
+            }
+        }
+        Ok(if progress { Step::Busy(Micros::ZERO) } else { Step::Ended })
+    }
+
+    /// Before an actor closes, fire what its inbox holds; after, fire
+    /// every actor until no inbox holds a window (closing an actor's
+    /// outputs flushes downstream partial windows).
+    fn settle(&mut self, cx: &mut Cx<'_>, id: ActorId, closed: bool) -> Result<()> {
+        if !closed {
+            return self.drain(cx, id).map(drop);
+        }
+        while cx.workflow.actor_ids().any(|id| !cx.run.fabric.inbox(id).is_empty()) {
+            for id in cx.workflow.actor_ids() {
+                self.drain(cx, id)?;
             }
         }
         Ok(())
@@ -100,64 +122,20 @@ impl Sweep {
 
 impl Director for DdfDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let (run, contexts) = Run::open(
+        let (run, mut contexts) = Run::open(
             workflow,
             self.telemetry.clone(),
             self.hook.clone(),
             self.clock.clone(),
         )?;
         let mut sweep = Sweep {
-            run,
-            contexts,
+            sources: workflow.sources(),
             done: vec![false; workflow.actor_count()],
             firings: 0,
             max_firings: self.max_firings,
         };
-        let sources = workflow.sources();
-        while !sweep.run.should_stop() {
-            if sweep.run.pause_requested() {
-                // The sweep boundary is quiescent: no firing is in flight.
-                return Ok(sweep.run.quiesce(&mut sweep.contexts));
-            }
-            let mut progress = false;
-            // Data-driven phase: fire every actor with ready windows.
-            for id in workflow.actor_ids() {
-                if !workflow.node(id).is_source {
-                    progress |= sweep.drain(workflow, id)?;
-                }
-            }
-            if progress {
-                continue;
-            }
-            // Nothing data-ready: give each live source one firing.
-            for &id in &sources {
-                if sweep.done[id.0] {
-                    continue;
-                }
-                let actor = workflow.node_mut(id).actor_mut();
-                let ctx = &mut sweep.contexts[id.0];
-                let fired = sweep.run.fire(id, actor, ctx, None, None, None)?;
-                sweep.done[id.0] = fired.alive == Some(false);
-                progress |= fired.fired || sweep.done[id.0];
-            }
-            if !progress {
-                break;
-            }
-        }
-
-        // Closure cascade in topological-ish order: closing an actor's
-        // outputs flushes downstream partial windows, which may enable more
-        // firings before those actors close in turn.
-        sweep.run.phase(RunPhase::Close);
-        for id in quasi_topological(workflow) {
-            // Drain anything enabled by earlier closes before the actor's
-            // own outputs close.
-            sweep.drain(workflow, id)?;
-            let actor = workflow.node_mut(id).actor_mut();
-            sweep.run.finish_actor(id, actor, &mut sweep.contexts[id.0])?;
-            sweep.settle(workflow)?;
-        }
-        sweep.run.wrapup(workflow)
+        run.drive(workflow, &mut contexts, &mut sweep, Span::Whole)?;
+        Ok(run.report())
     }
 
     fn instrument(&mut self, telemetry: Telemetry) {
@@ -167,41 +145,6 @@ impl Director for DdfDirector {
     fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) {
         self.hook = Some(hook);
     }
-}
-
-/// Topological order where possible; actors on cycles appended afterwards
-/// in id order.
-pub fn quasi_topological(workflow: &Workflow) -> Vec<ActorId> {
-    let n = workflow.actor_count();
-    let mut indeg = vec![0usize; n];
-    for ch in workflow.channels() {
-        indeg[ch.to.actor.0] += 1;
-    }
-    let mut ready: std::collections::VecDeque<usize> =
-        (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    while let Some(a) = ready.pop_front() {
-        if seen[a] {
-            continue;
-        }
-        seen[a] = true;
-        order.push(ActorId(a));
-        for ch in workflow.channels() {
-            if ch.from.actor.0 == a {
-                indeg[ch.to.actor.0] = indeg[ch.to.actor.0].saturating_sub(1);
-                if indeg[ch.to.actor.0] == 0 {
-                    ready.push_back(ch.to.actor.0);
-                }
-            }
-        }
-    }
-    for (i, seen_i) in seen.iter().enumerate() {
-        if !seen_i {
-            order.push(ActorId(i));
-        }
-    }
-    order
 }
 
 #[cfg(test)]
@@ -287,26 +230,5 @@ mod tests {
         d.max_firings = 100;
         let err = d.run(&mut wf);
         assert!(matches!(err, Err(Error::Director(_))));
-    }
-
-    #[test]
-    fn quasi_topo_handles_cycles() {
-        struct Pass;
-        impl Actor for Pass {
-            fn signature(&self) -> IoSignature {
-                IoSignature::transform("in", "out")
-            }
-            fn fire(&mut self, _ctx: &mut dyn FireContext) -> crate::error::Result<()> {
-                Ok(())
-            }
-        }
-        let mut b = WorkflowBuilder::new("cycle");
-        let a = b.add_actor("a", Pass);
-        let c = b.add_actor("c", Pass);
-        b.link((a, "out"), (c, "in")).unwrap();
-        b.link((c, "out"), (a, "in")).unwrap();
-        let wf = b.build().unwrap();
-        let order = quasi_topological(&wf);
-        assert_eq!(order.len(), 2);
     }
 }

@@ -7,22 +7,22 @@
 //! deadlines are scheduled as first-class timer events — the paper's
 //! "window timeout events".
 //!
-//! The firing rule is the agenda. The firing step and the run lifecycle
-//! are [`super::firing`]'s; DE's delivery rule puts a firing's stamped
-//! batch on the agenda at `now + channel_delay` instead of delivering it
-//! at once.
+//! The firing rule is the agenda. The firing step and the run loop are
+//! [`super::firing`]'s; DE's delivery rule puts a firing's stamped batch
+//! on the agenda at `now + channel_delay` instead of delivering it at
+//! once.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::error::Result;
 use crate::graph::{ActorId, Workflow};
-use crate::telemetry::{RunPhase, Telemetry};
+use crate::telemetry::Telemetry;
 use crate::time::{Clock, Micros, Timestamp, VirtualClock};
+use crate::window::Window;
 
-use super::firing::Run;
-use super::{Director, QueueContext, RunReport, Stamped};
+use super::firing::{Cx, FiringOrder, Run, Span, Step};
+use super::{Director, RunReport, Stamped};
 
 #[derive(Debug)]
 enum Agenda {
@@ -32,29 +32,6 @@ enum Agenda {
     Deliver(Stamped),
     /// Evaluate window timeouts on an actor's receivers.
     Poll(ActorId),
-}
-
-struct Entry {
-    time: Timestamp,
-    seq: u64,
-    agenda: Agenda,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 /// Event-queue driven executor in virtual time.
@@ -89,46 +66,30 @@ impl DeDirector {
     }
 }
 
-/// One DE execution: the shared run plus the agenda.
+/// The DE firing order: one step is one agenda entry.
 struct Sim {
-    run: Run,
-    contexts: Vec<QueueContext>,
     clock: Arc<VirtualClock>,
     channel_delay: Micros,
-    heap: BinaryHeap<Reverse<Entry>>,
+    /// Pending entries by time, ties in scheduling order.
+    agenda: BTreeMap<(Timestamp, u64), Agenda>,
     seq: u64,
 }
 
 impl Sim {
     fn schedule(&mut self, time: Timestamp, agenda: Agenda) {
         self.seq += 1;
-        self.heap.push(Reverse(Entry {
-            time,
-            seq: self.seq,
-            agenda,
-        }));
+        self.agenda.insert((time, self.seq), agenda);
     }
 
     /// Fire `id` on `input`; its emissions go on the agenda.
-    fn fire(
-        &mut self,
-        workflow: &mut Workflow,
-        id: ActorId,
-        input: Option<(usize, crate::window::Window)>,
-    ) -> Result<bool> {
+    fn fire(&mut self, cx: &mut Cx<'_>, id: ActorId, input: Option<(usize, Window)>) -> Result<bool> {
         let due = self.clock.now().plus(self.channel_delay);
         let mut outbox = None;
-        let fired = self.run.fire(
-            id,
-            workflow.node_mut(id).actor_mut(),
-            &mut self.contexts[id.0],
-            input,
-            None,
-            Some(&mut |stamped| {
-                outbox = Some(stamped);
-                Ok(true)
-            }),
-        )?;
+        let deliver = &mut |stamped: Stamped| {
+            outbox = Some(stamped);
+            Ok(true)
+        };
+        let fired = cx.fire(id, input, None, Some(deliver))?;
         if let Some(stamped) = outbox.filter(|s| s.deliveries() > 0) {
             self.schedule(due, Agenda::Deliver(stamped));
         }
@@ -138,14 +99,11 @@ impl Sim {
     /// Fire every actor on every window in its inbox until none is left
     /// (a delivery or poll readies its destination; an expired-items
     /// hand-over readies the handler).
-    fn settle(&mut self, workflow: &mut Workflow) -> Result<()> {
-        let mut again = true;
-        while again {
-            again = false;
-            for id in workflow.actor_ids() {
-                while let Some(input) = self.run.fabric.inbox(id).try_pop() {
-                    self.fire(workflow, id, Some(input))?;
-                    again = true;
+    fn fire_ready(&mut self, cx: &mut Cx<'_>) -> Result<()> {
+        while cx.workflow.actor_ids().any(|id| !cx.run.fabric.inbox(id).is_empty()) {
+            for id in cx.workflow.actor_ids() {
+                while let Some(input) = cx.run.fabric.inbox(id).try_pop() {
+                    self.fire(cx, id, Some(input))?;
                 }
             }
         }
@@ -153,13 +111,13 @@ impl Sim {
     }
 
     /// Advance to an agenda entry's time and act on it.
-    fn step(&mut self, workflow: &mut Workflow, entry: Entry) -> Result<()> {
-        self.clock.advance_to(entry.time);
+    fn act(&mut self, cx: &mut Cx<'_>, time: Timestamp, agenda: Agenda) -> Result<()> {
+        self.clock.advance_to(time);
         let now = self.clock.now();
-        match entry.agenda {
+        match agenda {
             Agenda::SourceFire(id) => {
-                if self.fire(workflow, id, None)? {
-                    let next = workflow.node(id).peek_actor().and_then(|a| a.next_arrival());
+                if self.fire(cx, id, None)? {
+                    let next = cx.workflow.node(id).peek_actor().and_then(|a| a.next_arrival());
                     if let Some(next) = next {
                         self.schedule(next.max(now), Agenda::SourceFire(id));
                     }
@@ -167,34 +125,69 @@ impl Sim {
             }
             Agenda::Deliver(mut stamped) => {
                 let dests: Vec<_> = stamped.destinations().collect();
-                self.run.fabric.deliver(&mut stamped, now, false)?;
+                cx.run.fabric.deliver(&mut stamped, now, false)?;
                 for dest in dests {
-                    let deadline = self.run.fabric.receivers(dest.actor)[dest.port].next_deadline();
+                    let deadline = cx.run.fabric.receivers(dest.actor)[dest.port].next_deadline();
                     if let Some(deadline) = deadline {
                         self.schedule(deadline, Agenda::Poll(dest.actor));
                     }
                 }
             }
-            Agenda::Poll(id) => self.run.poll(Some(id), now)?,
+            Agenda::Poll(id) => cx.run.poll(Some(id), now)?,
         }
-        self.settle(workflow)
+        self.fire_ready(cx)
+    }
+}
+
+impl FiringOrder for Sim {
+    fn step(&mut self, cx: &mut Cx<'_>) -> Result<Step> {
+        let Some(((time, _), agenda)) = self.agenda.pop_first() else {
+            return Ok(Step::Ended);
+        };
+        self.act(cx, time, agenda)?;
+        Ok(Step::Busy(Micros::ZERO))
+    }
+
+    /// After an actor closes, fire what the close readied and drain the
+    /// agenda's deliveries and polls, so close-time emissions reach
+    /// still-open downstream ports before the cascade moves on.
+    fn settle(&mut self, cx: &mut Cx<'_>, _id: ActorId, closed: bool) -> Result<()> {
+        if closed {
+            self.fire_ready(cx)?;
+            while self.drain(cx)? {}
+        }
+        Ok(())
+    }
+
+    /// DE is the one order that drains on a pause: deliveries and polls
+    /// keep running, because a deferred `Stamped` batch on the agenda is
+    /// in no receiver yet and the capture takes only receivers and
+    /// inboxes. Sources are parked without advancing virtual time; their
+    /// firings are re-derived from `next_arrival` on resume. The drain is
+    /// exact in virtual time, so no clock decides it.
+    fn drain(&mut self, cx: &mut Cx<'_>) -> Result<bool> {
+        while let Some(((time, _), agenda)) = self.agenda.pop_first() {
+            if !matches!(agenda, Agenda::SourceFire(_)) {
+                self.act(cx, time, agenda)?;
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 }
 
 impl Director for DeDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let (run, contexts) = Run::open(
+        let (run, mut contexts) = Run::open(
             workflow,
             self.telemetry.clone(),
             self.hook.clone(),
             self.clock.clone(),
         )?;
         let mut sim = Sim {
-            run,
-            contexts,
             clock: self.clock.clone(),
             channel_delay: self.channel_delay,
-            heap: BinaryHeap::new(),
+            agenda: BTreeMap::new(),
             seq: 0,
         };
         for id in workflow.sources() {
@@ -204,44 +197,9 @@ impl Director for DeDirector {
         // Windows restored from a checkpoint (or formed by `initialize`)
         // are tied to no agenda entry: fire them now so their emissions
         // enter the agenda.
-        sim.settle(workflow)?;
-
-        while let Some(Reverse(entry)) = sim.heap.pop() {
-            if sim.run.should_stop() {
-                break;
-            }
-            if sim.run.pause_requested() && matches!(entry.agenda, Agenda::SourceFire(_)) {
-                // Park the source without advancing virtual time; the
-                // firing is re-derived from `next_arrival` on resume.
-                // DE is the one director that drains on a pause:
-                // deliveries and polls keep running, because a deferred
-                // `Stamped` batch on the agenda is in no receiver yet and
-                // the capture takes only receivers and inboxes. The drain
-                // is exact in virtual time, so no clock decides it.
-                continue;
-            }
-            sim.step(workflow, entry)?;
-        }
-        if sim.run.quiescing() {
-            return Ok(sim.run.quiesce(&mut sim.contexts));
-        }
-
-        // End of stream: flush partial windows, upstream first. Close-time
-        // firings put their deliveries on the agenda like any other; drain
-        // it before moving down the cascade so those events reach
-        // still-open downstream ports.
-        sim.run.phase(RunPhase::Close);
-        for id in super::ddf::quasi_topological(workflow) {
-            let actor = workflow.node_mut(id).actor_mut();
-            sim.run.finish_actor(id, actor, &mut sim.contexts[id.0])?;
-            sim.settle(workflow)?;
-            while let Some(Reverse(entry)) = sim.heap.pop() {
-                if !matches!(entry.agenda, Agenda::SourceFire(_)) {
-                    sim.step(workflow, entry)?;
-                }
-            }
-        }
-        sim.run.wrapup(workflow)
+        sim.fire_ready(&mut Cx { run: &run, workflow, contexts: &mut contexts })?;
+        run.drive(workflow, &mut contexts, &mut sim, Span::Whole)?;
+        Ok(run.report())
     }
 
     fn instrument(&mut self, telemetry: Telemetry) {

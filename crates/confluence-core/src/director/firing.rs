@@ -1,11 +1,13 @@
-//! The firing core: one firing step and one run lifecycle, shared by every
+//! The firing core: one firing step and one run loop, shared by every
 //! execution path.
 //!
 //! The paper's thesis (§2) is that the director owns the model of
 //! computation while actors, ports and channels are shared. [`Run`] is the
 //! shared part of *executing*: a director keeps only its firing rule —
 //! which actor fires next, on which thread, and when time advances — and
-//! calls into here for everything else.
+//! calls into here for everything else. A director that fires on the
+//! caller's thread writes its rule as a [`FiringOrder`] and hands it to
+//! [`Run::drive`], which owns the rest of the run.
 //!
 //! Every firing attempt, under every director, is this sequence:
 //!
@@ -20,6 +22,7 @@
 //!
 //! A refused `prefire` skips 3–4 and reports `fired: false`.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -62,6 +65,97 @@ pub struct Fired {
     pub ended: Timestamp,
     /// `postfire`'s verdict; `None` while delivery is deferred.
     pub alive: Option<bool>,
+}
+
+/// What a firing boundary allows. A stop outranks a pause.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Boundary {
+    /// Fire on.
+    Go,
+    /// Wind down through the close cascade.
+    Stop,
+    /// Stop at the boundary and capture what is queued (a checkpoint).
+    Pause,
+}
+
+/// What one [`FiringOrder::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Work was done or attempted; the time rule charged this much.
+    Busy(Micros),
+    /// Nothing can fire before this instant.
+    IdleUntil(Timestamp),
+    /// The stream ended.
+    Ended,
+    /// The director's hard deadline passed: wrap up without closing.
+    Abandoned,
+}
+
+/// How far one [`Run::drive`] goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Span {
+    /// To the end of the run (or a pause), advancing idle time in place.
+    Whole,
+    /// One slice: hands idle time back, and ends once the budget is charged.
+    Slice(Option<Micros>),
+}
+
+/// Outcome of one [`Run::drive`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Progress {
+    /// The slice budget was exhausted; more work is immediately pending.
+    BudgetExhausted,
+    /// Quiescent until the given instant; the caller advances time.
+    IdleUntil(Timestamp),
+    /// The run ended and every actor was wrapped up.
+    Finished,
+    /// A checkpoint pause was honoured: the capture is on the quiesce hook.
+    Paused,
+}
+
+/// What a firing order acts on: the run, the workflow and the contexts.
+pub struct Cx<'a> {
+    /// The shared run.
+    pub run: &'a Run,
+    /// The workflow being executed.
+    pub workflow: &'a mut Workflow,
+    /// One context per actor.
+    pub contexts: &'a mut [QueueContext],
+}
+
+impl Cx<'_> {
+    /// One firing attempt of `id` on `inputs` ([`Run::fire`]).
+    pub fn fire(
+        &mut self,
+        id: ActorId,
+        inputs: impl IntoIterator<Item = (usize, Window)>,
+        charge: Option<Charge<'_>>,
+        deliver: Option<Deliver<'_>>,
+    ) -> Result<Fired> {
+        let actor = self.workflow.node_mut(id).actor_mut();
+        self.run.fire(id, actor, &mut self.contexts[id.0], inputs, charge, deliver)
+    }
+}
+
+/// A director's firing rule, run on the caller's thread by [`Run::drive`],
+/// which owns everything around it.
+pub trait FiringOrder {
+    /// Fire what the rule says comes next (one unit between boundaries).
+    fn step(&mut self, cx: &mut Cx<'_>) -> Result<Step>;
+
+    /// The close cascade's settle step, just before (`closed: false`) and
+    /// just after (`closed: true`) actor `id` finishes.
+    fn settle(&mut self, _cx: &mut Cx<'_>, _id: ActorId, _closed: bool) -> Result<()> {
+        Ok(())
+    }
+
+    /// While a pause is pending, one more step before the capture, if any.
+    fn drain(&mut self, _cx: &mut Cx<'_>) -> Result<bool> {
+        Ok(false)
+    }
+
+    /// Advance the order's clock to `t` after an idle step.
+    fn advance_to(&mut self, _run: &Run, _workflow: &Workflow, _t: Timestamp) {}
 }
 
 /// Everything the actors of one workflow execution share: the fabric, the
@@ -157,21 +251,64 @@ impl Run {
         }
     }
 
-    /// Whether a cooperative stop was requested.
-    pub fn should_stop(&self) -> bool {
-        self.tele.as_ref().is_some_and(|t| t.should_stop())
+    /// What the next firing boundary allows. A stop outranks a pause.
+    pub fn boundary(&self) -> Boundary {
+        if self.tele.as_ref().is_some_and(|t| t.should_stop()) {
+            Boundary::Stop
+        } else if self.hook.as_ref().is_some_and(|h| h.pause_requested()) {
+            Boundary::Pause
+        } else {
+            Boundary::Go
+        }
     }
 
-    /// Whether a checkpoint pause was requested: every actor stops at its
-    /// next firing boundary, and what is queued is captured, not drained.
-    pub fn pause_requested(&self) -> bool {
-        self.hook.as_ref().is_some_and(|h| h.pause_requested())
-    }
-
-    /// Whether the run is to end in a checkpoint capture rather than the
-    /// end-of-stream tail (a stop request outranks a pause).
-    pub fn quiescing(&self) -> bool {
-        self.pause_requested() && !self.should_stop()
+    /// Run `order` on the caller's thread over `span`. At each boundary a
+    /// pause ends the segment in [`Run::quiesce`] once the order has nothing
+    /// to drain; a stop, like the stream's end, closes every actor upstream
+    /// first (settle, [`Run::finish_actor`], settle) and wraps the run up.
+    pub fn drive(
+        &self,
+        workflow: &mut Workflow,
+        contexts: &mut [QueueContext],
+        order: &mut dyn FiringOrder,
+        span: Span,
+    ) -> Result<Progress> {
+        let cx = &mut Cx { run: self, workflow, contexts };
+        let (mut spent, mut exhausted, mut wake) = (Micros::ZERO, false, None);
+        loop {
+            match self.boundary() {
+                Boundary::Stop => break,
+                Boundary::Pause if order.drain(cx)? => continue,
+                Boundary::Pause => {
+                    self.quiesce(cx.contexts);
+                    return Ok(Progress::Paused);
+                }
+                Boundary::Go if exhausted => return Ok(Progress::BudgetExhausted),
+                Boundary::Go => {}
+            }
+            if let Some(t) = wake.take() {
+                order.advance_to(self, cx.workflow, t);
+            }
+            match (order.step(cx)?, span) {
+                (Step::Busy(cost), Span::Slice(Some(budget))) => {
+                    spent += cost;
+                    exhausted = spent >= budget;
+                }
+                (Step::Busy(_), _) => {}
+                (Step::IdleUntil(t), Span::Slice(_)) => return Ok(Progress::IdleUntil(t)),
+                (Step::IdleUntil(t), Span::Whole) => wake = Some(t),
+                (Step::Ended, _) => break,
+                (Step::Abandoned, _) => return self.wrapup(cx.workflow).map(|_| Progress::Finished),
+            }
+        }
+        self.phase(RunPhase::Close);
+        for id in quasi_topological(cx.workflow) {
+            order.settle(cx, id, false)?;
+            let actor = cx.workflow.node_mut(id).actor_mut();
+            self.finish_actor(id, actor, &mut cx.contexts[id.0])?;
+            order.settle(cx, id, true)?;
+        }
+        self.wrapup(cx.workflow).map(|_| Progress::Finished)
     }
 
     /// One firing attempt of `actor` on `inputs` (none for a source): the
@@ -357,5 +494,65 @@ impl Run {
             events_routed: self.routed.load(Ordering::Relaxed),
             elapsed: self.clock.now().since(self.started),
         }
+    }
+}
+
+/// Kahn's topological sort, sources first and ties in id order. Actors on
+/// a cycle, and everything downstream of one, are left out.
+pub fn topological(workflow: &Workflow) -> Vec<ActorId> {
+    let n = workflow.actor_count();
+    let mut indeg = vec![0usize; n];
+    for ch in workflow.channels() {
+        indeg[ch.to.actor.0] += 1;
+    }
+    let mut ready: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(a) = ready.pop_front() {
+        order.push(ActorId(a));
+        for ch in workflow.channels() {
+            if ch.from.actor.0 == a {
+                indeg[ch.to.actor.0] -= 1;
+                if indeg[ch.to.actor.0] == 0 {
+                    ready.push_back(ch.to.actor.0);
+                }
+            }
+        }
+    }
+    order
+}
+
+/// The close cascade's order: [`topological`], then the actors it left
+/// out in id order.
+pub fn quasi_topological(workflow: &Workflow) -> Vec<ActorId> {
+    let sorted = topological(workflow);
+    let rest = workflow.actor_ids().filter(|id| !sorted.contains(id));
+    sorted.iter().copied().chain(rest).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::actor::{FireContext, IoSignature};
+    use crate::graph::WorkflowBuilder;
+
+    #[test]
+    fn quasi_topo_handles_cycles() {
+        struct Pass;
+        impl Actor for Pass {
+            fn signature(&self) -> IoSignature {
+                IoSignature::transform("in", "out")
+            }
+            fn fire(&mut self, _ctx: &mut dyn FireContext) -> crate::error::Result<()> {
+                Ok(())
+            }
+        }
+        let mut b = WorkflowBuilder::new("cycle");
+        let a = b.add_actor("a", Pass);
+        let c = b.add_actor("c", Pass);
+        b.link((a, "out"), (c, "in")).unwrap();
+        b.link((c, "out"), (a, "in")).unwrap();
+        let wf = b.build().unwrap();
+        assert!(topological(&wf).is_empty());
+        assert_eq!(quasi_topological(&wf), vec![ActorId(0), ActorId(1)]);
     }
 }

@@ -20,10 +20,10 @@
 //!
 //! A director decides *which actor fires next, on which thread, and when
 //! time advances*. Everything else — the firing step with its hook order,
-//! event stamping, and the run lifecycle — is written once in [`firing`]
-//! over the [`Fabric`] plumbing defined here. The STAFiLOS scheduled CWF
-//! director lives in the `confluence-sched` crate and builds on the same
-//! two pieces.
+//! event stamping, and the run loop ([`firing::Run::drive`]) — is written
+//! once in [`firing`] over the [`Fabric`] plumbing defined here. The
+//! STAFiLOS scheduled CWF director lives in the `confluence-sched` crate
+//! and builds on the same two pieces.
 
 pub mod composite;
 pub mod ddf;

@@ -49,7 +49,7 @@ use crate::receiver::{ActorInbox, InboxWaker};
 use crate::telemetry::{LiveStats, RunPhase, Telemetry, WorkerMetrics};
 use crate::time::{SharedClock, Timestamp, WallClock};
 
-use super::firing::Run;
+use super::firing::{Boundary, Run};
 use super::pool_policy::{Fifo, PolicyView, PoolPolicy, ReadyEntry, ReadyQueue};
 use super::{Director, QueueContext, RunReport, Stamped, RELIEF_PATIENCE, SOURCE_BACKOFF};
 
@@ -509,10 +509,10 @@ impl Director for PoolDirector {
             .map_err(|_| Error::Director("pool shared state still referenced".to_string()))?;
         let run = shared.run;
         let mut first_error = shared.first_error.into_inner();
-        let quiescing = run.quiescing() && first_error.is_none();
+        let pausing = run.boundary() == Boundary::Pause && first_error.is_none();
         for task in shared.tasks {
             let mut task = task.into_inner();
-            if quiescing {
+            if pausing {
                 // Complete any parked delivery (blocking is off, so a full
                 // Block port over-admits rather than tearing the snapshot),
                 // then stage undelivered context windows back at the front
@@ -530,7 +530,7 @@ impl Director for PoolDirector {
             run.phase(RunPhase::End);
             return Err(e);
         }
-        if quiescing {
+        if pausing {
             return Ok(run.quiesce(&mut []));
         }
         run.wrapup(workflow)
@@ -657,14 +657,13 @@ fn step(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutco
     let hub = &shared.hub;
     let run = &shared.run;
     let id = task.id;
-    if run.should_stop() {
-        return Ok(StepOutcome::Finish);
-    }
-    // Checkpoint pause: every actor stops at its firing boundary. The
-    // timer thread stops the workers, and the quiesce path in `run`
-    // admits any parked batch and captures what is queued.
-    if run.pause_requested() {
-        return Ok(StepOutcome::Idle);
+    match run.boundary() {
+        Boundary::Stop => return Ok(StepOutcome::Finish),
+        // Checkpoint pause: every actor stops at its firing boundary. The
+        // timer thread stops the workers, and the quiesce path in `run`
+        // admits any parked batch and captures what is queued.
+        Boundary::Pause => return Ok(StepOutcome::Idle),
+        Boundary::Go => {}
     }
     // Resume a firing suspended mid-delivery or pre-postfire.
     if !flush_pending(shared, id, &mut task.pending_out)? {
@@ -797,7 +796,7 @@ fn timer_loop(shared: &Arc<PoolShared>) {
         }
         // Checkpoint pause: every task now stops at its firing boundary
         // (see `step`), so the workers may stop as soon as they are done.
-        if run.quiescing() {
+        if run.boundary() == Boundary::Pause {
             hub.begin_shutdown();
             break;
         }
@@ -830,7 +829,7 @@ fn timer_loop(shared: &Arc<PoolShared>) {
             }
             hub.schedule(a);
         }
-        if run.should_stop() {
+        if run.boundary() == Boundary::Stop {
             for a in 0..hub.states.len() {
                 hub.schedule(a);
             }

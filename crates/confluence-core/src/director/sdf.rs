@@ -14,18 +14,18 @@
 //! (paper Appendix A).
 //!
 //! The firing rule is the compiled schedule and the declared number of
-//! windows staged per firing. The firing step and the run lifecycle are
+//! windows staged per firing. The firing step and the run loop are
 //! [`super::firing`]'s.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::graph::Workflow;
-use crate::telemetry::{RunPhase, Telemetry};
-use crate::time::{SharedClock, VirtualClock};
+use crate::graph::{ActorId, Workflow};
+use crate::telemetry::Telemetry;
+use crate::time::{Micros, SharedClock, VirtualClock};
 
-use super::firing::Run;
+use super::firing::{topological, Cx, FiringOrder, Run, Span, Step};
 use super::{Director, RunReport};
 
 /// Greatest common divisor.
@@ -59,7 +59,8 @@ impl Frac {
     }
 }
 
-/// The compiled schedule: repetition vector plus firing order.
+/// The compiled schedule: repetition vector, firing order and the
+/// declared consumption rates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SdfSchedule {
     /// Repetitions per actor per iteration.
@@ -67,6 +68,8 @@ pub struct SdfSchedule {
     /// Actor firing order (topological); each entry fires its full
     /// repetition count.
     pub order: Vec<usize>,
+    /// Declared windows consumed per firing, per actor and input port.
+    pub consume: Vec<Vec<u32>>,
 }
 
 /// Solve the balance equations and derive the schedule. Public so tests
@@ -143,7 +146,7 @@ pub fn compile_schedule(workflow: &Workflow) -> Result<SdfSchedule> {
                 if den == 0 {
                     return Err(Error::Sdf(format!(
                         "zero production rate feeding actor `{}`",
-                        workflow.node(crate::graph::ActorId(v)).name
+                        workflow.node(ActorId(v)).name
                     )));
                 }
                 let qv = qa.mul(num, den);
@@ -156,7 +159,7 @@ pub fn compile_schedule(workflow: &Workflow) -> Result<SdfSchedule> {
                         if existing != qv {
                             return Err(Error::Sdf(format!(
                                 "inconsistent rates at actor `{}`",
-                                workflow.node(crate::graph::ActorId(v)).name
+                                workflow.node(ActorId(v)).name
                             )));
                         }
                     }
@@ -182,24 +185,8 @@ pub fn compile_schedule(workflow: &Workflow) -> Result<SdfSchedule> {
         *r /= g;
     }
 
-    // Topological order (acyclic graphs only).
-    let mut indeg = vec![0usize; n];
-    for ch in workflow.channels() {
-        indeg[ch.to.actor.0] += 1;
-    }
-    let mut ready: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(a) = ready.pop_front() {
-        order.push(a);
-        for ch in workflow.channels() {
-            if ch.from.actor.0 == a {
-                indeg[ch.to.actor.0] -= 1;
-                if indeg[ch.to.actor.0] == 0 {
-                    ready.push_back(ch.to.actor.0);
-                }
-            }
-        }
-    }
+    // Topological order; the sort leaves out every actor on a cycle.
+    let order: Vec<usize> = topological(workflow).into_iter().map(|id| id.0).collect();
     if order.len() != n {
         return Err(Error::Sdf(
             "graph has a cycle; cyclic SDF (with initial tokens) is not supported".into(),
@@ -209,12 +196,13 @@ pub fn compile_schedule(workflow: &Workflow) -> Result<SdfSchedule> {
     Ok(SdfSchedule {
         repetitions: reps,
         order,
+        consume,
     })
 }
 
 fn node_rates(workflow: &Workflow, idx: usize) -> Option<crate::actor::SdfRates> {
     workflow
-        .node(crate::graph::ActorId(idx))
+        .node(ActorId(idx))
         .peek_actor()
         .and_then(|a| a.rates())
 }
@@ -243,85 +231,82 @@ impl SdfDirector {
     }
 }
 
+/// The SDF firing order: one step is one schedule iteration.
+struct Iteration {
+    schedule: SdfSchedule,
+    /// Set when a source runs dry: the iteration it happens in is
+    /// completed (downstream actors must still consume the in-flight
+    /// tokens) and then the stream has ended.
+    stopping: bool,
+}
+
+impl FiringOrder for Iteration {
+    fn step(&mut self, cx: &mut Cx<'_>) -> Result<Step> {
+        for &a in &self.schedule.order {
+            let id = ActorId(a);
+            'reps: for _rep in 0..self.schedule.repetitions[a] {
+                // Stage the declared number of windows per input port.
+                let inbox = cx.run.fabric.inbox(id);
+                let mut staged: Vec<(usize, crate::window::Window)> = Vec::new();
+                let mut counts = vec![0u32; self.schedule.consume[a].len()];
+                while counts
+                    .iter()
+                    .zip(&self.schedule.consume[a])
+                    .any(|(have, need)| have < need)
+                {
+                    if let Some((port, w)) = inbox.try_pop() {
+                        counts[port] += 1;
+                        staged.push((port, w));
+                    } else if cx.workflow.node(id).is_source {
+                        break;
+                    } else if self.stopping {
+                        // The drying source under-produced this
+                        // iteration: hand the partial delivery to the
+                        // context (a later rep or the actor's own loop
+                        // may still cope) and skip this firing.
+                        for (port, w) in staged {
+                            cx.contexts[a].deliver(port, w);
+                        }
+                        continue 'reps;
+                    } else {
+                        return Err(Error::Sdf(format!(
+                            "actor `{}` starved mid-schedule (rates inconsistent with behaviour)",
+                            cx.workflow.node(id).name
+                        )));
+                    }
+                }
+                let fired = cx.fire(id, staged, None, None)?;
+                // A source refusing to fire means the stream is over.
+                self.stopping |=
+                    (!fired.fired && cx.workflow.node(id).is_source) || fired.alive == Some(false);
+            }
+        }
+        Ok(if self.stopping {
+            Step::Ended
+        } else {
+            Step::Busy(Micros::ZERO)
+        })
+    }
+}
+
 impl Director for SdfDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
         let schedule = compile_schedule(workflow)?;
-        let consume: Vec<Vec<u32>> = workflow
-            .actor_ids()
-            .map(|id| {
-                node_rates(workflow, id.0)
-                    .expect("validated by compile_schedule")
-                    .consume
-            })
-            .collect();
         let (run, mut contexts) = Run::open(
             workflow,
             self.telemetry.clone(),
             self.hook.clone(),
             self.clock.clone(),
         )?;
-
-        // Set when a source runs dry or a stop is requested: the current
-        // schedule iteration is completed (downstream actors must still
-        // consume the in-flight tokens) and then the run ends.
-        let mut stopping = false;
-        while !stopping && !run.should_stop() {
-            if run.pause_requested() {
-                // Iteration boundaries are SDF's natural quiescent points:
-                // the balance equations guarantee every token produced this
-                // iteration has been consumed, so snapshot here.
-                return Ok(run.quiesce(&mut contexts));
-            }
-            for &a in &schedule.order {
-                let id = crate::graph::ActorId(a);
-                'reps: for _rep in 0..schedule.repetitions[a] {
-                    // Stage the declared number of windows per input port.
-                    let inbox = run.fabric.inbox(id);
-                    let mut staged: Vec<(usize, crate::window::Window)> = Vec::new();
-                    let mut counts = vec![0u32; consume[a].len()];
-                    while counts
-                        .iter()
-                        .zip(&consume[a])
-                        .any(|(have, need)| have < need)
-                    {
-                        if let Some((port, w)) = inbox.try_pop() {
-                            counts[port] += 1;
-                            staged.push((port, w));
-                        } else if workflow.node(id).is_source {
-                            break;
-                        } else if stopping {
-                            // The drying source under-produced this
-                            // iteration: hand the partial delivery to the
-                            // context (a later rep or the actor's own loop
-                            // may still cope) and skip this firing.
-                            for (port, w) in staged {
-                                contexts[a].deliver(port, w);
-                            }
-                            continue 'reps;
-                        } else {
-                            return Err(Error::Sdf(format!(
-                                "actor `{}` starved mid-schedule (rates inconsistent with behaviour)",
-                                workflow.node(id).name
-                            )));
-                        }
-                    }
-                    let actor = workflow.node_mut(id).actor_mut();
-                    let fired = run.fire(id, actor, &mut contexts[a], staged, None, None)?;
-                    // A source refusing to fire means the stream is over.
-                    stopping |= (!fired.fired && workflow.node(id).is_source)
-                        || fired.alive == Some(false)
-                        || run.should_stop();
-                }
-            }
-        }
-
-        run.phase(RunPhase::Close);
-        for &a in &schedule.order {
-            let id = crate::graph::ActorId(a);
-            let actor = workflow.node_mut(id).actor_mut();
-            run.finish_actor(id, actor, &mut contexts[a])?;
-        }
-        run.wrapup(workflow)
+        // Iteration boundaries are SDF's quiescent points: the balance
+        // equations guarantee every token produced in an iteration has
+        // been consumed, so a pause captures there.
+        let mut order = Iteration {
+            schedule,
+            stopping: false,
+        };
+        run.drive(workflow, &mut contexts, &mut order, Span::Whole)?;
+        Ok(run.report())
     }
 
     fn instrument(&mut self, telemetry: Telemetry) {

@@ -27,7 +27,7 @@ use crate::receiver::InboxPop;
 use crate::telemetry::{RunPhase, Telemetry};
 use crate::time::{SharedClock, Timestamp, WallClock};
 
-use super::firing::Run;
+use super::firing::{Boundary, Run};
 use super::{Director, QueueContext, RunReport, SOURCE_BACKOFF};
 
 /// Longest uninterrupted block/sleep while a stop or a checkpoint pause
@@ -100,7 +100,7 @@ impl Director for ThreadedDirector {
             run.phase(RunPhase::End);
             return Err(e);
         }
-        if run.quiescing() {
+        if run.boundary() == Boundary::Pause {
             // Every thread has joined and unstaged its own context: the
             // fabric is exclusively ours, so the destructive capture is safe.
             return Ok(run.quiesce(&mut []));
@@ -129,7 +129,7 @@ fn controller(
 ) -> (Box<dyn Actor>, Result<()>) {
     // Every actor leaves its loop at the firing boundary where it first
     // sees a stop or a checkpoint pause; what is queued stays queued.
-    let parked = || run.should_stop() || run.pause_requested();
+    let parked = || run.boundary() != Boundary::Go;
     let bounded_waits = run.tele.is_some() || run.hook.is_some();
 
     let result = (|| -> Result<()> {
@@ -202,7 +202,7 @@ fn controller(
         // and leave the outputs open. A writer still blocked on a full
         // `Block` port (its reader may have halted) admits over capacity
         // instead, so it reaches its own firing boundary.
-        Ok(()) if run.quiescing() => {
+        Ok(()) if run.boundary() == Boundary::Pause => {
             run.fabric.set_blocking(false);
             run.unstage(id, &mut ctx);
             Ok(())

@@ -653,6 +653,57 @@ mod tests {
         (b.build().unwrap(), c)
     }
 
+    /// An actor that declares SDF rates of one window per port per firing
+    /// (every actor of `build()` fires on one window and emits one token).
+    struct Rated<A>(A);
+
+    impl<A: Actor> Actor for Rated<A> {
+        fn signature(&self) -> IoSignature {
+            self.0.signature()
+        }
+        fn prefire(&mut self, ctx: &mut dyn FireContext) -> Result<bool> {
+            self.0.prefire(ctx)
+        }
+        fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
+            self.0.fire(ctx)
+        }
+        fn postfire(&mut self, ctx: &mut dyn FireContext) -> Result<bool> {
+            self.0.postfire(ctx)
+        }
+        fn save_state(&self) -> Result<Option<Vec<u8>>> {
+            self.0.save_state()
+        }
+        fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
+            self.0.restore_state(bytes)
+        }
+        fn is_source(&self) -> bool {
+            self.0.is_source()
+        }
+        fn next_arrival(&self) -> Option<Timestamp> {
+            self.0.next_arrival()
+        }
+        fn rates(&self) -> Option<crate::actor::SdfRates> {
+            let sig = self.0.signature();
+            Some(crate::actor::SdfRates {
+                consume: vec![1; sig.inputs.len()],
+                produce: vec![1; sig.outputs.len()],
+            })
+        }
+    }
+
+    /// `build()` with every actor declaring its rates, for SDF.
+    fn build_rated() -> (Workflow, Collector) {
+        let c = Collector::new();
+        let mut b = WorkflowBuilder::new("ckpt");
+        let src = VecSource::new((1..=20).map(Token::Int).collect());
+        let s = b.add_actor("src", Rated(src));
+        let a = b.add_actor("sum", Rated(RunningSum::default()));
+        let k = b.add_actor("sink", Rated(c.actor()));
+        b.link((s, "out"), (a, "in")).unwrap();
+        b.link((a, "out"), (k, "in")).unwrap();
+        (b.build().unwrap(), c)
+    }
+
     fn expected() -> Vec<Token> {
         (1..=20)
             .scan(0i64, |s, i| {
@@ -721,12 +772,16 @@ mod tests {
     }
 
     #[test]
-    fn killed_run_recovers_under_pool_ddf_and_de() {
-        for name in ["pool", "ddf", "de"] {
+    fn killed_run_recovers_under_pool_sdf_ddf_and_de() {
+        for name in ["pool", "sdf", "ddf", "de"] {
             let dir = tmpdir(&format!("recover-{name}"));
+            let build = if name == "sdf" { build_rated } else { build };
             let mk = |wf: Workflow| -> Engine {
                 match name {
                     "pool" => Engine::new(wf).configure(ExecConfig::new().workers(2)),
+                    "sdf" => {
+                        Engine::new(wf).with_director(crate::director::sdf::SdfDirector::new())
+                    }
                     "ddf" => {
                         Engine::new(wf).with_director(crate::director::ddf::DdfDirector::new())
                     }

@@ -484,7 +484,15 @@ impl WindowOperator {
             group.deadline = NO_DEADLINE;
             let Group { key, state, .. } = group;
             match (state, kind) {
-                (GroupState::Tuples(g), Kind::Tuples { .. }) => g.emit_rest(key, now, &mut out),
+                // Each emptied buffer is handed back as the flush goes, so
+                // closing a port with many groups does not hold every
+                // group's buffer beside the windows it emits.
+                (GroupState::Tuples(g), Kind::Tuples { .. }) => {
+                    g.emit_rest(key, now, &mut out);
+                    if g.events.is_empty() {
+                        g.events = VecDeque::new();
+                    }
+                }
                 (GroupState::Time(g), Kind::Time { size, step }) => {
                     if let Some(last) = g.events.back() {
                         // Close through the last window containing the last
@@ -497,6 +505,7 @@ impl WindowOperator {
                         for ev in g.events.drain(..) {
                             out.expire(&ev);
                         }
+                        g.events = VecDeque::new();
                     }
                 }
                 (GroupState::Wave(g), Kind::Wave) => {

@@ -27,17 +27,18 @@
 //! What is written here is the firing rule — the policy's `next_actor()`
 //! over the actors' inboxes, each window announced to the policy once —
 //! and SCWF's time rule, the [`CostModel`] charge. The firing step itself
-//! and the run lifecycle are `confluence_core::director::firing`'s.
+//! and the run loop are `confluence_core::director::firing`'s.
 
 use std::sync::Arc;
 
-use confluence_core::director::ddf::quasi_topological;
-use confluence_core::director::firing::{Charge, Run};
+use confluence_core::director::firing::{Charge, Cx, FiringOrder, Run, Span, Step};
 use confluence_core::director::{Director, Fabric, QueueContext, RunReport};
 use confluence_core::error::Result;
 use confluence_core::graph::{ActorId, Workflow};
-use confluence_core::telemetry::{RunPhase, Telemetry};
+use confluence_core::telemetry::Telemetry;
 use confluence_core::time::{Clock, Micros, SharedClock, Timestamp, VirtualClock, WallClock};
+
+pub use confluence_core::director::firing::Progress;
 
 use crate::cost::CostModel;
 use crate::framework::{ActorInfo, Scheduler};
@@ -74,23 +75,19 @@ impl TimeMode {
             TimeMode::Real { clock } => clock.now(),
         }
     }
-}
 
-/// Outcome of one [`ScwfCore::run_for`] slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Progress {
-    /// The slice budget was exhausted; more work is immediately pending.
-    BudgetExhausted,
-    /// Quiescent until the given instant (next source arrival or window
-    /// timeout). The caller decides how time advances.
-    IdleUntil(Timestamp),
-    /// The workflow completed (sources exhausted, everything drained and
-    /// flushed, actors wrapped up).
-    Finished,
-    /// A checkpoint pause was honoured: the fabric's state was deposited on
-    /// the quiesce hook. The run can continue from the captured state (same
-    /// process or after recovery).
-    Paused,
+    /// Jump the virtual clock to `t`, or sleep the wall clock up to it.
+    fn advance_to(&self, t: Timestamp) {
+        match self {
+            TimeMode::Virtual { clock, .. } => clock.advance_to(t),
+            TimeMode::Real { clock } => {
+                let now = clock.now();
+                if t > now {
+                    std::thread::sleep(t.since(now).to_std());
+                }
+            }
+        }
+    }
 }
 
 /// The steppable SCWF execution engine for one workflow.
@@ -110,17 +107,8 @@ pub struct ScwfCore {
 struct ExecState {
     /// The shared run; its fabric lives across checkpoint segments.
     run: Run,
-    stats: StatsModule,
-    /// Actor names, for the cost model.
-    names: Vec<String>,
-    /// Per actor: how many of its inbox's windows the policy has heard
-    /// `on_enqueue` for.
-    announced: Vec<usize>,
     contexts: Vec<QueueContext>,
-    source_ids: Vec<usize>,
-    source_exhausted: Vec<bool>,
-    topo: Vec<ActorId>,
-    closed: bool,
+    book: Book,
     /// The last slice ended in a checkpoint capture: the next one begins
     /// a new segment on the same fabric.
     paused: bool,
@@ -128,53 +116,44 @@ struct ExecState {
     finished: Option<RunReport>,
 }
 
+/// What the firing order keeps from slice to slice.
+struct Book {
+    stats: StatsModule,
+    /// Actor names, for the cost model.
+    names: Vec<String>,
+    /// Per actor: how many of its inbox's windows the policy has heard
+    /// `on_enqueue` for.
+    announced: Vec<usize>,
+    source_ids: Vec<usize>,
+    source_exhausted: Vec<bool>,
+}
+
 impl ScwfCore {
+    fn new(policy: Box<dyn Scheduler>, mode: TimeMode) -> Self {
+        ScwfCore {
+            policy,
+            mode,
+            scheduler_overhead: Micros::ZERO,
+            deadline: None,
+            state: None,
+            telemetry: None,
+            hook: None,
+        }
+    }
+
     /// Virtual-time core with the given policy, cost model, and clock.
     pub fn new_virtual(
         policy: Box<dyn Scheduler>,
         cost: Box<dyn CostModel>,
         clock: Arc<VirtualClock>,
     ) -> Self {
-        ScwfCore {
-            policy,
-            mode: TimeMode::Virtual { clock, cost },
-            scheduler_overhead: Micros::ZERO,
-            deadline: None,
-            state: None,
-            telemetry: None,
-            hook: None,
-        }
-    }
-
-    /// Real-time core.
-    pub fn new_real(policy: Box<dyn Scheduler>) -> Self {
-        ScwfCore {
-            policy,
-            mode: TimeMode::Real {
-                clock: Arc::new(WallClock::new()),
-            },
-            scheduler_overhead: Micros::ZERO,
-            deadline: None,
-            state: None,
-            telemetry: None,
-            hook: None,
-        }
-    }
-
-    /// Attach a checkpoint quiesce hook: pause requests are honoured at
-    /// firing boundaries and the fabric state deposited for snapshotting.
-    pub fn set_checkpoint_hook(&mut self, hook: Arc<confluence_core::checkpoint::QuiesceHook>) {
-        self.hook = Some(hook);
+        Self::new(policy, TimeMode::Virtual { clock, cost })
     }
 
     /// Attach telemetry. It takes effect when the next segment begins
     /// (the first slice, or the one after a checkpoint pause).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-    }
-
-    fn should_stop(&self) -> bool {
-        self.telemetry.as_ref().is_some_and(|t| t.should_stop())
     }
 
     /// Current time on the core's clock.
@@ -189,7 +168,7 @@ impl ScwfCore {
 
     /// Statistics collected so far (None before the first slice).
     pub fn stats(&self) -> Option<&StatsModule> {
-        self.state.as_ref().map(|s| &s.stats)
+        self.state.as_ref().map(|s| &s.book.stats)
     }
 
     /// The communication fabric (None before the first slice): what the
@@ -238,14 +217,14 @@ impl ScwfCore {
                 let n = workflow.actor_count();
                 self.state = Some(ExecState {
                     run,
-                    stats: StatsModule::new(workflow),
-                    names: infos.into_iter().map(|i| i.name).collect(),
-                    announced: vec![0; n],
                     contexts,
-                    source_ids: workflow.sources().iter().map(|i| i.index()).collect(),
-                    source_exhausted: vec![false; n],
-                    topo: quasi_topological(workflow),
-                    closed: false,
+                    book: Book {
+                        stats: StatsModule::new(workflow),
+                        names: infos.into_iter().map(|i| i.name).collect(),
+                        announced: vec![0; n],
+                        source_ids: workflow.sources().iter().map(|i| i.index()).collect(),
+                        source_exhausted: vec![false; n],
+                    },
                     paused: false,
                     finished: None,
                 });
@@ -254,22 +233,82 @@ impl ScwfCore {
         Ok(())
     }
 
+    /// The firing order over the open run, with the run and its contexts.
+    fn order(&mut self) -> Option<(Dispatch<'_>, &Run, &mut [QueueContext])> {
+        let st = self.state.as_mut()?;
+        let dispatch = Dispatch {
+            policy: self.policy.as_mut(),
+            mode: &self.mode,
+            overhead: self.scheduler_overhead,
+            deadline: self.deadline,
+            book: &mut st.book,
+            fired_in_iteration: false,
+        };
+        Some((dispatch, &st.run, &mut st.contexts))
+    }
+
+    /// Run until quiescence, completion, or (if given) until `budget`
+    /// microseconds of cost have been charged in this slice.
+    pub fn run_for(&mut self, workflow: &mut Workflow, budget: Option<Micros>) -> Result<Progress> {
+        self.drive(workflow, Span::Slice(budget))
+    }
+
+    /// Open or resume the run and drive it over `span`.
+    fn drive(&mut self, workflow: &mut Workflow, span: Span) -> Result<Progress> {
+        self.ensure_open(workflow)?;
+        if self.state.as_ref().is_some_and(|st| st.finished.is_some()) {
+            return Ok(Progress::Finished);
+        }
+        let (mut order, run, contexts) = self.order().expect("opened");
+        order.sync_external(run, workflow);
+        let progress = run.drive(workflow, contexts, &mut order, span)?;
+        let st = self.state.as_mut().expect("opened");
+        match progress {
+            Progress::Paused => st.paused = true,
+            Progress::Finished => st.finished = Some(st.run.report()),
+            Progress::BudgetExhausted | Progress::IdleUntil(_) => {}
+        }
+        Ok(progress)
+    }
+
+    /// Notify the core that its clock was advanced externally (or sleep to
+    /// `t` in real mode): window timeouts are evaluated and sources
+    /// refreshed. (What the timeouts expire is routed by the next firing.)
+    pub fn advance_to(&mut self, workflow: &Workflow, t: Timestamp) {
+        match self.order() {
+            Some((mut order, run, _)) => order.advance_to(run, workflow, t),
+            None => self.mode.advance_to(t),
+        }
+    }
+}
+
+/// The SCWF firing order over one slice: one step is one `next_actor()`
+/// firing, or the end of a policy iteration.
+struct Dispatch<'a> {
+    policy: &'a mut dyn Scheduler,
+    mode: &'a TimeMode,
+    overhead: Micros,
+    deadline: Option<Timestamp>,
+    book: &'a mut Book,
+    fired_in_iteration: bool,
+}
+
+impl Dispatch<'_> {
     /// Announce to the policy the windows that reached the inboxes since
     /// the last call (actors by index, windows by arrival) and refresh
     /// source readiness. Call after anything that may have produced
     /// windows or advanced time.
-    fn sync_external(&mut self, workflow: &Workflow) {
-        let st = self.state.as_mut().expect("initialized");
-        for (i, announced) in st.announced.iter_mut().enumerate() {
+    fn sync_external(&mut self, run: &Run, workflow: &Workflow) {
+        for (i, announced) in self.book.announced.iter_mut().enumerate() {
             // A window shed after it was announced leaves the count ahead
             // of the inbox: its announcement then stands for the next
             // arrival, and `after_fire`'s `remaining` settles the policy.
-            let inbox = st.run.fabric.inbox(ActorId(i));
+            let inbox = run.fabric.inbox(ActorId(i));
             *announced = inbox.origins_past(*announced, |origin| self.policy.on_enqueue(i, origin));
         }
         let now = self.mode.now();
-        for &s in &st.source_ids {
-            if st.source_exhausted[s] {
+        for &s in &self.book.source_ids {
+            if self.book.source_exhausted[s] {
                 continue;
             }
             let arrival = workflow
@@ -278,7 +317,7 @@ impl ScwfCore {
                 .and_then(|a| a.next_arrival());
             match arrival {
                 None => {
-                    st.source_exhausted[s] = true;
+                    self.book.source_exhausted[s] = true;
                     self.policy.on_source_ready(s, false);
                 }
                 Some(t) => self.policy.on_source_ready(s, t <= now),
@@ -286,171 +325,25 @@ impl ScwfCore {
         }
     }
 
-    /// Run until quiescence, completion, or (if given) until `budget`
-    /// microseconds of cost have been charged in this slice.
-    pub fn run_for(&mut self, workflow: &mut Workflow, budget: Option<Micros>) -> Result<Progress> {
-        self.ensure_open(workflow)?;
-        let mut spent = Micros::ZERO;
-        self.sync_external(workflow);
-        loop {
-            if self.paused() {
-                self.quiesce_capture();
-                return Ok(Progress::Paused);
-            }
-            let mut fired_in_iteration = false;
-            while let Some(a) = self.policy.next_actor() {
-                let cost = self.fire_one(workflow, a)?;
-                if cost.is_some() {
-                    fired_in_iteration = true;
-                }
-                // Post-firing housekeeping: announce, readiness, timeouts.
-                self.sync_external(workflow);
-                let now = self.mode.now();
-                let st = self.state.as_mut().expect("initialized");
-                if st.run.fabric.next_deadline().is_some_and(|d| d <= now) {
-                    st.run.poll(None, now)?;
-                    self.sync_external(workflow);
-                }
-                let st = self.state.as_mut().expect("initialized");
-                let remaining = st.run.fabric.inbox(ActorId(a)).len();
-                self.policy
-                    .after_fire(a, cost.unwrap_or(Micros::ZERO), remaining, &st.stats);
-                if let Some(c) = cost {
-                    spent += c;
-                }
-                if let Some(limit) = self.deadline {
-                    if now > limit {
-                        self.finish(workflow)?;
-                        return Ok(Progress::Finished);
-                    }
-                }
-                if self.should_stop() {
-                    self.finish(workflow)?;
-                    return Ok(Progress::Finished);
-                }
-                if self.paused() {
-                    self.quiesce_capture();
-                    return Ok(Progress::Paused);
-                }
-                if let Some(b) = budget {
-                    if spent >= b {
-                        // Pause the slice; the next run_for call determines
-                        // whether work actually remains.
-                        return Ok(Progress::BudgetExhausted);
-                    }
-                }
-            }
-            let reactivated = {
-                let st = self.state.as_ref().expect("initialized");
-                self.policy.end_iteration(&st.stats)
-            };
-            if fired_in_iteration || reactivated {
-                continue;
-            }
-            // Quiescent: find the next interesting instant.
-            let st = self.state.as_ref().expect("initialized");
-            let next_arrival = st
-                .source_ids
-                .iter()
-                .filter(|&&s| !st.source_exhausted[s])
-                .filter_map(|&s| {
-                    workflow
-                        .node(ActorId(s))
-                        .peek_actor()
-                        .and_then(|a| a.next_arrival())
-                })
-                .min();
-            let next_deadline = st.run.fabric.next_deadline();
-            let wake = match (next_arrival, next_deadline) {
-                (Some(a), Some(d)) => Some(a.min(d)),
-                (x, None) => x,
-                (None, y) => y,
-            };
-            if let Some(t) = wake {
-                return Ok(Progress::IdleUntil(t));
-            }
-            let st = self.state.as_mut().expect("initialized");
-            if !st.closed {
-                st.closed = true;
-                st.run.phase(RunPhase::Close);
-                // Close upstream-first, one actor at a time: drain any
-                // windows flushed by earlier closes, give the actor its
-                // final chance to emit (outputs still open), then close.
-                let topo = st.topo.clone();
-                for id in topo {
-                    loop {
-                        self.sync_external(workflow);
-                        let st = self.state.as_mut().expect("initialized");
-                        if st.run.fabric.inbox(id).is_empty() {
-                            break;
-                        }
-                        self.fire_one(workflow, id.0)?;
-                    }
-                    let st = self.state.as_mut().expect("initialized");
-                    let actor = workflow.node_mut(id).actor_mut();
-                    st.run.finish_actor(id, actor, &mut st.contexts[id.0])?;
-                }
-                self.sync_external(workflow);
-                continue;
-            }
-            self.finish(workflow)?;
-            return Ok(Progress::Finished);
-        }
-    }
-
-    /// Notify the core that its clock was advanced externally (or sleep to
-    /// `t` in real mode): window timeouts are evaluated and sources
-    /// refreshed. (What the timeouts expire is routed by the next firing.)
-    pub fn advance_to(&mut self, workflow: &Workflow, t: Timestamp) {
-        match &self.mode {
-            TimeMode::Virtual { clock, .. } => clock.advance_to(t),
-            TimeMode::Real { clock } => {
-                let now = clock.now();
-                if t > now {
-                    std::thread::sleep(t.since(now).to_std());
-                }
-            }
-        }
-        if let Some(st) = &self.state {
-            st.run.fabric.poll_all(self.mode.now());
-            self.sync_external(workflow);
-        }
-    }
-
-    fn paused(&self) -> bool {
-        self.state.as_ref().is_some_and(|st| st.run.quiescing())
-    }
-
-    /// Honour a checkpoint pause: the shared quiesce deposits the captured
-    /// fabric state on the hook. The policy and the announcement counts
-    /// stay as they are, so the segment that resumes announces as many
-    /// windows as the pause unstaged — the policy saw those consumed.
-    fn quiesce_capture(&mut self) {
-        let st = self.state.as_mut().expect("initialized");
-        st.run.quiesce(&mut st.contexts);
-        st.paused = true;
-    }
-
     /// Fire one actor; returns its cost, or `None` if the firing was
     /// skipped (prefire false / nothing queued).
-    fn fire_one(&mut self, workflow: &mut Workflow, a: usize) -> Result<Option<Micros>> {
+    fn fire_one(&mut self, cx: &mut Cx<'_>, a: usize) -> Result<Option<Micros>> {
         let id = ActorId(a);
-        let st = self.state.as_mut().expect("initialized");
-        let input = if workflow.node(id).is_source {
+        let input = if cx.workflow.node(id).is_source {
             None
         } else {
-            let Some(input) = st.run.fabric.inbox(id).try_pop() else {
+            let Some(input) = cx.run.fabric.inbox(id).try_pop() else {
                 return Ok(None);
             };
-            st.announced[a] = st.announced[a].saturating_sub(1);
+            self.book.announced[a] = self.book.announced[a].saturating_sub(1);
             Some(input)
         };
         // The time rule: in virtual mode the cost model's charge (plus the
         // scheduling overhead) advances the clock; in real mode the firing
         // is timed on the wall clock like any other director's.
-        let (name, overhead) = (&st.names[a], self.scheduler_overhead);
+        let (name, overhead) = (&self.book.names[a], self.overhead);
         let mut charged;
-        let charge: Option<Charge<'_>> = match &self.mode {
+        let charge: Option<Charge<'_>> = match self.mode {
             TimeMode::Virtual { clock, cost } => {
                 charged = move |consumed, produced| {
                     let c = cost.firing_cost(a, name, consumed, produced) + overhead;
@@ -461,22 +354,78 @@ impl ScwfCore {
             }
             TimeMode::Real { .. } => None,
         };
-        let actor = workflow.node_mut(id).actor_mut();
-        let fired = st.run.fire(id, actor, &mut st.contexts[a], input, charge, None)?;
+        let fired = cx.fire(id, input, charge, None)?;
         if !fired.fired {
             return Ok(None);
         }
-        st.stats
+        self.book
+            .stats
             .record_firing(a, fired.busy, fired.events_in, fired.tokens_out, fired.started);
         Ok(Some(fired.busy))
     }
 
-    fn finish(&mut self, workflow: &mut Workflow) -> Result<()> {
-        let st = self.state.as_mut().expect("initialized");
-        if st.finished.is_none() {
-            st.finished = Some(st.run.wrapup(workflow)?);
+    /// The policy has nothing to fire: let it do its maintenance, and if
+    /// nothing became runnable find the next interesting instant.
+    fn end_iteration(&mut self, run: &Run, workflow: &Workflow) -> Step {
+        let reactivated = self.policy.end_iteration(&self.book.stats);
+        if std::mem::take(&mut self.fired_in_iteration) || reactivated {
+            return Step::Busy(Micros::ZERO);
         }
-        Ok(())
+        let book = &self.book;
+        let next_arrival = (book.source_ids.iter())
+            .filter(|&&s| !book.source_exhausted[s])
+            .filter_map(|&s| workflow.node(ActorId(s)).peek_actor().and_then(|a| a.next_arrival()))
+            .min();
+        match next_arrival.into_iter().chain(run.fabric.next_deadline()).min() {
+            // Nothing more can happen before the deadline.
+            Some(t) if self.deadline.is_some_and(|limit| t > limit) => Step::Abandoned,
+            Some(t) => Step::IdleUntil(t),
+            None => Step::Ended,
+        }
+    }
+}
+
+impl FiringOrder for Dispatch<'_> {
+    fn step(&mut self, cx: &mut Cx<'_>) -> Result<Step> {
+        let Some(a) = self.policy.next_actor() else {
+            return Ok(self.end_iteration(cx.run, cx.workflow));
+        };
+        let cost = self.fire_one(cx, a)?;
+        self.fired_in_iteration |= cost.is_some();
+        // Post-firing housekeeping: announce, readiness, timeouts.
+        self.sync_external(cx.run, cx.workflow);
+        let now = self.mode.now();
+        if cx.run.fabric.next_deadline().is_some_and(|d| d <= now) {
+            cx.run.poll(None, now)?;
+            self.sync_external(cx.run, cx.workflow);
+        }
+        let remaining = cx.run.fabric.inbox(ActorId(a)).len();
+        let cost = cost.unwrap_or(Micros::ZERO);
+        self.policy.after_fire(a, cost, remaining, &self.book.stats);
+        if self.deadline.is_some_and(|limit| now > limit) {
+            return Ok(Step::Abandoned);
+        }
+        Ok(Step::Busy(cost))
+    }
+
+    /// Before an actor closes, fire every window in its inbox (what the
+    /// closes upstream flushed), announcing as it goes.
+    fn settle(&mut self, cx: &mut Cx<'_>, id: ActorId, closed: bool) -> Result<()> {
+        loop {
+            self.sync_external(cx.run, cx.workflow);
+            if closed || cx.run.fabric.inbox(id).is_empty() {
+                return Ok(());
+            }
+            self.fire_one(cx, id.0)?;
+        }
+    }
+
+    /// Move the clock to `t`, evaluate window timeouts and refresh the
+    /// sources.
+    fn advance_to(&mut self, run: &Run, workflow: &Workflow, t: Timestamp) {
+        self.mode.advance_to(t);
+        run.fabric.poll_all(self.mode.now());
+        self.sync_external(run, workflow);
     }
 }
 
@@ -496,9 +445,8 @@ impl ScwfDirector {
 
     /// Real-time director: costs are measured on the wall clock.
     pub fn real_time(policy: Box<dyn Scheduler>) -> Self {
-        ScwfDirector {
-            core: ScwfCore::new_real(policy),
-        }
+        let clock = Arc::new(WallClock::new());
+        ScwfDirector { core: ScwfCore::new(policy, TimeMode::Real { clock }) }
     }
 
     /// Set the per-decision scheduler overhead (virtual mode).
@@ -531,27 +479,7 @@ impl ScwfDirector {
 
 impl Director for ScwfDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        loop {
-            match self.core.run_for(workflow, None)? {
-                Progress::Finished => break,
-                Progress::Paused => break,
-                Progress::IdleUntil(t) => {
-                    if self.core.should_stop() {
-                        self.core.finish(workflow)?;
-                        break;
-                    }
-                    if let Some(limit) = self.core.deadline {
-                        if t > limit {
-                            // Nothing more can happen before the deadline.
-                            self.core.finish(workflow)?;
-                            break;
-                        }
-                    }
-                    self.core.advance_to(workflow, t);
-                }
-                Progress::BudgetExhausted => unreachable!("no budget given"),
-            }
-        }
+        self.core.drive(workflow, Span::Whole)?;
         Ok(self.core.report())
     }
 
@@ -560,7 +488,7 @@ impl Director for ScwfDirector {
     }
 
     fn attach_checkpoint(&mut self, hook: Arc<confluence_core::checkpoint::QuiesceHook>) {
-        self.core.set_checkpoint_hook(hook);
+        self.core.hook = Some(hook);
     }
 }
 

@@ -21,7 +21,12 @@
 #  - a checkpoint pause ends at the next firing boundary, not when a clock
 #    says the network has drained: no `DrainWatch`, `QUIESCE_PATIENCE` or
 #    `QUIESCE_WATCHDOG` under crates/*/src, and director/firing.rs (the
-#    shared lifecycle) imports nothing from `std::time`.
+#    shared lifecycle) imports nothing from `std::time`;
+#  - under crates/confluence-core/src/director/ and
+#    crates/confluence-sched/src/, the stop and pause requests are read,
+#    and a close cascade is opened, in director/firing.rs only (everyone
+#    else asks `Run::boundary` or hands a `FiringOrder` to `Run::drive`),
+#    and there is one topological sort (one `indeg` table).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -152,8 +157,18 @@ if [ -n "$lifecycle_clock" ]; then
     status=1
 fi
 
+lifecycle=$(matches 'should_stop|pause_requested|quiescing|RunPhase::Close' $directors |
+    grep -v '^crates/confluence-core/src/director/firing.rs:' || true)
+if [ -n "$lifecycle" ]; then
+    echo "stop and pause are read, and the close cascade opened, in director/firing.rs only:" >&2
+    printf '%s\n' "$lifecycle" >&2
+    status=1
+fi
+once "the topological sort (indeg)" crates/confluence-core/src/director/firing.rs \
+    "$(matches 'indeg' $directors)"
+
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
         "one downstream table, one builder vocabulary, one watcher, one ready queue per actor," \
-        "one Linear Road topology, no clock in the pause"
+        "one Linear Road topology, no clock in the pause, one run loop, one topological sort"
 exit "$status"

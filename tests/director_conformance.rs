@@ -1,9 +1,10 @@
 //! What every director owes an observer, whatever its firing rule: each
 //! `prefire` call is a paired `on_fire_start` / `on_fire_end` (a refusal
-//! reports `fired: false`), and an actor's own shed reports reach the
-//! per-actor `events_shed` metric.
+//! reports `fired: false`), an actor's own shed reports reach the
+//! per-actor `events_shed` metric, and a stop winds down through every
+//! actor's `finish`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use confluence::core::actor::{Actor, FireContext, IoSignature, SdfRates};
@@ -19,7 +20,7 @@ use confluence::core::token::Token;
 use confluence::sched::cost::TableCostModel;
 use confluence::sched::policies::FifoScheduler;
 use confluence::sched::ScwfDirector;
-use confluence::{Engine, ExecConfig, Observer};
+use confluence::{Engine, ExecConfig, Observer, StopCondition};
 
 const TOKENS: i64 = 20;
 
@@ -124,6 +125,28 @@ fn pipeline() -> (Workflow, Arc<AtomicU64>) {
     b.link((s, "out"), (p, "in")).unwrap();
     b.link((p, "out"), (k, "in")).unwrap();
     (b.build().unwrap(), seen)
+}
+
+/// A rate-declaring sink that records whether its `finish` ran.
+struct FinishFlag(Arc<AtomicBool>);
+impl Actor for FinishFlag {
+    fn signature(&self) -> IoSignature {
+        IoSignature::sink("in")
+    }
+    fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
+        while ctx.get(0).is_some() {}
+        Ok(())
+    }
+    fn finish(&mut self, _ctx: &mut dyn FireContext) -> Result<()> {
+        self.0.store(true, Ordering::Relaxed);
+        Ok(())
+    }
+    fn rates(&self) -> Option<SdfRates> {
+        Some(SdfRates {
+            consume: vec![1],
+            produce: vec![],
+        })
+    }
 }
 
 #[derive(Default)]
@@ -235,5 +258,26 @@ fn actor_shed_reports_reach_the_metrics_under_every_director() {
         engine.run().unwrap();
         let fussy = engine.snapshot().actor("fussy").cloned().unwrap();
         assert_eq!(fussy.events_shed, TOKENS as u64 / 2, "{name}");
+    }
+}
+
+#[test]
+fn a_stop_finishes_every_actor_under_every_director() {
+    for (name, engine_for) in engines() {
+        let finished = Arc::new(AtomicBool::new(false));
+        let mut b = WorkflowBuilder::new("stop");
+        let s = b.add_actor("src", RatedSource((0..10_000).map(Token::Int).collect()));
+        let k = b.add_actor("sink", FinishFlag(finished.clone()));
+        b.link((s, "out"), (k, "in")).unwrap();
+        let mut engine = engine_for(b.build().unwrap());
+        engine.run_until(StopCondition::Firings(50)).unwrap();
+        assert!(
+            engine.snapshot().total_fires() < 10_000,
+            "{name}: the stop ended the run early"
+        );
+        assert!(
+            finished.load(Ordering::Relaxed),
+            "{name}: the sink's finish ran"
+        );
     }
 }
