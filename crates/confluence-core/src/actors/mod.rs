@@ -12,7 +12,6 @@ mod stream_ops;
 
 pub use stream_ops::{Dedup, Throttle};
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -30,15 +29,15 @@ use crate::window::Window;
 
 /// A source that emits a fixed sequence of tokens, one per firing.
 pub struct VecSource {
-    items: VecDeque<Token>,
+    items: Vec<Token>,
+    /// Index of the next token to emit.
+    next: usize,
 }
 
 impl VecSource {
     /// Source over the given tokens.
     pub fn new(items: Vec<Token>) -> Self {
-        VecSource {
-            items: items.into(),
-        }
+        VecSource { items, next: 0 }
     }
 }
 
@@ -48,18 +47,19 @@ impl Actor for VecSource {
     }
 
     fn prefire(&mut self, _ctx: &mut dyn FireContext) -> Result<bool> {
-        Ok(!self.items.is_empty())
+        Ok(self.next < self.items.len())
     }
 
     fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        if let Some(t) = self.items.pop_front() {
-            ctx.emit(0, t);
+        if let Some(t) = self.items.get(self.next) {
+            ctx.emit(0, t.clone());
+            self.next += 1;
         }
         Ok(())
     }
 
-    fn postfire(&mut self, _ctx: &mut dyn FireContext) -> Result<bool> {
-        Ok(!self.items.is_empty())
+    fn postfire(&mut self, ctx: &mut dyn FireContext) -> Result<bool> {
+        self.prefire(ctx)
     }
 
     fn is_source(&self) -> bool {
@@ -68,40 +68,81 @@ impl Actor for VecSource {
 
     fn next_arrival(&self) -> Option<Timestamp> {
         // A VecSource is "always ready": it asks to fire immediately.
-        if self.items.is_empty() {
-            None
-        } else {
-            Some(Timestamp::ZERO)
-        }
+        (self.next < self.items.len()).then_some(Timestamp::ZERO)
     }
 
     fn save_state(&self) -> Result<Option<Vec<u8>>> {
-        let mut e = crate::checkpoint::codec::Encoder::new();
-        e.u32(self.items.len() as u32);
-        for t in &self.items {
-            e.token(t);
-        }
-        Ok(Some(e.into_bytes()))
+        Ok(Some(save_offset(self.items.len(), self.next)))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut d = crate::checkpoint::codec::Decoder::new(bytes);
-        let n = d.u32()? as usize;
-        let mut items = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            items.push_back(d.token()?);
-        }
-        self.items = items;
+        self.next = restore_offset(bytes, self.items.len())?;
         Ok(())
+    }
+}
+
+/// A source's durable state: the length of its input and its read offset.
+/// The input itself is rebuilt with the workflow, as its actors are.
+fn save_offset(len: usize, next: usize) -> Vec<u8> {
+    let mut e = crate::checkpoint::codec::Encoder::new();
+    e.u64(len as u64);
+    e.u64(next as u64);
+    e.into_bytes()
+}
+
+/// The offset [`save_offset`] saved, checked against a rebuilt input of
+/// `len` entries. Only 16 bytes are accepted: the older remaining-stream
+/// state (a `u32` count, then each entry) is never that long.
+fn restore_offset(bytes: &[u8], len: usize) -> Result<usize> {
+    let mut d = crate::checkpoint::codec::Decoder::new(bytes);
+    let (saved_len, next) = (d.u64()?, d.u64()?);
+    if !d.is_exhausted() || saved_len != len as u64 || next > saved_len {
+        return Err(Error::Checkpoint(format!(
+            "source state ({} bytes, offset {next} of {saved_len}) does not fit an input of {len}",
+            bytes.len()
+        )));
+    }
+    Ok(next as usize)
+}
+
+/// An immutable arrival schedule that a [`TimedSource`] reads through a
+/// cursor: entry `i` arrives at `arrival(i)` and becomes `token(i)` only when
+/// it is released. Arrivals must not decrease; the source checks.
+pub trait Timetable: Send + Sync {
+    /// Number of entries.
+    fn len(&self) -> usize;
+    /// Whether there are no entries.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Arrival time of entry `i` (`i < len()`).
+    fn arrival(&self, i: usize) -> Timestamp;
+    /// The token entry `i` carries (`i < len()`).
+    fn token(&self, i: usize) -> Token;
+}
+
+impl Timetable for Vec<(Timestamp, Token)> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn arrival(&self, i: usize) -> Timestamp {
+        self[i].0
+    }
+
+    fn token(&self, i: usize) -> Token {
+        self[i].1.clone()
     }
 }
 
 /// A source driven by a timetable: each token carries the time at which it
 /// enters the workflow. This is how external data streams (e.g. the Linear
-/// Road position-report feed) are injected in virtual-time runs.
+/// Road position-report feed) are injected in virtual-time runs. Its
+/// checkpoint state is its offset into the timetable.
 pub struct TimedSource {
-    /// Remaining `(arrival, token)` pairs, ascending by arrival.
-    schedule: VecDeque<(Timestamp, Token)>,
+    timetable: Arc<dyn Timetable>,
+    /// Index of the next entry to release.
+    next: usize,
 }
 
 impl TimedSource {
@@ -109,14 +150,13 @@ impl TimedSource {
     /// time defensively.
     pub fn new(mut schedule: Vec<(Timestamp, Token)>) -> Self {
         schedule.sort_by_key(|(t, _)| *t);
-        TimedSource {
-            schedule: schedule.into(),
-        }
+        Self::over(Arc::new(schedule))
     }
 
-    /// How many events remain unreleased.
-    pub fn remaining(&self) -> usize {
-        self.schedule.len()
+    /// Source reading `timetable` from its first entry, unsorted: an
+    /// arrival below its predecessor fails the firing that reaches it.
+    pub fn over(timetable: Arc<dyn Timetable>) -> Self {
+        TimedSource { timetable, next: 0 }
     }
 }
 
@@ -126,27 +166,26 @@ impl Actor for TimedSource {
     }
 
     fn prefire(&mut self, ctx: &mut dyn FireContext) -> Result<bool> {
-        Ok(self
-            .schedule
-            .front()
-            .is_some_and(|(t, _)| *t <= ctx.now()))
+        Ok(self.next_arrival().is_some_and(|t| t <= ctx.now()))
     }
 
     fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
         // Release every event whose arrival time has passed.
-        while self
-            .schedule
-            .front()
-            .is_some_and(|(t, _)| *t <= ctx.now())
-        {
-            let (_, token) = self.schedule.pop_front().expect("checked front");
-            ctx.emit(0, token);
+        let tt = &*self.timetable;
+        while self.next_arrival().is_some_and(|t| t <= ctx.now()) {
+            let i = self.next;
+            if i > 0 && tt.arrival(i) < tt.arrival(i - 1) {
+                let msg = format!("timetable entry {i} arrives before entry {}", i - 1);
+                return Err(Error::actor("TimedSource", "fire", msg));
+            }
+            ctx.emit(0, tt.token(i));
+            self.next += 1;
         }
         Ok(())
     }
 
     fn postfire(&mut self, _ctx: &mut dyn FireContext) -> Result<bool> {
-        Ok(!self.schedule.is_empty())
+        Ok(self.next_arrival().is_some())
     }
 
     fn is_source(&self) -> bool {
@@ -154,28 +193,15 @@ impl Actor for TimedSource {
     }
 
     fn next_arrival(&self) -> Option<Timestamp> {
-        self.schedule.front().map(|(t, _)| *t)
+        (self.next < self.timetable.len()).then(|| self.timetable.arrival(self.next))
     }
 
     fn save_state(&self) -> Result<Option<Vec<u8>>> {
-        let mut e = crate::checkpoint::codec::Encoder::new();
-        e.u32(self.schedule.len() as u32);
-        for (at, t) in &self.schedule {
-            e.timestamp(*at);
-            e.token(t);
-        }
-        Ok(Some(e.into_bytes()))
+        Ok(Some(save_offset(self.timetable.len(), self.next)))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut d = crate::checkpoint::codec::Decoder::new(bytes);
-        let n = d.u32()? as usize;
-        let mut schedule = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let at = d.timestamp()?;
-            schedule.push_back((at, d.token()?));
-        }
-        self.schedule = schedule;
+        self.next = restore_offset(bytes, self.timetable.len())?;
         Ok(())
     }
 }
@@ -516,28 +542,22 @@ impl Actor for CollectorActor {
     }
 
     fn save_state(&self) -> Result<Option<Vec<u8>>> {
-        let items = self.items.lock();
         let mut e = crate::checkpoint::codec::Encoder::new();
-        e.u32(items.len() as u32);
-        for c in items.iter() {
+        e.seq(self.items.lock().iter(), |e, c| {
             e.timestamp(c.received_at);
             e.event(&c.event);
-        }
+        });
         Ok(Some(e.into_bytes()))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = crate::checkpoint::codec::Decoder::new(bytes);
-        let n = d.u32()? as usize;
-        let mut restored = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let received_at = d.timestamp()?;
-            restored.push(Collected {
-                received_at,
+        *self.items.lock() = d.seq(|d| {
+            Ok(Collected {
+                received_at: d.timestamp()?,
                 event: d.event()?,
-            });
-        }
-        *self.items.lock() = restored;
+            })
+        })?;
         Ok(())
     }
 }
@@ -570,7 +590,6 @@ mod tests {
             (Timestamp(20), Token::Int(2)),
         ]);
         assert_eq!(s.next_arrival(), Some(Timestamp(10)));
-        assert_eq!(s.remaining(), 3);
         let mut ctx = MockContext::new(0).at(Timestamp(5));
         assert!(!s.prefire(&mut ctx).unwrap(), "nothing due yet");
         ctx.set_now(Timestamp(20));
@@ -582,6 +601,112 @@ mod tests {
         ctx.set_now(Timestamp(30));
         s.fire(&mut ctx).unwrap();
         assert!(!s.postfire(&mut ctx).unwrap());
+    }
+
+    fn three_timed() -> TimedSource {
+        TimedSource::new(vec![
+            (Timestamp(10), Token::Int(1)),
+            (Timestamp(20), Token::Int(2)),
+            (Timestamp(30), Token::Int(3)),
+        ])
+    }
+
+    fn is_checkpoint_error(r: Result<()>) -> bool {
+        matches!(r, Err(Error::Checkpoint(_)))
+    }
+
+    #[test]
+    fn timed_source_state_is_its_offset() {
+        let mut s = three_timed();
+        let mut ctx = MockContext::new(0).at(Timestamp(10));
+        s.fire(&mut ctx).unwrap();
+        let saved = s.save_state().unwrap().unwrap();
+        assert_eq!(saved.len(), 16, "(len, next), whatever the stream holds");
+
+        let mut resumed = three_timed();
+        resumed.restore_state(&saved).unwrap();
+        assert_eq!(resumed.next, 1);
+        assert_eq!(resumed.next_arrival(), Some(Timestamp(20)));
+        let mut ctx = MockContext::new(0).at(Timestamp(30));
+        resumed.fire(&mut ctx).unwrap();
+        assert_eq!(ctx.emitted_on(0), vec![Token::Int(2), Token::Int(3)]);
+    }
+
+    #[test]
+    fn vec_source_state_is_its_offset() {
+        let items = vec![Token::Int(1), Token::Int(2), Token::Int(3)];
+        let mut s = VecSource::new(items.clone());
+        let mut ctx = MockContext::new(0);
+        s.fire(&mut ctx).unwrap();
+        let saved = s.save_state().unwrap().unwrap();
+        assert_eq!(saved, save_offset(3, 1));
+
+        let mut resumed = VecSource::new(items);
+        resumed.restore_state(&saved).unwrap();
+        let mut ctx = MockContext::new(0);
+        while resumed.prefire(&mut ctx).unwrap() {
+            resumed.fire(&mut ctx).unwrap();
+        }
+        assert_eq!(ctx.emitted_on(0), vec![Token::Int(2), Token::Int(3)]);
+    }
+
+    #[test]
+    fn source_state_for_another_length_is_a_checkpoint_error() {
+        let saved = three_timed().save_state().unwrap().unwrap();
+        let mut shorter = TimedSource::new(vec![(Timestamp(10), Token::Int(1))]);
+        assert!(is_checkpoint_error(shorter.restore_state(&saved)));
+        assert_eq!(shorter.next, 0, "a refused state leaves the source alone");
+        let mut v = VecSource::new(vec![Token::Int(1), Token::Int(2)]);
+        assert!(is_checkpoint_error(v.restore_state(&saved)));
+    }
+
+    #[test]
+    fn source_offset_past_the_end_is_a_checkpoint_error() {
+        let past = save_offset(3, 4);
+        assert!(is_checkpoint_error(three_timed().restore_state(&past)));
+        let mut v = VecSource::new(vec![Token::Int(1), Token::Int(2), Token::Int(3)]);
+        assert!(is_checkpoint_error(v.restore_state(&past)));
+        v.restore_state(&save_offset(3, 3)).unwrap();
+        assert_eq!(v.next_arrival(), None, "an offset at the end is drained");
+    }
+
+    #[test]
+    fn truncated_source_state_is_a_checkpoint_error() {
+        let saved = save_offset(3, 1);
+        for cut in 0..saved.len() {
+            let cut_short = three_timed().restore_state(&saved[..cut]);
+            assert!(is_checkpoint_error(cut_short), "{cut} bytes");
+        }
+        let mut longer = saved.clone();
+        longer.push(0);
+        assert!(is_checkpoint_error(three_timed().restore_state(&longer)));
+    }
+
+    #[test]
+    fn remaining_stream_state_of_the_old_format_is_a_checkpoint_error() {
+        // `three_timed()` after firing at t=10, saved by the format that
+        // encoded the remaining stream: u32 count, then (timestamp, token)
+        // pairs.
+        let old: [u8; 38] = [
+            2, 0, 0, 0, 20, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 30, 0, 0, 0, 0, 0, 0,
+            0, 2, 3, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        let mut s = three_timed();
+        assert!(is_checkpoint_error(s.restore_state(&old)));
+        assert_eq!(s.next, 0);
+    }
+
+    #[test]
+    fn a_timetable_arrival_below_its_predecessor_fails_the_firing() {
+        let unsorted: Vec<(Timestamp, Token)> = vec![
+            (Timestamp(10), Token::Int(1)),
+            (Timestamp(5), Token::Int(2)),
+        ];
+        let mut s = TimedSource::over(Arc::new(unsorted));
+        let mut ctx = MockContext::new(0).at(Timestamp(10));
+        let fired = s.fire(&mut ctx);
+        assert!(matches!(fired, Err(Error::Actor { stage: "fire", .. })));
+        assert_eq!(ctx.emitted_on(0), vec![Token::Int(1)], "released before");
     }
 
     #[test]

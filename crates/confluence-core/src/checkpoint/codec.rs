@@ -99,6 +99,17 @@ impl Encoder {
         self.bytes(v.as_bytes());
     }
 
+    /// Write a `u32` count, then each item with `put`.
+    pub fn seq<I>(&mut self, items: I, mut put: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.u32(items.len() as u32);
+        items.for_each(|item| put(self, item));
+    }
+
     /// Write a [`Timestamp`].
     pub fn timestamp(&mut self, t: Timestamp) {
         self.u64(t.0);
@@ -139,10 +150,7 @@ impl Encoder {
             }
             Token::Array(items) => {
                 self.u8(6);
-                self.u32(items.len() as u32);
-                for item in items.iter() {
-                    self.token(item);
-                }
+                self.seq(items.iter(), Self::token);
             }
         }
     }
@@ -150,11 +158,10 @@ impl Encoder {
     /// Write a [`WaveTag`] (origin + per-level steps).
     pub fn wave(&mut self, w: &WaveTag) {
         self.timestamp(w.origin());
-        self.u32(w.path().len() as u32);
-        for step in w.path() {
-            self.u32(step.index);
-            self.bool(step.last);
-        }
+        self.seq(w.path(), |e, step| {
+            e.u32(step.index);
+            e.bool(step.last);
+        });
     }
 
     /// Write a [`CwEvent`] (token + timestamp + wave lineage).
@@ -167,10 +174,7 @@ impl Encoder {
     /// Write a formed [`Window`].
     pub fn window(&mut self, w: &Window) {
         self.token(&w.group);
-        self.u32(w.events.len() as u32);
-        for e in &w.events {
-            self.event(e);
-        }
+        self.seq(&w.events, Self::event);
         self.timestamp(w.formed_at);
         self.bool(w.timed_out);
     }
@@ -301,6 +305,16 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Read a `u32` count, then that many items with `get`.
+    pub fn seq<T>(&mut self, mut get: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let n = self.u32()? as usize;
+        let mut items = Vec::with_capacity(self.reserve(n));
+        for _ in 0..n {
+            items.push(get(self)?);
+        }
+        Ok(items)
+    }
+
     /// How many elements to reserve room for when the input announces
     /// `n`: no more than the bytes left could hold, whatever it claims.
     fn reserve(&self, n: usize) -> usize {
@@ -338,12 +352,7 @@ impl<'a> Decoder<'a> {
     }
 
     fn array(&mut self) -> Result<Token> {
-        let n = self.u32()? as usize;
-        let mut items = Vec::with_capacity(self.reserve(n));
-        for _ in 0..n {
-            items.push(self.token()?);
-        }
-        Ok(Token::array(items))
+        Ok(Token::array(self.seq(Self::token)?))
     }
 
     /// Read a [`WaveTag`].
@@ -376,19 +385,11 @@ impl<'a> Decoder<'a> {
 
     /// Read a formed [`Window`].
     pub fn window(&mut self) -> Result<Window> {
-        let group = self.token()?;
-        let n = self.u32()? as usize;
-        let mut events = Vec::with_capacity(self.reserve(n));
-        for _ in 0..n {
-            events.push(self.event()?);
-        }
-        let formed_at = self.timestamp()?;
-        let timed_out = self.bool()?;
         Ok(Window {
-            group,
-            events,
-            formed_at,
-            timed_out,
+            group: self.token()?,
+            events: self.seq(Self::event)?,
+            formed_at: self.timestamp()?,
+            timed_out: self.bool()?,
         })
     }
 }

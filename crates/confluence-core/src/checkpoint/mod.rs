@@ -3,7 +3,10 @@
 //! A checkpoint captures everything a continuous workflow needs to resume
 //! mid-stream and *reconverge* on the uninterrupted run's results:
 //!
-//! * per-actor durable state ([`crate::actor::Actor::save_state`]);
+//! * per-actor durable state ([`crate::actor::Actor::save_state`]). A
+//!   source's is its offset into an input that recovery rebuilds with the
+//!   workflow ([`crate::actors::TimedSource`], [`crate::actors::VecSource`]),
+//!   so it does not grow with the stream;
 //! * the fabric's in-flight data — windows queued in actor inboxes and
 //!   partial windows buffered inside each port's window operator
 //!   ([`FabricState`]);
@@ -85,22 +88,6 @@ pub struct FabricState {
     pub actors: Vec<ActorFabricState>,
 }
 
-fn encode_events(e: &mut Encoder, events: &[crate::event::CwEvent]) {
-    e.u32(events.len() as u32);
-    for ev in events {
-        e.event(ev);
-    }
-}
-
-fn decode_events(d: &mut Decoder<'_>) -> Result<Vec<crate::event::CwEvent>> {
-    let n = d.u32()? as usize;
-    let mut events = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        events.push(d.event()?);
-    }
-    Ok(events)
-}
-
 fn encode_group(e: &mut Encoder, g: &GroupSnapshot) {
     match g {
         GroupSnapshot::Tuples {
@@ -112,7 +99,7 @@ fn encode_group(e: &mut Encoder, g: &GroupSnapshot) {
         } => {
             e.u8(0);
             e.token(key);
-            encode_events(e, events);
+            e.seq(events, Encoder::event);
             e.u64(*front_seq);
             e.u64(*next_seq);
             e.u64(*next_start);
@@ -125,14 +112,14 @@ fn encode_group(e: &mut Encoder, g: &GroupSnapshot) {
         } => {
             e.u8(1);
             e.token(key);
-            encode_events(e, events);
+            e.seq(events, Encoder::event);
             e.u64(*watermark);
             e.u64(*next_k);
         }
         GroupSnapshot::Wave { key, events } => {
             e.u8(2);
             e.token(key);
-            encode_events(e, events);
+            e.seq(events, Encoder::event);
         }
     }
 }
@@ -141,7 +128,7 @@ fn decode_group(d: &mut Decoder<'_>) -> Result<GroupSnapshot> {
     match d.u8()? {
         0 => {
             let key = d.token()?;
-            let events = decode_events(d)?;
+            let events = d.seq(Decoder::event)?;
             Ok(GroupSnapshot::Tuples {
                 key,
                 events,
@@ -152,7 +139,7 @@ fn decode_group(d: &mut Decoder<'_>) -> Result<GroupSnapshot> {
         }
         1 => {
             let key = d.token()?;
-            let events = decode_events(d)?;
+            let events = d.seq(Decoder::event)?;
             Ok(GroupSnapshot::Time {
                 key,
                 events,
@@ -162,7 +149,7 @@ fn decode_group(d: &mut Decoder<'_>) -> Result<GroupSnapshot> {
         }
         2 => Ok(GroupSnapshot::Wave {
             key: d.token()?,
-            events: decode_events(d)?,
+            events: d.seq(Decoder::event)?,
         }),
         tag => Err(Error::Checkpoint(format!("unknown group snapshot tag {tag}"))),
     }
@@ -284,7 +271,7 @@ impl Checkpoint {
                 for window in &op.ready {
                     put_frame(w, &mut e, |e| e.window(window))?;
                 }
-                put_frame(w, &mut e, |e| encode_events(e, &op.expired))?;
+                put_frame(w, &mut e, |e| e.seq(&op.expired, Encoder::event))?;
             }
         }
         put_named(w, &self.resources)
@@ -320,7 +307,7 @@ impl Checkpoint {
                         Ok(OperatorSnapshot {
                             groups: r.seq(|r| r.frame(decode_group))?,
                             ready: r.seq(|r| r.frame(|d| d.window()))?,
-                            expired: r.frame(decode_events)?,
+                            expired: r.frame(|d| d.seq(Decoder::event))?,
                         })
                     })?,
                 })

@@ -48,6 +48,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::actor::{Actor, FireContext, IoSignature};
+use crate::checkpoint::codec::{Decoder, Encoder};
 use crate::error::{Error, Result};
 use crate::time::Timestamp;
 use crate::token::{Schema, Token};
@@ -205,7 +206,7 @@ impl Actor for ShardSplitter {
     }
 
     fn save_state(&self) -> Result<Option<Vec<u8>>> {
-        let mut e = crate::checkpoint::codec::Encoder::new();
+        let mut e = Encoder::new();
         e.i64(self.seq);
         e.u32(self.advertised.len() as u32);
         for a in &self.advertised {
@@ -215,7 +216,7 @@ impl Actor for ShardSplitter {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut d = crate::checkpoint::codec::Decoder::new(bytes);
+        let mut d = Decoder::new(bytes);
         self.seq = d.i64()?;
         let n = d.u32()? as usize;
         if n != self.replicas {
@@ -518,34 +519,26 @@ impl Actor for OrderedMerge {
     }
 
     fn save_state(&self) -> Result<Option<Vec<u8>>> {
-        let mut e = crate::checkpoint::codec::Encoder::new();
+        let mut e = Encoder::new();
         e.u32(self.replicas as u32);
         for r in 0..self.replicas {
-            e.u32(self.bufs[r].len() as u32);
-            for t in &self.bufs[r] {
-                e.token(t);
-            }
-            e.u32(self.acks[r].len() as u32);
-            for (seq, count) in &self.acks[r] {
-                e.i64(*seq);
-                e.u32(*count as u32);
-            }
+            e.seq(&self.bufs[r], Encoder::token);
+            e.seq(&self.acks[r], |e, &(seq, count)| {
+                e.i64(seq);
+                e.u32(count as u32);
+            });
             e.i64(self.watermark[r]);
         }
-        e.u32(self.ready.len() as u32);
-        for (seq, group) in &self.ready {
+        e.seq(&self.ready, |e, (seq, group)| {
             e.i64(*seq);
-            e.u32(group.len() as u32);
-            for t in group {
-                e.token(t);
-            }
-        }
+            e.seq(group, Encoder::token);
+        });
         e.i64(self.released);
         Ok(Some(e.into_bytes()))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut d = crate::checkpoint::codec::Decoder::new(bytes);
+        let mut d = Decoder::new(bytes);
         let n = d.u32()? as usize;
         if n != self.replicas {
             return Err(Error::Checkpoint(format!(
@@ -554,33 +547,12 @@ impl Actor for OrderedMerge {
             )));
         }
         for r in 0..n {
-            let k = d.u32()? as usize;
-            let mut buf = VecDeque::with_capacity(k.min(1 << 16));
-            for _ in 0..k {
-                buf.push_back(d.token()?);
-            }
-            self.bufs[r] = buf;
-            let k = d.u32()? as usize;
-            let mut acks = VecDeque::with_capacity(k.min(1 << 16));
-            for _ in 0..k {
-                let seq = d.i64()?;
-                acks.push_back((seq, d.u32()? as usize));
-            }
-            self.acks[r] = acks;
+            self.bufs[r] = d.seq(Decoder::token)?.into();
+            self.acks[r] = d.seq(|d| Ok((d.i64()?, d.u32()? as usize)))?.into();
             self.watermark[r] = d.i64()?;
         }
-        let k = d.u32()? as usize;
-        let mut ready = BTreeMap::new();
-        for _ in 0..k {
-            let seq = d.i64()?;
-            let g = d.u32()? as usize;
-            let mut group = Vec::with_capacity(g.min(1 << 16));
-            for _ in 0..g {
-                group.push(d.token()?);
-            }
-            ready.insert(seq, group);
-        }
-        self.ready = ready;
+        let ready = d.seq(|d| Ok((d.i64()?, d.seq(Decoder::token)?)))?;
+        self.ready = ready.into_iter().collect();
         self.released = d.i64()?;
         Ok(())
     }

@@ -501,29 +501,24 @@ impl Actor for NotificationSink {
     }
 
     fn save_state(&self) -> Result<Option<Vec<u8>>> {
-        let items = self.items.lock();
         let mut e = confluence_core::checkpoint::codec::Encoder::new();
-        e.u32(items.len() as u32);
-        for i in items.iter() {
+        e.seq(self.items.lock().iter(), |e, i| {
             e.timestamp(i.at);
             e.micros(i.latency);
             e.token(&i.token);
-        }
+        });
         Ok(Some(e.into_bytes()))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = confluence_core::checkpoint::codec::Decoder::new(bytes);
-        let n = d.u32()? as usize;
-        let mut items = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            items.push(NotifiedItem {
+        *self.items.lock() = d.seq(|d| {
+            Ok(NotifiedItem {
                 at: d.timestamp()?,
                 latency: d.micros()?,
                 token: d.token()?,
-            });
-        }
-        *self.items.lock() = items;
+            })
+        })?;
         Ok(())
     }
 }

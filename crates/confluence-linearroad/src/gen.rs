@@ -11,11 +11,10 @@
 //! the accident-detection pipeline keys on). See
 //! DESIGN.md, "Substitutions".
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use confluence_core::time::Timestamp;
-use confluence_core::token::Token;
 
 use crate::model::{PositionReport, EXIT_LANE, REPORT_INTERVAL_SECS, SEGMENTS, SEGMENT_FEET};
 
@@ -91,8 +90,9 @@ impl WorkloadConfig {
 /// A generated workload: the position-report stream plus bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// All reports, ascending by time (ties by car id).
-    pub reports: Vec<PositionReport>,
+    /// All reports, ascending by time (ties by car id). Shared: a built
+    /// workflow's source reads them in place.
+    pub reports: Arc<[PositionReport]>,
     /// The configuration that produced it.
     pub config: WorkloadConfig,
 }
@@ -225,22 +225,17 @@ impl Workload {
         }
 
         reports.sort_by_key(|r| (r.time, r.carid));
-        Workload { reports, config }
-    }
-
-    /// The arrival schedule for a [`confluence_core::actors::TimedSource`].
-    pub fn schedule(&self) -> Vec<(Timestamp, Token)> {
-        self.reports
-            .iter()
-            .map(|r| (r.arrival(), r.to_token()))
-            .collect()
+        Workload {
+            reports: reports.into(),
+            config,
+        }
     }
 
     /// Input rate in updates/second, averaged over `bucket_secs` buckets —
     /// the series plotted in Figure 5.
     pub fn rate_series(&self, bucket_secs: u64) -> Vec<(u64, f64)> {
         let mut counts: Vec<u64> = Vec::new();
-        for r in &self.reports {
+        for r in self.reports.iter() {
             let b = r.time as u64 / bucket_secs;
             if counts.len() <= b as usize {
                 counts.resize(b as usize + 1, 0);
@@ -283,7 +278,7 @@ mod tests {
         for pair in w.reports.windows(2) {
             assert!(pair[0].time <= pair[1].time);
         }
-        for r in &w.reports {
+        for r in w.reports.iter() {
             assert!(r.time >= 0 && r.time <= 180);
             assert!((0..SEGMENTS).contains(&r.seg));
             assert!(r.pos >= 0 && r.pos < SEGMENTS * SEGMENT_FEET);
@@ -352,7 +347,7 @@ mod tests {
         let w = Workload::generate(WorkloadConfig::paper());
         // Mean speed inside the band is jammed; outside it flows.
         let (mut in_sum, mut in_n, mut out_sum, mut out_n) = (0.0, 0u64, 0.0, 0u64);
-        for r in &w.reports {
+        for r in w.reports.iter() {
             if HOT_BAND.contains(&r.seg) {
                 in_sum += r.speed;
                 in_n += 1;
@@ -369,7 +364,7 @@ mod tests {
         // in the run.
         use std::collections::{HashMap, HashSet};
         let mut cars: HashMap<(i64, i64, i64), HashSet<i64>> = HashMap::new();
-        for r in &w.reports {
+        for r in w.reports.iter() {
             if HOT_BAND.contains(&r.seg) && r.time >= 300 {
                 cars.entry((r.dir, r.seg, r.minute()))
                     .or_default()

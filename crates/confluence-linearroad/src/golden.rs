@@ -55,7 +55,7 @@ impl GoldenResult {
 
 /// Compute the reference outputs for a workload.
 pub fn compute(workload: &Workload) -> GoldenResult {
-    let reports = &workload.reports;
+    let reports = &*workload.reports;
 
     // --- Segment statistics (exact, per minute) ---------------------------
     // (xway, dir, seg, minute) → per-car speed sums and counts.

@@ -13,8 +13,10 @@
 //! language ([`spec_text`]); [`build`] registers the domain actors and
 //! parses it.
 
+use std::sync::Arc;
+
 use confluence_core::actor::{Actor, IoSignature};
-use confluence_core::actors::{Collector, FnActor, TimedSource};
+use confluence_core::actors::{Collector, FnActor, TimedSource, Timetable};
 use confluence_core::director::composite::{CompositeActor, InjectHandle, InnerDirector};
 use confluence_core::error::{Error, Result};
 use confluence_core::graph::{Workflow, WorkflowBuilder};
@@ -32,6 +34,7 @@ use crate::actors::{
     TollCalculator,
 };
 use crate::gen::Workload;
+use crate::model::PositionReport;
 use crate::tables;
 
 /// Construction options.
@@ -169,6 +172,24 @@ pub fn spec_text(opts: &LrOptions) -> String {
     )
 }
 
+/// The reports as the source's [`Timetable`], arrivals divided by
+/// `arrival_speedup`: a report becomes a token when it is released.
+struct Feed(Arc<[PositionReport]>, u64);
+
+impl Timetable for Feed {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn arrival(&self, i: usize) -> Timestamp {
+        Timestamp(self.0[i].arrival().as_micros() / self.1)
+    }
+
+    fn token(&self, i: usize) -> Token {
+        self.0[i].to_token()
+    }
+}
+
 /// Build the Linear Road workflow over a generated workload: register the
 /// domain actors, with the options they depend on, and parse
 /// [`spec_text`].
@@ -179,13 +200,8 @@ pub fn build(workload: &Workload, opts: &LrOptions) -> Result<LinearRoad> {
     let accident_output = NotificationOutput::new();
     let mut reg = ActorRegistry::new();
 
-    let mut schedule = workload.schedule();
-    if opts.arrival_speedup > 1 {
-        for (at, _) in &mut schedule {
-            *at = Timestamp(at.as_micros() / opts.arrival_speedup);
-        }
-    }
-    reg.register("position_feed", once(TimedSource::new(schedule)));
+    let feed = Feed(workload.reports.clone(), opts.arrival_speedup.max(1));
+    reg.register("position_feed", once(TimedSource::over(Arc::new(feed))));
     let shedder = opts.shed_target.map(|target| {
         let (shed, handle) = LoadShedder::new(target);
         reg.register("load_shedder", once(shed));

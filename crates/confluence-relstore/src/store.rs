@@ -137,10 +137,7 @@ impl CheckpointResource for StoreHandle {
                 e.str(name);
                 e.u32(table.len() as u32);
                 for row in table.iter() {
-                    e.u32(row.len() as u32);
-                    for v in row {
-                        encode_value(&mut e, v);
-                    }
+                    e.seq(row, encode_value);
                 }
             }
             Ok(e.into_bytes())
@@ -157,12 +154,7 @@ impl CheckpointResource for StoreHandle {
                 table.clear();
                 let rows = d.u32()?;
                 for _ in 0..rows {
-                    let cells = d.u32()? as usize;
-                    let mut row = Vec::with_capacity(cells.min(1 << 12));
-                    for _ in 0..cells {
-                        row.push(decode_value(&mut d)?);
-                    }
-                    table.insert(row)?;
+                    table.insert(d.seq(decode_value)?)?;
                 }
             }
             Ok(())
