@@ -38,11 +38,6 @@ impl IndexStats {
         }
     }
 
-    /// Drop everything (table clear / compaction rebuild).
-    pub fn clear(&mut self) {
-        *self = IndexStats::default();
-    }
-
     /// Expected entries under one key: the planner's estimate of how many
     /// rows an equality probe returns. Zero for an empty index.
     pub fn avg_bucket(&self) -> f64 {
@@ -92,9 +87,7 @@ mod tests {
         s.on_remove(false);
         s.on_remove(true);
         assert_eq!(s, IndexStats { entries: 1, distinct_keys: 1 });
-        s.clear();
-        assert_eq!(s, IndexStats::default());
-        assert_eq!(s.avg_bucket(), 0.0);
+        assert_eq!(IndexStats::default().avg_bucket(), 0.0);
     }
 
     #[test]

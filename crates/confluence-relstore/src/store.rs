@@ -6,7 +6,7 @@
 //! store, exactly as the paper's implementation shares one relational
 //! database.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -22,7 +22,7 @@ use crate::value::Value;
 /// An in-memory relational store.
 #[derive(Debug, Default)]
 pub struct Store {
-    tables: HashMap<String, Table>,
+    tables: BTreeMap<String, Table>,
 }
 
 impl Store {
@@ -54,7 +54,7 @@ impl Store {
             .ok_or_else(|| Error::Store(format!("unknown table `{name}`")))
     }
 
-    /// Names of all tables (unordered).
+    /// Names of all tables, sorted by name.
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.keys().map(|s| s.as_str()).collect()
     }
@@ -128,12 +128,9 @@ fn decode_value(d: &mut Decoder<'_>) -> Result<Value> {
 impl CheckpointResource for StoreHandle {
     fn save(&self) -> Result<Vec<u8>> {
         self.read(|s| {
-            let mut names = s.table_names();
-            names.sort_unstable();
             let mut e = Encoder::new();
-            e.u32(names.len() as u32);
-            for name in names {
-                let table = s.table(name)?;
+            e.u32(s.tables.len() as u32);
+            for (name, table) in &s.tables {
                 e.str(name);
                 e.u32(table.len() as u32);
                 for row in table.iter() {
@@ -144,19 +141,23 @@ impl CheckpointResource for StoreHandle {
         })
     }
 
+    /// All or nothing: every table is refilled beside the one it replaces,
+    /// and none takes its place unless the whole snapshot decoded and
+    /// inserted cleanly.
     fn restore(&self, bytes: &[u8]) -> Result<()> {
         self.write(|s| {
             let mut d = Decoder::new(bytes);
             let tables = d.u32()?;
+            let mut refilled = Vec::new();
             for _ in 0..tables {
                 let name = d.str()?;
-                let table = s.table_mut(name)?;
-                table.clear();
-                let rows = d.u32()?;
-                for _ in 0..rows {
+                let mut table = s.table(name)?.empty_like();
+                for _ in 0..d.u32()? {
                     table.insert(d.seq(decode_value)?)?;
                 }
+                refilled.push((name.to_string(), table));
             }
+            s.tables.extend(refilled);
             Ok(())
         })
     }
@@ -274,6 +275,51 @@ mod tests {
         assert_eq!(rows.unwrap()[0][0], Value::str("ünï"));
         let x = h2.read(|s| s.table("mixed").unwrap().get(&[Value::str("alpha")]).unwrap()[2].clone());
         assert_eq!(x, Value::Float(1.5));
+    }
+
+    #[test]
+    fn a_failed_restore_leaves_the_store_as_it_was() {
+        let fill = |h: &StoreHandle, ids: std::ops::Range<i64>| {
+            h.write(|s| {
+                let t = s.table_mut("t")?;
+                t.create_index(&["v"])?;
+                ids.into_iter().try_for_each(|id| t.insert(vec![id.into(), (id % 7).into()]))
+            })
+            .unwrap();
+        };
+        let h = StoreHandle::new();
+        h.write(|s| s.create_table("t", schema())).unwrap();
+        fill(&h, 0..100);
+        let snapshot = h.save().unwrap();
+        // The store a failed restore must not touch: other rows, same DDL.
+        let target = StoreHandle::new();
+        target.write(|s| s.create_table("t", schema())).unwrap();
+        fill(&target, 500..505);
+        let before = target.save().unwrap();
+        // Hand-made snapshots: one table a snapshot of `rows`, then `extra` names.
+        let snapshot_of = |rows: &[[i64; 2]], extra: &[&str]| {
+            let mut e = Encoder::new();
+            e.u32(1 + extra.len() as u32);
+            e.str("t");
+            e.u32(rows.len() as u32);
+            for row in rows {
+                e.seq(&row.map(Value::Int), encode_value);
+            }
+            for name in extra {
+                e.str(name);
+                e.u32(0);
+            }
+            e.into_bytes()
+        };
+        let truncated = &snapshot[..snapshot.len() / 2];
+        let duplicate_key = snapshot_of(&[[1, 10], [2, 20], [1, 11]], &[]);
+        let unknown_table = snapshot_of(&[[1, 10]], &["zz"]);
+        for bad in [truncated, &duplicate_key, &unknown_table] {
+            assert!(target.restore(bad).is_err());
+            assert_eq!(target.save().unwrap(), before);
+        }
+        target.restore(&snapshot).unwrap();
+        assert_eq!(target.save().unwrap(), snapshot);
     }
 
     #[test]

@@ -130,14 +130,13 @@ impl Partitions {
         }
     }
 
-    fn buckets(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        self.slab.iter().filter(|b| !b.is_empty()).map(Vec::as_slice)
+    /// No buckets, over the same columns.
+    fn empty_like(&self) -> Partitions {
+        Partitions { cols: self.cols.clone(), ..Partitions::default() }
     }
 
-    fn clear(&mut self) {
-        self.dir.clear();
-        self.slab.clear();
-        self.free.clear();
+    fn buckets(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.slab.iter().filter(|b| !b.is_empty()).map(Vec::as_slice)
     }
 }
 
@@ -221,8 +220,12 @@ impl OrderedIndex {
         let col = self.range_col;
         let key = range_key(rows, col, pos);
         let part = self.parts.entry(rows, pos);
-        // Minutes and times arrive ascending, so this is nearly always a push.
-        let at = part.partition_point(|&p| range_key(rows, col, p) < key);
+        // Minutes and times arrive ascending, so this is nearly always a
+        // push, and the last row alone says so.
+        let at = match part.last() {
+            Some(&last) if range_key(rows, col, last) < key => part.len(),
+            _ => part.partition_point(|&p| range_key(rows, col, p) < key),
+        };
         self.stats.on_insert(!run_touches(rows, col, part, at, key.0));
         part.insert(at, pos);
     }
@@ -528,22 +531,23 @@ impl Table {
         Ok(found.is_some())
     }
 
+    /// A table with this one's schema and index definitions and no rows.
+    pub(crate) fn empty_like(&self) -> Table {
+        let stats = IndexStats::default();
+        let secondary = self.secondary.iter().map(|i| {
+            SecondaryIndex { label: i.label.clone(), parts: i.parts.empty_like(), stats }
+        });
+        let ordered = self.ordered.iter().map(|i| {
+            OrderedIndex { label: i.label.clone(), parts: i.parts.empty_like(), stats, ..*i }
+        });
+        let (secondary, ordered) = (secondary.collect(), ordered.collect());
+        Table { secondary, ordered, ..Table::new(self.schema.clone()) }
+    }
+
     /// Remove every row, keeping the schema and the index *definitions*
-    /// (their contents are emptied). Checkpoint recovery clears a table
-    /// before re-inserting the snapshotted rows.
+    /// (their contents are emptied).
     pub fn clear(&mut self) {
-        self.rows.cells.clear();
-        self.rows.alive.clear();
-        self.live = 0;
-        self.pk.clear();
-        for idx in &mut self.secondary {
-            idx.parts.clear();
-            idx.stats.clear();
-        }
-        for idx in &mut self.ordered {
-            idx.parts.clear();
-            idx.stats.clear();
-        }
+        *self = self.empty_like();
     }
 
     /// Point lookup by primary key.
@@ -973,12 +977,8 @@ impl Table {
         if dead < 64 || dead < self.live {
             return;
         }
-        let old = Rows {
-            cells: std::mem::take(&mut self.rows.cells),
-            alive: std::mem::take(&mut self.rows.alive),
-            width: self.rows.width,
-        };
-        self.clear();
+        // Only the old rows stay: the old indexes go before the new fill.
+        let Table { rows: old, .. } = std::mem::replace(self, self.empty_like());
         for pos in old.positions() {
             self.append(old.row(pos).to_vec()).expect("fewer rows than before");
         }
@@ -1665,6 +1665,85 @@ mod tests {
         assert_eq!(top(Order::Asc, 5), vec![0, 3, 6, 4, 7]);
         assert_eq!(top(Order::Desc, 6), vec![1, 2, 5, 8, 4, 7]);
         assert_eq!(top(Order::Desc, 0), Vec::<i64>::new());
+    }
+
+    #[test]
+    fn ordered_insert_pushes_or_searches_and_both_agree_with_a_scan() {
+        use std::ops::RangeBounds;
+        let schema = Schema::builder()
+            .column("k", ValueType::Int)
+            .column("g", ValueType::Int)
+            .column("v", ValueType::Float)
+            .primary_key(&["k"])
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        t.create_index(&["g"]).unwrap();
+        t.create_ordered_index(&["g"], "v").unwrap();
+        // Every range answer is the scan's, and the statistics a recount.
+        let check = |t: &Table| {
+            let values: [Value; 7] = [(-2).into(), 0.into(), 1.into(), 2.5.into(), 3.into(), 3.0.into(), 10.into()];
+            let bounds = || values.iter().flat_map(|v| [Bound::Included(v), Bound::Excluded(v)].map(|b| b.cloned()));
+            let rows_of = |node: &PlanNode| -> Vec<&[Value]> {
+                t.access_positions(node).into_iter().map(|p| t.row_at(p)).collect()
+            };
+            for g in 0..4i64 {
+                let (label, key) = (t.secondary[0].label.clone(), vec![Value::Int(g)]);
+                let node = PlanNode::IndexEq { index: IndexRef::Secondary(0), label, key };
+                let scan: Vec<&[Value]> = t.iter().filter(|r| r[1] == Value::Int(g)).collect();
+                assert_eq!(rows_of(&node), scan, "{node}");
+                for (lo, hi) in bounds().flat_map(|lo| bounds().map(move |hi| (lo.clone(), hi))) {
+                    let hits = |r: &&[Value]| {
+                        r[1] == Value::Int(g) && (lo.as_ref(), hi.as_ref()).contains(&r[2])
+                    };
+                    let scan: Vec<&[Value]> = t.iter().filter(hits).collect();
+                    let (label, eq_key) = (t.ordered[0].label.clone(), vec![Value::Int(g)]);
+                    let node = PlanNode::IndexRange { index: 0, label, eq_key, lo, hi };
+                    assert_eq!(rows_of(&node), scan, "{node}");
+                }
+            }
+            let mut pairs: Vec<(Value, Value)> = t.iter().map(|r| (r[1].clone(), r[2].clone())).collect();
+            pairs.sort();
+            pairs.dedup();
+            let mut groups: Vec<Value> = pairs.iter().map(|(g, _)| g.clone()).collect();
+            groups.dedup();
+            let (s, n) = (t.stats(), t.iter().count());
+            let [secondary, ordered] = [&s.indexes[0], &s.indexes[1]].map(|i| (i.stats.entries, i.stats.distinct_keys));
+            assert_eq!((s.rows, secondary, ordered), (n, (n, groups.len()), (n, pairs.len())));
+            assert_eq!(s.indexes[1].partitions, groups.len());
+        };
+        // Ascending appends: every row sorts last in its partition.
+        for k in 0..8i64 {
+            t.insert(vec![k.into(), (k % 2).into(), k.into()]).unwrap();
+            check(&t);
+        }
+        // `Int 3` then `Float 3.0`: the second sorts last by position and
+        // adds no distinct value.
+        t.insert(vec![10.into(), 2.into(), Value::Int(3)]).unwrap();
+        t.insert(vec![11.into(), 2.into(), Value::Float(3.0)]).unwrap();
+        check(&t);
+        assert_eq!(t.stats().indexes[1].stats.distinct_keys, 9);
+        // A late row lands mid-partition; another ties a value mid-partition.
+        t.insert(vec![12.into(), 0.into(), 1.into()]).unwrap();
+        check(&t);
+        t.insert(vec![13.into(), 1.into(), Value::Float(3.0)]).unwrap();
+        check(&t);
+        // An upsert moves a row to a smaller range value, and one to another partition.
+        t.upsert(vec![4.into(), 0.into(), Value::Float(-1.0)]).unwrap();
+        check(&t);
+        t.upsert(vec![6.into(), 3.into(), 0.into()]).unwrap();
+        check(&t);
+        t.upsert(vec![2.into(), 3.into(), Value::Float(-0.5)]).unwrap();
+        check(&t);
+        // A row ties the last value of a partition from an earlier position,
+        // then leaves again.
+        t.upsert(vec![1.into(), 3.into(), 0.into()]).unwrap();
+        check(&t);
+        t.upsert(vec![1.into(), 1.into(), 9.into()]).unwrap();
+        check(&t);
+        let part = col("g").eq(lit(0));
+        let ks: Vec<Value> = t.select(Some(&part)).unwrap().into_iter().map(|r| r[0].clone()).collect();
+        assert_eq!(ks, vec![0.into(), 4.into(), 12.into()]);
     }
 
     #[test]
