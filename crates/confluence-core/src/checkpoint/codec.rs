@@ -5,9 +5,16 @@
 //! vocabulary a future networked fabric needs for `CwEvent` framing: one
 //! codec serves snapshot files, source event logs, and remote channels.
 //! Files stream through it one `u32`-length-prefixed frame at a time.
+//!
+//! A checkpoint ([`super::Checkpoint::write_to`]) keeps token sharing: a
+//! record more than one token points at is written whole once, as a kept
+//! record, and as a reference (a `u32` id) after that. Both sides number
+//! kept records as their bodies end (post-order). Only a checkpoint's
+//! frames may hold either tag; a reference decodes to a clone of the kept
+//! record's `Arc`.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::io::{self, Read};
 use std::sync::Arc;
@@ -15,7 +22,7 @@ use std::sync::Arc;
 use crate::error::{Error, Result};
 use crate::event::CwEvent;
 use crate::time::{Micros, Timestamp};
-use crate::token::{Schema, Token};
+use crate::token::{Record, Schema, Token};
 use crate::wave::WaveTag;
 use crate::window::Window;
 
@@ -23,20 +30,62 @@ use crate::window::Window;
 /// input corrupt (it recurses once per level; real tokens nest a few deep).
 const MAX_NESTING: usize = 64;
 
+/// Token tags of a record, of a record that later references name by id
+/// (kept), and of such a reference.
+const RECORD: u8 = 5;
+const KEPT: u8 = 7;
+const REFERENCE: u8 = 8;
+
 fn corrupt(what: &str) -> Error {
     Error::Checkpoint(format!("corrupt or truncated data: {what}"))
+}
+
+/// How many `T`s to make room for when the input announces `n` of them
+/// with `left` bytes left: no more than those bytes could hold as `T`s.
+fn fit<T>(n: usize, left: usize) -> usize {
+    n.min(left / std::mem::size_of::<T>().max(1))
+}
+
+/// Read `n` items with `get`, growing the vector in steps that [`fit`]
+/// what `left` reports: a count the input cannot back reserves nothing,
+/// and an honest one ends with room for exactly `n`.
+fn read_n<S, T>(
+    s: &mut S,
+    n: usize,
+    left: fn(&S) -> usize,
+    mut get: impl FnMut(&mut S) -> Result<T>,
+) -> Result<Vec<T>> {
+    let mut items = Vec::new();
+    for _ in 0..n {
+        if items.len() == items.capacity() {
+            items.reserve_exact(fit::<T>(n - items.len(), left(s)).max(1));
+        }
+        items.push(get(s)?);
+    }
+    Ok(items)
 }
 
 /// Append-only encoder over a growable byte buffer.
 #[derive(Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// Id of every kept record written so far, by address; only a
+    /// [`Encoder::sharing`] encoder keeps records.
+    kept: Option<HashMap<usize, u32>>,
 }
 
 impl Encoder {
     /// A fresh, empty encoder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An encoder that writes a record more than one token points at once,
+    /// and by reference after that. The caller keeps every token it writes
+    /// alive while the encoder lives, so no record's address is reused.
+    pub(crate) fn sharing() -> Self {
+        let kept = Some(HashMap::new());
+        Encoder { kept, ..Self::default() }
     }
 
     /// The encoded bytes.
@@ -140,18 +189,33 @@ impl Encoder {
                 self.u8(4);
                 self.str(s);
             }
-            Token::Record(rec) => {
-                self.u8(5);
-                self.u32(rec.len() as u32);
-                for (name, value) in rec.iter() {
-                    self.str(name);
-                    self.token(value);
-                }
-            }
+            Token::Record(rec) => self.record(rec),
             Token::Array(items) => {
                 self.u8(6);
                 self.seq(items.iter(), Self::token);
             }
+        }
+    }
+
+    /// Write a record: whole, whole and kept, or as a reference to the
+    /// kept copy. A record only one token points at cannot come up again.
+    fn record(&mut self, rec: &Arc<Record>) {
+        let addr = Arc::as_ptr(rec) as usize;
+        if let Some(&id) = self.kept.as_ref().and_then(|k| k.get(&addr)) {
+            self.u8(REFERENCE);
+            self.u32(id);
+            return;
+        }
+        let keep = self.kept.is_some() && Arc::strong_count(rec) > 1;
+        self.u8(if keep { KEPT } else { RECORD });
+        self.u32(rec.len() as u32);
+        for (name, value) in rec.iter() {
+            self.str(name);
+            self.token(value);
+        }
+        if let Some(kept) = self.kept.as_mut().filter(|_| keep) {
+            let id = kept.len() as u32;
+            kept.insert(addr, id);
         }
     }
 
@@ -184,13 +248,22 @@ impl Encoder {
 /// of the names so that it outlives the buffer (the frame) it was filled
 /// from: the format spells the names out per record, recovered records
 /// share them again. An ordered map, so the key is not hashed twice.
-pub type SchemaCache = BTreeMap<u64, Arc<Schema>>;
+type SchemaCache = BTreeMap<u64, Arc<Schema>>;
+
+/// What one frame's decoder hands on to the next frame's: the schema
+/// cache, and the kept records read so far by id.
+#[derive(Default)]
+pub(crate) struct Carried {
+    schemas: SchemaCache,
+    /// `None` where the input may hold no kept record or reference.
+    kept: Option<Vec<Token>>,
+}
 
 /// Cursor-based decoder over an encoded byte slice.
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
-    schemas: SchemaCache,
+    carried: Carried,
     /// Records and arrays open around the token being read.
     depth: usize,
 }
@@ -198,23 +271,23 @@ pub struct Decoder<'a> {
 impl<'a> Decoder<'a> {
     /// A decoder starting at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self::with_schemas(buf, SchemaCache::default())
+        Self::carrying(buf, Carried::default())
     }
 
-    /// A decoder over `buf` that gives records the schemas in `schemas`
-    /// (taken back with [`Decoder::into_schemas`]) before making new ones.
-    pub fn with_schemas(buf: &'a [u8], schemas: SchemaCache) -> Self {
+    /// A decoder over `buf` that starts from what an earlier frame's
+    /// decoder handed on (taken back with [`Decoder::into_carried`]).
+    pub(crate) fn carrying(buf: &'a [u8], carried: Carried) -> Self {
         Decoder {
             buf,
             pos: 0,
-            schemas,
+            carried,
             depth: 0,
         }
     }
 
-    /// The schema cache, with the schemas this decoder added to it.
-    pub fn into_schemas(self) -> SchemaCache {
-        self.schemas
+    /// The schemas and kept records, with what this decoder added.
+    pub(crate) fn into_carried(self) -> Carried {
+        self.carried
     }
 
     /// Whether every byte has been consumed.
@@ -299,26 +372,32 @@ impl<'a> Decoder<'a> {
             2 => Ok(Token::Int(self.i64()?)),
             3 => Ok(Token::Float(self.f64()?)),
             4 => Ok(Token::str(self.str()?)),
-            5 => self.nested(Self::record),
+            RECORD => self.nested(Self::record),
             6 => self.nested(Self::array),
+            KEPT if self.carried.kept.is_some() => {
+                let record = self.nested(Self::record)?;
+                self.carried.kept.as_mut().expect("checked by the guard").push(record.clone());
+                Ok(record)
+            }
+            REFERENCE if self.carried.kept.is_some() => {
+                let id = self.u32()?;
+                let kept = self.carried.kept.as_ref().expect("checked by the guard");
+                kept.get(id as usize).cloned().ok_or_else(|| {
+                    corrupt(&format!("reference to kept record {id} of {}", kept.len()))
+                })
+            }
             tag => Err(corrupt(&format!("token tag {tag}"))),
         }
     }
 
     /// Read a `u32` count, then that many items with `get`.
-    pub fn seq<T>(&mut self, mut get: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+    pub fn seq<T>(&mut self, get: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
         let n = self.u32()? as usize;
-        let mut items = Vec::with_capacity(self.reserve(n));
-        for _ in 0..n {
-            items.push(get(self)?);
-        }
-        Ok(items)
+        read_n(self, n, Self::left, get)
     }
 
-    /// How many elements to reserve room for when the input announces
-    /// `n`: no more than the bytes left could hold, whatever it claims.
-    fn reserve(&self, n: usize) -> usize {
-        n.min(self.buf.len() - self.pos)
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// Read the body of a token that holds tokens, one level further in.
@@ -334,15 +413,15 @@ impl<'a> Decoder<'a> {
 
     fn record(&mut self) -> Result<Token> {
         let n = self.u32()? as usize;
-        let mut names = Vec::with_capacity(self.reserve(n));
-        let mut values = Vec::with_capacity(self.reserve(n));
+        let mut names = Vec::with_capacity(fit::<&str>(n, self.left()));
+        let mut values = Vec::with_capacity(fit::<Token>(n, self.left()));
         for _ in 0..n {
             names.push(self.str()?);
             values.push(self.token()?);
         }
         let mut h = DefaultHasher::new();
         names.hash(&mut h);
-        let cached = self.schemas.entry(h.finish()).or_insert_with(|| Schema::new(&names));
+        let cached = self.carried.schemas.entry(h.finish()).or_insert_with(|| Schema::new(&names));
         let schema = if cached.names().iter().map(|n| &**n).eq(names.iter().copied()) {
             cached.clone()
         } else {
@@ -395,13 +474,13 @@ impl<'a> Decoder<'a> {
 }
 
 /// Reads a stream of known length: scalars and byte strings straight off
-/// it, frames through one reused buffer and one [`SchemaCache`]. A length
-/// the stream announces is refused, before anything is allocated for it,
+/// it, frames through one reused buffer and one [`Carried`]. A length the
+/// stream announces is refused, before anything is allocated for it,
 /// unless the bytes left hold it.
 pub(crate) struct FrameReader<R> {
     r: io::Take<R>,
     frame: Vec<u8>,
-    schemas: SchemaCache,
+    carried: Carried,
 }
 
 fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<()> {
@@ -414,8 +493,15 @@ fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<()> {
 impl<R: Read> FrameReader<R> {
     /// A reader of the `len` bytes `r` holds.
     pub(crate) fn new(r: R, len: u64) -> Self {
-        let (frame, schemas) = Default::default();
-        FrameReader { r: r.take(len), frame, schemas }
+        let (frame, carried) = Default::default();
+        FrameReader { r: r.take(len), frame, carried }
+    }
+
+    /// This reader, with kept records allowed in its frames and resolved
+    /// across them: a checkpoint's.
+    pub(crate) fn sharing(mut self) -> Self {
+        self.carried.kept = Some(Vec::new());
+        self
     }
 
     /// Bytes not read yet.
@@ -431,16 +517,9 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// A `u32` count, then that many items read by `item`.
-    pub(crate) fn seq<T>(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<T>,
-    ) -> Result<Vec<T>> {
+    pub(crate) fn seq<T>(&mut self, item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
         let n = self.u32()? as usize;
-        let mut items = Vec::with_capacity(n.min(self.left() as usize));
-        for _ in 0..n {
-            items.push(item(self)?);
-        }
-        Ok(items)
+        read_n(self, n, |r| r.left() as usize, item)
     }
 
     /// A `u32` length the bytes left hold.
@@ -472,10 +551,10 @@ impl<R: Read> FrameReader<R> {
         body: impl FnOnce(&mut Decoder<'_>) -> Result<T>,
     ) -> Result<T> {
         self.load(n)?;
-        let mut d = Decoder::with_schemas(&self.frame, std::mem::take(&mut self.schemas));
+        let mut d = Decoder::carrying(&self.frame, std::mem::take(&mut self.carried));
         let value = body(&mut d);
         let exhausted = d.is_exhausted();
-        self.schemas = d.into_schemas();
+        self.carried = d.into_carried();
         match value {
             Ok(_) if !exhausted => Err(corrupt("frame length mismatch")),
             value => value,
@@ -615,6 +694,67 @@ mod tests {
     fn window_announcing_four_billion_events_is_an_error() {
         // Unit group token, then the event count.
         assert!(Decoder::new(&[0, 0xff, 0xff, 0xff, 0xff]).window().is_err());
+    }
+
+    /// A decoder that resolves kept records, as a checkpoint's frames do.
+    fn sharing(buf: &[u8]) -> Decoder<'_> {
+        let kept = Some(Vec::new());
+        Decoder::carrying(buf, Carried { kept, ..Carried::default() })
+    }
+
+    #[test]
+    fn nested_shared_records_round_trip_shared() {
+        let inner = Token::record().field("carid", 7).build();
+        let outer = Token::record().field("car", inner.clone()).field("seg", 3).build();
+        let tokens = [outer.clone(), inner.clone(), outer.clone(), Token::str("x")];
+        let mut e = Encoder::sharing();
+        tokens.iter().for_each(|t| e.token(t));
+        let bytes = e.into_bytes();
+        // The inner body ends first, so it is kept record 0 and the outer 1.
+        assert_eq!(&bytes[..5], &[KEPT, 2, 0, 0, 0]);
+        let refs: Vec<&[u8]> = bytes.windows(5).filter(|w| w[0] == REFERENCE).collect();
+        assert_eq!(refs, [&[REFERENCE, 0, 0, 0, 0], &[REFERENCE, 1, 0, 0, 0]]);
+
+        let mut d = sharing(&bytes);
+        let back: Vec<Token> = (0..tokens.len()).map(|_| d.token().unwrap()).collect();
+        assert!(d.is_exhausted());
+        assert_eq!(back, tokens);
+        let (Token::Record(first), Token::Record(again), Token::Record(alone)) =
+            (&back[0], &back[2], &back[1])
+        else {
+            panic!("records decode as records");
+        };
+        assert!(Arc::ptr_eq(first, again));
+        let Some(Token::Record(nested)) = first.get("car") else { panic!("a nested record") };
+        assert!(Arc::ptr_eq(nested, alone));
+    }
+
+    #[test]
+    fn a_record_pointed_at_once_keeps_the_plain_tag() {
+        let token = sample_tokens()[5].clone();
+        let mut plain = Encoder::new();
+        plain.token(&token);
+        let mut shared = Encoder::sharing();
+        shared.token(&token);
+        assert_eq!(shared.into_bytes(), plain.into_bytes());
+    }
+
+    #[test]
+    fn references_that_name_no_kept_record_are_errors() {
+        let undefined = [REFERENCE, 0, 0, 0, 0];
+        let unit_then_undefined = [KEPT, 0, 0, 0, 0, REFERENCE, 1, 0, 0, 0];
+        // A kept record whose one field refers to the id it is about to get.
+        let itself = [KEPT, 1, 0, 0, 0, 1, 0, 0, 0, b'a', REFERENCE, 0, 0, 0, 0];
+        for bytes in [&undefined[..], &unit_then_undefined, &itself] {
+            let mut d = sharing(bytes);
+            let err = (0..2).try_for_each(|_| d.token().map(drop)).unwrap_err();
+            assert!(matches!(&err, Error::Checkpoint(m) if m.contains("reference to kept")), "{err}");
+        }
+        // Outside a checkpoint neither tag is part of the format.
+        for bytes in [&undefined[..], &unit_then_undefined] {
+            let err = Decoder::new(bytes).token().unwrap_err();
+            assert!(matches!(&err, Error::Checkpoint(m) if m.contains("token tag")), "{err}");
+        }
     }
 
     #[test]

@@ -43,8 +43,9 @@ use codec::{Decoder, Encoder, FrameReader};
 
 /// Magic bytes opening every checkpoint file.
 const MAGIC: &[u8; 4] = b"CFLC";
-/// Checkpoint file format version.
-const VERSION: u32 = 2;
+/// Checkpoint file format version. Version 2, the same layout without kept
+/// records, still reads.
+const VERSION: u32 = 3;
 /// Bytes buffered between a checkpoint or event log and its file.
 const IO_BUFFER: usize = 64 << 10;
 
@@ -187,13 +188,16 @@ pub trait CheckpointResource: Send + Sync {
 
 /// One complete, self-contained snapshot of a quiesced workflow.
 ///
-/// Wire format, version 2: `CFLC`, the version, the actor states, the
+/// Wire format, version 3: `CFLC`, the version, the actor states, the
 /// fabric, the resources. States and resources are a count, then a name and
 /// bytes each. The fabric is a count of actors, and per actor its inbox (a
 /// count, then a frame `[port, window]` each) and its ports (a count, then
 /// per port its groups and its ready windows, a count and a frame each, and
 /// one frame of expired events). Counts and lengths are little-endian
 /// `u32`s; a frame is a length and that many bytes of [`codec`] vocabulary.
+/// A record several tokens share is written once, as a kept record, and
+/// named by id in this and every later frame ([`codec`]); version 2 is the
+/// same without kept records.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Checkpoint {
     /// `(actor name, state bytes)` for every stateful actor.
@@ -246,9 +250,11 @@ impl Checkpoint {
 
     /// Stream the wire format into `w`: states and resources straight
     /// through, the fabric one frame at a time through one reused
-    /// [`Encoder`], so no whole image is ever built.
+    /// [`Encoder`], so no whole image is ever built. The encoder's table of
+    /// kept records lives for this call, which borrows every token it
+    /// writes.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut e = Encoder::new();
+        let mut e = Encoder::sharing();
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         put_named(w, &self.actors)?;
@@ -285,17 +291,17 @@ impl Checkpoint {
 
     /// Parse the wire format off `r`, which holds `len` bytes: states and
     /// resources straight off it, each fabric frame into one reused buffer,
-    /// decoded with one schema cache. No length the input announces is
-    /// believed past the bytes left in it.
+    /// decoded with one schema cache and one table of kept records. No
+    /// length the input announces is believed past the bytes left in it.
     pub fn read_from(r: &mut impl Read, len: u64) -> Result<Checkpoint> {
-        let mut r = FrameReader::new(r, len);
+        let mut r = FrameReader::new(r, len).sharing();
         if r.u32()? != u32::from_le_bytes(*MAGIC) {
             return Err(Error::Checkpoint("not a checkpoint file (bad magic)".into()));
         }
         let version = r.u32()?;
-        if version != VERSION {
+        if !(2..=VERSION).contains(&version) {
             return Err(Error::Checkpoint(format!(
-                "unsupported checkpoint version {version} (expected {VERSION})"
+                "unsupported checkpoint version {version} (expected 2 to {VERSION})"
             )));
         }
         let actors = r.seq(named)?;
@@ -748,7 +754,7 @@ mod tests {
     fn sample_checkpoint() -> Checkpoint {
         let window = Window {
             group: Token::Unit,
-            events: vec![CwEvent::external(Token::Int(7), Timestamp(3))],
+            events: vec![CwEvent::external(Token::record().field("car", 7).build(), Timestamp(3))],
             formed_at: Timestamp(3),
             timed_out: false,
         };
@@ -785,7 +791,36 @@ mod tests {
         let back = Checkpoint::read_from_dir(&dir).unwrap();
         assert_eq!(back, ckpt);
         assert_eq!(back.fabric.item_count(), 4);
+        // The inbox and the ready queue hold one record, and still do.
+        let actor = &back.fabric.actors[0];
+        let token_of = |w: &Window| match &w.events[0].token {
+            Token::Record(r) => r.clone(),
+            other => panic!("not a record: {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&token_of(&actor.inbox[0].1), &token_of(&actor.ports[0].ready[0])));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_2_file_still_reads() {
+        // `sample_checkpoint` as version 2 wrote it: its shared record
+        // spelled out twice.
+        let hex = "43464c43020000000200000003000000737263030000000102030400000073696e6b00000000\
+             02000000010000003b0000000000000000010000000501000000030000006361720207000000\
+             0000000003000000000000000300000000000000000000000300000000000000000100000001\
+             0000003b00000000000100000002090000000000000005000000000000000500000000000000\
+             0000000004000000000000000500000000000000060000000000000001000000370000000001\
+             0000000501000000030000006361720207000000000000000300000000000000030000000000\
+             0000000000000300000000000000001900000001000000000100000000000000010000000000\
+             0000000000000000000000000000010000000500000073746f7265020000000909";
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), sample_checkpoint());
+        let now = sample_checkpoint().to_bytes();
+        assert_eq!(now[4..8], VERSION.to_le_bytes());
+        assert!(now.len() < bytes.len(), "version 3 writes the shared record once");
     }
 
     #[test]
@@ -836,6 +871,16 @@ mod tests {
             EventLog::read_all(&dir.join("missing.bin")).unwrap(),
             Vec::new()
         );
+
+        // A log entry never holds a kept record or a reference to one.
+        for token in [[7, 0, 0, 0, 0], [8, 0, 0, 0, 0]] {
+            let mut frame = vec![17, 0, 0, 0];
+            frame.extend_from_slice(&[0; 12]);
+            frame.extend_from_slice(&token);
+            fs::write(&path, &frame).unwrap();
+            let err = EventLog::read_all(&path).unwrap_err();
+            assert!(matches!(&err, Error::Checkpoint(m) if m.contains("token tag")), "{err}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,8 +1,9 @@
 //! What writing and reading a checkpoint holds beside the checkpoint
 //! itself, counted by a global allocator: the write streams through bounded
 //! buffers and never builds the whole image, the read decodes frame by frame
-//! and never holds the whole file, and records decoded from different frames
-//! share one schema per field-name list.
+//! and never holds the whole file, records decoded from different frames
+//! share one schema per field-name list, and a record that sits in several
+//! groups is decoded once and shared again.
 //!
 //! One test function: the counters are process-wide, and a second test
 //! running beside it would be counted too.
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use confluence_core::checkpoint::{ActorFabricState, Checkpoint, FabricState, SNAPSHOT_FILE};
 use confluence_core::event::CwEvent;
 use confluence_core::time::Timestamp;
-use confluence_core::token::{Schema, Token};
+use confluence_core::token::{Record, Schema, Token};
 use confluence_core::window::{GroupSnapshot, OperatorSnapshot, Window};
 
 struct Counting;
@@ -104,11 +105,64 @@ fn checkpoint() -> Checkpoint {
     }
 }
 
-fn schema_of(token: &Token) -> &Arc<Schema> {
+/// A fabric the shape of Linear Road's windowed receivers: four ports
+/// group the same position reports by car, so each report sits in four
+/// groups, and one ready window holds some of them a fifth time.
+fn shared_checkpoint() -> Checkpoint {
+    let report = Schema::new(&["carid", "xway", "dir", "seg", "speed"]);
+    let key = Schema::new(&["carid"]);
+    let reports: Vec<Vec<CwEvent>> = (0..5_000i64)
+        .map(|car| {
+            (0..4)
+                .map(|second| {
+                    let values: [Token; 5] =
+                        [car.into(), 0.into(), (car % 2).into(), (car % 100).into(), 55.into()];
+                    CwEvent::external(report.record(values), Timestamp::from_secs(second))
+                })
+                .collect()
+        })
+        .collect();
+    let port = |_| OperatorSnapshot {
+        groups: reports
+            .iter()
+            .enumerate()
+            .map(|(car, events)| GroupSnapshot::Tuples {
+                key: key.record([Token::Int(car as i64)]),
+                events: events.clone(),
+                front_seq: 0,
+                next_seq: 4,
+                next_start: 0,
+            })
+            .collect(),
+        ready: vec![Window {
+            group: Token::Unit,
+            events: reports[..100].concat(),
+            formed_at: Timestamp::from_secs(4),
+            timed_out: false,
+        }],
+        expired: Vec::new(),
+    };
+    Checkpoint {
+        actors: Vec::new(),
+        fabric: FabricState {
+            actors: vec![ActorFabricState {
+                inbox: Vec::new(),
+                ports: (0..4).map(port).collect(),
+            }],
+        },
+        resources: Vec::new(),
+    }
+}
+
+fn record_of(token: &Token) -> &Arc<Record> {
     match token {
-        Token::Record(record) => record.schema(),
+        Token::Record(record) => record,
         other => panic!("not a record: {other:?}"),
     }
+}
+
+fn schema_of(token: &Token) -> &Arc<Schema> {
+    record_of(token).schema()
 }
 
 #[test]
@@ -159,6 +213,30 @@ fn checkpoints_stream_through_bounded_buffers() {
         panic!("tuple groups round-trip as tuple groups");
     };
     assert!(Arc::ptr_eq(schema_of(&first[0].token), schema_of(&last[0].token)));
+    assert_eq!(back, cp);
+    drop((cp, back));
+
+    // A record several groups share is written once and comes back shared,
+    // so recovered state is as compact as live state here too.
+    let start = restart();
+    let cp = shared_checkpoint();
+    let built = LIVE_BYTES.load(Relaxed) - start;
+    cp.write_to_dir(&dir).unwrap();
+    let start = restart();
+    let back = Checkpoint::read_from_dir(&dir).unwrap();
+    let decoded = LIVE_BYTES.load(Relaxed) - start;
+    assert!(
+        decoded <= built + built / 20,
+        "decoded {decoded} bytes from a shared checkpoint built in {built}"
+    );
+    let group_events = |port: usize| match &back.fabric.actors[0].ports[port].groups[7] {
+        GroupSnapshot::Tuples { events, .. } => events,
+        other => panic!("tuple groups round-trip as tuple groups: {other:?}"),
+    };
+    assert!(Arc::ptr_eq(
+        record_of(&group_events(0)[2].token),
+        record_of(&group_events(3)[2].token)
+    ));
     assert_eq!(back, cp);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,9 @@
 //! Hostile bytes against a real Linear Road checkpoint and its source
 //! event log: a file cut at any frame boundary or inside any frame, a
-//! length announcing more than the file holds, a version-1 header and
-//! trailing bytes are each a typed error, and none of them panics or
-//! allocates for what it announces. Reading the log from a sequence number
-//! equals reading all of it and filtering.
+//! length or a count announcing more than the file holds, a version-1
+//! header and trailing bytes are each a typed error, and none of them
+//! panics or allocates for what it announces. Reading the log from a
+//! sequence number equals reading all of it and filtering.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,33 +88,49 @@ fn snapshot() -> Vec<u8> {
     std::fs::read(crashed_run().join(checkpoint::SNAPSHOT_FILE)).unwrap()
 }
 
-/// Walks the version-2 layout (DESIGN.md, "Checkpointing") without the
-/// reader under test, to find where its frames and byte strings are.
-struct Layout2<'a> {
+/// Walks the version-3 layout (DESIGN.md, "Checkpointing") without the
+/// reader under test, to find where its frames, byte strings and counts
+/// are.
+struct Layout3<'a> {
     bytes: &'a [u8],
     at: usize,
     /// `(offset of the length, offset past the body)` of every frame.
     frames: Vec<(usize, usize)>,
     /// Offset of the length of every actor state and resource.
     strings: Vec<usize>,
+    /// Offset of the fabric's actor count, of every inbox count, and of
+    /// every group's event count.
+    counts: Counts,
 }
 
-impl<'a> Layout2<'a> {
+#[derive(Default)]
+struct Counts {
+    actors: usize,
+    inbox: Vec<usize>,
+    group_events: Vec<usize>,
+}
+
+impl<'a> Layout3<'a> {
     fn walk(bytes: &'a [u8]) -> Self {
-        let mut l = Layout2 {
+        let mut l = Layout3 {
             bytes,
             at: 8,
             frames: Vec::new(),
             strings: Vec::new(),
+            counts: Counts::default(),
         };
         l.named();
+        l.counts.actors = l.at;
         for _ in 0..l.u32() {
+            l.counts.inbox.push(l.at);
             for _ in 0..l.u32() {
                 l.frame(); // an inbox window
             }
             for _ in 0..l.u32() {
                 for _ in 0..l.u32() {
-                    l.frame(); // a group
+                    // A group: its tag and key, then its event count.
+                    let body = l.frame();
+                    l.counts.group_events.push(l.token_end(body + 1));
                 }
                 for _ in 0..l.u32() {
                     l.frame(); // a ready window
@@ -143,11 +159,30 @@ impl<'a> Layout2<'a> {
         }
     }
 
-    fn frame(&mut self) {
+    /// Step over one frame, and return where its body starts.
+    fn frame(&mut self) -> usize {
         let start = self.at;
         let len = self.u32();
         self.at += len;
         self.frames.push((start, self.at));
+        self.at - len
+    }
+
+    /// The offset past the token at `at`.
+    fn token_end(&self, at: usize) -> usize {
+        let u32_at = |at: usize| u32::from_le_bytes(self.bytes[at..at + 4].try_into().unwrap());
+        match self.bytes[at] {
+            0 => at + 1,
+            1 => at + 2,
+            2 | 3 => at + 9,
+            4 => at + 5 + u32_at(at + 1) as usize,
+            5 | 7 => (0..u32_at(at + 1)).fold(at + 5, |at, _| {
+                self.token_end(at + 4 + u32_at(at) as usize) // a name, then a value
+            }),
+            6 => (0..u32_at(at + 1)).fold(at + 5, |at, _| self.token_end(at)),
+            8 => at + 5,
+            tag => panic!("token tag {tag} at {at}"),
+        }
     }
 }
 
@@ -161,7 +196,7 @@ fn rejected(bytes: &[u8], what: &str) -> String {
 #[test]
 fn the_checkpoint_is_a_real_one_and_reads_back() {
     let bytes = snapshot();
-    let layout = Layout2::walk(&bytes);
+    let layout = Layout3::walk(&bytes);
     assert!(layout.frames.len() >= 100, "{} frames", layout.frames.len());
     let cp = Checkpoint::read_from_dir(crashed_run()).unwrap();
     assert!(cp.resources.iter().any(|(name, _)| name == "relstore"));
@@ -172,7 +207,7 @@ fn the_checkpoint_is_a_real_one_and_reads_back() {
 #[test]
 fn a_cut_at_or_inside_any_frame_is_an_error() {
     let bytes = snapshot();
-    let layout = Layout2::walk(&bytes);
+    let layout = Layout3::walk(&bytes);
     let mut cuts: Vec<usize> = (0..8).collect();
     for &(start, end) in &layout.frames {
         // The boundary before it, inside its length, right after its
@@ -196,7 +231,7 @@ fn a_cut_at_or_inside_any_frame_is_an_error() {
 #[test]
 fn a_length_past_the_end_fails_before_allocating() {
     let bytes = snapshot();
-    let layout = Layout2::walk(&bytes);
+    let layout = Layout3::walk(&bytes);
     let (first, last) = (layout.frames[0].0, layout.frames[layout.frames.len() - 1].0);
     for at in [first, last, layout.strings[0], *layout.strings.last().unwrap()] {
         for announced in [bytes.len() - at - 3, u32::MAX as usize] {
@@ -211,6 +246,26 @@ fn a_length_past_the_end_fails_before_allocating() {
                 "{announced} bytes announced at {at}: a {largest}-byte allocation"
             );
         }
+    }
+}
+
+#[test]
+fn a_count_past_the_end_fails_before_allocating_for_it() {
+    let bytes = snapshot();
+    let counts = Layout3::walk(&bytes).counts;
+    assert!(!counts.group_events.is_empty(), "the run buffers groups");
+    let places = [
+        ("the fabric's actor count", counts.actors),
+        ("an inbox count", counts.inbox[0]),
+        ("a group's event count", counts.group_events[0]),
+    ];
+    for (what, at) in places {
+        let mut hostile = bytes.clone();
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        LARGEST.with(|l| l.set(0));
+        rejected(&hostile, &format!("u32::MAX at {what}"));
+        let largest = LARGEST.with(Cell::get);
+        assert!(largest < bytes.len(), "u32::MAX at {what}: a {largest}-byte allocation");
     }
 }
 
