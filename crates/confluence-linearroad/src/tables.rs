@@ -198,7 +198,7 @@ pub fn cars_in_segment(
             minute.into(),
         ]);
         Ok(match row {
-            Some(r) => Some(r[4].as_int()?),
+            Some(r) => Some(r.cell(4).as_int()?),
             None => None,
         })
     })

@@ -57,13 +57,13 @@ proptest! {
             let want = store.read(|s| {
                 let mut rows = s.table("accidents").unwrap().iter();
                 let hit = rows.find(|r| {
-                    let at = |c: usize| r[c].as_int().unwrap();
+                    let at = |c: usize| r.cell(c).as_int().unwrap();
                     at(0) == xway
                         && at(1) == dir
                         && accident_in_range(dir, seg, at(2))
                         && at(4) >= time - 120
                 });
-                hit.map(|r| r[2].as_int().unwrap())
+                hit.map(|r| r.cell(2).as_int().unwrap())
             });
             prop_assert_eq!(accident_nearby(&store, xway, dir, seg, time).unwrap(), want);
         }

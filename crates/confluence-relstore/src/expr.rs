@@ -78,6 +78,20 @@ pub struct ColRange {
     pub hi: std::ops::Bound<Value>,
 }
 
+/// A row an expression reads, one cell at a time: a slice of values, or a
+/// table's row read where it is stored (`RowRef`), which decodes only the
+/// cells the expression names.
+pub trait ReadCell {
+    /// The value in column `col`.
+    fn cell(&self, col: usize) -> Value;
+}
+
+impl ReadCell for [Value] {
+    fn cell(&self, col: usize) -> Value {
+        self[col].clone()
+    }
+}
+
 /// Shorthand: column reference.
 pub fn col(name: &str) -> Expr {
     Expr::Col(name.to_string())
@@ -161,9 +175,9 @@ impl Expr {
     }
 
     /// Evaluate to a scalar value against a row.
-    pub fn eval(&self, schema: &Schema, row: &[Value]) -> Result<Value> {
+    pub fn eval<R: ReadCell + ?Sized>(&self, schema: &Schema, row: &R) -> Result<Value> {
         Ok(match self {
-            Expr::Col(name) => row[schema.column_index(name)?].clone(),
+            Expr::Col(name) => row.cell(schema.column_index(name)?),
             Expr::Lit(v) => v.clone(),
             Expr::Cmp(a, op, b) => {
                 let va = a.eval(schema, row)?;
@@ -239,7 +253,7 @@ impl Expr {
     }
 
     /// Evaluate as a boolean predicate.
-    pub fn matches(&self, schema: &Schema, row: &[Value]) -> Result<bool> {
+    pub fn matches<R: ReadCell + ?Sized>(&self, schema: &Schema, row: &R) -> Result<bool> {
         self.eval(schema, row)?.as_bool()
     }
 
@@ -345,21 +359,15 @@ impl Expr {
         out
     }
 
-    /// The top-level AND-conjuncts, flattened (a non-AND expression is its
-    /// own single conjunct). Used by the planner's residual-free check.
-    pub fn conjuncts(&self) -> Vec<&Expr> {
-        let mut out = Vec::new();
-        fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-            match e {
-                Expr::And(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                other => out.push(other),
-            }
+    /// Whether `f` holds for every top-level AND-conjunct, flattened (a
+    /// non-AND expression is its own single conjunct), left to right and
+    /// stopping at the first that fails. Used by the planner's residual-free
+    /// check, on every read, so it allocates nothing.
+    pub fn all_conjuncts(&self, f: &mut impl FnMut(&Expr) -> bool) -> bool {
+        match self {
+            Expr::And(a, b) => a.all_conjuncts(f) && b.all_conjuncts(f),
+            other => f(other),
         }
-        walk(self, &mut out);
-        out
     }
 }
 
@@ -385,25 +393,25 @@ mod tests {
     fn comparisons() {
         let s = schema();
         let r = row();
-        assert!(col("a").eq(lit(5)).matches(&s, &r).unwrap());
-        assert!(col("a").ne(lit(4)).matches(&s, &r).unwrap());
-        assert!(col("a").gt(lit(4)).matches(&s, &r).unwrap());
-        assert!(col("a").ge(lit(5)).matches(&s, &r).unwrap());
-        assert!(col("b").lt(lit(3.0)).matches(&s, &r).unwrap());
-        assert!(col("b").le(lit(2.5)).matches(&s, &r).unwrap());
+        assert!(col("a").eq(lit(5)).matches(&s, &r[..]).unwrap());
+        assert!(col("a").ne(lit(4)).matches(&s, &r[..]).unwrap());
+        assert!(col("a").gt(lit(4)).matches(&s, &r[..]).unwrap());
+        assert!(col("a").ge(lit(5)).matches(&s, &r[..]).unwrap());
+        assert!(col("b").lt(lit(3.0)).matches(&s, &r[..]).unwrap());
+        assert!(col("b").le(lit(2.5)).matches(&s, &r[..]).unwrap());
         // Cross-type numeric comparison.
-        assert!(col("a").gt(lit(4.5)).matches(&s, &r).unwrap());
+        assert!(col("a").gt(lit(4.5)).matches(&s, &r[..]).unwrap());
     }
 
     #[test]
     fn null_semantics() {
         let s = schema();
         let r = row();
-        assert!(!col("c").eq(lit("x")).matches(&s, &r).unwrap());
-        assert!(col("c").is_null().matches(&s, &r).unwrap());
-        assert!(!col("a").is_null().matches(&s, &r).unwrap());
+        assert!(!col("c").eq(lit("x")).matches(&s, &r[..]).unwrap());
+        assert!(col("c").is_null().matches(&s, &r[..]).unwrap());
+        assert!(!col("a").is_null().matches(&s, &r[..]).unwrap());
         assert_eq!(
-            col("c").add(lit(1)).eval(&s, &r).unwrap(),
+            col("c").add(lit(1)).eval(&s, &r[..]).unwrap(),
             Value::Null,
             "arithmetic with NULL is NULL"
         );
@@ -414,30 +422,30 @@ mod tests {
         let s = schema();
         let r = row();
         let p = col("a").gt(lit(1)).and(col("b").lt(lit(10)));
-        assert!(p.matches(&s, &r).unwrap());
-        assert!(!p.clone().not().matches(&s, &r).unwrap());
-        assert!(col("a").eq(lit(9)).or(col("a").eq(lit(5))).matches(&s, &r).unwrap());
-        assert!(col("a").between(lit(4), lit(6)).matches(&s, &r).unwrap());
-        assert!(!col("a").between(lit(6), lit(9)).matches(&s, &r).unwrap());
+        assert!(p.matches(&s, &r[..]).unwrap());
+        assert!(!p.clone().not().matches(&s, &r[..]).unwrap());
+        assert!(col("a").eq(lit(9)).or(col("a").eq(lit(5))).matches(&s, &r[..]).unwrap());
+        assert!(col("a").between(lit(4), lit(6)).matches(&s, &r[..]).unwrap());
+        assert!(!col("a").between(lit(6), lit(9)).matches(&s, &r[..]).unwrap());
     }
 
     #[test]
     fn arithmetic() {
         let s = schema();
         let r = row();
-        assert_eq!(col("a").add(lit(2)).eval(&s, &r).unwrap(), Value::Int(7));
-        assert_eq!(col("a").sub(lit(2)).eval(&s, &r).unwrap(), Value::Int(3));
-        assert_eq!(col("a").mul(lit(3)).eval(&s, &r).unwrap(), Value::Int(15));
-        assert_eq!(col("a").div(lit(2)).eval(&s, &r).unwrap(), Value::Int(2));
+        assert_eq!(col("a").add(lit(2)).eval(&s, &r[..]).unwrap(), Value::Int(7));
+        assert_eq!(col("a").sub(lit(2)).eval(&s, &r[..]).unwrap(), Value::Int(3));
+        assert_eq!(col("a").mul(lit(3)).eval(&s, &r[..]).unwrap(), Value::Int(15));
+        assert_eq!(col("a").div(lit(2)).eval(&s, &r[..]).unwrap(), Value::Int(2));
         assert_eq!(
-            col("b").mul(lit(2)).eval(&s, &r).unwrap(),
+            col("b").mul(lit(2)).eval(&s, &r[..]).unwrap(),
             Value::Float(5.0)
         );
-        assert!(col("a").div(lit(0)).eval(&s, &r).is_err());
+        assert!(col("a").div(lit(0)).eval(&s, &r[..]).is_err());
         // The toll formula shape: 2·(cars − 50)².
         let cars = col("a");
         let toll = lit(2).mul(cars.clone().sub(lit(3)).mul(cars.sub(lit(3))));
-        assert_eq!(toll.eval(&s, &r).unwrap(), Value::Int(8));
+        assert_eq!(toll.eval(&s, &r[..]).unwrap(), Value::Int(8));
     }
 
     #[test]
@@ -471,19 +479,19 @@ mod tests {
     #[test]
     fn unknown_column_errors() {
         let s = schema();
-        assert!(col("nope").eval(&s, &row()).is_err());
+        assert!(col("nope").eval(&s, &row()[..]).is_err());
     }
 
     #[test]
     fn in_list_membership() {
         let s = schema();
         let r = row();
-        assert!(col("a").in_list(vec![lit(1), lit(5)]).matches(&s, &r).unwrap());
-        assert!(!col("a").in_list(vec![lit(1), lit(2)]).matches(&s, &r).unwrap());
-        assert!(!col("a").in_list(vec![]).matches(&s, &r).unwrap(), "empty IN is false");
+        assert!(col("a").in_list(vec![lit(1), lit(5)]).matches(&s, &r[..]).unwrap());
+        assert!(!col("a").in_list(vec![lit(1), lit(2)]).matches(&s, &r[..]).unwrap());
+        assert!(!col("a").in_list(vec![]).matches(&s, &r[..]).unwrap(), "empty IN is false");
         // NULL on either side never matches.
-        assert!(!col("c").in_list(vec![lit("x")]).matches(&s, &r).unwrap());
-        assert!(!col("a").in_list(vec![Expr::Lit(Value::Null)]).matches(&s, &r).unwrap());
+        assert!(!col("c").in_list(vec![lit("x")]).matches(&s, &r[..]).unwrap());
+        assert!(!col("a").in_list(vec![Expr::Lit(Value::Null)]).matches(&s, &r[..]).unwrap());
     }
 
     #[test]
@@ -524,8 +532,17 @@ mod tests {
         let p = col("a")
             .eq(lit(1))
             .and(col("b").gt(lit(2)).and(col("c").is_null()));
-        assert_eq!(p.conjuncts().len(), 3);
+        let count = |e: &Expr| {
+            let mut n = 0;
+            assert!(e.all_conjuncts(&mut |_| {
+                n += 1;
+                true
+            }));
+            n
+        };
+        assert_eq!(count(&p), 3);
         let single = col("a").eq(lit(1)).or(col("b").eq(lit(2)));
-        assert_eq!(single.conjuncts().len(), 1);
+        assert_eq!(count(&single), 1);
+        assert!(!p.all_conjuncts(&mut |c| !matches!(c, Expr::IsNull(_))), "c IS NULL fails");
     }
 }

@@ -30,5 +30,5 @@ pub use query::{Order, Query};
 pub use schema::{Column, Schema, SchemaBuilder};
 pub use stats::{IndexStats, IndexStatsView, TableStats};
 pub use store::{Store, StoreHandle};
-pub use table::{Agg, Table};
+pub use table::{Agg, RowRef, Table};
 pub use value::{Row, Value, ValueType};

@@ -91,7 +91,7 @@ impl Query {
             // Positions arrive in storage order; the stable sort keeps
             // that order for ties.
             positions.sort_by(|&a, &b| {
-                let ord = table.row_at(a)[idx].cmp(&table.row_at(b)[idx]);
+                let ord = table.row_at(a).cell(idx).cmp(&table.row_at(b).cell(idx));
                 match order {
                     Order::Asc => ord,
                     Order::Desc => ord.reverse(),
@@ -107,7 +107,7 @@ impl Query {
                 .into_iter()
                 .map(|p| {
                     let r = table.row_at(p);
-                    idxs.iter().map(|&i| r[i].clone()).collect()
+                    idxs.iter().map(|&i| r.cell(i)).collect()
                 })
                 .collect(),
         })

@@ -134,7 +134,7 @@ impl CheckpointResource for StoreHandle {
                 e.str(name);
                 e.u32(table.len() as u32);
                 for row in table.iter() {
-                    e.seq(row, encode_value);
+                    e.seq(row.iter(), |e, v| encode_value(e, &v));
                 }
             }
             Ok(e.into_bytes())
@@ -273,7 +273,7 @@ mod tests {
         assert_eq!(h2.save().unwrap(), bytes);
         let rows = h2.read(|s| s.table("mixed").unwrap().select(Some(&col("tag").eq(lit("a")))));
         assert_eq!(rows.unwrap()[0][0], Value::str("ünï"));
-        let x = h2.read(|s| s.table("mixed").unwrap().get(&[Value::str("alpha")]).unwrap()[2].clone());
+        let x = h2.read(|s| s.table("mixed").unwrap().get(&[Value::str("alpha")]).unwrap().cell(2));
         assert_eq!(x, Value::Float(1.5));
     }
 

@@ -9,12 +9,17 @@
 //! consumes it), so a plan changes how rows are *found*, never which rows
 //! come back or in what order.
 //!
-//! A table keeps one copy of each row. Its indexes hold row positions
-//! only and read the indexed columns out of the row to hash and compare
-//! (see [`confluence_core::postable`]); an ordered index keeps each
-//! partition's positions sorted by the range column, which it too reads
-//! out of the rows.
+//! A table keeps one copy of each row, column by column: one dense vector a
+//! column, typed by the column's declared type — an `i64`, the bits of an
+//! `f64`, a byte or a string pointer a cell — beside bitmaps for NULLs and for
+//! the `Int`s a float column holds. A cell decodes to exactly the [`Value`]
+//! written into it. Its indexes hold row positions only and decode the
+//! indexed columns to hash and compare (see [`confluence_core::postable`]);
+//! an ordered index keeps each partition's positions sorted by the range
+//! column, which it too reads out of the rows.
 
+use std::cmp::Ordering;
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -23,50 +28,232 @@ use confluence_core::error::{Error, Result};
 use confluence_core::postable::{KeyHasher, PosTable};
 
 use crate::cost;
-use crate::expr::{CmpOp, Expr};
+use crate::expr::{CmpOp, Expr, ReadCell};
 use crate::plan::{IndexRef, Plan, PlanNode};
 use crate::schema::Schema;
 use crate::stats::{IndexStats, IndexStatsView, TableStats};
-use crate::value::{Row, Value};
+use crate::value::{Row, Value, ValueType};
 
-/// Row storage: the cells of every row end to end, `width` to a row, and
-/// which rows are alive. A deleted row keeps its slot (cells nulled) until
-/// compaction, so positions — storage order — never shift under an index.
+/// A bitmap that costs nothing until a bit is set: a bit past its end is
+/// clear.
 #[derive(Debug, Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn get(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    fn set(&mut self, i: usize, on: bool) {
+        let (word, bit) = (i / 64, 1 << (i % 64));
+        if on && word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        if let Some(w) = self.0.get_mut(word) {
+            *w = if on { *w | bit } else { *w & !bit };
+        }
+    }
+}
+
+/// One column's cells in a dense vector typed by the column's declared type.
+#[derive(Debug)]
+enum Cells {
+    Int(Vec<i64>),
+    /// `f64` bits, or an `i64`'s where `ints` is set: an `Int` written into
+    /// a float column comes back an `Int`, past 2^53 too.
+    Float { bits: Vec<u64>, ints: Bits },
+    Bool(Vec<bool>),
+    Str(Vec<Option<Arc<String>>>),
+}
+
+/// A column: its cells and which of them are NULL.
+#[derive(Debug)]
+struct Column {
+    cells: Cells,
+    nulls: Bits,
+}
+
+impl Column {
+    fn new(ty: ValueType) -> Column {
+        let cells = match ty {
+            ValueType::Int => Cells::Int(Vec::new()),
+            ValueType::Float => Cells::Float { bits: Vec::new(), ints: Bits::default() },
+            ValueType::Bool => Cells::Bool(Vec::new()),
+            ValueType::Str => Cells::Str(Vec::new()),
+        };
+        Column { cells, nulls: Bits::default() }
+    }
+
+    fn get(&self, pos: usize) -> Value {
+        if self.nulls.get(pos) {
+            return Value::Null;
+        }
+        match &self.cells {
+            Cells::Int(v) => Value::Int(v[pos]),
+            Cells::Float { bits, ints } if ints.get(pos) => Value::Int(bits[pos] as i64),
+            Cells::Float { bits, .. } => Value::Float(f64::from_bits(bits[pos])),
+            Cells::Bool(v) => Value::Bool(v[pos]),
+            Cells::Str(v) => v[pos].clone().map_or(Value::Null, Value::Str),
+        }
+    }
+
+    /// Write `v`, a value of the column's type or NULL, at `pos`.
+    fn set(&mut self, pos: usize, v: &Value) {
+        self.nulls.set(pos, v.is_null());
+        match (&mut self.cells, v) {
+            (Cells::Int(c), Value::Int(i)) => c[pos] = *i,
+            (Cells::Float { bits, ints }, Value::Int(i)) => {
+                bits[pos] = *i as u64;
+                ints.set(pos, true);
+            }
+            (Cells::Float { bits, ints }, Value::Float(f)) => {
+                bits[pos] = f.to_bits();
+                ints.set(pos, false);
+            }
+            (Cells::Bool(c), Value::Bool(b)) => c[pos] = *b,
+            (Cells::Str(c), Value::Str(s)) => c[pos] = Some(s.clone()),
+            (Cells::Str(c), Value::Null) => c[pos] = None,
+            (_, Value::Null) => {}
+            (_, v) => unreachable!("the schema admits no {v} here"),
+        }
+    }
+
+    /// Append `v`, a value of the column's type or NULL, as cell `pos`.
+    fn push(&mut self, pos: usize, v: &Value) {
+        match (&mut self.cells, v) {
+            (Cells::Int(c), Value::Int(i)) => return c.push(*i),
+            (Cells::Float { bits, .. }, Value::Float(f)) => return bits.push(f.to_bits()),
+            (Cells::Bool(c), Value::Bool(b)) => return c.push(*b),
+            (Cells::Str(c), Value::Str(s)) => return c.push(Some(s.clone())),
+            // NULL, or an `Int` in a float column, which a bit marks too: a
+            // blank cell for `set` to fill.
+            (Cells::Int(c), _) => c.push(0),
+            (Cells::Float { bits, .. }, _) => bits.push(0),
+            (Cells::Bool(c), _) => c.push(false),
+            (Cells::Str(c), _) => c.push(None),
+        }
+        self.set(pos, v);
+    }
+}
+
+/// Row storage: a column per schema column, a slot per row, and which slots
+/// are dead. A deleted row keeps its slot until compaction, so positions —
+/// storage order — never shift under an index.
+#[derive(Debug)]
 struct Rows {
-    cells: Vec<Value>,
-    width: usize,
-    alive: Vec<bool>,
+    columns: Vec<Column>,
+    slots: usize,
+    dead: Bits,
 }
 
 impl Rows {
-    /// The cells of the row at `pos`, live or not.
-    fn row(&self, pos: usize) -> &[Value] {
-        &self.cells[pos * self.width..][..self.width]
+    fn new(schema: &Schema) -> Rows {
+        let columns = schema.columns().iter().map(|c| Column::new(c.ty)).collect();
+        Rows { columns, slots: 0, dead: Bits::default() }
     }
 
-    fn row_mut(&mut self, pos: usize) -> &mut [Value] {
-        &mut self.cells[pos * self.width..][..self.width]
+    /// The value the row at `pos` holds in column `col`, exactly as written:
+    /// every read of a cell but [`Rows::cmp`]'s of two integers decodes here.
+    fn cell(&self, pos: usize, col: usize) -> Value {
+        self.columns[col].get(pos)
+    }
+
+    /// How the values rows `a` and `b` hold in column `col` compare, by
+    /// [`Value`]'s order; two integers are compared without decoding.
+    fn cmp(&self, a: usize, b: usize, col: usize) -> Ordering {
+        let c = &self.columns[col];
+        match &c.cells {
+            Cells::Int(v) if !c.nulls.get(a) && !c.nulls.get(b) => v[a].cmp(&v[b]),
+            _ => c.get(a).cmp(&c.get(b)),
+        }
+    }
+
+    /// Swap `v` with what column `col` of the row at `pos` holds.
+    fn swap(&mut self, pos: usize, col: usize, v: &mut Value) {
+        let old = self.cell(pos, col);
+        self.columns[col].set(pos, v);
+        *v = old;
+    }
+
+    /// Append a validated row.
+    fn push(&mut self, row: &[Value]) {
+        let pos = self.slots;
+        self.columns.iter_mut().zip(row).for_each(|(c, v)| c.push(pos, v));
+        self.slots += 1;
+    }
+
+    /// Mark the row at `pos` dead and drop the strings it holds; nothing
+    /// reads a dead row's cells.
+    fn kill(&mut self, pos: usize) {
+        self.dead.set(pos, true);
+        for c in &mut self.columns {
+            if let Cells::Str(strings) = &mut c.cells {
+                strings[pos] = None;
+            }
+        }
     }
 
     /// Live positions, ascending.
     fn positions(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.alive.len()).filter(|&pos| self.alive[pos])
+        (0..self.slots).filter(|&pos| !self.dead.get(pos))
+    }
+}
+
+/// A live row, read where the table stores it: [`RowRef::cell`] decodes one
+/// column, exactly as written.
+#[derive(Clone, Copy)]
+pub struct RowRef<'t> {
+    rows: &'t Rows,
+    pos: usize,
+}
+
+impl<'t> RowRef<'t> {
+    /// The value in column `col` (panics past the schema's last column).
+    pub fn cell(&self, col: usize) -> Value {
+        self.rows.cell(self.pos, col)
+    }
+
+    /// The values in column order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Value> + 't {
+        let RowRef { rows, pos } = *self;
+        (0..rows.columns.len()).map(move |col| rows.cell(pos, col))
+    }
+
+    /// The row as an owned [`Row`].
+    pub fn to_vec(&self) -> Row {
+        self.iter().collect()
+    }
+}
+
+impl ReadCell for RowRef<'_> {
+    fn cell(&self, col: usize) -> Value {
+        RowRef::cell(self, col)
+    }
+}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 /// A key: the values of some columns, in order, as often as asked.
-trait Key<'k>: Iterator<Item = &'k Value> + Clone {}
-impl<'k, I: Iterator<Item = &'k Value> + Clone> Key<'k> for I {}
+trait Key: Iterator<Item = Value> + Clone {}
+impl<I: Iterator<Item = Value> + Clone> Key for I {}
 
-/// The values a row holds in `cols`, in that order.
-fn cells<'a>(row: &'a [Value], cols: &'a [usize]) -> impl Key<'a> + 'a {
-    cols.iter().map(move |&c| &row[c])
+/// The values the row at `pos` holds in `cols`, in that order.
+fn cells<'a>(rows: &'a Rows, pos: usize, cols: &'a [usize]) -> impl Key + 'a {
+    cols.iter().map(move |&c| rows.cell(pos, c))
+}
+
+/// The values of `row` in `cols`, in that order.
+fn picked<'a>(row: &'a [Value], cols: &'a [usize]) -> impl Key + 'a {
+    cols.iter().map(|&c| row[c].clone())
 }
 
 /// Hash of a key, value by value: a probe key and the indexed columns of a
 /// row that carries it hash alike (and `Int 3` like `Float 3.0`).
-fn hash_key<'k>(key: impl Key<'k>) -> u64 {
+fn hash_key(key: impl Key) -> u64 {
     let mut hasher = KeyHasher::new();
     key.for_each(|v| v.hash(&mut hasher));
     hasher.finish()
@@ -84,26 +271,34 @@ struct Partitions {
 }
 
 impl Partitions {
-    fn find<'k>(&self, rows: &Rows, hash: u64, key: impl Key<'k>) -> Option<usize> {
-        let found = self.dir.find(hash, |id| {
-            // Listed buckets hold rows.
-            let first = self.slab[id as usize][0];
-            cells(rows.row(first as usize), &self.cols).eq(key.clone())
-        });
+    /// The bucket whose first row `is_key` accepts, among those `hash` lists.
+    fn find(&self, hash: u64, is_key: impl Fn(usize) -> bool) -> Option<usize> {
+        // Listed buckets hold rows.
+        let found = self.dir.find(hash, |id| is_key(self.slab[id as usize][0] as usize));
         found.map(|id| id as usize)
+    }
+
+    /// The hash of the key the row at `pos` holds, and the bucket of that
+    /// key when it has one.
+    fn locate(&self, rows: &Rows, pos: u32) -> (u64, Option<usize>) {
+        let pos = pos as usize;
+        let hash = hash_key(cells(rows, pos, &self.cols));
+        let same = |first| self.cols.iter().all(|&c| rows.cmp(first, pos, c).is_eq());
+        (hash, self.find(hash, same))
     }
 
     /// The bucket of the rows whose `cols` equal `key` (empty when none do).
     fn get(&self, rows: &Rows, key: &[Value]) -> &[u32] {
-        self.find(rows, hash_key(key.iter()), key.iter()).map_or(&[], |id| &self.slab[id])
+        let key = key.iter().cloned();
+        let is_key = |first| cells(rows, first, &self.cols).eq(key.clone());
+        self.find(hash_key(key.clone()), is_key).map_or(&[], |id| &self.slab[id])
     }
 
     /// The bucket `pos` belongs in, created (empty — the caller fills it
     /// before the next probe) when the row's key is new.
     fn entry(&mut self, rows: &Rows, pos: u32) -> &mut Vec<u32> {
-        let key = cells(rows.row(pos as usize), &self.cols);
-        let hash = hash_key(key.clone());
-        let id = self.find(rows, hash, key).unwrap_or_else(|| {
+        let (hash, found) = self.locate(rows, pos);
+        let id = found.unwrap_or_else(|| {
             let id = self.free.pop().map_or(self.slab.len(), |id| id as usize);
             if id == self.slab.len() {
                 self.slab.push(Vec::new());
@@ -117,9 +312,7 @@ impl Partitions {
     /// Let `f` take `pos` out of its bucket; a bucket that empties leaves
     /// the directory and gives its memory back.
     fn shrink(&mut self, rows: &Rows, pos: u32, f: impl FnOnce(&mut Vec<u32>)) {
-        let key = cells(rows.row(pos as usize), &self.cols);
-        let hash = hash_key(key.clone());
-        let Some(id) = self.find(rows, hash, key) else {
+        let (hash, Some(id)) = self.locate(rows, pos) else {
             return;
         };
         f(&mut self.slab[id]);
@@ -150,8 +343,9 @@ struct SecondaryIndex {
 }
 
 impl SecondaryIndex {
-    fn same_key(&self, a: &[Value], b: &[Value]) -> bool {
-        cells(a, &self.parts.cols).eq(cells(b, &self.parts.cols))
+    /// Does the index read column `col`?
+    fn reads(&self, col: usize) -> bool {
+        self.parts.cols.contains(&col)
     }
 
     fn insert(&mut self, rows: &Rows, pos: u32) {
@@ -181,24 +375,26 @@ impl SecondaryIndex {
 struct OrderedIndex {
     range_col: usize,
     label: Arc<str>,
-    /// One position list per value of the equality columns, sorted by
-    /// [`range_key`], so a value's rows sit together in storage order.
+    /// One position list per value of the equality columns, sorted as
+    /// [`sorts`] says, so a value's rows sit together in storage order.
     parts: Partitions,
     /// `entries` plus distinct `(eq-key, range-key)` pairs; the partition
     /// count is the directory's length.
     stats: IndexStats,
 }
 
-/// Where `pos` sorts in an ordered partition over column `col`: by the
-/// value its row holds there, then by position.
-fn range_key(rows: &Rows, col: usize, pos: u32) -> (&Value, u32) {
-    (&rows.row(pos as usize)[col], pos)
+/// Where row `p` sorts against row `pos` in an ordered partition over
+/// column `col`: by the value each holds there, then by position.
+fn sorts(rows: &Rows, col: usize, p: u32, pos: u32) -> Ordering {
+    rows.cmp(p as usize, pos as usize, col).then(p.cmp(&pos))
 }
 
-/// Does an entry beside slot `at` of a sorted partition hold `v`? A value's
-/// entries are contiguous, so these two are the only ones that can.
-fn run_touches(rows: &Rows, col: usize, part: &[u32], at: usize, v: &Value) -> bool {
-    let holds = |i: usize| part.get(i).is_some_and(|&p| range_key(rows, col, p).0 == v);
+/// Does an entry beside slot `at` of a sorted partition hold the value row
+/// `pos` holds? A value's entries are contiguous, so these two are the only
+/// ones that can.
+fn run_touches(rows: &Rows, col: usize, part: &[u32], at: usize, pos: u32) -> bool {
+    let same = |p: u32| rows.cmp(p as usize, pos as usize, col).is_eq();
+    let holds = |i: usize| part.get(i).is_some_and(|&p| same(p));
     at.checked_sub(1).is_some_and(holds) || holds(at)
 }
 
@@ -211,33 +407,32 @@ impl OrderedIndex {
         }
     }
 
-    fn same_key(&self, a: &[Value], b: &[Value]) -> bool {
-        let cols = &self.parts.cols;
-        a[self.range_col] == b[self.range_col] && cells(a, cols).eq(cells(b, cols))
+    /// Does the index read column `col`?
+    fn reads(&self, col: usize) -> bool {
+        col == self.range_col || self.parts.cols.contains(&col)
     }
 
     fn insert(&mut self, rows: &Rows, pos: u32) {
         let col = self.range_col;
-        let key = range_key(rows, col, pos);
+        let before = |p: u32| sorts(rows, col, p, pos).is_lt();
         let part = self.parts.entry(rows, pos);
         // Minutes and times arrive ascending, so this is nearly always a
         // push, and the last row alone says so.
         let at = match part.last() {
-            Some(&last) if range_key(rows, col, last) < key => part.len(),
-            _ => part.partition_point(|&p| range_key(rows, col, p) < key),
+            Some(&last) if before(last) => part.len(),
+            _ => part.partition_point(|&p| before(p)),
         };
-        self.stats.on_insert(!run_touches(rows, col, part, at, key.0));
+        self.stats.on_insert(!run_touches(rows, col, part, at, pos));
         part.insert(at, pos);
     }
 
     fn remove(&mut self, rows: &Rows, pos: u32) {
         let col = self.range_col;
-        let key = range_key(rows, col, pos);
         let stats = &mut self.stats;
         self.parts.shrink(rows, pos, |part| {
-            if let Ok(at) = part.binary_search_by(|&p| range_key(rows, col, p).cmp(&key)) {
+            if let Ok(at) = part.binary_search_by(|&p| sorts(rows, col, p, pos)) {
                 part.remove(at);
-                stats.on_remove(!run_touches(rows, col, part, at, key.0));
+                stats.on_remove(!run_touches(rows, col, part, at, pos));
             }
         });
     }
@@ -249,7 +444,7 @@ impl OrderedIndex {
     fn scan(&self, rows: &Rows, eq_key: &[Value], lo: &Bound<Value>, hi: &Bound<Value>) -> &[u32] {
         let part = self.parts.get(rows, eq_key);
         let until = |below: &dyn Fn(&Value) -> bool| {
-            part.partition_point(|&p| below(range_key(rows, self.range_col, p).0))
+            part.partition_point(|&p| below(&rows.cell(p as usize, self.range_col)))
         };
         let bounded = !matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded));
         let nulls = if bounded { until(&Value::is_null) } else { 0 };
@@ -309,11 +504,11 @@ impl Acc {
         aggs.iter().map(|a| Acc::new(schema, a)).collect()
     }
 
-    fn push(&mut self, row: &[Value]) -> Result<()> {
+    fn push(&mut self, row: RowRef) -> Result<()> {
         match self {
             Acc::Count(n) => *n += 1,
             Acc::Sum { col, sum, n } | Acc::Avg { col, sum, n } => {
-                let v = &row[*col];
+                let v = row.cell(*col);
                 if !v.is_null() {
                     *sum += v.as_float()?;
                     *n += 1;
@@ -323,14 +518,14 @@ impl Acc {
             // `Iterator::max` the last equal maximum — mirrored here so
             // streamed results match the materialized path bit-for-bit.
             Acc::Extreme { col, best, max } => {
-                let v = &row[*col];
+                let v = row.cell(*col);
                 let replace = match best {
                     None => true,
-                    Some(b) if *max => v >= b,
-                    Some(b) => v < b,
+                    Some(b) if *max => v >= *b,
+                    Some(b) => v < *b,
                 };
                 if replace && !v.is_null() {
-                    *best = Some(v.clone());
+                    *best = Some(v);
                 }
             }
         }
@@ -390,7 +585,7 @@ impl Table {
         let pk_names: Vec<&str> = schema.primary_key().iter().map(|&c| schema.name(c)).collect();
         Table {
             pk_label: format!("pk({})", pk_names.join(",")).into(),
-            rows: Rows { width: schema.len(), ..Rows::default() },
+            rows: Rows::new(&schema),
             schema,
             live: 0,
             pk: PosTable::default(),
@@ -451,26 +646,37 @@ impl Table {
         Ok(())
     }
 
-    /// Position of the row with this primary key.
-    fn pk_find<'k>(&self, key: impl Key<'k>) -> Option<usize> {
+    /// Position of the row with this primary key, which hashes to `hash`.
+    fn pk_find(&self, hash: u64, key: impl Key) -> Option<usize> {
         let cols = self.schema.primary_key();
-        let found = self.pk.find(hash_key(key.clone()), |pos| {
-            cells(self.rows.row(pos as usize), cols).eq(key.clone())
-        });
+        let found = self.pk.find(hash, |pos| cells(&self.rows, pos as usize, cols).eq(key.clone()));
         found.map(|pos| pos as usize)
     }
 
-    /// Store a validated row whose key is not taken, and index it.
-    fn append(&mut self, row: Row) -> Result<()> {
+    /// Position of the row with this primary key.
+    fn pk_get(&self, key: &[Value]) -> Option<usize> {
+        let key = key.iter().cloned();
+        self.pk_find(hash_key(key.clone()), key)
+    }
+
+    /// Hash of `row`'s primary key, and the position of the row with it.
+    fn pk_of(&self, row: &[Value]) -> (u64, Option<usize>) {
+        let key = picked(row, self.schema.primary_key());
+        let hash = hash_key(key.clone());
+        (hash, self.pk_find(hash, key))
+    }
+
+    /// Store a validated row whose primary key, hashing to `pk_hash`, is not
+    /// taken, and index it.
+    fn append(&mut self, row: &[Value], pk_hash: u64) -> Result<()> {
         let Table { schema, rows, pk, secondary, ordered, .. } = self;
-        let pos = u32::try_from(rows.alive.len())
+        let pos = u32::try_from(rows.slots)
             .ok()
             .filter(|&pos| pos < u32::MAX)
             .ok_or_else(|| Error::Store("table full: positions are 32-bit".into()))?;
-        rows.cells.extend(row);
-        rows.alive.push(true);
+        rows.push(row);
         if !schema.primary_key().is_empty() {
-            pk.insert(hash_key(cells(rows.row(pos as usize), schema.primary_key())), pos);
+            pk.insert(pk_hash, pos);
         }
         secondary.iter_mut().for_each(|idx| idx.insert(rows, pos));
         ordered.iter_mut().for_each(|idx| idx.insert(rows, pos));
@@ -483,50 +689,66 @@ impl Table {
     fn remove_row(&mut self, pos: usize) {
         let Table { schema, rows, pk, secondary, ordered, .. } = self;
         let at = pos as u32;
-        pk.remove(hash_key(cells(rows.row(pos), schema.primary_key())), at);
+        pk.remove(hash_key(cells(rows, pos, schema.primary_key())), at);
         secondary.iter_mut().for_each(|idx| idx.remove(rows, at));
         ordered.iter_mut().for_each(|idx| idx.remove(rows, at));
-        rows.alive[pos] = false;
-        rows.row_mut(pos).fill(Value::Null);
+        rows.kill(pos);
         self.live -= 1;
     }
 
-    /// Put `new` (validated, same primary key) in the place of the row at
-    /// `pos`. An index whose columns the two rows agree on is not touched.
-    fn replace_row(&mut self, pos: usize, mut new: Row) {
+    /// Write `vals` (validated, primary-key cells equal to the ones they
+    /// replace) into columns `cols` of the row at `pos`, in place; `vals`
+    /// gets the old cells back. An index none of whose cells change is not
+    /// touched.
+    fn assign(&mut self, pos: usize, cols: impl Iterator<Item = usize> + Clone, vals: &mut [Value]) {
         let Table { rows, secondary, ordered, .. } = self;
-        let (at, old) = (pos as u32, rows.row(pos));
-        secondary.iter_mut().filter(|i| !i.same_key(old, &new)).for_each(|i| i.remove(rows, at));
-        ordered.iter_mut().filter(|i| !i.same_key(old, &new)).for_each(|i| i.remove(rows, at));
-        rows.row_mut(pos).swap_with_slice(&mut new);
-        let (old, new) = (new, rows.row(pos));
-        secondary.iter_mut().filter(|i| !i.same_key(&old, new)).for_each(|i| i.insert(rows, at));
-        ordered.iter_mut().filter(|i| !i.same_key(&old, new)).for_each(|i| i.insert(rows, at));
+        let at = pos as u32;
+        // Does the write change a cell `reads` picks? Asked again once the
+        // cells and `vals` are swapped, it answers the same.
+        let moves = |rows: &Rows, vals: &[Value], reads: &dyn Fn(usize) -> bool| {
+            cols.clone().zip(vals).any(|(c, v)| reads(c) && rows.cell(pos, c) != *v)
+        };
+        for i in secondary.iter_mut().filter(|i| moves(rows, vals, &|c| i.reads(c))) {
+            i.remove(rows, at);
+        }
+        for i in ordered.iter_mut().filter(|i| moves(rows, vals, &|c| i.reads(c))) {
+            i.remove(rows, at);
+        }
+        for (c, v) in cols.clone().zip(vals.iter_mut()) {
+            rows.swap(pos, c, v);
+        }
+        for i in secondary.iter_mut().filter(|i| moves(rows, vals, &|c| i.reads(c))) {
+            i.insert(rows, at);
+        }
+        for i in ordered.iter_mut().filter(|i| moves(rows, vals, &|c| i.reads(c))) {
+            i.insert(rows, at);
+        }
     }
 
     /// Insert a row; rejects primary-key duplicates.
     pub fn insert(&mut self, row: Row) -> Result<()> {
         self.schema.validate(&row)?;
-        if self.pk_find(cells(&row, self.schema.primary_key())).is_some() {
+        let (hash, found) = self.pk_of(&row);
+        if found.is_some() {
             return Err(Error::Store(format!(
                 "primary key violation: {:?} already present",
                 self.schema.key_of(&row)
             )));
         }
-        self.append(row)
+        self.append(&row, hash)
     }
 
     /// Insert or replace by primary key. Returns `true` if an existing row
     /// was replaced. Requires a primary key.
-    pub fn upsert(&mut self, row: Row) -> Result<bool> {
+    pub fn upsert(&mut self, mut row: Row) -> Result<bool> {
         self.schema.validate(&row)?;
         if self.schema.primary_key().is_empty() {
             return Err(Error::Store("upsert requires a primary key".into()));
         }
-        let found = self.pk_find(cells(&row, self.schema.primary_key()));
+        let (hash, found) = self.pk_of(&row);
         match found {
-            Some(pos) => self.replace_row(pos, row),
-            None => self.append(row)?,
+            Some(pos) => self.assign(pos, 0..row.len(), &mut row),
+            None => self.append(&row, hash)?,
         }
         Ok(found.is_some())
     }
@@ -551,8 +773,8 @@ impl Table {
     }
 
     /// Point lookup by primary key.
-    pub fn get(&self, key: &[Value]) -> Option<&[Value]> {
-        self.pk_find(key.iter()).map(|pos| self.rows.row(pos))
+    pub fn get(&self, key: &[Value]) -> Option<RowRef<'_>> {
+        self.pk_get(key).map(|pos| self.row_at(pos))
     }
 
     /// Live-row and per-index statistics, as maintained by the mutation
@@ -626,7 +848,8 @@ impl Table {
     /// conjunction: equalities and ranges at its top level pick the index,
     /// everything else (`OR`, `IN`, `NOT`, arithmetic) is residual. Every
     /// path is a candidate-superset of the true match set (the executors
-    /// re-apply the predicate), so planning affects cost only, never results.
+    /// re-apply the predicate unless the path consumed it), so planning
+    /// affects cost only, never results.
     pub fn plan(&self, pred: Option<&Expr>) -> Plan {
         let scan = Plan {
             node: PlanNode::FullScan { rows: self.live },
@@ -646,7 +869,7 @@ impl Table {
     fn access_positions(&self, node: &PlanNode) -> Vec<usize> {
         match node {
             PlanNode::IndexEq { index: IndexRef::PrimaryKey, key, .. } => {
-                self.pk_find(key.iter()).into_iter().collect()
+                self.pk_get(key).into_iter().collect()
             }
             PlanNode::IndexEq { index: IndexRef::Secondary(i), key, .. } => {
                 let bucket = self.secondary[*i].parts.get(&self.rows, key);
@@ -665,7 +888,7 @@ impl Table {
     }
 
     /// Does the plan node provably re-check everything the predicate
-    /// asserts? When true, `aggregate` skips per-row predicate evaluation
+    /// asserts? When true, the executors skip per-row predicate evaluation
     /// (the LAV query, on every toll calculation).
     fn residual_free(&self, pred: Option<&Expr>, node: &PlanNode) -> bool {
         fn eq_parts(e: &Expr) -> Option<(&str, &Value, CmpOp)> {
@@ -730,7 +953,6 @@ impl Table {
             }
         }
         let Some(p) = pred else { return true };
-        let conjuncts = p.conjuncts();
         match node {
             PlanNode::IndexEq { index, key, .. } => {
                 let cols = match index {
@@ -738,11 +960,11 @@ impl Table {
                     IndexRef::Secondary(i) => &self.secondary[*i].parts.cols,
                     IndexRef::Ordered(_) => return false,
                 };
-                conjuncts.iter().all(|c| consumed_by_eq(c, cols, key))
+                p.all_conjuncts(&mut |c| consumed_by_eq(c, cols, key))
             }
             PlanNode::IndexRange { index, eq_key, lo, hi, .. } => {
                 let idx = &self.ordered[*index];
-                conjuncts.iter().all(|c| {
+                p.all_conjuncts(&mut |c| {
                     consumed_by_eq(c, &idx.parts.cols, eq_key)
                         || consumed_by_range(c, self.schema.name(idx.range_col), lo, hi)
                 })
@@ -751,26 +973,32 @@ impl Table {
         }
     }
 
+    /// The predicate to re-check on the candidates of `node`: none when
+    /// the plan consumed it.
+    fn residual<'p>(&self, pred: Option<&'p Expr>, node: &PlanNode) -> Option<&'p Expr> {
+        pred.filter(|_| !self.residual_free(pred, node))
+    }
+
     /// Matching row positions, ascending: plan, probe, re-filter.
     pub(crate) fn filtered_positions(&self, pred: Option<&Expr>) -> Result<Vec<usize>> {
         let plan = self.plan(pred);
-        let positions = self.access_positions(&plan.node);
-        let mut out = Vec::with_capacity(positions.len());
-        for pos in positions {
-            let row = self.rows.row(pos);
-            if match pred {
-                Some(p) => p.matches(&self.schema, row)?,
-                None => true,
-            } {
-                out.push(pos);
+        let mut positions = self.access_positions(&plan.node);
+        if let Some(p) = self.residual(pred, &plan.node) {
+            let mut kept = 0;
+            for i in 0..positions.len() {
+                if p.matches(&self.schema, &self.row_at(positions[i]))? {
+                    positions[kept] = positions[i];
+                    kept += 1;
+                }
             }
+            positions.truncate(kept);
         }
-        Ok(out)
+        Ok(positions)
     }
 
     /// The live row at a position returned by `filtered_positions`.
-    pub(crate) fn row_at(&self, pos: usize) -> &[Value] {
-        self.rows.row(pos)
+    pub(crate) fn row_at(&self, pos: usize) -> RowRef<'_> {
+        RowRef { rows: &self.rows, pos }
     }
 
     /// Rows satisfying the predicate (all rows when `None`), in storage
@@ -789,9 +1017,10 @@ impl Table {
     }
 
     /// Update rows satisfying the predicate with `(column, value)`
-    /// assignments; returns how many rows changed. Primary-key columns may
-    /// not be assigned. The assignments are checked against the schema
-    /// before any row is touched: a rejected update changes nothing.
+    /// assignments, written in place; returns how many rows changed.
+    /// Primary-key columns may not be assigned. The assignments are checked
+    /// against the schema before any row is touched: a rejected update
+    /// changes nothing.
     pub fn update_where(&mut self, pred: &Expr, assignments: &[(&str, Value)]) -> Result<usize> {
         let mut cols = Vec::with_capacity(assignments.len());
         for (name, v) in assignments {
@@ -800,15 +1029,14 @@ impl Table {
                 return Err(Error::Store("cannot update a primary key column".into()));
             }
             self.schema.columns()[c].check(v)?;
-            cols.push((c, v));
+            cols.push(c);
         }
         let positions = self.filtered_positions(Some(pred))?;
+        let mut vals = Vec::new();
         for &pos in &positions {
-            let mut row = self.row_at(pos).to_vec();
-            for &(c, v) in &cols {
-                row[c] = v.clone();
-            }
-            self.replace_row(pos, row);
+            vals.clear();
+            vals.extend(assignments.iter().map(|(_, v)| v.clone()));
+            self.assign(pos, cols.iter().copied(), &mut vals);
         }
         Ok(positions.len())
     }
@@ -816,20 +1044,17 @@ impl Table {
     /// Compute one aggregate over rows satisfying the predicate.
     pub fn aggregate(&self, pred: Option<&Expr>, agg: &Agg) -> Result<Value> {
         let plan = self.plan(pred);
-        let residual_free = self.residual_free(pred, &plan.node);
+        let residual = self.residual(pred, &plan.node);
         // Stream candidates through the accumulator — no row clones, and
         // no predicate evaluation when the plan already consumed it.
         let mut acc = Acc::new(&self.schema, agg)?;
         for pos in self.access_positions(&plan.node) {
-            let row = self.rows.row(pos);
-            if !residual_free {
-                if let Some(p) = pred {
-                    if !p.matches(&self.schema, row)? {
-                        continue;
-                    }
+            if let Some(p) = residual {
+                if !p.matches(&self.schema, &self.row_at(pos))? {
+                    continue;
                 }
             }
-            acc.push(row)?;
+            acc.push(self.row_at(pos))?;
         }
         Ok(acc.finish())
     }
@@ -883,12 +1108,12 @@ impl Table {
     ) -> Result<()> {
         let mut group: Option<(usize, Vec<Acc>)> = None;
         for pos in positions {
-            let row = self.rows.row(pos as usize);
             if let Some(p) = pred {
-                if !p.matches(&self.schema, row)? {
+                if !p.matches(&self.schema, &self.row_at(pos as usize))? {
                     continue;
                 }
             }
+            let row = self.row_at(pos as usize);
             let (_, accs) = match &mut group {
                 Some(group) => group,
                 None => group.insert((pos as usize, Acc::all(&self.schema, aggs)?)),
@@ -919,15 +1144,18 @@ impl Table {
         match self.plan_group_by(pred, group_cols).map(|plan| plan.node) {
             Some(PlanNode::GroupByIndex { index: IndexRef::Secondary(i), .. }) => {
                 for bucket in self.secondary[i].parts.buckets() {
-                    self.accumulate_group(pred, aggs, bucket.iter().copied(), &mut groups)?;
+                    let rows = bucket.iter().copied();
+                    self.accumulate_group(pred, aggs, rows, &mut groups)?;
                 }
                 groups.sort_by_key(|(first, _)| *first);
             }
             Some(PlanNode::GroupByIndex { index: IndexRef::Ordered(i), .. }) => {
-                let value = |&p: &u32| range_key(&self.rows, self.ordered[i].range_col, p).0;
+                let col = self.ordered[i].range_col;
+                let same = |&a: &u32, &b: &u32| self.rows.cmp(a as usize, b as usize, col).is_eq();
                 for part in self.ordered[i].parts.buckets() {
-                    for run in part.chunk_by(|a, b| value(a) == value(b)) {
-                        self.accumulate_group(pred, aggs, run.iter().copied(), &mut groups)?;
+                    for run in part.chunk_by(same) {
+                        let rows = run.iter().copied();
+                        self.accumulate_group(pred, aggs, rows, &mut groups)?;
                     }
                 }
                 groups.sort_by_key(|(first, _)| *first);
@@ -937,10 +1165,10 @@ impl Table {
                 // first row; rows arrive, and accumulate, in storage order.
                 let mut ids = PosTable::default();
                 for pos in self.filtered_positions(pred)? {
-                    let row = self.row_at(pos);
-                    let hash = hash_key(cells(row, &gcols));
+                    let key = cells(&self.rows, pos, &gcols);
+                    let hash = hash_key(key.clone());
                     let found = ids.find(hash, |g| {
-                        cells(self.row_at(groups[g as usize].0), &gcols).eq(cells(row, &gcols))
+                        cells(&self.rows, groups[g as usize].0, &gcols).eq(key.clone())
                     });
                     let g = match found {
                         Some(g) => g as usize,
@@ -951,7 +1179,7 @@ impl Table {
                         }
                     };
                     for acc in &mut groups[g].1 {
-                        acc.push(row)?;
+                        acc.push(self.row_at(pos))?;
                     }
                 }
             }
@@ -961,26 +1189,30 @@ impl Table {
         Ok(groups
             .into_iter()
             .map(|(first, accs)| {
-                let key = cells(self.row_at(first), &gcols).cloned().collect();
+                let key = cells(&self.rows, first, &gcols).collect();
                 (key, accs.into_iter().map(Acc::finish).collect())
             })
             .collect())
     }
 
-    /// Iterate live rows.
-    pub fn iter(&self) -> impl Iterator<Item = &[Value]> {
-        self.rows.positions().map(|pos| self.rows.row(pos))
+    /// Iterate live rows, in storage order.
+    pub fn iter(&self) -> impl Iterator<Item = RowRef<'_>> {
+        self.rows.positions().map(|pos| self.row_at(pos))
     }
 
     fn maybe_compact(&mut self) {
-        let dead = self.rows.alive.len() - self.live;
+        let dead = self.rows.slots - self.live;
         if dead < 64 || dead < self.live {
             return;
         }
         // Only the old rows stay: the old indexes go before the new fill.
         let Table { rows: old, .. } = std::mem::replace(self, self.empty_like());
+        let mut row = Row::new();
         for pos in old.positions() {
-            self.append(old.row(pos).to_vec()).expect("fewer rows than before");
+            row.clear();
+            row.extend(RowRef { rows: &old, pos }.iter());
+            let hash = hash_key(picked(&row, self.schema.primary_key()));
+            self.append(&row, hash).expect("fewer rows than before");
         }
     }
 }
@@ -1017,7 +1249,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
         let got = t.get(&[0.into(), 1.into(), 0.into()]).unwrap();
-        assert_eq!(got[3], Value::Int(10));
+        assert_eq!(got.cell(3), Value::Int(10));
         assert!(t.insert(row(0, 1, 0, 99, 1.0)).is_err(), "pk violation");
         assert!(t.get(&[9.into(), 9.into(), 9.into()]).is_none());
     }
@@ -1029,7 +1261,7 @@ mod tests {
         assert!(t.upsert(row(0, 1, 0, 60, 35.0)).unwrap());
         assert_eq!(t.len(), 1);
         let got = t.get(&[0.into(), 1.into(), 0.into()]).unwrap();
-        assert_eq!(got[3], Value::Int(60));
+        assert_eq!(got.cell(3), Value::Int(60));
         // Secondary index follows the update.
         let by_seg = t.select(Some(&col("seg").eq(lit(1)))).unwrap();
         assert_eq!(by_seg.len(), 1);
@@ -1110,7 +1342,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(
-            t.get(&[0.into(), 2.into(), 0.into()]).unwrap()[3],
+            t.get(&[0.into(), 2.into(), 0.into()]).unwrap().cell(3),
             Value::Int(77)
         );
         assert!(t
@@ -1512,7 +1744,7 @@ mod tests {
         assert!(t.update_where(&pred, &[("v", Value::Null)]).is_err());
         assert!(t.update_where(&pred, &[("v", 11.into()), ("nope", 1.into())]).is_err());
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&[1.into()]).unwrap()[1], Value::Int(10));
+        assert_eq!(t.get(&[1.into()]).unwrap().cell(1), Value::Int(10));
         assert_eq!(t.select(None).unwrap(), vec![vec![Value::Int(1), Value::Int(10)]]);
         assert!(t.upsert(vec![1.into(), 11.into()]).unwrap(), "the row is still there to replace");
     }
@@ -1534,7 +1766,7 @@ mod tests {
             let g: Value = if k % 2 == 0 { (k % 4).into() } else { ((k % 4) as f64).into() };
             t.insert(vec![k.into(), g, (k / 4).into()]).unwrap();
         }
-        assert_eq!(t.get(&[Value::Float(3.0)]).unwrap()[0], Value::Int(3));
+        assert_eq!(t.get(&[Value::Float(3.0)]).unwrap().cell(0), Value::Int(3));
         assert!(t.get(&[Value::Float(3.5)]).is_none());
         assert!(t.insert(vec![Value::Int(3), 0.into(), 0.into()]).is_err(), "pk 3 is taken");
         let s = t.stats();
@@ -1625,7 +1857,7 @@ mod tests {
             vec![Value::str(&format!("{}{i}", names[i % 8])), city, note]
         });
         let (mut t, mut plain) = with_plain(t, rows);
-        assert_eq!(t.get(&[Value::str("cy10")]).unwrap()[1], Value::str("oslo"));
+        assert_eq!(t.get(&[Value::str("cy10")]).unwrap().cell(1), Value::str("oslo"));
         assert!(t.get(&[Value::str("cy")]).is_none());
         assert!(t.insert(vec![Value::str("cy10"), Value::str("x"), Value::Null]).is_err());
         let rome = col("city").eq(lit("rome"));
@@ -1684,25 +1916,26 @@ mod tests {
         let check = |t: &Table| {
             let values: [Value; 7] = [(-2).into(), 0.into(), 1.into(), 2.5.into(), 3.into(), 3.0.into(), 10.into()];
             let bounds = || values.iter().flat_map(|v| [Bound::Included(v), Bound::Excluded(v)].map(|b| b.cloned()));
-            let rows_of = |node: &PlanNode| -> Vec<&[Value]> {
-                t.access_positions(node).into_iter().map(|p| t.row_at(p)).collect()
+            let rows_of = |node: &PlanNode| -> Vec<Row> {
+                t.access_positions(node).into_iter().map(|p| t.row_at(p).to_vec()).collect()
             };
             for g in 0..4i64 {
                 let (label, key) = (t.secondary[0].label.clone(), vec![Value::Int(g)]);
                 let node = PlanNode::IndexEq { index: IndexRef::Secondary(0), label, key };
-                let scan: Vec<&[Value]> = t.iter().filter(|r| r[1] == Value::Int(g)).collect();
+                let in_g = |r: &RowRef| r.cell(1) == Value::Int(g);
+                let scan: Vec<Row> = t.iter().filter(in_g).map(|r| r.to_vec()).collect();
                 assert_eq!(rows_of(&node), scan, "{node}");
                 for (lo, hi) in bounds().flat_map(|lo| bounds().map(move |hi| (lo.clone(), hi))) {
-                    let hits = |r: &&[Value]| {
-                        r[1] == Value::Int(g) && (lo.as_ref(), hi.as_ref()).contains(&r[2])
+                    let hits = |r: &RowRef| {
+                        r.cell(1) == Value::Int(g) && (lo.as_ref(), hi.as_ref()).contains(&r.cell(2))
                     };
-                    let scan: Vec<&[Value]> = t.iter().filter(hits).collect();
+                    let scan: Vec<Row> = t.iter().filter(hits).map(|r| r.to_vec()).collect();
                     let (label, eq_key) = (t.ordered[0].label.clone(), vec![Value::Int(g)]);
                     let node = PlanNode::IndexRange { index: 0, label, eq_key, lo, hi };
                     assert_eq!(rows_of(&node), scan, "{node}");
                 }
             }
-            let mut pairs: Vec<(Value, Value)> = t.iter().map(|r| (r[1].clone(), r[2].clone())).collect();
+            let mut pairs: Vec<(Value, Value)> = t.iter().map(|r| (r.cell(1), r.cell(2))).collect();
             pairs.sort();
             pairs.dedup();
             let mut groups: Vec<Value> = pairs.iter().map(|(g, _)| g.clone()).collect();

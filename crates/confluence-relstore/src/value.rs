@@ -25,7 +25,9 @@ pub enum Value {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// Shared string, behind a thin pointer so a cell is 16 bytes.
+    /// Shared string, behind a thin pointer so a `Value` is 16 bytes. A
+    /// table stores none: its cells are 8 bytes or less, a typed vector per
+    /// column (see [`crate::table`]).
     Str(Arc<String>),
 }
 

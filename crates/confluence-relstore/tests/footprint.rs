@@ -1,6 +1,6 @@
 //! What a table holds per row, counted by a global allocator: the rows
-//! once, and for each index a position per row — no copy of a key, the
-//! ordered index's range value included.
+//! once, a typed 8-byte cell per column, and for each index a position per
+//! row — no copy of a key, the ordered index's range value included.
 //!
 //! One test function: the counter is process-wide, and a second test
 //! running beside it would be counted too.
@@ -72,14 +72,15 @@ fn a_table_keeps_one_copy_of_each_row_and_positions_beside_it() {
         table.insert(row).unwrap();
     }
     let per_row = (LIVE_BYTES.load(Relaxed) - before) as f64 / ROWS as f64;
-    // 132 B here: 80 B of cells (five 16-byte values), which the doubling
-    // cell vector holds 105 B of capacity for at this row count (its
-    // slackest; it is 87 B at 60k rows), 21 B of primary-key slots, and
-    // 5 B of ordered entries: a `u32` per row in a vector per partition,
-    // with the vectors' own slack. With 24-byte cells and a 32-byte
-    // `(Value, u32)` B-tree entry per row it was 241 B; with a key copy
-    // per row in the primary-key index as well, 413 B.
-    assert!(per_row < 150.0, "{per_row:.1} live bytes per row");
+    // 78 B here: 40 B of cells (five 8-byte integers, a vector per
+    // column), which the doubling vectors hold 52 B of capacity for at this
+    // row count (their slackest; 44 B at 60k rows), 21 B of primary-key
+    // slots, and 5 B of ordered entries: a `u32` per row in a vector per
+    // partition, with the vectors' own slack. With five 16-byte `Value`s a
+    // row end to end it was 132 B; with 24-byte cells and a 32-byte
+    // `(Value, u32)` B-tree entry per row, 241 B; with a key copy per row
+    // in the primary-key index as well, 413 B.
+    assert!(per_row < 81.0, "{per_row:.1} live bytes per row");
     assert_eq!(table.len(), ROWS as usize);
     drop(table);
 

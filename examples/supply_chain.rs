@@ -149,7 +149,7 @@ fn main() -> confluence::prelude::Result<()> {
         s.table("inventory")
             .unwrap()
             .iter()
-            .map(|r| (r[0].as_str().unwrap().to_string(), r[1].as_int().unwrap()))
+            .map(|r| (r.cell(0).as_str().unwrap().to_string(), r.cell(1).as_int().unwrap()))
             .collect()
     });
     println!("confirmed orders: {}", confirmations.len());

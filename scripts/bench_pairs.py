@@ -15,9 +15,11 @@ and its DETAIL line (reference hash, ungated timings).
 For every workload and end-to-end metric the summary gives the median parent
 -> change, both sides' quartiles (Python's default exclusive rule, which
 benchmark/src/stats.rs reproduces), in how many pairs the change is better,
-and the worst pair; then whether every run was correct, how many operations
-failed, and whether each pair's reference hashes are equal. With --out the
-summary and one raw line per run are written to LOG; raw lines go to stderr
+and the worst pair; then, ungated, each side's median over runs of the run's
+largest unit peak (`peak_rss_mb` is the least unit's, so a peak claim shows
+there that every unit moved); then whether every run was correct, how many
+operations failed, and whether each pair's reference hashes are equal. With
+--out the summary and one raw line per run are written to LOG; raw lines go to stderr
 as the runs finish.
 """
 import argparse
@@ -82,6 +84,13 @@ def summarize(runs, metrics, labels=("parent", "change")):
         if cpu:
             pm, cm = statistics.median(a for a, _ in cpu), statistics.median(b for _, b in cpu)
             out.append(f"{workload} run.cpu_us_per_op (ungated): {pm:.2f} -> {cm:.2f} ({(cm / pm - 1) * 100:+.1f}%)")
+        # Each side's largest unit peak per run: `peak_rss_mb` is the least.
+        tops = [[max(d["unit_peak_rss_mb"]) for _, d in side if d.get("unit_peak_rss_mb")]
+                for side in zip(*pairs)]
+        if tops and all(tops):
+            pm, cm = (statistics.median(t) for t in tops)
+            out.append(f"{workload} largest unit_peak_rss_mb (ungated): {pm:.1f} -> {cm:.1f} MB "
+                       f"({(cm / pm - 1) * 100:+.1f}%)")
         sides = [side for pair in pairs for side in pair]
         correct = all(r["correct"] and r["exit"] == 0 for r, _ in sides)
         failed = sum(r["failed"] or 0 for r, _ in sides)
