@@ -253,6 +253,11 @@ impl Token {
         }
     }
 
+    /// Whether this is the unit token (a relational store's NULL).
+    pub fn is_unit(&self) -> bool {
+        matches!(self, Token::Unit)
+    }
+
     /// Interpret as integer.
     pub fn as_int(&self) -> Result<i64> {
         match self {
@@ -691,6 +696,59 @@ mod tests {
         assert_eq!(hash_of(&lo), hash_of(&float), "exactly-equal numbers hash alike");
         assert_eq!(Token::Int(i64::MAX).cmp(&Token::Float(i64::MAX as f64)), Ordering::Less);
         assert_eq!(Token::Int(0).cmp(&Token::Float(f64::NAN)), Ordering::Less);
+    }
+
+    #[test]
+    fn int_and_float_order_exactly_near_two_to_the_53() {
+        const P: i64 = 1 << 53;
+        let (pf, max) = (P as f64, i64::MAX as f64);
+        // `2^53 + 1 as f64` rounds to 2^53: a widening compare would have
+        // Int(2^53 + 1) == Float(2^53) == Int(2^53) < Int(2^53 + 1).
+        assert!(Token::Int(P + 1) > Token::Float(pf));
+        assert_eq!(Token::Float(pf), Token::Int(P));
+        assert!(Token::Int(i64::MAX) < Token::Float(max), "2^63 - 1 < 2^63");
+        assert_eq!(Token::Int(i64::MIN), Token::Float(i64::MIN as f64));
+        assert!(Token::Float(-0.0) < Token::Int(0));
+        let vs = [
+            Token::Int(P - 1),
+            Token::Int(P),
+            Token::Int(P + 1),
+            Token::Int(P + 2),
+            Token::Int(P + 3),
+            Token::Float(pf - 1.0),
+            Token::Float(pf),
+            Token::Float(pf + 2.0),
+            Token::Float(pf + 4.0),
+            Token::Int(i64::MAX),
+            Token::Float(max),
+            Token::Int(i64::MIN),
+            Token::Float(i64::MIN as f64),
+            Token::Float(f64::NAN),
+            Token::Float(f64::INFINITY),
+            Token::Float(-0.0),
+            Token::Float(0.0),
+            Token::Int(0),
+        ];
+        // A sorted index relies on exactly these: antisymmetry,
+        // transitivity, and equal tokens hashing alike.
+        for a in &vs {
+            for b in &vs {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a} vs {b}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a} == {b} must hash alike");
+                }
+                for c in &vs {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a} <= {b} <= {c}");
+                    }
+                }
+            }
+        }
+        let mut sorted = vs.to_vec();
+        sorted.sort();
+        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+        let ints: Vec<&Token> = sorted.iter().filter(|v| matches!(v, Token::Int(_))).collect();
+        assert!(ints.windows(2).all(|w| w[0].as_int().unwrap() <= w[1].as_int().unwrap()));
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   accidents with detection time.
 
 use confluence_core::error::Result;
+use confluence_core::token::Token;
 use confluence_relstore::expr::{col, lit};
-use confluence_relstore::{Agg, Expr, Schema, StoreHandle, Value, ValueType};
+use confluence_relstore::{Agg, Expr, Schema, StoreHandle, ValueType};
 
 use crate::model::{accident_segments, LAV_WINDOW_MINUTES};
 
@@ -166,7 +167,7 @@ pub fn insert_accident(
         // The same stalled pair re-triggers detection on every further
         // report; keep one row per (xway, dir, pos) accident episode.
         let episode = accident_episode_predicate(xway, dir, pos, time);
-        if t.aggregate(Some(&episode), &Agg::Count)? != Value::Int(0) {
+        if t.aggregate(Some(&episode), &Agg::Count)? != Token::Int(0) {
             return Ok(false);
         }
         t.insert(vec![
@@ -213,7 +214,7 @@ pub fn lav(store: &StoreHandle, xway: i64, dir: i64, seg: i64, minute: i64) -> R
             .table("minute_speeds")?
             .aggregate(Some(&pred), &Agg::Avg("avg_speed".into()))?;
         Ok(match v {
-            Value::Null => None,
+            Token::Unit => None,
             other => Some(other.as_float()?),
         })
     })
@@ -240,7 +241,7 @@ pub fn accident_nearby(
 /// `(xway, dir, seg) → (samples, mean cars)`. The grouping columns are
 /// exactly the `segment_cars` secondary index, so the planner streams
 /// per-partition aggregates off the index without materializing rows.
-pub fn congestion_summary(store: &StoreHandle) -> Result<Vec<(Vec<Value>, Vec<Value>)>> {
+pub fn congestion_summary(store: &StoreHandle) -> Result<Vec<(Vec<Token>, Vec<Token>)>> {
     store.read(|s| {
         s.table("segment_cars")?.group_by(
             None,

@@ -3,12 +3,13 @@
 //! A small expression AST — columns, literals, comparisons, boolean
 //! connectives, arithmetic — rich enough to express the Linear Road toll
 //! query's conditions (`LAV < 40 AND numOfCars > 50 AND seg BETWEEN ...`)
-//! against a schema-resolved row.
+//! against a schema-resolved row. Literals, cells and results are
+//! [`Token`]s; NULL is `Token::Unit`, and a comparison with it is false.
 
 use confluence_core::error::{Error, Result};
+use confluence_core::token::Token;
 
 use crate::schema::Schema;
-use crate::value::Value;
 
 /// A scalar expression evaluated against one row.
 #[derive(Debug, Clone)]
@@ -16,7 +17,7 @@ pub enum Expr {
     /// A column reference (resolved by name at evaluation).
     Col(String),
     /// A literal value.
-    Lit(Value),
+    Lit(Token),
     /// Comparison.
     Cmp(Box<Expr>, CmpOp, Box<Expr>),
     /// Logical AND.
@@ -73,9 +74,9 @@ pub struct ColRange {
     /// Constrained column.
     pub column: String,
     /// Lower bound.
-    pub lo: std::ops::Bound<Value>,
+    pub lo: std::ops::Bound<Token>,
     /// Upper bound.
-    pub hi: std::ops::Bound<Value>,
+    pub hi: std::ops::Bound<Token>,
 }
 
 /// A row an expression reads, one cell at a time: a slice of values, or a
@@ -83,11 +84,11 @@ pub struct ColRange {
 /// cells the expression names.
 pub trait ReadCell {
     /// The value in column `col`.
-    fn cell(&self, col: usize) -> Value;
+    fn cell(&self, col: usize) -> Token;
 }
 
-impl ReadCell for [Value] {
-    fn cell(&self, col: usize) -> Value {
+impl ReadCell for [Token] {
+    fn cell(&self, col: usize) -> Token {
         self[col].clone()
     }
 }
@@ -98,7 +99,7 @@ pub fn col(name: &str) -> Expr {
 }
 
 /// Shorthand: literal.
-pub fn lit(v: impl Into<Value>) -> Expr {
+pub fn lit(v: impl Into<Token>) -> Expr {
     Expr::Lit(v.into())
 }
 
@@ -175,19 +176,19 @@ impl Expr {
     }
 
     /// Evaluate to a scalar value against a row.
-    pub fn eval<R: ReadCell + ?Sized>(&self, schema: &Schema, row: &R) -> Result<Value> {
+    pub fn eval<R: ReadCell + ?Sized>(&self, schema: &Schema, row: &R) -> Result<Token> {
         Ok(match self {
             Expr::Col(name) => row.cell(schema.column_index(name)?),
             Expr::Lit(v) => v.clone(),
             Expr::Cmp(a, op, b) => {
                 let va = a.eval(schema, row)?;
                 let vb = b.eval(schema, row)?;
-                if va.is_null() || vb.is_null() {
+                if va.is_unit() || vb.is_unit() {
                     // SQL-ish: comparisons with NULL are false.
-                    return Ok(Value::Bool(false));
+                    return Ok(Token::Bool(false));
                 }
                 let ord = va.cmp(&vb);
-                Value::Bool(match op {
+                Token::Bool(match op {
                     CmpOp::Eq => ord == std::cmp::Ordering::Equal,
                     CmpOp::Ne => ord != std::cmp::Ordering::Equal,
                     CmpOp::Lt => ord == std::cmp::Ordering::Less,
@@ -197,34 +198,34 @@ impl Expr {
                 })
             }
             Expr::And(a, b) => {
-                Value::Bool(a.eval(schema, row)?.as_bool()? && b.eval(schema, row)?.as_bool()?)
+                Token::Bool(a.eval(schema, row)?.as_bool()? && b.eval(schema, row)?.as_bool()?)
             }
             Expr::Or(a, b) => {
-                Value::Bool(a.eval(schema, row)?.as_bool()? || b.eval(schema, row)?.as_bool()?)
+                Token::Bool(a.eval(schema, row)?.as_bool()? || b.eval(schema, row)?.as_bool()?)
             }
-            Expr::Not(a) => Value::Bool(!a.eval(schema, row)?.as_bool()?),
+            Expr::Not(a) => Token::Bool(!a.eval(schema, row)?.as_bool()?),
             Expr::Arith(a, op, b) => {
                 let va = a.eval(schema, row)?;
                 let vb = b.eval(schema, row)?;
-                if va.is_null() || vb.is_null() {
-                    return Ok(Value::Null);
+                if va.is_unit() || vb.is_unit() {
+                    return Ok(Token::Unit);
                 }
                 match (&va, &vb) {
-                    (Value::Int(x), Value::Int(y)) => match op {
-                        ArithOp::Add => Value::Int(x + y),
-                        ArithOp::Sub => Value::Int(x - y),
-                        ArithOp::Mul => Value::Int(x * y),
+                    (Token::Int(x), Token::Int(y)) => match op {
+                        ArithOp::Add => Token::Int(x + y),
+                        ArithOp::Sub => Token::Int(x - y),
+                        ArithOp::Mul => Token::Int(x * y),
                         ArithOp::Div => {
                             if *y == 0 {
                                 return Err(Error::Store("integer division by zero".into()));
                             }
-                            Value::Int(x / y)
+                            Token::Int(x / y)
                         }
                     },
                     _ => {
                         let x = va.as_float()?;
                         let y = vb.as_float()?;
-                        Value::Float(match op {
+                        Token::Float(match op {
                             ArithOp::Add => x + y,
                             ArithOp::Sub => x - y,
                             ArithOp::Mul => x * y,
@@ -233,21 +234,21 @@ impl Expr {
                     }
                 }
             }
-            Expr::IsNull(a) => Value::Bool(a.eval(schema, row)?.is_null()),
+            Expr::IsNull(a) => Token::Bool(a.eval(schema, row)?.is_unit()),
             Expr::InList(e, items) => {
                 let v = e.eval(schema, row)?;
-                if v.is_null() {
-                    return Ok(Value::Bool(false));
+                if v.is_unit() {
+                    return Ok(Token::Bool(false));
                 }
                 let mut hit = false;
                 for item in items {
                     let iv = item.eval(schema, row)?;
-                    if !iv.is_null() && iv == v {
+                    if !iv.is_unit() && iv == v {
                         hit = true;
                         break;
                     }
                 }
-                Value::Bool(hit)
+                Token::Bool(hit)
             }
         })
     }
@@ -260,13 +261,13 @@ impl Expr {
     /// If this predicate constrains the given columns to constants via
     /// equality conjunctions (`a = 1 AND b = 2 AND <rest>`), return the
     /// constant for each column — the index-lookup fast path.
-    pub fn equality_bindings(&self) -> Vec<(String, Value)> {
+    pub fn equality_bindings(&self) -> Vec<(String, Token)> {
         let mut out = Vec::new();
         self.collect_eq(&mut out);
         out
     }
 
-    fn collect_eq(&self, out: &mut Vec<(String, Value)>) {
+    fn collect_eq(&self, out: &mut Vec<(String, Token)>) {
         match self {
             Expr::And(a, b) => {
                 a.collect_eq(out);
@@ -298,7 +299,7 @@ impl Expr {
         // The tighter of two bounds on one side of a range; `wins` is how
         // the tighter value compares (`Greater` for a lower bound, `Less`
         // for an upper). At equal values the exclusive bound is tighter.
-        fn tighter(a: Bound<Value>, b: Bound<Value>, wins: Ordering) -> Bound<Value> {
+        fn tighter(a: Bound<Token>, b: Bound<Token>, wins: Ordering) -> Bound<Token> {
             match (&a, &b) {
                 (Bound::Unbounded, _) => b,
                 (_, Bound::Unbounded) => a,
@@ -312,7 +313,7 @@ impl Expr {
                 }
             }
         }
-        fn add(out: &mut Vec<ColRange>, c: &str, lo: Bound<Value>, hi: Bound<Value>) {
+        fn add(out: &mut Vec<ColRange>, c: &str, lo: Bound<Token>, hi: Bound<Token>) {
             if let Some(r) = out.iter_mut().find(|r| r.column == c) {
                 r.lo = tighter(std::mem::replace(&mut r.lo, Bound::Unbounded), lo, Ordering::Greater);
                 r.hi = tighter(std::mem::replace(&mut r.hi, Bound::Unbounded), hi, Ordering::Less);
@@ -374,7 +375,7 @@ impl Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::ValueType;
+    use crate::schema::ValueType;
 
     fn schema() -> Schema {
         Schema::builder()
@@ -386,7 +387,7 @@ mod tests {
     }
 
     fn row() -> crate::Row {
-        vec![5.into(), 2.5.into(), Value::Null]
+        vec![5.into(), 2.5.into(), Token::Unit]
     }
 
     #[test]
@@ -412,7 +413,7 @@ mod tests {
         assert!(!col("a").is_null().matches(&s, &r[..]).unwrap());
         assert_eq!(
             col("c").add(lit(1)).eval(&s, &r[..]).unwrap(),
-            Value::Null,
+            Token::Unit,
             "arithmetic with NULL is NULL"
         );
     }
@@ -433,19 +434,19 @@ mod tests {
     fn arithmetic() {
         let s = schema();
         let r = row();
-        assert_eq!(col("a").add(lit(2)).eval(&s, &r[..]).unwrap(), Value::Int(7));
-        assert_eq!(col("a").sub(lit(2)).eval(&s, &r[..]).unwrap(), Value::Int(3));
-        assert_eq!(col("a").mul(lit(3)).eval(&s, &r[..]).unwrap(), Value::Int(15));
-        assert_eq!(col("a").div(lit(2)).eval(&s, &r[..]).unwrap(), Value::Int(2));
+        assert_eq!(col("a").add(lit(2)).eval(&s, &r[..]).unwrap(), Token::Int(7));
+        assert_eq!(col("a").sub(lit(2)).eval(&s, &r[..]).unwrap(), Token::Int(3));
+        assert_eq!(col("a").mul(lit(3)).eval(&s, &r[..]).unwrap(), Token::Int(15));
+        assert_eq!(col("a").div(lit(2)).eval(&s, &r[..]).unwrap(), Token::Int(2));
         assert_eq!(
             col("b").mul(lit(2)).eval(&s, &r[..]).unwrap(),
-            Value::Float(5.0)
+            Token::Float(5.0)
         );
         assert!(col("a").div(lit(0)).eval(&s, &r[..]).is_err());
         // The toll formula shape: 2·(cars − 50)².
         let cars = col("a");
         let toll = lit(2).mul(cars.clone().sub(lit(3)).mul(cars.sub(lit(3))));
-        assert_eq!(toll.eval(&s, &r[..]).unwrap(), Value::Int(8));
+        assert_eq!(toll.eval(&s, &r[..]).unwrap(), Token::Int(8));
     }
 
     #[test]
@@ -456,8 +457,8 @@ mod tests {
             .and(col("z").gt(lit(3)));
         let binds = p.equality_bindings();
         assert_eq!(binds.len(), 2);
-        assert_eq!(binds[0], ("x".to_string(), Value::Int(1)));
-        assert_eq!(binds[1], ("y".to_string(), Value::Int(2)));
+        assert_eq!(binds[0], ("x".to_string(), Token::Int(1)));
+        assert_eq!(binds[1], ("y".to_string(), Token::Int(2)));
         // OR breaks the conjunction fast path.
         let q = col("x").eq(lit(1)).or(col("y").eq(lit(2)));
         assert!(q.equality_bindings().is_empty());
@@ -468,7 +469,7 @@ mod tests {
         let p = col("x").in_list(vec![lit(7)]).and(col("y").eq(lit(2)));
         assert_eq!(
             p.equality_bindings(),
-            vec![("x".to_string(), Value::Int(7)), ("y".to_string(), Value::Int(2))]
+            vec![("x".to_string(), Token::Int(7)), ("y".to_string(), Token::Int(2))]
         );
         // Two values, no values, or a non-literal item bind nothing.
         assert!(col("x").in_list(vec![lit(1), lit(2)]).equality_bindings().is_empty());
@@ -491,7 +492,7 @@ mod tests {
         assert!(!col("a").in_list(vec![]).matches(&s, &r[..]).unwrap(), "empty IN is false");
         // NULL on either side never matches.
         assert!(!col("c").in_list(vec![lit("x")]).matches(&s, &r[..]).unwrap());
-        assert!(!col("a").in_list(vec![Expr::Lit(Value::Null)]).matches(&s, &r[..]).unwrap());
+        assert!(!col("a").in_list(vec![Expr::Lit(Token::Unit)]).matches(&s, &r[..]).unwrap());
     }
 
     #[test]
@@ -501,17 +502,17 @@ mod tests {
         let p = col("x").between(lit(1), lit(5)).and(col("y").eq(lit(2)));
         let r = p.range_constraints();
         assert_eq!(r.len(), 1);
-        assert_eq!(r[0].lo, Included(Value::Int(1)));
-        assert_eq!(r[0].hi, Included(Value::Int(5)));
+        assert_eq!(r[0].lo, Included(Token::Int(1)));
+        assert_eq!(r[0].hi, Included(Token::Int(5)));
         // Strict bounds are visible.
         let p = col("x").gt(lit(3));
         let r = p.range_constraints();
         assert_eq!(r.len(), 1);
-        assert_eq!(r[0].lo, Excluded(Value::Int(3)));
+        assert_eq!(r[0].lo, Excluded(Token::Int(3)));
         assert_eq!(r[0].hi, Unbounded);
         // Literal-on-the-left flips the operator.
         let p = lit(10).gt(col("x"));
-        assert_eq!(p.range_constraints()[0].hi, Excluded(Value::Int(10)));
+        assert_eq!(p.range_constraints()[0].hi, Excluded(Token::Int(10)));
         // Multiple constraints intersect to the tightest pair; at equal
         // values the exclusive side wins.
         let p = col("x")
@@ -521,8 +522,8 @@ mod tests {
             .and(col("x").lt(lit(7)));
         let r = p.range_constraints();
         assert_eq!(r.len(), 1);
-        assert_eq!(r[0].lo, Excluded(Value::Int(1)));
-        assert_eq!(r[0].hi, Excluded(Value::Int(7)));
+        assert_eq!(r[0].lo, Excluded(Token::Int(1)));
+        assert_eq!(r[0].hi, Excluded(Token::Int(7)));
         // OR breaks the conjunction.
         assert!(col("x").gt(lit(1)).or(col("x").lt(lit(0))).range_constraints().is_empty());
     }

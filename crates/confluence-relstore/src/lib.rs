@@ -5,8 +5,9 @@
 //! keep segment statistics and detected accidents (MySQL in the authors'
 //! setup; see DESIGN.md, "Substitutions").
 //!
-//! Features: typed schemas with primary keys ([`schema`]), scalar values
-//! interoperable with workflow tokens ([`value`]), a predicate/arithmetic
+//! Features: typed schemas with primary keys ([`schema`]) whose cells are
+//! scalar workflow [`Token`](confluence_core::token::Token)s, NULL being
+//! `Token::Unit`, so a token goes into a table as it is; a predicate/arithmetic
 //! expression AST ([`expr`]), tables with unique primary, non-unique
 //! secondary hash and ordered composite indexes, a cost-based query
 //! planner with an EXPLAIN-able plan IR ([`plan`], [`cost`], [`stats`]),
@@ -22,13 +23,14 @@ pub mod schema;
 pub mod stats;
 pub mod store;
 pub mod table;
-pub mod value;
 
 pub use expr::{col, lit, ColRange, Expr};
 pub use plan::{IndexRef, Plan, PlanNode};
 pub use query::{Order, Query};
-pub use schema::{Column, Schema, SchemaBuilder};
+pub use schema::{Column, Schema, SchemaBuilder, ValueType};
 pub use stats::{IndexStats, IndexStatsView, TableStats};
 pub use store::{Store, StoreHandle};
-pub use table::{Agg, RowRef, Table};
-pub use value::{Row, Value, ValueType};
+pub use table::{Agg, Row, RowRef, Table};
+/// Kept only for the benchmark's relstore workload, which imports this
+/// name; the next change to the benchmark names `Token` and drops it.
+pub use confluence_core::token::Token as Value;

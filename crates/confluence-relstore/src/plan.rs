@@ -18,7 +18,7 @@ use std::fmt;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use crate::value::Value;
+use confluence_core::token::Token;
 
 /// Which physical index a node reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +46,7 @@ pub enum PlanNode {
         /// Display label of the index (`pk(a,b)` / `secondary(a,b)`).
         label: Arc<str>,
         /// Probe key, in the index's column order.
-        key: Vec<Value>,
+        key: Vec<Token>,
     },
     /// A range scan of one ordered-index partition. Produced for
     /// `eq… AND range_col ⋈ bounds` shapes; an equality on the range
@@ -58,11 +58,11 @@ pub enum PlanNode {
         /// Display label (`ordered(a,b→c)`).
         label: Arc<str>,
         /// Partition key over the index's equality columns.
-        eq_key: Vec<Value>,
+        eq_key: Vec<Token>,
         /// Lower bound on the range column.
-        lo: Bound<Value>,
+        lo: Bound<Token>,
         /// Upper bound on the range column.
-        hi: Bound<Value>,
+        hi: Bound<Token>,
     },
     /// Grouped aggregation served from an index whose key columns cover
     /// the grouping columns: per-bucket streaming aggregates, groups
@@ -88,7 +88,7 @@ pub struct Plan {
     pub cost: f64,
 }
 
-fn fmt_key(f: &mut fmt::Formatter<'_>, key: &[Value]) -> fmt::Result {
+fn fmt_key(f: &mut fmt::Formatter<'_>, key: &[Token]) -> fmt::Result {
     write!(f, "[")?;
     for (i, v) in key.iter().enumerate() {
         if i > 0 {
@@ -99,7 +99,7 @@ fn fmt_key(f: &mut fmt::Formatter<'_>, key: &[Value]) -> fmt::Result {
     write!(f, "]")
 }
 
-fn fmt_bounds(f: &mut fmt::Formatter<'_>, lo: &Bound<Value>, hi: &Bound<Value>) -> fmt::Result {
+fn fmt_bounds(f: &mut fmt::Formatter<'_>, lo: &Bound<Token>, hi: &Bound<Token>) -> fmt::Result {
     match lo {
         Bound::Included(v) => write!(f, "[{v}, ")?,
         Bound::Excluded(v) => write!(f, "({v}, ")?,
@@ -148,15 +148,22 @@ mod tests {
         let eq = PlanNode::IndexEq {
             index: IndexRef::Secondary(0),
             label: "secondary(seg)".into(),
-            key: vec![Value::Int(5)],
+            key: vec![Token::Int(5)],
         };
         assert_eq!(eq.to_string(), "IndexEq(secondary(seg)) key=[5]");
+
+        let named = PlanNode::IndexEq {
+            index: IndexRef::PrimaryKey,
+            label: "pk(name,note)".into(),
+            key: vec![Token::str("alpha"), Token::Unit],
+        };
+        assert_eq!(named.to_string(), r#"IndexEq(pk(name,note)) key=["alpha", ()]"#);
 
         let range = PlanNode::IndexRange {
             index: 0,
             label: "ordered(xway,dir→time)".into(),
-            eq_key: vec![Value::Int(0), Value::Int(1)],
-            lo: Bound::Excluded(Value::Int(120)),
+            eq_key: vec![Token::Int(0), Token::Int(1)],
+            lo: Bound::Excluded(Token::Int(120)),
             hi: Bound::Unbounded,
         };
         assert_eq!(

@@ -6,11 +6,11 @@
 //! the chosen plan without executing anything.
 
 use confluence_core::error::{Error, Result};
+use confluence_core::token::Token;
 
 use crate::expr::Expr;
 use crate::store::Store;
-use crate::table::Table;
-use crate::value::{Row, Value};
+use crate::table::{Row, Table};
 
 /// Sort direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +115,7 @@ impl Query {
 
     /// Execute and return the single value of a one-column, one-row result
     /// (`None` when no row matched). Errors if the result is wider.
-    pub fn scalar(&self, store: &Store) -> Result<Option<Value>> {
+    pub fn scalar(&self, store: &Store) -> Result<Option<Token>> {
         // A scalar probe needs one row; push the limit down so the query
         // stops paying for every other match — unless an order_by forces
         // total ordering or an explicit limit already shapes the result.
@@ -182,7 +182,7 @@ mod tests {
     use super::*;
     use crate::expr::{col, lit};
     use crate::schema::Schema;
-    use crate::value::ValueType;
+    use crate::schema::ValueType;
 
     fn store() -> Store {
         let mut s = Store::new();
@@ -217,7 +217,7 @@ mod tests {
             .execute(&s)
             .unwrap();
         // g == 1 → ids 1, 4, 7; descending v → 7, 4; limit 2.
-        assert_eq!(rows, vec![vec![Value::Int(7)], vec![Value::Int(4)]]);
+        assert_eq!(rows, vec![vec![Token::Int(7)], vec![Token::Int(4)]]);
     }
 
     #[test]
@@ -242,7 +242,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             rows,
-            vec![vec![Value::Int(0)], vec![Value::Int(1)], vec![Value::Int(2)]]
+            vec![vec![Token::Int(0)], vec![Token::Int(1)], vec![Token::Int(2)]]
         );
     }
 
@@ -254,7 +254,7 @@ mod tests {
             .project(&["v"])
             .scalar(&s)
             .unwrap();
-        assert_eq!(v, Some(Value::Float(6.0)));
+        assert_eq!(v, Some(Token::Float(6.0)));
         let none = Query::from("t")
             .filter(col("id").eq(lit(99)))
             .project(&["v"])
@@ -270,7 +270,7 @@ mod tests {
             .project(&["v"])
             .scalar(&s)
             .unwrap();
-        assert_eq!(top, Some(Value::Float(13.5)));
+        assert_eq!(top, Some(Token::Float(13.5)));
     }
 
     #[test]
@@ -283,7 +283,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             rows,
-            vec![vec![Value::Float(6.0), Value::Float(6.0), Value::Int(4)]]
+            vec![vec![Token::Float(6.0), Token::Float(6.0), Token::Int(4)]]
         );
     }
 
@@ -302,7 +302,7 @@ mod tests {
             .project(&["id"])
             .execute(&s)
             .unwrap();
-        assert_eq!(rows, vec![vec![Value::Int(7)], vec![Value::Int(4)]]);
+        assert_eq!(rows, vec![vec![Token::Int(7)], vec![Token::Int(4)]]);
         // A conjunct the index does not cover still filters.
         let rows = Query::from("t")
             .filter(col("g").eq(lit(1)).and(col("id").lt(lit(7))))
@@ -311,7 +311,7 @@ mod tests {
             .project(&["id"])
             .execute(&s)
             .unwrap();
-        assert_eq!(rows, vec![vec![Value::Int(4)], vec![Value::Int(1)]]);
+        assert_eq!(rows, vec![vec![Token::Int(4)], vec![Token::Int(1)]]);
         // Missing partition → empty result, not an error.
         let rows = Query::from("t")
             .filter(col("g").eq(lit(9)))
@@ -333,7 +333,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             rows,
-            vec![vec![Value::Int(0)], vec![Value::Int(1)], vec![Value::Int(2)]]
+            vec![vec![Token::Int(0)], vec![Token::Int(1)], vec![Token::Int(2)]]
         );
         // Sorting by a non-indexed column.
         let via_sort = Query::from("t")

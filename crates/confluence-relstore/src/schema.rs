@@ -1,8 +1,20 @@
 //! Table schemas: column declarations, primary keys, row validation.
 
 use confluence_core::error::{Error, Result};
+use confluence_core::token::Token;
 
-use crate::value::{Value, ValueType};
+/// A column's declared type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueType {
+    /// Boolean column.
+    Bool,
+    /// Integer column.
+    Int,
+    /// Float column.
+    Float,
+    /// String column.
+    Str,
+}
 
 /// One column declaration.
 #[derive(Debug, Clone)]
@@ -16,18 +28,26 @@ pub struct Column {
 }
 
 impl Column {
-    /// Whether the column can hold `v` (type, nullability).
-    pub(crate) fn check(&self, v: &Value) -> Result<()> {
-        match v.value_type() {
-            None if self.nullable => Ok(()),
-            None => Err(Error::Store(format!("NULL in non-nullable column `{}`", self.name))),
+    /// Whether the column can hold `v` (type, nullability): the one gate
+    /// for what a cell holds, so no record or array reaches a table.
+    pub(crate) fn check(&self, v: &Token) -> Result<()> {
+        let fits = match v {
+            Token::Unit => self.nullable,
+            Token::Bool(_) => self.ty == ValueType::Bool,
             // Ints widen into float columns.
-            Some(t) if t == self.ty || (t == ValueType::Int && self.ty == ValueType::Float) => {
-                Ok(())
-            }
-            Some(t) => Err(Error::Store(format!(
-                "type mismatch in column `{}`: expected {:?}, got {:?}",
-                self.name, self.ty, t
+            Token::Int(_) => matches!(self.ty, ValueType::Int | ValueType::Float),
+            Token::Float(_) => self.ty == ValueType::Float,
+            Token::Str(_) => self.ty == ValueType::Str,
+            Token::Record(_) | Token::Array(_) => false,
+        };
+        match v {
+            _ if fits => Ok(()),
+            Token::Unit => Err(Error::Store(format!("NULL in non-nullable column `{}`", self.name))),
+            _ => Err(Error::Store(format!(
+                "type mismatch in column `{}`: expected {:?}, got {}",
+                self.name,
+                self.ty,
+                v.type_name()
             ))),
         }
     }
@@ -45,7 +65,7 @@ pub struct Schema {
 ///
 /// ```
 /// use confluence_relstore::schema::SchemaBuilder;
-/// use confluence_relstore::value::ValueType;
+/// use confluence_relstore::ValueType;
 /// let schema = SchemaBuilder::new()
 ///     .column("xway", ValueType::Int)
 ///     .column("seg", ValueType::Int)
@@ -164,12 +184,12 @@ impl Schema {
     }
 
     /// Extract a row's primary key values (empty when keyless).
-    pub fn key_of(&self, row: &[Value]) -> Vec<Value> {
+    pub fn key_of(&self, row: &[Token]) -> Vec<Token> {
         self.primary_key.iter().map(|&i| row[i].clone()).collect()
     }
 
     /// Validate a row against the schema (arity, types, nullability).
-    pub fn validate(&self, row: &[Value]) -> Result<()> {
+    pub fn validate(&self, row: &[Token]) -> Result<()> {
         if row.len() != self.columns.len() {
             return Err(Error::Store(format!(
                 "row has {} values, schema has {} columns",
@@ -209,24 +229,24 @@ mod tests {
     #[test]
     fn validation_rules() {
         let s = schema();
-        assert!(s.validate(&[1.into(), 2.5.into(), Value::Null]).is_ok());
+        assert!(s.validate(&[1.into(), 2.5.into(), Token::Unit]).is_ok());
         // Int widens into float column.
-        assert!(s.validate(&[1.into(), 2.into(), Value::str("x")]).is_ok());
+        assert!(s.validate(&[1.into(), 2.into(), Token::str("x")]).is_ok());
         // Wrong arity.
         assert!(s.validate(&[1.into()]).is_err());
         // NULL in non-nullable.
-        assert!(s.validate(&[Value::Null, 2.5.into(), Value::Null]).is_err());
+        assert!(s.validate(&[Token::Unit, 2.5.into(), Token::Unit]).is_err());
         // Type mismatch.
         assert!(s
-            .validate(&[Value::str("x"), 2.5.into(), Value::Null])
+            .validate(&[Token::str("x"), 2.5.into(), Token::Unit])
             .is_err());
     }
 
     #[test]
     fn key_extraction() {
         let s = schema();
-        let row: crate::Row = vec![42.into(), 1.0.into(), Value::Null];
-        assert_eq!(s.key_of(&row), vec![Value::Int(42)]);
+        let row: crate::Row = vec![42.into(), 1.0.into(), Token::Unit];
+        assert_eq!(s.key_of(&row), vec![Token::Int(42)]);
     }
 
     #[test]

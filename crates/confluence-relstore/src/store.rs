@@ -17,7 +17,6 @@ use confluence_core::error::{Error, Result};
 
 use crate::schema::Schema;
 use crate::table::Table;
-use crate::value::Value;
 
 /// An in-memory relational store.
 #[derive(Debug, Default)]
@@ -83,39 +82,6 @@ impl StoreHandle {
     }
 }
 
-fn encode_value(e: &mut Encoder, v: &Value) {
-    match v {
-        Value::Null => e.u8(0),
-        Value::Bool(b) => {
-            e.u8(1);
-            e.bool(*b);
-        }
-        Value::Int(i) => {
-            e.u8(2);
-            e.i64(*i);
-        }
-        Value::Float(f) => {
-            e.u8(3);
-            e.f64(*f);
-        }
-        Value::Str(s) => {
-            e.u8(4);
-            e.str(s);
-        }
-    }
-}
-
-fn decode_value(d: &mut Decoder<'_>) -> Result<Value> {
-    Ok(match d.u8()? {
-        0 => Value::Null,
-        1 => Value::Bool(d.bool()?),
-        2 => Value::Int(d.i64()?),
-        3 => Value::Float(d.f64()?),
-        4 => Value::str(d.str()?),
-        tag => return Err(Error::Checkpoint(format!("unknown value tag {tag}"))),
-    })
-}
-
 /// Snapshots the *contents* of every table (rows only, sorted by table
 /// name): the recovering process re-creates the tables, schemas, and
 /// indexes itself — exactly as it built them before the crash — and the
@@ -134,7 +100,7 @@ impl CheckpointResource for StoreHandle {
                 e.str(name);
                 e.u32(table.len() as u32);
                 for row in table.iter() {
-                    e.seq(row.iter(), |e, v| encode_value(e, &v));
+                    e.seq(row.iter(), |e, v| e.token(&v));
                 }
             }
             Ok(e.into_bytes())
@@ -143,19 +109,27 @@ impl CheckpointResource for StoreHandle {
 
     /// All or nothing: every table is refilled beside the one it replaces,
     /// and none takes its place unless the whole snapshot decoded and
-    /// inserted cleanly.
+    /// inserted cleanly. A table named twice, a cell its column cannot hold
+    /// (a record or an array among them) and bytes past the last table are
+    /// errors.
     fn restore(&self, bytes: &[u8]) -> Result<()> {
         self.write(|s| {
             let mut d = Decoder::new(bytes);
             let tables = d.u32()?;
-            let mut refilled = Vec::new();
+            let mut refilled: Vec<(String, Table)> = Vec::new();
             for _ in 0..tables {
                 let name = d.str()?;
+                if refilled.iter().any(|(n, _)| n == name) {
+                    return Err(Error::Checkpoint(format!("table `{name}` saved twice")));
+                }
                 let mut table = s.table(name)?.empty_like();
                 for _ in 0..d.u32()? {
-                    table.insert(d.seq(decode_value)?)?;
+                    table.insert(d.seq(Decoder::token)?)?;
                 }
                 refilled.push((name.to_string(), table));
+            }
+            if !d.is_exhausted() {
+                return Err(Error::Checkpoint("bytes past the store's last table".into()));
             }
             s.tables.extend(refilled);
             Ok(())
@@ -167,7 +141,8 @@ impl CheckpointResource for StoreHandle {
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
-    use crate::value::{Value, ValueType};
+    use crate::schema::ValueType;
+    use confluence_core::token::Token;
 
     fn schema() -> Schema {
         Schema::builder()
@@ -189,7 +164,7 @@ mod tests {
             .unwrap()
             .select(Some(&col("id").eq(lit(1))))
             .unwrap();
-        assert_eq!(rows[0][1], Value::Int(10));
+        assert_eq!(rows[0][1], Token::Int(10));
         assert_eq!(s.table_names(), vec!["t"]);
         assert!(s.table("nope").is_err());
         assert!(s.table_mut("nope").is_err());
@@ -218,7 +193,7 @@ mod tests {
         let rows = h2
             .read(|s| s.table("t").unwrap().select(Some(&col("id").eq(lit(2)))))
             .unwrap();
-        assert_eq!(rows[0][1], Value::Int(20));
+        assert_eq!(rows[0][1], Token::Int(20));
         // The secondary index is rebuilt through the normal insert path.
         let by_v = h2
             .read(|s| s.table("t").unwrap().select(Some(&col("v").eq(lit(10)))))
@@ -249,9 +224,9 @@ mod tests {
             let t = s.table_mut("mixed")?;
             t.create_index(&["tag"])?;
             t.create_ordered_index(&["n"], "tag")?;
-            t.insert(vec![Value::str("alpha"), 1.into(), 1.5.into(), true.into(), Value::str("b")])?;
-            t.insert(vec![Value::str(""), (-7).into(), Value::Null, false.into(), Value::Null])?;
-            t.insert(vec![Value::str("ünï"), i64::MAX.into(), 2.into(), Value::Null, Value::str("a")])
+            t.insert(vec![Token::str("alpha"), 1.into(), 1.5.into(), true.into(), Token::str("b")])?;
+            t.insert(vec![Token::str(""), (-7).into(), Token::Unit, false.into(), Token::Unit])?;
+            t.insert(vec![Token::str("ünï"), i64::MAX.into(), 2.into(), Token::Unit, Token::str("a")])
         })
         .unwrap();
         h
@@ -259,7 +234,7 @@ mod tests {
 
     #[test]
     fn save_bytes_are_pinned_and_restore_round_trips() {
-        // Taken from the store before `Value::Str` became `Arc<String>`.
+        // Taken from the store before its strings became `Arc<String>`.
         const GOLDEN: &str = "01000000050000006d6978656403000000050000000405000000616c7068610201000000\
             0000000003000000000000f83f010104010000006205000000040000000002f9ffffffffffffff0001000005\
             0000000405000000c3bc6ec3af02ffffffffffffff7f02020000000000000000040100000061";
@@ -272,9 +247,43 @@ mod tests {
         h2.restore(&bytes).unwrap();
         assert_eq!(h2.save().unwrap(), bytes);
         let rows = h2.read(|s| s.table("mixed").unwrap().select(Some(&col("tag").eq(lit("a")))));
-        assert_eq!(rows.unwrap()[0][0], Value::str("ünï"));
-        let x = h2.read(|s| s.table("mixed").unwrap().get(&[Value::str("alpha")]).unwrap().cell(2));
-        assert_eq!(x, Value::Float(1.5));
+        assert_eq!(rows.unwrap()[0][0], Token::str("ünï"));
+        let x = h2.read(|s| s.table("mixed").unwrap().get(&[Token::str("alpha")]).unwrap().cell(2));
+        assert_eq!(x, Token::Float(1.5));
+    }
+
+    #[test]
+    fn hostile_images_are_errors_that_change_nothing() {
+        let h = mixed_store();
+        let before = h.save().unwrap();
+        // An image of one table `mixed` per entry, each holding its rows.
+        let image = |tables: &[&[Vec<Token>]]| {
+            let mut e = Encoder::new();
+            e.u32(tables.len() as u32);
+            for rows in tables {
+                e.str("mixed");
+                e.u32(rows.len() as u32);
+                rows.iter().for_each(|row| e.seq(row, Encoder::token));
+            }
+            e.into_bytes()
+        };
+        let row = |x: Token| vec![Token::str("zeta"), 1.into(), x, Token::Unit, Token::Unit];
+        let record = image(&[&[row(Token::record().field("x", 1.5).build())]]);
+        let array = image(&[&[row(Token::array(vec![1.5.into()]))]]);
+        let twice = image(&[&[row(2.5.into())], &[]]);
+        let trailing = [&before[..], &[0]].concat();
+        for (bad, says) in [
+            (record, "got Record"),
+            (array, "got Array"),
+            (twice, "saved twice"),
+            (trailing, "past the store's last table"),
+        ] {
+            let err = h.restore(&bad).unwrap_err();
+            assert!(err.to_string().contains(says), "{err}");
+            assert_eq!(h.save().unwrap(), before);
+        }
+        h.restore(&image(&[&[row(2.5.into())]])).unwrap();
+        assert_eq!(h.read(|s| s.table("mixed").unwrap().len()), 1);
     }
 
     #[test]
@@ -303,7 +312,7 @@ mod tests {
             e.str("t");
             e.u32(rows.len() as u32);
             for row in rows {
-                e.seq(&row.map(Value::Int), encode_value);
+                e.seq(&row.map(Token::Int), Encoder::token);
             }
             for name in extra {
                 e.str(name);

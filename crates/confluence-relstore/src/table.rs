@@ -12,11 +12,12 @@
 //! A table keeps one copy of each row, column by column: one dense vector a
 //! column, typed by the column's declared type — an `i64`, the bits of an
 //! `f64`, a byte or a string pointer a cell — beside bitmaps for NULLs and for
-//! the `Int`s a float column holds. A cell decodes to exactly the [`Value`]
-//! written into it. Its indexes hold row positions only and decode the
-//! indexed columns to hash and compare (see [`confluence_core::postable`]);
-//! an ordered index keeps each partition's positions sorted by the range
-//! column, which it too reads out of the rows.
+//! the `Int`s a float column holds. A cell holds a scalar [`Token`], NULL
+//! being `Token::Unit`, and decodes to exactly the token written into it.
+//! Its indexes hold row positions only and decode the indexed columns to
+//! hash and compare (see [`confluence_core::postable`]); an ordered index
+//! keeps each partition's positions sorted by the range column, which it
+//! too reads out of the rows.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -26,13 +27,13 @@ use std::sync::Arc;
 
 use confluence_core::error::{Error, Result};
 use confluence_core::postable::{KeyHasher, PosTable};
+use confluence_core::token::Token;
 
 use crate::cost;
 use crate::expr::{CmpOp, Expr, ReadCell};
 use crate::plan::{IndexRef, Plan, PlanNode};
-use crate::schema::Schema;
+use crate::schema::{Schema, ValueType};
 use crate::stats::{IndexStats, IndexStatsView, TableStats};
-use crate::value::{Row, Value, ValueType};
 
 /// A bitmap that costs nothing until a bit is set: a bit past its end is
 /// clear.
@@ -84,47 +85,47 @@ impl Column {
         Column { cells, nulls: Bits::default() }
     }
 
-    fn get(&self, pos: usize) -> Value {
+    fn get(&self, pos: usize) -> Token {
         if self.nulls.get(pos) {
-            return Value::Null;
+            return Token::Unit;
         }
         match &self.cells {
-            Cells::Int(v) => Value::Int(v[pos]),
-            Cells::Float { bits, ints } if ints.get(pos) => Value::Int(bits[pos] as i64),
-            Cells::Float { bits, .. } => Value::Float(f64::from_bits(bits[pos])),
-            Cells::Bool(v) => Value::Bool(v[pos]),
-            Cells::Str(v) => v[pos].clone().map_or(Value::Null, Value::Str),
+            Cells::Int(v) => Token::Int(v[pos]),
+            Cells::Float { bits, ints } if ints.get(pos) => Token::Int(bits[pos] as i64),
+            Cells::Float { bits, .. } => Token::Float(f64::from_bits(bits[pos])),
+            Cells::Bool(v) => Token::Bool(v[pos]),
+            Cells::Str(v) => v[pos].clone().map_or(Token::Unit, Token::Str),
         }
     }
 
     /// Write `v`, a value of the column's type or NULL, at `pos`.
-    fn set(&mut self, pos: usize, v: &Value) {
-        self.nulls.set(pos, v.is_null());
+    fn set(&mut self, pos: usize, v: &Token) {
+        self.nulls.set(pos, v.is_unit());
         match (&mut self.cells, v) {
-            (Cells::Int(c), Value::Int(i)) => c[pos] = *i,
-            (Cells::Float { bits, ints }, Value::Int(i)) => {
+            (Cells::Int(c), Token::Int(i)) => c[pos] = *i,
+            (Cells::Float { bits, ints }, Token::Int(i)) => {
                 bits[pos] = *i as u64;
                 ints.set(pos, true);
             }
-            (Cells::Float { bits, ints }, Value::Float(f)) => {
+            (Cells::Float { bits, ints }, Token::Float(f)) => {
                 bits[pos] = f.to_bits();
                 ints.set(pos, false);
             }
-            (Cells::Bool(c), Value::Bool(b)) => c[pos] = *b,
-            (Cells::Str(c), Value::Str(s)) => c[pos] = Some(s.clone()),
-            (Cells::Str(c), Value::Null) => c[pos] = None,
-            (_, Value::Null) => {}
+            (Cells::Bool(c), Token::Bool(b)) => c[pos] = *b,
+            (Cells::Str(c), Token::Str(s)) => c[pos] = Some(s.clone()),
+            (Cells::Str(c), Token::Unit) => c[pos] = None,
+            (_, Token::Unit) => {}
             (_, v) => unreachable!("the schema admits no {v} here"),
         }
     }
 
     /// Append `v`, a value of the column's type or NULL, as cell `pos`.
-    fn push(&mut self, pos: usize, v: &Value) {
+    fn push(&mut self, pos: usize, v: &Token) {
         match (&mut self.cells, v) {
-            (Cells::Int(c), Value::Int(i)) => return c.push(*i),
-            (Cells::Float { bits, .. }, Value::Float(f)) => return bits.push(f.to_bits()),
-            (Cells::Bool(c), Value::Bool(b)) => return c.push(*b),
-            (Cells::Str(c), Value::Str(s)) => return c.push(Some(s.clone())),
+            (Cells::Int(c), Token::Int(i)) => return c.push(*i),
+            (Cells::Float { bits, .. }, Token::Float(f)) => return bits.push(f.to_bits()),
+            (Cells::Bool(c), Token::Bool(b)) => return c.push(*b),
+            (Cells::Str(c), Token::Str(s)) => return c.push(Some(s.clone())),
             // NULL, or an `Int` in a float column, which a bit marks too: a
             // blank cell for `set` to fill.
             (Cells::Int(c), _) => c.push(0),
@@ -154,12 +155,12 @@ impl Rows {
 
     /// The value the row at `pos` holds in column `col`, exactly as written:
     /// every read of a cell but [`Rows::cmp`]'s of two integers decodes here.
-    fn cell(&self, pos: usize, col: usize) -> Value {
+    fn cell(&self, pos: usize, col: usize) -> Token {
         self.columns[col].get(pos)
     }
 
     /// How the values rows `a` and `b` hold in column `col` compare, by
-    /// [`Value`]'s order; two integers are compared without decoding.
+    /// [`Token`]'s order; two integers are compared without decoding.
     fn cmp(&self, a: usize, b: usize, col: usize) -> Ordering {
         let c = &self.columns[col];
         match &c.cells {
@@ -169,14 +170,14 @@ impl Rows {
     }
 
     /// Swap `v` with what column `col` of the row at `pos` holds.
-    fn swap(&mut self, pos: usize, col: usize, v: &mut Value) {
+    fn swap(&mut self, pos: usize, col: usize, v: &mut Token) {
         let old = self.cell(pos, col);
         self.columns[col].set(pos, v);
         *v = old;
     }
 
     /// Append a validated row.
-    fn push(&mut self, row: &[Value]) {
+    fn push(&mut self, row: &[Token]) {
         let pos = self.slots;
         self.columns.iter_mut().zip(row).for_each(|(c, v)| c.push(pos, v));
         self.slots += 1;
@@ -199,6 +200,9 @@ impl Rows {
     }
 }
 
+/// A row: one value per schema column, in column order.
+pub type Row = Vec<Token>;
+
 /// A live row, read where the table stores it: [`RowRef::cell`] decodes one
 /// column, exactly as written.
 #[derive(Clone, Copy)]
@@ -209,12 +213,12 @@ pub struct RowRef<'t> {
 
 impl<'t> RowRef<'t> {
     /// The value in column `col` (panics past the schema's last column).
-    pub fn cell(&self, col: usize) -> Value {
+    pub fn cell(&self, col: usize) -> Token {
         self.rows.cell(self.pos, col)
     }
 
     /// The values in column order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = Value> + 't {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Token> + 't {
         let RowRef { rows, pos } = *self;
         (0..rows.columns.len()).map(move |col| rows.cell(pos, col))
     }
@@ -226,7 +230,7 @@ impl<'t> RowRef<'t> {
 }
 
 impl ReadCell for RowRef<'_> {
-    fn cell(&self, col: usize) -> Value {
+    fn cell(&self, col: usize) -> Token {
         RowRef::cell(self, col)
     }
 }
@@ -238,8 +242,8 @@ impl fmt::Debug for RowRef<'_> {
 }
 
 /// A key: the values of some columns, in order, as often as asked.
-trait Key: Iterator<Item = Value> + Clone {}
-impl<I: Iterator<Item = Value> + Clone> Key for I {}
+trait Key: Iterator<Item = Token> + Clone {}
+impl<I: Iterator<Item = Token> + Clone> Key for I {}
 
 /// The values the row at `pos` holds in `cols`, in that order.
 fn cells<'a>(rows: &'a Rows, pos: usize, cols: &'a [usize]) -> impl Key + 'a {
@@ -247,7 +251,7 @@ fn cells<'a>(rows: &'a Rows, pos: usize, cols: &'a [usize]) -> impl Key + 'a {
 }
 
 /// The values of `row` in `cols`, in that order.
-fn picked<'a>(row: &'a [Value], cols: &'a [usize]) -> impl Key + 'a {
+fn picked<'a>(row: &'a [Token], cols: &'a [usize]) -> impl Key + 'a {
     cols.iter().map(|&c| row[c].clone())
 }
 
@@ -288,7 +292,7 @@ impl Partitions {
     }
 
     /// The bucket of the rows whose `cols` equal `key` (empty when none do).
-    fn get(&self, rows: &Rows, key: &[Value]) -> &[u32] {
+    fn get(&self, rows: &Rows, key: &[Token]) -> &[u32] {
         let key = key.iter().cloned();
         let is_key = |first| cells(rows, first, &self.cols).eq(key.clone());
         self.find(hash_key(key.clone()), is_key).map_or(&[], |id| &self.slab[id])
@@ -441,13 +445,13 @@ impl OrderedIndex {
     /// `(value, position)` order. NULL never satisfies a range conjunct, but
     /// NULL range values sort below every bound — they are skipped whenever
     /// a bound exists. Inverted bounds (`t >= 10 AND t <= 5`) select nothing.
-    fn scan(&self, rows: &Rows, eq_key: &[Value], lo: &Bound<Value>, hi: &Bound<Value>) -> &[u32] {
+    fn scan(&self, rows: &Rows, eq_key: &[Token], lo: &Bound<Token>, hi: &Bound<Token>) -> &[u32] {
         let part = self.parts.get(rows, eq_key);
-        let until = |below: &dyn Fn(&Value) -> bool| {
+        let until = |below: &dyn Fn(&Token) -> bool| {
             part.partition_point(|&p| below(&rows.cell(p as usize, self.range_col)))
         };
         let bounded = !matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded));
-        let nulls = if bounded { until(&Value::is_null) } else { 0 };
+        let nulls = if bounded { until(&Token::is_unit) } else { 0 };
         let start = match lo {
             Bound::Included(v) => until(&|x| x < v),
             Bound::Excluded(v) => until(&|x| x <= v),
@@ -486,7 +490,7 @@ enum Acc {
     Sum { col: usize, sum: f64, n: usize },
     Avg { col: usize, sum: f64, n: usize },
     /// `MIN(col)`, or `MAX(col)` when `max`.
-    Extreme { col: usize, best: Option<Value>, max: bool },
+    Extreme { col: usize, best: Option<Token>, max: bool },
 }
 
 impl Acc {
@@ -509,7 +513,7 @@ impl Acc {
             Acc::Count(n) => *n += 1,
             Acc::Sum { col, sum, n } | Acc::Avg { col, sum, n } => {
                 let v = row.cell(*col);
-                if !v.is_null() {
+                if !v.is_unit() {
                     *sum += v.as_float()?;
                     *n += 1;
                 }
@@ -524,7 +528,7 @@ impl Acc {
                     Some(b) if *max => v >= *b,
                     Some(b) => v < *b,
                 };
-                if replace && !v.is_null() {
+                if replace && !v.is_unit() {
                     *best = Some(v);
                 }
             }
@@ -532,24 +536,24 @@ impl Acc {
         Ok(())
     }
 
-    fn finish(self) -> Value {
+    fn finish(self) -> Token {
         match self {
-            Acc::Count(n) => Value::Int(n),
+            Acc::Count(n) => Token::Int(n),
             Acc::Sum { sum, n, .. } => {
                 if n == 0 {
-                    Value::Null
+                    Token::Unit
                 } else {
-                    Value::Float(sum)
+                    Token::Float(sum)
                 }
             }
             Acc::Avg { sum, n, .. } => {
                 if n == 0 {
-                    Value::Null
+                    Token::Unit
                 } else {
-                    Value::Float(sum / n as f64)
+                    Token::Float(sum / n as f64)
                 }
             }
-            Acc::Extreme { best, .. } => best.unwrap_or(Value::Null),
+            Acc::Extreme { best, .. } => best.unwrap_or(Token::Unit),
         }
     }
 }
@@ -654,13 +658,13 @@ impl Table {
     }
 
     /// Position of the row with this primary key.
-    fn pk_get(&self, key: &[Value]) -> Option<usize> {
+    fn pk_get(&self, key: &[Token]) -> Option<usize> {
         let key = key.iter().cloned();
         self.pk_find(hash_key(key.clone()), key)
     }
 
     /// Hash of `row`'s primary key, and the position of the row with it.
-    fn pk_of(&self, row: &[Value]) -> (u64, Option<usize>) {
+    fn pk_of(&self, row: &[Token]) -> (u64, Option<usize>) {
         let key = picked(row, self.schema.primary_key());
         let hash = hash_key(key.clone());
         (hash, self.pk_find(hash, key))
@@ -668,7 +672,7 @@ impl Table {
 
     /// Store a validated row whose primary key, hashing to `pk_hash`, is not
     /// taken, and index it.
-    fn append(&mut self, row: &[Value], pk_hash: u64) -> Result<()> {
+    fn append(&mut self, row: &[Token], pk_hash: u64) -> Result<()> {
         let Table { schema, rows, pk, secondary, ordered, .. } = self;
         let pos = u32::try_from(rows.slots)
             .ok()
@@ -700,12 +704,12 @@ impl Table {
     /// replace) into columns `cols` of the row at `pos`, in place; `vals`
     /// gets the old cells back. An index none of whose cells change is not
     /// touched.
-    fn assign(&mut self, pos: usize, cols: impl Iterator<Item = usize> + Clone, vals: &mut [Value]) {
+    fn assign(&mut self, pos: usize, cols: impl Iterator<Item = usize> + Clone, vals: &mut [Token]) {
         let Table { rows, secondary, ordered, .. } = self;
         let at = pos as u32;
         // Does the write change a cell `reads` picks? Asked again once the
         // cells and `vals` are swapped, it answers the same.
-        let moves = |rows: &Rows, vals: &[Value], reads: &dyn Fn(usize) -> bool| {
+        let moves = |rows: &Rows, vals: &[Token], reads: &dyn Fn(usize) -> bool| {
             cols.clone().zip(vals).any(|(c, v)| reads(c) && rows.cell(pos, c) != *v)
         };
         for i in secondary.iter_mut().filter(|i| moves(rows, vals, &|c| i.reads(c))) {
@@ -773,7 +777,7 @@ impl Table {
     }
 
     /// Point lookup by primary key.
-    pub fn get(&self, key: &[Value]) -> Option<RowRef<'_>> {
+    pub fn get(&self, key: &[Token]) -> Option<RowRef<'_>> {
         self.pk_get(key).map(|pos| self.row_at(pos))
     }
 
@@ -791,7 +795,7 @@ impl Table {
     }
 
     /// Probe key over `cols` if the equality bindings cover them all.
-    fn bind_key(&self, binds: &[(String, Value)], cols: &[usize]) -> Option<Vec<Value>> {
+    fn bind_key(&self, binds: &[(String, Token)], cols: &[usize]) -> Option<Vec<Token>> {
         let bound = |name| binds.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone());
         cols.iter().map(|&c| bound(self.schema.name(c))).collect()
     }
@@ -891,7 +895,7 @@ impl Table {
     /// asserts? When true, the executors skip per-row predicate evaluation
     /// (the LAV query, on every toll calculation).
     fn residual_free(&self, pred: Option<&Expr>, node: &PlanNode) -> bool {
-        fn eq_parts(e: &Expr) -> Option<(&str, &Value, CmpOp)> {
+        fn eq_parts(e: &Expr) -> Option<(&str, &Token, CmpOp)> {
             let Expr::Cmp(a, op, b) = e else { return None };
             match (a.as_ref(), b.as_ref()) {
                 (Expr::Col(c), Expr::Lit(v)) => Some((c, v, *op)),
@@ -909,19 +913,19 @@ impl Table {
                 _ => None,
             }
         }
-        let consumed_by_eq = |e: &Expr, cols: &[usize], key: &[Value]| {
+        let consumed_by_eq = |e: &Expr, cols: &[usize], key: &[Token]| {
             let Some((c, v, CmpOp::Eq)) = eq_parts(e) else { return false };
-            let binds = |(&col, kv): (&usize, &Value)| self.schema.name(col) == c && kv == v;
-            !v.is_null() && cols.iter().zip(key).any(binds)
+            let binds = |(&col, kv): (&usize, &Token)| self.schema.name(col) == c && kv == v;
+            !v.is_unit() && cols.iter().zip(key).any(binds)
         };
         fn consumed_by_range(
             e: &Expr,
             range_name: &str,
-            lo: &Bound<Value>,
-            hi: &Bound<Value>,
+            lo: &Bound<Token>,
+            hi: &Bound<Token>,
         ) -> bool {
             let Some((c, v, op)) = eq_parts(e) else { return false };
-            if c != range_name || v.is_null() {
+            if c != range_name || v.is_unit() {
                 return false;
             }
             match op {
@@ -1021,7 +1025,7 @@ impl Table {
     /// Primary-key columns may not be assigned. The assignments are checked
     /// against the schema before any row is touched: a rejected update
     /// changes nothing.
-    pub fn update_where(&mut self, pred: &Expr, assignments: &[(&str, Value)]) -> Result<usize> {
+    pub fn update_where(&mut self, pred: &Expr, assignments: &[(&str, Token)]) -> Result<usize> {
         let mut cols = Vec::with_capacity(assignments.len());
         for (name, v) in assignments {
             let c = self.schema.column_index(name)?;
@@ -1042,7 +1046,7 @@ impl Table {
     }
 
     /// Compute one aggregate over rows satisfying the predicate.
-    pub fn aggregate(&self, pred: Option<&Expr>, agg: &Agg) -> Result<Value> {
+    pub fn aggregate(&self, pred: Option<&Expr>, agg: &Agg) -> Result<Token> {
         let plan = self.plan(pred);
         let residual = self.residual(pred, &plan.node);
         // Stream candidates through the accumulator — no row clones, and
@@ -1136,7 +1140,7 @@ impl Table {
         pred: Option<&Expr>,
         group_cols: &[&str],
         aggs: &[Agg],
-    ) -> Result<Vec<(Vec<Value>, Vec<Value>)>> {
+    ) -> Result<Vec<(Vec<Token>, Vec<Token>)>> {
         let gcols: Vec<usize> =
             group_cols.iter().map(|c| self.schema.column_index(c)).collect::<Result<_>>()?;
         // `(first matching position, accumulators)` per group.
@@ -1221,7 +1225,6 @@ impl Table {
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
-    use crate::value::ValueType;
 
     fn cars_table() -> Table {
         let schema = Schema::builder()
@@ -1249,7 +1252,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
         let got = t.get(&[0.into(), 1.into(), 0.into()]).unwrap();
-        assert_eq!(got.cell(3), Value::Int(10));
+        assert_eq!(got.cell(3), Token::Int(10));
         assert!(t.insert(row(0, 1, 0, 99, 1.0)).is_err(), "pk violation");
         assert!(t.get(&[9.into(), 9.into(), 9.into()]).is_none());
     }
@@ -1261,11 +1264,11 @@ mod tests {
         assert!(t.upsert(row(0, 1, 0, 60, 35.0)).unwrap());
         assert_eq!(t.len(), 1);
         let got = t.get(&[0.into(), 1.into(), 0.into()]).unwrap();
-        assert_eq!(got.cell(3), Value::Int(60));
+        assert_eq!(got.cell(3), Token::Int(60));
         // Secondary index follows the update.
         let by_seg = t.select(Some(&col("seg").eq(lit(1)))).unwrap();
         assert_eq!(by_seg.len(), 1);
-        assert_eq!(by_seg[0][3], Value::Int(60));
+        assert_eq!(by_seg[0][3], Token::Int(60));
     }
 
     #[test]
@@ -1285,13 +1288,13 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(hit.len(), 1);
-        assert_eq!(hit[0][3], Value::Int(5));
+        assert_eq!(hit[0][3], Token::Int(5));
         // Secondary index on seg, extra predicate still applied.
         let seg5 = t
             .select(Some(&col("seg").eq(lit(5)).and(col("cars").gt(lit(10)))))
             .unwrap();
         assert_eq!(seg5.len(), 1);
-        assert_eq!(seg5[0][0], Value::Int(0));
+        assert_eq!(seg5[0][0], Token::Int(0));
         // Range predicate → scan.
         let busy = t.select(Some(&col("cars").ge(lit(150)))).unwrap();
         assert_eq!(busy.len(), 5, "segs 15..19 on xway 0");
@@ -1343,7 +1346,7 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(
             t.get(&[0.into(), 2.into(), 0.into()]).unwrap().cell(3),
-            Value::Int(77)
+            Token::Int(77)
         );
         assert!(t
             .update_where(&col("seg").eq(lit(2)), &[("seg", 9.into())])
@@ -1356,30 +1359,30 @@ mod tests {
         for seg in 0..4 {
             t.insert(row(0, seg, 0, seg * 10, seg as f64)).unwrap();
         }
-        assert_eq!(t.aggregate(None, &Agg::Count).unwrap(), Value::Int(4));
+        assert_eq!(t.aggregate(None, &Agg::Count).unwrap(), Token::Int(4));
         assert_eq!(
             t.aggregate(None, &Agg::Sum("cars".into())).unwrap(),
-            Value::Float(60.0)
+            Token::Float(60.0)
         );
         assert_eq!(
             t.aggregate(None, &Agg::Avg("cars".into())).unwrap(),
-            Value::Float(15.0)
+            Token::Float(15.0)
         );
         assert_eq!(
             t.aggregate(None, &Agg::Min("lav".into())).unwrap(),
-            Value::Float(0.0)
+            Token::Float(0.0)
         );
         assert_eq!(
             t.aggregate(None, &Agg::Max("lav".into())).unwrap(),
-            Value::Float(3.0)
+            Token::Float(3.0)
         );
         let filtered = t
             .aggregate(Some(&col("seg").ge(lit(2))), &Agg::Count)
             .unwrap();
-        assert_eq!(filtered, Value::Int(2));
+        assert_eq!(filtered, Token::Int(2));
         // Empty aggregates.
         let none = t.aggregate(Some(&col("seg").gt(lit(100))), &Agg::Avg("cars".into()));
-        assert_eq!(none.unwrap(), Value::Null);
+        assert_eq!(none.unwrap(), Token::Unit);
     }
 
     #[test]
@@ -1392,10 +1395,10 @@ mod tests {
             .group_by(None, &["seg"], &[Agg::Count, Agg::Avg("cars".into())])
             .unwrap();
         assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, vec![Value::Int(1)]);
-        assert_eq!(groups[0].1, vec![Value::Int(2), Value::Float(15.0)]);
-        assert_eq!(groups[1].0, vec![Value::Int(2)]);
-        assert_eq!(groups[1].1, vec![Value::Int(1), Value::Float(30.0)]);
+        assert_eq!(groups[0].0, vec![Token::Int(1)]);
+        assert_eq!(groups[0].1, vec![Token::Int(2), Token::Float(15.0)]);
+        assert_eq!(groups[1].0, vec![Token::Int(2)]);
+        assert_eq!(groups[1].1, vec![Token::Int(1), Token::Float(30.0)]);
     }
 
     #[test]
@@ -1412,7 +1415,7 @@ mod tests {
             .and(col("seg").between(lit(10), lit(14)));
         let rows = t.select(Some(&pred)).unwrap();
         assert_eq!(rows.len(), 5);
-        assert!(rows.iter().all(|r| r[0] == Value::Int(0)));
+        assert!(rows.iter().all(|r| r[0] == Token::Int(0)));
         // Equality on the range column also uses the tree.
         let pred_eq = col("xway")
             .eq(lit(1))
@@ -1420,7 +1423,7 @@ mod tests {
             .and(col("seg").eq(lit(7)));
         let rows = t.select(Some(&pred_eq)).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][3], Value::Int(107));
+        assert_eq!(rows[0][3], Token::Int(107));
         // One-sided range.
         let pred_open = col("xway")
             .eq(lit(0))
@@ -1450,7 +1453,7 @@ mod tests {
             .and(col("seg").between(lit(0), lit(5)));
         let rows = t.select(Some(&pred)).unwrap();
         assert_eq!(rows.len(), 3, "segs 3, 4, 5 remain");
-        assert!(rows.iter().any(|r| r[3] == Value::Int(500)));
+        assert!(rows.iter().any(|r| r[3] == Token::Int(500)));
     }
 
     #[test]
@@ -1525,7 +1528,7 @@ mod tests {
             PlanNode::IndexEq {
                 index: IndexRef::Secondary(1),
                 label: "secondary(fine)".into(),
-                key: vec![Value::Int(7)],
+                key: vec![Token::Int(7)],
             },
             "cost model must skip the first-declared coarse index"
         );
@@ -1598,7 +1601,7 @@ mod tests {
             .and(col("seg").gt(lit(44)));
         let plan = t.plan(Some(&pred));
         assert!(
-            matches!(&plan.node, PlanNode::IndexRange { lo: Bound::Excluded(v), .. } if *v == Value::Int(44)),
+            matches!(&plan.node, PlanNode::IndexRange { lo: Bound::Excluded(v), .. } if *v == Token::Int(44)),
             "got {}",
             plan.node
         );
@@ -1655,7 +1658,7 @@ mod tests {
                 "{agg:?}"
             );
         }
-        assert_eq!(t.aggregate(None, &Agg::Count).unwrap(), Value::Int(60));
+        assert_eq!(t.aggregate(None, &Agg::Count).unwrap(), Token::Int(60));
         // Empty range.
         assert_eq!(
             t.aggregate(
@@ -1668,7 +1671,7 @@ mod tests {
                 &Agg::Min("cars".into())
             )
             .unwrap(),
-            Value::Null
+            Token::Unit
         );
     }
 
@@ -1740,12 +1743,12 @@ mod tests {
         let mut t = kv_table();
         t.insert(vec![1.into(), 10.into()]).unwrap();
         let pred = col("k").eq(lit(1));
-        assert!(t.update_where(&pred, &[("v", Value::str("oops"))]).is_err());
-        assert!(t.update_where(&pred, &[("v", Value::Null)]).is_err());
+        assert!(t.update_where(&pred, &[("v", Token::str("oops"))]).is_err());
+        assert!(t.update_where(&pred, &[("v", Token::Unit)]).is_err());
         assert!(t.update_where(&pred, &[("v", 11.into()), ("nope", 1.into())]).is_err());
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&[1.into()]).unwrap().cell(1), Value::Int(10));
-        assert_eq!(t.select(None).unwrap(), vec![vec![Value::Int(1), Value::Int(10)]]);
+        assert_eq!(t.get(&[1.into()]).unwrap().cell(1), Token::Int(10));
+        assert_eq!(t.select(None).unwrap(), vec![vec![Token::Int(1), Token::Int(10)]]);
         assert!(t.upsert(vec![1.into(), 11.into()]).unwrap(), "the row is still there to replace");
     }
 
@@ -1763,26 +1766,26 @@ mod tests {
         t.create_ordered_index(&["g"], "v").unwrap();
         // Ints widen into float columns and are stored as written.
         for k in 0..40i64 {
-            let g: Value = if k % 2 == 0 { (k % 4).into() } else { ((k % 4) as f64).into() };
+            let g: Token = if k % 2 == 0 { (k % 4).into() } else { ((k % 4) as f64).into() };
             t.insert(vec![k.into(), g, (k / 4).into()]).unwrap();
         }
-        assert_eq!(t.get(&[Value::Float(3.0)]).unwrap().cell(0), Value::Int(3));
-        assert!(t.get(&[Value::Float(3.5)]).is_none());
-        assert!(t.insert(vec![Value::Int(3), 0.into(), 0.into()]).is_err(), "pk 3 is taken");
+        assert_eq!(t.get(&[Token::Float(3.0)]).unwrap().cell(0), Token::Int(3));
+        assert!(t.get(&[Token::Float(3.5)]).is_none());
+        assert!(t.insert(vec![Token::Int(3), 0.into(), 0.into()]).is_err(), "pk 3 is taken");
         let s = t.stats();
         assert_eq!((s.indexes[0].stats.entries, s.indexes[0].stats.distinct_keys), (40, 4));
         assert_eq!((s.indexes[1].stats.distinct_keys, s.indexes[1].partitions), (40, 4));
         // Float bounds over int range values, int probe of a float partition.
         let pred = col("g").eq(lit(1)).and(col("v").between(lit(1.5), lit(4.0)));
         assert!(matches!(t.plan(Some(&pred)).node, PlanNode::IndexRange { .. }));
-        let ks: Vec<Value> = t.select(Some(&pred)).unwrap().into_iter().map(|r| r[0].clone()).collect();
-        assert_eq!(ks, vec![Value::Int(9), Value::Int(13), Value::Int(17)]);
+        let ks: Vec<Token> = t.select(Some(&pred)).unwrap().into_iter().map(|r| r[0].clone()).collect();
+        assert_eq!(ks, vec![Token::Int(9), Token::Int(13), Token::Int(17)]);
         assert_eq!(
             t.aggregate(Some(&pred), &Agg::Min("v".into())).unwrap(),
-            Value::Int(2),
+            Token::Int(2),
             "the value as the row holds it"
         );
-        assert_eq!(t.aggregate(Some(&col("g").eq(lit(2.0))), &Agg::Count).unwrap(), Value::Int(10));
+        assert_eq!(t.aggregate(Some(&col("g").eq(lit(2.0))), &Agg::Count).unwrap(), Token::Int(10));
     }
 
     /// The same rows in `indexed` and in a table without its indexes.
@@ -1808,13 +1811,13 @@ mod tests {
         let mut t = Table::new(schema);
         t.create_ordered_index(&["g"], "w").unwrap();
         let ws = [
-            Value::Int(P + 1),
-            Value::Float(P as f64),
-            Value::Int(P),
-            Value::Int(P - 1),
-            Value::Float(P as f64 + 2.0),
-            Value::Int(P + 2),
-            Value::Int(P + 3),
+            Token::Int(P + 1),
+            Token::Float(P as f64),
+            Token::Int(P),
+            Token::Int(P - 1),
+            Token::Float(P as f64 + 2.0),
+            Token::Int(P + 2),
+            Token::Int(P + 3),
         ];
         let rows = (0..70i64).map(|k| vec![k.into(), (k % 2).into(), ws[k as usize % 7].clone()]);
         let (t, plain) = with_plain(t, rows);
@@ -1852,21 +1855,21 @@ mod tests {
         t.create_ordered_index(&["city"], "note").unwrap();
         let names = ["ada", "bo", "cy", "di", "ed", "fay", "gus", "hal"];
         let rows = (0..64usize).map(|i| {
-            let note = if i % 5 == 0 { Value::Null } else { Value::str(names[i % 8]) };
-            let city = Value::str(["oslo", "rome"][i % 2]);
-            vec![Value::str(&format!("{}{i}", names[i % 8])), city, note]
+            let note = if i % 5 == 0 { Token::Unit } else { Token::str(names[i % 8]) };
+            let city = Token::str(["oslo", "rome"][i % 2]);
+            vec![Token::str(&format!("{}{i}", names[i % 8])), city, note]
         });
         let (mut t, mut plain) = with_plain(t, rows);
-        assert_eq!(t.get(&[Value::str("cy10")]).unwrap().cell(1), Value::str("oslo"));
-        assert!(t.get(&[Value::str("cy")]).is_none());
-        assert!(t.insert(vec![Value::str("cy10"), Value::str("x"), Value::Null]).is_err());
+        assert_eq!(t.get(&[Token::str("cy10")]).unwrap().cell(1), Token::str("oslo"));
+        assert!(t.get(&[Token::str("cy")]).is_none());
+        assert!(t.insert(vec![Token::str("cy10"), Token::str("x"), Token::Unit]).is_err());
         let rome = col("city").eq(lit("rome"));
         let node = t.plan(Some(&rome)).node;
         assert!(matches!(node, PlanNode::IndexEq { index: IndexRef::Secondary(0), .. }));
         let ranged = col("city").eq(lit("oslo")).and(col("note").between(lit("bo"), lit("fay")));
         assert!(matches!(t.plan(Some(&ranged)).node, PlanNode::IndexRange { .. }));
         for t in [&mut t, &mut plain] {
-            t.upsert(vec![Value::str("cy10"), Value::str("rome"), Value::str("zed")]).unwrap();
+            t.upsert(vec![Token::str("cy10"), Token::str("rome"), Token::str("zed")]).unwrap();
             t.delete_where(&col("note").eq(lit("ed"))).unwrap();
         }
         let open = col("city").eq(lit("oslo")).and(col("note").lt(lit("cy")));
@@ -1914,31 +1917,31 @@ mod tests {
         t.create_ordered_index(&["g"], "v").unwrap();
         // Every range answer is the scan's, and the statistics a recount.
         let check = |t: &Table| {
-            let values: [Value; 7] = [(-2).into(), 0.into(), 1.into(), 2.5.into(), 3.into(), 3.0.into(), 10.into()];
+            let values: [Token; 7] = [(-2).into(), 0.into(), 1.into(), 2.5.into(), 3.into(), 3.0.into(), 10.into()];
             let bounds = || values.iter().flat_map(|v| [Bound::Included(v), Bound::Excluded(v)].map(|b| b.cloned()));
             let rows_of = |node: &PlanNode| -> Vec<Row> {
                 t.access_positions(node).into_iter().map(|p| t.row_at(p).to_vec()).collect()
             };
             for g in 0..4i64 {
-                let (label, key) = (t.secondary[0].label.clone(), vec![Value::Int(g)]);
+                let (label, key) = (t.secondary[0].label.clone(), vec![Token::Int(g)]);
                 let node = PlanNode::IndexEq { index: IndexRef::Secondary(0), label, key };
-                let in_g = |r: &RowRef| r.cell(1) == Value::Int(g);
+                let in_g = |r: &RowRef| r.cell(1) == Token::Int(g);
                 let scan: Vec<Row> = t.iter().filter(in_g).map(|r| r.to_vec()).collect();
                 assert_eq!(rows_of(&node), scan, "{node}");
                 for (lo, hi) in bounds().flat_map(|lo| bounds().map(move |hi| (lo.clone(), hi))) {
                     let hits = |r: &RowRef| {
-                        r.cell(1) == Value::Int(g) && (lo.as_ref(), hi.as_ref()).contains(&r.cell(2))
+                        r.cell(1) == Token::Int(g) && (lo.as_ref(), hi.as_ref()).contains(&r.cell(2))
                     };
                     let scan: Vec<Row> = t.iter().filter(hits).map(|r| r.to_vec()).collect();
-                    let (label, eq_key) = (t.ordered[0].label.clone(), vec![Value::Int(g)]);
+                    let (label, eq_key) = (t.ordered[0].label.clone(), vec![Token::Int(g)]);
                     let node = PlanNode::IndexRange { index: 0, label, eq_key, lo, hi };
                     assert_eq!(rows_of(&node), scan, "{node}");
                 }
             }
-            let mut pairs: Vec<(Value, Value)> = t.iter().map(|r| (r.cell(1), r.cell(2))).collect();
+            let mut pairs: Vec<(Token, Token)> = t.iter().map(|r| (r.cell(1), r.cell(2))).collect();
             pairs.sort();
             pairs.dedup();
-            let mut groups: Vec<Value> = pairs.iter().map(|(g, _)| g.clone()).collect();
+            let mut groups: Vec<Token> = pairs.iter().map(|(g, _)| g.clone()).collect();
             groups.dedup();
             let (s, n) = (t.stats(), t.iter().count());
             let [secondary, ordered] = [&s.indexes[0], &s.indexes[1]].map(|i| (i.stats.entries, i.stats.distinct_keys));
@@ -1952,21 +1955,21 @@ mod tests {
         }
         // `Int 3` then `Float 3.0`: the second sorts last by position and
         // adds no distinct value.
-        t.insert(vec![10.into(), 2.into(), Value::Int(3)]).unwrap();
-        t.insert(vec![11.into(), 2.into(), Value::Float(3.0)]).unwrap();
+        t.insert(vec![10.into(), 2.into(), Token::Int(3)]).unwrap();
+        t.insert(vec![11.into(), 2.into(), Token::Float(3.0)]).unwrap();
         check(&t);
         assert_eq!(t.stats().indexes[1].stats.distinct_keys, 9);
         // A late row lands mid-partition; another ties a value mid-partition.
         t.insert(vec![12.into(), 0.into(), 1.into()]).unwrap();
         check(&t);
-        t.insert(vec![13.into(), 1.into(), Value::Float(3.0)]).unwrap();
+        t.insert(vec![13.into(), 1.into(), Token::Float(3.0)]).unwrap();
         check(&t);
         // An upsert moves a row to a smaller range value, and one to another partition.
-        t.upsert(vec![4.into(), 0.into(), Value::Float(-1.0)]).unwrap();
+        t.upsert(vec![4.into(), 0.into(), Token::Float(-1.0)]).unwrap();
         check(&t);
         t.upsert(vec![6.into(), 3.into(), 0.into()]).unwrap();
         check(&t);
-        t.upsert(vec![2.into(), 3.into(), Value::Float(-0.5)]).unwrap();
+        t.upsert(vec![2.into(), 3.into(), Token::Float(-0.5)]).unwrap();
         check(&t);
         // A row ties the last value of a partition from an earlier position,
         // then leaves again.
@@ -1975,7 +1978,7 @@ mod tests {
         t.upsert(vec![1.into(), 1.into(), 9.into()]).unwrap();
         check(&t);
         let part = col("g").eq(lit(0));
-        let ks: Vec<Value> = t.select(Some(&part)).unwrap().into_iter().map(|r| r[0].clone()).collect();
+        let ks: Vec<Token> = t.select(Some(&part)).unwrap().into_iter().map(|r| r[0].clone()).collect();
         assert_eq!(ks, vec![0.into(), 4.into(), 12.into()]);
     }
 

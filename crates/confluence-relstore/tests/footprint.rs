@@ -76,9 +76,9 @@ fn a_table_keeps_one_copy_of_each_row_and_positions_beside_it() {
     // column), which the doubling vectors hold 52 B of capacity for at this
     // row count (their slackest; 44 B at 60k rows), 21 B of primary-key
     // slots, and 5 B of ordered entries: a `u32` per row in a vector per
-    // partition, with the vectors' own slack. With five 16-byte `Value`s a
+    // partition, with the vectors' own slack. With five 16-byte `Token`s a
     // row end to end it was 132 B; with 24-byte cells and a 32-byte
-    // `(Value, u32)` B-tree entry per row, 241 B; with a key copy per row
+    // `(Token, u32)` B-tree entry per row, 241 B; with a key copy per row
     // in the primary-key index as well, 413 B.
     assert!(per_row < 81.0, "{per_row:.1} live bytes per row");
     assert_eq!(table.len(), ROWS as usize);

@@ -8,9 +8,10 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use confluence_core::checkpoint::CheckpointResource;
+use confluence_core::token::Token;
 use confluence_relstore::expr::{col, lit};
 use confluence_relstore::{
-    Agg, IndexRef, IndexStats, PlanNode, Row, Schema, StoreHandle, Table, Value, ValueType,
+    Agg, IndexRef, IndexStats, PlanNode, Row, Schema, StoreHandle, Table, ValueType,
 };
 
 fn fresh_table(with_index: bool) -> Table {
@@ -34,19 +35,19 @@ fn fresh_table(with_index: bool) -> Table {
 /// A number for the `w` column: small ints, halves and whole floats that
 /// tie with them, and both kinds around 2^53, where widening an int to f64
 /// rounds.
-fn number() -> impl Strategy<Value = Value> {
+fn number() -> impl Strategy<Value = Token> {
     const P: i64 = 1 << 53;
     prop_oneof![
-        (0..8i64).prop_map(Value::Int),
-        (0..16i64).prop_map(|n| Value::Float(n as f64 / 2.0)),
-        (0..4i64).prop_map(|d| Value::Int(P + d)),
-        (0..2i64).prop_map(|d| Value::Float((P + 2 * d) as f64)),
+        (0..8i64).prop_map(Token::Int),
+        (0..16i64).prop_map(|n| Token::Float(n as f64 / 2.0)),
+        (0..4i64).prop_map(|d| Token::Int(P + d)),
+        (0..2i64).prop_map(|d| Token::Float((P + 2 * d) as f64)),
     ]
 }
 
 /// A `w` cell: NULL one time in five, else a [`number`].
-fn w_value() -> impl Strategy<Value = Value> {
-    (0..5, number()).prop_map(|(i, n)| if i == 0 { Value::Null } else { n })
+fn w_value() -> impl Strategy<Value = Token> {
+    (0..5, number()).prop_map(|(i, n)| if i == 0 { Token::Unit } else { n })
 }
 
 /// A mutation that must fail and change nothing.
@@ -62,6 +63,9 @@ enum Bad {
     WrongWidth { k: i64, upsert: bool },
     /// Upsert into a table with no primary key.
     KeylessUpsert { k: i64 },
+    /// Write a record, or an array when `array`, into the float column `w`:
+    /// by insert (`how` 0), upsert (1), or `update_where` on group `k % 5` (2).
+    NonScalar { k: i64, array: bool, how: usize },
 }
 
 fn bad() -> impl Strategy<Value = Bad> {
@@ -71,19 +75,21 @@ fn bad() -> impl Strategy<Value = Bad> {
         (0..5i64).prop_map(|g| Bad::MistypedAssign { g }),
         (0..30i64, 0..2usize).prop_map(|(k, u)| Bad::WrongWidth { k, upsert: u == 1 }),
         (0..30i64).prop_map(|k| Bad::KeylessUpsert { k }),
+        (0..30i64, 0..2usize, 0..3usize)
+            .prop_map(|(k, a, how)| Bad::NonScalar { k, array: a == 1, how }),
     ]
 }
 
 /// Random operations over a small key space so collisions happen.
 #[derive(Debug, Clone)]
 enum Op {
-    Upsert { k: i64, g: i64, v: i64, w: Value },
+    Upsert { k: i64, g: i64, v: i64, w: Token },
     Delete { g: i64 },
     UpdateV { g: i64, v: i64 },
     /// Moves rows between index keys in place.
     UpdateG { v: i64, g: i64 },
     /// Moves rows within the `w` index's partition.
-    UpdateW { g: i64, w: Value },
+    UpdateW { g: i64, w: Token },
     Clear,
     /// Fill keys `100..100 + rows`, then delete most of them: more than 64
     /// dead slots and more dead than live, which is what compacts a table.
@@ -120,7 +126,7 @@ fn churned_ops() -> impl Strategy<Value = Vec<Op>> {
 
 /// Try a mutation that must fail.
 fn attempt(t: &mut Table, bad: &Bad) -> confluence_core::error::Result<()> {
-    let row = |k: i64| -> Row { vec![k.into(), 0.into(), 0.into(), Value::Null] };
+    let row = |k: i64| -> Row { vec![k.into(), 0.into(), 0.into(), Token::Unit] };
     match bad {
         Bad::DuplicateKey { nth } => {
             let taken = t.iter().nth(nth % t.len()).expect("a live row").cell(0);
@@ -128,7 +134,7 @@ fn attempt(t: &mut Table, bad: &Bad) -> confluence_core::error::Result<()> {
         }
         Bad::AssignKey { g } => t.update_where(&col("g").eq(lit(*g)), &[("k", 0.into())]).map(drop),
         Bad::MistypedAssign { g } => {
-            t.update_where(&col("g").eq(lit(*g)), &[("v", Value::str("x"))]).map(drop)
+            t.update_where(&col("g").eq(lit(*g)), &[("v", Token::str("x"))]).map(drop)
         }
         Bad::WrongWidth { k, upsert: false } => t.insert(row(*k)[..3].to_vec()),
         Bad::WrongWidth { k, upsert: true } => t.upsert(row(*k)[..3].to_vec()).map(drop),
@@ -144,6 +150,19 @@ fn attempt(t: &mut Table, bad: &Bad) -> confluence_core::error::Result<()> {
             let result = keyless.upsert(row(*k)).map(drop);
             assert_eq!((keyless.select(None).unwrap(), keyless.stats()), before, "{bad:?}");
             result
+        }
+        Bad::NonScalar { k, array, how } => {
+            let cell = match array {
+                true => Token::array(vec![1.into()]),
+                false => Token::record().field("w", 1.5).build(),
+            };
+            let mut row = row(*k);
+            row[3] = cell.clone();
+            match how {
+                0 => t.insert(row),
+                1 => t.upsert(row).map(drop),
+                _ => t.update_where(&col("g").eq(lit(k % 5)), &[("w", cell)]).map(drop),
+            }
         }
     }
 }
@@ -187,7 +206,7 @@ fn step(t: &mut Table, op: &Op) {
         Op::Clear => t.clear(),
         Op::Churn { rows, keep } => {
             for k in 100..100 + rows {
-                let w = [Value::Null, (k % 4).into(), (k as f64 % 4.0 + 0.5).into()];
+                let w = [Token::Unit, (k % 4).into(), (k as f64 % 4.0 + 0.5).into()];
                 t.upsert(vec![k.into(), (k % 5).into(), (k % 7).into(), w[k as usize % 3].clone()])
                     .unwrap();
             }
@@ -219,7 +238,7 @@ fn recount(t: &Table) -> (usize, [IndexStats; 3], usize) {
     (entries, [stats(gs.len()), stats(gvs.len()), stats(gws.len())], gs.len())
 }
 
-/// A cell as the bits it holds. `Value`'s equality calls `Int 3` and
+/// A cell as the bits it holds. `Token`'s equality calls `Int 3` and
 /// `Float 3.0` equal; this does not, nor `0.0` and `-0.0`.
 #[derive(Debug, PartialEq)]
 enum Exact {
@@ -230,13 +249,14 @@ enum Exact {
     Str(String),
 }
 
-fn exact(row: impl IntoIterator<Item = Value>) -> Vec<Exact> {
+fn exact(row: impl IntoIterator<Item = Token>) -> Vec<Exact> {
     let cell = |v| match v {
-        Value::Null => Exact::Null,
-        Value::Bool(b) => Exact::Bool(b),
-        Value::Int(i) => Exact::Int(i),
-        Value::Float(f) => Exact::Float(f.to_bits()),
-        Value::Str(s) => Exact::Str(s.to_string()),
+        Token::Unit => Exact::Null,
+        Token::Bool(b) => Exact::Bool(b),
+        Token::Int(i) => Exact::Int(i),
+        Token::Float(f) => Exact::Float(f.to_bits()),
+        Token::Str(s) => Exact::Str(s.to_string()),
+        other => unreachable!("a table holds no {}", other.type_name()),
     };
     row.into_iter().map(cell).collect()
 }
@@ -271,36 +291,36 @@ fn exact_store() -> StoreHandle {
 
 const P: i64 = 1 << 53;
 
-fn int_cell() -> impl Strategy<Value = Value> {
+fn int_cell() -> impl Strategy<Value = Token> {
     prop_oneof![
-        (-3..3i64).prop_map(Value::Int),
-        Just(Value::Int(i64::MAX)),
-        Just(Value::Int(P + 1)),
-        Just(Value::Null),
+        (-3..3i64).prop_map(Token::Int),
+        Just(Token::Int(i64::MAX)),
+        Just(Token::Int(P + 1)),
+        Just(Token::Unit),
     ]
 }
 
 /// Ints a float column holds as ints (past 2^53 too, where a double would
 /// round them), and floats that tie with them, −0.0, a NaN with a payload.
-fn float_cell() -> impl Strategy<Value = Value> {
+fn float_cell() -> impl Strategy<Value = Token> {
     prop_oneof![
-        (0..3i64).prop_map(Value::Int),
-        (0..2i64).prop_map(|d| Value::Int(P + 1 + 2 * d)),
-        (0..6i64).prop_map(|n| Value::Float(n as f64 / 2.0)),
-        Just(Value::Float(P as f64)),
-        Just(Value::Float(-0.0)),
-        Just(Value::Float(f64::from_bits(0x7ff8_0000_0000_0001))),
-        Just(Value::Null),
+        (0..3i64).prop_map(Token::Int),
+        (0..2i64).prop_map(|d| Token::Int(P + 1 + 2 * d)),
+        (0..6i64).prop_map(|n| Token::Float(n as f64 / 2.0)),
+        Just(Token::Float(P as f64)),
+        Just(Token::Float(-0.0)),
+        Just(Token::Float(f64::from_bits(0x7ff8_0000_0000_0001))),
+        Just(Token::Unit),
     ]
 }
 
-fn str_cell() -> impl Strategy<Value = Value> {
-    let s = |s: &str| Just(Value::str(s));
-    prop_oneof![s(""), s("a"), s("ünï"), Just(Value::Null)]
+fn str_cell() -> impl Strategy<Value = Token> {
+    let s = |s: &str| Just(Token::str(s));
+    prop_oneof![s(""), s("a"), s("ünï"), Just(Token::Unit)]
 }
 
-fn bool_cell() -> impl Strategy<Value = Value> {
-    prop_oneof![Just(Value::Bool(true)), Just(Value::Bool(false)), Just(Value::Null)]
+fn bool_cell() -> impl Strategy<Value = Token> {
+    prop_oneof![Just(Token::Bool(true)), Just(Token::Bool(false)), Just(Token::Unit)]
 }
 
 fn exact_row() -> impl Strategy<Value = Row> {
@@ -314,7 +334,7 @@ enum Write {
     Insert(Row),
     Upsert(Row),
     /// `UPDATE … SET column = value WHERE k < below`.
-    Update { below: i64, column: usize, value: Value },
+    Update { below: i64, column: usize, value: Token },
     /// `DELETE … WHERE k BETWEEN lo AND lo + 5`.
     Delete { lo: i64 },
     /// Fill keys `100..300` with `row`'s cells and delete them again, which
@@ -525,13 +545,13 @@ proptest! {
         let mut t = fresh_table(true);
         let mut model: std::collections::HashMap<i64, i64> = Default::default();
         for (k, v) in &writes {
-            t.upsert(vec![(*k).into(), 0.into(), (*v).into(), Value::Null]).unwrap();
+            t.upsert(vec![(*k).into(), 0.into(), (*v).into(), Token::Unit]).unwrap();
             model.insert(*k, *v);
         }
         prop_assert_eq!(t.len(), model.len());
         for (k, v) in &model {
             let row = t.get(&[(*k).into()]).expect("key present");
-            prop_assert_eq!(row.cell(2), Value::Int(*v));
+            prop_assert_eq!(row.cell(2), Token::Int(*v));
         }
     }
 
@@ -544,28 +564,28 @@ proptest! {
         let vals: Vec<i64> = rows.iter().map(|r| r[2].as_int().unwrap()).collect();
         prop_assert_eq!(
             t.aggregate(None, &Agg::Count).unwrap(),
-            Value::Int(vals.len() as i64)
+            Token::Int(vals.len() as i64)
         );
         if vals.is_empty() {
-            prop_assert_eq!(t.aggregate(None, &Agg::Sum("v".into())).unwrap(), Value::Null);
-            prop_assert_eq!(t.aggregate(None, &Agg::Min("v".into())).unwrap(), Value::Null);
+            prop_assert_eq!(t.aggregate(None, &Agg::Sum("v".into())).unwrap(), Token::Unit);
+            prop_assert_eq!(t.aggregate(None, &Agg::Min("v".into())).unwrap(), Token::Unit);
         } else {
             let sum: i64 = vals.iter().sum();
             prop_assert_eq!(
                 t.aggregate(None, &Agg::Sum("v".into())).unwrap(),
-                Value::Float(sum as f64)
+                Token::Float(sum as f64)
             );
             prop_assert_eq!(
                 t.aggregate(None, &Agg::Avg("v".into())).unwrap(),
-                Value::Float(sum as f64 / vals.len() as f64)
+                Token::Float(sum as f64 / vals.len() as f64)
             );
             prop_assert_eq!(
                 t.aggregate(None, &Agg::Min("v".into())).unwrap(),
-                Value::Int(*vals.iter().min().unwrap())
+                Token::Int(*vals.iter().min().unwrap())
             );
             prop_assert_eq!(
                 t.aggregate(None, &Agg::Max("v".into())).unwrap(),
-                Value::Int(*vals.iter().max().unwrap())
+                Token::Int(*vals.iter().max().unwrap())
             );
         }
     }
@@ -596,7 +616,7 @@ proptest! {
         apply(&mut t, &ops);
         let groups = t.group_by(None, &["g"], &[Agg::Count, Agg::Sum("v".into())]).unwrap();
         let total: i64 = groups.iter().map(|(_, aggs)| match aggs[0] {
-            Value::Int(n) => n,
+            Token::Int(n) => n,
             _ => unreachable!(),
         }).sum();
         prop_assert_eq!(total as usize, t.len());
