@@ -141,8 +141,8 @@ pub trait Actor: Send {
     /// Called exactly once after every input has closed and every pending
     /// window has been drained, but *before* the director closes the
     /// actor's output channels — unlike [`Actor::wrapup`], emissions made
-    /// here still reach downstream actors. Stateful actors (for example
-    /// the sharding merge stage) use this to flush buffered results.
+    /// here still reach downstream actors. Stateful actors use this to
+    /// flush buffered results.
     fn finish(&mut self, _ctx: &mut dyn FireContext) -> Result<()> {
         Ok(())
     }
@@ -168,18 +168,6 @@ pub trait Actor: Send {
     /// run starts. Called at most once, before `initialize`-time work.
     fn restore_state(&mut self, _bytes: &[u8]) -> Result<()> {
         Ok(())
-    }
-
-    /// Produce a fresh replica of this actor for keyed sharding.
-    ///
-    /// Returning `Some` declares the actor safe to replicate: each replica
-    /// must compute the same results when it observes only the subset of
-    /// the input stream whose key hashes to it (per-key state, or state
-    /// shared through an external handle). The default `None` makes
-    /// [`crate::graph::WorkflowBuilder::shard`] fail at build time rather
-    /// than silently duplicating non-replicable state.
-    fn replicate(&self) -> Option<Box<dyn Actor>> {
-        None
     }
 
     /// Whether this is a source actor (no upstream; the director schedules

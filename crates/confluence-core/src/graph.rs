@@ -11,8 +11,7 @@ use std::collections::HashMap;
 use crate::actor::{Actor, IoSignature};
 use crate::channel::ChannelPolicy;
 use crate::error::{Error, Result};
-use crate::shard::{OrderedMerge, ShardReplica, ShardSplitter};
-use crate::window::{GroupBy, Measure, WindowSpec};
+use crate::window::WindowSpec;
 
 /// Identifies an actor within one workflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -146,8 +145,6 @@ pub struct Workflow {
     channel_policies: Vec<Vec<Option<ChannelPolicy>>>,
     /// Workflow-wide channel policy for ports without an override.
     default_channel_policy: ChannelPolicy,
-    /// Shard groups produced by build-time expansion, in declaration order.
-    shard_groups: Vec<ShardGroup>,
 }
 
 impl std::fmt::Debug for Workflow {
@@ -234,12 +231,6 @@ impl Workflow {
         self.default_channel_policy = policy;
     }
 
-    /// Shard groups produced by build-time expansion (empty when nothing
-    /// was sharded).
-    pub fn shard_groups(&self) -> &[ShardGroup] {
-        &self.shard_groups
-    }
-
     /// Whether any port routes its expired events to a handler.
     pub fn has_expired_routes(&self) -> bool {
         self.expired_routes
@@ -275,39 +266,15 @@ impl Workflow {
 
     /// Render the workflow as Graphviz DOT (actors as nodes labelled with
     /// name and priority; channels as edges labelled with port names;
-    /// expired-handler feeds as dashed edges; shard groups as dashed
-    /// clusters).
+    /// expired-handler feeds as dashed edges).
     pub fn to_dot(&self) -> String {
         let mut out = format!("digraph \"{}\" {{\n  rankdir=LR;\n", self.name);
-        let mut in_group = vec![false; self.nodes.len()];
-        for g in &self.shard_groups {
-            for id in g.members() {
-                in_group[id.0] = true;
-            }
-        }
-        let node_line = |i: usize| {
-            let node = &self.nodes[i];
+        for (i, node) in self.nodes.iter().enumerate() {
             let shape = if node.is_source { "invhouse" } else { "box" };
-            format!(
+            out.push_str(&format!(
                 "  n{i} [label=\"{}\\np{}\" shape={shape}];\n",
                 node.name, node.priority
-            )
-        };
-        for (i, grouped) in in_group.iter().enumerate() {
-            if !grouped {
-                out.push_str(&node_line(i));
-            }
-        }
-        for (k, g) in self.shard_groups.iter().enumerate() {
-            out.push_str(&format!(
-                "  subgraph cluster_shard{k} {{\n    label=\"{} x{}\";\n    style=dashed;\n",
-                g.base,
-                g.replicas.len()
             ));
-            for id in g.members() {
-                out.push_str(&format!("  {}", node_line(id.0)));
-            }
-            out.push_str("  }\n");
         }
         for ch in &self.channels {
             let from = &self.nodes[ch.from.actor.0];
@@ -357,7 +324,6 @@ pub struct WorkflowBuilder {
     expired_handlers: Vec<(ActorId, String, ActorId, String)>,
     channel_policies: Vec<Vec<Option<ChannelPolicy>>>,
     default_channel_policy: ChannelPolicy,
-    shards: Vec<(ActorId, Shard)>,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -369,8 +335,8 @@ enum PortKey {
 /// A typed reference to one port of one actor — the uniform endpoint
 /// vocabulary accepted (as `impl Into<Endpoint>`) by every builder method:
 /// [`WorkflowBuilder::link`], [`WorkflowBuilder::window`],
-/// [`WorkflowBuilder::link_windowed`], [`WorkflowBuilder::channel_policy`],
-/// [`WorkflowBuilder::expired_handler`], and [`WorkflowBuilder::shard`].
+/// [`WorkflowBuilder::link_windowed`], [`WorkflowBuilder::channel_policy`]
+/// and [`WorkflowBuilder::expired_handler`].
 ///
 /// Endpoints are made from an [`ActorId`]: `actor.port("pos_in")`,
 /// `actor.out(0)`, `actor.input(1)`, the pairs `(actor, "pos_in")` and
@@ -415,71 +381,6 @@ impl From<(ActorId, usize)> for Endpoint {
     }
 }
 
-/// Declarative keyed-sharding specification for one actor, applied with
-/// [`WorkflowBuilder::shard`]. Reuses the window [`GroupBy`] machinery as
-/// its key expression.
-#[derive(Debug, Clone)]
-pub struct Shard {
-    key: GroupBy,
-    replicas: usize,
-    replica_channel_policy: Option<ChannelPolicy>,
-}
-
-impl Shard {
-    /// Shard by the value of the named record fields.
-    pub fn by_fields(names: &[&str]) -> Shard {
-        Self::by_key(GroupBy::fields(names))
-    }
-
-    /// Shard by an arbitrary [`GroupBy`] key expression. A
-    /// [`GroupBy::Key`] closure is accepted unchecked: the caller asserts
-    /// it is consistent with the actor's window grouping.
-    pub fn by_key(key: GroupBy) -> Shard {
-        Shard {
-            key,
-            replicas: 2,
-            replica_channel_policy: None,
-        }
-    }
-
-    /// Number of replicas (default 2). `replicas(1)` makes the expansion a
-    /// structural no-op.
-    pub fn replicas(mut self, n: usize) -> Shard {
-        self.replicas = n;
-        self
-    }
-
-    /// Channel policy applied to every replica's input port (defaults to
-    /// the workflow-wide policy).
-    pub fn replica_channel_policy(mut self, policy: ChannelPolicy) -> Shard {
-        self.replica_channel_policy = Some(policy);
-        self
-    }
-}
-
-/// Metadata about one expanded shard group, recorded on the built
-/// [`Workflow`] for telemetry and DOT export.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardGroup {
-    /// Name of the actor that was sharded.
-    pub base: String,
-    /// The generated key-hash splitter (occupies the original node slot).
-    pub splitter: ActorId,
-    /// Replica ids, in shard order.
-    pub replicas: Vec<ActorId>,
-    /// The generated ordered merge stage.
-    pub merge: ActorId,
-}
-
-impl ShardGroup {
-    /// Every generated actor of this group: splitter, replicas, merge.
-    pub fn members(&self) -> impl Iterator<Item = ActorId> + '_ {
-        std::iter::once(self.splitter)
-            .chain(self.replicas.iter().copied())
-            .chain(std::iter::once(self.merge))
-    }
-}
-
 impl WorkflowBuilder {
     /// Start building a workflow.
     pub fn new(name: impl Into<String>) -> Self {
@@ -491,7 +392,6 @@ impl WorkflowBuilder {
             expired_handlers: Vec::new(),
             channel_policies: Vec::new(),
             default_channel_policy: ChannelPolicy::unbounded(),
-            shards: Vec::new(),
         }
     }
 
@@ -651,169 +551,8 @@ impl WorkflowBuilder {
         Ok(())
     }
 
-    /// Mark an actor for keyed sharding: at [`WorkflowBuilder::build`] the
-    /// actor is expanded into `spec.replicas` replicas behind a generated
-    /// key-hash splitter and an ordered merge stage (see [`crate::shard`]),
-    /// invisible to both its neighbours and the director. The actor must
-    /// have exactly one input and one output port, support
-    /// [`Actor::replicate`], and its input window's group-by must be at
-    /// least as fine as the shard key (or be the per-event window).
-    pub fn shard(&mut self, actor: impl Into<Endpoint>, spec: Shard) -> Result<()> {
-        let actor = actor.into().actor;
-        let node = self
-            .nodes
-            .get(actor.0)
-            .ok_or_else(|| Error::UnknownActor(format!("{actor}")))?;
-        if spec.replicas == 0 {
-            return Err(Error::Graph(format!(
-                "shard on `{}` needs at least one replica",
-                node.name
-            )));
-        }
-        if node.is_source {
-            return Err(Error::Graph(format!("cannot shard source actor `{}`", node.name)));
-        }
-        if self.shards.iter().any(|(id, _)| *id == actor) {
-            return Err(Error::Graph(format!(
-                "actor `{}` is already marked for sharding",
-                node.name
-            )));
-        }
-        self.shards.push((actor, spec));
-        Ok(())
-    }
-
-    /// Expand every [`WorkflowBuilder::shard`] declaration in place,
-    /// returning the recorded group metadata.
-    fn expand_shards(&mut self) -> Result<Vec<ShardGroup>> {
-        let mut groups = Vec::new();
-        let shards = std::mem::take(&mut self.shards);
-        for (id, spec) in shards {
-            if spec.replicas == 1 {
-                continue; // structural no-op
-            }
-            let node = &self.nodes[id.0];
-            let base = node.name.clone();
-            if node.signature.inputs.len() != 1 || node.signature.outputs.len() != 1 {
-                return Err(Error::Graph(format!(
-                    "cannot shard `{base}`: sharding requires exactly one input and one \
-                     output port (has {} inputs, {} outputs)",
-                    node.signature.inputs.len(),
-                    node.signature.outputs.len()
-                )));
-            }
-            // The actor's window moves to the replicas, so per-replica
-            // windowing must equal global windowing: the window's group-by
-            // has to be at least as fine as the shard key (every window
-            // group lands whole on one replica), unless each event forms
-            // its own window anyway.
-            let w = self.input_windows[id.0][0].clone();
-            let per_event = w.size == Measure::Tuples(1) && w.step == Measure::Tuples(1);
-            let compatible = per_event
-                || match (&spec.key, &w.group_by) {
-                    (GroupBy::Fields(k), GroupBy::Fields(g)) => {
-                        k.names().iter().all(|f| g.index_of(f).is_some())
-                    }
-                    (GroupBy::Key(_), _) => true, // caller-asserted
-                    _ => false,
-                };
-            if !compatible {
-                return Err(Error::Graph(format!(
-                    "cannot shard `{base}`: its input window must group by at least the \
-                     shard key fields (or be the per-event window)"
-                )));
-            }
-            let n = spec.replicas;
-            let in_name = node.signature.inputs[0].clone();
-            let priority = node.priority;
-
-            // The splitter takes over the sharded actor's node slot so
-            // upstream channels stay untouched.
-            let inner = self.nodes[id.0].actor.take().expect("actor taken before build");
-            let mut inners = vec![inner];
-            for _ in 1..n {
-                let replica = inners[0].replicate().ok_or_else(|| {
-                    Error::Graph(format!(
-                        "cannot shard `{base}`: Actor::replicate returned None \
-                         (the actor does not declare itself replicable)"
-                    ))
-                })?;
-                inners.push(replica);
-            }
-            let splitter: Box<dyn Actor> =
-                Box::new(ShardSplitter::new(spec.key.clone(), n, in_name.as_str()));
-            let signature = splitter.signature();
-            self.nodes[id.0] = ActorNode {
-                name: format!("{base}#split"),
-                actor: Some(splitter),
-                signature,
-                priority,
-                is_source: false,
-            };
-            self.input_windows[id.0] = vec![WindowSpec::each_event()];
-
-            let replica_ids: Vec<ActorId> = inners
-                .into_iter()
-                .enumerate()
-                .map(|(r, inner)| {
-                    let rid = self.add_boxed_actor(
-                        format!("{base}#{r}"),
-                        Box::new(ShardReplica::new(inner)),
-                    );
-                    self.nodes[rid.0].priority = priority;
-                    self.input_windows[rid.0][0] = w.clone();
-                    if let Some(policy) = spec.replica_channel_policy {
-                        self.channel_policies[rid.0][0] = Some(policy);
-                    }
-                    rid
-                })
-                .collect();
-            let merge = self.add_boxed_actor(format!("{base}#merge"), Box::new(OrderedMerge::new(n)));
-            self.nodes[merge.0].priority = priority;
-
-            // Re-point the sharded actor's out-edges to the merge, *before*
-            // wiring the generated channels (which also originate at `id`).
-            for ch in &mut self.channels {
-                if ch.from.actor == id {
-                    ch.from = PortRef {
-                        actor: merge,
-                        port: 0,
-                    };
-                }
-            }
-            for (r, &rid) in replica_ids.iter().enumerate() {
-                self.link((id, r), (rid, 0))?;
-                self.link((id, n + r), (rid, 1))?;
-                self.link((rid, 0), (merge, r))?;
-                self.link((rid, 1), (merge, n + r))?;
-            }
-
-            // Expired events of the (now replica-held) window keep flowing
-            // to the declared handler, from every replica.
-            let handlers = std::mem::take(&mut self.expired_handlers);
-            for (a, p, h, hp) in handlers {
-                if a == id {
-                    for &rid in &replica_ids {
-                        self.expired_handlers.push((rid, p.clone(), h, hp.clone()));
-                    }
-                } else {
-                    self.expired_handlers.push((a, p, h, hp));
-                }
-            }
-
-            groups.push(ShardGroup {
-                base,
-                splitter: id,
-                replicas: replica_ids,
-                merge,
-            });
-        }
-        Ok(groups)
-    }
-
     /// Validate and produce the workflow.
-    pub fn build(mut self) -> Result<Workflow> {
-        let shard_groups = self.expand_shards()?;
+    pub fn build(self) -> Result<Workflow> {
         let mut seen = HashMap::new();
         for (i, node) in self.nodes.iter().enumerate() {
             if let Some(prev) = seen.insert(node.name.clone(), i) {
@@ -894,7 +633,6 @@ impl WorkflowBuilder {
             expired_routes,
             channel_policies: self.channel_policies,
             default_channel_policy: self.default_channel_policy,
-            shard_groups,
         })
     }
 }

@@ -34,7 +34,6 @@ pub mod event;
 pub mod graph;
 pub mod postable;
 pub mod receiver;
-pub mod shard;
 pub mod spec;
 pub mod telemetry;
 pub mod time;
@@ -48,7 +47,7 @@ pub use checkpoint::{Checkpoint, CheckpointResource, QuiesceHook};
 pub use engine::{Engine, ExecConfig, StopCondition};
 pub use error::{Error, Result};
 pub use event::CwEvent;
-pub use graph::{ActorId, Endpoint, Shard, ShardGroup, Workflow, WorkflowBuilder};
+pub use graph::{ActorId, Endpoint, Workflow, WorkflowBuilder};
 pub use telemetry::{MetricsRecorder, MetricsSnapshot, Observer, RunPhase, Telemetry};
 pub use time::{Clock, Micros, SharedClock, Timestamp, VirtualClock, WallClock};
 pub use token::Token;

@@ -6,7 +6,7 @@
 //! document the engine loads. This module is that surface in textual
 //! form: a small language describing actors (instantiated through an
 //! [`ActorRegistry`]), channels with full window semantics, priorities,
-//! expired-item handlers and keyed sharding — parsed into a
+//! and expired-item handlers — parsed into a
 //! [`Workflow`](crate::graph::Workflow) ready for any director.
 //!
 //! ```text
@@ -24,13 +24,10 @@
 //!
 //!     priority out = 5
 //!     expired dedup.in -> out.in
-//!     shard toll by (carid) replicas 4
 //! }
 //! ```
 //!
-//! `shard` is [`WorkflowBuilder::shard`](crate::graph::WorkflowBuilder::shard):
-//! the actor must be replicable and its window must group by at least the
-//! shard key. Errors, including numbers out of range, name their line.
+//! Errors, including numbers out of range, name their line.
 //!
 //! Actor *types* (`ticks`, `dedup`, `sink` above) come from the registry:
 //! the standard library types are pre-registered by

@@ -3,7 +3,7 @@
 //! Hand-rolled lexer + recursive descent; errors carry line numbers.
 
 use crate::error::{Error, Result};
-use crate::graph::{ActorId, Shard, Workflow, WorkflowBuilder};
+use crate::graph::{ActorId, Workflow, WorkflowBuilder};
 use crate::time::Micros;
 use crate::token::Token as DataToken;
 use crate::window::{GroupBy, WindowSpec};
@@ -304,20 +304,10 @@ impl<'s, 'r> Parser<'s, 'r> {
                     b.expired_handler(from_id.port(from_port), to_id.port(to_port))
                         .map_err(|e| self.err_at(line, e))?;
                 }
-                "shard" => {
-                    let who = self.ident()?;
-                    self.keyword("by")?;
-                    let fields = self.fields()?;
-                    self.keyword("replicas")?;
-                    let n = self.count()?;
-                    let id = lookup(&actors, who).map_err(|e| self.err_at(line, e))?;
-                    b.shard(id, Shard::by_fields(&fields).replicas(n))
-                        .map_err(|e| self.err_at(line, e))?;
-                }
                 other => {
                     self.pos -= 1;
                     return Err(self.err(format!(
-                        "expected `actor`, `connect`, `priority`, `expired` or `shard`, found `{other}`"
+                        "expected `actor`, `connect`, `priority` or `expired`, found `{other}`"
                     )));
                 }
             }
@@ -458,7 +448,7 @@ impl<'s, 'r> Parser<'s, 'r> {
         }
     }
 
-    /// A non-negative integer: a size, a step, a replica count.
+    /// A non-negative integer: a size or a step.
     fn count(&mut self) -> Result<usize> {
         let v = self.int()?;
         usize::try_from(v).map_err(|_| {
@@ -621,16 +611,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_statement_errors_name_their_line() {
-        let msg = error_at_line_4("shard nope by (k) replicas 2");
-        assert!(msg.contains("unknown actor `nope`"), "{msg}");
-        let msg = error_at_line_4("shard sink by (k) replicas 0");
-        assert!(msg.contains("at least one replica"), "{msg}");
-        let msg = error_at_line_4("shard sink by (k) replicas -1");
-        assert!(msg.contains("non-negative integer, found -1"), "{msg}");
-        let msg = error_at_line_4("shard sink (k) replicas 2");
-        assert!(msg.contains("expected `by`, found `(`"), "{msg}");
-        let msg = error_at_line_4("shard src by (k) replicas 2");
-        assert!(msg.contains("cannot shard source actor `src`"), "{msg}");
+    fn an_unknown_statement_names_its_line_and_the_statements() {
+        let msg = error_at_line_4("nope src.out");
+        assert!(
+            msg.contains("expected `actor`, `connect`, `priority` or `expired`, found `nope`"),
+            "{msg}"
+        );
+        let msg = error_at_line_4("shard sink by (k) replicas 2");
+        assert!(
+            msg.contains("expected `actor`, `connect`, `priority` or `expired`, found `shard`"),
+            "{msg}"
+        );
     }
 }

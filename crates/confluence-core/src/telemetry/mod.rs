@@ -28,8 +28,7 @@ pub mod trace;
 
 pub use livestats::LiveStats;
 pub use recorder::{
-    ActorMetrics, EdgeMetrics, MetricsRecorder, MetricsSnapshot, PortDepthMetrics, ShardMetrics,
-    ShardReplicaMetrics, WorkerMetrics,
+    ActorMetrics, EdgeMetrics, MetricsRecorder, MetricsSnapshot, PortDepthMetrics, WorkerMetrics,
 };
 pub use series::{SeriesPoint, TimeSeriesRecorder};
 pub use sketch::{QuantileSketch, SketchSnapshot};

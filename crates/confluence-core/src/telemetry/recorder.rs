@@ -48,9 +48,8 @@ struct Metric<T> {
 /// snapshot struct (the identity fields in braces, then one field per row),
 /// the column table `$TABLE` the renderers loop over, and what the clause
 /// after the table name asks for: `(cell Name)`, an all-atomic cell with a
-/// `load` into the snapshot struct; `(from Type)`, a field-by-field
-/// projection `of` a wider snapshot struct; `()`, nothing — the owner fills
-/// the struct itself.
+/// `load` into the snapshot struct; `()`, nothing — the owner fills the
+/// struct itself.
 macro_rules! metric_group {
     (
         $(#[$smeta:meta])*
@@ -100,13 +99,6 @@ macro_rules! metric_group {
                     $($id,)*
                     $($field: metric_group!(@typed $fty self.$field.load(Ordering::Relaxed)),)+
                 }
-            }
-        }
-    };
-    (@load (from $Src:ty) $Snap:ident { $($id:ident: $idty:ty,)* } $($field:ident: $fty:ident,)+) => {
-        impl $Snap {
-            fn of($($id: $idty,)* src: &$Src) -> Self {
-                $Snap { $($id,)* $($field: src.$field,)+ }
             }
         }
     };
@@ -201,55 +193,6 @@ metric_group! {
     /// Total time this worker spent executing firings, in microseconds
     /// (occupancy = `busy_micros` / run wall time).
     busy_micros: u64 => json "busy_us" col "busy_us" 0 prom Counter "confluence_worker_busy_microseconds_total" "Time the pool worker spent executing firings";
-}
-
-metric_group! {
-    /// One replica's slice of a [`ShardMetrics`] group.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct ShardReplicaMetrics {
-        /// Replica index within the group (the `<i>` of `base#<i>`).
-        pub replica: usize,
-    }
-    table SHARD_REPLICA (from ActorMetrics);
-    /// Successful firings of this replica.
-    fires: u64 => prom Counter "confluence_shard_replica_fires_total" "Successful firings per shard replica";
-    /// Events the replica consumed.
-    events_in: u64 =>;
-    /// Tokens the replica produced.
-    tokens_out: u64 =>;
-    /// Highest observed inbox depth on the replica.
-    queue_high_water: u64 => prom Gauge "confluence_shard_replica_queue_high_water" "Highest observed inbox depth per shard replica";
-    /// Busy time charged to the replica.
-    busy: Micros =>;
-}
-
-/// Aggregated per-replica metrics for one expanded shard group, recovered
-/// from the generated `base#<i>` actor names (see
-/// [`crate::graph::WorkflowBuilder::shard`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMetrics {
-    /// Name of the sharded base actor.
-    pub base: String,
-    /// Per-replica metrics, in replica order.
-    pub replicas: Vec<ShardReplicaMetrics>,
-}
-
-impl ShardMetrics {
-    /// Firings summed over all replicas.
-    pub fn total_fires(&self) -> u64 {
-        self.replicas.iter().map(|r| r.fires).sum()
-    }
-
-    /// Load imbalance: the busiest replica's firing share of a perfectly
-    /// even split (1.0 = balanced, `replicas` = everything on one).
-    pub fn imbalance(&self) -> f64 {
-        let total = self.total_fires();
-        if total == 0 || self.replicas.is_empty() {
-            return 1.0;
-        }
-        let max = self.replicas.iter().map(|r| r.fires).max().unwrap_or(0);
-        max as f64 * self.replicas.len() as f64 / total as f64
-    }
 }
 
 /// Atomics-only [`Observer`] that aggregates the hook stream into
@@ -542,34 +485,6 @@ impl MetricsSnapshot {
             .unwrap_or(0)
     }
 
-    /// Recover the per-shard view from the generated `base#<i>` replica
-    /// names, one [`ShardMetrics`] per expanded shard group in base-name
-    /// order. Workflows without sharding yield an empty vec.
-    pub fn shards(&self) -> Vec<ShardMetrics> {
-        let mut groups: Vec<ShardMetrics> = Vec::new();
-        for a in &self.actors {
-            let Some((base, idx)) = a.name.rsplit_once('#') else {
-                continue;
-            };
-            let Ok(replica) = idx.parse::<usize>() else {
-                continue; // `base#split` / `base#merge` helpers.
-            };
-            let entry = ShardReplicaMetrics::of(replica, a);
-            match groups.iter_mut().find(|g| g.base == base) {
-                Some(g) => g.replicas.push(entry),
-                None => groups.push(ShardMetrics {
-                    base: base.to_string(),
-                    replicas: vec![entry],
-                }),
-            }
-        }
-        for g in &mut groups {
-            g.replicas.sort_by_key(|r| r.replica);
-        }
-        groups.sort_by(|a, b| a.base.cmp(&b.base));
-        groups
-    }
-
     /// Serialize as a self-contained JSON document (no external deps).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.actors.len() * 192);
@@ -635,16 +550,6 @@ impl MetricsSnapshot {
         push_prom_group(&mut out, EDGE, labelled(&self.edges, labels));
         let labels = |w: &WorkerMetrics| format!("{{worker=\"{}\"}}", w.worker);
         push_prom_group(&mut out, WORKER, labelled(&self.workers, labels));
-        let shards = self.shards();
-        let mut replicas = Vec::new();
-        for g in &shards {
-            let shard = escape_label(&g.base);
-            let labels = |r: &ShardReplicaMetrics| {
-                format!("{{shard=\"{shard}\",replica=\"{}\"}}", r.replica)
-            };
-            replicas.extend(labelled(&g.replicas, labels));
-        }
-        push_prom_group(&mut out, SHARD_REPLICA, replicas);
         let labels = |p: &PortDepthMetrics| {
             let actor = escape_label(&p.actor);
             format!("{{actor=\"{actor}\",port=\"{}\"}}", p.port)
@@ -887,12 +792,12 @@ mod tests {
     /// A snapshot in which every group has a sample, so every declared
     /// row is rendered.
     fn snapshot_with_every_group() -> MetricsSnapshot {
-        let r = MetricsRecorder::with_names(vec!["src".into(), "base#0".into()], vec![false, true])
+        let r = MetricsRecorder::with_names(vec!["src".into(), "sink".into()], vec![false, true])
             .with_edges(vec![(ActorId(0), ActorId(1), 0)]);
         r.on_topology(&TopologySnapshot {
             actors: vec![ActorTopology {
                 id: ActorId(1),
-                name: "base#0".into(),
+                name: "sink".into(),
                 ports: 1,
                 inbox: std::sync::Weak::new(),
             }],
@@ -907,25 +812,19 @@ mod tests {
         r.snapshot()
     }
 
-    /// The rows of one table against the rendered outputs: `object` opens
-    /// the group's (flat) JSON object, or is `None` for a group with none.
+    /// The rows of one table against the rendered outputs: `open` opens
+    /// the group's (flat) JSON object.
     fn check_table<T>(
         table: &[Metric<T>],
-        object: Option<&str>,
+        open: &str,
         (json, prom): (&str, &str),
         names: &mut Vec<&'static str>,
     ) {
-        let object = object.map(|open| {
-            let (_, rest) = json.split_once(open).unwrap_or_else(|| panic!("no {open} in {json}"));
-            rest.split_once('}').unwrap().0
-        });
+        let (_, rest) = json.split_once(open).unwrap_or_else(|| panic!("no {open} in {json}"));
+        let object = rest.split_once('}').unwrap().0;
         for m in table {
-            match (m.json, object) {
-                (Some(key), Some(object)) => {
-                    assert!(object.contains(&format!("\"{key}\":")), "{key} missing from {object}")
-                }
-                (Some(key), None) => panic!("{key} declared for a group with no JSON object"),
-                (None, _) => {}
+            if let Some(key) = m.json {
+                assert!(object.contains(&format!("\"{key}\":")), "{key} missing from {object}");
             }
             let Some((kind, name, _)) = m.prom else {
                 continue;
@@ -946,11 +845,10 @@ mod tests {
         let (json, prom) = (s.to_json(), s.to_prometheus());
         let out = (json.as_str(), prom.as_str());
         let mut names = Vec::new();
-        check_table(ACTOR, Some("\"actors\":[{"), out, &mut names);
-        check_table(EDGE, Some("\"edges\":[{"), out, &mut names);
-        check_table(PORT, Some("\"ports\":[{"), out, &mut names);
-        check_table(WORKER, Some("\"workers\":[{"), out, &mut names);
-        check_table(SHARD_REPLICA, None, out, &mut names);
+        check_table(ACTOR, "\"actors\":[{", out, &mut names);
+        check_table(EDGE, "\"edges\":[{", out, &mut names);
+        check_table(PORT, "\"ports\":[{", out, &mut names);
+        check_table(WORKER, "\"workers\":[{", out, &mut names);
         let declared = names.len();
         names.sort_unstable();
         names.dedup();

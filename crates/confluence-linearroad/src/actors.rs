@@ -404,12 +404,6 @@ impl Actor for TollCalculator {
         }
         Ok(())
     }
-
-    fn replicate(&self) -> Option<Box<dyn Actor>> {
-        // Toll state lives per-car in the input window and in the shared
-        // store (reads only), so replicas over a carid-keyed split are safe.
-        Some(Box::new(TollCalculator::new(self.store.clone())))
-    }
 }
 
 /// A received notification with its QoS measurements.

@@ -52,11 +52,6 @@ pub struct LrOptions {
     /// are divided by it), so real-time directors replay a long trace in a
     /// fraction of its wall-clock duration. `1` replays in real time.
     pub arrival_speedup: u64,
-    /// Shard `TollCalculation` by `carid` into this many replicas behind a
-    /// generated splitter and ordered merge (see
-    /// [`confluence_core::shard`]). `None` (or `Some(1)`) keeps the single
-    /// toll actor.
-    pub shard_toll: Option<usize>,
 }
 
 impl Default for LrOptions {
@@ -65,7 +60,6 @@ impl Default for LrOptions {
             composite_subworkflows: true,
             shed_target: None,
             arrival_speedup: 1,
-            shard_toll: None,
         }
     }
 }
@@ -85,10 +79,10 @@ pub struct LinearRoad {
 }
 
 /// The Figure-10 workflow in the spec language: the one definition of its
-/// topology, parsed by [`build`]. Two options add lines and nothing else:
+/// topology, parsed by [`build`]. One option adds lines and nothing else:
 /// `shed_target` puts a `LoadShedder` between the source and its five
-/// consumers, and `shard_toll` shards `TollCalculation`. The other options
-/// change what the registered factories construct, not the text.
+/// consumers. The other options change what the registered factories
+/// construct, not the text.
 pub fn spec_text(opts: &LrOptions) -> String {
     // The shedder keeps the default priority on purpose: queueing delay in
     // *its* input is the congestion signal it sheds on.
@@ -98,13 +92,6 @@ pub fn spec_text(opts: &LrOptions) -> String {
             "\n    actor LoadShedder = load_shedder()\n    connect source.out -> LoadShedder.in\n",
         ),
         None => ("source", ""),
-    };
-    // The toll window groups by carid, so a carid-keyed split keeps every
-    // window whole on one replica; the generated merge restores global
-    // dispatch order at the notification output.
-    let shard = match opts.shard_toll {
-        Some(n) => format!("    shard TollCalculation by (carid) replicas {n}\n"),
-        None => String::new(),
     };
     format!(
         r#"workflow linear-road {{
@@ -151,7 +138,7 @@ pub fn spec_text(opts: &LrOptions) -> String {
     connect {feed}.out -> TollCalculation.in
         window tuples(2, 1) group_by(carid)
     connect TollCalculation.out -> TollNotification.in
-{shard}
+
     # Designer priorities (paper Table 3): 5 for the actors handling the
     # immediate output of the workflow, 10 for statistics maintenance and
     # accident detection.
@@ -329,30 +316,6 @@ mod tests {
             let stats = lr.workflow.find("Avgsv").unwrap();
             assert_eq!(lr.workflow.node(stats).priority, 10);
             assert_eq!(lr.workflow.sources().len(), 1);
-        }
-    }
-
-    #[test]
-    fn sharded_toll_expands_behind_split_and_merge() {
-        let w = Workload::generate(WorkloadConfig::tiny());
-        let lr = build(
-            &w,
-            &LrOptions {
-                shard_toll: Some(3),
-                ..LrOptions::default()
-            },
-        )
-        .unwrap();
-        // 13 base actors: the toll slot becomes the splitter, plus 3
-        // replicas and the merge.
-        assert_eq!(lr.workflow.actor_count(), 17);
-        let groups = lr.workflow.shard_groups();
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].base, "TollCalculation");
-        assert_eq!(groups[0].replicas.len(), 3);
-        // Replicas inherit the toll priority (paper Table 3: 5).
-        for &rid in &groups[0].replicas {
-            assert_eq!(lr.workflow.node(rid).priority, 5);
         }
     }
 

@@ -1,6 +1,6 @@
 //! The Linear Road graph, pinned byte for byte.
 //!
-//! For five option sets the built workflow's DOT export, every actor's
+//! For three option sets the built workflow's DOT export, every actor's
 //! signature and every input port's window and channel policy are compared
 //! with a fixture under `tests/fixtures/topology/`. The fixtures were
 //! captured from the builder-call form of the workflow that the spec text
@@ -30,10 +30,6 @@ fn render(opts: &LrOptions) -> String {
 
 #[test]
 fn every_option_set_builds_the_pinned_graph() {
-    let flat = LrOptions {
-        composite_subworkflows: false,
-        ..LrOptions::default()
-    };
     let cases = [
         (
             "default",
@@ -42,7 +38,10 @@ fn every_option_set_builds_the_pinned_graph() {
         ),
         (
             "flat",
-            flat.clone(),
+            LrOptions {
+                composite_subworkflows: false,
+                ..LrOptions::default()
+            },
             include_str!("fixtures/topology/flat.txt"),
         ),
         (
@@ -52,23 +51,6 @@ fn every_option_set_builds_the_pinned_graph() {
                 ..LrOptions::default()
             },
             include_str!("fixtures/topology/shed.txt"),
-        ),
-        (
-            "shard3",
-            LrOptions {
-                shard_toll: Some(3),
-                ..LrOptions::default()
-            },
-            include_str!("fixtures/topology/shard3.txt"),
-        ),
-        (
-            "flat_shard2_speedup",
-            LrOptions {
-                shard_toll: Some(2),
-                arrival_speedup: 100,
-                ..flat
-            },
-            include_str!("fixtures/topology/flat_shard2_speedup.txt"),
         ),
     ];
     for (name, opts, golden) in cases {

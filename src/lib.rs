@@ -28,7 +28,7 @@ pub mod prelude {
     pub use confluence_core::director::{Director, RunReport};
     pub use confluence_core::engine::{Engine, ExecConfig, StopCondition};
     pub use confluence_core::error::{Error, Result};
-    pub use confluence_core::graph::{ActorId, Endpoint, Shard, ShardGroup, Workflow, WorkflowBuilder};
+    pub use confluence_core::graph::{ActorId, Endpoint, Workflow, WorkflowBuilder};
     pub use confluence_core::telemetry::{
         LiveStats, MetricsRecorder, MetricsSnapshot, Observer, QuantileSketch, RunPhase,
         SketchSnapshot, Telemetry, TimeSeriesRecorder,

@@ -361,13 +361,17 @@ fn scwf_kill_and_recover_reconverges() {
 // Linear Road kill-and-recover
 // ---------------------------------------------------------------------------
 
-/// Deterministic (no-accident) trace: the toll stream it produces is
-/// byte-identical across directors (see tests/linearroad_sharded.rs), so
-/// it can anchor an exact recovery comparison.
+/// A no-accident trace of 701 reports and 141 toll notifications that
+/// stays inside minute 0. Every toll then reads statistics of the minutes
+/// before 0, which no run ever writes, so each is 0 and the toll stream is
+/// exact whatever the thread timing: it can anchor an exact recovery
+/// comparison.
+/// (A toll in a later minute races, on the wall clock, with the writers of
+/// the minute before it.)
 fn lr_workload() -> Workload {
     Workload::generate(WorkloadConfig {
-        duration_secs: 30,
-        l_rating: 0.05,
+        duration_secs: 59,
+        l_rating: 1.0,
         expressways: 1,
         seed: 7,
         base_initial_cars: 200,
@@ -420,7 +424,7 @@ fn linear_road_kill_and_recover_reconverges() {
         let mut engine = engine_for(lr.workflow);
         let report = engine.run().unwrap();
         let reference = toll_tuples(&toll_ref);
-        assert!(!reference.is_empty(), "{name}: trace must produce tolls");
+        assert!(reference.len() >= 100, "{name}: trace must produce tolls");
         let total_firings = report.firings.max(60);
 
         // Killed run: checkpoint periodically, stop mid-stream, discard

@@ -17,12 +17,16 @@ use confluence_linearroad::{Workload, WorkloadConfig};
 /// A deterministic (no-accident) trace: all four policies must route the
 /// same events through the same per-actor windows and emit the same toll
 /// notifications as the FIFO control. Scheduling order is the *only*
-/// degree of freedom a policy has.
+/// degree of freedom a policy has. The trace has 141 toll notifications
+/// and stays inside minute 0, so every toll reads the never-written
+/// statistics of the minutes before 0 and is exact whatever the thread
+/// timing; a toll in a later minute races, on the wall clock, with the
+/// writers of the minute before it.
 #[test]
 fn policies_agree_on_linear_road_event_flow() {
     let workload = Workload::generate(WorkloadConfig {
-        duration_secs: 30,
-        l_rating: 0.05,
+        duration_secs: 59,
+        l_rating: 1.0,
         expressways: 1,
         seed: 7,
         base_initial_cars: 200,
@@ -38,7 +42,7 @@ fn policies_agree_on_linear_road_event_flow() {
         run_linear_road_realtime(&workload, &options)
     };
     let control = on(RealtimePolicy::Fifo);
-    assert!(control.toll_count > 0, "trace must actually produce tolls");
+    assert!(control.toll_count >= 100, "trace must actually produce tolls");
     for policy in [
         RealtimePolicy::RateBased,
         RealtimePolicy::OldestWave,
