@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use confluence_core::director::pool::PoolDirector;
 use confluence_core::director::pool_policy::{
     Fifo as PoolFifo, OldestWave, PoolPolicy, Quantum, RateBased,
 };
@@ -338,19 +339,21 @@ pub fn run_linear_road_realtime(workload: &Workload, options: &RealtimeOptions) 
     .expect("workflow builds");
     // The engine's default director is the threaded one.
     let mut label = "threaded".to_string();
-    let mut exec = ExecConfig::new();
+    let mut engine = Engine::new(lr.workflow);
     if let Some(n) = options.pool_workers {
         label = if options.policy == RealtimePolicy::Fifo {
             format!("pool-{n}")
         } else {
             format!("pool-{n}-{}", options.policy.label())
         };
-        exec = exec.workers(n).pool_policy(options.policy.build());
+        let pool = PoolDirector::new().with_workers(n).with_policy(options.policy.build());
+        engine = engine.with_director(pool);
     }
+    let mut exec = ExecConfig::new();
     if let Some(interval) = options.series_interval {
         exec = exec.sample_series(interval);
     }
-    let mut engine = traced(Engine::new(lr.workflow), &options.trace).configure(exec);
+    let mut engine = traced(engine, &options.trace).configure(exec);
     let report = engine.run().expect("run succeeds");
     RealtimeRun {
         label,

@@ -17,11 +17,11 @@
 //!   length-prefixed log so a recovered run can replay the exact token
 //!   stream the killed run produced past the snapshot point.
 //!
-//! The directors cooperate through a [`QuiesceHook`]: when a checkpoint is
-//! due the engine requests a pause, every actor stops at its next firing
-//! boundary, and the director deposits the captured [`FabricState`] —
-//! queued windows included — instead of running its end-of-stream
-//! teardown.
+//! The directors cooperate through a [`QuiesceHook`]: it carries the
+//! checkpoint cadence, and once a segment meets it every actor stops at its
+//! next firing boundary and the director deposits the captured
+//! [`FabricState`] — queued windows included — instead of running its
+//! end-of-stream teardown.
 
 pub mod codec;
 
@@ -35,6 +35,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::actor::{Actor, FireContext, IoSignature, SdfRates};
+use crate::engine::StopCondition;
 use crate::error::{Error, Result};
 use crate::time::Timestamp;
 use crate::token::Token;
@@ -370,8 +371,8 @@ impl Checkpoint {
 /// The coordination surface between the engine and a director for
 /// checkpoint pauses.
 ///
-/// The engine (through its checkpoint watcher) calls
-/// [`QuiesceHook::request_pause`]; each actor stops at its next firing
+/// It carries the checkpoint cadence: once a segment has fired and met it,
+/// `Run::boundary` answers `Pause`, each actor stops at its next firing
 /// boundary, and the director deposits the captured [`FabricState`]
 /// (what is queued, not drained) instead of running end-of-stream
 /// teardown.
@@ -379,26 +380,26 @@ impl Checkpoint {
 /// marks the segment as resuming so directors skip `initialize`.
 #[derive(Default)]
 pub struct QuiesceHook {
-    pause: AtomicBool,
+    every: Option<StopCondition>,
     resuming: AtomicBool,
     captured: Mutex<Option<FabricState>>,
     restore: Mutex<Option<FabricState>>,
 }
 
 impl QuiesceHook {
-    /// A fresh hook, shared between engine and director.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    /// A fresh hook, shared between engine and director, pausing each
+    /// segment once `every` is met (`None`: a recovery that does not
+    /// checkpoint).
+    pub fn new(every: Option<StopCondition>) -> Arc<Self> {
+        Arc::new(QuiesceHook {
+            every,
+            ..Self::default()
+        })
     }
 
-    /// Ask the director to quiesce at the next firing boundary.
-    pub fn request_pause(&self) {
-        self.pause.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a pause has been requested (directors poll this).
-    pub fn pause_requested(&self) -> bool {
-        self.pause.load(Ordering::SeqCst)
+    /// The checkpoint cadence, measured from each segment's start.
+    pub fn every(&self) -> Option<StopCondition> {
+        self.every
     }
 
     /// Director side: deposit the captured in-flight state after a
@@ -433,11 +434,6 @@ impl QuiesceHook {
     /// Whether the current run resumes restored state.
     pub fn resuming(&self) -> bool {
         self.resuming.load(Ordering::SeqCst)
-    }
-
-    /// Clear the pause flag before the next segment.
-    pub fn reset(&self) {
-        self.pause.store(false, Ordering::SeqCst);
     }
 }
 
@@ -978,10 +974,8 @@ mod tests {
 
     #[test]
     fn quiesce_hook_round_trips_state() {
-        let hook = QuiesceHook::new();
-        assert!(!hook.pause_requested());
-        hook.request_pause();
-        assert!(hook.pause_requested());
+        let hook = QuiesceHook::new(Some(StopCondition::Firings(3)));
+        assert_eq!(hook.every(), Some(StopCondition::Firings(3)));
         assert!(hook.take_captured().is_none());
         hook.deposit(FabricState::default());
         assert!(hook.take_captured().is_some());
@@ -990,7 +984,5 @@ mod tests {
         hook.set_resuming(true);
         assert!(hook.resuming());
         assert!(hook.take_restore().is_some());
-        hook.reset();
-        assert!(!hook.pause_requested());
     }
 }

@@ -23,11 +23,12 @@
 //! A refused `prefire` skips 3–4 and reports `fired: false`.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::actor::Actor;
 use crate::checkpoint::QuiesceHook;
+use crate::engine::StopCondition;
 use crate::error::Result;
 use crate::graph::{ActorId, Workflow};
 use crate::telemetry::{FireRecord, RunPhase, Telemetry};
@@ -67,15 +68,16 @@ pub struct Fired {
     pub alive: Option<bool>,
 }
 
-/// What a firing boundary allows. A stop outranks a pause.
+/// What a firing boundary allows ([`Run::boundary`]). When a checkpoint
+/// and a stop fall due together, the checkpoint is taken first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Boundary {
     /// Fire on.
-    Go,
+    Go = 0,
     /// Wind down through the close cascade.
-    Stop,
+    Stop = 1,
     /// Stop at the boundary and capture what is queued (a checkpoint).
-    Pause,
+    Pause = 2,
 }
 
 /// What one [`FiringOrder::step`] did.
@@ -172,6 +174,8 @@ pub struct Run {
     started: Timestamp,
     firings: AtomicU64,
     routed: AtomicU64,
+    /// The segment's first non-`Go` [`Boundary`], kept to its end.
+    decided: AtomicU8,
 }
 
 impl Run {
@@ -191,6 +195,7 @@ impl Run {
             started: Timestamp::ZERO,
             firings: AtomicU64::new(0),
             routed: AtomicU64::new(0),
+            decided: AtomicU8::new(Boundary::Go as u8),
         };
         let contexts = run.begin(workflow, tele)?;
         Ok((run, contexts))
@@ -229,6 +234,7 @@ impl Run {
         self.started = self.clock.now();
         *self.firings.get_mut() = 0;
         *self.routed.get_mut() = 0;
+        *self.decided.get_mut() = Boundary::Go as u8;
         self.phase(RunPhase::Start);
         // Restored actor state already reflects a past initialization.
         if !self.hook.as_ref().is_some_and(|h| h.resuming()) {
@@ -251,14 +257,50 @@ impl Run {
         }
     }
 
-    /// What the next firing boundary allows. A stop outranks a pause.
+    /// What the next firing boundary allows, from the segment's own
+    /// counters: `Pause` once the segment has fired and met the hook's
+    /// checkpoint cadence, else `Stop` once the telemetry's stop bound is
+    /// met, else `Go`. The first answer that is not `Go` holds for the rest
+    /// of the segment, so the close cascade's firings cannot turn a stop
+    /// into a pause, and every thread of a run sees the same answer.
     pub fn boundary(&self) -> Boundary {
-        if self.tele.as_ref().is_some_and(|t| t.should_stop()) {
+        let go = Boundary::Go as u8;
+        if self.decided.load(Ordering::Acquire) == go {
+            let decided = self.decide();
+            if decided == Boundary::Go {
+                return decided;
+            }
+            // Whoever latches first wins; the latch then holds.
+            let latch = decided as u8;
+            let _ = self.decided.compare_exchange(go, latch, Ordering::AcqRel, Ordering::Acquire);
+        }
+        if self.decided.load(Ordering::Acquire) == Boundary::Stop as u8 {
             Boundary::Stop
-        } else if self.hook.as_ref().is_some_and(|h| h.pause_requested()) {
-            Boundary::Pause
         } else {
-            Boundary::Go
+            Boundary::Pause
+        }
+    }
+
+    fn decide(&self) -> Boundary {
+        if let Some(every) = self.hook.as_ref().and_then(|h| h.every()) {
+            // A pause needs a firing since the segment began, so a
+            // checkpoint never follows a checkpoint with nothing between.
+            if self.firings.load(Ordering::Relaxed) > 0 && self.met(every) {
+                return Boundary::Pause;
+            }
+        }
+        match self.tele.as_ref().and_then(|t| t.stop) {
+            Some(stop) if self.met(stop) => Boundary::Stop,
+            _ => Boundary::Go,
+        }
+    }
+
+    /// Whether the segment has gone as far as `bound`.
+    fn met(&self, bound: StopCondition) -> bool {
+        match bound {
+            StopCondition::Firings(n) => self.firings.load(Ordering::Relaxed) >= n,
+            StopCondition::EventsRouted(n) => self.routed.load(Ordering::Relaxed) >= n,
+            StopCondition::Elapsed(t) => self.clock.now().since(self.started) >= t,
         }
     }
 
@@ -534,6 +576,44 @@ mod tests {
     use super::*;
     use crate::actor::{FireContext, IoSignature};
     use crate::graph::WorkflowBuilder;
+
+    #[test]
+    fn a_latched_stop_stays_a_stop_through_the_close_cascade() {
+        use crate::actors::{Collector, VecSource};
+        use crate::engine::StopCondition;
+        use crate::telemetry::MultiObserver;
+        use crate::time::VirtualClock;
+
+        let c = Collector::new();
+        let mut b = WorkflowBuilder::new("latch");
+        let s = b.add_actor("src", VecSource::new((0..4).map(crate::token::Token::Int).collect()));
+        let k = b.add_actor("sink", c.actor());
+        b.link((s, "out"), (k, "in")).unwrap();
+        let mut wf = b.build().unwrap();
+        let tele = Telemetry {
+            stop: Some(StopCondition::Firings(1)),
+            ..Telemetry::new(Arc::new(MultiObserver::default()))
+        };
+        let hook = QuiesceHook::new(Some(StopCondition::Firings(2)));
+        let clock = Arc::new(VirtualClock::new());
+        let (mut run, mut contexts) =
+            Run::open(&mut wf, Some(tele.clone()), Some(hook), clock).unwrap();
+        assert_eq!(run.boundary(), Boundary::Go);
+        let src = wf.node_mut(s).actor_mut();
+        run.fire(s, src, &mut contexts[s.0], None, None, None).unwrap();
+        assert_eq!(run.boundary(), Boundary::Stop);
+        // The cascade fires the sink on what is queued: the second firing
+        // meets the checkpoint cadence, but the stop holds.
+        let window = run.fabric.inbox(k).try_pop();
+        let sink = wf.node_mut(k).actor_mut();
+        run.fire(k, sink, &mut contexts[k.0], window, None, None).unwrap();
+        assert_eq!(run.report().firings, 2);
+        assert_eq!(run.boundary(), Boundary::Stop);
+        // The next segment starts undecided: nothing has fired in it, so
+        // neither bound is met.
+        let _ = run.begin(&mut wf, Some(tele)).unwrap();
+        assert_eq!(run.boundary(), Boundary::Go);
+    }
 
     #[test]
     fn quasi_topo_handles_cycles() {

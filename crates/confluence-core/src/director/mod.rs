@@ -112,13 +112,13 @@ pub trait Director {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport>;
 
     /// Attach telemetry for subsequent runs: execution hooks flow to
-    /// `telemetry.observer` and the director polls `telemetry.control`
-    /// at firing boundaries for cooperative stops.
+    /// `telemetry.observer`, and `Run::boundary` stops the run at the
+    /// first firing boundary where `telemetry.stop` is met.
     fn instrument(&mut self, telemetry: Telemetry);
 
-    /// Attach a checkpoint quiesce hook for subsequent runs: when the hook
-    /// requests a pause every actor stops at its next firing boundary, the
-    /// director deposits the captured [`crate::checkpoint::FabricState`]
+    /// Attach a checkpoint quiesce hook for subsequent runs: once a segment
+    /// meets the hook's cadence every actor stops at its next firing
+    /// boundary, the director deposits the captured [`crate::checkpoint::FabricState`]
     /// (queued windows included, not drained), and returns *without* its
     /// end-of-stream teardown (no `finish`/`wrapup`, no channel closes).
     /// DE alone drains its agenda first (DESIGN.md, "What a director is").

@@ -139,8 +139,8 @@ fn controller(
                 // event arrival times).
                 if let Some(arrival) = actor.next_arrival() {
                     let mut remaining = arrival.since(run.clock.now()).to_std();
-                    // Sleep in slices so a stop or pause request does
-                    // not have to wait out a long inter-arrival gap.
+                    // Sleep in slices so a stop or pause does not have to
+                    // wait out a long inter-arrival gap.
                     while !remaining.is_zero() && !parked() {
                         let slice = if bounded_waits {
                             remaining.min(STOP_POLL_INTERVAL)
@@ -177,7 +177,7 @@ fn controller(
                     .actor_deadline(id)
                     .map(|deadline| deadline.since(now).to_std());
                 if bounded_waits {
-                    // Bound the block so a stop request is noticed promptly.
+                    // Bound the block so a stop or pause is noticed promptly.
                     timeout = Some(timeout.map_or(STOP_POLL_INTERVAL, |t| t.min(STOP_POLL_INTERVAL)));
                 }
                 match inbox.pop_blocking(timeout) {

@@ -25,28 +25,32 @@
 //! default), and a [`MetricsRecorder`]; every run is instrumented so
 //! [`Engine::snapshot`] always has per-actor statistics to report.
 //! [`Director::run`] remains available as the thin un-instrumented path.
+//!
+//! Observers only observe. A run's bounds travel with it instead:
+//! [`Engine::run_until`]'s [`StopCondition`] in [`Telemetry::stop`], and
+//! [`ExecConfig::checkpoint_every`]'s on the [`QuiesceHook`].
+//! [`Run::boundary`](crate::director::firing::Run::boundary) checks both
+//! against the segment's own counters.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::channel::ChannelPolicy;
 use crate::checkpoint::{self, Checkpoint, CheckpointResource, LoggedSource, QuiesceHook};
-use crate::director::pool::PoolDirector;
-use crate::director::pool_policy::PoolPolicy;
 use crate::director::threaded::ThreadedDirector;
 use crate::director::{Director, RunReport};
 use crate::error::{Error, Result};
 use crate::graph::Workflow;
 use crate::telemetry::{
-    FireRecord, MetricsRecorder, MetricsSnapshot, MultiObserver, Observer, RunControl, RunPhase,
-    Telemetry, TimeSeriesRecorder, TraceReport, Tracer,
+    MetricsRecorder, MetricsSnapshot, MultiObserver, Observer, Telemetry, TimeSeriesRecorder,
+    TraceReport, Tracer,
 };
-use crate::time::{Micros, Timestamp};
+use crate::time::Micros;
 
-/// A bound on how far [`Engine::run_until`] lets a run progress before
-/// requesting a cooperative stop. Counters are evaluated against this
-/// run's activity only, not totals accumulated over earlier runs.
+/// A bound on how far a run goes: [`Engine::run_until`]'s stop and
+/// [`ExecConfig::checkpoint_every`]'s cadence. `Run::boundary` checks it
+/// against the segment's own firing, delivery and clock counters.
+/// Counters are evaluated against this run's activity only, not totals
+/// accumulated over earlier runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopCondition {
     /// Stop after this many successful firings.
@@ -57,100 +61,37 @@ pub enum StopCondition {
     Elapsed(Micros),
 }
 
-/// Observer that trips `action` when a [`StopCondition`] is met: a
-/// cooperative stop for [`Engine::run_until`]'s bound (one watcher spans
-/// the whole run), a checkpoint quiesce for
-/// [`ExecConfig::checkpoint_every`] (built fresh for each segment, so its
-/// counters measure segment activity, not run totals).
-struct Watcher<F> {
-    condition: StopCondition,
-    action: F,
-    fires: AtomicU64,
-    routed: AtomicU64,
-    started: AtomicU64,
-}
-
-impl<F: Fn()> Watcher<F> {
-    fn new(condition: StopCondition, action: F) -> Self {
-        Watcher {
-            condition,
-            action,
-            fires: AtomicU64::new(0),
-            routed: AtomicU64::new(0),
-            started: AtomicU64::new(0),
-        }
-    }
-
-    fn check_elapsed(&self, at: Timestamp) {
-        if let StopCondition::Elapsed(limit) = self.condition {
-            let started = Timestamp(self.started.load(Ordering::Relaxed));
-            if at.since(started) >= limit {
-                (self.action)();
+impl StopCondition {
+    /// What is left of the bound once `done` has been run.
+    fn after(self, done: &RunReport) -> StopCondition {
+        match self {
+            StopCondition::Firings(n) => StopCondition::Firings(n.saturating_sub(done.firings)),
+            StopCondition::EventsRouted(n) => {
+                StopCondition::EventsRouted(n.saturating_sub(done.events_routed))
             }
+            StopCondition::Elapsed(t) => StopCondition::Elapsed(t - done.elapsed),
         }
-    }
-}
-
-impl<F: Fn() + Send + Sync> Observer for Watcher<F> {
-    fn on_run_phase(&self, phase: RunPhase, at: Timestamp) {
-        if phase == RunPhase::Start {
-            // Set-once: a checkpointed run re-runs the director per
-            // segment, but the stop bound spans the whole run, so elapsed
-            // time counts from the *first* segment's start (a per-segment
-            // watcher sees only its own segment's).
-            let _ = self.started.compare_exchange(
-                0,
-                at.as_micros().max(1),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-        }
-    }
-
-    fn on_fire_end(&self, record: &FireRecord) {
-        if record.fired {
-            let n = self.fires.fetch_add(1, Ordering::Relaxed) + 1;
-            if let StopCondition::Firings(limit) = self.condition {
-                if n >= limit {
-                    (self.action)();
-                }
-            }
-        }
-        self.check_elapsed(record.ended);
-    }
-
-    fn on_route(&self, _from: crate::graph::ActorId, delivered: u64, at: Timestamp) {
-        let n = self.routed.fetch_add(delivered, Ordering::Relaxed) + delivered;
-        if let StopCondition::EventsRouted(limit) = self.condition {
-            if n >= limit {
-                (self.action)();
-            }
-        }
-        self.check_elapsed(at);
     }
 }
 
 /// Declarative execution configuration, applied in one step with
-/// [`Engine::configure`]. Folds what used to be a scattered `with_*`
-/// chain — worker count, pool scheduling policy, and the workflow-wide
-/// channel policy — into a single value that can be built, stored, and
-/// passed around:
+/// [`Engine::configure`]: what the engine itself owns — checkpointing,
+/// recovery and time-series sampling.
 ///
 /// ```ignore
 /// let engine = Engine::new(workflow).configure(
 ///     ExecConfig::new()
-///         .workers(4)
-///         .channel_policy(ChannelPolicy::bounded(1024, OnFull::Block)),
+///         .checkpoint_every(StopCondition::Firings(1_000), &dir)
+///         .sample_series(Micros(10_000)),
 /// );
 /// ```
 ///
-/// Setting `workers` or a pool policy selects the pooled work-stealing
-/// director; a config with neither leaves the current director in place.
+/// The director, its workers and its ready-queue policy are the director's
+/// own ([`Engine::with_director`], e.g. `PoolDirector::new().with_workers(4)`),
+/// and channel capacity is the workflow's
+/// ([`Workflow::set_default_channel_policy`]).
 #[derive(Default)]
 pub struct ExecConfig {
-    workers: Option<usize>,
-    pool_policy: Option<Arc<dyn PoolPolicy>>,
-    channel_policy: Option<ChannelPolicy>,
     checkpoint: Option<CheckpointPlan>,
     recover: Option<PathBuf>,
     series: Option<Micros>,
@@ -158,7 +99,6 @@ pub struct ExecConfig {
 
 /// Where and how often to checkpoint a run (see
 /// [`ExecConfig::checkpoint_every`]).
-#[derive(Clone)]
 struct CheckpointPlan {
     every: StopCondition,
     dir: PathBuf,
@@ -168,28 +108,6 @@ impl ExecConfig {
     /// An empty configuration: applying it changes nothing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Run on the pooled work-stealing director with `n` worker threads.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
-        self
-    }
-
-    /// Order the pooled director's ready queues by `policy` (see
-    /// [`pool_policy`](crate::director::pool_policy): FIFO, Rate-Based,
-    /// EDF on wave origins, or stride-scheduled quantum allotments).
-    pub fn pool_policy(mut self, policy: Arc<dyn PoolPolicy>) -> Self {
-        self.pool_policy = Some(policy);
-        self
-    }
-
-    /// Workflow-wide channel capacity policy (bounded queues with
-    /// backpressure). Ports with an explicit per-port policy keep their
-    /// override.
-    pub fn channel_policy(mut self, policy: ChannelPolicy) -> Self {
-        self.channel_policy = Some(policy);
-        self
     }
 
     /// Checkpoint the run into `dir` every time `every` is met: the
@@ -246,11 +164,6 @@ pub struct Engine {
     /// cheap as an uninstrumented run.
     quiet_observers: Vec<Arc<dyn Observer>>,
     recorder: Arc<MetricsRecorder>,
-    /// Pool configuration memo: successive [`Engine::configure`] calls
-    /// compose by rebuilding one `PoolDirector` from these fields.
-    /// Cleared when an explicit director is installed.
-    pool_workers: Option<usize>,
-    pool_policy: Option<Arc<dyn PoolPolicy>>,
     checkpoint: Option<CheckpointPlan>,
     recover: Option<PathBuf>,
     /// Named durable resources (e.g. relational stores) snapshotted into
@@ -276,8 +189,6 @@ impl Engine {
             extra_observers: Vec::new(),
             quiet_observers: Vec::new(),
             recorder,
-            pool_workers: None,
-            pool_policy: None,
             checkpoint: None,
             recover: None,
             resources: Vec::new(),
@@ -291,27 +202,12 @@ impl Engine {
     /// [`Director`]).
     pub fn with_director(mut self, director: impl Director + 'static) -> Self {
         self.director = Box::new(director);
-        self.pool_workers = None;
-        self.pool_policy = None;
         self
     }
 
-    /// Apply a declarative [`ExecConfig`] in one step: worker count, pool
-    /// scheduling policy, and the workflow-wide channel policy.
+    /// Apply a declarative [`ExecConfig`] in one step: checkpointing,
+    /// recovery and time-series sampling.
     pub fn configure(mut self, config: ExecConfig) -> Self {
-        if let Some(policy) = config.channel_policy {
-            self.workflow.set_default_channel_policy(policy);
-        }
-        let reselect = config.workers.is_some() || config.pool_policy.is_some();
-        if let Some(workers) = config.workers {
-            self.pool_workers = Some(workers);
-        }
-        if let Some(policy) = config.pool_policy {
-            self.pool_policy = Some(policy);
-        }
-        if reselect {
-            self.rebuild_pool();
-        }
         if let Some(plan) = config.checkpoint {
             self.checkpoint = Some(plan);
         }
@@ -324,18 +220,6 @@ impl Engine {
             self.series = Some(series);
         }
         self
-    }
-
-    /// Reinstall the pool director from the worker/policy memo.
-    fn rebuild_pool(&mut self) {
-        let mut pool = PoolDirector::new();
-        if let Some(workers) = self.pool_workers {
-            pool = pool.with_workers(workers);
-        }
-        if let Some(policy) = &self.pool_policy {
-            pool = pool.with_policy(policy.clone());
-        }
-        self.director = Box::new(pool);
     }
 
     /// Attach an additional [`Observer`]; hooks fan out to every attached
@@ -418,87 +302,63 @@ impl Engine {
     }
 
     /// The run loop: each director run is one *segment*, ended either by
-    /// the workflow quiescing naturally (done), the outer stop condition
-    /// (done), or the per-segment checkpoint condition — in which case
-    /// the director pauses at a firing boundary, the engine snapshots
-    /// everything, and the loop resumes the next segment from the
-    /// captured state. With neither [`ExecConfig::checkpoint_every`] nor
+    /// the workflow quiescing naturally (done), the stop bound (done), or
+    /// the checkpoint cadence — in which case the director pauses at a
+    /// firing boundary, the engine snapshots everything, and the loop
+    /// resumes the next segment from the captured state. Each segment is
+    /// handed what is left of `stop` after the earlier ones; a stop met at
+    /// a checkpoint's boundary leaves nothing, so the next segment stops at
+    /// its first. With neither [`ExecConfig::checkpoint_every`] nor
     /// [`ExecConfig::recover_from`] there is no hook, journal or restore
     /// step, and the run is exactly one segment.
     fn run_inner(&mut self, stop: Option<StopCondition>) -> Result<RunReport> {
-        let plan = self.checkpoint.clone();
         let recover = self.recover.clone();
-        let durable = match plan.as_ref().map(|p| p.dir.clone()).or_else(|| recover.clone()) {
+        let dir = self.checkpoint.as_ref().map(|p| p.dir.clone()).or_else(|| recover.clone());
+        let durable = match dir {
             Some(dir) => Some((self.open_durable(&dir, recover.as_deref())?, dir)),
             None => None,
         };
 
-        let control = Arc::new(RunControl::new());
-        // A stop that lands while a checkpoint pause is pending waits for
-        // the snapshot: a stop outranks a pause inside the director, so
-        // issuing it now would trade the capture for the end-of-stream tail.
-        let stop_after_checkpoint = Arc::new(AtomicBool::new(false));
-        let outer = stop.map(|condition| {
-            let control = control.clone();
-            let pausing = durable.as_ref().map(|(hook, _)| hook.clone());
-            let deferred = stop_after_checkpoint.clone();
-            Arc::new(Watcher::new(condition, move || {
-                if pausing.as_ref().is_some_and(|hook| hook.pause_requested()) {
-                    deferred.store(true, Ordering::SeqCst);
-                } else {
-                    control.request_stop();
-                }
-            })) as Arc<dyn Observer>
-        });
+        let mut observers: Vec<Arc<dyn Observer>> = vec![self.recorder.clone()];
+        observers.extend(self.extra_observers.iter().cloned());
+        let observer = MultiObserver::new(observers).with_quiet(self.quiet_observers.clone());
+        let observer: Arc<dyn Observer> = Arc::new(observer);
         let before = self.recorder.snapshot();
-        let mut elapsed = Micros(0);
+        let mut done = RunReport::default();
         loop {
-            let mut observers: Vec<Arc<dyn Observer>> =
-                vec![self.recorder.clone() as Arc<dyn Observer>];
-            observers.extend(self.extra_observers.iter().cloned());
-            observers.extend(outer.clone());
-            if let Some((hook, _)) = &durable {
-                hook.reset();
-                if let Some(plan) = &plan {
-                    let hook = hook.clone();
-                    observers.push(Arc::new(Watcher::new(plan.every, move || hook.request_pause())));
-                }
-            }
             self.director.instrument(Telemetry {
-                observer: Arc::new(
-                    MultiObserver::new(observers).with_quiet(self.quiet_observers.clone()),
-                ),
-                control: control.clone(),
+                observer: observer.clone(),
+                stop: stop.map(|stop| stop.after(&done)),
                 series: self.series(),
                 latency: None,
             });
             let segment = self.director.run(&mut self.workflow)?;
-            elapsed = Micros(elapsed.0 + segment.elapsed.0);
+            done.firings += segment.firings;
+            done.events_routed += segment.events_routed;
+            done.elapsed += segment.elapsed;
             let Some((hook, dir)) = &durable else { break };
             let Some(state) = hook.take_captured() else { break };
             // The captured state is written out and then handed, as is,
             // to the next segment's fresh fabric.
             hook.stage_restore(self.write_checkpoint(state, dir)?);
             hook.set_resuming(true);
-            if stop_after_checkpoint.load(Ordering::SeqCst) {
-                control.request_stop();
-            }
         }
         // The recorder accumulates across runs; report this run's delta.
         let after = self.recorder.snapshot();
         Ok(RunReport {
             firings: after.total_fires() - before.total_fires(),
             events_routed: after.events_routed - before.events_routed,
-            elapsed,
+            elapsed: done.elapsed,
         })
     }
 
     /// What only a checkpointed or recovered run does before its first
-    /// segment: attach a quiesce hook to the director, journal the sources
-    /// into `dir`, and — recovering — restore actors and resources from
-    /// the snapshot in `recover` and stage its in-flight state.
+    /// segment: attach a quiesce hook carrying the checkpoint cadence to
+    /// the director, journal the sources into `dir`, and — recovering —
+    /// restore actors and resources from the snapshot in `recover` and
+    /// stage its in-flight state.
     fn open_durable(&mut self, dir: &Path, recover: Option<&Path>) -> Result<Arc<QuiesceHook>> {
-        let hook = QuiesceHook::new();
+        let hook = QuiesceHook::new(self.checkpoint.as_ref().map(|p| p.every));
         self.director.attach_checkpoint(hook.clone());
         self.wrap_sources(dir, recover.is_none())?;
         if let Some(from) = recover {
@@ -599,6 +459,7 @@ mod tests {
     use crate::actor::{Actor, FireContext, IoSignature};
     use crate::actors::{Collector, VecSource};
     use crate::graph::WorkflowBuilder;
+    use crate::time::Timestamp;
     use crate::token::Token;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -772,13 +633,32 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_threaded_run_stops_on_its_elapsed_bound() {
+        // The source's one event is 5 s away and nothing else can fire, so
+        // only the run's own clock can end it early.
+        let c = Collector::new();
+        let mut b = WorkflowBuilder::new("idle");
+        let at = Timestamp(5_000_000);
+        let s = b.add_actor("src", crate::actors::TimedSource::new(vec![(at, Token::Int(1))]));
+        let k = b.add_actor("sink", c.actor());
+        b.link((s, "out"), (k, "in")).unwrap();
+        let mut engine = Engine::new(b.build().unwrap());
+        let began = std::time::Instant::now();
+        engine.run_until(StopCondition::Elapsed(Micros::from_millis(50))).unwrap();
+        let waited = began.elapsed();
+        assert!(waited < std::time::Duration::from_secs(2), "stopped after {waited:?}");
+        assert!(c.tokens().is_empty());
+    }
+
+    #[test]
     fn killed_run_recovers_under_pool_sdf_ddf_and_de() {
         for name in ["pool", "sdf", "ddf", "de"] {
             let dir = tmpdir(&format!("recover-{name}"));
             let build = if name == "sdf" { build_rated } else { build };
             let mk = |wf: Workflow| -> Engine {
                 match name {
-                    "pool" => Engine::new(wf).configure(ExecConfig::new().workers(2)),
+                    "pool" => Engine::new(wf)
+                        .with_director(crate::director::pool::PoolDirector::new().with_workers(2)),
                     "sdf" => {
                         Engine::new(wf).with_director(crate::director::sdf::SdfDirector::new())
                     }

@@ -15,8 +15,9 @@
 //!   end-to-end tuple latency;
 //! * [`MetricsSnapshot`] — a point-in-time view exportable as JSON or
 //!   Prometheus text exposition format;
-//! * [`RunControl`] / [`Telemetry`] — the cooperative-stop handle the
-//!   [`Engine`](crate::engine::Engine) uses for `run_until`.
+//! * [`Telemetry`] — what a director is instrumented with: the observer,
+//!   the series recorder, and the stop bound the
+//!   [`Engine`](crate::engine::Engine) sets for `run_until`.
 
 pub mod estimator;
 mod json;
@@ -34,9 +35,9 @@ pub use series::{SeriesPoint, TimeSeriesRecorder};
 pub use sketch::{QuantileSketch, SketchSnapshot};
 pub use trace::{SpanKind, TraceConfig, TraceReport, Tracer, WaveTrace};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
+use crate::engine::StopCondition;
 use crate::graph::ActorId;
 use crate::receiver::ActorInbox;
 use crate::time::{Micros, Timestamp};
@@ -348,40 +349,15 @@ impl Observer for MultiObserver {
     }
 }
 
-/// Cooperative stop flag shared between an [`Engine`](crate::engine::Engine)
-/// and the director loops: directors poll [`RunControl::should_stop`] at
-/// firing boundaries and wind the run down cleanly when it trips.
-#[derive(Debug, Default)]
-pub struct RunControl {
-    stop: AtomicBool,
-}
-
-impl RunControl {
-    /// A fresh control in the running state.
-    pub fn new() -> Self {
-        RunControl::default()
-    }
-
-    /// Ask the run to stop at the next firing boundary.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-
-    /// Whether a stop was requested.
-    pub fn should_stop(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-}
-
 /// The bundle a director receives from [`Director::instrument`](crate::director::Director::instrument):
-/// where to send hooks, and the
-/// stop flag to poll.
+/// where to send hooks, and how far the run may go.
 #[derive(Clone)]
 pub struct Telemetry {
     /// Hook sink (often a [`MultiObserver`]).
     pub observer: Arc<dyn Observer>,
-    /// Cooperative stop flag.
-    pub control: Arc<RunControl>,
+    /// The run's stop bound, measured from the segment's start: `Run::boundary`
+    /// answers `Stop` once it is met (`None` = run to the end of the stream).
+    pub stop: Option<StopCondition>,
     /// Continuous time-series recorder sampled by the directors at their
     /// timer / firing boundaries (`None` = no sampling).
     pub series: Option<Arc<TimeSeriesRecorder>>,
@@ -392,12 +368,12 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Telemetry around one observer with a fresh control and no
+    /// Telemetry around one observer with no stop bound and no
     /// continuous sampling.
     pub fn new(observer: Arc<dyn Observer>) -> Self {
         Telemetry {
             observer,
-            control: Arc::new(RunControl::new()),
+            stop: None,
             series: None,
             latency: None,
         }
@@ -407,11 +383,6 @@ impl Telemetry {
     pub fn with_latency(mut self, latency: Arc<QuantileSketch>) -> Self {
         self.latency = Some(latency);
         self
-    }
-
-    /// Whether the run should wind down.
-    pub fn should_stop(&self) -> bool {
-        self.control.should_stop()
     }
 
     /// Offer the time-series recorder a sampling opportunity at director
@@ -433,7 +404,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[derive(Default)]
     struct Counting {
@@ -493,18 +464,6 @@ mod tests {
             assert_eq!(o.fires.load(Ordering::Relaxed), 1);
             assert_eq!(o.phases.load(Ordering::Relaxed), 2);
         }
-    }
-
-    #[test]
-    fn run_control_trips_once() {
-        let c = RunControl::new();
-        assert!(!c.should_stop());
-        c.request_stop();
-        assert!(c.should_stop());
-        let t = Telemetry::new(Arc::new(MultiObserver::default()));
-        assert!(!t.should_stop());
-        t.control.request_stop();
-        assert!(t.should_stop());
     }
 
     #[test]

@@ -31,6 +31,16 @@ pub struct GoldenAccident {
     pub pos: i64,
 }
 
+/// One segment-minute's statistics: what its `segment_cars` and
+/// `minute_speeds` rows hold once the minute has closed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SegmentMinute {
+    /// Distinct cars that reported from the segment in the minute.
+    pub cars: i64,
+    /// The mean over those cars of each car's mean reported speed.
+    pub avg_speed: f64,
+}
+
 /// Reference outputs for a workload.
 #[derive(Debug, Clone, Default)]
 pub struct GoldenResult {
@@ -41,6 +51,8 @@ pub struct GoldenResult {
     pub accidents: Vec<GoldenAccident>,
     /// Expected accident alerts as `(carid, time)` pairs.
     pub alerts: Vec<(i64, i64)>,
+    /// Statistics per `(xway, dir, seg, minute)` with at least one report.
+    pub segments: BTreeMap<(i64, i64, i64, i64), SegmentMinute>,
 }
 
 impl GoldenResult {
@@ -70,23 +82,24 @@ pub fn compute(workload: &Workload) -> GoldenResult {
         *n += 1;
     }
     // Per segment-minute: distinct car count and mean of per-car means.
-    let mut seg_cars: HashMap<SegMinute, i64> = HashMap::new();
-    let mut seg_speed: HashMap<SegMinute, f64> = HashMap::new();
-    for (key, cars) in &car_speeds {
-        seg_cars.insert(*key, cars.len() as i64);
-        let mean_of_means: f64 = cars
-            .values()
-            .map(|(sum, n)| sum / *n as f64)
-            .sum::<f64>()
-            / cars.len() as f64;
-        seg_speed.insert(*key, mean_of_means);
-    }
+    let segments: BTreeMap<SegMinute, SegmentMinute> = car_speeds
+        .iter()
+        .map(|(key, cars)| {
+            let mean_of_means: f64 = cars
+                .values()
+                .map(|(sum, n)| sum / *n as f64)
+                .sum::<f64>()
+                / cars.len() as f64;
+            let n = cars.len() as i64;
+            (*key, SegmentMinute { cars: n, avg_speed: mean_of_means })
+        })
+        .collect();
     let lav = |xway: i64, dir: i64, seg: i64, minute: i64| -> Option<f64> {
         let mut sum = 0.0;
         let mut n = 0;
         for m in (minute - crate::model::LAV_WINDOW_MINUTES)..minute {
-            if let Some(v) = seg_speed.get(&(xway, dir, seg, m)) {
-                sum += v;
+            if let Some(v) = segments.get(&(xway, dir, seg, m)) {
+                sum += v.avg_speed;
                 n += 1;
             }
         }
@@ -177,7 +190,7 @@ pub fn compute(workload: &Workload) -> GoldenResult {
             continue;
         }
         let minute = r.minute();
-        let cars = seg_cars.get(&(r.xway, r.dir, r.seg, minute - 1)).copied();
+        let cars = segments.get(&(r.xway, r.dir, r.seg, minute - 1)).map(|s| s.cars);
         let lav_v = lav(r.xway, r.dir, r.seg, minute);
         let toll = toll_formula(lav_v, cars, accident_nearby(r.xway, r.dir, r.seg, r.time));
         tolls.push(TollNotification {
@@ -192,6 +205,7 @@ pub fn compute(workload: &Workload) -> GoldenResult {
         tolls,
         accidents,
         alerts,
+        segments,
     }
 }
 

@@ -65,8 +65,8 @@ impl WorkflowManager {
     }
 
     /// Attach telemetry to this instance: firing and routing hooks flow to
-    /// the observer; a stop request finishes the instance at the next
-    /// firing boundary. Attach before the first slice so the instance's
+    /// the observer; once its stop bound is met the instance finishes at
+    /// the next firing boundary. Attach before the first slice so the instance's
     /// fabric is built observed.
     pub fn instrument(&mut self, telemetry: Telemetry) {
         self.core.set_telemetry(telemetry);

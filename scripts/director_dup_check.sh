@@ -10,7 +10,11 @@
 #  - of the two statistics modules only telemetry/livestats.rs builds a
 #    downstream table from the workflow (`StatsModule` is a view over it);
 #  - graph.rs declares no `connect`/`set_window`/`connect_windowed` beside
-#    the `Endpoint` vocabulary, and engine.rs has one watcher observer;
+#    the `Endpoint` vocabulary;
+#  - observers only observe: engine.rs implements no `Observer` (a stop or
+#    a checkpoint is decided by `Run::boundary` from the run's counters),
+#    and no `RunControl`, `request_pause` or `pause_requested` exists under
+#    crates/*/src;
 #  - ready windows wait in the `ActorInbox` and nowhere else: nothing under
 #    crates/confluence-sched/src declares a container of `Window`, and the
 #    only `drain_windows(` call is `Fabric::capture_state`'s;
@@ -23,9 +27,10 @@
 #    `QUIESCE_WATCHDOG` under crates/*/src, and director/firing.rs (the
 #    shared lifecycle) imports nothing from `std::time`;
 #  - under crates/confluence-core/src/director/ and
-#    crates/confluence-sched/src/, the stop and pause requests are read,
-#    and a close cascade is opened, in director/firing.rs only (everyone
-#    else asks `Run::boundary` or hands a `FiringOrder` to `Run::drive`),
+#    crates/confluence-sched/src/, the stop bound and the checkpoint cadence
+#    are read, and a close cascade is opened, in director/firing.rs only
+#    (everyone else asks `Run::boundary` or hands a `FiringOrder` to
+#    `Run::drive`),
 #    and there is one topological sort (one `indeg` table).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -105,10 +110,16 @@ if [ -n "$wrappers" ]; then
     printf '%s\n' "$wrappers" >&2
     status=1
 fi
-watchers=$(matches 'impl.* Observer for [A-Za-z]*Watcher' crates/confluence-core/src/engine.rs)
-if [ "$(printf '%s\n' "$watchers" | grep -c .)" -ne 1 ]; then
-    echo "engine.rs must have exactly one watcher observer:" >&2
-    printf '%s\n' "$watchers" >&2
+engine_observers=$(matches 'impl.* Observer for ' crates/confluence-core/src/engine.rs)
+if [ -n "$engine_observers" ]; then
+    echo "engine.rs must not implement Observer (Run::boundary decides stops and checkpoints):" >&2
+    printf '%s\n' "$engine_observers" >&2
+    status=1
+fi
+flags=$(matches 'RunControl|request_pause|pause_requested' crates/*/src)
+if [ -n "$flags" ]; then
+    echo "no stop or pause flag: RunControl, request_pause and pause_requested are gone:" >&2
+    printf '%s\n' "$flags" >&2
     status=1
 fi
 
@@ -157,10 +168,10 @@ if [ -n "$lifecycle_clock" ]; then
     status=1
 fi
 
-lifecycle=$(matches 'should_stop|pause_requested|quiescing|RunPhase::Close' $directors |
+lifecycle=$(matches '\.stop([^(A-Za-z_]|$)|\.every\(\)|quiescing|RunPhase::Close' $directors |
     grep -v '^crates/confluence-core/src/director/firing.rs:' || true)
 if [ -n "$lifecycle" ]; then
-    echo "stop and pause are read, and the close cascade opened, in director/firing.rs only:" >&2
+    echo "the stop bound and checkpoint cadence are read, and the close cascade opened, in director/firing.rs only:" >&2
     printf '%s\n' "$lifecycle" >&2
     status=1
 fi
@@ -169,6 +180,6 @@ once "the topological sort (indeg)" crates/confluence-core/src/director/firing.r
 
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
-        "one downstream table, one builder vocabulary, one watcher, one ready queue per actor," \
+        "one downstream table, one builder vocabulary, no control observer or flag, one ready queue per actor," \
         "one Linear Road topology, no clock in the pause, one run loop, one topological sort"
 exit "$status"

@@ -19,7 +19,7 @@ use confluence::core::graph::WorkflowBuilder;
 use confluence::core::token::Token;
 use confluence::core::window::WindowSpec;
 use confluence::core::time::Micros;
-use confluence::prelude::{ChannelPolicy, Engine, ExecConfig};
+use confluence::prelude::{ChannelPolicy, Engine};
 use confluence::sched::cost::TableCostModel;
 use confluence::sched::policies::FifoScheduler;
 use confluence::sched::ScwfDirector;
@@ -137,8 +137,8 @@ fn block_policy_bounds_backlog() {
         },
     );
     b.chain(&[s, k]).unwrap();
-    let mut engine = Engine::new(b.build().unwrap())
-        .configure(ExecConfig::new().channel_policy(ChannelPolicy::block(CAP)));
+    b.set_default_channel_policy(ChannelPolicy::block(CAP));
+    let mut engine = Engine::new(b.build().unwrap());
     engine.run().unwrap();
 
     assert_eq!(seen.load(Ordering::Relaxed), N as u64, "Block loses nothing");

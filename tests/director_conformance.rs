@@ -10,6 +10,7 @@ use std::sync::Arc;
 use confluence::core::actor::{Actor, FireContext, IoSignature, SdfRates};
 use confluence::core::director::ddf::DdfDirector;
 use confluence::core::director::de::DeDirector;
+use confluence::core::director::pool::PoolDirector;
 use confluence::core::director::sdf::SdfDirector;
 use confluence::core::director::threaded::ThreadedDirector;
 use confluence::core::error::Result;
@@ -20,7 +21,7 @@ use confluence::core::token::Token;
 use confluence::sched::cost::TableCostModel;
 use confluence::sched::policies::FifoScheduler;
 use confluence::sched::ScwfDirector;
-use confluence::{Engine, ExecConfig, Observer, StopCondition};
+use confluence::{Engine, Observer, StopCondition};
 
 const TOKENS: i64 = 20;
 
@@ -199,7 +200,7 @@ fn engines() -> Vec<(&'static str, EngineFor)> {
         ),
         (
             "pool",
-            Box::new(|wf| Engine::new(wf).configure(ExecConfig::new().workers(2))),
+            Box::new(|wf| Engine::new(wf).with_director(PoolDirector::new().with_workers(2))),
         ),
     ]
 }

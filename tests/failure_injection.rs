@@ -269,15 +269,14 @@ fn checkpoint_under_block_backpressure_is_not_torn() {
     for name in ["threaded", "pool"] {
         let dir = tmpdir(&format!("backpressure-{name}"));
         let mk = |wf: Workflow| match name {
-            "pool" => Engine::new(wf).configure(ExecConfig::new().workers(2)),
+            "pool" => Engine::new(wf).with_director(PoolDirector::new().with_workers(2)),
             _ => Engine::new(wf),
         };
         {
-            let (wf, _c) = summing_workflow(30, Duration::ZERO);
+            let (mut wf, _c) = summing_workflow(30, Duration::ZERO);
+            wf.set_default_channel_policy(ChannelPolicy::block(2));
             let mut engine = mk(wf).configure(
-                ExecConfig::new()
-                    .channel_policy(ChannelPolicy::block(2))
-                    .checkpoint_every(StopCondition::Firings(10), &dir),
+                ExecConfig::new().checkpoint_every(StopCondition::Firings(10), &dir),
             );
             engine.run_until(StopCondition::Firings(40)).unwrap();
         }
@@ -285,12 +284,9 @@ fn checkpoint_under_block_backpressure_is_not_torn() {
             dir.join(checkpoint::SNAPSHOT_FILE).exists(),
             "{name}: killed run wrote a snapshot"
         );
-        let (wf, c) = summing_workflow(30, Duration::ZERO);
-        let mut engine = mk(wf).configure(
-            ExecConfig::new()
-                .channel_policy(ChannelPolicy::block(2))
-                .recover_from(&dir),
-        );
+        let (mut wf, c) = summing_workflow(30, Duration::ZERO);
+        wf.set_default_channel_policy(ChannelPolicy::block(2));
+        let mut engine = mk(wf).configure(ExecConfig::new().recover_from(&dir));
         engine.run().unwrap();
         assert_eq!(
             c.tokens(),
@@ -309,7 +305,7 @@ fn pause_captures_the_backlog_and_recovers_exactly() {
     for name in ["threaded", "pool"] {
         let dir = tmpdir(&format!("backlog-{name}"));
         let mk = |wf: Workflow| match name {
-            "pool" => Engine::new(wf).configure(ExecConfig::new().workers(2)),
+            "pool" => Engine::new(wf).with_director(PoolDirector::new().with_workers(2)),
             _ => Engine::new(wf),
         };
         let slow = Duration::from_millis(2);
@@ -355,6 +351,54 @@ fn scwf_kill_and_recover_reconverges() {
         .configure(ExecConfig::new().recover_from(&dir));
     engine.run().unwrap();
     assert_eq!(c.tokens(), running_sums(20));
+}
+
+/// Saved once per snapshot, so it counts them.
+#[derive(Default)]
+struct SnapshotCounter(std::sync::atomic::AtomicUsize);
+
+impl checkpoint::CheckpointResource for SnapshotCounter {
+    fn save(&self) -> Result<Vec<u8>> {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Ok(Vec::new())
+    }
+    fn restore(&self, _bytes: &[u8]) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// A stop bound met on the firing that also completes a checkpoint
+/// interval takes the snapshot first and then stops: the 20th firing
+/// writes the second snapshot, the run ends short of the stream, and
+/// recovery from that snapshot completes it.
+#[test]
+fn scwf_stop_on_a_checkpoint_firing_snapshots_first() {
+    let dir = tmpdir("scwf-tie");
+    let scwf = || {
+        ScwfDirector::virtual_time(
+            Box::new(QbsScheduler::new(500, 5)),
+            Box::new(TableCostModel::uniform(Micros(10), Micros(1))),
+        )
+    };
+    let counter = Arc::new(SnapshotCounter::default());
+    {
+        let (wf, c) = summing_workflow(30, Duration::ZERO);
+        let mut engine = Engine::new(wf)
+            .with_director(scwf())
+            .register_checkpoint_resource("counter", counter.clone())
+            .configure(ExecConfig::new().checkpoint_every(StopCondition::Firings(10), &dir));
+        engine.run_until(StopCondition::Firings(20)).unwrap();
+        assert!(c.tokens().len() < 30, "the run stopped mid-stream");
+    }
+    let snapshots = counter.0.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(snapshots, 2, "the snapshot at the stop firing was written");
+    let (wf, c) = summing_workflow(30, Duration::ZERO);
+    let mut engine = Engine::new(wf)
+        .with_director(scwf())
+        .register_checkpoint_resource("counter", counter)
+        .configure(ExecConfig::new().recover_from(&dir));
+    engine.run().unwrap();
+    assert_eq!(c.tokens(), running_sums(30));
 }
 
 // ---------------------------------------------------------------------------
@@ -415,7 +459,7 @@ fn linear_road_kill_and_recover_reconverges() {
     let w = lr_workload();
     for name in ["threaded", "pool"] {
         let engine_for = |wf: Workflow| match name {
-            "pool" => Engine::new(wf).configure(ExecConfig::new().workers(4)),
+            "pool" => Engine::new(wf).with_director(PoolDirector::new().with_workers(4)),
             _ => Engine::new(wf),
         };
         // Uninterrupted reference run.

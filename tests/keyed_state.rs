@@ -169,13 +169,11 @@ fn sdf_refuses_a_graph_without_rates_by_actor_and_runs_nothing() {
 
 #[test]
 fn engine_configure_runs_a_keyed_workflow_and_exports_its_actors() {
-    use confluence::prelude::{ChannelPolicy, Engine, ExecConfig};
+    use confluence::prelude::{Engine, ExecConfig};
     let (wf, c) = build(spread());
-    let mut engine = Engine::new(wf).configure(
-        ExecConfig::new()
-            .workers(2)
-            .channel_policy(ChannelPolicy::unbounded()),
-    );
+    let mut engine = Engine::new(wf)
+        .with_director(PoolDirector::new().with_workers(2))
+        .configure(ExecConfig::new().sample_series(Micros::from_millis(1)));
     engine.run().unwrap();
     assert_eq!(collected(&c), expected(&spread()));
     let snap = engine.snapshot();

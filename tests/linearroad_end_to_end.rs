@@ -3,6 +3,7 @@
 //! engine-independent golden model.
 
 use confluence::core::director::Director;
+use confluence::core::engine::Engine;
 use confluence::core::time::Micros;
 use confluence::linearroad::{self, golden, LrOptions, TollNotification, Workload, WorkloadConfig};
 use confluence::sched::cost::TableCostModel;
@@ -131,4 +132,55 @@ fn composite_and_flat_subworkflows_agree() {
         .read(|s| s.table("accidents").map(|t| t.len()).unwrap_or(0));
     assert_eq!(a, b, "two-level hierarchy must not change detection");
     assert_eq!(with.toll_output.len(), without.toll_output.len());
+}
+
+/// The statistics pipeline (`Avgsv` → `Avgs` → `SpeedWriter`, `cars` →
+/// `CarsWriter`) on the 120-s trace: every final `minute_speeds` and
+/// `segment_cars` row holds the golden statistics of its segment-minute,
+/// and `Avgs` consumes every per-car average `Avgsv` emits (a window that
+/// closed early on the clock would drop the rest of its minute as late).
+#[test]
+fn statistics_tables_hold_the_golden_segment_minutes() {
+    let workload = Workload::generate(WorkloadConfig {
+        duration_secs: 120,
+        ..WorkloadConfig::default()
+    });
+    let lr = linearroad::build(&workload, &LrOptions::default()).unwrap();
+    let director = ScwfDirector::virtual_time(Box::new(FifoScheduler::new(5)), cheap_cost());
+    let mut engine = Engine::new(lr.workflow).with_director(director);
+    engine.run().unwrap();
+    let gold = golden::compute(&workload);
+
+    type Key = (i64, i64, i64, i64);
+    let rows = |table: &str| -> Vec<(Key, confluence::core::token::Token)> {
+        lr.store.read(|s| {
+            let t = s.table(table).unwrap();
+            t.iter()
+                .map(|row| {
+                    let int = |i: usize| row.cell(i).as_int().unwrap();
+                    ((int(0), int(1), int(2), int(3)), row.cell(4))
+                })
+                .collect()
+        })
+    };
+    let speeds = rows("minute_speeds");
+    let cars = rows("segment_cars");
+    assert_eq!(speeds.len(), gold.segments.len(), "one minute_speeds row per segment-minute");
+    assert_eq!(cars.len(), gold.segments.len(), "one segment_cars row per segment-minute");
+    for (key, avg) in &speeds {
+        let want = gold.segments.get(key).unwrap_or_else(|| panic!("{key:?} has no reports"));
+        let got = avg.as_float().unwrap();
+        let golden = want.avg_speed;
+        assert!((got - golden).abs() < 1e-9, "{key:?}: avg_speed {got}, golden {golden}");
+    }
+    for (key, n) in &cars {
+        let want = gold.segments.get(key).unwrap_or_else(|| panic!("{key:?} has no reports"));
+        assert_eq!(n.as_int().unwrap(), want.cars, "{key:?}: cars");
+    }
+
+    let snap = engine.snapshot();
+    let emitted = snap.actor("Avgsv").unwrap().tokens_out;
+    let consumed = snap.actor("Avgs").unwrap().events_in;
+    assert!(emitted > 0);
+    assert_eq!(consumed, emitted, "Avgs consumed every average Avgsv emitted");
 }

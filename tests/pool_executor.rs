@@ -17,7 +17,7 @@ use confluence::core::graph::WorkflowBuilder;
 use confluence::core::time::{Micros, Timestamp};
 use confluence::core::token::Token;
 use confluence::core::window::WindowSpec;
-use confluence::prelude::{ChannelPolicy, Engine, ExecConfig, Observer};
+use confluence::prelude::{ChannelPolicy, Engine, Observer, PoolDirector};
 use confluence_bench::runner::{run_linear_road_realtime, RealtimeOptions};
 use confluence_linearroad::{Workload, WorkloadConfig};
 
@@ -103,7 +103,7 @@ fn fan_out_run() -> (u64, usize, u64, u64) {
         let k = b.add_actor(format!("sink{i}"), Collector::new().actor());
         b.link((s, "out"), (k, "in")).unwrap();
     }
-    let mut e = Engine::new(b.build().unwrap()).configure(ExecConfig::new().workers(4));
+    let mut e = Engine::new(b.build().unwrap()).with_director(PoolDirector::new().with_workers(4));
     e.run().unwrap();
     let snap = e.snapshot();
     let steals: u64 = snap.workers.iter().map(|w| w.steals).sum();
@@ -165,7 +165,7 @@ fn timer_thread_closes_timed_windows() {
         .unwrap();
     let mut e = Engine::new(b.build().unwrap())
         .with_observer(closes.clone())
-        .configure(ExecConfig::new().workers(1));
+        .with_director(PoolDirector::new().with_workers(1));
     e.run().unwrap();
     assert_eq!(c.tokens(), vec![Token::Int(42), Token::Int(7)]);
     let first = *closes.0.lock().unwrap().first().expect("a window closed");
@@ -197,11 +197,9 @@ fn block_policy_bounds_backlog_under_pool() {
         },
     );
     b.chain(&[s, k]).unwrap();
-    let mut engine = Engine::new(b.build().unwrap()).configure(
-        ExecConfig::new()
-            .channel_policy(ChannelPolicy::block(CAP))
-            .workers(2),
-    );
+    b.set_default_channel_policy(ChannelPolicy::block(CAP));
+    let mut engine =
+        Engine::new(b.build().unwrap()).with_director(PoolDirector::new().with_workers(2));
     engine.run().unwrap();
 
     assert_eq!(seen.load(Ordering::Relaxed), N as u64, "Block loses nothing");
@@ -248,7 +246,7 @@ fn artificial_deadlock_relieved_under_pool() {
     b.channel_policy((a, "in"), ChannelPolicy::block(2)).unwrap();
     b.channel_policy((f, "in"), ChannelPolicy::block(2)).unwrap();
 
-    let mut engine = Engine::new(b.build().unwrap()).configure(ExecConfig::new().workers(2));
+    let mut engine = Engine::new(b.build().unwrap()).with_director(PoolDirector::new().with_workers(2));
     engine.run().unwrap();
 
     assert_eq!(amp_seen.load(Ordering::Relaxed), 31);

@@ -12,9 +12,10 @@ use confluence::core::actor::{Actor, FireContext, IoSignature, SdfRates};
 use confluence::core::actors::Collector;
 use confluence::core::director::ddf::DdfDirector;
 use confluence::core::director::de::DeDirector;
+use confluence::core::director::pool::PoolDirector;
 use confluence::core::director::sdf::SdfDirector;
 use confluence::core::director::threaded::ThreadedDirector;
-use confluence::core::engine::{Engine, ExecConfig};
+use confluence::core::engine::Engine;
 use confluence::core::error::Result;
 use confluence::core::graph::{Workflow, WorkflowBuilder};
 use confluence::core::telemetry::{TraceConfig, TraceReport, Tracer};
@@ -163,7 +164,7 @@ fn traced_under_every_director() -> Vec<(&'static str, TraceReport)> {
         (
             "pool",
             traced_run(fanout_pipeline(1, 1_000), TraceConfig::default(), |e| {
-                e.configure(ExecConfig::new().workers(2))
+                e.with_director(PoolDirector::new().with_workers(2))
             }),
         ),
         (
