@@ -19,7 +19,7 @@ use confluence_sched::multi::MultiWorkflowExecutor;
 use confluence_sched::policies::QbsScheduler;
 
 use crate::config::ExperimentConfig;
-use crate::runner::{run_linear_road, PolicyKind, RunOptions};
+use crate::runner::{run_linear_road, PolicyKind, RunOptions, ScaledCost};
 
 /// Result of the shedding comparison.
 pub struct SheddingResult {
@@ -103,12 +103,11 @@ pub struct MultiResult {
 /// each under its own local QBS scheduler (two-level scheduling, §5).
 pub fn multi_workflow_experiment(config: &ExperimentConfig) -> MultiResult {
     let workload = Workload::generate(config.workload());
-    let scale = 0.5 / workload.config.l_rating.max(1e-9);
     let make = || {
         build(&workload, &LrOptions::default()).expect("workflow builds")
     };
-    let cost = move || -> Box<dyn confluence_sched::cost::CostModel> {
-        Box::new(Scaled(staf_cost_model(), scale))
+    let cost = || -> Box<dyn confluence_sched::cost::CostModel> {
+        Box::new(ScaledCost::for_workload(staf_cost_model(), &workload))
     };
     let mut exec = MultiWorkflowExecutor::new(Micros(5_000));
     let premium = make();
@@ -133,14 +132,6 @@ pub fn multi_workflow_experiment(config: &ExperimentConfig) -> MultiResult {
     MultiResult {
         premium_mean: ResponseSeries::new(premium_out.latency_samples()).mean_secs(),
         basic_mean: ResponseSeries::new(basic_out.latency_samples()).mean_secs(),
-    }
-}
-
-struct Scaled(confluence_sched::cost::TableCostModel, f64);
-impl confluence_sched::cost::CostModel for Scaled {
-    fn firing_cost(&self, actor: usize, name: &str, consumed: u64, produced: u64) -> Micros {
-        let base = self.0.firing_cost(actor, name, consumed, produced);
-        Micros((base.as_micros() as f64 * self.1).round() as u64)
     }
 }
 
@@ -228,10 +219,9 @@ pub fn actor_stats_experiment(config: &ExperimentConfig) -> String {
     use confluence_core::director::Director;
     let workload = Workload::generate(config.workload());
     let mut lr = build(&workload, &LrOptions::default()).expect("workflow builds");
-    let scale = 0.5 / workload.config.l_rating.max(1e-9);
     let mut director = confluence_sched::ScwfDirector::virtual_time(
         Box::new(QbsScheduler::new(500, config.qbs_source_interval)),
-        Box::new(Scaled(staf_cost_model(), scale)),
+        Box::new(ScaledCost::for_workload(staf_cost_model(), &workload)),
     )
     .with_deadline(confluence_core::time::Timestamp::from_secs(
         config.duration_secs + 20,

@@ -59,9 +59,19 @@ impl PolicyKind {
 
 /// A cost model scaled by a constant factor (used to down-scale workloads
 /// while preserving the saturation dynamics).
-struct ScaledCost<M> {
+pub(crate) struct ScaledCost<M> {
     inner: M,
     factor: f64,
+}
+
+impl<M> ScaledCost<M> {
+    /// `inner` scaled for `workload`: down-scaled workloads get
+    /// proportionally inflated costs so the capacity-vs-ramp crossover
+    /// lands at the same run time.
+    pub(crate) fn for_workload(inner: M, workload: &Workload) -> Self {
+        let factor = 0.5 / workload.config.l_rating.max(1e-9);
+        ScaledCost { inner, factor }
+    }
 }
 
 impl<M: CostModel> CostModel for ScaledCost<M> {
@@ -146,19 +156,10 @@ pub fn run_linear_road(
         PolicyKind::Fifo => Box::new(FifoScheduler::new(interval)),
         PolicyKind::Edf => Box::new(EdfScheduler::new(interval)),
     };
-    // Down-scaled workloads get proportionally inflated costs so the
-    // capacity-vs-ramp crossover lands at the same run time.
-    let scale = 0.5 / workload.config.l_rating.max(1e-9);
     let cost: Box<dyn CostModel> = if kind == PolicyKind::Pncwf {
-        Box::new(ScaledCost {
-            inner: pncwf_cost_model(),
-            factor: scale,
-        })
+        Box::new(ScaledCost::for_workload(pncwf_cost_model(), workload))
     } else {
-        Box::new(ScaledCost {
-            inner: staf_cost_model(),
-            factor: scale,
-        })
+        Box::new(ScaledCost::for_workload(staf_cost_model(), workload))
     };
     let director = ScwfDirector::virtual_time(policy, cost)
         .with_scheduler_overhead(options.scheduler_overhead)

@@ -17,10 +17,11 @@
 //! 3. the time rule charges the firing (model cost, or measured wall time);
 //! 4. [`Fabric::stamp`], then the director's delivery (immediately unless
 //!    it defers), then [`Fabric::route_expired`];
-//! 5. `on_fire_end` with the one [`FireRecord`], then [`Telemetry::sample`];
-//! 6. `postfire`.
+//! 5. the run's [`StatsModule`], if it keeps one, records the firing;
+//! 6. `on_fire_end` with the one [`FireRecord`], then [`Telemetry::sample`];
+//! 7. `postfire`.
 //!
-//! A refused `prefire` skips 3–4 and reports `fired: false`.
+//! A refused `prefire` skips 3–5 and reports `fired: false`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -31,7 +32,7 @@ use crate::checkpoint::QuiesceHook;
 use crate::engine::StopCondition;
 use crate::error::Result;
 use crate::graph::{ActorId, Workflow};
-use crate::telemetry::{FireRecord, RunPhase, Telemetry};
+use crate::telemetry::{FireRecord, RunPhase, StatsModule, Telemetry};
 use crate::time::{Micros, SharedClock, Timestamp};
 use crate::window::Window;
 
@@ -167,6 +168,10 @@ pub struct Run {
     pub fabric: Fabric,
     /// Telemetry attached for this run (segment), if any.
     pub tele: Option<Telemetry>,
+    /// STAFiLOS' statistics, kept across segments when the director's
+    /// policies read them (SCWF, the pool; `None` for the others and for
+    /// a composite's inner runs). [`Run::fire`] is its only writer.
+    pub stats: Option<Arc<StatsModule>>,
     /// Checkpoint quiesce hook, if any.
     pub hook: Option<Arc<QuiesceHook>>,
     /// The director's clock.
@@ -190,6 +195,7 @@ impl Run {
         let mut run = Run {
             fabric: Fabric::build(workflow)?,
             tele: None,
+            stats: None,
             hook,
             clock,
             started: Timestamp::ZERO,
@@ -424,6 +430,9 @@ impl Run {
             None if fired => ended.since(started),
             None => Micros::ZERO,
         };
+        if let (true, Some(stats)) = (fired, &self.stats) {
+            stats.record_fire(id.0, busy, events_in, tokens_out, started);
+        }
         if let Some(t) = &self.tele {
             t.observer.on_fire_end(&FireRecord {
                 actor: id,
@@ -613,6 +622,71 @@ mod tests {
         // neither bound is met.
         let _ = run.begin(&mut wf, Some(tele)).unwrap();
         assert_eq!(run.boundary(), Boundary::Go);
+    }
+
+    #[test]
+    fn a_run_that_keeps_statistics_records_its_successful_firings() {
+        use crate::actors::VecSource;
+        use crate::time::{Clock, VirtualClock};
+
+        /// A sink that refuses every second `prefire`.
+        struct Alternate(u32);
+        impl Actor for Alternate {
+            fn signature(&self) -> IoSignature {
+                IoSignature::sink("in")
+            }
+            fn prefire(&mut self, _ctx: &mut dyn FireContext) -> crate::error::Result<bool> {
+                self.0 += 1;
+                Ok(self.0 % 2 == 1)
+            }
+            fn fire(&mut self, ctx: &mut dyn FireContext) -> crate::error::Result<()> {
+                while ctx.get_any().is_some() {}
+                Ok(())
+            }
+        }
+
+        let mut b = WorkflowBuilder::new("stats");
+        let s = b.add_actor("src", VecSource::new((0..2).map(crate::token::Token::Int).collect()));
+        let k = b.add_actor("sink", Alternate(0));
+        b.link((s, "out"), (k, "in")).unwrap();
+        let mut wf = b.build().unwrap();
+        let clock = Arc::new(VirtualClock::new());
+        let (mut run, mut contexts) = Run::open(&mut wf, None, None, clock.clone()).unwrap();
+        let stats = Arc::new(StatsModule::new(&wf));
+        run.stats = Some(stats.clone());
+        // The time rule charges 250 µs per firing, plus 10 µs per event in
+        // and per token out, and advances the clock by the charge.
+        let mut charge = |ins: u64, outs: u64| {
+            let cost = Micros(250 + 10 * (ins + outs));
+            clock.advance(cost);
+            cost
+        };
+        let mut fire = |run: &Run, wf: &mut Workflow, id: ActorId, input: Option<(usize, Window)>| {
+            let actor = wf.node_mut(id).actor_mut();
+            run.fire(id, actor, &mut contexts[id.0], input, Some(&mut charge), None).unwrap()
+        };
+        // src at 0 and 260; the sink at 520, refused at 780, at 780.
+        fire(&run, &mut wf, s, None);
+        fire(&run, &mut wf, s, None);
+        let first = run.fabric.inbox(k).try_pop();
+        assert!(fire(&run, &mut wf, k, first).fired);
+        assert!(!fire(&run, &mut wf, k, None).fired, "every second prefire refuses");
+        let second = run.fabric.inbox(k).try_pop();
+        assert!(fire(&run, &mut wf, k, second).fired);
+        assert_eq!(clock.now(), Timestamp(1_040));
+
+        let (src, sink) = (s.0, k.0);
+        assert_eq!((stats.fires(src), stats.fires(sink)), (2, 2), "the refusal is not recorded");
+        assert_eq!(stats.fires(src) + stats.fires(sink), run.report().firings);
+        assert_eq!((stats.total_cost(src), stats.last_cost(src)), (Micros(520), Micros(260)));
+        assert_eq!((stats.total_cost(sink), stats.last_cost(sink)), (Micros(520), Micros(260)));
+        assert_eq!((stats.events_in(src), stats.events_out(src)), (0, 2));
+        assert_eq!((stats.events_in(sink), stats.events_out(sink)), (2, 0));
+        // Activity spans: src 0..260 µs, sink 520..780 µs.
+        let per_span = 2.0 / Micros(260).as_secs_f64();
+        assert_eq!(stats.output_rate(src), per_span);
+        assert_eq!(stats.input_rate(src), 0.0);
+        assert_eq!(stats.input_rate(sink), per_span);
     }
 
     #[test]

@@ -497,8 +497,7 @@ impl Fabric {
     }
 
     /// Deliver what is left of a stamped batch at director time `now`,
-    /// reporting `on_route_edge` per destination and `on_route` once the
-    /// whole batch is in.
+    /// reporting `on_route_edge` per destination for what went in.
     ///
     /// With `park`, a full [`OnFull::Block`] port stops delivery instead of
     /// blocking or over-admitting: the undelivered rest stays in `stamped`
@@ -511,11 +510,6 @@ impl Fabric {
         now: Timestamp,
         park: bool,
     ) -> Result<Option<PortRef>> {
-        if stamped.deliveries == 0 {
-            // A firing whose emissions all hit unrouted ports produced no
-            // deliveries: skip the observer callbacks.
-            return Ok(None);
-        }
         let from = stamped.from;
         let mut batches = std::mem::take(&mut stamped.batches).into_iter();
         while let Some((dest, events)) = batches.next() {
@@ -551,9 +545,6 @@ impl Fabric {
             if let Some(obs) = &self.observer {
                 obs.on_route_edge(from, dest.actor, dest.port, admitted, now);
             }
-        }
-        if let Some(obs) = &self.observer {
-            obs.on_route(from, stamped.deliveries, now);
         }
         Ok(None)
     }

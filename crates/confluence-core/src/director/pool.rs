@@ -46,7 +46,7 @@ use crate::actor::Actor;
 use crate::error::{Error, Result};
 use crate::graph::{ActorId, Workflow};
 use crate::receiver::{ActorInbox, InboxWaker};
-use crate::telemetry::{LiveStats, RunPhase, Telemetry, WorkerMetrics};
+use crate::telemetry::{RunPhase, StatsModule, Telemetry, WorkerMetrics};
 use crate::time::{SharedClock, Timestamp, WallClock};
 
 use super::firing::{Boundary, Run};
@@ -133,10 +133,8 @@ struct WakeHub {
     queues: Vec<Mutex<ReadyQueue>>,
     /// Ready-queue ordering policy.
     policy: Arc<dyn PoolPolicy>,
-    /// Live statistics the priority keys are computed from.
-    live: Arc<LiveStats>,
-    /// Whether firings feed [`WakeHub::live`] (the policy asked for stats).
-    feed_stats: bool,
+    /// The run's statistics, which the priority keys are computed from.
+    stats: Arc<StatsModule>,
     /// Whether self-pushes may take the LIFO slot (the policy's choice).
     use_lifo: bool,
     /// Clock the priority keys timestamp against.
@@ -176,7 +174,7 @@ impl WakeHub {
     fn new(
         workers: usize,
         policy: Arc<dyn PoolPolicy>,
-        live: Arc<LiveStats>,
+        stats: Arc<StatsModule>,
         clock: SharedClock,
         is_source: Vec<bool>,
         inboxes: Vec<Weak<ActorInbox>>,
@@ -184,10 +182,9 @@ impl WakeHub {
         let actors = inboxes.len();
         WakeHub {
             queues: (0..workers).map(|_| Mutex::new(ReadyQueue::new())).collect(),
-            feed_stats: policy.needs_stats(),
             use_lifo: policy.use_lifo_slot(),
             policy,
-            live,
+            stats,
             clock,
             is_source,
             inboxes,
@@ -242,7 +239,7 @@ impl WakeHub {
             now: self.clock.now(),
             is_source: self.is_source[actor],
             oldest_origin,
-            live: &self.live,
+            stats: &self.stats,
         };
         self.policy.key(actor, &view)
     }
@@ -412,12 +409,14 @@ impl Director for PoolDirector {
         // Task-parking semantics: a full Block port hands the batch back
         // instead of blocking an OS thread, so the fabric's own
         // thread-blocking path stays off.
-        let (run, contexts) = Run::open(
+        let (mut run, contexts) = Run::open(
             workflow,
             self.telemetry.clone(),
             self.hook.clone(),
             self.clock.clone(),
         )?;
+        let stats = Arc::new(StatsModule::new(workflow));
+        run.stats = Some(stats.clone());
         let fabric = &run.fabric;
         let n_actors = workflow.actor_count();
         let workers = self.workers;
@@ -433,7 +432,7 @@ impl Director for PoolDirector {
         let hub = Arc::new(WakeHub::new(
             workers,
             self.policy.clone(),
-            Arc::new(LiveStats::new(workflow)),
+            stats,
             self.clock.clone(),
             source_flags,
             inbox_handles,
@@ -718,10 +717,6 @@ fn step(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutco
     if fired.fired {
         hub.fires[w].fetch_add(1, Ordering::Relaxed);
         hub.busy_us[w].fetch_add(fired.busy.as_micros(), Ordering::Relaxed);
-        if hub.feed_stats {
-            hub.live
-                .record_fire(id.0, fired.busy, fired.events_in, fired.tokens_out);
-        }
         hub.policy.on_fire(id.0, fired.busy);
     }
     match fired.alive {

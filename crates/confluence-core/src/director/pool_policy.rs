@@ -12,8 +12,8 @@
 //! * [`Fifo`] — key 0 for everyone; the push sequence number alone orders
 //!   the heap, reproducing the PR 3 deque behavior (control policy);
 //! * [`RateBased`] — key from the cached `gSel/gCost` output-rate
-//!   priority ([`LiveStats`]), higher rate first (Sharaf et al., as in
-//!   the simulator's RB policy);
+//!   priority ([`StatsModule::rate_priority`]), higher rate first (Sharaf
+//!   et al., as in the simulator's RB policy);
 //! * [`OldestWave`] — EDF on wave origins: key is the origin timestamp of
 //!   the oldest window pending at the actor's inbox, oldest first;
 //! * [`Quantum`] — stride scheduling over the QBS allotments of
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::RwLock;
 
 use crate::graph::Workflow;
-use crate::telemetry::{estimator, LiveStats};
+use crate::telemetry::{estimator, StatsModule};
 use crate::time::{Micros, Timestamp};
 
 /// One ready actor in a worker's queue. Ordered by `(key, seq)`: lower
@@ -162,8 +162,8 @@ pub struct PolicyView<'a> {
     /// Origin timestamp of the oldest window pending at the actor's
     /// inbox (`None` when empty or for sources).
     pub oldest_origin: Option<Timestamp>,
-    /// Live statistics (cumulative counters, cached rate priorities).
-    pub live: &'a LiveStats,
+    /// The run's statistics (cumulative counters, cached rate priorities).
+    pub stats: &'a StatsModule,
 }
 
 /// A ready-queue ordering policy for the pool executor. Implementations
@@ -188,12 +188,6 @@ pub trait PoolPolicy: Send + Sync {
         let _ = (actor, cost);
     }
 
-    /// Whether the executor should feed the [`LiveStats`] sampler for
-    /// this policy (skipped for static policies to keep them zero-cost).
-    fn needs_stats(&self) -> bool {
-        false
-    }
-
     /// Whether self-pushes may use the LIFO slot. Strict-order policies
     /// return `false`: a slot-hit would run the newest entry first.
     fn use_lifo_slot(&self) -> bool {
@@ -203,7 +197,7 @@ pub trait PoolPolicy: Send + Sync {
 
 /// Arrival-order control policy: every key is 0, so the sequence number
 /// alone orders the heap — exactly the PR 3 deque behavior. No LIFO slot
-/// and no statistics feeding, so it doubles as the overhead baseline.
+/// and no statistics read, so it doubles as the overhead baseline.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Fifo;
 
@@ -221,7 +215,7 @@ impl PoolPolicy for Fifo {
 
 /// Rate-Based priority (Sharaf et al., the simulator's RB policy): rank
 /// by the cached global output rate `Pr(A) = gSel(A)/gCost(A)` from
-/// [`LiveStats`]. Sources key at 0 — inflow pacing belongs to the
+/// [`StatsModule`]. Sources key at 0 — inflow pacing belongs to the
 /// arrival timetable, not the ready queue (the wall-clock port drops the
 /// paper's source-interval regulation).
 #[derive(Debug, Default, Clone, Copy)]
@@ -238,16 +232,13 @@ impl PoolPolicy for RateBased {
         if view.is_source {
             return 0;
         }
-        let rate = view.live.rate_priority(actor);
+        let rate = view.stats.rate_priority(actor);
         if rate.is_infinite() {
             // Unmeasured actors rank first, as in the simulator.
             return 0;
         }
         // Saturating float→int cast caps vanishing rates at u64::MAX.
         (RATE_KEY_SCALE / (rate + 1e-9)) as u64
-    }
-    fn needs_stats(&self) -> bool {
-        true
     }
 }
 
@@ -353,16 +344,16 @@ mod tests {
         ReadyEntry { key, seq, actor }
     }
 
-    fn stats1() -> LiveStats {
-        LiveStats::with_downstream(vec![vec![]])
+    fn stats1() -> StatsModule {
+        StatsModule::with_downstream(vec![vec![]])
     }
 
-    fn view(live: &LiveStats) -> PolicyView<'_> {
+    fn view(stats: &StatsModule) -> PolicyView<'_> {
         PolicyView {
             now: Timestamp(500),
             is_source: false,
             oldest_origin: Some(Timestamp(100)),
-            live,
+            stats,
         }
     }
 
@@ -450,44 +441,45 @@ mod tests {
 
     #[test]
     fn fifo_policy_is_inert() {
-        let live = stats1();
+        let stats = stats1();
         let p = Fifo;
-        assert_eq!(p.key(0, &view(&live)), 0);
+        assert_eq!(p.key(0, &view(&stats)), 0);
         assert!(!p.use_lifo_slot());
-        assert!(!p.needs_stats());
         assert_eq!(p.name(), "fifo");
     }
 
     #[test]
     fn oldest_wave_keys_by_origin_and_sources_by_now() {
-        let live = stats1();
+        let stats = stats1();
         let p = OldestWave;
-        assert_eq!(p.key(0, &view(&live)), 100, "pending origin µs");
+        assert_eq!(p.key(0, &view(&stats)), 100, "pending origin µs");
         let src = PolicyView {
             is_source: true,
-            ..view(&live)
+            ..view(&stats)
         };
         assert_eq!(p.key(0, &src), 500, "sources key at now");
         let empty = PolicyView {
             oldest_origin: None,
-            ..view(&live)
+            ..view(&stats)
         };
         assert_eq!(p.key(0, &empty), 500, "empty inbox keys at now");
     }
 
     #[test]
     fn rate_based_ranks_high_rates_first() {
-        let live = LiveStats::with_downstream(vec![vec![1], vec![]]);
+        let stats = StatsModule::with_downstream(vec![vec![1], vec![]]);
         // 1 (terminal): 5µs/ev → Pr 0.2; 0: 10µs/ev, sel 0.5 → Pr 0.04.
-        live.record_fire(0, Micros(100), 10, 5);
-        live.record_fire(1, Micros(50), 10, 0);
-        live.refresh_rate_priorities();
+        // 64 firings in all, so the first key read refreshes the cache.
+        for t in 0..32 {
+            stats.record_fire(0, Micros(100), 10, 5, Timestamp(t));
+            stats.record_fire(1, Micros(50), 10, 0, Timestamp(t));
+        }
         let p = RateBased;
         let v = PolicyView {
             now: Timestamp(0),
             is_source: false,
             oldest_origin: None,
-            live: &live,
+            stats: &stats,
         };
         assert!(p.key(1, &v) < p.key(0, &v), "higher rate ⇒ lower key");
         let src = PolicyView {
@@ -495,7 +487,6 @@ mod tests {
             ..v
         };
         assert_eq!(p.key(0, &src), 0, "sources bypass rate ranking");
-        assert!(p.needs_stats());
     }
 
     #[test]
@@ -513,12 +504,12 @@ mod tests {
         let wf = b.build().unwrap();
         let p = Quantum::new(1_000);
         p.prepare(&wf);
-        let live = LiveStats::new(&wf);
+        let stats = StatsModule::new(&wf);
         let v = PolicyView {
             now: Timestamp(0),
             is_source: false,
             oldest_origin: None,
-            live: &live,
+            stats: &stats,
         };
         assert_eq!(p.key(0, &v), 0);
         p.on_fire(0, Micros(1_000));

@@ -2,11 +2,11 @@
 //!
 //! The Sharaf et al. \[28\] *global* selectivity and cost estimators — the
 //! inputs to the Rate-Based priority `Pr(A) = S_A / C_A` — and the QBS
-//! quantum allotment (Equation 1) are used both by the virtual-time
-//! STAFiLOS simulator (`confluence-sched::stats`) and by the wall-clock
-//! pool executor's [`LiveStats`](super::LiveStats) sampler. Keeping one
-//! implementation here guarantees the simulator and the real executor
-//! rank actors identically from the same local statistics.
+//! quantum allotment (Equation 1). The run's
+//! [`StatsModule`](super::StatsModule) computes its estimates here, for the
+//! virtual-time STAFiLOS simulator and the wall-clock pool executor alike,
+//! and both QBS forms take their allotments from here, so the two rank
+//! actors identically from the same local statistics.
 //!
 //! Both propagations walk the downstream topology with a memo that doubles
 //! as a cycle guard (a back edge contributes 0, so feedback loops neither
@@ -64,9 +64,8 @@ fn selectivity_memo(
     } else {
         local_selectivity(idx)
             * downstream[idx]
-                .clone()
-                .into_iter()
-                .map(|d| selectivity_memo(d, local_selectivity, downstream, memo))
+                .iter()
+                .map(|&d| selectivity_memo(d, local_selectivity, downstream, memo))
                 .sum::<f64>()
     };
     memo[idx] = Some(v);
@@ -101,9 +100,8 @@ fn cost_memo(
     let own = cost_per_event(idx);
     let sel = local_selectivity(idx);
     let down: f64 = downstream[idx]
-        .clone()
-        .into_iter()
-        .map(|d| cost_memo(d, cost_per_event, local_selectivity, downstream, memo))
+        .iter()
+        .map(|&d| cost_memo(d, cost_per_event, local_selectivity, downstream, memo))
         .sum();
     let v = own + sel * down;
     memo[idx] = Some(v);
@@ -145,7 +143,7 @@ mod tests {
     use super::*;
 
     /// src(0) → a(1) → k1(3), src(0) → b(2) → k2(4) — the topology the
-    /// `confluence-sched::stats` tests pin exact numbers on.
+    /// `StatsModule` tests pin exact numbers on.
     fn two_path_downstream() -> Vec<Vec<usize>> {
         vec![vec![1, 2], vec![3], vec![4], vec![], vec![]]
     }

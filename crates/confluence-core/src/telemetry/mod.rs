@@ -9,7 +9,7 @@
 //! taking a lock on the hot path.
 //!
 //! * [`Observer`] — the hook trait (`on_fire_start`/`on_fire_end`,
-//!   `on_route`, `on_window_close`, `on_expire`, `on_run_phase`);
+//!   `on_route_edge`, `on_window_close`, `on_expire`, `on_run_phase`);
 //! * [`MetricsRecorder`] — atomics-only implementation collecting fire
 //!   counts, busy time, token throughput, queue high-water marks, and
 //!   end-to-end tuple latency;
@@ -17,22 +17,26 @@
 //!   Prometheus text exposition format;
 //! * [`Telemetry`] — what a director is instrumented with: the observer,
 //!   the series recorder, and the stop bound the
-//!   [`Engine`](crate::engine::Engine) sets for `run_until`.
+//!   [`Engine`](crate::engine::Engine) sets for `run_until`;
+//! * [`StatsModule`] — STAFiLOS' runtime statistics, which the run keeps
+//!   for the directors whose policies read them (SCWF, the pool). The
+//!   recorder counts fires, busy time and events again from the hooks,
+//!   because it accumulates across runs and checkpoint segments.
 
 pub mod estimator;
 mod json;
-mod livestats;
 mod recorder;
 pub mod series;
 pub mod sketch;
+mod stats;
 pub mod trace;
 
-pub use livestats::LiveStats;
 pub use recorder::{
     ActorMetrics, EdgeMetrics, MetricsRecorder, MetricsSnapshot, PortDepthMetrics, WorkerMetrics,
 };
 pub use series::{SeriesPoint, TimeSeriesRecorder};
 pub use sketch::{QuantileSketch, SketchSnapshot};
+pub use stats::StatsModule;
 pub use trace::{SpanKind, TraceConfig, TraceReport, Tracer, WaveTrace};
 
 use std::sync::{Arc, Weak};
@@ -144,11 +148,6 @@ pub trait Observer: Send + Sync {
         let _ = record;
     }
 
-    /// `delivered` channel deliveries were routed from `from`'s outputs.
-    fn on_route(&self, from: ActorId, delivered: u64, at: Timestamp) {
-        let _ = (from, delivered, at);
-    }
-
     /// `windows` ready windows formed on `actor`'s input `port`;
     /// `queue_depth` is the actor's inbox length after formation.
     fn on_window_close(&self, actor: ActorId, port: usize, windows: usize, queue_depth: usize, at: Timestamp) {
@@ -217,9 +216,10 @@ pub trait Observer: Send + Sync {
     }
 
     /// One destination batch of a routing pass: `events` deliveries went
-    /// from `from` to `to`'s input `port`. Finer than
-    /// [`Observer::on_route`] (which coalesces a whole firing), coarser
-    /// than per-event — reported per edge per firing.
+    /// from `from` to `to`'s input `port`. Reported per edge per firing
+    /// (twice when a `Block` port parks the batch between two calls),
+    /// coarser than per-event; the deliveries of all calls sum to the
+    /// firing's.
     fn on_route_edge(&self, from: ActorId, to: ActorId, port: usize, events: u64, at: Timestamp) {
         let _ = (from, to, port, events, at);
     }
@@ -280,11 +280,6 @@ impl Observer for MultiObserver {
     fn on_fire_end(&self, record: &FireRecord) {
         for o in &self.observers {
             o.on_fire_end(record);
-        }
-    }
-    fn on_route(&self, from: ActorId, delivered: u64, at: Timestamp) {
-        for o in &self.observers {
-            o.on_route(from, delivered, at);
         }
     }
     fn on_window_close(&self, actor: ActorId, port: usize, windows: usize, queue_depth: usize, at: Timestamp) {
@@ -430,7 +425,6 @@ mod tests {
         multi.on_run_phase(RunPhase::Start, Timestamp::ZERO);
         multi.on_run_phase(RunPhase::End, Timestamp(5));
         // Default no-op hooks are callable through the fan-out too.
-        multi.on_route(ActorId(0), 3, Timestamp(1));
         multi.on_window_close(ActorId(0), 0, 1, 2, Timestamp(1));
         multi.on_expire(ActorId(0), 0, 4, Timestamp(1));
         multi.on_block(ActorId(0), 0, Micros(7), Timestamp(1));

@@ -364,14 +364,11 @@ impl Observer for MetricsRecorder {
         }
     }
 
-    fn on_route(&self, from: ActorId, delivered: u64, _at: Timestamp) {
-        self.events_routed.fetch_add(delivered, Ordering::Relaxed);
-        if let Some(cell) = self.cell(from) {
-            cell.routed_out.fetch_add(delivered, Ordering::Relaxed);
-        }
-    }
-
     fn on_route_edge(&self, from: ActorId, to: ActorId, port: usize, events: u64, _at: Timestamp) {
+        self.events_routed.fetch_add(events, Ordering::Relaxed);
+        if let Some(cell) = self.cell(from) {
+            cell.routed_out.fetch_add(events, Ordering::Relaxed);
+        }
         if let Some(&i) = self.edge_index.get(&(from.0, to.0, port)) {
             self.edges[i].1.events.fetch_add(events, Ordering::Relaxed);
         }
@@ -756,7 +753,7 @@ mod tests {
             fired: false,
             ..fire(1, 0, None, 50)
         });
-        r.on_route(ActorId(0), 4, Timestamp(20));
+        r.on_route_edge(ActorId(0), ActorId(1), 0, 4, Timestamp(20));
         r.on_window_close(ActorId(1), 0, 2, 6, Timestamp(25));
         r.on_window_close(ActorId(1), 0, 1, 3, Timestamp(26));
         r.on_expire(ActorId(1), 0, 9, Timestamp(27));
@@ -918,14 +915,36 @@ mod tests {
     }
 
     #[test]
-    fn on_route_attributes_deliveries_to_the_producer() {
-        let r = recorder2();
-        r.on_route(ActorId(0), 4, Timestamp(20));
-        r.on_route(ActorId(0), 3, Timestamp(21));
-        let s = r.snapshot();
-        assert_eq!(s.actor("src").unwrap().routed_out, 7);
-        assert_eq!(s.actor("sink").unwrap().routed_out, 0);
-        assert_eq!(s.events_routed, 7);
+    fn a_parked_batch_counts_each_delivery_once() {
+        use crate::actors::{Collector, VecSource};
+        use crate::channel::ChannelPolicy;
+        use crate::director::Fabric;
+        use crate::graph::WorkflowBuilder;
+        use crate::token::Token;
+
+        let mut b = WorkflowBuilder::new("park");
+        let s = b.add_actor("src", VecSource::new(vec![]));
+        let k = b.add_actor("sink", Collector::new().actor());
+        b.set_default_channel_policy(ChannelPolicy::block(3));
+        b.link((s, "out"), (k, "in")).unwrap();
+        let wf = b.build().unwrap();
+        let r = Arc::new(MetricsRecorder::for_workflow(&wf));
+        let mut fabric = Fabric::build(&wf).unwrap();
+        fabric.observe(&wf, Some(r.clone()));
+        let emissions = (0..5).map(|i| (0, Token::Int(i))).collect();
+        let mut stamped = fabric.stamp(s, emissions, None, Timestamp(1));
+        let full = fabric.deliver(&mut stamped, Timestamp(1), true).unwrap();
+        assert!(full.is_some(), "the block port parks the batch");
+        let parked = r.snapshot().events_routed;
+        assert!(0 < parked && parked < 5, "a part went in: {parked}");
+        while fabric.inbox(k).try_pop().is_some() {}
+        let full = fabric.deliver(&mut stamped, Timestamp(2), true).unwrap();
+        assert!(full.is_none(), "the rest fits once the sink drained");
+        let snap = r.snapshot();
+        assert_eq!(snap.events_routed, 5);
+        assert_eq!(snap.actor("src").unwrap().routed_out, 5);
+        assert_eq!(snap.actor("sink").unwrap().routed_out, 0);
+        assert_eq!(snap.edges[0].events, 5);
     }
 
     #[test]

@@ -80,7 +80,6 @@ fn synthetic() -> (MetricsSnapshot, Arc<ActorInbox>) {
     r.on_run_phase(RunPhase::Start, Timestamp(100));
     for (ended, replica) in [(110, 1), (120, 1), (130, 2), (140, 1)] {
         r.on_fire_end(&fire(0, 4, None, ended));
-        r.on_route(ActorId(0), 1, Timestamp(ended));
         r.on_route_edge(ActorId(0), ActorId(replica), 0, 1, Timestamp(ended));
     }
     r.on_fire_end(&fire(1, 11, Some(110), 150));
@@ -91,9 +90,7 @@ fn synthetic() -> (MetricsSnapshot, Arc<ActorInbox>) {
         fired: false,
         ..fire(2, 0, None, 201)
     });
-    r.on_route(ActorId(1), 3, Timestamp(190));
     r.on_route_edge(ActorId(1), ActorId(3), 0, 3, Timestamp(190));
-    r.on_route(ActorId(2), 1, Timestamp(200));
     r.on_route_edge(ActorId(2), ActorId(3), 1, 1, Timestamp(200));
     r.on_window_close(ActorId(1), 0, 3, 2, Timestamp(141));
     r.on_window_close(ActorId(2), 0, 1, 1, Timestamp(131));
@@ -105,7 +102,6 @@ fn synthetic() -> (MetricsSnapshot, Arc<ActorInbox>) {
     r.on_shed(ActorId(4), 0, 6, Timestamp(205));
     r.on_fire_end(&fire(3, 31, Some(110), 240));
     r.on_fire_end(&fire(3, 32, Some(130), 280));
-    r.on_route(ActorId(3), 2, Timestamp(280));
     r.on_route_edge(ActorId(3), ActorId(4), 0, 2, Timestamp(280));
     r.on_window_close(ActorId(4), 0, 3, 3, Timestamp(281));
     // Three latency samples: only sink firings with an origin count.

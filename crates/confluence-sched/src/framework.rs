@@ -8,9 +8,8 @@
 //! the policy provides. The director signals the scheduler through the
 //! hooks below at each stage of its iteration cycle (Figure 3).
 
+use confluence_core::telemetry::StatsModule;
 use confluence_core::time::{Micros, Timestamp};
-
-use crate::stats::StatsModule;
 
 /// Actor scheduling states (paper §3, Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,8 +6,9 @@
 //! generic, pluggable **Scheduled CWF director** ([`scwf::ScwfDirector`])
 //! enacted by any policy implementing the abstract scheduler interface
 //! ([`framework::Scheduler`]), backed by a runtime statistics module
-//! ([`stats::StatsModule`]) exposing per-actor cost, input/output rates,
-//! and selectivity.
+//! ([`StatsModule`], kept by the run and re-exported from
+//! `confluence_core::telemetry`) exposing per-actor cost, input/output
+//! rates, and selectivity.
 //!
 //! Shipped policies (paper §3.1): Quantum Priority Based
 //! ([`policies::QbsScheduler`]), Round-Robin ([`policies::RrScheduler`]),
@@ -30,10 +31,9 @@ pub mod multi;
 pub mod policies;
 pub mod scwf;
 pub mod shedding;
-pub mod stats;
 
 pub use cost::{CostModel, TableCostModel, ThreadOverheadCost};
 pub use framework::{ActorInfo, ActorState, Scheduler};
 pub use policies::{EdfScheduler, FifoScheduler, QbsScheduler, RbScheduler, RrScheduler};
 pub use scwf::ScwfDirector;
-pub use stats::{ActorStats, StatsModule};
+pub use confluence_core::telemetry::StatsModule;

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use confluence_core::time::{Micros, Timestamp};
 
 use crate::framework::{ActorInfo, ActorState, Scheduler, SourceFrame};
-use crate::stats::StatsModule;
+use confluence_core::telemetry::StatsModule;
 
 /// Earliest-deadline-first over window origins.
 pub struct EdfScheduler {

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use confluence_core::time::{Micros, Timestamp};
 
 use crate::framework::{ActorInfo, ActorState, Scheduler, SourceFrame};
-use crate::stats::StatsModule;
+use confluence_core::telemetry::StatsModule;
 
 /// Global window-arrival-order scheduling.
 pub struct FifoScheduler {

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, VecDeque};
 use confluence_core::time::{Micros, Timestamp};
 
 use crate::framework::{ActorInfo, ActorState, Scheduler, SourceFrame};
-use crate::stats::StatsModule;
+use confluence_core::telemetry::StatsModule;
 
 /// Quantum Priority Based scheduling.
 pub struct QbsScheduler {

@@ -20,7 +20,7 @@
 use confluence_core::time::{Micros, Timestamp};
 
 use crate::framework::{ActorInfo, ActorState, Scheduler, SourceFrame};
-use crate::stats::StatsModule;
+use confluence_core::telemetry::StatsModule;
 
 /// Highest-Rate scheduling with period-buffered admission.
 pub struct RbScheduler {
@@ -49,7 +49,7 @@ impl RbScheduler {
 
     fn recompute_priorities(&mut self, stats: &StatsModule) {
         for a in 0..self.priorities.len() {
-            self.priorities[a] = stats.rate_priority(a);
+            self.priorities[a] = stats.fresh_rate_priority(a);
         }
     }
 }
@@ -201,9 +201,9 @@ mod tests {
         b.link((s, "out"), (c, "in")).unwrap();
         b.link((s, "out"), (p, "in")).unwrap();
         let wf = b.build().unwrap();
-        let mut stats = StatsModule::new(&wf);
-        stats.record_firing(1, Micros(10), 10, 10, Timestamp(1));
-        stats.record_firing(2, Micros(1_000), 10, 10, Timestamp(1));
+        let stats = StatsModule::new(&wf);
+        stats.record_fire(1, Micros(10), 10, 10, Timestamp(1));
+        stats.record_fire(2, Micros(1_000), 10, 10, Timestamp(1));
         stats
     }
 

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use confluence_core::time::{Micros, Timestamp};
 
 use crate::framework::{ActorInfo, ActorState, Scheduler, SourceFrame};
-use crate::stats::StatsModule;
+use confluence_core::telemetry::StatsModule;
 
 /// Fair round-robin with per-period time slices.
 pub struct RrScheduler {

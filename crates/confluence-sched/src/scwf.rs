@@ -8,7 +8,8 @@
 //! 2. repeatedly call `next_actor()`; for an internal actor, dequeue one
 //!    ready window, place it on the actor's input port, prefire/fire the
 //!    actor while timing it, route the productions (whose windows are
-//!    enqueued back at the scheduler), and update the statistics module,
+//!    enqueued back at the scheduler); the run's statistics module records
+//!    the firing,
 //! 3. when `next_actor()` returns `None`, post-fire: let the policy do its
 //!    maintenance (re-quantification, period flip) and restart — or, if
 //!    the workflow is quiescent, advance time to the next source arrival /
@@ -35,14 +36,13 @@ use confluence_core::director::firing::{Charge, Cx, FiringOrder, Run, Span, Step
 use confluence_core::director::{Director, Fabric, QueueContext, RunReport};
 use confluence_core::error::Result;
 use confluence_core::graph::{ActorId, Workflow};
-use confluence_core::telemetry::Telemetry;
+use confluence_core::telemetry::{StatsModule, Telemetry};
 use confluence_core::time::{Clock, Micros, SharedClock, Timestamp, VirtualClock, WallClock};
 
 pub use confluence_core::director::firing::Progress;
 
 use crate::cost::CostModel;
 use crate::framework::{ActorInfo, Scheduler};
-use crate::stats::StatsModule;
 
 /// How the director keeps time.
 pub enum TimeMode {
@@ -118,7 +118,6 @@ struct ExecState {
 
 /// What the firing order keeps from slice to slice.
 struct Book {
-    stats: StatsModule,
     /// Actor names, for the cost model.
     names: Vec<String>,
     /// Per actor: how many of its inbox's windows the policy has heard
@@ -166,9 +165,10 @@ impl ScwfCore {
         self.policy.name()
     }
 
-    /// Statistics collected so far (None before the first slice).
+    /// Statistics collected so far (None before the first slice): the
+    /// run keeps them, across checkpoint segments.
     pub fn stats(&self) -> Option<&StatsModule> {
-        self.state.as_ref().map(|s| &s.book.stats)
+        self.state.as_ref().and_then(|s| s.run.stats.as_deref())
     }
 
     /// The communication fabric (None before the first slice): what the
@@ -195,12 +195,13 @@ impl ScwfCore {
             }
             Some(_) => {}
             None => {
-                let (run, contexts) = Run::open(
+                let (mut run, contexts) = Run::open(
                     workflow,
                     self.telemetry.clone(),
                     self.hook.clone(),
                     self.mode.clock(),
                 )?;
+                run.stats = Some(Arc::new(StatsModule::new(workflow)));
                 let infos: Vec<ActorInfo> = workflow
                     .actor_ids()
                     .map(|id| {
@@ -219,7 +220,6 @@ impl ScwfCore {
                     run,
                     contexts,
                     book: Book {
-                        stats: StatsModule::new(workflow),
                         names: infos.into_iter().map(|i| i.name).collect(),
                         announced: vec![0; n],
                         source_ids: workflow.sources().iter().map(|i| i.index()).collect(),
@@ -242,6 +242,7 @@ impl ScwfCore {
             overhead: self.scheduler_overhead,
             deadline: self.deadline,
             book: &mut st.book,
+            stats: st.run.stats.as_deref().expect("SCWF keeps statistics"),
             fired_in_iteration: false,
         };
         Some((dispatch, &st.run, &mut st.contexts))
@@ -290,6 +291,8 @@ struct Dispatch<'a> {
     overhead: Micros,
     deadline: Option<Timestamp>,
     book: &'a mut Book,
+    /// The run's statistics, which the policy reads.
+    stats: &'a StatsModule,
     fired_in_iteration: bool,
 }
 
@@ -355,19 +358,13 @@ impl Dispatch<'_> {
             TimeMode::Real { .. } => None,
         };
         let fired = cx.fire(id, input, charge, None)?;
-        if !fired.fired {
-            return Ok(None);
-        }
-        self.book
-            .stats
-            .record_firing(a, fired.busy, fired.events_in, fired.tokens_out, fired.started);
-        Ok(Some(fired.busy))
+        Ok(fired.fired.then_some(fired.busy))
     }
 
     /// The policy has nothing to fire: let it do its maintenance, and if
     /// nothing became runnable find the next interesting instant.
     fn end_iteration(&mut self, run: &Run, workflow: &Workflow) -> Step {
-        let reactivated = self.policy.end_iteration(&self.book.stats);
+        let reactivated = self.policy.end_iteration(self.stats);
         if std::mem::take(&mut self.fired_in_iteration) || reactivated {
             return Step::Busy(Micros::ZERO);
         }
@@ -401,7 +398,7 @@ impl FiringOrder for Dispatch<'_> {
         }
         let remaining = cx.run.fabric.inbox(ActorId(a)).len();
         let cost = cost.unwrap_or(Micros::ZERO);
-        self.policy.after_fire(a, cost, remaining, &self.book.stats);
+        self.policy.after_fire(a, cost, remaining, self.stats);
         if self.deadline.is_some_and(|limit| now > limit) {
             return Ok(Step::Abandoned);
         }
@@ -530,7 +527,7 @@ mod tests {
         assert!(report.firings >= 4);
         assert!(d.last_stats().is_some());
         let stats = d.last_stats().unwrap();
-        assert!(stats.actor(1).invocations >= 2);
+        assert!(stats.fires(1) >= 2);
     }
 
     #[test]

@@ -7,8 +7,11 @@
 #    stamped in one function only (director/mod.rs, `Fabric::stamp`);
 #  - source regulation (`fn pick_source`, the `source_rr` cursor) lives in
 #    confluence-sched/src/framework.rs only, not in a policy;
-#  - of the two statistics modules only telemetry/livestats.rs builds a
-#    downstream table from the workflow (`StatsModule` is a view over it);
+#  - STAFiLOS' statistics are one type: no `struct LiveStats` or
+#    `struct ActorStats` anywhere, `struct StatsModule` is declared in
+#    confluence-core/src/telemetry/stats.rs and nowhere else, and its
+#    record method (`record_fire`) is called from director/firing.rs only
+#    (`Run::fire` is the one writer);
 #  - graph.rs declares no `connect`/`set_window`/`connect_windowed` beside
 #    the `Endpoint` vocabulary;
 #  - observers only observe: engine.rs implements no `Observer` (a stop or
@@ -100,9 +103,16 @@ once() {
 
 once "source regulation (pick_source / source_rr)" crates/confluence-sched/src/framework.rs \
     "$(matches 'fn pick_source|source_rr' crates/confluence-sched/src)"
-once "the downstream table (downstream_actors)" crates/confluence-core/src/telemetry/livestats.rs \
-    "$(matches 'downstream_actors\(' crates/confluence-sched/src/stats.rs \
-        crates/confluence-core/src/telemetry/livestats.rs)"
+stats_types=$(matches 'struct (LiveStats|ActorStats)([^A-Za-z_]|$)' crates src examples tests)
+if [ -n "$stats_types" ]; then
+    echo "one statistics module: LiveStats and ActorStats are gone:" >&2
+    printf '%s\n' "$stats_types" >&2
+    status=1
+fi
+once "the statistics module (struct StatsModule)" crates/confluence-core/src/telemetry/stats.rs \
+    "$(matches 'struct StatsModule([^A-Za-z_]|$)' crates src examples tests)"
+once "recording into the statistics module (record_fire)" crates/confluence-core/src/director/firing.rs \
+    "$(matches '\.record_fire\(' crates/*/src src examples)"
 
 wrappers=$(matches 'pub fn (connect|set_window|connect_windowed)[<(]' crates/confluence-core/src/graph.rs)
 if [ -n "$wrappers" ]; then
@@ -180,6 +190,6 @@ once "the topological sort (indeg)" crates/confluence-core/src/director/firing.r
 
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
-        "one downstream table, one builder vocabulary, no control observer or flag, one ready queue per actor," \
+        "one statistics module and one writer, one builder vocabulary, no control observer or flag, one ready queue per actor," \
         "one Linear Road topology, no clock in the pause, one run loop, one topological sort"
 exit "$status"

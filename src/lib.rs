@@ -30,8 +30,8 @@ pub mod prelude {
     pub use confluence_core::error::{Error, Result};
     pub use confluence_core::graph::{ActorId, Endpoint, Workflow, WorkflowBuilder};
     pub use confluence_core::telemetry::{
-        LiveStats, MetricsRecorder, MetricsSnapshot, Observer, QuantileSketch, RunPhase,
-        SketchSnapshot, Telemetry, TimeSeriesRecorder,
+        MetricsRecorder, MetricsSnapshot, Observer, QuantileSketch, RunPhase, SketchSnapshot,
+        StatsModule, Telemetry, TimeSeriesRecorder,
     };
     pub use confluence_core::time::{Micros, Timestamp};
     pub use confluence_core::token::Token;

@@ -2,8 +2,11 @@
 //! STAFiLOS scheduled director in virtual time, validated against the
 //! engine-independent golden model.
 
+use std::sync::Arc;
+
 use confluence::core::director::Director;
 use confluence::core::engine::Engine;
+use confluence::core::telemetry::{MetricsRecorder, Telemetry};
 use confluence::core::time::Micros;
 use confluence::linearroad::{self, golden, LrOptions, TollNotification, Workload, WorkloadConfig};
 use confluence::sched::cost::TableCostModel;
@@ -183,4 +186,37 @@ fn statistics_tables_hold_the_golden_segment_minutes() {
     let consumed = snap.actor("Avgs").unwrap().events_in;
     assert!(emitted > 0);
     assert_eq!(consumed, emitted, "Avgs consumed every average Avgsv emitted");
+}
+
+/// The run's statistics module (recorded in `Run::fire`) and the metrics
+/// recorder (counting from `on_fire_end`) keep the same four counters from
+/// two sites: on the 120-s trace under SCWF/FIFO they agree for every
+/// actor.
+#[test]
+fn the_statistics_module_and_the_recorder_count_the_same_firings() {
+    let workload = Workload::generate(WorkloadConfig {
+        duration_secs: 120,
+        ..WorkloadConfig::default()
+    });
+    let mut lr = linearroad::build(&workload, &LrOptions::default()).unwrap();
+    let recorder = Arc::new(MetricsRecorder::for_workflow(&lr.workflow));
+    let mut director = ScwfDirector::virtual_time(Box::new(FifoScheduler::new(5)), cheap_cost());
+    director.instrument(Telemetry::new(recorder.clone()));
+    director.run(&mut lr.workflow).unwrap();
+    let stats = director.last_stats().unwrap();
+    let snap = recorder.snapshot();
+    assert_eq!(stats.len(), lr.workflow.actor_count());
+    let mut fires = 0;
+    for id in lr.workflow.actor_ids() {
+        let name = &lr.workflow.node(id).name;
+        let m = snap.actor(name).unwrap();
+        let i = id.index();
+        assert_eq!(stats.fires(i), m.fires, "{name}: fires");
+        assert_eq!(stats.total_cost(i), m.busy, "{name}: cost");
+        assert_eq!(stats.events_in(i), m.events_in, "{name}: events in");
+        assert_eq!(stats.events_out(i), m.tokens_out, "{name}: tokens out");
+        fires += m.fires;
+    }
+    assert_eq!(fires, snap.total_fires());
+    assert!(fires > 10_000, "the trace drove the workflow: {fires} firings");
 }
