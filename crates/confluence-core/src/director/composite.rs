@@ -3,14 +3,15 @@
 //! The Linear Road workflow (paper Appendix A) is a two-level hierarchy:
 //! the top level is governed by a continuous-workflow director, while the
 //! main tasks — detecting stopped cars, computing segment statistics — are
-//! *sub-workflows* governed by SDF or DDF directors depending on whether
-//! their rates are constant.
+//! *sub-workflows*. The paper picks SDF or DDF for each by whether its rates
+//! are constant; a composite here always runs DDF, which fires constant
+//! rates as well.
 //!
 //! A [`CompositeActor`] wraps an inner [`Workflow`]. Each firing takes the
 //! windows delivered to the composite's input ports, injects their tokens
-//! into designated entry sources of the inner workflow, runs the inner
-//! director to quiescence (a bounded batch run), and re-emits whatever
-//! reached the designated exit collectors. Windowing state lives at the
+//! into designated entry sources of the inner workflow, runs it under a
+//! fresh [`DdfDirector`] to quiescence (a bounded batch run), and re-emits
+//! whatever reached the designated exit collectors. Windowing state lives at the
 //! composite's own (outer) input ports; the inner run is a stateless batch
 //! evaluation over the delivered window — which is exactly how the paper's
 //! sub-workflows consume the windows formed at their composite's inputs.
@@ -27,17 +28,7 @@ use crate::graph::Workflow;
 use crate::token::Token;
 
 use super::ddf::DdfDirector;
-use super::sdf::SdfDirector;
 use super::Director;
-
-/// Which director governs the inner workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InnerDirector {
-    /// Pre-compiled synchronous dataflow (constant rates).
-    Sdf,
-    /// Dynamic dataflow (fluid rates, decision points).
-    Ddf,
-}
 
 /// Shared token queue feeding an [`InjectSource`] from outside the inner
 /// workflow.
@@ -111,13 +102,6 @@ impl Actor for InjectSource {
             Some(crate::time::Timestamp::ZERO)
         }
     }
-
-    fn rates(&self) -> Option<crate::actor::SdfRates> {
-        Some(crate::actor::SdfRates {
-            consume: vec![],
-            produce: vec![1],
-        })
-    }
 }
 
 /// An actor whose behaviour is an inner workflow run to quiescence per
@@ -125,7 +109,6 @@ impl Actor for InjectSource {
 pub struct CompositeActor {
     signature: IoSignature,
     inner: Workflow,
-    director: InnerDirector,
     /// `entries[i]` feeds composite input port `i` into the inner graph.
     entries: Vec<InjectHandle>,
     /// `exits[j]` drains inner results onto composite output port `j`.
@@ -139,7 +122,6 @@ impl CompositeActor {
     pub fn new(
         signature: IoSignature,
         inner: Workflow,
-        director: InnerDirector,
         entries: Vec<InjectHandle>,
         exits: Vec<Collector>,
     ) -> Result<Self> {
@@ -161,7 +143,6 @@ impl CompositeActor {
         Ok(CompositeActor {
             signature,
             inner,
-            director,
             entries,
             exits,
             drained,
@@ -187,10 +168,7 @@ impl Actor for CompositeActor {
             return Ok(());
         }
         // Bounded inner run.
-        match self.director {
-            InnerDirector::Sdf => SdfDirector::new().run(&mut self.inner)?,
-            InnerDirector::Ddf => DdfDirector::new().run(&mut self.inner)?,
-        };
+        DdfDirector::new().run(&mut self.inner)?;
         // Re-emit everything newly collected at the exits.
         for (port, exit) in self.exits.iter().enumerate() {
             let items = exit.tokens();
@@ -234,7 +212,6 @@ mod tests {
         CompositeActor::new(
             IoSignature::transform("in", "out"),
             inner,
-            InnerDirector::Ddf,
             vec![entry],
             vec![exit],
         )
@@ -272,7 +249,6 @@ mod tests {
         let err = CompositeActor::new(
             IoSignature::transform("in", "out"),
             inner,
-            InnerDirector::Ddf,
             vec![],
             vec![],
         );
@@ -310,7 +286,6 @@ mod tests {
         let comp = CompositeActor::new(
             IoSignature::transform("in", "out"),
             inner,
-            InnerDirector::Ddf,
             vec![entry],
             vec![exit],
         )

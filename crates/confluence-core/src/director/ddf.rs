@@ -5,27 +5,29 @@
 //! consumption and production rates are fluid (decision points,
 //! non-constant production — paper Appendix A).
 //!
-//! The firing rule is all that lives here: sweep the actors in id order
-//! firing every ready window, give each live source one firing when
-//! nothing is data-ready, end when neither makes progress. The firing
-//! step and the run loop are [`super::firing`]'s.
+//! The firing rule is all that lives here: fire the next ready window in
+//! [`Sweep`] order; when none is ready, give each live source one firing,
+//! one per step; end when a round of sources makes no progress. Each step
+//! is one firing, so a stop or a checkpoint lands on the firing that meets
+//! its bound. The firing step and the run loop are [`super::firing`]'s.
 
 use std::sync::Arc;
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::graph::{ActorId, Workflow};
 use crate::telemetry::Telemetry;
 use crate::time::{Micros, SharedClock, VirtualClock};
 
-use super::firing::{Cx, FiringOrder, Run, Span, Step};
+use super::firing::{Cx, FiringOrder, Run, Span, Step, Sweep};
 use super::{Director, RunReport};
+
+/// Window firings one run may make before it fails as a runaway graph (a
+/// cycle that generates tokens forever).
+const MAX_FIRINGS: u64 = 1_000_000;
 
 /// Fires any actor with ready data until the workflow quiesces.
 pub struct DdfDirector {
     clock: SharedClock,
-    /// Safety bound against runaway graphs (cycles that generate tokens
-    /// forever). Exceeding it is an error.
-    pub max_firings: u64,
     telemetry: Option<Telemetry>,
     hook: Option<Arc<crate::checkpoint::QuiesceHook>>,
 }
@@ -41,82 +43,44 @@ impl DdfDirector {
     pub fn new() -> Self {
         DdfDirector {
             clock: Arc::new(VirtualClock::new()),
-            max_firings: 1_000_000,
             telemetry: None,
             hook: None,
         }
     }
 }
 
-/// The DDF firing order: one step is one sweep.
-struct Sweep {
+/// The DDF firing order: one step is one firing.
+struct Dataflow {
+    sweep: Sweep,
     sources: Vec<ActorId>,
-    /// Actors whose `postfire` said they are finished.
-    done: Vec<bool>,
-    firings: u64,
-    max_firings: u64,
+    /// The source round under way, if any: where it stands in `sources`,
+    /// and whether a source in it fired or finished.
+    round: Option<(usize, bool)>,
 }
 
-impl Sweep {
-    /// Fire `id` on every window in its inbox. Returns whether any firing
-    /// was attempted.
-    fn drain(&mut self, cx: &mut Cx<'_>, id: ActorId) -> Result<bool> {
-        let mut progress = false;
-        while let Some(input) = cx.run.fabric.inbox(id).try_pop() {
-            if self.done[id.0] {
-                // Finished actors drop late windows.
-                continue;
-            }
-            let fired = cx.fire(id, Some(input), None, None)?;
-            self.done[id.0] = fired.alive == Some(false);
-            self.firings += u64::from(fired.fired);
-            progress = true;
-            if self.firings > self.max_firings {
-                return Err(Error::Director(format!(
-                    "DDF exceeded max_firings={} (runaway graph?)",
-                    self.max_firings
-                )));
-            }
-        }
-        Ok(progress)
-    }
-}
-
-impl FiringOrder for Sweep {
-    /// Fire every non-source actor with ready windows; if none had any,
-    /// give each live source one firing.
+impl FiringOrder for Dataflow {
+    /// Fire the next ready window; if none is ready, open a round that
+    /// gives each live source one firing before any window fires again.
     fn step(&mut self, cx: &mut Cx<'_>) -> Result<Step> {
-        let mut progress = false;
-        for id in cx.workflow.actor_ids() {
-            if !cx.workflow.node(id).is_source {
-                progress |= self.drain(cx, id)?;
-            }
-        }
-        if !progress {
-            for &id in &self.sources {
-                if !self.done[id.0] {
-                    let fired = cx.fire(id, None, None, None)?;
-                    self.done[id.0] = fired.alive == Some(false);
-                    progress |= fired.fired || self.done[id.0];
-                }
-            }
-        }
-        Ok(if progress { Step::Busy(Micros::ZERO) } else { Step::Ended })
+        let (at, progress) = match self.round.take() {
+            Some(round) => round,
+            None if self.sweep.fire_next(cx)? => return Ok(Step::Busy(Micros::ZERO)),
+            None => (0, false),
+        };
+        let sweep = &self.sweep;
+        let Some(i) = (at..self.sources.len()).find(|&i| !sweep.done(self.sources[i])) else {
+            // The round is over; a round in which no source fired or
+            // finished ends the run.
+            return Ok(if progress { Step::Busy(Micros::ZERO) } else { Step::Ended });
+        };
+        let id = self.sources[i];
+        let fired = self.sweep.fire(cx, id, None)?.fired;
+        self.round = Some((i + 1, progress || fired || self.sweep.done(id)));
+        Ok(Step::Busy(Micros::ZERO))
     }
 
-    /// Before an actor closes, fire what its inbox holds; after, fire
-    /// every actor until no inbox holds a window (closing an actor's
-    /// outputs flushes downstream partial windows).
     fn settle(&mut self, cx: &mut Cx<'_>, id: ActorId, closed: bool) -> Result<()> {
-        if !closed {
-            return self.drain(cx, id).map(drop);
-        }
-        while cx.workflow.actor_ids().any(|id| !cx.run.fabric.inbox(id).is_empty()) {
-            for id in cx.workflow.actor_ids() {
-                self.drain(cx, id)?;
-            }
-        }
-        Ok(())
+        self.sweep.settle(cx, id, closed)
     }
 }
 
@@ -128,13 +92,12 @@ impl Director for DdfDirector {
             self.hook.clone(),
             self.clock.clone(),
         )?;
-        let mut sweep = Sweep {
+        let mut order = Dataflow {
+            sweep: Sweep::new(workflow, Some(MAX_FIRINGS)),
             sources: workflow.sources(),
-            done: vec![false; workflow.actor_count()],
-            firings: 0,
-            max_firings: self.max_firings,
+            round: None,
         };
-        run.drive(workflow, &mut contexts, &mut sweep, Span::Whole)?;
+        run.drive(workflow, &mut contexts, &mut order, Span::Whole)?;
         Ok(run.report())
     }
 
@@ -226,9 +189,11 @@ mod tests {
         b.link((s, "out"), (d, "in")).unwrap();
         b.link((d, "out"), (d, "in")).unwrap();
         let mut wf = b.build().unwrap();
-        let mut d = DdfDirector::new();
-        d.max_firings = 100;
-        let err = d.run(&mut wf);
-        assert!(matches!(err, Err(Error::Director(_))));
+        let clock = Arc::new(VirtualClock::new());
+        let (run, mut contexts) = Run::open(&mut wf, None, None, clock).unwrap();
+        let mut order =
+            Dataflow { sweep: Sweep::new(&wf, Some(100)), sources: wf.sources(), round: None };
+        let err = run.drive(&mut wf, &mut contexts, &mut order, Span::Whole);
+        assert!(matches!(err, Err(crate::error::Error::Director(_))));
     }
 }

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use crate::actor::Actor;
 use crate::checkpoint::QuiesceHook;
 use crate::engine::StopCondition;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::graph::{ActorId, Workflow};
 use crate::telemetry::{FireRecord, RunPhase, StatsModule, Telemetry};
 use crate::time::{Micros, SharedClock, Timestamp};
@@ -127,16 +127,16 @@ pub struct Cx<'a> {
 }
 
 impl Cx<'_> {
-    /// One firing attempt of `id` on `inputs` ([`Run::fire`]).
+    /// One firing attempt of `id` on `inputs` ([`Run::fire`]), its
+    /// emissions delivered at once.
     pub fn fire(
         &mut self,
         id: ActorId,
         inputs: impl IntoIterator<Item = (usize, Window)>,
         charge: Option<Charge<'_>>,
-        deliver: Option<Deliver<'_>>,
     ) -> Result<Fired> {
         let actor = self.workflow.node_mut(id).actor_mut();
-        self.run.fire(id, actor, &mut self.contexts[id.0], inputs, charge, deliver)
+        self.run.fire(id, actor, &mut self.contexts[id.0], inputs, charge, None)
     }
 }
 
@@ -152,13 +152,91 @@ pub trait FiringOrder {
         Ok(())
     }
 
-    /// While a pause is pending, one more step before the capture, if any.
-    fn drain(&mut self, _cx: &mut Cx<'_>) -> Result<bool> {
-        Ok(false)
-    }
-
     /// Advance the order's clock to `t` after an idle step.
     fn advance_to(&mut self, _run: &Run, _workflow: &Workflow, _t: Timestamp) {}
+}
+
+/// The id-order sweep DE and DDF share. The next ready window is the front
+/// of the inbox the sweep stands at; it moves on once that inbox is empty,
+/// and starts over from the first actor after a pass that found a window.
+/// An actor whose `postfire` said it is finished drops late windows.
+pub struct Sweep {
+    at: usize,
+    /// Whether this pass has found a window.
+    found: bool,
+    done: Vec<bool>,
+    /// Window firings allowed before the run fails as a runaway, if bounded.
+    limit: Option<u64>,
+    firings: u64,
+}
+
+impl Sweep {
+    /// A sweep over `workflow`'s actors, failing the run after `limit`
+    /// window firings if given.
+    pub fn new(workflow: &Workflow, limit: Option<u64>) -> Self {
+        let done = vec![false; workflow.actor_count()];
+        Sweep { at: 0, found: false, done, limit, firings: 0 }
+    }
+
+    /// Whether `id`'s `postfire` said it is finished.
+    pub fn done(&self, id: ActorId) -> bool {
+        self.done[id.0]
+    }
+
+    /// One firing attempt of `id` on `input` (none for a source).
+    pub fn fire(
+        &mut self,
+        cx: &mut Cx<'_>,
+        id: ActorId,
+        input: Option<(usize, Window)>,
+    ) -> Result<Fired> {
+        let window = input.is_some();
+        let fired = cx.fire(id, input, None)?;
+        self.done[id.0] = fired.alive == Some(false);
+        self.firings += u64::from(window && fired.fired);
+        if self.limit.is_some_and(|limit| self.firings > limit) {
+            return Err(Error::Director("too many window firings (runaway graph?)".into()));
+        }
+        Ok(fired)
+    }
+
+    /// Fire the next ready window; `false` once a whole pass finds none.
+    pub fn fire_next(&mut self, cx: &mut Cx<'_>) -> Result<bool> {
+        loop {
+            while self.at < self.done.len() {
+                let id = ActorId(self.at);
+                match cx.run.fabric.inbox(id).try_pop() {
+                    Some(input) => {
+                        self.found = true;
+                        if !self.done[id.0] {
+                            return self.fire(cx, id, Some(input)).map(|_| true);
+                        }
+                    }
+                    None => self.at += 1,
+                }
+            }
+            self.at = 0;
+            if !std::mem::take(&mut self.found) {
+                return Ok(false);
+            }
+        }
+    }
+
+    /// The close cascade's settle step: before actor `id` closes, fire
+    /// what its inbox holds; after, fire until no inbox holds a window
+    /// (closing an actor's outputs flushes downstream partial windows).
+    pub fn settle(&mut self, cx: &mut Cx<'_>, id: ActorId, closed: bool) -> Result<()> {
+        if closed {
+            while self.fire_next(cx)? {}
+            return Ok(());
+        }
+        while let Some(input) = cx.run.fabric.inbox(id).try_pop() {
+            if !self.done[id.0] {
+                self.fire(cx, id, Some(input))?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Everything the actors of one workflow execution share: the fabric, the
@@ -311,9 +389,9 @@ impl Run {
     }
 
     /// Run `order` on the caller's thread over `span`. At each boundary a
-    /// pause ends the segment in [`Run::quiesce`] once the order has nothing
-    /// to drain; a stop, like the stream's end, closes every actor upstream
-    /// first (settle, [`Run::finish_actor`], settle) and wraps the run up.
+    /// pause ends the segment in [`Run::quiesce`]; a stop, like the
+    /// stream's end, closes every actor upstream first (settle,
+    /// [`Run::finish_actor`], settle) and wraps the run up.
     pub fn drive(
         &self,
         workflow: &mut Workflow,
@@ -326,7 +404,6 @@ impl Run {
         loop {
             match self.boundary() {
                 Boundary::Stop => break,
-                Boundary::Pause if order.drain(cx)? => continue,
                 Boundary::Pause => {
                     self.quiesce(cx.contexts);
                     return Ok(Progress::Paused);

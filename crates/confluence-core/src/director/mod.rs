@@ -80,9 +80,9 @@ pub struct RunReport {
 
 /// One firing's emissions after [`Fabric::stamp`]: every event carries its
 /// wave tag and sits in the batch of its destination port, waiting for
-/// [`Fabric::deliver`]. A director holds one only while delivery is
-/// deferred — on DE's agenda until the channel delay has passed, or in a
-/// pool task parked on a full `Block` port.
+/// [`Fabric::deliver`]. Delivery follows at once, except in a pool task
+/// parked on a full `Block` port, which holds the undelivered rest until
+/// the port has room.
 #[derive(Debug)]
 pub struct Stamped {
     from: ActorId,
@@ -97,11 +97,6 @@ impl Stamped {
     /// Channel deliveries this batch amounts to (events × destinations).
     pub fn deliveries(&self) -> u64 {
         self.deliveries
-    }
-
-    /// The destination ports still owed events, in delivery order.
-    pub fn destinations(&self) -> impl Iterator<Item = PortRef> + '_ {
-        self.batches.iter().map(|(dest, _)| *dest)
     }
 }
 
@@ -121,7 +116,6 @@ pub trait Director {
     /// boundary, the director deposits the captured [`crate::checkpoint::FabricState`]
     /// (queued windows included, not drained), and returns *without* its
     /// end-of-stream teardown (no `finish`/`wrapup`, no channel closes).
-    /// DE alone drains its agenda first (DESIGN.md, "What a director is").
     /// At the start of a run it re-injects any staged restore state and,
     /// on resumed segments, skips `Actor::initialize`.
     fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>);

@@ -275,7 +275,7 @@ impl FiringOrder for Iteration {
                         )));
                     }
                 }
-                let fired = cx.fire(id, staged, None, None)?;
+                let fired = cx.fire(id, staged, None)?;
                 // A source refusing to fire means the stream is over.
                 self.stopping |=
                     (!fired.fired && cx.workflow.node(id).is_source) || fired.alive == Some(false);

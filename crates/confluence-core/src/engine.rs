@@ -287,8 +287,10 @@ impl Engine {
         self.recorder.snapshot()
     }
 
-    /// Run the workflow to quiescence. The returned [`RunReport`] is the
-    /// recorder's view of this run.
+    /// Run the workflow to quiescence. The returned [`RunReport`] sums the
+    /// run's own counters over its segments — what a [`StopCondition`]
+    /// bounds, expired-items hand-overs included in `events_routed`. The
+    /// recorder's `events_routed` counts channel deliveries only.
     pub fn run(&mut self) -> Result<RunReport> {
         self.run_inner(None)
     }
@@ -323,7 +325,6 @@ impl Engine {
         observers.extend(self.extra_observers.iter().cloned());
         let observer = MultiObserver::new(observers).with_quiet(self.quiet_observers.clone());
         let observer: Arc<dyn Observer> = Arc::new(observer);
-        let before = self.recorder.snapshot();
         let mut done = RunReport::default();
         loop {
             self.director.instrument(Telemetry {
@@ -343,13 +344,7 @@ impl Engine {
             hook.stage_restore(self.write_checkpoint(state, dir)?);
             hook.set_resuming(true);
         }
-        // The recorder accumulates across runs; report this run's delta.
-        let after = self.recorder.snapshot();
-        Ok(RunReport {
-            firings: after.total_fires() - before.total_fires(),
-            events_routed: after.events_routed - before.events_routed,
-            elapsed: done.elapsed,
-        })
+        Ok(done)
     }
 
     /// What only a checkpointed or recovered run does before its first
@@ -612,11 +607,30 @@ mod tests {
     }
 
     #[test]
-    fn stop_during_a_checkpoint_drain_still_writes_the_snapshot() {
-        // DE parks its sources on a pause while deliveries keep firing, so
-        // the third firing — the stop bound — lands inside the drain the
-        // second one started.
-        let dir = tmpdir("stop-in-drain");
+    fn de_and_ddf_pause_on_the_cadence_firing() {
+        // One firing per step: src, sum, sink, src, sum. The pause lands on
+        // the fifth firing and captures what it left queued.
+        let directors: [(&str, Box<dyn Director>); 2] = [
+            ("de", Box::new(crate::director::de::DeDirector::new())),
+            ("ddf", Box::new(crate::director::ddf::DdfDirector::new())),
+        ];
+        for (name, mut director) in directors {
+            let (mut wf, _c) = build();
+            let hook = QuiesceHook::new(Some(StopCondition::Firings(5)));
+            director.attach_checkpoint(hook.clone());
+            let report = director.run(&mut wf).unwrap();
+            let captured = hook.take_captured().expect("the segment paused");
+            assert_eq!(report.firings, 5, "{name}");
+            assert_eq!(captured.item_count(), 3, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_stop_on_the_first_firing_after_a_checkpoint_keeps_the_snapshot() {
+        // Under DE the cadence pauses the first segment on its second
+        // firing; the second segment's stop budget is one firing, so the
+        // stop lands on the first firing after the snapshot.
+        let dir = tmpdir("stop-after-pause");
         let de = |wf: Workflow| Engine::new(wf).with_director(crate::director::de::DeDirector::new());
         {
             let (wf, _c) = build();

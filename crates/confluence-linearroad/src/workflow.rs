@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use confluence_core::actor::{Actor, IoSignature};
 use confluence_core::actors::{Collector, FnActor, TimedSource, Timetable};
-use confluence_core::director::composite::{CompositeActor, InjectHandle, InnerDirector};
+use confluence_core::director::composite::{CompositeActor, InjectHandle};
 use confluence_core::error::{Error, Result};
 use confluence_core::graph::{Workflow, WorkflowBuilder};
 use confluence_core::spec::{parse, ActorRegistry, Params};
@@ -287,7 +287,6 @@ fn detection_composite(
     CompositeActor::new(
         IoSignature::transform("in", "out"),
         ib.build()?,
-        InnerDirector::Ddf,
         vec![entry],
         vec![exit],
     )

@@ -357,7 +357,7 @@ impl Dispatch<'_> {
             }
             TimeMode::Real { .. } => None,
         };
-        let fired = cx.fire(id, input, charge, None)?;
+        let fired = cx.fire(id, input, charge)?;
         Ok(fired.fired.then_some(fired.busy))
     }
 

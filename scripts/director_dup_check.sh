@@ -29,6 +29,10 @@
 #    says the network has drained: no `DrainWatch`, `QUIESCE_PATIENCE` or
 #    `QUIESCE_WATCHDOG` under crates/*/src, and director/firing.rs (the
 #    shared lifecycle) imports nothing from `std::time`;
+#  - a stamped batch is delivered at once or waits in a parked pool task:
+#    under crates/confluence-core/src/director/ and crates/confluence-sched/src/,
+#    `Stamped` is named in director/{mod,firing,pool}.rs only, and no firing
+#    order has a `fn drain(` to finish deferred deliveries before a pause;
 #  - under crates/confluence-core/src/director/ and
 #    crates/confluence-sched/src/, the stop bound and the checkpoint cadence
 #    are read, and a close cascade is opened, in director/firing.rs only
@@ -178,6 +182,22 @@ if [ -n "$lifecycle_clock" ]; then
     status=1
 fi
 
+stamped=$(matches '(^|[^A-Za-z_])Stamped([^A-Za-z_]|$)' $directors |
+    grep -v -e '^crates/confluence-core/src/director/mod.rs:' \
+        -e '^crates/confluence-core/src/director/firing.rs:' \
+        -e '^crates/confluence-core/src/director/pool.rs:' || true)
+if [ -n "$stamped" ]; then
+    echo "Stamped is named in director/{mod,firing,pool}.rs only (delivery is at once, or parked in a pool task):" >&2
+    printf '%s\n' "$stamped" >&2
+    status=1
+fi
+drain_steps=$(matches 'fn drain\(' $directors)
+if [ -n "$drain_steps" ]; then
+    echo "no firing order drains before a pause (a pause lands on the firing that meets the cadence):" >&2
+    printf '%s\n' "$drain_steps" >&2
+    status=1
+fi
+
 lifecycle=$(matches '\.stop([^(A-Za-z_]|$)|\.every\(\)|quiescing|RunPhase::Close' $directors |
     grep -v '^crates/confluence-core/src/director/firing.rs:' || true)
 if [ -n "$lifecycle" ]; then
@@ -191,5 +211,6 @@ once "the topological sort (indeg)" crates/confluence-core/src/director/firing.r
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
         "one statistics module and one writer, one builder vocabulary, no control observer or flag, one ready queue per actor," \
-        "one Linear Road topology, no clock in the pause, one run loop, one topological sort"
+        "one Linear Road topology, no clock in the pause, no deferred delivery outside a parked pool task, no drain before a pause," \
+        "one run loop, one topological sort"
 exit "$status"

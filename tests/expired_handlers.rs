@@ -14,6 +14,7 @@ use confluence::core::director::de::DeDirector;
 use confluence::core::director::pool::PoolDirector;
 use confluence::core::director::threaded::ThreadedDirector;
 use confluence::core::director::Director;
+use confluence::core::engine::Engine;
 use confluence::core::error::{Error, Result};
 use confluence::core::graph::{Workflow, WorkflowBuilder};
 use confluence::core::time::{Micros, Timestamp};
@@ -164,6 +165,24 @@ fn scwf_surfaces_a_refused_expired_hand_over() {
         .run(&mut wf)
         .unwrap_err();
     assert!(matches!(err, Error::ChannelFull { .. }), "{err}");
+}
+
+/// `Engine::run` reports the run's own counters, which count an
+/// expired-items hand-over as a delivery (a `StopCondition::EventsRouted`
+/// bound does too): its report equals the director's own on a fresh copy.
+#[test]
+fn the_engine_reports_what_the_director_counts() {
+    let scwf = || {
+        let cost = TableCostModel::uniform(Micros(10), Micros(1));
+        ScwfDirector::virtual_time(Box::new(FifoScheduler::new(5)), Box::new(cost))
+    };
+    let (mut wf, _out, audit) = build();
+    let direct = scwf().run(&mut wf).unwrap();
+    assert_eq!(audit.len(), 9, "every event expired into the audit sink");
+    let (wf, _out, _audit) = build();
+    let mut engine = Engine::new(wf).with_director(scwf());
+    assert_eq!(engine.run().unwrap(), direct);
+    assert_eq!(direct.events_routed, 21, "9 source events, 3 sums and 9 hand-overs");
 }
 
 #[test]
