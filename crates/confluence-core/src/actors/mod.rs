@@ -488,6 +488,12 @@ impl Collector {
             .collect()
     }
 
+    /// Remove everything collected so far and return its payload tokens,
+    /// in receipt order.
+    pub fn take_tokens(&self) -> Vec<Token> {
+        self.items.lock().drain(..).map(|c| c.event.token).collect()
+    }
+
     /// Number of collected events.
     pub fn len(&self) -> usize {
         self.items.lock().len()

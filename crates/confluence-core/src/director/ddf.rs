@@ -50,12 +50,24 @@ impl DdfDirector {
 }
 
 /// The DDF firing order: one step is one firing.
-struct Dataflow {
+pub(super) struct Dataflow {
     sweep: Sweep,
     sources: Vec<ActorId>,
     /// The source round under way, if any: where it stands in `sources`,
     /// and whether a source in it fired or finished.
     round: Option<(usize, bool)>,
+}
+
+impl Dataflow {
+    /// DDF's order over `workflow`, failing as a runaway past
+    /// [`MAX_FIRINGS`] window firings.
+    pub(super) fn new(workflow: &Workflow) -> Self {
+        Dataflow {
+            sweep: Sweep::new(workflow, Some(MAX_FIRINGS)),
+            sources: workflow.sources(),
+            round: None,
+        }
+    }
 }
 
 impl FiringOrder for Dataflow {
@@ -92,11 +104,7 @@ impl Director for DdfDirector {
             self.hook.clone(),
             self.clock.clone(),
         )?;
-        let mut order = Dataflow {
-            sweep: Sweep::new(workflow, Some(MAX_FIRINGS)),
-            sources: workflow.sources(),
-            round: None,
-        };
+        let mut order = Dataflow::new(workflow);
         run.drive(workflow, &mut contexts, &mut order, Span::Whole)?;
         Ok(run.report())
     }

@@ -55,16 +55,8 @@ pub struct Fired {
     pub fired: bool,
     /// Cost of the firing: the time rule's charge, or measured clock time.
     pub busy: Micros,
-    /// Events consumed from input windows.
-    pub events_in: u64,
     /// Tokens emitted.
     pub tokens_out: u64,
-    /// Origin of the wave that triggered the firing.
-    pub origin: Option<Timestamp>,
-    /// Director time when the attempt began.
-    pub started: Timestamp,
-    /// Director time when the firing and its routing completed.
-    pub ended: Timestamp,
     /// `postfire`'s verdict; `None` while delivery is deferred.
     pub alive: Option<bool>,
 }
@@ -531,16 +523,7 @@ impl Run {
         } else {
             None
         };
-        Ok(Fired {
-            fired,
-            busy,
-            events_in,
-            tokens_out,
-            origin,
-            started,
-            ended,
-            alive,
-        })
+        Ok(Fired { fired, busy, tokens_out, alive })
     }
 
     /// Hand every port's expired events to its handler activity.

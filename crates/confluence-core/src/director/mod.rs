@@ -626,6 +626,12 @@ impl Fabric {
         Ok(())
     }
 
+    /// Flush one actor's partial windows into its inbox without closing
+    /// its ports. Returns the number of windows formed.
+    pub fn flush_actor(&self, id: ActorId, now: Timestamp) -> usize {
+        self.receivers[id.0].iter().map(|r| r.flush(now)).sum()
+    }
+
     /// Evaluate window timeouts on every receiver at director time `now`.
     /// Returns the number of windows produced.
     pub fn poll_all(&self, now: Timestamp) -> usize {

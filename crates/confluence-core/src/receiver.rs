@@ -679,12 +679,18 @@ impl PortReceiver {
             return false;
         }
         drop(remaining);
+        self.flush(now);
+        self.inbox.close_port();
+        true
+    }
+
+    /// Force the port's partial windows out to the inbox without closing
+    /// it. Returns windows formed.
+    pub fn flush(&self, now: Timestamp) -> usize {
         let mut op = self.op.lock();
         let n = op.flush(now);
         self.forward(&mut op, n);
-        drop(op);
-        self.inbox.close_port();
-        true
+        n
     }
 }
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use confluence_core::actor::{Actor, IoSignature};
 use confluence_core::actors::{Collector, FnActor, TimedSource, Timetable};
-use confluence_core::director::composite::{CompositeActor, InjectHandle};
+use confluence_core::director::composite::{CompositeActor, Entry};
 use confluence_core::error::{Error, Result};
 use confluence_core::graph::{Workflow, WorkflowBuilder};
 use confluence_core::spec::{parse, ActorRegistry, Params};
@@ -260,18 +260,17 @@ fn once(actor: impl Actor + 'static) -> impl Fn(&Params) -> Result<Box<dyn Actor
 
 /// A detection sub-workflow (Figures 11 and 12): a composite whose inner
 /// graph re-chunks the `n` reports each outer `{n, 1}` firing injects
-/// into one consuming `n`-window and runs `evaluate` over it under a DDF
-/// director.
+/// into one consuming `n`-window and runs `evaluate` over it in DDF's
+/// firing order.
 fn detection_composite(
     name: &str,
     compare: &str,
     n: usize,
     evaluate: fn(&Window) -> Result<Option<Token>>,
 ) -> Result<CompositeActor> {
-    let entry = InjectHandle::new();
     let exit = Collector::new();
     let mut ib = WorkflowBuilder::new(name);
-    let src = ib.add_actor("entry", entry.source());
+    let src = ib.add_actor("entry", Entry);
     let cmp = ib.add_actor(
         compare,
         FnActor::new(IoSignature::transform("in", "out"), move |w, emit| {
@@ -287,7 +286,7 @@ fn detection_composite(
     CompositeActor::new(
         IoSignature::transform("in", "out"),
         ib.build()?,
-        vec![entry],
+        vec![src],
         vec![exit],
     )
 }

@@ -1,8 +1,9 @@
 //! What Linear Road holds at its peak, counted by a global allocator: the
 //! live state of a continuous workflow is mostly buffered events, so the
 //! bytes an event and a record field cost set the peak. The same allocator
-//! counts what building the workflow costs, which must not depend on how
-//! long the trace is: the source reads the reports in place.
+//! counts the allocations a report costs while draining, and what building
+//! the workflow costs, which must not depend on how long the trace is: the
+//! source reads the reports in place.
 //!
 //! One test function: the counters are process-wide, and a second test
 //! running beside it would be counted too.
@@ -86,8 +87,13 @@ fn linear_road_peaks_at_what_its_buffered_events_carry() {
         Box::new(TableCostModel::uniform(Micros(1), Micros(0))),
     );
     director.instrument(Telemetry::new(peak.clone()));
+    let allocs_before = ALLOCS.load(Relaxed);
     director.run(&mut lr.workflow).unwrap();
+    let allocs = (ALLOCS.load(Relaxed) - allocs_before) as f64 / workload.len() as f64;
     assert!(!lr.toll_output.items().is_empty(), "the drain computed tolls");
+    // 77.9 allocations a report with the detection composites; 98.3 while
+    // each composite firing opened, closed and wrapped up a whole inner run.
+    assert!(allocs < 80.0, "{allocs:.1} allocations a report while draining");
 
     // The peak falls at the minute-2 window close, when the per-car windows
     // hold two minutes of reports: 715 B a report with 16-byte tokens and

@@ -26,7 +26,7 @@ use confluence::core::time::{Micros, Timestamp};
 use confluence::core::token::Token;
 use confluence::linearroad::{self, LrOptions, TollNotification, Workload, WorkloadConfig};
 use confluence::sched::cost::TableCostModel;
-use confluence::sched::policies::QbsScheduler;
+use confluence::sched::policies::{FifoScheduler, QbsScheduler};
 use confluence::sched::ScwfDirector;
 
 /// Fails on the N-th firing.
@@ -507,6 +507,66 @@ fn linear_road_kill_and_recover_reconverges() {
             "{name}: recovered toll stream diverged from the uninterrupted run"
         );
     }
+}
+
+/// Every alert, as text, sorted.
+fn alert_texts(out: &linearroad::actors::NotificationOutput) -> Vec<String> {
+    let mut alerts: Vec<String> = out.items().iter().map(|i| format!("{:?}", i.token)).collect();
+    alerts.sort_unstable();
+    alerts
+}
+
+/// The same kill-and-recover with the detection tasks as composite
+/// sub-workflows, in virtual time: a composite opens its inner run at its
+/// first firing, so a recovered segment, which skips `initialize`, still
+/// has one. The trace confirms accidents, so alerts are compared too.
+#[test]
+fn linear_road_with_composites_kill_and_recover_reconverges() {
+    let w = Workload::generate(WorkloadConfig {
+        duration_secs: 240,
+        accident_every_secs: Some(30),
+        ..Default::default()
+    });
+    let build = || {
+        linearroad::build(&w, &LrOptions { composite_subworkflows: true, ..LrOptions::default() })
+            .unwrap()
+    };
+    let engine_for = |wf: Workflow| {
+        Engine::new(wf).with_director(ScwfDirector::virtual_time(
+            Box::new(FifoScheduler::new(5)),
+            Box::new(TableCostModel::uniform(Micros(20), Micros(2))),
+        ))
+    };
+    let lr = build();
+    let (toll_ref, alert_ref) = (lr.toll_output.clone(), lr.accident_output.clone());
+    let total_firings = engine_for(lr.workflow).run().unwrap().firings;
+    let (tolls, alerts) = (toll_tuples(&toll_ref), alert_texts(&alert_ref));
+    assert!(!alerts.is_empty(), "the trace alerts");
+
+    let dir = tmpdir("linearroad-composite");
+    {
+        let lr = build();
+        let store = lr.store.clone();
+        engine_for(lr.workflow)
+            .register_checkpoint_resource("relstore", Arc::new(store))
+            .configure(
+                ExecConfig::new().checkpoint_every(StopCondition::Firings(total_firings / 5), &dir),
+            )
+            .run_until(StopCondition::Firings(total_firings / 2))
+            .unwrap();
+    }
+    assert!(dir.join(checkpoint::SNAPSHOT_FILE).exists(), "the killed run wrote a snapshot");
+
+    let lr = build();
+    let (toll_rec, alert_rec) = (lr.toll_output.clone(), lr.accident_output.clone());
+    let store = lr.store.clone();
+    engine_for(lr.workflow)
+        .register_checkpoint_resource("relstore", Arc::new(store))
+        .configure(ExecConfig::new().recover_from(&dir))
+        .run()
+        .unwrap();
+    assert_eq!(toll_tuples(&toll_rec), tolls, "recovered tolls diverged");
+    assert_eq!(alert_texts(&alert_rec), alerts, "recovered alerts diverged");
 }
 
 // ---------------------------------------------------------------------------
