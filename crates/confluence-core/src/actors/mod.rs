@@ -750,7 +750,6 @@ mod tests {
         ctx.push_window(
             0,
             Window {
-                group: Token::Unit,
                 events: vec![
                     CwEvent::external(Token::Int(1), Timestamp(1)),
                     CwEvent::external(Token::Int(2), Timestamp(2)),

@@ -235,9 +235,10 @@ impl Encoder {
         self.wave(&e.wave);
     }
 
-    /// Write a formed [`Window`].
+    /// Write a formed [`Window`], after a `Token::Unit` where windows once
+    /// wrote their group key, which no reader needs.
     pub fn window(&mut self, w: &Window) {
-        self.token(&w.group);
+        self.token(&Token::Unit);
         self.seq(&w.events, Self::event);
         self.timestamp(w.formed_at);
         self.bool(w.timed_out);
@@ -462,10 +463,10 @@ impl<'a> Decoder<'a> {
         })
     }
 
-    /// Read a formed [`Window`].
+    /// Read a formed [`Window`], dropping the group key written before it.
     pub fn window(&mut self) -> Result<Window> {
+        self.token()?;
         Ok(Window {
-            group: self.token()?,
             events: self.seq(Self::event)?,
             formed_at: self.timestamp()?,
             timed_out: self.bool()?,
@@ -642,7 +643,6 @@ mod tests {
         assert_eq!(d.event().unwrap(), event);
 
         let window = Window {
-            group: Token::record().field("carid", 3).build(),
             events: vec![
                 CwEvent::external(Token::Int(1), Timestamp(10)),
                 CwEvent::derived(Token::Int(2), Timestamp(11), &root, 1, false),
@@ -656,6 +656,30 @@ mod tests {
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.window().unwrap(), window);
         assert!(d.is_exhausted());
+    }
+
+    #[test]
+    fn wave_encoding_is_the_one_older_snapshots_hold() {
+        // Bytes written before one-step paths were stored inline.
+        let pinned = [
+            "060504030201000000000000",
+            "0605040302010000010000000100000001",
+            "06050403020100000200000001000000010200000000",
+            "06050403020100000500000001000000010200000000030000000104000000000500000001",
+        ];
+        let mut tag = WaveTag::external(Timestamp(0x0102_0304_0506));
+        let mut pinned = pinned.iter();
+        for depth in 0..=5u32 {
+            if [0, 1, 2, 5].contains(&depth) {
+                let mut e = Encoder::new();
+                e.wave(&tag);
+                let bytes = e.into_bytes();
+                let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+                assert_eq!(&hex, pinned.next().unwrap(), "depth {depth}");
+                assert_eq!(Decoder::new(&bytes).wave().unwrap(), tag);
+            }
+            tag = tag.child(depth + 1, depth % 2 == 0);
+        }
     }
 
     #[test]

@@ -749,7 +749,6 @@ mod tests {
 
     fn sample_checkpoint() -> Checkpoint {
         let window = Window {
-            group: Token::Unit,
             events: vec![CwEvent::external(Token::record().field("car", 7).build(), Timestamp(3))],
             formed_at: Timestamp(3),
             timed_out: false,

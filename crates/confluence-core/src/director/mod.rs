@@ -981,7 +981,6 @@ mod tests {
         ctx.deliver(
             1,
             Window {
-                group: Token::Unit,
                 events: vec![ev],
                 formed_at: Timestamp(3),
                 timed_out: false,

@@ -769,7 +769,6 @@ mod tests {
         inbox.push(
             0,
             Window {
-                group: Token::Unit,
                 events: vec![ev(1, 0)],
                 formed_at: Timestamp(0),
                 timed_out: false,
@@ -838,7 +837,7 @@ mod tests {
         for ts in [30, 10, 20] {
             r.put(ev(0, ts), Timestamp(ts)).unwrap();
         }
-        inbox.push(0, Window { group: Token::Unit, events: vec![], formed_at: Timestamp(40), timed_out: true });
+        inbox.push(0, Window { events: vec![], formed_at: Timestamp(40), timed_out: true });
         let mut seen = Vec::new();
         assert_eq!(inbox.origins_past(1, |o| seen.push(o)), 4);
         assert_eq!(seen, [Timestamp(10), Timestamp(20), Timestamp::ZERO], "an empty window reads as zero");

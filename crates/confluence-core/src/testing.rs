@@ -58,7 +58,6 @@ impl MockContext {
         self.push_window(
             port,
             Window {
-                group: Token::Unit,
                 events: vec![event],
                 formed_at: ts,
                 timed_out: false,

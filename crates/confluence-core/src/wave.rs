@@ -11,6 +11,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::time::Timestamp;
 
@@ -27,13 +28,22 @@ pub struct WaveStep {
 /// A hierarchical wave-tag, e.g. `t_i.3.1`.
 ///
 /// `origin` is the timestamp of the external event that initiated the wave;
-/// `path` holds the per-level serial numbers, in an exact-size box so a tag
-/// is 24 bytes. An external event's own tag has an empty path, which
-/// allocates nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// `path` holds the per-level serial numbers: inline for one step (most
+/// derived events are one firing from their origin), otherwise in an
+/// exact-size box, empty and unallocated for an external event's own tag.
+/// A tag is 24 bytes.
+#[derive(Debug, Clone)]
 pub struct WaveTag {
     origin: Timestamp,
-    path: Box<[WaveStep]>,
+    path: Path,
+}
+
+/// A tag's steps: one inline, or any other number in an exact-size box.
+/// The box's non-null pointer is the niche that tells the two apart.
+#[derive(Debug, Clone)]
+enum Path {
+    One(WaveStep),
+    Boxed(Box<[WaveStep]>),
 }
 
 const _: () = assert!(std::mem::size_of::<WaveTag>() == 24);
@@ -43,7 +53,7 @@ impl WaveTag {
     pub fn external(origin: Timestamp) -> Self {
         WaveTag {
             origin,
-            path: Box::default(),
+            path: Path::Boxed(Box::default()),
         }
     }
 
@@ -54,22 +64,26 @@ impl WaveTag {
 
     /// Nesting depth: 0 for the external event itself.
     pub fn depth(&self) -> usize {
-        self.path.len()
+        self.path().len()
     }
 
     /// The per-level steps.
     pub fn path(&self) -> &[WaveStep] {
-        &self.path
+        match &self.path {
+            Path::One(step) => std::slice::from_ref(step),
+            Path::Boxed(steps) => steps,
+        }
     }
 
     /// Tag of the `index`-th (1-based) event produced while processing the
     /// event carrying `self`; `last` marks the final event of that firing.
     pub fn child(&self, index: u32, last: bool) -> WaveTag {
         debug_assert!(index >= 1, "wave serial numbers are 1-based");
-        WaveTag {
-            origin: self.origin,
-            path: [&self.path[..], &[WaveStep { index, last }]].concat().into_boxed_slice(),
-        }
+        let path = match self.path() {
+            [] => Path::One(WaveStep { index, last }),
+            path => Path::Boxed([path, &[WaveStep { index, last }]].concat().into()),
+        };
+        WaveTag { origin: self.origin, path }
     }
 
     /// Whether two tags belong to the same wave (same initiating event).
@@ -79,24 +93,20 @@ impl WaveTag {
 
     /// Whether `self` is a strict ancestor of `other` in the wave hierarchy.
     pub fn is_ancestor_of(&self, other: &WaveTag) -> bool {
+        let (path, other_path) = (self.path(), other.path());
         self.origin == other.origin
-            && self.path.len() < other.path.len()
-            && other.path[..self.path.len()]
-                .iter()
-                .zip(&self.path)
-                .all(|(a, b)| a.index == b.index)
+            && path.len() < other_path.len()
+            && other_path[..path.len()].iter().zip(path).all(|(a, b)| a.index == b.index)
     }
 
     /// Tag of the event whose processing produced this one: the path with
     /// its final step removed. `None` for external events (depth 0).
     pub fn parent(&self) -> Option<WaveTag> {
-        if self.path.is_empty() {
-            return None;
-        }
-        Some(WaveTag {
-            origin: self.origin,
-            path: self.path[..self.path.len() - 1].into(),
-        })
+        let path = match self.path().split_last()?.1 {
+            [one] => Path::One(*one),
+            steps => Path::Boxed(steps.into()),
+        };
+        Some(WaveTag { origin: self.origin, path })
     }
 
     /// Parse the [`Display`](fmt::Display) rendering back into a tag:
@@ -110,8 +120,7 @@ impl WaveTag {
         if origin_str.is_empty() || !origin_str.bytes().all(|b| b.is_ascii_digit()) {
             return None;
         }
-        let origin = Timestamp(origin_str.parse().ok()?);
-        let mut path = Vec::new();
+        let mut tag = WaveTag::external(Timestamp(origin_str.parse().ok()?));
         for part in parts {
             let (num, last) = match part.strip_suffix('!') {
                 Some(n) => (n, true),
@@ -124,9 +133,9 @@ impl WaveTag {
             if index == 0 {
                 return None; // serial numbers are 1-based
             }
-            path.push(WaveStep { index, last });
+            tag = tag.child(index, last);
         }
-        Some(WaveTag { origin, path: path.into_boxed_slice() })
+        Some(tag)
     }
 }
 
@@ -135,6 +144,22 @@ impl std::str::FromStr for WaveTag {
 
     fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
         WaveTag::parse(s).ok_or_else(|| format!("malformed wave-tag {s:?}"))
+    }
+}
+
+/// Tags are equal (and hash alike) when their origins and paths are,
+/// however each path is stored.
+impl PartialEq for WaveTag {
+    fn eq(&self, other: &Self) -> bool {
+        (self.origin, self.path()) == (other.origin, other.path())
+    }
+}
+
+impl Eq for WaveTag {}
+
+impl Hash for WaveTag {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.origin, self.path()).hash(state);
     }
 }
 
@@ -149,13 +174,13 @@ impl Ord for WaveTag {
     /// the order in which a serial execution would have produced the events.
     fn cmp(&self, other: &Self) -> Ordering {
         self.origin.cmp(&other.origin).then_with(|| {
-            for (a, b) in self.path.iter().zip(&other.path) {
+            for (a, b) in self.path().iter().zip(other.path()) {
                 match a.index.cmp(&b.index) {
                     Ordering::Equal => continue,
                     non_eq => return non_eq,
                 }
             }
-            self.path.len().cmp(&other.path.len())
+            self.depth().cmp(&other.depth())
         })
     }
 }
@@ -163,7 +188,7 @@ impl Ord for WaveTag {
 impl fmt::Display for WaveTag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}", self.origin.as_micros())?;
-        for step in &self.path {
+        for step in self.path() {
             write!(f, ".{}", step.index)?;
             if step.last {
                 write!(f, "!")?;
@@ -318,6 +343,7 @@ mod tests {
             ext(1).child(3, false).child(1, true),
             ext(10).child(2, true),
             ext(7).child(1, true).child(4, false).child(2, true),
+            ext(8).child(1, true).child(2, false).child(3, true).child(4, false).child(5, true),
         ];
         for tag in &tags {
             let s = tag.to_string();
@@ -343,7 +369,31 @@ mod tests {
         assert_eq!(t.parent(), None);
         let c = t.child(2, false).child(1, true);
         assert_eq!(c.parent(), Some(t.child(2, false)));
+        assert!(matches!(c.parent().unwrap().path, Path::One(_)), "a one-step parent is inline");
         assert_eq!(c.parent().unwrap().parent(), Some(t.clone()));
+    }
+
+    #[test]
+    fn inline_and_boxed_paths_are_one_value() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |t: &WaveTag| {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        };
+        let step = WaveStep { index: 3, last: true };
+        let inline = ext(9).child(3, true);
+        assert!(matches!(inline.path, Path::One(_)));
+        let boxed = WaveTag { origin: Timestamp(9), path: Path::Boxed(Box::new([step])) };
+        assert_eq!(inline, boxed);
+        assert_eq!(hash(&inline), hash(&boxed));
+        assert_eq!(inline.cmp(&boxed), Ordering::Equal);
+        for other in [ext(9), ext(9).child(2, false), ext(9).child(3, true).child(1, true), ext(10)] {
+            assert_eq!(inline.cmp(&other), boxed.cmp(&other), "against {other}");
+            assert_eq!(other.cmp(&inline), other.cmp(&boxed), "against {other}");
+        }
+        assert_eq!(boxed.path(), [step]);
+        assert_eq!(boxed.to_string(), inline.to_string());
     }
 
     #[test]

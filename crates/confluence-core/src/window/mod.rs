@@ -105,7 +105,23 @@ impl GroupBy {
     /// `GroupBy::Fields` are an error (the Linear Road workflow always
     /// groups records).
     pub fn key_of(&self, token: &Token) -> Result<Token> {
-        Ok(self.probe(token, &mut None)?.into_token())
+        let schema = match self {
+            GroupBy::None => return Ok(Token::Unit),
+            GroupBy::Key(f) => return Ok(f(token)),
+            GroupBy::Fields(schema) => schema,
+        };
+        let rec = token.as_record()?;
+        let field = |name: &Arc<str>| rec.get(name).cloned().ok_or_else(|| Error::MissingField(name.to_string()));
+        Ok(schema.record(schema.names().iter().map(field).collect::<Result<Vec<_>>>()?))
+    }
+
+    /// A probe for the key of a group that holds `held` (under
+    /// `GroupBy::Fields` a record with the key fields, else the key).
+    pub(crate) fn probe_held<'a>(&'a self, held: &'a Token, positions: &'a mut KeyPositions) -> Result<KeyProbe<'a>> {
+        match self {
+            GroupBy::Fields(_) => self.probe(held, positions),
+            _ => Ok(KeyProbe::Built(held.clone())),
+        }
     }
 
     /// [`GroupBy::key_of`] for a stream, stopping short of building the
@@ -133,8 +149,8 @@ impl GroupBy {
 
 /// An event's group key as a group directory looks it up: built already
 /// (`GroupBy::None`, `GroupBy::Key`) or, under `GroupBy::Fields`, still
-/// sitting in the input record — it becomes a token only when a group is
-/// created for it.
+/// sitting in the input record — a group keeps a record that holds its key
+/// fields, never a key record of its own while it buffers events.
 pub(crate) enum KeyProbe<'a> {
     Built(Token),
     Fields {
@@ -157,24 +173,20 @@ impl KeyProbe<'_> {
         hasher.finish()
     }
 
-    /// Whether `held` equals the key token this probe stands for.
+    /// Whether `held`, a group's key token, has this probe's key; under
+    /// `GroupBy::Fields` (an input or a key record) compared field by field
+    /// where they sit: by position when it has the probe's shape, by name.
     pub(crate) fn matches(&self, held: &Token) -> bool {
         match (self, held) {
             (KeyProbe::Built(key), _) => key == held,
+            (KeyProbe::Fields { rec, at, .. }, Token::Record(held)) if Arc::ptr_eq(held.schema(), rec.schema()) => {
+                Self::fields(rec, at).eq(Self::fields(held, at))
+            }
             (KeyProbe::Fields { schema, rec, at }, Token::Record(held)) => {
-                (Arc::ptr_eq(held.schema(), schema) || held.schema().names() == schema.names())
-                    && Self::fields(rec, at).eq(held.iter().map(|(_, v)| v))
+                let held_fields = schema.names().iter().map(|name| held.get(name));
+                Self::fields(rec, at).map(Some).eq(held_fields)
             }
             _ => false,
-        }
-    }
-
-    pub(crate) fn into_token(self) -> Token {
-        match self {
-            KeyProbe::Built(key) => key,
-            KeyProbe::Fields { schema, rec, at } => {
-                schema.record(Self::fields(rec, at).cloned().collect::<Vec<_>>())
-            }
         }
     }
 
@@ -317,10 +329,10 @@ impl WindowSpec {
 
 /// A produced window: the logical bundle of events handed to an actor's
 /// `fire()`.
+/// Its group key is its port's clause applied to its first event
+/// ([`GroupBy::key_of`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Window {
-    /// Group key this window was formed under (`Token::Unit` when ungrouped).
-    pub group: Token,
     /// The events, in arrival order.
     pub events: Vec<CwEvent>,
     /// Director time at which the window was produced.
@@ -443,7 +455,6 @@ mod spec_tests {
     fn window_accessors() {
         use crate::event::CwEvent;
         let w = Window {
-            group: Token::Unit,
             events: vec![
                 CwEvent::external(Token::Int(1), Timestamp(10)),
                 CwEvent::external(Token::Int(2), Timestamp(5)),
@@ -458,7 +469,6 @@ mod spec_tests {
         assert_eq!(w.trigger_wave().unwrap().origin(), Timestamp(5));
         assert_eq!(w.earliest_origin(), Some(Timestamp(5)));
         let empty = Window {
-            group: Token::Unit,
             events: vec![],
             formed_at: Timestamp(0),
             timed_out: true,

@@ -94,7 +94,6 @@ impl Model {
     fn emit(&mut self, at: usize, positions: &[usize], now: Timestamp, timed_out: bool) {
         let group = &self.groups[at];
         self.windows.push(Window {
-            group: group.key.clone(),
             events: positions.iter().map(|&i| group.history[i].0.clone()).collect(),
             formed_at: now,
             timed_out,
@@ -377,7 +376,7 @@ fn produced(op: &mut WindowOperator) -> (Vec<Window>, Vec<CwEvent>) {
 /// original polls groups due together in the order they came by the
 /// deadline.
 fn by_group(spec: &WindowSpec, (mut windows, mut expired): (Vec<Window>, Vec<CwEvent>)) -> (Vec<Window>, Vec<CwEvent>) {
-    windows.sort_by(|a, b| a.group.cmp(&b.group));
+    windows.sort_by_cached_key(|w| spec.group_by.key_of(&w.events[0].token).unwrap());
     expired.sort_by_key(|e| spec.group_by.key_of(&e.token).unwrap());
     (windows, expired)
 }
@@ -420,6 +419,7 @@ proptest! {
         };
         let mut op = fresh();
         let mut model = Model::new(spec.clone(), ordered);
+        let shapes = (Schema::new(&["g", "id"]), Schema::new(&["id", "g"]));
         let mut twin: Option<WindowOperator> = None;
         let (mut clock, mut wave, mut in_wave) = (0u64, 0u64, std::collections::BTreeMap::new());
         for (i, (poll, group, gap, lag, ahead)) in steps.into_iter().enumerate() {
@@ -441,7 +441,13 @@ proptest! {
                 }
             } else {
                 let ts = Timestamp(if ordered { clock } else { clock.saturating_sub(lag) });
-                let token = Token::record().field("g", group).field("id", i as i64).build();
+                // Records of two shared shapes, one with its fields
+                // reversed, and of shapes of their own: one key, one group.
+                let token = match i % 3 {
+                    0 => shapes.0.record([Token::Int(group), Token::Int(i as i64)]),
+                    1 => shapes.1.record([Token::Int(i as i64), Token::Int(group)]),
+                    _ => Token::record().field("g", group).field("id", i as i64).build(),
+                };
                 let event = if kind == 2 {
                     // Waves of a few events each, the last two open at a
                     // time, last-marks at random.

@@ -9,10 +9,11 @@
 //! What the operator holds follows what its windows currently cover: the
 //! expired-items queue exists only where something drains it, a group with
 //! no state left is removed ([`WindowOperator::retire_at`]), a group's
-//! buffer is as long as its contents while those are few, and the group
-//! directory ([`Groups`]) keeps positions, not keys.
+//! buffer is as long as its contents while those are few, and neither a
+//! group nor a window keeps a key of its own ([`WindowOperator::rekey`]).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::event::CwEvent;
@@ -67,8 +68,8 @@ const NO_DEADLINE: u64 = u64::MAX;
 
 #[derive(Debug)]
 struct Group {
-    /// The one copy of the group's key: the directory, the deadline index
-    /// and the retiring list refer to the group by id.
+    /// What the group's key is read from ([`WindowOperator::rekey`]); the
+    /// directory, the deadline index and the retiring list use the id.
     key: Token,
     born: u64,
     /// The poll time (µs) this group is filed under in the deadline index,
@@ -168,9 +169,9 @@ impl Groups {
         id
     }
 
-    fn remove(&mut self, id: u32) {
-        if let Some(group) = self.chunks[id as usize / CHUNK][id as usize % CHUNK].take() {
-            self.dir.remove(KeyProbe::Built(group.key).hash(), id);
+    fn remove(&mut self, id: u32, hash: u64) {
+        if self.chunks[id as usize / CHUNK][id as usize % CHUNK].take().is_some() {
+            self.dir.remove(hash, id);
             self.free.push(id);
         }
     }
@@ -261,8 +262,8 @@ impl WindowOperator {
                 Some(id) => id,
                 None => {
                     self.born += 1;
-                    let group = Group::new(probe.into_token(), self.born, self.kind);
-                    self.groups.insert(hash, group)
+                    let key = if let KeyProbe::Built(key) = probe { key } else { event.token.clone() };
+                    self.groups.insert(hash, Group::new(key, self.born, self.kind))
                 }
             }
         };
@@ -274,7 +275,7 @@ impl WindowOperator {
             expired: self.expired.as_mut(),
             pending_delta: 0,
         };
-        let Group { key, state, .. } = self.groups.get_mut(id).expect("found or created above");
+        let state = &mut self.groups.get_mut(id).expect("found or created above").state;
         let was_empty = matches!(state, GroupState::Time(g) if g.events.is_empty());
         match (state, kind) {
             // In the gap windows with `step > size` leave between them: no
@@ -287,12 +288,10 @@ impl WindowOperator {
             (GroupState::Tuples(g), Kind::Tuples { size, step }) => {
                 fit_one(&mut g.events);
                 g.events.push_back(event);
-                g.try_emit(key, size, step, delete_used, now, &mut out);
+                g.try_emit(size, step, delete_used, now, &mut out);
             }
-            (GroupState::Time(g), Kind::Time { size, step }) => {
-                g.push(event, key, size, step, delete_used, now, &mut out);
-            }
-            (GroupState::Wave(g), Kind::Wave) => g.push(event, key, now, &mut out),
+            (GroupState::Time(g), Kind::Time { size, step }) => g.push(event, size, step, delete_used, now, &mut out),
+            (GroupState::Wave(g), Kind::Wave) => g.push(event, now, &mut out),
             _ => unreachable!("group state kind matches operator kind"),
         }
         self.pending = (self.pending as i64 + 1 + out.pending_delta) as usize;
@@ -305,7 +304,7 @@ impl WindowOperator {
         let kind = self.kind;
         let delete_used = self.spec.delete_used_events;
         let timeout = self.spec.timeout;
-        let Some(Group { key, state, .. }) = self.groups.get_mut(id) else {
+        let Some(Group { state, .. }) = self.groups.get_mut(id) else {
             return;
         };
         let mut out = Emitted {
@@ -315,12 +314,12 @@ impl WindowOperator {
         };
         match (state, kind) {
             (GroupState::Tuples(g), Kind::Tuples { size, step }) => {
-                g.poll(key, size, step, delete_used, timeout, now, &mut out);
+                g.poll(size, step, delete_used, timeout, now, &mut out);
             }
             (GroupState::Time(g), Kind::Time { size, step }) => {
-                g.advance_watermark(key, now.as_micros(), size, step, delete_used, now, &mut out);
+                g.advance_watermark(now.as_micros(), size, step, delete_used, now, &mut out);
             }
-            (GroupState::Wave(g), Kind::Wave) => g.poll(key, timeout, now, &mut out),
+            (GroupState::Wave(g), Kind::Wave) => g.poll(timeout, now, &mut out),
             _ => unreachable!(),
         }
         self.pending = (self.pending as i64 + out.pending_delta) as usize;
@@ -381,10 +380,37 @@ impl WindowOperator {
             self.groups.get_mut(id).expect("looked up above").deadline = new;
         }
         match retire_at {
-            Some(at) if at <= self.high => self.groups.remove(id),
+            Some(at) if at <= self.high => self.remove(id),
             Some(at) if !was_empty => self.retiring.entry(at).or_default().push(id),
-            _ => {}
+            Some(_) => {}
+            None => self.rekey(id),
         }
+    }
+
+    /// Under `GroupBy::Fields` a group holds its newest buffered event's
+    /// token for its key or, kept with none buffered (a time group on a port
+    /// of several upstream channels, a tuple group in a `step > size` gap),
+    /// a key record, so as to pin no event. Other groups hold their key.
+    fn rekey(&mut self, id: u32) {
+        let GroupBy::Fields(schema) = &self.spec.group_by else { return };
+        let group = self.groups.get_mut(id).expect("settled group lives");
+        let newest = match &group.state {
+            GroupState::Tuples(TupleGroup { events, .. }) | GroupState::Time(TimeGroup { events, .. }) => events.back(),
+            GroupState::Wave(g) => g.waves.values().next_back().and_then(|(_, events)| events.last()),
+        };
+        group.key = match newest {
+            Some(event) => event.token.clone(),
+            None if matches!(&group.key, Token::Record(key) if Arc::ptr_eq(key.schema(), schema)) => return,
+            None => self.spec.group_by.key_of(&group.key).expect("a held event has the key fields"),
+        };
+    }
+
+    /// Remove a group, its key's hash read off the token it holds.
+    fn remove(&mut self, id: u32) {
+        let Some(group) = self.groups.get(id) else { return };
+        let probe = self.spec.group_by.probe_held(&group.key, &mut self.key_positions);
+        let hash = probe.expect("a held key probes as the event it came from").hash();
+        self.groups.remove(id, hash);
     }
 
     /// The `high` from which a group that holds nothing but its key can be
@@ -426,7 +452,7 @@ impl WindowOperator {
             for id in entry.remove() {
                 let due = self.groups.get(id).and_then(|g| self.retire_at(g));
                 if due.is_some_and(|at| at <= self.high) {
-                    self.groups.remove(id);
+                    self.remove(id);
                 }
             }
         }
@@ -471,6 +497,10 @@ impl WindowOperator {
     /// timed-out). Groups are walked oldest first. Returns how many windows
     /// were produced.
     pub fn flush(&mut self, now: Timestamp) -> usize {
+        if self.pending == 0 {
+            debug_assert!(self.deadline_index.is_empty(), "a deadline is an event's");
+            return 0;
+        }
         let produced_before = self.ready.len();
         let kind = self.kind;
         let delete_used = self.spec.delete_used_events;
@@ -482,13 +512,12 @@ impl WindowOperator {
         for id in self.groups.ids_by_birth() {
             let group = self.groups.get_mut(id).expect("id of a live group");
             group.deadline = NO_DEADLINE;
-            let Group { key, state, .. } = group;
-            match (state, kind) {
+            match (&mut group.state, kind) {
                 // Each emptied buffer is handed back as the flush goes, so
                 // closing a port with many groups does not hold every
                 // group's buffer beside the windows it emits.
                 (GroupState::Tuples(g), Kind::Tuples { .. }) => {
-                    g.emit_rest(key, now, &mut out);
+                    g.emit_rest(now, &mut out);
                     if g.events.is_empty() {
                         g.events = VecDeque::new();
                     }
@@ -499,7 +528,7 @@ impl WindowOperator {
                         // buffered event.
                         let k_hi = last.timestamp.as_micros() / step;
                         let end = k_hi * step + size;
-                        g.advance_watermark(key, end, size, step, delete_used, now, &mut out);
+                        g.advance_watermark(end, size, step, delete_used, now, &mut out);
                         // Whatever remains buffered can never be emitted
                         // again (stream is over): expire it.
                         for ev in g.events.drain(..) {
@@ -511,7 +540,7 @@ impl WindowOperator {
                 (GroupState::Wave(g), Kind::Wave) => {
                     for (_, (_, events)) in std::mem::take(&mut g.waves) {
                         out.pending_delta -= events.len() as i64;
-                        out.emit(key, events, now, true);
+                        out.emit(events, now, true);
                     }
                 }
                 _ => unreachable!(),
@@ -563,7 +592,10 @@ impl WindowOperator {
             .into_iter()
             .map(|id| {
                 let group = self.groups.get(id).expect("id of a live group");
-                let key = group.key.clone();
+                let key = match self.spec.group_by {
+                    GroupBy::Fields(_) => self.spec.group_by.key_of(&group.key).expect("a held key has its fields"),
+                    _ => group.key.clone(),
+                };
                 match &group.state {
                     GroupState::Tuples(g) => GroupSnapshot::Tuples {
                         key,
@@ -690,14 +722,14 @@ impl WindowOperator {
                     ))
                 }
             };
-            let probe = KeyProbe::Built(key);
+            let probe = self.spec.group_by.probe_held(&key, &mut self.key_positions)?;
             let hash = probe.hash();
             if self.groups.find(&probe, hash).is_some() {
                 return Err(Error::Checkpoint("duplicate group key in snapshot".into()));
             }
             self.born += 1;
             let group = Group {
-                key: probe.into_token(),
+                key,
                 born: self.born,
                 deadline: NO_DEADLINE,
                 state,
@@ -776,9 +808,8 @@ struct Emitted<'a> {
 }
 
 impl Emitted<'_> {
-    fn emit(&mut self, group: &Token, events: Vec<CwEvent>, now: Timestamp, timed_out: bool) {
+    fn emit(&mut self, events: Vec<CwEvent>, now: Timestamp, timed_out: bool) {
         self.ready.push_back(Window {
-            group: group.clone(),
             events,
             formed_at: now,
             timed_out,
@@ -807,19 +838,11 @@ fn fit_one(events: &mut VecDeque<CwEvent>) {
 
 impl TupleGroup {
     /// Emit every full window currently formable.
-    fn try_emit(
-        &mut self,
-        key: &Token,
-        size: usize,
-        step: usize,
-        delete_used: bool,
-        now: Timestamp,
-        out: &mut Emitted<'_>,
-    ) {
+    fn try_emit(&mut self, size: usize, step: usize, delete_used: bool, now: Timestamp, out: &mut Emitted<'_>) {
         let hop = if delete_used { step.max(size) } else { step };
         // The next window covers sequences [next_start, next_start + size).
         while self.front_seq + self.events.len() as u64 >= self.next_start + size as u64 {
-            self.emit(key, size, hop, false, now, out);
+            self.emit(size, hop, false, now, out);
         }
     }
 
@@ -827,15 +850,7 @@ impl TupleGroup {
     /// advance the start by `hop`. Events that fall below the new start
     /// leave the buffer: they are moved into the window, the ones the next
     /// window will see again are copied.
-    fn emit(
-        &mut self,
-        key: &Token,
-        size: usize,
-        hop: usize,
-        timed_out: bool,
-        now: Timestamp,
-        out: &mut Emitted<'_>,
-    ) {
+    fn emit(&mut self, size: usize, hop: usize, timed_out: bool, now: Timestamp, out: &mut Emitted<'_>) {
         let from = (self.next_start.saturating_sub(self.front_seq)) as usize;
         self.next_start += hop as u64;
         let leaving = (self.next_start.saturating_sub(self.front_seq) as usize).min(self.events.len());
@@ -849,22 +864,21 @@ impl TupleGroup {
         let staying = self.events.iter().skip(from.saturating_sub(leaving));
         events.extend(staying.take(size - events.len()).cloned());
         self.front_seq += leaving as u64;
-        out.emit(key, events, now, timed_out);
+        out.emit(events, now, timed_out);
     }
 
     /// Emit everything from `next_start` on as one short window, so that
     /// it is not emitted again.
-    fn emit_rest(&mut self, key: &Token, now: Timestamp, out: &mut Emitted<'_>) {
+    fn emit_rest(&mut self, now: Timestamp, out: &mut Emitted<'_>) {
         let from = (self.next_start.saturating_sub(self.front_seq)) as usize;
         if let Some(count) = self.events.len().checked_sub(from).filter(|c| *c > 0) {
-            self.emit(key, count, count, true, now, out);
+            self.emit(count, count, true, now, out);
         }
     }
 
     #[allow(clippy::too_many_arguments)]
     fn poll(
         &mut self,
-        key: &Token,
         size: usize,
         step: usize,
         delete_used: bool,
@@ -884,26 +898,16 @@ impl TupleGroup {
             }
             if self.events.len() - from >= size {
                 // A full window is formable; emit it normally.
-                self.try_emit(key, size, step, delete_used, now, out);
+                self.try_emit(size, step, delete_used, now, out);
             } else {
-                self.emit_rest(key, now, out);
+                self.emit_rest(now, out);
             }
         }
     }
 }
 
 impl TimeGroup {
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        event: CwEvent,
-        key: &Token,
-        size: u64,
-        step: u64,
-        delete_used: bool,
-        now: Timestamp,
-        out: &mut Emitted<'_>,
-    ) {
+    fn push(&mut self, event: CwEvent, size: u64, step: u64, delete_used: bool, now: Timestamp, out: &mut Emitted<'_>) {
         let ts = event.timestamp.as_micros();
         if ts < self.next_k * step {
             // Late event: every window it could join has already closed.
@@ -922,13 +926,12 @@ impl TimeGroup {
             .unwrap_or(0);
         fit_one(&mut self.events);
         self.events.insert(pos, event);
-        self.advance_watermark(key, ts, size, step, delete_used, now, out);
+        self.advance_watermark(ts, size, step, delete_used, now, out);
     }
 
     #[allow(clippy::too_many_arguments)]
     fn advance_watermark(
         &mut self,
-        key: &Token,
         watermark: u64,
         size: u64,
         step: u64,
@@ -986,14 +989,14 @@ impl TimeGroup {
             let staying = self.events.iter().take_while(|e| e.timestamp.as_micros() < hi);
             events.extend(staying.cloned());
             if !events.is_empty() {
-                out.emit(key, events, now, false);
+                out.emit(events, now, false);
             }
         }
     }
 }
 
 impl WaveGroup {
-    fn push(&mut self, event: CwEvent, key: &Token, now: Timestamp, out: &mut Emitted<'_>) {
+    fn push(&mut self, event: CwEvent, now: Timestamp, out: &mut Emitted<'_>) {
         let origin = event.wave.origin();
         let entry = self
             .waves
@@ -1004,11 +1007,11 @@ impl WaveGroup {
         if entry.0.is_complete() {
             let (_, events) = self.waves.remove(&origin).expect("entry exists");
             out.pending_delta -= events.len() as i64;
-            out.emit(key, events, now, false);
+            out.emit(events, now, false);
         }
     }
 
-    fn poll(&mut self, key: &Token, timeout: Option<Micros>, now: Timestamp, out: &mut Emitted<'_>) {
+    fn poll(&mut self, timeout: Option<Micros>, now: Timestamp, out: &mut Emitted<'_>) {
         let Some(timeout) = timeout else { return };
         let stale: Vec<Timestamp> = self
             .waves
@@ -1023,7 +1026,7 @@ impl WaveGroup {
         for origin in stale {
             let (_, events) = self.waves.remove(&origin).expect("collected above");
             out.pending_delta -= events.len() as i64;
-            out.emit(key, events, now, true);
+            out.emit(events, now, true);
         }
     }
 }
@@ -1031,6 +1034,7 @@ impl WaveGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::Schema;
     use crate::window::{GroupBy, WindowSpec};
 
     fn ev(val: i64, ts: u64) -> CwEvent {
@@ -1101,14 +1105,14 @@ mod tests {
         assert!(op.pop_window().is_none(), "one event per car: no window");
         op.push(rec_ev(1, 11, 2), Timestamp(2)).unwrap();
         let w = op.pop_window().expect("car 1 has two reports");
-        assert_eq!(w.group, Token::record().field("carid", 1).build());
+        assert_eq!(op.spec().group_by.key_of(&w.events[0].token).unwrap(), Token::record().field("carid", 1).build());
         assert_eq!(
             w.tokens().map(|t| t.int_field("v").unwrap()).collect::<Vec<_>>(),
             vec![10, 11]
         );
         op.push(rec_ev(2, 21, 3), Timestamp(3)).unwrap();
         let w = op.pop_window().expect("car 2 has two reports");
-        assert_eq!(w.group, Token::record().field("carid", 2).build());
+        assert_eq!(op.spec().group_by.key_of(&w.events[0].token).unwrap(), Token::record().field("carid", 2).build());
     }
 
     #[test]
@@ -1409,8 +1413,12 @@ mod tests {
         (windows, op.drain_expired())
     }
 
+    fn car_of(w: &Window) -> i64 {
+        w.events[0].token.int_field("carid").unwrap()
+    }
+
     fn sorted(mut windows: Vec<Window>) -> Vec<Window> {
-        windows.sort_by(|a, b| (&a.group, a.earliest_origin()).cmp(&(&b.group, b.earliest_origin())));
+        windows.sort_by_key(|w| (car_of(w), w.earliest_origin()));
         windows
     }
 
@@ -1498,16 +1506,15 @@ mod tests {
             // Everything the per-key references have produced, key by key.
             let reference = |keeping: &mut Vec<WindowOperator>| {
                 let (mut windows, mut expired) = (Vec::new(), Vec::new());
-                for (group, op) in keeping.iter_mut().enumerate() {
-                    let key = Token::record().field("carid", group as i64).build();
+                for op in keeping.iter_mut() {
                     let (w, e) = produced(op);
-                    windows.extend(w.into_iter().map(|w| Window { group: key.clone(), ..w }));
+                    windows.extend(w);
                     expired.extend(e);
                 }
                 (windows, expired)
             };
             let by_key = |(mut windows, mut expired): (Vec<Window>, Vec<CwEvent>)| {
-                windows.sort_by(|a, b| a.group.cmp(&b.group));
+                windows.sort_by_key(car_of);
                 expired.sort_by_key(|e| e.token.int_field("carid").unwrap());
                 (windows, expired)
             };
@@ -1608,6 +1615,94 @@ mod tests {
             assert_eq!(op.push(float.clone(), Timestamp(1)).unwrap(), 1);
             assert_eq!(op.group_count(), 1);
             assert_eq!(op.pop_window().unwrap().events, vec![int.clone(), float.clone()]);
+        }
+    }
+
+    /// The tokens the operator's groups hold, oldest group first.
+    fn held_keys(op: &WindowOperator) -> Vec<Token> {
+        op.groups.ids_by_birth().into_iter().map(|id| op.groups.get(id).unwrap().key.clone()).collect()
+    }
+
+    #[test]
+    fn records_of_two_shapes_share_a_group() {
+        // Two shared shapes with their fields in opposite orders, and a
+        // record of a shape of its own: one key, one group (the last event
+        // meets a held record of its own shape).
+        let forward = Schema::new(&["carid", "v"]);
+        let reversed = Schema::new(&["v", "carid"]);
+        let events = [
+            forward.record([Token::Int(7), Token::Int(1)]),
+            reversed.record([Token::Int(2), Token::Int(7)]),
+            Token::record().field("v", 3).field("carid", 7).build(),
+            forward.record([Token::Int(7), Token::Int(4)]),
+            reversed.record([Token::Int(5), Token::Int(8)]),
+            forward.record([Token::Int(7), Token::Int(6)]),
+        ];
+        let spec = WindowSpec::tuples(2, 1).group_by(GroupBy::fields(&["carid"]));
+        let mut op = WindowOperator::new(spec).unwrap();
+        for (i, token) in events.into_iter().enumerate() {
+            op.push(CwEvent::external(token, Timestamp(i as u64)), Timestamp(i as u64)).unwrap();
+        }
+        assert_eq!(op.group_count(), 2, "car 7 and car 8");
+        let values: Vec<Vec<i64>> = std::iter::from_fn(|| op.pop_window())
+            .map(|w| w.tokens().map(|t| t.int_field("v").unwrap()).collect())
+            .collect();
+        assert_eq!(values, [[1, 2], [2, 3], [3, 4], [4, 6]]);
+        // Each group holds its newest event, not a key of its own.
+        let held = held_keys(&op);
+        assert_eq!(held[0].int_field("v").unwrap(), 6);
+        assert_eq!(held[1].int_field("v").unwrap(), 5);
+    }
+
+    #[test]
+    fn a_restored_operator_keeps_matching_live_events() {
+        let spec = WindowSpec::tuples(2, 1).group_by(GroupBy::fields(&["carid"]));
+        let mut op = WindowOperator::new(spec.clone()).unwrap();
+        op.push(rec_ev(1, 10, 0), Timestamp(0)).unwrap();
+        op.push(rec_ev(2, 20, 1), Timestamp(1)).unwrap();
+        let mut snap = op.snapshot();
+        // A decoded key has a schema of its own, as one read back would.
+        for group in &mut snap.groups {
+            if let GroupSnapshot::Tuples { key, .. } = group {
+                *key = Token::record().field("carid", key.int_field("carid").unwrap()).build();
+            }
+        }
+        let mut restored = WindowOperator::new(spec).unwrap();
+        restored.restore(snap).unwrap();
+        assert_eq!(held_keys(&restored), [rec_ev(1, 10, 0).token, rec_ev(2, 20, 1).token], "the buffered events");
+        for op in [&mut op, &mut restored] {
+            assert_eq!(op.push(rec_ev(2, 21, 2), Timestamp(2)).unwrap(), 1);
+            assert_eq!(op.push(rec_ev(1, 11, 3), Timestamp(3)).unwrap(), 1);
+            assert_eq!(op.group_count(), 2);
+            let cars: Vec<i64> = std::iter::from_fn(|| op.pop_window()).map(|w| car_of(&w)).collect();
+            assert_eq!(cars, [2, 1]);
+        }
+        assert_eq!(restored.snapshot(), op.snapshot());
+    }
+
+    #[test]
+    fn a_group_kept_empty_holds_a_key_record() {
+        let by_car = GroupBy::fields(&["carid"]);
+        let GroupBy::Fields(key_schema) = by_car.clone() else { unreachable!() };
+        // A tuple group in a `step > size` gap, and a time group on a port
+        // that is not known to be ordered: both stay, with nothing buffered.
+        let gapped = WindowSpec::tuples(1, 3).group_by(by_car.clone());
+        let unordered = WindowSpec::tumbling_time(Micros(10)).group_by(by_car);
+        for (spec, poll) in [(gapped, 0), (unordered, 10)] {
+            let mut op = WindowOperator::new(spec).unwrap();
+            op.push(rec_ev(1, 10, 0), Timestamp(0)).unwrap();
+            op.poll(Timestamp(poll));
+            assert_eq!(op.pop_window().unwrap().len(), 1);
+            assert_eq!((op.group_count(), op.pending_events()), (1, 0));
+            let held = held_keys(&op).remove(0);
+            assert_eq!(held, Token::record().field("carid", 1).build());
+            assert!(Arc::ptr_eq(held.as_record().unwrap().schema(), &key_schema), "a key record");
+            // The next event is matched against it: the gap expires it
+            // unbuffered; the time group buffers it and holds it instead.
+            op.push(rec_ev(1, 11, 10), Timestamp(10)).unwrap();
+            assert_eq!(op.group_count(), 1);
+            let expected = if poll == 0 { held } else { rec_ev(1, 11, 10).token };
+            assert_eq!(held_keys(&op), [expected]);
         }
     }
 

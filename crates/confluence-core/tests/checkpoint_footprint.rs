@@ -71,7 +71,6 @@ fn checkpoint() -> Checkpoint {
         CwEvent::external(report.record(values), Timestamp::from_secs(second))
     };
     let window = |car: i64| Window {
-        group: key.record([Token::Int(car)]),
         events: (0..8).map(|s| event(car, s)).collect(),
         formed_at: Timestamp::from_secs(8),
         timed_out: false,
@@ -135,7 +134,6 @@ fn shared_checkpoint() -> Checkpoint {
             })
             .collect(),
         ready: vec![Window {
-            group: Token::Unit,
             events: reports[..100].concat(),
             formed_at: Timestamp::from_secs(4),
             timed_out: false,

@@ -16,7 +16,6 @@ use confluence_core::telemetry::{
     TopologySnapshot, WorkerMetrics,
 };
 use confluence_core::time::{Micros, Timestamp};
-use confluence_core::token::Token;
 use confluence_core::window::Window;
 
 const NAMES: [&str; 5] = ["src", "base#0", "base#1", "we\"ird\\na\nme", "sink"];
@@ -37,7 +36,6 @@ fn fire(actor: usize, busy: u64, origin: Option<u64>, ended: u64) -> FireRecord 
 
 fn window() -> Window {
     Window {
-        group: Token::Unit,
         events: Vec::new(),
         formed_at: Timestamp(0),
         timed_out: false,

@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use confluence_core::event::CwEvent;
 use confluence_core::time::{Micros, Timestamp};
 use confluence_core::token::Token;
-use confluence_core::window::{GroupBy, WindowOperator, WindowSpec};
+use confluence_core::wave::WaveTag;
+use confluence_core::window::{GroupBy, GroupSnapshot, WindowOperator, WindowSpec};
 
 /// A simple keyed event stream: (group 0..groups, payload id).
 fn stream(max_len: usize, groups: i64) -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -24,7 +25,61 @@ fn ev(group: i64, id: i64, ts: u64) -> CwEvent {
     )
 }
 
+/// The events the operator's groups buffer, counted off its snapshot.
+fn buffered(op: &WindowOperator) -> usize {
+    let events = |g: &GroupSnapshot| match g {
+        GroupSnapshot::Tuples { events, .. } | GroupSnapshot::Time { events, .. } | GroupSnapshot::Wave { events, .. } => {
+            events.len()
+        }
+    };
+    op.snapshot().groups.iter().map(events).sum()
+}
+
 proptest! {
+    /// `pending_events` is exactly what the groups buffer, after every
+    /// push, poll and flush, on sliding and tumbling tuple windows, time
+    /// windows and wave windows, with and without consumption and timeouts.
+    #[test]
+    fn pending_events_are_the_buffered_events(
+        // (poll instead of push?, group, time since the previous step,
+        // wave shape)
+        steps in prop::collection::vec((0..4u8, 0..3i64, 0..30u64, 0..6u8), 0..80),
+        (kind, size, step, consume, timeout) in (0..4u8, 1..5u64, 1..5u64, 0..2u8, 0..40u64),
+    ) {
+        let spec = match kind {
+            0 => WindowSpec::tuples(size as usize + 1, step.min(size) as usize),
+            1 => WindowSpec::tuples(size as usize, size as usize),
+            2 => WindowSpec::time(Micros(size * 10), Micros(step * 10)),
+            _ => WindowSpec::wave(),
+        };
+        let spec = spec.group_by(GroupBy::fields(&["g"])).delete_used(consume == 1 || kind == 3);
+        let spec = if timeout >= 5 { spec.with_timeout(Micros(timeout)) } else { spec };
+        let mut op = WindowOperator::new(spec).unwrap();
+        let (mut clock, mut wave, mut index) = (0u64, 0u64, 0u32);
+        for (i, (poll, g, gap, shape)) in steps.into_iter().enumerate() {
+            clock += gap;
+            if poll == 0 {
+                op.poll(Timestamp(clock));
+            } else {
+                let mut event = ev(g, i as i64, clock);
+                if kind == 3 {
+                    // Waves of one to three events, each closed by a last mark.
+                    index += 1;
+                    let last = shape % 3 == 0 || index == 3;
+                    event = CwEvent::derived(event.token, event.timestamp, &WaveTag::external(Timestamp(wave)), index, last);
+                    if last {
+                        (wave, index) = (wave + 1, 0);
+                    }
+                }
+                op.push(event, Timestamp(clock)).unwrap();
+            }
+            prop_assert_eq!(op.pending_events(), buffered(&op));
+        }
+        op.flush(Timestamp(clock));
+        prop_assert_eq!(op.pending_events(), buffered(&op));
+        prop_assert_eq!(op.pending_events(), 0);
+    }
+
     /// Tuple windows with delete_used: every event appears in exactly one
     /// emitted window (full or flushed), for any size/grouping with
     /// step ≤ size. (Step > size is hopping-window *sampling*: the gap
@@ -74,7 +129,7 @@ proptest! {
             op.push(ev(*g, *id, i as u64), Timestamp(i as u64)).unwrap();
             while let Some(w) = op.pop_window() {
                 let ids = w.tokens().map(|t| t.int_field("id").unwrap()).collect();
-                windows.push((w.group.clone(), ids));
+                windows.push((op.spec().group_by.key_of(&w.events[0].token).unwrap(), ids));
             }
         }
         // Per-group reference: the arrival order of that group's ids.

@@ -1,7 +1,7 @@
 //! What a window operator holds per group, counted by a global allocator:
-//! the key once, a slot in the group arena, a position in the directory
-//! and a buffer as long as its contents — and nothing for groups it has
-//! let go of.
+//! a slot in the group arena, a position in the directory and a buffer as
+//! long as its contents — no key of its own, while it buffers the events
+//! that hold it — and nothing for groups it has let go of.
 //!
 //! One test function: the counters are process-wide, and a second test
 //! running beside it would be counted too.
@@ -88,24 +88,25 @@ fn a_group_costs_its_key_its_events_and_a_position() {
     let by_segment = GroupBy::fields(&["carid", "xway", "dir", "seg"]);
     let by_car = || GroupBy::fields(&["carid"]);
 
-    // 262 / 207 / 207 B: the 88-byte arena slot (key, counters, buffer
-    // header; 90 with the last chunk's spare slots) + 13 B of directory
-    // (16,384 eight-byte slots for 10,000 ids) + the key record (40 B and
-    // 16 B a field) + one 48-byte event, and for the time port 7 B of ids
-    // under the one deadline all its groups share. Three allocations a
-    // group (the key record's two and the buffer) and a few dozen chunks.
-    // With 24-byte tokens and 64-byte events they were 318 / 240 / 240 B;
-    // with a 105-byte hash-map bucket at 61% load, a second copy of the key
-    // and a four-slot buffer, 603 / 597 / 597 B.
+    // 158 / 151 / 151 B: the 88-byte arena slot (the held event's token,
+    // counters, buffer header; 90 with the last chunk's spare slots) + 13 B
+    // of directory (16,384 eight-byte slots for 10,000 ids) + one 48-byte
+    // event, and for the time port 7 B of ids under the one deadline all
+    // its groups share. One allocation a group (the buffer) and a few dozen
+    // chunks. With a key record of its own (40 B and 16 B a field, two
+    // allocations) they were 262 / 207 / 207 B; with 24-byte tokens and
+    // 64-byte events, 318 / 240 / 240 B; with a 105-byte hash-map bucket at
+    // 61% load, a second copy of the key and a four-slot buffer,
+    // 603 / 597 / 597 B.
     let (bytes, allocs) = per_group(WindowSpec::time(minute, minute).group_by(by_segment), &shape);
-    assert!(bytes < 270.0, "time(60 s) by four fields: {bytes:.1} live bytes per group");
-    assert!(allocs < 3.01, "time(60 s) by four fields: {allocs:.3} live allocations per group");
+    assert!(bytes < 163.0, "time(60 s) by four fields: {bytes:.1} live bytes per group");
+    assert!(allocs < 1.01, "time(60 s) by four fields: {allocs:.3} live allocations per group");
     let (bytes, allocs) = per_group(WindowSpec::tuples(2, 1).group_by(by_car()), &shape);
-    assert!(bytes < 215.0, "tuples(2, 1) by carid: {bytes:.1} live bytes per group");
-    assert!(allocs < 3.01, "tuples(2, 1) by carid: {allocs:.3} live allocations per group");
+    assert!(bytes < 156.0, "tuples(2, 1) by carid: {bytes:.1} live bytes per group");
+    assert!(allocs < 1.01, "tuples(2, 1) by carid: {allocs:.3} live allocations per group");
     let (bytes, allocs) = per_group(WindowSpec::tuples(4, 1).group_by(by_car()), &shape);
-    assert!(bytes < 215.0, "tuples(4, 1) by carid: {bytes:.1} live bytes per group");
-    assert!(allocs < 3.01, "tuples(4, 1) by carid: {allocs:.3} live allocations per group");
+    assert!(bytes < 156.0, "tuples(4, 1) by carid: {bytes:.1} live bytes per group");
+    assert!(allocs < 1.01, "tuples(4, 1) by carid: {allocs:.3} live allocations per group");
 
     // Ten minutes of an ordered port (one upstream channel), a thousand
     // new groups a minute: each minute's groups are evicted by the next

@@ -538,7 +538,6 @@ mod tests {
 
     fn window_of(reports: &[PositionReport]) -> Window {
         Window {
-            group: Token::Unit,
             events: reports
                 .iter()
                 .map(|r| CwEvent::external(r.to_token(), r.arrival()))
@@ -663,7 +662,6 @@ mod tests {
         ctx.push_window(
             0,
             Window {
-                group: Token::Unit,
                 events: vec![
                     CwEvent::external(mk(1, 30.0), Timestamp::from_secs(120)),
                     CwEvent::external(mk(2, 50.0), Timestamp::from_secs(121)),
