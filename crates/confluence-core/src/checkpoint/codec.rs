@@ -23,7 +23,7 @@ use crate::error::{Error, Result};
 use crate::event::CwEvent;
 use crate::time::{Micros, Timestamp};
 use crate::token::{Record, Schema, Token};
-use crate::wave::WaveTag;
+use crate::wave::{WaveStep, WaveTag};
 use crate::window::Window;
 
 /// Deepest record/array nesting the decoder follows before calling the
@@ -435,20 +435,22 @@ impl<'a> Decoder<'a> {
         Ok(Token::array(self.seq(Self::token)?))
     }
 
-    /// Read a [`WaveTag`].
+    /// Read a [`WaveTag`]: the steps first, then the tag once, so a
+    /// one-step path allocates nothing and a longer one its exact-size box.
     pub fn wave(&mut self) -> Result<WaveTag> {
         let origin = self.timestamp()?;
         let n = self.u32()? as usize;
-        let mut tag = WaveTag::external(origin);
-        for _ in 0..n {
-            let index = self.u32()?;
-            let last = self.bool()?;
+        let step = |d: &mut Self| {
+            let (index, last) = (d.u32()?, d.bool()?);
             if index == 0 {
                 return Err(corrupt("wave serial 0"));
             }
-            tag = tag.child(index, last);
-        }
-        Ok(tag)
+            Ok(WaveStep { index, last })
+        };
+        Ok(match n {
+            1 => step(self).map(|s| WaveTag::external(origin).child(s.index, s.last))?,
+            n => WaveTag::from_steps(origin, read_n(self, n, Self::left, step)?),
+        })
     }
 
     /// Read a [`CwEvent`].
@@ -679,6 +681,20 @@ mod tests {
                 assert_eq!(Decoder::new(&bytes).wave().unwrap(), tag);
             }
             tag = tag.child(depth + 1, depth % 2 == 0);
+        }
+    }
+
+    #[test]
+    fn a_decoded_tag_is_the_tag_child_builds() {
+        let mut tag = WaveTag::external(Timestamp(7));
+        for depth in 1..=5u32 {
+            tag = tag.child(depth * 3, depth == 5);
+            let mut e = Encoder::new();
+            e.wave(&tag);
+            let decoded = Decoder::new(&e.into_bytes()).wave().unwrap();
+            assert_eq!(decoded, tag, "depth {depth}");
+            // Stored alike too: inline at depth 1, boxed deeper.
+            assert_eq!(format!("{decoded:?}"), format!("{tag:?}"), "depth {depth}");
         }
     }
 

@@ -598,7 +598,8 @@ impl Fabric {
         let mut fully_closed: Vec<PortRef> = Vec::new();
         for port_routes in &self.routes[from.0] {
             for dest in port_routes {
-                if self.receivers[dest.actor.0][dest.port].upstream_closed(now) {
+                if let Some(formed) = self.receivers[dest.actor.0][dest.port].upstream_closed(now) {
+                    self.note_windows(*dest, formed, now);
                     fully_closed.push(*dest);
                 }
             }
@@ -619,7 +620,8 @@ impl Fabric {
             for event in events {
                 self.put_event(dest, event, now, None)?;
             }
-            if self.receivers[dest.actor.0][dest.port].upstream_closed(now) {
+            if let Some(formed) = self.receivers[dest.actor.0][dest.port].upstream_closed(now) {
+                self.note_windows(dest, formed, now);
                 fully_closed.push(dest);
             }
         }

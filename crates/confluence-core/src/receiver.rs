@@ -662,26 +662,27 @@ impl PortReceiver {
 
     /// One upstream channel finished. When the last one does, remaining
     /// partial windows are flushed to the inbox and the inbox port closes.
-    /// Returns `true` if this call fully closed the receiver.
+    /// Returns the windows that flush formed if this call fully closed the
+    /// receiver, `None` otherwise.
     ///
     /// Idempotent past zero: a close on an already-closed receiver (e.g. a
     /// double-close through the expired-queue cascade) is a no-op rather
     /// than an underflow — `debug_assert!` alone would let the decrement
     /// wrap in release builds.
-    pub fn upstream_closed(&self, now: Timestamp) -> bool {
+    pub fn upstream_closed(&self, now: Timestamp) -> Option<usize> {
         let mut remaining = self.remaining_upstreams.lock();
         debug_assert!(*remaining > 0, "more closes than upstream channels");
         if *remaining == 0 {
-            return false;
+            return None;
         }
         *remaining = remaining.saturating_sub(1);
         if *remaining > 0 {
-            return false;
+            return None;
         }
         drop(remaining);
-        self.flush(now);
+        let formed = self.flush(now);
         self.inbox.close_port();
-        true
+        Some(formed)
     }
 
     /// Force the port's partial windows out to the inbox without closing
@@ -736,9 +737,9 @@ mod tests {
         let inbox = ActorInbox::new(1);
         let r = PortReceiver::new(WindowSpec::tuples(10, 10), inbox.clone(), 0, 2).unwrap();
         r.put(ev(1, 0), Timestamp(0)).unwrap();
-        r.upstream_closed(Timestamp(5));
+        assert_eq!(r.upstream_closed(Timestamp(5)), None);
         assert!(!inbox.all_ports_closed(), "one of two upstreams remains");
-        r.upstream_closed(Timestamp(6));
+        assert_eq!(r.upstream_closed(Timestamp(6)), Some(1), "the flush formed one window");
         assert!(inbox.all_ports_closed());
         let (_, w) = inbox.try_pop().expect("flushed short window");
         assert!(w.timed_out);
@@ -749,13 +750,13 @@ mod tests {
     fn double_close_is_a_noop() {
         let inbox = ActorInbox::new(1);
         let r = PortReceiver::new(WindowSpec::tuples(10, 10), inbox.clone(), 0, 1).unwrap();
-        assert!(r.upstream_closed(Timestamp(0)));
+        assert_eq!(r.upstream_closed(Timestamp(0)), Some(0));
         // A second close (release builds drop the debug_assert) must not
         // wrap the upstream count back to usize::MAX.
         #[cfg(not(debug_assertions))]
         {
-            assert!(!r.upstream_closed(Timestamp(1)));
-            assert!(!r.upstream_closed(Timestamp(2)));
+            assert_eq!(r.upstream_closed(Timestamp(1)), None);
+            assert_eq!(r.upstream_closed(Timestamp(2)), None);
         }
         assert!(inbox.all_ports_closed());
     }

@@ -86,6 +86,14 @@ impl WaveTag {
         WaveTag { origin: self.origin, path }
     }
 
+    /// The tag of `origin` with a path of other than one step, in the
+    /// vector's own buffer (exact-size when its capacity is); a one-step
+    /// path is inline, the `child` of an external tag.
+    pub(crate) fn from_steps(origin: Timestamp, steps: Vec<WaveStep>) -> WaveTag {
+        debug_assert!(steps.len() != 1, "a one-step path is kept inline");
+        WaveTag { origin, path: Path::Boxed(steps.into_boxed_slice()) }
+    }
+
     /// Whether two tags belong to the same wave (same initiating event).
     pub fn same_wave(&self, other: &WaveTag) -> bool {
         self.origin == other.origin

@@ -124,6 +124,19 @@ impl GroupBy {
         }
     }
 
+    /// The key of a group that holds `held`: under `GroupBy::Fields` built
+    /// through the cached `positions` when `held` has their shape, by name
+    /// otherwise.
+    pub(crate) fn held_key(&self, held: &Token, positions: &KeyPositions) -> Token {
+        match (self, held, positions) {
+            (GroupBy::Fields(schema), Token::Record(rec), Some((from, at))) if Arc::ptr_eq(from, rec.schema()) => {
+                schema.record(KeyProbe::fields(rec, at).cloned().collect::<Box<[_]>>())
+            }
+            (GroupBy::Fields(_), ..) => self.key_of(held).expect("a held key has its fields"),
+            _ => held.clone(),
+        }
+    }
+
     /// [`GroupBy::key_of`] for a stream, stopping short of building the
     /// key: `positions` remembers where the key fields sit in the input's
     /// schema, so records of one shape pay for the name lookups once and

@@ -592,10 +592,7 @@ impl WindowOperator {
             .into_iter()
             .map(|id| {
                 let group = self.groups.get(id).expect("id of a live group");
-                let key = match self.spec.group_by {
-                    GroupBy::Fields(_) => self.spec.group_by.key_of(&group.key).expect("a held key has its fields"),
-                    _ => group.key.clone(),
-                };
+                let key = self.spec.group_by.held_key(&group.key, &self.key_positions);
                 match &group.state {
                     GroupState::Tuples(g) => GroupSnapshot::Tuples {
                         key,
@@ -1652,6 +1649,19 @@ mod tests {
         let held = held_keys(&op);
         assert_eq!(held[0].int_field("v").unwrap(), 6);
         assert_eq!(held[1].int_field("v").unwrap(), 5);
+        // A snapshot builds car 7's key through the positions cached for the
+        // newest event's shape, and car 8's (a reversed record) by name.
+        let keys: Vec<Token> = op
+            .snapshot()
+            .groups
+            .into_iter()
+            .map(|g| match g {
+                GroupSnapshot::Tuples { key, .. } => key,
+                _ => unreachable!("tuple groups"),
+            })
+            .collect();
+        let key = |car: i64| Token::record().field("carid", car).build();
+        assert_eq!(keys, [key(7), key(8)]);
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! come back or in what order.
 //!
 //! A table keeps one copy of each row, column by column: one dense vector a
-//! column, typed by the column's declared type — an `i64`, the bits of an
-//! `f64`, a byte or a string pointer a cell — beside bitmaps for NULLs and for
-//! the `Int`s a float column holds. A cell holds a scalar [`Token`], NULL
-//! being `Token::Unit`, and decodes to exactly the token written into it.
+//! column, typed by the column's declared type — an integer of the narrowest
+//! width (`i8` to `i64`) that holds every value the column has been written
+//! since it was built or compacted, the bits of an `f64`, a byte or a string
+//! pointer a cell — beside bitmaps for NULLs and for the `Int`s a float
+//! column holds. A cell holds a scalar [`Token`], NULL being `Token::Unit`,
+//! and decodes to exactly the token written into it.
 //! Its indexes hold row positions only and decode the indexed columns to
 //! hash and compare (see [`confluence_core::postable`]); an ordered index
 //! keeps each partition's positions sorted by the range column, which it
@@ -57,14 +59,38 @@ impl Bits {
 }
 
 /// One column's cells in a dense vector typed by the column's declared type.
+/// An `Int` column starts at `i8` and widens, when a value does not fit, to
+/// the narrowest of `i16`, `i32` and `i64` that holds every value written.
 #[derive(Debug)]
 enum Cells {
-    Int(Vec<i64>),
+    I8(Vec<i8>),
+    I16(Vec<i16>),
+    I32(Vec<i32>),
+    I64(Vec<i64>),
     /// `f64` bits, or an `i64`'s where `ints` is set: an `Int` written into
     /// a float column comes back an `Int`, past 2^53 too.
     Float { bits: Vec<u64>, ints: Bits },
     Bool(Vec<bool>),
     Str(Vec<Option<Arc<String>>>),
+}
+
+/// Append `v` to `c` if it is an integer that fits its width, or else a
+/// blank cell, and say which.
+fn push_fit<T: TryFrom<i64> + Default>(c: &mut Vec<T>, v: &Token) -> bool {
+    let n = if let &Token::Int(i) = v { T::try_from(i).ok() } else { None };
+    let fits = n.is_some();
+    c.push(n.unwrap_or_default());
+    fits
+}
+
+/// Write `i` at `pos` of `c` if it fits its width, and say whether it did.
+fn put_fit<T: TryFrom<i64>>(c: &mut [T], pos: usize, i: i64) -> bool {
+    T::try_from(i).map(|n| c[pos] = n).is_ok()
+}
+
+/// The cells of `c`, each converted to the wider `U`.
+fn widened<T: Copy, U: From<T>>(c: &[T]) -> Vec<U> {
+    c.iter().map(|&n| U::from(n)).collect()
 }
 
 /// A column: its cells and which of them are NULL.
@@ -77,7 +103,7 @@ struct Column {
 impl Column {
     fn new(ty: ValueType) -> Column {
         let cells = match ty {
-            ValueType::Int => Cells::Int(Vec::new()),
+            ValueType::Int => Cells::I8(Vec::new()),
             ValueType::Float => Cells::Float { bits: Vec::new(), ints: Bits::default() },
             ValueType::Bool => Cells::Bool(Vec::new()),
             ValueType::Str => Cells::Str(Vec::new()),
@@ -90,7 +116,10 @@ impl Column {
             return Token::Unit;
         }
         match &self.cells {
-            Cells::Int(v) => Token::Int(v[pos]),
+            Cells::I8(v) => Token::Int(v[pos].into()),
+            Cells::I16(v) => Token::Int(v[pos].into()),
+            Cells::I32(v) => Token::Int(v[pos].into()),
+            Cells::I64(v) => Token::Int(v[pos]),
             Cells::Float { bits, ints } if ints.get(pos) => Token::Int(bits[pos] as i64),
             Cells::Float { bits, .. } => Token::Float(f64::from_bits(bits[pos])),
             Cells::Bool(v) => Token::Bool(v[pos]),
@@ -102,7 +131,10 @@ impl Column {
     fn set(&mut self, pos: usize, v: &Token) {
         self.nulls.set(pos, v.is_unit());
         match (&mut self.cells, v) {
-            (Cells::Int(c), Token::Int(i)) => c[pos] = *i,
+            (Cells::I8(c), &Token::Int(i)) => if !put_fit(c, pos, i) { self.widen(pos, i) },
+            (Cells::I16(c), &Token::Int(i)) => if !put_fit(c, pos, i) { self.widen(pos, i) },
+            (Cells::I32(c), &Token::Int(i)) => if !put_fit(c, pos, i) { self.widen(pos, i) },
+            (Cells::I64(c), &Token::Int(i)) => c[pos] = i,
             (Cells::Float { bits, ints }, Token::Int(i)) => {
                 bits[pos] = *i as u64;
                 ints.set(pos, true);
@@ -119,16 +151,38 @@ impl Column {
         }
     }
 
+    /// Convert the integer cells straight to the narrowest width that holds
+    /// `i` as well, then write `i` at `pos`. A column widens at most three
+    /// times between compactions, so this stays off the write path.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self, pos: usize, i: i64) {
+        let (to16, to32) = (i16::try_from(i).is_ok(), i32::try_from(i).is_ok());
+        self.cells = match &self.cells {
+            Cells::I8(c) if to16 => Cells::I16(widened(c)),
+            Cells::I8(c) if to32 => Cells::I32(widened(c)),
+            Cells::I16(c) if to32 => Cells::I32(widened(c)),
+            Cells::I8(c) => Cells::I64(widened(c)),
+            Cells::I16(c) => Cells::I64(widened(c)),
+            Cells::I32(c) => Cells::I64(widened(c)),
+            _ => unreachable!("only a narrow integer column widens"),
+        };
+        self.set(pos, &Token::Int(i));
+    }
+
     /// Append `v`, a value of the column's type or NULL, as cell `pos`.
     fn push(&mut self, pos: usize, v: &Token) {
         match (&mut self.cells, v) {
-            (Cells::Int(c), Token::Int(i)) => return c.push(*i),
+            (Cells::I8(c), _) => if push_fit(c, v) { return },
+            (Cells::I16(c), _) => if push_fit(c, v) { return },
+            (Cells::I32(c), _) => if push_fit(c, v) { return },
+            (Cells::I64(c), _) => if push_fit(c, v) { return },
             (Cells::Float { bits, .. }, Token::Float(f)) => return bits.push(f.to_bits()),
             (Cells::Bool(c), Token::Bool(b)) => return c.push(*b),
             (Cells::Str(c), Token::Str(s)) => return c.push(Some(s.clone())),
-            // NULL, or an `Int` in a float column, which a bit marks too: a
-            // blank cell for `set` to fill.
-            (Cells::Int(c), _) => c.push(0),
+            // NULL, an `Int` in a float column, which a bit marks too, or
+            // one too wide for its integer column: a blank cell (`push_fit`
+            // leaves one) for `set` to fill, widening the column.
             (Cells::Float { bits, .. }, _) => bits.push(0),
             (Cells::Bool(c), _) => c.push(false),
             (Cells::Str(c), _) => c.push(None),
@@ -160,11 +214,16 @@ impl Rows {
     }
 
     /// How the values rows `a` and `b` hold in column `col` compare, by
-    /// [`Token`]'s order; two integers are compared without decoding.
+    /// [`Token`]'s order; two integers are compared at the column's width,
+    /// without decoding.
     fn cmp(&self, a: usize, b: usize, col: usize) -> Ordering {
         let c = &self.columns[col];
         match &c.cells {
-            Cells::Int(v) if !c.nulls.get(a) && !c.nulls.get(b) => v[a].cmp(&v[b]),
+            _ if c.nulls.get(a) || c.nulls.get(b) => c.get(a).cmp(&c.get(b)),
+            Cells::I8(v) => v[a].cmp(&v[b]),
+            Cells::I16(v) => v[a].cmp(&v[b]),
+            Cells::I32(v) => v[a].cmp(&v[b]),
+            Cells::I64(v) => v[a].cmp(&v[b]),
             _ => c.get(a).cmp(&c.get(b)),
         }
     }
@@ -2000,5 +2059,178 @@ mod tests {
         let pred = col("xway").eq(lit(0)).and(col("dir").eq(lit(0))).and(col("cars").eq(lit(5)));
         let rows = t.select(Some(&pred)).unwrap();
         assert_eq!(rows.iter().map(|r| r[1].clone()).collect::<Vec<_>>(), vec![3.into(), 5.into()]);
+    }
+
+    // ---- integer cells at the narrowest width ----
+
+    /// Bytes a cell of integer column `col` takes now.
+    fn width(t: &Table, col: usize) -> usize {
+        match &t.rows.columns[col].cells {
+            Cells::I8(_) => 1,
+            Cells::I16(_) => 2,
+            Cells::I32(_) => 4,
+            Cells::I64(_) => 8,
+            _ => unreachable!("an integer column"),
+        }
+    }
+
+    /// A key `k`, a partition `g` and a nullable `v`, ordered by `v` in `g`.
+    fn narrow_table() -> Table {
+        let schema = Schema::builder()
+            .column("k", ValueType::Int)
+            .column("g", ValueType::Int)
+            .nullable_column("v", ValueType::Int)
+            .primary_key(&["k"])
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        t.create_ordered_index(&["g"], "v").unwrap();
+        t
+    }
+
+    /// Each width's edge values, in the order that widens a column a step
+    /// at a time, with the width a column holding them all so far needs.
+    const EDGES: [(i64, usize); 18] = [
+        (127, 1),
+        (-127, 1),
+        (-128, 1),
+        (128, 2),
+        (-129, 2),
+        (32_767, 2),
+        (-32_767, 2),
+        (-32_768, 2),
+        (32_768, 4),
+        (-32_769, 4),
+        (i32::MAX as i64 - 1, 4),
+        (i32::MAX as i64, 4),
+        (i32::MIN as i64 + 1, 4),
+        (i32::MIN as i64, 4),
+        (i32::MAX as i64 + 1, 8),
+        (i32::MIN as i64 - 1, 8),
+        (i64::MAX, 8),
+        (i64::MIN, 8),
+    ];
+
+    /// Every row of `t` reads back as `want[k]` in column `v`.
+    fn assert_cells(t: &Table, want: &[Token]) {
+        for (k, v) in want.iter().enumerate() {
+            assert_eq!(t.get(&[(k as i64).into()]).unwrap().cell(2), *v, "k {k}");
+        }
+    }
+
+    #[test]
+    fn an_integer_column_widens_a_step_at_a_time_by_insert() {
+        let mut t = narrow_table();
+        let mut want = Vec::new();
+        for (k, &(v, bytes)) in EDGES.iter().enumerate() {
+            t.insert(vec![(k as i64).into(), 0.into(), v.into()]).unwrap();
+            want.push(Token::Int(v));
+            assert_eq!(width(&t, 2), bytes, "after {v}");
+            assert_cells(&t, &want);
+        }
+        assert_eq!(width(&t, 0), 1, "keys 0..18 stay bytes");
+        // A column goes straight to the width a value needs.
+        let mut t = narrow_table();
+        t.insert(vec![0.into(), 0.into(), (-5).into()]).unwrap();
+        t.insert(vec![1.into(), 0.into(), i64::MIN.into()]).unwrap();
+        assert_eq!(width(&t, 2), 8);
+        assert_cells(&t, &[Token::Int(-5), Token::Int(i64::MIN)]);
+    }
+
+    #[test]
+    fn an_integer_column_widens_in_place_by_update_and_upsert() {
+        let mut t = narrow_table();
+        for k in 0..4i64 {
+            t.insert(vec![k.into(), 0.into(), k.into()]).unwrap();
+        }
+        let mut want: Vec<Token> = (0..4).map(Token::Int).collect();
+        let steps = [(1, 128, 2), (2, -32_769, 4), (3, i32::MAX as i64 + 1, 8), (0, i64::MIN, 8)];
+        for (i, &(k, v, bytes)) in steps.iter().enumerate() {
+            if i % 2 == 0 {
+                t.upsert(vec![k.into(), 0.into(), v.into()]).unwrap();
+            } else {
+                t.update_where(&col("k").eq(lit(k)), &[("v", v.into())]).unwrap();
+            }
+            want[k as usize] = Token::Int(v);
+            assert_eq!(width(&t, 2), bytes, "after {v}");
+            assert_cells(&t, &want);
+        }
+        // Both kinds of write widen from a byte column too.
+        let mut t = narrow_table();
+        t.insert(vec![0.into(), 0.into(), 1.into()]).unwrap();
+        t.update_where(&col("k").eq(lit(0)), &[("v", 40_000.into())]).unwrap();
+        assert_eq!(width(&t, 2), 4);
+        t.upsert(vec![0.into(), 0.into(), i64::MAX.into()]).unwrap();
+        assert_eq!((width(&t, 2), t.get(&[0.into()]).unwrap().cell(2)), (8, Token::Int(i64::MAX)));
+    }
+
+    #[test]
+    fn null_in_a_narrow_column_survives_a_widening() {
+        let mut t = narrow_table();
+        t.insert(vec![0.into(), 0.into(), Token::Unit]).unwrap();
+        t.insert(vec![1.into(), 0.into(), 0.into()]).unwrap();
+        t.insert(vec![2.into(), 0.into(), (-1).into()]).unwrap();
+        assert_eq!(width(&t, 2), 1);
+        assert_cells(&t, &[Token::Unit, Token::Int(0), Token::Int(-1)]);
+        t.update_where(&col("k").eq(lit(1)), &[("v", Token::Unit)]).unwrap();
+        t.insert(vec![3.into(), 0.into(), 1_000.into()]).unwrap();
+        assert_eq!(width(&t, 2), 2);
+        assert_cells(&t, &[Token::Unit, Token::Unit, Token::Int(-1), Token::Int(1_000)]);
+        // NULL sorts first, beside integers compared at the column's width.
+        assert_eq!(t.aggregate(None, &Agg::Min("v".into())).unwrap(), Token::Int(-1));
+        let ks = |t: &Table, pred: &Expr| -> Vec<Token> {
+            t.select(Some(pred)).unwrap().into_iter().map(|r| r[0].clone()).collect()
+        };
+        assert_eq!(ks(&t, &col("g").eq(lit(0)).and(col("v").lt(lit(0)))), [Token::Int(2)]);
+        t.upsert(vec![0.into(), 0.into(), 5.into()]).unwrap();
+        assert_cells(&t, &[Token::Int(5), Token::Unit, Token::Int(-1), Token::Int(1_000)]);
+    }
+
+    #[test]
+    fn an_ordered_range_scan_spans_a_widening() {
+        let mut t = narrow_table();
+        for k in 0..40i64 {
+            t.insert(vec![k.into(), (k % 2).into(), (k - 20).into()]).unwrap();
+        }
+        let range = |lo: i64, hi: i64| col("g").eq(lit(0)).and(col("v").between(lit(lo), lit(hi)));
+        let ks = |t: &Table, pred: &Expr| -> Vec<Token> {
+            t.select(Some(pred)).unwrap().into_iter().map(|r| r[0].clone()).collect()
+        };
+        let before = ks(&t, &range(-5, 5));
+        assert_eq!(before, [16, 18, 20, 22, 24].map(Token::Int));
+        // Rows past each edge join the partition, sorted among the old ones.
+        for (k, v) in [(40, -300), (42, 70_000), (44, i64::MIN), (46, 3)] {
+            t.insert(vec![Token::Int(k), 0.into(), v.into()]).unwrap();
+        }
+        assert_eq!(width(&t, 2), 8);
+        assert!(matches!(t.plan(Some(&range(-5, 5))).node, PlanNode::IndexRange { .. }));
+        assert_eq!(ks(&t, &range(-5, 5)), [16, 18, 20, 22, 24, 46].map(Token::Int));
+        assert_eq!(ks(&t, &range(i64::MIN, -20)), [0, 40, 44].map(Token::Int));
+        assert_eq!(ks(&t, &range(10, i64::MAX)), [30, 32, 34, 36, 38, 42].map(Token::Int));
+        let pred = col("g").eq(lit(0)).and(col("v").ge(lit(-300)));
+        assert_eq!(t.aggregate(Some(&pred), &Agg::Min("v".into())).unwrap(), Token::Int(-300));
+        assert_eq!(t.aggregate(Some(&pred), &Agg::Max("v".into())).unwrap(), Token::Int(70_000));
+    }
+
+    #[test]
+    fn compaction_starts_an_integer_column_narrow_again() {
+        let mut t = narrow_table();
+        for k in 0..200i64 {
+            t.insert(vec![k.into(), 0.into(), (k * 1_000_000).into()]).unwrap();
+        }
+        t.insert(vec![200.into(), 0.into(), i64::MAX.into()]).unwrap();
+        assert_eq!((width(&t, 0), width(&t, 2)), (2, 8));
+        // 101 dead rows beside 100 live ones: the rebuild holds keys under
+        // 100 and values under 2^31, and starts from bytes.
+        t.delete_where(&col("k").ge(lit(100))).unwrap();
+        assert_eq!(t.rows.slots, 100, "compacted");
+        assert_eq!((width(&t, 0), width(&t, 2)), (1, 4));
+        t.delete_where(&col("k").ge(lit(1))).unwrap();
+        assert_eq!(t.rows.slots, 1, "compacted");
+        assert_eq!((width(&t, 0), width(&t, 2)), (1, 1), "the one row left holds zeros");
+        assert_cells(&t, &[Token::Int(0)]);
+        t.insert(vec![1.into(), 0.into(), (-200).into()]).unwrap();
+        assert_eq!(width(&t, 2), 2);
+        assert_cells(&t, &[Token::Int(0), Token::Int(-200)]);
     }
 }

@@ -45,6 +45,39 @@ fn number() -> impl Strategy<Value = Token> {
     ]
 }
 
+/// Integers at the edges of each width an integer column can store its
+/// cells at: the last value an `i8`, `i16` or `i32` holds and the first it
+/// cannot, on both sides, and the `i64` extremes.
+const EDGES: [i64; 18] = [
+    127,
+    -127,
+    128,
+    -128,
+    -129,
+    32_767,
+    -32_767,
+    32_768,
+    -32_768,
+    -32_769,
+    i32::MAX as i64,
+    i32::MAX as i64 + 1,
+    i32::MIN as i64,
+    i32::MIN as i64 + 1,
+    i32::MIN as i64 - 1,
+    i32::MAX as i64 - 1,
+    i64::MAX,
+    i64::MIN,
+];
+
+fn edge() -> impl Strategy<Value = i64> {
+    (0..EDGES.len()).prop_map(|i| EDGES[i])
+}
+
+/// A `v` cell: small mostly, an [`edge`] value one time in four.
+fn v_value() -> impl Strategy<Value = i64> {
+    prop_oneof![0..100i64, 0..100i64, 0..100i64, edge()]
+}
+
 /// A `w` cell: NULL one time in five, else a [`number`].
 fn w_value() -> impl Strategy<Value = Token> {
     (0..5, number()).prop_map(|(i, n)| if i == 0 { Token::Unit } else { n })
@@ -100,9 +133,9 @@ enum Op {
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            (0..30i64, 0..5i64, 0..100i64, w_value()).prop_map(|(k, g, v, w)| Op::Upsert { k, g, v, w }),
+            (0..30i64, 0..5i64, v_value(), w_value()).prop_map(|(k, g, v, w)| Op::Upsert { k, g, v, w }),
             (0..5i64).prop_map(|g| Op::Delete { g }),
-            (0..5i64, 0..100i64).prop_map(|(g, v)| Op::UpdateV { g, v }),
+            (0..5i64, v_value()).prop_map(|(g, v)| Op::UpdateV { g, v }),
             (0..100i64, 0..5i64).prop_map(|(v, g)| Op::UpdateG { v, g }),
             (0..5i64, w_value()).prop_map(|(g, w)| Op::UpdateW { g, w }),
             bad().prop_map(Op::Fail),
@@ -294,6 +327,7 @@ const P: i64 = 1 << 53;
 fn int_cell() -> impl Strategy<Value = Token> {
     prop_oneof![
         (-3..3i64).prop_map(Token::Int),
+        edge().prop_map(Token::Int),
         Just(Token::Int(i64::MAX)),
         Just(Token::Int(P + 1)),
         Just(Token::Unit),
@@ -570,14 +604,13 @@ proptest! {
             prop_assert_eq!(t.aggregate(None, &Agg::Sum("v".into())).unwrap(), Token::Unit);
             prop_assert_eq!(t.aggregate(None, &Agg::Min("v".into())).unwrap(), Token::Unit);
         } else {
-            let sum: i64 = vals.iter().sum();
-            prop_assert_eq!(
-                t.aggregate(None, &Agg::Sum("v".into())).unwrap(),
-                Token::Float(sum as f64)
-            );
+            // Summed as doubles in storage order, as the store sums; exact
+            // while the values are small, where no `i64` sum overflows.
+            let sum = vals.iter().fold(0.0, |sum, &v| sum + v as f64);
+            prop_assert_eq!(t.aggregate(None, &Agg::Sum("v".into())).unwrap(), Token::Float(sum));
             prop_assert_eq!(
                 t.aggregate(None, &Agg::Avg("v".into())).unwrap(),
-                Token::Float(sum as f64 / vals.len() as f64)
+                Token::Float(sum / vals.len() as f64)
             );
             prop_assert_eq!(
                 t.aggregate(None, &Agg::Min("v".into())).unwrap(),

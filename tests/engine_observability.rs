@@ -19,6 +19,7 @@ use confluence::core::graph::{ActorId, Workflow, WorkflowBuilder};
 use confluence::core::telemetry::FireRecord;
 use confluence::core::time::{Micros, Timestamp, VirtualClock};
 use confluence::core::token::Token;
+use confluence::core::window::WindowSpec;
 use confluence::prelude::{Engine, MetricsSnapshot, Observer, StopCondition};
 use confluence::sched::cost::TableCostModel;
 use confluence::sched::policies::FifoScheduler;
@@ -405,6 +406,24 @@ fn queue_high_water_reflects_backlog() {
     e.run().unwrap();
     let scwf = e.snapshot().actor("double").unwrap().queue_high_water;
     assert!(scwf > 1, "SCWF: the flooded doubler's high water is {scwf}");
+}
+
+/// A window formed by the end-of-stream flush is counted like any other:
+/// three events never fill a ten-event window, so the only window the sink
+/// sees is the one its port's last upstream closing forms.
+#[test]
+fn windows_formed_by_the_closing_flush_are_counted() {
+    let c = Collector::new();
+    let mut b = WorkflowBuilder::new("flush");
+    let s = b.add_actor("src", VecSource::new((1..=3).map(Token::Int).collect()));
+    let k = b.add_actor("sink", c.actor());
+    b.link((s, "out"), (k, "in")).unwrap();
+    b.window((k, "in"), WindowSpec::tuples(10, 10)).unwrap();
+    let mut e = Engine::new(b.build().unwrap()).with_director(DdfDirector::new());
+    e.run().unwrap();
+    let sink = e.snapshot().actor("sink").unwrap().clone();
+    assert_eq!((sink.fires, sink.events_in), (1, 3));
+    assert_eq!(sink.windows_closed, 1, "the flushed window reaches on_window_close");
 }
 
 /// Windows waiting for an actor under the scheduled director wait in its
