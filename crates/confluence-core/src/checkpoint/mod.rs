@@ -17,11 +17,11 @@
 //!   length-prefixed log so a recovered run can replay the exact token
 //!   stream the killed run produced past the snapshot point.
 //!
-//! The directors cooperate through a [`QuiesceHook`]: it carries the
-//! checkpoint cadence, and once a segment meets it every actor stops at its
-//! next firing boundary and the director deposits the captured
-//! [`FabricState`] — queued windows included — instead of running its
-//! end-of-stream teardown.
+//! A segment's telemetry carries a [`QuiesceHook`]: the checkpoint cadence
+//! and one slot. Once a segment meets the cadence every actor stops at its
+//! next firing boundary and the run puts the captured [`FabricState`] —
+//! queued windows included — in the slot instead of running its
+//! end-of-stream teardown; the next segment's run resumes from it.
 
 pub mod codec;
 
@@ -29,7 +29,6 @@ use std::collections::VecDeque;
 use std::fs;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -368,33 +367,28 @@ impl Checkpoint {
 // Quiesce hook
 // ---------------------------------------------------------------------------
 
-/// The coordination surface between the engine and a director for
-/// checkpoint pauses.
+/// The checkpoint cadence and one slot for in-flight state, shared by the
+/// engine and a segment's run through [`Telemetry::checkpoint`].
 ///
-/// It carries the checkpoint cadence: once a segment has fired and met it,
-/// `Run::boundary` answers `Pause`, each actor stops at its next firing
-/// boundary, and the director deposits the captured [`FabricState`]
-/// (what is queued, not drained) instead of running end-of-stream
-/// teardown.
-/// Before a resumed segment the engine stages the state to re-inject and
-/// marks the segment as resuming so directors skip `initialize`.
+/// Once a segment has fired and met the cadence, `Run::boundary` answers
+/// `Pause`, each actor stops at its next firing boundary, and the run puts
+/// the captured [`FabricState`] (what is queued, not drained) in the slot
+/// instead of running end-of-stream teardown. The engine takes it, writes
+/// it, and puts it back; the next segment's `Run::open` takes it,
+/// re-injects it into a fresh fabric and skips `initialize`.
+///
+/// [`Telemetry::checkpoint`]: crate::telemetry::Telemetry::checkpoint
 #[derive(Default)]
 pub struct QuiesceHook {
     every: Option<StopCondition>,
-    resuming: AtomicBool,
-    captured: Mutex<Option<FabricState>>,
-    restore: Mutex<Option<FabricState>>,
+    slot: Mutex<Option<FabricState>>,
 }
 
 impl QuiesceHook {
-    /// A fresh hook, shared between engine and director, pausing each
-    /// segment once `every` is met (`None`: a recovery that does not
-    /// checkpoint).
+    /// A fresh hook with an empty slot, pausing each segment once `every`
+    /// is met (`None`: a recovery that does not checkpoint).
     pub fn new(every: Option<StopCondition>) -> Arc<Self> {
-        Arc::new(QuiesceHook {
-            every,
-            ..Self::default()
-        })
+        Arc::new(QuiesceHook { every, ..Self::default() })
     }
 
     /// The checkpoint cadence, measured from each segment's start.
@@ -402,38 +396,15 @@ impl QuiesceHook {
         self.every
     }
 
-    /// Director side: deposit the captured in-flight state after a
-    /// successful quiesce.
-    pub fn deposit(&self, state: FabricState) {
-        *self.captured.lock() = Some(state);
+    /// Put in-flight state in the slot: a paused segment's capture, or
+    /// the state the next segment resumes from.
+    pub fn put(&self, state: FabricState) {
+        *self.slot.lock() = Some(state);
     }
 
-    /// Engine side: take the state the director captured, if the run
-    /// ended in a pause (an end-of-stream run deposits nothing).
-    pub fn take_captured(&self) -> Option<FabricState> {
-        self.captured.lock().take()
-    }
-
-    /// Engine side: stage in-flight state for the director to re-inject
-    /// at the start of its next run.
-    pub fn stage_restore(&self, state: FabricState) {
-        *self.restore.lock() = Some(state);
-    }
-
-    /// Director side: take staged state to re-inject into a fresh fabric.
-    pub fn take_restore(&self) -> Option<FabricState> {
-        self.restore.lock().take()
-    }
-
-    /// Mark the next run as a resumed segment (directors skip
-    /// `Actor::initialize`).
-    pub fn set_resuming(&self, on: bool) {
-        self.resuming.store(on, Ordering::SeqCst);
-    }
-
-    /// Whether the current run resumes restored state.
-    pub fn resuming(&self) -> bool {
-        self.resuming.load(Ordering::SeqCst)
+    /// Take the slot's state, if any.
+    pub fn take(&self) -> Option<FabricState> {
+        self.slot.lock().take()
     }
 }
 
@@ -975,13 +946,9 @@ mod tests {
     fn quiesce_hook_round_trips_state() {
         let hook = QuiesceHook::new(Some(StopCondition::Firings(3)));
         assert_eq!(hook.every(), Some(StopCondition::Firings(3)));
-        assert!(hook.take_captured().is_none());
-        hook.deposit(FabricState::default());
-        assert!(hook.take_captured().is_some());
-        assert!(hook.take_captured().is_none(), "deposit is consumed");
-        hook.stage_restore(FabricState::default());
-        hook.set_resuming(true);
-        assert!(hook.resuming());
-        assert!(hook.take_restore().is_some());
+        assert!(hook.take().is_none());
+        hook.put(FabricState::default());
+        assert!(hook.take().is_some());
+        assert!(hook.take().is_none(), "a put is taken once");
     }
 }

@@ -120,7 +120,7 @@ impl Actor for CompositeActor {
             Some(open) => open,
             slot => {
                 let clock = Arc::new(VirtualClock::new());
-                slot.insert(Run::open(&mut self.inner, None, None, clock)?)
+                slot.insert(Run::open(&mut self.inner, None, clock)?)
             }
         };
         while let Some((port, w)) = ctx.get_any() {

@@ -29,7 +29,6 @@ const MAX_FIRINGS: u64 = 1_000_000;
 pub struct DdfDirector {
     clock: SharedClock,
     telemetry: Option<Telemetry>,
-    hook: Option<Arc<crate::checkpoint::QuiesceHook>>,
 }
 
 impl Default for DdfDirector {
@@ -41,11 +40,7 @@ impl Default for DdfDirector {
 impl DdfDirector {
     /// A director on a fresh virtual clock.
     pub fn new() -> Self {
-        DdfDirector {
-            clock: Arc::new(VirtualClock::new()),
-            telemetry: None,
-            hook: None,
-        }
+        DdfDirector { clock: Arc::new(VirtualClock::new()), telemetry: None }
     }
 }
 
@@ -98,12 +93,7 @@ impl FiringOrder for Dataflow {
 
 impl Director for DdfDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let (run, mut contexts) = Run::open(
-            workflow,
-            self.telemetry.clone(),
-            self.hook.clone(),
-            self.clock.clone(),
-        )?;
+        let (run, mut contexts) = Run::open(workflow, self.telemetry.clone(), self.clock.clone())?;
         let mut order = Dataflow::new(workflow);
         run.drive(workflow, &mut contexts, &mut order, Span::Whole)?;
         Ok(run.report())
@@ -111,10 +101,6 @@ impl Director for DdfDirector {
 
     fn instrument(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-    }
-
-    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) {
-        self.hook = Some(hook);
     }
 }
 
@@ -198,7 +184,7 @@ mod tests {
         b.link((d, "out"), (d, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let clock = Arc::new(VirtualClock::new());
-        let (run, mut contexts) = Run::open(&mut wf, None, None, clock).unwrap();
+        let (run, mut contexts) = Run::open(&mut wf, None, clock).unwrap();
         let mut order =
             Dataflow { sweep: Sweep::new(&wf, Some(100)), sources: wf.sources(), round: None };
         let err = run.drive(&mut wf, &mut contexts, &mut order, Span::Whole);

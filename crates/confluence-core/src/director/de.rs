@@ -26,7 +26,6 @@ use super::{Director, RunReport};
 pub struct DeDirector {
     clock: Arc<VirtualClock>,
     telemetry: Option<Telemetry>,
-    hook: Option<Arc<crate::checkpoint::QuiesceHook>>,
 }
 
 impl Default for DeDirector {
@@ -38,11 +37,7 @@ impl Default for DeDirector {
 impl DeDirector {
     /// A director on a fresh virtual clock.
     pub fn new() -> Self {
-        DeDirector {
-            clock: Arc::new(VirtualClock::new()),
-            telemetry: None,
-            hook: None,
-        }
+        DeDirector { clock: Arc::new(VirtualClock::new()), telemetry: None }
     }
 }
 
@@ -93,12 +88,7 @@ impl FiringOrder for Sim {
 
 impl Director for DeDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let (run, mut contexts) = Run::open(
-            workflow,
-            self.telemetry.clone(),
-            self.hook.clone(),
-            self.clock.clone(),
-        )?;
+        let (run, mut contexts) = Run::open(workflow, self.telemetry.clone(), self.clock.clone())?;
         let mut sim = Sim {
             clock: self.clock.clone(),
             sweep: Sweep::new(workflow, None),
@@ -111,10 +101,6 @@ impl Director for DeDirector {
 
     fn instrument(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-    }
-
-    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) {
-        self.hook = Some(hook);
     }
 }
 

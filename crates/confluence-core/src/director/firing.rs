@@ -104,7 +104,7 @@ pub enum Progress {
     IdleUntil(Timestamp),
     /// The run ended and every actor was wrapped up.
     Finished,
-    /// A checkpoint pause was honoured: the capture is on the quiesce hook.
+    /// A checkpoint pause was honoured: the capture is in the hook's slot.
     Paused,
 }
 
@@ -232,18 +232,17 @@ impl Sweep {
 }
 
 /// Everything the actors of one workflow execution share: the fabric, the
-/// telemetry and checkpoint attachments, the clock, and the run's counters.
+/// telemetry (with its checkpoint hook), the clock, and the run's counters.
 pub struct Run {
     /// The communication fabric.
     pub fabric: Fabric,
     /// Telemetry attached for this run (segment), if any.
     pub tele: Option<Telemetry>,
-    /// STAFiLOS' statistics, kept across segments when the director's
-    /// policies read them (SCWF, the pool; `None` for the others and for
-    /// a composite's inner runs). [`Run::fire`] is its only writer.
+    /// STAFiLOS' statistics, when the director's policies read them (the
+    /// pool, and SCWF, which hands them from run to run across segments;
+    /// `None` for the others and for a composite's inner runs).
+    /// [`Run::fire`] is its only writer.
     pub stats: Option<Arc<StatsModule>>,
-    /// Checkpoint quiesce hook, if any.
-    pub hook: Option<Arc<QuiesceHook>>,
     /// The director's clock.
     pub clock: SharedClock,
     started: Timestamp,
@@ -254,46 +253,24 @@ pub struct Run {
 }
 
 impl Run {
-    /// Open a run: build the fabric and [`Run::begin`] its first segment.
-    /// Returns the run and one context per actor.
+    /// Open a run for one segment: build the fabric with `tele`'s observer
+    /// attached, re-inject the state in the checkpoint slot if there is
+    /// any, wire one fresh context per actor to the observer, announce
+    /// [`RunPhase::Start`], and — unless state was taken, which already
+    /// reflects a past initialization — initialize every actor. Returns
+    /// the run and the contexts.
     pub fn open(
         workflow: &mut Workflow,
         tele: Option<Telemetry>,
-        hook: Option<Arc<QuiesceHook>>,
         clock: SharedClock,
     ) -> Result<(Run, Vec<QueueContext>)> {
-        let mut run = Run {
-            fabric: Fabric::build(workflow)?,
-            tele: None,
-            stats: None,
-            hook,
-            clock,
-            started: Timestamp::ZERO,
-            firings: AtomicU64::new(0),
-            routed: AtomicU64::new(0),
-            decided: AtomicU8::new(Boundary::Go as u8),
-        };
-        let contexts = run.begin(workflow, tele)?;
-        Ok((run, contexts))
-    }
-
-    /// Begin a checkpoint segment on this run's fabric: the segment's
-    /// observer takes the fabric over, staged restore state is re-injected,
-    /// fresh contexts are wired to the observer, [`RunPhase::Start`] is
-    /// announced, and — unless the segment resumes restored state — every
-    /// actor is initialized. A director that builds a fabric per segment
-    /// gets this through [`Run::open`]; one that keeps its fabric across
-    /// segments (SCWF) calls it at the start of each.
-    pub fn begin(
-        &mut self,
-        workflow: &mut Workflow,
-        tele: Option<Telemetry>,
-    ) -> Result<Vec<QueueContext>> {
+        let mut fabric = Fabric::build(workflow)?;
         let observer = tele.as_ref().map(|t| t.observer.clone());
-        self.fabric.observe(workflow, observer.clone());
-        self.tele = tele;
-        if let Some(state) = self.hook.as_ref().and_then(|h| h.take_restore()) {
-            self.fabric.restore_state(state)?;
+        fabric.observe(workflow, observer.clone());
+        let restored = tele.as_ref().and_then(|t| t.checkpoint.as_ref()).and_then(|h| h.take());
+        let resumed = restored.is_some();
+        if let Some(state) = restored {
+            fabric.restore_state(state)?;
         }
         let mut contexts: Vec<QueueContext> = workflow
             .actor_ids()
@@ -307,23 +284,33 @@ impl Run {
                 ctx
             })
             .collect();
-        self.started = self.clock.now();
-        *self.firings.get_mut() = 0;
-        *self.routed.get_mut() = 0;
-        *self.decided.get_mut() = Boundary::Go as u8;
-        self.phase(RunPhase::Start);
-        // Restored actor state already reflects a past initialization.
-        if !self.hook.as_ref().is_some_and(|h| h.resuming()) {
+        let run = Run {
+            fabric,
+            tele,
+            stats: None,
+            started: clock.now(),
+            clock,
+            firings: AtomicU64::new(0),
+            routed: AtomicU64::new(0),
+            decided: AtomicU8::new(Boundary::Go as u8),
+        };
+        run.phase(RunPhase::Start);
+        if !resumed {
             for id in workflow.actor_ids() {
                 let ctx = &mut contexts[id.0];
-                ctx.set_now(self.clock.now());
+                ctx.set_now(run.clock.now());
                 workflow.node_mut(id).actor_mut().initialize(ctx)?;
                 let (emissions, _) = ctx.take_emissions();
-                let now = self.clock.now();
-                *self.routed.get_mut() += self.fabric.route(id, emissions, None, now)?;
+                let n = run.fabric.route(id, emissions, None, run.clock.now())?;
+                run.routed.fetch_add(n, Ordering::Relaxed);
             }
         }
-        Ok(contexts)
+        Ok((run, contexts))
+    }
+
+    /// The checkpoint hook the segment's telemetry carries, if any.
+    fn hook(&self) -> Option<&QuiesceHook> {
+        self.tele.as_ref()?.checkpoint.as_deref()
     }
 
     /// Report a run phase to the observer.
@@ -358,7 +345,7 @@ impl Run {
     }
 
     fn decide(&self) -> Boundary {
-        if let Some(every) = self.hook.as_ref().and_then(|h| h.every()) {
+        if let Some(every) = self.hook().and_then(|h| h.every()) {
             // A pause needs a firing since the segment began, so a
             // checkpoint never follows a checkpoint with nothing between.
             if self.firings.load(Ordering::Relaxed) > 0 && self.met(every) {
@@ -574,15 +561,15 @@ impl Run {
     }
 
     /// Honour a checkpoint pause once no firing is in flight: unstage the
-    /// given contexts, deposit the captured fabric state on the hook, and
+    /// given contexts, put the captured fabric state in the hook's slot, and
     /// end the segment without the end-of-stream tail (no `finish`, no
     /// channel closes, no `wrapup`) — the actors will resume.
     pub fn quiesce(&self, contexts: &mut [QueueContext]) -> RunReport {
         for (i, ctx) in contexts.iter_mut().enumerate() {
             self.unstage(ActorId(i), ctx);
         }
-        if let Some(hook) = &self.hook {
-            hook.deposit(self.fabric.capture_state());
+        if let Some(hook) = self.hook() {
+            hook.put(self.fabric.capture_state());
         }
         self.phase(RunPhase::End);
         self.report()
@@ -661,12 +648,11 @@ mod tests {
         let mut wf = b.build().unwrap();
         let tele = Telemetry {
             stop: Some(StopCondition::Firings(1)),
+            checkpoint: Some(QuiesceHook::new(Some(StopCondition::Firings(2)))),
             ..Telemetry::new(Arc::new(MultiObserver::default()))
         };
-        let hook = QuiesceHook::new(Some(StopCondition::Firings(2)));
         let clock = Arc::new(VirtualClock::new());
-        let (mut run, mut contexts) =
-            Run::open(&mut wf, Some(tele.clone()), Some(hook), clock).unwrap();
+        let (run, mut contexts) = Run::open(&mut wf, Some(tele.clone()), clock.clone()).unwrap();
         assert_eq!(run.boundary(), Boundary::Go);
         let src = wf.node_mut(s).actor_mut();
         run.fire(s, src, &mut contexts[s.0], None, None, None).unwrap();
@@ -680,7 +666,7 @@ mod tests {
         assert_eq!(run.boundary(), Boundary::Stop);
         // The next segment starts undecided: nothing has fired in it, so
         // neither bound is met.
-        let _ = run.begin(&mut wf, Some(tele)).unwrap();
+        let (run, _) = Run::open(&mut wf, Some(tele), clock).unwrap();
         assert_eq!(run.boundary(), Boundary::Go);
     }
 
@@ -711,7 +697,7 @@ mod tests {
         b.link((s, "out"), (k, "in")).unwrap();
         let mut wf = b.build().unwrap();
         let clock = Arc::new(VirtualClock::new());
-        let (mut run, mut contexts) = Run::open(&mut wf, None, None, clock.clone()).unwrap();
+        let (mut run, mut contexts) = Run::open(&mut wf, None, clock.clone()).unwrap();
         let stats = Arc::new(StatsModule::new(&wf));
         run.stats = Some(stats.clone());
         // The time rule charges 250 µs per firing, plus 10 µs per event in

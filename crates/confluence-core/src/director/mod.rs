@@ -108,17 +108,14 @@ pub trait Director {
 
     /// Attach telemetry for subsequent runs: execution hooks flow to
     /// `telemetry.observer`, and `Run::boundary` stops the run at the
-    /// first firing boundary where `telemetry.stop` is met.
+    /// first firing boundary where `telemetry.stop` is met. With a
+    /// `telemetry.checkpoint` hook, a segment that meets its cadence stops
+    /// every actor at its next firing boundary, puts the captured
+    /// [`crate::checkpoint::FabricState`] (queued windows included, not
+    /// drained) in the hook's slot, and returns *without* its end-of-stream
+    /// teardown (no `finish`/`wrapup`, no channel closes); `Run::open`
+    /// resumes the next segment from what the slot holds.
     fn instrument(&mut self, telemetry: Telemetry);
-
-    /// Attach a checkpoint quiesce hook for subsequent runs: once a segment
-    /// meets the hook's cadence every actor stops at its next firing
-    /// boundary, the director deposits the captured [`crate::checkpoint::FabricState`]
-    /// (queued windows included, not drained), and returns *without* its
-    /// end-of-stream teardown (no `finish`/`wrapup`, no channel closes).
-    /// At the start of a run it re-injects any staged restore state and,
-    /// on resumed segments, skips `Actor::initialize`.
-    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>);
 }
 
 /// The communication fabric for one workflow execution: an inbox per actor
@@ -661,11 +658,9 @@ impl Fabric {
 
     /// Capture every inbox's queued windows and every port's operator
     /// state for a checkpoint. Destructive: the inboxes are drained and
-    /// the window operators reset to fresh, so this must only run on a
-    /// quiesced fabric no worker touches anymore. The reset is what lets
-    /// the captured state be restored back into this *same* fabric —
-    /// directors with a persistent fabric (scwf) re-stage the snapshot
-    /// and refill on the next segment.
+    /// the window operators reset to fresh, so the captured state is held
+    /// only once, and this must only run on a quiesced fabric no worker
+    /// touches anymore.
     pub fn capture_state(&self) -> crate::checkpoint::FabricState {
         crate::checkpoint::FabricState {
             actors: self

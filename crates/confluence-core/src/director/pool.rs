@@ -77,7 +77,6 @@ pub struct PoolDirector {
     clock: SharedClock,
     telemetry: Option<Telemetry>,
     policy: Arc<dyn PoolPolicy>,
-    hook: Option<Arc<crate::checkpoint::QuiesceHook>>,
 }
 
 impl Default for PoolDirector {
@@ -96,7 +95,6 @@ impl PoolDirector {
             clock: Arc::new(WallClock::new()),
             telemetry: None,
             policy: Arc::new(Fifo),
-            hook: None,
         }
     }
 
@@ -409,12 +407,7 @@ impl Director for PoolDirector {
         // Task-parking semantics: a full Block port hands the batch back
         // instead of blocking an OS thread, so the fabric's own
         // thread-blocking path stays off.
-        let (mut run, contexts) = Run::open(
-            workflow,
-            self.telemetry.clone(),
-            self.hook.clone(),
-            self.clock.clone(),
-        )?;
+        let (mut run, contexts) = Run::open(workflow, self.telemetry.clone(), self.clock.clone())?;
         let stats = Arc::new(StatsModule::new(workflow));
         run.stats = Some(stats.clone());
         let fabric = &run.fabric;
@@ -537,10 +530,6 @@ impl Director for PoolDirector {
 
     fn instrument(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-    }
-
-    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) {
-        self.hook = Some(hook);
     }
 }
 

@@ -211,7 +211,6 @@ fn node_rates(workflow: &Workflow, idx: usize) -> Option<crate::actor::SdfRates>
 pub struct SdfDirector {
     clock: SharedClock,
     telemetry: Option<Telemetry>,
-    hook: Option<Arc<crate::checkpoint::QuiesceHook>>,
 }
 
 impl Default for SdfDirector {
@@ -223,11 +222,7 @@ impl Default for SdfDirector {
 impl SdfDirector {
     /// A director on a fresh virtual clock, running until sources exhaust.
     pub fn new() -> Self {
-        SdfDirector {
-            clock: Arc::new(VirtualClock::new()),
-            telemetry: None,
-            hook: None,
-        }
+        SdfDirector { clock: Arc::new(VirtualClock::new()), telemetry: None }
     }
 }
 
@@ -292,12 +287,7 @@ impl FiringOrder for Iteration {
 impl Director for SdfDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
         let schedule = compile_schedule(workflow)?;
-        let (run, mut contexts) = Run::open(
-            workflow,
-            self.telemetry.clone(),
-            self.hook.clone(),
-            self.clock.clone(),
-        )?;
+        let (run, mut contexts) = Run::open(workflow, self.telemetry.clone(), self.clock.clone())?;
         // Iteration boundaries are SDF's quiescent points: the balance
         // equations guarantee every token produced in an iteration has
         // been consumed, so a pause captures there.
@@ -311,10 +301,6 @@ impl Director for SdfDirector {
 
     fn instrument(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-    }
-
-    fn attach_checkpoint(&mut self, hook: Arc<crate::checkpoint::QuiesceHook>) {
-        self.hook = Some(hook);
     }
 }
 

@@ -20,7 +20,6 @@ use std::thread;
 use std::time::Duration;
 
 use crate::actor::Actor;
-use crate::checkpoint::QuiesceHook;
 use crate::error::{Error, Result};
 use crate::graph::{ActorId, Workflow};
 use crate::receiver::InboxPop;
@@ -38,7 +37,6 @@ const STOP_POLL_INTERVAL: Duration = Duration::from_millis(10);
 pub struct ThreadedDirector {
     clock: SharedClock,
     telemetry: Option<Telemetry>,
-    hook: Option<Arc<QuiesceHook>>,
 }
 
 impl Default for ThreadedDirector {
@@ -55,22 +53,13 @@ impl ThreadedDirector {
 
     /// A director on a caller-supplied clock (tests).
     pub fn with_clock(clock: SharedClock) -> Self {
-        ThreadedDirector {
-            clock,
-            telemetry: None,
-            hook: None,
-        }
+        ThreadedDirector { clock, telemetry: None }
     }
 }
 
 impl Director for ThreadedDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let (run, contexts) = Run::open(
-            workflow,
-            self.telemetry.clone(),
-            self.hook.clone(),
-            self.clock.clone(),
-        )?;
+        let (run, contexts) = Run::open(workflow, self.telemetry.clone(), self.clock.clone())?;
         // PN semantics: bounded channels really block the writing actor
         // thread (cooperative directors leave this off).
         run.fabric.set_blocking(true);
@@ -111,10 +100,6 @@ impl Director for ThreadedDirector {
     fn instrument(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
     }
-
-    fn attach_checkpoint(&mut self, hook: Arc<QuiesceHook>) {
-        self.hook = Some(hook);
-    }
 }
 
 /// The per-actor thread body: transitions the actor through its iteration
@@ -130,7 +115,7 @@ fn controller(
     // Every actor leaves its loop at the firing boundary where it first
     // sees a stop or a checkpoint pause; what is queued stays queued.
     let parked = || run.boundary() != Boundary::Go;
-    let bounded_waits = run.tele.is_some() || run.hook.is_some();
+    let bounded_waits = run.tele.is_some();
 
     let result = (|| -> Result<()> {
         if is_source {

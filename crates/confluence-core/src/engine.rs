@@ -332,29 +332,29 @@ impl Engine {
                 stop: stop.map(|stop| stop.after(&done)),
                 series: self.series(),
                 latency: None,
+                checkpoint: durable.as_ref().map(|(hook, _)| hook.clone()),
             });
             let segment = self.director.run(&mut self.workflow)?;
             done.firings += segment.firings;
             done.events_routed += segment.events_routed;
             done.elapsed += segment.elapsed;
             let Some((hook, dir)) = &durable else { break };
-            let Some(state) = hook.take_captured() else { break };
-            // The captured state is written out and then handed, as is,
-            // to the next segment's fresh fabric.
-            hook.stage_restore(self.write_checkpoint(state, dir)?);
-            hook.set_resuming(true);
+            let Some(state) = hook.take() else { break };
+            // The captured state is written out and then put back, as is,
+            // for the next segment's fresh fabric.
+            hook.put(self.write_checkpoint(state, dir)?);
         }
         Ok(done)
     }
 
     /// What only a checkpointed or recovered run does before its first
-    /// segment: attach a quiesce hook carrying the checkpoint cadence to
-    /// the director, journal the sources into `dir`, and — recovering —
-    /// restore actors and resources from the snapshot in `recover` and
-    /// stage its in-flight state.
+    /// segment: make the quiesce hook carrying the checkpoint cadence that
+    /// each segment's telemetry passes to the director, journal the
+    /// sources into `dir`, and — recovering — restore actors and resources
+    /// from the snapshot in `recover` and put its in-flight state in the
+    /// hook's slot.
     fn open_durable(&mut self, dir: &Path, recover: Option<&Path>) -> Result<Arc<QuiesceHook>> {
         let hook = QuiesceHook::new(self.checkpoint.as_ref().map(|p| p.every));
-        self.director.attach_checkpoint(hook.clone());
         self.wrap_sources(dir, recover.is_none())?;
         if let Some(from) = recover {
             // Each saved state is let go of once it is restored.
@@ -381,8 +381,7 @@ impl Engine {
                     })?;
                 resource.restore(&bytes)?;
             }
-            hook.stage_restore(cp.fabric);
-            hook.set_resuming(true);
+            hook.put(cp.fabric);
         }
         Ok(hook)
     }
@@ -617,9 +616,12 @@ mod tests {
         for (name, mut director) in directors {
             let (mut wf, _c) = build();
             let hook = QuiesceHook::new(Some(StopCondition::Firings(5)));
-            director.attach_checkpoint(hook.clone());
+            director.instrument(Telemetry {
+                checkpoint: Some(hook.clone()),
+                ..Telemetry::new(Arc::new(MultiObserver::default()))
+            });
             let report = director.run(&mut wf).unwrap();
-            let captured = hook.take_captured().expect("the segment paused");
+            let captured = hook.take().expect("the segment paused");
             assert_eq!(report.firings, 5, "{name}");
             assert_eq!(captured.item_count(), 3, "{name}");
         }

@@ -641,9 +641,7 @@ impl PortReceiver {
     }
 
     /// Snapshot this port's window-operator state and reset the operator
-    /// to fresh (destructive checkpoint capture). The snapshot can later
-    /// be restored into this same port, which keeps directors with a
-    /// persistent fabric restorable across checkpoint segments.
+    /// to fresh (destructive checkpoint capture: the state is held once).
     pub fn take_op_snapshot(&self) -> crate::window::OperatorSnapshot {
         self.op.lock().take_snapshot()
     }

@@ -41,6 +41,7 @@ pub use trace::{SpanKind, TraceConfig, TraceReport, Tracer, WaveTrace};
 
 use std::sync::{Arc, Weak};
 
+use crate::checkpoint::QuiesceHook;
 use crate::engine::StopCondition;
 use crate::graph::ActorId;
 use crate::receiver::ActorInbox;
@@ -344,8 +345,9 @@ impl Observer for MultiObserver {
     }
 }
 
-/// The bundle a director receives from [`Director::instrument`](crate::director::Director::instrument):
-/// where to send hooks, and how far the run may go.
+/// The bundle a director receives from [`Director::instrument`](crate::director::Director::instrument)
+/// for its next segment: where to send hooks, how far the run may go, and
+/// where a checkpoint pause leaves its capture.
 #[derive(Clone)]
 pub struct Telemetry {
     /// Hook sink (often a [`MultiObserver`]).
@@ -360,17 +362,23 @@ pub struct Telemetry {
     /// the [`Engine`](crate::engine::Engine) does not set it; it stays
     /// until the benchmark drops its [`Telemetry::with_latency`] call.
     pub latency: Option<Arc<QuantileSketch>>,
+    /// The checkpoint cadence and slot: `Run::boundary` answers `Pause`
+    /// once the segment meets the cadence, and `Run::open` resumes from
+    /// the state in the slot (`None` = no checkpointing, no recovery).
+    /// Only the [`Engine`](crate::engine::Engine) sets it.
+    pub checkpoint: Option<Arc<QuiesceHook>>,
 }
 
 impl Telemetry {
-    /// Telemetry around one observer with no stop bound and no
-    /// continuous sampling.
+    /// Telemetry around one observer with no stop bound, no continuous
+    /// sampling and no checkpoint.
     pub fn new(observer: Arc<dyn Observer>) -> Self {
         Telemetry {
             observer,
             stop: None,
             series: None,
             latency: None,
+            checkpoint: None,
         }
     }
 

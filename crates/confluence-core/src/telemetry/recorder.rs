@@ -18,7 +18,7 @@ use crate::graph::{ActorId, Workflow};
 use crate::time::{Micros, Timestamp};
 
 use super::json;
-use super::sketch::{QuantileSketch, SketchSnapshot};
+use super::sketch::{QuantileSketch, SketchSnapshot, ALPHA_PPM};
 use super::{ActorTopology, FireRecord, Observer, RunPhase, TopologySnapshot};
 
 /// Prometheus type of an exported row.
@@ -513,7 +513,7 @@ impl MetricsSnapshot {
         json::push_u64(&mut out, "p50_us", self.latency.p50());
         json::push_u64(&mut out, "p95_us", self.latency.p95());
         json::push_u64(&mut out, "p99_us", self.latency.p99());
-        json::push_u64(&mut out, "alpha_ppm", self.latency.alpha_ppm as u64);
+        json::push_u64(&mut out, "alpha_ppm", u64::from(ALPHA_PPM));
         // Sparse `[index, count]` pairs — the sketch's γ-buckets are
         // mostly empty.
         json::push_key(&mut out, "buckets");

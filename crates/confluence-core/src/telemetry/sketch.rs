@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::time::Micros;
 
-/// Default relative-error target α = 1% (in parts-per-million).
-pub const DEFAULT_ALPHA_PPM: u32 = 10_000;
+/// The relative-error target α = 1% (in parts-per-million).
+pub const ALPHA_PPM: u32 = 10_000;
 
 /// Dense bucket count. With α = 1% (γ ≈ 1.0202) the last regular bucket
 /// covers values up to γ^2046 ≈ 6·10^17 µs (~20 000 years) — overflow is
@@ -29,7 +29,6 @@ const SKETCH_BUCKETS: usize = 2048;
 /// atomic adds on the hot path.
 #[derive(Debug)]
 pub struct QuantileSketch {
-    alpha_ppm: u32,
     /// 1 / ln γ, precomputed for the hot-path bucket index.
     inv_ln_gamma: f64,
     buckets: Vec<AtomicU64>,
@@ -40,34 +39,20 @@ pub struct QuantileSketch {
 
 impl Default for QuantileSketch {
     fn default() -> Self {
-        Self::with_alpha_ppm(DEFAULT_ALPHA_PPM)
-    }
-}
-
-impl QuantileSketch {
-    /// Sketch with the default α = 1% relative-error target.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sketch targeting relative error `alpha_ppm / 1e6` (clamped to
-    /// `[100, 500_000]` — 0.01% to 50%).
-    pub fn with_alpha_ppm(alpha_ppm: u32) -> Self {
-        let alpha_ppm = alpha_ppm.clamp(100, 500_000);
-        let gamma = gamma_of(alpha_ppm);
         QuantileSketch {
-            alpha_ppm,
-            inv_ln_gamma: 1.0 / gamma.ln(),
+            inv_ln_gamma: 1.0 / gamma().ln(),
             buckets: (0..SKETCH_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum_micros: AtomicU64::new(0),
             max_micros: AtomicU64::new(0),
         }
     }
+}
 
-    /// Configured relative-error target in parts-per-million.
-    pub fn alpha_ppm(&self) -> u32 {
-        self.alpha_ppm
+impl QuantileSketch {
+    /// An empty sketch with the α = 1% relative-error target.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Index of the bucket covering `micros`: 0 for values ≤ 1, else
@@ -106,7 +91,6 @@ impl QuantileSketch {
             buckets.pop();
         }
         SketchSnapshot {
-            alpha_ppm: self.alpha_ppm,
             buckets,
             count: self.count.load(Ordering::Relaxed),
             sum_micros: self.sum_micros.load(Ordering::Relaxed),
@@ -144,11 +128,7 @@ impl QuantileSketch {
                 }
                 acc += n;
                 if acc > above {
-                    return bucket_estimate(
-                        self.alpha_ppm,
-                        i,
-                        self.max_micros.load(Ordering::Relaxed),
-                    );
+                    return bucket_estimate(i, self.max_micros.load(Ordering::Relaxed));
                 }
             }
             return self.max_micros.load(Ordering::Relaxed);
@@ -161,23 +141,23 @@ impl QuantileSketch {
             }
             seen += n;
             if seen >= rank {
-                return bucket_estimate(self.alpha_ppm, i, self.max_micros.load(Ordering::Relaxed));
+                return bucket_estimate(i, self.max_micros.load(Ordering::Relaxed));
             }
         }
         self.max_micros.load(Ordering::Relaxed)
     }
 }
 
-/// γ = (1+α)/(1-α) for an α given in parts-per-million.
-fn gamma_of(alpha_ppm: u32) -> f64 {
-    let alpha = alpha_ppm as f64 / 1e6;
+/// γ = (1+α)/(1-α).
+fn gamma() -> f64 {
+    let alpha = ALPHA_PPM as f64 / 1e6;
     (1.0 + alpha) / (1.0 - alpha)
 }
 
 /// Relative-midpoint estimate for a value in bucket `i`: within α of any
 /// true value ≥ 1 µs the bucket covers (`max_micros` bounds the overflow
 /// bucket).
-fn bucket_estimate(alpha_ppm: u32, i: usize, max_micros: u64) -> u64 {
+fn bucket_estimate(i: usize, max_micros: u64) -> u64 {
     if i == 0 {
         return 1;
     }
@@ -185,7 +165,7 @@ fn bucket_estimate(alpha_ppm: u32, i: usize, max_micros: u64) -> u64 {
         // Overflow bucket: the max sample is the only bound we have.
         return max_micros;
     }
-    let gamma = gamma_of(alpha_ppm);
+    let gamma = gamma();
     (2.0 * gamma.powi(i as i32) / (gamma + 1.0)).round() as u64
 }
 
@@ -194,8 +174,6 @@ fn bucket_estimate(alpha_ppm: u32, i: usize, max_micros: u64) -> u64 {
 /// zero buckets are trimmed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchSnapshot {
-    /// Relative-error target of the producing sketch, parts-per-million.
-    pub alpha_ppm: u32,
     /// Non-cumulative per-bucket sample counts.
     pub buckets: Vec<u64>,
     /// Total samples.
@@ -207,10 +185,9 @@ pub struct SketchSnapshot {
 }
 
 impl SketchSnapshot {
-    /// Empty snapshot at the default α.
+    /// Empty snapshot.
     pub fn empty() -> Self {
         SketchSnapshot {
-            alpha_ppm: DEFAULT_ALPHA_PPM,
             buckets: Vec::new(),
             count: 0,
             sum_micros: 0,
@@ -218,9 +195,9 @@ impl SketchSnapshot {
         }
     }
 
-    /// γ of the producing sketch.
+    /// γ, the ratio of consecutive bucket bounds.
     pub fn gamma(&self) -> f64 {
-        gamma_of(self.alpha_ppm)
+        gamma()
     }
 
     /// Mean latency over all samples.
@@ -244,7 +221,7 @@ impl SketchSnapshot {
     /// Relative-midpoint estimate for a value in bucket `i`: within α of
     /// any true value ≥ 1 µs the bucket covers.
     fn bucket_estimate(&self, i: usize) -> u64 {
-        bucket_estimate(self.alpha_ppm, i, self.max_micros)
+        bucket_estimate(i, self.max_micros)
     }
 
     /// Estimate of quantile `q` in `0.0..=1.0`; relative error is ≤ α for
@@ -280,13 +257,8 @@ impl SketchSnapshot {
     }
 
     /// Fold `other` into `self` — exact element-wise addition, so merge is
-    /// associative and commutative and preserves the α guarantee. Both
-    /// snapshots must come from sketches with the same α.
+    /// associative and commutative and preserves the α guarantee.
     pub fn merge(&mut self, other: &SketchSnapshot) {
-        assert_eq!(
-            self.alpha_ppm, other.alpha_ppm,
-            "cannot merge sketches with different relative-error targets"
-        );
         if other.buckets.len() > self.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
@@ -344,7 +316,7 @@ mod tests {
         }
         values.sort_unstable();
         let snap = sk.snapshot();
-        let alpha = snap.alpha_ppm as f64 / 1e6;
+        let alpha = ALPHA_PPM as f64 / 1e6;
         for q in [0.01, 0.10, 0.50, 0.90, 0.95, 0.99, 1.0] {
             let exact = exact_quantile(&values, q);
             let est = snap.quantile(q);
@@ -390,14 +362,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different relative-error targets")]
-    fn merge_rejects_mismatched_alpha() {
-        let mut a = QuantileSketch::with_alpha_ppm(10_000).snapshot();
-        let b = QuantileSketch::with_alpha_ppm(20_000).snapshot();
-        a.merge(&b);
-    }
-
-    #[test]
     fn sub_microsecond_values_land_in_bucket_zero() {
         let sk = QuantileSketch::new();
         sk.record(Micros(0));
@@ -405,19 +369,5 @@ mod tests {
         let s = sk.snapshot();
         assert_eq!(s.buckets, vec![2]);
         assert_eq!(s.quantile(1.0), 1);
-    }
-
-    #[test]
-    fn custom_alpha_widens_buckets() {
-        let coarse = QuantileSketch::with_alpha_ppm(100_000); // 10%
-        for v in 1..=1000u64 {
-            coarse.record(Micros(v));
-        }
-        let s = coarse.snapshot();
-        let exact = 950u64;
-        let est = s.quantile(0.95);
-        assert!(rel_err(est, exact) <= 0.1 * 1.0001, "estimate {est}");
-        // Far fewer distinct buckets than the 1% sketch needs.
-        assert!(s.buckets.len() < 50, "got {} buckets", s.buckets.len());
     }
 }

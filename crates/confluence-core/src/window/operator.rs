@@ -630,10 +630,7 @@ impl WindowOperator {
 
     /// Serialize like [`WindowOperator::snapshot`], then reset this
     /// operator to fresh. Used for destructive checkpoint capture on a
-    /// quiesced fabric: directors that keep one fabric alive across
-    /// checkpoint segments (scwf) restore the staged snapshot back into
-    /// the *same* operator, which [`WindowOperator::restore`] only
-    /// accepts when the operator is fresh.
+    /// quiesced fabric, so the captured state is held only once.
     pub fn take_snapshot(&mut self) -> OperatorSnapshot {
         let snap = self.snapshot();
         self.groups = Groups::default();

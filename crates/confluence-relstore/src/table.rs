@@ -546,8 +546,9 @@ pub enum Agg {
 /// storage order).
 enum Acc {
     Count(i64),
-    Sum { col: usize, sum: f64, n: usize },
-    Avg { col: usize, sum: f64, n: usize },
+    /// `SUM(col)`, or `AVG(col)` when `avg`: Int cells are summed exactly
+    /// in `i128`, Float cells in `f64`.
+    Sum { col: usize, ints: i128, floats: f64, n: usize, avg: bool },
     /// `MIN(col)`, or `MAX(col)` when `max`.
     Extreme { col: usize, best: Option<Token>, max: bool },
 }
@@ -556,8 +557,13 @@ impl Acc {
     fn new(schema: &Schema, agg: &Agg) -> Result<Acc> {
         Ok(match agg {
             Agg::Count => Acc::Count(0),
-            Agg::Sum(c) => Acc::Sum { col: schema.column_index(c)?, sum: 0.0, n: 0 },
-            Agg::Avg(c) => Acc::Avg { col: schema.column_index(c)?, sum: 0.0, n: 0 },
+            Agg::Sum(c) | Agg::Avg(c) => Acc::Sum {
+                col: schema.column_index(c)?,
+                ints: 0,
+                floats: 0.0,
+                n: 0,
+                avg: matches!(agg, Agg::Avg(_)),
+            },
             Agg::Min(c) => Acc::Extreme { col: schema.column_index(c)?, best: None, max: false },
             Agg::Max(c) => Acc::Extreme { col: schema.column_index(c)?, best: None, max: true },
         })
@@ -570,13 +576,17 @@ impl Acc {
     fn push(&mut self, row: RowRef) -> Result<()> {
         match self {
             Acc::Count(n) => *n += 1,
-            Acc::Sum { col, sum, n } | Acc::Avg { col, sum, n } => {
-                let v = row.cell(*col);
-                if !v.is_unit() {
-                    *sum += v.as_float()?;
+            Acc::Sum { col, ints, floats, n, .. } => match row.cell(*col) {
+                Token::Unit => {}
+                Token::Int(v) => {
+                    *ints += i128::from(v);
                     *n += 1;
                 }
-            }
+                v => {
+                    *floats += v.as_float()?;
+                    *n += 1;
+                }
+            },
             // Ties: `Iterator::min` keeps the first equal minimum and
             // `Iterator::max` the last equal maximum — mirrored here so
             // streamed results match the materialized path bit-for-bit.
@@ -598,19 +608,10 @@ impl Acc {
     fn finish(self) -> Token {
         match self {
             Acc::Count(n) => Token::Int(n),
-            Acc::Sum { sum, n, .. } => {
-                if n == 0 {
-                    Token::Unit
-                } else {
-                    Token::Float(sum)
-                }
-            }
-            Acc::Avg { sum, n, .. } => {
-                if n == 0 {
-                    Token::Unit
-                } else {
-                    Token::Float(sum / n as f64)
-                }
+            Acc::Sum { n: 0, .. } => Token::Unit,
+            Acc::Sum { ints, floats, n, avg, .. } => {
+                let sum = ints as f64 + floats;
+                Token::Float(if avg { sum / n as f64 } else { sum })
             }
             Acc::Extreme { best, .. } => best.unwrap_or(Token::Unit),
         }
@@ -1442,6 +1443,18 @@ mod tests {
         // Empty aggregates.
         let none = t.aggregate(Some(&col("seg").gt(lit(100))), &Agg::Avg("cars".into()));
         assert_eq!(none.unwrap(), Token::Unit);
+    }
+
+    #[test]
+    fn integer_sums_are_exact_past_two_to_the_53() {
+        let mut t = cars_table();
+        for (seg, cars) in [(0, 1_i64 << 53), (1, 1), (2, 1)] {
+            t.insert(row(0, seg, 0, cars, 0.0)).unwrap();
+        }
+        let exact = Token::Float(9_007_199_254_740_994.0);
+        assert_eq!(t.aggregate(None, &Agg::Sum("cars".into())).unwrap(), exact);
+        let groups = t.group_by(None, &["xway"], &[Agg::Sum("cars".into())]).unwrap();
+        assert_eq!(groups[0].1, vec![exact], "the hashed path sums exactly too");
     }
 
     #[test]

@@ -43,8 +43,30 @@ fn seed(t: &mut Table, rows: &[(i64, i64, i64, i64)], evict: &Expr) {
     t.delete_where(evict).unwrap();
 }
 
+/// Where a stored integer column changes width, plus the `i64` extremes.
+const EDGES: [i64; 12] = [
+    -128,
+    128,
+    -32_768,
+    32_768,
+    i32::MIN as i64 - 1,
+    i32::MIN as i64 + 1,
+    i32::MAX as i64 - 1,
+    i32::MAX as i64 + 1,
+    i32::MIN as i64,
+    i32::MAX as i64,
+    i64::MIN,
+    i64::MAX,
+];
+
+/// `v` mostly from `0..50`, a quarter of the time at one of the [`EDGES`],
+/// so the ordered index is exercised over a widened value column.
+fn v() -> impl Strategy<Value = i64> {
+    prop_oneof![0..50i64, 0..50i64, 0..50i64, (0..EDGES.len()).prop_map(|i| EDGES[i])]
+}
+
 fn rows() -> impl Strategy<Value = Vec<(i64, i64, i64, i64)>> {
-    prop::collection::vec((0..40i64, 0..4i64, 0..6i64, 0..50i64), 1..60)
+    prop::collection::vec((0..40i64, 0..4i64, 0..6i64, v()), 1..60)
 }
 
 fn leaf() -> impl Strategy<Value = Expr> {
@@ -81,8 +103,6 @@ const ALL_AGGS: [fn() -> Agg; 5] = [
 ];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     /// `select` returns exactly the reference rows, in the same (storage)
     /// order, whatever access path the cost model picked — and the chosen
     /// plan always renders.

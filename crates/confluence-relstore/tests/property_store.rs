@@ -604,9 +604,9 @@ proptest! {
             prop_assert_eq!(t.aggregate(None, &Agg::Sum("v".into())).unwrap(), Token::Unit);
             prop_assert_eq!(t.aggregate(None, &Agg::Min("v".into())).unwrap(), Token::Unit);
         } else {
-            // Summed as doubles in storage order, as the store sums; exact
-            // while the values are small, where no `i64` sum overflows.
-            let sum = vals.iter().fold(0.0, |sum, &v| sum + v as f64);
+            // Summed exactly, as the store sums Int cells, and rounded to a
+            // double once: the order of the rows does not matter.
+            let sum = vals.iter().map(|&v| i128::from(v)).sum::<i128>() as f64;
             prop_assert_eq!(t.aggregate(None, &Agg::Sum("v".into())).unwrap(), Token::Float(sum));
             prop_assert_eq!(
                 t.aggregate(None, &Agg::Avg("v".into())).unwrap(),

@@ -67,9 +67,10 @@ impl WorkflowManager {
     /// Attach telemetry to this instance: firing and routing hooks flow to
     /// the observer; once its stop bound is met the instance finishes at
     /// the next firing boundary. Attach before the first slice so the instance's
-    /// fabric is built observed.
+    /// fabric is built observed. The executor writes no checkpoint, so a
+    /// checkpoint hook in `telemetry` is dropped.
     pub fn instrument(&mut self, telemetry: Telemetry) {
-        self.core.set_telemetry(telemetry);
+        self.core.set_telemetry(Telemetry { checkpoint: None, ..telemetry });
     }
 }
 
@@ -207,11 +208,7 @@ impl MultiWorkflowExecutor {
                         any_progress = true;
                     }
                     Progress::Paused => {
-                        // A checkpoint pause (no hook is attached through
-                        // the manager today): park the instance.
-                        m.state = ManagerState::Stopped;
-                        m.pending_wake = None;
-                        any_progress = true;
+                        unreachable!("`WorkflowManager::instrument` drops the checkpoint hook")
                     }
                 }
             }

@@ -101,16 +101,15 @@ pub struct ScwfCore {
     // Execution state (built on first use).
     state: Option<ExecState>,
     telemetry: Option<Telemetry>,
-    hook: Option<Arc<confluence_core::checkpoint::QuiesceHook>>,
 }
 
 struct ExecState {
-    /// The shared run; its fabric lives across checkpoint segments.
+    /// The shared run of the current checkpoint segment.
     run: Run,
     contexts: Vec<QueueContext>,
     book: Book,
-    /// The last slice ended in a checkpoint capture: the next one begins
-    /// a new segment on the same fabric.
+    /// The last slice ended in a checkpoint capture: the next one opens a
+    /// new run.
     paused: bool,
     /// The final report, once the actors are wrapped up.
     finished: Option<RunReport>,
@@ -136,7 +135,6 @@ impl ScwfCore {
             deadline: None,
             state: None,
             telemetry: None,
-            hook: None,
         }
     }
 
@@ -149,8 +147,8 @@ impl ScwfCore {
         Self::new(policy, TimeMode::Virtual { clock, cost })
     }
 
-    /// Attach telemetry. It takes effect when the next segment begins
-    /// (the first slice, or the one after a checkpoint pause).
+    /// Attach telemetry. It takes effect when the next run opens (the
+    /// first slice, or the one after a checkpoint pause).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -165,8 +163,8 @@ impl ScwfCore {
         self.policy.name()
     }
 
-    /// Statistics collected so far (None before the first slice): the
-    /// run keeps them, across checkpoint segments.
+    /// Statistics collected so far (None before the first slice), carried
+    /// over from run to run across checkpoint segments.
     pub fn stats(&self) -> Option<&StatsModule> {
         self.state.as_ref().and_then(|s| s.run.stats.as_deref())
     }
@@ -185,51 +183,46 @@ impl ScwfCore {
         }
     }
 
-    /// Open the run (first slice) or begin the next checkpoint segment on
-    /// its fabric (first slice after a pause).
+    /// Open the run on the first slice, and a new one for the next
+    /// checkpoint segment on the first slice after a pause; the
+    /// statistics carry over.
     fn ensure_open(&mut self, workflow: &mut Workflow) -> Result<()> {
-        match &mut self.state {
-            Some(st) if st.paused => {
-                st.paused = false;
-                st.contexts = st.run.begin(workflow, self.telemetry.clone())?;
-            }
-            Some(_) => {}
-            None => {
-                let (mut run, contexts) = Run::open(
-                    workflow,
-                    self.telemetry.clone(),
-                    self.hook.clone(),
-                    self.mode.clock(),
-                )?;
-                run.stats = Some(Arc::new(StatsModule::new(workflow)));
-                let infos: Vec<ActorInfo> = workflow
-                    .actor_ids()
-                    .map(|id| {
-                        let node = workflow.node(id);
-                        ActorInfo {
-                            index: id.index(),
-                            name: node.name.clone(),
-                            priority: node.priority,
-                            is_source: node.is_source,
-                        }
-                    })
-                    .collect();
-                self.policy.init(&infos);
-                let n = workflow.actor_count();
-                self.state = Some(ExecState {
-                    run,
-                    contexts,
-                    book: Book {
-                        names: infos.into_iter().map(|i| i.name).collect(),
-                        announced: vec![0; n],
-                        source_ids: workflow.sources().iter().map(|i| i.index()).collect(),
-                        source_exhausted: vec![false; n],
-                    },
-                    paused: false,
-                    finished: None,
-                });
-            }
+        if self.state.as_ref().is_some_and(|st| !st.paused) {
+            return Ok(());
         }
+        let (mut run, contexts) = Run::open(workflow, self.telemetry.clone(), self.mode.clock())?;
+        if let Some(st) = &mut self.state {
+            run.stats = st.run.stats.take();
+            (st.run, st.contexts, st.paused) = (run, contexts, false);
+            return Ok(());
+        }
+        run.stats = Some(Arc::new(StatsModule::new(workflow)));
+        let infos: Vec<ActorInfo> = workflow
+            .actor_ids()
+            .map(|id| {
+                let node = workflow.node(id);
+                ActorInfo {
+                    index: id.index(),
+                    name: node.name.clone(),
+                    priority: node.priority,
+                    is_source: node.is_source,
+                }
+            })
+            .collect();
+        self.policy.init(&infos);
+        let n = workflow.actor_count();
+        self.state = Some(ExecState {
+            run,
+            contexts,
+            book: Book {
+                names: infos.into_iter().map(|i| i.name).collect(),
+                announced: vec![0; n],
+                source_ids: workflow.sources().iter().map(|i| i.index()).collect(),
+                source_exhausted: vec![false; n],
+            },
+            paused: false,
+            finished: None,
+        });
         Ok(())
     }
 
@@ -482,10 +475,6 @@ impl Director for ScwfDirector {
 
     fn instrument(&mut self, telemetry: Telemetry) {
         self.core.set_telemetry(telemetry);
-    }
-
-    fn attach_checkpoint(&mut self, hook: Arc<confluence_core::checkpoint::QuiesceHook>) {
-        self.core.hook = Some(hook);
     }
 }
 

@@ -38,7 +38,13 @@
 #    are read, and a close cascade is opened, in director/firing.rs only
 #    (everyone else asks `Run::boundary` or hands a `FiringOrder` to
 #    `Run::drive`),
-#    and there is one topological sort (one `indeg` table).
+#    and there is one topological sort (one `indeg` table);
+#  - there is one way into a checkpoint segment: no `attach_checkpoint`,
+#    `fn begin(`, `set_resuming`, `fn resuming`, `stage_restore`,
+#    `take_captured`, `take_restore` or `fn deposit` under crates/*/src
+#    (the hook rides in `Telemetry` and is one slot), and under
+#    crates/confluence-core/src/director/ `restore_state(` is called in
+#    director/firing.rs only (`Run::open` re-injects, and skips `initialize`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -208,9 +214,18 @@ fi
 once "the topological sort (indeg)" crates/confluence-core/src/director/firing.rs \
     "$(matches 'indeg' $directors)"
 
+entries=$(matches 'attach_checkpoint|fn begin\(|set_resuming|fn resuming|stage_restore|take_captured|take_restore|fn deposit' crates/*/src)
+if [ -n "$entries" ]; then
+    echo "one way into a checkpoint segment: the hook rides in Telemetry, and Run::open takes its one slot:" >&2
+    printf '%s\n' "$entries" >&2
+    status=1
+fi
+once "re-injecting checkpointed state (restore_state)" crates/confluence-core/src/director/firing.rs \
+    "$(matches '(\.|::)restore_state\(' crates/confluence-core/src/director)"
+
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
         "one statistics module and one writer, one builder vocabulary, no control observer or flag, one ready queue per actor," \
         "one Linear Road topology, no clock in the pause, no deferred delivery outside a parked pool task, no drain before a pause," \
-        "one run loop, one topological sort"
+        "one run loop, one topological sort, one way into a checkpoint segment"
 exit "$status"

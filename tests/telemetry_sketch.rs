@@ -3,6 +3,7 @@
 //! and merging snapshots is exact — associative, commutative, and equal
 //! to recording everything into one sketch.
 
+use confluence::core::telemetry::sketch::ALPHA_PPM;
 use confluence::core::telemetry::{QuantileSketch, SketchSnapshot};
 use confluence::core::time::Micros;
 use proptest::prelude::*;
@@ -42,7 +43,7 @@ proptest! {
         let q = q_pct as f64 / 100.0;
         let sk = sketch_of(&values);
         let snap = sk.snapshot();
-        let alpha = snap.alpha_ppm as f64 / 1e6;
+        let alpha = ALPHA_PPM as f64 / 1e6;
         let mut sorted = values.clone();
         sorted.sort_unstable();
         let exact = exact_quantile(&sorted, q);
@@ -109,7 +110,7 @@ proptest! {
         b in prop::collection::vec(1u64..1_000_000, 1..150),
     ) {
         let m = merged(&[sketch_of(&a).snapshot(), sketch_of(&b).snapshot()]);
-        let alpha = m.alpha_ppm as f64 / 1e6;
+        let alpha = ALPHA_PPM as f64 / 1e6;
         let mut all: Vec<u64> = a.iter().chain(b.iter()).copied().collect();
         all.sort_unstable();
         for q in [0.50, 0.95, 0.99] {
@@ -139,7 +140,7 @@ fn adversarial_distributions_stay_within_alpha() {
     ];
     for values in cases {
         let snap = sketch_of(&values).snapshot();
-        let alpha = snap.alpha_ppm as f64 / 1e6;
+        let alpha = ALPHA_PPM as f64 / 1e6;
         let mut sorted = values.clone();
         sorted.sort_unstable();
         for q in [0.01, 0.50, 0.90, 0.95, 0.99, 1.0] {
