@@ -2,10 +2,10 @@
 //!
 //! Kepler/Ptolemy PN semantics make every channel a *bounded* queue: a
 //! writer facing a full queue blocks until the reader drains it. CONFLuEnCE
-//! inherits those semantics for the thread-based PNCWF director, while the
-//! cooperative directors (SDF/DDF/DE/SCWF) — which cannot block inside their
-//! own scheduling loop — resolve a full queue by shedding or erroring
-//! according to the same policy object.
+//! inherits those semantics for the wall-clock directors (PNCWF threads and
+//! the pool), where the writing task parks, while the cooperative directors
+//! (SDF/DDF/DE/SCWF) — which cannot park inside their own scheduling loop —
+//! admit, shed or error according to the same policy object.
 //!
 //! A [`ChannelPolicy`] is attached per input port (or as a workflow-wide
 //! default) and interpreted by the fabric when routing events:
@@ -13,8 +13,8 @@
 //! * capacity is counted in *formed windows* waiting in the destination
 //!   actor's inbox for that port — not raw buffered tuples, so a window
 //!   larger than the capacity can still form;
-//! * [`OnFull::Block`] blocks the writer (threaded director) with
-//!   Parks-style artificial-deadlock relief: if every writer is blocked and
+//! * [`OnFull::Block`] parks the writer (wall-clock directors) with
+//!   Parks-style artificial-deadlock relief: if every writer is parked and
 //!   no reader makes progress, the smallest full queue is grown;
 //! * [`OnFull::DropOldest`] / [`OnFull::DropNewest`] shed load and report it
 //!   through the observer's `on_shed` hook;
@@ -23,7 +23,7 @@
 /// What to do when a bounded channel is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OnFull {
-    /// Block the writer until the reader drains the queue (PN semantics).
+    /// Park the writer until the reader drains the queue (PN semantics).
     /// Under cooperative directors, which must not block their scheduling
     /// loop, the event is admitted anyway and the overflow is reported as a
     /// zero-wait block.

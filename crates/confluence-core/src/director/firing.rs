@@ -22,6 +22,13 @@
 //! 7. `postfire`.
 //!
 //! A refused `prefire` skips 3–5 and reports `fired: false`.
+//!
+//! The two wall-clock directors fire each actor as a [`Task`]: one
+//! [`Task::step`] fires at most once and says what the task waits for
+//! next ([`Wait`]); the threaded director turns that wait into a sleep or
+//! a condvar wait on its own thread, the pool into a wakeup registration.
+//! A full `Block` port parks the rest of the firing's batch with the task
+//! under both.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -31,12 +38,12 @@ use crate::actor::Actor;
 use crate::checkpoint::QuiesceHook;
 use crate::engine::StopCondition;
 use crate::error::{Error, Result};
-use crate::graph::{ActorId, Workflow};
+use crate::graph::{ActorId, PortRef, Workflow};
 use crate::telemetry::{FireRecord, RunPhase, StatsModule, Telemetry};
 use crate::time::{Micros, SharedClock, Timestamp};
 use crate::window::Window;
 
-use super::{Fabric, QueueContext, RunReport, Stamped};
+use super::{Fabric, QueueContext, RunReport, Stamped, SOURCE_BACKOFF};
 
 /// A director's time rule, when firings are not timed on the run's clock:
 /// called once per successful firing with `(events consumed, tokens
@@ -239,8 +246,9 @@ pub struct Run {
     /// Telemetry attached for this run (segment), if any.
     pub tele: Option<Telemetry>,
     /// STAFiLOS' statistics, when the director's policies read them (the
-    /// pool, and SCWF, which hands them from run to run across segments;
-    /// `None` for the others and for a composite's inner runs).
+    /// pool and SCWF, which both hand them from run to run across
+    /// checkpoint segments; `None` for the others and for a composite's
+    /// inner runs).
     /// [`Run::fire`] is its only writer.
     pub stats: Option<Arc<StatsModule>>,
     /// The director's clock.
@@ -585,6 +593,33 @@ impl Run {
         Ok(self.report())
     }
 
+    /// End a wall-clock run once no task steps any more: hand every actor
+    /// back to `workflow`, then fail with `first_error`, or at a latched
+    /// pause stop every task (admit its parked rest, unstage) and capture
+    /// what is queued ([`Run::quiesce`]), or wrap up.
+    pub fn end_tasks(
+        &self,
+        workflow: &mut Workflow,
+        tasks: Vec<Task>,
+        mut first_error: Option<Error>,
+    ) -> Result<RunReport> {
+        let pausing = first_error.is_none() && self.boundary() == Boundary::Pause;
+        for mut task in tasks {
+            if pausing {
+                first_error = first_error.or(task.pause(self).err());
+            }
+            workflow.node_mut(task.id).return_actor(task.actor);
+        }
+        if let Some(e) = first_error {
+            self.phase(RunPhase::End);
+            return Err(e);
+        }
+        if pausing {
+            return Ok(self.quiesce(&mut []));
+        }
+        self.wrapup(workflow)
+    }
+
     /// Firings, deliveries and director time since the segment began.
     pub fn report(&self) -> RunReport {
         RunReport {
@@ -593,6 +628,187 @@ impl Run {
             elapsed: self.clock.now().since(self.started),
         }
     }
+}
+
+/// What a wall-clock [`Task`] waits for after one [`Task::step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wait {
+    /// Step again at once.
+    Ready,
+    /// Nothing to do before this instant: a source's next arrival, or the
+    /// end of an idle source's backoff.
+    Until(Timestamp),
+    /// Nothing to do until a window reaches the inbox or its ports close,
+    /// or the earliest window-formation deadline, if any, passes.
+    Inbox(Option<Timestamp>),
+    /// The rest of a firing's batch is parked on this full `Block` port.
+    Space(PortRef),
+    /// Done stepping: the stream ended, or the run stops or pauses.
+    /// [`Task::end`] comes next.
+    Finish,
+}
+
+/// One actor fired on the wall clock, by its own thread or by a pool
+/// worker: the actor and its context, the rest of a firing's batch parked
+/// on a full `Block` port, and the `postfire` deferred past that park.
+pub struct Task {
+    /// The actor's id.
+    pub id: ActorId,
+    actor: Box<dyn Actor>,
+    ctx: QueueContext,
+    is_source: bool,
+    parked: Option<Stamped>,
+    postfire_due: bool,
+    ended: bool,
+}
+
+impl Task {
+    /// Take every actor out of `workflow` as a task with its context.
+    pub fn take_all(workflow: &mut Workflow, contexts: Vec<QueueContext>) -> Vec<Task> {
+        workflow
+            .actor_ids()
+            .zip(contexts)
+            .map(|(id, ctx)| {
+                let node = workflow.node_mut(id);
+                Task {
+                    id,
+                    is_source: node.is_source,
+                    actor: node.take_actor(),
+                    ctx,
+                    parked: None,
+                    postfire_due: false,
+                    ended: false,
+                }
+            })
+            .collect()
+    }
+
+    /// Whether [`Task::end`] has run.
+    pub fn ended(&self) -> bool {
+        self.ended
+    }
+
+    /// One step: past a `Go` boundary, finish delivering a parked batch and
+    /// its deferred `postfire`, then fire once if the actor may — a source
+    /// when its timetable says, any other actor on the next window in its
+    /// inbox, after polling its receivers once a window-formation deadline
+    /// has passed. Returns what the task waits for, and the firing attempt
+    /// if there was one.
+    pub fn step(&mut self, run: &Run) -> Result<(Wait, Option<Fired>)> {
+        if run.boundary() != Boundary::Go {
+            return Ok((Wait::Finish, None));
+        }
+        if let Some(port) = deliver_parked(run, &mut self.parked)? {
+            return Ok((Wait::Space(port), None));
+        }
+        if std::mem::take(&mut self.postfire_due) && !self.actor.postfire(&mut self.ctx)? {
+            return Ok((Wait::Finish, None));
+        }
+        let input = if self.is_source {
+            match self.actor.next_arrival() {
+                Some(arrival) if arrival > run.clock.now() => return Ok((Wait::Until(arrival), None)),
+                _ => None,
+            }
+        } else {
+            let inbox = run.fabric.inbox(self.id);
+            let Some(input) = inbox.try_pop() else {
+                if inbox.all_ports_closed() {
+                    // Upstream flushes happen-before the closing
+                    // notification, so re-check for windows the final
+                    // flush pushed.
+                    let wait = if inbox.is_empty() { Wait::Finish } else { Wait::Ready };
+                    return Ok((wait, None));
+                }
+                let deadline = run.fabric.actor_deadline(self.id);
+                let now = run.clock.now();
+                if deadline.is_some_and(|deadline| deadline <= now) {
+                    // A window-formation deadline passed: force the
+                    // receivers to evaluate their window semantics.
+                    run.poll(Some(self.id), now)?;
+                    return Ok((Wait::Ready, None));
+                }
+                return Ok((Wait::Inbox(deadline), None));
+            };
+            Some(input)
+        };
+        let Task { id, actor, ctx, parked, .. } = self;
+        let mut blocked = None;
+        let mut park = |stamped| {
+            *parked = Some(stamped);
+            blocked = deliver_parked(run, parked)?;
+            Ok(blocked.is_none())
+        };
+        let fired = run.fire(*id, &mut **actor, ctx, input, None, Some(&mut park))?;
+        let wait = if let Some(port) = blocked {
+            self.postfire_due = true;
+            Wait::Space(port)
+        } else if fired.alive == Some(false) {
+            Wait::Finish
+        } else if self.is_source
+            && fired.tokens_out == 0
+            && matches!(self.actor.next_arrival(), None | Some(Timestamp::ZERO))
+        {
+            // Nothing to say and no timetable to follow (an idle push
+            // source): rest instead of spinning.
+            Wait::Until(run.clock.now().plus(SOURCE_BACKOFF))
+        } else {
+            Wait::Ready
+        };
+        Ok((wait, Some(fired)))
+    }
+
+    /// End the task, once: admit the parked rest over capacity, then
+    /// [`Run::finish_actor`]; after an error, close the actor's outputs
+    /// instead, so downstream tasks end too. A task that ends at a latched
+    /// pause is left to [`Run::end_tasks`]: its `finish` belongs to the
+    /// segment that ends the stream. Returns the first error, `outcome`'s
+    /// first.
+    pub fn end(&mut self, run: &Run, outcome: Result<()>) -> Result<()> {
+        if std::mem::replace(&mut self.ended, true) {
+            return Ok(());
+        }
+        match outcome {
+            Ok(()) if run.boundary() == Boundary::Pause => Ok(()),
+            Ok(()) => {
+                let admitted = self.admit_parked(run);
+                admitted.and(run.finish_actor(self.id, &mut *self.actor, &mut self.ctx))
+            }
+            Err(e) => {
+                let _ = self.admit_parked(run);
+                let _ = run.fabric.close_actor_outputs(self.id, run.clock.now());
+                Err(e)
+            }
+        }
+    }
+
+    /// Stop at a checkpoint pause: admit the parked rest over capacity,
+    /// then hand the staged windows back to the inbox. A deferred
+    /// `postfire` is not run: the resumed actor's next firing asks again.
+    fn pause(&mut self, run: &Run) -> Result<()> {
+        let admitted = self.admit_parked(run);
+        run.unstage(self.id, &mut self.ctx);
+        admitted
+    }
+
+    fn admit_parked(&mut self, run: &Run) -> Result<()> {
+        match self.parked.take() {
+            Some(mut rest) => run.fabric.deliver(&mut rest, run.clock.now(), false).map(drop),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Deliver a parked batch, if any: `None` once it is all out, else the full
+/// port the rest parks on again.
+fn deliver_parked(run: &Run, parked: &mut Option<Stamped>) -> Result<Option<PortRef>> {
+    let Some(rest) = parked else {
+        return Ok(None);
+    };
+    let blocked = run.fabric.deliver(rest, run.clock.now(), true)?;
+    if blocked.is_none() {
+        *parked = None;
+    }
+    Ok(blocked)
 }
 
 /// Kahn's topological sort, sources first and ties in id order. Actors on

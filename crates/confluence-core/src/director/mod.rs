@@ -8,7 +8,7 @@
 //! This crate provides:
 //!
 //! * [`threaded::ThreadedDirector`] — the PNCWF continuous-workflow
-//!   director: one OS thread per actor, blocking windowed reads (the
+//!   director: one OS thread per actor, waiting on its own inbox (the
 //!   paper's baseline, scheduling delegated to the operating system);
 //! * [`sdf::SdfDirector`] — synchronous dataflow with a pre-compiled
 //!   schedule from balance equations;
@@ -36,7 +36,7 @@ pub mod taxonomy;
 pub mod threaded;
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,12 +54,13 @@ use crate::token::Token;
 use crate::wave::WaveTag;
 use crate::window::Window;
 
-/// How long a blocked writer waits on the space condvar per slice before
-/// re-checking global progress.
-const BLOCK_POLL: Duration = Duration::from_millis(5);
+/// The longest a waiting wall-clock thread (an actor thread, an idle pool
+/// worker, the pool's timer) goes without re-checking the run's boundary,
+/// queue space and deadlock relief.
+const RECHECK: Duration = Duration::from_millis(10);
 
 /// How long the whole fabric must make zero progress (no pushes, no pops)
-/// while a writer is blocked before Parks-style relief grows a queue.
+/// while a writer is parked before Parks-style relief grows a queue.
 const RELIEF_PATIENCE: Duration = Duration::from_millis(50);
 
 /// How long a wall-clock director lets a source that had nothing to emit
@@ -80,9 +81,9 @@ pub struct RunReport {
 
 /// One firing's emissions after [`Fabric::stamp`]: every event carries its
 /// wave tag and sits in the batch of its destination port, waiting for
-/// [`Fabric::deliver`]. Delivery follows at once, except in a pool task
-/// parked on a full `Block` port, which holds the undelivered rest until
-/// the port has room.
+/// [`Fabric::deliver`]. Delivery follows at once, except in a wall-clock
+/// task parked on a full `Block` port ([`firing::Task`]), which holds the
+/// undelivered rest until the port has room.
 #[derive(Debug)]
 pub struct Stamped {
     from: ActorId,
@@ -135,15 +136,11 @@ pub struct Fabric {
     /// metrics-only runs skip the per-event calls entirely.
     fine: bool,
     /// Fabric-wide progress counter shared with every inbox: bumped on each
-    /// push and pop. A blocked writer that sees it frozen concludes the
-    /// network is artificially deadlocked (all writers blocked on full
-    /// queues) and triggers relief.
+    /// push and pop. A stall detector that sees it frozen while writers are
+    /// parked concludes the network is artificially deadlocked (all writers
+    /// parked on full queues) and triggers relief.
     progress: Arc<AtomicU64>,
-    /// Whether `Block` policies really block the calling thread (the
-    /// thread-based director enables this; cooperative directors must not
-    /// block their scheduling loop and admit over capacity instead).
-    blocking: AtomicBool,
-    /// Serializes deadlock relief so concurrent stalled writers grow one
+    /// Serializes deadlock relief so concurrent stall detectors grow one
     /// queue at a time.
     relief_lock: Mutex<()>,
 }
@@ -191,8 +188,8 @@ impl Fabric {
                 )?);
                 receiver.wire(workflow.expired_route(id, port).is_some(), ordered);
                 if upstreams == 0 {
-                    // Nothing will ever feed this port: close it now so the
-                    // thread-based director's blocking reads can terminate.
+                    // Nothing will ever feed this port: close it now so its
+                    // actor sees the end of its input.
                     receiver.upstream_closed(Timestamp::ZERO);
                 }
                 ports.push(receiver);
@@ -226,15 +223,13 @@ impl Fabric {
             observer: None,
             fine: false,
             progress,
-            blocking: AtomicBool::new(false),
             relief_lock: Mutex::new(()),
         })
     }
 
     /// Attach `observer` (replacing any earlier one) and announce the
-    /// wiring to it. A director that keeps one fabric across checkpoint
-    /// segments calls this at the start of each, so the segment's
-    /// observers — not the first segment's — see what the fabric moves.
+    /// wiring to it. [`firing::Run::open`] calls this on the fresh fabric
+    /// of every segment, so the segment's observers see what it moves.
     pub fn observe(&mut self, workflow: &Workflow, observer: Option<Arc<dyn Observer>>) {
         self.fine = observer.as_ref().is_some_and(|o| o.wants_event_hooks());
         if let Some(obs) = &observer {
@@ -256,19 +251,6 @@ impl Fabric {
         self.observer = observer;
     }
 
-    /// Make `Block` channel policies really block the writing thread (PN
-    /// semantics). The thread-based director enables this; cooperative
-    /// directors leave it off and admit over capacity, reporting a
-    /// zero-wait block instead.
-    pub fn set_blocking(&self, on: bool) {
-        self.blocking.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether `Block` policies block the writing thread.
-    pub fn blocking_enabled(&self) -> bool {
-        self.blocking.load(Ordering::Relaxed)
-    }
-
     /// Report window formation on `dest` to the observer, including the
     /// destination inbox depth (the queue-length statistic schedulers key
     /// on).
@@ -285,98 +267,79 @@ impl Fabric {
     /// The single capacity-aware admission point: every event entering a
     /// receiver goes through here so channel policies apply uniformly.
     ///
-    /// A full `Block` port resolves one of three ways. With `parked`, the
+    /// A full `Block` port resolves one of two ways. With `parked`, the
     /// event is handed back (`Ok(Some(event))`) and the slot remembers when
-    /// the wait began, so a task-parking executor can retry on space. With
-    /// [`Fabric::set_blocking`] on, the calling thread blocks in short
-    /// condvar slices, watching the fabric-wide progress counter; if
-    /// nothing anywhere pushes or pops for [`RELIEF_PATIENCE`], the network
-    /// is treated as artificially deadlocked and the smallest full queue is
-    /// grown (Parks' algorithm). Otherwise (cooperative directors) the
-    /// event is admitted over capacity. Drop policies shed here and report
-    /// `on_shed`; completed waits report `on_block` with the time spent
-    /// blocked or parked.
+    /// the wait began, so a wall-clock task can park and retry on space.
+    /// Otherwise (cooperative directors, and a parked task's end or pause)
+    /// the event is admitted over capacity. Drop policies shed here and
+    /// report `on_shed`; an admission after a full port reports `on_block`
+    /// with the time spent parked (zero when admitted over capacity).
     fn put_event(
         &self,
         dest: PortRef,
         event: CwEvent,
         now: Timestamp,
-        mut parked: Option<&mut Option<Instant>>,
+        parked: Option<&mut Option<Instant>>,
     ) -> Result<Option<CwEvent>> {
         let receiver = &self.receivers[dest.actor.0][dest.port];
         // Per-event hooks need the wave past the point the event is moved
         // into the receiver; the clone is only taken when a tracer asked.
         let wave = self.fine.then(|| event.wave.clone());
-        let mut event = event;
-        let mut wait_started: Option<Instant> = parked.as_mut().and_then(|p| p.take());
-        let mut stalled_since: Option<Instant> = None;
-        loop {
-            match receiver.try_put(event, now)? {
-                TryPut::Stored(formed) => {
-                    if let (Some(start), Some(obs)) = (wait_started, &self.observer) {
-                        let waited = Micros(start.elapsed().as_micros() as u64);
-                        obs.on_block(dest.actor, dest.port, waited, now);
-                    }
-                    if let (Some(wave), Some(obs)) = (&wave, &self.observer) {
-                        obs.on_enqueue(dest.actor, dest.port, wave, now);
-                    }
-                    self.note_windows(dest, formed, now);
-                    return Ok(None);
+        let (formed, waited) = match receiver.try_put(event, now)? {
+            TryPut::Stored(formed) => {
+                let started = parked.and_then(|p| p.take());
+                (formed, started.map(|start| Micros(start.elapsed().as_micros() as u64)))
+            }
+            TryPut::Shed { dropped, windows } => {
+                if let Some(obs) = &self.observer {
+                    obs.on_shed(dest.actor, dest.port, dropped, now);
                 }
-                TryPut::Shed { dropped, windows } => {
-                    if let Some(obs) = &self.observer {
-                        obs.on_shed(dest.actor, dest.port, dropped, now);
-                    }
-                    self.note_windows(dest, windows, now);
-                    return Ok(None);
+                self.note_windows(dest, windows, now);
+                return Ok(None);
+            }
+            TryPut::Full(ev) => {
+                if let Some(slot) = parked {
+                    slot.get_or_insert_with(Instant::now);
+                    return Ok(Some(ev));
                 }
-                TryPut::Full(ev) => {
-                    if let Some(slot) = parked.as_deref_mut() {
-                        *slot = Some(wait_started.unwrap_or_else(Instant::now));
-                        return Ok(Some(ev));
-                    }
-                    if !self.blocking_enabled() {
-                        // Cooperative director: admit over capacity rather
-                        // than block the scheduling loop; the zero-wait
-                        // block still shows up in telemetry.
-                        let formed = receiver.put(ev, now)?;
-                        if let Some(obs) = &self.observer {
-                            obs.on_block(dest.actor, dest.port, Micros(0), now);
-                            if let Some(wave) = &wave {
-                                obs.on_enqueue(dest.actor, dest.port, wave, now);
-                            }
-                        }
-                        self.note_windows(dest, formed, now);
-                        return Ok(None);
-                    }
-                    event = ev;
-                    wait_started.get_or_insert_with(Instant::now);
-                    let seen = self.progress.load(Ordering::Relaxed);
-                    let has_space = receiver.inbox().wait_for_space(
-                        dest.port,
-                        receiver.effective_capacity(),
-                        BLOCK_POLL,
-                    );
-                    if has_space || self.progress.load(Ordering::Relaxed) != seen {
-                        stalled_since = None;
-                        continue;
-                    }
-                    let stalled = *stalled_since.get_or_insert_with(Instant::now);
-                    if stalled.elapsed() >= RELIEF_PATIENCE {
-                        self.relieve_deadlock();
-                        stalled_since = None;
-                    }
+                (receiver.put(ev, now)?, Some(Micros(0)))
+            }
+        };
+        if let Some(obs) = &self.observer {
+            if let Some(waited) = waited {
+                obs.on_block(dest.actor, dest.port, waited, now);
+            }
+            if let Some(wave) = &wave {
+                obs.on_enqueue(dest.actor, dest.port, wave, now);
+            }
+        }
+        self.note_windows(dest, formed, now);
+        Ok(None)
+    }
+
+    /// Parks' stall detector, run by whoever waits on a parked writer (the
+    /// writer's own thread between space waits, or the pool's timer):
+    /// `seen` is the caller's last reading of the progress counter and
+    /// since when it has stood still. Once the whole fabric has made no
+    /// progress for [`RELIEF_PATIENCE`], the network is artificially
+    /// deadlocked and the smallest full `Block` queue grows.
+    fn relieve_if_stalled(&self, seen: &mut Option<(u64, Instant)>) {
+        let progress = self.progress.load(Ordering::Relaxed);
+        match *seen {
+            Some((last, since)) if last == progress => {
+                if since.elapsed() >= RELIEF_PATIENCE {
+                    self.relieve_deadlock();
+                    *seen = None;
                 }
             }
+            _ => *seen = Some((progress, Instant::now())),
         }
     }
 
     /// Parks-style artificial-deadlock relief: grow the smallest full
     /// bounded `Block` queue so one writer can proceed. Serialized so
-    /// concurrently stalled writers grow one queue per detection. Public
-    /// so task-parking executors (the pool director) can trigger relief
-    /// from their own stall detector.
-    pub fn relieve_deadlock(&self) {
+    /// concurrent stall detectors grow one queue per detection.
+    fn relieve_deadlock(&self) {
         let _guard = self.relief_lock.lock();
         let smallest = self
             .receivers
@@ -491,10 +454,10 @@ impl Fabric {
     /// reporting `on_route_edge` per destination for what went in.
     ///
     /// With `park`, a full [`OnFull::Block`] port stops delivery instead of
-    /// blocking or over-admitting: the undelivered rest stays in `stamped`
-    /// and the port is returned, so a task-parking executor can re-enqueue
-    /// the producing *task* and call again when space frees up. Drop and
-    /// error policies resolve the same either way.
+    /// over-admitting: the undelivered rest stays in `stamped` and the port
+    /// is returned, so the producing wall-clock task can park and call
+    /// again when space frees up. Drop and error policies resolve the same
+    /// either way.
     pub fn deliver(
         &self,
         stamped: &mut Stamped,
@@ -508,7 +471,7 @@ impl Fabric {
             let mut admitted = events.len() as u64;
             if receiver.policy().is_bounded() {
                 // Bounded ports keep the event-at-a-time admission path:
-                // blocking, shedding, and relief are per-event decisions.
+                // parking and shedding are per-event decisions.
                 let mut events = events.into_iter();
                 while let Some(event) = events.next() {
                     let slot = park.then_some(&mut stamped.parked);
@@ -553,13 +516,6 @@ impl Fabric {
         let mut stamped = self.stamp(from, emissions, parent, now);
         self.deliver(&mut stamped, now, false)?;
         Ok(stamped.deliveries)
-    }
-
-    /// Current value of the fabric-wide progress counter (bumped on every
-    /// inbox push and pop). Stall detectors watch it to recognize
-    /// artificial deadlock.
-    pub fn progress_counter(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
     }
 
     /// Evaluate window timeouts on one actor's receivers at director time

@@ -19,18 +19,19 @@
 //!   parked actor thread;
 //! * timed-window deadlines are served by one shared timer thread over a
 //!   deadline heap, not per-actor condvar waits;
-//! * `Block` backpressure parks the *task*: a full port stops delivery of
-//!   the firing's stamped batch ([`Fabric::deliver`](super::Fabric::deliver) with `park`), the
-//!   producing task is re-enqueued when the destination inbox frees space,
-//!   and the artificial-deadlock detector (Parks) runs on the timer thread.
+//! * a task parked on a full `Block` port is re-enqueued when the
+//!   destination inbox frees space, and the timer thread runs Parks'
+//!   stall detector while any task is parked.
 //!
 //! The run spawns exactly N worker threads plus the timer thread,
 //! independent of the actor count; N and the policy are fixed when the run
 //! opens.
 //!
 //! All of that is the pool's firing rule — which task runs next, on which
-//! worker. The firing step and the run lifecycle are [`super::firing`]'s;
-//! the pool's delivery rule parks a batch that hits a full `Block` port.
+//! worker. What one task step does, how a full `Block` port parks it, and
+//! the run lifecycle are [`super::firing`]'s ([`Task`]), as under the
+//! threaded director; the pool turns each [`Wait`] into a wakeup
+//! registration instead of a wait.
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
@@ -38,24 +39,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::actor::Actor;
 use crate::error::{Error, Result};
-use crate::graph::{ActorId, Workflow};
+use crate::graph::Workflow;
 use crate::receiver::{ActorInbox, InboxWaker};
-use crate::telemetry::{RunPhase, StatsModule, Telemetry, WorkerMetrics};
+use crate::telemetry::{StatsModule, Telemetry, WorkerMetrics};
 use crate::time::{SharedClock, Timestamp, WallClock};
 
-use super::firing::{Boundary, Run};
+use super::firing::{Boundary, Run, Task, Wait};
 use super::pool_policy::{Fifo, PolicyView, PoolPolicy, ReadyEntry, ReadyQueue};
-use super::{Director, QueueContext, RunReport, Stamped, RELIEF_PATIENCE, SOURCE_BACKOFF};
-
-/// Idle workers and the timer re-check their wait conditions at least this
-/// often (bounds missed-notify latency and cooperative-stop latency).
-const POOL_POLL: Duration = Duration::from_millis(10);
+use super::{Director, RunReport, RECHECK};
 
 // Per-actor readiness states (one atomic per actor).
 const IDLE: u8 = 0;
@@ -77,6 +73,9 @@ pub struct PoolDirector {
     clock: SharedClock,
     telemetry: Option<Telemetry>,
     policy: Arc<dyn PoolPolicy>,
+    /// The statistics of the last run if it ended in a checkpoint pause:
+    /// the next segment's run goes on from them.
+    paused_stats: Option<Arc<StatsModule>>,
 }
 
 impl Default for PoolDirector {
@@ -95,6 +94,7 @@ impl PoolDirector {
             clock: Arc::new(WallClock::new()),
             telemetry: None,
             policy: Arc::new(Fifo),
+            paused_stats: None,
         }
     }
 
@@ -297,7 +297,7 @@ impl WakeHub {
 
     fn wait_for_work(&self) {
         let mut g = self.idle_lock.lock();
-        self.idle_cond.wait_for(&mut g, POOL_POLL);
+        self.idle_cond.wait_for(&mut g, RECHECK);
     }
 
     /// Park `writer` until `dest_actor`'s inbox frees space.
@@ -359,36 +359,10 @@ impl InboxWaker for PoolWaker {
     }
 }
 
-/// One actor's task: the actor itself plus the firing state that survives
-/// across task suspensions (parked deliveries, deferred postfire).
-struct TaskState {
-    actor: Box<dyn Actor>,
-    ctx: QueueContext,
-    id: ActorId,
-    finalized: bool,
-    /// The tail of a firing's stamped batch whose delivery parked on a
-    /// full `Block` port.
-    pending_out: Option<Stamped>,
-    /// A firing completed but its `postfire` was deferred past a parked
-    /// delivery.
-    needs_postfire: bool,
-}
-
-enum StepOutcome {
-    /// More work may be immediately available: run again.
-    Requeue,
-    /// Nothing to do until a wakeup (window, space, or deadline).
-    Idle,
-    /// Parked on a full `Block` port; a space waiter is registered.
-    Parked,
-    /// The actor is done: wrap up and close outputs.
-    Finish,
-}
-
 struct PoolShared {
     hub: Arc<WakeHub>,
     run: Run,
-    tasks: Vec<Mutex<TaskState>>,
+    tasks: Vec<Mutex<Task>>,
     live: AtomicUsize,
     first_error: Mutex<Option<Error>>,
 }
@@ -404,11 +378,11 @@ impl PoolShared {
 
 impl Director for PoolDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        // Task-parking semantics: a full Block port hands the batch back
-        // instead of blocking an OS thread, so the fabric's own
-        // thread-blocking path stays off.
         let (mut run, contexts) = Run::open(workflow, self.telemetry.clone(), self.clock.clone())?;
-        let stats = Arc::new(StatsModule::new(workflow));
+        let stats = self
+            .paused_stats
+            .take()
+            .unwrap_or_else(|| Arc::new(StatsModule::new(workflow)));
         run.stats = Some(stats.clone());
         let fabric = &run.fabric;
         let n_actors = workflow.actor_count();
@@ -425,7 +399,7 @@ impl Director for PoolDirector {
         let hub = Arc::new(WakeHub::new(
             workers,
             self.policy.clone(),
-            stats,
+            stats.clone(),
             self.clock.clone(),
             source_flags,
             inbox_handles,
@@ -436,20 +410,7 @@ impl Director for PoolDirector {
                 actor: id.0,
             }));
         }
-        let tasks = workflow
-            .actor_ids()
-            .zip(contexts)
-            .map(|(id, ctx)| {
-                Mutex::new(TaskState {
-                    actor: workflow.node_mut(id).take_actor(),
-                    ctx,
-                    id,
-                    finalized: false,
-                    pending_out: None,
-                    needs_postfire: false,
-                })
-            })
-            .collect();
+        let tasks = Task::take_all(workflow, contexts).into_iter().map(Mutex::new).collect();
         let shared = Arc::new(PoolShared {
             hub: hub.clone(),
             run,
@@ -499,33 +460,13 @@ impl Director for PoolDirector {
 
         let shared = Arc::try_unwrap(shared)
             .map_err(|_| Error::Director("pool shared state still referenced".to_string()))?;
+        let tasks = shared.tasks.into_iter().map(Mutex::into_inner).collect();
         let run = shared.run;
-        let mut first_error = shared.first_error.into_inner();
-        let pausing = run.boundary() == Boundary::Pause && first_error.is_none();
-        for task in shared.tasks {
-            let mut task = task.into_inner();
-            if pausing {
-                // Complete any parked delivery (blocking is off, so a full
-                // Block port over-admits rather than tearing the snapshot),
-                // then stage undelivered context windows back at the front
-                // of the inbox. A deferred `postfire` is not run: the
-                // resumed actor's next firing asks it again.
-                if let Some(mut rest) = task.pending_out.take() {
-                    let flushed = run.fabric.deliver(&mut rest, run.clock.now(), false);
-                    first_error = first_error.or(flushed.err());
-                }
-                run.unstage(task.id, &mut task.ctx);
-            }
-            workflow.node_mut(task.id).return_actor(task.actor);
+        let report = run.end_tasks(workflow, tasks, shared.first_error.into_inner());
+        if report.is_ok() && run.boundary() == Boundary::Pause {
+            self.paused_stats = Some(stats);
         }
-        if let Some(e) = first_error {
-            run.phase(RunPhase::End);
-            return Err(e);
-        }
-        if pausing {
-            return Ok(run.quiesce(&mut []));
-        }
-        run.wrapup(workflow)
+        report
     }
 
     fn instrument(&mut self, telemetry: Telemetry) {
@@ -555,212 +496,84 @@ fn worker_loop(shared: &Arc<PoolShared>, w: usize) {
 }
 
 /// Run one scheduled step of `actor` on worker `w`, handling the
-/// readiness state machine around it.
+/// readiness state machine around it: what the task waits for becomes a
+/// requeue, a timer or space-waiter registration, or its end.
 fn run_actor(shared: &Arc<PoolShared>, w: usize, actor: usize) {
     let hub = &shared.hub;
+    let run = &shared.run;
     hub.states[actor].store(RUNNING, Ordering::Release);
     let mut task = shared.tasks[actor].lock();
-    if task.finalized {
+    if task.ended() {
         drop(task);
         hub.states[actor].store(IDLE, Ordering::Release);
         return;
     }
-    let outcome = match catch_unwind(AssertUnwindSafe(|| step(shared, w, &mut task))) {
-        Ok(Ok(outcome)) => Some(outcome),
-        Ok(Err(e)) => {
-            shared.record_error(e);
-            None
+    let wait = match catch_unwind(AssertUnwindSafe(|| task.step(run))) {
+        Ok(Ok((wait, fired))) => {
+            if let Some(fired) = fired.filter(|fired| fired.fired) {
+                hub.fires[w].fetch_add(1, Ordering::Relaxed);
+                hub.busy_us[w].fetch_add(fired.busy.as_micros(), Ordering::Relaxed);
+                hub.policy.on_fire(actor, fired.busy);
+            }
+            Ok(wait)
         }
-        Err(_) => {
-            shared.record_error(Error::Director(format!(
-                "actor {} panicked during a pooled firing",
-                task.id
-            )));
-            None
-        }
+        Ok(Err(e)) => Err(e),
+        Err(_) => Err(Error::Director(format!(
+            "actor {} panicked during a pooled firing",
+            task.id
+        ))),
     };
-    match outcome {
-        Some(StepOutcome::Requeue) => {
+    match wait {
+        Ok(Wait::Ready) => {
             drop(task);
             hub.states[actor].store(QUEUED, Ordering::Release);
             // A self-push right after running: cache-warm LIFO candidate.
             hub.push(actor, true);
+            return;
         }
-        Some(StepOutcome::Idle) | Some(StepOutcome::Parked) => {
-            drop(task);
-            if hub.states[actor]
-                .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                // A wakeup arrived mid-step (state is RERUN): honor it.
-                hub.states[actor].store(QUEUED, Ordering::Release);
-                hub.push(actor, false);
+        Ok(Wait::Until(at) | Wait::Inbox(Some(at))) => hub.register_deadline(at, actor),
+        Ok(Wait::Inbox(None)) => {}
+        Ok(Wait::Space(port)) => {
+            hub.add_space_waiter(port.actor.0, actor);
+            // Lost-wakeup guard: space may have freed between the failed
+            // put and the registration.
+            if !run.fabric.receivers(port.actor)[port.port].is_full() {
+                hub.schedule(actor);
             }
         }
-        Some(StepOutcome::Finish) => {
-            finalize_task(shared, &mut task, true);
+        Ok(Wait::Finish) | Err(_) => {
+            if let Err(e) = task.end(run, wait.map(drop)) {
+                shared.record_error(e);
+            }
             drop(task);
+            if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+                hub.begin_shutdown();
+            }
             hub.states[actor].store(IDLE, Ordering::Release);
+            return;
         }
-        None => {
-            finalize_task(shared, &mut task, false);
-            drop(task);
-            hub.states[actor].store(IDLE, Ordering::Release);
-        }
+    }
+    drop(task);
+    if hub.states[actor]
+        .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
+        .is_err()
+    {
+        // A wakeup arrived mid-step (state is RERUN): honor it.
+        hub.states[actor].store(QUEUED, Ordering::Release);
+        hub.push(actor, false);
     }
 }
 
-/// End the actor's stream and close its outputs, exactly once. A `clean`
-/// end runs the shared `finish_actor`; after an error `finish` is skipped
-/// but the outputs still close, as under the threaded controller.
-fn finalize_task(shared: &PoolShared, task: &mut TaskState, clean: bool) {
-    if task.finalized {
-        return;
-    }
-    task.finalized = true;
-    let run = &shared.run;
-    // Anything still parked is admitted softly (blocking is off, so a full
-    // Block port over-admits rather than losing the events).
-    let flushed = match task.pending_out.take() {
-        Some(mut rest) => run.fabric.deliver(&mut rest, run.clock.now(), false).map(drop),
-        None => Ok(()),
-    };
-    let closed = if clean {
-        run.finish_actor(task.id, &mut *task.actor, &mut task.ctx)
-    } else {
-        run.fabric.close_actor_outputs(task.id, run.clock.now())
-    };
-    if let Err(e) = flushed.and(closed) {
-        shared.record_error(e);
-    }
-    if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-        shared.hub.begin_shutdown();
-    }
-}
-
-/// One scheduled step: resume any suspended firing, then decide whether
-/// the actor may fire now and on what — one iteration of the threaded
-/// controller's loop, with every wait turned into a wakeup registration.
-fn step(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutcome> {
-    let hub = &shared.hub;
-    let run = &shared.run;
-    let id = task.id;
-    match run.boundary() {
-        Boundary::Stop => return Ok(StepOutcome::Finish),
-        // Checkpoint pause: every actor stops at its firing boundary. The
-        // timer thread stops the workers, and the quiesce path in `run`
-        // admits any parked batch and captures what is queued.
-        Boundary::Pause => return Ok(StepOutcome::Idle),
-        Boundary::Go => {}
-    }
-    // Resume a firing suspended mid-delivery or pre-postfire.
-    if !flush_pending(shared, id, &mut task.pending_out)? {
-        return Ok(StepOutcome::Parked);
-    }
-    if task.needs_postfire {
-        task.needs_postfire = false;
-        if !task.actor.postfire(&mut task.ctx)? {
-            return Ok(StepOutcome::Finish);
-        }
-    }
-    let input = if hub.is_source[id.0] {
-        // Pace by the source's timetable: instead of sleeping, register
-        // the arrival with the shared timer and yield the worker.
-        if let Some(arrival) = task.actor.next_arrival() {
-            if arrival > run.clock.now() {
-                hub.register_deadline(arrival, id.0);
-                return Ok(StepOutcome::Idle);
-            }
-        }
-        None
-    } else {
-        let inbox = run.fabric.inbox(id);
-        let Some(input) = inbox.try_pop() else {
-            if inbox.all_ports_closed() {
-                // Upstream flushes happen-before the closing notification,
-                // so re-check for windows pushed by the final flush.
-                return Ok(if inbox.is_empty() {
-                    StepOutcome::Finish
-                } else {
-                    StepOutcome::Requeue
-                });
-            }
-            if let Some(deadline) = run.fabric.actor_deadline(id) {
-                hub.register_deadline(deadline, id.0);
-            }
-            return Ok(StepOutcome::Idle);
-        };
-        Some(input)
-    };
-    let TaskState {
-        actor,
-        ctx,
-        pending_out,
-        ..
-    } = task;
-    let mut park = |stamped| {
-        *pending_out = Some(stamped);
-        flush_pending(shared, id, pending_out)
-    };
-    let fired = run.fire(id, &mut **actor, ctx, input, None, Some(&mut park))?;
-    if fired.fired {
-        hub.fires[w].fetch_add(1, Ordering::Relaxed);
-        hub.busy_us[w].fetch_add(fired.busy.as_micros(), Ordering::Relaxed);
-        hub.policy.on_fire(id.0, fired.busy);
-    }
-    match fired.alive {
-        None => {
-            task.needs_postfire = true;
-            Ok(StepOutcome::Parked)
-        }
-        Some(false) => Ok(StepOutcome::Finish),
-        Some(true)
-            if hub.is_source[id.0]
-                && fired.tokens_out == 0
-                && matches!(task.actor.next_arrival(), None | Some(Timestamp::ZERO)) =>
-        {
-            // Nothing to say and no timetable to follow (idle push
-            // source): back off via the timer instead of spinning on the
-            // worker.
-            hub.register_deadline(run.clock.now().plus(SOURCE_BACKOFF), id.0);
-            Ok(StepOutcome::Idle)
-        }
-        Some(true) => Ok(StepOutcome::Requeue),
-    }
-}
-
-/// The pool's delivery rule: admit a stamped batch until done or a full
-/// `Block` port parks the task (a space waiter is registered and the rest
-/// stays in `pending`). Returns whether the batch is fully delivered.
-fn flush_pending(shared: &PoolShared, writer: ActorId, pending: &mut Option<Stamped>) -> Result<bool> {
-    let run = &shared.run;
-    while let Some(stamped) = pending {
-        let Some(dest) = run.fabric.deliver(stamped, run.clock.now(), true)? else {
-            *pending = None;
-            break;
-        };
-        shared.hub.add_space_waiter(dest.actor.0, writer.0);
-        // Lost-wakeup guard: space may have freed between the failed put
-        // and the waiter registration.
-        if run.fabric.receivers(dest.actor)[dest.port].is_full() {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// The timer thread: serves timed-window deadlines and source arrivals
-/// from the shared heap, polls for cooperative stops, and runs the
-/// Parks-style artificial-deadlock detector for parked writer tasks.
+/// The timer thread: schedules every actor whose registered instant (a
+/// source arrival or backoff, a window-formation deadline) has come, and
+/// every actor while the run stops or pauses, so each reaches its
+/// boundary; samples the time series; and runs Parks' stall detector
+/// while any task is parked on a full `Block` port.
 fn timer_loop(shared: &Arc<PoolShared>) {
     let hub = &shared.hub;
     let run = &shared.run;
-    let mut last_progress = run.fabric.progress_counter();
-    let mut stalled_since: Option<Instant> = None;
-    loop {
-        if hub.shutdown.load(Ordering::Acquire) {
-            break;
-        }
+    let mut stall = None;
+    while !hub.shutdown.load(Ordering::Acquire) {
         // Time-series sampling rides the timer thread too; when a point
         // is taken, add the per-worker occupancy gauges only the pool
         // can see.
@@ -778,64 +591,27 @@ fn timer_loop(shared: &Arc<PoolShared>) {
                 }
             }
         }
-        // Checkpoint pause: every task now stops at its firing boundary
-        // (see `step`), so the workers may stop as soon as they are done.
-        if run.boundary() == Boundary::Pause {
-            hub.begin_shutdown();
-            break;
-        }
-        let now = run.clock.now();
-        let mut due: Vec<usize> = Vec::new();
-        {
+        let now = run.clock.now().as_micros();
+        loop {
             let mut heap = hub.timer.lock();
-            while let Some(&std::cmp::Reverse((t, a))) = heap.peek() {
-                if t > now.as_micros() {
-                    break;
+            match heap.peek() {
+                Some(&std::cmp::Reverse((t, a))) if t <= now => {
+                    heap.pop();
+                    drop(heap);
+                    hub.schedule(a);
                 }
-                heap.pop();
-                due.push(a);
+                _ => break,
             }
         }
-        due.sort_unstable();
-        due.dedup();
-        for a in due {
-            if hub.is_source[a] {
-                hub.schedule(a);
-                continue;
-            }
-            // A window-formation deadline passed: force the receivers to
-            // evaluate (formed windows wake the actor through its inbox).
-            if let Err(e) = run.poll(Some(ActorId(a)), now) {
-                shared.record_error(e);
-            }
-            if let Some(next) = run.fabric.actor_deadline(ActorId(a)) {
-                hub.register_deadline(next, a);
-            }
-            hub.schedule(a);
-        }
-        if run.boundary() == Boundary::Stop {
+        if run.boundary() != Boundary::Go {
             for a in 0..hub.states.len() {
                 hub.schedule(a);
             }
         }
-        // Artificial-deadlock relief: writers parked and the whole fabric
-        // frozen for RELIEF_PATIENCE — grow the smallest full Block queue
-        // (its inbox then raises on_space and the writers reschedule).
         if hub.waiting_writers.load(Ordering::Relaxed) > 0 {
-            let progress = run.fabric.progress_counter();
-            if progress != last_progress {
-                last_progress = progress;
-                stalled_since = None;
-            } else {
-                let since = *stalled_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= RELIEF_PATIENCE {
-                    run.fabric.relieve_deadlock();
-                    stalled_since = None;
-                }
-            }
+            run.fabric.relieve_if_stalled(&mut stall);
         } else {
-            last_progress = run.fabric.progress_counter();
-            stalled_since = None;
+            stall = None;
         }
         let wait = {
             let heap = hub.timer.lock();
@@ -843,7 +619,7 @@ fn timer_loop(shared: &Arc<PoolShared>) {
                 .map(|&std::cmp::Reverse((t, _))| {
                     Duration::from_micros(t.saturating_sub(run.clock.now().as_micros()))
                 })
-                .map_or(POOL_POLL, |d| d.min(POOL_POLL))
+                .map_or(RECHECK, |d| d.min(RECHECK))
         };
         hub.timer_wait(wait.max(Duration::from_micros(100)));
     }
@@ -852,7 +628,7 @@ fn timer_loop(shared: &Arc<PoolShared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::{FireContext, IoSignature};
+    use crate::actor::{Actor, FireContext, IoSignature};
     use crate::actors::{Collector, PushSource, TimedSource, VecSource};
     use crate::graph::WorkflowBuilder;
     use crate::time::Micros;
@@ -1049,6 +825,32 @@ mod tests {
             );
             assert_eq!(report.events_routed, 20, "policy {name}");
         }
+    }
+
+    #[test]
+    fn statistics_carry_over_checkpoint_pauses() {
+        use crate::checkpoint::QuiesceHook;
+        use crate::engine::StopCondition;
+        use crate::telemetry::MultiObserver;
+
+        let c = Collector::new();
+        let mut b = WorkflowBuilder::new("segments");
+        let s = b.add_actor("src", VecSource::new((0..40).map(Token::Int).collect()));
+        let k = b.add_actor("sink", c.actor());
+        b.link((s, "out"), (k, "in")).unwrap();
+        let mut wf = b.build().unwrap();
+        let mut d = PoolDirector::new().with_workers(1);
+        d.instrument(Telemetry {
+            checkpoint: Some(QuiesceHook::new(Some(StopCondition::Firings(10)))),
+            ..Telemetry::new(Arc::new(MultiObserver::default()))
+        });
+        let first = d.run(&mut wf).unwrap();
+        let after_first = c.len() as u64;
+        let second = d.run(&mut wf).unwrap();
+        assert!(after_first > 0, "the sink fired in the first segment");
+        let stats = d.paused_stats.as_ref().expect("the second segment paused too");
+        assert_eq!(stats.fires(k.0), c.len() as u64, "sink firings of both segments");
+        assert_eq!(stats.fires(s.0) + stats.fires(k.0), first.firings + second.firings);
     }
 
     #[test]

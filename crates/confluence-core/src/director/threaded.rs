@@ -1,39 +1,32 @@
 //! The PNCWF thread-based continuous-workflow director.
 //!
 //! Based on Kepler's PN/CN/DE directors: every actor is wrapped in its own
-//! OS thread, allowing actors to run in parallel and blocking them whenever
+//! OS thread, allowing actors to run in parallel and waiting whenever
 //! there is no data to consume. Resource allocation among the threads is
 //! handled directly by the operating system — which, as the paper's
 //! evaluation shows, leaves no margin for QoS-based optimization (that is
 //! STAFiLOS's job, in `confluence-sched`).
 //!
-//! The timeout of timed windows is handled by the waiting actor thread: it
-//! waits on its inbox only until the earliest window-formation deadline of
-//! its receivers, then forces the receivers to produce.
-//!
 //! The firing rule is "whenever the actor's own thread finds a window"
-//! (sources: whenever their timetable says). The firing step and the run
-//! lifecycle are [`super::firing`]'s.
+//! (sources: whenever their timetable says). Each thread steps its actor's
+//! [`Task`] — the firing step, the window-deadline poll, a `Block` port's
+//! park and the run lifecycle are [`super::firing`]'s — and turns what the
+//! task waits for into a sleep, a wait on its own inbox (until the earliest
+//! window-formation deadline), or a wait for space on the port it parked
+//! on, running Parks' stall detector meanwhile.
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
-use crate::actor::Actor;
 use crate::error::{Error, Result};
-use crate::graph::{ActorId, Workflow};
-use crate::receiver::InboxPop;
-use crate::telemetry::{RunPhase, Telemetry};
+use crate::graph::Workflow;
+use crate::telemetry::Telemetry;
 use crate::time::{SharedClock, Timestamp, WallClock};
 
-use super::firing::{Boundary, Run};
-use super::{Director, QueueContext, RunReport, SOURCE_BACKOFF};
+use super::firing::{Run, Task, Wait};
+use super::{Director, RunReport, RECHECK};
 
-/// Longest uninterrupted block/sleep while a stop or a checkpoint pause
-/// may be pending: actor threads re-check both at least this often.
-const STOP_POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-/// One OS thread per actor; OS scheduling; blocking windowed reads.
+/// One OS thread per actor; OS scheduling; each thread waits on its own inbox.
 pub struct ThreadedDirector {
     clock: SharedClock,
     telemetry: Option<Telemetry>,
@@ -60,41 +53,27 @@ impl ThreadedDirector {
 impl Director for ThreadedDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
         let (run, contexts) = Run::open(workflow, self.telemetry.clone(), self.clock.clone())?;
-        // PN semantics: bounded channels really block the writing actor
-        // thread (cooperative directors leave this off).
-        run.fabric.set_blocking(true);
         let run = Arc::new(run);
         let mut handles = Vec::with_capacity(workflow.actor_count());
-        for (id, ctx) in workflow.actor_ids().zip(contexts) {
-            let node = workflow.node_mut(id);
-            let actor = node.take_actor();
-            let is_source = node.is_source;
+        for task in Task::take_all(workflow, contexts) {
+            let id = task.id;
             let run = run.clone();
             let handle = thread::Builder::new()
-                .name(format!("cwf-{}", node.name))
-                .spawn(move || controller(&run, id, actor, is_source, ctx))
+                .name(format!("cwf-{}", workflow.node(id).name))
+                .spawn(move || controller(&run, task))
                 .map_err(|e| Error::Director(format!("failed to spawn actor thread: {e}")))?;
             handles.push((id, handle));
         }
-
+        let mut tasks = Vec::with_capacity(handles.len());
         let mut first_error = None;
         for (id, handle) in handles {
-            let (actor, outcome) = handle
+            let (task, outcome) = handle
                 .join()
                 .map_err(|_| Error::Director(format!("actor thread {id} panicked")))?;
-            workflow.node_mut(id).return_actor(actor);
+            tasks.push(task);
             first_error = first_error.or(outcome.err());
         }
-        if let Some(e) = first_error {
-            run.phase(RunPhase::End);
-            return Err(e);
-        }
-        if run.boundary() == Boundary::Pause {
-            // Every thread has joined and unstaged its own context: the
-            // fabric is exclusively ours, so the destructive capture is safe.
-            return Ok(run.quiesce(&mut []));
-        }
-        run.wrapup(workflow)
+        run.end_tasks(workflow, tasks, first_error)
     }
 
     fn instrument(&mut self, telemetry: Telemetry) {
@@ -102,112 +81,39 @@ impl Director for ThreadedDirector {
     }
 }
 
-/// The per-actor thread body: transitions the actor through its iteration
-/// phases, blocking on the inbox between firings. Hands the actor back
-/// with the first error, if any.
-fn controller(
-    run: &Run,
-    id: ActorId,
-    mut actor: Box<dyn Actor>,
-    is_source: bool,
-    mut ctx: QueueContext,
-) -> (Box<dyn Actor>, Result<()>) {
-    // Every actor leaves its loop at the firing boundary where it first
-    // sees a stop or a checkpoint pause; what is queued stays queued.
-    let parked = || run.boundary() != Boundary::Go;
-    let bounded_waits = run.tele.is_some();
-
-    let result = (|| -> Result<()> {
-        if is_source {
-            while !parked() {
-                // Pace by the source's timetable (wall-clock realization of
-                // event arrival times).
-                if let Some(arrival) = actor.next_arrival() {
-                    let mut remaining = arrival.since(run.clock.now()).to_std();
-                    // Sleep in slices so a stop or pause does not have to
-                    // wait out a long inter-arrival gap.
-                    while !remaining.is_zero() && !parked() {
-                        let slice = if bounded_waits {
-                            remaining.min(STOP_POLL_INTERVAL)
-                        } else {
-                            remaining
-                        };
-                        thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                    if parked() {
-                        break;
-                    }
-                }
-                let fired = run.fire(id, &mut *actor, &mut ctx, None, None, None)?;
-                if fired.alive == Some(false) {
-                    break;
-                }
-                if fired.tokens_out == 0
-                    && matches!(actor.next_arrival(), None | Some(Timestamp::ZERO))
-                {
-                    // A source with nothing to say right now and no future
-                    // arrival to sleep toward (idle push source, or a
-                    // custom source whose timetable is exhausted but which
-                    // stays alive): back off instead of spinning.
-                    thread::sleep(SOURCE_BACKOFF.to_std());
+/// The per-actor thread body: steps the task until it finishes, waiting
+/// at most [`RECHECK`] at a time so a stop, a pause or relief is seen,
+/// then ends it. Hands the task back with the first error, if any.
+fn controller(run: &Run, mut task: Task) -> (Task, Result<()>) {
+    // This thread's stall-detector reading while it is parked.
+    let mut stall = None;
+    let until = |t: Timestamp| t.since(run.clock.now()).to_std().min(RECHECK);
+    let outcome = loop {
+        match task.step(run) {
+            Ok((Wait::Ready, _)) => {}
+            Ok((Wait::Until(t), _)) => thread::sleep(until(t)),
+            Ok((Wait::Inbox(deadline), _)) => {
+                run.fabric.inbox(task.id).wait_ready(deadline.map_or(RECHECK, until));
+            }
+            Ok((Wait::Space(port), _)) => {
+                let receiver = &run.fabric.receivers(port.actor)[port.port];
+                let capacity = receiver.effective_capacity();
+                if !receiver.inbox().wait_for_space(port.port, capacity, RECHECK) {
+                    run.fabric.relieve_if_stalled(&mut stall);
                 }
             }
-        } else {
-            let inbox = run.fabric.inbox(id).clone();
-            while !parked() {
-                let now = run.clock.now();
-                let mut timeout = run
-                    .fabric
-                    .actor_deadline(id)
-                    .map(|deadline| deadline.since(now).to_std());
-                if bounded_waits {
-                    // Bound the block so a stop or pause is noticed promptly.
-                    timeout = Some(timeout.map_or(STOP_POLL_INTERVAL, |t| t.min(STOP_POLL_INTERVAL)));
-                }
-                match inbox.pop_blocking(timeout) {
-                    InboxPop::Window(port, window) => {
-                        let input = Some((port, window));
-                        let fired = run.fire(id, &mut *actor, &mut ctx, input, None, None)?;
-                        if fired.alive == Some(false) {
-                            break;
-                        }
-                    }
-                    // A window-formation deadline passed: force the
-                    // receivers to evaluate their window semantics.
-                    InboxPop::TimedOut => run.poll(Some(id), run.clock.now())?,
-                    InboxPop::Closed => break,
-                }
-            }
-        }
-        Ok(())
-    })();
-    let result = match result {
-        // The actor will resume, not finish: skip the end-of-stream tail
-        // and leave the outputs open. A writer still blocked on a full
-        // `Block` port (its reader may have halted) admits over capacity
-        // instead, so it reaches its own firing boundary.
-        Ok(()) if run.boundary() == Boundary::Pause => {
-            run.fabric.set_blocking(false);
-            run.unstage(id, &mut ctx);
-            Ok(())
-        }
-        // Inputs drained (or stream ended).
-        Ok(()) => run.finish_actor(id, &mut *actor, &mut ctx),
-        // A failed actor skips `finish`, but its outputs still close so
-        // downstream threads terminate.
-        Err(e) => {
-            let _ = run.fabric.close_actor_outputs(id, run.clock.now());
-            Err(e)
+            Ok((Wait::Finish, _)) => break Ok(()),
+            Err(e) => break Err(e),
         }
     };
-    (actor, result)
+    let outcome = task.end(run, outcome);
+    (task, outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::{FireContext, IoSignature};
+    use crate::actor::{Actor, FireContext, IoSignature};
     use crate::actors::{Collector, PushSource, TimedSource, VecSource};
     use crate::graph::WorkflowBuilder;
     use crate::time::Micros;

@@ -11,12 +11,13 @@
 //!   (the paper's TM Windowed Receiver forwarding produced windows to the
 //!   actor's ready queue at the director, Figure 4);
 //! * [`ActorInbox`] — one per actor: the ready queue of `(port, Window)`
-//!   pairs. The thread-based director blocks on it; the STAFiLOS scheduled
-//!   director polls it and feeds its scheduler.
+//!   pairs. The thread-based director's actor thread waits on it
+//!   ([`ActorInbox::wait_ready`]), the pool is woken by it
+//!   ([`InboxWaker`]), and the other directors poll it.
 //!
 //! Channels are *bounded* when a [`ChannelPolicy`] with a capacity is
 //! attached: capacity is counted in formed windows queued per port, and a
-//! full port either blocks the writer (PN semantics, orchestrated by the
+//! full port either parks the writer (PN semantics, orchestrated by the
 //! fabric), sheds, or errors — see [`crate::channel`].
 
 use std::collections::VecDeque;
@@ -41,17 +42,6 @@ pub trait InboxWaker: Send + Sync {
     /// Queue space was freed on this inbox: writers parked on a full port
     /// may retry.
     fn on_space(&self);
-}
-
-/// Result of a blocking inbox pop.
-#[derive(Debug, PartialEq)]
-pub enum InboxPop {
-    /// A window is ready on the given input port.
-    Window(usize, Window),
-    /// The wait deadline passed with no window.
-    TimedOut,
-    /// Every upstream port has closed and no windows remain.
-    Closed,
 }
 
 #[derive(Debug)]
@@ -85,8 +75,9 @@ fn origin_key(window: &Window) -> u64 {
 /// The per-actor ready queue of formed windows.
 pub struct ActorInbox {
     state: Mutex<InboxState>,
-    cond: Condvar,
-    /// Writers blocked on a full port wait here; every pop (and every
+    /// The owning actor's thread waits here for a window or a close.
+    ready: Condvar,
+    /// Writers parked on a full port wait here; every pop (and every
     /// drop-shed, close, or capacity growth) notifies it.
     space: Condvar,
     /// Shared fabric-wide progress counter, bumped on every push and pop.
@@ -124,7 +115,7 @@ impl ActorInbox {
                 open_ports: input_ports,
                 per_port: vec![0; input_ports],
             }),
-            cond: Condvar::new(),
+            ready: Condvar::new(),
             space: Condvar::new(),
             progress,
             oldest: AtomicU64::new(u64::MAX),
@@ -189,7 +180,7 @@ impl ActorInbox {
         self.refresh_oldest(&st);
         drop(st);
         self.progress.fetch_add(1, Ordering::Relaxed);
-        self.cond.notify_one();
+        self.ready.notify_one();
         self.wake_ready();
     }
 
@@ -211,7 +202,7 @@ impl ActorInbox {
         self.refresh_oldest(&st);
         drop(st);
         self.progress.fetch_add(1, Ordering::Relaxed);
-        self.cond.notify_one();
+        self.ready.notify_one();
         self.wake_ready();
     }
 
@@ -233,11 +224,11 @@ impl ActorInbox {
         self.refresh_oldest(&st);
         drop(st);
         self.progress.fetch_add(1, Ordering::Relaxed);
-        self.cond.notify_one();
+        self.ready.notify_one();
         self.wake_ready();
     }
 
-    /// Non-blocking pop (used by scheduled directors).
+    /// Take the oldest ready window.
     pub fn try_pop(&self) -> Option<(usize, Window)> {
         let mut st = self.state.lock();
         let popped = st.windows.pop_front();
@@ -255,35 +246,17 @@ impl ActorInbox {
         popped.map(|(port, _, w)| (port, w))
     }
 
-    /// Blocking pop with an optional wall-clock timeout (used by the
-    /// thread-based director; the timeout realizes window-formation
-    /// timeouts, after which the caller polls its receivers).
-    pub fn pop_blocking(&self, timeout: Option<std::time::Duration>) -> InboxPop {
+    /// Wait until a window is queued, every feeding port has closed, or
+    /// `timeout` passes (the thread-based director's idle actor thread;
+    /// it then steps again). Returns whether a window or the close is
+    /// there.
+    pub fn wait_ready(&self, timeout: std::time::Duration) -> bool {
         let mut st = self.state.lock();
-        loop {
-            if let Some((port, _, w)) = st.windows.pop_front() {
-                release_drained(&mut st.windows);
-                let slot = st.depth_slot(port);
-                *slot = slot.saturating_sub(1);
-                self.refresh_oldest(&st);
-                drop(st);
-                self.progress.fetch_add(1, Ordering::Relaxed);
-                self.space.notify_all();
-                self.wake_space();
-                return InboxPop::Window(port, w);
-            }
-            if st.open_ports == 0 {
-                return InboxPop::Closed;
-            }
-            match timeout {
-                Some(t) => {
-                    if self.cond.wait_for(&mut st, t).timed_out() {
-                        return InboxPop::TimedOut;
-                    }
-                }
-                None => self.cond.wait(&mut st),
-            }
+        let ready = |st: &InboxState| !st.windows.is_empty() || st.open_ports == 0;
+        if !ready(&st) {
+            self.ready.wait_for(&mut st, timeout);
         }
+        ready(&st)
     }
 
     /// Number of ready windows.
@@ -339,7 +312,7 @@ impl ActorInbox {
         }
     }
 
-    /// Wake writers blocked on a full port (used after capacity growth).
+    /// Wake writers parked on a full port (used after capacity growth).
     pub fn notify_space(&self) {
         self.space.notify_all();
         self.wake_space();
@@ -350,7 +323,7 @@ impl ActorInbox {
         let mut st = self.state.lock();
         st.open_ports = st.open_ports.saturating_sub(1);
         drop(st);
-        self.cond.notify_all();
+        self.ready.notify_all();
         self.space.notify_all();
         self.wake_ready();
         self.wake_space();
@@ -510,7 +483,7 @@ impl PortReceiver {
     ///
     /// This path never blocks and never sheds: a full [`OnFull::Block`] /
     /// drop-policy port is admitted over capacity and [`OnFull::Error`]
-    /// fails. Capacity orchestration (waiting, shedding, relief) lives in
+    /// fails. Capacity orchestration (parking, shedding, relief) lives in
     /// the fabric, which goes through [`PortReceiver::try_put`] first.
     pub fn put(&self, event: CwEvent, now: Timestamp) -> Result<usize> {
         if self.policy.on_full == OnFull::Error && self.is_full() {
@@ -571,8 +544,8 @@ impl PortReceiver {
     /// channel policy:
     ///
     /// * [`OnFull::Block`] — returns [`TryPut::Full`] with the event handed
-    ///   back; the caller (fabric) waits for space and retries, or admits
-    ///   it anyway under cooperative directors;
+    ///   back; the fabric parks it with the writing task, or admits it
+    ///   anyway under cooperative directors;
     /// * [`OnFull::DropOldest`] — sheds the oldest queued window on this
     ///   port, then admits the event;
     /// * [`OnFull::DropNewest`] — discards the incoming event;
@@ -741,7 +714,7 @@ mod tests {
         assert!(inbox.all_ports_closed());
         let (_, w) = inbox.try_pop().expect("flushed short window");
         assert!(w.timed_out);
-        assert_eq!(inbox.pop_blocking(None), InboxPop::Closed);
+        assert!(inbox.wait_ready(std::time::Duration::from_secs(5)), "closed and drained");
     }
 
     #[test]
@@ -760,10 +733,10 @@ mod tests {
     }
 
     #[test]
-    fn blocking_pop_wakes_on_push() {
+    fn wait_ready_wakes_on_push() {
         let inbox = ActorInbox::new(1);
         let inbox2 = inbox.clone();
-        let t = std::thread::spawn(move || inbox2.pop_blocking(None));
+        let t = std::thread::spawn(move || inbox2.wait_ready(std::time::Duration::from_secs(5)));
         std::thread::sleep(std::time::Duration::from_millis(20));
         inbox.push(
             0,
@@ -773,24 +746,26 @@ mod tests {
                 timed_out: false,
             },
         );
-        match t.join().unwrap() {
-            InboxPop::Window(0, w) => assert_eq!(w.len(), 1),
-            other => panic!("unexpected pop result: {other:?}"),
-        }
+        assert!(t.join().unwrap(), "the push woke the waiter");
+        let (port, w) = inbox.try_pop().expect("the window waits in the inbox");
+        assert_eq!((port, w.len()), (0, 1));
     }
 
     #[test]
-    fn blocking_pop_times_out() {
+    fn wait_ready_times_out() {
         let inbox = ActorInbox::new(1);
-        let r = inbox.pop_blocking(Some(std::time::Duration::from_millis(5)));
-        assert_eq!(r, InboxPop::TimedOut);
+        assert!(!inbox.wait_ready(std::time::Duration::from_millis(5)));
     }
 
     #[test]
-    fn blocking_pop_returns_closed() {
+    fn wait_ready_returns_on_close() {
         let inbox = ActorInbox::new(1);
+        let inbox2 = inbox.clone();
+        let t = std::thread::spawn(move || inbox2.wait_ready(std::time::Duration::from_secs(5)));
+        std::thread::sleep(std::time::Duration::from_millis(20));
         inbox.close_port();
-        assert_eq!(inbox.pop_blocking(None), InboxPop::Closed);
+        assert!(t.join().unwrap(), "the close woke the waiter");
+        assert!(inbox.try_pop().is_none());
     }
 
     #[test]

@@ -29,10 +29,18 @@
 #    says the network has drained: no `DrainWatch`, `QUIESCE_PATIENCE` or
 #    `QUIESCE_WATCHDOG` under crates/*/src, and director/firing.rs (the
 #    shared lifecycle) imports nothing from `std::time`;
-#  - a stamped batch is delivered at once or waits in a parked pool task:
-#    under crates/confluence-core/src/director/ and crates/confluence-sched/src/,
-#    `Stamped` is named in director/{mod,firing,pool}.rs only, and no firing
-#    order has a `fn drain(` to finish deferred deliveries before a pause;
+#  - a stamped batch is delivered at once or waits in a parked wall-clock
+#    task: under crates/confluence-core/src/director/ and
+#    crates/confluence-sched/src/, `Stamped` is named in
+#    director/{mod,firing}.rs only, and no firing order has a `fn drain(` to
+#    finish deferred deliveries before a pause;
+#  - the two wall-clock directors share one task step: no `set_blocking`,
+#    `blocking_enabled`, `pop_blocking`, `InboxPop`, `TaskState`,
+#    `flush_pending` or `finalize_task` under crates/*/src (no thread-blocking
+#    fabric, no blocking inbox pop, no pool-only copy of the step), the idle
+#    source's `SOURCE_BACKOFF` is read in director/firing.rs only, and
+#    `RELIEF_PATIENCE` is compared in one function (director/mod.rs,
+#    `Fabric::relieve_if_stalled`): one stall detector;
 #  - under crates/confluence-core/src/director/ and
 #    crates/confluence-sched/src/, the stop bound and the checkpoint cadence
 #    are read, and a close cascade is opened, in director/firing.rs only
@@ -190,10 +198,9 @@ fi
 
 stamped=$(matches '(^|[^A-Za-z_])Stamped([^A-Za-z_]|$)' $directors |
     grep -v -e '^crates/confluence-core/src/director/mod.rs:' \
-        -e '^crates/confluence-core/src/director/firing.rs:' \
-        -e '^crates/confluence-core/src/director/pool.rs:' || true)
+        -e '^crates/confluence-core/src/director/firing.rs:' || true)
 if [ -n "$stamped" ]; then
-    echo "Stamped is named in director/{mod,firing,pool}.rs only (delivery is at once, or parked in a pool task):" >&2
+    echo "Stamped is named in director/{mod,firing}.rs only (delivery is at once, or parked in a wall-clock task):" >&2
     printf '%s\n' "$stamped" >&2
     status=1
 fi
@@ -201,6 +208,22 @@ drain_steps=$(matches 'fn drain\(' $directors)
 if [ -n "$drain_steps" ]; then
     echo "no firing order drains before a pause (a pause lands on the firing that meets the cadence):" >&2
     printf '%s\n' "$drain_steps" >&2
+    status=1
+fi
+
+task_copies=$(matches 'set_blocking|blocking_enabled|pop_blocking|InboxPop|TaskState|flush_pending|finalize_task' crates/*/src)
+if [ -n "$task_copies" ]; then
+    echo "one wall-clock task step: no thread-blocking fabric, blocking inbox pop or pool-only copy of the step:" >&2
+    printf '%s\n' "$task_copies" >&2
+    status=1
+fi
+once "reading the idle-source backoff (SOURCE_BACKOFF)" crates/confluence-core/src/director/firing.rs \
+    "$(matches 'SOURCE_BACKOFF' crates/*/src | grep -v 'const SOURCE_BACKOFF' || true)"
+patience=$(matches 'RELIEF_PATIENCE' crates/*/src | grep -v 'const RELIEF_PATIENCE' || true)
+stray_patience=$(printf '%s\n' "$patience" | grep . | outside_fn $fabric "fn relieve_if_stalled(" || true)
+if [ -z "$patience" ] || [ -n "$stray_patience" ]; then
+    echo "RELIEF_PATIENCE is compared in Fabric::relieve_if_stalled (director/mod.rs) and nowhere else:" >&2
+    printf '%s\n' "${stray_patience:-(no match at all)}" >&2
     status=1
 fi
 
@@ -226,6 +249,6 @@ once "re-injecting checkpointed state (restore_state)" crates/confluence-core/sr
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
         "one statistics module and one writer, one builder vocabulary, no control observer or flag, one ready queue per actor," \
-        "one Linear Road topology, no clock in the pause, no deferred delivery outside a parked pool task, no drain before a pause," \
-        "one run loop, one topological sort, one way into a checkpoint segment"
+        "one Linear Road topology, no clock in the pause, no deferred delivery outside a parked wall-clock task, no drain before a pause," \
+        "one wall-clock task step and one stall detector, one run loop, one topological sort, one way into a checkpoint segment"
 exit "$status"

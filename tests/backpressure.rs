@@ -1,10 +1,11 @@
 //! Overload behavior of the bounded fabric, end-to-end: `Block`
-//! backpressure bounds the backlog of a fast-source/slow-sink pipeline,
-//! drop policies shed with exact accounting, `Error` surfaces as
-//! [`Error::ChannelFull`], cooperative directors — DDF and the scheduled
-//! director alike — soft-admit instead of stalling their scheduling loop,
-//! and an artificial deadlock on a cyclic workflow is relieved by growing
-//! the smallest full queue (Parks' algorithm).
+//! backpressure bounds the backlog of a fast-source/slow-sink pipeline
+//! under both wall-clock directors (the writer's task parks, on its own
+//! thread or as a pool task), drop policies shed with exact accounting,
+//! `Error` surfaces as [`Error::ChannelFull`], cooperative directors — DDF
+//! and the scheduled director alike — soft-admit instead of stalling their
+//! scheduling loop, and an artificial deadlock on a cyclic workflow is
+//! relieved by growing the smallest full queue (Parks' algorithm).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,11 +16,11 @@ use confluence::core::actor::{Actor, FireContext, IoSignature};
 use confluence::core::actors::{Collector, VecSource};
 use confluence::core::director::ddf::DdfDirector;
 use confluence::core::error::{Error, Result};
-use confluence::core::graph::WorkflowBuilder;
+use confluence::core::graph::{Workflow, WorkflowBuilder};
 use confluence::core::token::Token;
 use confluence::core::window::WindowSpec;
 use confluence::core::time::Micros;
-use confluence::prelude::{ChannelPolicy, Engine};
+use confluence::prelude::{ChannelPolicy, Engine, PoolDirector};
 use confluence::sched::cost::TableCostModel;
 use confluence::sched::policies::FifoScheduler;
 use confluence::sched::ScwfDirector;
@@ -118,12 +119,20 @@ impl Actor for Forward {
     }
 }
 
-/// Fast source into a slow sink over a `Block` channel: the writer
-/// stalls at the bound instead of growing the backlog, nothing is lost,
-/// and the high-watermark stays within 2x the configured capacity (the
-/// ISSUE acceptance bound; in practice it stays at the capacity).
-#[test]
-fn block_policy_bounds_backlog() {
+/// The engine for `workflow` under the wall-clock director `name`.
+fn wall_clock(name: &str, workflow: Workflow) -> Engine {
+    match name {
+        "pool" => Engine::new(workflow).with_director(PoolDirector::new().with_workers(2)),
+        _ => Engine::new(workflow),
+    }
+}
+
+/// Fast source into a slow sink over a `Block` channel, under the
+/// wall-clock director `name`: the writer parks at the bound instead of
+/// growing the backlog, nothing is lost, the time it spent parked is
+/// reported, and the high-watermark stays within 2x the configured capacity
+/// (in practice it stays at the capacity).
+fn block_bounds_backlog(name: &str) {
     const N: i64 = 300;
     const CAP: usize = 64;
     let seen = Arc::new(AtomicU64::new(0));
@@ -138,24 +147,24 @@ fn block_policy_bounds_backlog() {
     );
     b.chain(&[s, k]).unwrap();
     b.set_default_channel_policy(ChannelPolicy::block(CAP));
-    let mut engine = Engine::new(b.build().unwrap());
+    let mut engine = wall_clock(name, b.build().unwrap());
     engine.run().unwrap();
 
-    assert_eq!(seen.load(Ordering::Relaxed), N as u64, "Block loses nothing");
+    assert_eq!(seen.load(Ordering::Relaxed), N as u64, "{name}: Block loses nothing");
     let snap = engine.snapshot();
     let sink = snap.actor("sink").expect("sink metrics");
     assert!(
         sink.queue_high_water <= (2 * CAP) as u64,
-        "backlog must stay bounded: high water {} > {}",
+        "{name}: backlog must stay bounded: high water {} > {}",
         sink.queue_high_water,
         2 * CAP
     );
     assert!(
         snap.total_blocks() > 0,
-        "a source outpacing the sink must hit the bound"
+        "{name}: a source outpacing the sink must hit the bound"
     );
-    assert!(snap.total_block_time().as_micros() > 0);
-    assert_eq!(snap.total_shed(), 0, "Block never sheds");
+    assert!(snap.total_block_time().as_micros() > 0, "{name}: parked time is reported");
+    assert_eq!(snap.total_shed(), 0, "{name}: Block never sheds");
 
     // The backpressure counters ride along in both exchange formats.
     let json = snap.to_json();
@@ -166,6 +175,17 @@ fn block_policy_bounds_backlog() {
     assert!(prom.contains("confluence_actor_blocks_total"));
     assert!(prom.contains("confluence_actor_block_microseconds_total"));
     assert!(prom.contains("confluence_actor_events_shed_total"));
+}
+
+#[test]
+fn block_policy_bounds_backlog() {
+    block_bounds_backlog("threaded");
+}
+
+/// The same bound under the pool: the writer's *task* parks, not a thread.
+#[test]
+fn block_policy_bounds_backlog_under_pool() {
+    block_bounds_backlog("pool");
 }
 
 /// `DropOldest` under sustained overload: every event is either
@@ -338,16 +358,15 @@ fn scwf_error_policy_surfaces_channel_full() {
     );
 }
 
-/// Artificial deadlock on a cyclic workflow (paper/Parks): a doubling
-/// amplifier feeding a forwarder feeding back into the amplifier, over
-/// 2-slot `Block` channels. The in-flight token population (peaks at 16
-/// for a depth-4 seed) cannot fit in the bounded fabric, so both
-/// writers block — the director detects the stalled fabric and grows
-/// the smallest full queue until the cascade drains. Firing budgets
-/// (31 = 1 seed + 30 forwarded windows; 30 = 2+4+8+16 amplified tokens)
-/// terminate the cycle deterministically.
-#[test]
-fn artificial_deadlock_relieved_by_queue_growth() {
+/// Artificial deadlock on a cyclic workflow (paper/Parks), under the
+/// wall-clock director `name`: a doubling amplifier feeding a forwarder
+/// feeding back into the amplifier, over 2-slot `Block` channels. The in-flight
+/// token population (peaks at 16 for a depth-4 seed) cannot fit in the
+/// bounded fabric, so both writers park — the stall detector sees the
+/// frozen fabric and grows the smallest full queue until the cascade
+/// drains. Firing budgets (31 = 1 seed + 30 forwarded windows; 30 =
+/// 2+4+8+16 amplified tokens) terminate the cycle deterministically.
+fn deadlock_relieved(name: &str) {
     let amp_seen = Arc::new(AtomicU64::new(0));
     let fwd_seen = Arc::new(AtomicU64::new(0));
     let mut b = WorkflowBuilder::new("cycle");
@@ -371,16 +390,17 @@ fn artificial_deadlock_relieved_by_queue_growth() {
     b.channel_policy((a, "in"), ChannelPolicy::block(2)).unwrap();
     b.channel_policy((f, "in"), ChannelPolicy::block(2)).unwrap();
 
-    let mut engine = Engine::new(b.build().unwrap());
+    let mut engine = wall_clock(name, b.build().unwrap());
     engine.run().unwrap();
 
-    assert_eq!(amp_seen.load(Ordering::Relaxed), 31);
-    assert_eq!(fwd_seen.load(Ordering::Relaxed), 30);
+    assert_eq!(amp_seen.load(Ordering::Relaxed), 31, "{name}");
+    assert_eq!(fwd_seen.load(Ordering::Relaxed), 30, "{name}");
     let snap = engine.snapshot();
     assert!(
         snap.total_blocks() > 0,
-        "the doubling cascade must saturate the 2-slot channels"
+        "{name}: the doubling cascade must saturate the 2-slot channels"
     );
+    assert!(snap.total_block_time().as_micros() > 0, "{name}: parked time is reported");
     let high = snap
         .actor("amp")
         .expect("amp metrics")
@@ -388,6 +408,18 @@ fn artificial_deadlock_relieved_by_queue_growth() {
         .max(snap.actor("fwd").expect("fwd metrics").queue_high_water);
     assert!(
         high > 2,
-        "deadlock relief must have grown a queue past its capacity (high water {high})"
+        "{name}: deadlock relief must have grown a queue past its capacity (high water {high})"
     );
+}
+
+#[test]
+fn artificial_deadlock_relieved_by_queue_growth() {
+    deadlock_relieved("threaded");
+}
+
+/// The same cycle under the pool: with writers parked as tasks (not
+/// threads), the stall detector still grows the smallest full queue.
+#[test]
+fn artificial_deadlock_relieved_under_pool() {
+    deadlock_relieved("pool");
 }

@@ -1,98 +1,20 @@
 //! The pooled work-stealing executor, end-to-end: firings are attributed
 //! to workers (and idle workers steal), the shared timer thread closes
-//! timed windows without per-actor threads, `Block` backpressure parks
-//! the blocked *task* instead of a whole OS thread, the deadlock-relief
-//! valve still works when writers park, and the pool produces the same
-//! event flow as the thread-per-actor baseline on Linear Road.
+//! timed windows without per-actor threads, and the pool produces the same
+//! event flow as the thread-per-actor baseline on Linear Road. `Block`
+//! backpressure and deadlock relief under both wall-clock directors are
+//! `tests/backpressure.rs`'s.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::Duration;
 
-use confluence::core::actor::{Actor, FireContext, IoSignature};
 use confluence::core::actors::{Collector, TimedSource, VecSource};
-use confluence::core::error::Result;
 use confluence::core::graph::WorkflowBuilder;
 use confluence::core::time::{Micros, Timestamp};
 use confluence::core::token::Token;
 use confluence::core::window::WindowSpec;
-use confluence::prelude::{ChannelPolicy, Engine, Observer, PoolDirector};
+use confluence::prelude::{Engine, Observer, PoolDirector};
 use confluence_bench::runner::{run_linear_road_realtime, RealtimeOptions};
 use confluence_linearroad::{Workload, WorkloadConfig};
-
-/// Sink that dwells on every window, forcing upstream backlog.
-struct SlowSink {
-    delay: Duration,
-    seen: Arc<AtomicU64>,
-}
-
-impl Actor for SlowSink {
-    fn signature(&self) -> IoSignature {
-        IoSignature::sink("in")
-    }
-    fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        while let Some(w) = ctx.get(0) {
-            thread::sleep(self.delay);
-            self.seen.fetch_add(w.len() as u64, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-}
-
-/// Cycle actor: each token `v > 0` becomes two tokens `v - 1`; stops
-/// after processing exactly `budget` windows (see `tests/backpressure.rs`).
-struct Doubling {
-    seen: Arc<AtomicU64>,
-    budget: u64,
-}
-
-impl Actor for Doubling {
-    fn signature(&self) -> IoSignature {
-        IoSignature::transform("in", "out")
-    }
-    fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        while let Some(w) = ctx.get(0) {
-            self.seen.fetch_add(1, Ordering::Relaxed);
-            for t in w.tokens() {
-                let v = t.as_int()?;
-                if v > 0 {
-                    ctx.emit(0, Token::Int(v - 1));
-                    ctx.emit(0, Token::Int(v - 1));
-                }
-            }
-        }
-        Ok(())
-    }
-    fn postfire(&mut self, _ctx: &mut dyn FireContext) -> Result<bool> {
-        Ok(self.seen.load(Ordering::Relaxed) < self.budget)
-    }
-}
-
-/// Cycle actor: forwards every token unchanged; stops after `budget`
-/// windows.
-struct Forward {
-    seen: Arc<AtomicU64>,
-    budget: u64,
-}
-
-impl Actor for Forward {
-    fn signature(&self) -> IoSignature {
-        IoSignature::transform("in", "out")
-    }
-    fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
-        while let Some(w) = ctx.get(0) {
-            self.seen.fetch_add(1, Ordering::Relaxed);
-            for t in w.tokens() {
-                ctx.emit(0, t.clone());
-            }
-        }
-        Ok(())
-    }
-    fn postfire(&mut self, _ctx: &mut dyn FireContext) -> Result<bool> {
-        Ok(self.seen.load(Ordering::Relaxed) < self.budget)
-    }
-}
 
 /// One wide fan-out run on a 4-worker pool. Returns (steals, workers,
 /// worker-fires-sum, total-fires).
@@ -176,91 +98,6 @@ fn timer_thread_closes_timed_windows() {
         first.as_micros()
     );
     assert!(e.snapshot().actor("sink").unwrap().windows_closed >= 1);
-}
-
-/// The `tests/backpressure.rs` Block bound, now under the pool: a fast
-/// source into a slow sink over a 64-slot `Block` channel. The writer's
-/// *task* parks at the bound (the worker moves on), nothing is lost, and
-/// the backlog stays within 2x the capacity.
-#[test]
-fn block_policy_bounds_backlog_under_pool() {
-    const N: i64 = 300;
-    const CAP: usize = 64;
-    let seen = Arc::new(AtomicU64::new(0));
-    let mut b = WorkflowBuilder::new("overload-block-pool");
-    let s = b.add_actor("src", VecSource::new((0..N).map(Token::Int).collect()));
-    let k = b.add_actor(
-        "sink",
-        SlowSink {
-            delay: Duration::from_micros(200),
-            seen: seen.clone(),
-        },
-    );
-    b.chain(&[s, k]).unwrap();
-    b.set_default_channel_policy(ChannelPolicy::block(CAP));
-    let mut engine =
-        Engine::new(b.build().unwrap()).with_director(PoolDirector::new().with_workers(2));
-    engine.run().unwrap();
-
-    assert_eq!(seen.load(Ordering::Relaxed), N as u64, "Block loses nothing");
-    let snap = engine.snapshot();
-    let sink = snap.actor("sink").expect("sink metrics");
-    assert!(
-        sink.queue_high_water <= (2 * CAP) as u64,
-        "backlog must stay bounded: high water {} > {}",
-        sink.queue_high_water,
-        2 * CAP
-    );
-    assert!(
-        snap.total_blocks() > 0,
-        "a source outpacing the sink must hit the bound"
-    );
-    assert_eq!(snap.total_shed(), 0, "Block never sheds");
-}
-
-/// The artificial-deadlock cycle from `tests/backpressure.rs`, under the
-/// pool: with writers parked as tasks (not threads), the timer thread
-/// still detects the frozen fabric and grows the smallest full queue.
-#[test]
-fn artificial_deadlock_relieved_under_pool() {
-    let amp_seen = Arc::new(AtomicU64::new(0));
-    let fwd_seen = Arc::new(AtomicU64::new(0));
-    let mut b = WorkflowBuilder::new("cycle-pool");
-    let s = b.add_actor("seed", VecSource::new(vec![Token::Int(4)]));
-    let a = b.add_actor(
-        "amp",
-        Doubling {
-            seen: amp_seen.clone(),
-            budget: 31,
-        },
-    );
-    let f = b.add_actor(
-        "fwd",
-        Forward {
-            seen: fwd_seen.clone(),
-            budget: 30,
-        },
-    );
-    b.chain(&[s, a, f]).unwrap();
-    b.link_windowed((f, "out"), (a, "in"), WindowSpec::each_event()).unwrap();
-    b.channel_policy((a, "in"), ChannelPolicy::block(2)).unwrap();
-    b.channel_policy((f, "in"), ChannelPolicy::block(2)).unwrap();
-
-    let mut engine = Engine::new(b.build().unwrap()).with_director(PoolDirector::new().with_workers(2));
-    engine.run().unwrap();
-
-    assert_eq!(amp_seen.load(Ordering::Relaxed), 31);
-    assert_eq!(fwd_seen.load(Ordering::Relaxed), 30);
-    let snap = engine.snapshot();
-    let high = snap
-        .actor("amp")
-        .expect("amp metrics")
-        .queue_high_water
-        .max(snap.actor("fwd").expect("fwd metrics").queue_high_water);
-    assert!(
-        high > 2,
-        "deadlock relief must have grown a queue past its capacity (high water {high})"
-    );
 }
 
 /// Head-to-head on a deterministic (no-accident) Linear Road trace: the
