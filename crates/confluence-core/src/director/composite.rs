@@ -153,7 +153,7 @@ impl Actor for CompositeActor {
     fn wrapup(&mut self) -> Result<()> {
         // An outer run abandoned without closing still tears the inner one down.
         match self.run.take() {
-            Some((run, _)) => run.wrapup(&mut self.inner).map(|_| ()),
+            Some((run, _)) => run.wrapup(&mut self.inner),
             None => Ok(()),
         }
     }

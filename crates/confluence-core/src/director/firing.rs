@@ -29,10 +29,18 @@
 //! a condvar wait on its own thread, the pool into a wakeup registration.
 //! A full `Block` port parks the rest of the firing's batch with the task
 //! under both.
+//!
+//! An error ends the run under every director: [`Run::fail`] keeps the
+//! first one and latches [`Boundary::Failed`], every task and firing order
+//! stops at its next boundary, and the run leaves through the one tail
+//! without `finish` or `wrapup`, announcing [`RunPhase::End`].
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::actor::Actor;
 use crate::checkpoint::QuiesceHook;
@@ -78,6 +86,8 @@ pub enum Boundary {
     Stop = 1,
     /// Stop at the boundary and capture what is queued (a checkpoint).
     Pause = 2,
+    /// The run failed ([`Run::fail`]): end without `finish` or `wrapup`.
+    Failed = 3,
 }
 
 /// What one [`FiringOrder::step`] did.
@@ -256,8 +266,10 @@ pub struct Run {
     started: Timestamp,
     firings: AtomicU64,
     routed: AtomicU64,
-    /// The segment's first non-`Go` [`Boundary`], kept to its end.
+    /// The segment's first non-`Go` [`Boundary`], kept to its end ([`Run::fail`] overrides it).
     decided: AtomicU8,
+    /// The run's first error ([`Run::fail`]).
+    error: Mutex<Option<Error>>,
 }
 
 impl Run {
@@ -301,16 +313,18 @@ impl Run {
             firings: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             decided: AtomicU8::new(Boundary::Go as u8),
+            error: Mutex::new(None),
         };
         run.phase(RunPhase::Start);
-        if !resumed {
-            for id in workflow.actor_ids() {
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(run.clock.now());
-                workflow.node_mut(id).actor_mut().initialize(ctx)?;
-                let (emissions, _) = ctx.take_emissions();
-                let n = run.fabric.route(id, emissions, None, run.clock.now())?;
-                run.routed.fetch_add(n, Ordering::Relaxed);
+        for id in workflow.actor_ids().filter(|_| !resumed) {
+            let ctx = &mut contexts[id.0];
+            ctx.set_now(run.clock.now());
+            let initialized = (workflow.node_mut(id).actor_mut().initialize(ctx))
+                .and_then(|()| run.fabric.route(id, ctx.take_emissions().0, None, run.clock.now()))
+                .map(|n| run.routed.fetch_add(n, Ordering::Relaxed));
+            if let Err(e) = initialized {
+                run.fail(e);
+                return Err(run.end(workflow, &mut contexts).expect_err("the run failed"));
             }
         }
         Ok((run, contexts))
@@ -329,27 +343,36 @@ impl Run {
     }
 
     /// What the next firing boundary allows, from the segment's own
-    /// counters: `Pause` once the segment has fired and met the hook's
-    /// checkpoint cadence, else `Stop` once the telemetry's stop bound is
-    /// met, else `Go`. The first answer that is not `Go` holds for the rest
-    /// of the segment, so the close cascade's firings cannot turn a stop
+    /// counters: `Failed` once the run has failed, else `Pause` once the
+    /// segment has fired and met the hook's checkpoint cadence, else `Stop`
+    /// once the telemetry's stop bound is met, else `Go`. The first answer
+    /// that is not `Go` holds for the rest of the segment (an error
+    /// overrides it), so the close cascade's firings cannot turn a stop
     /// into a pause, and every thread of a run sees the same answer.
     pub fn boundary(&self) -> Boundary {
-        let go = Boundary::Go as u8;
-        if self.decided.load(Ordering::Acquire) == go {
+        if self.latched() == Boundary::Go {
             let decided = self.decide();
             if decided == Boundary::Go {
                 return decided;
             }
             // Whoever latches first wins; the latch then holds.
-            let latch = decided as u8;
+            let (go, latch) = (Boundary::Go as u8, decided as u8);
             let _ = self.decided.compare_exchange(go, latch, Ordering::AcqRel, Ordering::Acquire);
         }
-        if self.decided.load(Ordering::Acquire) == Boundary::Stop as u8 {
-            Boundary::Stop
-        } else {
-            Boundary::Pause
-        }
+        self.latched()
+    }
+
+    /// The boundary latched so far, without deciding anew.
+    fn latched(&self) -> Boundary {
+        use Boundary::*;
+        [Go, Stop, Pause, Failed][usize::from(self.decided.load(Ordering::Acquire))]
+    }
+
+    /// Fail the run: keep `error` unless an earlier one is kept, and latch
+    /// [`Boundary::Failed`], so every thread stops at its next boundary.
+    pub fn fail(&self, error: Error) {
+        self.error.lock().get_or_insert(error);
+        self.decided.store(Boundary::Failed as u8, Ordering::Release);
     }
 
     fn decide(&self) -> Boundary {
@@ -375,10 +398,11 @@ impl Run {
         }
     }
 
-    /// Run `order` on the caller's thread over `span`. At each boundary a
-    /// pause ends the segment in [`Run::quiesce`]; a stop, like the
+    /// Run `order` on the caller's thread over `span`. A stop, like the
     /// stream's end, closes every actor upstream first (settle,
-    /// [`Run::finish_actor`], settle) and wraps the run up.
+    /// [`Run::finish_actor`], settle); a pause or an error (of a step, a
+    /// settle or a `finish`: [`Run::fail`]) does not. The run leaves
+    /// through the tail it shares with [`Run::end_tasks`].
     pub fn drive(
         &self,
         workflow: &mut Workflow,
@@ -388,39 +412,45 @@ impl Run {
     ) -> Result<Progress> {
         let cx = &mut Cx { run: self, workflow, contexts };
         let (mut spent, mut exhausted, mut wake) = (Micros::ZERO, false, None);
-        loop {
-            match self.boundary() {
-                Boundary::Stop => break,
-                Boundary::Pause => {
-                    self.quiesce(cx.contexts);
-                    return Ok(Progress::Paused);
+        // `Some` when a slice hands back, `None` at the run's end.
+        let mut fire_on = || -> Result<Option<Progress>> {
+            loop {
+                match self.boundary() {
+                    Boundary::Stop => break,
+                    Boundary::Pause | Boundary::Failed => return Ok(None),
+                    Boundary::Go if exhausted => return Ok(Some(Progress::BudgetExhausted)),
+                    Boundary::Go => {}
                 }
-                Boundary::Go if exhausted => return Ok(Progress::BudgetExhausted),
-                Boundary::Go => {}
-            }
-            if let Some(t) = wake.take() {
-                order.advance_to(self, cx.workflow, t);
-            }
-            match (order.step(cx)?, span) {
-                (Step::Busy(cost), Span::Slice(Some(budget))) => {
-                    spent += cost;
-                    exhausted = spent >= budget;
+                if let Some(t) = wake.take() {
+                    order.advance_to(self, cx.workflow, t);
                 }
-                (Step::Busy(_), _) => {}
-                (Step::IdleUntil(t), Span::Slice(_)) => return Ok(Progress::IdleUntil(t)),
-                (Step::IdleUntil(t), Span::Whole) => wake = Some(t),
-                (Step::Ended, _) => break,
-                (Step::Abandoned, _) => return self.wrapup(cx.workflow).map(|_| Progress::Finished),
+                match (order.step(cx)?, span) {
+                    (Step::Busy(cost), Span::Slice(Some(budget))) => {
+                        spent += cost;
+                        exhausted = spent >= budget;
+                    }
+                    (Step::Busy(_), _) => {}
+                    (Step::IdleUntil(t), Span::Slice(_)) => return Ok(Some(Progress::IdleUntil(t))),
+                    (Step::IdleUntil(t), Span::Whole) => wake = Some(t),
+                    (Step::Ended, _) => break,
+                    (Step::Abandoned, _) => return Ok(None),
+                }
             }
+            self.phase(RunPhase::Close);
+            for id in quasi_topological(cx.workflow) {
+                order.settle(cx, id, false)?;
+                let actor = cx.workflow.node_mut(id).actor_mut();
+                self.finish_actor(id, actor, &mut cx.contexts[id.0])?;
+                order.settle(cx, id, true)?;
+            }
+            Ok(None)
+        };
+        match fire_on() {
+            Ok(Some(progress)) => return Ok(progress),
+            Ok(None) => {}
+            Err(e) => self.fail(e),
         }
-        self.phase(RunPhase::Close);
-        for id in quasi_topological(cx.workflow) {
-            order.settle(cx, id, false)?;
-            let actor = cx.workflow.node_mut(id).actor_mut();
-            self.finish_actor(id, actor, &mut cx.contexts[id.0])?;
-            order.settle(cx, id, true)?;
-        }
-        self.wrapup(cx.workflow).map(|_| Progress::Finished)
+        self.end(cx.workflow, cx.contexts)
     }
 
     /// One firing attempt of `actor` on `inputs` (none for a source): the
@@ -562,62 +592,60 @@ impl Run {
         finished.and(closed)
     }
 
-    /// Hand an actor's delivered-but-unconsumed windows back to the front
-    /// of its inbox, so a checkpoint capture does not lose them.
-    pub fn unstage(&self, id: ActorId, ctx: &mut QueueContext) {
-        self.fabric.inbox(id).push_front_batch(ctx.take_staged());
-    }
-
-    /// Honour a checkpoint pause once no firing is in flight: unstage the
-    /// given contexts, put the captured fabric state in the hook's slot, and
-    /// end the segment without the end-of-stream tail (no `finish`, no
-    /// channel closes, no `wrapup`) — the actors will resume.
-    pub fn quiesce(&self, contexts: &mut [QueueContext]) -> RunReport {
+    /// Honour a checkpoint pause once no firing is in flight: hand each
+    /// actor's delivered-but-unconsumed windows back to the front of its
+    /// inbox and put the captured fabric state in the hook's slot. The
+    /// segment ends without the end-of-stream tail (no `finish`, no channel
+    /// closes, no `wrapup`): the actors will resume.
+    fn quiesce(&self, contexts: &mut [QueueContext]) {
         for (i, ctx) in contexts.iter_mut().enumerate() {
-            self.unstage(ActorId(i), ctx);
+            self.fabric.inbox(ActorId(i)).push_front_batch(ctx.take_staged());
         }
         if let Some(hook) = self.hook() {
             hook.put(self.fabric.capture_state());
         }
-        self.phase(RunPhase::End);
-        self.report()
     }
 
-    /// End a run whose stream ended: one-time teardown of every actor.
-    pub fn wrapup(&self, workflow: &mut Workflow) -> Result<RunReport> {
+    /// One-time teardown of every actor, once the stream ended.
+    pub fn wrapup(&self, workflow: &mut Workflow) -> Result<()> {
         self.phase(RunPhase::Wrapup);
         for id in workflow.actor_ids() {
             workflow.node_mut(id).actor_mut().wrapup()?;
         }
-        self.phase(RunPhase::End);
-        Ok(self.report())
+        Ok(())
     }
 
-    /// End a wall-clock run once no task steps any more: hand every actor
-    /// back to `workflow`, then fail with `first_error`, or at a latched
-    /// pause stop every task (admit its parked rest, unstage) and capture
-    /// what is queued ([`Run::quiesce`]), or wrap up.
-    pub fn end_tasks(
-        &self,
-        workflow: &mut Workflow,
-        tasks: Vec<Task>,
-        mut first_error: Option<Error>,
-    ) -> Result<RunReport> {
-        let pausing = first_error.is_none() && self.boundary() == Boundary::Pause;
-        for mut task in tasks {
-            if pausing {
-                first_error = first_error.or(task.pause(self).err());
+    /// The one end of a run, once nothing fires any more: a paused run
+    /// captures what is queued, a failed one runs no `wrapup`, any other
+    /// wraps up (an error there fails it). Then [`RunPhase::End`] is
+    /// announced, and a failed run returns its first error.
+    fn end(&self, workflow: &mut Workflow, contexts: &mut [QueueContext]) -> Result<Progress> {
+        let paused = self.latched() == Boundary::Pause;
+        if paused {
+            self.quiesce(contexts);
+        } else if self.latched() != Boundary::Failed {
+            if let Err(e) = self.wrapup(workflow) {
+                self.fail(e);
             }
+        }
+        self.phase(RunPhase::End);
+        match self.error.lock().clone() {
+            Some(e) => Err(e),
+            None if paused => Ok(Progress::Paused),
+            None => Ok(Progress::Finished),
+        }
+    }
+
+    /// End a wall-clock run once every task has ended ([`Task::end`]): hand
+    /// every actor back to `workflow`, then leave through the tail
+    /// [`Run::drive`] shares, with the tasks' contexts.
+    pub fn end_tasks(&self, workflow: &mut Workflow, tasks: Vec<Task>) -> Result<Progress> {
+        let mut contexts = Vec::with_capacity(tasks.len());
+        for task in tasks {
             workflow.node_mut(task.id).return_actor(task.actor);
+            contexts.push(task.ctx);
         }
-        if let Some(e) = first_error {
-            self.phase(RunPhase::End);
-            return Err(e);
-        }
-        if pausing {
-            return Ok(self.quiesce(&mut []));
-        }
-        self.wrapup(workflow)
+        self.end(workflow, &mut contexts)
     }
 
     /// Firings, deliveries and director time since the segment began.
@@ -643,8 +671,8 @@ pub enum Wait {
     Inbox(Option<Timestamp>),
     /// The rest of a firing's batch is parked on this full `Block` port.
     Space(PortRef),
-    /// Done stepping: the stream ended, or the run stops or pauses.
-    /// [`Task::end`] comes next.
+    /// Done stepping: the stream ended, or the run stops, pauses or
+    /// failed. [`Task::end`] comes next.
     Finish,
 }
 
@@ -693,8 +721,13 @@ impl Task {
     /// when its timetable says, any other actor on the next window in its
     /// inbox, after polling its receivers once a window-formation deadline
     /// has passed. Returns what the task waits for, and the firing attempt
-    /// if there was one.
-    pub fn step(&mut self, run: &Run) -> Result<(Wait, Option<Fired>)> {
+    /// if there was one. An error or a panic fails the run
+    /// ([`Run::fail`]) and ends the stepping.
+    pub fn step(&mut self, run: &Run) -> (Wait, Option<Fired>) {
+        guarded(run, self.id, || self.try_step(run)).unwrap_or((Wait::Finish, None))
+    }
+
+    fn try_step(&mut self, run: &Run) -> Result<(Wait, Option<Fired>)> {
         if run.boundary() != Boundary::Go {
             return Ok((Wait::Finish, None));
         }
@@ -757,45 +790,40 @@ impl Task {
         Ok((wait, Some(fired)))
     }
 
-    /// End the task, once: admit the parked rest over capacity, then
-    /// [`Run::finish_actor`]; after an error, close the actor's outputs
-    /// instead, so downstream tasks end too. A task that ends at a latched
-    /// pause is left to [`Run::end_tasks`]: its `finish` belongs to the
-    /// segment that ends the stream. Returns the first error, `outcome`'s
-    /// first.
-    pub fn end(&mut self, run: &Run, outcome: Result<()>) -> Result<()> {
-        if std::mem::replace(&mut self.ended, true) {
-            return Ok(());
+    /// End the task, once, unless the run failed (a failed run finishes
+    /// nothing): admit the parked rest over capacity, then — unless a
+    /// checkpoint pause is latched, whose capture ([`Run::end_tasks`]) the
+    /// resumed actor goes on from — [`Run::finish_actor`]. An error or a
+    /// panic fails the run. A deferred `postfire` is not run at a pause: the
+    /// resumed actor's next firing asks again.
+    pub fn end(&mut self, run: &Run) {
+        let boundary = run.boundary();
+        if std::mem::replace(&mut self.ended, true) || boundary == Boundary::Failed {
+            return;
         }
-        match outcome {
-            Ok(()) if run.boundary() == Boundary::Pause => Ok(()),
-            Ok(()) => {
-                let admitted = self.admit_parked(run);
-                admitted.and(run.finish_actor(self.id, &mut *self.actor, &mut self.ctx))
+        guarded(run, self.id, || {
+            let admitted = match self.parked.take() {
+                Some(mut rest) => run.fabric.deliver(&mut rest, run.clock.now(), false).map(drop),
+                None => Ok(()),
+            };
+            match boundary {
+                Boundary::Pause => admitted,
+                _ => admitted.and(run.finish_actor(self.id, &mut *self.actor, &mut self.ctx)),
             }
-            Err(e) => {
-                let _ = self.admit_parked(run);
-                let _ = run.fabric.close_actor_outputs(self.id, run.clock.now());
-                Err(e)
-            }
-        }
+        });
     }
+}
 
-    /// Stop at a checkpoint pause: admit the parked rest over capacity,
-    /// then hand the staged windows back to the inbox. A deferred
-    /// `postfire` is not run: the resumed actor's next firing asks again.
-    fn pause(&mut self, run: &Run) -> Result<()> {
-        let admitted = self.admit_parked(run);
-        run.unstage(self.id, &mut self.ctx);
-        admitted
-    }
-
-    fn admit_parked(&mut self, run: &Run) -> Result<()> {
-        match self.parked.take() {
-            Some(mut rest) => run.fabric.deliver(&mut rest, run.clock.now(), false).map(drop),
-            None => Ok(()),
-        }
-    }
+/// Run `f` on task `id`'s behalf: an error, or a panic (this is the one
+/// place a task's panic is caught), fails the run and gives `None`.
+fn guarded<T>(run: &Run, id: ActorId, f: impl FnOnce() -> Result<T>) -> Option<T> {
+    let failed = match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(Ok(done)) => return Some(done),
+        Ok(Err(e)) => e,
+        Err(_) => Error::Director(format!("actor {id} panicked")),
+    };
+    run.fail(failed);
+    None
 }
 
 /// Deliver a parked batch, if any: `None` once it is all out, else the full
@@ -884,6 +912,33 @@ mod tests {
         // neither bound is met.
         let (run, _) = Run::open(&mut wf, Some(tele), clock).unwrap();
         assert_eq!(run.boundary(), Boundary::Go);
+    }
+
+    #[test]
+    fn the_first_error_latches_over_a_stop_and_ends_the_run() {
+        use crate::actors::{Collector, VecSource};
+        use crate::engine::StopCondition;
+        use crate::telemetry::MultiObserver;
+        use crate::time::VirtualClock;
+
+        let mut b = WorkflowBuilder::new("fail");
+        let s = b.add_actor("src", VecSource::new(vec![crate::token::Token::Int(1)]));
+        let k = b.add_actor("sink", Collector::new().actor());
+        b.link((s, "out"), (k, "in")).unwrap();
+        let mut wf = b.build().unwrap();
+        let tele = Telemetry {
+            stop: Some(StopCondition::Firings(0)),
+            ..Telemetry::new(Arc::new(MultiObserver::default()))
+        };
+        let (run, contexts) = Run::open(&mut wf, Some(tele), Arc::new(VirtualClock::new())).unwrap();
+        assert_eq!(run.boundary(), Boundary::Stop);
+        run.fail(Error::Director("first".into()));
+        run.fail(Error::Director("second".into()));
+        assert_eq!(run.boundary(), Boundary::Failed, "an error overrides a latched stop");
+        let tasks = Task::take_all(&mut wf, contexts);
+        let ended = run.end_tasks(&mut wf, tasks);
+        assert_eq!(ended, Err(Error::Director("first".into())), "the first error is kept");
+        assert!(wf.actor_ids().all(|id| wf.node(id).peek_actor().is_some()));
     }
 
     #[test]

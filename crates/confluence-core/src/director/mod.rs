@@ -104,7 +104,11 @@ impl Stamped {
 /// A model of computation executing a workflow to completion.
 pub trait Director {
     /// Execute the workflow until quiescence (sources exhausted and all
-    /// derived events drained).
+    /// derived events drained). The first error — from an actor's
+    /// `initialize`, firing, `finish` or `wrapup`, or a panic in a
+    /// wall-clock task — ends the run: no `finish` or `wrapup` runs after
+    /// it, [`crate::telemetry::RunPhase::End`] is announced, every actor is
+    /// back in the workflow, and the error is returned.
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport>;
 
     /// Attach telemetry for subsequent runs: execution hooks flow to

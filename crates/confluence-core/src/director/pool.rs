@@ -31,11 +31,12 @@
 //! worker. What one task step does, how a full `Block` port parks it, and
 //! the run lifecycle are [`super::firing`]'s ([`Task`]), as under the
 //! threaded director; the pool turns each [`Wait`] into a wakeup
-//! registration instead of a wait.
+//! registration instead of a wait. An error or a panic in a step fails the
+//! run ([`Run::fail`]); the timer then schedules every task, and each ends
+//! at its next step without `finish`.
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread;
@@ -49,7 +50,7 @@ use crate::receiver::{ActorInbox, InboxWaker};
 use crate::telemetry::{StatsModule, Telemetry, WorkerMetrics};
 use crate::time::{SharedClock, Timestamp, WallClock};
 
-use super::firing::{Boundary, Run, Task, Wait};
+use super::firing::{Boundary, Progress, Run, Task, Wait};
 use super::pool_policy::{Fifo, PolicyView, PoolPolicy, ReadyEntry, ReadyQueue};
 use super::{Director, RunReport, RECHECK};
 
@@ -364,16 +365,6 @@ struct PoolShared {
     run: Run,
     tasks: Vec<Mutex<Task>>,
     live: AtomicUsize,
-    first_error: Mutex<Option<Error>>,
-}
-
-impl PoolShared {
-    fn record_error(&self, e: Error) {
-        let mut slot = self.first_error.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
 }
 
 impl Director for PoolDirector {
@@ -416,41 +407,35 @@ impl Director for PoolDirector {
             run,
             tasks,
             live: AtomicUsize::new(n_actors),
-            first_error: Mutex::new(None),
         });
 
-        if n_actors > 0 {
-            for a in 0..n_actors {
-                hub.schedule(a);
-            }
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let shared = shared.clone();
-                let handle = thread::Builder::new()
-                    .name(format!("cwf-pool-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
-                    .map_err(|e| Error::Director(format!("failed to spawn pool worker: {e}")))?;
-                handles.push(handle);
-            }
-            let timer = {
-                let shared = shared.clone();
-                thread::Builder::new()
-                    .name("cwf-pool-timer".to_string())
-                    .spawn(move || timer_loop(&shared))
-                    .map_err(|e| Error::Director(format!("failed to spawn pool timer: {e}")))?
-            };
-            for handle in handles {
-                handle
-                    .join()
-                    .map_err(|_| Error::Director("pool worker panicked".to_string()))?;
-            }
-            hub.begin_shutdown();
-            timer
-                .join()
-                .map_err(|_| Error::Director("pool timer panicked".to_string()))?;
-        } else {
+        for a in 0..n_actors {
+            hub.schedule(a);
+        }
+        if n_actors == 0 {
             hub.begin_shutdown();
         }
+        let mut handles = Vec::with_capacity(workers);
+        for w in 0..workers {
+            let shared = shared.clone();
+            let handle = thread::Builder::new()
+                .name(format!("cwf-pool-{w}"))
+                .spawn(move || worker_loop(&shared, w))
+                .map_err(|e| Error::Director(format!("failed to spawn pool worker: {e}")))?;
+            handles.push(handle);
+        }
+        let timer = {
+            let shared = shared.clone();
+            thread::Builder::new()
+                .name("cwf-pool-timer".to_string())
+                .spawn(move || timer_loop(&shared))
+                .map_err(|e| Error::Director(format!("failed to spawn pool timer: {e}")))?
+        };
+        for handle in handles {
+            handle.join().map_err(|_| Error::Director("pool worker panicked".to_string()))?;
+        }
+        hub.begin_shutdown();
+        timer.join().map_err(|_| Error::Director("pool timer panicked".to_string()))?;
 
         if let Some(t) = &self.telemetry {
             for w in 0..workers {
@@ -462,11 +447,10 @@ impl Director for PoolDirector {
             .map_err(|_| Error::Director("pool shared state still referenced".to_string()))?;
         let tasks = shared.tasks.into_iter().map(Mutex::into_inner).collect();
         let run = shared.run;
-        let report = run.end_tasks(workflow, tasks, shared.first_error.into_inner());
-        if report.is_ok() && run.boundary() == Boundary::Pause {
+        if run.end_tasks(workflow, tasks)? == Progress::Paused {
             self.paused_stats = Some(stats);
         }
-        report
+        Ok(run.report())
     }
 
     fn instrument(&mut self, telemetry: Telemetry) {
@@ -508,32 +492,23 @@ fn run_actor(shared: &Arc<PoolShared>, w: usize, actor: usize) {
         hub.states[actor].store(IDLE, Ordering::Release);
         return;
     }
-    let wait = match catch_unwind(AssertUnwindSafe(|| task.step(run))) {
-        Ok(Ok((wait, fired))) => {
-            if let Some(fired) = fired.filter(|fired| fired.fired) {
-                hub.fires[w].fetch_add(1, Ordering::Relaxed);
-                hub.busy_us[w].fetch_add(fired.busy.as_micros(), Ordering::Relaxed);
-                hub.policy.on_fire(actor, fired.busy);
-            }
-            Ok(wait)
-        }
-        Ok(Err(e)) => Err(e),
-        Err(_) => Err(Error::Director(format!(
-            "actor {} panicked during a pooled firing",
-            task.id
-        ))),
-    };
+    let (wait, fired) = task.step(run);
+    if let Some(fired) = fired.filter(|fired| fired.fired) {
+        hub.fires[w].fetch_add(1, Ordering::Relaxed);
+        hub.busy_us[w].fetch_add(fired.busy.as_micros(), Ordering::Relaxed);
+        hub.policy.on_fire(actor, fired.busy);
+    }
     match wait {
-        Ok(Wait::Ready) => {
+        Wait::Ready => {
             drop(task);
             hub.states[actor].store(QUEUED, Ordering::Release);
             // A self-push right after running: cache-warm LIFO candidate.
             hub.push(actor, true);
             return;
         }
-        Ok(Wait::Until(at) | Wait::Inbox(Some(at))) => hub.register_deadline(at, actor),
-        Ok(Wait::Inbox(None)) => {}
-        Ok(Wait::Space(port)) => {
+        Wait::Until(at) | Wait::Inbox(Some(at)) => hub.register_deadline(at, actor),
+        Wait::Inbox(None) => {}
+        Wait::Space(port) => {
             hub.add_space_waiter(port.actor.0, actor);
             // Lost-wakeup guard: space may have freed between the failed
             // put and the registration.
@@ -541,16 +516,11 @@ fn run_actor(shared: &Arc<PoolShared>, w: usize, actor: usize) {
                 hub.schedule(actor);
             }
         }
-        Ok(Wait::Finish) | Err(_) => {
-            if let Err(e) = task.end(run, wait.map(drop)) {
-                shared.record_error(e);
-            }
-            drop(task);
+        Wait::Finish => {
+            task.end(run);
             if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
                 hub.begin_shutdown();
             }
-            hub.states[actor].store(IDLE, Ordering::Release);
-            return;
         }
     }
     drop(task);

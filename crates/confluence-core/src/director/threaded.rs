@@ -13,7 +13,9 @@
 //! park and the run lifecycle are [`super::firing`]'s — and turns what the
 //! task waits for into a sleep, a wait on its own inbox (until the earliest
 //! window-formation deadline), or a wait for space on the port it parked
-//! on, running Parks' stall detector meanwhile.
+//! on, running Parks' stall detector meanwhile. An error or a panic in any
+//! task fails the run ([`Run::fail`]): every thread sees it within one
+//! `RECHECK` (10 ms) and ends its task without `finish`.
 
 use std::sync::Arc;
 use std::thread;
@@ -41,12 +43,7 @@ impl Default for ThreadedDirector {
 impl ThreadedDirector {
     /// A director on the wall clock (the normal mode).
     pub fn new() -> Self {
-        Self::with_clock(Arc::new(WallClock::new()))
-    }
-
-    /// A director on a caller-supplied clock (tests).
-    pub fn with_clock(clock: SharedClock) -> Self {
-        ThreadedDirector { clock, telemetry: None }
+        ThreadedDirector { clock: Arc::new(WallClock::new()), telemetry: None }
     }
 }
 
@@ -65,15 +62,13 @@ impl Director for ThreadedDirector {
             handles.push((id, handle));
         }
         let mut tasks = Vec::with_capacity(handles.len());
-        let mut first_error = None;
         for (id, handle) in handles {
-            let (task, outcome) = handle
-                .join()
-                .map_err(|_| Error::Director(format!("actor thread {id} panicked")))?;
-            tasks.push(task);
-            first_error = first_error.or(outcome.err());
+            match handle.join() {
+                Ok(task) => tasks.push(task),
+                Err(_) => run.fail(Error::Director(format!("actor thread {id} panicked"))),
+            }
         }
-        run.end_tasks(workflow, tasks, first_error)
+        run.end_tasks(workflow, tasks).map(|_| run.report())
     }
 
     fn instrument(&mut self, telemetry: Telemetry) {
@@ -82,32 +77,31 @@ impl Director for ThreadedDirector {
 }
 
 /// The per-actor thread body: steps the task until it finishes, waiting
-/// at most [`RECHECK`] at a time so a stop, a pause or relief is seen,
-/// then ends it. Hands the task back with the first error, if any.
-fn controller(run: &Run, mut task: Task) -> (Task, Result<()>) {
+/// at most [`RECHECK`] at a time so a stop, a pause, an error or relief is
+/// seen, then ends it and hands it back.
+fn controller(run: &Run, mut task: Task) -> Task {
     // This thread's stall-detector reading while it is parked.
     let mut stall = None;
     let until = |t: Timestamp| t.since(run.clock.now()).to_std().min(RECHECK);
-    let outcome = loop {
-        match task.step(run) {
-            Ok((Wait::Ready, _)) => {}
-            Ok((Wait::Until(t), _)) => thread::sleep(until(t)),
-            Ok((Wait::Inbox(deadline), _)) => {
+    loop {
+        match task.step(run).0 {
+            Wait::Ready => {}
+            Wait::Until(t) => thread::sleep(until(t)),
+            Wait::Inbox(deadline) => {
                 run.fabric.inbox(task.id).wait_ready(deadline.map_or(RECHECK, until));
             }
-            Ok((Wait::Space(port), _)) => {
+            Wait::Space(port) => {
                 let receiver = &run.fabric.receivers(port.actor)[port.port];
                 let capacity = receiver.effective_capacity();
                 if !receiver.inbox().wait_for_space(port.port, capacity, RECHECK) {
                     run.fabric.relieve_if_stalled(&mut stall);
                 }
             }
-            Ok((Wait::Finish, _)) => break Ok(()),
-            Err(e) => break Err(e),
+            Wait::Finish => break,
         }
-    };
-    let outcome = task.end(run, outcome);
-    (task, outcome)
+    }
+    task.end(run);
+    task
 }
 
 #[cfg(test)]

@@ -52,7 +52,13 @@
 #    `take_captured`, `take_restore` or `fn deposit` under crates/*/src
 #    (the hook rides in `Telemetry` and is one slot), and under
 #    crates/confluence-core/src/director/ `restore_state(` is called in
-#    director/firing.rs only (`Run::open` re-injects, and skips `initialize`).
+#    director/firing.rs only (`Run::open` re-injects, and skips `initialize`);
+#  - an error ends the run one way: no `first_error` or `record_error` under
+#    crates/*/src (the first error is kept by `Run::fail`, which latches the
+#    boundary), `catch_unwind` appears in director/firing.rs only (a task's
+#    panic becomes the run's error there), and `close_actor_outputs(` is
+#    called from `Run::finish_actor` only (no error path closes an actor's
+#    outputs beside it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -246,9 +252,27 @@ fi
 once "re-injecting checkpointed state (restore_state)" crates/confluence-core/src/director/firing.rs \
     "$(matches '(\.|::)restore_state\(' crates/confluence-core/src/director)"
 
+error_copies=$(matches 'first_error|record_error' crates/*/src)
+if [ -n "$error_copies" ]; then
+    echo "an error ends the run one way: Run::fail keeps the first error, no first_error/record_error beside it:" >&2
+    printf '%s\n' "$error_copies" >&2
+    status=1
+fi
+once "catching a task's panic (catch_unwind)" crates/confluence-core/src/director/firing.rs \
+    "$(matches 'catch_unwind' crates/*/src src examples)"
+closes=$(matches '\.close_actor_outputs\(' crates/*/src src examples)
+stray_closes=$(printf '%s\n' "$closes" | grep . |
+    outside_fn crates/confluence-core/src/director/firing.rs "pub fn finish_actor(" || true)
+if [ -z "$closes" ] || [ -n "$stray_closes" ]; then
+    echo "close_actor_outputs( is called from Run::finish_actor (director/firing.rs) and nowhere else:" >&2
+    printf '%s\n' "${stray_closes:-(no match at all)}" >&2
+    status=1
+fi
+
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
         "one statistics module and one writer, one builder vocabulary, no control observer or flag, one ready queue per actor," \
         "one Linear Road topology, no clock in the pause, no deferred delivery outside a parked wall-clock task, no drain before a pause," \
-        "one wall-clock task step and one stall detector, one run loop, one topological sort, one way into a checkpoint segment"
+        "one wall-clock task step and one stall detector, one run loop, one topological sort, one way into a checkpoint segment," \
+        "one way an error ends the run"
 exit "$status"

@@ -1,14 +1,17 @@
-//! Failure injection and recovery: an actor erroring mid-run must surface
-//! cleanly from every director (no hang, no panic, the error preserved),
-//! and a run killed mid-stream must recover from its checkpoint and
-//! reconverge on the uninterrupted run's outputs.
+//! Failure injection and recovery: an actor erroring or panicking mid-run
+//! must surface cleanly from every director (no hang, the error preserved,
+//! every actor handed back, `RunPhase::End` announced once), and a run
+//! killed mid-stream must recover from its checkpoint and reconverge on
+//! the uninterrupted run's outputs.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
 use std::time::Duration;
 
-use confluence::core::actors::{Collector, TimedSource, VecSource};
+use confluence::core::actors::{Collector, PushSource, TimedSource, VecSource};
 use confluence::core::actor::{Actor, FireContext, IoSignature, SdfRates};
 use confluence::core::channel::ChannelPolicy;
 use confluence::core::checkpoint;
@@ -21,7 +24,7 @@ use confluence::core::director::Director;
 use confluence::core::engine::{Engine, ExecConfig, StopCondition};
 use confluence::core::error::{Error, Result};
 use confluence::core::graph::{Workflow, WorkflowBuilder};
-use confluence::core::telemetry::{TraceConfig, Tracer};
+use confluence::core::telemetry::{Observer, RunPhase, Telemetry, TraceConfig, Tracer};
 use confluence::core::time::{Micros, Timestamp};
 use confluence::core::token::Token;
 use confluence::linearroad::{self, LrOptions, TollNotification, Workload, WorkloadConfig};
@@ -33,6 +36,9 @@ use confluence::sched::ScwfDirector;
 struct FailsAfter {
     remaining: u32,
     rated: bool,
+    /// Read when the fault fires: a source's emission count, and where to
+    /// keep what it read.
+    mark: Option<(Arc<AtomicUsize>, Arc<AtomicUsize>)>,
 }
 
 impl Actor for FailsAfter {
@@ -42,6 +48,9 @@ impl Actor for FailsAfter {
     fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
         while let Some(_w) = ctx.get(0) {
             if self.remaining == 0 {
+                if let Some((emitted, at_fault)) = &self.mark {
+                    at_fault.store(emitted.load(Ordering::SeqCst), Ordering::SeqCst);
+                }
                 return Err(Error::actor("failer", "fire", "injected fault"));
             }
             self.remaining -= 1;
@@ -100,7 +109,7 @@ fn faulty_workflow(rated: bool) -> Workflow {
     } else {
         b.add_actor("src", VecSource::new((0..10).map(Token::Int).collect()))
     };
-    let k = b.add_actor("failer", FailsAfter { remaining: 3, rated });
+    let k = b.add_actor("failer", FailsAfter { remaining: 3, rated, mark: None });
     b.link((s, "out"), (k, "in")).unwrap();
     b.build().unwrap()
 }
@@ -165,30 +174,173 @@ fn pool_surfaces_actor_errors() {
     }
 }
 
+/// Emits `0..n`, one token a firing, counting what it emitted.
+struct CountingSource {
+    n: usize,
+    emitted: Arc<AtomicUsize>,
+}
+
+impl Actor for CountingSource {
+    fn signature(&self) -> IoSignature {
+        IoSignature::source("out")
+    }
+    fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
+        let i = self.emitted.fetch_add(1, Ordering::SeqCst);
+        ctx.emit(0, Token::Int(i as i64));
+        Ok(())
+    }
+    fn postfire(&mut self, _ctx: &mut dyn FireContext) -> Result<bool> {
+        Ok(self.emitted.load(Ordering::SeqCst) < self.n)
+    }
+    fn is_source(&self) -> bool {
+        true
+    }
+}
+
+/// A tiny Block-policy channel keeps the source's task parked on queue
+/// space for most of the run. The failer's error ends the run: the parked
+/// writer sees the latched error at its next step and ends without
+/// `finish`, so the run fails without waiting for Parks relief to grow the
+/// queue 2 slots at a time (which, for 200 tokens, took seconds). Counted:
+/// after the failing firing the source emits at most what the port holds
+/// plus one firing's batch (one token); no relief growth lets more in.
+fn error_releases_blocked_writers(director: &mut dyn Director) {
+    const CAPACITY: usize = 2;
+    let (emitted, at_fault) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let mut b = WorkflowBuilder::new("blocked-faulty");
+    let s = b.add_actor("src", CountingSource { n: 200, emitted: emitted.clone() });
+    let mark = Some((emitted.clone(), at_fault.clone()));
+    let k = b.add_actor("failer", FailsAfter { remaining: 3, rated: false, mark });
+    b.link((s, "out"), (k, "in")).unwrap();
+    b.channel_policy((k, "in"), ChannelPolicy::block(CAPACITY)).unwrap();
+    let mut wf = b.build().unwrap();
+    assert_injected(director.run(&mut wf).unwrap_err());
+    let (emitted, at_fault) = (emitted.load(Ordering::SeqCst), at_fault.load(Ordering::SeqCst));
+    assert!(at_fault > 0, "the fault fired after the source emitted");
+    assert!(
+        emitted - at_fault <= CAPACITY + 1,
+        "the source emitted {} tokens after the fault (at most the port's {CAPACITY} plus one)",
+        emitted - at_fault
+    );
+}
+
 #[test]
 fn pool_error_releases_blocked_writers() {
-    // A tiny Block-policy channel keeps the source's task parked on queue
-    // space for most of the run; when the failer errors, shutdown must
-    // wake the parked writer instead of leaving it waiting for space that
-    // will never come (the run would hang, not fail).
-    let mut b = WorkflowBuilder::new("blocked-faulty");
-    let s = b.add_actor("src", VecSource::new((0..200).map(Token::Int).collect()));
-    let k = b.add_actor(
-        "failer",
-        FailsAfter {
-            remaining: 3,
-            rated: false,
-        },
-    );
+    error_releases_blocked_writers(&mut PoolDirector::new().with_workers(2));
+}
+
+#[test]
+fn threaded_error_releases_blocked_writers() {
+    error_releases_blocked_writers(&mut ThreadedDirector::new());
+}
+
+/// A producer that still holds its `PushHandle` does not keep a failed run
+/// alive: the push source sees the latched error at its next step and
+/// ends. The handle is held until the run returns (or, should the run
+/// hang, for 10 s), then dropped.
+fn error_ends_a_live_push_source(director: &mut dyn Director) {
+    let (src, handle) = PushSource::new();
+    for i in 0..10 {
+        handle.push(Token::Int(i));
+    }
+    let (returned, holding) = mpsc::channel::<()>();
+    let holder = thread::spawn(move || {
+        let _ = holding.recv_timeout(Duration::from_secs(10));
+        drop(handle);
+    });
+    let mut b = WorkflowBuilder::new("push-faulty");
+    let s = b.add_actor("src", src);
+    let k = b.add_actor("failer", FailsAfter { remaining: 3, rated: false, mark: None });
     b.link((s, "out"), (k, "in")).unwrap();
-    b.channel_policy((k, "in"), ChannelPolicy::block(2)).unwrap();
     let mut wf = b.build().unwrap();
-    assert_injected(
-        PoolDirector::new()
-            .with_workers(2)
-            .run(&mut wf)
-            .unwrap_err(),
+    let err = director.run(&mut wf).unwrap_err();
+    let held = returned.send(()).is_ok();
+    holder.join().unwrap();
+    assert_injected(err);
+    assert!(held, "the run returned only once the producer dropped its handle");
+}
+
+#[test]
+fn pool_error_ends_a_live_push_source() {
+    error_ends_a_live_push_source(&mut PoolDirector::new().with_workers(2));
+}
+
+#[test]
+fn threaded_error_ends_a_live_push_source() {
+    error_ends_a_live_push_source(&mut ThreadedDirector::new());
+}
+
+/// Panics on its first window.
+struct Panics;
+
+impl Actor for Panics {
+    fn signature(&self) -> IoSignature {
+        IoSignature::transform("in", "out")
+    }
+    fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
+        if ctx.get(0).is_some() {
+            panic!("injected panic");
+        }
+        Ok(())
+    }
+}
+
+/// A panic in a firing fails the run like an error: the run returns
+/// `Error::Director`, and every actor is back in the workflow.
+#[test]
+fn a_panicking_actor_fails_the_run_and_every_actor_comes_back() {
+    let directors: Vec<(&str, Box<dyn Director>)> = vec![
+        ("threaded", Box::new(ThreadedDirector::new())),
+        ("pool", Box::new(PoolDirector::new().with_workers(2))),
+    ];
+    for (name, mut director) in directors {
+        let mut b = WorkflowBuilder::new("panicking");
+        let s = b.add_actor("src", VecSource::new((0..10).map(Token::Int).collect()));
+        let p = b.add_actor("panics", Panics);
+        let k = b.add_actor("sink", Collector::new().actor());
+        b.link((s, "out"), (p, "in")).unwrap();
+        b.link((p, "out"), (k, "in")).unwrap();
+        let mut wf = b.build().unwrap();
+        let err = director.run(&mut wf).unwrap_err();
+        assert!(matches!(err, Error::Director(_)), "{name}: {err}");
+        let back = wf.actor_ids().filter(|&id| wf.node(id).peek_actor().is_some()).count();
+        assert_eq!(back, 3, "{name}: every actor is handed back");
+    }
+}
+
+/// Counts `RunPhase::End` announcements.
+#[derive(Default)]
+struct Ends(AtomicUsize);
+
+impl Observer for Ends {
+    fn on_run_phase(&self, phase: RunPhase, _at: Timestamp) {
+        if phase == RunPhase::End {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Every director announces the end of a failed run, once.
+#[test]
+fn a_failed_run_announces_its_end_once() {
+    let scwf = ScwfDirector::virtual_time(
+        Box::new(QbsScheduler::new(500, 5)),
+        Box::new(TableCostModel::uniform(Micros(10), Micros(1))),
     );
+    let directors: Vec<(&str, Box<dyn Director>, bool)> = vec![
+        ("ddf", Box::new(DdfDirector::new()), false),
+        ("de", Box::new(DeDirector::new()), false),
+        ("sdf", Box::new(SdfDirector::new()), true),
+        ("scwf", Box::new(scwf), false),
+        ("threaded", Box::new(ThreadedDirector::new()), false),
+        ("pool", Box::new(PoolDirector::new().with_workers(2)), false),
+    ];
+    for (name, mut director, rated) in directors {
+        let ends = Arc::new(Ends::default());
+        director.instrument(Telemetry::new(ends.clone()));
+        assert_injected(director.run(&mut faulty_workflow(rated)).unwrap_err());
+        assert_eq!(ends.0.load(Ordering::SeqCst), 1, "{name}: one End per failed run");
+    }
 }
 
 // ---------------------------------------------------------------------------
