@@ -160,6 +160,12 @@ pub trait Actor: Send {
     /// own business (the [`crate::checkpoint::codec`] helpers are the
     /// house style). The default `None` marks the actor stateless: nothing
     /// is saved and `restore_state` is never called for it.
+    ///
+    /// For a source, `Some` promises that its stream resumes from the saved
+    /// bytes alone (a read offset into an input the rebuilt workflow holds
+    /// again), so the engine keeps no journal of it. A source that returns
+    /// `None` cannot be read again, and a checkpointed run journals its
+    /// emissions ([`crate::checkpoint::LoggedSource`]).
     fn save_state(&self) -> Result<Option<Vec<u8>>> {
         Ok(None)
     }

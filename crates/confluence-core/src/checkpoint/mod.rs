@@ -12,10 +12,12 @@
 //!   ([`FabricState`]);
 //! * engine-registered external resources such as relational stores
 //!   ([`CheckpointResource`]);
-//! * each source's read offset into its **event log** ([`EventLog`] /
-//!   [`LoggedSource`]): every emission a source makes is appended to a
-//!   length-prefixed log so a recovered run can replay the exact token
-//!   stream the killed run produced past the snapshot point.
+//! * for a source that saves no state (a push source, whose events no one
+//!   can read again), its sequence number into its **event log**
+//!   ([`EventLog`] / [`LoggedSource`]): every emission it makes is appended
+//!   to a length-prefixed log, and a recovered run emits the logged tail
+//!   past the snapshot ahead of anything new. A source that saves its
+//!   state resumes from that state alone and keeps no log.
 //!
 //! A segment's telemetry carries a [`QuiesceHook`]: the checkpoint cadence
 //! and one slot. Once a segment meets the cadence every actor stops at its
@@ -25,7 +27,6 @@
 
 pub mod codec;
 
-use std::collections::VecDeque;
 use std::fs;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -516,11 +517,12 @@ impl EventLog {
 // Logged source
 // ---------------------------------------------------------------------------
 
-/// A source wrapper that journals every emission to an [`EventLog`] and,
-/// after recovery, *replays* the logged stream in place of the inner
-/// source's re-derived emissions until the log tail is exhausted — so a
-/// recovered run reproduces the killed run's exact token stream past the
-/// snapshot point, then seamlessly continues live.
+/// A source that saves no state ([`Actor::save_state`] is `None`, as for a
+/// [`crate::actors::PushSource`], whose events no one can read again), with
+/// every emission journaled to an [`EventLog`]. Its state is its sequence
+/// number. After recovery it emits the logged tail past that number ahead
+/// of the inner source's own new emissions, in journal order, so nothing
+/// emitted after the snapshot is lost or doubled.
 pub struct LoggedSource {
     inner: Box<dyn Actor>,
     journal: Journal,
@@ -529,51 +531,44 @@ pub struct LoggedSource {
 /// A logged source's side of its event log.
 struct Journal {
     path: PathBuf,
-    writer: Option<EventLog>,
+    writer: EventLog,
     /// Sequence number of the next emission (== emissions so far).
     seq: u64,
-    /// Logged `(port, token)` tail still to substitute for live emissions.
-    replay: VecDeque<(u32, Token)>,
+    /// Logged emissions past the snapshot, still to be emitted.
+    tail: Vec<LogEntry>,
     /// Log-append failure stashed from inside `emit` (which cannot fail).
     io_error: Option<Error>,
 }
 
 impl LoggedSource {
     /// Wrap `inner`, journaling to `path`. `fresh` truncates any previous
-    /// log (first run); recovery opens the existing log for append and
-    /// derives the replay tail in [`Actor::restore_state`].
+    /// log (first run); recovery appends to the existing log and reads the
+    /// tail in [`Actor::restore_state`].
     pub fn new(inner: Box<dyn Actor>, path: PathBuf, fresh: bool) -> Result<Self> {
         let writer = if fresh {
-            Some(EventLog::create(&path)?)
+            EventLog::create(&path)?
         } else {
-            None
+            EventLog::append(&path)?
         };
         Ok(LoggedSource {
             inner,
-            journal: Journal {
-                path,
-                writer,
-                seq: 0,
-                replay: VecDeque::new(),
-                io_error: None,
-            },
+            journal: Journal { path, writer, seq: 0, tail: Vec::new(), io_error: None },
         })
     }
 
-    /// Emissions produced so far (the source's read offset).
-    pub fn offset(&self) -> u64 {
-        self.journal.seq
-    }
-
-    /// Run one step of the inner source with its emissions journaled (or
-    /// substituted from the replay tail); a failed append wins over the
-    /// step's own result.
+    /// Emit what is left of the logged tail, then run one step of the
+    /// inner source with its emissions journaled; a failed append wins
+    /// over the step's own result.
     fn journaled(
         &mut self,
         ctx: &mut dyn FireContext,
         step: impl FnOnce(&mut dyn Actor, &mut dyn FireContext) -> Result<()>,
     ) -> Result<()> {
         let log = &mut self.journal;
+        for entry in log.tail.drain(..) {
+            log.seq += 1;
+            ctx.emit(entry.port as usize, entry.token);
+        }
         let r = step(self.inner.as_mut(), &mut LogCtx { ctx, log });
         match self.journal.io_error.take() {
             Some(e) => Err(e),
@@ -582,8 +577,8 @@ impl LoggedSource {
     }
 }
 
-/// The [`FireContext`] the inner source sees: emissions are journaled (or
-/// substituted from the replay tail) before reaching the real context.
+/// The [`FireContext`] the inner source sees: emissions are journaled
+/// before reaching the real context.
 struct LogCtx<'a> {
     ctx: &'a mut dyn FireContext,
     log: &'a mut Journal,
@@ -604,26 +599,8 @@ impl FireContext for LogCtx<'_> {
 
     fn emit(&mut self, port: usize, token: Token) {
         let log = &mut *self.log;
-        // Replay: substitute the logged emission for the inner source's
-        // re-derived one (they agree for deterministic sources; the log is
-        // authoritative either way) and do not re-append.
-        if let Some((logged_port, logged_token)) = log.replay.pop_front() {
-            log.seq += 1;
-            self.ctx.emit(logged_port as usize, logged_token);
-            return;
-        }
         if log.io_error.is_none() {
-            if log.writer.is_none() {
-                match EventLog::append(&log.path) {
-                    Ok(w) => log.writer = Some(w),
-                    Err(e) => {
-                        log.io_error = Some(e);
-                        return;
-                    }
-                }
-            }
-            let w = log.writer.as_mut().expect("writer just ensured");
-            if let Err(e) = w.record(log.seq, port as u32, &token) {
+            if let Err(e) = log.writer.record(log.seq, port as u32, &token) {
                 log.io_error = Some(e);
                 return;
             }
@@ -642,8 +619,9 @@ impl Actor for LoggedSource {
         self.journaled(ctx, |inner, ctx| inner.initialize(ctx))
     }
 
+    /// Ready while logged tail is left, else as the inner source says.
     fn prefire(&mut self, ctx: &mut dyn FireContext) -> Result<bool> {
-        self.inner.prefire(ctx)
+        Ok(!self.journal.tail.is_empty() || self.inner.prefire(ctx)?)
     }
 
     fn fire(&mut self, ctx: &mut dyn FireContext) -> Result<()> {
@@ -665,26 +643,12 @@ impl Actor for LoggedSource {
     fn save_state(&self) -> Result<Option<Vec<u8>>> {
         let mut e = Encoder::new();
         e.u64(self.journal.seq);
-        match self.inner.save_state()? {
-            Some(bytes) => {
-                e.bool(true);
-                e.bytes(&bytes);
-            }
-            None => e.bool(false),
-        }
         Ok(Some(e.into_bytes()))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut d = Decoder::new(bytes);
-        let saved_seq = d.u64()?;
-        if d.bool()? {
-            self.inner.restore_state(d.bytes()?)?;
-        }
-        self.journal.replay = EventLog::read_from(&self.journal.path, saved_seq)?
-            .into_iter()
-            .map(|e| (e.port, e.token))
-            .collect();
+        let saved_seq = Decoder::new(bytes).u64()?;
+        self.journal.tail = EventLog::read_from(&self.journal.path, saved_seq)?;
         self.journal.seq = saved_seq;
         Ok(())
     }
@@ -693,8 +657,14 @@ impl Actor for LoggedSource {
         self.inner.is_source()
     }
 
+    /// Due at once while logged tail is left, else as the inner source
+    /// says.
     fn next_arrival(&self) -> Option<Timestamp> {
-        self.inner.next_arrival()
+        if self.journal.tail.is_empty() {
+            self.inner.next_arrival()
+        } else {
+            Some(Timestamp::ZERO)
+        }
     }
 
     fn rates(&self) -> Option<SdfRates> {
@@ -705,7 +675,7 @@ impl Actor for LoggedSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actors::VecSource;
+    use crate::actors::{PushHandle, PushSource};
     use crate::event::CwEvent;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -889,56 +859,75 @@ mod tests {
         }
     }
 
+    /// A stateless source with nothing to emit: it is ready only while a
+    /// logged tail is left.
+    struct Drained;
+    impl Actor for Drained {
+        fn signature(&self) -> IoSignature {
+            IoSignature::source("out")
+        }
+        fn prefire(&mut self, _ctx: &mut dyn FireContext) -> Result<bool> {
+            Ok(false)
+        }
+        fn fire(&mut self, _ctx: &mut dyn FireContext) -> Result<()> {
+            Ok(())
+        }
+        fn is_source(&self) -> bool {
+            true
+        }
+    }
+
+    fn ints(emitted: &[(usize, Token)]) -> Vec<i64> {
+        emitted.iter().map(|(_, t)| t.as_int().unwrap()).collect()
+    }
+
     #[test]
     fn logged_source_journals_then_replays() {
         let dir = tmpdir("replay");
         let path = log_path(&dir, "src");
-        let items: Vec<Token> = (0..6).map(Token::Int).collect();
+        let pushed = |handle: &PushHandle, items: std::ops::Range<i64>| {
+            items.for_each(|i| assert!(handle.push(Token::Int(i))));
+        };
 
-        // First run: fire 3 times (one item per firing), checkpoint at 3.
-        let mut src =
-            LoggedSource::new(Box::new(VecSource::new(items.clone())), path.clone(), true)
-                .unwrap();
+        // First run: 0-2 are pushed and emitted before the checkpoint, 3-4
+        // after it; the run is then killed.
+        let (push, handle) = PushSource::new();
+        let mut src = LoggedSource::new(Box::new(push), path.clone(), true).unwrap();
         let mut ctx = SinkCtx { emitted: vec![] };
-        for _ in 0..3 {
-            src.fire(&mut ctx).unwrap();
-        }
-        let saved = src.save_state().unwrap().expect("logged source is stateful");
-        assert_eq!(src.offset(), 3);
-        // Killed run continues past the checkpoint: 2 more firings land in
-        // the log but not in the snapshot.
-        for _ in 0..2 {
-            src.fire(&mut ctx).unwrap();
-        }
-        assert_eq!(src.offset(), 5);
+        pushed(&handle, 0..3);
+        src.fire(&mut ctx).unwrap();
+        let saved = src.save_state().unwrap().expect("a journaled source saves its seq");
+        assert_eq!(saved, 3u64.to_le_bytes(), "the state is the sequence number alone");
+        pushed(&handle, 3..5);
+        src.fire(&mut ctx).unwrap();
+        assert_eq!(src.journal.seq, 5);
         drop(src);
 
-        // Recovery: fresh inner source (as a rebuilt workflow provides),
-        // restore from the snapshot, and run to completion.
-        let mut src =
-            LoggedSource::new(Box::new(VecSource::new(items.clone())), path.clone(), false)
-                .unwrap();
+        // Recovery: a fresh source whose producer has pushed anew. The
+        // logged tail comes first, and no new push is dropped.
+        let (push, handle) = PushSource::new();
+        let mut src = LoggedSource::new(Box::new(push), path.clone(), false).unwrap();
         src.restore_state(&saved).unwrap();
-        assert_eq!(src.journal.replay.len(), 2, "post-checkpoint tail replays");
-        assert_eq!(src.offset(), 3);
-        // The inner VecSource restored its own remaining-items state.
-        let mut ctx2 = SinkCtx { emitted: vec![] };
-        for _ in 0..3 {
-            src.fire(&mut ctx2).unwrap();
-        }
-        assert!(src.journal.replay.is_empty());
-        assert_eq!(src.offset(), 6);
-        let tokens: Vec<i64> = ctx2
-            .emitted
-            .iter()
-            .map(|(_, t)| t.as_int().unwrap())
-            .collect();
-        assert_eq!(tokens, vec![3, 4, 5], "resumes exactly past the snapshot");
-        // The sixth emission was live (not replayed) and must have been
-        // appended to the log.
-        let entries = EventLog::read_all(&path).unwrap();
-        assert_eq!(entries.len(), 6);
-        assert_eq!(entries[5].token, Token::Int(5));
+        assert_eq!(src.journal.tail.len(), 2, "the post-checkpoint tail is read");
+        pushed(&handle, 100..102);
+        let mut ctx = SinkCtx { emitted: vec![] };
+        src.fire(&mut ctx).unwrap();
+        assert_eq!(ints(&ctx.emitted), vec![3, 4, 100, 101], "tail first, then every new push");
+        assert_eq!(src.journal.seq, 7);
+        let logged: Vec<_> = EventLog::read_all(&path).unwrap().into_iter().map(|e| e.seq).collect();
+        assert_eq!(logged, (0..7).collect::<Vec<_>>(), "the tail is not logged twice");
+
+        // A source with nothing of its own to emit is ready while tail is
+        // left, and only then.
+        let mut src = LoggedSource::new(Box::new(Drained), path.clone(), false).unwrap();
+        src.restore_state(&saved).unwrap();
+        assert!(src.prefire(&mut ctx).unwrap());
+        assert_eq!(src.next_arrival(), Some(Timestamp::ZERO));
+        let mut ctx = SinkCtx { emitted: vec![] };
+        src.fire(&mut ctx).unwrap();
+        assert_eq!(ints(&ctx.emitted), vec![3, 4, 100, 101]);
+        assert!(!src.prefire(&mut ctx).unwrap());
+        assert_eq!(src.next_arrival(), None);
         let _ = fs::remove_dir_all(&dir);
     }
 

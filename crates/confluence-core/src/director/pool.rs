@@ -415,27 +415,35 @@ impl Director for PoolDirector {
         if n_actors == 0 {
             hub.begin_shutdown();
         }
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let shared = shared.clone();
-            let handle = thread::Builder::new()
-                .name(format!("cwf-pool-{w}"))
-                .spawn(move || worker_loop(&shared, w))
-                .map_err(|e| Error::Director(format!("failed to spawn pool worker: {e}")))?;
-            handles.push(handle);
+        // The workers, then the timer. A thread that fails to spawn fails
+        // the run, and every task is scheduled so that each ends at its next
+        // step; with no worker to step them, the tasks come back as they are.
+        let mut handles = Vec::with_capacity(workers + 1);
+        for w in 0..=workers {
+            let (on_thread, builder) = (shared.clone(), thread::Builder::new());
+            let spawned = if w < workers {
+                builder.name(format!("cwf-pool-{w}")).spawn(move || worker_loop(&on_thread, w))
+            } else {
+                builder.name("cwf-pool-timer".to_string()).spawn(move || timer_loop(&on_thread))
+            };
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    shared.run.fail(Error::Director(format!("failed to spawn a pool thread: {e}")));
+                    (0..n_actors).for_each(|a| hub.schedule(a));
+                    if w == 0 {
+                        hub.begin_shutdown();
+                    }
+                    break;
+                }
+            }
         }
-        let timer = {
-            let shared = shared.clone();
-            thread::Builder::new()
-                .name("cwf-pool-timer".to_string())
-                .spawn(move || timer_loop(&shared))
-                .map_err(|e| Error::Director(format!("failed to spawn pool timer: {e}")))?
-        };
+        // A worker leaves only once the hub shuts down, which wakes the timer.
         for handle in handles {
-            handle.join().map_err(|_| Error::Director("pool worker panicked".to_string()))?;
+            if handle.join().is_err() {
+                shared.run.fail(Error::Director("a pool thread panicked".to_string()));
+            }
         }
-        hub.begin_shutdown();
-        timer.join().map_err(|_| Error::Director("pool timer panicked".to_string()))?;
 
         if let Some(t) = &self.telemetry {
             for w in 0..workers {

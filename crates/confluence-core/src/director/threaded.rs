@@ -20,6 +20,8 @@
 use std::sync::Arc;
 use std::thread;
 
+use parking_lot::Mutex;
+
 use crate::error::{Error, Result};
 use crate::graph::Workflow;
 use crate::telemetry::Telemetry;
@@ -51,24 +53,31 @@ impl Director for ThreadedDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
         let (run, contexts) = Run::open(workflow, self.telemetry.clone(), self.clock.clone())?;
         let run = Arc::new(run);
-        let mut handles = Vec::with_capacity(workflow.actor_count());
-        for task in Task::take_all(workflow, contexts) {
-            let id = task.id;
-            let run = run.clone();
-            let handle = thread::Builder::new()
+        // Each task waits in a slot kept here, so a thread that fails to
+        // spawn (its closure dropped) loses no actor.
+        let slots: Vec<_> =
+            Task::take_all(workflow, contexts).into_iter().map(|t| Arc::new(Mutex::new(t))).collect();
+        let mut handles = Vec::with_capacity(slots.len());
+        for slot in &slots {
+            let (id, on_thread, slot) = (slot.lock().id, run.clone(), slot.clone());
+            let spawned = thread::Builder::new()
                 .name(format!("cwf-{}", workflow.node(id).name))
-                .spawn(move || controller(&run, task))
-                .map_err(|e| Error::Director(format!("failed to spawn actor thread: {e}")))?;
-            handles.push((id, handle));
-        }
-        let mut tasks = Vec::with_capacity(handles.len());
-        for (id, handle) in handles {
-            match handle.join() {
-                Ok(task) => tasks.push(task),
-                Err(_) => run.fail(Error::Director(format!("actor thread {id} panicked"))),
+                .spawn(move || controller(&on_thread, &mut slot.lock()));
+            match spawned {
+                Ok(handle) => handles.push((id, handle)),
+                Err(e) => {
+                    run.fail(Error::Director(format!("failed to spawn actor thread: {e}")));
+                    break;
+                }
             }
         }
-        run.end_tasks(workflow, tasks).map(|_| run.report())
+        for (id, handle) in handles {
+            if handle.join().is_err() {
+                run.fail(Error::Director(format!("actor thread {id} panicked")));
+            }
+        }
+        let tasks = slots.into_iter().map(|slot| Arc::into_inner(slot).expect("joined").into_inner());
+        run.end_tasks(workflow, tasks.collect()).map(|_| run.report())
     }
 
     fn instrument(&mut self, telemetry: Telemetry) {
@@ -78,8 +87,8 @@ impl Director for ThreadedDirector {
 
 /// The per-actor thread body: steps the task until it finishes, waiting
 /// at most [`RECHECK`] at a time so a stop, a pause, an error or relief is
-/// seen, then ends it and hands it back.
-fn controller(run: &Run, mut task: Task) -> Task {
+/// seen, then ends it.
+fn controller(run: &Run, task: &mut Task) {
     // This thread's stall-detector reading while it is parked.
     let mut stall = None;
     let until = |t: Timestamp| t.since(run.clock.now()).to_std().min(RECHECK);
@@ -101,7 +110,6 @@ fn controller(run: &Run, mut task: Task) -> Task {
         }
     }
     task.end(run);
-    task
 }
 
 #[cfg(test)]

@@ -113,10 +113,10 @@ impl ExecConfig {
     /// Checkpoint the run into `dir` every time `every` is met: the
     /// engine quiesces the director at a firing boundary, snapshots every
     /// actor's state, the in-flight queue contents, and registered
-    /// resources, then resumes. Source emissions are journaled to
-    /// per-source event logs in `dir` so a crashed run recovers with
-    /// [`ExecConfig::recover_from`] and replays exactly the events emitted
-    /// after the snapshot.
+    /// resources, then resumes. A source's saved state is its offset, from
+    /// which a crashed run resumes with [`ExecConfig::recover_from`]; only
+    /// a source that saves no state (a push source) has its emissions
+    /// journaled, to an event log in `dir`.
     pub fn checkpoint_every(mut self, every: StopCondition, dir: impl AsRef<Path>) -> Self {
         self.checkpoint = Some(CheckpointPlan {
             every,
@@ -127,8 +127,9 @@ impl ExecConfig {
 
     /// Start the run from the last checkpoint written to `dir`: actor and
     /// resource state is restored from the snapshot, in-flight windows are
-    /// re-injected, and each source replays its event log from the
-    /// snapshot's offset before emitting anything new. Composes with
+    /// re-injected, and a source resumes from its saved offset. A
+    /// journaled source emits its logged tail past the snapshot ahead of
+    /// its new emissions, and drops none of them. Composes with
     /// [`ExecConfig::checkpoint_every`] (recovered runs usually keep
     /// checkpointing into the same directory).
     pub fn recover_from(mut self, dir: impl AsRef<Path>) -> Self {
@@ -169,9 +170,10 @@ pub struct Engine {
     /// Named durable resources (e.g. relational stores) snapshotted into
     /// every checkpoint and restored on recovery.
     resources: Vec<(String, Arc<dyn CheckpointResource>)>,
-    /// Whether source actors have been wrapped in [`LoggedSource`]s (done
-    /// lazily on the first checkpointed or recovered run).
-    sources_logged: bool,
+    /// Whether the sources that save no state have been wrapped in
+    /// [`LoggedSource`]s (done lazily on the first checkpointed or
+    /// recovered run).
+    sources_wrapped: bool,
     /// The time-series recorder ([`ExecConfig::sample_series`]).
     series: Option<Arc<TimeSeriesRecorder>>,
     /// The tracer ([`Engine::with_tracer`]).
@@ -192,7 +194,7 @@ impl Engine {
             checkpoint: None,
             recover: None,
             resources: Vec::new(),
-            sources_logged: false,
+            sources_wrapped: false,
             series: None,
             tracer: None,
         }
@@ -350,7 +352,8 @@ impl Engine {
     /// What only a checkpointed or recovered run does before its first
     /// segment: make the quiesce hook carrying the checkpoint cadence that
     /// each segment's telemetry passes to the director, journal the
-    /// sources into `dir`, and — recovering — restore actors and resources
+    /// sources that save no state into `dir`, and — recovering — restore
+    /// actors and resources
     /// from the snapshot in `recover` and put its in-flight state in the
     /// hook's slot.
     fn open_durable(&mut self, dir: &Path, recover: Option<&Path>) -> Result<Arc<QuiesceHook>> {
@@ -386,11 +389,13 @@ impl Engine {
         Ok(hook)
     }
 
-    /// Wrap every source actor in a [`LoggedSource`] journaling to `dir`.
-    /// `fresh` truncates existing logs (a run starting from scratch);
-    /// recovery keeps them for replay.
+    /// Wrap every source that saves no state in a [`LoggedSource`]
+    /// journaling to `dir`: a source whose
+    /// [`save_state`](crate::actor::Actor::save_state) is `Some`
+    /// resumes from that state alone. `fresh` truncates existing logs (a
+    /// run starting from scratch); recovery keeps them for their tails.
     fn wrap_sources(&mut self, dir: &Path, fresh: bool) -> Result<()> {
-        if self.sources_logged {
+        if self.sources_wrapped {
             return Ok(());
         }
         std::fs::create_dir_all(dir).map_err(|e| {
@@ -399,18 +404,14 @@ impl Engine {
         let ids: Vec<_> = self.workflow.actor_ids().collect();
         for id in ids {
             let node = self.workflow.node_mut(id);
-            if !node.is_source {
+            if !node.is_source || node.actor_mut().save_state()?.is_some() {
                 continue;
             }
-            let name = node.name.clone();
-            let inner = node.take_actor();
-            let wrapped = LoggedSource::new(inner, checkpoint::log_path(dir, &name), fresh);
-            match wrapped {
-                Ok(w) => self.workflow.node_mut(id).return_actor(Box::new(w)),
-                Err(e) => return Err(e),
-            }
+            let path = checkpoint::log_path(dir, &node.name);
+            let logged = LoggedSource::new(node.take_actor(), path, fresh)?;
+            self.workflow.node_mut(id).return_actor(Box::new(logged));
         }
-        self.sources_logged = true;
+        self.sources_wrapped = true;
         Ok(())
     }
 
@@ -578,8 +579,8 @@ mod tests {
         engine.run().unwrap();
         assert_eq!(c.tokens(), expected());
         assert!(dir.join(checkpoint::SNAPSHOT_FILE).exists());
-        let log = checkpoint::EventLog::read_all(&checkpoint::log_path(&dir, "src")).unwrap();
-        assert_eq!(log.len(), 20, "every source emission journaled");
+        let log = checkpoint::log_path(&dir, "src");
+        assert!(!log.exists(), "a source that saves its offset keeps no journal");
     }
 
     #[test]

@@ -58,7 +58,11 @@
 #    boundary), `catch_unwind` appears in director/firing.rs only (a task's
 #    panic becomes the run's error there), and `close_actor_outputs(` is
 #    called from `Run::finish_actor` only (no error path closes an actor's
-#    outputs beside it).
+#    outputs beside it);
+#  - a source resumes one way: `LoggedSource::new(` is called in
+#    `Engine::wrap_sources` only (which wraps just the sources that save no
+#    state), and an event log is opened (`EventLog::create` /
+#    `EventLog::append`) in checkpoint/mod.rs only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -269,10 +273,22 @@ if [ -z "$closes" ] || [ -n "$stray_closes" ]; then
     status=1
 fi
 
+wraps=$(matches 'LoggedSource::new\(' crates/*/src src examples)
+stray_wraps=$(printf '%s\n' "$wraps" | grep . |
+    outside_fn crates/confluence-core/src/engine.rs "fn wrap_sources(" || true)
+if [ -z "$wraps" ] || [ -n "$stray_wraps" ]; then
+    echo "LoggedSource::new( is called from Engine::wrap_sources (engine.rs) and nowhere else:" >&2
+    printf '%s\n' "${stray_wraps:-(no match at all)}" >&2
+    status=1
+fi
+once "opening a source event log (EventLog::create / EventLog::append)" \
+    crates/confluence-core/src/checkpoint/mod.rs \
+    "$(matches 'EventLog::(create|append)\(' crates/*/src src examples)"
+
 [ "$status" -eq 0 ] &&
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
         "one statistics module and one writer, one builder vocabulary, no control observer or flag, one ready queue per actor," \
         "one Linear Road topology, no clock in the pause, no deferred delivery outside a parked wall-clock task, no drain before a pause," \
         "one wall-clock task step and one stall detector, one run loop, one topological sort, one way into a checkpoint segment," \
-        "one way an error ends the run"
+        "one way an error ends the run, one way to resume a source"
 exit "$status"

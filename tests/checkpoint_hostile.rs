@@ -49,6 +49,21 @@ unsafe impl GlobalAlloc for Largest {
 #[global_allocator]
 static ALLOCATOR: Largest = Largest;
 
+/// The crashed run's Linear Road reports: 60 s of a short trace.
+fn workload() -> &'static Workload {
+    static WORKLOAD: OnceLock<Workload> = OnceLock::new();
+    WORKLOAD.get_or_init(|| {
+        Workload::generate(WorkloadConfig {
+            duration_secs: 60,
+            base_initial_cars: 200,
+            base_final_cars: 300,
+            accident_every_secs: None,
+            seed: 3,
+            ..WorkloadConfig::default()
+        })
+    })
+}
+
 /// A short Linear Road run under SCWF, snapshotted every 400 firings and
 /// killed at 1,500: its checkpoint directory, made once for all tests.
 fn crashed_run() -> &'static Path {
@@ -56,19 +71,11 @@ fn crashed_run() -> &'static Path {
     DIR.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("confluence-hostile-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let workload = Workload::generate(WorkloadConfig {
-            duration_secs: 60,
-            base_initial_cars: 200,
-            base_final_cars: 300,
-            accident_every_secs: None,
-            seed: 3,
-            ..WorkloadConfig::default()
-        });
         let opts = LrOptions {
             composite_subworkflows: false,
             ..LrOptions::default()
         };
-        let lr = linearroad::build(&workload, &opts).unwrap();
+        let lr = linearroad::build(workload(), &opts).unwrap();
         let store = lr.store.clone();
         let director = ScwfDirector::virtual_time(
             Box::new(FifoScheduler::new(5)),
@@ -284,12 +291,16 @@ fn a_version_1_header_and_trailing_bytes_are_errors() {
 
 #[test]
 fn reading_the_log_from_a_sequence_number_filters_read_all() {
-    let dir = crashed_run();
+    // The crashed run's source resumes from its offset and keeps no log,
+    // so the corpus is its reports, logged here one record each.
     let copy = std::env::temp_dir().join(format!("confluence-hostile-log-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&copy);
-    std::fs::create_dir_all(&copy).unwrap();
     let log = copy.join("log.bin");
-    std::fs::copy(checkpoint::log_path(dir, "source"), &log).unwrap();
+    let mut writer = EventLog::create(&log).unwrap();
+    for (seq, report) in (0..).zip(workload().reports.iter()) {
+        writer.record(seq, 0, &report.to_token()).unwrap();
+    }
+    drop(writer);
     let all = EventLog::read_all(&log).unwrap();
     let n = all.len() as u64;
     assert!(n >= 100, "{n} logged reports");

@@ -7,11 +7,11 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use confluence::core::actors::{Collector, PushSource, TimedSource, VecSource};
+use confluence::core::actors::{Collector, PushHandle, PushSource, TimedSource, VecSource};
 use confluence::core::actor::{Actor, FireContext, IoSignature, SdfRates};
 use confluence::core::channel::ChannelPolicy;
 use confluence::core::checkpoint;
@@ -23,8 +23,8 @@ use confluence::core::director::threaded::ThreadedDirector;
 use confluence::core::director::Director;
 use confluence::core::engine::{Engine, ExecConfig, StopCondition};
 use confluence::core::error::{Error, Result};
-use confluence::core::graph::{Workflow, WorkflowBuilder};
-use confluence::core::telemetry::{Observer, RunPhase, Telemetry, TraceConfig, Tracer};
+use confluence::core::graph::{ActorId, Workflow, WorkflowBuilder};
+use confluence::core::telemetry::{FireRecord, Observer, RunPhase, Telemetry, TraceConfig, Tracer};
 use confluence::core::time::{Micros, Timestamp};
 use confluence::core::token::Token;
 use confluence::linearroad::{self, LrOptions, TollNotification, Workload, WorkloadConfig};
@@ -410,6 +410,77 @@ fn running_sums(n: i64) -> Vec<Token> {
         .collect()
 }
 
+/// Pushes the next of its values on every firing of the source it
+/// watches, and drops the handle once they run out, which ends the stream:
+/// under DDF every push lands at the same point of the run, every time.
+struct Producer {
+    src: ActorId,
+    pushes: Mutex<(Option<PushHandle>, std::vec::IntoIter<i64>)>,
+}
+
+impl Observer for Producer {
+    fn on_fire_end(&self, record: &FireRecord) {
+        if record.actor != self.src || !record.fired {
+            return;
+        }
+        let (handle, values) = &mut *self.pushes.lock().unwrap();
+        match (handle.as_ref(), values.next()) {
+            (Some(h), Some(v)) => assert!(h.push(Token::Int(v))),
+            _ => *handle = None,
+        }
+    }
+}
+
+/// `PushSource → RunningSum → Collector` under DDF, fed `values` by a
+/// [`Producer`].
+fn pushed_engine(values: Vec<i64>) -> (Engine, Collector) {
+    let (push, handle) = PushSource::new();
+    let c = Collector::new();
+    let mut b = WorkflowBuilder::new("push-recover");
+    let s = b.add_actor("src", push);
+    let a = b.add_actor("sum", RunningSum { sum: 0, per_window: Duration::ZERO });
+    let k = b.add_actor("sink", c.actor());
+    b.link((s, "out"), (a, "in")).unwrap();
+    b.link((a, "out"), (k, "in")).unwrap();
+    let producer = Producer { src: s, pushes: Mutex::new((Some(handle), values.into_iter())) };
+    let engine = Engine::new(b.build().unwrap())
+        .with_director(DdfDirector::new())
+        .with_observer(Arc::new(producer));
+    (engine, c)
+}
+
+/// A push source cannot be read again, so a checkpointed run journals
+/// what it emits. Recovery emits the journaled tail past the snapshot
+/// ahead of what the new producer pushes: every push arrives once, in
+/// order, and none of the new ones is dropped.
+#[test]
+fn a_recovered_push_source_emits_its_tail_then_every_new_push() {
+    let dir = tmpdir("push");
+    {
+        let (engine, _c) = pushed_engine((0..20).collect());
+        let mut engine =
+            engine.configure(ExecConfig::new().checkpoint_every(StopCondition::Firings(6), &dir));
+        engine.run_until(StopCondition::Firings(22)).unwrap();
+    }
+    let logged = checkpoint::EventLog::read_all(&checkpoint::log_path(&dir, "src")).unwrap();
+    let snapshot = checkpoint::Checkpoint::read_from_dir(&dir).unwrap();
+    let (_, state) = snapshot.actors.iter().find(|(name, _)| name == "src").unwrap();
+    let saved = checkpoint::codec::Decoder::new(state).u64().unwrap();
+    assert!(logged.len() as u64 > saved, "the kill leaves {} logged past {saved}", logged.len());
+
+    let fresh = vec![100, 101, 102];
+    let (engine, c) = pushed_engine(fresh.clone());
+    engine.configure(ExecConfig::new().recover_from(&dir)).run().unwrap();
+    let pushed = logged.iter().map(|e| e.token.as_int().unwrap()).chain(fresh);
+    let sums: Vec<Token> = pushed
+        .scan(0, |sum, v| {
+            *sum += v;
+            Some(Token::Int(*sum))
+        })
+        .collect();
+    assert_eq!(c.tokens(), sums, "tail first, then every new push, each once");
+}
+
 /// A checkpoint requested while writers sit in `OnFull::Block`
 /// backpressure (capacity 2) must not snapshot a torn queue. A writer
 /// blocked or parked on a full port admits the rest of its batch over
@@ -642,6 +713,10 @@ fn linear_road_kill_and_recover_reconverges() {
         assert!(
             dir.join(checkpoint::SNAPSHOT_FILE).exists(),
             "{name}: killed run wrote a snapshot"
+        );
+        assert!(
+            !checkpoint::log_path(&dir, "source").exists(),
+            "{name}: the source resumes from its offset and keeps no journal"
         );
 
         // Recovery: a fresh process rebuilds the same workflow (fresh
