@@ -14,8 +14,9 @@
 //!   actor's inbox for that port — not raw buffered tuples, so a window
 //!   larger than the capacity can still form;
 //! * [`OnFull::Block`] parks the writer (wall-clock directors) with
-//!   Parks-style artificial-deadlock relief: if every writer is parked and
-//!   no reader makes progress, the smallest full queue is grown;
+//!   Parks-style artificial-deadlock relief: when parked writers close a
+//!   cycle of full queues, the smallest grows, and a writer parked on a
+//!   finished reader has its queue grown;
 //! * [`OnFull::DropOldest`] / [`OnFull::DropNewest`] shed load and report it
 //!   through the observer's `on_shed` hook;
 //! * [`OnFull::Error`] fails the run with [`crate::error::Error::ChannelFull`].

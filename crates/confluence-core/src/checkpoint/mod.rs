@@ -447,12 +447,16 @@ impl EventLog {
     }
 
     /// Open an existing log for appending (recovery continues the stream).
+    /// A torn trailing frame a crash left is cut off first, so the next
+    /// record follows the last complete one.
     pub fn append(path: &Path) -> Result<EventLog> {
+        let complete = Self::scan(path, u64::MAX)?.1;
         let file = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
             .map_err(|e| io_err("open event log", e))?;
+        file.set_len(complete).map_err(|e| io_err("cut a torn event log frame", e))?;
         Ok(EventLog {
             file,
             frame: Encoder::new(),
@@ -483,16 +487,22 @@ impl EventLog {
     /// left undecoded. A truncated trailing frame (torn by a crash
     /// mid-write) is ignored; a missing file reads as empty.
     pub fn read_from(path: &Path, from_seq: u64) -> Result<Vec<LogEntry>> {
+        Self::scan(path, from_seq).map(|(entries, _)| entries)
+    }
+
+    /// [`EventLog::read_from`], with the length of the log's complete
+    /// frames.
+    fn scan(path: &Path, from_seq: u64) -> Result<(Vec<LogEntry>, u64)> {
         let file = match fs::File::open(path) {
             Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
             Err(e) => return Err(io_err("read event log", e)),
         };
         let size = file.metadata().map_err(|e| io_err("read event log", e))?.len();
         // One schema cache over the whole log, so replayed records of one
         // shape share a schema the way live ones do.
         let mut r = FrameReader::new(BufReader::with_capacity(IO_BUFFER, file), size);
-        let mut entries = Vec::new();
+        let (mut entries, mut complete) = (Vec::new(), 0);
         while r.left() >= 4 {
             let len = r.u32()? as usize;
             if len as u64 > r.left() {
@@ -504,12 +514,13 @@ impl EventLog {
             let seq = r.body(8, |d| d.u64())?;
             if seq < from_seq {
                 r.load(rest)?;
-                continue;
+            } else {
+                let (port, token) = r.body(rest, |d| Ok((d.u32()?, d.token()?)))?;
+                entries.push(LogEntry { seq, port, token });
             }
-            let (port, token) = r.body(rest, |d| Ok((d.u32()?, d.token()?)))?;
-            entries.push(LogEntry { seq, port, token });
+            complete = size - r.left();
         }
-        Ok(entries)
+        Ok((entries, complete))
     }
 }
 
@@ -817,6 +828,31 @@ mod tests {
             let err = EventLog::read_all(&path).unwrap_err();
             assert!(matches!(&err, Error::Checkpoint(m) if m.contains("token tag")), "{err}");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appending_after_a_torn_frame_cuts_it_off() {
+        let dir = tmpdir("torn");
+        let path = log_path(&dir, "src");
+        let mut log = EventLog::create(&path).unwrap();
+        log.record(0, 0, &Token::Int(0)).unwrap();
+        log.record(1, 0, &Token::Int(1)).unwrap();
+        drop(log);
+        // A kill mid-write: a 200-byte frame's length, and a bit of it.
+        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&[200, 0, 0, 0, 1, 2]).unwrap();
+        drop(f);
+        // Recovery appends (`LoggedSource::new` with `fresh: false`).
+        let mut log = EventLog::append(&path).unwrap();
+        for seq in 2..5 {
+            log.record(seq, 0, &Token::Int(seq as i64)).unwrap();
+        }
+        drop(log);
+        let entries = EventLog::read_all(&path).unwrap();
+        let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4], "the torn frame is gone, every record reads");
+        assert_eq!(entries[4].token, Token::Int(4));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -36,7 +36,6 @@ pub mod taxonomy;
 pub mod threaded;
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,13 +54,8 @@ use crate::wave::WaveTag;
 use crate::window::Window;
 
 /// The longest a waiting wall-clock thread (an actor thread, an idle pool
-/// worker, the pool's timer) goes without re-checking the run's boundary,
-/// queue space and deadlock relief.
+/// worker, the pool's timer) goes without re-checking the run's boundary.
 const RECHECK: Duration = Duration::from_millis(10);
-
-/// How long the whole fabric must make zero progress (no pushes, no pops)
-/// while a writer is parked before Parks-style relief grows a queue.
-const RELIEF_PATIENCE: Duration = Duration::from_millis(50);
 
 /// How long a wall-clock director lets a source that had nothing to emit
 /// and follows no timetable (an idle push source) rest before it fires
@@ -90,7 +84,8 @@ pub struct Stamped {
     deliveries: u64,
     batches: Vec<(PortRef, Vec<CwEvent>)>,
     /// When delivery first parked on the event now at the head of the
-    /// batches (block-time telemetry).
+    /// batches (block-time telemetry). A delivery that starts with it set
+    /// takes the producing task out of the fabric's wait-for table.
     parked: Option<Instant>,
 }
 
@@ -139,14 +134,10 @@ pub struct Fabric {
     /// `on_enqueue`). Cached at build time so uninstrumented and
     /// metrics-only runs skip the per-event calls entirely.
     fine: bool,
-    /// Fabric-wide progress counter shared with every inbox: bumped on each
-    /// push and pop. A stall detector that sees it frozen while writers are
-    /// parked concludes the network is artificially deadlocked (all writers
-    /// parked on full queues) and triggers relief.
-    progress: Arc<AtomicU64>,
-    /// Serializes deadlock relief so concurrent stall detectors grow one
-    /// queue at a time.
-    relief_lock: Mutex<()>,
+    /// Parks' wait-for table, under one lock: per actor, the full `Block`
+    /// port its task is parked on, and whether it has finished (it will
+    /// never read again).
+    waits: Mutex<Vec<(Option<PortRef>, bool)>>,
 }
 
 impl Fabric {
@@ -165,13 +156,12 @@ impl Fabric {
                 }
             }
         }
-        let progress = Arc::new(AtomicU64::new(0));
         let mut inboxes = Vec::with_capacity(workflow.actor_count());
         let mut receivers = Vec::with_capacity(workflow.actor_count());
         for id in workflow.actor_ids() {
             let node = workflow.node(id);
             let n_inputs = node.signature.inputs.len();
-            let inbox = ActorInbox::new_shared(n_inputs, progress.clone());
+            let inbox = ActorInbox::new(n_inputs);
             let mut ports = Vec::with_capacity(n_inputs);
             for port in 0..n_inputs {
                 let channels = workflow.in_degree(id, port);
@@ -226,8 +216,7 @@ impl Fabric {
             has_expired_routes,
             observer: None,
             fine: false,
-            progress,
-            relief_lock: Mutex::new(()),
+            waits: Mutex::new(vec![(None, false); workflow.actor_count()]),
         })
     }
 
@@ -291,6 +280,11 @@ impl Fabric {
         let wave = self.fine.then(|| event.wave.clone());
         let (formed, waited) = match receiver.try_put(event, now)? {
             TryPut::Stored(formed) => {
+                if receiver.policy().on_full == OnFull::Block && receiver.is_full() {
+                    // This put filled the port: a writer parked on it may
+                    // now close a deadlock.
+                    self.relieve_parked_on(|port| port == dest);
+                }
                 let started = parked.and_then(|p| p.take());
                 (formed, started.map(|start| Micros(start.elapsed().as_micros() as u64)))
             }
@@ -321,42 +315,41 @@ impl Fabric {
         Ok(None)
     }
 
-    /// Parks' stall detector, run by whoever waits on a parked writer (the
-    /// writer's own thread between space waits, or the pool's timer):
-    /// `seen` is the caller's last reading of the progress counter and
-    /// since when it has stood still. Once the whole fabric has made no
-    /// progress for [`RELIEF_PATIENCE`], the network is artificially
-    /// deadlocked and the smallest full `Block` queue grows.
-    fn relieve_if_stalled(&self, seen: &mut Option<(u64, Instant)>) {
-        let progress = self.progress.load(Ordering::Relaxed);
-        match *seen {
-            Some((last, since)) if last == progress => {
-                if since.elapsed() >= RELIEF_PATIENCE {
-                    self.relieve_deadlock();
-                    *seen = None;
-                }
+    /// Relieve every writer parked on a port that `on` picks.
+    fn relieve_parked_on(&self, on: impl Fn(PortRef) -> bool) {
+        let waits = self.waits.lock();
+        for writer in 0..waits.len() {
+            if waits[writer].0.is_some_and(&on) {
+                self.relieve(&waits, ActorId(writer));
             }
-            _ => *seen = Some((progress, Instant::now())),
         }
     }
 
-    /// Parks-style artificial-deadlock relief: grow the smallest full
-    /// bounded `Block` queue so one writer can proceed. Serialized so
-    /// concurrent stall detectors grow one queue per detection.
-    fn relieve_deadlock(&self) {
-        let _guard = self.relief_lock.lock();
-        let smallest = self
-            .receivers
-            .iter()
-            .flatten()
-            .filter(|r| r.policy().is_bounded() && r.policy().on_full == OnFull::Block)
-            .filter(|r| r.is_full())
-            .min_by_key(|r| r.effective_capacity());
-        if let Some(r) = smallest {
-            r.grow_capacity();
-            // Count relief as progress so other stalled writers restart
-            // their patience window instead of piling on.
-            self.progress.fetch_add(1, Ordering::Relaxed);
+    /// Parks' relief of artificial deadlock, decided from the wait-for
+    /// table alone: the one place a queue grows. A task parks on one port
+    /// at most, so the chain of parked readers from `writer` ends at a live
+    /// reader that is not parked (it will read, so nothing grows), or at a
+    /// finished reader (the port parked on it grows), or runs into a cycle
+    /// (its smallest port grows). Every port involved must still be full,
+    /// so a pop that raced the park grows nothing: its writer retries.
+    fn relieve(&self, waits: &[(Option<PortRef>, bool)], writer: ActorId) {
+        let (mut walked, mut at) = (Vec::<(ActorId, PortRef)>::new(), writer);
+        let stuck: Vec<PortRef> = loop {
+            let Some(port) = waits[at.0].0 else { return };
+            if waits[port.actor.0].1 {
+                break vec![port];
+            }
+            walked.push((at, port));
+            at = port.actor;
+            if let Some(i) = walked.iter().position(|&(w, _)| w == at) {
+                break walked[i..].iter().map(|&(_, port)| port).collect();
+            }
+        };
+        let ports = stuck.iter().map(|p| &self.receivers[p.actor.0][p.port]);
+        if ports.clone().all(|r| r.is_full()) {
+            if let Some(smallest) = ports.min_by_key(|r| r.effective_capacity()) {
+                smallest.grow_capacity();
+            }
         }
     }
 
@@ -460,8 +453,9 @@ impl Fabric {
     /// With `park`, a full [`OnFull::Block`] port stops delivery instead of
     /// over-admitting: the undelivered rest stays in `stamped` and the port
     /// is returned, so the producing wall-clock task can park and call
-    /// again when space frees up. Drop and error policies resolve the same
-    /// either way.
+    /// again when space frees up. The park goes into the wait-for table
+    /// (the next call takes it out) and relieves the artificial deadlock it
+    /// closes at once. Drop and error policies resolve the same either way.
     pub fn deliver(
         &self,
         stamped: &mut Stamped,
@@ -469,6 +463,9 @@ impl Fabric {
         park: bool,
     ) -> Result<Option<PortRef>> {
         let from = stamped.from;
+        if stamped.parked.is_some() {
+            self.waits.lock()[from.0].0 = None;
+        }
         let mut batches = std::mem::take(&mut stamped.batches).into_iter();
         while let Some((dest, events)) = batches.next() {
             let receiver = &self.receivers[dest.actor.0][dest.port];
@@ -486,6 +483,9 @@ impl Fabric {
                         if let (true, Some(obs)) = (admitted > 0, &self.observer) {
                             obs.on_route_edge(from, dest.actor, dest.port, admitted, now);
                         }
+                        let mut waits = self.waits.lock();
+                        waits[from.0].0 = Some(dest);
+                        self.relieve(&waits, from);
                         return Ok(Some(dest));
                     }
                 }
@@ -545,13 +545,17 @@ impl Fabric {
     /// Propagate "actor finished" along its output channels: each
     /// downstream receiver loses one upstream; the last closure flushes
     /// partial windows. Fully-closed ports with expired-items handlers
-    /// hand their final expired events over and release the handler.
+    /// hand their final expired events over and release the handler. The
+    /// actor will never read again, so the writers parked on it are
+    /// relieved.
     ///
     /// Hand-over goes through the same observed admission path as live
     /// routing, so windows formed during shutdown still reach
     /// `on_window_close` and put failures surface instead of being
     /// silently dropped.
     pub fn close_actor_outputs(&self, from: ActorId, now: Timestamp) -> Result<()> {
+        self.waits.lock()[from.0].1 = true;
+        self.relieve_parked_on(|port| port.actor == from);
         let mut fully_closed: Vec<PortRef> = Vec::new();
         for port_routes in &self.routes[from.0] {
             for dest in port_routes {
@@ -926,6 +930,106 @@ mod tests {
         };
         assert_eq!(sliding(true), 9, "a handler reads what slid out");
         assert_eq!(sliding(false), 0, "nobody would: nothing is kept");
+    }
+
+    /// `names` as `Double`s (`VecSource`s for the names in `sources`)
+    /// linked `from → to` over `Block(1)` ports, one event per window.
+    fn block_graph(names: &[&str], sources: &[&str], links: &[(&str, &str)]) -> (Workflow, Fabric) {
+        let mut b = WorkflowBuilder::new("parks");
+        let ids: Vec<ActorId> = names
+            .iter()
+            .map(|&n| match sources.contains(&n) {
+                true => b.add_actor(n, VecSource::new(vec![])),
+                false => b.add_actor(n, Double),
+            })
+            .collect();
+        let id = |n: &str| ids[names.iter().position(|&m| m == n).unwrap()];
+        for &(from, to) in links {
+            b.link_windowed((id(from), "out"), (id(to), "in"), WindowSpec::each_event()).unwrap();
+        }
+        b.set_default_channel_policy(crate::channel::ChannelPolicy::block(1));
+        let wf = b.build().unwrap();
+        let fabric = Fabric::build(&wf).unwrap();
+        (wf, fabric)
+    }
+
+    /// `n` events from `from`, delivered as a wall-clock task delivers
+    /// (parking on a full `Block` port): the undelivered rest, and the port
+    /// it parked on.
+    fn send(fabric: &Fabric, from: ActorId, n: i64) -> (Stamped, Option<PortRef>) {
+        let mut stamped = fabric.stamp(from, (0..n).map(|i| (0, Token::Int(i))).collect(), None, Timestamp(1));
+        let parked = fabric.deliver(&mut stamped, Timestamp(1), true).unwrap();
+        (stamped, parked)
+    }
+
+    fn capacity(fabric: &Fabric, id: ActorId) -> usize {
+        fabric.receivers(id)[0].effective_capacity()
+    }
+
+    #[test]
+    fn parking_that_closes_a_cycle_of_full_ports_grows_one() {
+        let (wf, fabric) = block_graph(&["a", "b"], &[], &[("a", "b"), ("b", "a")]);
+        let (a, b) = (wf.find("a").unwrap(), wf.find("b").unwrap());
+        let (_, parked) = send(&fabric, b, 2);
+        assert_eq!(parked, Some(PortRef { actor: a, port: 0 }));
+        assert_eq!(fabric.waits.lock()[b.0].0, parked, "the park is in the table");
+        assert_eq!((capacity(&fabric, a), capacity(&fabric, b)), (1, 1), "a is live");
+        let (mut rest, parked) = send(&fabric, a, 2);
+        assert_eq!(parked, Some(PortRef { actor: b, port: 0 }));
+        assert_eq!(capacity(&fabric, a) + capacity(&fabric, b), 3, "one port grew, once");
+        assert_eq!(fabric.deliver(&mut rest, Timestamp(2), true).unwrap(), None, "room at once");
+        assert_eq!(fabric.waits.lock()[a.0].0, None, "the delivered writer left the table");
+    }
+
+    #[test]
+    fn a_finishing_reader_relieves_the_writer_parked_on_it() {
+        let (wf, fabric) = block_graph(&["src", "sink"], &["src"], &[("src", "sink")]);
+        let (s, k) = (wf.find("src").unwrap(), wf.find("sink").unwrap());
+        let (mut rest, parked) = send(&fabric, s, 2);
+        assert_eq!(parked, Some(PortRef { actor: k, port: 0 }));
+        assert_eq!(capacity(&fabric, k), 1);
+        fabric.close_actor_outputs(k, Timestamp(2)).unwrap();
+        assert_eq!(capacity(&fabric, k), 2, "the finished reader will never pop");
+        assert_eq!(fabric.deliver(&mut rest, Timestamp(2), true).unwrap(), None);
+        let (_, parked) = send(&fabric, s, 1);
+        assert_eq!(parked, Some(PortRef { actor: k, port: 0 }), "full again");
+        assert_eq!(capacity(&fabric, k), 3, "a park on a finished reader grows its port at once");
+    }
+
+    #[test]
+    fn parking_on_a_reader_that_will_read_grows_nothing() {
+        // A live reader that is not parked.
+        let (wf, fabric) = block_graph(&["src", "sink"], &["src"], &[("src", "sink")]);
+        let (s, k) = (wf.find("src").unwrap(), wf.find("sink").unwrap());
+        let (mut rest, parked) = send(&fabric, s, 2);
+        assert_eq!(parked, Some(PortRef { actor: k, port: 0 }));
+        assert_eq!(fabric.deliver(&mut rest, Timestamp(2), true).unwrap(), parked, "still full");
+        assert_eq!(capacity(&fabric, k), 1);
+        assert_eq!(fabric.waits.lock()[s.0].0, parked);
+        // A cycle whose reader popped before it parked: the writer on the
+        // port it freed retries, so nothing grows.
+        let (wf, fabric) = block_graph(&["a", "b"], &[], &[("a", "b"), ("b", "a")]);
+        let (a, b) = (wf.find("a").unwrap(), wf.find("b").unwrap());
+        send(&fabric, a, 2);
+        assert!(fabric.inbox(b).try_pop().is_some());
+        let (_, parked) = send(&fabric, b, 2);
+        assert_eq!(parked, Some(PortRef { actor: a, port: 0 }));
+        assert_eq!((capacity(&fabric, a), capacity(&fabric, b)), (1, 1));
+    }
+
+    #[test]
+    fn a_put_that_fills_a_parked_writers_port_closes_the_deadlock() {
+        // b's port has a second writer, z, off the cycle.
+        let links = [("a", "b"), ("b", "a"), ("z", "b")];
+        let (wf, fabric) = block_graph(&["a", "b", "z"], &["z"], &links);
+        let (a, b, z) = (wf.find("a").unwrap(), wf.find("b").unwrap(), wf.find("z").unwrap());
+        send(&fabric, a, 2);
+        assert!(fabric.inbox(b).try_pop().is_some());
+        send(&fabric, b, 2);
+        assert_eq!((capacity(&fabric, a), capacity(&fabric, b)), (1, 1), "b's port had room");
+        let (_, parked) = send(&fabric, z, 1);
+        assert_eq!(parked, None, "z's one event fits");
+        assert_eq!(capacity(&fabric, a) + capacity(&fabric, b), 3, "z's put closed the cycle");
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! * timed-window deadlines are served by one shared timer thread over a
 //!   deadline heap, not per-actor condvar waits;
 //! * a task parked on a full `Block` port is re-enqueued when the
-//!   destination inbox frees space, and the timer thread runs Parks'
-//!   stall detector while any task is parked.
+//!   destination inbox frees space (Parks' relief, which grows a queue
+//!   when the park closes an artificial deadlock, frees it too).
 //!
 //! The run spawns exactly N worker threads plus the timer thread,
 //! independent of the actor count; N and the policy are fixed when the run
@@ -150,7 +150,8 @@ struct WakeHub {
     states: Vec<AtomicU8>,
     /// Per-destination-actor list of writer tasks parked on a full port.
     space_waiters: Vec<Mutex<Vec<usize>>>,
-    /// Parked writer registrations outstanding (relief trigger gate).
+    /// Parked writer registrations outstanding (lets a freed slot skip the
+    /// waiter lists while nobody is parked).
     waiting_writers: AtomicUsize,
     /// Round-robin cursor for pushes from off-pool threads.
     next_queue: AtomicUsize,
@@ -545,12 +546,10 @@ fn run_actor(shared: &Arc<PoolShared>, w: usize, actor: usize) {
 /// The timer thread: schedules every actor whose registered instant (a
 /// source arrival or backoff, a window-formation deadline) has come, and
 /// every actor while the run stops or pauses, so each reaches its
-/// boundary; samples the time series; and runs Parks' stall detector
-/// while any task is parked on a full `Block` port.
+/// boundary; and samples the time series.
 fn timer_loop(shared: &Arc<PoolShared>) {
     let hub = &shared.hub;
     let run = &shared.run;
-    let mut stall = None;
     while !hub.shutdown.load(Ordering::Acquire) {
         // Time-series sampling rides the timer thread too; when a point
         // is taken, add the per-worker occupancy gauges only the pool
@@ -585,11 +584,6 @@ fn timer_loop(shared: &Arc<PoolShared>) {
             for a in 0..hub.states.len() {
                 hub.schedule(a);
             }
-        }
-        if hub.waiting_writers.load(Ordering::Relaxed) > 0 {
-            run.fabric.relieve_if_stalled(&mut stall);
-        } else {
-            stall = None;
         }
         let wait = {
             let heap = hub.timer.lock();

@@ -13,9 +13,11 @@
 //! park and the run lifecycle are [`super::firing`]'s — and turns what the
 //! task waits for into a sleep, a wait on its own inbox (until the earliest
 //! window-formation deadline), or a wait for space on the port it parked
-//! on, running Parks' stall detector meanwhile. An error or a panic in any
-//! task fails the run ([`Run::fail`]): every thread sees it within one
-//! `RECHECK` (10 ms) and ends its task without `finish`.
+//! on. Parks' relief needs no thread of its own: the park that closes an
+//! artificial deadlock grows a queue at once ([`super::Fabric::deliver`]),
+//! and the writer on the grown port wakes. An error or a panic in any task
+//! fails the run ([`Run::fail`]): every thread sees it within one `RECHECK`
+//! (10 ms) and ends its task without `finish`.
 
 use std::sync::Arc;
 use std::thread;
@@ -86,11 +88,9 @@ impl Director for ThreadedDirector {
 }
 
 /// The per-actor thread body: steps the task until it finishes, waiting
-/// at most [`RECHECK`] at a time so a stop, a pause, an error or relief is
-/// seen, then ends it.
+/// at most [`RECHECK`] at a time so a stop, a pause or an error is seen,
+/// then ends it.
 fn controller(run: &Run, task: &mut Task) {
-    // This thread's stall-detector reading while it is parked.
-    let mut stall = None;
     let until = |t: Timestamp| t.since(run.clock.now()).to_std().min(RECHECK);
     loop {
         match task.step(run).0 {
@@ -100,11 +100,7 @@ fn controller(run: &Run, task: &mut Task) {
                 run.fabric.inbox(task.id).wait_ready(deadline.map_or(RECHECK, until));
             }
             Wait::Space(port) => {
-                let receiver = &run.fabric.receivers(port.actor)[port.port];
-                let capacity = receiver.effective_capacity();
-                if !receiver.inbox().wait_for_space(port.port, capacity, RECHECK) {
-                    run.fabric.relieve_if_stalled(&mut stall);
-                }
+                run.fabric.receivers(port.actor)[port.port].wait_for_space(RECHECK);
             }
             Wait::Finish => break,
         }

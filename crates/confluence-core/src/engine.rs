@@ -130,8 +130,9 @@ impl ExecConfig {
     /// re-injected, and a source resumes from its saved offset. A
     /// journaled source emits its logged tail past the snapshot ahead of
     /// its new emissions, and drops none of them. Composes with
-    /// [`ExecConfig::checkpoint_every`] (recovered runs usually keep
-    /// checkpointing into the same directory).
+    /// [`ExecConfig::checkpoint_every`]: a recovered run usually keeps
+    /// checkpointing into the same directory; into another one, it first
+    /// copies the journals there.
     pub fn recover_from(mut self, dir: impl AsRef<Path>) -> Self {
         self.recover = Some(dir.as_ref().to_path_buf());
         self
@@ -358,7 +359,7 @@ impl Engine {
     /// hook's slot.
     fn open_durable(&mut self, dir: &Path, recover: Option<&Path>) -> Result<Arc<QuiesceHook>> {
         let hook = QuiesceHook::new(self.checkpoint.as_ref().map(|p| p.every));
-        self.wrap_sources(dir, recover.is_none())?;
+        self.wrap_sources(dir, recover)?;
         if let Some(from) = recover {
             // Each saved state is let go of once it is restored.
             let cp = Checkpoint::read_from_dir(from)?;
@@ -392,15 +393,20 @@ impl Engine {
     /// Wrap every source that saves no state in a [`LoggedSource`]
     /// journaling to `dir`: a source whose
     /// [`save_state`](crate::actor::Actor::save_state) is `Some`
-    /// resumes from that state alone. `fresh` truncates existing logs (a
-    /// run starting from scratch); recovery keeps them for their tails.
-    fn wrap_sources(&mut self, dir: &Path, fresh: bool) -> Result<()> {
+    /// resumes from that state alone. A run starting from scratch
+    /// truncates existing logs; recovery keeps them for their tails, and
+    /// recovery `from` another directory first copies each log from there
+    /// (a missing one as empty), so `dir`'s journal is whole.
+    fn wrap_sources(&mut self, dir: &Path, recover: Option<&Path>) -> Result<()> {
         if self.sources_wrapped {
             return Ok(());
         }
         std::fs::create_dir_all(dir).map_err(|e| {
             Error::Checkpoint(format!("create checkpoint dir {}: {e}", dir.display()))
         })?;
+        // A log copied onto itself would be emptied.
+        let canonical = |d: &Path| std::fs::canonicalize(d).ok();
+        let elsewhere = recover.filter(|from| canonical(from) != canonical(dir));
         let ids: Vec<_> = self.workflow.actor_ids().collect();
         for id in ids {
             let node = self.workflow.node_mut(id);
@@ -408,7 +414,14 @@ impl Engine {
                 continue;
             }
             let path = checkpoint::log_path(dir, &node.name);
-            let logged = LoggedSource::new(node.take_actor(), path, fresh)?;
+            if let Some(from) = elsewhere {
+                let copied = match std::fs::copy(checkpoint::log_path(from, &node.name), &path) {
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => std::fs::write(&path, []),
+                    copied => copied.map(drop),
+                };
+                copied.map_err(|e| Error::Checkpoint(format!("copy the event log of {:?}: {e}", node.name)))?;
+            }
+            let logged = LoggedSource::new(node.take_actor(), path, recover.is_none())?;
             self.workflow.node_mut(id).return_actor(Box::new(logged));
         }
         self.sources_wrapped = true;

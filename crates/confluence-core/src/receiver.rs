@@ -80,9 +80,6 @@ pub struct ActorInbox {
     /// Writers parked on a full port wait here; every pop (and every
     /// drop-shed, close, or capacity growth) notifies it.
     space: Condvar,
-    /// Shared fabric-wide progress counter, bumped on every push and pop.
-    /// The no-progress detector behind Parks-style deadlock relief reads it.
-    progress: Arc<AtomicU64>,
     /// Earliest wave-origin (µs) of the window at the queue front —
     /// `u64::MAX` when no window is pending. Maintained under the state
     /// lock, readable without it: the O(1) staleness signal deadline-aware
@@ -104,11 +101,6 @@ impl std::fmt::Debug for ActorInbox {
 impl ActorInbox {
     /// An inbox fed by `input_ports` port receivers.
     pub fn new(input_ports: usize) -> Arc<Self> {
-        Self::new_shared(input_ports, Arc::new(AtomicU64::new(0)))
-    }
-
-    /// An inbox wired to a fabric-wide progress counter.
-    pub fn new_shared(input_ports: usize, progress: Arc<AtomicU64>) -> Arc<Self> {
         Arc::new(ActorInbox {
             state: Mutex::new(InboxState {
                 windows: VecDeque::new(),
@@ -117,7 +109,6 @@ impl ActorInbox {
             }),
             ready: Condvar::new(),
             space: Condvar::new(),
-            progress,
             oldest: AtomicU64::new(u64::MAX),
             waker: std::sync::OnceLock::new(),
         })
@@ -179,14 +170,13 @@ impl ActorInbox {
         st.windows.push_back((port, origin_key(&window), window));
         self.refresh_oldest(&st);
         drop(st);
-        self.progress.fetch_add(1, Ordering::Relaxed);
         self.ready.notify_one();
         self.wake_ready();
     }
 
     /// Enqueue a batch of formed windows from input port `port` under one
-    /// lock acquisition, with one progress bump and one wakeup for the
-    /// whole batch (the fabric's batched routing path).
+    /// lock acquisition, with one wakeup for the whole batch (the fabric's
+    /// batched routing path).
     pub fn push_batch(&self, port: usize, windows: impl IntoIterator<Item = Window>) {
         let mut st = self.state.lock();
         let before = st.windows.len();
@@ -201,7 +191,6 @@ impl ActorInbox {
         *st.depth_slot(port) += pushed;
         self.refresh_oldest(&st);
         drop(st);
-        self.progress.fetch_add(1, Ordering::Relaxed);
         self.ready.notify_one();
         self.wake_ready();
     }
@@ -223,7 +212,6 @@ impl ActorInbox {
         }
         self.refresh_oldest(&st);
         drop(st);
-        self.progress.fetch_add(1, Ordering::Relaxed);
         self.ready.notify_one();
         self.wake_ready();
     }
@@ -239,7 +227,6 @@ impl ActorInbox {
             *slot = slot.saturating_sub(1);
             self.refresh_oldest(&st);
             drop(st);
-            self.progress.fetch_add(1, Ordering::Relaxed);
             self.space.notify_all();
             self.wake_space();
         }
@@ -284,38 +271,9 @@ impl ActorInbox {
         *slot = slot.saturating_sub(1);
         self.refresh_oldest(&st);
         drop(st);
-        self.progress.fetch_add(1, Ordering::Relaxed);
         self.space.notify_all();
         self.wake_space();
         Some(w)
-    }
-
-    /// Wait until `port` has fewer than `capacity` queued windows, the
-    /// timeout passes, or the inbox owner goes away. Returns whether space
-    /// is available now.
-    pub fn wait_for_space(
-        &self,
-        port: usize,
-        capacity: usize,
-        timeout: std::time::Duration,
-    ) -> bool {
-        let mut st = self.state.lock();
-        loop {
-            let depth = st.per_port.get(port).copied().unwrap_or(0);
-            if depth < capacity {
-                return true;
-            }
-            if self.space.wait_for(&mut st, timeout).timed_out() {
-                let depth = st.per_port.get(port).copied().unwrap_or(0);
-                return depth < capacity;
-            }
-        }
-    }
-
-    /// Wake writers parked on a full port (used after capacity growth).
-    pub fn notify_space(&self) {
-        self.space.notify_all();
-        self.wake_space();
     }
 
     /// Mark one feeding port as closed (its upstream actors all finished).
@@ -336,8 +294,7 @@ impl ActorInbox {
     }
 
     /// Remove and return every queued window in order (checkpoint capture
-    /// on a quiesced fabric). Counts as one progress step and wakes any
-    /// space waiters, like a pop.
+    /// on a quiesced fabric). Wakes any space waiters, like a pop.
     pub fn drain_windows(&self) -> Vec<(usize, Window)> {
         let mut st = self.state.lock();
         if st.windows.is_empty() {
@@ -351,7 +308,6 @@ impl ActorInbox {
         }
         self.refresh_oldest(&st);
         drop(st);
-        self.progress.fetch_add(1, Ordering::Relaxed);
         self.space.notify_all();
         self.wake_space();
         drained
@@ -464,6 +420,24 @@ impl PortReceiver {
         self.policy.is_bounded() && self.inbox.port_depth(self.port) >= self.effective_capacity()
     }
 
+    /// Wait until this port has room under its effective capacity, read
+    /// afresh on every wake (so a writer whose port deadlock relief grew
+    /// wakes at once), or until `timeout` passes. Returns whether there is
+    /// room now.
+    pub fn wait_for_space(&self, timeout: std::time::Duration) -> bool {
+        let inbox = &self.inbox;
+        let has_room = |st: &InboxState| {
+            st.per_port.get(self.port).copied().unwrap_or(0) < self.effective_capacity()
+        };
+        let mut st = inbox.state.lock();
+        while !has_room(&st) {
+            if inbox.space.wait_for(&mut st, timeout).timed_out() {
+                return has_room(&st);
+            }
+        }
+        true
+    }
+
     /// Grow the effective capacity by the policy's original bound
     /// (artificial-deadlock relief). Returns the new capacity.
     pub fn grow_capacity(&self) -> usize {
@@ -472,7 +446,11 @@ impl PortReceiver {
             .effective_capacity
             .fetch_add(step, Ordering::Relaxed)
             .saturating_add(step);
-        self.inbox.notify_space();
+        // Wake the writers parked on it. The lock comes first, so a writer
+        // that read the old capacity under it is already waiting.
+        drop(self.inbox.state.lock());
+        self.inbox.space.notify_all();
+        self.inbox.wake_space();
         new
     }
 
@@ -953,12 +931,36 @@ mod tests {
         )
         .unwrap();
         r.try_put(ev(1, 0), Timestamp(0)).unwrap();
-        let inbox2 = inbox.clone();
-        let t = std::thread::spawn(move || {
-            inbox2.wait_for_space(0, 1, std::time::Duration::from_secs(5))
-        });
+        let r = Arc::new(r);
+        let waiter = r.clone();
+        let t = std::thread::spawn(move || waiter.wait_for_space(std::time::Duration::from_secs(5)));
         std::thread::sleep(std::time::Duration::from_millis(10));
         inbox.try_pop().unwrap();
         assert!(t.join().unwrap(), "waiter saw the freed slot");
+    }
+
+    #[test]
+    fn wait_for_space_wakes_on_growth() {
+        let inbox = ActorInbox::new(1);
+        let r = PortReceiver::with_policy(
+            WindowSpec::each_event(),
+            inbox,
+            0,
+            1,
+            ChannelPolicy::block(1),
+        )
+        .unwrap();
+        r.try_put(ev(1, 0), Timestamp(0)).unwrap();
+        let r = Arc::new(r);
+        let waiter = r.clone();
+        let t = std::thread::spawn(move || {
+            let started = std::time::Instant::now();
+            (waiter.wait_for_space(std::time::Duration::from_secs(5)), started.elapsed())
+        });
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        r.grow_capacity();
+        let (room, waited) = t.join().unwrap();
+        assert!(room, "the waiter read the grown capacity");
+        assert!(waited < std::time::Duration::from_secs(5), "woken by the growth, not the timeout");
     }
 }

@@ -38,9 +38,12 @@
 #    `blocking_enabled`, `pop_blocking`, `InboxPop`, `TaskState`,
 #    `flush_pending` or `finalize_task` under crates/*/src (no thread-blocking
 #    fabric, no blocking inbox pop, no pool-only copy of the step), the idle
-#    source's `SOURCE_BACKOFF` is read in director/firing.rs only, and
-#    `RELIEF_PATIENCE` is compared in one function (director/mod.rs,
-#    `Fabric::relieve_if_stalled`): one stall detector;
+#    source's `SOURCE_BACKOFF` is read in director/firing.rs only;
+#  - Parks' relief has no clock: no `RELIEF_PATIENCE`, `relieve_if_stalled`
+#    or `new_shared` under crates/*/src and no `progress.fetch_add` in
+#    receiver.rs (no patience, no fabric-wide progress counter), and
+#    `grow_capacity(` is called from one function only (director/mod.rs,
+#    `Fabric::relieve`, which reads the wait-for table);
 #  - under crates/confluence-core/src/director/ and
 #    crates/confluence-sched/src/, the stop bound and the checkpoint cadence
 #    are read, and a close cascade is opened, in director/firing.rs only
@@ -229,11 +232,20 @@ if [ -n "$task_copies" ]; then
 fi
 once "reading the idle-source backoff (SOURCE_BACKOFF)" crates/confluence-core/src/director/firing.rs \
     "$(matches 'SOURCE_BACKOFF' crates/*/src | grep -v 'const SOURCE_BACKOFF' || true)"
-patience=$(matches 'RELIEF_PATIENCE' crates/*/src | grep -v 'const RELIEF_PATIENCE' || true)
-stray_patience=$(printf '%s\n' "$patience" | grep . | outside_fn $fabric "fn relieve_if_stalled(" || true)
-if [ -z "$patience" ] || [ -n "$stray_patience" ]; then
-    echo "RELIEF_PATIENCE is compared in Fabric::relieve_if_stalled (director/mod.rs) and nowhere else:" >&2
-    printf '%s\n' "${stray_patience:-(no match at all)}" >&2
+relief_clock=$(
+    matches 'RELIEF_PATIENCE|relieve_if_stalled|new_shared' crates/*/src
+    matches 'progress\.fetch_add' crates/confluence-core/src/receiver.rs
+)
+if [ -n "$relief_clock" ]; then
+    echo "Parks' relief has no clock: no patience, stall detector or fabric-wide progress counter:" >&2
+    printf '%s\n' "$relief_clock" >&2
+    status=1
+fi
+growths=$(matches 'grow_capacity\(' crates/*/src src examples | grep -v 'pub fn grow_capacity(' || true)
+stray_growths=$(printf '%s\n' "$growths" | grep . | outside_fn $fabric "    fn relieve(" || true)
+if [ -z "$growths" ] || [ -n "$stray_growths" ]; then
+    echo "grow_capacity( is called from Fabric::relieve (director/mod.rs) and nowhere else:" >&2
+    printf '%s\n' "${stray_growths:-(no match at all)}" >&2
     status=1
 fi
 
@@ -289,6 +301,6 @@ once "opening a source event log (EventLog::create / EventLog::append)" \
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
         "one statistics module and one writer, one builder vocabulary, no control observer or flag, one ready queue per actor," \
         "one Linear Road topology, no clock in the pause, no deferred delivery outside a parked wall-clock task, no drain before a pause," \
-        "one wall-clock task step and one stall detector, one run loop, one topological sort, one way into a checkpoint segment," \
+        "one wall-clock task step, Parks' relief from the wait-for table alone, one run loop, one topological sort, one way into a checkpoint segment," \
         "one way an error ends the run, one way to resume a source"
 exit "$status"

@@ -455,7 +455,22 @@ fn pushed_engine(values: Vec<i64>) -> (Engine, Collector) {
 /// order, and none of the new ones is dropped.
 #[test]
 fn a_recovered_push_source_emits_its_tail_then_every_new_push() {
-    let dir = tmpdir("push");
+    recover_pushes(false);
+}
+
+/// The same recovery into another checkpoint directory: the new directory
+/// takes the journal over, so the tail is not lost and its log holds the
+/// whole stream.
+#[test]
+fn a_push_source_recovered_into_another_directory_keeps_its_tail() {
+    recover_pushes(true);
+}
+
+/// Kill a checkpointed push-source run with a logged tail past its
+/// snapshot, then recover it with three new pushes, checkpointing on in
+/// the same directory or (`elsewhere`) in another one.
+fn recover_pushes(elsewhere: bool) {
+    let dir = tmpdir(if elsewhere { "push-from" } else { "push" });
     {
         let (engine, _c) = pushed_engine((0..20).collect());
         let mut engine =
@@ -470,15 +485,26 @@ fn a_recovered_push_source_emits_its_tail_then_every_new_push() {
 
     let fresh = vec![100, 101, 102];
     let (engine, c) = pushed_engine(fresh.clone());
-    engine.configure(ExecConfig::new().recover_from(&dir)).run().unwrap();
-    let pushed = logged.iter().map(|e| e.token.as_int().unwrap()).chain(fresh);
+    let config = ExecConfig::new().recover_from(&dir);
+    let into = if elsewhere { tmpdir("push-into") } else { dir.clone() };
+    let config = if elsewhere { config.checkpoint_every(StopCondition::Firings(6), &into) } else { config };
+    engine.configure(config).run().unwrap();
+    let pushed: Vec<i64> = logged.iter().map(|e| e.token.as_int().unwrap()).chain(fresh).collect();
     let sums: Vec<Token> = pushed
+        .iter()
         .scan(0, |sum, v| {
             *sum += v;
             Some(Token::Int(*sum))
         })
         .collect();
     assert_eq!(c.tokens(), sums, "tail first, then every new push, each once");
+    if elsewhere {
+        let journal = checkpoint::EventLog::read_all(&checkpoint::log_path(&into, "src")).unwrap();
+        let seqs: Vec<u64> = journal.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..pushed.len() as u64).collect::<Vec<_>>(), "one journal, whole");
+        let tokens: Vec<i64> = journal.iter().map(|e| e.token.as_int().unwrap()).collect();
+        assert_eq!(tokens, pushed);
+    }
 }
 
 /// A checkpoint requested while writers sit in `OnFull::Block`
