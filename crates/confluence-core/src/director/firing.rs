@@ -25,10 +25,10 @@
 //!
 //! The two wall-clock directors fire each actor as a [`Task`]: one
 //! [`Task::step`] fires at most once and says what the task waits for
-//! next ([`Wait`]); the threaded director turns that wait into a sleep or
-//! a condvar wait on its own thread, the pool into a wakeup registration.
-//! A full `Block` port parks the rest of the firing's batch with the task
-//! under both.
+//! next ([`Wait`]); the threaded director parks the task's own thread on
+//! it, the pool leaves the task off its ready queues or arms its timer.
+//! Either way the fabric wakes the task ([`Fabric`]). A full `Block` port
+//! parks the rest of the firing's batch with the task under both.
 //!
 //! An error ends the run under every director: [`Run::fail`] keeps the
 //! first one and latches [`Boundary::Failed`], every task and firing order
@@ -743,8 +743,8 @@ impl Task {
                 _ => None,
             }
         } else {
-            let inbox = run.fabric.inbox(self.id);
-            let Some(input) = inbox.try_pop() else {
+            let Some(input) = run.fabric.pop(self.id) else {
+                let inbox = run.fabric.inbox(self.id);
                 if inbox.all_ports_closed() {
                     // Upstream flushes happen-before the closing
                     // notification, so re-check for windows the final

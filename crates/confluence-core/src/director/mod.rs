@@ -36,6 +36,7 @@ pub mod taxonomy;
 pub mod threaded;
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -121,6 +122,11 @@ pub trait Director {
 /// The communication fabric for one workflow execution: an inbox per actor
 /// and a windowed receiver per input port, plus the routing tables to move
 /// stamped events between them.
+///
+/// Under a wall-clock director the fabric is also what resumes a waiting
+/// task, in four places: a window forms for a reader, a reader's last
+/// feeding port closes, a wall-clock task's pop frees a slot on a port a
+/// writer is parked on, and relief grows the port a writer is parked on.
 pub struct Fabric {
     inboxes: Vec<Arc<ActorInbox>>,
     receivers: Vec<Vec<Arc<PortReceiver>>>,
@@ -138,6 +144,13 @@ pub struct Fabric {
     /// port its task is parked on, and whether it has finished (it will
     /// never read again).
     waits: Mutex<Vec<(Option<PortRef>, bool)>>,
+    /// Tasks the wait-for table shows parked, so a pop while none is
+    /// parked costs one load.
+    parked: AtomicUsize,
+    /// How the wall-clock director resumes a waiting task: the pool
+    /// schedules it, the threaded director unparks its thread. `None` under
+    /// the directors that fire on the caller's thread.
+    wake: Option<Box<dyn Fn(ActorId) + Send + Sync>>,
 }
 
 impl Fabric {
@@ -217,7 +230,21 @@ impl Fabric {
             observer: None,
             fine: false,
             waits: Mutex::new(vec![(None, false); workflow.actor_count()]),
+            parked: AtomicUsize::new(0),
+            wake: None,
         })
+    }
+
+    /// Give the fabric the wall-clock director's way to resume a waiting
+    /// task, before any task runs.
+    fn set_wake(&mut self, wake: impl Fn(ActorId) + Send + Sync + 'static) {
+        self.wake = Some(Box::new(wake));
+    }
+
+    fn wake(&self, actor: ActorId) {
+        if let Some(wake) = &self.wake {
+            wake(actor);
+        }
     }
 
     /// Attach `observer` (replacing any earlier one) and announce the
@@ -244,13 +271,14 @@ impl Fabric {
         self.observer = observer;
     }
 
-    /// Report window formation on `dest` to the observer, including the
-    /// destination inbox depth (the queue-length statistic schedulers key
-    /// on).
+    /// Wake the reader of `dest`, on which windows formed, and report them
+    /// to the observer with the destination inbox depth (the queue-length
+    /// statistic schedulers key on).
     fn note_windows(&self, dest: PortRef, windows: usize, now: Timestamp) {
         if windows == 0 {
             return;
         }
+        self.wake(dest.actor);
         if let Some(obs) = &self.observer {
             let depth = self.inboxes[dest.actor.0].len();
             obs.on_window_close(dest.actor, dest.port, windows, depth, now);
@@ -325,13 +353,48 @@ impl Fabric {
         }
     }
 
+    /// Record in the wait-for table the port `writer` is parked on (`None`:
+    /// it is not parked), keeping the count of parked tasks.
+    fn set_parked(&self, waits: &mut [(Option<PortRef>, bool)], writer: ActorId, on: Option<PortRef>) {
+        match (std::mem::replace(&mut waits[writer.0].0, on).is_some(), on.is_some()) {
+            (false, true) => self.parked.fetch_add(1, Ordering::Relaxed),
+            (true, false) => self.parked.fetch_sub(1, Ordering::Relaxed),
+            _ => 0,
+        };
+    }
+
+    /// Wake every writer the wait-for table shows parked on `port`.
+    fn wake_parked_on(&self, waits: &[(Option<PortRef>, bool)], port: PortRef) {
+        for (writer, (on, _)) in waits.iter().enumerate() {
+            if *on == Some(port) {
+                self.wake(ActorId(writer));
+            }
+        }
+    }
+
+    /// Take the oldest ready window of `id`'s inbox (a wall-clock task's
+    /// pop), waking the writers parked on the port it frees a slot on.
+    ///
+    /// A writer records its park before it checks the port is still full
+    /// (in [`Fabric::deliver`]), and this pop frees the slot before it
+    /// reads the count, so either the writer sees the room or this sees
+    /// the park.
+    fn pop(&self, id: ActorId) -> Option<(usize, Window)> {
+        let (port, window) = self.inboxes[id.0].try_pop()?;
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            self.wake_parked_on(&self.waits.lock(), PortRef { actor: id, port });
+        }
+        Some((port, window))
+    }
+
     /// Parks' relief of artificial deadlock, decided from the wait-for
     /// table alone: the one place a queue grows. A task parks on one port
     /// at most, so the chain of parked readers from `writer` ends at a live
     /// reader that is not parked (it will read, so nothing grows), or at a
     /// finished reader (the port parked on it grows), or runs into a cycle
     /// (its smallest port grows). Every port involved must still be full,
-    /// so a pop that raced the park grows nothing: its writer retries.
+    /// so a pop that raced the park grows nothing: its writer retries. The
+    /// writers parked on the grown port wake.
     fn relieve(&self, waits: &[(Option<PortRef>, bool)], writer: ActorId) {
         let (mut walked, mut at) = (Vec::<(ActorId, PortRef)>::new(), writer);
         let stuck: Vec<PortRef> = loop {
@@ -345,10 +408,11 @@ impl Fabric {
                 break walked[i..].iter().map(|&(_, port)| port).collect();
             }
         };
-        let ports = stuck.iter().map(|p| &self.receivers[p.actor.0][p.port]);
-        if ports.clone().all(|r| r.is_full()) {
-            if let Some(smallest) = ports.min_by_key(|r| r.effective_capacity()) {
-                smallest.grow_capacity();
+        let receiver = |p: &PortRef| &self.receivers[p.actor.0][p.port];
+        if stuck.iter().all(|p| receiver(p).is_full()) {
+            if let Some(&smallest) = stuck.iter().min_by_key(|p| receiver(p).effective_capacity()) {
+                receiver(&smallest).grow_capacity();
+                self.wake_parked_on(waits, smallest);
             }
         }
     }
@@ -453,9 +517,11 @@ impl Fabric {
     /// With `park`, a full [`OnFull::Block`] port stops delivery instead of
     /// over-admitting: the undelivered rest stays in `stamped` and the port
     /// is returned, so the producing wall-clock task can park and call
-    /// again when space frees up. The park goes into the wait-for table
-    /// (the next call takes it out) and relieves the artificial deadlock it
-    /// closes at once. Drop and error policies resolve the same either way.
+    /// again when it is woken. The park goes into the wait-for table (the
+    /// next call takes it out) and relieves the artificial deadlock it
+    /// closes at once. If a pop drained the port between the failed put
+    /// and the park, the park guard delivers again instead. Drop and error
+    /// policies resolve the same either way.
     pub fn deliver(
         &self,
         stamped: &mut Stamped,
@@ -464,7 +530,7 @@ impl Fabric {
     ) -> Result<Option<PortRef>> {
         let from = stamped.from;
         if stamped.parked.is_some() {
-            self.waits.lock()[from.0].0 = None;
+            self.set_parked(&mut self.waits.lock(), from, None);
         }
         let mut batches = std::mem::take(&mut stamped.batches).into_iter();
         while let Some((dest, events)) = batches.next() {
@@ -484,7 +550,13 @@ impl Fabric {
                             obs.on_route_edge(from, dest.actor, dest.port, admitted, now);
                         }
                         let mut waits = self.waits.lock();
-                        waits[from.0].0 = Some(dest);
+                        self.set_parked(&mut waits, from, Some(dest));
+                        if !receiver.is_full() {
+                            // The park guard: the pop that drained the port
+                            // came before the park, so it woke nobody.
+                            drop(waits);
+                            return self.deliver(stamped, now, park);
+                        }
                         self.relieve(&waits, from);
                         return Ok(Some(dest));
                     }
@@ -544,10 +616,10 @@ impl Fabric {
 
     /// Propagate "actor finished" along its output channels: each
     /// downstream receiver loses one upstream; the last closure flushes
-    /// partial windows. Fully-closed ports with expired-items handlers
-    /// hand their final expired events over and release the handler. The
-    /// actor will never read again, so the writers parked on it are
-    /// relieved.
+    /// partial windows, and its reader wakes. Fully-closed ports with
+    /// expired-items handlers hand their final expired events over and
+    /// release the handler. The actor will never read again, so the writers
+    /// parked on it are relieved.
     ///
     /// Hand-over goes through the same observed admission path as live
     /// routing, so windows formed during shutdown still reach
@@ -561,6 +633,7 @@ impl Fabric {
             for dest in port_routes {
                 if let Some(formed) = self.receivers[dest.actor.0][dest.port].upstream_closed(now) {
                     self.note_windows(*dest, formed, now);
+                    self.wake(dest.actor);
                     fully_closed.push(*dest);
                 }
             }
@@ -583,6 +656,7 @@ impl Fabric {
             }
             if let Some(formed) = self.receivers[dest.actor.0][dest.port].upstream_closed(now) {
                 self.note_windows(dest, formed, now);
+                self.wake(dest.actor);
                 fully_closed.push(dest);
             }
         }
@@ -1030,6 +1104,95 @@ mod tests {
         let (_, parked) = send(&fabric, z, 1);
         assert_eq!(parked, None, "z's one event fits");
         assert_eq!(capacity(&fabric, a) + capacity(&fabric, b), 3, "z's put closed the cycle");
+    }
+
+    /// Install a wake on `fabric` that records whom it wakes.
+    fn woken(fabric: &mut Fabric) -> Arc<Mutex<Vec<ActorId>>> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let into = log.clone();
+        fabric.set_wake(move |id| into.lock().push(id));
+        log
+    }
+
+    #[test]
+    fn a_formed_window_wakes_its_reader_and_an_event_that_forms_none_does_not() {
+        let mut b = WorkflowBuilder::new("pairs");
+        let s = b.add_actor("src", VecSource::new(vec![]));
+        let k = b.add_actor("sink", Collector::new().actor());
+        b.link_windowed((s, "out"), (k, "in"), WindowSpec::tuples(2, 2)).unwrap();
+        let mut fabric = Fabric::build(&b.build().unwrap()).unwrap();
+        let log = woken(&mut fabric);
+        fabric.route(s, vec![(0, Token::Int(1))], None, Timestamp(1)).unwrap();
+        assert_eq!(*log.lock(), [], "half a window wakes nobody");
+        fabric.route(s, vec![(0, Token::Int(2))], None, Timestamp(2)).unwrap();
+        assert_eq!(*log.lock(), [k]);
+    }
+
+    #[test]
+    fn a_close_wakes_the_reader_even_when_nothing_flushed() {
+        let (wf, mut fabric) = block_graph(&["src", "sink"], &["src"], &[("src", "sink")]);
+        let (s, k) = (wf.find("src").unwrap(), wf.find("sink").unwrap());
+        let log = woken(&mut fabric);
+        fabric.close_actor_outputs(s, Timestamp(1)).unwrap();
+        assert!(fabric.inbox(k).is_empty(), "nothing flushed");
+        assert_eq!(*log.lock(), [k]);
+    }
+
+    #[test]
+    fn a_pop_wakes_the_writer_parked_on_that_port_only() {
+        let mut b = WorkflowBuilder::new("two ports");
+        let w0 = b.add_actor("w0", VecSource::new(vec![]));
+        let w1 = b.add_actor("w1", VecSource::new(vec![]));
+        let u = b.add_actor("union", crate::actors::Union::new(2));
+        b.link((w0, "out"), (u, "in0")).unwrap();
+        b.link((w1, "out"), (u, "in1")).unwrap();
+        b.set_default_channel_policy(crate::channel::ChannelPolicy::block(1));
+        let mut fabric = Fabric::build(&b.build().unwrap()).unwrap();
+        let log = woken(&mut fabric);
+        assert_eq!(send(&fabric, w0, 2).1, Some(PortRef { actor: u, port: 0 }));
+        assert_eq!(send(&fabric, w1, 2).1, Some(PortRef { actor: u, port: 1 }));
+        log.lock().clear();
+        assert_eq!(fabric.pop(u).map(|(port, _)| port), Some(0));
+        assert_eq!(*log.lock(), [w0], "w1 waits on the other port");
+        assert_eq!(fabric.pop(u).map(|(port, _)| port), Some(1));
+        assert_eq!(*log.lock(), [w0, w1]);
+    }
+
+    #[test]
+    fn relief_growth_wakes_the_writer_on_the_grown_port() {
+        let (wf, mut fabric) = block_graph(&["a", "b"], &[], &[("a", "b"), ("b", "a")]);
+        let (a, b) = (wf.find("a").unwrap(), wf.find("b").unwrap());
+        let log = woken(&mut fabric);
+        send(&fabric, b, 2);
+        log.lock().clear();
+        let (_, parked) = send(&fabric, a, 2);
+        assert_eq!(parked, Some(PortRef { actor: b, port: 0 }));
+        assert_eq!(capacity(&fabric, b), 2, "the park closed the cycle and a's port grew");
+        assert_eq!(*log.lock(), [b, a], "b for a's first event, then a, parked on the grown port");
+    }
+
+    #[test]
+    fn the_park_guard_delivers_again_when_the_port_drained_before_the_park() {
+        /// Pops the reader's inbox once, as a reader's pop would between a
+        /// writer's failed put and its park (after the put's route edge).
+        struct Drain(Mutex<Option<Arc<ActorInbox>>>);
+        impl Observer for Drain {
+            fn on_route_edge(&self, _: ActorId, _: ActorId, _: usize, _: u64, _: Timestamp) {
+                if let Some(inbox) = self.0.lock().take() {
+                    inbox.try_pop().expect("the first event's window");
+                }
+            }
+        }
+        let (wf, mut fabric) = block_graph(&["src", "sink"], &["src"], &[("src", "sink")]);
+        let (s, k) = (wf.find("src").unwrap(), wf.find("sink").unwrap());
+        let drain = Drain(Mutex::new(Some(fabric.inbox(k).clone())));
+        fabric.observe(&wf, Some(Arc::new(drain)));
+        let (rest, parked) = send(&fabric, s, 2);
+        assert_eq!(parked, None, "the second event went in after the drain");
+        assert!(rest.batches.is_empty());
+        assert_eq!(fabric.inbox(k).len(), 1);
+        assert_eq!(fabric.waits.lock()[s.0].0, None, "nothing is parked");
+        assert_eq!(fabric.parked.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -14,14 +14,15 @@
 //! * the ordering is pluggable ([`PoolDirector::with_policy`]): FIFO (the
 //!   control), Rate-Based, EDF-on-wave-origins, and stride-scheduled
 //!   quantum allotments — the STAFiLOS §3 policies in wall-clock form;
-//! * an actor becomes ready when a window forms on one of its receivers —
-//!   the inbox raises an [`InboxWaker`] callback instead of waking a
-//!   parked actor thread;
+//! * the fabric's wake is `WakeHub::schedule`: an actor becomes ready
+//!   when a window forms for it or its inbox closes, and a task parked on
+//!   a full `Block` port when a pop frees a slot there or Parks' relief
+//!   grows it ([`super::Fabric`]);
 //! * timed-window deadlines are served by one shared timer thread over a
-//!   deadline heap, not per-actor condvar waits;
-//! * a task parked on a full `Block` port is re-enqueued when the
-//!   destination inbox frees space (Parks' relief, which grows a queue
-//!   when the park closes an artificial deadlock, frees it too).
+//!   deadline heap, not per-actor waits;
+//! * an idle worker, and the timer, look at their queue or heap again
+//!   under the lock they wait on, so a push or a deadline that lands just
+//!   before the wait is not slept through.
 //!
 //! The run spawns exactly N worker threads plus the timer thread,
 //! independent of the actor count; N and the policy are fixed when the run
@@ -30,15 +31,16 @@
 //! All of that is the pool's firing rule — which task runs next, on which
 //! worker. What one task step does, how a full `Block` port parks it, and
 //! the run lifecycle are [`super::firing`]'s ([`Task`]), as under the
-//! threaded director; the pool turns each [`Wait`] into a wakeup
-//! registration instead of a wait. An error or a panic in a step fails the
-//! run ([`Run::fail`]); the timer then schedules every task, and each ends
-//! at its next step without `finish`.
+//! threaded director; the pool leaves a waiting task off its queues (a
+//! [`Wait`] with an instant arms the timer) until something schedules it.
+//! An error or a panic in a step fails the run ([`Run::fail`]); the timer
+//! then schedules every task, and each ends at its next step without
+//! `finish`.
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -46,7 +48,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Error, Result};
 use crate::graph::Workflow;
-use crate::receiver::{ActorInbox, InboxWaker};
+use crate::receiver::ActorInbox;
 use crate::telemetry::{StatsModule, Telemetry, WorkerMetrics};
 use crate::time::{SharedClock, Timestamp, WallClock};
 
@@ -123,9 +125,9 @@ impl PoolDirector {
     }
 }
 
-/// Scheduling state shared by wakers, workers, and the timer: everything
-/// needed to decide *who runs next*, with no reference to the actors
-/// themselves (so inbox wakers can hold it without keeping the run alive).
+/// Scheduling state shared by the fabric's wake, workers, and the timer:
+/// everything needed to decide *who runs next*, with no reference to the
+/// actors themselves.
 struct WakeHub {
     /// One policy-ordered ready queue per worker; the worker id is the
     /// queue index.
@@ -140,27 +142,23 @@ struct WakeHub {
     clock: SharedClock,
     /// Per-actor source flag (sources are keyed specially).
     is_source: Vec<bool>,
-    /// Per-actor inbox handles for oldest-pending-origin lookups. Weak:
-    /// the hub outlives the run inside inbox wakers and must not keep
-    /// the fabric alive.
-    inboxes: Vec<Weak<ActorInbox>>,
+    /// Per-actor inbox handles for oldest-pending-origin lookups.
+    inboxes: Vec<Arc<ActorInbox>>,
     /// Monotone push sequence (FIFO tie-break within a priority key).
     seq: AtomicU64,
     /// Per-actor readiness state machine (IDLE/QUEUED/RUNNING/RERUN).
     states: Vec<AtomicU8>,
-    /// Per-destination-actor list of writer tasks parked on a full port.
-    space_waiters: Vec<Mutex<Vec<usize>>>,
-    /// Parked writer registrations outstanding (lets a freed slot skip the
-    /// waiter lists while nobody is parked).
-    waiting_writers: AtomicUsize,
     /// Round-robin cursor for pushes from off-pool threads.
     next_queue: AtomicUsize,
     shutdown: AtomicBool,
     idle_lock: Mutex<()>,
     idle_cond: Condvar,
-    /// Pending timed-window / source-arrival deadlines: (µs, actor).
+    /// Workers inside [`WakeHub::wait_for_work`]: a push takes the idle
+    /// lock to notify only while one is.
+    sleepers: AtomicUsize,
+    /// Pending timed-window / source-arrival deadlines: (µs, actor). The
+    /// timer waits on `timer_cond` under this lock.
     timer: Mutex<BinaryHeap<std::cmp::Reverse<(u64, usize)>>>,
-    timer_lock: Mutex<()>,
     timer_cond: Condvar,
     // Per-worker counters for WorkerMetrics.
     fires: Vec<AtomicU64>,
@@ -177,7 +175,7 @@ impl WakeHub {
         stats: Arc<StatsModule>,
         clock: SharedClock,
         is_source: Vec<bool>,
-        inboxes: Vec<Weak<ActorInbox>>,
+        inboxes: Vec<Arc<ActorInbox>>,
     ) -> Self {
         let actors = inboxes.len();
         WakeHub {
@@ -190,14 +188,12 @@ impl WakeHub {
             inboxes,
             seq: AtomicU64::new(0),
             states: (0..actors).map(|_| AtomicU8::new(IDLE)).collect(),
-            space_waiters: (0..actors).map(|_| Mutex::new(Vec::new())).collect(),
-            waiting_writers: AtomicUsize::new(0),
             next_queue: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             idle_lock: Mutex::new(()),
             idle_cond: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
             timer: Mutex::new(BinaryHeap::new()),
-            timer_lock: Mutex::new(()),
             timer_cond: Condvar::new(),
             fires: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             steals: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -232,13 +228,10 @@ impl WakeHub {
 
     /// Current policy key for `actor` (push time and lazy re-key on pop).
     fn key_of(&self, actor: usize) -> u64 {
-        let oldest_origin = self.inboxes[actor]
-            .upgrade()
-            .and_then(|inbox| inbox.oldest_origin());
         let view = PolicyView {
             now: self.clock.now(),
             is_source: self.is_source[actor],
-            oldest_origin,
+            oldest_origin: self.inboxes[actor].oldest_origin(),
             stats: &self.stats,
         };
         self.policy.key(actor, &view)
@@ -266,7 +259,13 @@ impl WakeHub {
             q.len() as u64
         };
         self.queue_max[idx].fetch_max(depth, Ordering::Relaxed);
-        self.idle_cond.notify_one();
+        // A worker counted itself a sleeper before it looked at the queues,
+        // and this push was queued before this read: either it sees the
+        // entry, or this sees it and notifies once it waits.
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _idle = self.idle_lock.lock();
+            self.idle_cond.notify_one();
+        }
     }
 
     /// Worker `w`'s counters.
@@ -297,67 +296,45 @@ impl WakeHub {
         None
     }
 
+    /// An idle worker's wait: up to [`RECHECK`], unless the queues hold
+    /// work or the hub shuts down, both read again under the idle lock.
     fn wait_for_work(&self) {
-        let mut g = self.idle_lock.lock();
-        self.idle_cond.wait_for(&mut g, RECHECK);
-    }
-
-    /// Park `writer` until `dest_actor`'s inbox frees space.
-    fn add_space_waiter(&self, dest_actor: usize, writer: usize) {
-        let mut ws = self.space_waiters[dest_actor].lock();
-        if !ws.contains(&writer) {
-            ws.push(writer);
-            self.waiting_writers.fetch_add(1, Ordering::Relaxed);
+        let mut idle = self.idle_lock.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if !self.shutdown.load(Ordering::Acquire) && self.queues.iter().all(|q| q.lock().is_empty()) {
+            self.idle_cond.wait_for(&mut idle, RECHECK);
         }
-    }
-
-    /// Space freed on `dest_actor`'s inbox: reschedule its parked writers.
-    fn notify_space(&self, dest_actor: usize) {
-        if self.waiting_writers.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let woken = std::mem::take(&mut *self.space_waiters[dest_actor].lock());
-        if woken.is_empty() {
-            return;
-        }
-        self.waiting_writers.fetch_sub(woken.len(), Ordering::Relaxed);
-        for writer in woken {
-            self.schedule(writer);
-        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
     fn register_deadline(&self, at: Timestamp, actor: usize) {
-        self.timer
-            .lock()
-            .push(std::cmp::Reverse((at.as_micros(), actor)));
-        self.timer_cond.notify_all();
+        self.timer.lock().push(std::cmp::Reverse((at.as_micros(), actor)));
+        self.timer_cond.notify_one();
     }
 
-    fn timer_wait(&self, d: Duration) {
-        let mut g = self.timer_lock.lock();
-        self.timer_cond.wait_for(&mut g, d);
+    /// The timer's wait: until the earliest deadline, at most [`RECHECK`]
+    /// and at least 100 µs, computed under the heap's lock, which a new
+    /// deadline or the shutdown takes before it notifies.
+    fn timer_wait(&self) {
+        let mut heap = self.timer.lock();
+        if self.shutdown.load(Ordering::Acquire) {
+            return;
+        }
+        let wait = heap
+            .peek()
+            .map(|&std::cmp::Reverse((t, _))| {
+                Duration::from_micros(t.saturating_sub(self.clock.now().as_micros()))
+            })
+            .map_or(RECHECK, |d| d.min(RECHECK));
+        self.timer_cond.wait_for(&mut heap, wait.max(Duration::from_micros(100)));
     }
 
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
+        drop(self.idle_lock.lock());
         self.idle_cond.notify_all();
+        drop(self.timer.lock());
         self.timer_cond.notify_all();
-    }
-}
-
-/// Inbox hook: window formation schedules the owning actor; freed space
-/// reschedules writers parked on it.
-struct PoolWaker {
-    hub: Arc<WakeHub>,
-    actor: usize,
-}
-
-impl InboxWaker for PoolWaker {
-    fn on_ready(&self) {
-        self.hub.schedule(self.actor);
-    }
-    fn on_space(&self) {
-        self.hub.notify_space(self.actor);
     }
 }
 
@@ -376,7 +353,6 @@ impl Director for PoolDirector {
             .take()
             .unwrap_or_else(|| Arc::new(StatsModule::new(workflow)));
         run.stats = Some(stats.clone());
-        let fabric = &run.fabric;
         let n_actors = workflow.actor_count();
         let workers = self.workers;
         self.policy.prepare(workflow);
@@ -384,24 +360,17 @@ impl Director for PoolDirector {
             .actor_ids()
             .map(|id| workflow.node(id).is_source)
             .collect();
-        let inbox_handles: Vec<Weak<ActorInbox>> = workflow
-            .actor_ids()
-            .map(|id| Arc::downgrade(fabric.inbox(id)))
-            .collect();
+        let inboxes = workflow.actor_ids().map(|id| run.fabric.inbox(id).clone()).collect();
         let hub = Arc::new(WakeHub::new(
             workers,
             self.policy.clone(),
             stats.clone(),
             self.clock.clone(),
             source_flags,
-            inbox_handles,
+            inboxes,
         ));
-        for id in workflow.actor_ids() {
-            fabric.inbox(id).set_waker(Arc::new(PoolWaker {
-                hub: hub.clone(),
-                actor: id.0,
-            }));
-        }
+        let waker = hub.clone();
+        run.fabric.set_wake(move |id| waker.schedule(id.0));
         let tasks = Task::take_all(workflow, contexts).into_iter().map(Mutex::new).collect();
         let shared = Arc::new(PoolShared {
             hub: hub.clone(),
@@ -490,7 +459,8 @@ fn worker_loop(shared: &Arc<PoolShared>, w: usize) {
 
 /// Run one scheduled step of `actor` on worker `w`, handling the
 /// readiness state machine around it: what the task waits for becomes a
-/// requeue, a timer or space-waiter registration, or its end.
+/// requeue, a timer registration, nothing (the fabric wakes it), or its
+/// end.
 fn run_actor(shared: &Arc<PoolShared>, w: usize, actor: usize) {
     let hub = &shared.hub;
     let run = &shared.run;
@@ -516,15 +486,7 @@ fn run_actor(shared: &Arc<PoolShared>, w: usize, actor: usize) {
             return;
         }
         Wait::Until(at) | Wait::Inbox(Some(at)) => hub.register_deadline(at, actor),
-        Wait::Inbox(None) => {}
-        Wait::Space(port) => {
-            hub.add_space_waiter(port.actor.0, actor);
-            // Lost-wakeup guard: space may have freed between the failed
-            // put and the registration.
-            if !run.fabric.receivers(port.actor)[port.port].is_full() {
-                hub.schedule(actor);
-            }
-        }
+        Wait::Inbox(None) | Wait::Space(_) => {}
         Wait::Finish => {
             task.end(run);
             if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -585,15 +547,7 @@ fn timer_loop(shared: &Arc<PoolShared>) {
                 hub.schedule(a);
             }
         }
-        let wait = {
-            let heap = hub.timer.lock();
-            heap.peek()
-                .map(|&std::cmp::Reverse((t, _))| {
-                    Duration::from_micros(t.saturating_sub(run.clock.now().as_micros()))
-                })
-                .map_or(RECHECK, |d| d.min(RECHECK))
-        };
-        hub.timer_wait(wait.max(Duration::from_micros(100)));
+        hub.timer_wait();
     }
 }
 
@@ -823,6 +777,39 @@ mod tests {
         let stats = d.paused_stats.as_ref().expect("the second segment paused too");
         assert_eq!(stats.fires(k.0), c.len() as u64, "sink firings of both segments");
         assert_eq!(stats.fires(s.0) + stats.fires(k.0), first.firings + second.firings);
+    }
+
+    /// A one-worker hub over a two-actor workflow, on the wall clock.
+    fn idle_hub() -> WakeHub {
+        let mut b = WorkflowBuilder::new("hub");
+        let s = b.add_actor("src", VecSource::new(vec![]));
+        let k = b.add_actor("sink", Collector::new().actor());
+        b.link((s, "out"), (k, "in")).unwrap();
+        let stats = Arc::new(StatsModule::new(&b.build().unwrap()));
+        let clock = Arc::new(WallClock::new());
+        WakeHub::new(1, Arc::new(Fifo), stats, clock, vec![true, false], vec![ActorInbox::new(0), ActorInbox::new(1)])
+    }
+
+    #[test]
+    fn a_push_before_the_idle_wait_is_not_slept_through() {
+        // The worker's pop found nothing; the push lands before it waits.
+        let hub = idle_hub();
+        assert_eq!(hub.pop(0), None);
+        hub.push(1, false);
+        let started = std::time::Instant::now();
+        hub.wait_for_work();
+        assert!(started.elapsed() < RECHECK, "waited {:?} with work queued", started.elapsed());
+        assert_eq!(hub.pop(0), Some((1, false)));
+    }
+
+    #[test]
+    fn a_deadline_before_the_timer_wait_is_not_slept_through() {
+        // The timer found nothing due; a due deadline lands before it waits.
+        let hub = idle_hub();
+        hub.register_deadline(hub.clock.now(), 1);
+        let started = std::time::Instant::now();
+        hub.timer_wait();
+        assert!(started.elapsed() < RECHECK, "waited {:?} past a due deadline", started.elapsed());
     }
 
     #[test]

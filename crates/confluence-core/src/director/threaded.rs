@@ -10,29 +10,32 @@
 //! The firing rule is "whenever the actor's own thread finds a window"
 //! (sources: whenever their timetable says). Each thread steps its actor's
 //! [`Task`] — the firing step, the window-deadline poll, a `Block` port's
-//! park and the run lifecycle are [`super::firing`]'s — and turns what the
-//! task waits for into a sleep, a wait on its own inbox (until the earliest
-//! window-formation deadline), or a wait for space on the port it parked
-//! on. Parks' relief needs no thread of its own: the park that closes an
+//! park and the run lifecycle are [`super::firing`]'s — and parks itself
+//! on whatever the task waits for: a source's next arrival, a window or
+//! its inbox's close (until the earliest window-formation deadline), or
+//! room on the port it parked on. The fabric's wake unparks the thread
+//! ([`super::Fabric`]); `thread::unpark` keeps a wake that comes before the
+//! park. Parks' relief needs no thread of its own: the park that closes an
 //! artificial deadlock grows a queue at once ([`super::Fabric::deliver`]),
 //! and the writer on the grown port wakes. An error or a panic in any task
 //! fails the run ([`Run::fail`]): every thread sees it within one `RECHECK`
 //! (10 ms) and ends its task without `finish`.
 
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
 
 use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
 use crate::graph::Workflow;
 use crate::telemetry::Telemetry;
-use crate::time::{SharedClock, Timestamp, WallClock};
+use crate::time::{SharedClock, WallClock};
 
 use super::firing::{Run, Task, Wait};
 use super::{Director, RunReport, RECHECK};
 
-/// One OS thread per actor; OS scheduling; each thread waits on its own inbox.
+/// One OS thread per actor; OS scheduling; each thread parks until the
+/// fabric wakes it.
 pub struct ThreadedDirector {
     clock: SharedClock,
     telemetry: Option<Telemetry>,
@@ -53,7 +56,15 @@ impl ThreadedDirector {
 
 impl Director for ThreadedDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let (run, contexts) = Run::open(workflow, self.telemetry.clone(), self.clock.clone())?;
+        let (mut run, contexts) = Run::open(workflow, self.telemetry.clone(), self.clock.clone())?;
+        // Each thread puts its handle here before its first step.
+        let threads: Arc<[OnceLock<Thread>]> = (0..workflow.actor_count()).map(|_| OnceLock::new()).collect();
+        let parked = threads.clone();
+        run.fabric.set_wake(move |id| {
+            if let Some(thread) = parked[id.0].get() {
+                thread.unpark();
+            }
+        });
         let run = Arc::new(run);
         // Each task waits in a slot kept here, so a thread that fails to
         // spawn (its closure dropped) loses no actor.
@@ -61,10 +72,11 @@ impl Director for ThreadedDirector {
             Task::take_all(workflow, contexts).into_iter().map(|t| Arc::new(Mutex::new(t))).collect();
         let mut handles = Vec::with_capacity(slots.len());
         for slot in &slots {
-            let (id, on_thread, slot) = (slot.lock().id, run.clone(), slot.clone());
-            let spawned = thread::Builder::new()
-                .name(format!("cwf-{}", workflow.node(id).name))
-                .spawn(move || controller(&on_thread, &mut slot.lock()));
+            let (id, on_thread, slot, threads) = (slot.lock().id, run.clone(), slot.clone(), threads.clone());
+            let spawned = thread::Builder::new().name(format!("cwf-{}", workflow.node(id).name)).spawn(move || {
+                let _ = threads[id.0].set(thread::current());
+                controller(&on_thread, &mut slot.lock())
+            });
             match spawned {
                 Ok(handle) => handles.push((id, handle)),
                 Err(e) => {
@@ -87,23 +99,19 @@ impl Director for ThreadedDirector {
     }
 }
 
-/// The per-actor thread body: steps the task until it finishes, waiting
-/// at most [`RECHECK`] at a time so a stop, a pause or an error is seen,
-/// then ends it.
+/// The per-actor thread body: steps the task until it finishes, parking
+/// until the fabric wakes it or the awaited instant comes, at most
+/// [`RECHECK`] at a time so a stop, a pause or an error is seen, then ends
+/// it.
 fn controller(run: &Run, task: &mut Task) {
-    let until = |t: Timestamp| t.since(run.clock.now()).to_std().min(RECHECK);
     loop {
-        match task.step(run).0 {
-            Wait::Ready => {}
-            Wait::Until(t) => thread::sleep(until(t)),
-            Wait::Inbox(deadline) => {
-                run.fabric.inbox(task.id).wait_ready(deadline.map_or(RECHECK, until));
-            }
-            Wait::Space(port) => {
-                run.fabric.receivers(port.actor)[port.port].wait_for_space(RECHECK);
-            }
+        let until = match task.step(run).0 {
+            Wait::Ready => continue,
+            Wait::Until(t) | Wait::Inbox(Some(t)) => t.since(run.clock.now()).to_std(),
+            Wait::Inbox(None) | Wait::Space(_) => RECHECK,
             Wait::Finish => break,
-        }
+        };
+        thread::park_timeout(until.min(RECHECK));
     }
     task.end(run);
 }
@@ -114,7 +122,7 @@ mod tests {
     use crate::actor::{Actor, FireContext, IoSignature};
     use crate::actors::{Collector, PushSource, TimedSource, VecSource};
     use crate::graph::WorkflowBuilder;
-    use crate::time::Micros;
+    use crate::time::{Micros, Timestamp};
     use crate::token::Token;
     use crate::window::{GroupBy, WindowSpec};
 

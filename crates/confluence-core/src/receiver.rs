@@ -11,9 +11,11 @@
 //!   (the paper's TM Windowed Receiver forwarding produced windows to the
 //!   actor's ready queue at the director, Figure 4);
 //! * [`ActorInbox`] — one per actor: the ready queue of `(port, Window)`
-//!   pairs. The thread-based director's actor thread waits on it
-//!   ([`ActorInbox::wait_ready`]), the pool is woken by it
-//!   ([`InboxWaker`]), and the other directors poll it.
+//!   pairs, plain data under one lock. Nothing waits on it: under a
+//!   wall-clock director the fabric wakes the reading task when a window
+//!   forms or its ports close, and wakes a writer parked on a full port
+//!   when a pop frees a slot (`director::Fabric`); the other directors
+//!   poll it.
 //!
 //! Channels are *bounded* when a [`ChannelPolicy`] with a capacity is
 //! attached: capacity is counted in formed windows queued per port, and a
@@ -24,25 +26,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::channel::{ChannelPolicy, OnFull};
 use crate::error::{Error, Result};
 use crate::event::CwEvent;
 use crate::time::Timestamp;
 use crate::window::{release_drained, Window, WindowOperator, WindowSpec};
-
-/// Callback surface for executors that schedule actors as tasks instead of
-/// parking a thread per inbox (the pool director). Installed once per inbox
-/// via [`ActorInbox::set_waker`]; the inbox invokes it outside its own lock.
-pub trait InboxWaker: Send + Sync {
-    /// A window became ready (or a feeding port closed): the owning actor
-    /// should be (re-)enqueued for execution.
-    fn on_ready(&self);
-    /// Queue space was freed on this inbox: writers parked on a full port
-    /// may retry.
-    fn on_space(&self);
-}
 
 #[derive(Debug)]
 struct InboxState {
@@ -73,29 +63,14 @@ fn origin_key(window: &Window) -> u64 {
 }
 
 /// The per-actor ready queue of formed windows.
+#[derive(Debug)]
 pub struct ActorInbox {
     state: Mutex<InboxState>,
-    /// The owning actor's thread waits here for a window or a close.
-    ready: Condvar,
-    /// Writers parked on a full port wait here; every pop (and every
-    /// drop-shed, close, or capacity growth) notifies it.
-    space: Condvar,
     /// Earliest wave-origin (µs) of the window at the queue front —
     /// `u64::MAX` when no window is pending. Maintained under the state
     /// lock, readable without it: the O(1) staleness signal deadline-aware
     /// pool policies key on.
     oldest: AtomicU64,
-    /// Optional task-executor hook, set once before the run starts.
-    waker: std::sync::OnceLock<Arc<dyn InboxWaker>>,
-}
-
-impl std::fmt::Debug for ActorInbox {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ActorInbox")
-            .field("state", &self.state)
-            .field("has_waker", &self.waker.get().is_some())
-            .finish()
-    }
 }
 
 impl ActorInbox {
@@ -107,29 +82,8 @@ impl ActorInbox {
                 open_ports: input_ports,
                 per_port: vec![0; input_ports],
             }),
-            ready: Condvar::new(),
-            space: Condvar::new(),
             oldest: AtomicU64::new(u64::MAX),
-            waker: std::sync::OnceLock::new(),
         })
-    }
-
-    /// Install the task-executor hook. First caller wins; the thread-based
-    /// directors never install one and pay nothing for the check.
-    pub fn set_waker(&self, waker: Arc<dyn InboxWaker>) {
-        let _ = self.waker.set(waker);
-    }
-
-    fn wake_ready(&self) {
-        if let Some(w) = self.waker.get() {
-            w.on_ready();
-        }
-    }
-
-    fn wake_space(&self) {
-        if let Some(w) = self.waker.get() {
-            w.on_space();
-        }
     }
 
     /// Re-publish the front window's cached origin (call with the state
@@ -169,14 +123,10 @@ impl ActorInbox {
         *st.depth_slot(port) += 1;
         st.windows.push_back((port, origin_key(&window), window));
         self.refresh_oldest(&st);
-        drop(st);
-        self.ready.notify_one();
-        self.wake_ready();
     }
 
     /// Enqueue a batch of formed windows from input port `port` under one
-    /// lock acquisition, with one wakeup for the whole batch (the fabric's
-    /// batched routing path).
+    /// lock acquisition (the fabric's batched routing path).
     pub fn push_batch(&self, port: usize, windows: impl IntoIterator<Item = Window>) {
         let mut st = self.state.lock();
         let before = st.windows.len();
@@ -190,9 +140,6 @@ impl ActorInbox {
         }
         *st.depth_slot(port) += pushed;
         self.refresh_oldest(&st);
-        drop(st);
-        self.ready.notify_one();
-        self.wake_ready();
     }
 
     /// Re-inject windows at the *front* of the queue, preserving their
@@ -211,39 +158,17 @@ impl ActorInbox {
             st.windows.push_front((port, key, w));
         }
         self.refresh_oldest(&st);
-        drop(st);
-        self.ready.notify_one();
-        self.wake_ready();
     }
 
     /// Take the oldest ready window.
     pub fn try_pop(&self) -> Option<(usize, Window)> {
         let mut st = self.state.lock();
-        let popped = st.windows.pop_front();
-        if let Some((port, _, _)) = &popped {
-            let port = *port;
-            release_drained(&mut st.windows);
-            let slot = st.depth_slot(port);
-            *slot = slot.saturating_sub(1);
-            self.refresh_oldest(&st);
-            drop(st);
-            self.space.notify_all();
-            self.wake_space();
-        }
-        popped.map(|(port, _, w)| (port, w))
-    }
-
-    /// Wait until a window is queued, every feeding port has closed, or
-    /// `timeout` passes (the thread-based director's idle actor thread;
-    /// it then steps again). Returns whether a window or the close is
-    /// there.
-    pub fn wait_ready(&self, timeout: std::time::Duration) -> bool {
-        let mut st = self.state.lock();
-        let ready = |st: &InboxState| !st.windows.is_empty() || st.open_ports == 0;
-        if !ready(&st) {
-            self.ready.wait_for(&mut st, timeout);
-        }
-        ready(&st)
+        let (port, _, window) = st.windows.pop_front()?;
+        release_drained(&mut st.windows);
+        let slot = st.depth_slot(port);
+        *slot = slot.saturating_sub(1);
+        self.refresh_oldest(&st);
+        Some((port, window))
     }
 
     /// Number of ready windows.
@@ -270,9 +195,6 @@ impl ActorInbox {
         let slot = st.depth_slot(port);
         *slot = slot.saturating_sub(1);
         self.refresh_oldest(&st);
-        drop(st);
-        self.space.notify_all();
-        self.wake_space();
         Some(w)
     }
 
@@ -280,11 +202,6 @@ impl ActorInbox {
     pub fn close_port(&self) {
         let mut st = self.state.lock();
         st.open_ports = st.open_ports.saturating_sub(1);
-        drop(st);
-        self.ready.notify_all();
-        self.space.notify_all();
-        self.wake_ready();
-        self.wake_space();
     }
 
     /// Whether every feeding port has closed (more windows may still be
@@ -294,7 +211,7 @@ impl ActorInbox {
     }
 
     /// Remove and return every queued window in order (checkpoint capture
-    /// on a quiesced fabric). Wakes any space waiters, like a pop.
+    /// on a quiesced fabric).
     pub fn drain_windows(&self) -> Vec<(usize, Window)> {
         let mut st = self.state.lock();
         if st.windows.is_empty() {
@@ -307,9 +224,6 @@ impl ActorInbox {
             *slot = 0;
         }
         self.refresh_oldest(&st);
-        drop(st);
-        self.space.notify_all();
-        self.wake_space();
         drained
     }
 }
@@ -420,38 +334,11 @@ impl PortReceiver {
         self.policy.is_bounded() && self.inbox.port_depth(self.port) >= self.effective_capacity()
     }
 
-    /// Wait until this port has room under its effective capacity, read
-    /// afresh on every wake (so a writer whose port deadlock relief grew
-    /// wakes at once), or until `timeout` passes. Returns whether there is
-    /// room now.
-    pub fn wait_for_space(&self, timeout: std::time::Duration) -> bool {
-        let inbox = &self.inbox;
-        let has_room = |st: &InboxState| {
-            st.per_port.get(self.port).copied().unwrap_or(0) < self.effective_capacity()
-        };
-        let mut st = inbox.state.lock();
-        while !has_room(&st) {
-            if inbox.space.wait_for(&mut st, timeout).timed_out() {
-                return has_room(&st);
-            }
-        }
-        true
-    }
-
     /// Grow the effective capacity by the policy's original bound
     /// (artificial-deadlock relief). Returns the new capacity.
     pub fn grow_capacity(&self) -> usize {
         let step = self.policy.capacity_or_max().max(1);
-        let new = self
-            .effective_capacity
-            .fetch_add(step, Ordering::Relaxed)
-            .saturating_add(step);
-        // Wake the writers parked on it. The lock comes first, so a writer
-        // that read the old capacity under it is already waiting.
-        drop(self.inbox.state.lock());
-        self.inbox.space.notify_all();
-        self.inbox.wake_space();
-        new
+        self.effective_capacity.fetch_add(step, Ordering::Relaxed).saturating_add(step)
     }
 
     /// The paper's `put()`: encapsulated event goes into the appropriate
@@ -482,7 +369,7 @@ impl PortReceiver {
     }
 
     /// Hand the `n` windows the operator has just formed to the inbox, in
-    /// order: one lock and one wake-up for the lot.
+    /// order: one lock for the lot.
     fn forward(&self, op: &mut WindowOperator, n: usize) {
         if n > 0 {
             let formed = (0..n).map(|_| op.pop_window().expect("the operator reported n windows"));
@@ -692,7 +579,7 @@ mod tests {
         assert!(inbox.all_ports_closed());
         let (_, w) = inbox.try_pop().expect("flushed short window");
         assert!(w.timed_out);
-        assert!(inbox.wait_ready(std::time::Duration::from_secs(5)), "closed and drained");
+        assert!(inbox.is_empty() && inbox.all_ports_closed(), "closed and drained");
     }
 
     #[test]
@@ -708,42 +595,6 @@ mod tests {
             assert_eq!(r.upstream_closed(Timestamp(2)), None);
         }
         assert!(inbox.all_ports_closed());
-    }
-
-    #[test]
-    fn wait_ready_wakes_on_push() {
-        let inbox = ActorInbox::new(1);
-        let inbox2 = inbox.clone();
-        let t = std::thread::spawn(move || inbox2.wait_ready(std::time::Duration::from_secs(5)));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        inbox.push(
-            0,
-            Window {
-                events: vec![ev(1, 0)],
-                formed_at: Timestamp(0),
-                timed_out: false,
-            },
-        );
-        assert!(t.join().unwrap(), "the push woke the waiter");
-        let (port, w) = inbox.try_pop().expect("the window waits in the inbox");
-        assert_eq!((port, w.len()), (0, 1));
-    }
-
-    #[test]
-    fn wait_ready_times_out() {
-        let inbox = ActorInbox::new(1);
-        assert!(!inbox.wait_ready(std::time::Duration::from_millis(5)));
-    }
-
-    #[test]
-    fn wait_ready_returns_on_close() {
-        let inbox = ActorInbox::new(1);
-        let inbox2 = inbox.clone();
-        let t = std::thread::spawn(move || inbox2.wait_ready(std::time::Duration::from_secs(5)));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        inbox.close_port();
-        assert!(t.join().unwrap(), "the close woke the waiter");
-        assert!(inbox.try_pop().is_none());
     }
 
     #[test]
@@ -917,50 +768,5 @@ mod tests {
             r.try_put(ev(2, 1), Timestamp(1)).unwrap(),
             TryPut::Stored(1)
         ));
-    }
-
-    #[test]
-    fn wait_for_space_wakes_on_pop() {
-        let inbox = ActorInbox::new(1);
-        let r = PortReceiver::with_policy(
-            WindowSpec::each_event(),
-            inbox.clone(),
-            0,
-            1,
-            ChannelPolicy::block(1),
-        )
-        .unwrap();
-        r.try_put(ev(1, 0), Timestamp(0)).unwrap();
-        let r = Arc::new(r);
-        let waiter = r.clone();
-        let t = std::thread::spawn(move || waiter.wait_for_space(std::time::Duration::from_secs(5)));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        inbox.try_pop().unwrap();
-        assert!(t.join().unwrap(), "waiter saw the freed slot");
-    }
-
-    #[test]
-    fn wait_for_space_wakes_on_growth() {
-        let inbox = ActorInbox::new(1);
-        let r = PortReceiver::with_policy(
-            WindowSpec::each_event(),
-            inbox,
-            0,
-            1,
-            ChannelPolicy::block(1),
-        )
-        .unwrap();
-        r.try_put(ev(1, 0), Timestamp(0)).unwrap();
-        let r = Arc::new(r);
-        let waiter = r.clone();
-        let t = std::thread::spawn(move || {
-            let started = std::time::Instant::now();
-            (waiter.wait_for_space(std::time::Duration::from_secs(5)), started.elapsed())
-        });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        r.grow_capacity();
-        let (room, waited) = t.join().unwrap();
-        assert!(room, "the waiter read the grown capacity");
-        assert!(waited < std::time::Duration::from_secs(5), "woken by the growth, not the timeout");
     }
 }

@@ -44,6 +44,12 @@
 #    receiver.rs (no patience, no fabric-wide progress counter), and
 #    `grow_capacity(` is called from one function only (director/mod.rs,
 #    `Fabric::relieve`, which reads the wait-for table);
+#  - the fabric wakes every waiting wall-clock task: receiver.rs has no
+#    `Condvar`, no `InboxWaker`, `set_waker`, `wait_ready`, `wait_for_space`,
+#    `space_waiters` or `notify_space` exists under crates/*/src (the inbox
+#    keeps no waker and no wait, and the wait-for table is the one record of
+#    parked writers), and the director's wake is called (`.wake(`) in
+#    director/mod.rs only;
 #  - under crates/confluence-core/src/director/ and
 #    crates/confluence-sched/src/, the stop bound and the checkpoint cadence
 #    are read, and a close cascade is opened, in director/firing.rs only
@@ -249,6 +255,18 @@ if [ -z "$growths" ] || [ -n "$stray_growths" ]; then
     status=1
 fi
 
+receiver_waits=$(
+    matches 'Condvar' crates/confluence-core/src/receiver.rs
+    matches 'InboxWaker|set_waker|wait_ready|wait_for_space|space_waiters|notify_space' crates/*/src
+)
+if [ -n "$receiver_waits" ]; then
+    echo "the fabric wakes every waiting task: no condvar, waker or wait in the inbox, no second record of parked writers:" >&2
+    printf '%s\n' "$receiver_waits" >&2
+    status=1
+fi
+once "calling the director's wake (.wake()" crates/confluence-core/src/director/mod.rs \
+    "$(matches '\.wake\(' crates/*/src src examples)"
+
 lifecycle=$(matches '\.stop([^(A-Za-z_]|$)|\.every\(\)|quiescing|RunPhase::Close' $directors |
     grep -v '^crates/confluence-core/src/director/firing.rs:' || true)
 if [ -n "$lifecycle" ]; then
@@ -301,6 +319,6 @@ once "opening a source event log (EventLog::create / EventLog::append)" \
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
         "one statistics module and one writer, one builder vocabulary, no control observer or flag, one ready queue per actor," \
         "one Linear Road topology, no clock in the pause, no deferred delivery outside a parked wall-clock task, no drain before a pause," \
-        "one wall-clock task step, Parks' relief from the wait-for table alone, one run loop, one topological sort, one way into a checkpoint segment," \
+        "one wall-clock task step, Parks' relief from the wait-for table alone, one wake path owned by the fabric, one run loop, one topological sort, one way into a checkpoint segment," \
         "one way an error ends the run, one way to resume a source"
 exit "$status"
