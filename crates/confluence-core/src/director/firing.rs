@@ -18,17 +18,17 @@
 //! 4. [`Fabric::stamp`], then the director's delivery (immediately unless
 //!    it defers), then [`Fabric::route_expired`];
 //! 5. the run's [`StatsModule`], if it keeps one, records the firing;
-//! 6. `on_fire_end` with the one [`FireRecord`], then [`Telemetry::sample`];
+//! 6. `on_fire_end` with the one [`FireRecord`], then the series' sample;
 //! 7. `postfire`.
 //!
 //! A refused `prefire` skips 3–5 and reports `fired: false`.
 //!
 //! The two wall-clock directors fire each actor as a [`Task`]: one
-//! [`Task::step`] fires at most once and says what the task waits for
-//! next ([`Wait`]); the threaded director parks the task's own thread on
-//! it, the pool leaves the task off its ready queues or arms its timer.
-//! Either way the fabric wakes the task ([`Fabric`]). A full `Block` port
-//! parks the rest of the firing's batch with the task under both.
+//! [`Task::step`] fires at most once and says whether the task rests next
+//! ([`Wait`]); the threaded director parks its thread, the pool leaves it
+//! off its ready queues or arms its timer, until the fabric wakes it
+//! ([`Fabric`]; the run's latch wakes every task) or its instant comes. A
+//! full `Block` port parks the rest of the firing's batch with the task.
 //!
 //! An error ends the run under every director: [`Run::fail`] keeps the
 //! first one and latches [`Boundary::Failed`], every task and firing order
@@ -46,7 +46,7 @@ use crate::actor::Actor;
 use crate::checkpoint::QuiesceHook;
 use crate::engine::StopCondition;
 use crate::error::{Error, Result};
-use crate::graph::{ActorId, PortRef, Workflow};
+use crate::graph::{ActorId, Workflow};
 use crate::telemetry::{FireRecord, RunPhase, StatsModule, Telemetry};
 use crate::time::{Micros, SharedClock, Timestamp};
 use crate::window::Window;
@@ -348,18 +348,31 @@ impl Run {
     /// once the telemetry's stop bound is met, else `Go`. The first answer
     /// that is not `Go` holds for the rest of the segment (an error
     /// overrides it), so the close cascade's firings cannot turn a stop
-    /// into a pause, and every thread of a run sees the same answer.
+    /// into a pause, and every thread of a run sees the same answer; the
+    /// call that latches it wakes every wall-clock task.
     pub fn boundary(&self) -> Boundary {
         if self.latched() == Boundary::Go {
             let decided = self.decide();
             if decided == Boundary::Go {
                 return decided;
             }
-            // Whoever latches first wins; the latch then holds.
+            // Whoever latches first wins, and wakes everyone; the latch then holds.
             let (go, latch) = (Boundary::Go as u8, decided as u8);
-            let _ = self.decided.compare_exchange(go, latch, Ordering::AcqRel, Ordering::Acquire);
+            if self.decided.compare_exchange(go, latch, Ordering::AcqRel, Ordering::Acquire).is_ok() {
+                self.fabric.wake_all();
+            }
         }
         self.latched()
+    }
+
+    /// The instant the earliest `Elapsed` bound falls due: the stop's, or
+    /// the checkpoint cadence's once the segment has fired (before that it
+    /// cannot latch, and resting until it would spin). No rest outlasts it.
+    pub fn deadline(&self) -> Option<Timestamp> {
+        let fired = self.firings.load(Ordering::Relaxed) > 0;
+        let bounds = self.hook().and_then(|h| h.every()).filter(|_| fired).into_iter();
+        let elapsed = |bound| if let StopCondition::Elapsed(t) = bound { Some(self.started.plus(t)) } else { None };
+        bounds.chain(self.tele.as_ref().and_then(|t| t.stop)).filter_map(elapsed).min()
     }
 
     /// The boundary latched so far, without deciding anew.
@@ -369,10 +382,12 @@ impl Run {
     }
 
     /// Fail the run: keep `error` unless an earlier one is kept, and latch
-    /// [`Boundary::Failed`], so every thread stops at its next boundary.
+    /// [`Boundary::Failed`], waking every wall-clock task the first time.
     pub fn fail(&self, error: Error) {
         self.error.lock().get_or_insert(error);
-        self.decided.store(Boundary::Failed as u8, Ordering::Release);
+        if self.decided.swap(Boundary::Failed as u8, Ordering::AcqRel) != Boundary::Failed as u8 {
+            self.fabric.wake_all();
+        }
     }
 
     fn decide(&self) -> Boundary {
@@ -541,7 +556,9 @@ impl Run {
             });
             // Sampling keys on the director clock — virtual under the
             // cooperative directors, so sampled series are deterministic.
-            t.sample(ended);
+            if let Some(series) = &t.series {
+                series.maybe_sample(ended);
+            }
         }
         let alive = if complete {
             Some(actor.postfire(ctx)?)
@@ -663,14 +680,11 @@ impl Run {
 pub enum Wait {
     /// Step again at once.
     Ready,
-    /// Nothing to do before this instant: a source's next arrival, or the
-    /// end of an idle source's backoff.
-    Until(Timestamp),
-    /// Nothing to do until a window reaches the inbox or its ports close,
-    /// or the earliest window-formation deadline, if any, passes.
-    Inbox(Option<Timestamp>),
-    /// The rest of a firing's batch is parked on this full `Block` port.
-    Space(PortRef),
+    /// Rest, with no cap, until the fabric wakes the task (a window or a
+    /// close reached it, its parked port has room, the run latched) or, if
+    /// given, this instant comes: a source's next arrival or backoff, a
+    /// window-formation deadline, or the run's elapsed bound ([`Run::deadline`]).
+    Rest(Option<Timestamp>),
     /// Done stepping: the stream ended, or the run stops, pauses or
     /// failed. [`Task::end`] comes next.
     Finish,
@@ -721,25 +735,28 @@ impl Task {
     /// when its timetable says, any other actor on the next window in its
     /// inbox, after polling its receivers once a window-formation deadline
     /// has passed. Returns what the task waits for, and the firing attempt
-    /// if there was one. An error or a panic fails the run
-    /// ([`Run::fail`]) and ends the stepping.
+    /// if there was one; a rest ends no later than [`Run::deadline`]. An
+    /// error or a panic fails the run ([`Run::fail`]) and ends the stepping.
     pub fn step(&mut self, run: &Run) -> (Wait, Option<Fired>) {
-        guarded(run, self.id, || self.try_step(run)).unwrap_or((Wait::Finish, None))
+        match guarded(run, self.id, || self.try_step(run)) {
+            Some((Wait::Rest(at), fired)) => (Wait::Rest(at.into_iter().chain(run.deadline()).min()), fired),
+            stepped => stepped.unwrap_or((Wait::Finish, None)),
+        }
     }
 
     fn try_step(&mut self, run: &Run) -> Result<(Wait, Option<Fired>)> {
         if run.boundary() != Boundary::Go {
             return Ok((Wait::Finish, None));
         }
-        if let Some(port) = deliver_parked(run, &mut self.parked)? {
-            return Ok((Wait::Space(port), None));
+        if parks_again(run, &mut self.parked)? {
+            return Ok((Wait::Rest(None), None));
         }
         if std::mem::take(&mut self.postfire_due) && !self.actor.postfire(&mut self.ctx)? {
             return Ok((Wait::Finish, None));
         }
         let input = if self.is_source {
             match self.actor.next_arrival() {
-                Some(arrival) if arrival > run.clock.now() => return Ok((Wait::Until(arrival), None)),
+                Some(arrival) if arrival > run.clock.now() => return Ok((Wait::Rest(Some(arrival)), None)),
                 _ => None,
             }
         } else {
@@ -760,21 +777,22 @@ impl Task {
                     run.poll(Some(self.id), now)?;
                     return Ok((Wait::Ready, None));
                 }
-                return Ok((Wait::Inbox(deadline), None));
+                return Ok((Wait::Rest(deadline), None));
             };
             Some(input)
         };
         let Task { id, actor, ctx, parked, .. } = self;
-        let mut blocked = None;
+        let mut blocked = false;
         let mut park = |stamped| {
             *parked = Some(stamped);
-            blocked = deliver_parked(run, parked)?;
-            Ok(blocked.is_none())
+            blocked = parks_again(run, parked)?;
+            Ok(!blocked)
         };
         let fired = run.fire(*id, &mut **actor, ctx, input, None, Some(&mut park))?;
-        let wait = if let Some(port) = blocked {
+        run.boundary(); // latch a count bound this firing met: the task may rest next
+        let wait = if blocked {
             self.postfire_due = true;
-            Wait::Space(port)
+            Wait::Rest(None)
         } else if fired.alive == Some(false) {
             Wait::Finish
         } else if self.is_source
@@ -783,7 +801,7 @@ impl Task {
         {
             // Nothing to say and no timetable to follow (an idle push
             // source): rest instead of spinning.
-            Wait::Until(run.clock.now().plus(SOURCE_BACKOFF))
+            Wait::Rest(Some(run.clock.now().plus(SOURCE_BACKOFF)))
         } else {
             Wait::Ready
         };
@@ -826,14 +844,14 @@ fn guarded<T>(run: &Run, id: ActorId, f: impl FnOnce() -> Result<T>) -> Option<T
     None
 }
 
-/// Deliver a parked batch, if any: `None` once it is all out, else the full
-/// port the rest parks on again.
-fn deliver_parked(run: &Run, parked: &mut Option<Stamped>) -> Result<Option<PortRef>> {
+/// Deliver a parked batch, if any: whether the rest parks again on a full
+/// port.
+fn parks_again(run: &Run, parked: &mut Option<Stamped>) -> Result<bool> {
     let Some(rest) = parked else {
-        return Ok(None);
+        return Ok(false);
     };
-    let blocked = run.fabric.deliver(rest, run.clock.now(), true)?;
-    if blocked.is_none() {
+    let blocked = run.fabric.deliver(rest, run.clock.now(), true)?.is_some();
+    if !blocked {
         *parked = None;
     }
     Ok(blocked)

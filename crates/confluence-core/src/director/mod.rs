@@ -36,9 +36,9 @@ pub mod taxonomy;
 pub mod threaded;
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -53,10 +53,6 @@ use crate::time::{Micros, Timestamp};
 use crate::token::Token;
 use crate::wave::WaveTag;
 use crate::window::Window;
-
-/// The longest a waiting wall-clock thread (an actor thread, an idle pool
-/// worker, the pool's timer) goes without re-checking the run's boundary.
-const RECHECK: Duration = Duration::from_millis(10);
 
 /// How long a wall-clock director lets a source that had nothing to emit
 /// and follows no timetable (an idle push source) rest before it fires
@@ -109,7 +105,9 @@ pub trait Director {
 
     /// Attach telemetry for subsequent runs: execution hooks flow to
     /// `telemetry.observer`, and `Run::boundary` stops the run at the
-    /// first firing boundary where `telemetry.stop` is met. With a
+    /// first firing boundary where `telemetry.stop` is met; under a
+    /// wall-clock director its latch wakes every waiting task, and an
+    /// elapsed bound is an instant no rest outlasts. With a
     /// `telemetry.checkpoint` hook, a segment that meets its cadence stops
     /// every actor at its next firing boundary, puts the captured
     /// [`crate::checkpoint::FabricState`] (queued windows included, not
@@ -127,6 +125,7 @@ pub trait Director {
 /// task, in four places: a window forms for a reader, a reader's last
 /// feeding port closes, a wall-clock task's pop frees a slot on a port a
 /// writer is parked on, and relief grows the port a writer is parked on.
+/// The run's latch wakes every task once (`Fabric::wake_all`).
 pub struct Fabric {
     inboxes: Vec<Arc<ActorInbox>>,
     receivers: Vec<Vec<Arc<PortReceiver>>>,
@@ -245,6 +244,14 @@ impl Fabric {
         if let Some(wake) = &self.wake {
             wake(actor);
         }
+    }
+
+    /// Wake every task: the run's boundary just latched (a stop, a pause, [`firing::Run::fail`]).
+    fn wake_all(&self) {
+        // Pairs with a threaded task's fence after it records its handle:
+        // either its first step sees the latch, or this sees the handle.
+        fence(Ordering::SeqCst);
+        (0..self.inboxes.len()).for_each(|id| self.wake(ActorId(id)));
     }
 
     /// Attach `observer` (replacing any earlier one) and announce the

@@ -18,11 +18,12 @@
 //!   when a window forms for it or its inbox closes, and a task parked on
 //!   a full `Block` port when a pop frees a slot there or Parks' relief
 //!   grows it ([`super::Fabric`]);
-//! * timed-window deadlines are served by one shared timer thread over a
-//!   deadline heap, not per-actor waits;
+//! * a rest's instant (a source's next arrival, a window-formation
+//!   deadline, the run's elapsed bound) is served by one shared timer thread
+//!   over a deadline heap, not per-actor waits;
 //! * an idle worker, and the timer, look at their queue or heap again
 //!   under the lock they wait on, so a push or a deadline that lands just
-//!   before the wait is not slept through.
+//!   before the wait is not slept through; neither wait has a cap.
 //!
 //! The run spawns exactly N worker threads plus the timer thread,
 //! independent of the actor count; N and the policy are fixed when the run
@@ -31,18 +32,17 @@
 //! All of that is the pool's firing rule — which task runs next, on which
 //! worker. What one task step does, how a full `Block` port parks it, and
 //! the run lifecycle are [`super::firing`]'s ([`Task`]), as under the
-//! threaded director; the pool leaves a waiting task off its queues (a
-//! [`Wait`] with an instant arms the timer) until something schedules it.
-//! An error or a panic in a step fails the run ([`Run::fail`]); the timer
-//! then schedules every task, and each ends at its next step without
-//! `finish`.
+//! threaded director; the pool leaves a resting task off its queues (a
+//! [`Wait::Rest`] with an instant arms the timer) until something schedules
+//! it. A stop, a pause, or an error or a panic in a step ([`Run::fail`])
+//! latches the run's boundary, whose latch schedules every task; each ends
+//! at its next step (without `finish` after an error).
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -52,9 +52,9 @@ use crate::receiver::ActorInbox;
 use crate::telemetry::{StatsModule, Telemetry, WorkerMetrics};
 use crate::time::{SharedClock, Timestamp, WallClock};
 
-use super::firing::{Boundary, Progress, Run, Task, Wait};
+use super::firing::{Progress, Run, Task, Wait};
 use super::pool_policy::{Fifo, PolicyView, PoolPolicy, ReadyEntry, ReadyQueue};
-use super::{Director, RunReport, RECHECK};
+use super::{Director, RunReport};
 
 // Per-actor readiness states (one atomic per actor).
 const IDLE: u8 = 0;
@@ -296,13 +296,14 @@ impl WakeHub {
         None
     }
 
-    /// An idle worker's wait: up to [`RECHECK`], unless the queues hold
-    /// work or the hub shuts down, both read again under the idle lock.
+    /// An idle worker's wait: until a push or the shutdown notifies it,
+    /// unless the queues hold work or the hub shuts down, both read again
+    /// under the idle lock.
     fn wait_for_work(&self) {
         let mut idle = self.idle_lock.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         if !self.shutdown.load(Ordering::Acquire) && self.queues.iter().all(|q| q.lock().is_empty()) {
-            self.idle_cond.wait_for(&mut idle, RECHECK);
+            self.idle_cond.wait(&mut idle);
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
@@ -312,21 +313,22 @@ impl WakeHub {
         self.timer_cond.notify_one();
     }
 
-    /// The timer's wait: until the earliest deadline, at most [`RECHECK`]
-    /// and at least 100 µs, computed under the heap's lock, which a new
-    /// deadline or the shutdown takes before it notifies.
-    fn timer_wait(&self) {
+    /// The timer's wait: until the earlier of its earliest deadline and
+    /// `tick` (the series' next sample), untimed with neither, computed
+    /// under the heap's lock, which a new deadline or the shutdown takes
+    /// before it notifies.
+    fn timer_wait(&self, tick: Option<Timestamp>) {
         let mut heap = self.timer.lock();
         if self.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let wait = heap
-            .peek()
-            .map(|&std::cmp::Reverse((t, _))| {
-                Duration::from_micros(t.saturating_sub(self.clock.now().as_micros()))
-            })
-            .map_or(RECHECK, |d| d.min(RECHECK));
-        self.timer_cond.wait_for(&mut heap, wait.max(Duration::from_micros(100)));
+        let earliest = heap.peek().map(|&std::cmp::Reverse((t, _))| Timestamp(t));
+        match earliest.into_iter().chain(tick).min() {
+            Some(t) => {
+                self.timer_cond.wait_for(&mut heap, t.since(self.clock.now()).to_std());
+            }
+            None => self.timer_cond.wait(&mut heap),
+        }
     }
 
     fn begin_shutdown(&self) {
@@ -386,8 +388,9 @@ impl Director for PoolDirector {
             hub.begin_shutdown();
         }
         // The workers, then the timer. A thread that fails to spawn fails
-        // the run, and every task is scheduled so that each ends at its next
-        // step; with no worker to step them, the tasks come back as they are.
+        // the run, whose latch schedules every task so that each ends at its
+        // next step; with no worker to step them, the tasks come back as
+        // they are.
         let mut handles = Vec::with_capacity(workers + 1);
         for w in 0..=workers {
             let (on_thread, builder) = (shared.clone(), thread::Builder::new());
@@ -400,7 +403,6 @@ impl Director for PoolDirector {
                 Ok(handle) => handles.push(handle),
                 Err(e) => {
                     shared.run.fail(Error::Director(format!("failed to spawn a pool thread: {e}")));
-                    (0..n_actors).for_each(|a| hub.schedule(a));
                     if w == 0 {
                         hub.begin_shutdown();
                     }
@@ -485,8 +487,8 @@ fn run_actor(shared: &Arc<PoolShared>, w: usize, actor: usize) {
             hub.push(actor, true);
             return;
         }
-        Wait::Until(at) | Wait::Inbox(Some(at)) => hub.register_deadline(at, actor),
-        Wait::Inbox(None) | Wait::Space(_) => {}
+        Wait::Rest(Some(at)) => hub.register_deadline(at, actor),
+        Wait::Rest(None) => {}
         Wait::Finish => {
             task.end(run);
             if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -506,28 +508,20 @@ fn run_actor(shared: &Arc<PoolShared>, w: usize, actor: usize) {
 }
 
 /// The timer thread: schedules every actor whose registered instant (a
-/// source arrival or backoff, a window-formation deadline) has come, and
-/// every actor while the run stops or pauses, so each reaches its
-/// boundary; and samples the time series.
+/// source arrival or backoff, a window-formation deadline, the run's
+/// elapsed bound) has come, and samples the time series.
 fn timer_loop(shared: &Arc<PoolShared>) {
     let hub = &shared.hub;
     let run = &shared.run;
+    let series = run.tele.as_ref().and_then(|t| t.series.as_ref());
     while !hub.shutdown.load(Ordering::Acquire) {
         // Time-series sampling rides the timer thread too; when a point
         // is taken, add the per-worker occupancy gauges only the pool
         // can see.
-        if let Some(t) = &run.tele {
-            let now = run.clock.now();
-            if t.sample(now) {
-                if let Some(series) = &t.series {
-                    for (w, busy) in hub.busy_us.iter().enumerate() {
-                        series.record_point(
-                            &format!("worker_busy_us:{w}"),
-                            now.as_micros(),
-                            busy.load(Ordering::Relaxed),
-                        );
-                    }
-                }
+        let now = run.clock.now();
+        if let Some(series) = series.filter(|s| s.maybe_sample(now)) {
+            for (w, busy) in hub.busy_us.iter().enumerate() {
+                series.record_point(&format!("worker_busy_us:{w}"), now.as_micros(), busy.load(Ordering::Relaxed));
             }
         }
         let now = run.clock.now().as_micros();
@@ -542,12 +536,7 @@ fn timer_loop(shared: &Arc<PoolShared>) {
                 _ => break,
             }
         }
-        if run.boundary() != Boundary::Go {
-            for a in 0..hub.states.len() {
-                hub.schedule(a);
-            }
-        }
-        hub.timer_wait();
+        hub.timer_wait(series.map(|s| s.next_tick()));
     }
 }
 
@@ -560,6 +549,7 @@ mod tests {
     use crate::time::Micros;
     use crate::token::Token;
     use crate::window::{GroupBy, WindowSpec};
+    use std::time::Duration;
 
     struct AddOne;
     impl Actor for AddOne {
@@ -790,26 +780,34 @@ mod tests {
         WakeHub::new(1, Arc::new(Fifo), stats, clock, vec![true, false], vec![ActorInbox::new(0), ActorInbox::new(1)])
     }
 
+    /// Whether `wait` returns within 5 s, run on a helper thread: a wait
+    /// that sleeps through its wake (now untimed) fails the test instead of
+    /// hanging it.
+    fn returns(hub: &Arc<WakeHub>, wait: fn(&WakeHub)) -> bool {
+        let (hub, (done, returned)) = (hub.clone(), std::sync::mpsc::channel());
+        thread::spawn(move || {
+            wait(&hub);
+            let _ = done.send(());
+        });
+        returned.recv_timeout(Duration::from_secs(5)).is_ok()
+    }
+
     #[test]
     fn a_push_before_the_idle_wait_is_not_slept_through() {
         // The worker's pop found nothing; the push lands before it waits.
-        let hub = idle_hub();
+        let hub = Arc::new(idle_hub());
         assert_eq!(hub.pop(0), None);
         hub.push(1, false);
-        let started = std::time::Instant::now();
-        hub.wait_for_work();
-        assert!(started.elapsed() < RECHECK, "waited {:?} with work queued", started.elapsed());
+        assert!(returns(&hub, WakeHub::wait_for_work), "the idle wait slept with work queued");
         assert_eq!(hub.pop(0), Some((1, false)));
     }
 
     #[test]
     fn a_deadline_before_the_timer_wait_is_not_slept_through() {
         // The timer found nothing due; a due deadline lands before it waits.
-        let hub = idle_hub();
+        let hub = Arc::new(idle_hub());
         hub.register_deadline(hub.clock.now(), 1);
-        let started = std::time::Instant::now();
-        hub.timer_wait();
-        assert!(started.elapsed() < RECHECK, "waited {:?} past a due deadline", started.elapsed());
+        assert!(returns(&hub, |hub| hub.timer_wait(None)), "the timer slept past a due deadline");
     }
 
     #[test]

@@ -11,16 +11,16 @@
 //! (sources: whenever their timetable says). Each thread steps its actor's
 //! [`Task`] — the firing step, the window-deadline poll, a `Block` port's
 //! park and the run lifecycle are [`super::firing`]'s — and parks itself
-//! on whatever the task waits for: a source's next arrival, a window or
-//! its inbox's close (until the earliest window-formation deadline), or
-//! room on the port it parked on. The fabric's wake unparks the thread
-//! ([`super::Fabric`]); `thread::unpark` keeps a wake that comes before the
-//! park. Parks' relief needs no thread of its own: the park that closes an
-//! artificial deadlock grows a queue at once ([`super::Fabric::deliver`]),
-//! and the writer on the grown port wakes. An error or a panic in any task
-//! fails the run ([`Run::fail`]): every thread sees it within one `RECHECK`
-//! (10 ms) and ends its task without `finish`.
+//! while the task rests ([`Wait::Rest`]): until the fabric's wake unparks
+//! it ([`super::Fabric`]), or the rest's instant comes, with no cap.
+//! `thread::unpark` keeps a wake that comes before the park. Parks' relief
+//! needs no thread of its own: the park that closes an artificial deadlock
+//! grows a queue at once ([`super::Fabric::deliver`]), and the writer on
+//! the grown port wakes. A stop, a pause, or an error or a panic in any
+//! task ([`Run::fail`]) latches the run's boundary, whose latch unparks
+//! every thread; each then ends its task (without `finish` after an error).
 
+use std::sync::atomic::{fence, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{self, Thread};
 
@@ -32,7 +32,7 @@ use crate::telemetry::Telemetry;
 use crate::time::{SharedClock, WallClock};
 
 use super::firing::{Run, Task, Wait};
-use super::{Director, RunReport, RECHECK};
+use super::{Director, RunReport};
 
 /// One OS thread per actor; OS scheduling; each thread parks until the
 /// fabric wakes it.
@@ -75,6 +75,9 @@ impl Director for ThreadedDirector {
             let (id, on_thread, slot, threads) = (slot.lock().id, run.clone(), slot.clone(), threads.clone());
             let spawned = thread::Builder::new().name(format!("cwf-{}", workflow.node(id).name)).spawn(move || {
                 let _ = threads[id.0].set(thread::current());
+                // Pairs with the fence in the run latch's wake: either it
+                // sees this handle, or the first step sees the latch.
+                fence(Ordering::SeqCst);
                 controller(&on_thread, &mut slot.lock())
             });
             match spawned {
@@ -100,18 +103,16 @@ impl Director for ThreadedDirector {
 }
 
 /// The per-actor thread body: steps the task until it finishes, parking
-/// until the fabric wakes it or the awaited instant comes, at most
-/// [`RECHECK`] at a time so a stop, a pause or an error is seen, then ends
-/// it.
+/// while it rests until the fabric wakes it or the rest's instant comes,
+/// then ends it.
 fn controller(run: &Run, task: &mut Task) {
     loop {
-        let until = match task.step(run).0 {
-            Wait::Ready => continue,
-            Wait::Until(t) | Wait::Inbox(Some(t)) => t.since(run.clock.now()).to_std(),
-            Wait::Inbox(None) | Wait::Space(_) => RECHECK,
+        match task.step(run).0 {
+            Wait::Ready => {}
+            Wait::Rest(Some(t)) => thread::park_timeout(t.since(run.clock.now()).to_std()),
+            Wait::Rest(None) => thread::park(),
             Wait::Finish => break,
-        };
-        thread::park_timeout(until.min(RECHECK));
+        }
     }
     task.end(run);
 }

@@ -662,22 +662,53 @@ mod tests {
         assert_eq!(c.tokens(), expected());
     }
 
+    /// Run `arrivals` into a sink under the threaded director and a
+    /// two-worker pool until `stop`; each run's wall time and the sink's
+    /// tokens.
+    fn run_wall_clock_until(
+        arrivals: &[u64],
+        stop: StopCondition,
+    ) -> Vec<(&'static str, std::time::Duration, Vec<Token>)> {
+        ["threaded", "pool"]
+            .into_iter()
+            .map(|name| {
+                let c = Collector::new();
+                let mut b = WorkflowBuilder::new("idle");
+                let events = arrivals.iter().map(|&at| (Timestamp(at), Token::Int(at as i64))).collect();
+                let s = b.add_actor("src", crate::actors::TimedSource::new(events));
+                let k = b.add_actor("sink", c.actor());
+                b.link((s, "out"), (k, "in")).unwrap();
+                let mut engine = Engine::new(b.build().unwrap());
+                if name == "pool" {
+                    engine = engine.with_director(crate::director::pool::PoolDirector::new().with_workers(2));
+                }
+                let began = std::time::Instant::now();
+                engine.run_until(stop).unwrap();
+                (name, began.elapsed(), c.tokens())
+            })
+            .collect()
+    }
+
     #[test]
     fn an_idle_threaded_run_stops_on_its_elapsed_bound() {
         // The source's one event is 5 s away and nothing else can fire, so
-        // only the run's own clock can end it early.
-        let c = Collector::new();
-        let mut b = WorkflowBuilder::new("idle");
-        let at = Timestamp(5_000_000);
-        let s = b.add_actor("src", crate::actors::TimedSource::new(vec![(at, Token::Int(1))]));
-        let k = b.add_actor("sink", c.actor());
-        b.link((s, "out"), (k, "in")).unwrap();
-        let mut engine = Engine::new(b.build().unwrap());
-        let began = std::time::Instant::now();
-        engine.run_until(StopCondition::Elapsed(Micros::from_millis(50))).unwrap();
-        let waited = began.elapsed();
-        assert!(waited < std::time::Duration::from_secs(2), "stopped after {waited:?}");
-        assert!(c.tokens().is_empty());
+        // only the run's own clock can end it early (threaded and pool).
+        for (name, waited, tokens) in run_wall_clock_until(&[5_000_000], StopCondition::Elapsed(Micros::from_millis(50))) {
+            assert!(waited < std::time::Duration::from_secs(2), "{name} stopped after {waited:?}");
+            assert!(tokens.is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn an_idle_wall_clock_run_stops_on_a_count_bound_its_sink_meets() {
+        // The source fires at 0 and then rests until 5 s; the sink's
+        // firing is the second and meets the bound, and then the sink
+        // rests too. Its own step latches the stop, whose latch wakes the
+        // source: no task waits for the 5 s arrival.
+        for (name, waited, tokens) in run_wall_clock_until(&[0, 5_000_000], StopCondition::Firings(2)) {
+            assert!(waited < std::time::Duration::from_millis(500), "{name} stopped after {waited:?}");
+            assert_eq!(tokens, vec![Token::Int(0)], "{name}");
+        }
     }
 
     #[test]

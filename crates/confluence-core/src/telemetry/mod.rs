@@ -387,21 +387,6 @@ impl Telemetry {
         self.latency = Some(latency);
         self
     }
-
-    /// Offer the time-series recorder a sampling opportunity at director
-    /// time `now`. Cheap no-op without a recorder; otherwise one relaxed
-    /// atomic load unless the sampling interval elapsed. Directors call
-    /// this at timer ticks and firing boundaries so sampling follows the
-    /// director's own clock (virtual time under cooperative directors).
-    /// Returns whether a sample point was actually taken, so directors
-    /// with extra per-sample gauges (e.g. pool worker occupancy) can
-    /// piggy-back on the same cadence.
-    pub fn sample(&self, now: Timestamp) -> bool {
-        match &self.series {
-            Some(series) => series.maybe_sample(now),
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! telemetry layer exposes into *trajectories*: bounded per-key ring
 //! buffers of `(tick, value)` points sampled on the directors' own
 //! clocks. Directors offer it a sampling opportunity via
-//! [`Telemetry::sample`](super::Telemetry::sample) at timer ticks and
-//! firing boundaries; the recorder takes at most one sample per
+//! [`TimeSeriesRecorder::maybe_sample`] at timer ticks and firing
+//! boundaries; the recorder takes at most one sample per
 //! configured interval, keyed on *director time* — wall time under the
 //! real-time directors, virtual time under the cooperative ones, which
 //! makes sampled series deterministic in virtual-time tests.
@@ -115,9 +115,9 @@ impl TimeSeriesRecorder {
         self
     }
 
-    /// Configured sampling interval.
-    pub fn interval(&self) -> Micros {
-        Micros(self.interval_us)
+    /// The director time the next sample is due at.
+    pub fn next_tick(&self) -> Timestamp {
+        Timestamp(self.last_sample_us.load(Ordering::Relaxed).saturating_add(self.interval_us))
     }
 
     /// Take a sample if at least one interval of director time has passed

@@ -2,20 +2,23 @@
 """Alternating parent/change pairs of the benchmark declared in BENCHMARK.json.
 
 usage: bench_pairs.py PARENT_DIR CHANGE_DIR --workloads w1,w2 --seeds 1-10
-                      [--out LOG] [--note TEXT]
+                      [--trace 0|1] [--out LOG] [--note TEXT]
 
 PARENT_DIR and CHANGE_DIR are two checkouts whose benchmark is already built
 (`cargo build --release --offline --manifest-path benchmark/Cargo.toml` in
 each). Every (seed, workload) runs once a side with the command of that
-checkout's BENCHMARK.json, for the change's `run_seconds` and untraced, as
-the benchmark's own `collect` runs; odd seeds run the parent first, even
-seeds the change. Each run is read from its last line (the result object)
-and its DETAIL line (reference hash, ungated timings).
+checkout's BENCHMARK.json, for the change's `run_seconds` and with the given
+`--trace` (default 0, untraced, as the benchmark's own `collect` runs; 1
+adds the traced-only readouts); odd seeds run the parent first, even seeds
+the change. Each run is read from its last line (the result object) and its
+DETAIL line (reference hash, ungated readouts).
 
 For every workload and end-to-end metric the summary gives the median parent
 -> change, both sides' quartiles (Python's default exclusive rule, which
 benchmark/src/stats.rs reproduces), in how many pairs the change is better,
-and the worst pair; then, ungated, each side's median over runs of the run's
+and the worst pair; then the same, ungated, for every per-layer readout of
+BENCHMARK.json that both sides carry as a number (in DETAIL, or in a traced
+run's result); then, ungated, each side's median over runs of the run's
 largest unit peak (`peak_rss_mb` is the least unit's, so a peak claim shows
 there that every unit moved); then whether every run was correct, how many
 operations failed, and whether each pair's reference hashes are equal. With
@@ -35,10 +38,10 @@ def seeds(text):
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def run(checkout, workload, seed, seconds):
+def run(checkout, workload, seed, seconds, trace):
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
         command = json.load(f)["command"]
-    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     p = subprocess.run(command + args, cwd=checkout, capture_output=True, text=True)
     lines = p.stdout.strip().splitlines()
     try:
@@ -57,7 +60,31 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def summarize(runs, metrics, labels=("parent", "change")):
+def readout(run, name):
+    """One run's per-layer readout as a float: its DETAIL entry, else (a traced
+    run) its result's metric; None when neither is a number."""
+    result, detail = run
+    try:
+        return float(detail.get(name, result["metrics"].get(name, {}).get("value")))
+    except (TypeError, ValueError):
+        return None
+
+
+def compare(label, xs, shown, lower):
+    """One summary line over (parent, change) pairs of one metric."""
+    pq, cq = quartiles([a for a, _ in xs]), quartiles([b for _, b in xs])
+    better = sum((b < a) if lower else (b > a) for a, b in xs)
+    deltas = [(b / a - 1) * 100 if a else 0.0 for a, b in xs]
+    worst = max(deltas) if lower else min(deltas)
+    change = f"{(cq[1] / pq[1] - 1) * 100:+.1f}%; " if pq[1] else ""
+    if pq[1] and cq[1]:
+        change += f"ratio {pq[1] / cq[1] if lower else cq[1] / pq[1]:.2f}x; "
+    return (f"{label}: {pq[1]:.3f} -> {cq[1]:.3f} {shown} ({change}parent q1/q3 {pq[0]:.3f}/{pq[2]:.3f} "
+            f"IQR {pq[2] - pq[0]:.3f}; change q1/q3 {cq[0]:.3f}/{cq[2]:.3f}; change "
+            f"{'lower' if lower else 'higher'} in {better}/{len(xs)} pairs; worst pair {worst:+.1f}%)")
+
+
+def summarize(runs, metrics, per_layer=(), labels=("parent", "change")):
     """runs: {workload: {seed: {side: (result, detail)}}} -> summary lines."""
     out = []
     for workload, by_seed in runs.items():
@@ -67,23 +94,14 @@ def summarize(runs, metrics, labels=("parent", "change")):
             scale, shown = (1000.0, "ms") if unit == "s" else (1.0, unit)
             xs = [(a[0]["metrics"][name]["value"] * scale, b[0]["metrics"][name]["value"] * scale)
                   for a, b in pairs if name in a[0]["metrics"] and name in b[0]["metrics"]]
-            if not xs:
-                continue
-            pq, cq = quartiles([a for a, _ in xs]), quartiles([b for _, b in xs])
-            better = sum((b < a) if lower else (b > a) for a, b in xs)
-            deltas = [(b / a - 1) * 100 for a, b in xs]
-            worst = max(deltas) if lower else min(deltas)
-            ratio = pq[1] / cq[1] if lower else cq[1] / pq[1]
-            out.append(
-                f"{workload} {name}: {pq[1]:.3f} -> {cq[1]:.3f} {shown} ({(cq[1] / pq[1] - 1) * 100:+.1f}%; "
-                f"ratio {ratio:.2f}x; parent q1/q3 {pq[0]:.3f}/{pq[2]:.3f} IQR {pq[2] - pq[0]:.3f}; "
-                f"change q1/q3 {cq[0]:.3f}/{cq[2]:.3f}; change {'lower' if lower else 'higher'} in "
-                f"{better}/{len(xs)} pairs; worst pair {worst:+.1f}%)")
-        cpu = [(float(a[1]["run.cpu_us_per_op"]), float(b[1]["run.cpu_us_per_op"]))
-               for a, b in pairs if "run.cpu_us_per_op" in a[1] and "run.cpu_us_per_op" in b[1]]
-        if cpu:
-            pm, cm = statistics.median(a for a, _ in cpu), statistics.median(b for _, b in cpu)
-            out.append(f"{workload} run.cpu_us_per_op (ungated): {pm:.2f} -> {cm:.2f} ({(cm / pm - 1) * 100:+.1f}%)")
+            if xs:
+                out.append(compare(f"{workload} {name}", xs, shown, lower))
+        for m in per_layer:
+            name = m["name"]
+            xs = [(readout(a, name), readout(b, name)) for a, b in pairs]
+            xs = [(a, b) for a, b in xs if a is not None and b is not None]
+            if xs:
+                out.append(compare(f"{workload} {name} (ungated)", xs, m["unit"], m["better"] == "lower"))
         # Each side's largest unit peak per run: `peak_rss_mb` is the least.
         tops = [[max(d["unit_peak_rss_mb"]) for _, d in side if d.get("unit_peak_rss_mb")]
                 for side in zip(*pairs)]
@@ -103,7 +121,7 @@ def summarize(runs, metrics, labels=("parent", "change")):
 
 def raw_line(workload, seed, side, result, detail):
     shown = {k: result[k] for k in ("correct", "attempted", "failed", "metrics") if k in result}
-    return f"{workload} seed={seed} {side} hash={detail.get('reference_hash')} {json.dumps(shown)}"
+    return f"{workload} seed={seed} {side} hash={detail.get('reference_hash')} {json.dumps(shown)} DETAIL {json.dumps(detail)}"
 
 
 def main():
@@ -112,6 +130,7 @@ def main():
     ap.add_argument("change")
     ap.add_argument("--workloads", required=True)
     ap.add_argument("--seeds", type=seeds, required=True)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out")
     ap.add_argument("--note", default="")
     a = ap.parse_args()
@@ -123,17 +142,17 @@ def main():
     for workload in a.workloads.split(","):
         for seed in a.seeds:
             for label, checkout in sides if seed % 2 else sides[::-1]:
-                result, detail = run(checkout, workload, seed, seconds)
+                result, detail = run(checkout, workload, seed, seconds, a.trace)
                 runs.setdefault(workload, {}).setdefault(seed, {})[label] = (result, detail)
                 raw.append(raw_line(workload, seed, label, result, detail))
                 print(raw[-1], file=sys.stderr, flush=True)
     bounds = ", ".join(f"{m['name']} {m['bound'] * 100:g}%" for m in metrics)
     header = [
         f"# {len(a.seeds)} alternating parent/change pairs per workload (seeds {a.seeds[0]}-{a.seeds[-1]}, "
-        f"--seconds {seconds}, --trace 0; odd seeds run the parent first). {a.note}".rstrip(),
+        f"--seconds {seconds}, --trace {a.trace}; odd seeds run the parent first). {a.note}".rstrip(),
         f"# median parent -> change; bounds: {bounds}.",
     ]
-    text = header + summarize(runs, metrics) + ["", "# raw: workload seed side reference_hash last-JSON-line"] + raw
+    text = header + summarize(runs, metrics, bench["per_layer"]) + ["", "# raw: workload seed side reference_hash last-JSON-line DETAIL-line"] + raw
     print("\n".join(text[: len(text) - len(raw) - 2]))
     if a.out:
         with open(a.out, "w") as f:

@@ -50,6 +50,10 @@
 #    keeps no waker and no wait, and the wait-for table is the one record of
 #    parked writers), and the director's wake is called (`.wake(`) in
 #    director/mod.rs only;
+#  - a waiting wall-clock task rests until it is woken or its own instant
+#    comes: no `RECHECK` under crates/*/src, and no `const` of type
+#    `Duration` under crates/confluence-core/src/director/ (no slice of
+#    wall clock ends a rest or decides an outcome);
 #  - under crates/confluence-core/src/director/ and
 #    crates/confluence-sched/src/, the stop bound and the checkpoint cadence
 #    are read, and a close cascade is opened, in director/firing.rs only
@@ -266,6 +270,15 @@ if [ -n "$receiver_waits" ]; then
 fi
 once "calling the director's wake (.wake()" crates/confluence-core/src/director/mod.rs \
     "$(matches '\.wake\(' crates/*/src src examples)"
+rest_slices=$(
+    matches 'RECHECK' crates/*/src
+    matches 'const [A-Za-z_][A-Za-z_0-9]*:[[:space:]]*(std::time::)?Duration' crates/confluence-core/src/director
+)
+if [ -n "$rest_slices" ]; then
+    echo "a rest ends on a wake or its own instant: no RECHECK slice, no Duration constant in the directors:" >&2
+    printf '%s\n' "$rest_slices" >&2
+    status=1
+fi
 
 lifecycle=$(matches '\.stop([^(A-Za-z_]|$)|\.every\(\)|quiescing|RunPhase::Close' $directors |
     grep -v '^crates/confluence-core/src/director/firing.rs:' || true)
@@ -319,6 +332,6 @@ once "opening a source event log (EventLog::create / EventLog::append)" \
     echo "director_dup_check: one FireRecord site, one stamping function, one source frame," \
         "one statistics module and one writer, one builder vocabulary, no control observer or flag, one ready queue per actor," \
         "one Linear Road topology, no clock in the pause, no deferred delivery outside a parked wall-clock task, no drain before a pause," \
-        "one wall-clock task step, Parks' relief from the wait-for table alone, one wake path owned by the fabric, one run loop, one topological sort, one way into a checkpoint segment," \
+        "one wall-clock task step, Parks' relief from the wait-for table alone, one wake path owned by the fabric, no clock slice in a rest, one run loop, one topological sort, one way into a checkpoint segment," \
         "one way an error ends the run, one way to resume a source"
 exit "$status"
