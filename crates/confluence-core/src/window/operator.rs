@@ -819,6 +819,17 @@ impl Emitted<'_> {
         }
         self.pending_delta -= 1;
     }
+
+    /// Emit a window of every event `buffer` holds: each leaves the group
+    /// ([`Emitted::expire`]), and the buffer itself becomes the window's,
+    /// in arrival order and shrunk to its length, so forming it allocates
+    /// nothing.
+    fn emit_buffer(&mut self, buffer: &mut VecDeque<CwEvent>, now: Timestamp, timed_out: bool) {
+        buffer.iter().for_each(|event| self.expire(event));
+        let mut events = Vec::from(std::mem::take(buffer));
+        events.shrink_to_fit();
+        self.emit(events, now, timed_out);
+    }
 }
 
 /// Make room for one more event in a group's buffer: exactly that while
@@ -843,11 +854,16 @@ impl TupleGroup {
     /// Emit the window of up to `size` events from `next_start` on and
     /// advance the start by `hop`. Events that fall below the new start
     /// leave the buffer: they are moved into the window, the ones the next
-    /// window will see again are copied.
+    /// window will see again are copied. A window of the whole buffer takes
+    /// the buffer.
     fn emit(&mut self, size: usize, hop: usize, timed_out: bool, now: Timestamp, out: &mut Emitted<'_>) {
         let from = (self.next_start.saturating_sub(self.front_seq)) as usize;
         self.next_start += hop as u64;
         let leaving = (self.next_start.saturating_sub(self.front_seq) as usize).min(self.events.len());
+        self.front_seq += leaving as u64;
+        if from == 0 && leaving == self.events.len() && leaving <= size {
+            return out.emit_buffer(&mut self.events, now, timed_out);
+        }
         let mut events = Vec::with_capacity(size.min(self.events.len().saturating_sub(from)));
         for (i, ev) in self.events.drain(..leaving).enumerate() {
             out.expire(&ev);
@@ -857,7 +873,6 @@ impl TupleGroup {
         }
         let staying = self.events.iter().skip(from.saturating_sub(leaving));
         events.extend(staying.take(size - events.len()).cloned());
-        self.front_seq += leaving as u64;
         out.emit(events, now, timed_out);
     }
 
@@ -968,9 +983,16 @@ impl TimeGroup {
             };
             // Events no future window can cover leave the (sorted) buffer
             // and are moved into this window; the rest of the window's
-            // events stay for a later one and are copied.
+            // events stay for a later one and are copied. A window of the
+            // whole buffer takes the buffer.
             let cutoff = self.next_k * step;
             let in_window = |e: &CwEvent| (lo..hi).contains(&e.timestamp.as_micros());
+            if self.events.back().is_some_and(|e| e.timestamp.as_micros() < cutoff.min(hi))
+                && self.events.front().is_some_and(in_window)
+            {
+                out.emit_buffer(&mut self.events, now, false);
+                continue;
+            }
             let below_hi = self.events.iter().take_while(|e| e.timestamp.as_micros() < hi);
             let mut events = Vec::with_capacity(below_hi.filter(|e| in_window(e)).count());
             while self.events.front().is_some_and(|e| e.timestamp.as_micros() < cutoff) {
@@ -1754,6 +1776,65 @@ mod tests {
         let (windows, expired) = produced(&mut op);
         assert_eq!(windows.iter().map(values).collect::<Vec<_>>(), vec![vec![0], vec![3], vec![6]]);
         assert_eq!(expired.len(), 7);
+        assert_eq!(op.pending_events(), 0);
+    }
+
+    #[test]
+    fn a_window_that_takes_its_buffer_still_expires_each_event() {
+        let mut op = WindowOperator::new(WindowSpec::tumbling_time(Micros(100))).unwrap();
+        op.wire(true, true);
+        for (value, ts) in [(1, 10), (2, 20), (3, 30)] {
+            op.push(ev(value, ts), Timestamp(ts)).unwrap();
+        }
+        assert_eq!(op.poll(Timestamp(100)), 1);
+        assert_eq!(values(&op.pop_window().unwrap()), vec![1, 2, 3]);
+        assert_eq!(op.pending_events(), 0);
+        let expired: Vec<i64> = op.drain_expired().iter().map(|e| e.token.as_int().unwrap()).collect();
+        assert_eq!(expired, vec![1, 2, 3], "one copy of each event, in order");
+    }
+
+    #[test]
+    fn a_sliding_time_window_copies_the_events_the_next_one_sees() {
+        let mut op = WindowOperator::new(WindowSpec::time(Micros(60), Micros(30))).unwrap();
+        for (value, ts) in [(1, 10), (2, 40), (3, 50)] {
+            op.push(ev(value, ts), Timestamp(ts)).unwrap();
+        }
+        assert_eq!(op.poll(Timestamp(60)), 1);
+        assert_eq!(values(&op.pop_window().unwrap()), vec![1, 2, 3]);
+        assert_eq!(op.pending_events(), 2, "2 and 3 stay for [30, 90)");
+        assert_eq!(op.poll(Timestamp(90)), 1);
+        assert_eq!(values(&op.pop_window().unwrap()), vec![2, 3]);
+        assert_eq!(op.pending_events(), 0);
+    }
+
+    #[test]
+    fn a_wrapped_buffer_is_handed_over_in_arrival_order() {
+        // A delete_used tuples(3, 3) group whose buffer wrapped around its
+        // storage after three pop_fronts.
+        let mut events = VecDeque::with_capacity(4);
+        (0..4).for_each(|i| events.push_back(ev(i, i as u64)));
+        events.drain(..3);
+        (4..6).for_each(|i| events.push_back(ev(i, i as u64)));
+        assert!(!events.as_slices().1.is_empty(), "the buffer wraps");
+        let mut g = TupleGroup { events, front_seq: 3, next_start: 3 };
+        let (mut ready, mut expired) = (VecDeque::new(), VecDeque::new());
+        let mut out = Emitted { ready: &mut ready, expired: Some(&mut expired), pending_delta: 0 };
+        g.try_emit(3, 3, true, Timestamp(6), &mut out);
+        assert_eq!(out.pending_delta, -3);
+        assert_eq!(ready.iter().map(values).collect::<Vec<_>>(), vec![vec![3, 4, 5]]);
+        assert!(g.events.is_empty() && g.front_seq == 6);
+
+        // A sliding tuples(4, 1) port's partial window at flush.
+        let mut op = WindowOperator::new(WindowSpec::tuples(4, 1)).unwrap();
+        for i in 0..6 {
+            op.push(ev(i, i as u64), Timestamp(i as u64)).unwrap();
+        }
+        let Some(GroupState::Tuples(g)) = op.groups.get(0).map(|group| &group.state) else { panic!() };
+        assert!(!g.events.as_slices().1.is_empty(), "the buffer wraps");
+        assert_eq!(op.flush(Timestamp(6)), 1);
+        let (windows, _) = produced(&mut op);
+        assert!(windows[3].timed_out);
+        assert_eq!(values(&windows[3]), vec![3, 4, 5]);
         assert_eq!(op.pending_events(), 0);
     }
 

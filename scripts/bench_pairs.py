@@ -16,11 +16,12 @@ DETAIL line (reference hash, ungated readouts).
 For every workload and end-to-end metric the summary gives the median parent
 -> change, both sides' quartiles (Python's default exclusive rule, which
 benchmark/src/stats.rs reproduces), in how many pairs the change is better,
-and the worst pair; then the same, ungated, for every per-layer readout of
-BENCHMARK.json that both sides carry as a number (in DETAIL, or in a traced
-run's result); then, ungated, each side's median over runs of the run's
-largest unit peak (`peak_rss_mb` is the least unit's, so a peak claim shows
-there that every unit moved); then whether every run was correct, how many
+and the worst pair, and the verdict of the benchmark's rule (`verdict`);
+then the same, ungated, for every per-layer readout of BENCHMARK.json that
+both sides carry as a number (in DETAIL, or in a traced run's result); then,
+ungated, each side's median over runs of the run's largest unit peak
+(`peak_rss_mb` is the least unit's, so a peak claim shows there that every
+unit moved); then whether every run was correct, how many
 operations failed, and whether each pair's reference hashes are equal. With
 --out the summary and one raw line per run are written to LOG; raw lines go to stderr
 as the runs finish.
@@ -70,8 +71,33 @@ def readout(run, name):
         return None
 
 
-def compare(label, xs, shown, lower):
-    """One summary line over (parent, change) pairs of one metric."""
+def verdict(xs, lower, bound):
+    """The benchmark's reading of one gated metric over (parent, change) pairs:
+    `worse` when the change's median is worse than the parent's by more than
+    the bound, `unresolved` when the parent's IQR is wider than the bound and
+    some change run does not beat every parent run, `gain` when the change is
+    better in 9 of 10 pairs and its median by more than the parent's IQR,
+    else `no change`."""
+    parents, changes = [a for a, _ in xs], [b for _, b in xs]
+    pq, cq = quartiles(parents), quartiles(changes)
+
+    def better(parent, change):
+        return change < parent if lower else change > parent
+
+    iqr, worse_by = pq[2] - pq[0], (cq[1] - pq[1]) / pq[1] * (1 if lower else -1)
+    if worse_by > bound:
+        return "worse"
+    if iqr > bound * pq[1] and not all(better(a, b) for a in parents for b in changes):
+        return "unresolved"
+    past_iqr = better(pq[1] - iqr if lower else pq[1] + iqr, cq[1])
+    if 10 * sum(better(a, b) for a, b in xs) >= 9 * len(xs) and past_iqr:
+        return "gain"
+    return "no change"
+
+
+def compare(label, xs, shown, lower, bound=None):
+    """One summary line over (parent, change) pairs of one metric, with its
+    verdict when the metric has a bound."""
     pq, cq = quartiles([a for a, _ in xs]), quartiles([b for _, b in xs])
     better = sum((b < a) if lower else (b > a) for a, b in xs)
     deltas = [(b / a - 1) * 100 if a else 0.0 for a, b in xs]
@@ -81,7 +107,8 @@ def compare(label, xs, shown, lower):
         change += f"ratio {pq[1] / cq[1] if lower else cq[1] / pq[1]:.2f}x; "
     return (f"{label}: {pq[1]:.3f} -> {cq[1]:.3f} {shown} ({change}parent q1/q3 {pq[0]:.3f}/{pq[2]:.3f} "
             f"IQR {pq[2] - pq[0]:.3f}; change q1/q3 {cq[0]:.3f}/{cq[2]:.3f}; change "
-            f"{'lower' if lower else 'higher'} in {better}/{len(xs)} pairs; worst pair {worst:+.1f}%)")
+            f"{'lower' if lower else 'higher'} in {better}/{len(xs)} pairs; worst pair {worst:+.1f}%)"
+            + (f"; verdict: {verdict(xs, lower, bound)}" if bound is not None else ""))
 
 
 def summarize(runs, metrics, per_layer=(), labels=("parent", "change")):
@@ -95,7 +122,7 @@ def summarize(runs, metrics, per_layer=(), labels=("parent", "change")):
             xs = [(a[0]["metrics"][name]["value"] * scale, b[0]["metrics"][name]["value"] * scale)
                   for a, b in pairs if name in a[0]["metrics"] and name in b[0]["metrics"]]
             if xs:
-                out.append(compare(f"{workload} {name}", xs, shown, lower))
+                out.append(compare(f"{workload} {name}", xs, shown, lower, m["bound"]))
         for m in per_layer:
             name = m["name"]
             xs = [(readout(a, name), readout(b, name)) for a, b in pairs]

@@ -91,20 +91,25 @@ fn linear_road_peaks_at_what_its_buffered_events_carry() {
     director.run(&mut lr.workflow).unwrap();
     let allocs = (ALLOCS.load(Relaxed) - allocs_before) as f64 / workload.len() as f64;
     assert!(!lr.toll_output.items().is_empty(), "the drain computed tolls");
-    // 71.8 allocations a report with the detection composites. It was 77.9
-    // while a new group built a key record (two allocations) and a one-step
-    // wave path was boxed, and 98.3 while each composite firing opened,
-    // closed and wrapped up a whole inner run.
-    assert!(allocs < 74.0, "{allocs:.1} allocations a report while draining");
+    // 70.6 allocations a report with the detection composites, now that a
+    // window of its group's whole buffer takes the buffer. It was 71.8
+    // while each such window allocated a `Vec` of its own, 77.9 while a new
+    // group built a key record (two allocations) and a one-step wave path
+    // was boxed, and 98.3 while each composite firing opened, closed and
+    // wrapped up a whole inner run.
+    assert!(allocs < 72.0, "{allocs:.1} allocations a report while draining");
 
     // The peak falls at the minute-2 window close, when the per-car windows
-    // hold two minutes of reports: 651 B a report now that a group holds
-    // its newest event instead of a key record of its own and a one-step
-    // wave path sits inline in its tag. It was 715 B with both, 739 B while
-    // the source kept a drained queue of 24-byte `(Timestamp, Token)`
-    // slots, and 932 B with 24-byte tokens and 64-byte events.
+    // hold two minutes of reports: 650 B a report, as it was while each
+    // window copied its events out of its group's buffer. A window that
+    // takes the buffer must shrink it to its length: with the buffer's
+    // doubling slack left in it, the peak read 672 B. It was 715 B while a
+    // group held a key record of its own and a one-step wave path was
+    // boxed, 739 B while the source kept a drained queue of 24-byte
+    // `(Timestamp, Token)` slots, and 932 B with 24-byte tokens and 64-byte
+    // events.
     let per_report = (peak.0.load(Relaxed) - baseline) as f64 / workload.len() as f64;
-    assert!(per_report < 670.0, "peak live heap {per_report:.1} B a report above the pre-build baseline");
+    assert!(per_report < 663.0, "peak live heap {per_report:.1} B a report above the pre-build baseline");
 
     // Building is a constant: the source holds the shared reports and turns
     // each into a token only when it releases it. Measured after the run
